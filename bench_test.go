@@ -3,7 +3,7 @@ package toc
 // One benchmark per paper table and figure (deliverable d): each wraps the
 // corresponding internal/bench experiment runner, so `go test -bench=.`
 // regenerates every artifact. cmd/tocbench prints the same tables with
-// full control over scale; EXPERIMENTS.md records paper-vs-measured.
+// full control over scale; benchmark/README.md records measured-vs-paper.
 //
 // Micro-benchmarks for the core TOC pipeline (compress, decompress, the
 // four multiplication kernels vs CSR/DEN) follow the experiment wrappers.

@@ -8,8 +8,9 @@
 //	tocbench -run spillscale -csv spillscale.csv
 //	tocbench -run kernelspeed -cpuprofile kernels.pprof
 //
-// Each experiment prints a paper-style table; EXPERIMENTS.md records the
-// expected shapes. -scale trades runtime for fidelity (1.0 = default).
+// Each experiment prints a paper-style table; benchmark/README.md records
+// measured-vs-paper numbers. -scale trades runtime for fidelity (1.0 =
+// default).
 // -csv additionally appends every table to a CSV file, which is what CI
 // uploads as an artifact so BENCH_* trajectories compare across PRs.
 // -cpuprofile and -memprofile capture pprof profiles of the run itself —

@@ -36,7 +36,7 @@
 //
 // With -async the bounded-staleness engine replaces the group steps:
 // every mini-batch gradient is its own parameter update, applied in
-// visit order by a single updater that admits a gradient only if its
+// visit order by the training loop, which admits a gradient only if its
 // parameter snapshot missed at most -staleness updates. There is no
 // merge barrier, so one slow batch never idles the other workers;
 // -staleness 0 walks the serial trajectory bitwise and -staleness -1

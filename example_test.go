@@ -127,8 +127,8 @@ func ExampleNewEngine() {
 }
 
 // ExampleNewAsyncEngine is the `toctrain -async` path as library code:
-// asynchronous bounded-staleness training, where workers pull batches
-// from a shared queue and a single updater applies each gradient only if
+// asynchronous bounded-staleness training, where workers pull batch
+// positions from the training loop, which applies each gradient only if
 // its parameter snapshot missed at most Staleness updates. There is no
 // merge barrier, so a slow batch never idles the other workers — and at
 // Staleness 0 every gradient is computed at exactly the version it is

@@ -20,7 +20,7 @@ import (
 // the floor), the barrier rows show what synchrony costs, and a staleness
 // window ≥ the skew period lets workers flow around stragglers, so async
 // beats the barrier as workers grow. stale_max never exceeds the bound:
-// the updater's admission check is part of what this regime measures.
+// the loop's admission check is part of what this regime measures.
 
 func init() {
 	register("asyncscale", "async bounded-staleness vs the synchronous barrier under skewed batch costs", runAsyncScale)

@@ -7,8 +7,8 @@
 // Absolute numbers differ from the paper (Go on a laptop vs C++ on a 2019
 // cloud VM, synthetic stand-in datasets, scaled-down sizes); what each
 // experiment reproduces is the paper's *shape*: which method wins, by
-// roughly what factor, and where the crossovers fall. EXPERIMENTS.md
-// records paper-vs-measured for every experiment.
+// roughly what factor, and where the crossovers fall. benchmark/README.md
+// records measured-vs-paper numbers on real costs.
 package bench
 
 import (

@@ -87,7 +87,7 @@ func runFig11(cfg Config) (*Table, error) {
 			"budget fits only TOC resident (the paper's 15GB-RAM Mnist25m regime)",
 			"paper shape: all systems converge to the same error; BismarckTOC",
 			"  gets there first because its data alone stays in memory",
-			"system rows are modeled from native runs; see EXPERIMENTS.md",
+			"system rows are modeled from native runs",
 		},
 	}
 	// Budget: 1.3x the TOC footprint, so TOC is resident, others spill.

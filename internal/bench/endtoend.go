@@ -31,7 +31,7 @@ func init() {
 // (24 GB working set on 15 GB RAM), whose effective throughput is far
 // below the disk's nominal 150-200 MB/s; 25 MB/s keeps our IO:compute
 // ratio aligned with the paper's (their C++ kernels are also several
-// times faster than these Go kernels). See EXPERIMENTS.md.
+// times faster than these Go kernels).
 const simulatedDiskBandwidth = 25 << 20 // bytes/s
 
 // storeSource wraps a storage.Store for training plus cleanup.

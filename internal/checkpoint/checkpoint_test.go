@@ -214,3 +214,25 @@ func TestWriterSynchronousMode(t *testing.T) {
 		t.Fatalf("synchronous SaveAsync did not write immediately: %v", err)
 	}
 }
+
+// A run's final synchronous Save lands while the background writer is
+// still pruning after a cadence snapshot; the two must not race to
+// remove the same oldest file.
+func TestWriterSaveConcurrentWithSaveAsync(t *testing.T) {
+	w, err := NewWriter(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetKeep(1)
+	for i := 0; i < 200; i += 2 {
+		a, b := sampleState(0), sampleState(0)
+		a.Pos, b.Pos = i, i+1
+		w.SaveAsync(a)
+		if err := w.Save(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

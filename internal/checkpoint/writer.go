@@ -29,6 +29,12 @@ const DefaultKeep = 3
 type Writer struct {
 	dir string
 
+	// saveMu serializes Save's write-then-prune: the background writer
+	// and a caller's synchronous Save (the final checkpoint of a run) may
+	// overlap, and two concurrent prunes would race to remove the same
+	// oldest file.
+	saveMu sync.Mutex
+
 	mu sync.Mutex
 	//toc:guardedby mu
 	keep int
@@ -86,6 +92,8 @@ func (w *Writer) SetSynchronous(on bool) {
 // Save writes one checkpoint synchronously (atomic rename) and prunes
 // old files past the retention count.
 func (w *Writer) Save(s *State) error {
+	w.saveMu.Lock()
+	defer w.saveMu.Unlock()
 	if err := Save(filepath.Join(w.dir, FileName(s.Step())), s); err != nil {
 		return err
 	}

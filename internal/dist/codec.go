@@ -7,8 +7,8 @@
 // compute mini-batch gradients against them, and push the gradients
 // back. A push whose snapshot version trails the server clock by more
 // than the staleness bound is rejected and recomputed against fresh
-// parameters — the same admission rule the local async updater applies,
-// carried across the wire.
+// parameters — engine.Loop's admission rule, the one the local engines
+// run under, carried across the wire.
 //
 // Gradient traffic is compressed by a GradCodec on both directions:
 // dense (the exact baseline — a single trainer at staleness 0 walks the

@@ -3,11 +3,9 @@ package dist
 import (
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/rpc"
 	"sync"
-	"time"
 
 	"toc/internal/checkpoint"
 	"toc/internal/engine"
@@ -39,36 +37,26 @@ type ServerConfig struct {
 	// Link, when non-nil, meters every payload through the simulated
 	// NIC, so compression shows up as wall-clock.
 	Link *Link
-	// Checkpoint, CheckpointEvery and Resume mirror the local engines:
-	// snapshots are taken between applied updates (the server model is
-	// only mutated under its lock) and a resume continues the schedule
-	// at the checkpointed clock. Codec residual state is deliberately
-	// not checkpointed — error feedback makes a dropped residual an
-	// accuracy rounding, never corruption — so only dense (or
-	// staleness-0 single-trainer) resumes are bitwise.
+	// Checkpoint, CheckpointEvery and Resume mirror the local engines: a
+	// resume continues the schedule at the checkpointed clock. Codec
+	// residual state is deliberately not checkpointed — error feedback
+	// makes a dropped residual an accuracy rounding, never corruption —
+	// so only dense (or staleness-0 single-trainer) resumes are bitwise.
 	Checkpoint      *checkpoint.Writer
 	CheckpointEvery int
 	Resume          *checkpoint.State
 	// OnStep observes every applied update with its global position and
-	// admitted mini-batch loss, under the server lock: it must not call
-	// back into the server. The identity tests compare these sequences
-	// bitwise against the local async engine's.
+	// admitted mini-batch loss, serially and outside the server's locks.
+	// The identity tests compare these sequences bitwise against the
+	// local async engine's.
 	OnStep func(step int64, loss float64)
 }
 
-// ServerStats counts one distributed run.
+// ServerStats counts one distributed run: the loop's admission counters
+// (Updates, Rejected, Duplicates, staleness) plus membership and wire
+// accounting.
 type ServerStats struct {
-	// Updates counts applied gradients; Rejected counts pushes refused
-	// for exceeding the staleness bound (the trainer recomputes), and
-	// Duplicates counts pushes for positions already applied or already
-	// pending (crash-reassignment races, dropped idempotently).
-	Updates    int64
-	Rejected   int64
-	Duplicates int64
-	// MaxStaleness and StaleSum describe the admitted updates'
-	// version lag.
-	MaxStaleness int64
-	StaleSum     int64
+	engine.LoopStats
 	// Joined/Left/Disconnects/Reassigned: trainer membership. A
 	// disconnect without Bye is a crash; its in-flight positions are
 	// requeued (Reassigned) to surviving trainers.
@@ -87,14 +75,6 @@ type ServerStats struct {
 	DenseDownBytes int64
 }
 
-// MeanStaleness is the average version lag of admitted updates.
-func (s ServerStats) MeanStaleness() float64 {
-	if s.Updates == 0 {
-		return 0
-	}
-	return float64(s.StaleSum) / float64(s.Updates)
-}
-
 // WireRatio is payload bytes moved over what dense would have moved —
 // the compression win the netscale regime gates.
 func (s ServerStats) WireRatio() float64 {
@@ -105,146 +85,47 @@ func (s ServerStats) WireRatio() float64 {
 	return float64(s.UpBytes+s.DownBytes) / float64(dense)
 }
 
-// Server is the parameter server: it owns the model and applies pushed
-// gradients strictly in position order (a bounded reorder buffer under
-// one lock), which is what makes the distributed trajectory a function
-// of the schedule alone — never of which trainer raced which.
+// Server is the parameter server: engine.Loop's front end for remote
+// workers. The loop owns the model, the clock and the schedule; the
+// server adds the gradient codec, the metered link, per-trainer downlink
+// state and wire accounting, and turns a vanished connection into
+// Loop.Abandon.
 type Server struct {
-	epochs  int
-	n       int
-	total   int64
-	lr      float64
-	seed    int64
-	shuffle bool
-	bound   int
-	proto   GradCodec
-	link    *Link
-	ck      *checkpoint.Writer
-	ckEvery int
-	onStep  func(step int64, loss float64)
+	loop  *engine.Loop
+	n     int
+	np    int
+	bound int
+	proto GradCodec
+	link  *Link
 
-	m  ml.SnapshotModel
-	np int
-
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	//toc:guardedby mu
-	clock int64 // applied updates = next position to apply
-	//toc:guardedby mu
-	nextRelease int64 // next never-assigned position
-	//toc:guardedby mu
-	halted bool
-	//toc:guardedby mu
-	failed error // first fatal error; fails the run loudly
-	//toc:guardedby mu
-	finalized bool
-	//toc:guardedby mu
-	finalErr error // final synchronous checkpoint failure
-	//toc:guardedby mu
-	requeue []int64 // crashed trainers' positions awaiting reassignment
-	//toc:guardedby mu
-	assigned []assignment // released positions and who computes them
-	//toc:guardedby mu
-	pending map[int64]pendingGrad // admitted, awaiting in-order apply
-	//toc:guardedby mu
-	perms map[int][]int // cached epoch permutations (Shuffle only)
-	//toc:guardedby mu
-	nextID int
-	//toc:guardedby mu
-	stats ServerStats
-	//toc:guardedby mu
-	epochLossAcc float64
-	//toc:guardedby mu
-	res *ml.TrainResult
-	//toc:guardedby mu
-	start time.Time
-	//toc:guardedby mu
-	epochStart time.Time
-	//toc:guardedby mu
-	sinceCkpt int
-	//toc:guardedby mu
-	gradFree [][]float64 // decoded-gradient buffer pool
-}
-
-type assignment struct {
-	pos  int64
-	sess *session
-}
-
-type pendingGrad struct {
-	grad  []float64
-	loss  float64
-	stale int64
+	stats ServerStats // membership and wire counters; LoopStats lives in loop
 }
 
 // NewServer builds a parameter server around m (which it owns for the
 // duration of the run — read the final parameters from m after Wait).
 func NewServer(cfg ServerConfig, m ml.SnapshotModel) (*Server, error) {
-	if cfg.Epochs < 0 || cfg.NumBatches <= 0 {
-		return nil, fmt.Errorf("dist: need Epochs >= 0 and NumBatches > 0, got %d and %d", cfg.Epochs, cfg.NumBatches)
+	if cfg.NumBatches <= 0 {
+		return nil, fmt.Errorf("dist: need NumBatches > 0, got %d", cfg.NumBatches)
+	}
+	loop, err := engine.NewLoop(engine.LoopConfig{
+		Kind: checkpoint.KindDist, Epochs: cfg.Epochs, NumBatches: cfg.NumBatches, LR: cfg.LR,
+		Seed: cfg.Seed, Shuffle: cfg.Shuffle, Staleness: cfg.Staleness,
+		Checkpoint: cfg.Checkpoint, CheckpointEvery: cfg.CheckpointEvery, Resume: cfg.Resume,
+		OnStep: cfg.OnStep,
+	}, m, nil)
+	if err != nil {
+		return nil, err
 	}
 	proto := cfg.Codec
 	if proto == nil {
 		proto = &Dense{}
 	}
-	bound := cfg.Staleness
-	if bound < 0 {
-		bound = -1
-	}
-	s := &Server{
-		epochs: cfg.Epochs, n: cfg.NumBatches,
-		total: int64(cfg.Epochs) * int64(cfg.NumBatches),
-		lr:    cfg.LR, seed: cfg.Seed, shuffle: cfg.Shuffle, bound: bound,
+	return &Server{
+		loop: loop, n: cfg.NumBatches, np: m.NumParams(), bound: max(cfg.Staleness, -1),
 		proto: proto, link: cfg.Link,
-		ck: cfg.Checkpoint, ckEvery: cfg.CheckpointEvery, onStep: cfg.OnStep,
-		m: m, np: m.NumParams(),
-		pending: map[int64]pendingGrad{},
-		res:     &ml.TrainResult{},
-	}
-	if cfg.Shuffle {
-		s.perms = map[int][]int{}
-	}
-	s.cond = sync.NewCond(&s.mu)
-	if cfg.Resume != nil {
-		if err := s.validateResume(cfg.Resume); err != nil {
-			return nil, err
-		}
-		m.SetParams(cfg.Resume.Params)
-		s.clock = cfg.Resume.Clock
-		s.nextRelease = cfg.Resume.Clock
-		s.epochLossAcc = cfg.Resume.PartialLoss
-		s.res.EpochLoss = append([]float64(nil), cfg.Resume.EpochLoss...)
-		// Wall-clock of pre-crash epochs is gone; zero placeholders keep
-		// EpochTime aligned with EpochLoss, as the local engines do.
-		s.res.EpochTime = make([]time.Duration, len(cfg.Resume.EpochLoss))
-	}
-	return s, nil
-}
-
-// validateResume rejects a checkpoint a run with this configuration did
-// not take — resuming it would silently fork the trajectory.
-func (s *Server) validateResume(st *checkpoint.State) error {
-	switch {
-	case st.Kind != checkpoint.KindDist:
-		return fmt.Errorf("dist: checkpoint kind %v, want %v", st.Kind, checkpoint.KindDist)
-	case st.NumBatches != s.n:
-		return fmt.Errorf("dist: checkpoint has %d batches, schedule has %d", st.NumBatches, s.n)
-	case st.Seed != s.seed:
-		return fmt.Errorf("dist: checkpoint seed %d, server uses %d", st.Seed, s.seed)
-	case st.Shuffle != s.shuffle:
-		return fmt.Errorf("dist: checkpoint shuffle=%v, server uses %v", st.Shuffle, s.shuffle)
-	case st.Staleness != s.bound:
-		return fmt.Errorf("dist: checkpoint staleness %d, server uses %d", st.Staleness, s.bound)
-	case math.Float64bits(st.LR) != math.Float64bits(s.lr):
-		return fmt.Errorf("dist: checkpoint learning rate %v, run uses %v", st.LR, s.lr)
-	case len(st.Params) != s.np:
-		return fmt.Errorf("dist: checkpoint has %d params, model has %d", len(st.Params), s.np)
-	case st.Clock < 0 || st.Clock > s.total:
-		return fmt.Errorf("dist: checkpoint clock %d out of [0, %d]", st.Clock, s.total)
-	case len(st.EpochLoss) != int(st.Clock/int64(s.n)):
-		return fmt.Errorf("dist: checkpoint has %d epoch losses at clock %d", len(st.EpochLoss), st.Clock)
-	}
-	return nil
+	}, nil
 }
 
 // Serve accepts trainer connections until the listener closes. Run it
@@ -274,243 +155,46 @@ func (s *Server) ServeConn(conn io.ReadWriteCloser) {
 		panic(fmt.Sprintf("dist: register session: %v", err))
 	}
 	rs.ServeConn(conn)
-	s.sessionGone(sess)
-}
-
-// sessionGone requeues a crashed trainer's in-flight positions.
-func (s *Server) sessionGone(sess *session) {
 	sess.mu.Lock()
 	id, left := sess.id, sess.left
 	sess.mu.Unlock()
-	if id < 0 || left {
-		return // never joined, or said goodbye cleanly
+	if id < 0 {
+		return // never joined: holds nothing
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Disconnects++
-	kept := s.assigned[:0]
-	for _, a := range s.assigned {
-		if a.sess == sess {
-			s.requeue = append(s.requeue, a.pos)
-			s.stats.Reassigned++
-		} else {
-			kept = append(kept, a)
-		}
+	requeued := s.loop.Abandon(id)
+	if !left {
+		s.count(func(st *ServerStats) {
+			st.Disconnects++
+			st.Reassigned += int64(requeued)
+		})
 	}
-	s.assigned = kept
-	s.cond.Broadcast()
 }
 
-// Halt asks the run to stop: no new positions are released, in-flight
-// and requeued ones still complete, a final checkpoint is written
-// synchronously, and Wait returns engine.ErrHalted. Safe from any
-// goroutine, e.g. a signal handler.
-func (s *Server) Halt() {
+// count updates the server's own counters under its lock.
+func (s *Server) count(update func(st *ServerStats)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.halted = true
-	s.drainLocked() // the schedule may already be fully applied
-	s.cond.Broadcast()
+	update(&s.stats)
 }
 
-// Wait blocks until the schedule completes (or Halt drains, or the run
+// Halt asks the run to stop: no new positions are released, a final
+// checkpoint is written synchronously, and Wait returns
+// engine.ErrHalted. Safe from any goroutine, e.g. a signal handler.
+func (s *Server) Halt() { s.loop.Halt() }
+
+// Wait blocks until the schedule completes (or Halt lands, or the run
 // fails) and returns the result. Read the final parameters from the
 // model passed to NewServer.
-func (s *Server) Wait() (*ml.TrainResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.failed == nil && !s.finishedLocked() {
-		s.cond.Wait()
-	}
-	if s.failed != nil {
-		return s.res, s.failed
-	}
-	if s.finalErr != nil {
-		return s.res, s.finalErr
-	}
-	if s.halted && s.clock < s.total {
-		return s.res, engine.ErrHalted
-	}
-	return s.res, nil
-}
+func (s *Server) Wait() (*ml.TrainResult, error) { return s.loop.Wait() }
 
 // Stats returns a snapshot of the run counters.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	s.mu.Unlock()
+	st.LoopStats = s.loop.Stats()
+	return st
 }
 
 // Clock returns the applied-update count.
-func (s *Server) Clock() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clock
-}
-
-// targetLocked is the position the run is driving toward: the full
-// schedule, or the release frontier once halted.
-//
-//toc:locked mu
-func (s *Server) targetLocked() int64 {
-	if s.halted && s.nextRelease < s.total {
-		return s.nextRelease
-	}
-	return s.total
-}
-
-//toc:locked mu
-func (s *Server) finishedLocked() bool { return s.clock >= s.targetLocked() }
-
-// admissibleLocked reports whether releasing pos now can still yield an
-// admissible gradient: a trainer pulling fresh parameters sees at least
-// the current clock, so pos is computable within the bound iff
-// clock >= pos - bound — the async engine's release gate, carried to
-// the wire.
-//
-//toc:locked mu
-func (s *Server) admissibleLocked(pos int64) bool {
-	return s.bound < 0 || s.clock >= pos-int64(s.bound)
-}
-
-// batchOfLocked maps a global position to its epoch's batch index.
-//
-//toc:locked mu
-func (s *Server) batchOfLocked(pos int64) int {
-	i := int(pos % int64(s.n))
-	if !s.shuffle {
-		return i
-	}
-	epoch := int(pos / int64(s.n))
-	perm, ok := s.perms[epoch]
-	if !ok {
-		perm = engine.EpochPerm(s.seed, epoch, s.n)
-		s.perms[epoch] = perm
-	}
-	return perm[i]
-}
-
-//toc:locked mu
-func (s *Server) assignLocked(pos int64, sess *session) {
-	s.assigned = append(s.assigned, assignment{pos: pos, sess: sess})
-}
-
-//toc:locked mu
-func (s *Server) unassignLocked(pos int64, sess *session) {
-	for i, a := range s.assigned {
-		if a.pos == pos && a.sess == sess {
-			last := len(s.assigned) - 1
-			s.assigned[i] = s.assigned[last]
-			s.assigned = s.assigned[:last]
-			return
-		}
-	}
-}
-
-// fail records the first fatal error and wakes everyone.
-func (s *Server) fail(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failed == nil {
-		s.failed = err
-	}
-	s.cond.Broadcast()
-}
-
-func (s *Server) getGradBuf() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.gradFree); n > 0 {
-		b := s.gradFree[n-1]
-		s.gradFree = s.gradFree[:n-1]
-		return b
-	}
-	return make([]float64, s.np)
-}
-
-//toc:locked mu
-func (s *Server) putGradBufLocked(b []float64) {
-	s.gradFree = append(s.gradFree, b)
-}
-
-// snapshotLocked captures the run between applied updates — the model
-// is only ever mutated under mu, so this is a consistent cut.
-//
-//toc:locked mu
-func (s *Server) snapshotLocked() *checkpoint.State {
-	params := make([]float64, s.np)
-	s.m.Params(params)
-	return &checkpoint.State{
-		Kind: checkpoint.KindDist, Seed: s.seed, LR: s.lr,
-		Shuffle: s.shuffle, Staleness: s.bound, NumBatches: s.n,
-		Epoch: int(s.clock / int64(s.n)), Pos: int(s.clock % int64(s.n)),
-		Clock: s.clock, PartialLoss: s.epochLossAcc,
-		EpochLoss: append([]float64(nil), s.res.EpochLoss...),
-		Params:    params,
-	}
-}
-
-// drainLocked applies every pending gradient whose position is next in
-// order, advancing the clock; it is the only place the model mutates.
-// Apply order is position order — never push-arrival order — so the
-// trajectory is deterministic given the admitted-version schedule.
-//
-//toc:timing
-//toc:locked mu
-func (s *Server) drainLocked() {
-	for {
-		g, ok := s.pending[s.clock]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.clock)
-		if s.start.IsZero() {
-			s.start = time.Now()
-		}
-		pos := s.clock
-		if int(pos%int64(s.n)) == 0 {
-			s.epochStart = time.Now()
-		}
-		s.m.ApplyGrad(g.grad, s.lr)
-		s.stats.Updates++
-		s.stats.StaleSum += g.stale
-		if g.stale > s.stats.MaxStaleness {
-			s.stats.MaxStaleness = g.stale
-		}
-		s.epochLossAcc += g.loss
-		if s.onStep != nil {
-			s.onStep(pos, g.loss)
-		}
-		s.clock++
-		s.sinceCkpt++
-		s.putGradBufLocked(g.grad)
-		atBoundary := int(s.clock%int64(s.n)) == 0
-		if atBoundary {
-			s.res.EpochLoss = append(s.res.EpochLoss, s.epochLossAcc/float64(s.n))
-			dt := time.Duration(0)
-			if !s.epochStart.IsZero() {
-				dt = time.Since(s.epochStart)
-			}
-			s.res.EpochTime = append(s.res.EpochTime, dt)
-			s.epochLossAcc = 0
-		}
-		if s.ck != nil && s.clock < s.targetLocked() {
-			if (s.ckEvery > 0 && s.sinceCkpt >= s.ckEvery) || (s.ckEvery <= 0 && atBoundary) {
-				s.ck.SaveAsync(s.snapshotLocked())
-				s.sinceCkpt = 0
-			}
-		}
-	}
-	if s.finishedLocked() && !s.finalized {
-		s.finalized = true
-		if !s.start.IsZero() {
-			s.res.Total = time.Since(s.start)
-		}
-		if s.ck != nil {
-			// Final checkpoint is synchronous, so it is durable before
-			// Wait returns — the Halt contract the local engines keep.
-			s.finalErr = s.ck.Save(s.snapshotLocked())
-		}
-	}
-	s.cond.Broadcast()
-}
+func (s *Server) Clock() int64 { return s.loop.Clock() }

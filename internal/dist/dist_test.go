@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"net/rpc"
 	"sync"
 	"testing"
 
@@ -378,7 +379,113 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	}
 }
 
-// Resume validation refuses configuration drift.
+// The RPC surface is a trust boundary: a peer that skips Join, or pushes
+// a position it was never assigned (another trainer's, one not released
+// yet, one past the schedule) or a version from the future, gets an RPC
+// error, moves nothing — and the run still completes on the trajectory of
+// a run no hostile peer touched.
+func TestHostilePeerCannotMoveTheRun(t *testing.T) {
+	d, src := testSource(t, "census", 200)
+	n := src.NumBatches()
+	train := func(srv *Server) {
+		t.Helper()
+		_, werr, errs, _ := runCluster(t, srv, 1, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
+			return newSnapshotModel(t, "lr", d, 3), src, TrainerConfig{}
+		})
+		if werr != nil || errs[0] != nil {
+			t.Fatalf("run did not complete: server %v, trainer %v", werr, errs[0])
+		}
+	}
+	cfg := ServerConfig{Epochs: 2, NumBatches: n, LR: 0.2}
+	clean := newSnapshotModel(t, "lr", d, 3)
+	srv, err := NewServer(cfg, clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train(srv)
+
+	attacked := newSnapshotModel(t, "lr", d, 3)
+	if srv, err = NewServer(cfg, attacked); err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *rpc.Client {
+		client, server := net.Pipe()
+		go srv.ServeConn(server)
+		return rpc.NewClient(client)
+	}
+	join := func(c *rpc.Client) {
+		t.Helper()
+		var jr JoinReply
+		if err := c.Call("PS.Join", &JoinArgs{Codec: "dense", NumParams: attacked.NumParams(), NumBatches: n}, &jr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poison := make([]float64, attacked.NumParams())
+	for i := range poison {
+		poison[i] = 1e6
+	}
+	payload := (&Dense{}).EncodeGrad(poison, nil)
+	push := func(pos, version int64) func(c *rpc.Client) error {
+		return func(c *rpc.Client) error {
+			return c.Call("PS.Push", &PushArgs{Pos: pos, Version: version, Payload: payload}, &PushReply{})
+		}
+	}
+
+	// victim is an honest peer holding position 0 while the others attack.
+	victim := dial()
+	join(victim)
+	var held NextReply
+	if err := victim.Call("PS.Next", &NextArgs{}, &held); err != nil || held.Done || held.Pos != 0 {
+		t.Fatalf("victim Next = %+v, %v; want position 0", held, err)
+	}
+	rows := []struct {
+		name   string
+		joined bool
+		call   func(c *rpc.Client) error
+	}{
+		{"Next before Join", false, func(c *rpc.Client) error { return c.Call("PS.Next", &NextArgs{}, &NextReply{}) }},
+		{"Push before Join", false, push(0, 0)},
+		{"Bye before Join", false, func(c *rpc.Client) error { return c.Call("PS.Bye", &ByeArgs{}, &ByeReply{}) }},
+		{"push another trainer's position", true, push(0, 0)},
+		{"push a position not released yet", true, push(3, 0)},
+		{"push a position past the schedule", true, push(int64(2*n), 0)},
+		{"push a negative position", true, push(-1, 0)},
+	}
+	for _, row := range rows {
+		c := dial()
+		if row.joined {
+			join(c)
+		}
+		if err := row.call(c); err == nil {
+			t.Errorf("%s: accepted", row.name)
+		}
+		if got := srv.Clock(); got != 0 {
+			t.Errorf("%s: clock moved to %d", row.name, got)
+		}
+		c.Close()
+	}
+	// A version from the future, for a position the peer does hold.
+	if err := victim.Call("PS.Push", &PushArgs{Pos: 0, Version: 5, Payload: payload}, &PushReply{}); err == nil {
+		t.Error("push computed at a future version: accepted")
+	}
+	victim.Close() // vanishes holding position 0: requeued for the honest trainer
+
+	train(srv)
+	if diff := maxAbsDiff(paramsOf(clean), paramsOf(attacked)); diff != 0 {
+		t.Errorf("attacked run's params diverge from the clean run's by %g", diff)
+	}
+	st := srv.Stats()
+	if want := int64(2 * n); st.Updates != want || st.Duplicates != 0 {
+		t.Errorf("%d updates, %d duplicates; want %d and 0", st.Updates, st.Duplicates, want)
+	}
+	if st.Reassigned != 1 {
+		t.Errorf("%d positions reassigned, want the victim's 1", st.Reassigned)
+	}
+}
+
+// Resume validation refuses configuration drift. The table of mismatches
+// is engine.TestLoopResumeRefusesEveryMismatch; this is the
+// through-the-server case.
 func TestResumeValidation(t *testing.T) {
 	good := &checkpoint.State{
 		Kind: checkpoint.KindDist, Seed: 1, LR: 0.2, Staleness: 2,
@@ -389,24 +496,14 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := NewServer(withResume(base, good), &stubModel{np: 4}); err != nil {
 		t.Fatalf("valid resume rejected: %v", err)
 	}
-	bad := []func(s *checkpoint.State){
-		func(s *checkpoint.State) { s.Kind = checkpoint.KindAsync },
-		func(s *checkpoint.State) { s.Seed = 99 },
-		func(s *checkpoint.State) { s.LR = 0.3 },
-		func(s *checkpoint.State) { s.Staleness = 5 },
-		func(s *checkpoint.State) { s.NumBatches = 9 },
-		func(s *checkpoint.State) { s.Params = make([]float64, 5) },
-		func(s *checkpoint.State) { s.Clock = 999 },
-		func(s *checkpoint.State) { s.EpochLoss = nil },
+	async := *good
+	async.Kind = checkpoint.KindAsync
+	if _, err := NewServer(withResume(base, &async), &stubModel{np: 4}); err == nil {
+		t.Error("server resumed an async-engine checkpoint")
 	}
-	for i, mutate := range bad {
-		st := *good
-		st.EpochLoss = append([]float64(nil), good.EpochLoss...)
-		st.Params = append([]float64(nil), good.Params...)
-		mutate(&st)
-		if _, err := NewServer(withResume(base, &st), &stubModel{np: 4}); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
+	base.Staleness = 5
+	if _, err := NewServer(withResume(base, good), &stubModel{np: 4}); err == nil {
+		t.Error("server resumed a checkpoint taken under another staleness bound")
 	}
 }
 

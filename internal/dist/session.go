@@ -5,20 +5,20 @@ import (
 	"sync"
 )
 
-// The wire protocol: five RPCs on service "PS". A trainer Joins (codec
-// and shape handshake, bootstrap parameter image), then loops Next
-// (blocks until a position is admissible under the staleness bound —
-// the async engine's release gate over the wire), optionally Pull (a
+// The wire protocol: five RPCs on service "PS", each a thin transport
+// over engine.Loop. A trainer Joins (codec and shape handshake, bootstrap
+// parameter image), then loops Next (Loop.Next), optionally Pull (a
 // compressed delta bringing its image to the current version), computes,
-// and Pushes the compressed gradient tagged with the snapshot version it
-// was computed at; the server rejects pushes staler than the bound and
-// the trainer recomputes against a fresh pull. Bye leaves cleanly;
-// vanishing without it is a crash and the trainer's in-flight positions
-// are requeued.
+// and Pushes the compressed gradient tagged with the version it was
+// computed at (Loop.Submit); a rejected trainer recomputes against a
+// fresh pull. Bye leaves cleanly; vanishing without it is a crash
+// (Loop.Abandon).
 //
-// Trainers call strictly serially (net/rpc's synchronous Call), so each
-// session has at most one RPC in flight; the session lock still guards
-// its state so a misbehaving client cannot corrupt the server.
+// Every id, position and version a peer sends is untrusted: the session
+// acts only as the owner its own Join created, and the loop refuses
+// positions that owner does not hold. Trainers call strictly serially
+// (net/rpc's synchronous Call); the session lock still guards its state
+// so a misbehaving client cannot corrupt the server.
 
 // JoinArgs is the trainer's handshake: the server validates that both
 // sides agree on the codec and the schedule shape before any traffic.
@@ -91,7 +91,7 @@ type session struct {
 
 	mu sync.Mutex
 	//toc:guardedby mu
-	id int // -1 until Join
+	id int // loop owner id; -1 until Join
 	//toc:guardedby mu
 	left bool // clean Bye received
 	//toc:guardedby mu
@@ -102,6 +102,13 @@ type session struct {
 	paramsBuf []float64
 	//toc:guardedby mu
 	payloadBuf []byte
+}
+
+// owner returns the loop owner this session joined as, -1 before Join.
+func (x *session) owner() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.id
 }
 
 // Join implements the handshake RPC.
@@ -116,29 +123,24 @@ func (x *session) Join(args *JoinArgs, reply *JoinReply) error {
 	if want := s.proto.Name(); args.Codec != want {
 		return fmt.Errorf("dist: trainer codec %q, server uses %q", args.Codec, want)
 	}
-	s.mu.Lock()
-	if err := s.failed; err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	id := s.nextID
-	s.nextID++
-	s.stats.Joined++
-	params := make([]float64, s.np)
-	s.m.Params(params)
-	version := s.clock
-	s.stats.DownBytes += int64(8 * s.np)
-	s.stats.DenseDownBytes += int64(8 * s.np)
-	s.mu.Unlock()
-	s.link.Down(8 * s.np)
-
 	x.mu.Lock()
-	x.id = id
+	defer x.mu.Unlock()
+	if x.id >= 0 {
+		return fmt.Errorf("dist: trainer %d joined twice", x.id)
+	}
+	params := make([]float64, s.np)
+	version, _ := s.loop.Params(0, params)
+	x.id = s.loop.Join()
 	x.down = s.proto.Clone()
 	x.prev = append([]float64(nil), params...)
-	x.mu.Unlock()
+	s.count(func(st *ServerStats) {
+		st.Joined++
+		st.DownBytes += int64(8 * s.np)
+		st.DenseDownBytes += int64(8 * s.np)
+	})
+	s.link.Down(8 * s.np)
 
-	reply.Trainer = id
+	reply.Trainer = x.id
 	reply.Staleness = s.bound
 	reply.Version = version
 	reply.Params = params
@@ -149,33 +151,9 @@ func (x *session) Join(args *JoinArgs, reply *JoinReply) error {
 // position is available, a fresh one is admissible, or the schedule is
 // done.
 func (x *session) Next(args *NextArgs, reply *NextReply) error {
-	s := x.srv
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if err := s.failed; err != nil {
-			return err
-		}
-		if len(s.requeue) > 0 {
-			pos := s.requeue[0]
-			s.requeue = s.requeue[1:]
-			s.assignLocked(pos, x)
-			reply.Pos, reply.Batch = pos, s.batchOfLocked(pos)
-			return nil
-		}
-		if s.finishedLocked() {
-			reply.Done = true
-			return nil
-		}
-		if !s.halted && s.nextRelease < s.total && s.admissibleLocked(s.nextRelease) {
-			pos := s.nextRelease
-			s.nextRelease++
-			s.assignLocked(pos, x)
-			reply.Pos, reply.Batch = pos, s.batchOfLocked(pos)
-			return nil
-		}
-		s.cond.Wait()
-	}
+	t, ok, err := x.srv.loop.Next(x.owner())
+	reply.Done, reply.Pos, reply.Batch = !ok, t.Pos, t.Batch
+	return err
 }
 
 // Pull implements the parameter-refresh RPC.
@@ -186,92 +164,60 @@ func (x *session) Pull(args *PullArgs, reply *PullReply) error {
 	if x.id < 0 {
 		return fmt.Errorf("dist: Pull before Join")
 	}
-	s.mu.Lock()
-	if err := s.failed; err != nil {
-		s.mu.Unlock()
-		return err
-	}
 	if len(x.paramsBuf) != s.np {
 		x.paramsBuf = make([]float64, s.np)
 	}
-	s.m.Params(x.paramsBuf)
-	version := s.clock
-	s.stats.Pulls++
-	s.mu.Unlock()
-
+	reply.Version, _ = s.loop.Params(0, x.paramsBuf)
 	x.payloadBuf = x.down.EncodeSnap(x.paramsBuf, x.prev, x.payloadBuf[:0])
-	payload := x.payloadBuf
-
-	s.mu.Lock()
-	s.stats.DownBytes += int64(len(payload))
-	s.stats.DenseDownBytes += int64(8 * s.np)
-	s.mu.Unlock()
-	s.link.Down(len(payload))
-
-	reply.Version = version
 	// The buffer is reused only after the client's next call, which it
 	// cannot issue before reading this reply.
-	reply.Payload = payload
+	reply.Payload = x.payloadBuf
+	s.count(func(st *ServerStats) {
+		st.Pulls++
+		st.DownBytes += int64(len(reply.Payload))
+		st.DenseDownBytes += int64(8 * s.np)
+	})
+	s.link.Down(len(reply.Payload))
 	return nil
 }
 
 // Push implements the gradient-submission RPC.
 func (x *session) Push(args *PushArgs, reply *PushReply) error {
 	s := x.srv
+	id := x.owner()
+	if id < 0 {
+		return fmt.Errorf("dist: Push before Join")
+	}
 	s.link.Up(len(args.Payload))
-	// Decode outside the server lock: GradCodec decode methods are
-	// stateless, so the shared prototype serves every session.
-	grad := s.getGradBuf()
+	// Decode outside every lock: GradCodec decode methods are stateless,
+	// so the shared prototype serves every session.
+	grad := s.loop.GradBuf()
 	if err := s.proto.DecodeGrad(args.Payload, grad); err != nil {
 		err = fmt.Errorf("dist: push from trainer %d: %w", args.Trainer, err)
-		s.fail(err)
+		s.loop.Fail(err)
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Pushes++
-	s.stats.UpBytes += int64(len(args.Payload))
-	s.stats.DenseUpBytes += int64(8 * s.np)
-	s.unassignLocked(args.Pos, x)
-	if args.Pos < s.clock {
-		// Already applied: a crash-requeued duplicate finished twice.
-		s.stats.Duplicates++
-		s.putGradBufLocked(grad)
-		reply.Clock = s.clock
-		return nil
-	}
-	if stale := args.Pos - args.Version; s.bound >= 0 && stale > int64(s.bound) {
-		s.stats.Rejected++
-		s.putGradBufLocked(grad)
-		// The position stays this trainer's: the reply tells it to pull
-		// fresh parameters and recompute, and re-recording the
-		// assignment keeps the position recoverable if it crashes
-		// mid-recompute.
-		s.assignLocked(args.Pos, x)
-		reply.Rejected = true
-		reply.Clock = s.clock
-		return nil
-	} else if _, dup := s.pending[args.Pos]; dup {
-		s.stats.Duplicates++
-		s.putGradBufLocked(grad)
-		reply.Clock = s.clock
-		return nil
-	} else {
-		s.pending[args.Pos] = pendingGrad{grad: grad, loss: args.Loss, stale: stale}
-	}
-	s.drainLocked()
-	reply.Clock = s.clock
-	return nil
+	s.count(func(st *ServerStats) {
+		st.Pushes++
+		st.UpBytes += int64(len(args.Payload))
+		st.DenseUpBytes += int64(8 * s.np)
+	})
+	var err error
+	reply.Rejected, err = s.loop.Submit(id, args.Pos, args.Version, args.Loss, grad)
+	reply.Clock = s.loop.Clock()
+	return err
 }
 
 // Bye implements the clean-departure RPC.
 func (x *session) Bye(args *ByeArgs, reply *ByeReply) error {
-	s := x.srv
 	x.mu.Lock()
-	x.left = true
-	x.mu.Unlock()
-	s.mu.Lock()
-	s.stats.Left++
-	s.mu.Unlock()
+	defer x.mu.Unlock()
+	if x.id < 0 {
+		return fmt.Errorf("dist: Bye before Join")
+	}
+	if !x.left {
+		x.left = true
+		x.srv.count(func(st *ServerStats) { st.Left++ })
+	}
 	return nil
 }

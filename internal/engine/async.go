@@ -3,9 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"toc/internal/checkpoint"
@@ -15,34 +13,13 @@ import (
 	"toc/internal/storage"
 )
 
-// Asynchronous bounded-staleness training — the alternative to Train's
-// synchronous group steps. The synchronous engine merges gradients at a
-// barrier every step, so one slow batch (a spill miss, a skewed shard, a
-// cold decode) stalls the whole pool. Here workers pull batch positions
-// from a shared queue, compute each gradient on a private model clone
-// refreshed from a versioned parameter snapshot, and hand the result to a
-// single updater goroutine that applies updates in position order. The
-// parameter clock counts applied updates; a gradient computed against
-// snapshot version v and applied as update p has staleness p−v — the
-// number of updates it failed to see.
-//
-// The staleness bound is enforced twice. The queue releases position p
-// only once the clock has reached p−staleness, so at most staleness+1
-// positions are ever in flight and no worker computes against parameters
-// older than the bound allows; and the updater independently re-checks
-// every gradient at apply time, rejecting and recomputing any whose
-// snapshot has fallen more than staleness updates behind (the defensive
-// half: with the gate intact it never fires, but it makes the bound a
-// property of the updater, not of scheduler timing).
-//
-// Staleness 0 forces a fully serial chain — each gradient is computed at
-// exactly the version it is applied to — so the trajectory is bitwise
-// identical to the synchronous engine at GroupSize 1 (and to serial
-// ml.Train), for any worker count: the repo's identity-test discipline.
-// StalenessUnbounded is Hogwild-style free-running: every position is
-// released immediately (throttled only by the pipeline's resource cap)
-// and workers never wait on the clock, so a straggler delays only its own
-// position's update, never another worker's compute.
+// Async is the bounded-staleness front end of Loop: a supervised, elastic
+// pool of workers, each computing on a private model clone refreshed from
+// the loop's versioned parameters, so one slow batch (a spill miss, a
+// skewed shard, a cold decode) delays only its own position's update.
+// Staleness 0 is the serial chain — bitwise the synchronous engine at
+// GroupSize 1 and serial ml.Train, for any worker count;
+// StalenessUnbounded free-runs Hogwild-style.
 type Async struct {
 	workers   int
 	staleness int
@@ -52,7 +29,6 @@ type Async struct {
 	ck        *checkpoint.Writer
 	ckEvery   int
 	onStep    func(step int64, loss float64)
-	halted    atomic.Bool
 
 	// restartBudget and restartWindow bound crash recovery: a worker
 	// panic is recovered and the worker replaced as long as fewer than
@@ -64,13 +40,15 @@ type Async struct {
 	restartBudget int
 	restartWindow time.Duration
 
-	// releaseSlack widens the release gate past the staleness bound
-	// without loosening the updater's admission check, forcing the
-	// reject-and-recompute path to fire. Tests only: production runs keep
-	// it 0, where the gate makes rejection impossible.
+	// releaseSlack lets a worker keep computing against its previous
+	// parameter snapshot until it is releaseSlack updates staler than the
+	// bound admits, so the loop's reject-and-recompute path fires on
+	// demand — the local mirror of dist's TrainerConfig.PullSlack. Tests
+	// only: production runs keep it 0, where every gradient starts from a
+	// fresh snapshot and the release window makes rejection impossible.
 	releaseSlack int
 
-	// runMu guards cur, the active TrainFrom's shared run state;
+	// runMu guards cur, the active TrainFrom's shared run state; Halt,
 	// AddWorkers and RemoveWorkers reach a running pool through it.
 	runMu sync.Mutex
 	//toc:guardedby runMu
@@ -82,8 +60,8 @@ type Async struct {
 }
 
 // StalenessUnbounded disables the staleness bound: workers free-run
-// against whatever snapshot is current when they start (Hogwild-style).
-// Updates are still applied in position order by the single updater, so
+// against whatever parameters are current when they start (Hogwild-style).
+// Updates are still applied in position order under the loop's lock, so
 // the run remains race-free; only the gradient *values* depend on timing.
 const StalenessUnbounded = -1
 
@@ -122,10 +100,8 @@ type AsyncConfig struct {
 	// whatever snapshot is current when a worker picks p up. Every
 	// gradient still respects the bound, but the trajectory becomes a
 	// pure function of (Seed, Staleness), bitwise reproducible for any
-	// worker count and across crash/resume. The updater keeps a ring of
-	// Staleness+1 archived parameter vectors to serve those reads.
-	// Ignored when Staleness <= 0 (0 is already deterministic, unbounded
-	// has no defined delay).
+	// worker count and across crash/resume. Ignored when Staleness <= 0
+	// (0 is already deterministic, unbounded has no defined delay).
 	Deterministic bool
 
 	// RestartBudget bounds crash recovery: a worker panic is recovered
@@ -141,10 +117,9 @@ type AsyncConfig struct {
 	// replacements in; <= 0 uses DefaultRestartWindow.
 	RestartWindow time.Duration
 
-	// Checkpoint, CheckpointEvery and OnStep mirror Config: snapshots
-	// are captured on the updater goroutine between applied updates and
-	// written off the hot path. Only Deterministic (or Staleness 0) runs
-	// resume bitwise identically; a free-running resume is merely valid.
+	// Checkpoint, CheckpointEvery and OnStep mirror Config. Only
+	// Deterministic (or Staleness 0) runs resume bitwise identically; a
+	// free-running resume is merely valid.
 	Checkpoint *checkpoint.Writer
 	// CheckpointEvery is the update-count cadence; <= 0 snapshots once
 	// per epoch.
@@ -154,20 +129,10 @@ type AsyncConfig struct {
 	OnStep func(step int64, loss float64)
 }
 
-// AsyncStats describes one asynchronous training run.
+// AsyncStats describes one asynchronous training run: the loop's
+// admission counters plus the supervisor's membership accounting.
 type AsyncStats struct {
-	// Updates counts applied gradients (epochs × batches on a clean run).
-	Updates int64
-	// Rejected counts gradients the updater refused because their
-	// snapshot exceeded the staleness bound; each rejection requeues the
-	// batch for recompute against fresher parameters.
-	Rejected int64
-	// MaxStaleness is the largest clock−version gap among applied
-	// gradients; it never exceeds the configured bound.
-	MaxStaleness int64
-	// StaleSum accumulates the staleness of every applied gradient;
-	// StaleSum/Updates is the mean.
-	StaleSum int64
+	LoopStats
 	// WorkerPanics counts worker panics the supervisor recovered; each
 	// one's position was requeued and recomputed.
 	WorkerPanics int64
@@ -178,18 +143,8 @@ type AsyncStats struct {
 	// because the budget was exhausted — permanent pool shrinkage.
 	Degraded int64
 	// Joined and Departed count mid-run membership changes: workers
-	// added by AddWorkers (plus any floor-restoring respawn) and workers
-	// that left cleanly via RemoveWorkers.
+	// added by AddWorkers and workers retired by RemoveWorkers.
 	Joined, Departed int64
-}
-
-// MeanStaleness is the average number of updates an applied gradient's
-// snapshot missed.
-func (s AsyncStats) MeanStaleness() float64 {
-	if s.Updates == 0 {
-		return 0
-	}
-	return float64(s.StaleSum) / float64(s.Updates)
 }
 
 // NewAsync builds an asynchronous bounded-staleness engine from cfg.
@@ -198,24 +153,19 @@ func NewAsync(cfg AsyncConfig) *Async {
 	if w <= 0 {
 		w = defaultWorkers()
 	}
-	s := cfg.Staleness
-	if s < 0 {
-		s = StalenessUnbounded
-	}
 	rb := cfg.RestartBudget
 	if rb == 0 {
 		rb = DefaultRestartBudget
-	} else if rb < 0 {
-		rb = 0
 	}
 	rw := cfg.RestartWindow
 	if rw <= 0 {
 		rw = DefaultRestartWindow
 	}
+	s := max(cfg.Staleness, StalenessUnbounded)
 	return &Async{
 		workers: w, staleness: s, seed: cfg.Seed, shuffle: cfg.Shuffle,
 		det:           cfg.Deterministic && s > 0,
-		restartBudget: rb, restartWindow: rw,
+		restartBudget: max(rb, 0), restartWindow: rw,
 		ck: cfg.Checkpoint, ckEvery: cfg.CheckpointEvery, onStep: cfg.OnStep,
 	}
 }
@@ -224,69 +174,8 @@ func NewAsync(cfg AsyncConfig) *Async {
 // mode (see AsyncConfig.Deterministic; always false at staleness <= 0).
 func (a *Async) Deterministic() bool { return a.det }
 
-// Halt asks a running Train/TrainFrom to stop after the update the
-// updater is currently applying: a final checkpoint is written
-// synchronously (when a Writer is configured) and the run returns
-// ErrHalted. Safe to call from any goroutine.
-func (a *Async) Halt() { a.halted.Store(true) }
-
 // Workers returns the configured (initial) pool size.
 func (a *Async) Workers() int { return a.workers }
-
-// LiveWorkers returns the active run's current pool size — initial
-// workers, plus joins, minus clean departures and unreplaced crashes.
-// Between runs it reports the configured size.
-func (a *Async) LiveWorkers() int {
-	a.runMu.Lock()
-	run := a.cur
-	a.runMu.Unlock()
-	if run == nil {
-		return a.workers
-	}
-	run.mu.Lock()
-	defer run.mu.Unlock()
-	return run.live
-}
-
-// AddWorkers grows a running Train's pool by n mid-run: new workers are
-// cloned from the live model and start pulling queued positions
-// immediately. It returns how many workers were actually added — 0 when
-// no run is active, n <= 0, or the pool is at its size cap. Safe to
-// call from any goroutine, including an OnStep callback. Deterministic
-// runs produce bitwise-identical trajectories regardless of when (or
-// whether) workers join.
-func (a *Async) AddWorkers(n int) int { return a.resize(n) }
-
-// RemoveWorkers shrinks a running Train's pool by up to n mid-run:
-// departing workers finish their in-flight position (or leave straight
-// from the idle queue) and exit cleanly, so nothing is lost or
-// recomputed. The pool never shrinks below one worker; the return value
-// is how many departures were actually granted — 0 when no run is
-// active or n <= 0.
-func (a *Async) RemoveWorkers(n int) int { return a.resize(-n) }
-
-// resize relays a membership request to the active run's supervisor and
-// waits for its verdict.
-func (a *Async) resize(delta int) int {
-	if delta == 0 {
-		return 0
-	}
-	a.runMu.Lock()
-	run := a.cur
-	a.runMu.Unlock()
-	if run == nil {
-		return 0
-	}
-	reply := make(chan int, 1)
-	select {
-	case run.ctl <- asyncCtl{delta: delta, reply: reply}:
-		// ctl is unbuffered: the supervisor has the request and always
-		// replies without blocking on anything but run.mu.
-		return <-reply
-	case <-run.done:
-		return 0
-	}
-}
 
 // Staleness returns the configured bound (StalenessUnbounded = none).
 func (a *Async) Staleness() int { return a.staleness }
@@ -298,13 +187,77 @@ func (a *Async) Stats() AsyncStats {
 	return a.stats
 }
 
+// running returns the active TrainFrom's run state, nil between runs.
+func (a *Async) running() *asyncRun {
+	a.runMu.Lock()
+	defer a.runMu.Unlock()
+	return a.cur
+}
+
+// Halt asks a running Train/TrainFrom to stop after the update being
+// applied: a final checkpoint is written synchronously (when a Writer is
+// configured) and the run returns ErrHalted. Safe to call from any
+// goroutine.
+func (a *Async) Halt() {
+	if run := a.running(); run != nil {
+		run.loop.Halt()
+	}
+}
+
+// LiveWorkers returns the active run's current pool size — initial
+// workers, plus joins, minus retirements and unreplaced crashes.
+// Between runs it reports the configured size.
+func (a *Async) LiveWorkers() int {
+	run := a.running()
+	if run == nil {
+		return a.workers
+	}
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	return len(run.live)
+}
+
+// AddWorkers grows a running Train's pool by n mid-run: new workers are
+// cloned from the live model and start pulling positions immediately. It
+// returns how many workers were actually added — 0 when no run is active,
+// n <= 0, or the pool is at its size cap. Safe to call from any
+// goroutine, including an OnStep callback. Deterministic runs produce
+// bitwise-identical trajectories regardless of when (or whether) workers
+// join.
+func (a *Async) AddWorkers(n int) int { return a.resize(n) }
+
+// RemoveWorkers shrinks a running Train's pool by up to n mid-run:
+// retired workers finish their in-flight position (or leave straight from
+// the idle queue) and exit cleanly, so nothing is lost or recomputed. The
+// pool never shrinks below one worker; the return value is how many
+// retirements were actually granted — 0 when no run is active or n <= 0.
+func (a *Async) RemoveWorkers(n int) int { return a.resize(-n) }
+
+// resize relays a membership request to the active run's supervisor and
+// waits for its verdict.
+func (a *Async) resize(delta int) int {
+	run := a.running()
+	if delta == 0 || run == nil {
+		return 0
+	}
+	reply := make(chan int, 1)
+	select {
+	case run.ctl <- asyncCtl{delta: delta, reply: reply}:
+		// ctl is unbuffered: the supervisor has the request and always
+		// replies without blocking on anything but a lock.
+		return <-reply
+	case <-run.done:
+		return 0
+	}
+}
+
 // inflightCap bounds how many positions may be released but not yet
-// applied: the staleness window when one is configured, and a resource
-// ceiling (gradient buffers, queued tasks) either way.
+// applied — the loop's Window: the staleness window when one is
+// configured, and a resource ceiling (buffered gradients) either way.
 func (a *Async) inflightCap() int {
 	limit := 4*a.workers + 4
-	if a.staleness >= 0 && a.staleness+1+a.releaseSlack < limit {
-		limit = a.staleness + 1 + a.releaseSlack
+	if a.staleness >= 0 {
+		limit = min(limit, a.staleness+1)
 	}
 	return limit
 }
@@ -315,47 +268,17 @@ func (a *Async) inflightCap() int {
 // inside each gradient (staleness 0 puts the whole pool into the one
 // running gradient, mirroring the synchronous GroupSize-1 split).
 func (a *Async) KernelWorkers() int {
-	concurrent := a.inflightCap()
-	if concurrent > a.workers {
-		concurrent = a.workers
-	}
-	per := a.workers / concurrent
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// RequestSource is a BatchSource that accepts explicit single-batch
-// prefetch requests; storage.Prefetcher implements it. The async engine
-// uses it whenever its dispatch queue deviates from the announced epoch
-// permutation — a rejected gradient's batch is re-read for the recompute
-// — so the prefetch stream follows the queue, not a fixed permutation.
-type RequestSource interface {
-	Request(idx int)
+	return max(1, a.workers/min(a.inflightCap(), a.workers))
 }
 
 // NewPrefetcher sizes a spill prefetcher for asynchronous training the
-// way Engine.NewPrefetcher does for group steps: readers cover every
-// spill shard and the whole worker pool, and depth <= 0 defaults to two
-// pipeline windows' worth of batches. maxBytes > 0 bounds the window by
-// compressed bytes.
+// way Engine.NewPrefetcher does for group steps; depth <= 0 defaults to
+// two pipeline windows' worth of batches.
 func (a *Async) NewPrefetcher(st *storage.Store, depth int, maxBytes int64) *storage.Prefetcher {
 	if depth <= 0 {
-		depth = 2 * a.inflightCap()
-		if depth < 8 {
-			depth = 8
-		}
+		depth = max(8, 2*a.inflightCap())
 	}
-	readers := a.workers
-	if sh := st.Shards(); readers < sh {
-		readers = sh
-	}
-	var opts []storage.PrefetchOption
-	if maxBytes > 0 {
-		opts = append(opts, storage.WithPrefetchBytes(maxBytes))
-	}
-	return storage.NewPrefetcher(st, depth, readers, opts...)
+	return newPrefetcher(st, depth, a.workers, maxBytes)
 }
 
 // FillStore ingests a dataset exactly like Engine.FillStore (sharded
@@ -365,63 +288,27 @@ func (a *Async) FillStore(st *storage.Store, d *data.Dataset, batchSize int) err
 	return New(Config{Workers: a.workers, Seed: a.seed, Shuffle: a.shuffle}).FillStore(st, d, batchSize)
 }
 
-// asyncTask is one queued unit of work: global position p (epoch-major)
-// and the batch index that position visits.
-type asyncTask struct {
-	pos   int64
-	batch int
-}
-
-// asyncResult is a computed gradient waiting for the updater.
-type asyncResult struct {
-	pos     int64
-	batch   int
-	version int64 // parameter clock at snapshot time
-	loss    float64
-	grad    []float64
-}
-
-// asyncRun is the shared state of one Train call, kept off the Async
+// asyncRun is the shared state of one TrainFrom call, kept off the Async
 // struct so Train stays reentrant.
 type asyncRun struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	//toc:guardedby mu
-	clock int64 // applied updates = next position to apply
-	//toc:guardedby mu
-	stopped bool
-
-	// det mode: ring of bound+1 archived parameter vectors; slot
-	// v mod (bound+1) holds version v. Written only by the updater (at
-	// clock publish, under mu); read by workers under mu. The slot of
-	// version v is not overwritten until update v+bound lands, which
-	// cannot happen before every position reading v has submitted its
-	// gradient, so a gated read is always of an intact vector.
-	//toc:guardedby mu
-	arch [][]float64
+	loop *Loop
+	src  ml.BatchSource
+	kw   int // kernel workers per clone
+	wg   sync.WaitGroup
 
 	// ctl carries AddWorkers/RemoveWorkers requests to the supervisor;
 	// unbuffered, so an accepted send guarantees a reply.
-	ctl chan asyncCtl
+	ctl    chan asyncCtl
+	events chan workerCrash // worker -> supervisor
+	done   chan struct{}    // closed once the loop has finished
+
+	mu sync.Mutex
 	//toc:guardedby mu
-	live int // workers currently in the pool (supervisor-maintained)
+	live []int // owner ids of the pool, oldest first (supervisor-maintained)
 	//toc:guardedby mu
 	chain []error // recovered worker panics, oldest first
 	//toc:guardedby mu
-	elastic elasticCounters
-
-	done chan struct{}
-	once sync.Once
-
-	errMu sync.Mutex
-	//toc:guardedby errMu
-	err error
-}
-
-// elasticCounters is the supervisor's share of AsyncStats, folded into
-// the run's stats after the pool joins.
-type elasticCounters struct {
-	panics, restarts, degraded, joined, departed int64
+	stats AsyncStats // the supervisor's share; LoopStats folded in at the end
 }
 
 // asyncCtl is one membership request relayed to a run's supervisor.
@@ -430,77 +317,30 @@ type asyncCtl struct {
 	reply chan int // how many were actually granted
 }
 
-// workerEvent is a worker's report to the supervisor: a clean departure
-// (left), or a crash carrying the in-flight task, the gradient buffer
-// held at panic time (nil when none was held) and the recovered panic
-// value.
-type workerEvent struct {
-	left bool
-	task asyncTask
-	buf  []float64
-	val  any
+// workerCrash is a worker's last report: the owner id it trained as and
+// the recovered panic value.
+type workerCrash struct {
+	owner int
+	val   any
 }
 
-// asyncShared bundles the channels and dimensions one TrainFrom call's
-// goroutines share, so the worker and supervisor logic live in methods
-// instead of giant closures.
-type asyncShared struct {
-	run     *asyncRun
-	m       ml.SnapshotModel
-	src     ml.BatchSource
-	tasks   chan asyncTask
-	requeue chan asyncTask
-	results chan asyncResult
-	bufs    chan []float64
-	events  chan workerEvent // worker -> supervisor crash/leave reports
-	leave   chan struct{}    // departure tokens granted by RemoveWorkers
-	np      int
-	kw      int
-	bound   int
-	wg      *sync.WaitGroup
-}
-
-// stop wakes every goroutine gated on the clock or the done channel;
-// err != nil records the first failure.
-func (r *asyncRun) stop(err error) {
-	if err != nil {
-		r.errMu.Lock()
-		if r.err == nil {
-			r.err = err
-		}
-		r.errMu.Unlock()
-	}
-	r.once.Do(func() { close(r.done) })
-	r.mu.Lock()
-	r.stopped = true
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-func (r *asyncRun) failure() error {
-	r.errMu.Lock()
-	defer r.errMu.Unlock()
-	return r.err
-}
-
-// recoverTo converts a panic escaping the updater, the releaser, the
-// supervisor, or a worker's dispatch loop into a run error so Train can
-// drain the pool and report instead of crashing the process mid-epoch.
-// Worker *compute* panics never reach it: computeTask recovers those
-// into crash reports the supervisor absorbs under the restart budget.
+// recoverTo converts a panic escaping the supervisor or a worker's
+// dispatch loop into a run error so Train can drain the pool and report
+// instead of crashing the process mid-epoch. Worker *compute* panics
+// never reach it: computeTask recovers those into crash reports the
+// supervisor absorbs under the restart budget.
 func (r *asyncRun) recoverTo(role string) {
 	if p := recover(); p != nil {
-		r.stop(fmt.Errorf("engine: async %s panicked: %v", role, p))
+		r.loop.Fail(fmt.Errorf("engine: async %s panicked: %v", role, p))
 	}
 }
 
 // Train runs asynchronous bounded-staleness MGD for the given epochs:
 // every epoch visits all batches (in the seeded permutation when Shuffle
 // is set), each batch's gradient is one parameter update, and updates are
-// applied in visit order with the staleness discipline of the package
-// doc. The per-epoch losses sum each update's admitted mini-batch loss,
-// exactly as the serial driver accounts them. cb may be nil; it runs on
-// the updater goroutine as each epoch's last update lands.
+// applied in visit order under the staleness bound. The per-epoch losses
+// sum each update's admitted mini-batch loss, exactly as the serial
+// driver accounts them. cb may be nil.
 //
 // A panic in a worker (a poisoned batch, a failed storage read, a model
 // bug) does not abort the run: the supervisor recovers it, requeues the
@@ -519,84 +359,27 @@ func (a *Async) Train(m ml.SnapshotModel, src ml.BatchSource, epochs int, lr flo
 // staleness-0 runs resume bitwise identically to an uninterrupted run;
 // free-running resumes are valid but timing-dependent. AsyncStats
 // counts only the updates applied by this call.
-//
-//toc:timing
 func (a *Async) TrainFrom(m ml.SnapshotModel, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback, resume *checkpoint.State) (*ml.TrainResult, error) {
-	a.halted.Store(false)
-	res := &ml.TrainResult{}
-	start := time.Now()
-	n := src.NumBatches()
-	total := int64(epochs) * int64(n)
 	a.statsMu.Lock()
 	a.stats = AsyncStats{}
 	a.statsMu.Unlock()
-	if total == 0 {
-		res.Total = time.Since(start)
-		return res, nil
+	loop, err := NewLoop(LoopConfig{
+		Kind: checkpoint.KindAsync, Epochs: epochs, NumBatches: src.NumBatches(), LR: lr,
+		Seed: a.seed, Shuffle: a.shuffle,
+		Staleness: a.staleness, Deterministic: a.det, Window: a.inflightCap(),
+		Checkpoint: a.ck, CheckpointEvery: a.ckEvery, Resume: resume,
+		OnStep: a.onStep, OnEpoch: cb,
+	}, m, src)
+	if err != nil {
+		return nil, err
 	}
-	np := m.NumParams()
-	bound := a.staleness // < 0 = unbounded
-	inflight := a.inflightCap()
-
-	startClock := int64(0)
-	var partial float64
-	if resume != nil {
-		if err := a.validateAsyncResume(resume, n, np, lr); err != nil {
-			return nil, err
-		}
-		m.SetParams(resume.Params)
-		res.EpochLoss = append(res.EpochLoss, resume.EpochLoss...)
-		// Wall-clock of pre-crash epochs is gone; zero placeholders keep
-		// EpochTime's epoch indices aligned with EpochLoss.
-		res.EpochTime = make([]time.Duration, len(resume.EpochLoss))
-		startClock, partial = resume.Clock, resume.PartialLoss
-		if startClock >= total {
-			res.Total = time.Since(start)
-			return res, nil
-		}
+	run := &asyncRun{
+		loop: loop, src: src, kw: a.KernelWorkers(),
+		ctl:    make(chan asyncCtl),
+		events: make(chan workerCrash),
+		done:   make(chan struct{}),
 	}
-
-	run := &asyncRun{done: make(chan struct{}), clock: startClock}
-	run.cond = sync.NewCond(&run.mu)
-	if a.det {
-		run.arch = make([][]float64, bound+1)
-		for i := range run.arch {
-			run.arch[i] = make([]float64, np)
-		}
-		// The current params are version startClock; a resume restores
-		// the older versions still inside the staleness window.
-		m.Params(run.arch[int(startClock%int64(bound+1))])
-		if resume != nil {
-			for i, vec := range resume.Archive {
-				v := startClock - int64(len(resume.Archive)) + int64(i)
-				copy(run.arch[int(v%int64(bound+1))], vec)
-			}
-		}
-	}
-
-	tasks := make(chan asyncTask, inflight)
-	// Every requeued task is an in-flight position (released, not yet
-	// applied), so sizing the requeue at the in-flight cap makes both
-	// the updater's rejection sends and the supervisor's crash-recovery
-	// sends non-blocking in aggregate.
-	requeue := make(chan asyncTask, inflight)
-	results := make(chan asyncResult, inflight+a.workers)
-	bufs := make(chan []float64, inflight+a.workers)
-	for i := 0; i < inflight+a.workers; i++ {
-		bufs <- make([]float64, np)
-	}
-
-	var wg sync.WaitGroup
-	run.ctl = make(chan asyncCtl)
-	run.live = a.workers
-	sh := &asyncShared{
-		run: run, m: m, src: src,
-		tasks: tasks, requeue: requeue, results: results, bufs: bufs,
-		events: make(chan workerEvent, 64),
-		leave:  make(chan struct{}, maxLiveWorkers),
-		np:     np, kw: a.KernelWorkers(), bound: bound, wg: &wg,
-	}
-	// Publish the run so AddWorkers/RemoveWorkers can reach it; torn
+	// Publish the run so Halt/AddWorkers/RemoveWorkers can reach it; torn
 	// down before Train returns so late calls see no run and no-op.
 	a.runMu.Lock()
 	a.cur = run
@@ -607,183 +390,76 @@ func (a *Async) TrainFrom(m ml.SnapshotModel, src ml.BatchSource, epochs int, lr
 		a.runMu.Unlock()
 	}()
 
-	// Releaser: feeds the queue in epoch-major position order, gated so
-	// no position outruns the staleness window, announcing each epoch's
-	// permutation to an order-aware source as the queue enters it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(tasks)
-		order := identityOrder(n)
-		first := true
-		for p := startClock; p < total; p++ {
-			epoch := int(p / int64(n))
-			pos := int(p % int64(n))
-			// first covers a mid-epoch resume: the source still needs
-			// this epoch's permutation even though pos != 0.
-			if pos == 0 || first {
-				first = false
-				if a.shuffle {
-					order = epochPerm(a.seed, epoch, n)
-				}
-				if os, ok := src.(OrderedSource); ok {
-					os.SetOrder(order)
-					if ns, ok := src.(NextOrderedSource); ok && a.shuffle && epoch+1 < epochs {
-						ns.SetNextOrder(epochPerm(a.seed, epoch+1, n))
-					}
-				}
-			}
-			if bound >= 0 {
-				gate := p - int64(bound) - int64(a.releaseSlack)
-				run.mu.Lock()
-				for run.clock < gate && !run.stopped {
-					run.cond.Wait()
-				}
-				stopped := run.stopped
-				run.mu.Unlock()
-				if stopped {
-					return
-				}
-			}
-			select {
-			case tasks <- asyncTask{pos: p, batch: order[pos]}:
-			case <-run.done:
-				return
-			}
-		}
-	}()
-
-	// Workers: pull positions (requeues first — a rejected position
-	// blocks the clock until recomputed), refresh a private clone from
-	// the versioned snapshot, and compute the gradient on the clone so
-	// reads never race the updater's writes. The supervisor owns the
-	// pool: it replaces crashed workers within the restart budget and
-	// applies mid-run membership changes.
+	// The supervisor owns the pool: it replaces crashed workers within
+	// the restart budget and applies mid-run membership changes.
 	for w := 0; w < a.workers; w++ {
-		a.spawnClone(sh)
+		a.spawnClone(run)
 	}
-	wg.Add(1)
+	run.wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer run.wg.Done()
 		defer run.recoverTo("supervisor")
-		a.supervise(sh)
+		a.supervise(run)
 	}()
 
-	// Updater: the single writer. Applies gradients in position order,
-	// admitting each only if its snapshot is within the staleness bound
-	// of the clock, and rejecting the rest back to the queue.
-	stats := a.runUpdater(run, m, src, res, start, n, total, int64(bound), startClock, partial, lr, cb, results, requeue, bufs)
+	res, err := loop.Wait()
+	close(run.done)
+	run.wg.Wait()
 
-	run.stop(nil) // normal completion, or echo of an abort
-	wg.Wait()
-
-	// Fold the supervisor's membership and crash accounting into the
-	// run's stats now that every goroutine has joined.
 	run.mu.Lock()
-	stats.WorkerPanics = run.elastic.panics
-	stats.Restarts = run.elastic.restarts
-	stats.Degraded = run.elastic.degraded
-	stats.Joined = run.elastic.joined
-	stats.Departed = run.elastic.departed
+	stats := run.stats
 	run.mu.Unlock()
-
+	stats.LoopStats = loop.Stats()
 	a.statsMu.Lock()
 	a.stats = stats
 	a.statsMu.Unlock()
-	res.Total = time.Since(start)
-	return res, run.failure()
+	return res, err
 }
 
-// spawnClone adds one worker goroutine to a run's pool, cloning the
-// model under the run lock so the clone's parameter read cannot race
-// the updater's in-place apply.
-func (a *Async) spawnClone(sh *asyncShared) {
-	sh.run.mu.Lock()
-	clone := sh.m.Clone()
-	sh.run.mu.Unlock()
+// spawnClone adds one worker goroutine to a run's pool, training as a
+// fresh owner on a clone of the live model.
+func (a *Async) spawnClone(run *asyncRun) {
+	clone := run.loop.Clone()
 	if kp, ok := clone.(ml.KernelParallel); ok {
-		kp.SetKernelWorkers(sh.kw)
+		kp.SetKernelWorkers(run.kw)
 	}
-	sh.wg.Add(1)
+	owner := run.loop.Join()
+	run.mu.Lock()
+	run.live = append(run.live, owner)
+	run.mu.Unlock()
+	run.wg.Add(1)
 	go func() {
-		defer sh.wg.Done()
-		defer sh.run.recoverTo("worker")
-		a.workerLoop(sh, clone)
-	}()
-}
-
-// workerLoop pulls queued positions until the run ends, the task queue
-// drains, or the worker is asked to leave. Each task's compute is
-// isolated by computeTask: a panic there becomes a crash report to the
-// supervisor, not the end of the run.
-func (a *Async) workerLoop(sh *asyncShared, clone ml.SnapshotModel) {
-	run := sh.run
-	snap := make([]float64, sh.np)
-	in := sh.tasks
-	for {
-		// Honor a departure token between tasks: the worker leaves
-		// cleanly and its would-be work stays in the queue for the rest
-		// of the pool.
-		select {
-		case <-sh.leave:
-			a.notify(sh, workerEvent{left: true})
-			return
-		default:
-		}
-		var tk asyncTask
-		select {
-		case tk = <-sh.requeue:
-		default:
-			select {
-			case tk = <-sh.requeue:
-			case t, ok := <-in:
-				if !ok {
-					in = nil // drained; keep serving requeues
-					continue
+		defer run.wg.Done()
+		defer run.recoverTo("worker")
+		w := &asyncWorker{clone: clone, owner: owner, snap: make([]float64, clone.NumParams()), version: -1}
+		for {
+			t, ok, _ := run.loop.Next(owner)
+			if !ok {
+				return // done, halted, failed — or retired by RemoveWorkers
+			}
+			if crash := a.computeTask(run, w, t); crash != nil {
+				// Report and retire: the supervisor decides whether a
+				// replacement spawns, so a crashing worker never loops on
+				// a poisoned state.
+				select {
+				case run.events <- *crash:
+				case <-run.done:
 				}
-				tk = t
-			case <-sh.leave:
-				a.notify(sh, workerEvent{left: true})
-				return
-			case <-run.done:
 				return
 			}
 		}
-		crash, exit := a.computeTask(sh, clone, snap, tk)
-		if exit {
-			return
-		}
-		if crash != nil {
-			// Report and retire: the supervisor decides whether a
-			// replacement spawns, so a crashing worker never loops on a
-			// poisoned state.
-			a.notify(sh, *crash)
-			return
-		}
-	}
+	}()
 }
 
-// notify delivers a worker's event to the supervisor unless the run is
-// already over.
-func (a *Async) notify(sh *asyncShared, ev workerEvent) {
-	select {
-	case sh.events <- ev:
-	case <-sh.run.done:
-	}
-}
-
-// computeTask runs one queued position on the worker's private clone,
-// converting any panic — a poisoned batch, a storage read that
-// exhausted its retries, an injected engine.async.worker fault — into a
-// crash report for the supervisor instead of killing the run. exit
-// means the run stopped mid-task and the worker should simply return.
-func (a *Async) computeTask(sh *asyncShared, clone ml.SnapshotModel, snap []float64, tk asyncTask) (crash *workerEvent, exit bool) {
-	run := sh.run
-	var g []float64
+// computeTask runs one position on the worker's private clone until the
+// loop admits its gradient, converting any panic — a poisoned batch, a
+// storage read that exhausted its retries, an injected
+// engine.async.worker fault — into a crash report for the supervisor
+// instead of killing the run.
+func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (crash *workerCrash) {
 	defer func() {
 		if p := recover(); p != nil {
-			crash = &workerEvent{task: tk, buf: g, val: p}
-			exit = false
+			crash = &workerCrash{owner: w.owner, val: p}
 		}
 	}()
 	// The canonical worker-kill injection point: chaos tests arm it to
@@ -791,46 +467,39 @@ func (a *Async) computeTask(sh *asyncShared, clone ml.SnapshotModel, snap []floa
 	if err := faultpoint.Err("engine.async.worker"); err != nil {
 		panic(err)
 	}
-	x, y := sh.src.Batch(tk.batch)
-	var version int64
-	if a.det {
-		// Delayed-gradient read: exactly version max(0, pos−bound) from
-		// the archive ring, waiting out the (test-only) release slack if
-		// the version has not been published yet.
-		target := tk.pos - int64(sh.bound)
-		if target < 0 {
-			target = 0
+	for rejected := false; ; {
+		x, y := run.src.Batch(t.Batch)
+		// Refresh the clone after the batch is in hand, so a slow read
+		// costs the gradient no freshness. Only the test-only slack ever
+		// holds a snapshot over, and never for a recompute.
+		holdOver := a.releaseSlack > 0 && !rejected && w.version >= 0 &&
+			t.Pos-w.version <= int64(a.staleness+a.releaseSlack)
+		if !holdOver {
+			var ok bool
+			if w.version, ok = run.loop.Params(t.Pos, w.snap); !ok {
+				return nil
+			}
+			w.clone.SetParams(w.snap)
 		}
-		run.mu.Lock()
-		for run.clock < target && !run.stopped {
-			run.cond.Wait()
+		g := run.loop.GradBuf()
+		var err error
+		// A rejected position stays this worker's: recompute it against
+		// fresher parameters. The clock cannot pass it meanwhile, so once
+		// it is the next to apply the recompute is exact and admitted.
+		rejected, err = run.loop.Submit(w.owner, t.Pos, w.version, w.clone.Grad(x, y, g), g)
+		if err != nil || !rejected {
+			return nil // on error the run has failed; the next Next ends this worker
 		}
-		if run.stopped {
-			run.mu.Unlock()
-			return nil, true
-		}
-		copy(snap, run.arch[int(target%int64(sh.bound+1))])
-		run.mu.Unlock()
-		version = target
-	} else {
-		run.mu.Lock()
-		version = run.clock
-		sh.m.Params(snap)
-		run.mu.Unlock()
 	}
-	clone.SetParams(snap)
-	select {
-	case g = <-sh.bufs:
-	case <-run.done:
-		return nil, true
-	}
-	loss := clone.Grad(x, y, g)
-	select {
-	case sh.results <- asyncResult{pos: tk.pos, batch: tk.batch, version: version, loss: loss, grad: g}:
-	case <-run.done:
-		return nil, true
-	}
-	return nil, false
+}
+
+// asyncWorker is one pool member: its loop owner id, its private model
+// clone and the parameter version the clone currently holds.
+type asyncWorker struct {
+	clone   ml.SnapshotModel
+	owner   int
+	snap    []float64
+	version int64 // -1 before the first refresh
 }
 
 // supervise is a run's membership and crash authority: it grants
@@ -838,146 +507,97 @@ func (a *Async) computeTask(sh *asyncShared, clone ml.SnapshotModel, snap []floa
 // the sliding-window restart budget, degrades the pool past it, and
 // fails the run — panic chain intact — when no workers remain. It runs
 // until the run stops.
-//
-//toc:timing
-func (a *Async) supervise(sh *asyncShared) {
-	run := sh.run
+func (a *Async) supervise(run *asyncRun) {
 	var restarts []time.Time // replacement times inside the sliding window
-	leaving := 0             // departure tokens granted but not yet consumed
 	for {
 		select {
 		case <-run.done:
 			return
 		case c := <-run.ctl:
-			c.reply <- a.applyCtl(sh, c.delta, &leaving)
-		case ev := <-sh.events:
-			if ev.left {
-				if leaving > 0 {
-					leaving--
-				}
-				run.mu.Lock()
-				run.live--
-				run.elastic.departed++
-				floor := run.live == 0
-				run.mu.Unlock()
-				if floor {
-					// A crash degraded the pool while departure tokens
-					// were already granted: restore the floor of one so
-					// queued positions keep training.
-					a.spawnClone(sh)
-					run.mu.Lock()
-					run.live++
-					run.elastic.joined++
-					run.mu.Unlock()
-				}
-				continue
-			}
-			if !a.handleCrash(sh, ev, &restarts) {
-				return
-			}
+			c.reply <- a.applyCtl(run, c.delta)
+		case ev := <-run.events:
+			restarts = a.handleCrash(run, ev, restarts)
 		}
 	}
 }
 
 // applyCtl grants a membership request: joins spawn immediately (capped
-// at maxLiveWorkers); departures hand out leave tokens, clamped so the
-// pool keeps at least one worker even after every granted token is
-// consumed.
-func (a *Async) applyCtl(sh *asyncShared, delta int, leaving *int) int {
-	run := sh.run
+// at maxLiveWorkers); departures retire the newest workers, clamped so
+// the pool keeps at least one.
+func (a *Async) applyCtl(run *asyncRun, delta int) int {
+	run.mu.Lock()
+	live := len(run.live)
+	run.mu.Unlock()
 	if delta > 0 {
-		run.mu.Lock()
-		live := run.live
-		run.mu.Unlock()
-		if delta > maxLiveWorkers-live {
-			delta = maxLiveWorkers - live
-		}
-		if delta <= 0 {
-			return 0
-		}
+		delta = max(0, min(delta, maxLiveWorkers-live))
 		for i := 0; i < delta; i++ {
-			a.spawnClone(sh)
+			a.spawnClone(run)
 		}
 		run.mu.Lock()
-		run.live += delta
-		run.elastic.joined += int64(delta)
+		run.stats.Joined += int64(delta)
 		run.mu.Unlock()
 		return delta
 	}
+	n := min(-delta, live-1)
+	if n <= 0 {
+		return 0
+	}
 	run.mu.Lock()
-	most := run.live - 1 - *leaving
+	leaving := append([]int(nil), run.live[live-n:]...)
+	run.live = run.live[:live-n]
+	run.stats.Departed += int64(n)
 	run.mu.Unlock()
-	n := -delta
-	if n > most {
-		n = most
+	for _, owner := range leaving {
+		run.loop.Retire(owner)
 	}
-	granted := 0
-	for granted < n {
-		select {
-		case sh.leave <- struct{}{}:
-			granted++
-		default:
-			n = granted // token queue full: grant what fit
-		}
-	}
-	*leaving += granted
-	return granted
+	return n
 }
 
-// handleCrash absorbs one worker panic: the held gradient buffer goes
-// back to the pool, the worker is replaced if the sliding-window budget
-// allows (degrading the pool otherwise), and the lost position re-enters
-// the queue through the same path a staleness rejection uses. It
-// returns false when the pool is exhausted and the run has been failed.
+// handleCrash absorbs one worker panic: the lost position is requeued
+// for the rest of the pool, and the worker is replaced if the
+// sliding-window budget allows (degrading the pool otherwise). When the
+// pool is exhausted it fails the run. It returns the updated window.
 //
 //toc:timing
-func (a *Async) handleCrash(sh *asyncShared, ev workerEvent, restarts *[]time.Time) bool {
-	run := sh.run
-	if ev.buf != nil {
-		sh.bufs <- ev.buf // the pool is sized to hold every buffer: never blocks
-	}
-	err := asyncPanicError(ev.val)
+func (a *Async) handleCrash(run *asyncRun, ev workerCrash, restarts []time.Time) []time.Time {
+	run.loop.Abandon(ev.owner)
 	now := time.Now()
-	keep := (*restarts)[:0]
-	for _, ts := range *restarts {
+	keep := restarts[:0]
+	for _, ts := range restarts {
 		if now.Sub(ts) < a.restartWindow {
 			keep = append(keep, ts)
 		}
 	}
-	*restarts = keep
-	replace := len(keep) < a.restartBudget
 	run.mu.Lock()
-	run.elastic.panics++
-	run.chain = append(run.chain, err)
-	if replace {
-		run.elastic.restarts++
-	} else {
-		run.live--
-		run.elastic.degraded++
+	run.stats.WorkerPanics++
+	run.chain = append(run.chain, asyncPanicError(ev.val))
+	member := false
+	for i, owner := range run.live {
+		if owner == ev.owner {
+			run.live = append(run.live[:i], run.live[i+1:]...)
+			member = true
+			break
+		}
 	}
-	dead := run.live == 0
+	// A worker RemoveWorkers already retired is no longer the pool's to
+	// replace or to lose.
+	replace := member && len(keep) < a.restartBudget
+	if replace {
+		run.stats.Restarts++
+	} else if member {
+		run.stats.Degraded++
+	}
+	dead := !replace && len(run.live) == 0
 	chain := append([]error(nil), run.chain...)
 	run.mu.Unlock()
 	if replace {
-		*restarts = append(*restarts, now)
-		a.spawnClone(sh)
+		keep = append(keep, now)
+		a.spawnClone(run)
 	} else if dead {
-		run.stop(fmt.Errorf("engine: async worker pool exhausted after %d worker panics (restart budget %d per %v): %w",
+		run.loop.Fail(fmt.Errorf("engine: async worker pool exhausted after %d worker panics (restart budget %d per %v): %w",
 			len(chain), a.restartBudget, a.restartWindow, errors.Join(chain...)))
-		return false
 	}
-	// Requeue the crashed worker's position. Its batch may have been
-	// consumed from the prefetch stream already, so ask for a re-read
-	// exactly like the updater's rejection path does.
-	if rs, ok := sh.src.(RequestSource); ok {
-		rs.Request(ev.task.batch)
-	}
-	select {
-	case sh.requeue <- ev.task:
-	case <-run.done:
-		return false
-	}
-	return true
+	return keep
 }
 
 // asyncPanicError converts a recovered worker panic value into an
@@ -988,208 +608,4 @@ func asyncPanicError(v any) error {
 		return fmt.Errorf("engine: async worker panicked: %w", err)
 	}
 	return fmt.Errorf("engine: async worker panicked: %v", v)
-}
-
-// runUpdater executes the updater loop on the caller's goroutine and
-// returns the run's staleness accounting. It is the only goroutine that
-// mutates the model.
-//
-//toc:timing
-func (a *Async) runUpdater(run *asyncRun, m ml.SnapshotModel, src ml.BatchSource, res *ml.TrainResult,
-	start time.Time, n int, total, bound, startClock int64, partial, lr float64, cb ml.EpochCallback,
-	results chan asyncResult, requeue chan asyncTask, bufs chan []float64) AsyncStats {
-
-	defer run.recoverTo("updater")
-	var stats AsyncStats
-	pendingByPos := make(map[int64]asyncResult, cap(results))
-	epochStart := start
-	epochLoss := partial
-	sinceCkpt := 0
-	// snapshot runs on this goroutine between updates: the updater is
-	// the only writer of the model and the archive, so plain reads here
-	// cannot race.
-	snapshot := func(clock int64, partial float64) *checkpoint.State {
-		params := make([]float64, m.NumParams())
-		m.Params(params)
-		st := &checkpoint.State{
-			Kind: checkpoint.KindAsync, Seed: a.seed, LR: lr,
-			Shuffle: a.shuffle, Deterministic: a.det,
-			Staleness: a.staleness, NumBatches: n,
-			Epoch: int(clock / int64(n)), Pos: int(clock % int64(n)),
-			Clock: clock, PartialLoss: partial,
-			EpochLoss: append([]float64(nil), res.EpochLoss...),
-			Params:    params,
-		}
-		if a.det {
-			// The versions still inside the staleness window,
-			// oldest first: max(0, clock−bound) .. clock−1.
-			cnt := bound
-			if clock < cnt {
-				cnt = clock
-			}
-			// The updater (the caller) is the only writer of arch, but
-			// workers read it under run.mu concurrently; copying the
-			// window under the lock keeps every arch access guarded.
-			run.mu.Lock()
-			for v := clock - cnt; v < clock; v++ {
-				st.Archive = append(st.Archive,
-					append([]float64(nil), run.arch[int(v%int64(bound+1))]...))
-			}
-			run.mu.Unlock()
-		}
-		return st
-	}
-	for next := startClock; next < total; {
-		var r asyncResult
-		if buffered, ok := pendingByPos[next]; ok {
-			r = buffered
-			delete(pendingByPos, next)
-		} else {
-			select {
-			case r = <-results:
-			case <-run.done: // aborted by a worker panic
-				return stats
-			}
-			if r.pos != next {
-				pendingByPos[r.pos] = r
-				continue
-			}
-		}
-		stale := next - r.version
-		reject := bound >= 0 && stale > bound
-		if a.det {
-			// Delayed-gradient admission: the version must be exactly
-			// max(0, next−bound). Workers always compute there, so this
-			// is defensive, like the bound re-check below.
-			expected := next - bound
-			if expected < 0 {
-				expected = 0
-			}
-			reject = r.version != expected
-		}
-		if reject {
-			// The snapshot missed more updates than the bound allows:
-			// refuse it and recompute against current parameters. The
-			// clock cannot advance past this position meanwhile, so the
-			// recompute's snapshot is exact and always admitted.
-			stats.Rejected++
-			bufs <- r.grad
-			if rs, ok := src.(RequestSource); ok {
-				rs.Request(r.batch)
-			}
-			select {
-			case requeue <- asyncTask{pos: r.pos, batch: r.batch}:
-			case <-run.done:
-				return stats
-			}
-			continue
-		}
-		run.mu.Lock()
-		m.ApplyGrad(r.grad, lr)
-		faultpoint.Hit("engine.async.applied")
-		run.clock = next + 1
-		if a.det {
-			// Publish version next+1 into its ring slot before waking
-			// the gated readers.
-			m.Params(run.arch[int((next+1)%int64(bound+1))])
-		}
-		run.cond.Broadcast()
-		run.mu.Unlock()
-		bufs <- r.grad
-		stats.Updates++
-		stats.StaleSum += stale
-		if stale > stats.MaxStaleness {
-			stats.MaxStaleness = stale
-		}
-		if a.onStep != nil {
-			a.onStep(next, r.loss)
-		}
-		epochLoss += r.loss
-		next++
-		boundary := next%int64(n) == 0
-		if boundary {
-			epoch := int(next/int64(n)) - 1
-			loss := epochLoss / float64(n)
-			res.EpochLoss = append(res.EpochLoss, loss)
-			res.EpochTime = append(res.EpochTime, time.Since(epochStart))
-			if cb != nil {
-				cb(epoch, time.Since(start), loss)
-			}
-			epochLoss = 0
-			epochStart = time.Now()
-		}
-		if a.ck != nil {
-			sinceCkpt++
-			if (a.ckEvery > 0 && sinceCkpt >= a.ckEvery) ||
-				(a.ckEvery <= 0 && boundary) || next == total {
-				a.ck.SaveAsync(snapshot(next, epochLoss))
-				sinceCkpt = 0
-			}
-		}
-		if a.halted.Load() && next < total {
-			if a.ck != nil {
-				if err := a.ck.Save(snapshot(next, epochLoss)); err != nil {
-					run.stop(err)
-					return stats
-				}
-			}
-			run.stop(ErrHalted)
-			return stats
-		}
-	}
-	return stats
-}
-
-// validateAsyncResume rejects a checkpoint that was not taken by a run
-// with this exact configuration: resuming it would silently train a
-// different trajectory.
-func (a *Async) validateAsyncResume(st *checkpoint.State, n, np int, lr float64) error {
-	switch {
-	case st.Kind != checkpoint.KindAsync:
-		return fmt.Errorf("engine: checkpoint kind %v, want %v", st.Kind, checkpoint.KindAsync)
-	case st.NumBatches != n:
-		return fmt.Errorf("engine: checkpoint has %d batches, source has %d", st.NumBatches, n)
-	case st.Seed != a.seed:
-		return fmt.Errorf("engine: checkpoint seed %d, engine uses %d", st.Seed, a.seed)
-	case st.Shuffle != a.shuffle:
-		return fmt.Errorf("engine: checkpoint shuffle=%v, engine uses %v", st.Shuffle, a.shuffle)
-	case st.Staleness != a.staleness:
-		return fmt.Errorf("engine: checkpoint staleness %d, engine uses %d", st.Staleness, a.staleness)
-	case st.Deterministic != a.det:
-		return fmt.Errorf("engine: checkpoint deterministic=%v, engine uses %v", st.Deterministic, a.det)
-	case math.Float64bits(st.LR) != math.Float64bits(lr):
-		return fmt.Errorf("engine: checkpoint learning rate %v, run uses %v", st.LR, lr)
-	case len(st.Params) != np:
-		return fmt.Errorf("engine: checkpoint has %d params, model has %d", len(st.Params), np)
-	case st.Clock < 0:
-		return fmt.Errorf("engine: checkpoint clock %d out of range", st.Clock)
-	case n > 0 && len(st.EpochLoss) != int(st.Clock/int64(n)):
-		return fmt.Errorf("engine: checkpoint has %d epoch losses at clock %d", len(st.EpochLoss), st.Clock)
-	}
-	if a.det {
-		want := int64(a.staleness)
-		if st.Clock < want {
-			want = st.Clock
-		}
-		if int64(len(st.Archive)) != want {
-			return fmt.Errorf("engine: checkpoint archives %d versions, want %d", len(st.Archive), want)
-		}
-		for i, vec := range st.Archive {
-			if len(vec) != np {
-				return fmt.Errorf("engine: archived version %d has %d params, model has %d", i, len(vec), np)
-			}
-		}
-	} else if len(st.Archive) != 0 {
-		return fmt.Errorf("engine: checkpoint archives %d versions but the engine is not deterministic", len(st.Archive))
-	}
-	return nil
-}
-
-// identityOrder is the in-order visit sequence used when Shuffle is off.
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }

@@ -62,9 +62,8 @@ func ParseElasticSchedule(spec string) ([]ElasticEvent, error) {
 }
 
 // SetOnStep installs (or replaces) the per-update observer configured
-// by AsyncConfig.OnStep. It must be called between runs — the callback
-// executes on the updater goroutine, and swapping it mid-run would
-// race. Its main use is wiring an ElasticHook, which needs the engine
+// by AsyncConfig.OnStep. It must be called between runs — the loop
+// reads it once, when a run starts. Its main use is wiring an ElasticHook, which needs the engine
 // to exist first.
 func (a *Async) SetOnStep(fn func(step int64, loss float64)) { a.onStep = fn }
 
@@ -73,9 +72,10 @@ func (a *Async) SetOnStep(fn func(step int64, loss float64)) { a.onStep = fn }
 // be nil) afterwards. An event at step S fires once S updates have been
 // applied — immediately after the update at position S−1 lands, before
 // the next one does — so two runs with the same schedule fire at
-// identical points in the trajectory. The callback runs on the updater
-// goroutine; AddWorkers/RemoveWorkers relay to the supervisor, so the
-// updater never blocks on pool surgery.
+// identical points in the trajectory. The callback runs on the worker
+// that submitted the update, outside the loop's lock, so the
+// AddWorkers/RemoveWorkers it relays to the supervisor cannot deadlock
+// against the model clone a join takes.
 //
 // The returned counts are accumulated into the run's AsyncStats by the
 // engine (Joined/Departed), so the hook itself keeps no observable

@@ -1,53 +1,44 @@
-// Package engine is the concurrent mini-batch training engine: it shards
-// compression of incoming dense mini-batches across a worker pool, runs
-// data-parallel MGD where each worker computes gradients on its shard of
-// compressed batches through the on-compressed-form ops, and drives the
-// storage prefetcher so spilled-batch IO overlaps compute — the multi-core
-// headroom of the paper's §6 scalability discussion.
+// Package engine is the concurrent mini-batch training engine: one
+// position-ordered training loop (Loop, loop.go) and the front ends that
+// feed it.
 //
-// Parallel training uses synchronous group steps: every step freezes the
-// parameters, evaluates the gradients of the next GroupSize mini-batches
-// concurrently into per-slot buffers (lock-free — each in-flight batch
-// owns a disjoint buffer), merges them in batch order, and applies the
-// merged gradient once. Because the merge order is the batch order — never
-// the completion order — the trajectory is bitwise identical for any
-// worker count: workers=8 walks exactly the loss curve of workers=1.
+// The loop owns the model, the clock and everything that makes a run a
+// trajectory — the epoch-major position stream, release and admission,
+// the reorder buffer, the in-order merge and apply, epoch-loss
+// accounting, observers, checkpoint cadence and snapshot, resume
+// validation, halt. Its one rule: positions are cut into steps of group
+// consecutive positions; a position is released, and a gradient computed
+// at version v admitted, when clock (resp. v) >= stepStart(pos) − bound;
+// a step is applied when all its positions are buffered, merged in
+// position order — never completion order — so the trajectory is bitwise
+// identical for any worker count.
 //
-// Workers left over after the group's slots are claimed shard the kernels
-// *inside* each gradient — both multiplication directions: the row- and
-// column-sharded right multiplications A·v/A·M (the forward pass) and the
-// accumulator-sharded left multiplications v·A/M·A (gradient
-// aggregation), all bitwise identical to the sequential kernels — so a
-// GroupSize-1 configuration still uses the whole pool without giving up
-// the serial trajectory. Within each gradient the ml layer additionally
-// threads one core.KernelPlan through the step's kernels, so the decode
-// tree C' is built once per (batch, Grad) instead of once per operation.
+// A front end only moves parameters and gradients. Engine (this file) is
+// synchronous group steps: bound 0 with group = GroupSize, so a step's
+// gradients are computed concurrently on the live model, whose parameters
+// are frozen until the step applies; workers left over after the group's
+// slots shard the kernels inside each gradient (bitwise identical to the
+// sequential kernels), so GroupSize 1 still uses the whole pool on the
+// serial trajectory. Async (async.go) is group 1 under a staleness bound:
+// private model clones, a supervisor with a restart budget, elastic
+// join/leave. internal/dist is the same over RPC. The package also shards
+// compression of incoming batches across the pool (EncodeAll, FillStore)
+// and sizes the spill prefetcher so out-of-core IO overlaps compute.
 package engine
 
 import (
 	"errors"
-	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"toc/internal/checkpoint"
 	"toc/internal/data"
-	"toc/internal/faultpoint"
 	"toc/internal/formats"
 	"toc/internal/matrix"
 	"toc/internal/ml"
 	"toc/internal/storage"
 )
-
-// ErrHalted is returned by TrainFrom when Halt interrupted the run: the
-// partial result is valid, a final checkpoint (if a Writer is
-// configured) has been written synchronously, and resuming from it
-// continues the exact trajectory.
-var ErrHalted = errors.New("engine: halted before completion")
 
 // DefaultGroupSize is the number of mini-batch gradients merged per
 // parameter update when Config.GroupSize is unset. It is deliberately
@@ -97,7 +88,7 @@ type Engine struct {
 	ck      *checkpoint.Writer
 	ckEvery int
 	onStep  func(step int64, loss float64)
-	halted  atomic.Bool
+	cur     atomic.Pointer[Loop] // the running TrainFrom's loop, for Halt
 }
 
 // defaultWorkers is the pool size when a config leaves Workers unset.
@@ -123,7 +114,11 @@ func New(cfg Config) *Engine {
 // currently applying. The run writes a final checkpoint synchronously
 // (when a Writer is configured) and returns ErrHalted. Safe to call
 // from any goroutine, e.g. a signal handler.
-func (e *Engine) Halt() { e.halted.Store(true) }
+func (e *Engine) Halt() {
+	if l := e.cur.Load(); l != nil {
+		l.Halt()
+	}
+}
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -147,37 +142,6 @@ func (e *Engine) KernelWorkers(n int) int {
 	return per
 }
 
-// epochPerm is the single definition of the engine's per-epoch visit
-// permutation. Train (current and next epoch announcements) and
-// FillStore (the eviction policy's upcoming order) must all derive it
-// here, or an order-aware eviction policy would pin batches Train never
-// visits first.
-func epochPerm(seed int64, epoch, n int) []int {
-	return rand.New(rand.NewSource(seed + int64(epoch))).Perm(n)
-}
-
-// EpochPerm exposes the per-epoch visit permutation to the other
-// training drivers (internal/dist's parameter server), so a distributed
-// run at the same seed walks exactly the schedule a local run walks.
-func EpochPerm(seed int64, epoch, n int) []int { return epochPerm(seed, epoch, n) }
-
-// OrderedSource is a BatchSource that accepts visit-order hints;
-// storage.Prefetcher implements it. Train announces each epoch's
-// permutation through it so prefetching stays ahead of the loop.
-type OrderedSource interface {
-	ml.BatchSource
-	SetOrder(order []int)
-}
-
-// NextOrderedSource is an OrderedSource that can additionally be told the
-// epoch after the announced one, so a prefetch window that wraps past the
-// epoch boundary aims at the next epoch's head instead of re-reading the
-// current epoch's — which matters exactly when Shuffle gives every epoch
-// a fresh permutation. storage.Prefetcher implements it.
-type NextOrderedSource interface {
-	SetNextOrder(order []int)
-}
-
 // NewPrefetcher wraps a fully-loaded store with a spill prefetcher sized
 // for this engine and the store's shard layout: the reader pool covers
 // every spill shard (at least one reader per shard, and no fewer readers
@@ -191,15 +155,15 @@ func (e *Engine) NewPrefetcher(st *storage.Store, depth int, maxBytes int64) *st
 	if depth <= 0 {
 		depth = 2 * e.group
 	}
-	readers := e.workers
-	if sh := st.Shards(); readers < sh {
-		readers = sh
-	}
+	return newPrefetcher(st, depth, e.workers, maxBytes)
+}
+
+func newPrefetcher(st *storage.Store, depth, workers int, maxBytes int64) *storage.Prefetcher {
 	var opts []storage.PrefetchOption
 	if maxBytes > 0 {
 		opts = append(opts, storage.WithPrefetchBytes(maxBytes))
 	}
-	return storage.NewPrefetcher(st, depth, readers, opts...)
+	return storage.NewPrefetcher(st, depth, max(workers, st.Shards()), opts...)
 }
 
 // Train runs data-parallel MGD for the given epochs: per step it fans the
@@ -226,263 +190,82 @@ func (e *Engine) Train(m ml.GradModel, src ml.BatchSource, epochs int, lr float6
 // continues the trajectory: the completed run is bitwise identical to
 // one that was never interrupted.
 //
-//toc:timing
+// The pool computes on the live model: a step's positions are released
+// only once the previous step is applied and the next step only after
+// this one, so the parameters are frozen while any gradient is in flight
+// and no worker needs a clone.
 func (e *Engine) TrainFrom(m ml.GradModel, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback, resume *checkpoint.State) (*ml.TrainResult, error) {
-	e.halted.Store(false)
-	res := &ml.TrainResult{}
-	start := time.Now()
 	n := src.NumBatches()
-	np := m.NumParams()
 	group := e.group
 	if group > n && n > 0 {
 		group = n
 	}
-
-	var sm ml.SnapshotModel
-	if e.ck != nil || resume != nil {
-		var ok bool
-		if sm, ok = m.(ml.SnapshotModel); !ok {
-			return nil, fmt.Errorf("engine: checkpoint/resume needs an ml.SnapshotModel, %T is not one", m)
-		}
+	loop, err := NewLoop(LoopConfig{
+		Kind: checkpoint.KindSync, Epochs: epochs, NumBatches: n, LR: lr,
+		Seed: e.seed, Shuffle: e.shuffle, Group: group,
+		Checkpoint: e.ck, CheckpointEvery: e.ckEvery, Resume: resume,
+		OnStep: e.onStep, OnEpoch: cb,
+	}, m, src)
+	if err != nil {
+		return nil, err
 	}
-	startEpoch, startPos := 0, 0
-	var partial float64
-	if resume != nil {
-		if err := e.validateSyncResume(resume, n, np, group, lr); err != nil {
-			return nil, err
-		}
-		sm.SetParams(resume.Params)
-		res.EpochLoss = append(res.EpochLoss, resume.EpochLoss...)
-		// Wall-clock of pre-crash epochs is gone; zero placeholders keep
-		// the epoch indices of EpochTime aligned with EpochLoss.
-		res.EpochTime = make([]time.Duration, len(resume.EpochLoss))
-		startEpoch, startPos, partial = resume.Epoch, resume.Pos, resume.PartialLoss
-		if startEpoch >= epochs {
-			res.Total = time.Since(start)
-			return res, nil
-		}
-	}
-
-	// snapshot captures the run between updates — workers are idle and
-	// the params frozen — so reading the model here needs no locking.
-	snapshot := func(epoch, pos int, partial float64) *checkpoint.State {
-		params := make([]float64, np)
-		sm.Params(params)
-		return &checkpoint.State{
-			Kind: checkpoint.KindSync, Seed: e.seed, LR: lr,
-			Shuffle: e.shuffle, Group: group, NumBatches: n,
-			Epoch: epoch, Pos: pos, PartialLoss: partial,
-			EpochLoss: append([]float64(nil), res.EpochLoss...),
-			Params:    params,
-		}
-	}
-	// saveFinal is the Halt path: write synchronously so the checkpoint
-	// is durable before TrainFrom returns.
-	saveFinal := func(epoch, pos int, partial float64) error {
-		if e.ck == nil {
-			return nil
-		}
-		return e.ck.Save(snapshot(epoch, pos, partial))
-	}
-
-	// step is the global update index from the run's origin, not the
-	// resume point, so OnStep sequences line up across crash/resume.
-	// startPos is a multiple of group (validated above), so the division
-	// is exact.
-	updatesPerEpoch := (n + group - 1) / group
-	step := int64(startEpoch)*int64(updatesPerEpoch) + int64(startPos/group)
-	sinceCkpt := 0
+	e.cur.Store(loop)
+	defer e.cur.Store(nil)
 	// Split the pool between batch-level and kernel-level parallelism: the
 	// group's in-flight gradients claim workers first, and any leftover
-	// goroutines shard the kernels inside each gradient — both the
-	// forward right multiplications and the backward left multiplications
-	// (workers=8 with group=1 puts all eight into every kernel call). The
-	// parallel kernels are bitwise identical to the sequential ones, so
-	// this split never changes the trajectory, only the wall-clock. (The
-	// left-mul kernels replicate their read scan across shards to keep
-	// that identity, so the split trades some aggregate CPU for latency;
-	// with group >= workers it stays 1 and nothing changes.)
+	// goroutines shard the kernels inside each gradient (workers=8 with
+	// group=1 puts all eight into every kernel call). The parallel kernels
+	// are bitwise identical to the sequential ones, so this split never
+	// changes the trajectory, only the wall-clock.
 	if kp, ok := m.(ml.KernelParallel); ok {
 		kp.SetKernelWorkers(e.KernelWorkers(n))
 	}
-
-	// Per-slot gradient buffers: slot s of the current group writes only
-	// grads[s]/losses[s], so workers never contend.
-	grads := make([][]float64, group)
-	for s := range grads {
-		grads[s] = make([]float64, np)
-	}
-	losses := make([]float64, group)
-	merged := make([]float64, np)
-
-	type job struct{ slot, batch int }
-	jobs := make(chan job)
-	var pending sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
+	var wg sync.WaitGroup
+	for w := min(e.workers, group); w > 0; w-- {
+		owner := loop.Join()
+		wg.Add(1)
 		go func() {
-			for j := range jobs {
-				x, y := src.Batch(j.batch)
-				losses[j.slot] = m.Grad(x, y, grads[j.slot])
-				pending.Done()
+			defer wg.Done()
+			for {
+				t, ok, _ := loop.Next(owner)
+				if !ok {
+					return // done, halted or failed: Wait below says which
+				}
+				x, y := src.Batch(t.Batch)
+				g := loop.GradBuf()
+				// Submit refuses only once the run has failed, and then the
+				// next Next ends this worker.
+				_, _ = loop.Submit(owner, t.Pos, t.Version, m.Grad(x, y, g), g)
 			}
 		}()
 	}
-	defer close(jobs)
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for epoch := startEpoch; epoch < epochs; epoch++ {
-		if e.shuffle {
-			copy(order, epochPerm(e.seed, epoch, n))
-		}
-		// Announced unconditionally — also when resuming mid-epoch
-		// (startPos > 0), where the source still needs this epoch's
-		// permutation even though the epoch did not start at position 0.
-		if os, ok := src.(OrderedSource); ok {
-			os.SetOrder(order)
-			// With Shuffle on, the source's wrap-around window would
-			// otherwise prefetch this epoch's head at the boundary while
-			// the next epoch starts on a fresh permutation; announce that
-			// permutation so boundary reads stay hits.
-			if ns, ok := src.(NextOrderedSource); ok && e.shuffle && epoch+1 < epochs {
-				ns.SetNextOrder(epochPerm(e.seed, epoch+1, n))
-			}
-		}
-		epochStart := time.Now()
-		var loss float64
-		lo0 := 0
-		if epoch == startEpoch {
-			lo0, loss = startPos, partial
-		}
-		for lo := lo0; lo < n; lo += group {
-			hi := lo + group
-			if hi > n {
-				hi = n
-			}
-			cnt := hi - lo
-			pending.Add(cnt)
-			for s := 0; s < cnt; s++ {
-				jobs <- job{slot: s, batch: order[lo+s]}
-			}
-			pending.Wait()
-			// Merge in batch order, never completion order, so the sum is
-			// identical for any worker count.
-			for j := range merged {
-				merged[j] = 0
-			}
-			var stepLoss float64
-			for s := 0; s < cnt; s++ {
-				gs := grads[s]
-				for j, v := range gs {
-					merged[j] += v
-				}
-				stepLoss += losses[s]
-			}
-			loss += stepLoss
-			inv := 1 / float64(cnt)
-			for j := range merged {
-				merged[j] *= inv
-			}
-			m.ApplyGrad(merged, lr)
-			faultpoint.Hit("engine.sync.applied")
-			if e.onStep != nil {
-				e.onStep(step, stepLoss)
-			}
-			step++
-			sinceCkpt++
-			if hi < n {
-				if e.ck != nil && e.ckEvery > 0 && sinceCkpt >= e.ckEvery {
-					e.ck.SaveAsync(snapshot(epoch, hi, loss))
-					sinceCkpt = 0
-				}
-				if e.halted.Load() {
-					if err := saveFinal(epoch, hi, loss); err != nil {
-						return res, err
-					}
-					res.Total = time.Since(start)
-					return res, ErrHalted
-				}
-			}
-		}
-		if n > 0 {
-			loss /= float64(n)
-		}
-		res.EpochLoss = append(res.EpochLoss, loss)
-		res.EpochTime = append(res.EpochTime, time.Since(epochStart))
-		if cb != nil {
-			cb(epoch, time.Since(start), loss)
-		}
-		if e.ck != nil && (e.ckEvery <= 0 || sinceCkpt >= e.ckEvery || epoch+1 == epochs) {
-			e.ck.SaveAsync(snapshot(epoch+1, 0, 0))
-			sinceCkpt = 0
-		}
-		if e.halted.Load() && epoch+1 < epochs {
-			if err := saveFinal(epoch+1, 0, 0); err != nil {
-				return res, err
-			}
-			res.Total = time.Since(start)
-			return res, ErrHalted
-		}
-	}
-	res.Total = time.Since(start)
-	return res, nil
+	res, err := loop.Wait()
+	wg.Wait()
+	return res, err
 }
 
-// validateSyncResume rejects a checkpoint that was not taken by a run
-// with this exact configuration — resuming it would produce a silently
-// different trajectory, which is worse than an error.
-func (e *Engine) validateSyncResume(st *checkpoint.State, n, np, group int, lr float64) error {
-	switch {
-	case st.Kind != checkpoint.KindSync:
-		return fmt.Errorf("engine: checkpoint kind %v, want %v", st.Kind, checkpoint.KindSync)
-	case st.NumBatches != n:
-		return fmt.Errorf("engine: checkpoint has %d batches, source has %d", st.NumBatches, n)
-	case st.Group != group:
-		return fmt.Errorf("engine: checkpoint group size %d, engine uses %d", st.Group, group)
-	case st.Seed != e.seed:
-		return fmt.Errorf("engine: checkpoint seed %d, engine uses %d", st.Seed, e.seed)
-	case st.Shuffle != e.shuffle:
-		return fmt.Errorf("engine: checkpoint shuffle=%v, engine uses %v", st.Shuffle, e.shuffle)
-	case math.Float64bits(st.LR) != math.Float64bits(lr):
-		return fmt.Errorf("engine: checkpoint learning rate %v, run uses %v", st.LR, lr)
-	case len(st.Params) != np:
-		return fmt.Errorf("engine: checkpoint has %d params, model has %d", len(st.Params), np)
-	case st.Epoch < 0 || st.Pos < 0 || st.Pos >= n && st.Pos != 0:
-		return fmt.Errorf("engine: checkpoint cursor epoch=%d pos=%d out of range", st.Epoch, st.Pos)
-	case group > 0 && st.Pos%group != 0:
-		return fmt.Errorf("engine: checkpoint position %d is not a group-step boundary (group %d)", st.Pos, group)
-	case len(st.EpochLoss) != st.Epoch:
-		return fmt.Errorf("engine: checkpoint has %d epoch losses at epoch %d", len(st.EpochLoss), st.Epoch)
+// parallelFor calls fn(i) for every i in [0, n) from up to workers
+// goroutines and returns when all calls have.
+func parallelFor(workers, n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
 	}
-	return nil
+	wg.Wait()
 }
 
 // EncodeAll compresses dense mini-batches across the worker pool,
 // returning results in input order.
 func (e *Engine) EncodeAll(enc formats.Encoder, batches []*matrix.Dense) []formats.CompressedMatrix {
 	out := make([]formats.CompressedMatrix, len(batches))
-	workers := e.workers
-	if workers > len(batches) {
-		workers = len(batches)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(batches) {
-					return
-				}
-				out[i] = enc(batches[i])
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(e.workers, len(batches), func(i int) { out[i] = enc(batches[i]) })
 	return out
 }
 
@@ -496,43 +279,17 @@ func (e *Engine) EncodeAll(enc formats.Encoder, batches []*matrix.Dense) []forma
 func (e *Engine) FillStore(st *storage.Store, d *data.Dataset, batchSize int) error {
 	n := d.NumBatches(batchSize)
 	// Aim the store's eviction policy at the first epoch before anything
-	// is admitted: with Shuffle on, epoch 0 visits the seeded permutation
-	// Train will announce to the prefetcher, and an order-aware policy
-	// (storage.AccessOrder) keeps exactly its head resident. Without
-	// Shuffle epochs scan in ingest order, which is the announcement too.
-	if e.shuffle {
-		st.SetUpcomingOrder(epochPerm(e.seed, 0, n))
-	} else {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		st.SetUpcomingOrder(order)
-	}
+	// is admitted: epoch 0 visits the order the loop will announce to the
+	// prefetcher, and an order-aware policy (storage.AccessOrder) keeps
+	// exactly its head resident.
+	st.SetUpcomingOrder(epochOrder(e.seed, e.shuffle, 0, n))
 	encoded := make([]formats.CompressedMatrix, n)
 	labels := make([][]float64, n)
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				x, y := d.Batch(i, batchSize)
-				encoded[i] = st.Encode(x)
-				labels[i] = y
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(e.workers, n, func(i int) {
+		x, y := d.Batch(i, batchSize)
+		encoded[i] = st.Encode(x)
+		labels[i] = y
+	})
 	for i, c := range encoded {
 		if err := st.AddCompressed(c, labels[i]); err != nil {
 			return err

@@ -37,7 +37,8 @@ func InverseDecayLR(lr, k float64) Schedule {
 	return func(epoch int) float64 { return lr / (1 + k*float64(epoch)) }
 }
 
-// TrainSchedule is Train with a per-epoch learning-rate schedule.
+// TrainSchedule is the serial MGD driver: Train with a per-epoch
+// learning-rate schedule.
 //
 //toc:timing
 func TrainSchedule(m Model, src BatchSource, epochs int, sched Schedule, cb EpochCallback) *TrainResult {

@@ -8,8 +8,8 @@ import (
 
 // SnapshotModel is a GradModel whose flat parameter vector can be
 // exported, restored and cloned. This is what an asynchronous training
-// driver (internal/engine's bounded-staleness mode) needs: the updater
-// goroutine owns the live model, and each worker owns a private clone
+// driver (internal/engine's bounded-staleness mode) needs: the training
+// loop owns the live model, and each worker owns a private clone
 // whose parameters it refreshes from a versioned snapshot before every
 // gradient, so gradient reads never race parameter writes.
 //

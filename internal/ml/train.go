@@ -70,33 +70,13 @@ type TrainResult struct {
 // cumulative wall-clock time since training started.
 type EpochCallback func(epoch int, elapsed time.Duration, avgLoss float64)
 
-// Train runs MGD for the given number of epochs: every epoch visits all
-// mini-batches in order (the data was shuffled once upfront) and applies
-// Equation 2 per batch. cb may be nil.
-//
-//toc:timing
+// Train runs MGD for the given number of epochs at the paper's fixed
+// learning rate: every epoch visits all mini-batches in order (the data
+// was shuffled once upfront) and applies Equation 2 per batch. cb may be
+// nil. It is the serial reference the engines' identity tests compare
+// against.
 func Train(m Model, src BatchSource, epochs int, lr float64, cb EpochCallback) *TrainResult {
-	res := &TrainResult{}
-	start := time.Now()
-	n := src.NumBatches()
-	for e := 0; e < epochs; e++ {
-		epochStart := time.Now()
-		var loss float64
-		for i := 0; i < n; i++ {
-			x, y := src.Batch(i)
-			loss += m.Step(x, y, lr)
-		}
-		if n > 0 {
-			loss /= float64(n)
-		}
-		res.EpochLoss = append(res.EpochLoss, loss)
-		res.EpochTime = append(res.EpochTime, time.Since(epochStart))
-		if cb != nil {
-			cb(e, time.Since(start), loss)
-		}
-	}
-	res.Total = time.Since(start)
-	return res
+	return TrainSchedule(m, src, epochs, ConstantLR(lr), cb)
 }
 
 // NewModel constructs a model by the paper's short name ("linreg", "lr",

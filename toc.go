@@ -208,14 +208,14 @@ func TrainParallel(m Model, src BatchSource, epochs int, lr float64, workers int
 // SnapshotModel is a GradModel whose flat parameter vector can be
 // exported (Params), restored (SetParams) and cloned — what asynchronous
 // training needs so workers read stable parameter views while the
-// updater writes. Every model NewModel returns implements it.
+// training loop writes. Every model NewModel returns implements it.
 type SnapshotModel = ml.SnapshotModel
 
 // AsyncEngine is the asynchronous bounded-staleness training engine, the
-// alternative to Engine's synchronous group steps: workers pull batches
-// from a shared queue and compute gradients on private clones refreshed
-// from versioned parameter snapshots, and a single updater applies the
-// results in visit order, admitting each gradient only if its snapshot
+// alternative to Engine's synchronous group steps: workers take batch
+// positions from the training loop and compute gradients on private
+// clones refreshed from versioned parameter snapshots, and the loop
+// applies the results in visit order, admitting each gradient only if its snapshot
 // missed at most Staleness updates. Staleness 0 reproduces the
 // synchronous GroupSize-1 trajectory bitwise for any worker count;
 // StalenessUnbounded free-runs Hogwild-style, so one slow batch never
