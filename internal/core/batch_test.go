@@ -171,6 +171,11 @@ func vecApproxEq(a, b []float64) bool {
 	return true
 }
 
+// buildTree builds the batch's decode tree C' into memory of its own.
+func (b *Batch) buildTree() *DecodeTree {
+	return new(treeArena).build(b.i, b.d)
+}
+
 // The decode tree parent index is always smaller than the child index —
 // the invariant that makes the one-pass forward/backward kernel scans
 // correct. Verify it over random inputs.

@@ -7,26 +7,40 @@ import (
 
 // Algorithm 2: build the prefix tree C' used for decoding and for the
 // compressed matrix kernels. C' is a simplified variant of the encoding
-// tree C: every node stores its key and the index of its parent, but no
+// tree C: every node knows its key and the index of its parent, but has no
 // child links (Table 4). It is rebuilt from I and D by replaying how
 // Algorithm 1 grew the tree: scanning D, every element of a tuple except
 // the last one caused exactly one AddNode during encoding.
+//
+// Layout. A node is two uint32s — 8 bytes. Every key in C' is one of the
+// |I| first-layer pairs (Algorithm 1 only ever appends pairs it has
+// already put in the first layer), so a node stores the *index* of its
+// key's first-layer node instead of a 16-byte copy of the pair: node i's
+// key is I[KeyIdx[i]-1]. Algorithm 2's F array ("first pair of the
+// sequence node i represents") shrinks the same way to a uint32
+// first-layer index, and is build-time scratch only. The build therefore
+// writes 12 bytes per node, into pooled memory. It has to be that cheap:
+// the paper's cost model charges every kernel (here: every gradient step)
+// an O(|I|+|D|) rebuild on the grounds that C' is small, but |C'| is of
+// the order of |D| — on an imagenet 250×180 batch |I| ≈ 1740, |D| ≈ 7400,
+// |C'| ≈ 8900 — so storing pairs (36 bytes per node with F) makes the
+// rebuild write nine times the batch's own stored size per step.
 
-// DecodeTree is C'. Index 0 is the root; Key[0] and Parent[0] are unused.
+// DecodeTree is C'. Index 0 is the root; Parent[0] and KeyIdx[0] are 0.
 type DecodeTree struct {
-	Key    []Pair   // Key[i]: the column-index:value pair of node i
-	Parent []uint32 // Parent[i]: index of node i's parent (0 = root child)
-	first  []Pair   // F[i]: first pair of the sequence represented by node i
+	Parent []uint32 // Parent[i]: index of node i's parent (0 = root)
+	KeyIdx []uint32 // KeyIdx[i]: first-layer node whose pair is node i's key, in 1..|I|
 }
 
 // Len returns the number of nodes including the root.
-func (t *DecodeTree) Len() int { return len(t.Key) }
+func (t *DecodeTree) Len() int { return len(t.Parent) }
 
 // Seq reconstructs the full pair sequence represented by node idx by
-// backtracking parent links (the sequence definition of §3.1.1). One
-// counting walk sizes the result exactly, then a second walk fills it
-// back to front — a single allocation, no reverse buffer.
-func (t *DecodeTree) Seq(idx uint32) []Pair {
+// backtracking parent links (the sequence definition of §3.1.1), looking
+// each key up in the first layer I the tree was built from. One counting
+// walk sizes the result exactly, then a second walk fills it back to
+// front — a single allocation, no reverse buffer.
+func (t *DecodeTree) Seq(I []Pair, idx uint32) []Pair {
 	n := 0
 	for i := idx; i != 0; i = t.Parent[i] {
 		n++
@@ -34,7 +48,7 @@ func (t *DecodeTree) Seq(idx uint32) []Pair {
 	seq := make([]Pair, n)
 	for i := idx; i != 0; i = t.Parent[i] {
 		n--
-		seq[n] = t.Key[i]
+		seq[n] = I[t.KeyIdx[i]-1]
 	}
 	return seq
 }
@@ -68,29 +82,113 @@ func (d dTable) rows() int { return len(d.Starts) - 1 }
 // row returns tuple i's node indexes (aliased).
 func (d dTable) row(i int) []uint32 { return d.Nodes[d.Starts[i]:d.Starts[i+1]] }
 
-// opScratch holds reusable buffers for the per-operation tree build and
-// accumulator vectors. Rebuilding C' on every op is the paper's model
-// (its O(|I|+|D|) cost is part of every kernel's complexity), but the
-// backing memory is pooled so the allocator does not dominate the kernels.
+// treeArena is the reusable backing memory of one decode tree: Parent,
+// KeyIdx and the build's F scratch, carved from a single uint32 slab that
+// only ever grows. Every C' in the process is built by treeArena.build —
+// plan-less kernels build into the arena of their opScratch, a KernelPlan
+// into its own.
+type treeArena struct {
+	words []uint32
+	tree  DecodeTree
+}
+
+// treeBuilds counts every C' build in the process — the white-box
+// counter that proves KernelPlan amortizes the per-op rebuild (one build
+// per batch-step in the ml layer instead of one per kernel call).
+var treeBuilds atomic.Uint64
+
+// TreeBuilds returns the cumulative number of decode-tree (C') builds.
+func TreeBuilds() uint64 { return treeBuilds.Load() }
+
+// treeSize computes |C'|: root + first layer + one node per non-final
+// tuple element, i.e. 1 + |I| + (|D.Nodes| - rows-with-elements).
+func treeSize(I []Pair, D dTable) int {
+	starts := D.Starts
+	empty := 0
+	for i := 1; i < len(starts); i++ {
+		if starts[i] == starts[i-1] {
+			empty++
+		}
+	}
+	return 1 + len(I) + len(D.Nodes) - (D.rows() - empty)
+}
+
+// build implements Algorithm 2 into the arena: phase I initializes C' (and
+// the first-pair index array F) from I; phase II scans D, adding one node
+// per tuple element except the last, mimicking how Algorithm 1 built C.
+// The result is valid until the arena's next build. Only the kernels'
+// callers guarantee D's node indexes are in range (Compress by
+// construction, Deserialize by validateLogical's replay); the
+// data-dependent F gathers keep their bounds checks regardless.
+func (a *treeArena) build(I []Pair, D dTable) *DecodeTree {
+	treeBuilds.Add(1)
+	size := treeSize(I, D)
+	if cap(a.words) < 3*size {
+		a.words = make([]uint32, 3*size)
+	}
+	parent := a.words[:size:size] // cap == len lets the phase I loop below prove its stores
+	keyIdx, first := a.words[size:2*size], a.words[2*size:3*size]
+	a.tree = DecodeTree{Parent: parent, KeyIdx: keyIdx}
+
+	// Phase I (lines 4-7): the root, then the first layer — node k's key
+	// and first pair are both I[k-1], its parent the root. The arena
+	// carries stale data, so every word of the three arrays is written.
+	firstLayer := len(I) + 1
+	keyIdx, first = keyIdx[:len(parent)], first[:len(parent)]
+	for k := range parent[:firstLayer] {
+		parent[k] = 0
+		keyIdx[k] = uint32(k)
+		first[k] = uint32(k)
+	}
+
+	// Phase II (lines 8-14), one tuple at a time: element j adds a node
+	// whose parent is the element's own node, whose first pair is that
+	// parent's, and whose key is the first pair of the *next* element.
+	// Order matters: F of the new node is stored before its key is read,
+	// because the next element may be the node being added (a tuple that
+	// repeats its own just-added sequence references itself).
+	idx := firstLayer
+	nodes, starts := D.Nodes, D.Starts
+	for i := 1; i < len(starts); i++ {
+		row := nodes[starts[i-1]:starts[i]]
+		for len(row) >= 2 {
+			p := row[0]
+			parent[idx] = p
+			first[idx] = first[p]
+			keyIdx[idx] = first[row[1]]
+			idx++
+			row = row[1:]
+		}
+	}
+	return &a.tree
+}
+
+// opScratch holds the per-call working memory of one kernel: the H
+// accumulator, a second float arena (MatMul's column gather), and — for
+// the plan-less Batch methods, which rebuild C' on every call as the
+// paper's cost model has it — a tree arena. Pooled, so neither the
+// rebuild nor the accumulators allocate in steady state.
 type opScratch struct {
-	pairs   []Pair
-	parents []uint32
-	floats  []float64
-	gather  []float64
-	tree    DecodeTree
+	floats []float64
+	gather []float64
+	arena  treeArena
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
 
-// floatBuf returns a zeroed accumulator of length n backed by the arena.
-func (s *opScratch) floatBuf(n int) []float64 {
+// rawBuf returns an uninitialized accumulator of length n backed by the
+// arena, for kernels that overwrite every element they read.
+func (s *opScratch) rawBuf(n int) []float64 {
 	if cap(s.floats) < n {
 		s.floats = make([]float64, n)
 	}
-	buf := s.floats[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+	return s.floats[:n]
+}
+
+// floatBuf is rawBuf zeroed, for kernels that accumulate into it.
+func (s *opScratch) floatBuf(n int) []float64 {
+	buf := s.rawBuf(n)
+	clear(buf)
 	return buf
 }
 
@@ -102,99 +200,4 @@ func (s *opScratch) gatherBuf(n int) []float64 {
 		s.gather = make([]float64, n)
 	}
 	return s.gather[:n]
-}
-
-// buildTree builds C' into the arena; the result is valid until the
-// arena is reused.
-func (s *opScratch) buildTree(I []Pair, D dTable) *DecodeTree {
-	size := treeSize(I, D)
-	if cap(s.pairs) < 2*size {
-		s.pairs = make([]Pair, 2*size)
-	}
-	if cap(s.parents) < size {
-		s.parents = make([]uint32, size)
-	}
-	s.tree = DecodeTree{
-		Key:    s.pairs[:size],
-		Parent: s.parents[:size],
-		first:  s.pairs[size : 2*size],
-	}
-	// Reused buffers carry stale data; the build overwrites every node
-	// from index 1, and index 0 (the root) must be explicitly cleared
-	// because VecMul/MatMul read Parent values.
-	s.tree.Key[0] = Pair{}
-	s.tree.Parent[0] = 0
-	s.tree.first[0] = Pair{}
-	fillPrefixTree(&s.tree, I, D)
-	return &s.tree
-}
-
-// treeSize computes |C'|: root + first layer + one node per non-final
-// tuple element, i.e. 1 + |I| + (|D.Nodes| - rows-with-elements).
-func treeSize(I []Pair, D dTable) int {
-	rows := D.rows()
-	starts := D.Starts
-	extra := 0
-	for i := 0; i < rows; i++ {
-		if n := int(starts[i+1] - starts[i]); n > 0 {
-			extra += n - 1
-		}
-	}
-	return 1 + len(I) + extra
-}
-
-// BuildPrefixTree implements Algorithm 2: phase I initializes C' (and the
-// first-pair array F) from I; phase II scans D, adding one node per tuple
-// element except the last, mimicking how Algorithm 1 built C.
-func BuildPrefixTree(I []Pair, D dTable) *DecodeTree {
-	size := treeSize(I, D)
-	backing := make([]Pair, 2*size)
-	t := &DecodeTree{
-		Key:    backing[:size],
-		Parent: make([]uint32, size),
-		first:  backing[size:],
-	}
-	fillPrefixTree(t, I, D)
-	return t
-}
-
-// treeBuilds counts every C' build in the process — the white-box
-// counter that proves KernelPlan amortizes the per-op rebuild (one build
-// per batch-step in the ml layer instead of one per kernel call).
-var treeBuilds atomic.Uint64
-
-// TreeBuilds returns the cumulative number of decode-tree (C') builds.
-func TreeBuilds() uint64 { return treeBuilds.Load() }
-
-func fillPrefixTree(t *DecodeTree, I []Pair, D dTable) {
-	treeBuilds.Add(1)
-	rows := D.rows()
-	starts := D.Starts
-
-	// Phase I: initialize with I (lines 4-7). Parents of the first layer
-	// are the root; the explicit clear matters when t reuses pooled
-	// buffers that carry stale values.
-	copy(t.Key[1:], I)
-	copy(t.first[1:], I)
-	for i := 1; i <= len(I); i++ {
-		t.Parent[i] = 0
-	}
-
-	// Phase II: build C' from D (lines 8-14). Order matters: F of the new
-	// node is set before its key is read, because the key references
-	// F[D[i][j+1]] which may be the node being added (self-reference when a
-	// tuple repeats its own just-added sequence).
-	idx := len(I) + 1
-	nodes := D.Nodes
-	key, first, parent := t.Key, t.first, t.Parent
-	for i := 0; i < rows; i++ {
-		end := int(starts[i+1]) - 1
-		for j := int(starts[i]); j < end; j++ {
-			p := nodes[j]
-			parent[idx] = p
-			first[idx] = first[p]
-			key[idx] = first[nodes[j+1]]
-			idx++
-		}
-	}
 }

@@ -64,6 +64,13 @@ func FuzzDeserialize(f *testing.F) {
 			u[i] = float64(i%3) - 1
 		}
 		_ = b.VecMul(u)
+		// So must a plan: its tree is built from the same (I, D), and the
+		// kernels gather through KeyIdx and Parent without further checks
+		// of their own.
+		plan := b.NewKernelPlan()
+		_ = plan.MulVec(v, 2)
+		_ = plan.VecMul(u, 2)
+		plan.Release()
 		// A batch that deserialized must reserialize to a decodable image.
 		if _, err := Deserialize(b.Serialize()); err != nil {
 			t.Fatalf("accepted batch does not reserialize: %v", err)

@@ -32,7 +32,7 @@ func (b *Batch) VecMul(v []float64) []float64 {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	b.vecMulTree(t, sc, v, r)
 	return r
 }
@@ -44,15 +44,24 @@ func (b *Batch) vecMulTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	b.vecMulRows(v, h)
 	// Scan C' backwards: children precede parents, so pushing H[i] onto
 	// H[parent] visits every implicit sequence element exactly once.
-	// key/parent/h share one proven length; the data-dependent r[col] and
-	// h[parent] indexes keep their checks.
-	key := t.Key
-	par := t.Parent[:len(key)]
-	h = h[:len(key)]
-	for i := len(key) - 1; i >= 1; i-- {
-		k := key[i]
+	// keyIdx/parent/h share one proven length; the data-dependent key
+	// fetch, r[col] and h[parent] indexes keep their checks.
+	I, par := b.i, t.Parent
+	kix := t.KeyIdx[:len(par)]
+	h = h[:len(par)]
+	for i := len(par) - 1; i > len(I); i-- {
+		k := I[kix[i]-1]
 		r[k.Col] += k.Val * h[i]
 		h[par[i]] += h[i]
+	}
+	// First layer: node k+1's key is I[k] itself and its parent the root,
+	// whose accumulated weight nothing reads — so the keys stream instead
+	// of being gathered, and the push (|I| read-modify-writes chained
+	// through H[0]) is dropped. Every r[col] still folds in descending
+	// node order.
+	hf := h[1 : len(I)+1]
+	for k := len(I) - 1; k >= 0; k-- {
+		r[I[k].Col] += I[k].Val * hf[k]
 	}
 }
 
@@ -110,7 +119,7 @@ func (b *Batch) MatMul(m *matrix.Dense) *matrix.Dense {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	b.matMulTree(t, sc, m, r)
 	return r
 }
@@ -162,9 +171,10 @@ func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 	// replaces the per-element index multiply.
 	rd := r.Data()
 	rcols := r.Cols()
-	key, par := t.Key, t.Parent
-	for i := len(key) - 1; i >= 1; i-- {
-		k := key[i]
+	I, par := b.i, t.Parent
+	kix := t.KeyIdx[:len(par)]
+	for i := len(par) - 1; i >= 1; i-- {
+		k := I[kix[i]-1]
 		hi := h[i*p : i*p+p]
 		hp := h[int(par[i])*p : int(par[i])*p+p]
 		hp = hp[:len(hi)]

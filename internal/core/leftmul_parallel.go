@@ -52,7 +52,7 @@ func (b *Batch) VecMulParallel(v []float64, workers int) []float64 {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	if workers == 1 || b.rows < 2*workers {
 		b.vecMulTree(t, sc, v, r)
 	} else {
@@ -113,7 +113,7 @@ func (b *Batch) vecMulTreePar(t *DecodeTree, sc *opScratch, v, r []float64, work
 	// h[i] never changes after its own step in either formulation).
 	leftPushSeq(t, h)
 
-	scatterCols(t, h, r, workers)
+	b.scatterCols(t, h, r, workers)
 }
 
 // leftPushSeq accumulates every node's weight onto its parent, back to
@@ -129,11 +129,11 @@ func leftPushSeq(t *DecodeTree, h []float64) {
 // scatterSeq applies the r[col] contributions of the backward scan after
 // the parent pushes have run; per column the order matches the fused
 // sequential scan (descending node index).
-func scatterSeq(t *DecodeTree, h, r []float64) {
-	key := t.Key
-	h = h[:len(key)]
-	for i := len(key) - 1; i >= 1; i-- {
-		k := key[i]
+func (b *Batch) scatterSeq(t *DecodeTree, h, r []float64) {
+	I, kix := b.i, t.KeyIdx
+	h = h[:len(kix)]
+	for i := len(kix) - 1; i >= 1; i-- {
+		k := I[kix[i]-1]
 		r[k.Col] += k.Val * h[i]
 	}
 }
@@ -144,13 +144,13 @@ func scatterSeq(t *DecodeTree, h, r []float64) {
 // against keeping the scatter sequential in BenchmarkVecMulBackward; the
 // sharded form wins once C' outgrows the L1 cache, so it is the default
 // above a small size floor.
-func scatterCols(t *DecodeTree, h, r []float64, workers int) {
+func (b *Batch) scatterCols(t *DecodeTree, h, r []float64, workers int) {
 	cols := len(r)
 	if workers > cols {
 		workers = cols
 	}
 	if workers <= 1 || t.Len() < 4*workers {
-		scatterSeq(t, h, r)
+		b.scatterSeq(t, h, r)
 		return
 	}
 	var wg sync.WaitGroup
@@ -167,10 +167,10 @@ func scatterCols(t *DecodeTree, h, r []float64, workers int) {
 		wg.Add(1)
 		go func(clo, chi uint32) {
 			defer wg.Done()
-			key := t.Key
-			hw := h[:len(key)]
-			for i := len(key) - 1; i >= 1; i-- {
-				k := key[i]
+			I, kix := b.i, t.KeyIdx
+			hw := h[:len(kix)]
+			for i := len(kix) - 1; i >= 1; i-- {
+				k := I[kix[i]-1]
 				if k.Col >= clo && k.Col < chi {
 					r[k.Col] += k.Val * hw[i]
 				}
@@ -255,7 +255,7 @@ func (b *Batch) MatMulParallel(m *matrix.Dense, workers int) *matrix.Dense {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	b.matMulTreePar(t, sc, m, r, workers)
 	return r
 }
@@ -304,9 +304,10 @@ func (b *Batch) matMulTreePar(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *
 				}
 			}
 		}
-		key, par := t.Key, t.Parent
-		for i := len(key) - 1; i >= 1; i-- {
-			k := key[i]
+		I, par := b.i, t.Parent
+		kix := t.KeyIdx[:len(par)]
+		for i := len(par) - 1; i >= 1; i-- {
+			k := I[kix[i]-1]
 			hi := h[i*p+klo : i*p+khi]
 			hp := h[int(par[i])*p+klo : int(par[i])*p+khi]
 			hp = hp[:len(hi)]

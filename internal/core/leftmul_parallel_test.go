@@ -137,13 +137,13 @@ func BenchmarkVecMulBackward(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		r := make([]float64, batch.cols)
 		for i := 0; i < b.N; i++ {
-			scatterSeq(t, h, r)
+			batch.scatterSeq(t, h, r)
 		}
 	})
 	b.Run("colsharded", func(b *testing.B) {
 		r := make([]float64, batch.cols)
 		for i := 0; i < b.N; i++ {
-			scatterCols(t, h, r, 4)
+			batch.scatterCols(t, h, r, 4)
 		}
 	})
 }

@@ -92,7 +92,7 @@ func TestAlgorithm1TraceTable2(t *testing.T) {
 // tree C' rebuilt from I and D for the running example.
 func TestBuildPrefixTreeTable4(t *testing.T) {
 	I, D := PrefixTreeEncode(SparseEncode(figure3Input()))
-	tree := BuildPrefixTree(I, flattenD(D))
+	tree := new(treeArena).build(I, flattenD(D))
 
 	if tree.Len() != 11 {
 		t.Fatalf("C' has %d nodes, want 11 (root + 10)", tree.Len())
@@ -104,8 +104,8 @@ func TestBuildPrefixTreeTable4(t *testing.T) {
 	}
 	wantParent := []uint32{0, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5}
 	for i := 1; i < tree.Len(); i++ {
-		if tree.Key[i] != wantKey[i] {
-			t.Errorf("Key[%d] = %v, want %v", i, tree.Key[i], wantKey[i])
+		if got := I[tree.KeyIdx[i]-1]; got != wantKey[i] {
+			t.Errorf("key of node %d = %v, want %v", i, got, wantKey[i])
 		}
 		if tree.Parent[i] != wantParent[i] {
 			t.Errorf("Parent[%d] = %d, want %d", i, tree.Parent[i], wantParent[i])
@@ -117,7 +117,7 @@ func TestBuildPrefixTreeTable4(t *testing.T) {
 // running example: node 9 represents [1:1.1, 2:2, 3:3] (paper indexes).
 func TestDecodeTreeSequences(t *testing.T) {
 	I, D := PrefixTreeEncode(SparseEncode(figure3Input()))
-	tree := BuildPrefixTree(I, flattenD(D))
+	tree := new(treeArena).build(I, flattenD(D))
 
 	want := map[uint32][]Pair{
 		1:  {{0, 1.1}},
@@ -127,7 +127,7 @@ func TestDecodeTreeSequences(t *testing.T) {
 		10: {{1, 1.1}, {2, 3}},
 	}
 	for idx, seq := range want {
-		if got := tree.Seq(idx); !reflect.DeepEqual(got, seq) {
+		if got := tree.Seq(I, idx); !reflect.DeepEqual(got, seq) {
 			t.Errorf("Seq(%d) = %v, want %v", idx, got, seq)
 		}
 	}
@@ -207,7 +207,7 @@ func checkVec(t *testing.T, name string, got, want []float64) {
 // Within a matrix row column indexes strictly increase, so a (col,val)
 // pair never repeats inside one tuple — but PrefixTreeEncode itself is
 // more general (it accepts any tuple of pairs, like LZW accepts any
-// string), and the replay in BuildPrefixTree must handle the
+// string), and the replay in treeArena.build must handle the
 // self-referencing code that repeated pairs produce: [a,a,a] encodes to
 // [1,2] where node 2 = [a,a] is created mid-tuple by element 0 and then
 // referenced by element 1.
@@ -220,14 +220,14 @@ func TestSelfReferencingCode(t *testing.T) {
 	if !reflect.DeepEqual(D, [][]uint32{{1, 2}}) {
 		t.Fatalf("D = %v, want [[1 2]]", D)
 	}
-	tree := BuildPrefixTree(I, flattenD(D))
+	tree := new(treeArena).build(I, flattenD(D))
 	if tree.Len() != 3 {
 		t.Fatalf("tree has %d nodes, want 3", tree.Len())
 	}
-	if tree.Parent[2] != 1 || tree.Key[2] != a {
-		t.Fatalf("node 2 = key %v parent %d, want key %v parent 1", tree.Key[2], tree.Parent[2], a)
+	if tree.Parent[2] != 1 || tree.KeyIdx[2] != 1 {
+		t.Fatalf("node 2 = key index %d parent %d, want key index 1 (%v) parent 1", tree.KeyIdx[2], tree.Parent[2], a)
 	}
-	if got := tree.Seq(2); !reflect.DeepEqual(got, []Pair{a, a}) {
+	if got := tree.Seq(I, 2); !reflect.DeepEqual(got, []Pair{a, a}) {
 		t.Fatalf("Seq(2) = %v, want [a a]", got)
 	}
 }

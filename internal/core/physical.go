@@ -179,18 +179,25 @@ func (b *Batch) parseFull(buf []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: I values: %w", err)
 	}
-	vals := vi.Decode()
-	if colsArr.Len() != len(vals) {
-		return fmt.Errorf("core: I columns (%d) and values (%d) disagree", colsArr.Len(), len(vals))
+	occ, dict := vi.Indexes(), vi.Values()
+	if colsArr.Len() != len(occ) {
+		return fmt.Errorf("core: I columns (%d) and values (%d) disagree", colsArr.Len(), len(occ))
 	}
-	// Bulk word-at-a-time decode of the column indexes, then zip with the
-	// dictionary-decoded values; the temporary is a single sized slice
-	// instead of one seek-and-cast Get per pair.
-	cols := make([]uint32, len(vals))
-	colsArr.UnpackRange(cols, 0, len(cols))
-	b.i = make([]Pair, len(vals))
-	for k := range b.i {
-		b.i[k] = Pair{Col: cols[k], Val: vals[k]}
+	// Decode straight into I: the values through the dictionary (whose
+	// occurrence indexes ReadValueIndex has range-checked), the column
+	// indexes with the bulk word-at-a-time unpack through a small stack
+	// window — no |I|-sized temporaries.
+	b.i = make([]Pair, len(occ))
+	for k, o := range occ {
+		b.i[k].Val = dict[o]
+	}
+	var win [256]uint32
+	for lo := 0; lo < len(b.i); lo += len(win) {
+		part := b.i[lo:min(lo+len(win), len(b.i))]
+		colsArr.UnpackRange(win[:len(part)], lo, lo+len(part))
+		for k := range part {
+			part[k].Col = win[k]
+		}
 	}
 	nodesArr, buf, err := bitpack.ReadArray(buf)
 	if err != nil {

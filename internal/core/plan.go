@@ -2,47 +2,78 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"toc/internal/matrix"
 )
 
-// KernelPlan caches the decode tree C' of one Batch so the 2-3 kernel
+// KernelPlan holds the decode tree C' of one Batch so the 2-3 kernel
 // calls a gradient step makes on the same mini-batch — the A·v or A·M
 // forward pass plus the v·A or M·A gradient aggregation — share a single
 // O(|I|+|D|) build instead of paying it per operation. The paper's cost
-// model charges every kernel a rebuild of C'; a plan amortizes that
-// charge across the step without changing any result: every plan method
-// honors the parallel-kernel contract and returns bits identical to the
+// model charges every kernel a rebuild of C'; a plan pays that charge
+// once per step without changing any result: every plan method honors
+// the parallel-kernel contract and returns bits identical to the
 // corresponding Batch method for any workers value.
 //
-// The cached tree is read-only after construction and accumulators come
-// from the shared scratch pool per call, so one plan is safe for
-// concurrent use by multiple goroutines. A plan is tied to the batch it
-// was built from; batches are immutable (Scale returns a new Batch), so
-// it never goes stale.
+// Lifecycle. A plan and its tree memory come from a pool. Release hands
+// both back, after which the next NewKernelPlan — for any batch — reuses
+// them, so a loop that builds a plan, runs its kernels and releases it
+// allocates nothing in steady state (TestPlanIntoAllocs). Release is
+// optional: a plan that is never released is simply garbage collected.
+// A released plan must not be used again; until the pool hands it to a
+// new owner every kernel call on it panics and a second Release is a
+// no-op, but once reused it IS another caller's plan — the usual contract
+// of pooled memory.
+//
+// Between NewKernelPlan and Release the tree is read-only, and all
+// per-call state (the H accumulator, M·A's column gather) comes
+// from the shared scratch pool, so one plan is safe for concurrent use by
+// multiple goroutines. A plan is tied to the batch it was built from;
+// batches are immutable (Scale returns a new Batch), so it never goes
+// stale.
 //
 // Each kernel has an Into variant that writes to a caller-owned
-// destination, eliminating the last per-op allocation: a training loop
-// that reuses its gradient buffers runs every step at zero steady-state
-// allocations (pinned by TestPlanIntoAllocs).
+// destination, eliminating the last per-op allocation.
 type KernelPlan struct {
-	b    *Batch
-	tree *DecodeTree // nil for SparseOnly, which has no logical layer
+	b     *Batch      // nil once released
+	tree  *DecodeTree // nil for SparseOnly, which has no logical layer
+	arena treeArena   // tree's backing memory, kept across pool round trips
 }
+
+var planPool = sync.Pool{New: func() any { return new(KernelPlan) }}
 
 // NewKernelPlan builds the batch's decode tree once and returns a plan
 // sharing it across kernel calls. TreeBuilds exposes the white-box build
 // counter that proves the amortization.
 func (b *Batch) NewKernelPlan() *KernelPlan {
-	p := &KernelPlan{b: b}
+	p := planPool.Get().(*KernelPlan)
+	p.b = b
 	if b.variant != SparseOnly {
-		p.tree = BuildPrefixTree(b.i, b.d)
+		p.tree = p.arena.build(b.i, b.d)
 	}
 	return p
 }
 
-// Batch returns the batch the plan was built for.
-func (p *KernelPlan) Batch() *Batch { return p.b }
+// Release returns the plan and its tree memory to the pool. The caller
+// must not use the plan afterwards (see the lifecycle notes on
+// KernelPlan).
+func (p *KernelPlan) Release() {
+	if p.b == nil {
+		return
+	}
+	p.b, p.tree = nil, nil
+	planPool.Put(p)
+}
+
+// Batch returns the batch the plan was built for. Like every other
+// method but Release, it panics on a released plan.
+func (p *KernelPlan) Batch() *Batch {
+	if p.b == nil {
+		panic("core: KernelPlan used after Release")
+	}
+	return p.b
+}
 
 // intoVec validates or allocates a float destination of length n. The
 // clear flag zeroes a caller-provided buffer for kernels that accumulate
@@ -79,7 +110,7 @@ func intoMat(dst *matrix.Dense, rows, cols int, kernel string) *matrix.Dense {
 	return dst
 }
 
-// MulVec computes A·v with the cached tree; workers > 1 shards the D scan
+// MulVec computes A·v with the plan's tree; workers > 1 shards the D scan
 // over result rows, workers <= 1 runs sequentially. Bitwise identical to
 // Batch.MulVec either way.
 func (p *KernelPlan) MulVec(v []float64, workers int) []float64 {
@@ -89,7 +120,7 @@ func (p *KernelPlan) MulVec(v []float64, workers int) []float64 {
 // MulVecInto is MulVec writing into dst (length rows, fully overwritten;
 // nil allocates). It returns dst.
 func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
-	b := p.b
+	b := p.Batch()
 	if len(v) != b.cols {
 		panic(fmt.Sprintf("core: KernelPlan.MulVec dim mismatch %d != %d", len(v), b.cols))
 	}
@@ -108,7 +139,7 @@ func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	return r
 }
 
-// MulMat computes A·M with the cached tree; workers > 1 shards the H scan
+// MulMat computes A·M with the plan's tree; workers > 1 shards the H scan
 // over result columns and the D scan over result rows, workers <= 1 runs
 // sequentially. Bitwise identical to Batch.MulMat either way.
 func (p *KernelPlan) MulMat(m *matrix.Dense, workers int) *matrix.Dense {
@@ -118,7 +149,7 @@ func (p *KernelPlan) MulMat(m *matrix.Dense, workers int) *matrix.Dense {
 // MulMatInto is MulMat accumulating into dst (rows × m.Cols(), zeroed
 // first; nil allocates). It returns dst.
 func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
-	b := p.b
+	b := p.Batch()
 	if m.Rows() != b.cols {
 		panic(fmt.Sprintf("core: KernelPlan.MulMat dim mismatch %d != %d", m.Rows(), b.cols))
 	}
@@ -137,7 +168,7 @@ func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int)
 	return r
 }
 
-// VecMul computes v·A with the cached tree; workers > 1 uses the
+// VecMul computes v·A with the plan's tree; workers > 1 uses the
 // accumulator-sharded kernel, workers <= 1 the sequential one. Bitwise
 // identical to Batch.VecMul either way.
 func (p *KernelPlan) VecMul(v []float64, workers int) []float64 {
@@ -147,7 +178,7 @@ func (p *KernelPlan) VecMul(v []float64, workers int) []float64 {
 // VecMulInto is VecMul accumulating into dst (length cols, zeroed first;
 // nil allocates). It returns dst.
 func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
-	b := p.b
+	b := p.Batch()
 	if len(v) != b.rows {
 		panic(fmt.Sprintf("core: KernelPlan.VecMul dim mismatch %d != %d", len(v), b.rows))
 	}
@@ -170,7 +201,7 @@ func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	return r
 }
 
-// MatMul computes M·A with the cached tree; workers > 1 shards the p
+// MatMul computes M·A with the plan's tree; workers > 1 shards the p
 // dimension, workers <= 1 runs sequentially. Bitwise identical to
 // Batch.MatMul either way.
 func (p *KernelPlan) MatMul(m *matrix.Dense, workers int) *matrix.Dense {
@@ -180,7 +211,7 @@ func (p *KernelPlan) MatMul(m *matrix.Dense, workers int) *matrix.Dense {
 // MatMulInto is MatMul accumulating into dst (m.Rows() × cols, zeroed
 // first; nil allocates). It returns dst.
 func (p *KernelPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
-	b := p.b
+	b := p.Batch()
 	if m.Cols() != b.rows {
 		panic(fmt.Sprintf("core: KernelPlan.MatMul dim mismatch %d != %d", m.Cols(), b.rows))
 	}

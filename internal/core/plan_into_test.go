@@ -88,8 +88,9 @@ func TestPlanIntoShapePanics(t *testing.T) {
 
 // TestPlanIntoAllocs pins the zero-allocation steady state: with a
 // caller-owned destination and workers=1, no kernel allocates — the tree
-// is cached in the plan, accumulators come from the scratch pool, and
-// the result lands in dst.
+// is held by the plan, accumulators come from the scratch pool, and the
+// result lands in dst — and neither does building and releasing the plan
+// itself.
 func TestPlanIntoAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
@@ -120,6 +121,20 @@ func TestPlanIntoAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(50, func() { plan.MatMulInto(dml, mml, 1) }); got != 0 {
 			t.Errorf("%s: MatMulInto allocates %.0f objects/op, want 0", name, got)
+		}
+		// The whole life of a plan, as a gradient step lives it: build,
+		// forward and backward kernel, release. The plan and its tree come
+		// back out of the pool, so the cycle allocates nothing either.
+		plan.Release()
+		step := func() {
+			p := b.NewKernelPlan()
+			p.MulVecInto(dv, vr, 1)
+			p.VecMulInto(dc, vl, 1)
+			p.Release()
+		}
+		step() // warm the plan pool
+		if got := testing.AllocsPerRun(50, step); got != 0 {
+			t.Errorf("%s: NewKernelPlan + kernels + Release allocates %.0f objects/op, want 0", name, got)
 		}
 	}
 }

@@ -23,8 +23,9 @@ func BenchmarkBuildTreeProf(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := redundantMatrix(rng, 250, 68, 0.43, 5)
 	batch := Compress(a)
+	var arena treeArena
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		batch.buildTree()
+		arena.build(batch.i, batch.d)
 	}
 }

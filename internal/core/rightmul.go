@@ -14,10 +14,13 @@ import (
 // (Equation 5).
 //
 // The kernels are split into tree-parameterized bodies so three callers
-// share them: the sequential methods here (which build C' per call, the
-// paper's cost model), the sharded drivers in rightmul_parallel.go, and
-// KernelPlan (plan.go), which builds C' once per batch-step and amortizes
-// it over every kernel call of that step.
+// share them: the sequential methods here (which build C' per call into
+// pooled scratch, the paper's cost model), the sharded drivers in
+// rightmul_parallel.go, and KernelPlan (plan.go), which builds C' once
+// per batch-step and shares it across every kernel call of that step.
+// Every body reads a node's key through the first layer, I[KeyIdx[i]-1]
+// (decodetree.go); A·v goes one step further and multiplies each of the
+// |I| distinct pairs by v exactly once.
 //
 // The inner loops are written for the hardware, not the paper's
 // pseudocode: D is walked through the flat Nodes/Starts arrays with the
@@ -57,28 +60,45 @@ func (b *Batch) MulVec(v []float64) []float64 {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	b.mulVecTree(t, sc, v, r, 1)
 	return r
 }
 
 // mulVecTree is A·v over an already-built decode tree, writing into r
 // (length rows, fully overwritten). The scalar H scan stays sequential
-// for any worker count (each H[i] chains on its parent, and |C'| ≪
-// |D|·avg-codes keeps it off the critical path); the D scan shards over
-// result rows when workers > 1.
+// for any worker count (each H[i] chains on its parent, and it is a
+// |C'|-long stream of 8-byte gathers next to the D scan's |D| of them);
+// the D scan shards over result rows when workers > 1.
 func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64, workers int) {
 	// Scan C' to compute H[i] = F(i) = C'[i].key·v + H[parent(i)]; parents
-	// precede children, so one forward pass suffices. key/parent/h are
-	// sliced to one shared length so only the data-dependent v lookup
-	// keeps its bounds check.
-	h := sc.floatBuf(t.Len())
-	key := t.Key
-	par := t.Parent[:len(key)]
-	h = h[:len(key)]
-	for i := 1; i < len(key); i++ {
-		k := key[i]
-		h[i] = k.Val*v[k.Col] + h[par[i]]
+	// precede children, so one forward pass suffices and writes every H[i]
+	// before anything reads it (only the root needs clearing).
+	//
+	// Every key of C' is a first-layer pair, so key·v takes only |I|
+	// distinct values, and first-layer node k+1 — key I[k], parent the
+	// root — has exactly that product for its H. So the |I| multiplies
+	// run once, straight into H, and every later node adds two gathered
+	// H values: its key's and its parent's, the only two bounds checks
+	// left in the loop. (The textbook "+ H[root]" the first layer skips is
+	// "+ 0": it could only turn a -0 product into +0, and no result can
+	// tell, because every R[i] is a sum that starts from +0.) The explicit
+	// conversion rounds the product before anything is added to it — the
+	// unfused multiply-then-add on every architecture, whatever the
+	// compiler may fuse elsewhere.
+	I := b.i
+	par := t.Parent
+	kix := t.KeyIdx[:len(par)]
+	h := sc.rawBuf(len(par))
+	h[0] = 0
+	first := len(I) + 1 // the nodes below it are the first layer
+	hf := h[1:first]
+	for k, p := range I {
+		hf[k] = float64(p.Val * v[p.Col])
+	}
+	pw, kw, hw := par[first:], kix[first:], h[first:]
+	for j := range pw {
+		hw[j] = h[kw[j]] + h[pw[j]]
 	}
 	if workers > 1 {
 		forEachRowShard(b.rows, workers, func(lo, hi int) { b.mulVecRows(h, r, lo, hi) })
@@ -152,7 +172,7 @@ func (b *Batch) MulMat(m *matrix.Dense) *matrix.Dense {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	b.mulMatTree(t, sc, m, r, 1)
 	return r
 }
@@ -189,9 +209,10 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 // one length and the column loop 4-way unrolled (columns are independent,
 // so unrolling cannot reassociate anything).
 func (b *Batch) mulMatForwardCols(t *DecodeTree, m *matrix.Dense, h []float64, p, clo, chi int) {
-	key, par := t.Key, t.Parent
-	for i := 1; i < len(key); i++ {
-		k := key[i]
+	I, par := b.i, t.Parent
+	kix := t.KeyIdx[:len(par)]
+	for i := 1; i < len(par); i++ {
+		k := I[kix[i]-1]
 		hw := h[i*p+clo : i*p+chi]
 		hp := h[int(par[i])*p+clo : int(par[i])*p+chi]
 		mr := m.Row(int(k.Col))[clo:chi]

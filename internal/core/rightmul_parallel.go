@@ -19,8 +19,10 @@ import (
 // The H table adds one subtlety per kernel:
 //
 //   - MulVecParallel keeps its scalar H scan sequential. Each H[i] chains
-//     on H[parent(i)], and |C'| ≪ |D|·avg-codes, so Amdahl says the chain
-//     is not worth breaking.
+//     on H[parent(i)]; |C'| is of the order of |D| (one node per non-final
+//     tuple element, plus |I|), not far below it, but the scan is two
+//     8-byte gathers per node with the |I| multiplies done up front, so
+//     it is the cheap half and the chain is not worth breaking.
 //   - MulMatParallel shards the H scan over the p result columns: column
 //     j of every H row depends only on column j of its parent row, so each
 //     column's parent-chain DP is an independent sequential recurrence.
@@ -88,7 +90,7 @@ func (b *Batch) MulVecParallel(v []float64, workers int) []float64 {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	b.mulVecTree(t, sc, v, r, workers)
 	return r
 }
@@ -119,7 +121,7 @@ func (b *Batch) MulMatParallel(m *matrix.Dense, workers int) *matrix.Dense {
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	t := sc.buildTree(b.i, b.d)
+	t := sc.arena.build(b.i, b.d)
 	b.mulMatTree(t, sc, m, r, workers)
 	return r
 }

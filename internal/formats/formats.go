@@ -62,10 +62,11 @@ type ParallelOps interface {
 	VecMulParallel(v []float64, workers int) []float64
 	// MatMulParallel computes M·A with the p dimension sharded.
 	MatMulParallel(m *matrix.Dense, workers int) *matrix.Dense
-	// NewKernelPlan returns a plan caching the per-batch decode state
+	// NewKernelPlan returns a plan holding the per-batch decode state
 	// (TOC's decode tree C') so the 2-3 kernel calls a gradient step makes
 	// on one mini-batch share a single build instead of paying the per-op
-	// rebuild. The plan is tied to this batch and safe for concurrent use.
+	// rebuild. The plan is tied to this batch and, until it is released,
+	// safe for concurrent use.
 	NewKernelPlan() KernelPlan
 }
 
@@ -76,6 +77,17 @@ type ParallelOps interface {
 // corresponding CompressedMatrix method, so callers may thread a plan
 // through a step's forward and backward multiplications without ever
 // changing a training trajectory.
+//
+// Lifecycle: whoever called NewKernelPlan may call Release once the
+// step's last kernel has returned. That hands the plan's memory back for
+// the next plan to reuse — what makes a build-use-release loop
+// allocation-free — and ends the plan's life: using a released plan is a
+// bug (it panics until the memory is reused, and after that it is
+// someone else's plan). Releasing is optional; a plan that is dropped is
+// garbage collected. Between NewKernelPlan and Release a plan is
+// read-only — all per-call state is scratch owned by the call — so any
+// number of goroutines may run kernels on it at once; Release itself
+// must not race with them.
 type KernelPlan interface {
 	// MulVec computes A·v on the planned batch.
 	MulVec(v []float64, workers int) []float64
@@ -85,6 +97,9 @@ type KernelPlan interface {
 	VecMul(v []float64, workers int) []float64
 	// MatMul computes M·A on the planned batch.
 	MatMul(m *matrix.Dense, workers int) *matrix.Dense
+	// Release ends the plan's life and recycles its memory; a second call
+	// in a row is a no-op.
+	Release()
 }
 
 // KernelPlanInto is optionally implemented by kernel plans whose kernels

@@ -39,7 +39,8 @@ func init() {
 func (t TOC) Scale(c float64) CompressedMatrix { return TOC{t.Batch.Scale(c)} }
 
 // NewKernelPlan builds the batch's decode tree C' once and returns the
-// plan sharing it across kernel calls, adapting the concrete return type.
+// plan sharing it across kernel calls (until its Release), adapting the
+// concrete return type.
 func (t TOC) NewKernelPlan() KernelPlan { return t.Batch.NewKernelPlan() }
 
 // TOC's kernels shard across goroutines with bitwise-identical results

@@ -115,12 +115,21 @@ type planGrad interface {
 	gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y, out []float64) float64
 }
 
+// gradOwnPlan is a GLM's whole Grad: build the batch's plan, run the
+// gradient on it, release it.
+func gradOwnPlan(m planGrad, x formats.CompressedMatrix, y, out []float64) float64 {
+	plan := planFor(x)
+	loss := m.gradPlan(x, plan, y, out)
+	releasePlan(plan)
+	return loss
+}
+
 // NumParams returns len(W)+1 (weights plus bias).
 func (m *LinReg) NumParams() int { return len(m.W) + 1 }
 
 // Grad writes the flat [dW..., dB] squared-loss gradient of Equation 3.
 func (m *LinReg) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
-	return m.gradPlan(x, planFor(x), y, out)
+	return gradOwnPlan(m, x, y, out)
 }
 
 func (m *LinReg) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y, out []float64) float64 {
@@ -138,7 +147,7 @@ func (m *LogReg) NumParams() int { return len(m.W) + 1 }
 
 // Grad writes the flat [dW..., dB] logistic gradient (σ(Ah) − y)ᵀA.
 func (m *LogReg) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
-	return m.gradPlan(x, planFor(x), y, out)
+	return gradOwnPlan(m, x, y, out)
 }
 
 func (m *LogReg) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y, out []float64) float64 {
@@ -158,7 +167,7 @@ func (m *SVM) NumParams() int { return len(m.W) + 1 }
 // Grad writes the flat [dW..., dB] hinge subgradient: rows inside the
 // margin contribute −y·x.
 func (m *SVM) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
-	return m.gradPlan(x, planFor(x), y, out)
+	return gradOwnPlan(m, x, y, out)
 }
 
 func (m *SVM) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y, out []float64) float64 {
@@ -222,6 +231,7 @@ func (o *OneVsRest) Grad(x formats.CompressedMatrix, y []float64, out []float64)
 		}
 		off += np
 	}
+	releasePlan(plan)
 	return total / float64(len(o.Models))
 }
 
@@ -298,6 +308,7 @@ func (n *NN) Grad(x formats.CompressedMatrix, y []float64, out []float64) float6
 		copy(out[offs[l]:offs[l]+wlen], dW.Data())
 		copy(out[offs[l]+wlen:offs[l]+wlen+len(db)], db)
 	}
+	releasePlan(plan)
 	return loss
 }
 

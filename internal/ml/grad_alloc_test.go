@@ -12,7 +12,8 @@ import (
 // linGrad: with a warm kernel plan (tree already built) and a reused out
 // buffer, every GLM gradient on a TOC batch allocates nothing — the
 // score/residual vectors come from the pool and both multiplications
-// write into caller-owned memory through formats.KernelPlanInto.
+// write into caller-owned memory through formats.KernelPlanInto — and so
+// does a whole Grad, which builds and releases its own plan.
 func TestLinGradAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
@@ -43,5 +44,16 @@ func TestLinGradAllocs(t *testing.T) {
 		if got != 0 {
 			t.Errorf("%s: gradPlan allocates %.0f objects/op, want 0", name, got)
 		}
+	}
+	plan.Release()
+
+	// A whole Grad — plan built, both kernels, plan released — is what a
+	// training step runs; with the plan's memory recycled through Release
+	// it allocates nothing either.
+	lr := NewLogReg(x.Cols())
+	out := make([]float64, lr.NumParams())
+	lr.Grad(c, yb, out) // warm the plan and scratch pools
+	if got := testing.AllocsPerRun(50, func() { lr.Grad(c, yb, out) }); got != 0 {
+		t.Errorf("LogReg.Grad allocates %.0f objects/op, want 0", got)
 	}
 }

@@ -17,8 +17,10 @@ import (
 // takes the step's shared plan: the 2-3 multiplications a gradient makes
 // on one batch (the A·v/A·M forward and the v·A/M·A aggregation) then
 // share a single decode-tree build instead of paying the O(|I|+|D|)
-// rebuild per operation. planFor builds one per (batch, call);
-// core.TreeBuilds is the white-box counter proving the amortization.
+// rebuild per operation. planFor builds one per (batch, call) and the
+// Grad that asked for it releases it on return, which recycles the
+// tree's memory into the next step's plan; core.TreeBuilds is the
+// white-box counter proving the amortization.
 
 // KernelParallel is implemented by models whose compressed-kernel calls
 // can use multiple goroutines per gradient. Every model NewModel returns
@@ -37,6 +39,14 @@ func planFor(x formats.CompressedMatrix) formats.KernelPlan {
 		return p.NewKernelPlan()
 	}
 	return nil
+}
+
+// releasePlan ends the life of a plan planFor returned (nil is fine).
+// Only the Grad that built the plan calls it, after its last kernel.
+func releasePlan(plan formats.KernelPlan) {
+	if plan != nil {
+		plan.Release()
+	}
 }
 
 // mulVecInto is mulVec writing into dst when the plan supports

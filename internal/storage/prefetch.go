@@ -93,7 +93,7 @@ type Prefetcher struct {
 	//toc:guardedby mu
 	posOf []int // batch index -> position in order
 	//toc:guardedby mu
-	lastPos int // deepest consumed position in order (-1 before any)
+	lastPos int // consumption frontier: deepest consumed position of the current lap (-1 before any)
 	//toc:guardedby mu
 	cache map[int]*entry
 	//toc:guardedby mu
@@ -295,12 +295,29 @@ func (p *Prefetcher) requestLocked(idx int) bool {
 	}
 }
 
+// advanceLocked records that batch i is being consumed and extends the
+// window from the consumption frontier — not from i's own position.
+// Concurrent consumers finish out of order: when positions p+1 and then p
+// are consumed, scheduling from p would re-request p+1, a read nobody is
+// waiting for that then sits in the cache until the next lap reaches it
+// (after the last lap, for good). A position more than depth behind the
+// frontier is no straggler but the start of a new lap over the same
+// order, and moves the frontier back. Must be called with p.mu held.
+//
+//toc:locked mu
+func (p *Prefetcher) advanceLocked(i int) {
+	if pos := p.posOf[i]; pos > p.lastPos || p.lastPos-pos > p.depth {
+		p.lastPos = pos
+	}
+	p.scheduleLocked(p.lastPos)
+}
+
 // NumBatches returns the number of stored mini-batches.
 func (p *Prefetcher) NumBatches() int { return p.store.NumBatches() }
 
 // Batch returns mini-batch i, consuming its prefetched copy when one is
-// ready or in flight, and advances the prefetch window past i's position
-// in the predicted order.
+// ready or in flight, and advances the prefetch window past the
+// consumption frontier of the predicted order.
 //
 // A completed entry is consumed (dropped from the cache) immediately; an
 // in-flight entry stays cached until it lands, so concurrent Batch calls
@@ -321,10 +338,7 @@ func (p *Prefetcher) Batch(i int) (formats.CompressedMatrix, []float64) {
 	} else if !p.store.Resident(i) {
 		p.stats.Misses++
 	}
-	if pos := p.posOf[i]; pos > p.lastPos {
-		p.lastPos = pos
-	}
-	p.scheduleLocked(p.posOf[i])
+	p.advanceLocked(i)
 	p.mu.Unlock()
 
 	if en == nil {
@@ -349,7 +363,7 @@ func (p *Prefetcher) Batch(i int) (formats.CompressedMatrix, []float64) {
 		p.mu.Lock()
 		if p.cache[i] == en {
 			p.dropLocked(i, en)
-			p.scheduleLocked(p.posOf[i])
+			p.scheduleLocked(p.lastPos)
 		}
 		p.mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -267,6 +268,73 @@ func TestPrefetcherShardedSequentialScanAllHits(t *testing.T) {
 	}
 	if ps := pf.Stats(); ps.Misses != 0 || ps.Hits != 2*n {
 		t.Errorf("sharded scan: %+v, want 0 misses / %d hits", ps, 2*n)
+	}
+}
+
+// Two workers pulling consecutive positions finish out of order: p+1 is
+// consumed, then p. The window must extend from the consumption frontier,
+// not from the late caller's own position — scheduling from p re-reads
+// the just-consumed p+1, and that copy then sits in the cache until the
+// next lap reaches it (after the last lap, for good). One epoch walked by
+// two consumers with adjacent positions swapped at random must therefore
+// read every batch once (plus the window's wrap into the head), never
+// miss, and leave no more than a window's worth of entries behind.
+func TestPrefetcherOutOfOrderConsumersNoRereads(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	const n, depth = 64, 6
+	st := spilledStore(t, n)
+	pf := NewPrefetcher(st, depth, 2)
+	defer pf.Close()
+	rng := rand.New(rand.NewSource(41))
+	visit := make([]int, n) // positions of the sequential order, in consumption order
+	for pos := range visit {
+		visit[pos] = pos
+	}
+	swaps := 0
+	for pos := 0; pos+1 < n; pos++ {
+		if rng.Intn(2) == 0 {
+			visit[pos], visit[pos+1] = visit[pos+1], visit[pos]
+			swaps++
+			pos++ // keep every position within one step of its place
+		}
+	}
+	if swaps < n/8 {
+		t.Fatalf("only %d swaps: the walk is not out of order enough to test anything", swaps)
+	}
+
+	// The two consumers are real goroutines, handed positions in lock
+	// step so the arrival order is the seeded one.
+	var work [2]chan int
+	done := make(chan struct{})
+	for c := range work {
+		work[c] = make(chan int)
+		go func(ch <-chan int) {
+			for idx := range ch {
+				pf.Batch(idx)
+				done <- struct{}{}
+			}
+		}(work[c])
+	}
+	for k, pos := range visit {
+		work[k%2] <- pos
+		<-done
+	}
+	for _, ch := range work {
+		close(ch)
+	}
+
+	ps := pf.Stats()
+	if ps.Misses != 0 || ps.Hits != n {
+		t.Errorf("out-of-order walk: %+v, want 0 misses / %d hits", ps, n)
+	}
+	if ps.Prefetched > n+depth {
+		t.Errorf("Prefetched = %d for %d visits with depth %d: consumed batches were read again", ps.Prefetched, n, depth)
+	}
+	pf.mu.Lock()
+	left := len(pf.cache)
+	pf.mu.Unlock()
+	if left > depth {
+		t.Errorf("%d entries left in the cache after the epoch, want <= depth (%d)", left, depth)
 	}
 }
 

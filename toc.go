@@ -89,14 +89,17 @@ type CompressedMatrix = formats.CompressedMatrix
 // (and *Batch) implements it.
 type ParallelOps = formats.ParallelOps
 
-// KernelPlan caches one mini-batch's decode state (TOC's decode tree C')
+// KernelPlan holds one mini-batch's decode state (TOC's decode tree C')
 // so the 2-3 kernel calls a gradient step makes on that batch share a
 // single O(|I|+|D|) build instead of paying it per operation. Obtain one
-// from ParallelOps.NewKernelPlan (or *Batch.NewKernelPlan); plans are
-// safe for concurrent use, and every plan call is bitwise identical to
-// the corresponding per-op kernel. The ml layer threads one plan through
-// each Grad automatically — DecodeTreeBuilds is the white-box counter
-// proving it.
+// from ParallelOps.NewKernelPlan (or *Batch.NewKernelPlan); every plan
+// call is bitwise identical to the corresponding per-op kernel. Call
+// Release after the step's last kernel to recycle the plan's memory into
+// the next plan (a build-use-release loop allocates nothing); a released
+// plan must not be used again, an unreleased one is simply garbage
+// collected, and until Release a plan is safe for concurrent use. The ml
+// layer builds, threads and releases one plan per Grad automatically —
+// DecodeTreeBuilds is the white-box counter proving it.
 type KernelPlan = formats.KernelPlan
 
 // DecodeTreeBuilds returns the cumulative number of decode-tree (C')
