@@ -10,6 +10,7 @@ package toc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"toc/internal/bench"
@@ -46,7 +47,6 @@ func BenchmarkFig11AccuracyVsTime(b *testing.B)   { runExperiment(b, "fig11", 0.
 func BenchmarkFig12CodecSpeed(b *testing.B)       { runExperiment(b, "fig12", 1) }
 func BenchmarkTable6EndToEnd(b *testing.B)        { runExperiment(b, "table6", 0.25) }
 func BenchmarkTable7EndToEnd(b *testing.B)        { runExperiment(b, "table7", 0.25) }
-func BenchmarkScalingEngine(b *testing.B)         { runExperiment(b, "scaling", 0.25) }
 func BenchmarkSpillShardScaling(b *testing.B)     { runExperiment(b, "spillscale", 0.25) }
 func BenchmarkRightMulScaling(b *testing.B)       { runExperiment(b, "rightmul", 0.25) }
 func BenchmarkAsyncScaling(b *testing.B)          { runExperiment(b, "asyncscale", 0.25) }
@@ -139,8 +139,8 @@ func BenchmarkKernelsCSR(b *testing.B) { benchKernels(b, "CSR") }
 func BenchmarkKernelsDEN(b *testing.B) { benchKernels(b, "DEN") }
 func BenchmarkKernelsCLA(b *testing.B) { benchKernels(b, "CLA") }
 
-// BenchmarkParallelMulMat measures the DESIGN §7 parallel right-mul
-// extension against the sequential kernel on a 250-row batch.
+// BenchmarkParallelMulMat measures the sharded right-mul kernel (a plan
+// at workers = GOMAXPROCS) against the sequential one on a 250-row batch.
 func BenchmarkParallelMulMat(b *testing.B) {
 	m := benchBatch(b)
 	c := Compress(m)
@@ -152,14 +152,16 @@ func BenchmarkParallelMulMat(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.MulMatParallel(w, 0)
+			plan := c.NewKernelPlan()
+			plan.MulMatInto(nil, w, runtime.GOMAXPROCS(0))
+			plan.Release()
 		}
 	})
 }
 
 // BenchmarkParallelLeftMul measures the accumulator-sharded left-mul
-// kernels against their sequential counterparts on a 250-row batch; the
-// results are bitwise identical by contract.
+// kernels (a plan at workers = GOMAXPROCS) against the sequential ones on
+// a 250-row batch; the results are bitwise identical by contract.
 func BenchmarkParallelLeftMul(b *testing.B) {
 	m := benchBatch(b)
 	c := Compress(m)
@@ -181,7 +183,9 @@ func BenchmarkParallelLeftMul(b *testing.B) {
 	})
 	b.Run("VecMul-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.VecMulParallel(u, 0)
+			plan := c.NewKernelPlan()
+			plan.VecMulInto(nil, u, runtime.GOMAXPROCS(0))
+			plan.Release()
 		}
 	})
 	b.Run("MatMul-sequential", func(b *testing.B) {
@@ -191,7 +195,9 @@ func BenchmarkParallelLeftMul(b *testing.B) {
 	})
 	b.Run("MatMul-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.MatMulParallel(w, 0)
+			plan := c.NewKernelPlan()
+			plan.MatMulInto(nil, w, runtime.GOMAXPROCS(0))
+			plan.Release()
 		}
 	})
 }

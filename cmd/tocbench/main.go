@@ -17,11 +17,10 @@
 // the loop that found this repo's decode-kernel hotspots — without
 // having to wrap an experiment in a go test harness.
 //
-// The spill experiments (scaling's spill regime, spillscale, the
-// out-of-core table cells) take the storage layer's knobs:
-// -spill-shards/-spill-dirs spread the spill, -disk-model picks how the
-// simulated bandwidth is enforced (per-request vs shared-bucket) and
-// -evict picks the residency policy.
+// The spill experiments (spillscale, the out-of-core table cells) take
+// the storage layer's knobs: -spill-shards/-spill-dirs spread the spill,
+// -disk-model picks how the simulated bandwidth is enforced (per-request
+// vs shared-bucket) and -evict picks the residency policy.
 package main
 
 import (
@@ -99,7 +98,7 @@ func runExperiments(experiments []bench.Experiment, cfg bench.Config, csvFile *o
 
 func main() {
 	var (
-		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, scaling, spillscale) or 'all'")
+		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, spillscale, rightmul) or 'all'")
 		scale      = flag.Float64("scale", 1.0, "dataset size multiplier")
 		seed       = flag.Int64("seed", 1, "random seed")
 		workers    = flag.Int("workers", 0, "extra worker count for the scaling experiments' sweeps")

@@ -74,11 +74,11 @@ func ExampleNewStore() {
 	// round trip: true [0 1]
 }
 
-// ExampleParallelOps shards the left-multiplication kernel v·A across
-// goroutines. Parallel kernels partition the accumulator space instead of
-// the rows, so the result is bitwise identical to the sequential kernel
-// for any worker count — which is why a kernel-parallel training run
-// walks exactly the sequential trajectory.
+// ExampleParallelOps plans a batch and shards the left-multiplication
+// kernel v·A across goroutines. Sharded kernels partition the accumulator
+// space instead of the rows, so the result is bitwise identical to the
+// sequential kernel for any worker count — which is why a kernel-parallel
+// training run walks exactly the sequential trajectory.
 func ExampleParallelOps() {
 	m := toc.NewDenseFromRows([][]float64{
 		{1.5, 2, 0, 3},
@@ -88,8 +88,10 @@ func ExampleParallelOps() {
 	})
 	batch := toc.Compress(m)
 	v := []float64{0.5, -1, 2, 0.25}
-	seq := batch.VecMul(v)            // v·A, one goroutine
-	par := batch.VecMulParallel(v, 8) // v·A, sharded over 8 goroutines
+	seq := batch.VecMul(v) // v·A, one goroutine
+	plan := batch.NewKernelPlan()
+	par := plan.VecMulInto(nil, v, 8) // v·A, sharded over 8 goroutines
+	plan.Release()
 	identical := true
 	for i := range seq {
 		identical = identical && seq[i] == par[i]

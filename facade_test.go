@@ -60,18 +60,21 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if _, ok := GetCodec("TOC"); !ok {
 		t.Fatal("TOC codec missing")
 	}
-	// The parallel-kernel surface: TOC shards its kernels, every model
-	// takes a kernel-worker knob, and neither changes any result.
+	// The parallel-kernel surface: TOC plans its batches, a plan's kernels
+	// shard, every model takes a kernel-worker knob, and none of it
+	// changes any result.
 	tc := Encode("TOC", a)
 	po, ok := tc.(ParallelOps)
 	if !ok {
 		t.Fatal("TOC should implement ParallelOps")
 	}
 	seq := tc.VecMul([]float64{1, -2, 3, 0.5})
-	par := po.VecMulParallel([]float64{1, -2, 3, 0.5}, 4)
+	var plan KernelPlan = po.NewKernelPlan()
+	par := plan.VecMulInto(nil, []float64{1, -2, 3, 0.5}, 4)
+	plan.Release()
 	for i := range seq {
 		if seq[i] != par[i] {
-			t.Fatalf("VecMulParallel diverges at %d: %v vs %v", i, par[i], seq[i])
+			t.Fatalf("sharded VecMulInto diverges at %d: %v vs %v", i, par[i], seq[i])
 		}
 	}
 	kp, ok := model.(KernelParallel)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"toc/internal/data"
 	"toc/internal/engine"
 	"toc/internal/formats"
 	"toc/internal/ml"
@@ -21,6 +22,16 @@ import (
 // window ≥ the skew period lets workers flow around stragglers, so async
 // beats the barrier as workers grow. stale_max never exceeds the bound:
 // the loop's admission check is part of what this regime measures.
+
+// scalingModel is the lr model the engine scaling regimes (this one and
+// spillscale) train, seeded from the config.
+func scalingModel(cfg Config, d *data.Dataset) (ml.GradModel, error) {
+	m, err := ml.NewModel("lr", d.X.Cols(), d.Classes, 0.12, cfg.Seed+31)
+	if err != nil {
+		return nil, err
+	}
+	return m.(ml.GradModel), nil
+}
 
 func init() {
 	register("asyncscale", "async bounded-staleness vs the synchronous barrier under skewed batch costs", runAsyncScale)

@@ -145,7 +145,7 @@ func runKernelSpeed(cfg Config) (*Table, error) {
 			run: func(plans []*core.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
-					s += sumVec(kp.MulVec(vr, 1))
+					s += sumVec(kp.MulVecInto(nil, vr, 1))
 				}
 				return s
 			},
@@ -162,7 +162,7 @@ func runKernelSpeed(cfg Config) (*Table, error) {
 			run: func(plans []*core.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
-					s += sumVec(kp.VecMul(vl, 1))
+					s += sumVec(kp.VecMulInto(nil, vl, 1))
 				}
 				return s
 			},
@@ -179,7 +179,7 @@ func runKernelSpeed(cfg Config) (*Table, error) {
 			run: func(plans []*core.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
-					s += sumVec(kp.MulMat(mr, 1).Data())
+					s += sumVec(kp.MulMatInto(nil, mr, 1).Data())
 				}
 				return s
 			},
@@ -196,7 +196,7 @@ func runKernelSpeed(cfg Config) (*Table, error) {
 			run: func(plans []*core.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
-					s += sumVec(kp.MatMul(ml, 1).Data())
+					s += sumVec(kp.MatMulInto(nil, ml, 1).Data())
 				}
 				return s
 			},

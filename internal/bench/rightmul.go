@@ -17,11 +17,12 @@ import (
 // "step" mimics what a gradient step does on one compressed batch: build
 // one KernelPlan (a single decode-tree build) and push both forward
 // kernels through it at the configured worker count. The serial baseline
-// is the historical path: sequential kernels, one tree rebuild per op.
+// is the paper's cost model: the per-op CompressedMatrix methods, each a
+// plan of its own, so one tree rebuild per op.
 //
-// Because the sharded kernels and the plan are bitwise identical to the
-// sequential per-op path, every row reports the same checksum — worker
-// count and plan reuse buy wall-clock, never different numbers.
+// Because a plan's kernels are bitwise identical at every worker count,
+// every row reports the same checksum — worker count and plan reuse buy
+// wall-clock, never different numbers.
 
 func init() {
 	register("rightmul", "right-multiplication (forward) kernel scaling with per-step plan reuse", runRightMul)
@@ -84,8 +85,8 @@ func runRightMul(cfg Config) (*Table, error) {
 				var r2 *matrix.Dense
 				if plan {
 					kp := b.NewKernelPlan()
-					r1 = kp.MulVec(v, workers)
-					r2 = kp.MulMat(m, workers)
+					r1 = kp.MulVecInto(nil, v, workers)
+					r2 = kp.MulMatInto(nil, m, workers)
 					kp.Release()
 				} else {
 					r1 = b.MulVec(v)

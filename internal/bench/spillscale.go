@@ -8,10 +8,10 @@ import (
 	"toc/internal/storage"
 )
 
-// Sharded spill scaling — the storage-layer counterpart of the `scaling`
-// experiment. Every batch spills; the simulated disk is a shared token
-// bucket (one aggregate bandwidth cap however many readers pile on) plus
-// a per-read seek that serializes within a shard. The sweep crosses spill
+// Sharded spill scaling — the storage-layer scaling regime. Every batch
+// spills; the simulated disk is a shared token bucket (one aggregate
+// bandwidth cap however many readers pile on) plus a per-read seek that
+// serializes within a shard. The sweep crosses spill
 // shard count with engine worker count under that one fixed aggregate
 // bandwidth, so the table shows exactly what sharding buys: the transfer
 // bytes cost the same everywhere (the bucket is honest — agg_MBps never

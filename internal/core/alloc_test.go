@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"toc/internal/data"
@@ -11,15 +12,15 @@ import (
 )
 
 // The kernel steady state allocates nothing but the result buffer: the
-// decode tree is cached in the plan and every accumulator comes from the
-// shared scratch pool. These tests pin that property — a kernel change
-// that starts allocating per call (a lost pool hit, an accidental
-// per-call tree rebuild) fails here long before it shows up as a
-// throughput regression.
+// plan and its decode tree come from the plan pool and every accumulator
+// from the shared scratch pool. These tests pin that property — a kernel
+// change that starts allocating per call (a lost pool hit, a tree built
+// outside the pool) fails here long before it shows up as a throughput
+// regression.
 //
 // AllocsPerRun runs at GOMAXPROCS(1); the sequential (workers=1) path is
-// the one measured. Parallel shards spawn goroutines, which allocate by
-// design.
+// the one measured. Sharded calls spawn goroutines, which allocate by
+// design — but a fixed amount, whatever the operand's size.
 
 func TestKernelPlanSteadyStateAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -37,19 +38,72 @@ func TestKernelPlanSteadyStateAllocs(t *testing.T) {
 		fillRand(rng, ml)
 
 		// One allocation: the result slice. Everything else is pooled.
-		if got := testing.AllocsPerRun(50, func() { plan.MulVec(vr, 1) }); got > 1 {
+		if got := testing.AllocsPerRun(50, func() { plan.MulVecInto(nil, vr, 1) }); got > 1 {
 			t.Errorf("%s: MulVec allocates %.0f objects/op, want <= 1 (the result)", name, got)
 		}
-		if got := testing.AllocsPerRun(50, func() { plan.VecMul(vl, 1) }); got > 1 {
+		if got := testing.AllocsPerRun(50, func() { plan.VecMulInto(nil, vl, 1) }); got > 1 {
 			t.Errorf("%s: VecMul allocates %.0f objects/op, want <= 1 (the result)", name, got)
 		}
 		// Matrix results are a Dense header plus its backing array.
-		if got := testing.AllocsPerRun(50, func() { plan.MulMat(mr, 1) }); got > 2 {
+		if got := testing.AllocsPerRun(50, func() { plan.MulMatInto(nil, mr, 1) }); got > 2 {
 			t.Errorf("%s: MulMat allocates %.0f objects/op, want <= 2 (the result)", name, got)
 		}
-		if got := testing.AllocsPerRun(50, func() { plan.MatMul(ml, 1) }); got > 2 {
+		if got := testing.AllocsPerRun(50, func() { plan.MatMulInto(nil, ml, 1) }); got > 2 {
 			t.Errorf("%s: MatMul allocates %.0f objects/op, want <= 2 (the result)", name, got)
 		}
+		plan.Release()
+
+		// The Batch methods and Decode are a plan used once: plan and tree
+		// come back out of the pool, so they too allocate only the result.
+		for _, c := range []struct {
+			op   string
+			call func()
+			max  float64
+		}{
+			{"MulVec", func() { b.MulVec(vr) }, 1},
+			{"VecMul", func() { b.VecMul(vl) }, 1},
+			{"MulMat", func() { b.MulMat(mr) }, 2},
+			{"MatMul", func() { b.MatMul(ml) }, 2},
+			{"Decode", func() { b.Decode() }, 2},
+		} {
+			if got := testing.AllocsPerRun(50, c.call); got > c.max {
+				t.Errorf("%s: Batch.%s allocates %.0f objects/op, want <= %.0f (the result)", name, c.op, got, c.max)
+			}
+		}
+	}
+}
+
+// A sharded M·A into a caller-owned dst allocates what its goroutines
+// cost and nothing that grows with p: the H table and every shard's slice
+// of the column gather come from the scratch pool. A per-shard gather
+// buffer made on every call would show up here as 8·p bytes.
+func TestShardedMatMulAllocBytesIndependentOfP(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one P, one pool shard
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collection empties the pool mid-run
+	rng := rand.New(rand.NewSource(910))
+	const rows, cols, runs = 64, 16, 20
+	b := Compress(redundantMatrix(rng, rows, cols, 0.9, 4))
+	plan := b.NewKernelPlan()
+	defer plan.Release()
+	bytesPerCall := func(p int) int {
+		m := matrix.NewDense(p, rows)
+		fillRand(rng, m)
+		dst := matrix.NewDense(p, cols)
+		plan.MatMulInto(dst, m, 2) // grow the pooled scratch to this p
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			plan.MatMulInto(dst, m, 2)
+		}
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := bytesPerCall(8), bytesPerCall(512)
+	if large-small >= 8*512/4 {
+		t.Errorf("sharded MatMulInto allocates %d B/op at p=8 but %d B/op at p=512; want no growth with p", small, large)
 	}
 }
 

@@ -142,9 +142,9 @@ func (b *Batch) Decode() *matrix.Dense {
 		}
 		return out
 	}
-	sc := scratchPool.Get().(*opScratch)
-	defer scratchPool.Put(sc)
-	t := sc.arena.build(b.i, b.d)
+	p := b.NewKernelPlan()
+	defer p.Release()
+	t := p.tree
 	for i := 0; i < b.rows; i++ {
 		row := out.Row(i)
 		for _, n := range b.d.row(i) {

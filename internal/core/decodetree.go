@@ -84,17 +84,17 @@ func (d dTable) row(i int) []uint32 { return d.Nodes[d.Starts[i]:d.Starts[i+1]] 
 
 // treeArena is the reusable backing memory of one decode tree: Parent,
 // KeyIdx and the build's F scratch, carved from a single uint32 slab that
-// only ever grows. Every C' in the process is built by treeArena.build —
-// plan-less kernels build into the arena of their opScratch, a KernelPlan
-// into its own.
+// only ever grows. Every C' in the process is built by treeArena.build
+// into the arena of a KernelPlan, the one owner of tree memory.
 type treeArena struct {
 	words []uint32
 	tree  DecodeTree
 }
 
-// treeBuilds counts every C' build in the process — the white-box
-// counter that proves KernelPlan amortizes the per-op rebuild (one build
-// per batch-step in the ml layer instead of one per kernel call).
+// treeBuilds counts every C' build in the process, one per NewKernelPlan
+// on a logical-variant batch — the white-box counter that proves a shared
+// plan amortizes the per-op rebuild (one build per batch-step in the ml
+// layer instead of one per kernel call).
 var treeBuilds atomic.Uint64
 
 // TreeBuilds returns the cumulative number of decode-tree (C') builds.
@@ -164,14 +164,12 @@ func (a *treeArena) build(I []Pair, D dTable) *DecodeTree {
 }
 
 // opScratch holds the per-call working memory of one kernel: the H
-// accumulator, a second float arena (MatMul's column gather), and — for
-// the plan-less Batch methods, which rebuild C' on every call as the
-// paper's cost model has it — a tree arena. Pooled, so neither the
-// rebuild nor the accumulators allocate in steady state.
+// accumulator and a second float arena (M·A's column gather). Pooled, so
+// the accumulators allocate nothing in steady state and one plan can
+// serve concurrent calls.
 type opScratch struct {
 	floats []float64
 	gather []float64
-	arena  treeArena
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}

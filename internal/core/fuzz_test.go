@@ -68,8 +68,8 @@ func FuzzDeserialize(f *testing.F) {
 		// kernels gather through KeyIdx and Parent without further checks
 		// of their own.
 		plan := b.NewKernelPlan()
-		_ = plan.MulVec(v, 2)
-		_ = plan.VecMul(u, 2)
+		_ = plan.MulVecInto(nil, v, 2)
+		_ = plan.VecMulInto(nil, u, 2)
 		plan.Release()
 		// A batch that deserialized must reserialize to a decodable image.
 		if _, err := Deserialize(b.Serialize()); err != nil {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"toc/internal/matrix"
-)
+import "toc/internal/matrix"
 
 // Left multiplication operations: v·A (Algorithm 5, Theorem 2) and M·A
 // (Algorithm 8, Theorem 4). D is scanned first to accumulate
@@ -13,28 +9,20 @@ import (
 // weight up to its parent, evaluating Equation 8 without ever
 // materializing node sequences.
 //
-// Like the right multiplications, the kernels are split into
-// tree-parameterized bodies shared by the per-call builders here, the
-// sharded drivers in leftmul_parallel.go, and KernelPlan (plan.go). The
-// bodies accumulate into caller-zeroed destinations and walk D through
-// the flat Nodes/Starts arrays with the bounds proven up front
-// (boundsHint in rightmul.go), mirroring the right-mul loop shape.
+// Like the right multiplications, the bodies take an already-built tree
+// and are called by KernelPlan (plan.go) alone; Batch.VecMul and
+// Batch.MatMul are a plan used for a single sequential call. The bodies
+// accumulate into caller-zeroed destinations and walk D through the flat
+// Nodes/Starts arrays with the bounds proven up front (boundsHint in
+// rightmul.go), mirroring the right-mul loop shape. leftmul_parallel.go
+// holds the sharded v·A and says why sharding either kernel cannot
+// change a bit.
 
 // VecMul computes v·A on the compressed batch.
 func (b *Batch) VecMul(v []float64) []float64 {
-	if len(v) != b.rows {
-		panic(fmt.Sprintf("core: VecMul dim mismatch %d != %d", len(v), b.rows))
-	}
-	r := make([]float64, b.cols)
-	if b.variant == SparseOnly {
-		b.vecMulSparseSeq(v, r)
-		return r
-	}
-	sc := scratchPool.Get().(*opScratch)
-	defer scratchPool.Put(sc)
-	t := sc.arena.build(b.i, b.d)
-	b.vecMulTree(t, sc, v, r)
-	return r
+	p := b.NewKernelPlan()
+	defer p.Release()
+	return p.VecMulInto(nil, v, 1)
 }
 
 // vecMulTree is v·A over an already-built decode tree, accumulating into
@@ -109,35 +97,46 @@ func (b *Batch) vecMulSparseSeq(v, r []float64) {
 
 // MatMul computes M·A on the compressed batch, where M is p × rows.
 func (b *Batch) MatMul(m *matrix.Dense) *matrix.Dense {
-	if m.Cols() != b.rows {
-		panic(fmt.Sprintf("core: MatMul dim mismatch %d != %d", m.Cols(), b.rows))
-	}
-	r := matrix.NewDense(m.Rows(), b.cols)
-	if b.variant == SparseOnly {
-		b.matMulSparseRange(m, r, 0, m.Rows())
-		return r
-	}
-	sc := scratchPool.Get().(*opScratch)
-	defer scratchPool.Put(sc)
-	t := sc.arena.build(b.i, b.d)
-	b.matMulTree(t, sc, m, r)
-	return r
+	p := b.NewKernelPlan()
+	defer p.Release()
+	return p.MatMulInto(nil, m, 1)
 }
 
 // matMulTree is M·A over an already-built decode tree, accumulating into
-// r (p × cols, caller-zeroed).
-func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *matrix.Dense) {
+// r (p × cols, caller-zeroed); callers guarantee workers <= p. With
+// workers > 1 the p dimension (rows of M and of the result) is sharded:
+// worker w computes result rows [klo,khi) end to end with its own slice
+// of the column-gather buffer, and no barrier separates its two scans.
+func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *matrix.Dense, workers int) {
 	p := m.Rows()
+	h := sc.floatBuf(t.Len() * p)
+	mc := sc.gatherBuf(p)
+	if workers > 1 {
+		forEachSpan(p, workers, func(klo, khi int) { b.matMulTreeRange(t, h, mc[klo:khi], m, r, klo, khi) })
+	} else {
+		b.matMulTreeRange(t, h, mc, m, r, 0, p)
+	}
+}
+
+// matMulTreeRange is M·A for result rows [klo,khi): it touches only
+// columns [klo,khi) of H (node-major, zeroed) and rows [klo,khi) of r,
+// so its backward scan depends on nothing another range writes, and
+// every per-element reduction runs in the one order whatever the split.
+// mc is the range's gather buffer, length khi-klo. M, H and r are
+// re-based at the range's first row up front, so the loops below are the
+// whole-matrix loops over a narrower window and carry no range offsets.
+func (b *Batch) matMulTreeRange(t *DecodeTree, h, mc []float64, m *matrix.Dense, r *matrix.Dense, klo, khi int) {
+	p := m.Rows()
+	mcols, rcols := m.Cols(), r.Cols()
+	md, rd := m.Data()[klo*mcols:], r.Data()[klo*rcols:]
+	h = h[klo:]
+	w := khi - klo
 	// Scan D to compute H[x,:] = G(x) = Σ_{D[i,j]=x} M[:,i]. H is stored
 	// node-major ("transposed" in the paper's wording) so D is scanned
 	// once with good locality. Column i of M is gathered into a contiguous
 	// buffer once per tuple: the strided column walk runs once instead of
 	// once per code, and every accumulation reads sequential memory. The
 	// gather changes no addend and no order, only the load addresses.
-	h := sc.floatBuf(t.Len() * p)
-	mc := sc.gatherBuf(p)
-	md := m.Data()
-	mcols := m.Cols()
 	nodes, starts := b.d.Nodes, b.d.Starts
 	boundsHint(0, b.rows, len(starts), b.rows)
 	for i := 0; i < b.rows; i++ {
@@ -169,14 +168,12 @@ func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 	// Scan C' backwards, pushing accumulated weights to parents. The
 	// result element (k, col) strides by r's row width; walking the offset
 	// replaces the per-element index multiply.
-	rd := r.Data()
-	rcols := r.Cols()
 	I, par := b.i, t.Parent
 	kix := t.KeyIdx[:len(par)]
 	for i := len(par) - 1; i >= 1; i-- {
 		k := I[kix[i]-1]
-		hi := h[i*p : i*p+p]
-		hp := h[int(par[i])*p : int(par[i])*p+p]
+		hi := h[i*p : i*p+w]
+		hp := h[int(par[i])*p : int(par[i])*p+w]
 		hp = hp[:len(hi)]
 		kv := k.Val
 		off := int(k.Col)

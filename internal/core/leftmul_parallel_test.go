@@ -3,13 +3,14 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"toc/internal/matrix"
 )
 
 // bitsEqual reports exact bit-level equality of two float64 slices — the
-// parallel left-mul contract is bitwise identity, not approximation.
+// sharded kernels' contract is bitwise identity, not approximation.
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -22,7 +23,7 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// leftMulBatches builds the three batch shapes the parallel kernels must
+// leftMulBatches builds the three batch shapes the sharded kernels must
 // cover: a dense-ish logical batch, a sparse logical batch, and a
 // SparseOnly batch.
 func leftMulBatches(rng *rand.Rand, rows, cols int) map[string]*Batch {
@@ -35,8 +36,9 @@ func leftMulBatches(rng *rand.Rand, rows, cols int) map[string]*Batch {
 	}
 }
 
-// VecMulParallel must be bitwise identical to VecMul for every worker
-// count — the property the engine's trajectory invariance stands on.
+// A sharded VecMulInto must be bitwise identical to the sequential VecMul
+// for every worker count — the property the engine's trajectory
+// invariance stands on.
 func TestLeftMulParallelVecMulBitwiseIdentical(t *testing.T) {
 	workerCounts := []int{1, 2, 7, 16}
 	for seed := int64(0); seed < 8; seed++ {
@@ -46,18 +48,20 @@ func TestLeftMulParallelVecMulBitwiseIdentical(t *testing.T) {
 		for name, b := range leftMulBatches(rng, rows, cols) {
 			v := randVec(rng, rows)
 			want := b.VecMul(v)
+			plan := b.NewKernelPlan()
 			for _, w := range workerCounts {
-				got := b.VecMulParallel(v, w)
+				got := plan.VecMulInto(nil, v, w)
 				if !bitsEqual(got, want) {
-					t.Fatalf("seed %d %s workers=%d: VecMulParallel differs from VecMul", seed, name, w)
+					t.Fatalf("seed %d %s workers=%d: VecMulInto differs from VecMul", seed, name, w)
 				}
 			}
+			plan.Release()
 		}
 	}
 }
 
-// MatMulParallel must be bitwise identical to MatMul for every worker
-// count and every p (rows of M), including p smaller than the worker
+// A sharded MatMulInto must be bitwise identical to the sequential MatMul
+// for every worker count and every p (rows of M), including p smaller than the worker
 // count.
 func TestLeftMulParallelMatMulBitwiseIdentical(t *testing.T) {
 	workerCounts := []int{1, 2, 7, 16}
@@ -66,18 +70,20 @@ func TestLeftMulParallelMatMulBitwiseIdentical(t *testing.T) {
 		rows := 8 + rng.Intn(80)
 		cols := 1 + rng.Intn(30)
 		for name, b := range leftMulBatches(rng, rows, cols) {
+			plan := b.NewKernelPlan()
 			for _, p := range []int{1, 3, 8, 21} {
 				m := matrix.NewDense(p, rows)
 				fillRand(rng, m)
 				want := b.MatMul(m)
 				for _, w := range workerCounts {
-					got := b.MatMulParallel(m, w)
+					got := plan.MatMulInto(nil, m, w)
 					if !bitsEqual(got.Data(), want.Data()) {
-						t.Fatalf("seed %d %s p=%d workers=%d: MatMulParallel differs from MatMul",
+						t.Fatalf("seed %d %s p=%d workers=%d: MatMulInto differs from MatMul",
 							seed, name, p, w)
 					}
 				}
 			}
+			plan.Release()
 		}
 	}
 }
@@ -88,26 +94,31 @@ func TestLeftMulParallelEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tiny := Compress(redundantMatrix(rng, 3, 5, 0.6, 3))
 	v := []float64{0, -1.5, 0}
-	if !bitsEqual(tiny.VecMulParallel(v, 8), tiny.VecMul(v)) {
+	tinyPlan := tiny.NewKernelPlan()
+	defer tinyPlan.Release()
+	if !bitsEqual(tinyPlan.VecMulInto(nil, v, 8), tiny.VecMul(v)) {
 		t.Fatal("tiny batch fallback diverges")
 	}
 	sp := CompressVariant(redundantMatrix(rng, 40, 12, 0.4, 3), SparseOnly)
+	spPlan := sp.NewKernelPlan()
+	defer spPlan.Release()
 	zeros := make([]float64, 40)
-	if !bitsEqual(sp.VecMulParallel(zeros, 7), sp.VecMul(zeros)) {
+	if !bitsEqual(spPlan.VecMulInto(nil, zeros, 7), sp.VecMul(zeros)) {
 		t.Fatal("all-zero vector diverges on SparseOnly")
 	}
 	m := matrix.NewDense(1, 40)
 	fillRand(rng, m)
-	if !bitsEqual(sp.MatMulParallel(m, 7).Data(), sp.MatMul(m).Data()) {
+	if !bitsEqual(spPlan.MatMulInto(nil, m, 7).Data(), sp.MatMul(m).Data()) {
 		t.Fatal("p=1 MatMul fallback diverges")
 	}
 }
 
 func TestLeftMulParallelDimMismatchPanics(t *testing.T) {
-	b := Compress(matrix.NewDense(30, 4))
+	plan := Compress(matrix.NewDense(30, 4)).NewKernelPlan()
+	defer plan.Release()
 	for name, call := range map[string]func(){
-		"VecMulParallel": func() { b.VecMulParallel(make([]float64, 4), 4) },
-		"MatMulParallel": func() { b.MatMulParallel(matrix.NewDense(2, 3), 4) },
+		"VecMulInto": func() { plan.VecMulInto(nil, make([]float64, 4), 4) },
+		"MatMulInto": func() { plan.MatMulInto(nil, matrix.NewDense(2, 3), 4) },
 	} {
 		func() {
 			defer func() {
@@ -148,8 +159,9 @@ func BenchmarkVecMulBackward(b *testing.B) {
 	})
 }
 
-// BenchmarkLeftMulParallel compares the sequential and parallel left-mul
-// kernels on a batch large enough for the sharding to matter.
+// BenchmarkLeftMulParallel compares the sequential and sharded left-mul
+// kernels (workers = GOMAXPROCS) on a batch large enough for the sharding
+// to matter.
 func BenchmarkLeftMulParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	a := redundantMatrix(rng, 4000, 100, 0.55, 5)
@@ -157,24 +169,23 @@ func BenchmarkLeftMulParallel(b *testing.B) {
 	v := randVec(rng, 4000)
 	m := matrix.NewDense(24, 4000)
 	fillRand(rng, m)
-	b.Run("VecMul-seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.VecMul(v)
-		}
-	})
-	b.Run("VecMul-par", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.VecMulParallel(v, 0)
-		}
-	})
-	b.Run("MatMul-seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MatMul(m)
-		}
-	})
-	b.Run("MatMul-par", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MatMulParallel(m, 0)
-		}
-	})
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
+		b.Run("VecMul-"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan := batch.NewKernelPlan()
+				plan.VecMulInto(nil, v, c.workers)
+				plan.Release()
+			}
+		})
+		b.Run("MatMul-"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan := batch.NewKernelPlan()
+				plan.MatMulInto(nil, m, c.workers)
+				plan.Release()
+			}
+		})
+	}
 }

@@ -12,9 +12,10 @@ import (
 // The oracle: Algorithm 2 exactly as the paper writes it — a tree that
 // stores every node's key as a Pair, built with the Pair-valued F array —
 // and the four Table 1 kernels as textbook loops over it, no unrolling,
-// no sharding, no first-layer indirection. The lean 8-byte tree and every
-// entry point built on it (per-op, *Parallel, KernelPlan at any worker
-// count) must reproduce the oracle's bits, and Decode its sequences.
+// no sharding, no first-layer indirection. The lean 8-byte tree and both
+// entry points built on it (the per-op Batch methods and KernelPlan's
+// Into methods at any worker count, allocating or into a caller-owned
+// dst) must reproduce the oracle's bits, and Decode its sequences.
 
 type oracleTree struct {
 	Key    []Pair
@@ -213,10 +214,11 @@ func TestLeanTreeMatchesPairKeyedOracle(t *testing.T) {
 			check("per-op", b.MulVec(vr), b.VecMul(vl), b.MulMat(mr).Data(), b.MatMul(ml).Data())
 			plan := b.NewKernelPlan()
 			for _, w := range workerCounts {
-				check(fmt.Sprintf("parallel workers=%d", w), b.MulVecParallel(vr, w), b.VecMulParallel(vl, w),
-					b.MulMatParallel(mr, w).Data(), b.MatMulParallel(ml, w).Data())
-				check(fmt.Sprintf("plan workers=%d", w), plan.MulVec(vr, w), plan.VecMul(vl, w),
-					plan.MulMat(mr, w).Data(), plan.MatMul(ml, w).Data())
+				check(fmt.Sprintf("plan workers=%d", w), plan.MulVecInto(nil, vr, w), plan.VecMulInto(nil, vl, w),
+					plan.MulMatInto(nil, mr, w).Data(), plan.MatMulInto(nil, ml, w).Data())
+				check(fmt.Sprintf("plan workers=%d into dirty dst", w),
+					plan.MulVecInto(dirtyVec(b.rows), vr, w), plan.VecMulInto(dirtyVec(b.cols), vl, w),
+					plan.MulMatInto(dirtyMat(b.rows, p), mr, w).Data(), plan.MatMulInto(dirtyMat(p, b.cols), ml, w).Data())
 			}
 			plan.Release()
 
@@ -245,17 +247,17 @@ func TestKernelPlanReleaseLifecycle(t *testing.T) {
 		plan := b.NewKernelPlan()
 		v := randVec(rng, 6)
 		want := b.MulVec(v)
-		if !bitsEqual(plan.MulVec(v, 1), want) {
-			t.Fatalf("%s: plan MulVec differs before Release", name)
+		if !bitsEqual(plan.MulVecInto(nil, v, 1), want) {
+			t.Fatalf("%s: plan MulVecInto differs before Release", name)
 		}
 		plan.Release()
 		plan.Release()
 		for kernel, call := range map[string]func(){
-			"Batch":  func() { plan.Batch() },
-			"MulVec": func() { plan.MulVec(v, 1) },
-			"VecMul": func() { plan.VecMul(randVec(rng, 20), 2) },
-			"MulMat": func() { plan.MulMat(matrix.NewDense(6, 2), 1) },
-			"MatMul": func() { plan.MatMul(matrix.NewDense(2, 20), 2) },
+			"Batch":      func() { plan.Batch() },
+			"MulVecInto": func() { plan.MulVecInto(nil, v, 1) },
+			"VecMulInto": func() { plan.VecMulInto(nil, randVec(rng, 20), 2) },
+			"MulMatInto": func() { plan.MulMatInto(nil, matrix.NewDense(6, 2), 1) },
+			"MatMulInto": func() { plan.MatMulInto(nil, matrix.NewDense(2, 20), 2) },
 		} {
 			func() {
 				defer func() {
@@ -269,7 +271,7 @@ func TestKernelPlanReleaseLifecycle(t *testing.T) {
 		// The pool may hand the same memory straight back; the new plan
 		// is a live one for its own batch.
 		again := b.NewKernelPlan()
-		if !bitsEqual(again.MulVec(v, 2), want) {
+		if !bitsEqual(again.MulVecInto(nil, v, 2), want) {
 			t.Fatalf("%s: plan built after a Release differs", name)
 		}
 		again.Release()

@@ -12,9 +12,15 @@ import (
 // forward pass plus the v·A or M·A gradient aggregation — share a single
 // O(|I|+|D|) build instead of paying it per operation. The paper's cost
 // model charges every kernel a rebuild of C'; a plan pays that charge
-// once per step without changing any result: every plan method honors
-// the parallel-kernel contract and returns bits identical to the
-// corresponding Batch method for any workers value.
+// once per step without changing any result.
+//
+// The plan's four Into methods are the one implementation of the Table 1
+// multiplications: workers <= 1 runs the kernel sequentially, workers > 1
+// shards it across that many goroutines, and the result bits are the same
+// for every workers value (rightmul_parallel.go and leftmul_parallel.go
+// say why). A nil dst allocates the result; a caller-owned one removes
+// the last per-op allocation. Batch.MulVec/VecMul/MulMat/MatMul are the
+// plan used once: build, one kernel, release.
 //
 // Lifecycle. A plan and its tree memory come from a pool. Release hands
 // both back, after which the next NewKernelPlan — for any batch — reuses
@@ -32,9 +38,6 @@ import (
 // multiple goroutines. A plan is tied to the batch it was built from;
 // batches are immutable (Scale returns a new Batch), so it never goes
 // stale.
-//
-// Each kernel has an Into variant that writes to a caller-owned
-// destination, eliminating the last per-op allocation.
 type KernelPlan struct {
 	b     *Batch      // nil once released
 	tree  *DecodeTree // nil for SparseOnly, which has no logical layer
@@ -110,27 +113,22 @@ func intoMat(dst *matrix.Dense, rows, cols int, kernel string) *matrix.Dense {
 	return dst
 }
 
-// MulVec computes A·v with the plan's tree; workers > 1 shards the D scan
-// over result rows, workers <= 1 runs sequentially. Bitwise identical to
-// Batch.MulVec either way.
-func (p *KernelPlan) MulVec(v []float64, workers int) []float64 {
-	return p.MulVecInto(nil, v, workers)
-}
-
-// MulVecInto is MulVec writing into dst (length rows, fully overwritten;
-// nil allocates). It returns dst.
+// MulVecInto computes A·v into dst (length rows, fully overwritten; nil
+// allocates) and returns it. workers > 1 shards the D scan over result
+// rows.
 func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	b := p.Batch()
 	if len(v) != b.cols {
-		panic(fmt.Sprintf("core: KernelPlan.MulVec dim mismatch %d != %d", len(v), b.cols))
-	}
-	if workers < 1 {
-		workers = 1
+		panic(fmt.Sprintf("core: MulVec dim mismatch %d != %d", len(v), b.cols))
 	}
 	workers = rightWorkers(workers, b.rows)
 	r := intoVec(dst, b.rows, false, "MulVecInto")
 	if b.variant == SparseOnly {
-		b.mulVecSparsePar(v, r, workers)
+		if workers > 1 {
+			forEachSpan(b.rows, workers, func(lo, hi int) { b.mulVecSparseRows(v, r, lo, hi) })
+		} else {
+			b.mulVecSparseRows(v, r, 0, b.rows)
+		}
 		return r
 	}
 	sc := scratchPool.Get().(*opScratch)
@@ -139,27 +137,22 @@ func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	return r
 }
 
-// MulMat computes A·M with the plan's tree; workers > 1 shards the H scan
-// over result columns and the D scan over result rows, workers <= 1 runs
-// sequentially. Bitwise identical to Batch.MulMat either way.
-func (p *KernelPlan) MulMat(m *matrix.Dense, workers int) *matrix.Dense {
-	return p.MulMatInto(nil, m, workers)
-}
-
-// MulMatInto is MulMat accumulating into dst (rows × m.Cols(), zeroed
-// first; nil allocates). It returns dst.
+// MulMatInto computes A·M, M being cols × p, into dst (rows × p, zeroed
+// first; nil allocates) and returns it. workers > 1 shards the H scan
+// over result columns and the D scan over result rows.
 func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	b := p.Batch()
 	if m.Rows() != b.cols {
-		panic(fmt.Sprintf("core: KernelPlan.MulMat dim mismatch %d != %d", m.Rows(), b.cols))
-	}
-	if workers < 1 {
-		workers = 1
+		panic(fmt.Sprintf("core: MulMat dim mismatch %d != %d", m.Rows(), b.cols))
 	}
 	workers = rightWorkers(workers, b.rows)
 	r := intoMat(dst, b.rows, m.Cols(), "MulMatInto")
 	if b.variant == SparseOnly {
-		b.mulMatSparsePar(m, r, workers)
+		if workers > 1 {
+			forEachSpan(b.rows, workers, func(lo, hi int) { b.mulMatSparseRows(m, r, lo, hi) })
+		} else {
+			b.mulMatSparseRows(m, r, 0, b.rows)
+		}
 		return r
 	}
 	sc := scratchPool.Get().(*opScratch)
@@ -168,19 +161,13 @@ func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int)
 	return r
 }
 
-// VecMul computes v·A with the plan's tree; workers > 1 uses the
-// accumulator-sharded kernel, workers <= 1 the sequential one. Bitwise
-// identical to Batch.VecMul either way.
-func (p *KernelPlan) VecMul(v []float64, workers int) []float64 {
-	return p.VecMulInto(nil, v, workers)
-}
-
-// VecMulInto is VecMul accumulating into dst (length cols, zeroed first;
-// nil allocates). It returns dst.
+// VecMulInto computes v·A into dst (length cols, zeroed first; nil
+// allocates) and returns it. workers > 1 selects the accumulator-sharded
+// kernel once every worker has at least two rows to scan.
 func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	b := p.Batch()
 	if len(v) != b.rows {
-		panic(fmt.Sprintf("core: KernelPlan.VecMul dim mismatch %d != %d", len(v), b.rows))
+		panic(fmt.Sprintf("core: VecMul dim mismatch %d != %d", len(v), b.rows))
 	}
 	r := intoVec(dst, b.cols, true, "VecMulInto")
 	if b.variant == SparseOnly {
@@ -201,19 +188,13 @@ func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	return r
 }
 
-// MatMul computes M·A with the plan's tree; workers > 1 shards the p
-// dimension, workers <= 1 runs sequentially. Bitwise identical to
-// Batch.MatMul either way.
-func (p *KernelPlan) MatMul(m *matrix.Dense, workers int) *matrix.Dense {
-	return p.MatMulInto(nil, m, workers)
-}
-
-// MatMulInto is MatMul accumulating into dst (m.Rows() × cols, zeroed
-// first; nil allocates). It returns dst.
+// MatMulInto computes M·A, M being p × rows, into dst (p × cols, zeroed
+// first; nil allocates) and returns it. workers > 1 shards the p
+// dimension.
 func (p *KernelPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	b := p.Batch()
 	if m.Cols() != b.rows {
-		panic(fmt.Sprintf("core: KernelPlan.MatMul dim mismatch %d != %d", m.Cols(), b.rows))
+		panic(fmt.Sprintf("core: MatMul dim mismatch %d != %d", m.Cols(), b.rows))
 	}
 	if workers > m.Rows() {
 		workers = m.Rows()
@@ -229,10 +210,6 @@ func (p *KernelPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int)
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	if workers > 1 {
-		b.matMulTreePar(p.tree, sc, m, r, workers)
-	} else {
-		b.matMulTree(p.tree, sc, m, r)
-	}
+	b.matMulTree(p.tree, sc, m, r, workers)
 	return r
 }

@@ -9,10 +9,10 @@ import (
 	"toc/internal/testutil"
 )
 
-// The Into kernels inherit the full bitwise contract: for any dst state
-// (fresh, dirty, reused) and any worker count, the written bits match the
-// allocating plan methods, and with a caller-owned dst the sequential
-// path allocates nothing at all.
+// The Into kernels' bitwise contract covers the destination too: for any
+// dst state (nil, dirty, reused) and any worker count the written bits
+// match the sequential allocating call, and with a caller-owned dst the
+// sequential path allocates nothing at all.
 
 func dirtyVec(n int) []float64 {
 	v := make([]float64, n)
@@ -47,21 +47,21 @@ func TestPlanIntoBitwiseIdentical(t *testing.T) {
 			mml := matrix.NewDense(p, rows)
 			fillRand(rng, mml)
 			for _, w := range workerCounts {
-				if got := plan.MulVecInto(dirtyVec(rows), vr, w); !bitsEqual(got, plan.MulVec(vr, 1)) {
+				if got := plan.MulVecInto(dirtyVec(rows), vr, w); !bitsEqual(got, plan.MulVecInto(nil, vr, 1)) {
 					t.Fatalf("seed %d %s workers=%d: MulVecInto differs", seed, name, w)
 				}
-				if got := plan.VecMulInto(dirtyVec(cols), vl, w); !bitsEqual(got, plan.VecMul(vl, 1)) {
+				if got := plan.VecMulInto(dirtyVec(cols), vl, w); !bitsEqual(got, plan.VecMulInto(nil, vl, 1)) {
 					t.Fatalf("seed %d %s workers=%d: VecMulInto differs", seed, name, w)
 				}
-				if got := plan.MulMatInto(dirtyMat(rows, p), mr, w); !got.Equal(plan.MulMat(mr, 1)) {
+				if got := plan.MulMatInto(dirtyMat(rows, p), mr, w); !got.Equal(plan.MulMatInto(nil, mr, 1)) {
 					t.Fatalf("seed %d %s workers=%d: MulMatInto differs", seed, name, w)
 				}
-				if got := plan.MatMulInto(dirtyMat(p, cols), mml, w); !got.Equal(plan.MatMul(mml, 1)) {
+				if got := plan.MatMulInto(dirtyMat(p, cols), mml, w); !got.Equal(plan.MatMulInto(nil, mml, 1)) {
 					t.Fatalf("seed %d %s workers=%d: MatMulInto differs", seed, name, w)
 				}
 			}
-			// nil dst allocates, like the plain methods.
-			if got := plan.MulVecInto(nil, vr, 1); !bitsEqual(got, plan.MulVec(vr, 1)) {
+			// nil dst allocates, like the Batch methods.
+			if got := plan.MulVecInto(nil, vr, 1); !bitsEqual(got, b.MulVec(vr)) {
 				t.Fatalf("seed %d %s: MulVecInto(nil) differs", seed, name)
 			}
 		}

@@ -9,9 +9,9 @@ import (
 )
 
 // A plan call must be bitwise identical to the corresponding Batch method
-// for every variant and every worker count — the contract that lets the
-// ml layer thread one plan through a step's kernels without changing any
-// trajectory.
+// (the plan used once, sequentially) for every variant and every worker
+// count — the contract that lets the ml layer thread one plan through a
+// step's kernels without changing any trajectory.
 func TestKernelPlanMatchesBatchKernels(t *testing.T) {
 	workerCounts := []int{0, 1, 2, 7, 16}
 	for seed := int64(0); seed < 6; seed++ {
@@ -31,16 +31,16 @@ func TestKernelPlanMatchesBatchKernels(t *testing.T) {
 			wantMulMat := b.MulMat(mr)
 			wantMatMul := b.MatMul(ml)
 			for _, w := range workerCounts {
-				if !bitsEqual(plan.MulVec(vr, w), wantMulVec) {
+				if !bitsEqual(plan.MulVecInto(nil, vr, w), wantMulVec) {
 					t.Fatalf("seed %d %s workers=%d: plan MulVec differs", seed, name, w)
 				}
-				if !bitsEqual(plan.VecMul(vl, w), wantVecMul) {
+				if !bitsEqual(plan.VecMulInto(nil, vl, w), wantVecMul) {
 					t.Fatalf("seed %d %s workers=%d: plan VecMul differs", seed, name, w)
 				}
-				if !bitsEqual(plan.MulMat(mr, w).Data(), wantMulMat.Data()) {
+				if !bitsEqual(plan.MulMatInto(nil, mr, w).Data(), wantMulMat.Data()) {
 					t.Fatalf("seed %d %s workers=%d: plan MulMat differs", seed, name, w)
 				}
-				if !bitsEqual(plan.MatMul(ml, w).Data(), wantMatMul.Data()) {
+				if !bitsEqual(plan.MatMulInto(nil, ml, w).Data(), wantMatMul.Data()) {
 					t.Fatalf("seed %d %s workers=%d: plan MatMul differs", seed, name, w)
 				}
 			}
@@ -77,19 +77,19 @@ func TestKernelPlanConcurrentReuse(t *testing.T) {
 				defer wg.Done()
 				for it := 0; it < iters; it++ {
 					w := (g + it) % 5 // 0..4 workers, mixed per call
-					if !bitsEqual(plan.MulVec(vr, w), wantMulVec) {
+					if !bitsEqual(plan.MulVecInto(nil, vr, w), wantMulVec) {
 						errs <- name + ": concurrent plan MulVec diverged"
 						return
 					}
-					if !bitsEqual(plan.VecMul(vl, w), wantVecMul) {
+					if !bitsEqual(plan.VecMulInto(nil, vl, w), wantVecMul) {
 						errs <- name + ": concurrent plan VecMul diverged"
 						return
 					}
-					if !bitsEqual(plan.MulMat(mr, w).Data(), wantMulMat.Data()) {
+					if !bitsEqual(plan.MulMatInto(nil, mr, w).Data(), wantMulMat.Data()) {
 						errs <- name + ": concurrent plan MulMat diverged"
 						return
 					}
-					if !bitsEqual(plan.MatMul(ml, w).Data(), wantMatMul.Data()) {
+					if !bitsEqual(plan.MatMulInto(nil, ml, w).Data(), wantMatMul.Data()) {
 						errs <- name + ": concurrent plan MatMul diverged"
 						return
 					}
@@ -121,10 +121,10 @@ func TestKernelPlanBuildCounter(t *testing.T) {
 		t.Fatalf("NewKernelPlan: %d tree builds, want 1", got)
 	}
 	before = TreeBuilds()
-	plan.MulVec(v, 1)
-	plan.VecMul(u, 4)
-	plan.MulMat(matrix.NewDense(12, 3), 2)
-	plan.MatMul(matrix.NewDense(3, 60), 2)
+	plan.MulVecInto(nil, v, 1)
+	plan.VecMulInto(nil, u, 4)
+	plan.MulMatInto(nil, matrix.NewDense(12, 3), 2)
+	plan.MatMulInto(nil, matrix.NewDense(3, 60), 2)
 	if got := TreeBuilds() - before; got != 0 {
 		t.Fatalf("plan kernel calls: %d tree builds, want 0", got)
 	}
@@ -138,7 +138,7 @@ func TestKernelPlanBuildCounter(t *testing.T) {
 	sp := CompressVariant(a, SparseOnly)
 	before = TreeBuilds()
 	spPlan := sp.NewKernelPlan()
-	spPlan.MulVec(v, 2)
+	spPlan.MulVecInto(nil, v, 2)
 	if got := TreeBuilds() - before; got != 0 {
 		t.Fatalf("SparseOnly plan: %d tree builds, want 0", got)
 	}
@@ -147,10 +147,10 @@ func TestKernelPlanBuildCounter(t *testing.T) {
 func TestKernelPlanDimMismatchPanics(t *testing.T) {
 	plan := Compress(matrix.NewDense(30, 4)).NewKernelPlan()
 	for name, call := range map[string]func(){
-		"MulVec": func() { plan.MulVec(make([]float64, 3), 2) },
-		"VecMul": func() { plan.VecMul(make([]float64, 3), 2) },
-		"MulMat": func() { plan.MulMat(matrix.NewDense(3, 2), 2) },
-		"MatMul": func() { plan.MatMul(matrix.NewDense(2, 3), 2) },
+		"MulVecInto": func() { plan.MulVecInto(nil, make([]float64, 3), 2) },
+		"VecMulInto": func() { plan.VecMulInto(nil, make([]float64, 3), 2) },
+		"MulMatInto": func() { plan.MulMatInto(nil, matrix.NewDense(3, 2), 2) },
+		"MatMulInto": func() { plan.MatMulInto(nil, matrix.NewDense(2, 3), 2) },
 	} {
 		func() {
 			defer func() {

@@ -13,11 +13,12 @@ import (
 // (Equation 6), then D is scanned once to sum F over each tuple's codes
 // (Equation 5).
 //
-// The kernels are split into tree-parameterized bodies so three callers
-// share them: the sequential methods here (which build C' per call into
-// pooled scratch, the paper's cost model), the sharded drivers in
-// rightmul_parallel.go, and KernelPlan (plan.go), which builds C' once
-// per batch-step and shares it across every kernel call of that step.
+// The bodies here take an already-built tree and a worker count; their
+// one caller is KernelPlan (plan.go), which builds C' once per batch-step
+// and shares it across every kernel call of that step. Batch.MulVec and
+// Batch.MulMat are a plan used for a single sequential call — the paper's
+// cost model, one rebuild per op. rightmul_parallel.go says why the
+// sharded scans cannot change a bit.
 // Every body reads a node's key through the first layer, I[KeyIdx[i]-1]
 // (decodetree.go); A·v goes one step further and multiplies each of the
 // |I| distinct pairs by v exactly once.
@@ -50,19 +51,9 @@ func panicShard(lo, hi, startsLen, limit int) {
 
 // MulVec computes A·v on the compressed batch.
 func (b *Batch) MulVec(v []float64) []float64 {
-	if len(v) != b.cols {
-		panic(fmt.Sprintf("core: MulVec dim mismatch %d != %d", len(v), b.cols))
-	}
-	r := make([]float64, b.rows)
-	if b.variant == SparseOnly {
-		b.mulVecSparseRows(v, r, 0, b.rows)
-		return r
-	}
-	sc := scratchPool.Get().(*opScratch)
-	defer scratchPool.Put(sc)
-	t := sc.arena.build(b.i, b.d)
-	b.mulVecTree(t, sc, v, r, 1)
-	return r
+	p := b.NewKernelPlan()
+	defer p.Release()
+	return p.MulVecInto(nil, v, 1)
 }
 
 // mulVecTree is A·v over an already-built decode tree, writing into r
@@ -101,7 +92,7 @@ func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64, workers
 		hw[j] = h[kw[j]] + h[pw[j]]
 	}
 	if workers > 1 {
-		forEachRowShard(b.rows, workers, func(lo, hi int) { b.mulVecRows(h, r, lo, hi) })
+		forEachSpan(b.rows, workers, func(lo, hi int) { b.mulVecRows(h, r, lo, hi) })
 	} else {
 		b.mulVecRows(h, r, 0, b.rows)
 	}
@@ -162,25 +153,14 @@ func (b *Batch) mulVecSparseRows(v, r []float64, lo, hi int) {
 
 // MulMat computes A·M on the compressed batch, where M is cols × p.
 func (b *Batch) MulMat(m *matrix.Dense) *matrix.Dense {
-	if m.Rows() != b.cols {
-		panic(fmt.Sprintf("core: MulMat dim mismatch %d != %d", m.Rows(), b.cols))
-	}
-	r := matrix.NewDense(b.rows, m.Cols())
-	if b.variant == SparseOnly {
-		b.mulMatSparseRows(m, r, 0, b.rows)
-		return r
-	}
-	sc := scratchPool.Get().(*opScratch)
-	defer scratchPool.Put(sc)
-	t := sc.arena.build(b.i, b.d)
-	b.mulMatTree(t, sc, m, r, 1)
-	return r
+	p := b.NewKernelPlan()
+	defer p.Release()
+	return p.MulMatInto(nil, m, 1)
 }
 
 // mulMatTree is A·M over an already-built decode tree, accumulating into
 // r (rows × p, caller-zeroed). With workers > 1 the forward H scan shards
-// over the p result columns and the D scan over result rows (see
-// rightmul_parallel.go for why both are bitwise-exact).
+// over the p result columns and the D scan over result rows.
 func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *matrix.Dense, workers int) {
 	p := m.Cols()
 	h := sc.floatBuf(t.Len() * p)
@@ -194,7 +174,7 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 		b.mulMatForwardCols(t, m, h, p, 0, p)
 	}
 	if workers > 1 {
-		forEachRowShard(b.rows, workers, func(lo, hi int) { b.mulMatRows(h, r, p, lo, hi) })
+		forEachSpan(b.rows, workers, func(lo, hi int) { b.mulMatRows(h, r, p, lo, hi) })
 	} else {
 		b.mulMatRows(h, r, p, 0, b.rows)
 	}

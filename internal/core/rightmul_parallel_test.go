@@ -2,12 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"toc/internal/matrix"
 )
 
-// rightMulBatches builds the three variants the parallel right-mul
+// rightMulBatches builds the three variants the sharded right-mul
 // kernels must cover: a dense-ish Full batch, a sparse SparseLogical
 // batch, and a SparseOnly batch.
 func rightMulBatches(rng *rand.Rand, rows, cols int) map[string]*Batch {
@@ -20,8 +21,8 @@ func rightMulBatches(rng *rand.Rand, rows, cols int) map[string]*Batch {
 	}
 }
 
-// MulVecParallel must be bitwise identical to MulVec for every worker
-// count — each output row is an independent sequential reduction, so
+// A sharded MulVecInto must be bitwise identical to the sequential MulVec
+// for every worker count — each output row is an independent sequential reduction, so
 // sharding rows can never reorder a float fold.
 func TestRightMulParallelMulVecBitwiseIdentical(t *testing.T) {
 	workerCounts := []int{1, 2, 7, 16}
@@ -32,18 +33,20 @@ func TestRightMulParallelMulVecBitwiseIdentical(t *testing.T) {
 		for name, b := range rightMulBatches(rng, rows, cols) {
 			v := randVec(rng, cols)
 			want := b.MulVec(v)
+			plan := b.NewKernelPlan()
 			for _, w := range workerCounts {
-				got := b.MulVecParallel(v, w)
+				got := plan.MulVecInto(nil, v, w)
 				if !bitsEqual(got, want) {
-					t.Fatalf("seed %d %s workers=%d: MulVecParallel differs from MulVec", seed, name, w)
+					t.Fatalf("seed %d %s workers=%d: MulVecInto differs from MulVec", seed, name, w)
 				}
 			}
+			plan.Release()
 		}
 	}
 }
 
-// MulMatParallel must be bitwise identical to MulMat for every worker
-// count and every p (columns of M), including p smaller than the worker
+// A sharded MulMatInto must be bitwise identical to the sequential MulMat
+// for every worker count and every p (columns of M), including p smaller than the worker
 // count: the forward H scan shards over result columns (each column's
 // parent-chain DP is independent) and the D scan over result rows.
 func TestRightMulParallelMulMatBitwiseIdentical(t *testing.T) {
@@ -53,47 +56,56 @@ func TestRightMulParallelMulMatBitwiseIdentical(t *testing.T) {
 		rows := 8 + rng.Intn(80)
 		cols := 1 + rng.Intn(30)
 		for name, b := range rightMulBatches(rng, rows, cols) {
+			plan := b.NewKernelPlan()
 			for _, p := range []int{1, 3, 8, 21} {
 				m := matrix.NewDense(cols, p)
 				fillRand(rng, m)
 				want := b.MulMat(m)
 				for _, w := range workerCounts {
-					got := b.MulMatParallel(m, w)
+					got := plan.MulMatInto(nil, m, w)
 					if !bitsEqual(got.Data(), want.Data()) {
-						t.Fatalf("seed %d %s p=%d workers=%d: MulMatParallel differs from MulMat",
+						t.Fatalf("seed %d %s p=%d workers=%d: MulMatInto differs from MulMat",
 							seed, name, p, w)
 					}
 				}
 			}
+			plan.Release()
 		}
 	}
 }
 
-// Tiny batches and workers <= 0 (GOMAXPROCS) must take the fallback and
-// normalization paths without diverging.
+// Tiny batches and workers <= 0 (sequential, like 1) must take the
+// fallback and clamping paths without diverging.
 func TestRightMulParallelEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tiny := Compress(redundantMatrix(rng, 3, 5, 0.6, 3))
 	v := randVec(rng, 5)
-	if !bitsEqual(tiny.MulVecParallel(v, 8), tiny.MulVec(v)) {
+	tinyPlan := tiny.NewKernelPlan()
+	defer tinyPlan.Release()
+	if !bitsEqual(tinyPlan.MulVecInto(nil, v, 8), tiny.MulVec(v)) {
 		t.Fatal("tiny batch fallback diverges")
 	}
-	if !bitsEqual(tiny.MulVecParallel(v, 0), tiny.MulVec(v)) {
-		t.Fatal("workers=0 (GOMAXPROCS) diverges")
+	for _, w := range []int{0, -3} {
+		if !bitsEqual(tinyPlan.MulVecInto(nil, v, w), tiny.MulVec(v)) {
+			t.Fatalf("workers=%d diverges", w)
+		}
 	}
 	sp := CompressVariant(redundantMatrix(rng, 40, 12, 0.4, 3), SparseOnly)
+	spPlan := sp.NewKernelPlan()
+	defer spPlan.Release()
 	m := matrix.NewDense(12, 1)
 	fillRand(rng, m)
-	if !bitsEqual(sp.MulMatParallel(m, 7).Data(), sp.MulMat(m).Data()) {
+	if !bitsEqual(spPlan.MulMatInto(nil, m, 7).Data(), sp.MulMat(m).Data()) {
 		t.Fatal("p=1 SparseOnly MulMat diverges")
 	}
 }
 
 func TestRightMulParallelDimMismatchPanics(t *testing.T) {
-	b := Compress(matrix.NewDense(30, 4))
+	plan := Compress(matrix.NewDense(30, 4)).NewKernelPlan()
+	defer plan.Release()
 	for name, call := range map[string]func(){
-		"MulVecParallel": func() { b.MulVecParallel(make([]float64, 3), 4) },
-		"MulMatParallel": func() { b.MulMatParallel(matrix.NewDense(3, 2), 4) },
+		"MulVecInto": func() { plan.MulVecInto(nil, make([]float64, 3), 4) },
+		"MulMatInto": func() { plan.MulMatInto(nil, matrix.NewDense(3, 2), 4) },
 	} {
 		func() {
 			defer func() {
@@ -107,7 +119,8 @@ func TestRightMulParallelDimMismatchPanics(t *testing.T) {
 }
 
 // BenchmarkRightMulParallel compares the sequential and sharded right-mul
-// kernels on a batch large enough for the sharding to matter.
+// kernels (workers = GOMAXPROCS) on a batch large enough for the sharding
+// to matter.
 func BenchmarkRightMulParallel(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	a := redundantMatrix(rng, 4000, 100, 0.55, 5)
@@ -115,24 +128,23 @@ func BenchmarkRightMulParallel(b *testing.B) {
 	v := randVec(rng, 100)
 	m := matrix.NewDense(100, 24)
 	fillRand(rng, m)
-	b.Run("MulVec-seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MulVec(v)
-		}
-	})
-	b.Run("MulVec-par", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MulVecParallel(v, 0)
-		}
-	})
-	b.Run("MulMat-seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MulMat(m)
-		}
-	})
-	b.Run("MulMat-par", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			batch.MulMatParallel(m, 0)
-		}
-	})
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
+		b.Run("MulVec-"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan := batch.NewKernelPlan()
+				plan.MulVecInto(nil, v, c.workers)
+				plan.Release()
+			}
+		})
+		b.Run("MulMat-"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan := batch.NewKernelPlan()
+				plan.MulMatInto(nil, m, c.workers)
+				plan.Release()
+			}
+		})
+	}
 }

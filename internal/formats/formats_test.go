@@ -3,9 +3,13 @@ package formats
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"toc/internal/core"
 	"toc/internal/matrix"
 )
 
@@ -193,5 +197,38 @@ func TestScaleDoesNotMutate(t *testing.T) {
 		if !c.Decode().Equal(a) {
 			t.Errorf("%s: Scale mutated the receiver", name)
 		}
+	}
+}
+
+// One way to multiply a batch: a plan's exported methods are its four
+// Into kernels plus Batch and Release, and ParallelOps adds nothing to
+// CompressedMatrix but NewKernelPlan. A second entry point per kernel — a
+// *Parallel method, a non-Into plan method — fails here.
+func TestKernelSurface(t *testing.T) {
+	methods := func(typ reflect.Type) string {
+		names := make([]string, typ.NumMethod())
+		for i := range names {
+			names[i] = typ.Method(i).Name
+		}
+		sort.Strings(names)
+		return strings.Join(names, " ")
+	}
+	if got, want := methods(reflect.TypeOf((*core.KernelPlan)(nil))),
+		"Batch MatMulInto MulMatInto MulVecInto Release VecMulInto"; got != want {
+		t.Errorf("*core.KernelPlan exports {%s}, want {%s}", got, want)
+	}
+	if got, want := methods(reflect.TypeOf((*KernelPlan)(nil)).Elem()),
+		"MatMulInto MulMatInto MulVecInto Release VecMulInto"; got != want {
+		t.Errorf("KernelPlan declares {%s}, want {%s}", got, want)
+	}
+	base := " " + methods(reflect.TypeOf((*CompressedMatrix)(nil)).Elem()) + " "
+	var added []string
+	for _, name := range strings.Fields(methods(reflect.TypeOf((*ParallelOps)(nil)).Elem())) {
+		if !strings.Contains(base, " "+name+" ") {
+			added = append(added, name)
+		}
+	}
+	if len(added) != 1 || added[0] != "NewKernelPlan" {
+		t.Errorf("ParallelOps adds %v to CompressedMatrix, want [NewKernelPlan]", added)
 	}
 }

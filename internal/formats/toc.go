@@ -43,7 +43,7 @@ func (t TOC) Scale(c float64) CompressedMatrix { return TOC{t.Batch.Scale(c)} }
 // concrete return type.
 func (t TOC) NewKernelPlan() KernelPlan { return t.Batch.NewKernelPlan() }
 
-// TOC's kernels shard across goroutines with bitwise-identical results
-// (core's *Parallel methods promote through the embedded Batch), and its
-// per-batch plans amortize the decode-tree build across a step's kernels.
+// TOC plans its batches: a plan's kernels shard across goroutines with
+// bitwise-identical results and amortize the decode-tree build across a
+// step's kernels.
 var _ ParallelOps = TOC{}

@@ -67,16 +67,15 @@ func (sc *linScratch) vec(buf *[]float64, n int) []float64 {
 // for the forward and backward passes); the gradient is bitwise
 // independent of both the worker count and the plan.
 //
-// When the plan writes into caller-owned buffers (formats.KernelPlanInto,
-// which TOC's plans implement), the whole gradient runs allocation-free:
-// the score and residual vectors come from a pool and the v·A aggregation
-// lands directly in out's weight slice (pinned by TestLinGradAllocs).
+// On a plan the whole gradient runs allocation-free: the score and
+// residual vectors come from a pool and the v·A aggregation lands
+// directly in out's weight slice (pinned by TestLinGradAllocs).
 func linGrad(x formats.CompressedMatrix, plan formats.KernelPlan, y, w []float64, bias, l2 float64,
 	workers int, out []float64, residual func(z, yi float64) (loss, r float64)) float64 {
 	n := float64(x.Rows())
 	sc := linScratchPool.Get().(*linScratch)
 	defer linScratchPool.Put(sc)
-	s := mulVecInto(sc.vec(&sc.s, x.Rows()), x, plan, w, workers)
+	s := mulVec(sc.vec(&sc.s, x.Rows()), x, plan, w, workers)
 	var loss, rsum float64
 	r := sc.vec(&sc.r, len(s))
 	for i := range s {
@@ -89,10 +88,10 @@ func linGrad(x formats.CompressedMatrix, plan formats.KernelPlan, y, w []float64
 		}
 		r[i] = rv
 	}
-	// g aliases out's weight slice on the Into path, so the l2 fold below
+	// g aliases out's weight slice on the plan path, so the l2 fold below
 	// reads each g[j] before overwriting that same element — identical
 	// arithmetic to folding from a fresh vector.
-	g := vecMulInto(out[:len(w):len(w)], x, plan, r, workers)
+	g := vecMul(out[:len(w):len(w)], x, plan, r, workers)
 	for j := range g {
 		out[j] = g[j] + l2*w[j]
 	}

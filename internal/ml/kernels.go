@@ -6,21 +6,20 @@ import (
 )
 
 // Kernel dispatch: every model reaches the compressed mini-batch through
-// these four helpers, which route a Table 1 multiplication to the
-// encoding's parallel kernel when one exists (formats.ParallelOps) and
-// the model's worker knob asks for more than one goroutine. The parallel
-// kernels are bitwise identical to the sequential ones, so the knob
-// changes wall-clock only — a trajectory computed at Workers=8 matches
-// Workers=1 exactly.
-//
-// When the encoding supports per-batch kernel plans, each helper also
-// takes the step's shared plan: the 2-3 multiplications a gradient makes
-// on one batch (the A·v/A·M forward and the v·A/M·A aggregation) then
-// share a single decode-tree build instead of paying the O(|I|+|D|)
-// rebuild per operation. planFor builds one per (batch, call) and the
-// Grad that asked for it releases it on return, which recycles the
-// tree's memory into the next step's plan; core.TreeBuilds is the
-// white-box counter proving the amortization.
+// the four helpers below. When the encoding plans its batches
+// (formats.ParallelOps — TOC), the caller builds one plan per (batch,
+// call) with planFor and every multiplication of that call runs on it:
+// the 2-3 multiplications a gradient makes on one batch (the A·v/A·M
+// forward and the v·A/M·A aggregation) share a single decode-tree build
+// instead of paying the O(|I|+|D|) rebuild per operation, at the model's
+// worker count and into the caller's buffer. Whoever called planFor
+// releases the plan on return, which recycles the tree's memory into the
+// next step's plan; core.TreeBuilds is the white-box counter proving the
+// amortization. Every other encoding gets a nil plan and its own
+// sequential method. The plan's kernels are bitwise identical to those
+// methods at every worker count, so neither the plan nor the worker knob
+// changes anything but wall-clock — a trajectory computed at Workers=8
+// matches Workers=1 exactly.
 
 // KernelParallel is implemented by models whose compressed-kernel calls
 // can use multiple goroutines per gradient. Every model NewModel returns
@@ -31,9 +30,8 @@ type KernelParallel interface {
 	SetKernelWorkers(workers int)
 }
 
-// planFor returns a shared per-batch kernel plan when the encoding
-// supports one, nil otherwise (the dispatchers then fall back to the
-// per-op interface methods).
+// planFor returns a per-batch kernel plan when the encoding supports one,
+// nil otherwise (the helpers then use the encoding's own methods).
 func planFor(x formats.CompressedMatrix) formats.KernelPlan {
 	if p, ok := x.(formats.ParallelOps); ok {
 		return p.NewKernelPlan()
@@ -42,76 +40,41 @@ func planFor(x formats.CompressedMatrix) formats.KernelPlan {
 }
 
 // releasePlan ends the life of a plan planFor returned (nil is fine).
-// Only the Grad that built the plan calls it, after its last kernel.
+// Only the caller of planFor calls it, after its last kernel.
 func releasePlan(plan formats.KernelPlan) {
 	if plan != nil {
 		plan.Release()
 	}
 }
 
-// mulVecInto is mulVec writing into dst when the plan supports
-// caller-owned destinations (formats.KernelPlanInto); otherwise it falls
-// back to the allocating path and returns the fresh slice. Callers treat
-// the return value as the result either way.
-func mulVecInto(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
-	if pi, ok := plan.(formats.KernelPlanInto); ok {
-		return pi.MulVecInto(dst, v, workers)
-	}
-	return mulVec(x, plan, v, workers)
-}
-
-// vecMulInto is vecMul writing into dst when the plan supports it.
-func vecMulInto(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
-	if pi, ok := plan.(formats.KernelPlanInto); ok {
-		return pi.VecMulInto(dst, v, workers)
-	}
-	return vecMul(x, plan, v, workers)
-}
-
-func mulVec(x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
+// mulVec computes A·v: into dst on the plan, or — without a plan — with
+// the encoding's allocating method. Callers treat the return value as the
+// result either way; a nil dst always allocates. The other three helpers
+// follow the same shape.
+func mulVec(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
 	if plan != nil {
-		return plan.MulVec(v, workers)
-	}
-	if workers > 1 {
-		if p, ok := x.(formats.ParallelOps); ok {
-			return p.MulVecParallel(v, workers)
-		}
+		return plan.MulVecInto(dst, v, workers)
 	}
 	return x.MulVec(v)
 }
 
-func vecMul(x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
+func vecMul(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
 	if plan != nil {
-		return plan.VecMul(v, workers)
-	}
-	if workers > 1 {
-		if p, ok := x.(formats.ParallelOps); ok {
-			return p.VecMulParallel(v, workers)
-		}
+		return plan.VecMulInto(dst, v, workers)
 	}
 	return x.VecMul(v)
 }
 
 func mulMat(x formats.CompressedMatrix, plan formats.KernelPlan, m *matrix.Dense, workers int) *matrix.Dense {
 	if plan != nil {
-		return plan.MulMat(m, workers)
-	}
-	if workers > 1 {
-		if p, ok := x.(formats.ParallelOps); ok {
-			return p.MulMatParallel(m, workers)
-		}
+		return plan.MulMatInto(nil, m, workers)
 	}
 	return x.MulMat(m)
 }
 
 func matMul(x formats.CompressedMatrix, plan formats.KernelPlan, m *matrix.Dense, workers int) *matrix.Dense {
 	if plan != nil {
-		return plan.MatMul(m, workers)
-	}
-	if workers > 1 {
-		if p, ok := x.(formats.ParallelOps); ok {
-			return p.MatMulParallel(m, workers)
-		}
+		return plan.MatMulInto(nil, m, workers)
 	}
 	return x.MatMul(m)
 }

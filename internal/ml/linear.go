@@ -10,6 +10,14 @@ import (
 // a right multiplication A·w to score the batch and a left multiplication
 // r·A to aggregate gradients — exactly the Table 1 usage.
 
+// scores computes A·w on a plan of its own: the single multiplication of
+// a Loss, Score or Predict call, at the model's worker count.
+func scores(x formats.CompressedMatrix, w []float64, workers int) []float64 {
+	plan := planFor(x)
+	defer releasePlan(plan)
+	return mulVec(nil, x, plan, w, workers)
+}
+
 // LinReg is linear regression with mean squared loss
 // (§2.1.4: l(h,z) = ½(y − xᵀh)²).
 type LinReg struct {
@@ -42,7 +50,7 @@ func (m *LinReg) Step(x formats.CompressedMatrix, y []float64, lr float64) float
 
 // Loss evaluates mean squared loss.
 func (m *LinReg) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	p := mulVec(x, nil, m.W, m.Workers)
+	p := scores(x, m.W, m.Workers)
 	var loss float64
 	for i := range p {
 		d := p[i] + m.B - y[i]
@@ -53,7 +61,7 @@ func (m *LinReg) Loss(x formats.CompressedMatrix, y []float64) float64 {
 
 // Predict returns the real-valued scores A·w + b.
 func (m *LinReg) Predict(x formats.CompressedMatrix) []float64 {
-	p := mulVec(x, nil, m.W, m.Workers)
+	p := scores(x, m.W, m.Workers)
 	for i := range p {
 		p[i] += m.B
 	}
@@ -88,7 +96,7 @@ func (m *LogReg) Step(x formats.CompressedMatrix, y []float64, lr float64) float
 
 // Loss evaluates mean logistic loss.
 func (m *LogReg) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	s := mulVec(x, nil, m.W, m.Workers)
+	s := scores(x, m.W, m.Workers)
 	var loss float64
 	for i := range s {
 		p := clampProb(sigmoid(s[i] + m.B))
@@ -99,7 +107,7 @@ func (m *LogReg) Loss(x formats.CompressedMatrix, y []float64) float64 {
 
 // Score returns the probability of class 1 per row (used by one-vs-rest).
 func (m *LogReg) Score(x formats.CompressedMatrix) []float64 {
-	s := mulVec(x, nil, m.W, m.Workers)
+	s := scores(x, m.W, m.Workers)
 	for i := range s {
 		s[i] = sigmoid(s[i] + m.B)
 	}
@@ -149,7 +157,7 @@ func (m *SVM) Step(x formats.CompressedMatrix, y []float64, lr float64) float64 
 
 // Loss evaluates mean hinge loss.
 func (m *SVM) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	s := mulVec(x, nil, m.W, m.Workers)
+	s := scores(x, m.W, m.Workers)
 	var loss float64
 	for i := range s {
 		yi := 2*y[i] - 1
@@ -162,7 +170,7 @@ func (m *SVM) Loss(x formats.CompressedMatrix, y []float64) float64 {
 
 // Score returns the signed margins per row (used by one-vs-rest).
 func (m *SVM) Score(x formats.CompressedMatrix) []float64 {
-	s := mulVec(x, nil, m.W, m.Workers)
+	s := scores(x, m.W, m.Workers)
 	for i := range s {
 		s[i] += m.B
 	}

@@ -64,9 +64,9 @@ func NewNN(dims int, hidden []int, classes int, seed int64) *NN {
 
 // forward runs the network on a compressed batch, returning the
 // post-activation output of every layer (acts[0] is the first hidden
-// layer; the input stays compressed). plan, when non-nil, carries the
-// step's shared kernel plan into the input-layer A·M so Grad's backward
-// M·A reuses the same decode-tree build.
+// layer; the input stays compressed). plan is the caller's planFor(x):
+// the input-layer A·M runs on it, so Grad's backward M·A reuses the same
+// decode-tree build.
 func (n *NN) forward(x formats.CompressedMatrix, plan formats.KernelPlan) []*matrix.Dense {
 	acts := make([]*matrix.Dense, len(n.W))
 	var h *matrix.Dense
@@ -181,17 +181,24 @@ func (n *NN) crossEntropy(p, t *matrix.Dense) float64 {
 	return loss / float64(rows)
 }
 
+// output runs the forward pass on a plan of its own and returns the last
+// layer's activations.
+func (n *NN) output(x formats.CompressedMatrix) *matrix.Dense {
+	plan := planFor(x)
+	defer releasePlan(plan)
+	acts := n.forward(x, plan)
+	return acts[len(acts)-1]
+}
+
 // Loss evaluates mean cross-entropy without updating.
 func (n *NN) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	acts := n.forward(x, nil)
-	return n.crossEntropy(acts[len(acts)-1], n.oneHot(y))
+	return n.crossEntropy(n.output(x), n.oneHot(y))
 }
 
 // Predict returns class ids (argmax for softmax, 0.5 threshold for the
 // binary sigmoid output).
 func (n *NN) Predict(x formats.CompressedMatrix) []float64 {
-	acts := n.forward(x, nil)
-	out := acts[len(acts)-1]
+	out := n.output(x)
 	pred := make([]float64, out.Rows())
 	if n.Classes <= 2 {
 		for i := range pred {

@@ -79,27 +79,32 @@ func Deserialize(img []byte) (*Batch, error) { return core.Deserialize(img) }
 // schemes (Gzip, Snappy).
 type CompressedMatrix = formats.CompressedMatrix
 
-// ParallelOps is the optional interface of encodings whose multiplication
-// kernels shard across goroutines — the right multiplications A·v and A·M
-// over result rows and columns, the left multiplications v·A and M·A over
-// accumulators — and whose per-batch KernelPlan amortizes decode state
-// across a step's kernel calls. Every parallel kernel returns results
-// bitwise identical to its sequential counterpart for any worker count,
-// so switching worker counts never changes a training trajectory. TOC
-// (and *Batch) implements it.
+// ParallelOps is the optional interface of encodings that can plan a
+// mini-batch: NewKernelPlan builds the per-batch decode state once, and
+// the plan runs every multiplication on it at any worker count. TOC
+// implements it (*Batch has the same NewKernelPlan, returning the
+// concrete plan type).
 type ParallelOps = formats.ParallelOps
 
 // KernelPlan holds one mini-batch's decode state (TOC's decode tree C')
 // so the 2-3 kernel calls a gradient step makes on that batch share a
 // single O(|I|+|D|) build instead of paying it per operation. Obtain one
-// from ParallelOps.NewKernelPlan (or *Batch.NewKernelPlan); every plan
-// call is bitwise identical to the corresponding per-op kernel. Call
-// Release after the step's last kernel to recycle the plan's memory into
-// the next plan (a build-use-release loop allocates nothing); a released
-// plan must not be used again, an unreleased one is simply garbage
-// collected, and until Release a plan is safe for concurrent use. The ml
-// layer builds, threads and releases one plan per Grad automatically —
-// DecodeTreeBuilds is the white-box counter proving it.
+// from ParallelOps.NewKernelPlan (or *Batch.NewKernelPlan). Its four
+// kernels share one call shape, plan.MulVecInto(dst, v, workers) and
+// likewise VecMulInto, MulMatInto, MatMulInto: workers <= 1 runs
+// sequentially, workers > 1 shards the kernel across that many
+// goroutines — the right multiplications A·v and A·M over result rows
+// and columns, the left multiplications v·A and M·A over accumulators —
+// a nil dst allocates the result and a caller-owned dst is written and
+// returned. For any dst and worker count the result is bitwise identical
+// to the corresponding CompressedMatrix method, so neither ever changes a
+// training trajectory. Call Release after the step's last kernel to
+// recycle the plan's memory into the next plan (a build-use-release loop
+// allocates nothing); a released plan must not be used again, an
+// unreleased one is simply garbage collected, and until Release a plan is
+// safe for concurrent use. The ml layer builds, threads and releases one
+// plan per Grad automatically — DecodeTreeBuilds is the white-box counter
+// proving it.
 type KernelPlan = formats.KernelPlan
 
 // DecodeTreeBuilds returns the cumulative number of decode-tree (C')
