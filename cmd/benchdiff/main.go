@@ -1,20 +1,18 @@
 // Command benchdiff is the CI benchmark-regression gate: it compares the
-// CSV tables cmd/tocbench emits (spillscale, rightmul, asyncscale, ...)
-// against committed BENCH_<experiment>.json baselines and fails when any
-// row's throughput metric regresses beyond the threshold.
+// CSV tables cmd/tocbench emits for the two real-CPU regimes (rightmul,
+// kernelspeed) against committed BENCH_<experiment>.json baselines and
+// fails when any row's metric regresses beyond the threshold.
 //
 // Usage:
 //
-//	benchdiff -baselines . spillscale.csv rightmul.csv asyncscale.csv
-//	benchdiff -baselines . -update asyncscale.csv   # (re)write baselines
+//	benchdiff -baselines . rightmul.csv kernelspeed.csv
+//	benchdiff -baselines . -update kernelspeed.csv   # (re)write baselines
 //
-// Baselines pin the *relative* metrics (the speedup columns), which
+// Baselines pin the *relative* metrics (speedup, vs_roofline), which
 // transfer across runners far better than absolute milliseconds: a CSV
 // row regresses when its speedup falls more than threshold (default 20%)
 // below the committed value (or rises above it, for lower-is-better
-// metrics). A baseline may gate extra columns of the same table beyond
-// its primary metric (netscale gates speedup_vs_dense AND wire_ratio:
-// a codec that got fast by shipping more bytes is still a regression).
+// metrics).
 // Rows present in the baseline but missing from the CSVs fail the gate
 // too — a silently dropped sweep point is a regression in coverage. New
 // rows not yet in the baseline are reported but do not fail (as GitHub
@@ -52,41 +50,21 @@ type baseline struct {
 	// Notes documents the baseline's provenance (which machine produced
 	// it, which rows were deliberately left out); benchdiff ignores it.
 	Notes string `json:"notes,omitempty"`
-	// Extras are additional gated columns of the same table; the gate
-	// passes only when the primary Metric and every extra hold.
-	Extras []extraMetric `json:"extras,omitempty"`
 	// Rows maps each key to its committed metric value.
 	Rows map[string]float64 `json:"rows"`
 }
 
-// extraMetric is a second gated column: same Keys as the owning
-// baseline, its own direction and committed rows. netscale uses one to
-// gate the compression ratio alongside the speedup.
-type extraMetric struct {
-	Metric    string             `json:"metric"`
-	Direction string             `json:"direction"`
-	Rows      map[string]float64 `json:"rows,omitempty"`
-}
-
 // defaultSpecs seeds -update for experiments without a committed
-// baseline yet. Every regime gates on a *relative* column — a ratio
+// baseline yet. Both regimes gate on a *relative* column — a ratio
 // against an in-run reference — so it transfers across runner
-// generations where absolute epoch times do not. kernelspeed gates on
+// generations where absolute times do not. kernelspeed gates on
 // vs_roofline: each decode kernel's single-core ns/nonzero as a multiple
 // of the dense kernel's ns/element roofline, measured in the same
 // process; lower is better, and a rise means the decode loops drifted
 // away from hardware-limited.
 var defaultSpecs = map[string]baseline{
-	"spillscale":  {Metric: "speedup_vs_1shard", Direction: "higher", Keys: []string{"shards", "workers"}},
 	"rightmul":    {Metric: "speedup", Direction: "higher", Keys: []string{"config", "workers"}},
-	"asyncscale":  {Metric: "speedup_vs_sync", Direction: "higher", Keys: []string{"config", "staleness", "workers"}},
 	"kernelspeed": {Metric: "vs_roofline", Direction: "lower", Keys: []string{"kernel", "variant"}},
-	// netscale gates both halves of the codec tradeoff: epoch speedup at
-	// each link speed must hold AND the bytes-on-wire ratio must not
-	// creep up — a codec that regained throughput by compressing less
-	// fails on the extra even when its speedup survives.
-	"netscale": {Metric: "speedup_vs_dense", Direction: "higher", Keys: []string{"codec", "link_mbps"},
-		Extras: []extraMetric{{Metric: "wire_ratio", Direction: "lower"}}},
 }
 
 // table is one experiment's rows as parsed from a tocbench CSV.
@@ -131,26 +109,20 @@ func parseCSV(r io.Reader) (map[string]*table, error) {
 	}
 }
 
-// metricRows extracts the baseline's keyed primary-metric values from a
-// table.
+// metricRows extracts the baseline's keyed metric values from a table.
 func metricRows(b *baseline, t *table) (map[string]float64, error) {
-	return metricRowsFor(b.Metric, b.Keys, t)
-}
-
-// metricRowsFor extracts one keyed metric column from a table.
-func metricRowsFor(metric string, keys []string, t *table) (map[string]float64, error) {
 	col := map[string]int{}
 	for i, c := range t.columns {
 		col[c] = i
 	}
-	mi, ok := col[metric]
+	mi, ok := col[b.Metric]
 	if !ok {
-		return nil, fmt.Errorf("metric column %q not in CSV columns %v", metric, t.columns)
+		return nil, fmt.Errorf("metric column %q not in CSV columns %v", b.Metric, t.columns)
 	}
 	out := map[string]float64{}
 	for _, row := range t.rows {
-		parts := make([]string, len(keys))
-		for i, k := range keys {
+		parts := make([]string, len(b.Keys))
+		for i, k := range b.Keys {
 			ki, ok := col[k]
 			if !ok {
 				return nil, fmt.Errorf("key column %q not in CSV columns %v", k, t.columns)
@@ -160,48 +132,42 @@ func metricRowsFor(metric string, keys []string, t *table) (map[string]float64, 
 		key := strings.Join(parts, "/")
 		v, err := strconv.ParseFloat(row[mi], 64)
 		if err != nil {
-			return nil, fmt.Errorf("row %q: bad %s value %q", key, metric, row[mi])
+			return nil, fmt.Errorf("row %q: bad %s value %q", key, b.Metric, row[mi])
 		}
 		out[key] = v
 	}
 	return out, nil
 }
 
-// compare reports the gate failures of current vs the baseline's
-// primary metric, and separately the keys current has that the baseline
-// does not.
+// compare reports the gate failures of current vs the baseline's metric,
+// and separately the keys current has that the baseline does not.
 func compare(b *baseline, current map[string]float64, threshold float64) (failures, newRows []string) {
-	return compareMetric(b.Experiment, b.Metric, b.Direction, b.Rows, current,
-		effectiveThreshold(b, threshold))
-}
-
-// compareMetric gates one metric column against its committed rows.
-func compareMetric(exp, metric, direction string, baseRows, current map[string]float64, threshold float64) (failures, newRows []string) {
-	keys := make([]string, 0, len(baseRows))
-	for k := range baseRows {
+	threshold = effectiveThreshold(b, threshold)
+	keys := make([]string, 0, len(b.Rows))
+	for k := range b.Rows {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		base := baseRows[k]
+		base := b.Rows[k]
 		got, ok := current[k]
 		if !ok {
 			failures = append(failures,
-				fmt.Sprintf("%s[%s]: baselined row missing from CSV", exp, k))
+				fmt.Sprintf("%s[%s]: baselined row missing from CSV", b.Experiment, k))
 			continue
 		}
-		switch direction {
+		switch b.Direction {
 		case "lower":
 			if got > base*(1+threshold) {
 				failures = append(failures,
 					fmt.Sprintf("%s[%s]: %s %.3f regressed >%.0f%% above baseline %.3f",
-						exp, k, metric, got, threshold*100, base))
+						b.Experiment, k, b.Metric, got, threshold*100, base))
 			}
 		default: // "higher"
 			if got < base*(1-threshold) {
 				failures = append(failures,
 					fmt.Sprintf("%s[%s]: %s %.3f regressed >%.0f%% below baseline %.3f",
-						exp, k, metric, got, threshold*100, base))
+						b.Experiment, k, b.Metric, got, threshold*100, base))
 			}
 		}
 	}
@@ -211,7 +177,7 @@ func compareMetric(exp, metric, direction string, baseRows, current map[string]f
 	}
 	sort.Strings(cur)
 	for _, k := range cur {
-		if _, ok := baseRows[k]; !ok {
+		if _, ok := b.Rows[k]; !ok {
 			newRows = append(newRows, k)
 		}
 	}
@@ -356,14 +322,6 @@ func main() {
 		}
 		if *update {
 			b.Rows = current
-			for i := range b.Extras {
-				ex := &b.Extras[i]
-				cur, err := metricRowsFor(ex.Metric, b.Keys, tables[id])
-				if err != nil {
-					fail(fmt.Errorf("%s: %v", id, err))
-				}
-				ex.Rows = cur
-			}
 			if err := writeBaseline(*dir, b); err != nil {
 				fail(err)
 			}
@@ -371,33 +329,13 @@ func main() {
 			continue
 		}
 		expFails, newRows := compare(b, current, *threshold)
-		for i := range b.Extras {
-			ex := &b.Extras[i]
-			cur, err := metricRowsFor(ex.Metric, b.Keys, tables[id])
-			if err != nil {
-				fail(fmt.Errorf("%s: %v", id, err))
-			}
-			efails, _ := compareMetric(id, ex.Metric, ex.Direction, ex.Rows, cur,
-				effectiveThreshold(b, *threshold))
-			for _, f := range efails {
-				// The primary metric already reports dropped sweep rows;
-				// extras only add genuine metric regressions.
-				if !strings.HasSuffix(f, "missing from CSV") {
-					expFails = append(expFails, f)
-				}
-			}
-		}
 		failures = append(failures, expFails...)
 		for _, k := range newRows {
 			notice(fmt.Sprintf("%s[%s]: not in baseline (run -update to adopt)", id, k))
 		}
 		if len(expFails) == 0 {
-			gated := b.Metric
-			for _, ex := range b.Extras {
-				gated += "+" + ex.Metric
-			}
 			fmt.Printf("benchdiff: %s: %d rows within %.0f%% of baseline (%s)\n",
-				id, len(b.Rows), effectiveThreshold(b, *threshold)*100, gated)
+				id, len(b.Rows), effectiveThreshold(b, *threshold)*100, b.Metric)
 		}
 	}
 	if *update {

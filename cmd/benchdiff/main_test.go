@@ -7,12 +7,12 @@ import (
 	"toc/internal/bench"
 )
 
-const sampleCSV = `experiment,shards,workers,epoch_ms,speedup_vs_1shard
-spillscale,1,8,100,1.00
-spillscale,4,8,38,2.63
-experiment,config,staleness,workers,epoch_ms,speedup_vs_sync
-asyncscale,sync,-,8,25,1.00
-asyncscale,async,8,8,15,1.64
+const sampleCSV = `experiment,config,workers,kernel_ms,speedup
+rightmul,serial,1,100,1.00
+rightmul,plan,8,38,2.63
+experiment,kernel,variant,ns_per_nnz,vs_roofline
+kernelspeed,MulVec,full,25,1.00
+kernelspeed,MulVec,sparse,15,0.61
 `
 
 func parsed(t *testing.T) map[string]*table {
@@ -31,23 +31,23 @@ func TestParseCSVConcatenatedTables(t *testing.T) {
 	if len(tables) != 2 {
 		t.Fatalf("parsed %d tables, want 2", len(tables))
 	}
-	if got := tables["spillscale"]; len(got.rows) != 2 || got.columns[3] != "speedup_vs_1shard" {
-		t.Errorf("spillscale table malformed: %+v", got)
+	if got := tables["rightmul"]; len(got.rows) != 2 || got.columns[3] != "speedup" {
+		t.Errorf("rightmul table malformed: %+v", got)
 	}
-	if got := tables["asyncscale"]; len(got.rows) != 2 || got.columns[4] != "speedup_vs_sync" {
-		t.Errorf("asyncscale table malformed: %+v", got)
+	if got := tables["kernelspeed"]; len(got.rows) != 2 || got.columns[3] != "vs_roofline" {
+		t.Errorf("kernelspeed table malformed: %+v", got)
 	}
-	if _, err := parseCSV(strings.NewReader("spillscale,1,8\n")); err == nil {
+	if _, err := parseCSV(strings.NewReader("rightmul,plan,8\n")); err == nil {
 		t.Error("data row before any header should be an error")
 	}
 }
 
-func spillBaseline(rows map[string]float64) *baseline {
+func speedupBaseline(rows map[string]float64) *baseline {
 	return &baseline{
-		Experiment: "spillscale",
-		Metric:     "speedup_vs_1shard",
+		Experiment: "rightmul",
+		Metric:     "speedup",
 		Direction:  "higher",
-		Keys:       []string{"shards", "workers"},
+		Keys:       []string{"config", "workers"},
 		Rows:       rows,
 	}
 }
@@ -56,8 +56,8 @@ func spillBaseline(rows map[string]float64) *baseline {
 // baselined row missing from the CSV — and on nothing else.
 func TestCompareGate(t *testing.T) {
 	tables := parsed(t)
-	b := spillBaseline(map[string]float64{"1/8": 1.0, "4/8": 2.6})
-	current, err := metricRows(b, tables["spillscale"])
+	b := speedupBaseline(map[string]float64{"serial/1": 1.0, "plan/8": 2.6})
+	current, err := metricRows(b, tables["rightmul"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +66,9 @@ func TestCompareGate(t *testing.T) {
 	}
 
 	// 2.63 measured vs 3.4 committed is a 23% drop: regression.
-	b.Rows["4/8"] = 3.4
+	b.Rows["plan/8"] = 3.4
 	fails, _ := compare(b, current, 0.2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "4/8") {
+	if len(fails) != 1 || !strings.Contains(fails[0], "plan/8") {
 		t.Errorf("23%% drop not caught: %v", fails)
 	}
 	// A per-baseline threshold override loosens the same comparison.
@@ -79,20 +79,20 @@ func TestCompareGate(t *testing.T) {
 	b.Threshold = 0
 
 	// A dropped sweep point is a coverage regression.
-	b.Rows = map[string]float64{"1/8": 1.0, "4/8": 2.6, "16/8": 4.0}
+	b.Rows = map[string]float64{"serial/1": 1.0, "plan/8": 2.6, "plan/16": 4.0}
 	fails, _ = compare(b, current, 0.2)
 	if len(fails) != 1 || !strings.Contains(fails[0], "missing") {
 		t.Errorf("missing row not caught: %v", fails)
 	}
 
 	// Rows the baseline has not adopted yet are reported, never failed.
-	b.Rows = map[string]float64{"1/8": 1.0}
+	b.Rows = map[string]float64{"serial/1": 1.0}
 	fails, newRows := compare(b, current, 0.2)
 	if len(fails) != 0 {
 		t.Errorf("new row failed the gate: %v", fails)
 	}
-	if len(newRows) != 1 || newRows[0] != "4/8" {
-		t.Errorf("new rows = %v, want [4/8]", newRows)
+	if len(newRows) != 1 || newRows[0] != "plan/8" {
+		t.Errorf("new rows = %v, want [plan/8]", newRows)
 	}
 }
 
@@ -100,73 +100,34 @@ func TestCompareGate(t *testing.T) {
 func TestCompareLowerIsBetter(t *testing.T) {
 	tables := parsed(t)
 	b := &baseline{
-		Experiment: "asyncscale",
-		Metric:     "epoch_ms",
+		Experiment: "kernelspeed",
+		Metric:     "ns_per_nnz",
 		Direction:  "lower",
-		Keys:       []string{"config", "staleness", "workers"},
-		Rows:       map[string]float64{"sync/-/8": 25, "async/8/8": 10},
+		Keys:       []string{"kernel", "variant"},
+		Rows:       map[string]float64{"MulVec/full": 25, "MulVec/sparse": 10},
 	}
-	current, err := metricRows(b, tables["asyncscale"])
+	current, err := metricRows(b, tables["kernelspeed"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 15ms vs 10ms committed = 50% slower: regression; 25 vs 25: fine.
+	// 15ns vs 10ns committed = 50% slower: regression; 25 vs 25: fine.
 	fails, _ := compare(b, current, 0.2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "async/8/8") {
+	if len(fails) != 1 || !strings.Contains(fails[0], "MulVec/sparse") {
 		t.Errorf("latency regression not caught: %v", fails)
-	}
-}
-
-// An extra metric gates independently of the primary: a run whose
-// speedup holds but whose wire ratio crept up must still fail.
-func TestCompareExtraMetric(t *testing.T) {
-	csv := `experiment,codec,link_mbps,epoch_ms,speedup_vs_dense,wire_ratio
-netscale,dense,25,500,1.00,1.0002
-netscale,topk:0.01,25,210,2.38,0.0230
-`
-	tables, err := parseCSV(strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &baseline{
-		Experiment: "netscale",
-		Metric:     "speedup_vs_dense",
-		Direction:  "higher",
-		Keys:       []string{"codec", "link_mbps"},
-		Extras:     []extraMetric{{Metric: "wire_ratio", Direction: "lower", Rows: map[string]float64{"dense/25": 1.0002, "topk:0.01/25": 0.0153}}},
-		Rows:       map[string]float64{"dense/25": 1.0, "topk:0.01/25": 2.34},
-	}
-	current, err := metricRows(b, tables["netscale"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fails, _ := compare(b, current, 0.2); len(fails) != 0 {
-		t.Errorf("primary metric within threshold failed: %v", fails)
-	}
-	ex := b.Extras[0]
-	exCur, err := metricRowsFor(ex.Metric, b.Keys, tables["netscale"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0.0230 measured vs 0.0153 committed is +50% wire bytes: regression
-	// on the lower-is-better extra even though the speedup held.
-	fails, _ := compareMetric(b.Experiment, ex.Metric, ex.Direction, ex.Rows, exCur, 0.2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "wire_ratio") {
-		t.Errorf("wire-ratio regression not caught: %v", fails)
 	}
 }
 
 // Bad metric or key columns surface as errors, not silent passes.
 func TestMetricRowsErrors(t *testing.T) {
 	tables := parsed(t)
-	b := spillBaseline(nil)
+	b := speedupBaseline(nil)
 	b.Metric = "nope"
-	if _, err := metricRows(b, tables["spillscale"]); err == nil {
+	if _, err := metricRows(b, tables["rightmul"]); err == nil {
 		t.Error("unknown metric column should be an error")
 	}
-	b = spillBaseline(nil)
+	b = speedupBaseline(nil)
 	b.Keys = []string{"nope"}
-	if _, err := metricRows(b, tables["spillscale"]); err == nil {
+	if _, err := metricRows(b, tables["rightmul"]); err == nil {
 		t.Error("unknown key column should be an error")
 	}
 }
@@ -174,16 +135,16 @@ func TestMetricRowsErrors(t *testing.T) {
 // A committed baseline whose regime left the registry is reported, and
 // non-baseline files are ignored.
 func TestStaleBaselines(t *testing.T) {
-	known := map[string]bool{"spillscale": true, "rightmul": true}
+	known := map[string]bool{"kernelspeed": true, "rightmul": true}
 	names := []string{
-		"BENCH_spillscale.json", // known: fine
+		"BENCH_kernelspeed.json", // known: fine
 		"BENCH_decodecache.json",
-		"BENCH_asyncscale.json",
+		"BENCH_barrierscale.json",
 		"README.md",        // not a baseline
 		"BENCH_weird.yaml", // wrong extension
 	}
 	got := staleBaselines(names, known)
-	want := []string{"asyncscale", "decodecache"}
+	want := []string{"barrierscale", "decodecache"}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("staleBaselines = %v, want %v", got, want)
 	}

@@ -5,7 +5,7 @@
 //	tocbench -list
 //	tocbench -run fig5
 //	tocbench -run all -scale 0.5
-//	tocbench -run spillscale -csv spillscale.csv
+//	tocbench -run rightmul -csv rightmul.csv
 //	tocbench -run kernelspeed -cpuprofile kernels.pprof
 //
 // Each experiment prints a paper-style table; benchmark/README.md records
@@ -17,10 +17,12 @@
 // the loop that found this repo's decode-kernel hotspots — without
 // having to wrap an experiment in a go test harness.
 //
-// The spill experiments (spillscale, the out-of-core table cells) take
-// the storage layer's knobs: -spill-shards/-spill-dirs spread the spill,
-// -disk-model picks how the simulated bandwidth is enforced (per-request
-// vs shared-bucket) and -evict picks the residency policy.
+// The spill experiments (the out-of-core cells of fig9/fig10/table6/
+// table7) take the storage layer's knobs: -spill-shards/-spill-dirs
+// spread the spill and -evict picks the residency policy. Their simulated
+// disk is the store's one model — bandwidth an aggregate cap per
+// directory, seeks serialized per shard — whose pacing arithmetic is
+// unit-tested in internal/storage; benchmark/ measures the real costs.
 package main
 
 import (
@@ -98,15 +100,13 @@ func runExperiments(experiments []bench.Experiment, cfg bench.Config, csvFile *o
 
 func main() {
 	var (
-		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, spillscale, rightmul) or 'all'")
+		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, rightmul, kernelspeed) or 'all'")
 		scale      = flag.Float64("scale", 1.0, "dataset size multiplier")
 		seed       = flag.Int64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "extra worker count for the scaling experiments' sweeps")
-		spillShard = flag.Int("spill-shards", 0, "spill shard count for the out-of-core experiments; spillscale adds it to its 1/2/4 sweep")
+		workers    = flag.Int("workers", 0, "extra worker count for the rightmul sweep")
+		spillShard = flag.Int("spill-shards", 0, "spill shard count for the out-of-core experiments")
 		spillDirs  = flag.String("spill-dirs", "", "comma-separated spill shard directories (models distinct devices)")
-		diskModel  = flag.String("disk-model", "", "override the spill experiments' bandwidth model: per-request or shared-bucket")
 		evict      = flag.String("evict", "", "override the spill experiments' residency policy: first-fit, largest-first or access-order")
-		staleness  = flag.Int("staleness", 0, "extra staleness bound for the asyncscale sweep (0 keeps the default sweep; negative adds the unbounded regime)")
 		csvPath    = flag.String("csv", "", "also append every table to this CSV file (refuses to overwrite an existing file)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (refuses to overwrite an existing file)")
 		memProfile = flag.String("memprofile", "", "write a post-run heap profile to this file (refuses to overwrite an existing file)")
@@ -132,9 +132,7 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.SpillShards = *spillShard
-	cfg.DiskModel = *diskModel
 	cfg.Evict = *evict
-	cfg.Staleness = *staleness
 	if *spillDirs != "" {
 		cfg.SpillDirs = strings.Split(*spillDirs, ",")
 	}

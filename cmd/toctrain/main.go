@@ -8,17 +8,18 @@
 //	toctrain -dataset mnist -model nn -method CSR -budget 500000
 //	toctrain -dataset mnist -model lr -budget 500000 -workers 8
 //	toctrain -dataset mnist -model lr -budget 500000 -workers 8 \
-//	    -spill-shards 4 -disk-model shared-bucket -seek 2ms -evict largest-first
+//	    -spill-shards 4 -seek 2ms -evict largest-first
 //	toctrain -dataset mnist -model lr -workers 8 -async -staleness 8
 //	toctrain -dataset mnist -model lr -workers 8 -async -elastic 200:+4,500:-2
 //
 // The spill layer is configurable: -spill-shards/-spill-dirs spread the
 // spill across files/directories (prefetch reads distinct shards
-// concurrently), -disk-model picks how -bw is enforced (per-request:
-// aggregate scales with queue depth; shared-bucket: aggregate capped per
-// device, with -seek serialized per shard), -evict picks which batches
-// stay resident, and -prefetch-bytes bounds the prefetch window by
-// compressed bytes.
+// concurrently), -bw is the simulated read bandwidth — an aggregate cap
+// per directory that concurrent readers share, so more bandwidth means
+// more -spill-dirs — and -seek a per-read latency that serializes within
+// a shard and overlaps across shards, -evict picks which batches stay
+// resident, and -prefetch-bytes bounds the prefetch window by compressed
+// bytes.
 //
 // With -workers N (N != 1) the concurrent engine takes over: ingest
 // compression is sharded across the pool, training is data-parallel with
@@ -232,7 +233,7 @@ func main() {
 		epochs     = flag.Int("epochs", 5, "training epochs")
 		lr         = flag.Float64("lr", 0.3, "learning rate")
 		budget     = flag.Int64("budget", 0, "memory budget bytes (0 = unlimited)")
-		bandwidth  = flag.Int64("bw", 150<<20, "simulated disk read bandwidth bytes/s")
+		bandwidth  = flag.Int64("bw", 150<<20, "simulated disk read bandwidth bytes/s, an aggregate cap per spill directory (0 = unthrottled)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		hidden     = flag.Float64("hidden", 0.25, "NN hidden layer scale (1.0 = paper's 200/50)")
 		workers    = flag.Int("workers", 1, "worker pool size; != 1 enables the concurrent engine (0 = GOMAXPROCS)")
@@ -248,8 +249,7 @@ func main() {
 		retryBase  = flag.Duration("retry-base", 0, "initial spilled-read retry backoff, doubled per attempt with seeded jitter (0 = store default)")
 		spillShard = flag.Int("spill-shards", 0, "number of spill files, read concurrently by the prefetcher (0 = one, or one per -spill-dirs entry)")
 		spillDirs  = flag.String("spill-dirs", "", "comma-separated directories for spill shards (models distinct devices)")
-		diskModel  = flag.String("disk-model", "per-request", "bandwidth enforcement: per-request (aggregate scales with queue depth) or shared-bucket (aggregate capped per device)")
-		seek       = flag.Duration("seek", 0, "simulated per-read access latency (e.g. 2ms; serialized per shard under shared-bucket)")
+		seek       = flag.Duration("seek", 0, "simulated per-read access latency (e.g. 2ms; serialized per shard, overlapped across shards)")
 		evict      = flag.String("evict", "first-fit", "spill residency policy: first-fit, largest-first or access-order")
 		ckptDir    = flag.String("checkpoint-dir", "", "write crash-safe training checkpoints (and the spill-store manifest) into this directory")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in parameter updates (0 = once per epoch)")
@@ -281,6 +281,9 @@ func main() {
 	if *distN == 0 && (*codecSpec != "dense" || *linkMbps != 0) {
 		log.Fatal("-codec and -link-mbps need -dist")
 	}
+	if *bandwidth < 0 || *seek < 0 || !(*linkMbps >= 0) {
+		log.Fatal("-bw, -seek and -link-mbps must not be negative (0 = off)")
+	}
 
 	d, err := toc.GenerateDataset(*dataset, *rows, *seed)
 	if err != nil {
@@ -291,17 +294,12 @@ func main() {
 	if *budget <= 0 {
 		*budget = 1 << 50
 	}
-	bwModel, err := toc.ParseBandwidthModel(*diskModel)
-	if err != nil {
-		log.Fatal(err)
-	}
 	policy, err := toc.NewEvictionPolicy(*evict)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opts := []toc.StoreOption{
 		toc.WithShards(*spillShard),
-		toc.WithBandwidthModel(bwModel),
 		toc.WithReadBandwidth(*bandwidth),
 		toc.WithAccessLatency(*seek),
 		toc.WithEviction(policy),
@@ -452,8 +450,8 @@ func main() {
 		store.NumBatches(), st.ResidentBatches, st.ResidentBytes/1024,
 		st.SpilledBatches, st.SpilledBytes/1024)
 	if store.Spilled() {
-		fmt.Printf("spill: %d shards, %s disk model, %s eviction (%d evicted), seek %v\n",
-			store.Shards(), bwModel, store.EvictionPolicyName(), st.Evictions, *seek)
+		fmt.Printf("spill: %d shards, %s eviction (%d evicted), seek %v\n",
+			store.Shards(), store.EvictionPolicyName(), st.Evictions, *seek)
 	}
 
 	model, err := toc.NewModel(*modelName, d.X.Cols(), d.Classes, *hidden, *seed+7)

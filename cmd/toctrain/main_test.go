@@ -174,6 +174,25 @@ func TestDistTrainerCrashRunCompletes(t *testing.T) {
 	}
 }
 
+// A negative simulated-hardware rating is a typo, not "off": it must be
+// refused at flag validation, before any data is generated.
+func TestNegativeBandwidthLatencyAndLinkRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildBinary(t)
+	for _, args := range [][]string{
+		{"-bw", "-1"},
+		{"-seek", "-2ms"},
+		{"-dist", "2", "-link-mbps", "-200"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "must not be negative") {
+			t.Errorf("toctrain %v = %v, want a flag-validation failure:\n%s", args, err, out)
+		}
+	}
+}
+
 func asExitError(err error, target **exec.ExitError) bool {
 	ee, ok := err.(*exec.ExitError)
 	if ok {

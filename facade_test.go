@@ -85,17 +85,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if e := EvaluateError(model, src); e < 0 || e > 1 {
 		t.Fatalf("kernel-parallel evaluation error rate %v", e)
 	}
-	// The sharded-spill surface: store options, disk models, eviction
-	// policies and the byte-bounded prefetch window, all via the facade.
-	if m, err := ParseBandwidthModel("shared-bucket"); err != nil || m != SharedBucket {
-		t.Fatalf("ParseBandwidthModel: %v, %v", m, err)
-	}
+	// The sharded-spill surface: store options, eviction policies and the
+	// byte-bounded prefetch window, all via the facade.
 	if p, err := NewEvictionPolicy("access-order"); err != nil || p.Name() != "access-order" {
 		t.Fatalf("NewEvictionPolicy: %v", err)
 	}
 	sharded, err := NewStore(t.TempDir(), "TOC", 1,
-		WithShards(2), WithBandwidthModel(SharedBucket),
-		WithReadBandwidth(0), WithEviction(LargestFirstPolicy()))
+		WithShards(2), WithReadBandwidth(0), WithAccessLatency(0),
+		WithEviction(LargestFirstPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,52 +31,30 @@ type Config struct {
 	Seed int64
 	// Dir is where spill files are created ("" = OS temp).
 	Dir string
-	// Workers adds an extra worker count to the scaling experiments'
-	// sweeps (0 keeps each experiment's default sweep).
+	// Workers adds an extra worker count to the rightmul sweep (0 keeps
+	// the default sweep).
 	Workers int
-	// SpillShards adds an extra shard count to the spillscale sweep
-	// (0 keeps the default 1/2/4 sweep).
+	// SpillShards is the spill shard count of the out-of-core
+	// experiments (0 keeps the store's default layout).
 	SpillShards int
 	// SpillDirs, when non-empty, places spill shards across these
 	// directories (modeling distinct devices) in the spill experiments.
 	SpillDirs []string
-	// DiskModel overrides the bandwidth model of the spill experiments
-	// ("per-request" or "shared-bucket"; "" keeps each experiment's
-	// default).
-	DiskModel string
 	// Evict overrides the spill experiments' residency policy
 	// ("first-fit", "largest-first", "access-order"; "" = first-fit).
 	Evict string
-	// Staleness adds an extra staleness bound to the asyncscale sweep
-	// (0 keeps the default sweep; negative adds the unbounded regime).
-	Staleness int
 }
 
 // spillOptions translates the Config's spill knobs into store options for
-// the experiments that exercise the out-of-core path. shards <= 0 defers
-// to the Config's SpillShards (so -spill-shards reaches every spill
-// experiment), then to the store's own default layout; defaultModel
-// applies when the Config does not override it.
-func (c Config) spillOptions(shards int, defaultModel storage.BandwidthModel) ([]storage.Option, error) {
-	model := defaultModel
-	if c.DiskModel != "" {
-		m, err := storage.ParseBandwidthModel(c.DiskModel)
-		if err != nil {
-			return nil, err
-		}
-		model = m
-	}
+// the experiments that exercise the out-of-core path.
+func (c Config) spillOptions() ([]storage.Option, error) {
 	policy, err := storage.NewEvictionPolicy(c.Evict)
 	if err != nil {
 		return nil, err
 	}
-	if shards <= 0 {
-		shards = c.SpillShards
-	}
 	opts := []storage.Option{
-		storage.WithBandwidthModel(model),
 		storage.WithEviction(policy),
-		storage.WithShards(shards),
+		storage.WithShards(c.SpillShards),
 	}
 	if len(c.SpillDirs) > 0 {
 		opts = append(opts, storage.WithShardDirs(c.SpillDirs...))

@@ -8,9 +8,8 @@ import (
 )
 
 func TestRegistryHasEveryPaperArtifact(t *testing.T) {
-	want := []string{"asyncscale", "fig2", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "kernelspeed", "netscale",
-		"rightmul", "spillscale", "table6", "table7"}
+	want := []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+		"fig11", "fig12", "kernelspeed", "rightmul", "table6", "table7"}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Errorf("experiment %q not registered", id)
@@ -60,157 +59,6 @@ func TestFastExperimentsRun(t *testing.T) {
 			if len(row) != len(table.Columns) {
 				t.Fatalf("%s: row width %d != %d columns", id, len(row), len(table.Columns))
 			}
-		}
-	}
-}
-
-// The spillscale acceptance shape: with the aggregate bandwidth fixed by
-// the shared token bucket, 4 spill shards must turn an epoch around
-// faster than 1 shard at 4+ workers (seeks overlap across shards), and
-// the measured aggregate read throughput must never exceed the cap —
-// the honesty the bucket exists for. (The finer-grained mechanism tests
-// live in internal/storage; this pins the user-visible bench output.)
-func TestSpillScaleShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	// Scale 0.6 keeps 1-shard epochs in the tens of milliseconds, so the
-	// expected ~2.5x sharding gap dwarfs scheduler jitter on CI runners.
-	e, _ := Get("spillscale")
-	table, err := e.Run(Config{Scale: 0.6, Seed: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := map[string]int{}
-	for i, c := range table.Columns {
-		col[c] = i
-	}
-	epoch := map[[2]string]float64{} // (shards, workers) -> epoch_ms
-	loss := map[string]bool{}
-	for _, row := range table.Rows {
-		ms, err := strconv.ParseFloat(row[col["epoch_ms"]], 64)
-		if err != nil {
-			t.Fatalf("bad epoch_ms %q", row[col["epoch_ms"]])
-		}
-		epoch[[2]string{row[col["shards"]], row[col["workers"]]}] = ms
-		agg, err := strconv.ParseFloat(row[col["agg_MBps"]], 64)
-		if err != nil {
-			t.Fatalf("bad agg_MBps %q", row[col["agg_MBps"]])
-		}
-		if cap := float64(spillScaleBandwidth) / (1 << 20); agg > cap*1.06 {
-			t.Errorf("shards=%s workers=%s: aggregate %.2f MB/s exceeds the %.0f MB/s bucket cap",
-				row[col["shards"]], row[col["workers"]], agg, cap)
-		}
-		loss[row[col["final_loss"]]] = true
-	}
-	if len(loss) != 1 {
-		t.Errorf("final_loss varies across the sweep: %v", loss)
-	}
-	for _, w := range []string{"4", "8"} {
-		one, four := epoch[[2]string{"1", w}], epoch[[2]string{"4", w}]
-		if one == 0 || four == 0 {
-			t.Fatalf("missing sweep rows for workers=%s", w)
-		}
-		// The mechanism typically yields ~2.5x; 0.9 only filters jitter.
-		if four >= one*0.9 {
-			t.Errorf("workers=%s: 4-shard epoch %.0fms not faster than 1-shard %.0fms", w, four, one)
-		}
-	}
-}
-
-// The asyncscale acceptance shape: under skewed batch costs the sync
-// barrier pays the straggler every group step, so at 8 workers the async
-// engine with a staleness window covering the skew period must turn an
-// epoch around faster than the synchronous engine; staleness 0 is the
-// serial chain and must never report nonzero observed staleness. The
-// batch costs are deterministic sleeps, so the gap is stable even on a
-// single core (sleeps overlap; the barrier's serialization does not).
-func TestAsyncScaleShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	e, _ := Get("asyncscale")
-	table, err := e.Run(Config{Scale: 0.4, Seed: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := map[string]int{}
-	for i, c := range table.Columns {
-		col[c] = i
-	}
-	type key struct{ config, staleness, workers string }
-	epoch := map[key]float64{}
-	for _, row := range table.Rows {
-		ms, err := strconv.ParseFloat(row[col["epoch_ms"]], 64)
-		if err != nil {
-			t.Fatalf("bad epoch_ms %q", row[col["epoch_ms"]])
-		}
-		epoch[key{row[col["config"]], row[col["staleness"]], row[col["workers"]]}] = ms
-		if row[col["config"]] == "async" && row[col["staleness"]] == "0" && row[col["stale_max"]] != "0" {
-			t.Errorf("staleness-0 row observed stale_max %s", row[col["stale_max"]])
-		}
-	}
-	sync8 := epoch[key{"sync", "-", "8"}]
-	async8 := epoch[key{"async", "8", "8"}]
-	if sync8 == 0 || async8 == 0 {
-		t.Fatalf("missing sweep rows: %v", epoch)
-	}
-	// The mechanism typically yields ~1.6x at the window = skew period;
-	// 0.95 only filters jitter.
-	if async8 >= sync8*0.95 {
-		t.Errorf("workers=8: async staleness-8 epoch %.0fms not faster than sync barrier %.0fms", async8, sync8)
-	}
-}
-
-// The netscale acceptance shape: on the slow link the compressed codecs
-// must beat dense (their payloads are a few percent of the dense image,
-// and the link is the bottleneck there), the measured wire ratios must
-// sit in their codecs' expected bands, and dense must ship ~exactly its
-// own byte count. Sleeps dominate every run, so the speedups survive CI
-// jitter.
-func TestNetScaleShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	e, _ := Get("netscale")
-	table, err := e.Run(Config{Scale: 0.4, Seed: 1, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := map[string]int{}
-	for i, c := range table.Columns {
-		col[c] = i
-	}
-	for _, row := range table.Rows {
-		codec, link := row[col["codec"]], row[col["link_mbps"]]
-		speedup, err := strconv.ParseFloat(row[col["speedup_vs_dense"]], 64)
-		if err != nil {
-			t.Fatalf("bad speedup %q", row[col["speedup_vs_dense"]])
-		}
-		ratio, err := strconv.ParseFloat(row[col["wire_ratio"]], 64)
-		if err != nil {
-			t.Fatalf("bad wire_ratio %q", row[col["wire_ratio"]])
-		}
-		switch codec {
-		case "dense":
-			if speedup != 1.0 {
-				t.Errorf("dense/%s: speedup %v, want its own baseline 1.00", link, speedup)
-			}
-			if ratio < 0.99 || ratio > 1.01 {
-				t.Errorf("dense/%s: wire ratio %v, want ~1", link, ratio)
-			}
-		case "topk:0.01":
-			if ratio > 0.05 {
-				t.Errorf("topk/%s: wire ratio %v exceeds 5%% of dense", link, ratio)
-			}
-		default: // dsq:4
-			if ratio > 0.10 {
-				t.Errorf("dsq/%s: wire ratio %v exceeds 10%% of dense", link, ratio)
-			}
-		}
-		// The regime's headline: on the wire-bound link, compression wins.
-		if link == "25" && codec != "dense" && speedup < 1.3 {
-			t.Errorf("%s/%s: speedup %v, want the compressed codec to beat dense on the slow link", codec, link, speedup)
 		}
 	}
 }

@@ -42,9 +42,9 @@ type storeSource struct {
 func (s storeSource) close() { _ = s.Close() }
 
 // newStoreSource loads a dataset into a budgeted store, honoring the
-// Config's spill knobs (disk model, eviction policy, shard directories).
+// Config's spill knobs (shard count and directories, eviction policy).
 func newStoreSource(cfg Config, d *data.Dataset, batchSize int, method string, budget int64) (storeSource, error) {
-	opts, err := cfg.spillOptions(0, storage.PerRequest)
+	opts, err := cfg.spillOptions()
 	if err != nil {
 		return storeSource{}, err
 	}

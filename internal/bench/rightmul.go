@@ -11,8 +11,8 @@ import (
 	"toc/internal/matrix"
 )
 
-// The rightmul regime of the scaling bench family isolates the forward
-// kernels — the right multiplications A·v (linear-model scoring) and A·M
+// The rightmul regime isolates the forward kernels —
+// the right multiplications A·v (linear-model scoring) and A·M
 // (NN input layer) that every model's forward pass runs. Each measured
 // "step" mimics what a gradient step does on one compressed batch: build
 // one KernelPlan (a single decode-tree build) and push both forward
@@ -120,4 +120,17 @@ func runRightMul(cfg Config) (*Table, error) {
 		row("plan", w, dur, sum)
 	}
 	return t, nil
+}
+
+// addCount appends extra to counts unless it is unset or already present.
+func addCount(counts []int, extra int) []int {
+	if extra <= 0 {
+		return counts
+	}
+	for _, c := range counts {
+		if c == extra {
+			return counts
+		}
+	}
+	return append(counts, extra)
 }

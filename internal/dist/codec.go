@@ -16,9 +16,10 @@
 // residuals (ScaleCom-style), and double-pass error-compensated
 // quantization (DoubleSqueeze-style, the server compressing its
 // downlink deltas per trainer with its own residual). A simulated link
-// (the storage layer's SharedBucket token-bucket idea applied to a NIC)
-// converts bytes saved into wall-clock saved, so the netscale bench
-// regime can gate the compression-ratio × convergence trade-off in CI.
+// (the storage layer's disk model applied to a NIC) converts bytes saved
+// into wall-clock saved: bytes ÷ bandwidth, arithmetic that
+// TestTopKConvergenceAndWireRatio gates together with the
+// compression-ratio × convergence trade-off.
 package dist
 
 import (

@@ -76,7 +76,7 @@ type ServerStats struct {
 }
 
 // WireRatio is payload bytes moved over what dense would have moved —
-// the compression win the netscale regime gates.
+// the compression win TestTopKConvergenceAndWireRatio gates.
 func (s ServerStats) WireRatio() float64 {
 	dense := s.DenseUpBytes + s.DenseDownBytes
 	if dense == 0 {

@@ -7,6 +7,7 @@ import (
 	"net/rpc"
 	"sync"
 	"testing"
+	"time"
 
 	"toc/internal/checkpoint"
 	"toc/internal/data"
@@ -14,6 +15,7 @@ import (
 	"toc/internal/faultpoint"
 	"toc/internal/formats"
 	"toc/internal/ml"
+	"toc/internal/pace"
 )
 
 func testSource(t testing.TB, name string, rows int) (*data.Dataset, *ml.MemorySource) {
@@ -537,24 +539,29 @@ func (m *stubModel) Step(x formats.CompressedMatrix, y []float64, lr float64) fl
 func (m *stubModel) Loss(x formats.CompressedMatrix, y []float64) float64 { return 0 }
 func (m *stubModel) Predict(x formats.CompressedMatrix) []float64         { return nil }
 
-// Top-k at 1% density still converges close to dense while moving a
-// small fraction of the bytes — the acceptance criterion the netscale
-// regime gates in CI. Error-feedback coverage scales with steps×ratio,
-// so the schedule must be long enough for the residual tail to deliver:
-// at 1280 steps the gap is ~0.3%; at 160 it would still be ~20%.
+// The codecs' two claims, gated together so neither can be bought with
+// the other. Bytes: dense ships its own image, dsq:4 and topk:0.01 a few
+// percent of it (wire ratio = payload bytes over what dense would have
+// shipped for the same messages; a real run over net.Pipe, byte counts
+// only). Loss: top-k at 1% density still converges close to dense —
+// error-feedback coverage scales with steps×ratio, so the schedule must
+// be long enough for the residual tail to deliver: at 1280 steps the gap
+// is ~0.3%; at 160 it would still be ~20%.
+//
+// And what the saved bytes buy: an update costs max(compute, bytes ÷
+// bandwidth). Replaying each codec's measured per-update traffic through
+// a 25 Mbit/s Link in virtual time, dense is wire-bound and both
+// compressed codecs finish the schedule well ahead of it.
 func TestTopKConvergenceAndWireRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("needs a long schedule for error feedback to drain")
 	}
+	const trainers = 2
 	d, src := testSource(t, "mnist", 4000)
 	run := func(spec string) (float64, ServerStats) {
-		var codec GradCodec
-		if spec != "" {
-			var err error
-			codec, err = ParseCodec(spec, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+		codec, err := ParseCodec(spec, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
 		sm := newSnapshotModel(t, "lr", d, 13)
 		srv, err := NewServer(ServerConfig{
@@ -563,12 +570,8 @@ func TestTopKConvergenceAndWireRatio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, werr, errs, _ := runCluster(t, srv, 2, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
-			var c GradCodec
-			if codec != nil {
-				c = codec.Clone()
-			}
-			return newSnapshotModel(t, "lr", d, 13), src, TrainerConfig{Codec: c}
+		res, werr, errs, _ := runCluster(t, srv, trainers, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
+			return newSnapshotModel(t, "lr", d, 13), src, TrainerConfig{Codec: codec.Clone()}
 		})
 		if werr != nil {
 			t.Fatal(werr)
@@ -580,12 +583,68 @@ func TestTopKConvergenceAndWireRatio(t *testing.T) {
 		}
 		return res.EpochLoss[len(res.EpochLoss)-1], srv.Stats()
 	}
-	denseLoss, _ := run("")
-	topkLoss, st := run("topk:0.01")
-	if ratio := st.WireRatio(); ratio > 0.05 {
-		t.Errorf("topk:0.01 wire ratio %.4f, want <= 0.05 of dense bytes", ratio)
+	denseLoss, dense := run("dense")
+	if ratio := dense.WireRatio(); ratio < 0.99 || ratio > 1.01 {
+		t.Errorf("dense wire ratio %.4f, want its own byte count (0.99-1.01)", ratio)
 	}
-	if delta := math.Abs(topkLoss-denseLoss) / denseLoss; delta > 0.02 {
-		t.Errorf("topk final loss %.6f vs dense %.6f: delta %.2f%% exceeds 2%%", topkLoss, denseLoss, 100*delta)
+	// 25 Mbit/s against 2 ms of compute per gradient: the slow-link cell
+	// of the sweep this test replaces.
+	const compute = 2 * time.Millisecond
+	denseTime := replayOnLink(dense, trainers, compute, NewLinkMbps(25))
+	if wire := pace.Transfer(dense.UpBytes, 25e6/8); denseTime < wire || wire < time.Duration(dense.Updates)*compute {
+		t.Errorf("dense at 25 Mbit/s takes %v for %v of uplink traffic: want it wire-bound", denseTime, wire)
 	}
+	for _, c := range []struct {
+		spec      string
+		maxRatio  float64 // the last committed measurement + 5%
+		lossDelta float64 // 0 = not gated
+	}{
+		{spec: "topk:0.01", maxRatio: 0.0154 * 1.05, lossDelta: 0.02},
+		{spec: "dsq:4", maxRatio: 0.0652 * 1.05},
+	} {
+		loss, st := run(c.spec)
+		if ratio := st.WireRatio(); ratio > c.maxRatio {
+			t.Errorf("%s wire ratio %.4f, want <= %.4f of dense bytes", c.spec, ratio, c.maxRatio)
+		}
+		if delta := math.Abs(loss-denseLoss) / denseLoss; c.lossDelta > 0 && delta > c.lossDelta {
+			t.Errorf("%s final loss %.6f vs dense %.6f: delta %.2f%% exceeds %.0f%%", c.spec, loss, denseLoss, 100*delta, 100*c.lossDelta)
+		}
+		if got := replayOnLink(st, trainers, compute, NewLinkMbps(25)); 13*got > 10*denseTime {
+			t.Errorf("%s at 25 Mbit/s takes %v, dense %v: want the compressed codec >= 1.3x sooner", c.spec, got, denseTime)
+		}
+	}
+}
+
+// replayOnLink walks a finished run's schedule in virtual time: each of
+// the trainers loops compute → push → pull, every update moving the
+// run's measured mean bytes per direction through link, until all of
+// st.Updates are done. Events are taken in time order, so the link sees
+// its requests as a real run would issue them. It returns the makespan.
+func replayOnLink(st ServerStats, trainers int, compute time.Duration, link *Link) time.Duration {
+	up, down := int(st.UpBytes/st.Updates), int(st.DownBytes/st.Updates)
+	at, phase := make([]time.Time, trainers), make([]int, trainers)
+	for i := range at {
+		at[i] = t0
+	}
+	end := t0
+	for left := st.Updates; left > 0; {
+		r := 0
+		for i := range at {
+			if at[i].Before(at[r]) {
+				r = i
+			}
+		}
+		switch phase[r] {
+		case 0:
+			at[r] = at[r].Add(compute)
+		case 1:
+			at[r] = link.Up(at[r], up)
+		case 2:
+			at[r] = link.Down(at[r], down)
+			left--
+			end = at[r]
+		}
+		phase[r] = (phase[r] + 1) % 3
+	}
+	return end.Sub(t0)
 }

@@ -1,21 +1,23 @@
 package dist
 
 import (
-	"sync"
 	"time"
+
+	"toc/internal/pace"
 )
 
-// Link is a simulated network interface: one token bucket per
-// direction, shared by every trainer talking to the server — the
-// storage layer's SharedBucket idea (aggregate cap at any queue depth)
-// applied to a NIC instead of a spindle. The server reserves uplink
-// time for every payload it receives and downlink time for every
-// payload it sends, so compressing the traffic shows up directly as
-// wall-clock saved, measurable in-process without real network
-// hardware. A nil *Link is an unmetered wire.
+// Link is a simulated network interface: one pace.Bucket per direction,
+// shared by every trainer talking to the server, so each direction's
+// aggregate is capped at its rate at any queue depth — the spill
+// store's disk model applied to a NIC. The server reserves uplink time
+// for every payload it receives and downlink time for every payload it
+// sends and sleeps until the reservation completes, so a codec's saved
+// bytes are saved wall-clock: bytes ÷ bandwidth, measurable in-process
+// without network hardware. Up and Down are arithmetic on the caller's
+// now; a nil *Link is an unmetered wire.
 type Link struct {
 	upBps, downBps int64
-	up, down       linkBucket
+	up, down       pace.Bucket
 }
 
 // NewLink builds a link with the given per-direction byte rates;
@@ -25,58 +27,38 @@ func NewLink(upBps, downBps int64) *Link {
 }
 
 // NewLinkMbps builds a symmetric link from a megabits-per-second rating
-// (the -link-mbps flag); <= 0 returns nil, the unmetered wire.
+// (the -link-mbps flag); <= 0 returns nil, the unmetered wire. A positive
+// rating too slow to round to a whole byte per second is metered at
+// 1 byte/s — it must not silently become the unmetered wire.
 func NewLinkMbps(mbps float64) *Link {
 	if mbps <= 0 {
 		return nil
 	}
-	bps := int64(mbps * 1e6 / 8)
+	bps := max(1, int64(mbps*1e6/8))
 	return NewLink(bps, bps)
 }
 
-// Up meters n bytes of trainer→server transfer.
-func (l *Link) Up(n int) {
-	if l != nil {
-		l.up.transfer(int64(n), l.upBps)
+// Up reserves n bytes of trainer→server transfer requested at now and
+// returns when it completes.
+func (l *Link) Up(now time.Time, n int) time.Time {
+	if l == nil {
+		return now
 	}
+	return reserve(&l.up, now, n, l.upBps)
 }
 
-// Down meters n bytes of server→trainer transfer.
-func (l *Link) Down(n int) {
-	if l != nil {
-		l.down.transfer(int64(n), l.downBps)
+// Down reserves n bytes of server→trainer transfer requested at now and
+// returns when it completes.
+func (l *Link) Down(now time.Time, n int) time.Time {
+	if l == nil {
+		return now
 	}
+	return reserve(&l.down, now, n, l.downBps)
 }
 
-// linkBucket tracks the virtual completion time of the last admitted
-// transfer; a reservation extends it and the caller sleeps until its
-// own transfer's virtual completion. Idle periods grant no credit
-// (next never falls behind the wall clock), so the cap holds at any
-// queue depth — the same contract as storage's shared-bucket disk
-// model.
-type linkBucket struct {
-	mu sync.Mutex
-	//toc:guardedby mu
-	next time.Time
-}
-
-// transfer reserves n bytes at rate bps and sleeps out the pacing
-// delay on the caller's goroutine.
-//
-//toc:timing
-func (b *linkBucket) transfer(n, bps int64) {
+func reserve(b *pace.Bucket, now time.Time, n int, bps int64) time.Time {
 	if n <= 0 || bps <= 0 {
-		return
+		return now
 	}
-	b.mu.Lock()
-	now := time.Now()
-	if b.next.Before(now) {
-		b.next = now
-	}
-	b.next = b.next.Add(time.Duration(float64(n) / float64(bps) * float64(time.Second)))
-	d := b.next.Sub(now)
-	b.mu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
+	return b.Reserve(now, pace.Transfer(int64(n), bps))
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // The wire protocol: five RPCs on service "PS", each a thin transport
@@ -104,6 +105,20 @@ type session struct {
 	payloadBuf []byte
 }
 
+// meter holds the calling RPC handler until n bytes have crossed the
+// link in direction dir: the one place the simulated wire reads the
+// wall clock and sleeps.
+//
+//toc:timing
+func (s *Server) meter(dir func(*Link, time.Time, int) time.Time, n int) {
+	if s.link == nil {
+		return
+	}
+	if wait := time.Until(dir(s.link, time.Now(), n)); wait > 0 {
+		time.Sleep(wait)
+	}
+}
+
 // owner returns the loop owner this session joined as, -1 before Join.
 func (x *session) owner() int {
 	x.mu.Lock()
@@ -138,7 +153,7 @@ func (x *session) Join(args *JoinArgs, reply *JoinReply) error {
 		st.DownBytes += int64(8 * s.np)
 		st.DenseDownBytes += int64(8 * s.np)
 	})
-	s.link.Down(8 * s.np)
+	s.meter((*Link).Down, 8*s.np)
 
 	reply.Trainer = x.id
 	reply.Staleness = s.bound
@@ -177,7 +192,7 @@ func (x *session) Pull(args *PullArgs, reply *PullReply) error {
 		st.DownBytes += int64(len(reply.Payload))
 		st.DenseDownBytes += int64(8 * s.np)
 	})
-	s.link.Down(len(reply.Payload))
+	s.meter((*Link).Down, len(reply.Payload))
 	return nil
 }
 
@@ -188,7 +203,7 @@ func (x *session) Push(args *PushArgs, reply *PushReply) error {
 	if id < 0 {
 		return fmt.Errorf("dist: Push before Join")
 	}
-	s.link.Up(len(args.Payload))
+	s.meter((*Link).Up, len(args.Payload))
 	// Decode outside every lock: GradCodec decode methods are stateless,
 	// so the shared prototype serves every session.
 	grad := s.loop.GradBuf()

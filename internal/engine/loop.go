@@ -453,7 +453,7 @@ func (l *Loop) Next(owner int) (t Task, ok bool, err error) {
 			}
 			l.held = append(l.held, assignment{t, owner})
 			return t, true, nil
-		case l.released < l.total && l.stepStart(l.released)-l.clock < l.window:
+		case l.releasableLocked():
 			if l.start.IsZero() {
 				l.start = time.Now()
 				l.epochStart = l.start
@@ -471,6 +471,15 @@ func (l *Loop) Next(owner int) (t Task, ok bool, err error) {
 		}
 		l.cond.Wait()
 	}
+}
+
+// releasableLocked is the one release rule: the next never-released
+// position may go out while its step starts less than Window positions
+// ahead of the clock.
+//
+//toc:locked mu
+func (l *Loop) releasableLocked() bool {
+	return l.released < l.total && l.stepStart(l.released)-l.clock < l.window
 }
 
 // enterEpochLocked moves the release frontier into epoch and announces

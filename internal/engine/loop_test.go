@@ -384,3 +384,128 @@ func TestLoopResumeRefusesEveryMismatch(t *testing.T) {
 type gradOnly struct{ ml.GradModel }
 
 func (gradOnly) NumParams() int { return 1 }
+
+// simulate runs cfg's schedule to completion on workers owners in
+// virtual time, on this goroutine, over the real Loop: a discrete-event
+// replay of what the front ends' pools do. An idle worker takes the next
+// position as soon as the loop would release one (never before — a Next
+// that had to wait would hang the test), pays cost(batch) time units,
+// and only then picks its parameter version — the clock at that moment
+// when refresh is set, as an Async worker refreshing its clone after the
+// batch is in hand; the release-time clock otherwise, as an Engine worker
+// computing on the live model — and submits. A rejected worker pays the
+// cost again and resubmits. Completions are processed in time order, ties
+// to the lower worker. It returns the makespan and the loop's counters.
+func simulate(t *testing.T, cfg LoopConfig, workers int, refresh bool, cost func(batch int) int64) (int64, LoopStats) {
+	t.Helper()
+	d := drive(t, cfg)
+	type worker struct {
+		owner int
+		task  Task
+		busy  bool
+		until int64
+	}
+	pool := make([]*worker, workers)
+	for i := range pool {
+		pool[i] = &worker{owner: d.l.Join()}
+	}
+	canNext := func() bool {
+		d.l.mu.Lock()
+		defer d.l.mu.Unlock()
+		return d.l.done || len(d.l.requeue) > 0 || d.l.releasableLocked()
+	}
+	for now := int64(0); ; {
+		var first *worker
+		for _, w := range pool {
+			if !w.busy && canNext() {
+				task, ok, err := d.l.Next(w.owner)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.task, w.busy, w.until = task, ok, now+cost(task.Batch)
+			}
+			if w.busy && (first == nil || w.until < first.until) {
+				first = w
+			}
+		}
+		if first == nil {
+			if _, err := d.l.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			return now, d.l.Stats()
+		}
+		now = first.until
+		version := first.task.Version
+		if refresh {
+			version = d.l.Clock()
+		}
+		rejected, err := d.submit(first.owner, first.task.Pos, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first.busy, first.until = rejected, now+cost(first.task.Batch)
+	}
+}
+
+// What bounded staleness buys, as arithmetic. Every 8th batch is a
+// straggler costing 8 units against 1. The sync engine's group-of-8 step
+// waits for its slowest member, so with 8 workers each step costs the
+// straggler's 8 units however fast the other seven finish; the async
+// schedule with a staleness window covering the skew period lets them
+// flow around it. Staleness 0 is the serial chain — one position in
+// flight, every cost in series — at any worker count. No row ever applies
+// a gradient staler than its bound, and a window of staleness+1 means no
+// row ever has one rejected.
+func TestLoopAsyncFlowsAroundStragglersSyncBarrierWaits(t *testing.T) {
+	const n, epochs, group = 40, 2, 8
+	cost := func(batch int) int64 {
+		if batch%8 == 0 {
+			return 8
+		}
+		return 1
+	}
+	var serial int64
+	for b := 0; b < n; b++ {
+		serial += epochs * cost(b)
+	}
+	sync := map[int]int64{}
+	for _, workers := range []int{1, 4, 8} {
+		cfg := LoopConfig{Kind: checkpoint.KindSync, Epochs: epochs, NumBatches: n, Group: group}
+		makespan, st := simulate(t, cfg, min(workers, group), false, cost)
+		sync[workers] = makespan
+		if st.Updates != epochs*n/group || st.Rejected != 0 || st.MaxStaleness != 0 {
+			t.Errorf("sync, %d workers: %+v", workers, st)
+		}
+	}
+	// One worker pays every cost in series; from 4 workers up the seven
+	// fast batches hide inside the straggler's 8 units.
+	if want := map[int]int64{1: serial, 4: epochs * n, 8: epochs * n}; !reflect.DeepEqual(sync, want) {
+		t.Errorf("sync makespans by workers = %v, want %v", sync, want)
+	}
+	// Async: staleness 0, or one worker, is the serial chain. At staleness
+	// 8 with 8 workers the window (9 positions) admits two stragglers at
+	// once — position p at time t and p+8 one unit later — and p+16 only
+	// when p+8's completion moves the clock, at t+9: 16 positions per 9
+	// units against the barrier's 16. The other rows are pinned as
+	// measured; any change to release, admission or apply order moves them.
+	for _, row := range []struct {
+		staleness, workers int
+		want               int64
+	}{
+		{0, 1, serial}, {0, 4, serial}, {0, 8, serial},
+		{8, 1, serial}, {8, 4, 51}, {8, 8, epochs * n / 16 * 9},
+		{32, 1, serial}, {32, 4, 40}, {32, 8, 24},
+	} {
+		cfg := LoopConfig{Kind: checkpoint.KindAsync, Epochs: epochs, NumBatches: n, Staleness: row.staleness}
+		makespan, st := simulate(t, cfg, row.workers, true, cost)
+		if makespan != row.want {
+			t.Errorf("async staleness %d, %d workers: makespan %d, want %d", row.staleness, row.workers, makespan, row.want)
+		}
+		if st.Updates != epochs*n || st.Rejected != 0 || st.MaxStaleness > int64(row.staleness) {
+			t.Errorf("async staleness %d, %d workers: %+v breaks the bound or the window", row.staleness, row.workers, st)
+		}
+		if row.staleness >= 8 && row.workers == 8 && makespan >= sync[8] {
+			t.Errorf("async staleness %d at 8 workers takes %d, the sync barrier %d: want async ahead", row.staleness, makespan, sync[8])
+		}
+	}
+}

@@ -1,97 +1,73 @@
 package storage
 
 import (
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"toc/internal/pace"
 )
 
-// BandwidthModel selects how the simulated disk enforces the configured
-// read bandwidth. The two models bracket real storage hardware: cloud
-// block stores and SSDs deliver more aggregate throughput the deeper the
-// request queue, while a spindle (or any device behind a fixed bus) has
-// one aggregate budget that concurrent readers share.
-type BandwidthModel int
+// disk is the simulated storage hardware under a store's spill shards,
+// and the only model there is. Every directory is one device with one
+// read-bandwidth budget (a pace.Bucket), so the aggregate throughput of
+// all shards in it never exceeds the configured rate however many
+// readers pile on; spreading shards over distinct directories
+// (WithShardDirs) is what adds bandwidth. Every shard is one arm: a
+// request occupies it from its seek to the end of its transfer, so the
+// access latency serializes within a shard and overlaps across shards —
+// which is what more shards on one device buy.
+type disk struct {
+	// The knobs are atomics so an unthrottled read consults the model
+	// without taking a lock.
+	bandwidth atomic.Int64 // read bytes/s per device; <= 0 = unthrottled
+	latency   atomic.Int64 // per-read access (seek) time in ns
 
-const (
-	// PerRequest throttles every spilled read independently: each request
-	// sleeps length/bandwidth regardless of what else is in flight, so N
-	// concurrent readers see N× the configured bandwidth in aggregate.
-	// This models devices whose throughput scales with queue depth (cloud
-	// block stores, SSDs) and is the historical default.
-	PerRequest BandwidthModel = iota
-
-	// SharedBucket meters all spilled reads of one device (all shards
-	// sharing a directory) through a single token bucket, so aggregate
-	// read throughput never exceeds the configured bandwidth no matter
-	// how many readers pile on — the spindle/bus regime. Each shard
-	// additionally services one request at a time (its file handle is the
-	// arm): the per-request access latency and the transfer serialize
-	// within a shard but overlap across shards, which is exactly what
-	// spreading spill files over more devices buys.
-	SharedBucket
-)
-
-// String returns the flag-friendly name of the model.
-func (m BandwidthModel) String() string {
-	switch m {
-	case PerRequest:
-		return "per-request"
-	case SharedBucket:
-		return "shared-bucket"
-	default:
-		return fmt.Sprintf("BandwidthModel(%d)", int(m))
-	}
-}
-
-// ParseBandwidthModel resolves a flag value ("per-request"/"request",
-// "shared-bucket"/"shared"/"bucket") to a BandwidthModel.
-func ParseBandwidthModel(name string) (BandwidthModel, error) {
-	switch name {
-	case "per-request", "request", "":
-		return PerRequest, nil
-	case "shared-bucket", "shared", "bucket":
-		return SharedBucket, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown bandwidth model %q (want per-request or shared-bucket)", name)
-	}
-}
-
-// tokenBucket paces transfers so they aggregate to a bandwidth cap. It
-// tracks the virtual completion time of the last admitted transfer; a
-// reservation extends it and the caller sleeps until its own transfer's
-// virtual completion. Idle periods grant no credit (next never falls
-// behind the wall clock), so the cap holds at any queue depth: N
-// back-to-back reservations finish, in real time, no sooner than their
-// total size divided by the rate.
-type tokenBucket struct {
-	mu sync.Mutex
+	dev []*pace.Bucket // per shard: its directory's budget; fixed at construction
+	mu  sync.Mutex
 	//toc:guardedby mu
-	next time.Time
+	arm []time.Time // per shard: when its arm is next free
 }
 
-// reserve admits a transfer of n bytes at rate bps and returns how long
-// the caller must sleep for the transfer to be paced correctly.
-func (b *tokenBucket) reserve(n, bps int64) time.Duration {
-	if n <= 0 || bps <= 0 {
-		return 0
+// newDisk models the given shards: those sharing a directory (the
+// cleaned path, however it was spelled) share one device.
+func newDisk(shards []*shard, bandwidth int64, latency time.Duration) *disk {
+	d := &disk{dev: make([]*pace.Bucket, len(shards)), arm: make([]time.Time, len(shards))}
+	d.bandwidth.Store(bandwidth)
+	d.latency.Store(int64(latency))
+	byDir := map[string]*pace.Bucket{}
+	for i, sh := range shards {
+		if byDir[sh.dir] == nil {
+			byDir[sh.dir] = new(pace.Bucket)
+		}
+		d.dev[i] = byDir[sh.dir]
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	if b.next.Before(now) {
-		b.next = now
-	}
-	b.next = b.next.Add(time.Duration(float64(n) / float64(bps) * float64(time.Second)))
-	return b.next.Sub(now)
+	return d
 }
 
-// device is one simulated storage device: every shard placed in the same
-// directory shares the device's token bucket, so SharedBucket bandwidth
-// is an aggregate cap per directory. Spreading shards over distinct
-// directories (WithShardDirs) models distinct devices, each with its own
-// full bandwidth budget.
-type device struct {
-	dir    string
-	bucket tokenBucket
+// reserve books a read of n bytes from shard requested at now and
+// returns when it completes: the shard's arm frees up, seeks, then moves
+// the bytes through its device's budget. The caller does the real read
+// and then sleeps until the returned time. With no bandwidth and no
+// latency configured the read is free: reserve returns now and touches
+// no shared state.
+func (d *disk) reserve(now time.Time, shard int, n int64) time.Time {
+	bw, seek := d.bandwidth.Load(), time.Duration(d.latency.Load())
+	if bw <= 0 && seek <= 0 {
+		return now
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	done := now
+	if d.arm[shard].After(now) {
+		done = d.arm[shard]
+	}
+	if seek > 0 {
+		done = done.Add(seek)
+	}
+	if bw > 0 {
+		done = d.dev[shard].Reserve(done, pace.Transfer(n, bw))
+	}
+	d.arm[shard] = done
+	return done
 }

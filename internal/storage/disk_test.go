@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"toc/internal/matrix"
+	"toc/internal/pace"
 )
 
 // shardedSpilledStore builds a store of n identical-shape batches that all
@@ -35,123 +36,159 @@ func shardedSpilledStore(t *testing.T, n, shards int, opts ...Option) *Store {
 	return st
 }
 
-// readAll reads every batch exactly once across the given number of
-// concurrent readers and returns the wall-clock elapsed.
-func readAll(st *Store, readers int) time.Duration {
-	n := st.NumBatches()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := r; i < n; i += readers {
-				st.Batch(i)
-			}
-		}(r)
-	}
-	wg.Wait()
-	return time.Since(start)
-}
+// The disk model is arithmetic on the caller's clock, so the pacing tests
+// below run a real store's layout through it in virtual time: no sleeps,
+// no goroutines, exact makespans.
+var t0 = time.Unix(1_000_000, 0)
 
-// The acceptance property of the shared token bucket: measured aggregate
-// read throughput stays at the configured cap whether one reader queues
-// requests or eight do. The per-request model — the historical throttle —
-// instead scales with queue depth, which is exactly the dishonesty the
-// bucket fixes; both behaviors are pinned here.
-func TestSharedBucketHoldsAggregateCapRegardlessOfQueueDepth(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
+// scan replays one epoch of reads against the store's disk model: a
+// closed loop of readers, reader r reading batches r, r+readers, … and
+// issuing each read the instant its previous one completes. Reads are
+// reserved in time order (ties to the lower reader), as a real run would
+// issue them. It returns the epoch's makespan.
+func scan(st *Store, readers int) time.Duration {
+	free := make([]time.Time, readers)
+	next := make([]int, readers)
+	for r := range free {
+		free[r], next[r] = t0, r
 	}
-	const n = 16
-	for _, readers := range []int{1, 8} {
-		st := shardedSpilledStore(t, n, 4, WithBandwidthModel(SharedBucket))
-		total := st.Stats().SpilledBytes
-		// Size the simulated disk so one full scan costs ~400ms of pure
-		// token waiting: sleep inaccuracy (~1ms/request) is then noise.
-		bw := total * 1000 / 400
-		st.SetReadBandwidth(bw)
-		elapsed := readAll(st, readers)
-		throughput := float64(total) / elapsed.Seconds()
-		// The ceiling is the honesty property and is tight: the bucket can
-		// never hand out more than the cap. The floor only shows it does
-		// not underdeliver; it is nominally within ~5% but idle periods
-		// grant no credit, so a GC or scheduler stall mid-scan (race-mode
-		// CI) legitimately lowers it — keep generous slack there.
-		if ratio := throughput / float64(bw); ratio < 0.70 || ratio > 1.05 {
-			t.Errorf("shared bucket, %d readers: throughput %.0f B/s is %.2fx the %d B/s cap (want ~1.0)",
-				readers, throughput, ratio, bw)
+	end := t0
+	for {
+		r := -1
+		for i := range free {
+			if next[i] < st.NumBatches() && (r < 0 || free[i].Before(free[r])) {
+				r = i
+			}
+		}
+		if r < 0 {
+			return end.Sub(t0)
+		}
+		sp := st.spans[next[r]]
+		free[r] = st.disk.reserve(free[r], sp.shard, sp.length)
+		next[r] += readers
+		if free[r].After(end) {
+			end = free[r]
 		}
 	}
-	// Contrast: the per-request model's aggregate grows with queue depth.
-	st := shardedSpilledStore(t, n, 4, WithBandwidthModel(PerRequest))
-	total := st.Stats().SpilledBytes
-	bw := total * 1000 / 400
-	st.SetReadBandwidth(bw)
-	elapsed := readAll(st, 8)
-	if throughput := float64(total) / elapsed.Seconds(); throughput < 2*float64(bw) {
-		t.Errorf("per-request model with 8 readers: throughput %.0f B/s should exceed 2x the %d B/s per-request rate",
-			throughput, bw)
+}
+
+// transferTime is what moving shard's spilled bytes costs at bw, one
+// transfer after another; shard < 0 means every shard's.
+func transferTime(st *Store, bw int64, shard int) time.Duration {
+	var total time.Duration
+	for _, sp := range st.spans {
+		if shard < 0 || sp.shard == shard {
+			total += pace.Transfer(sp.length, bw)
+		}
+	}
+	return total
+}
+
+// The bandwidth is an aggregate cap per device: one reader or eight, an
+// epoch over four shards in one directory takes exactly its bytes divided
+// by the rate. And the budget is use-it-or-lose-it: a device left idle
+// banks no credit for the next read.
+func TestSharedBucketHoldsAggregateCapRegardlessOfQueueDepth(t *testing.T) {
+	const bw = 1 << 20
+	for _, readers := range []int{1, 8} {
+		st := shardedSpilledStore(t, 16, 4, WithReadBandwidth(bw))
+		if got, want := scan(st, readers), transferTime(st, bw, -1); got != want {
+			t.Errorf("%d readers: epoch takes %v, want exactly bytes/bandwidth = %v", readers, got, want)
+		}
+		later := t0.Add(time.Hour)
+		sp := st.spans[0]
+		if got, want := st.disk.reserve(later, sp.shard, sp.length), later.Add(pace.Transfer(sp.length, bw)); !got.Equal(want) {
+			t.Errorf("%d readers: read after an idle hour completes at %v, want %v — idle time granted credit", readers, got, want)
+		}
 	}
 }
 
-// The acceptance property of sharding: under one fixed aggregate
-// bandwidth, four shards turn an epoch's reads around faster than one,
-// because the per-request access latency (the seek) serializes within a
-// shard but overlaps across shards. This is the mechanism behind the
-// spillscale bench regime, asserted here deterministically enough for CI.
+// What more shards on one device buy: the access latency serializes
+// within a shard (one arm) and overlaps across shards, so a seek-bound
+// epoch over four shards takes less than half of what one shard takes —
+// while the shared bandwidth budget still floors both.
 func TestShardingRaisesEpochThroughputUnderSharedBucket(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
 	const (
 		n       = 32
 		readers = 8
 		seek    = 2 * time.Millisecond
 		bw      = 1 << 20 // ample: the seek, not the transfer, dominates
 	)
-	opts := []Option{
-		WithBandwidthModel(SharedBucket),
-		WithReadBandwidth(bw),
-		WithAccessLatency(seek),
-	}
+	opts := []Option{WithReadBandwidth(bw), WithAccessLatency(seek)}
 	one := shardedSpilledStore(t, n, 1, opts...)
 	four := shardedSpilledStore(t, n, 4, opts...)
-	t1 := readAll(one, readers)
-	t4 := readAll(four, readers)
-	// One shard serializes all n seeks (~64ms); four shards overlap them
-	// four ways (~16ms). Demand a clear, not merely positive, gap — the
-	// nominal ratio is ~0.3, so 0.85 leaves ~3x headroom for race-mode
-	// scheduling noise.
-	if t4 >= t1*85/100 {
-		t.Errorf("4-shard epoch read %v, 1-shard %v — sharding should cut seek-bound epoch time", t4, t1)
+	t1, t4 := scan(one, readers), scan(four, readers)
+	if want := n*seek + transferTime(one, bw, -1); t1 != want {
+		t.Errorf("1-shard epoch takes %v, want every seek and transfer in series = %v", t1, want)
 	}
-	// The bucket stays honest under sharding: neither layout may beat the
-	// aggregate transfer cap by more than its seek overlap allows.
-	total := one.Stats().SpilledBytes
-	if minTime := time.Duration(float64(total) / float64(bw) * float64(time.Second)); t4 < minTime {
-		t.Errorf("4-shard epoch %v beat the bandwidth floor %v — bucket leaked", t4, minTime)
+	if 2*t4 > t1 {
+		t.Errorf("4-shard epoch %v, 1-shard %v — sharding should at least halve a seek-bound epoch", t4, t1)
+	}
+	if floor := transferTime(four, bw, -1); t4 < floor {
+		t.Errorf("4-shard epoch %v beat the bandwidth floor %v", t4, floor)
 	}
 }
 
-func TestParseBandwidthModel(t *testing.T) {
-	for name, want := range map[string]BandwidthModel{
-		"":              PerRequest,
-		"request":       PerRequest,
-		"per-request":   PerRequest,
-		"shared":        SharedBucket,
-		"bucket":        SharedBucket,
-		"shared-bucket": SharedBucket,
-	} {
-		got, err := ParseBandwidthModel(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseBandwidthModel(%q) = %v, %v", name, got, err)
-		}
+// What more devices buy: shards in distinct directories draw on distinct
+// budgets, shards in one directory share one. With every read queued up
+// front, two devices finish when the busier one does; one device takes
+// the sum.
+func TestShardDirsAreDistinctBandwidthBudgets(t *testing.T) {
+	const n, bw = 16, 1 << 20
+	shared := shardedSpilledStore(t, n, 2, WithReadBandwidth(bw))
+	split := shardedSpilledStore(t, n, 2, WithReadBandwidth(bw), WithShardDirs(t.TempDir(), t.TempDir()))
+	if got, want := scan(shared, n), transferTime(shared, bw, -1); got != want {
+		t.Errorf("two shards, one directory: epoch takes %v, want %v", got, want)
 	}
-	if _, err := ParseBandwidthModel("warp"); err == nil {
-		t.Fatal("unknown model should error")
+	want := max(transferTime(split, bw, 0), transferTime(split, bw, 1))
+	if got := scan(split, n); got != want {
+		t.Errorf("two shards, two directories: epoch takes %v, want the busier device's %v", got, want)
 	}
-	if PerRequest.String() != "per-request" || SharedBucket.String() != "shared-bucket" {
-		t.Fatalf("String(): %s / %s", PerRequest, SharedBucket)
+	if want >= transferTime(split, bw, -1) {
+		t.Fatal("degenerate layout: one device holds every batch")
+	}
+}
+
+// An unthrottled store — every default NewStore — pays nothing for the
+// model: concurrent readers reserve nothing, so they neither lock nor
+// advance any arm or device budget, and never sleep.
+func TestUnthrottledReadsBypassTheDiskModel(t *testing.T) {
+	st := shardedSpilledStore(t, 16, 1)
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; i < st.NumBatches(); i += 8 {
+				st.Batch(i)
+			}
+		}(r)
+	}
+	wg.Wait()
+	if got := st.Stats().Reads; got != 16 {
+		t.Fatalf("Reads = %d, want 16", got)
+	}
+	st.disk.mu.Lock()
+	arm := st.disk.arm[0]
+	st.disk.mu.Unlock()
+	// A zero-length reservation at the zero time reads a bucket's state
+	// back without disturbing it.
+	if !arm.IsZero() || !st.disk.dev[0].Reserve(time.Time{}, 0).IsZero() {
+		t.Error("unthrottled reads went through the disk model's arm or device budget")
+	}
+	if got := st.disk.reserve(t0, 0, 1<<20); !got.Equal(t0) {
+		t.Errorf("unthrottled reserve returns %v, want its own now %v", got, t0)
+	}
+}
+
+// The one wall-clock check here: a throttled read really is held until
+// its reservation completes.
+func TestThrottledReadSleepsOutItsReservation(t *testing.T) {
+	st := shardedSpilledStore(t, 1, 1)
+	bw := st.spans[0].length * 100 // 10ms per read
+	st.SetReadBandwidth(bw)
+	st.Batch(0)
+	if got, want := st.Stats().ReadTime, pace.Transfer(st.spans[0].length, bw); got < want {
+		t.Errorf("throttled read took %v, want at least its transfer time %v", got, want)
 	}
 }

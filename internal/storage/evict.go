@@ -47,7 +47,7 @@ func (firstFit) Value(idx int, size int64) float64 { return -float64(idx) }
 // the resident *count*, so the number of spilled reads per epoch is
 // minimized — possibly at the cost of more spilled *bytes* (a big batch
 // displaced by two smalls leaves more data on disk). That is the right
-// trade on seek-bound devices (SharedBucket with an access latency),
+// trade on seek-bound devices (a store with an access latency),
 // where per-epoch IO cost is dominated by the number of spilled reads,
 // and the wrong one on purely bandwidth-bound devices.
 type largestFirst struct{}

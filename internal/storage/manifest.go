@@ -293,19 +293,15 @@ func OpenStore(manifestPath string, opts ...Option) (*Store, error) {
 		cfg.retry.Attempts = 1
 	}
 	s := &Store{
-		method:    method,
-		codec:     codec,
-		budget:    budget,
-		policy:    cfg.policy,
-		bandwidth: cfg.bandwidth,
-		model:     cfg.model,
-		latency:   cfg.latency,
-		retry:     cfg.retry,
-		jitter:    rand.New(rand.NewSource(cfg.retry.Seed)),
-		persist:   true,
+		method:  method,
+		codec:   codec,
+		budget:  budget,
+		policy:  cfg.policy,
+		retry:   cfg.retry,
+		jitter:  rand.New(rand.NewSource(cfg.retry.Seed)),
+		persist: true,
 	}
 	s.stats.Evictions = evictions
-	byDir := map[string]*device{}
 	for i := 0; i < nShards; i++ {
 		dir := r.str()
 		base := r.str()
@@ -314,13 +310,7 @@ func OpenStore(manifestPath string, opts ...Option) (*Store, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		dev, ok := byDir[dir]
-		if !ok {
-			dev = &device{dir: dir}
-			byDir[dir] = dev
-			s.devices = append(s.devices, dev)
-		}
-		sh := &shard{dir: dir, dev: dev, wpos: wpos, bytes: bytes}
+		sh := &shard{dir: dir, wpos: wpos, bytes: bytes}
 		if base != "" {
 			path := filepath.Join(dir, base)
 			f, err := os.Open(path)
@@ -342,6 +332,7 @@ func OpenStore(manifestPath string, opts ...Option) (*Store, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
+	s.disk = newDisk(s.shards, cfg.bandwidth, cfg.latency)
 
 	n := int(r.u32())
 	if r.err != nil {

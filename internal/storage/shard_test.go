@@ -142,9 +142,9 @@ func TestShardedTrainingMatchesMemory(t *testing.T) {
 	}
 }
 
-// Hammer concurrent reads across shards while the disk-model knobs are
+// Hammer concurrent reads across shards while the disk model's knobs are
 // being reconfigured — the SetReadBandwidth data race of the single-file
-// store, now mutex-guarded and exercised under -race. Pinned to two Ps so
+// store, exercised under -race. Pinned to two Ps so
 // goroutines genuinely interleave the way CI's GOMAXPROCS=2 pass expects.
 func TestShardedConcurrentReadsAndConfigRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -179,14 +179,12 @@ func TestShardedConcurrentReadsAndConfigRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Reconfigure the disk model while reads are in flight: all of these
-	// are mutex-guarded against Batch's snapshot.
+	// Reconfigure the disk model while reads are in flight.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for r := 0; r < 24; r++ {
 			s.SetReadBandwidth(int64(1<<20) * int64(r%3+1))
-			s.SetBandwidthModel(BandwidthModel(r % 2))
 			s.SetAccessLatency(time.Duration(r%2) * time.Microsecond)
 			s.Stats()
 		}

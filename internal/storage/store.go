@@ -13,9 +13,9 @@
 // (WithShards), optionally across N directories modeling N devices
 // (WithShardDirs), with placement balancing bytes across shards. Which
 // batches stay resident is a pluggable EvictionPolicy (WithEviction), and
-// the simulated disk supports two bandwidth models (WithBandwidthModel):
-// the per-request throttle whose aggregate scales with queue depth, and a
-// shared token bucket whose aggregate is capped per device.
+// reads are paced by one simulated disk model (disk.go): read bandwidth
+// is an aggregate cap per directory, the access latency serializes per
+// shard, and more devices means more directories.
 package storage
 
 import (
@@ -73,31 +73,29 @@ type span struct {
 	crc    uint32
 }
 
-// shard is one spill file. In the SharedBucket model it services one
-// request at a time (rmu is the arm); reads on distinct shards overlap.
+// shard is one spill file.
 type shard struct {
 	dir   string
-	dev   *device
 	file  *os.File // created lazily on the shard's first spill
 	wpos  int64
 	bytes int64
-	rmu   sync.Mutex
 }
 
 // Store holds a dataset's compressed mini-batches under a memory budget.
 // It implements the ml.BatchSource contract. Once loading is done (no more
 // Add calls), Batch is safe to call from multiple goroutines — the layout
-// slices are then read-only, file reads use ReadAt, and the IO counters
-// and disk-model configuration are mutex-guarded — which is what the
-// engine's data-parallel workers and the async Prefetcher rely on.
+// slices are then read-only, file reads use ReadAt, the IO counters are
+// mutex-guarded and the disk model is safe for concurrent use — which is
+// what the engine's data-parallel workers and the async Prefetcher rely
+// on.
 type Store struct {
 	method string
 	codec  formats.Codec
 	budget int64
 
-	shards  []*shard
-	devices []*device
-	policy  EvictionPolicy
+	shards []*shard
+	disk   *disk
+	policy EvictionPolicy
 
 	resident []formats.CompressedMatrix // nil for spilled batches
 	labels   [][]float64
@@ -120,16 +118,9 @@ type Store struct {
 	// construction.
 	retry RetryPolicy
 
-	// mu guards the stats and the disk-model configuration (bandwidth,
-	// model, latency) under concurrent Batch calls; SetReadBandwidth et
-	// al. may be called while readers are in flight.
+	// mu guards the stats and the backoff jitter under concurrent Batch
+	// calls; the disk model synchronizes itself.
 	mu sync.Mutex
-	//toc:guardedby mu
-	bandwidth int64 // simulated read bandwidth in bytes/s; 0 = unthrottled
-	//toc:guardedby mu
-	model BandwidthModel
-	//toc:guardedby mu
-	latency time.Duration // simulated per-request access (seek) latency
 	//toc:guardedby mu
 	stats Stats
 	//toc:guardedby mu
@@ -140,7 +131,6 @@ type Store struct {
 type storeConfig struct {
 	shards    int
 	dirs      []string
-	model     BandwidthModel
 	bandwidth int64
 	latency   time.Duration
 	policy    EvictionPolicy
@@ -158,19 +148,12 @@ type Option func(*storeConfig)
 func WithShards(n int) Option { return func(c *storeConfig) { c.shards = n } }
 
 // WithShardDirs places the spill shards round-robin across the given
-// directories, modeling distinct devices: in the SharedBucket model each
-// directory gets its own token bucket, so total bandwidth is the
-// configured rate times the number of distinct directories in use.
+// directories, modeling distinct devices: each directory gets its own
+// bandwidth budget, so total bandwidth is the configured rate times the
+// number of distinct directories in use.
 // Without WithShards the shard count defaults to len(dirs).
 func WithShardDirs(dirs ...string) Option {
 	return func(c *storeConfig) { c.dirs = append([]string(nil), dirs...) }
-}
-
-// WithBandwidthModel selects how SetReadBandwidth is enforced: PerRequest
-// (default, aggregate scales with queue depth) or SharedBucket (aggregate
-// capped per device).
-func WithBandwidthModel(m BandwidthModel) Option {
-	return func(c *storeConfig) { c.model = m }
 }
 
 // WithReadBandwidth sets the simulated read bandwidth at construction
@@ -179,11 +162,10 @@ func WithReadBandwidth(bytesPerSec int64) Option {
 	return func(c *storeConfig) { c.bandwidth = bytesPerSec }
 }
 
-// WithAccessLatency adds a fixed per-request latency to every spilled
+// WithAccessLatency adds a fixed per-read latency to every spilled
 // read — the seek/rotation cost of a spindle, or a cloud store's
-// per-request overhead. In the SharedBucket model it serializes within a
-// shard and overlaps across shards; in the PerRequest model it overlaps
-// across concurrent requests like the bandwidth sleep does.
+// request overhead. It serializes within a shard and overlaps across
+// shards.
 func WithAccessLatency(d time.Duration) Option {
 	return func(c *storeConfig) { c.latency = d }
 }
@@ -224,32 +206,21 @@ func NewStore(dir, method string, budgetBytes int64, opts ...Option) (*Store, er
 		cfg.policy = FirstFit()
 	}
 	s := &Store{
-		method:    method,
-		codec:     codec,
-		budget:    budgetBytes,
-		policy:    cfg.policy,
-		bandwidth: cfg.bandwidth,
-		model:     cfg.model,
-		latency:   cfg.latency,
-		retry:     cfg.retry,
-		jitter:    rand.New(rand.NewSource(cfg.retry.Seed)),
+		method: method,
+		codec:  codec,
+		budget: budgetBytes,
+		policy: cfg.policy,
+		retry:  cfg.retry,
+		jitter: rand.New(rand.NewSource(cfg.retry.Seed)),
 	}
-	// Device identity is the cleaned directory path: shards in the same
-	// directory (however spelled) share one token bucket.
-	byDir := map[string]*device{}
 	for i := 0; i < cfg.shards; i++ {
 		d := cfg.dirs[i%len(cfg.dirs)]
 		if d != "" {
 			d = filepath.Clean(d)
 		}
-		dev, ok := byDir[d]
-		if !ok {
-			dev = &device{dir: d}
-			byDir[d] = dev
-			s.devices = append(s.devices, dev)
-		}
-		s.shards = append(s.shards, &shard{dir: d, dev: dev})
+		s.shards = append(s.shards, &shard{dir: d})
 	}
+	s.disk = newDisk(s.shards, cfg.bandwidth, cfg.latency)
 	return s, nil
 }
 
@@ -283,36 +254,19 @@ func (s *Store) SetUpcomingOrder(order []int) {
 	}
 }
 
-// SetReadBandwidth simulates a storage device of the given read bandwidth
+// SetReadBandwidth simulates storage devices of the given read bandwidth
 // (bytes per second). The paper's large datasets live on actual cloud
 // disks (~100-200 MB/s); at laptop scale the OS page cache would
 // otherwise hide the IO cost this repository needs to reproduce. Zero
-// disables throttling. How the bandwidth is enforced is the store's
-// BandwidthModel: per-request (aggregate scales with queue depth) or a
-// shared token bucket (aggregate capped per device).
+// disables throttling. The bandwidth is an aggregate cap per device
+// (directory): concurrent readers share it, they do not multiply it.
 //
-// Safe to call concurrently with Batch: configuration is mutex-guarded.
-func (s *Store) SetReadBandwidth(bytesPerSec int64) {
-	s.mu.Lock()
-	s.bandwidth = bytesPerSec
-	s.mu.Unlock()
-}
-
-// SetBandwidthModel switches how the simulated bandwidth is enforced.
 // Safe to call concurrently with Batch.
-func (s *Store) SetBandwidthModel(m BandwidthModel) {
-	s.mu.Lock()
-	s.model = m
-	s.mu.Unlock()
-}
+func (s *Store) SetReadBandwidth(bytesPerSec int64) { s.disk.bandwidth.Store(bytesPerSec) }
 
-// SetAccessLatency sets the simulated per-request access latency. Safe to
+// SetAccessLatency sets the simulated per-read access latency. Safe to
 // call concurrently with Batch.
-func (s *Store) SetAccessLatency(d time.Duration) {
-	s.mu.Lock()
-	s.latency = d
-	s.mu.Unlock()
-}
+func (s *Store) SetAccessLatency(d time.Duration) { s.disk.latency.Store(int64(d)) }
 
 // Encode compresses a dense mini-batch with this store's codec; it is the
 // formats.Encoder the engine's parallel ingest shards across workers.
@@ -577,63 +531,27 @@ func (s *Store) batch(i int, cancel <-chan struct{}) (formats.CompressedMatrix, 
 }
 
 // readSpilled performs one attempt at reading and decoding spilled
-// batch i under the configured disk model. Any failure — a short or
+// batch i, paced by the disk model: the read is reserved up front, done
+// for real, and then held until its simulated completion. An unthrottled
+// store reserves nothing and never sleeps. Any failure — a short or
 // errored ReadAt, a CRC mismatch, a decode error, or an armed
 // storage.read.* faultpoint — is returned for the retry loop in batch
 // to absorb or surface.
 func (s *Store) readSpilled(i int) (formats.CompressedMatrix, error) {
-	s.mu.Lock()
-	bw, model, latency := s.bandwidth, s.model, s.latency
-	s.mu.Unlock()
-	start := time.Now()
 	sp := s.spans[i]
-	sh := s.shards[sp.shard]
+	done := s.disk.reserve(time.Now(), sp.shard, sp.length)
 	buf := make([]byte, sp.length)
-	readAt := func() error {
-		// storage.read.error models a transient device-level read fault
-		// (an EIO a re-read clears). It sits in front of the real read
-		// so the retry loop sees exactly what a flaky disk produces.
-		if err := faultpoint.Err("storage.read.error"); err != nil {
-			return fmt.Errorf("storage: read spilled batch %d: %w", i, err)
-		}
-		if _, err := sh.file.ReadAt(buf, sp.off); err != nil {
-			return fmt.Errorf("storage: read spilled batch %d: %w", i, err)
-		}
-		return nil
+	// storage.read.error models a transient device-level read fault (an
+	// EIO a re-read clears). It sits in front of the real read so the
+	// retry loop sees exactly what a flaky disk produces.
+	if err := faultpoint.Err("storage.read.error"); err != nil {
+		return nil, fmt.Errorf("storage: read spilled batch %d: %w", i, err)
 	}
-	if model == SharedBucket {
-		// One request at a time per shard (the arm); the access latency
-		// and the bucket-paced transfer both keep the shard busy, but
-		// distinct shards proceed concurrently under the device's shared
-		// aggregate cap.
-		sh.rmu.Lock()
-		if latency > 0 {
-			time.Sleep(latency)
-		}
-		if err := readAt(); err != nil {
-			sh.rmu.Unlock()
-			return nil, err
-		}
-		if bw > 0 {
-			if wait := sh.dev.bucket.reserve(sp.length, bw); wait > 0 {
-				time.Sleep(wait)
-			}
-		}
-		sh.rmu.Unlock()
-	} else {
-		// Per-request throttle: each read sleeps to its own deadline, so
-		// concurrent requests overlap their sleeps and aggregate
-		// throughput scales with queue depth.
-		if err := readAt(); err != nil {
-			return nil, err
-		}
-		want := latency
-		if bw > 0 {
-			want += time.Duration(float64(sp.length) / float64(bw) * float64(time.Second))
-		}
-		if spent := time.Since(start); want > spent {
-			time.Sleep(want - spent)
-		}
+	if _, err := s.shards[sp.shard].file.ReadAt(buf, sp.off); err != nil {
+		return nil, fmt.Errorf("storage: read spilled batch %d: %w", i, err)
+	}
+	if wait := time.Until(done); wait > 0 {
+		time.Sleep(wait)
 	}
 	got := crc32.Checksum(buf, spanTable)
 	if err := faultpoint.Err("storage.read.crc"); err != nil {

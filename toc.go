@@ -272,32 +272,14 @@ func TrainAsync(m Model, src BatchSource, epochs int, lr float64, workers, stale
 // spill to disk and are re-read every epoch, reproducing the paper's
 // out-of-core training regime. The spill side is sharded across N files
 // (optionally N directories, modeling N devices), its residency is a
-// pluggable eviction policy, and its simulated disk supports two
-// bandwidth models — see the StoreOption constructors.
+// pluggable eviction policy, and its reads are paced by one simulated
+// disk model: read bandwidth is an aggregate cap per directory and the
+// access latency serializes per shard — see the StoreOption constructors.
 type Store = storage.Store
 
 // StoreOption configures a Store at construction (shard count, shard
-// directories, bandwidth model, eviction policy, ...).
+// directories, simulated bandwidth and latency, eviction policy, ...).
 type StoreOption = storage.Option
-
-// BandwidthModel selects how the store's simulated read bandwidth is
-// enforced: PerRequest (each read throttled independently; aggregate
-// throughput scales with queue depth, like cloud block stores) or
-// SharedBucket (one token bucket per device caps aggregate throughput at
-// the configured rate, like a spindle behind a fixed bus).
-type BandwidthModel = storage.BandwidthModel
-
-// The two simulated-disk bandwidth models.
-const (
-	PerRequest   = storage.PerRequest
-	SharedBucket = storage.SharedBucket
-)
-
-// ParseBandwidthModel resolves a flag value ("per-request", "shared-bucket",
-// ...) to a BandwidthModel.
-func ParseBandwidthModel(name string) (BandwidthModel, error) {
-	return storage.ParseBandwidthModel(name)
-}
 
 // EvictionPolicy decides which batches stay resident when the store's
 // memory budget overflows during ingest; see FirstFitPolicy,
@@ -329,20 +311,19 @@ func NewEvictionPolicy(name string) (EvictionPolicy, error) {
 func WithShards(n int) StoreOption { return storage.WithShards(n) }
 
 // WithShardDirs places spill shards round-robin across directories,
-// modeling distinct devices (each gets its own SharedBucket budget).
+// modeling distinct devices (each gets its own bandwidth budget).
 func WithShardDirs(dirs ...string) StoreOption { return storage.WithShardDirs(dirs...) }
 
-// WithBandwidthModel selects PerRequest (default) or SharedBucket.
-func WithBandwidthModel(m BandwidthModel) StoreOption { return storage.WithBandwidthModel(m) }
-
 // WithReadBandwidth sets the simulated read bandwidth (bytes/second) at
-// construction; 0 leaves reads unthrottled.
+// construction — an aggregate cap per shard directory that concurrent
+// readers share; 0 leaves reads unthrottled.
 func WithReadBandwidth(bytesPerSec int64) StoreOption {
 	return storage.WithReadBandwidth(bytesPerSec)
 }
 
-// WithAccessLatency adds a fixed per-request latency to every spilled
-// read (a spindle's seek, a cloud store's request overhead).
+// WithAccessLatency adds a fixed per-read latency to every spilled
+// read (a spindle's seek, a cloud store's request overhead); it
+// serializes within a shard and overlaps across shards.
 func WithAccessLatency(d time.Duration) StoreOption { return storage.WithAccessLatency(d) }
 
 // WithEviction selects the store's residency policy (default first-fit).
@@ -486,8 +467,8 @@ type DistTrainerStats = dist.TrainerStats
 type GradCodec = dist.GradCodec
 
 // DistLink is a simulated network link: payloads in each direction
-// drain through a token bucket at the configured bandwidth, so bytes
-// saved by a codec become wall-clock saved, measurably.
+// drain at the configured bandwidth, an aggregate cap shared by every
+// trainer, so bytes saved by a codec become wall-clock saved, measurably.
 type DistLink = dist.Link
 
 // ParseGradCodec resolves a codec spec — "dense", "topk:<ratio>"
@@ -509,5 +490,6 @@ func NewDistTrainer(conn io.ReadWriteCloser, m SnapshotModel, src BatchSource, c
 }
 
 // NewDistLinkMbps builds a symmetric simulated link of the given
-// megabits per second; mbps <= 0 returns nil (unmetered).
+// megabits per second; mbps <= 0 returns nil (unmetered), and a positive
+// rating never rounds down to unmetered.
 func NewDistLinkMbps(mbps float64) *DistLink { return dist.NewLinkMbps(mbps) }
