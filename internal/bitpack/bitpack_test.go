@@ -183,7 +183,7 @@ func TestValueIndexErrors(t *testing.T) {
 		t.Fatal("truncated dictionary should error")
 	}
 	// valid dictionary of 1 value, then a packed array referencing index 3
-	vi := &ValueIndex{lookup: map[float64]uint32{}, values: []float64{1}, indexes: []uint32{3}}
+	vi := &ValueIndex{values: []float64{1}, indexes: []uint32{3}}
 	if _, _, err := ReadValueIndex(vi.AppendTo(nil)); err == nil {
 		t.Fatal("out-of-range occurrence index should error")
 	}

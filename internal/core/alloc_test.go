@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"toc/internal/data"
@@ -138,4 +140,67 @@ func TestDeserializeAllocBytes(t *testing.T) {
 		t.Errorf("Deserialize allocates %d B/op (%d allocs/op) for a batch retaining %d B, want <= %d",
 			got, (after.Mallocs-before.Mallocs)/runs, retained, limit)
 	}
+}
+
+// Compress sits on the ingest path, once per batch: everything Algorithm 1
+// works in — both tables, the tuple rewrite, D, the physical layer's
+// staging — is pooled encoder state, so the steady state allocates only
+// what the Batch retains (the Batch, I, D's two arrays, the image). And
+// what it retains is copied out of the pooled scratch at exact length:
+// append-grown capacity kept resident per batch is live heap that no
+// byte count in the store's budget sees.
+func TestCompressAllocs(t *testing.T) {
+	d, err := data.Generate("imagenet", 250, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Compress(d.X)
+	if cap(b.i) != len(b.i) || cap(b.d.Nodes) != len(b.d.Nodes) ||
+		cap(b.d.Starts) != len(b.d.Starts) || cap(b.img) != len(b.img) {
+		t.Errorf("retained slices carry slack: I %d/%d, D.Nodes %d/%d, D.Starts %d/%d, img %d/%d (len/cap)",
+			len(b.i), cap(b.i), len(b.d.Nodes), cap(b.d.Nodes),
+			len(b.d.Starts), cap(b.d.Starts), len(b.img), cap(b.img))
+	}
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
+	}
+	if got := testing.AllocsPerRun(20, func() { Compress(d.X) }); got > 6 {
+		t.Errorf("Compress allocates %.0f objects/op, want <= 6 (what the Batch retains)", got)
+	}
+}
+
+// One encoder serves one Compress at a time and nothing a Batch holds
+// aliases it: goroutines compressing the same batches concurrently, each
+// cycling encoders through the pool, all produce the images a lone
+// goroutine does.
+func TestCompressConcurrentIdentical(t *testing.T) {
+	const rows, batches, workers = 60, 16, 8
+	d, err := data.Generate("imagenet", rows*batches, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := make([]*matrix.Dense, batches)
+	want := make([][]byte, batches)
+	for k := range ms {
+		ms[k], _ = d.Batch(k, rows)
+		want[k] = Compress(ms[k]).Serialize()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range ms {
+				k = (k + w) % batches // different batches in flight at once
+				b := Compress(ms[k])
+				if !bytes.Equal(b.Serialize(), want[k]) {
+					t.Errorf("worker %d: batch %d compressed to a different image", w, k)
+				}
+				if !b.Decode().Equal(ms[k]) {
+					t.Errorf("worker %d: batch %d does not decode to its input", w, k)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -67,28 +67,27 @@ func Compress(m *matrix.Dense) *Batch { return CompressVariant(m, Full) }
 // CompressVariant encodes a dense mini-batch using the given layer subset.
 func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 	b := &Batch{rows: m.Rows(), cols: m.Cols(), variant: v}
-	sparse := SparseEncode(m)
 	if v == SparseOnly {
-		starts := make([]uint32, len(sparse)+1)
-		nnz := 0
-		for i, sr := range sparse {
-			starts[i] = uint32(nnz)
-			nnz += len(sr)
-		}
-		starts[len(sparse)] = uint32(nnz)
-		b.srStarts = starts
+		b.srStarts = make([]uint32, b.rows+1)
+		nnz := m.NNZ()
 		b.srCols = make([]uint32, 0, nnz)
 		b.srVals = make([]float64, 0, nnz)
-		for _, sr := range sparse {
-			for _, p := range sr {
-				b.srCols = append(b.srCols, p.Col)
-				b.srVals = append(b.srVals, p.Val)
+		for i := 0; i < b.rows; i++ {
+			for j, x := range m.Row(i) {
+				if x != 0 {
+					b.srCols = append(b.srCols, uint32(j))
+					b.srVals = append(b.srVals, x)
+				}
 			}
+			b.srStarts[i+1] = uint32(len(b.srCols))
 		}
 	} else {
-		I, D := PrefixTreeEncode(sparse)
-		b.i = I
-		b.d = flattenD(D)
+		e := encoderPool.Get().(*encoder)
+		e.addDense(m)
+		e.encode()
+		b.i = exactCopy(e.pairs)
+		b.d = dTable{Nodes: exactCopy(e.d.Nodes), Starts: exactCopy(e.d.Starts)}
+		encoderPool.Put(e)
 	}
 	b.img = b.buildImage()
 	return b

@@ -95,6 +95,59 @@ func TestCompressEdgeCases(t *testing.T) {
 	}
 }
 
+// Pairs are keyed on the bits of their value, so the values == cannot
+// key — NaN, which a float-keyed map stores and never finds again (Compress
+// used to panic on one) — and the extremes of the format are ordinary
+// values: every variant gives back the input's exact bits, in memory and
+// through the image. Zeros of both signs are the one exception by design:
+// the sparse encoding drops every v == 0, and a dropped cell decodes +0.
+func TestCompressNonFiniteRoundTrip(t *testing.T) {
+	nanA := math.Float64frombits(0x7ff8000000000001)
+	nanB := math.Float64frombits(0xfff0000000000abc) // signalling, negative, another payload
+	denormal := math.SmallestNonzeroFloat64
+	a := matrix.NewDenseFromRows([][]float64{
+		{0, nanA, 1.5, math.Inf(1), 0, denormal},
+		{nanB, nanA, 1.5, math.Inf(-1), 0, -denormal},
+		{0, nanA, 1.5, math.Inf(1), math.MaxFloat64, denormal},
+		{nanB, nanB, 0, math.Inf(-1), -math.MaxFloat64, 3 * denormal},
+		{0, 0, 0, 0, 0, 0},
+		{nanA, nanA, 1.5, math.Inf(1), math.MaxFloat64, denormal},
+	})
+	bitEqual := func(got *matrix.Dense) bool {
+		return got.Rows() == a.Rows() && got.Cols() == a.Cols() && bitsEqual(got.Data(), a.Data())
+	}
+	for _, v := range allVariants {
+		b := CompressVariant(a, v)
+		if !bitEqual(b.Decode()) {
+			t.Fatalf("%v: Decode() is not bit-equal to the input:\n%v", v, b.Decode())
+		}
+		back, err := Deserialize(b.Serialize())
+		if err != nil {
+			t.Fatalf("%v: Deserialize: %v", v, err)
+		}
+		if !bitEqual(back.Decode()) {
+			t.Fatalf("%v: Decode() after Deserialize(Serialize()) is not bit-equal to the input", v)
+		}
+		if v != SparseOnly && b.NumFirstLayer() != 12 {
+			t.Fatalf("%v: |I| = %d, want 12 (each NaN payload is one pair per column)", v, b.NumFirstLayer())
+		}
+	}
+
+	// The issue's reproducer, and the sign of zero.
+	m := matrix.NewDense(2, 3)
+	m.Set(0, 1, math.NaN())
+	m.Set(1, 2, math.Copysign(0, -1))
+	for _, v := range allVariants {
+		got := CompressVariant(m, v).Decode()
+		if math.Float64bits(got.At(0, 1)) != math.Float64bits(math.NaN()) {
+			t.Fatalf("%v: NaN cell decodes to %v", v, got.At(0, 1))
+		}
+		if math.Float64bits(got.At(1, 2)) != 0 {
+			t.Fatalf("%v: -0 cell decodes to bits %#x, want +0 (zeros are not stored)", v, math.Float64bits(got.At(1, 2)))
+		}
+	}
+}
+
 func TestOpsMatchDenseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

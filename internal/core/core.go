@@ -20,11 +20,7 @@
 // (Algorithms 5 and 8). Sparse-unsafe ops decode first (Algorithm 6).
 package core
 
-import (
-	"sort"
-
-	"toc/internal/matrix"
-)
+import "toc/internal/matrix"
 
 // Pair is a column-index:value pair, the compression unit of TOC (§3).
 // Unlike LZW's 8-bit units, encoding whole pairs preserves column
@@ -54,41 +50,4 @@ func SparseEncode(d *matrix.Dense) []SparseRow {
 		b[i] = sr
 	}
 	return b
-}
-
-// sparseDecode reconstructs a dense matrix from a sparse encoded table.
-func sparseDecode(b []SparseRow, cols int) *matrix.Dense {
-	d := matrix.NewDense(len(b), cols)
-	for i, sr := range b {
-		for _, p := range sr {
-			d.Set(i, int(p.Col), p.Val)
-		}
-	}
-	return d
-}
-
-// uniquePairs returns the distinct pairs of b in first-appearance order
-// (the phase-I initialization order of Algorithm 1).
-func uniquePairs(b []SparseRow) []Pair {
-	seen := make(map[Pair]struct{})
-	var out []Pair
-	for _, sr := range b {
-		for _, p := range sr {
-			if _, ok := seen[p]; !ok {
-				seen[p] = struct{}{}
-				out = append(out, p)
-			}
-		}
-	}
-	return out
-}
-
-// sortPairsByCol sorts pairs by (column, value); used only by diagnostics.
-func sortPairsByCol(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Col != ps[j].Col {
-			return ps[i].Col < ps[j].Col
-		}
-		return ps[i].Val < ps[j].Val
-	})
 }

@@ -62,21 +62,6 @@ type dTable struct {
 	Starts []uint32
 }
 
-func flattenD(D [][]uint32) dTable {
-	starts := make([]uint32, len(D)+1)
-	total := 0
-	for i, d := range D {
-		starts[i] = uint32(total)
-		total += len(d)
-	}
-	starts[len(D)] = uint32(total)
-	nodes := make([]uint32, 0, total)
-	for _, d := range D {
-		nodes = append(nodes, d...)
-	}
-	return dTable{Nodes: nodes, Starts: starts}
-}
-
 func (d dTable) rows() int { return len(d.Starts) - 1 }
 
 // row returns tuple i's node indexes (aliased).

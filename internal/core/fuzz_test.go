@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"toc/internal/matrix"
@@ -74,6 +76,80 @@ func FuzzDeserialize(f *testing.F) {
 		// A batch that deserialized must reserialize to a decodable image.
 		if _, err := Deserialize(b.Serialize()); err != nil {
 			t.Fatalf("accepted batch does not reserialize: %v", err)
+		}
+	})
+}
+
+// fuzzMatrix turns fuzz bytes into a small dense matrix with the
+// structure Algorithm 1 feeds on: a shape, a short palette of values
+// whose raw float64 bits come straight from the input (so NaNs of any
+// payload, infinities, denormals and both zeros all occur), and one byte
+// per cell choosing zero or a palette entry — values repeat across
+// tuples, so matches extend and the tree grows. Cells past the input's
+// end are zero.
+func fuzzMatrix(in []byte) *matrix.Dense {
+	if len(in) < 3 {
+		return matrix.NewDense(0, 0)
+	}
+	rows, cols, npal := 1+int(in[0]%24), 1+int(in[1]%16), 1+int(in[2]%8)
+	in = in[3:]
+	palette := make([]float64, npal)
+	for k := range palette {
+		var raw [8]byte
+		in = in[copy(raw[:], in):]
+		palette[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+	}
+	m := matrix.NewDense(rows, cols)
+	for k, c := range in {
+		if k == rows*cols {
+			break
+		}
+		if pick := int(c) % (npal + 1); pick > 0 {
+			m.Data()[k] = palette[pick-1]
+		}
+	}
+	return m
+}
+
+// FuzzCompressRoundTrip drives arbitrary float bit patterns through the
+// encoder. The contract under fuzz: every variant of every matrix
+// compresses, its image deserializes, and both the batch and its image
+// decode to the input's exact bits — except that a cell equal to zero
+// (either sign) is not stored and decodes +0 — and a kernel plan runs
+// over the result. Seed corpus lives in
+// testdata/fuzz/FuzzCompressRoundTrip; CI runs a short -fuzz pass.
+func FuzzCompressRoundTrip(f *testing.F) {
+	f.Add([]byte{3, 4, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		m := fuzzMatrix(in)
+		want := m.Clone()
+		for k, v := range want.Data() {
+			if v == 0 {
+				want.Data()[k] = 0 // -0 is dropped with the zeros
+			}
+		}
+		v := make([]float64, m.Cols())
+		for i := range v {
+			v[i] = float64(i%5) - 2
+		}
+		for _, variant := range []Variant{Full, SparseLogical, SparseOnly} {
+			b := CompressVariant(m, variant)
+			back, err := Deserialize(b.Serialize())
+			if err != nil {
+				t.Fatalf("%v: own image rejected: %v", variant, err)
+			}
+			for name, got := range map[string]*Batch{"batch": b, "deserialized image": back} {
+				d := got.Decode()
+				if d.Rows() != m.Rows() || d.Cols() != m.Cols() || !bitsEqual(d.Data(), want.Data()) {
+					t.Fatalf("%v: %s does not decode to the input's bits", variant, name)
+				}
+			}
+			plan, planBack := b.NewKernelPlan(), back.NewKernelPlan()
+			if !bitsEqual(plan.MulVecInto(nil, v, 1), planBack.MulVecInto(nil, v, 2)) {
+				t.Fatalf("%v: A·v differs between the batch and its deserialized image", variant)
+			}
+			plan.Release()
+			planBack.Release()
 		}
 	})
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"toc/internal/bitpack"
+	"toc/internal/data"
 	"toc/internal/matrix"
 )
 
@@ -275,5 +280,181 @@ func TestKernelPlanReleaseLifecycle(t *testing.T) {
 			t.Fatalf("%s: plan built after a Release differs", name)
 		}
 		again.Release()
+	}
+}
+
+// The encode-side oracle: Algorithm 1 exactly as the paper writes it — an
+// encoding tree C with AddNode and GetIndex over one Go map from (parent
+// index, child key) to child index, LongestMatchFromTree probing it from
+// the root for every element — and Figure 3's physical layout written
+// through bitpack.Pack and a float-keyed dictionary. It is what Compress
+// ran before the pooled open-addressed encoder; the encoder must
+// reproduce its I, D and image bytes.
+
+type oracleChildKey struct {
+	parent uint32
+	key    Pair
+}
+
+type oracleEncodeTree struct {
+	keys     []Pair // keys[i] is the key of node i; keys[0] (root) is unused
+	children map[oracleChildKey]uint32
+}
+
+// AddNode creates a node with key k as a child of node n and returns its
+// index (the next sequence number).
+func (t *oracleEncodeTree) AddNode(n uint32, k Pair) uint32 {
+	idx := uint32(len(t.keys))
+	t.keys = append(t.keys, k)
+	t.children[oracleChildKey{parent: n, key: k}] = idx
+	return idx
+}
+
+// GetIndex looks up the child of node n with key k (the paper's API
+// returns -1 when there is none).
+func (t *oracleEncodeTree) GetIndex(n uint32, k Pair) (uint32, bool) {
+	idx, ok := t.children[oracleChildKey{parent: n, key: k}]
+	return idx, ok
+}
+
+func oracleEncode(b []SparseRow) (I []Pair, D [][]uint32) {
+	c := &oracleEncodeTree{keys: make([]Pair, 1), children: map[oracleChildKey]uint32{}}
+	// Phase I (lines 5-8).
+	for _, t := range b {
+		for _, p := range t {
+			if _, ok := c.GetIndex(0, p); !ok {
+				c.AddNode(0, p)
+			}
+		}
+	}
+	I = append([]Pair{}, c.keys[1:]...)
+	// Phase II (lines 9-17).
+	D = make([][]uint32, len(b))
+	for ti, t := range b {
+		d := []uint32{}
+		for i := 0; i < len(t); {
+			n, j := oracleLongestMatch(t, i, c)
+			d = append(d, n)
+			if j < len(t) {
+				c.AddNode(n, t[j])
+			}
+			i = j
+		}
+		D[ti] = d
+	}
+	return I, D
+}
+
+// oracleLongestMatch is LongestMatchFromTree (lines 21-34): the longest
+// sequence in the tree matching t from position i, and where it ends.
+func oracleLongestMatch(t SparseRow, i int, c *oracleEncodeTree) (n uint32, j int) {
+	j = i
+	next, ok := c.GetIndex(0, t[j])
+	if !ok {
+		panic("oracle: pair missing from prefix tree first layer")
+	}
+	for {
+		n = next
+		j++
+		if j < len(t) {
+			next, ok = c.GetIndex(n, t[j])
+		} else {
+			ok = false
+		}
+		if !ok {
+			return n, j
+		}
+	}
+}
+
+func flattenD(D [][]uint32) dTable {
+	d := dTable{Nodes: []uint32{}, Starts: make([]uint32, 0, len(D)+1)}
+	for _, row := range D {
+		d.Starts = append(d.Starts, uint32(len(d.Nodes)))
+		d.Nodes = append(d.Nodes, row...)
+	}
+	d.Starts = append(d.Starts, uint32(len(d.Nodes)))
+	return d
+}
+
+func oracleFullImage(b *Batch) []byte {
+	cols := make([]uint32, len(b.i))
+	occ := make([]uint32, len(b.i))
+	var dict []float64
+	lookup := map[float64]uint32{}
+	for k, p := range b.i {
+		cols[k] = p.Col
+		idx, ok := lookup[p.Val]
+		if !ok {
+			idx = uint32(len(dict))
+			dict = append(dict, p.Val)
+			lookup[p.Val] = idx
+		}
+		occ[k] = idx
+	}
+	out := b.appendHeader(make([]byte, 0, headerSize))
+	out = bitpack.Pack(cols).AppendTo(out)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(dict)))
+	for _, v := range dict {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	out = bitpack.Pack(occ).AppendTo(out)
+	out = bitpack.Pack(b.d.Nodes).AppendTo(out)
+	return bitpack.Pack(b.d.Starts).AppendTo(out)
+}
+
+// checkAgainstMapOracle encodes the sparse table both ways and compares
+// I, D and the Full image; got, when non-nil, is a Batch Compress built
+// from the same table, whose retained arrays and image must agree too.
+func checkAgainstMapOracle(t *testing.T, tag string, cols int, rows []SparseRow, got *Batch) {
+	t.Helper()
+	wantI, wantD := oracleEncode(rows)
+	I, D := PrefixTreeEncode(rows)
+	if !reflect.DeepEqual(I, wantI) {
+		t.Fatalf("%s: I differs from the map oracle:\n got %v\nwant %v", tag, I, wantI)
+	}
+	if !reflect.DeepEqual(D, wantD) {
+		t.Fatalf("%s: D differs from the map oracle:\n got %v\nwant %v", tag, D, wantD)
+	}
+	want := &Batch{rows: len(rows), cols: cols, variant: Full, i: wantI, d: flattenD(wantD)}
+	wantImg := oracleFullImage(want)
+	if got == nil {
+		got = &Batch{rows: len(rows), cols: cols, variant: Full, i: I, d: flattenD(D)}
+	}
+	if !reflect.DeepEqual(got.i, want.i) || !reflect.DeepEqual(got.d.Nodes, want.d.Nodes) ||
+		!reflect.DeepEqual(got.d.Starts, want.d.Starts) {
+		t.Fatalf("%s: the batch's (I, D) differs from the map oracle", tag)
+	}
+	if img := got.buildImage(); !bytes.Equal(img, wantImg) {
+		t.Fatalf("%s: image is %d bytes, differs from the map oracle's %d", tag, len(img), len(wantImg))
+	}
+	if got.img != nil && !bytes.Equal(got.Serialize(), wantImg) {
+		t.Fatalf("%s: Serialize() differs from the map oracle", tag)
+	}
+}
+
+func TestEncoderMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1800))
+	for name, c := range oracleCases(rng) {
+		checkAgainstMapOracle(t, name, c.cols, c.rows, nil)
+	}
+	for k := 0; k < 30; k++ {
+		rows, cols := 1+rng.Intn(120), 1+rng.Intn(40)
+		m := redundantMatrix(rng, rows, cols, 0.05+0.9*rng.Float64(), 1+rng.Intn(8))
+		checkAgainstMapOracle(t, fmt.Sprintf("redundant%d %dx%d", k, rows, cols), cols, SparseEncode(m), Compress(m))
+	}
+	// The benchmark's batch shape, 40 batches of each generator the
+	// workloads ingest: consecutive batches run through one pooled
+	// encoder, so this is also where a stale table or hint would show.
+	const batch, batches = 250, 40
+	for _, name := range []string{"imagenet", "mnist"} {
+		ds, err := data.Generate(name, batch*batches, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < batches; k++ {
+			m, _ := ds.Batch(k, batch)
+			checkAgainstMapOracle(t, fmt.Sprintf("%s batch %d", name, k), m.Cols(), SparseEncode(m), Compress(m))
+		}
 	}
 }

@@ -48,10 +48,48 @@ func TestFigure3RunningExample(t *testing.T) {
 	}
 }
 
+// TraceStep records one iteration of the phase-II while loop of Algorithm
+// 1, in the shape of the paper's Table 2.
+type TraceStep struct {
+	Tuple     int    // which tuple of B this step processed
+	I         int    // matching start position within the tuple
+	MatchNode uint32 // longest-match tree node index (column "LMFromTree")
+	Appended  uint32 // index appended to D[t] (column "App")
+	AddedNode uint32 // newly added node index, 0 if AddNode was NOT called
+	AddedSeq  []Pair // sequence represented by the added node (nil if none)
+}
+
+// prefixTreeEncodeTrace derives the step-by-step trace of phase II from
+// the encoder's output alone: each code of D is one iteration, the match
+// is the code's node, its position advances by the length of the node's
+// sequence in the decode tree, and every iteration but a tuple's last
+// added the next sequence number — the match extended by the pair that
+// follows it in the tuple.
+func prefixTreeEncodeTrace(b []SparseRow) (trace []TraceStep) {
+	I, D := PrefixTreeEncode(b)
+	tree := new(treeArena).build(I, flattenD(D))
+	next := uint32(len(I)) + 1
+	for ti, codes := range D {
+		pos := 0
+		for k, n := range codes {
+			seq := tree.Seq(I, n)
+			step := TraceStep{Tuple: ti, I: pos, MatchNode: n, Appended: n}
+			pos += len(seq)
+			if k+1 < len(codes) {
+				step.AddedNode = next
+				step.AddedSeq = append(seq, b[ti][pos])
+				next++
+			}
+			trace = append(trace, step)
+		}
+	}
+	return trace
+}
+
 // TestAlgorithm1TraceTable2 reproduces the paper's Table 2: every
 // iteration of the phase-II while loop on the Figure 3 example.
 func TestAlgorithm1TraceTable2(t *testing.T) {
-	_, _, trace := PrefixTreeEncodeTrace(SparseEncode(figure3Input()))
+	trace := prefixTreeEncodeTrace(SparseEncode(figure3Input()))
 
 	type row struct {
 		tuple, i int

@@ -38,30 +38,16 @@ func (b *Batch) Serialize() []byte {
 	return b.img
 }
 
-// buildImage serializes in one exactly-sized allocation: every section's
-// size is computable up front (bitpack arrays expose EncodedSize), so the
-// buffer never regrows during spill ingest, and the raw u32/f64 sections
-// of the ablation variants are written with bulk little-endian stores
-// instead of per-element appends.
+// buildImage serializes in one exactly-sized allocation. The ablation
+// variants' section sizes are computable up front and their raw u32/f64
+// sections are written with bulk little-endian stores; the Full image is
+// assembled in a pooled encoder's staging memory.
 func (b *Batch) buildImage() []byte {
 	switch b.variant {
 	case Full:
-		cols := make([]uint32, len(b.i))
-		vals := make([]float64, len(b.i))
-		for k, p := range b.i {
-			cols[k] = p.Col
-			vals[k] = p.Val
-		}
-		pc := bitpack.Pack(cols)
-		vi := bitpack.BuildValueIndex(vals)
-		pn := bitpack.Pack(b.d.Nodes)
-		ps := bitpack.Pack(b.d.Starts)
-		out := make([]byte, 0, headerSize+pc.EncodedSize()+vi.EncodedSize()+pn.EncodedSize()+ps.EncodedSize())
-		out = b.appendHeader(out)
-		out = pc.AppendTo(out)
-		out = vi.AppendTo(out)
-		out = pn.AppendTo(out)
-		return ps.AppendTo(out)
+		e := encoderPool.Get().(*encoder)
+		defer encoderPool.Put(e)
+		return e.fullImage(b)
 
 	case SparseLogical:
 		size := headerSize + 4 + 12*len(b.i) + 4 + 4*len(b.d.Nodes) + 4*len(b.d.Starts)
@@ -95,16 +81,61 @@ func (b *Batch) buildImage() []byte {
 	return b.appendHeader(make([]byte, 0, headerSize))
 }
 
-// appendHeader writes the shared image header into out[:headerSize]
-// (which must have that capacity) and returns out sized to it.
-func (b *Batch) appendHeader(out []byte) []byte {
-	out = out[:headerSize]
-	copy(out, imageMagic)
-	out[4] = imageVersion
-	out[5] = byte(b.variant)
-	binary.LittleEndian.PutUint32(out[6:], uint32(b.rows))
-	binary.LittleEndian.PutUint32(out[10:], uint32(b.cols))
+// fullImage writes the Figure 3 physical encoding of b: I's column
+// indexes bit packed, I's values value-indexed (§3.2: the unique values
+// once, in first-appearance order, then a bit-packed dictionary index per
+// pair), D's node indexes and tuple starts bit packed. It is assembled in
+// the encoder's staging memory and copied out at exact length; the bytes
+// are exactly what bitpack.Pack and bitpack.BuildValueIndex would append
+// (TestEncoderMatchesMapOracle), and bitpack.ReadArray and ReadValueIndex
+// read them back.
+func (e *encoder) fullImage(b *Batch) []byte {
+	e.dict.reset()
+	e.cols, e.vals, e.occ = e.cols[:0], e.vals[:0], e.occ[:0]
+	for _, p := range b.i {
+		id, added := e.dict.intern(math.Float64bits(p.Val), 0, uint32(len(e.vals))+1)
+		if added {
+			e.vals = append(e.vals, p.Val)
+		}
+		e.cols = append(e.cols, p.Col)
+		e.occ = append(e.occ, id-1)
+	}
+	out := b.appendHeader(e.img)
+	out = appendPacked(out, e.cols)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.vals)))
+	for _, v := range e.vals {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	out = appendPacked(out, e.occ)
+	out = appendPacked(out, b.d.Nodes)
+	out = appendPacked(out, b.d.Starts)
+	e.img = out
+	return exactCopy(out)
+}
+
+// appendPacked appends vals as a bit-packed array: u32 count, u8 bytes
+// per integer, then each value in that many little-endian bytes.
+func appendPacked(out []byte, vals []uint32) []byte {
+	var top uint32
+	for _, v := range vals {
+		top = max(top, v)
+	}
+	width := bitpack.BytesPerInt(top)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(vals)))
+	out = append(out, byte(width))
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint32(out, v)[:len(out)+width]
+	}
 	return out
+}
+
+// appendHeader writes the shared image header at the start of out's
+// backing array (allocating if it is too small) and returns out sized to it.
+func (b *Batch) appendHeader(out []byte) []byte {
+	out = append(out[:0], imageMagic...)
+	out = append(out, imageVersion, byte(b.variant))
+	out = binary.LittleEndian.AppendUint32(out, uint32(b.rows))
+	return binary.LittleEndian.AppendUint32(out, uint32(b.cols))
 }
 
 // putU32s bulk-writes vals little-endian into dst, returning the byte
