@@ -78,18 +78,14 @@ import (
 
 // paramsCRC fingerprints a model's flat parameter vector so two runs can
 // be compared for bitwise identity from their output alone.
-func paramsCRC(m toc.Model) (uint32, bool) {
-	sm, ok := m.(toc.SnapshotModel)
-	if !ok {
-		return 0, false
-	}
-	params := make([]float64, sm.NumParams())
-	sm.Params(params)
+func paramsCRC(m toc.Model) uint32 {
+	params := make([]float64, m.NumParams())
+	m.Params(params)
 	buf := make([]byte, 8*len(params))
 	for i, p := range params {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(p))
 	}
-	return crc32.ChecksumIEEE(buf), true
+	return crc32.ChecksumIEEE(buf)
 }
 
 // distConfig carries the flag values the distributed mode needs.
@@ -123,17 +119,13 @@ func runDist(cfg distConfig) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sm, ok := model.(toc.SnapshotModel)
-	if !ok {
-		log.Fatalf("model %q cannot train distributed", cfg.modelName)
-	}
 	src := toc.NewMemorySource(cfg.d, cfg.batchSize, cfg.method)
 	link := toc.NewDistLinkMbps(cfg.linkMbps)
 	srv, err := toc.NewDistServer(toc.DistServerConfig{
 		Epochs: cfg.epochs, NumBatches: src.NumBatches(), LR: cfg.lr,
 		Seed: cfg.seed, Staleness: cfg.staleness, Codec: codec, Link: link,
 		Checkpoint: cfg.ckpt, CheckpointEvery: cfg.ckptEvery, Resume: cfg.resume,
-	}, sm)
+	}, model)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -174,7 +166,7 @@ func runDist(cfg distConfig) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		trainers[i] = toc.NewDistTrainer(conn, sm.Clone(), src,
+		trainers[i] = toc.NewDistTrainer(conn, model.Clone(), src,
 			toc.DistTrainerConfig{Codec: codec.Clone()})
 		wg.Add(1)
 		go func(i int) {
@@ -210,9 +202,7 @@ func runDist(cfg distConfig) {
 		st.UpBytes/1024, st.DownBytes/1024, st.WireRatio())
 	fmt.Printf("total %.1fms, final error %.3f\n",
 		res.Total.Seconds()*1e3, toc.EvaluateError(model, src))
-	if crc, ok := paramsCRC(model); ok {
-		fmt.Printf("final params crc32 %08x\n", crc)
-	}
+	fmt.Printf("final params crc32 %08x\n", paramsCRC(model))
 	if halted {
 		if err := cfg.ckpt.Flush(); err != nil {
 			log.Fatal(err)
@@ -468,10 +458,6 @@ func main() {
 	treeBuilds := toc.DecodeTreeBuilds()
 	switch {
 	case aeng != nil:
-		sm, ok := model.(toc.SnapshotModel)
-		if !ok {
-			log.Fatalf("model %q cannot train asynchronously", *modelName)
-		}
 		pf = aeng.NewPrefetcher(store, *prefetch, *prefBytes)
 		defer pf.Close()
 		bound := "unbounded"
@@ -480,7 +466,7 @@ func main() {
 		}
 		fmt.Printf("async engine: %d workers, staleness %s, kernel workers %d, prefetch depth %d (byte budget %d)\n",
 			aeng.Workers(), bound, aeng.KernelWorkers(), *prefetch, *prefBytes)
-		res, err = aeng.TrainFrom(sm, pf, *epochs, *lr, cb, resumeState)
+		res, err = aeng.TrainFrom(model, pf, *epochs, *lr, cb, resumeState)
 		if errors.Is(err, toc.ErrHalted) {
 			halted = true
 		} else if err != nil {
@@ -495,15 +481,11 @@ func main() {
 		fmt.Printf("crash recovery: %d worker panics, %d restarts, %d degraded\n",
 			as.WorkerPanics, as.Restarts, as.Degraded)
 	case eng != nil:
-		gm, ok := model.(toc.GradModel)
-		if !ok {
-			log.Fatalf("model %q cannot train in parallel", *modelName)
-		}
 		pf = eng.NewPrefetcher(store, *prefetch, *prefBytes)
 		defer pf.Close()
 		fmt.Printf("engine: %d workers, group %d, kernel workers %d, prefetch depth %d (byte budget %d)\n",
 			eng.Workers(), eng.GroupSize(), eng.KernelWorkers(store.NumBatches()), *prefetch, *prefBytes)
-		res, err = eng.TrainFrom(gm, pf, *epochs, *lr, cb, resumeState)
+		res, err = eng.TrainFrom(model, pf, *epochs, *lr, cb, resumeState)
 		if errors.Is(err, toc.ErrHalted) {
 			halted = true
 		} else if err != nil {
@@ -528,9 +510,7 @@ func main() {
 		fmt.Printf("prefetch: %d hits, %d misses, %d issued, stall %.1fms\n",
 			ps.Hits, ps.Misses, ps.Prefetched, ps.Stall.Seconds()*1e3)
 	}
-	if crc, ok := paramsCRC(model); ok {
-		fmt.Printf("final params crc32 %08x\n", crc)
-	}
+	fmt.Printf("final params crc32 %08x\n", paramsCRC(model))
 	if halted {
 		if err := ckpt.Flush(); err != nil {
 			log.Fatal(err)

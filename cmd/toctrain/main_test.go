@@ -146,6 +146,27 @@ func TestDistSingleDenseMatchesAsyncCRC(t *testing.T) {
 	}
 }
 
+// The serial driver runs a step the way the engines do — one Grad, one
+// ApplyGrad — so multi-class LR (one-vs-rest, 10 per-class gradients on
+// mnist) builds each batch's decode tree once per step, not once per
+// class, and lands on the parameters of the engine at group 1.
+func TestSerialOneVsRestBuildsOneTreePerStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildBinary(t)
+	args := []string{"-dataset", "mnist", "-rows", "1000", "-batch", "250", "-model", "lr", "-method", "TOC", "-epochs", "2"}
+	serial := runToctrain(t, bin, args...)
+	// 2 epochs × 4 batches.
+	if want := "decode-tree builds during training: 8 ("; !strings.Contains(serial, want) {
+		t.Fatalf("serial run does not print %q:\n%s", want, serial)
+	}
+	engine := runToctrain(t, bin, append(args, "-workers", "2", "-group", "1")...)
+	if sc, ec := paramsCRCOf(t, serial), paramsCRCOf(t, engine); sc != ec {
+		t.Fatalf("serial CRC %s, engine group-1 CRC %s (not bitwise identical)", sc, ec)
+	}
+}
+
 // A trainer killed mid-run by a faultpoint must not sink the run: the
 // server requeues its positions and the survivor finishes the schedule.
 // The printed counters are what the CI dist job grep-gates.

@@ -120,7 +120,7 @@ func ExampleNewEngine() {
 			panic(err)
 		}
 		eng := toc.NewEngine(toc.EngineConfig{Workers: workers, GroupSize: 4})
-		res := eng.Train(model.(toc.GradModel), src, 4, 0.5, nil)
+		res := eng.Train(model, src, 4, 0.5, nil)
 		return res.EpochLoss[3]
 	}
 	fmt.Println("workers=1 == workers=8:", train(1) == train(8))
@@ -155,7 +155,7 @@ func ExampleNewAsyncEngine() {
 		panic(err)
 	}
 	eng := toc.NewAsyncEngine(toc.AsyncConfig{Workers: 8, Staleness: 0})
-	res, err := eng.Train(async.(toc.SnapshotModel), src, 3, 0.5, nil)
+	res, err := eng.Train(async, src, 3, 0.5, nil)
 	if err != nil {
 		panic(err)
 	}

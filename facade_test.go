@@ -77,11 +77,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("sharded VecMulInto diverges at %d: %v vs %v", i, par[i], seq[i])
 		}
 	}
-	kp, ok := model.(KernelParallel)
-	if !ok {
-		t.Fatal("NewModel models should implement KernelParallel")
-	}
-	kp.SetKernelWorkers(4)
+	model.SetKernelWorkers(4)
 	if e := EvaluateError(model, src); e < 0 || e > 1 {
 		t.Fatalf("kernel-parallel evaluation error rate %v", e)
 	}
@@ -118,14 +114,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("sharded store batch %d round trip mismatch", i)
 		}
 	}
-	// The async surface: every NewModel model snapshots, TrainAsync runs
-	// the bounded-staleness engine, and the staleness bound holds.
+	// The async surface: TrainAsync runs the bounded-staleness engine,
+	// and the staleness bound holds.
 	am, err := NewModel("lr", d.X.Cols(), d.Classes, 1, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := am.(SnapshotModel); !ok {
-		t.Fatal("NewModel models should implement SnapshotModel")
 	}
 	ares, err := TrainAsync(am, src, 4, 0.5, 4, 2, nil)
 	if err != nil {
@@ -139,7 +132,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := aeng.Train(am2.(SnapshotModel), src, 2, 0.5, nil); err != nil {
+	if _, err := aeng.Train(am2, src, 2, 0.5, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := aeng.Stats(); st.MaxStaleness > 2 || st.Updates != int64(2*src.NumBatches()) {

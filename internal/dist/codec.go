@@ -155,6 +155,96 @@ func appendFloats(dst []byte, vals []float64) []byte {
 	return dst
 }
 
+// compressor is the lossy half of an error-compensated codec: TopK and
+// DSQ are one each, and feedback supplies everything else.
+type compressor interface {
+	// encode appends the compressed image of acc to dst and removes from
+	// acc what the image carries, leaving what it dropped.
+	encode(acc []float64, dst []byte) []byte
+	// decode parses the payload of an np-wide vector, calling visit with
+	// each coordinate it carries. It errors on any malformed byte and
+	// validates every length before allocating, but may have visited
+	// earlier coordinates by then.
+	decode(payload []byte, np int, visit func(i int, v float64)) error
+}
+
+// feedback is the error-compensation wrapper of DoubleSqueeze and
+// ScaleCom, written once around any compressor. Uplink: the gradient is
+// added to the residual, the sum compressed, and what the payload drops
+// stays in the residual, so the residual plus everything delivered sums
+// to the exact gradient history. Downlink: the delta of params against
+// prev (the image the receiving trainer holds) is compressed and prev
+// advanced by exactly what the payload carries; prev only moves by what
+// was delivered, so the delta itself is the error-feedback state and a
+// separate residual would double-count it.
+type feedback struct {
+	gradRes []float64 // uplink residual, sized at first use
+	acc     []float64 // downlink delta scratch
+}
+
+// grow sizes a residual (or scratch) vector for np coordinates.
+func grow(buf *[]float64, np int) []float64 {
+	if len(*buf) != np {
+		*buf = make([]float64, np)
+	}
+	return *buf
+}
+
+func (f *feedback) encodeGrad(c compressor, grad []float64, dst []byte) []byte {
+	res := grow(&f.gradRes, len(grad))
+	for i, g := range grad {
+		res[i] += g
+	}
+	return c.encode(res, dst)
+}
+
+// returnGrad re-credits a rejected payload to the residual.
+func (f *feedback) returnGrad(c compressor, payload []byte) error {
+	if len(f.gradRes) == 0 {
+		return fmt.Errorf("dist: ReturnGrad before any EncodeGrad")
+	}
+	return addPayload(c, payload, f.gradRes)
+}
+
+func (f *feedback) encodeSnap(c compressor, params, prev []float64, dst []byte) []byte {
+	acc := grow(&f.acc, len(params))
+	for i := range acc {
+		acc[i] = params[i] - prev[i]
+	}
+	mark := len(dst)
+	dst = c.encode(acc, dst)
+	// Apply the payload to prev so it tracks the trainer-side image.
+	if err := c.decode(dst[mark:], len(prev), func(i int, v float64) { prev[i] += v }); err != nil {
+		// Decoding bytes this codec just encoded cannot fail.
+		panic(fmt.Sprintf("dist: codec self-decode: %v", err))
+	}
+	return dst
+}
+
+// validate parses an untrusted payload without touching anything, so a
+// malformed one cannot leave a half-applied vector behind.
+func validate(c compressor, payload []byte, np int) error {
+	return c.decode(payload, np, func(int, float64) {})
+}
+
+// decodeGrad scatters an uplink payload into a zeroed out.
+func decodeGrad(c compressor, payload []byte, out []float64) error {
+	if err := validate(c, payload, len(out)); err != nil {
+		return err
+	}
+	clear(out)
+	return c.decode(payload, len(out), func(i int, v float64) { out[i] = v })
+}
+
+// addPayload adds a payload's coordinates to vec: a downlink delta onto
+// the trainer's image, a returned gradient onto the residual.
+func addPayload(c compressor, payload []byte, vec []float64) error {
+	if err := validate(c, payload, len(vec)); err != nil {
+		return err
+	}
+	return c.decode(payload, len(vec), func(i int, v float64) { vec[i] += v })
+}
+
 // Dense is the uncompressed baseline codec: raw float64 coordinates in
 // both directions, and the downlink ships the full parameter image (not
 // a delta), so what the trainer decodes is bit-for-bit what the server

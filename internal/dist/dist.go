@@ -105,7 +105,7 @@ type Server struct {
 
 // NewServer builds a parameter server around m (which it owns for the
 // duration of the run — read the final parameters from m after Wait).
-func NewServer(cfg ServerConfig, m ml.SnapshotModel) (*Server, error) {
+func NewServer(cfg ServerConfig, m ml.Model) (*Server, error) {
 	if cfg.NumBatches <= 0 {
 		return nil, fmt.Errorf("dist: need NumBatches > 0, got %d", cfg.NumBatches)
 	}

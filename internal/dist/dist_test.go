@@ -28,17 +28,13 @@ func testSource(t testing.TB, name string, rows int) (*data.Dataset, *ml.MemoryS
 	return d, ml.NewMemorySource(d, 50, formats.MustGet("TOC"))
 }
 
-func newSnapshotModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.SnapshotModel {
+func newSnapshotModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.Model {
 	t.Helper()
 	m, err := ml.NewModel(name, d.X.Cols(), d.Classes, 0.1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, ok := m.(ml.SnapshotModel)
-	if !ok {
-		t.Fatalf("model %q (%T) does not implement SnapshotModel", name, m)
-	}
-	return sm
+	return m
 }
 
 func paramsOf(m ml.SnapshotModel) []float64 {
@@ -523,7 +519,7 @@ type stubModel struct {
 func (m *stubModel) NumParams() int        { return m.np }
 func (m *stubModel) Params(out []float64)  { copy(out, m.params) }
 func (m *stubModel) SetParams(p []float64) { m.params = append(m.params[:0], p...) }
-func (m *stubModel) Clone() ml.SnapshotModel {
+func (m *stubModel) Clone() ml.Model {
 	return &stubModel{np: m.np, params: append([]float64(nil), m.params...)}
 }
 func (m *stubModel) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
@@ -532,10 +528,8 @@ func (m *stubModel) Grad(x formats.CompressedMatrix, y []float64, out []float64)
 	}
 	return 0
 }
-func (m *stubModel) ApplyGrad(g []float64, lr float64) {}
-func (m *stubModel) Step(x formats.CompressedMatrix, y []float64, lr float64) float64 {
-	return 0
-}
+func (m *stubModel) ApplyGrad(g []float64, lr float64)                    {}
+func (m *stubModel) SetKernelWorkers(int)                                 {}
 func (m *stubModel) Loss(x formats.CompressedMatrix, y []float64) float64 { return 0 }
 func (m *stubModel) Predict(x formats.CompressedMatrix) []float64         { return nil }
 

@@ -26,9 +26,8 @@ type DSQ struct {
 	// reproducible (detcheck allows seeded streams in this package).
 	rng *rand.Rand
 
-	gradRes []float64
-	acc     []float64
-	q       []uint32
+	feedback
+	q []uint32 // level scratch
 }
 
 // Name implements GradCodec.
@@ -103,9 +102,9 @@ func appendNibbles(dst []byte, q []uint32) []byte {
 	return dst
 }
 
-// decodeDSQ parses a quantized payload and calls visit with each
+// decode parses a quantized payload and calls visit with each
 // coordinate's dequantized value, validating lengths before allocating.
-func decodeDSQ(payload []byte, np int, visit func(i int, v float64)) error {
+func (*DSQ) decode(payload []byte, np int, visit func(i int, v float64)) error {
 	body, err := readHeader(payload, tagDSQ, np)
 	if err != nil {
 		return err
@@ -145,63 +144,28 @@ func decodeDSQ(payload []byte, np int, visit func(i int, v float64)) error {
 		}
 		get = arr.Get
 	}
-	// Validate every level before the visit pass, so a malformed payload
-	// mutates nothing.
-	for i := 0; i < np; i++ {
-		if v := get(i); v > uint32(2*levels) {
-			return fmt.Errorf("dist: dsq level %d exceeds %d", v, 2*levels)
-		}
-	}
 	m := float64(levels)
 	for i := 0; i < np; i++ {
-		visit(i, float64(int(get(i))-levels)/m*scale)
+		v := get(i)
+		if v > uint32(2*levels) {
+			return fmt.Errorf("dist: dsq level %d exceeds %d", v, 2*levels)
+		}
+		visit(i, float64(int(v)-levels)/m*scale)
 	}
 	return nil
 }
 
-// EncodeGrad implements GradCodec.
-func (c *DSQ) EncodeGrad(grad []float64, dst []byte) []byte {
-	res := grow(&c.gradRes, len(grad))
-	for i, g := range grad {
-		res[i] += g
-	}
-	return c.encode(res, dst)
-}
+// The GradCodec surface is the shared error-feedback wrapper around the
+// two functions above.
 
-// ReturnGrad implements GradCodec: re-credit a rejected payload.
-func (c *DSQ) ReturnGrad(payload []byte) error {
-	if len(c.gradRes) == 0 {
-		return fmt.Errorf("dist: ReturnGrad before any EncodeGrad")
-	}
-	res := c.gradRes
-	return decodeDSQ(payload, len(res), func(i int, v float64) { res[i] += v })
-}
-
-// DecodeGrad implements GradCodec: dequantize every coordinate.
+func (c *DSQ) EncodeGrad(grad []float64, dst []byte) []byte { return c.encodeGrad(c, grad, dst) }
+func (c *DSQ) ReturnGrad(payload []byte) error              { return c.returnGrad(c, payload) }
 func (c *DSQ) DecodeGrad(payload []byte, out []float64) error {
-	return decodeDSQ(payload, len(out), func(i int, v float64) { out[i] = v })
+	return decodeGrad(c, payload, out)
 }
-
-// EncodeSnap implements GradCodec: quantize the delta params − prev and
-// advance prev by the carried payload. prev only moves by what was
-// delivered, so the quantization error stays in the next round's delta —
-// the delta is the error-feedback state; a separate residual would
-// double-count it.
 func (c *DSQ) EncodeSnap(params, prev []float64, dst []byte) []byte {
-	acc := grow(&c.acc, len(params))
-	for i := range acc {
-		acc[i] = params[i] - prev[i]
-	}
-	mark := len(dst)
-	dst = c.encode(acc, dst)
-	if err := c.DecodeSnap(dst[mark:], prev); err != nil {
-		// Decoding bytes this codec just encoded cannot fail.
-		panic(fmt.Sprintf("dist: dsq self-decode: %v", err))
-	}
-	return dst
+	return c.encodeSnap(c, params, prev, dst)
 }
-
-// DecodeSnap implements GradCodec: add the carried delta.
 func (c *DSQ) DecodeSnap(payload []byte, params []float64) error {
-	return decodeDSQ(payload, len(params), func(i int, v float64) { params[i] += v })
+	return addPayload(c, payload, params)
 }

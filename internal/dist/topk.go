@@ -24,13 +24,8 @@ import (
 // raw float64.
 type TopK struct {
 	ratio float64
-
-	// gradRes is the uplink error-feedback residual, sized lazily at
-	// first use; acc and sel are scratch. The downlink needs no separate
-	// residual: undelivered snapshot mass lives in the params−prev delta.
-	gradRes []float64
-	acc     []float64
-	sel     []int
+	feedback
+	sel []int // selection scratch
 }
 
 // Name implements GradCodec.
@@ -49,14 +44,6 @@ func (c *TopK) kOf(np int) int {
 		k = np
 	}
 	return k
-}
-
-// grow sizes a residual (or scratch) vector for np coordinates.
-func grow(buf *[]float64, np int) []float64 {
-	if len(*buf) != np {
-		*buf = make([]float64, np)
-	}
-	return *buf
 }
 
 // encode appends the top-k image of acc and zeroes the sent
@@ -97,7 +84,7 @@ func (c *TopK) encode(acc []float64, dst []byte) []byte {
 
 // decode parses a top-k payload and calls visit for each carried
 // coordinate, validating every length before any allocation.
-func decodeTopK(payload []byte, np int, visit func(i int, v float64)) error {
+func (*TopK) decode(payload []byte, np int, visit func(i int, v float64)) error {
 	body, err := readHeader(payload, tagTopK, np)
 	if err != nil {
 		return err
@@ -130,61 +117,17 @@ func decodeTopK(payload []byte, np int, visit func(i int, v float64)) error {
 	return nil
 }
 
-// EncodeGrad implements GradCodec.
-func (c *TopK) EncodeGrad(grad []float64, dst []byte) []byte {
-	res := grow(&c.gradRes, len(grad))
-	for i, g := range grad {
-		res[i] += g
-	}
-	return c.encode(res, dst)
-}
+// The GradCodec surface is the shared error-feedback wrapper around the
+// two functions above.
 
-// ReturnGrad implements GradCodec: re-credit a rejected payload.
-func (c *TopK) ReturnGrad(payload []byte) error {
-	res := grow(&c.gradRes, len(c.gradRes))
-	if len(res) == 0 {
-		return fmt.Errorf("dist: ReturnGrad before any EncodeGrad")
-	}
-	return decodeTopK(payload, len(res), func(i int, v float64) { res[i] += v })
-}
-
-// DecodeGrad implements GradCodec: scatter into a zeroed vector.
+func (c *TopK) EncodeGrad(grad []float64, dst []byte) []byte { return c.encodeGrad(c, grad, dst) }
+func (c *TopK) ReturnGrad(payload []byte) error              { return c.returnGrad(c, payload) }
 func (c *TopK) DecodeGrad(payload []byte, out []float64) error {
-	// Validate fully before mutating out, so a malformed payload cannot
-	// leave a half-scattered gradient behind.
-	if err := decodeTopK(payload, len(out), func(int, float64) {}); err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	return decodeTopK(payload, len(out), func(i int, v float64) { out[i] = v })
+	return decodeGrad(c, payload, out)
 }
-
-// EncodeSnap implements GradCodec: top-k of the delta params − prev,
-// advancing prev by exactly what the payload carries. The delta itself
-// is the error-feedback state — prev only moves by what was delivered,
-// so every undelivered coordinate stays in the next round's delta; a
-// separate residual would double-count it.
 func (c *TopK) EncodeSnap(params, prev []float64, dst []byte) []byte {
-	acc := grow(&c.acc, len(params))
-	for i := range acc {
-		acc[i] = params[i] - prev[i]
-	}
-	mark := len(dst)
-	dst = c.encode(acc, dst)
-	// Apply the payload to prev so it tracks the trainer-side image.
-	if err := c.DecodeSnap(dst[mark:], prev); err != nil {
-		// Decoding bytes this codec just encoded cannot fail.
-		panic(fmt.Sprintf("dist: topk self-decode: %v", err))
-	}
-	return dst
+	return c.encodeSnap(c, params, prev, dst)
 }
-
-// DecodeSnap implements GradCodec: add the carried delta coordinates.
 func (c *TopK) DecodeSnap(payload []byte, params []float64) error {
-	if err := decodeTopK(payload, len(params), func(int, float64) {}); err != nil {
-		return err
-	}
-	return decodeTopK(payload, len(params), func(i int, v float64) { params[i] += v })
+	return addPayload(c, payload, params)
 }

@@ -41,7 +41,7 @@ type TrainerStats struct {
 // single-goroutine; run one Trainer per connection.
 type Trainer struct {
 	c     *rpc.Client
-	m     ml.SnapshotModel
+	m     ml.Model
 	src   ml.BatchSource
 	codec GradCodec
 	slack int
@@ -57,7 +57,7 @@ type Trainer struct {
 
 // NewTrainer wraps a connection to a Server. m must have the server
 // model's parameter count; src must serve the schedule's batch count.
-func NewTrainer(conn io.ReadWriteCloser, m ml.SnapshotModel, src ml.BatchSource, cfg TrainerConfig) *Trainer {
+func NewTrainer(conn io.ReadWriteCloser, m ml.Model, src ml.BatchSource, cfg TrainerConfig) *Trainer {
 	codec := cfg.Codec
 	if codec == nil {
 		codec = &Dense{}

@@ -348,7 +348,7 @@ func (r *asyncRun) recoverTo(role string) {
 // budget. Only when the budget is exhausted and the pool has degraded
 // to nothing does the run fail, returning an error that chains every
 // recovered panic (errors.Is/As reach the original values).
-func (a *Async) Train(m ml.SnapshotModel, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback) (*ml.TrainResult, error) {
+func (a *Async) Train(m ml.Model, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback) (*ml.TrainResult, error) {
 	return a.TrainFrom(m, src, epochs, lr, cb, nil)
 }
 
@@ -359,7 +359,7 @@ func (a *Async) Train(m ml.SnapshotModel, src ml.BatchSource, epochs int, lr flo
 // staleness-0 runs resume bitwise identically to an uninterrupted run;
 // free-running resumes are valid but timing-dependent. AsyncStats
 // counts only the updates applied by this call.
-func (a *Async) TrainFrom(m ml.SnapshotModel, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback, resume *checkpoint.State) (*ml.TrainResult, error) {
+func (a *Async) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback, resume *checkpoint.State) (*ml.TrainResult, error) {
 	a.statsMu.Lock()
 	a.stats = AsyncStats{}
 	a.statsMu.Unlock()
@@ -420,9 +420,7 @@ func (a *Async) TrainFrom(m ml.SnapshotModel, src ml.BatchSource, epochs int, lr
 // fresh owner on a clone of the live model.
 func (a *Async) spawnClone(run *asyncRun) {
 	clone := run.loop.Clone()
-	if kp, ok := clone.(ml.KernelParallel); ok {
-		kp.SetKernelWorkers(run.kw)
-	}
+	clone.SetKernelWorkers(run.kw)
 	owner := run.loop.Join()
 	run.mu.Lock()
 	run.live = append(run.live, owner)
@@ -496,7 +494,7 @@ func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (crash *worke
 // asyncWorker is one pool member: its loop owner id, its private model
 // clone and the parameter version the clone currently holds.
 type asyncWorker struct {
-	clone   ml.SnapshotModel
+	clone   ml.Model
 	owner   int
 	snap    []float64
 	version int64 // -1 before the first refresh

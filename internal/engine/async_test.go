@@ -13,14 +13,8 @@ import (
 	"toc/internal/testutil"
 )
 
-func newSnapshotModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.SnapshotModel {
-	t.Helper()
-	m := newModel(t, name, d, seed)
-	sm, ok := m.(ml.SnapshotModel)
-	if !ok {
-		t.Fatalf("model %q (%T) does not implement SnapshotModel", name, m)
-	}
-	return sm
+func newSnapshotModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.Model {
+	return newModel(t, name, d, seed)
 }
 
 // The identity contract: staleness 0 forces every gradient to be computed

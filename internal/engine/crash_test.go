@@ -93,11 +93,10 @@ func runCrashHelper(cfgName, dir string) error {
 		return lerr
 	}
 
-	mdl, err := ml.NewModel("lr", d.X.Cols(), d.Classes, 0.1, 7)
+	m, err := ml.NewModel("lr", d.X.Cols(), d.Classes, 0.1, 7)
 	if err != nil {
 		return err
 	}
-	m := mdl.(ml.GradModel)
 
 	var res *ml.TrainResult
 	switch cfgName {
@@ -112,7 +111,7 @@ func runCrashHelper(cfgName, dir string) error {
 		}
 		a := NewAsync(AsyncConfig{Workers: 4, Staleness: staleness, Deterministic: true,
 			Seed: 11, Shuffle: shuffle, Checkpoint: w, CheckpointEvery: 2})
-		res, err = a.TrainFrom(m.(ml.SnapshotModel), st, 3, 0.2, nil, resume)
+		res, err = a.TrainFrom(m, st, 3, 0.2, nil, resume)
 	default:
 		return fmt.Errorf("unknown config %q", cfgName)
 	}
@@ -124,9 +123,8 @@ func runCrashHelper(cfgName, dir string) error {
 	for _, l := range res.EpochLoss {
 		fmt.Fprintf(&buf, "epoch %016x\n", math.Float64bits(l))
 	}
-	sm := m.(ml.SnapshotModel)
-	params := make([]float64, sm.NumParams())
-	sm.Params(params)
+	params := make([]float64, m.NumParams())
+	m.Params(params)
 	for _, p := range params {
 		fmt.Fprintf(&buf, "param %016x\n", math.Float64bits(p))
 	}

@@ -66,8 +66,7 @@ type Config struct {
 	// directory so a crash (or Halt) can resume the exact trajectory.
 	// The snapshot is captured between updates (workers idle, params
 	// frozen) and serialized/written off the hot path by the writer's
-	// background goroutine. Requires the model to be an
-	// ml.SnapshotModel.
+	// background goroutine.
 	Checkpoint *checkpoint.Writer
 	// CheckpointEvery is the update-count cadence between snapshots;
 	// <= 0 snapshots once per epoch.
@@ -171,10 +170,9 @@ func newPrefetcher(st *storage.Store, depth, workers int, maxBytes int64) *stora
 // their deterministic merge. The result is reproducible for a fixed
 // (Seed, GroupSize) regardless of Workers. cb may be nil.
 //
-// Train panics on a configuration error (a Checkpoint writer with a
-// model that is not an ml.SnapshotModel) and swallows ErrHalted,
-// returning the partial result; use TrainFrom for the error-aware form.
-func (e *Engine) Train(m ml.GradModel, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback) *ml.TrainResult {
+// Train swallows ErrHalted, returning the partial result, and panics if
+// the run failed; use TrainFrom for the error-aware form.
+func (e *Engine) Train(m ml.Model, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback) *ml.TrainResult {
 	res, err := e.TrainFrom(m, src, epochs, lr, cb, nil)
 	if err != nil && !errors.Is(err, ErrHalted) {
 		panic(err)
@@ -194,7 +192,7 @@ func (e *Engine) Train(m ml.GradModel, src ml.BatchSource, epochs int, lr float6
 // only once the previous step is applied and the next step only after
 // this one, so the parameters are frozen while any gradient is in flight
 // and no worker needs a clone.
-func (e *Engine) TrainFrom(m ml.GradModel, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback, resume *checkpoint.State) (*ml.TrainResult, error) {
+func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback, resume *checkpoint.State) (*ml.TrainResult, error) {
 	n := src.NumBatches()
 	group := e.group
 	if group > n && n > 0 {
@@ -217,9 +215,7 @@ func (e *Engine) TrainFrom(m ml.GradModel, src ml.BatchSource, epochs int, lr fl
 	// group=1 puts all eight into every kernel call). The parallel kernels
 	// are bitwise identical to the sequential ones, so this split never
 	// changes the trajectory, only the wall-clock.
-	if kp, ok := m.(ml.KernelParallel); ok {
-		kp.SetKernelWorkers(e.KernelWorkers(n))
-	}
+	m.SetKernelWorkers(e.KernelWorkers(n))
 	var wg sync.WaitGroup
 	for w := min(e.workers, group); w > 0; w-- {
 		owner := loop.Join()

@@ -25,17 +25,13 @@ func testSource(t testing.TB, name string, rows int) (*data.Dataset, *ml.MemoryS
 	return d, ml.NewMemorySource(d, 50, formats.MustGet("TOC"))
 }
 
-func newModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.GradModel {
+func newModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.Model {
 	t.Helper()
 	m, err := ml.NewModel(name, d.X.Cols(), d.Classes, 0.1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, ok := m.(ml.GradModel)
-	if !ok {
-		t.Fatalf("model %q (%T) does not implement GradModel", name, m)
-	}
-	return gm
+	return m
 }
 
 // flatParams snapshots a model's parameters by unpacking each concrete
@@ -43,11 +39,7 @@ func newModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.GradMod
 func flatParams(t testing.TB, m ml.Model) []float64 {
 	t.Helper()
 	switch v := m.(type) {
-	case *ml.LinReg:
-		return append(append([]float64(nil), v.W...), v.B)
-	case *ml.LogReg:
-		return append(append([]float64(nil), v.W...), v.B)
-	case *ml.SVM:
+	case *ml.Linear:
 		return append(append([]float64(nil), v.W...), v.B)
 	case *ml.OneVsRest:
 		var out []float64

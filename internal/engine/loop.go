@@ -186,9 +186,8 @@ type stepEvent struct {
 // buffered, merged in position order.
 type Loop struct {
 	cfg    LoopConfig
-	m      ml.GradModel
-	sm     ml.SnapshotModel // m, when it can snapshot
-	src    ml.BatchSource   // hint target only; nil for remote workers
+	m      ml.Model
+	src    ml.BatchSource // hint target only; nil for remote workers
 	n      int64
 	total  int64
 	group  int64
@@ -253,7 +252,7 @@ type Loop struct {
 // run's parameters and cursor into m, and returns the loop ready for
 // owners to Join. src is the caller's own batch source, used only for
 // order and request hints; pass nil when workers own the data.
-func NewLoop(cfg LoopConfig, m ml.GradModel, src ml.BatchSource) (*Loop, error) {
+func NewLoop(cfg LoopConfig, m ml.Model, src ml.BatchSource) (*Loop, error) {
 	if cfg.Epochs < 0 || cfg.NumBatches < 0 {
 		return nil, fmt.Errorf("engine: need Epochs >= 0 and NumBatches >= 0, got %d and %d", cfg.Epochs, cfg.NumBatches)
 	}
@@ -276,10 +275,6 @@ func NewLoop(cfg LoopConfig, m ml.GradModel, src ml.BatchSource) (*Loop, error) 
 			l.window = math.MaxInt64
 		}
 	}
-	l.sm, _ = m.(ml.SnapshotModel)
-	if l.sm == nil && (cfg.Checkpoint != nil || cfg.Resume != nil || cfg.Deterministic) {
-		return nil, fmt.Errorf("engine: checkpoint/resume needs an ml.SnapshotModel, %T is not one", m)
-	}
 	if l.group > 1 {
 		l.merged = make([]float64, l.np)
 	}
@@ -287,7 +282,7 @@ func NewLoop(cfg LoopConfig, m ml.GradModel, src ml.BatchSource) (*Loop, error) 
 		if err := l.validateResume(st); err != nil {
 			return nil, err
 		}
-		l.sm.SetParams(st.Params)
+		l.m.SetParams(st.Params)
 		l.clock = st.Step()
 		l.epochLoss = st.PartialLoss
 		l.res.EpochLoss = append(l.res.EpochLoss, st.EpochLoss...)
@@ -309,7 +304,7 @@ func NewLoop(cfg LoopConfig, m ml.GradModel, src ml.BatchSource) (*Loop, error) 
 		}
 		// The current params are version clock; a resume restores the
 		// older versions still inside the staleness window.
-		l.sm.Params(l.arch[l.clock%ring])
+		l.m.Params(l.arch[l.clock%ring])
 		if st := cfg.Resume; st != nil {
 			for i, vec := range st.Archive {
 				copy(l.arch[(l.clock-int64(len(st.Archive))+int64(i))%ring], vec)
@@ -521,7 +516,7 @@ func (l *Loop) Params(pos int64, out []float64) (version int64, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.cfg.Deterministic {
-		l.sm.Params(out)
+		l.m.Params(out)
 		return l.clock, true
 	}
 	target := max(0, l.stepStart(pos)-l.bound)
@@ -536,10 +531,10 @@ func (l *Loop) Params(pos int64, out []float64) (version int64, ok bool) {
 }
 
 // Clone copies the live model under the lock that guards its parameters.
-func (l *Loop) Clone() ml.SnapshotModel {
+func (l *Loop) Clone() ml.Model {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.sm.Clone()
+	return l.m.Clone()
 }
 
 // admitsLocked is the one staleness rule: a parameter version v serves
@@ -693,7 +688,7 @@ func (l *Loop) applyNext(claim bool) (ev stepEvent, ok bool) {
 	if l.cfg.Deterministic {
 		// Publish version hi into its ring slot before waking the gated
 		// readers.
-		l.sm.Params(l.arch[hi%(l.bound+1)])
+		l.m.Params(l.arch[hi%(l.bound+1)])
 	}
 	l.stats.Updates++
 	l.step++
@@ -725,7 +720,7 @@ func (l *Loop) applyNext(claim bool) (ev stepEvent, ok bool) {
 //toc:locked mu
 func (l *Loop) snapshotLocked() *checkpoint.State {
 	params := make([]float64, l.np)
-	l.sm.Params(params)
+	l.m.Params(params)
 	st := &checkpoint.State{
 		Kind: l.cfg.Kind, Seed: l.cfg.Seed, LR: l.cfg.LR,
 		Shuffle: l.cfg.Shuffle, Deterministic: l.cfg.Deterministic,

@@ -18,22 +18,22 @@ import (
 // the applied sequence, the merges and the epoch losses are all readable
 // off the model's log.
 
-// logModel is a one-parameter SnapshotModel that records every ApplyGrad.
+// logModel is a one-parameter model that records every ApplyGrad.
 type logModel struct {
 	w       float64
 	applied []float64
 }
 
-func (m *logModel) NumParams() int          { return 1 }
-func (m *logModel) Params(out []float64)    { out[0] = m.w }
-func (m *logModel) SetParams(p []float64)   { m.w = p[0] }
-func (m *logModel) Clone() ml.SnapshotModel { return &logModel{w: m.w} }
+func (m *logModel) NumParams() int        { return 1 }
+func (m *logModel) Params(out []float64)  { out[0] = m.w }
+func (m *logModel) SetParams(p []float64) { m.w = p[0] }
+func (m *logModel) Clone() ml.Model       { return &logModel{w: m.w} }
+func (m *logModel) SetKernelWorkers(int)  {}
 func (m *logModel) ApplyGrad(g []float64, lr float64) {
 	m.applied = append(m.applied, g[0])
 	m.w -= lr * g[0]
 }
 func (m *logModel) Grad(formats.CompressedMatrix, []float64, []float64) float64 { return 0 }
-func (m *logModel) Step(formats.CompressedMatrix, []float64, float64) float64   { return 0 }
 func (m *logModel) Loss(formats.CompressedMatrix, []float64) float64            { return 0 }
 func (m *logModel) Predict(formats.CompressedMatrix) []float64                  { return nil }
 
@@ -374,16 +374,7 @@ func TestLoopResumeRefusesEveryMismatch(t *testing.T) {
 			}
 		}
 	}
-	// A model that cannot snapshot can neither checkpoint nor resume.
-	if _, err := NewLoop(LoopConfig{Epochs: 1, NumBatches: 1, Resume: &checkpoint.State{}}, gradOnly{}, nil); err == nil {
-		t.Error("resume accepted a model that is not an ml.SnapshotModel")
-	}
 }
-
-// gradOnly is an ml.GradModel that is not an ml.SnapshotModel.
-type gradOnly struct{ ml.GradModel }
-
-func (gradOnly) NumParams() int { return 1 }
 
 // simulate runs cfg's schedule to completion on workers owners in
 // virtual time, on this goroutine, over the real Loop: a discrete-event

@@ -38,14 +38,10 @@ type resumeRunner struct {
 	stepOf func(st *checkpoint.State, n int) int64
 }
 
-func snapshotParams(t *testing.T, m ml.GradModel) []float64 {
+func snapshotParams(t *testing.T, m ml.Model) []float64 {
 	t.Helper()
-	sm, ok := m.(ml.SnapshotModel)
-	if !ok {
-		t.Fatalf("%T is not an ml.SnapshotModel", m)
-	}
-	out := make([]float64, sm.NumParams())
-	sm.Params(out)
+	out := make([]float64, m.NumParams())
+	m.Params(out)
 	return out
 }
 
@@ -80,7 +76,7 @@ func asyncResumeRunner(staleness int, shuffle bool) resumeRunner {
 	return resumeRunner{
 		name: name,
 		run: func(t *testing.T, d *data.Dataset, src ml.BatchSource, ck *checkpoint.Writer, log stepLog, resume *checkpoint.State) (*ml.TrainResult, []float64, error) {
-			m := newModel(t, "lr", d, 7).(ml.SnapshotModel)
+			m := newModel(t, "lr", d, 7)
 			a := NewAsync(AsyncConfig{
 				Workers: 4, Staleness: staleness, Deterministic: true,
 				Seed: 11, Shuffle: shuffle,
@@ -248,7 +244,7 @@ func TestHaltWritesResumableCheckpoint(t *testing.T) {
 				_, haltedErr = eng.TrainFrom(m, src, resumeEpochs, resumeLR, nil, nil)
 				haltedParams = snapshotParams(t, m)
 			default:
-				m := newModel(t, "lr", d, 7).(ml.SnapshotModel)
+				m := newModel(t, "lr", d, 7)
 				staleness := 0
 				if r.name == "async-det-shuffle" {
 					staleness = 4
@@ -257,7 +253,7 @@ func TestHaltWritesResumableCheckpoint(t *testing.T) {
 					Seed: 11, Shuffle: r.name == "async-det-shuffle", Checkpoint: w, CheckpointEvery: 2, OnStep: record})
 				halter = a
 				_, haltedErr = a.TrainFrom(m, src, resumeEpochs, resumeLR, nil, nil)
-				haltedParams = snapshotParams(t, m.(ml.GradModel))
+				haltedParams = snapshotParams(t, m)
 			}
 			if haltedErr != ErrHalted {
 				t.Fatalf("halted run returned %v, want ErrHalted", haltedErr)
@@ -288,7 +284,7 @@ func TestAsyncDeterministicAcrossWorkerCounts(t *testing.T) {
 	var ref []float64
 	var refLoss []float64
 	for _, workers := range []int{1, 2, 8} {
-		m := newModel(t, "lr", d, 7).(ml.SnapshotModel)
+		m := newModel(t, "lr", d, 7)
 		a := NewAsync(AsyncConfig{Workers: workers, Staleness: 3, Deterministic: true, Seed: 11, Shuffle: true})
 		res, err := a.TrainFrom(m, src, 2, resumeLR, nil, nil)
 		if err != nil {
@@ -333,7 +329,7 @@ func TestResumeRejectsIncompatibleCheckpoint(t *testing.T) {
 	if _, err := New(Config{Workers: 2, GroupSize: resumeGroup, Seed: 11}).TrainFrom(newModel(t, "lr", d, 7), src, 2, resumeLR, nil, st); err != nil {
 		t.Errorf("compatible resume refused: %v", err)
 	}
-	am := newModel(t, "lr", d, 7).(ml.SnapshotModel)
+	am := newModel(t, "lr", d, 7)
 	if _, err := NewAsync(AsyncConfig{Workers: 2, Staleness: 0, Seed: 11}).TrainFrom(am, src, 2, resumeLR, nil, st); err == nil {
 		t.Error("async engine resumed a sync checkpoint")
 	}
@@ -357,7 +353,7 @@ func benchTrain(b *testing.B, withCheckpoint bool) {
 			}
 			cfg.Checkpoint = ck
 		}
-		m := newModel(b, "lr", d, 7).(ml.SnapshotModel)
+		m := newModel(b, "lr", d, 7)
 		b.StartTimer()
 		if _, err := New(cfg).TrainFrom(m, src, resumeEpochs, resumeLR, nil, nil); err != nil {
 			b.Fatal(err)

@@ -12,7 +12,7 @@ import (
 // linGrad: with a warm kernel plan (tree already built) and a reused out
 // buffer, every GLM gradient on a TOC batch allocates nothing — the
 // score/residual vectors come from the pool and both multiplications
-// write into caller-owned memory through formats.KernelPlanInto — and so
+// write into caller-owned memory through the plan's Into kernels — and so
 // does a whole Grad, which builds and releases its own plan.
 func TestLinGradAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -32,7 +32,7 @@ func TestLinGradAllocs(t *testing.T) {
 			yb[i] = 1
 		}
 	}
-	models := map[string]planGrad{
+	models := map[string]*Linear{
 		"linreg": NewLinReg(x.Cols()),
 		"logreg": NewLogReg(x.Cols()),
 		"svm":    NewSVM(x.Cols()),
@@ -54,6 +54,6 @@ func TestLinGradAllocs(t *testing.T) {
 	out := make([]float64, lr.NumParams())
 	lr.Grad(c, yb, out) // warm the plan and scratch pools
 	if got := testing.AllocsPerRun(50, func() { lr.Grad(c, yb, out) }); got != 0 {
-		t.Errorf("LogReg.Grad allocates %.0f objects/op, want 0", got)
+		t.Errorf("logreg Grad allocates %.0f objects/op, want 0", got)
 	}
 }

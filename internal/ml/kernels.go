@@ -21,15 +21,6 @@ import (
 // changes anything but wall-clock — a trajectory computed at Workers=8
 // matches Workers=1 exactly.
 
-// KernelParallel is implemented by models whose compressed-kernel calls
-// can use multiple goroutines per gradient. Every model NewModel returns
-// implements it.
-type KernelParallel interface {
-	// SetKernelWorkers sets the goroutine count each kernel call may use;
-	// 0 or 1 keeps the kernels sequential.
-	SetKernelWorkers(workers int)
-}
-
 // planFor returns a per-batch kernel plan when the encoding supports one,
 // nil otherwise (the helpers then use the encoding's own methods).
 func planFor(x formats.CompressedMatrix) formats.KernelPlan {

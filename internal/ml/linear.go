@@ -2,25 +2,17 @@ package ml
 
 import (
 	"math"
+	"sync"
 
 	"toc/internal/formats"
 )
 
-// The three generalized linear models. Each Step is two compressed ops —
-// a right multiplication A·w to score the batch and a left multiplication
-// r·A to aggregate gradients — exactly the Table 1 usage.
-
-// scores computes A·w on a plan of its own: the single multiplication of
-// a Loss, Score or Predict call, at the model's worker count.
-func scores(x formats.CompressedMatrix, w []float64, workers int) []float64 {
-	plan := planFor(x)
-	defer releasePlan(plan)
-	return mulVec(nil, x, plan, w, workers)
-}
-
-// LinReg is linear regression with mean squared loss
-// (§2.1.4: l(h,z) = ½(y − xᵀh)²).
-type LinReg struct {
+// Linear is the paper's generalized linear model (§2.1.4, Table 1):
+// linear regression, logistic regression and the linear SVM are one
+// computation — score the batch with A·w, turn each row's score into a
+// residual, aggregate with r·A — that differs only in the per-row
+// residual. NewLinReg, NewLogReg and NewSVM pick it.
+type Linear struct {
 	W  []float64 // weight vector, one per feature
 	B  float64   // bias
 	L2 float64   // optional ridge penalty coefficient
@@ -29,163 +21,216 @@ type LinReg struct {
 	// sequential ones, so it changes wall-clock only.
 	Workers int
 
-	step []float64 // cached Step gradient buffer
+	glm *glm
 }
 
-// SetKernelWorkers sets the per-kernel goroutine count (KernelParallel).
-func (m *LinReg) SetKernelWorkers(workers int) { m.Workers = workers }
+// glm is everything that tells the three linear models apart.
+type glm struct {
+	// residual maps a row's score A·w+b and label to its loss
+	// contribution and its residual numerator (∂loss/∂score).
+	residual func(z, y float64) (loss, r float64)
+	// link turns a row's score into the confidence Score reports.
+	link func(z float64) float64
+	// label turns a Score into the value Predict reports.
+	label func(s float64) float64
+}
+
+func identity(z float64) float64 { return z }
+
+// above returns the 0/1 label rule "1 when the score exceeds cut".
+func above(cut float64) func(float64) float64 {
+	return func(s float64) float64 {
+		if s > cut {
+			return 1
+		}
+		return 0
+	}
+}
+
+var (
+	// squared is mean squared loss, l(h,z) = ½(y − xᵀh)² (Equation 3:
+	// grad = ((Ah − Y)ᵀA)ᵀ); predictions are the real-valued scores.
+	squared = &glm{
+		residual: func(z, y float64) (float64, float64) {
+			d := z - y
+			return 0.5 * d * d, d
+		},
+		link: identity, label: identity,
+	}
+	// logistic is logistic loss on 0/1 labels, gradient (σ(Ah) − y)ᵀA;
+	// the score is the class-1 probability, cut at 0.5.
+	logistic = &glm{
+		residual: func(z, y float64) (float64, float64) {
+			p := sigmoid(z)
+			pc := clampProb(p)
+			return -(y*math.Log(pc) + (1-y)*math.Log(1-pc)), p - y
+		},
+		link: sigmoid, label: above(0.5),
+	}
+	// hinge is hinge loss on 0/1 labels mapped to ±1: rows inside the
+	// margin contribute −y·x; the score is the signed margin, cut at 0.
+	hinge = &glm{
+		residual: func(z, y float64) (float64, float64) {
+			s := 2*y - 1 // {0,1} -> {-1,+1}
+			if margin := s * z; margin < 1 {
+				return 1 - margin, -s
+			}
+			return 0, 0
+		},
+		link: identity, label: above(0),
+	}
+)
 
 // NewLinReg creates a zero-initialized linear regression model.
-func NewLinReg(dims int) *LinReg { return &LinReg{W: make([]float64, dims)} }
+func NewLinReg(dims int) *Linear { return &Linear{W: make([]float64, dims), glm: squared} }
 
-// Step implements Equation 3: grad = ((Ah − Y)ᵀA)ᵀ, averaged over the
-// batch. It is Grad followed by ApplyGrad, so the parallel engine's
-// split-step training walks the same trajectory.
-func (m *LinReg) Step(x formats.CompressedMatrix, y []float64, lr float64) float64 {
-	g := stepBuf(&m.step, m.NumParams())
-	loss := m.Grad(x, y, g)
-	m.ApplyGrad(g, lr)
-	return loss
+// NewLogReg creates a zero-initialized binary logistic regression model.
+func NewLogReg(dims int) *Linear { return &Linear{W: make([]float64, dims), glm: logistic} }
+
+// NewSVM creates a zero-initialized linear support vector machine.
+func NewSVM(dims int) *Linear { return &Linear{W: make([]float64, dims), L2: 1e-4, glm: hinge} }
+
+// SetKernelWorkers sets the per-kernel goroutine count.
+func (m *Linear) SetKernelWorkers(workers int) { m.Workers = workers }
+
+// scores computes A·w on a plan of its own: the single multiplication of
+// a Loss, Score or Predict call, at the model's worker count.
+func (m *Linear) scores(x formats.CompressedMatrix) []float64 {
+	plan := planFor(x)
+	defer releasePlan(plan)
+	return mulVec(nil, x, plan, m.W, m.Workers)
 }
 
-// Loss evaluates mean squared loss.
-func (m *LinReg) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	p := scores(x, m.W, m.Workers)
-	var loss float64
-	for i := range p {
-		d := p[i] + m.B - y[i]
-		loss += 0.5 * d * d
-	}
-	return loss / float64(len(p))
-}
-
-// Predict returns the real-valued scores A·w + b.
-func (m *LinReg) Predict(x formats.CompressedMatrix) []float64 {
-	p := scores(x, m.W, m.Workers)
-	for i := range p {
-		p[i] += m.B
-	}
-	return p
-}
-
-// LogReg is binary logistic regression with logistic loss; labels are 0/1.
-type LogReg struct {
-	W  []float64
-	B  float64
-	L2 float64
-	// Workers is the goroutine count each compressed-kernel call may use
-	// (0 or 1 = sequential).
-	Workers int
-
-	step []float64 // cached Step gradient buffer
-}
-
-// SetKernelWorkers sets the per-kernel goroutine count (KernelParallel).
-func (m *LogReg) SetKernelWorkers(workers int) { m.Workers = workers }
-
-// NewLogReg creates a zero-initialized logistic regression model.
-func NewLogReg(dims int) *LogReg { return &LogReg{W: make([]float64, dims)} }
-
-// Step performs one MGD update with the logistic gradient (σ(Ah) − y)ᵀA.
-func (m *LogReg) Step(x formats.CompressedMatrix, y []float64, lr float64) float64 {
-	g := stepBuf(&m.step, m.NumParams())
-	loss := m.Grad(x, y, g)
-	m.ApplyGrad(g, lr)
-	return loss
-}
-
-// Loss evaluates mean logistic loss.
-func (m *LogReg) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	s := scores(x, m.W, m.Workers)
+// Loss evaluates the mean loss with the residual function Grad uses, so
+// it is bitwise the loss a Grad on the same batch returns.
+func (m *Linear) Loss(x formats.CompressedMatrix, y []float64) float64 {
+	s := m.scores(x)
 	var loss float64
 	for i := range s {
-		p := clampProb(sigmoid(s[i] + m.B))
-		loss += -(y[i]*math.Log(p) + (1-y[i])*math.Log(1-p))
+		li, _ := m.glm.residual(s[i]+m.B, y[i])
+		loss += li
 	}
 	return loss / float64(len(s))
 }
 
-// Score returns the probability of class 1 per row (used by one-vs-rest).
-func (m *LogReg) Score(x formats.CompressedMatrix) []float64 {
-	s := scores(x, m.W, m.Workers)
+// Score returns the linked per-row scores one-vs-rest compares: the
+// class-1 probability for logistic regression, the signed margin for
+// the SVM, A·w + b for linear regression.
+func (m *Linear) Score(x formats.CompressedMatrix) []float64 {
+	s := m.scores(x)
 	for i := range s {
-		s[i] = sigmoid(s[i] + m.B)
+		s[i] = m.glm.link(s[i] + m.B)
 	}
 	return s
 }
 
-// Predict returns 0/1 labels at the 0.5 threshold.
-func (m *LogReg) Predict(x formats.CompressedMatrix) []float64 {
+// Predict returns 0/1 labels for the classifiers and the real-valued
+// scores for linear regression.
+func (m *Linear) Predict(x formats.CompressedMatrix) []float64 {
 	s := m.Score(x)
 	for i := range s {
-		if s[i] > 0.5 {
-			s[i] = 1
-		} else {
-			s[i] = 0
-		}
+		s[i] = m.glm.label(s[i])
 	}
 	return s
 }
 
-// SVM is a linear support vector machine with hinge loss; labels are 0/1
-// (mapped internally to ±1).
-type SVM struct {
-	W  []float64
-	B  float64
-	L2 float64
-	// Workers is the goroutine count each compressed-kernel call may use
-	// (0 or 1 = sequential).
-	Workers int
-
-	step []float64 // cached Step gradient buffer
+// linScratch holds the two per-call row vectors of a gradient (the A·w
+// scores and the residuals). Grad must stay safe for concurrent calls on
+// one model, so the buffers are pooled rather than model-owned.
+type linScratch struct {
+	s, r []float64
 }
 
-// SetKernelWorkers sets the per-kernel goroutine count (KernelParallel).
-func (m *SVM) SetKernelWorkers(workers int) { m.Workers = workers }
+var linScratchPool = sync.Pool{New: func() any { return new(linScratch) }}
 
-// NewSVM creates a zero-initialized linear SVM.
-func NewSVM(dims int) *SVM { return &SVM{W: make([]float64, dims), L2: 1e-4} }
+func (sc *linScratch) vec(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
+}
 
-// Step performs one MGD update with the hinge subgradient: rows inside the
-// margin contribute −y·x.
-func (m *SVM) Step(x formats.CompressedMatrix, y []float64, lr float64) float64 {
-	g := stepBuf(&m.step, m.NumParams())
-	loss := m.Grad(x, y, g)
-	m.ApplyGrad(g, lr)
+// NumParams returns len(W)+1 (weights plus bias).
+func (m *Linear) NumParams() int { return len(m.W) + 1 }
+
+// Grad writes the flat [dW..., dB] gradient: build the batch's plan, run
+// the gradient on it, release it.
+func (m *Linear) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
+	plan := planFor(x)
+	loss := m.gradPlan(x, plan, y, out)
+	releasePlan(plan)
 	return loss
 }
 
-// Loss evaluates mean hinge loss.
-func (m *SVM) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	s := scores(x, m.W, m.Workers)
-	var loss float64
+// gradPlan runs the GLM gradient shape — score the batch with A·w, turn
+// per-row residuals into r, aggregate with r·A — on the caller's kernel
+// plan, writing the flat [dW..., dB] gradient into out and returning the
+// mean loss. Both multiplications shard across Workers goroutines when
+// the encoding supports it and share the plan (one decode-tree build for
+// the forward and backward passes, and — through OneVsRest — for every
+// class); the gradient is bitwise independent of both the worker count
+// and the plan.
+//
+// On a plan the whole gradient runs allocation-free: the score and
+// residual vectors come from a pool and the v·A aggregation lands
+// directly in out's weight slice (pinned by TestLinGradAllocs).
+func (m *Linear) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y, out []float64) float64 {
+	w, bias, l2, residual := m.W, m.B, m.L2, m.glm.residual
+	n := float64(x.Rows())
+	sc := linScratchPool.Get().(*linScratch)
+	defer linScratchPool.Put(sc)
+	s := mulVec(sc.vec(&sc.s, x.Rows()), x, plan, w, m.Workers)
+	var loss, rsum float64
+	r := sc.vec(&sc.r, len(s))
 	for i := range s {
-		yi := 2*y[i] - 1
-		if margin := yi * (s[i] + m.B); margin < 1 {
-			loss += 1 - margin
+		li, ri := residual(s[i]+bias, y[i])
+		loss += li
+		rv := 0.0
+		if ri != 0 {
+			rv = ri / n
+			rsum += rv
 		}
+		r[i] = rv
 	}
-	return loss / float64(len(s))
+	// g aliases out's weight slice on the plan path, so the l2 fold below
+	// reads each g[j] before overwriting that same element — identical
+	// arithmetic to folding from a fresh vector.
+	g := vecMul(out[:len(w):len(w)], x, plan, r, m.Workers)
+	for j := range g {
+		out[j] = g[j] + l2*w[j]
+	}
+	out[len(g)] = rsum
+	return loss / n
 }
 
-// Score returns the signed margins per row (used by one-vs-rest).
-func (m *SVM) Score(x formats.CompressedMatrix) []float64 {
-	s := scores(x, m.W, m.Workers)
-	for i := range s {
-		s[i] += m.B
+// ApplyGrad updates weights and bias from a Grad-layout gradient.
+func (m *Linear) ApplyGrad(g []float64, lr float64) {
+	w := m.W
+	for j := range w {
+		w[j] -= lr * g[j]
 	}
-	return s
+	m.B -= lr * g[len(w)]
 }
 
-// Predict returns 0/1 labels by margin sign.
-func (m *SVM) Predict(x formats.CompressedMatrix) []float64 {
-	s := m.Score(x)
-	for i := range s {
-		if s[i] > 0 {
-			s[i] = 1
-		} else {
-			s[i] = 0
-		}
-	}
-	return s
+// Params writes the flat [W..., B] vector.
+func (m *Linear) Params(out []float64) {
+	checkParamsLen("Linear", len(out), m.NumParams())
+	copy(out, m.W)
+	out[len(m.W)] = m.B
+}
+
+// SetParams restores the flat [W..., B] vector.
+func (m *Linear) SetParams(p []float64) {
+	checkParamsLen("Linear", len(p), m.NumParams())
+	copy(m.W, p)
+	m.B = p[len(m.W)]
+}
+
+// Clone returns an independent copy with the same weights and knobs.
+func (m *Linear) Clone() Model { return m.clone() }
+
+func (m *Linear) clone() *Linear {
+	c := *m
+	c.W = append([]float64(nil), m.W...)
+	return &c
 }

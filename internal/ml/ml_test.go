@@ -15,16 +15,19 @@ func denseBatch(x *matrix.Dense) formats.CompressedMatrix {
 	return formats.MustGet("DEN")(x)
 }
 
-// analytic gradient via one tiny Step: grad = (W_before − W_after)/lr.
+// analytic gradient via one tiny step (Grad then ApplyGrad, as Train
+// runs it): grad = (W_before − W_after)/lr.
 func stepGradient(t *testing.T, mk func() Model, getW func(Model) []float64,
 	x *matrix.Dense, y []float64) []float64 {
 	t.Helper()
 	const lr = 1e-6
 	m := mk()
 	before := append([]float64(nil), getW(m)...)
-	m.Step(denseBatch(x), y, lr)
+	g := make([]float64, m.NumParams())
+	m.Grad(denseBatch(x), y, g)
+	m.ApplyGrad(g, lr)
 	after := getW(m)
-	g := make([]float64, len(before))
+	g = make([]float64, len(before))
 	for i := range g {
 		g[i] = (before[i] - after[i]) / lr
 	}
@@ -81,7 +84,7 @@ func TestLinRegGradient(t *testing.T) {
 		m.W = []float64{0.3, -0.2, 0.1}
 		return m
 	}
-	gradCheck(t, "linreg", mk, func(m Model) []float64 { return m.(*LinReg).W }, x, y, 1e-5)
+	gradCheck(t, "linreg", mk, func(m Model) []float64 { return m.(*Linear).W }, x, y, 1e-5)
 }
 
 func TestLogRegGradient(t *testing.T) {
@@ -91,18 +94,18 @@ func TestLogRegGradient(t *testing.T) {
 		m.W = []float64{0.3, -0.2, 0.1}
 		return m
 	}
-	gradCheck(t, "logreg", mk, func(m Model) []float64 { return m.(*LogReg).W }, x, y, 1e-5)
+	gradCheck(t, "logreg", mk, func(m Model) []float64 { return m.(*Linear).W }, x, y, 1e-5)
 }
 
 func TestSVMGradient(t *testing.T) {
 	x, y := smallProblem()
 	mk := func() Model {
 		m := NewSVM(3)
-		m.L2 = 0 // hinge only; L2 would shift Step vs Loss comparison
+		m.L2 = 0 // hinge only; L2 would shift step vs Loss comparison
 		m.W = []float64{0.05, -0.02, 0.01}
 		return m
 	}
-	gradCheck(t, "svm", mk, func(m Model) []float64 { return m.(*SVM).W }, x, y, 1e-4)
+	gradCheck(t, "svm", mk, func(m Model) []float64 { return m.(*Linear).W }, x, y, 1e-4)
 }
 
 func TestNNGradientFirstLayer(t *testing.T) {
@@ -162,11 +165,7 @@ func modelsClose(a, b Model, tol float64) bool {
 
 func flattenParams(m Model) []float64 {
 	switch v := m.(type) {
-	case *LinReg:
-		return append(append([]float64(nil), v.W...), v.B)
-	case *LogReg:
-		return append(append([]float64(nil), v.W...), v.B)
-	case *SVM:
+	case *Linear:
 		return append(append([]float64(nil), v.W...), v.B)
 	case *NN:
 		var out []float64
@@ -229,7 +228,7 @@ func TestNNLearnsMulticlass(t *testing.T) {
 func TestOneVsRestPredictsAllClasses(t *testing.T) {
 	d, _ := data.Generate("mnist", 800, 10)
 	d.ShuffleOnce(11)
-	m := NewOneVsRest(d.Classes, func() BinaryClassifier { return NewLogReg(d.X.Cols()) })
+	m := NewOneVsRest(d.Classes, func() *Linear { return NewLogReg(d.X.Cols()) })
 	src := NewMemorySource(d, 100, formats.MustGet("CSR"))
 	Train(m, src, 6, 0.5, nil)
 	pred := m.Predict(src.batches[0])
@@ -317,23 +316,19 @@ func TestKernelWorkersGradBitwiseIdentical(t *testing.T) {
 	for _, method := range []string{"TOC", "DEN"} {
 		c := formats.MustGet(method)(x)
 		for _, name := range []string{"linreg", "lr", "svm", "nn"} {
-			mk := func() GradModel {
+			mk := func() Model {
 				m, err := NewModel(name, x.Cols(), d.Classes, 0.2, 11)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return m.(GradModel)
+				return m
 			}
 			serial := mk()
 			want := make([]float64, serial.NumParams())
 			wantLoss := serial.Grad(c, y, want)
 			for _, workers := range []int{2, 7, 16} {
 				m := mk()
-				kp, ok := m.(KernelParallel)
-				if !ok {
-					t.Fatalf("%s does not implement KernelParallel", name)
-				}
-				kp.SetKernelWorkers(workers)
+				m.SetKernelWorkers(workers)
 				got := make([]float64, m.NumParams())
 				gotLoss := m.Grad(c, y, got)
 				if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
@@ -367,12 +362,11 @@ func TestGradBuildsDecodeTreeOncePerBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gm := m.(GradModel)
-			m.(KernelParallel).SetKernelWorkers(workers)
-			g := make([]float64, gm.NumParams())
-			gm.Grad(c, y, g) // warm any lazy state
+			m.SetKernelWorkers(workers)
+			g := make([]float64, m.NumParams())
+			m.Grad(c, y, g) // warm any lazy state
 			before := core.TreeBuilds()
-			gm.Grad(c, y, g)
+			m.Grad(c, y, g)
 			if got := core.TreeBuilds() - before; got != 1 {
 				t.Errorf("%s workers=%d: Grad built C' %d times, want exactly 1", name, workers, got)
 			}

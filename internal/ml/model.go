@@ -11,22 +11,82 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 
 	"toc/internal/formats"
 )
 
-// Model is one empirical-risk model trained by mini-batch gradient steps.
+// Model is one empirical-risk model trained by mini-batch gradient
+// steps, and the one contract every driver takes: the serial Train, the
+// sync and async engines and the parameter server all run a step as Grad
+// into a buffer followed by ApplyGrad of that buffer, so they walk the
+// same trajectory. Linear, OneVsRest and NN — everything NewModel
+// returns — implement it in full.
+//
+// Gradient computation is separate from the update so a data-parallel
+// driver can evaluate a step's mini-batches concurrently against frozen
+// parameters and merge the results deterministically before applying
+// them once. The flat parameter vector can be exported, restored and
+// cloned so an asynchronous driver's workers compute on private clones
+// refreshed from versioned snapshots, and gradient reads never race
+// parameter writes. Params, SetParams, Grad and ApplyGrad share one flat
+// layout, so a parameter vector round-trips bit for bit:
+// SetParams(Params()) is the identity, and a clone's Grad on the same
+// snapshot is bitwise identical to the original's.
 type Model interface {
-	// Step computes the averaged mini-batch gradient (Equation 2) on
-	// (x, y), updates the parameters with learning rate lr, and returns
-	// the mini-batch loss evaluated before the update.
-	Step(x formats.CompressedMatrix, y []float64, lr float64) float64
 	// Loss evaluates the mean loss on a batch without updating.
 	Loss(x formats.CompressedMatrix, y []float64) float64
 	// Predict returns predicted labels: class ids for classifiers,
 	// real-valued outputs for regression.
 	Predict(x formats.CompressedMatrix) []float64
+
+	// NumParams returns the length of the model's flat parameter vector.
+	NumParams() int
+	// Grad computes the averaged mini-batch gradient (Equation 2) of (x, y)
+	// against the current parameters, overwriting out (length NumParams())
+	// with the flat gradient including any regularization terms, and
+	// returns the mini-batch loss. It must not mutate the model, so
+	// concurrent Grad calls on one model are safe.
+	Grad(x formats.CompressedMatrix, y []float64, out []float64) float64
+	// ApplyGrad performs the update params -= lr·g for a flat gradient g
+	// laid out as Grad writes it.
+	ApplyGrad(g []float64, lr float64)
+
+	// Params writes the current flat parameter vector into out, which
+	// must have length NumParams().
+	Params(out []float64)
+	// SetParams overwrites the parameters from a flat vector laid out as
+	// Params writes it.
+	SetParams(p []float64)
+	// Clone returns an independent model with identical parameters and
+	// hyperparameters; mutating either side never affects the other.
+	Clone() Model
+
+	// SetKernelWorkers sets the goroutine count each compressed-kernel
+	// call may use; 0 or 1 keeps the kernels sequential. Parallel kernels
+	// are bitwise identical to sequential ones, so it changes wall-clock
+	// only.
+	SetKernelWorkers(workers int)
+}
+
+// GradModel, SnapshotModel and KernelParallel name the slices of the
+// contract that used to be separate interfaces, bridged by runtime
+// assertions that could not fail. They are Model; the names stay only
+// because benchmark/ (frozen) spells its decorators with them.
+type (
+	GradModel      = Model
+	SnapshotModel  = Model
+	KernelParallel = Model
+)
+
+// checkParamsLen panics when a Params/SetParams buffer does not match the
+// model's flat parameter count — silently truncating a snapshot would
+// corrupt asynchronous training in ways that surface much later.
+func checkParamsLen(name string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("ml: %s params buffer has %d elements, model has %d", name, got, want))
+	}
 }
 
 func sigmoid(z float64) float64 {

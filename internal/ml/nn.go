@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -28,11 +29,9 @@ type NN struct {
 	// (A·M forward, M·A backward) may use; 0 or 1 = sequential. Parallel
 	// kernels are bitwise identical, so it changes wall-clock only.
 	Workers int
-
-	step []float64 // cached Step gradient buffer
 }
 
-// SetKernelWorkers sets the per-kernel goroutine count (KernelParallel).
+// SetKernelWorkers sets the per-kernel goroutine count.
 func (n *NN) SetKernelWorkers(workers int) { n.Workers = workers }
 
 // NewNN builds a network with the given hidden layer widths for an input
@@ -138,17 +137,6 @@ func (n *NN) oneHot(y []float64) *matrix.Dense {
 	return t
 }
 
-// Step runs one forward/backward pass and SGD update; it returns the
-// cross-entropy loss before the update. It is Grad followed by ApplyGrad
-// (the backward pass never reads a weight it has already updated), so the
-// parallel engine's split-step training walks the same trajectory.
-func (n *NN) Step(x formats.CompressedMatrix, y []float64, lr float64) float64 {
-	g := stepBuf(&n.step, n.NumParams())
-	loss := n.Grad(x, y, g)
-	n.ApplyGrad(g, lr)
-	return loss
-}
-
 func columnSums(d *matrix.Dense) []float64 {
 	s := make([]float64, d.Cols())
 	for i := 0; i < d.Rows(); i++ {
@@ -218,4 +206,127 @@ func (n *NN) Predict(x formats.CompressedMatrix) []float64 {
 		pred[i] = float64(best)
 	}
 	return pred
+}
+
+// NumParams sums every layer's weight matrix and bias vector.
+func (n *NN) NumParams() int {
+	total := 0
+	for l := range n.W {
+		total += n.Sizes[l]*n.Sizes[l+1] + n.Sizes[l+1]
+	}
+	return total
+}
+
+// Grad runs one forward/backward pass without updating, writing the flat
+// gradient laid out layer by layer as [dW0..., dB0..., dW1..., dB1...,
+// ...] (dW row-major). One kernel plan spans the input layer's forward
+// A·M and backward M·A, so the step builds the batch's decode tree once.
+func (n *NN) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
+	if x.Rows() != len(y) {
+		panic(fmt.Sprintf("ml: NN batch %d rows but %d labels", x.Rows(), len(y)))
+	}
+	plan := planFor(x)
+	acts := n.forward(x, plan)
+	outAct := acts[len(acts)-1]
+	target := n.oneHot(y)
+	loss := n.crossEntropy(outAct, target)
+
+	// Layer l's slice of out starts after all earlier layers.
+	offs := make([]int, len(n.W))
+	off := 0
+	for l := range n.W {
+		offs[l] = off
+		off += n.Sizes[l]*n.Sizes[l+1] + n.Sizes[l+1]
+	}
+
+	nRows := float64(x.Rows())
+	// For sigmoid+CE and softmax+CE alike: delta_out = (P − T)/n.
+	delta := outAct.Sub(target)
+	delta.ScaleInPlace(1 / nRows)
+
+	for l := len(n.W) - 1; l >= 0; l-- {
+		var dW *matrix.Dense
+		if l == 0 {
+			// dW0 = Aᵀ·delta = (deltaᵀ·A)ᵀ — M·A on the compressed input.
+			dW = matMul(x, plan, delta.Transpose(), n.Workers).Transpose()
+		} else {
+			dW = acts[l-1].Transpose().MulMat(delta)
+		}
+		db := columnSums(delta)
+		if l > 0 {
+			back := delta.MulMat(n.W[l].Transpose())
+			h := acts[l-1]
+			for i := 0; i < back.Rows(); i++ {
+				br := back.Row(i)
+				hr := h.Row(i)
+				for j := range br {
+					br[j] *= hr[j] * (1 - hr[j]) // sigmoid'
+				}
+			}
+			delta = back
+		}
+		wlen := n.Sizes[l] * n.Sizes[l+1]
+		copy(out[offs[l]:offs[l]+wlen], dW.Data())
+		copy(out[offs[l]+wlen:offs[l]+wlen+len(db)], db)
+	}
+	releasePlan(plan)
+	return loss
+}
+
+// ApplyGrad subtracts lr·g from every layer's weights and biases.
+func (n *NN) ApplyGrad(g []float64, lr float64) {
+	off := 0
+	for l := range n.W {
+		wd := n.W[l].Data()
+		for j := range wd {
+			wd[j] -= lr * g[off+j]
+		}
+		off += len(wd)
+		for j := range n.B[l] {
+			n.B[l][j] -= lr * g[off+j]
+		}
+		off += len(n.B[l])
+	}
+}
+
+// Params writes the layer-by-layer [dW0..., dB0..., dW1..., dB1..., ...]
+// vector (dW row-major) — the same layout Grad and ApplyGrad use.
+func (n *NN) Params(out []float64) {
+	checkParamsLen("NN", len(out), n.NumParams())
+	off := 0
+	for l := range n.W {
+		wd := n.W[l].Data()
+		copy(out[off:off+len(wd)], wd)
+		off += len(wd)
+		copy(out[off:off+len(n.B[l])], n.B[l])
+		off += len(n.B[l])
+	}
+}
+
+// SetParams restores every layer's weights and biases.
+func (n *NN) SetParams(p []float64) {
+	checkParamsLen("NN", len(p), n.NumParams())
+	off := 0
+	for l := range n.W {
+		wd := n.W[l].Data()
+		copy(wd, p[off:off+len(wd)])
+		off += len(wd)
+		copy(n.B[l], p[off:off+len(n.B[l])])
+		off += len(n.B[l])
+	}
+}
+
+// Clone deep-copies every layer.
+func (n *NN) Clone() Model {
+	c := *n
+	c.Sizes = append([]int(nil), n.Sizes...)
+	c.W = make([]*matrix.Dense, len(n.W))
+	for l := range n.W {
+		c.W[l] = n.W[l].Clone()
+	}
+	c.B = make([][]float64, len(n.B))
+	for l := range n.B {
+		c.B[l] = append([]float64(nil), n.B[l]...)
+	}
+	return &c
 }

@@ -10,7 +10,7 @@ import (
 
 // snapshotFixture trains a model a little so its parameters are away from
 // the initial point, then returns it with one batch to probe gradients.
-func snapshotFixture(t *testing.T, name string) (SnapshotModel, formats.CompressedMatrix, []float64) {
+func snapshotFixture(t *testing.T, name string) (Model, formats.CompressedMatrix, []float64) {
 	t.Helper()
 	d, err := data.Generate("mnist", 300, 3)
 	if err != nil {
@@ -23,12 +23,8 @@ func snapshotFixture(t *testing.T, name string) (SnapshotModel, formats.Compress
 		t.Fatal(err)
 	}
 	Train(m, src, 1, 0.2, nil)
-	sm, ok := m.(SnapshotModel)
-	if !ok {
-		t.Fatalf("model %q (%T) does not implement SnapshotModel", name, m)
-	}
 	x, y := src.Batch(1)
-	return sm, x, y
+	return m, x, y
 }
 
 var snapshotModelNames = []string{"linreg", "lr", "svm", "nn"}

@@ -70,13 +70,38 @@ type TrainResult struct {
 // cumulative wall-clock time since training started.
 type EpochCallback func(epoch int, elapsed time.Duration, avgLoss float64)
 
-// Train runs MGD for the given number of epochs at the paper's fixed
-// learning rate: every epoch visits all mini-batches in order (the data
-// was shuffled once upfront) and applies Equation 2 per batch. cb may be
-// nil. It is the serial reference the engines' identity tests compare
-// against.
+// Train is the serial MGD driver: it runs the given number of epochs at
+// the paper's fixed learning rate, visiting all mini-batches in order
+// every epoch (the data was shuffled once upfront) and applying Equation
+// 2 per batch. A step is Grad into the driver's one gradient buffer
+// followed by ApplyGrad of it — the definition the engines share, so
+// their identity tests compare against this trajectory. cb may be nil.
+//
+//toc:timing
 func Train(m Model, src BatchSource, epochs int, lr float64, cb EpochCallback) *TrainResult {
-	return TrainSchedule(m, src, epochs, ConstantLR(lr), cb)
+	res := &TrainResult{}
+	g := make([]float64, m.NumParams())
+	start := time.Now()
+	n := src.NumBatches()
+	for e := 0; e < epochs; e++ {
+		epochStart := time.Now()
+		var loss float64
+		for i := 0; i < n; i++ {
+			x, y := src.Batch(i)
+			loss += m.Grad(x, y, g)
+			m.ApplyGrad(g, lr)
+		}
+		if n > 0 {
+			loss /= float64(n)
+		}
+		res.EpochLoss = append(res.EpochLoss, loss)
+		res.EpochTime = append(res.EpochTime, time.Since(epochStart))
+		if cb != nil {
+			cb(e, time.Since(start), loss)
+		}
+	}
+	res.Total = time.Since(start)
+	return res
 }
 
 // NewModel constructs a model by the paper's short name ("linreg", "lr",
@@ -89,12 +114,12 @@ func NewModel(name string, dims, classes int, hiddenScale float64, seed int64) (
 		return NewLinReg(dims), nil
 	case "lr":
 		if classes > 2 {
-			return NewOneVsRest(classes, func() BinaryClassifier { return NewLogReg(dims) }), nil
+			return NewOneVsRest(classes, func() *Linear { return NewLogReg(dims) }), nil
 		}
 		return NewLogReg(dims), nil
 	case "svm":
 		if classes > 2 {
-			return NewOneVsRest(classes, func() BinaryClassifier { return NewSVM(dims) }), nil
+			return NewOneVsRest(classes, func() *Linear { return NewSVM(dims) }), nil
 		}
 		return NewSVM(dims), nil
 	case "nn":

@@ -144,7 +144,17 @@ func GenerateDataset(name string, rows int, seed int64) (*Dataset, error) {
 	return data.Generate(name, rows, seed)
 }
 
-// Model is an empirical-risk model trained by mini-batch SGD.
+// Model is an empirical-risk model trained by mini-batch SGD, and the one
+// contract every training driver takes: Loss and Predict; NumParams, Grad
+// and ApplyGrad (a step is Grad then ApplyGrad, for Train and the engines
+// alike); Params, SetParams and Clone (the flat parameter vector that
+// checkpoints, async workers and the parameter server exchange); and
+// SetKernelWorkers, which lets the compressed-kernel calls (the Table 1
+// multiplications) use multiple goroutines per gradient: the engines set
+// it from their worker pool, and serial callers may call
+// model.SetKernelWorkers(8) to parallelize the kernels inside Train, Loss
+// and Predict without changing any result. Every model NewModel returns
+// implements all of it.
 type Model = ml.Model
 
 // BatchSource supplies compressed mini-batches to the training driver.
@@ -173,18 +183,16 @@ func Train(m Model, src BatchSource, epochs int, lr float64, cb ml.EpochCallback
 // EvaluateError returns a model's error rate over a batch source.
 func EvaluateError(m Model, src BatchSource) float64 { return ml.EvaluateError(m, src) }
 
-// GradModel is a Model whose gradient computation and parameter update
-// are separable, which is what data-parallel training needs. Every model
-// NewModel returns implements it.
-type GradModel = ml.GradModel
-
-// KernelParallel is a Model whose compressed-kernel calls (the Table 1
-// multiplications) can use multiple goroutines per gradient; every model
-// NewModel returns implements it. The engine sets it automatically from
-// its worker pool; serial callers may set it directly (for example
-// model.(toc.KernelParallel).SetKernelWorkers(8)) to parallelize the
-// kernels inside ml.Train, Loss and Predict without changing any result.
-type KernelParallel = ml.KernelParallel
+// GradModel, SnapshotModel and KernelParallel are Model. They name the
+// slices of the contract that used to be separate interfaces — the
+// separable gradient/update (NumParams, Grad, ApplyGrad), the flat
+// parameter vector (Params, SetParams, Clone) and the SetKernelWorkers
+// knob — and stay as aliases so existing signatures keep compiling.
+type (
+	GradModel      = Model
+	SnapshotModel  = Model
+	KernelParallel = Model
+)
 
 // Engine is the concurrent mini-batch training engine: it shards
 // compression across a worker pool, runs data-parallel MGD with
@@ -203,21 +211,10 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // TrainParallel runs data-parallel MGD across workers goroutines: each
 // step's mini-batch gradients are computed concurrently against frozen
-// parameters and merged deterministically before one update. Models that
-// cannot split gradient from update fall back to the serial Train.
+// parameters and merged deterministically before one update.
 func TrainParallel(m Model, src BatchSource, epochs int, lr float64, workers int, cb ml.EpochCallback) *TrainResult {
-	gm, ok := m.(ml.GradModel)
-	if !ok {
-		return ml.Train(m, src, epochs, lr, cb)
-	}
-	return engine.New(engine.Config{Workers: workers}).Train(gm, src, epochs, lr, cb)
+	return engine.New(engine.Config{Workers: workers}).Train(m, src, epochs, lr, cb)
 }
-
-// SnapshotModel is a GradModel whose flat parameter vector can be
-// exported (Params), restored (SetParams) and cloned — what asynchronous
-// training needs so workers read stable parameter views while the
-// training loop writes. Every model NewModel returns implements it.
-type SnapshotModel = ml.SnapshotModel
 
 // AsyncEngine is the asynchronous bounded-staleness training engine, the
 // alternative to Engine's synchronous group steps: workers take batch
@@ -261,11 +258,7 @@ func NewAsyncEngine(cfg AsyncConfig) *AsyncEngine { return engine.NewAsync(cfg) 
 // staleness discipline. It returns an error (with the pool fully
 // drained) if a worker fails mid-epoch. cb may be nil.
 func TrainAsync(m Model, src BatchSource, epochs int, lr float64, workers, staleness int, cb ml.EpochCallback) (*TrainResult, error) {
-	sm, ok := m.(ml.SnapshotModel)
-	if !ok {
-		return ml.Train(m, src, epochs, lr, cb), nil
-	}
-	return engine.NewAsync(engine.AsyncConfig{Workers: workers, Staleness: staleness}).Train(sm, src, epochs, lr, cb)
+	return engine.NewAsync(engine.AsyncConfig{Workers: workers, Staleness: staleness}).Train(m, src, epochs, lr, cb)
 }
 
 // Store is a memory-budgeted mini-batch store: batches beyond the budget
@@ -478,14 +471,14 @@ func ParseGradCodec(spec string, seed int64) (GradCodec, error) { return dist.Pa
 
 // NewDistServer builds a parameter server around m; read the final
 // parameters from m after Wait returns.
-func NewDistServer(cfg DistServerConfig, m SnapshotModel) (*DistServer, error) {
+func NewDistServer(cfg DistServerConfig, m Model) (*DistServer, error) {
 	return dist.NewServer(cfg, m)
 }
 
 // NewDistTrainer wraps a connection to a DistServer. The model must
 // have the server model's parameter count and src the schedule's batch
 // count.
-func NewDistTrainer(conn io.ReadWriteCloser, m SnapshotModel, src BatchSource, cfg DistTrainerConfig) *DistTrainer {
+func NewDistTrainer(conn io.ReadWriteCloser, m Model, src BatchSource, cfg DistTrainerConfig) *DistTrainer {
 	return dist.NewTrainer(conn, m, src, cfg)
 }
 
