@@ -149,12 +149,17 @@ func (a *treeArena) build(I []Pair, D dTable) *DecodeTree {
 }
 
 // opScratch holds the per-call working memory of one kernel: the H
-// accumulator and a second float arena (M·A's column gather). Pooled, so
-// the accumulators allocate nothing in steady state and one plan can
-// serve concurrent calls.
+// accumulator (|C'| scalars for A·v and v·A; for A·M and M·A one
+// |C'|×panelWidth slab per worker, whatever p is), a second float arena
+// (M·A's column gather and transposed result panel) and the live-node
+// list. Pooled, so the kernels allocate nothing in steady state and one
+// plan can serve concurrent calls. Nothing in it is ever assumed
+// initialized: a kernel writes every element it goes on to read.
 type opScratch struct {
 	floats []float64
 	gather []float64
+	mark   []byte   // liveNodes' reference marks, one per node
+	live   []uint32 // liveNodes' result
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(opScratch) }}
@@ -168,6 +173,38 @@ func (s *opScratch) rawBuf(n int) []float64 {
 	return s.floats[:n]
 }
 
+// liveNodes returns, in ascending order, the live nodes of t: those D
+// references directly or through a descendant. They are the only nodes
+// whose F (A·M) the D scan reads and whose G (M·A) is not exactly +0;
+// LZW adds a node per emitted code, and within one batch most are never
+// matched again — 8127 of 18717 live on an mnist 250×196 batch, 3398 of
+// 8870 on imagenet 250×180. A live node's parent is live. One pass over
+// D marks the referenced nodes; one descending pass over C' (a parent
+// precedes its children) pushes marks up and fills the list from the
+// back as it goes, branch-free because no predictor learns which node
+// is dead: |D| + 2|C'| small touches per call, no plan state. The result
+// aliases the scratch and is valid until its next liveNodes call.
+func (s *opScratch) liveNodes(t *DecodeTree, D dTable) []uint32 {
+	par := t.Parent
+	if cap(s.mark) < len(par) {
+		s.mark = make([]byte, len(par))
+		s.live = make([]uint32, len(par))
+	}
+	mark, live := s.mark[:len(par)], s.live[:len(par)]
+	clear(mark)
+	for _, n := range D.Nodes {
+		mark[n] = 1
+	}
+	k := len(live)
+	for i := len(par) - 1; i >= 1; i-- {
+		mk := mark[i]
+		mark[par[i]] |= mk
+		live[k-1] = uint32(i)
+		k -= int(mk)
+	}
+	return live[k:]
+}
+
 // floatBuf is rawBuf zeroed, for kernels that accumulate into it.
 func (s *opScratch) floatBuf(n int) []float64 {
 	buf := s.rawBuf(n)
@@ -176,8 +213,8 @@ func (s *opScratch) floatBuf(n int) []float64 {
 }
 
 // gatherBuf returns an uninitialized buffer of length n from a second
-// arena, disjoint from floatBuf's. Used by matMulTree to stage one column
-// of M contiguously; callers overwrite it fully before reading.
+// arena, disjoint from rawBuf's — matMulTree's side buffers; callers
+// write what they go on to read.
 func (s *opScratch) gatherBuf(n int) []float64 {
 	if cap(s.gather) < n {
 		s.gather = make([]float64, n)

@@ -72,6 +72,13 @@ func FuzzDeserialize(f *testing.F) {
 		plan := b.NewKernelPlan()
 		_ = plan.MulVecInto(nil, v, 2)
 		_ = plan.VecMulInto(nil, u, 2)
+		// The matrix kernels add the liveness marks and the panel walk: an
+		// empty operand (index 0), one narrow panel sequentially, then two
+		// runs of a ragged p.
+		for workers, p := range []int{1: 3, 2: panelWidth + 3} {
+			_ = plan.MulMatInto(nil, matrix.NewDense(cols, p), workers)
+			_ = plan.MatMulInto(nil, matrix.NewDense(p, rows), workers)
+		}
 		plan.Release()
 		// A batch that deserialized must reserialize to a decodable image.
 		if _, err := Deserialize(b.Serialize()); err != nil {

@@ -12,11 +12,23 @@ import "toc/internal/matrix"
 // Like the right multiplications, the bodies take an already-built tree
 // and are called by KernelPlan (plan.go) alone; Batch.VecMul and
 // Batch.MatMul are a plan used for a single sequential call. The bodies
-// accumulate into caller-zeroed destinations and walk D through the flat
-// Nodes/Starts arrays with the bounds proven up front (boundsHint in
-// rightmul.go), mirroring the right-mul loop shape. leftmul_parallel.go
-// holds the sharded v·A and says why sharding either kernel cannot
-// change a bit.
+// walk D through the flat Nodes/Starts arrays with the bounds proven up
+// front (boundsHint in rightmul.go), mirroring the right-mul loop shape.
+// leftmul_parallel.go holds the sharded v·A and says why sharding either
+// kernel cannot change a bit.
+//
+// M·A visits only the live nodes of C' (opScratch.liveNodes: the nodes D
+// references, directly or through a descendant), one panelWidth-wide
+// panel of the p dimension at a time, like A·M (rightmul.go). A dead
+// node's G is exactly +0 — D never adds to it and no child pushes into
+// it — so the textbook loop adds key.Val·(+0) = ±0 to an accumulator
+// that starts at +0 and can never become -0: on finite data skipping the
+// node changes no bit, signed zeros included. This is the one place the
+// kernel deviates from Algorithm 8 as written: for a dead node whose key
+// value is ±Inf or NaN the textbook product is Inf·0 = NaN, poisoning a
+// result column the dense kernel leaves finite, and the live-node scan
+// does not produce it. (A live node whose G is exactly zero still yields
+// that NaN, as Algorithm 8 does.)
 
 // VecMul computes v·A on the compressed batch.
 func (b *Batch) VecMul(v []float64) []float64 {
@@ -102,85 +114,117 @@ func (b *Batch) MatMul(m *matrix.Dense) *matrix.Dense {
 	return p.MatMulInto(nil, m, 1)
 }
 
-// matMulTree is M·A over an already-built decode tree, accumulating into
-// r (p × cols, caller-zeroed); callers guarantee workers <= p. With
-// workers > 1 the p dimension (rows of M and of the result) is sharded:
-// worker w computes result rows [klo,khi) end to end with its own slice
-// of the column-gather buffer, and no barrier separates its two scans.
+// matMulTree is M·A over an already-built decode tree, writing into r
+// (p × cols, fully overwritten). workers > 1 cuts the p dimension (rows
+// of M and of the result) into that many runs, each on its own H slab
+// and its own side buffer (forEachPanelRun), with no barrier between a
+// run's two scans.
 func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *matrix.Dense, workers int) {
 	p := m.Rows()
-	h := sc.floatBuf(t.Len() * p)
-	mc := sc.gatherBuf(p)
+	workers = panelWorkers(workers, p)
+	slab := t.Len() * panelWidth
+	h := sc.rawBuf(workers * slab)
+	side := (1 + b.cols) * panelWidth // a run's column gather, then its transposed result panel
+	g := sc.gatherBuf(workers * side)
+	live := sc.liveNodes(t, b.d)
 	if workers > 1 {
-		forEachSpan(p, workers, func(klo, khi int) { b.matMulTreeRange(t, h, mc[klo:khi], m, r, klo, khi) })
+		forEachPanelRun(p, workers, func(w, klo, khi int) {
+			b.matMulPanel(t, live, h[w*slab:(w+1)*slab], g[w*side:(w+1)*side], m, r, klo, khi)
+		})
 	} else {
-		b.matMulTreeRange(t, h, mc, m, r, 0, p)
+		b.matMulPanel(t, live, h, g, m, r, 0, p)
 	}
 }
 
-// matMulTreeRange is M·A for result rows [klo,khi): it touches only
-// columns [klo,khi) of H (node-major, zeroed) and rows [klo,khi) of r,
-// so its backward scan depends on nothing another range writes, and
-// every per-element reduction runs in the one order whatever the split.
-// mc is the range's gather buffer, length khi-klo. M, H and r are
-// re-based at the range's first row up front, so the loops below are the
-// whole-matrix loops over a narrower window and carry no range offsets.
-func (b *Batch) matMulTreeRange(t *DecodeTree, h, mc []float64, m *matrix.Dense, r *matrix.Dense, klo, khi int) {
-	p := m.Rows()
+// matMulPanel is M·A for result rows [klo,khi), one panel [lo,hi) at a
+// time on the slab h (|C'| rows of hi-lo floats, uninitialized) and the
+// side buffer g: panelWidth floats of column gather, then the panel of r
+// transposed. A panel reads rows [lo,hi) of M, writes rows [lo,hi) of r
+// and touches nothing another panel does, and every per-element
+// reduction runs in the one order whatever the split.
+func (b *Batch) matMulPanel(t *DecodeTree, live []uint32, h, g []float64, m *matrix.Dense, r *matrix.Dense, klo, khi int) {
 	mcols, rcols := m.Cols(), r.Cols()
-	md, rd := m.Data()[klo*mcols:], r.Data()[klo*rcols:]
-	h = h[klo:]
-	w := khi - klo
-	// Scan D to compute H[x,:] = G(x) = Σ_{D[i,j]=x} M[:,i]. H is stored
-	// node-major ("transposed" in the paper's wording) so D is scanned
-	// once with good locality. Column i of M is gathered into a contiguous
-	// buffer once per tuple: the strided column walk runs once instead of
-	// once per code, and every accumulation reads sequential memory. The
-	// gather changes no addend and no order, only the load addresses.
-	nodes, starts := b.d.Nodes, b.d.Starts
-	boundsHint(0, b.rows, len(starts), b.rows)
-	for i := 0; i < b.rows; i++ {
-		row := nodes[starts[i]:starts[i+1]]
-		if len(row) == 0 {
-			continue
-		}
-		off := i
-		for k := range mc {
-			mc[k] = md[off]
-			off += mcols
-		}
-		for _, n := range row {
-			hn := h[int(n)*p : int(n)*p+len(mc)]
-			mw := mc
-			for len(hn) >= 4 && len(mw) >= 4 {
-				hn[0] += mw[0]
-				hn[1] += mw[1]
-				hn[2] += mw[2]
-				hn[3] += mw[3]
-				hn, mw = hn[4:], mw[4:]
-			}
-			for len(hn) >= 1 && len(mw) >= 1 {
-				hn[0] += mw[0]
-				hn, mw = hn[1:], mw[1:]
-			}
-		}
-	}
-	// Scan C' backwards, pushing accumulated weights to parents. The
-	// result element (k, col) strides by r's row width; walking the offset
-	// replaces the per-element index multiply.
+	mc, rt := g[:panelWidth], g[panelWidth:]
 	I, par := b.i, t.Parent
 	kix := t.KeyIdx[:len(par)]
-	for i := len(par) - 1; i >= 1; i-- {
-		k := I[kix[i]-1]
-		hi := h[i*p : i*p+w]
-		hp := h[int(par[i])*p : int(par[i])*p+w]
-		hp = hp[:len(hi)]
-		kv := k.Val
-		off := int(k.Col)
-		for j := 0; j < len(hi); j++ {
-			rd[off] += kv * hi[j]
-			hp[j] += hi[j]
-			off += rcols
+	nodes, starts := b.d.Nodes, b.d.Starts
+	boundsHint(0, b.rows, len(starts), b.rows)
+	for lo := klo; lo < khi; lo += panelWidth {
+		w := min(lo+panelWidth, khi) - lo
+		md := m.Data()[lo*mcols:]
+		mc := mc[:w]
+		// Only live rows of H are ever read or accumulated into (D
+		// references live nodes, a live node's parent is live), so only
+		// they are cleared.
+		for _, i := range live {
+			clear(h[int(i)*w : int(i)*w+w])
+		}
+		// Scan D to compute H[x,:] = G(x) = Σ_{D[i,j]=x} M[:,i]. H is
+		// stored node-major ("transposed" in the paper's wording) so D is
+		// scanned once with good locality. Column i of M is gathered into
+		// a contiguous buffer once per tuple: the strided column walk runs
+		// once instead of once per code, and every accumulation reads
+		// sequential memory. The gather changes no addend and no order,
+		// only the load addresses.
+		for i := 0; i < b.rows; i++ {
+			row := nodes[starts[i]:starts[i+1]]
+			if len(row) == 0 {
+				continue
+			}
+			off := i
+			for k := range mc {
+				mc[k] = md[off]
+				off += mcols
+			}
+			for _, n := range row {
+				hn := h[int(n)*w : int(n)*w+w]
+				hn = hn[:len(mc)]
+				for j, x := range mc {
+					hn[j] += x
+				}
+			}
+		}
+		// Scan the live nodes of C' backwards, pushing accumulated weights
+		// to parents. Result element (lo+j, col) accumulates in rt[col][j],
+		// the panel of r transposed, so a node's w contributions land in
+		// one contiguous row instead of w cache lines a row of r apart; rt
+		// starts at +0 like r and takes the same addends in the same
+		// order, so copying it out writes the bits accumulating in place
+		// would have.
+		clear(rt[:rcols*w])
+		x := len(live) - 1
+		for ; x >= 0 && int(live[x]) > len(I); x-- {
+			i := live[x]
+			k := I[kix[i]-1]
+			hi := h[int(i)*w : int(i)*w+w]
+			hp := h[int(par[i])*w : int(par[i])*w+w]
+			rc := rt[int(k.Col)*w : int(k.Col)*w+w]
+			kv := k.Val
+			hp, rc = hp[:len(hi)], rc[:len(hi)]
+			for j, v := range hi {
+				rc[j] += kv * v
+				hp[j] += v
+			}
+		}
+		// First layer: node k+1's key is I[k] itself and its parent the
+		// root, whose accumulated weight nothing reads, so the push is
+		// dropped (and the root's row of H never touched).
+		for ; x >= 0; x-- {
+			i := live[x]
+			k := I[i-1]
+			hi := h[int(i)*w : int(i)*w+w]
+			rc := rt[int(k.Col)*w : int(k.Col)*w+w]
+			kv := k.Val
+			rc = rc[:len(hi)]
+			for j, v := range hi {
+				rc[j] += kv * v
+			}
+		}
+		for j := 0; j < w; j++ {
+			rj := r.Row(lo + j)
+			for c := range rj {
+				rj[c] = rt[c*w+j]
+			}
 		}
 	}
 }

@@ -21,10 +21,12 @@ import "sync"
 //     sequential) and the r[col] scatter, which shards over disjoint
 //     column ranges. It is a different algorithm from the fused backward
 //     scan of vecMulTree, which stays the workers <= 1 kernel.
-//   - matMulTree (leftmul.go) splits the p dimension (rows of M): worker
-//     w owns columns [lo,hi) of every H row and rows [lo,hi) of the
-//     result, so one body serves any split and both its scans run
-//     concurrently with no barrier between them.
+//   - matMulTree (leftmul.go) splits the p dimension (rows of M): the
+//     sequential kernel already works through it a panel at a time, each
+//     panel a complete M·A for its rows of M on a private H slab, so a
+//     worker is simply handed a run of the panels and a slab of its own
+//     (forEachPanelRun in rightmul_parallel.go). One body serves every
+//     worker count and no barrier separates a run's two scans.
 //
 // Result: both kernels return the same bits for any worker count
 // (asserted by TestLeftMulParallel*).

@@ -138,17 +138,16 @@ func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 }
 
 // MulMatInto computes A·M, M being cols × p, into dst (rows × p, zeroed
-// first; nil allocates) and returns it. workers > 1 shards the H scan
-// over result columns and the D scan over result rows.
+// first; nil allocates) and returns it. workers > 1 shards the panels of
+// the p result columns (SparseOnly: the result rows).
 func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	b := p.Batch()
 	if m.Rows() != b.cols {
 		panic(fmt.Sprintf("core: MulMat dim mismatch %d != %d", m.Rows(), b.cols))
 	}
-	workers = rightWorkers(workers, b.rows)
 	r := intoMat(dst, b.rows, m.Cols(), "MulMatInto")
 	if b.variant == SparseOnly {
-		if workers > 1 {
+		if workers = rightWorkers(workers, b.rows); workers > 1 {
 			forEachSpan(b.rows, workers, func(lo, hi int) { b.mulMatSparseRows(m, r, lo, hi) })
 		} else {
 			b.mulMatSparseRows(m, r, 0, b.rows)
@@ -190,18 +189,15 @@ func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 
 // MatMulInto computes M·A, M being p × rows, into dst (p × cols, zeroed
 // first; nil allocates) and returns it. workers > 1 shards the p
-// dimension.
+// dimension: by panels, SparseOnly by rows of M.
 func (p *KernelPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	b := p.Batch()
 	if m.Cols() != b.rows {
 		panic(fmt.Sprintf("core: MatMul dim mismatch %d != %d", m.Cols(), b.rows))
 	}
-	if workers > m.Rows() {
-		workers = m.Rows()
-	}
 	r := intoMat(dst, m.Rows(), b.cols, "MatMulInto")
 	if b.variant == SparseOnly {
-		if workers > 1 {
+		if workers = min(workers, m.Rows()); workers > 1 {
 			forEachSpan(m.Rows(), workers, func(klo, khi int) { b.matMulSparseRange(m, r, klo, khi) })
 		} else {
 			b.matMulSparseRange(m, r, 0, m.Rows())

@@ -23,14 +23,24 @@ import (
 // (decodetree.go); A·v goes one step further and multiplies each of the
 // |I| distinct pairs by v exactly once.
 //
+// A·M differs from the textbook loop in two ways that change no bit.
+// Live nodes: LZW adds a node per emitted code, and inside one batch
+// most of them are never matched again, so A·M evaluates F only for the
+// nodes D references, directly or through a descendant
+// (opScratch.liveNodes) — the D scan reads no other F. Panels: the p
+// result columns are independent recurrences, so the kernel runs both
+// scans on panelWidth columns at a time, and H is a |C'|×panelWidth slab
+// written by one scan and read straight back by the other instead of
+// |C'|×p floats cleared, filled and re-read per call.
+//
 // The inner loops are written for the hardware, not the paper's
 // pseudocode: D is walked through the flat Nodes/Starts arrays with the
 // shard bounds proven up front (boundsHint) so the compiler drops the
-// per-element checks, and the per-row reductions are 4-way unrolled.
-// Every unroll keeps the exact sequential fold order — a single
-// accumulator chain for scalar sums, per-column independence for the
-// matrix rows — so results stay bitwise identical to the pre-rewrite
-// loops, which the equivalence tests pin at every worker count.
+// per-element checks, and the per-row reductions are unrolled. Every
+// unroll keeps the exact sequential fold order — a single accumulator
+// chain for scalar sums, per-column independence for the matrix rows —
+// so results stay bitwise identical to the textbook loops, which the
+// oracle tests pin at every worker count.
 
 // boundsHint asserts lo <= hi, hi < len(starts) and hi <= limit, giving
 // the compiler the facts it needs to drop the starts[i]/starts[i+1] and
@@ -158,91 +168,92 @@ func (b *Batch) MulMat(m *matrix.Dense) *matrix.Dense {
 	return p.MulMatInto(nil, m, 1)
 }
 
-// mulMatTree is A·M over an already-built decode tree, accumulating into
-// r (rows × p, caller-zeroed). With workers > 1 the forward H scan shards
-// over the p result columns and the D scan over result rows.
+// mulMatTree is A·M over an already-built decode tree, writing into r
+// (rows × p, fully overwritten). workers > 1 cuts the p columns into that
+// many runs, each on its own H slab (forEachPanelRun).
 func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *matrix.Dense, workers int) {
 	p := m.Cols()
-	h := sc.floatBuf(t.Len() * p)
-	cw := workers
-	if cw > p {
-		cw = p
-	}
-	if cw > 1 {
-		forEachSpan(p, cw, func(clo, chi int) { b.mulMatForwardCols(t, m, h, p, clo, chi) })
-	} else {
-		b.mulMatForwardCols(t, m, h, p, 0, p)
-	}
+	workers = panelWorkers(workers, p)
+	slab := t.Len() * panelWidth
+	h := sc.rawBuf(workers * slab)
+	live := sc.liveNodes(t, b.d)
 	if workers > 1 {
-		forEachSpan(b.rows, workers, func(lo, hi int) { b.mulMatRows(h, r, p, lo, hi) })
+		forEachPanelRun(p, workers, func(w, clo, chi int) {
+			b.mulMatPanel(t, live, h[w*slab:(w+1)*slab], m, r, clo, chi)
+		})
 	} else {
-		b.mulMatRows(h, r, p, 0, b.rows)
+		b.mulMatPanel(t, live, h, m, r, 0, p)
 	}
 }
 
-// mulMatForwardCols runs the C' forward scan for result columns
-// [clo,chi): H[i,j] = key.Val·M[key.Col,j] + H[parent,j]. Column j of
-// every H row depends only on column j of its parent row, so each
-// column's parent-chain DP is an independent sequential recurrence —
-// disjoint column ranges run concurrently with every per-element fold in
-// exactly the sequential order. The three operand windows are sliced to
-// one length and the column loop 4-way unrolled (columns are independent,
-// so unrolling cannot reassociate anything).
-func (b *Batch) mulMatForwardCols(t *DecodeTree, m *matrix.Dense, h []float64, p, clo, chi int) {
+// mulMatPanel is A·M for result columns [clo,chi), one panel [lo,hi) at
+// a time on the slab h (|C'| rows of hi-lo floats, uninitialized). Per
+// panel it runs the C' forward scan over the live nodes,
+// H[i,j] = key.Val·M[key.Col,j] + H[parent,j] — a live node's parent is
+// live and precedes it, so every row is written before it is read and
+// only the root's needs clearing — and then the D scan,
+// R[i,j] = Σ_n H[n,j] over tuple i's codes n, which reads live rows only.
+// Column j of H and of R depends on column j alone, so each column is
+// the same sequential recurrence whatever panel and worker it falls in.
+// The D scan holds eight columns of a result row in registers while it
+// walks the tuple's codes (a cache line of each H row per step; a tuple
+// is short enough to re-walk from L1): each column still folds from +0
+// in code order, with one load per element instead of a load, a reload
+// of R and a store.
+func (b *Batch) mulMatPanel(t *DecodeTree, live []uint32, h []float64, m *matrix.Dense, r *matrix.Dense, clo, chi int) {
 	I, par := b.i, t.Parent
 	kix := t.KeyIdx[:len(par)]
-	for i := 1; i < len(par); i++ {
-		k := I[kix[i]-1]
-		hw := h[i*p+clo : i*p+chi]
-		hp := h[int(par[i])*p+clo : int(par[i])*p+chi]
-		mr := m.Row(int(k.Col))[clo:chi]
-		kv := k.Val
-		for len(hw) >= 4 && len(hp) >= 4 && len(mr) >= 4 {
-			hw[0] = kv*mr[0] + hp[0]
-			hw[1] = kv*mr[1] + hp[1]
-			hw[2] = kv*mr[2] + hp[2]
-			hw[3] = kv*mr[3] + hp[3]
-			hw, hp, mr = hw[4:], hp[4:], mr[4:]
-		}
-		for len(hw) >= 1 && len(hp) >= 1 && len(mr) >= 1 {
-			hw[0] = kv*mr[0] + hp[0]
-			hw, hp, mr = hw[1:], hp[1:], mr[1:]
-		}
-	}
-}
-
-// mulMatRows scans D for result rows [lo,hi); the loop over result
-// columns is innermost for cache friendliness, as the paper notes for
-// Algorithm 7. Each output row depends on one tuple of D only; per
-// column the adds land in node order, so the 4-way unroll over the
-// independent columns changes no fold.
-func (b *Batch) mulMatRows(h []float64, r *matrix.Dense, p, lo, hi int) {
 	nodes, starts := b.d.Nodes, b.d.Starts
-	boundsHint(lo, hi, len(starts), r.Rows())
-	for i := lo; i < hi; i++ {
-		ri := r.Row(i)
-		row := nodes[starts[i]:starts[i+1]]
-		for _, n := range row {
-			hn := h[int(n)*p : int(n)*p+len(ri)]
-			rw := ri
-			for len(rw) >= 4 && len(hn) >= 4 {
-				rw[0] += hn[0]
-				rw[1] += hn[1]
-				rw[2] += hn[2]
-				rw[3] += hn[3]
-				rw, hn = rw[4:], hn[4:]
+	boundsHint(0, b.rows, len(starts), r.Rows())
+	for lo := clo; lo < chi; lo += panelWidth {
+		hi := min(lo+panelWidth, chi)
+		w := hi - lo
+		clear(h[:w])
+		for _, i := range live {
+			k := I[kix[i]-1]
+			hw := h[int(i)*w : int(i)*w+w]
+			hp := h[int(par[i])*w : int(par[i])*w+w]
+			mr := m.Row(int(k.Col))[lo:hi]
+			kv := k.Val
+			hp, mr = hp[:len(hw)], mr[:len(hw)]
+			for j := range hw {
+				hw[j] = kv*mr[j] + hp[j]
 			}
-			for len(rw) >= 1 && len(hn) >= 1 {
-				rw[0] += hn[0]
-				rw, hn = rw[1:], hn[1:]
+		}
+		for i := 0; i < b.rows; i++ {
+			ri := r.Row(i)[lo:hi]
+			row := nodes[starts[i]:starts[i+1]]
+			c := 0
+			for ; c+8 <= w; c += 8 {
+				var s0, s1, s2, s3, s4, s5, s6, s7 float64
+				for _, n := range row {
+					hn := h[int(n)*w+c : int(n)*w+c+8]
+					s0 += hn[0]
+					s1 += hn[1]
+					s2 += hn[2]
+					s3 += hn[3]
+					s4 += hn[4]
+					s5 += hn[5]
+					s6 += hn[6]
+					s7 += hn[7]
+				}
+				rc := ri[c : c+8]
+				rc[0], rc[1], rc[2], rc[3], rc[4], rc[5], rc[6], rc[7] = s0, s1, s2, s3, s4, s5, s6, s7
+			}
+			for ; c < w; c++ {
+				var s float64
+				for _, n := range row {
+					s += h[int(n)*w+c]
+				}
+				ri[c] = s
 			}
 		}
 	}
 }
 
 // mulMatSparseRows is the SparseOnly A·M for result rows [lo,hi): the
-// flat sparse walk with the per-column accumulation unrolled like
-// mulMatRows.
+// flat sparse walk, accumulating into caller-zeroed r with the loop over
+// the independent result columns 4-way unrolled.
 func (b *Batch) mulMatSparseRows(m *matrix.Dense, r *matrix.Dense, lo, hi int) {
 	starts, cols, vals := b.srStarts, b.srCols, b.srVals
 	boundsHint(lo, hi, len(starts), r.Rows())
