@@ -51,6 +51,22 @@ func NewDenseFromRows(rows [][]float64) *Dense {
 	return d
 }
 
+// Reshape makes d a rows x cols matrix over its own storage, which grows
+// only when too small, and returns d: how a pooled matrix is sized for
+// the next product that fully overwrites it. The contents are
+// unspecified afterwards.
+func (d *Dense) Reshape(rows, cols int) *Dense {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("matrix: negative dimension %dx%d", rows, cols))
+	}
+	n := rows * cols
+	if cap(d.data) < n {
+		d.data = make([]float64, n)
+	}
+	d.rows, d.cols, d.data = rows, cols, d.data[:n]
+	return d
+}
+
 // Rows returns the number of rows.
 func (d *Dense) Rows() int { return d.rows }
 
@@ -156,11 +172,6 @@ func (d *Dense) String() string {
 // Transpose returns a new matrix that is the transpose of d.
 func (d *Dense) Transpose() *Dense {
 	t := NewDense(d.cols, d.rows)
-	for i := 0; i < d.rows; i++ {
-		ri := d.Row(i)
-		for j, v := range ri {
-			t.data[j*d.rows+i] = v
-		}
-	}
+	d.TransposeInto(t.data)
 	return t
 }

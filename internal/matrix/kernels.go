@@ -86,6 +86,119 @@ func (d *Dense) MatMul(m *Dense) *Dense {
 	return r
 }
 
+// The three Into kernels are the dense products of a network's forward
+// and backward pass, written so a training step needs no transpose and
+// no fresh matrix: each reads its operands where they lie and fully
+// overwrites dst, a row-major slice of exactly the result's size (it may
+// be dirty, and may be a window of a larger buffer such as a flat
+// gradient). Each is bit-equal to the allocating spelling it replaces:
+// every output element is the same left-to-right sum over the shared
+// dimension, starting from +0, and a term whose left factor is exactly 0
+// is skipped, as MulMat skips it (which is what keeps 0·Inf out of the
+// sum). TestDenseIntoKernelsMatchTransposeForm holds them to that.
+
+func checkInto(kernel string, dst []float64, rows, cols, innerA, innerB int) {
+	if innerA != innerB {
+		panic(fmt.Sprintf("matrix: %s dim mismatch %d != %d", kernel, innerA, innerB))
+	}
+	if len(dst) != rows*cols {
+		panic(fmt.Sprintf("matrix: %s dst length %d != %d*%d", kernel, len(dst), rows, cols))
+	}
+}
+
+// MulInto computes A·B into dst (a.Rows() × b.Cols()): a.MulMat(b)
+// without the allocation.
+func MulInto(dst []float64, a, b *Dense) {
+	checkInto("MulInto", dst, a.rows, b.cols, a.cols, b.rows)
+	p := b.cols
+	for i := 0; i < a.rows; i++ {
+		ri := dst[i*p : (i+1)*p]
+		clear(ri)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			bk := b.Row(k)[:len(ri)]
+			for j, bv := range bk {
+				ri[j] += av * bv
+			}
+		}
+	}
+}
+
+// MulATBInto computes Aᵀ·B into dst (a.Cols() × b.Cols()):
+// a.Transpose().MulMat(b) without the transpose. It walks A and B row by
+// row — row k of A scatters row k of B into every result row — so each
+// result element still accumulates k ascending.
+func MulATBInto(dst []float64, a, b *Dense) {
+	checkInto("MulATBInto", dst, a.cols, b.cols, a.rows, b.rows)
+	p := b.cols
+	clear(dst)
+	for k := 0; k < a.rows; k++ {
+		bk := b.Row(k)
+		for i, av := range a.Row(k) {
+			if av == 0 {
+				continue
+			}
+			ri := dst[i*p : (i+1)*p][:len(bk)]
+			for j, bv := range bk {
+				ri[j] += av * bv
+			}
+		}
+	}
+}
+
+// MulABTInto computes A·Bᵀ into dst (a.Rows() × b.Rows()):
+// a.MulMat(b.Transpose()) without the transpose. Each result element is
+// the dot product of a row of A with a row of B; four are carried at
+// once so the additions of one do not wait on each other's latency.
+func MulABTInto(dst []float64, a, b *Dense) {
+	checkInto("MulABTInto", dst, a.rows, b.rows, a.cols, b.cols)
+	m := b.rows
+	for i := 0; i < a.rows; i++ {
+		ri := dst[i*m : (i+1)*m]
+		ai := a.Row(i)
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			b0, b1, b2, b3 := b.Row(j)[:len(ai)], b.Row(j + 1)[:len(ai)], b.Row(j + 2)[:len(ai)], b.Row(j + 3)[:len(ai)]
+			var s0, s1, s2, s3 float64
+			for k, av := range ai {
+				if av == 0 {
+					continue
+				}
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			ri[j], ri[j+1], ri[j+2], ri[j+3] = s0, s1, s2, s3
+		}
+		for ; j < m; j++ {
+			bj := b.Row(j)[:len(ai)]
+			var s float64
+			for k, av := range ai {
+				if av == 0 {
+					continue
+				}
+				s += av * bj[k]
+			}
+			ri[j] = s
+		}
+	}
+}
+
+// TransposeInto writes dᵀ (d.Cols() × d.Rows(), row-major) into dst.
+func (d *Dense) TransposeInto(dst []float64) {
+	if len(dst) != len(d.data) {
+		panic(fmt.Sprintf("matrix: TransposeInto dst length %d != %d*%d", len(dst), d.cols, d.rows))
+	}
+	for i := 0; i < d.rows; i++ {
+		for j, v := range d.Row(i) {
+			dst[j*d.rows+i] = v
+		}
+	}
+}
+
 // Scale returns a new matrix c*A (the sparse-safe element-wise A.*c).
 func (d *Dense) Scale(c float64) *Dense {
 	r := NewDense(d.rows, d.cols)
@@ -93,13 +206,6 @@ func (d *Dense) Scale(c float64) *Dense {
 		r.data[i] = v * c
 	}
 	return r
-}
-
-// ScaleInPlace multiplies every element by c in place.
-func (d *Dense) ScaleInPlace(c float64) {
-	for i := range d.data {
-		d.data[i] *= c
-	}
 }
 
 // AddScalar returns a new matrix A.+c (the sparse-unsafe element-wise op).

@@ -51,11 +51,13 @@ func paramsCRC(m Model) uint32 {
 
 // The serial trajectories of every model family, pinned to constants
 // captured at the commit before the three GLM structs were folded into
-// Linear and Train took over Grad+ApplyGrad from the per-model Step. The
-// engine-vs-serial identity tests compare two drivers over the same model
-// code, so an arithmetic slip common to both would pass them; this cannot:
-// the CRC32 of the final flat parameters and the bits of every epoch loss
-// must equal what the old code produced.
+// Linear and Train took over Grad+ApplyGrad from the per-model Step (the
+// two census/nn rows: at the commit before NN.Grad moved onto pooled
+// scratch and the in-place dense kernels). The engine-vs-serial identity
+// tests compare two drivers over the same model code, so an arithmetic
+// slip common to both would pass them; this cannot: the CRC32 of the
+// final flat parameters and the bits of every epoch loss must equal what
+// the old code produced.
 func TestGoldenSerialTrajectories(t *testing.T) {
 	type golden struct {
 		crc  uint32
@@ -65,9 +67,11 @@ func TestGoldenSerialTrajectories(t *testing.T) {
 		"census/linreg/TOC": {0xbd26bfc5, [goldenEpochs]uint64{0x3fb6de9a7ca65215, 0x3fa6f9a622c4a15c}},
 		"census/lr/TOC":     {0xf41529c3, [goldenEpochs]uint64{0x3fe3f45dac654033, 0x3fe00388b63f8533}},
 		"census/svm/TOC":    {0xadac70a1, [goldenEpochs]uint64{0x3fe5e30f8ad27780, 0x3fd16a9687054966}},
+		"census/nn/TOC":     {0x9380ae2a, [goldenEpochs]uint64{0x3fe65d77bac1b8e1, 0x3fe62ec3bc6aadc0}},
 		"census/linreg/DEN": {0x69bbc7c9, [goldenEpochs]uint64{0x3fb6de9a7ca65215, 0x3fa6f9a622c4a15d}},
 		"census/lr/DEN":     {0x42d39c96, [goldenEpochs]uint64{0x3fe3f45dac654033, 0x3fe00388b63f8533}},
 		"census/svm/DEN":    {0xc6265fa9, [goldenEpochs]uint64{0x3fe5e30f8ad27780, 0x3fd16a9687054966}},
+		"census/nn/DEN":     {0xcf595754, [goldenEpochs]uint64{0x3fe65d77bac1b8e1, 0x3fe62ec3bc6aadc0}},
 		"mnist/lr/TOC":      {0x8b532dac, [goldenEpochs]uint64{0x3fdfa0344a2225e0, 0x3fd4c111cb1606af}},
 		"mnist/svm/TOC":     {0x9f285a86, [goldenEpochs]uint64{0x3fd915acc3e4c794, 0x3fca5f6f13a00ba5}},
 		"mnist/nn/TOC":      {0x9b63f5da, [goldenEpochs]uint64{0x4001d0806b986743, 0x40009282ef19e311}},
@@ -80,8 +84,8 @@ func TestGoldenSerialTrajectories(t *testing.T) {
 		dataset string
 		models  []string
 	}{
-		{"census", []string{"linreg", "lr", "svm"}}, // binary GLMs
-		{"mnist", []string{"lr", "svm", "nn"}},      // one-vs-rest and softmax
+		{"census", []string{"linreg", "lr", "svm", "nn"}}, // binary GLMs and the NN's single sigmoid output
+		{"mnist", []string{"lr", "svm", "nn"}},            // one-vs-rest and softmax
 	} {
 		for _, method := range []string{"TOC", "DEN"} {
 			d, src := goldenSource(t, ds.dataset, method)

@@ -40,8 +40,10 @@ func releasePlan(plan formats.KernelPlan) {
 
 // mulVec computes A·v: into dst on the plan, or — without a plan — with
 // the encoding's allocating method. Callers treat the return value as the
-// result either way; a nil dst always allocates. The other three helpers
-// follow the same shape.
+// result either way. The other three helpers follow the same shape. A
+// nil dst allocates in the two vector ones; the two matrix ones size
+// their dst for the product first (Dense.Reshape), so a pooled matrix of
+// whatever earlier shape serves.
 func mulVec(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
 	if plan != nil {
 		return plan.MulVecInto(dst, v, workers)
@@ -56,16 +58,16 @@ func vecMul(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, 
 	return x.VecMul(v)
 }
 
-func mulMat(x formats.CompressedMatrix, plan formats.KernelPlan, m *matrix.Dense, workers int) *matrix.Dense {
+func mulMat(dst *matrix.Dense, x formats.CompressedMatrix, plan formats.KernelPlan, m *matrix.Dense, workers int) *matrix.Dense {
 	if plan != nil {
-		return plan.MulMatInto(nil, m, workers)
+		return plan.MulMatInto(dst.Reshape(x.Rows(), m.Cols()), m, workers)
 	}
 	return x.MulMat(m)
 }
 
-func matMul(x formats.CompressedMatrix, plan formats.KernelPlan, m *matrix.Dense, workers int) *matrix.Dense {
+func matMul(dst *matrix.Dense, x formats.CompressedMatrix, plan formats.KernelPlan, m *matrix.Dense, workers int) *matrix.Dense {
 	if plan != nil {
-		return plan.MatMulInto(nil, m, workers)
+		return plan.MatMulInto(dst.Reshape(m.Rows(), x.Cols()), m, workers)
 	}
 	return x.MatMul(m)
 }

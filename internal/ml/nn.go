@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"toc/internal/formats"
 	"toc/internal/matrix"
@@ -61,20 +62,38 @@ func NewNN(dims int, hidden []int, classes int, seed int64) *NN {
 	return n
 }
 
-// forward runs the network on a compressed batch, returning the
-// post-activation output of every layer (acts[0] is the first hidden
-// layer; the input stays compressed). plan is the caller's planFor(x):
-// the input-layer A·M runs on it, so Grad's backward M·A reuses the same
-// decode-tree build.
-func (n *NN) forward(x formats.CompressedMatrix, plan formats.KernelPlan) []*matrix.Dense {
-	acts := make([]*matrix.Dense, len(n.W))
+// nnScratch is the working memory of one forward/backward pass: the
+// post-activation output of every layer, the delta of every layer, and
+// the two transposes the input layer's M·A still needs. It comes from a
+// pool, not from the NN: the sync engine's workers call Grad on one
+// replica concurrently.
+type nnScratch struct {
+	acts  []*matrix.Dense // acts[l] is rows × Sizes[l+1]; acts[0] is the first hidden layer
+	delta []*matrix.Dense // delta[l] = ∂loss/∂(layer l's pre-activation), rows × Sizes[l+1]
+	dT    matrix.Dense    // delta[0]ᵀ, the M of M·A
+	dW0T  matrix.Dense    // M·A's result, dW0ᵀ
+}
+
+var nnScratchPool = sync.Pool{New: func() any { return new(nnScratch) }}
+
+// forward runs the network on a compressed batch, filling sc.acts with
+// every layer's post-activation output (the input stays compressed), and
+// returns the last one. plan is the caller's planFor(x): the input-layer
+// A·M runs on it, so Grad's backward M·A reuses the same decode-tree
+// build. Grad, Loss and Predict all run this one body.
+func (n *NN) forward(sc *nnScratch, x formats.CompressedMatrix, plan formats.KernelPlan) *matrix.Dense {
+	for len(sc.acts) < len(n.W) {
+		sc.acts = append(sc.acts, new(matrix.Dense))
+		sc.delta = append(sc.delta, new(matrix.Dense))
+	}
+	rows := x.Rows()
 	var h *matrix.Dense
 	for l := range n.W {
-		var z *matrix.Dense
+		z := sc.acts[l]
 		if l == 0 {
-			z = mulMat(x, plan, n.W[0], n.Workers) // A·M on the compressed input
+			z = mulMat(z, x, plan, n.W[0], n.Workers) // A·M on the compressed input
 		} else {
-			z = h.MulMat(n.W[l])
+			matrix.MulInto(z.Reshape(rows, n.Sizes[l+1]).Data(), h, n.W[l])
 		}
 		addBias(z, n.B[l])
 		if l == len(n.W)-1 {
@@ -82,10 +101,10 @@ func (n *NN) forward(x formats.CompressedMatrix, plan formats.KernelPlan) []*mat
 		} else {
 			z.ApplyInPlace(sigmoid)
 		}
-		acts[l] = z
+		sc.acts[l] = z
 		h = z
 	}
-	return acts
+	return h
 }
 
 func addBias(z *matrix.Dense, b []float64) {
@@ -123,70 +142,53 @@ func (n *NN) outputActivation(z *matrix.Dense) {
 	}
 }
 
-// oneHot expands class ids into the network's target matrix.
-func (n *NN) oneHot(y []float64) *matrix.Dense {
-	out := n.Sizes[len(n.Sizes)-1]
-	t := matrix.NewDense(len(y), out)
-	for i, yi := range y {
-		if out == 1 {
-			t.Set(i, 0, yi)
-		} else {
-			t.Set(i, int(yi), 1)
-		}
-	}
-	return t
-}
-
-func columnSums(d *matrix.Dense) []float64 {
-	s := make([]float64, d.Cols())
-	for i := 0; i < d.Rows(); i++ {
-		for j, v := range d.Row(i) {
-			s[j] += v
-		}
-	}
-	return s
-}
-
-// crossEntropy computes the mean cross-entropy of predictions vs targets.
-func (n *NN) crossEntropy(p, t *matrix.Dense) float64 {
+// lossDelta returns the mean cross-entropy of the output activations p
+// against the class ids y and, when delta is non-nil, writes the output
+// layer's delta into it in the same pass: (P − T)/n for sigmoid+CE and
+// softmax+CE alike, T being the target (y itself for the single sigmoid
+// unit, the one-hot row of y otherwise).
+func (n *NN) lossDelta(p *matrix.Dense, y []float64, delta *matrix.Dense) float64 {
 	var loss float64
-	rows := p.Rows()
-	if n.Classes <= 2 {
-		for i := 0; i < rows; i++ {
-			pi := clampProb(p.At(i, 0))
-			yi := t.At(i, 0)
+	inv := 1 / float64(len(y))
+	for i, yi := range y {
+		row := p.Row(i)
+		hot := 0 // the column whose target is yi's (binary) or 1 (one-hot)
+		if n.Classes <= 2 {
+			pi := clampProb(row[0])
 			loss += -(yi*math.Log(pi) + (1-yi)*math.Log(1-pi))
+		} else {
+			hot = int(yi)
+			loss += -math.Log(clampProb(row[hot]))
+			yi = 1
 		}
-	} else {
-		for i := 0; i < rows; i++ {
-			for j := 0; j < p.Cols(); j++ {
-				if t.At(i, j) == 1 {
-					loss += -math.Log(clampProb(p.At(i, j)))
-				}
+		if delta != nil {
+			d := delta.Row(i)
+			for j, v := range row {
+				d[j] = v * inv // (v − 0)·inv
 			}
+			d[hot] = (row[hot] - yi) * inv
 		}
 	}
-	return loss / float64(rows)
-}
-
-// output runs the forward pass on a plan of its own and returns the last
-// layer's activations.
-func (n *NN) output(x formats.CompressedMatrix) *matrix.Dense {
-	plan := planFor(x)
-	defer releasePlan(plan)
-	acts := n.forward(x, plan)
-	return acts[len(acts)-1]
+	return loss / float64(len(y))
 }
 
 // Loss evaluates mean cross-entropy without updating.
 func (n *NN) Loss(x formats.CompressedMatrix, y []float64) float64 {
-	return n.crossEntropy(n.output(x), n.oneHot(y))
+	sc := nnScratchPool.Get().(*nnScratch)
+	defer nnScratchPool.Put(sc)
+	plan := planFor(x)
+	defer releasePlan(plan)
+	return n.lossDelta(n.forward(sc, x, plan), y, nil)
 }
 
 // Predict returns class ids (argmax for softmax, 0.5 threshold for the
 // binary sigmoid output).
 func (n *NN) Predict(x formats.CompressedMatrix) []float64 {
-	out := n.output(x)
+	sc := nnScratchPool.Get().(*nnScratch)
+	defer nnScratchPool.Put(sc)
+	plan := planFor(x)
+	defer releasePlan(plan)
+	out := n.forward(sc, x, plan)
 	pred := make([]float64, out.Rows())
 	if n.Classes <= 2 {
 		for i := range pred {
@@ -221,55 +223,50 @@ func (n *NN) NumParams() int {
 // gradient laid out layer by layer as [dW0..., dB0..., dW1..., dB1...,
 // ...] (dW row-major). One kernel plan spans the input layer's forward
 // A·M and backward M·A, so the step builds the batch's decode tree once.
+// Every product lands in pooled scratch or directly in out, so a
+// steady-state call on a planned encoding allocates nothing.
 func (n *NN) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
 	if x.Rows() != len(y) {
 		panic(fmt.Sprintf("ml: NN batch %d rows but %d labels", x.Rows(), len(y)))
 	}
+	sc := nnScratchPool.Get().(*nnScratch)
+	defer nnScratchPool.Put(sc)
 	plan := planFor(x)
-	acts := n.forward(x, plan)
-	outAct := acts[len(acts)-1]
-	target := n.oneHot(y)
-	loss := n.crossEntropy(outAct, target)
+	defer releasePlan(plan)
 
-	// Layer l's slice of out starts after all earlier layers.
-	offs := make([]int, len(n.W))
-	off := 0
-	for l := range n.W {
-		offs[l] = off
-		off += n.Sizes[l]*n.Sizes[l+1] + n.Sizes[l+1]
-	}
+	rows, last := x.Rows(), len(n.W)-1
+	outAct := n.forward(sc, x, plan)
+	loss := n.lossDelta(outAct, y, sc.delta[last].Reshape(rows, n.Sizes[last+1]))
 
-	nRows := float64(x.Rows())
-	// For sigmoid+CE and softmax+CE alike: delta_out = (P − T)/n.
-	delta := outAct.Sub(target)
-	delta.ScaleInPlace(1 / nRows)
-
-	for l := len(n.W) - 1; l >= 0; l-- {
-		var dW *matrix.Dense
+	off := n.NumParams() // layer l's slice of out ends where layer l+1's starts
+	for l := last; l >= 0; l-- {
+		delta := sc.delta[l]
+		in, width := n.Sizes[l], n.Sizes[l+1]
+		off -= in*width + width
+		layer := out[off : off+in*width+width]
+		dW, db := layer[:in*width], layer[in*width:]
 		if l == 0 {
 			// dW0 = Aᵀ·delta = (deltaᵀ·A)ᵀ — M·A on the compressed input.
-			dW = matMul(x, plan, delta.Transpose(), n.Workers).Transpose()
+			delta.TransposeInto(sc.dT.Reshape(width, rows).Data())
+			matMul(&sc.dW0T, x, plan, &sc.dT, n.Workers).TransposeInto(dW)
 		} else {
-			dW = acts[l-1].Transpose().MulMat(delta)
+			matrix.MulATBInto(dW, sc.acts[l-1], delta)
 		}
-		db := columnSums(delta)
-		if l > 0 {
-			back := delta.MulMat(n.W[l].Transpose())
-			h := acts[l-1]
-			for i := 0; i < back.Rows(); i++ {
-				br := back.Row(i)
-				hr := h.Row(i)
-				for j := range br {
-					br[j] *= hr[j] * (1 - hr[j]) // sigmoid'
-				}
+		clear(db)
+		for i := 0; i < rows; i++ {
+			for j, v := range delta.Row(i) {
+				db[j] += v
 			}
-			delta = back
 		}
-		wlen := n.Sizes[l] * n.Sizes[l+1]
-		copy(out[offs[l]:offs[l]+wlen], dW.Data())
-		copy(out[offs[l]+wlen:offs[l]+wlen+len(db)], db)
+		if l > 0 {
+			back, h := sc.delta[l-1].Reshape(rows, in), sc.acts[l-1]
+			matrix.MulABTInto(back.Data(), delta, n.W[l])
+			bd := back.Data()
+			for j, hv := range h.Data() {
+				bd[j] *= hv * (1 - hv) // sigmoid'
+			}
+		}
 	}
-	releasePlan(plan)
 	return loss
 }
 
