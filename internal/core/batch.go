@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"toc/internal/matrix"
 )
@@ -35,9 +37,11 @@ func (v Variant) String() string {
 }
 
 // Batch is a TOC-compressed mini-batch. It holds the logical encoding
-// (I, D) in memory for kernel execution plus the physical byte image whose
-// length is the batch's compressed size; Serialize returns that image and
-// Deserialize reconstructs the batch from it.
+// (I, D) in memory for kernel execution — D renumbered onto the live
+// nodes of the decode tree, the resident form decodetree.go describes —
+// plus the physical byte image whose length is the batch's compressed
+// size; Serialize returns that image, which is in the paper's numbering,
+// and Deserialize reconstructs the batch from it.
 //
 // Invariants (checked by tests):
 //   - lossless: Decode() equals the compressed input exactly;
@@ -66,8 +70,8 @@ func Compress(m *matrix.Dense) *Batch { return CompressVariant(m, Full) }
 
 // CompressVariant encodes a dense mini-batch using the given layer subset.
 func CompressVariant(m *matrix.Dense, v Variant) *Batch {
-	b := &Batch{rows: m.Rows(), cols: m.Cols(), variant: v}
 	if v == SparseOnly {
+		b := &Batch{rows: m.Rows(), cols: m.Cols(), variant: v}
 		b.srStarts = make([]uint32, b.rows+1)
 		nnz := m.NNZ()
 		b.srCols = make([]uint32, 0, nnz)
@@ -81,16 +85,128 @@ func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 			}
 			b.srStarts[i+1] = uint32(len(b.srCols))
 		}
-	} else {
-		e := encoderPool.Get().(*encoder)
-		e.addDense(m)
-		e.encode()
-		b.i = exactCopy(e.pairs)
-		b.d = dTable{Nodes: exactCopy(e.d.Nodes), Starts: exactCopy(e.d.Starts)}
-		encoderPool.Put(e)
+		b.img = b.buildImage(nil)
+		return b
 	}
-	b.img = b.buildImage()
+	e := encoderPool.Get().(*encoder)
+	e.addDense(m)
+	e.encode()
+	I := exactCopy(e.pairs)
+	D := dTable{Nodes: exactCopy(e.d.Nodes), Starts: exactCopy(e.d.Starts)}
+	encoderPool.Put(e)
+	b, err := newLogical(m.Rows(), m.Cols(), v, I, D, nil)
+	if err != nil {
+		panic("core: Algorithm 1 emitted an invalid (I, D): " + err.Error())
+	}
 	return b
+}
+
+// liveScratch is the pooled working memory of one newLogical call.
+type liveScratch struct {
+	mark  []byte   // by node, paper's numbering: 1 iff D references it
+	remap []uint32 // by node, paper's numbering: its live id
+	at    []byte   // by D position: the mark of the node it created
+}
+
+var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
+
+// newLogical is the one place a Full or SparseLogical batch is made: it
+// takes (I, D) as Algorithm 1 emits them — from the encoder, or unpacked
+// from an image, which is then img — validates them, writes the image if
+// there is none yet, and rewrites D.Nodes in place into the resident form
+// of decodetree.go. D.Nodes must not be aliased by the caller.
+func newLogical(rows, cols int, v Variant, I []Pair, D dTable, img []byte) (*Batch, error) {
+	b := &Batch{rows: rows, cols: cols, variant: v, i: I, d: D, img: img}
+	sc := liveScratchPool.Get().(*liveScratch)
+	defer liveScratchPool.Put(sc)
+	if err := b.validateLogical(sc); err != nil {
+		return nil, err
+	}
+	if img == nil {
+		b.img = b.buildImage(D.Nodes)
+	}
+	b.renumber(sc)
+	return b, nil
+}
+
+// renumber rewrites d.Nodes from the paper's numbering to live ids and
+// fills in d.created and d.live, given validateLogical's marks. It runs
+// on every spilled read, so every loop over nodes or codes is flat and
+// branch-free — most nodes are dead and no predictor learns which, and
+// a loop per tuple mispredicts its exit once a tuple — and sits in a
+// leaf function of its own, where its counter stays in a register
+// (inlined here the compiler spills it to the stack on every iteration).
+func (b *Batch) renumber(sc *liveScratch) {
+	nodes, starts := b.d.Nodes, b.d.Starts
+	firstLayer := len(b.i) + 1
+	mark := sc.mark
+	if cap(sc.remap) < len(mark) {
+		sc.remap = make([]uint32, len(mark))
+	}
+	remap := sc.remap[:len(mark)]
+	mark[0] = 1 // the root, so that every marked first-layer node keeps its number
+	marked := numberMarked(remap, mark)
+	translate(nodes, remap)
+
+	// The creation bitmap. A tuple's non-final positions created a run of
+	// consecutive nodes, so their marks move to position order a run at a
+	// time; a tuple's last position created nothing.
+	created := make([]uint64, (len(nodes)+63)/64)
+	if cap(sc.at) < 64*len(created) {
+		sc.at = make([]byte, 64*len(created))
+	}
+	at := sc.at[:64*len(created)]
+	clear(at[len(nodes):])
+	old := firstLayer
+	for r := 1; r < len(starts); r++ {
+		if lo, hi := starts[r-1], starts[r]; lo < hi {
+			old += copy(at[lo:hi-1], mark[old:])
+			at[hi-1] = 0
+		}
+	}
+	packBits(created, at)
+	b.d.created, b.d.live = created, marked-firstLayer
+}
+
+// numberMarked numbers the marked nodes in order, the unmarked ones
+// skipped: remap[k] is the number of marked nodes before k. An unmarked
+// node's entry is the number the next marked one gets, and nothing reads
+// it. It returns the number of marked nodes.
+//
+//go:noinline
+func numberMarked(remap []uint32, mark []byte) int {
+	var id uint32
+	for k, m := range mark[:len(remap)] {
+		remap[k] = id
+		id += uint32(m)
+	}
+	return int(id)
+}
+
+// translate replaces every code by its entry in remap. All of remap is
+// known by now, so a code that references the node its predecessor
+// created resolves like any other.
+//
+//go:noinline
+func translate(nodes, remap []uint32) {
+	for k, n := range nodes {
+		nodes[k] = remap[n]
+	}
+}
+
+// packBits packs 0/1 bytes into bits, src[64*w+i] into bit i of dst[w];
+// len(src) is 64*len(dst). Eight bytes pack with one multiply: byte i's
+// bit lands on bit 56+i, and no two partial products share a bit.
+//
+//go:noinline
+func packBits(dst []uint64, src []byte) {
+	for w := range dst {
+		var word uint64
+		for k, run := 0, src[64*w:64*w+64]; k < 64; k += 8 {
+			word |= binary.LittleEndian.Uint64(run[k:]) * 0x0102040810204080 >> 56 << k
+		}
+		dst[w] = word
+	}
 }
 
 // Rows returns the number of tuples in the mini-batch.
@@ -110,12 +226,7 @@ func (b *Batch) NumCodes() int { return len(b.d.Nodes) }
 
 // CompressedSize returns the size in bytes of the physical image — the
 // number the paper's compression ratios are computed from.
-func (b *Batch) CompressedSize() int {
-	if b.img == nil {
-		b.img = b.buildImage()
-	}
-	return len(b.img)
-}
+func (b *Batch) CompressedSize() int { return len(b.Serialize()) }
 
 // UncompressedSize returns the DEN size of the original matrix.
 func (b *Batch) UncompressedSize() int {

@@ -338,17 +338,19 @@ func TestDeserializeByteFlipsNeverPanic(t *testing.T) {
 func TestValidateRejectsForwardReference(t *testing.T) {
 	// Hand-build an image whose D references a node that does not exist
 	// yet at replay time: I = [p], D = [[2]] — node 2 was never created
-	// (a single-element tuple creates nothing).
+	// (a single-element tuple creates nothing). The literal is only the
+	// image writer's input, in the paper's numbering; no constructor
+	// would make this batch.
 	b := &Batch{rows: 1, cols: 2, variant: SparseLogical,
 		i: []Pair{{0, 1}},
 		d: dTable{Nodes: []uint32{2}, Starts: []uint32{0, 1}},
 	}
-	if _, err := Deserialize(b.buildImage()); err == nil {
+	if _, err := Deserialize(b.buildImage(b.d.Nodes)); err == nil {
 		t.Fatal("forward node reference should be rejected")
 	}
 	// Node index 0 (the root) is never a valid code either.
 	b.d = dTable{Nodes: []uint32{0}, Starts: []uint32{0, 1}}
-	if _, err := Deserialize(b.buildImage()); err == nil {
+	if _, err := Deserialize(b.buildImage(b.d.Nodes)); err == nil {
 		t.Fatal("root code should be rejected")
 	}
 }
@@ -376,6 +378,9 @@ func TestScaleSharesD(t *testing.T) {
 	// Algorithm 3 touches only I; D must be shared, not copied.
 	if len(s.d.Nodes) > 0 && &s.d.Nodes[0] != &b.d.Nodes[0] {
 		t.Fatal("Scale copied D; Algorithm 3 should only touch I")
+	}
+	if len(s.d.created) == 0 || &s.d.created[0] != &b.d.created[0] || s.d.live != b.d.live {
+		t.Fatal("Scale did not share D's creation bitmap")
 	}
 	// and the original must be untouched
 	if !b.Decode().Equal(a) {

@@ -11,7 +11,9 @@ import (
 // FuzzDeserialize drives adversarial byte images through the physical
 // decoder. The contract under fuzz: Deserialize either returns an error
 // or returns a Batch whose decode and kernels are safe to execute —
-// never a panic, never an out-of-bounds access, regardless of input.
+// never a panic, never an out-of-bounds access, regardless of input —
+// and whose resident form keeps every promise of decodetree.go against
+// the oracle tree of the image's own D (checkResidentForm).
 // Seed corpus lives in testdata/fuzz/FuzzDeserialize; CI runs a short
 // -fuzz pass over it on every push.
 func FuzzDeserialize(f *testing.F) {
@@ -35,11 +37,28 @@ func FuzzDeserialize(f *testing.F) {
 	flipped[len(flipped)-3] ^= 0x40
 	f.Add(flipped)
 	f.Add([]byte("TOCB"))
+	f.Add(unreferencedFirstLayerImage())
 
 	f.Fuzz(func(t *testing.T, img []byte) {
 		b, err := Deserialize(img)
 		if err != nil {
 			return
+		}
+		if b.Variant() != SparseOnly && len(b.d.Nodes) <= 1<<16 {
+			var paper dTable
+			if b.Variant() == Full {
+				_, paper, err = parseFull(img[headerSize:])
+			} else {
+				_, paper, err = parseSparseLogical(img[headerSize:], b.rows)
+			}
+			if err != nil {
+				t.Fatalf("accepted image does not parse: %v", err)
+			}
+			if int64(b.rows)*int64(b.cols) <= 1<<20 {
+				checkResidentForm(t, "accepted image", b, paper)
+			} else {
+				paperIDs(t, "accepted image", b)
+			}
 		}
 		rows, cols := b.Rows(), b.Cols()
 		if rows < 0 || cols < 0 {
@@ -122,8 +141,10 @@ func fuzzMatrix(in []byte) *matrix.Dense {
 // encoder. The contract under fuzz: every variant of every matrix
 // compresses, its image deserializes, and both the batch and its image
 // decode to the input's exact bits — except that a cell equal to zero
-// (either sign) is not stored and decodes +0 — and a kernel plan runs
-// over the result. Seed corpus lives in
+// (either sign) is not stored and decodes +0 — a kernel plan runs over
+// the result, and Algorithm 1 leaves no first-layer pair unreferenced
+// (the renumbering keeps a first-layer node's number on that ground).
+// Seed corpus lives in
 // testdata/fuzz/FuzzCompressRoundTrip; CI runs a short -fuzz pass.
 func FuzzCompressRoundTrip(f *testing.F) {
 	f.Add([]byte{3, 4, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0})
@@ -144,6 +165,23 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			back, err := Deserialize(b.Serialize())
 			if err != nil {
 				t.Fatalf("%v: own image rejected: %v", variant, err)
+			}
+			if variant != SparseOnly {
+				referenced := make([]bool, len(b.i)+1)
+				_, D := PrefixTreeEncode(SparseEncode(m))
+				for _, codes := range D {
+					for _, n := range codes {
+						if int(n) <= len(b.i) {
+							referenced[n] = true
+						}
+					}
+				}
+				for k := 1; k <= len(b.i); k++ {
+					if !referenced[k] {
+						t.Fatalf("%v: Algorithm 1 never emits first-layer node %d (%v)", variant, k, b.i[k-1])
+					}
+				}
+				checkResidentForm(t, variant.String(), b, flattenD(D))
 			}
 			for name, got := range map[string]*Batch{"batch": b, "deserialized image": back} {
 				d := got.Decode()

@@ -17,18 +17,21 @@ import "toc/internal/matrix"
 // leftmul_parallel.go holds the sharded v·A and says why sharding either
 // kernel cannot change a bit.
 //
-// M·A visits only the live nodes of C' (opScratch.liveNodes: the nodes D
-// references, directly or through a descendant), one panelWidth-wide
-// panel of the p dimension at a time, like A·M (rightmul.go). A dead
-// node's G is exactly +0 — D never adds to it and no child pushes into
-// it — so the textbook loop adds key.Val·(+0) = ±0 to an accumulator
-// that starts at +0 and can never become -0: on finite data skipping the
-// node changes no bit, signed zeros included. This is the one place the
-// kernel deviates from Algorithm 8 as written: for a dead node whose key
-// value is ±Inf or NaN the textbook product is Inf·0 = NaN, poisoning a
-// result column the dense kernel leaves finite, and the live-node scan
-// does not produce it. (A live node whose G is exactly zero still yields
-// that NaN, as Algorithm 8 does.)
+// Both kernels run on the batch's resident tree, which holds only the
+// live nodes of C' (decodetree.go: the nodes D references); M·A works
+// through the p dimension one panelWidth-wide panel at a time, like A·M
+// (rightmul.go). A dead node's G is exactly +0 — D never adds to it and
+// no child pushes into it — so the textbook loop adds key.Val·(+0) = ±0
+// to an accumulator that starts at +0 and can never become -0: on finite
+// data leaving the node out changes no bit, signed zeros included. This
+// is the one place v·A and M·A deviate from Algorithms 5 and 8 as
+// written: for a dead node whose key value is ±Inf or NaN the textbook
+// product is Inf·0 = NaN, poisoning a result column the dense kernel
+// leaves finite, and these kernels do not produce it. (A live node whose
+// G is exactly zero still yields that NaN, as the algorithms do.) The
+// right multiplications never read a dead node's F, so all four kernels
+// agree with matrix.Dense on which elements are NaN or infinite
+// (TestMatrixKernelsNonFiniteMatchDense).
 
 // VecMul computes v·A on the compressed batch.
 func (b *Batch) VecMul(v []float64) []float64 {
@@ -126,13 +129,12 @@ func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 	h := sc.rawBuf(workers * slab)
 	side := (1 + b.cols) * panelWidth // a run's column gather, then its transposed result panel
 	g := sc.gatherBuf(workers * side)
-	live := sc.liveNodes(t, b.d)
 	if workers > 1 {
 		forEachPanelRun(p, workers, func(w, klo, khi int) {
-			b.matMulPanel(t, live, h[w*slab:(w+1)*slab], g[w*side:(w+1)*side], m, r, klo, khi)
+			b.matMulPanel(t, h[w*slab:(w+1)*slab], g[w*side:(w+1)*side], m, r, klo, khi)
 		})
 	} else {
-		b.matMulPanel(t, live, h, g, m, r, 0, p)
+		b.matMulPanel(t, h, g, m, r, 0, p)
 	}
 }
 
@@ -142,7 +144,7 @@ func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 // transposed. A panel reads rows [lo,hi) of M, writes rows [lo,hi) of r
 // and touches nothing another panel does, and every per-element
 // reduction runs in the one order whatever the split.
-func (b *Batch) matMulPanel(t *DecodeTree, live []uint32, h, g []float64, m *matrix.Dense, r *matrix.Dense, klo, khi int) {
+func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *matrix.Dense, klo, khi int) {
 	mcols, rcols := m.Cols(), r.Cols()
 	mc, rt := g[:panelWidth], g[panelWidth:]
 	I, par := b.i, t.Parent
@@ -153,12 +155,8 @@ func (b *Batch) matMulPanel(t *DecodeTree, live []uint32, h, g []float64, m *mat
 		w := min(lo+panelWidth, khi) - lo
 		md := m.Data()[lo*mcols:]
 		mc := mc[:w]
-		// Only live rows of H are ever read or accumulated into (D
-		// references live nodes, a live node's parent is live), so only
-		// they are cleared.
-		for _, i := range live {
-			clear(h[int(i)*w : int(i)*w+w])
-		}
+		// The root's row is never read or accumulated into.
+		clear(h[w : len(par)*w])
 		// Scan D to compute H[x,:] = G(x) = Σ_{D[i,j]=x} M[:,i]. H is
 		// stored node-major ("transposed" in the paper's wording) so D is
 		// scanned once with good locality. Column i of M is gathered into
@@ -184,19 +182,16 @@ func (b *Batch) matMulPanel(t *DecodeTree, live []uint32, h, g []float64, m *mat
 				}
 			}
 		}
-		// Scan the live nodes of C' backwards, pushing accumulated weights
-		// to parents. Result element (lo+j, col) accumulates in rt[col][j],
+		// Scan C' backwards, pushing accumulated weights to parents. Result element (lo+j, col) accumulates in rt[col][j],
 		// the panel of r transposed, so a node's w contributions land in
 		// one contiguous row instead of w cache lines a row of r apart; rt
 		// starts at +0 like r and takes the same addends in the same
 		// order, so copying it out writes the bits accumulating in place
 		// would have.
 		clear(rt[:rcols*w])
-		x := len(live) - 1
-		for ; x >= 0 && int(live[x]) > len(I); x-- {
-			i := live[x]
+		for i := len(par) - 1; i > len(I); i-- {
 			k := I[kix[i]-1]
-			hi := h[int(i)*w : int(i)*w+w]
+			hi := h[i*w : i*w+w]
 			hp := h[int(par[i])*w : int(par[i])*w+w]
 			rc := rt[int(k.Col)*w : int(k.Col)*w+w]
 			kv := k.Val
@@ -209,10 +204,9 @@ func (b *Batch) matMulPanel(t *DecodeTree, live []uint32, h, g []float64, m *mat
 		// First layer: node k+1's key is I[k] itself and its parent the
 		// root, whose accumulated weight nothing reads, so the push is
 		// dropped (and the root's row of H never touched).
-		for ; x >= 0; x-- {
-			i := live[x]
+		for i := len(I); i >= 1; i-- {
 			k := I[i-1]
-			hi := h[int(i)*w : int(i)*w+w]
+			hi := h[i*w : i*w+w]
 			rc := rt[int(k.Col)*w : int(k.Col)*w+w]
 			kv := k.Val
 			rc = rc[:len(hi)]

@@ -14,27 +14,24 @@ import (
 	"toc/internal/testutil"
 )
 
-// A·M and M·A evaluate only the live part of C', a panel of the p
-// dimension at a time, on scratch nothing ever initializes for them. The
-// tests here pin what that rests on: the live list is exactly the set of
-// nodes D can reach, every panel shape terminates on the oracle's bits,
-// no row of H is read before the call at hand wrote it, and H no longer
-// grows with p.
+// The kernels evaluate only the live part of C' — a batch's tree holds
+// nothing else — and A·M and M·A a panel of the p dimension at a time,
+// on scratch nothing ever initializes for them. The tests here pin what
+// that rests on: the batch's numbering is exactly the set of nodes D can
+// reach, every panel shape terminates on the oracle's bits, no row of H
+// is read before the call at hand wrote it, and H no longer grows with p.
 
 // logicalCases is the oracle table as Full and SparseLogical batches.
-func logicalCases(t *testing.T, rng *rand.Rand) map[string]*Batch {
-	batches := map[string]*Batch{}
+func logicalCases(t *testing.T, rng *rand.Rand) map[string]logicalCase {
+	cases := map[string]logicalCase{}
 	for name, c := range oracleCases(rng) {
 		I, D := PrefixTreeEncode(c.rows)
 		for _, variant := range []Variant{Full, SparseLogical} {
-			b := &Batch{rows: len(c.rows), cols: c.cols, variant: variant, i: I, d: flattenD(D)}
-			if err := b.validateLogical(); err != nil {
-				t.Fatalf("%s: encoder output rejected: %v", name, err)
-			}
-			batches[fmt.Sprintf("%s/%v", name, variant)] = b
+			tag := fmt.Sprintf("%s/%v", name, variant)
+			cases[tag] = newLogicalCase(t, tag, len(c.rows), c.cols, variant, I, D)
 		}
 	}
-	return batches
+	return cases
 }
 
 // Every width the panel loop can meet — none, one column, one short of a
@@ -43,15 +40,16 @@ func logicalCases(t *testing.T, rng *rand.Rand) map[string]*Batch {
 func TestMatrixKernelsPanelEdgeShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2000))
 	const w = panelWidth
-	for name, b := range logicalCases(t, rng) {
-		want := oracleBuild(b.i, b.d)
+	for name, c := range logicalCases(t, rng) {
+		b := c.b
+		want := oracleBuild(b.i, c.paper)
 		plan := b.NewKernelPlan()
 		for _, p := range []int{0, 1, w - 1, w, w + 1, 2*w + 3} {
 			mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
 			fillRand(rng, mr)
 			fillRand(rng, ml)
-			wantMulMat := want.mulMat(b.d, mr).Data()
-			wantMatMul := want.matMul(b.d, ml, b.cols).Data()
+			wantMulMat := want.mulMat(c.paper, mr).Data()
+			wantMatMul := want.matMul(c.paper, ml, b.cols).Data()
 			for _, workers := range []int{0, 1, 2, 7} {
 				if got := plan.MulMatInto(dirtyMat(b.rows, p), mr, workers); !bitsEqual(got.Data(), wantMulMat) {
 					t.Fatalf("%s p=%d workers=%d: MulMatInto differs from the oracle", name, p, workers)
@@ -65,63 +63,90 @@ func TestMatrixKernelsPanelEdgeShapes(t *testing.T) {
 	}
 }
 
-// The live list is the set of nodes some code of D reaches by walking
-// parent links, in ascending order — no more, or a kernel does dead
-// work; no less, or it reads a row of H it never wrote.
+// A batch's numbering covers the set of nodes some code of D reaches by
+// walking parent links in the oracle tree, in ascending order — no more,
+// or a kernel does dead work; no less, or a code of D has no node — and
+// the rest of the resident form follows from it (checkResidentForm).
 func TestLiveNodesAreExactlyTheReachableOnes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2010))
-	batches := logicalCases(t, rng)
+	cases := logicalCases(t, rng)
 	for k := 0; k < 20; k++ {
 		rows, cols := 1+rng.Intn(120), 1+rng.Intn(40)
 		m := redundantMatrix(rng, rows, cols, 0.05+0.9*rng.Float64(), 1+rng.Intn(8))
-		batches[fmt.Sprintf("redundant%d %dx%d", k, rows, cols)] = Compress(m)
+		cases[fmt.Sprintf("redundant%d %dx%d", k, rows, cols)] = compressedCase(m)
 	}
-	sc := new(opScratch)
-	for name, b := range batches {
-		tree := new(treeArena).build(b.i, b.d)
-		reach := make([]bool, tree.Len())
-		for _, n := range b.d.Nodes {
-			for i := n; i != 0 && !reach[i]; i = tree.Parent[i] {
-				reach[i] = true
-			}
+	dead := 0
+	for name, c := range cases {
+		checkResidentForm(t, name, c.b, c.paper)
+		dead += treeSize(c.b.i, c.paper) - c.b.buildTree().Len()
+	}
+	if dead == 0 {
+		t.Fatal("no case has a dead node; the table no longer exercises the renumbering")
+	}
+}
+
+// The shapes on which the renumbering has an edge to fall off: tuples
+// that create nothing (empty, one element), a batch with no deep node at
+// all, identical rows (one long match each after the first), bitmap
+// words that end exactly at and one past a tuple boundary, and the
+// self-referencing code — a tuple whose next code is the node its
+// previous one just created.
+func TestResidentFormEdgeShapes(t *testing.T) {
+	a, b, c := Pair{Col: 0, Val: 5}, Pair{Col: 2, Val: -1.5}, Pair{Col: 1, Val: 0.25}
+	long := func(n int) SparseRow { // n distinct pairs: a tuple that creates n-1 nodes
+		row := make(SparseRow, n)
+		for k := range row {
+			row[k] = Pair{Col: uint32(k), Val: float64(k%7) + 1}
 		}
-		want := []uint32{}
-		for i, ok := range reach {
-			if ok {
-				want = append(want, uint32(i))
-			}
+		return row
+	}
+	for name, tc := range map[string]struct {
+		cols int
+		rows []SparseRow
+	}{
+		"noRows":        {3, nil},
+		"emptyRows":     {3, []SparseRow{{}, {}, {}}},
+		"oneElement":    {3, []SparseRow{{a}, {b}, {}, {a}, {c}}},
+		"noDeepNode":    {3, []SparseRow{{a}, {}, {b}}},
+		"identicalRows": {3, []SparseRow{{a, c, b}, {a, c, b}, {a, c, b}, {a, c, b}, {a, c, b}}},
+		"selfReference": {1, []SparseRow{{a, a, a}}},
+		"selfReferenceTwice": {3, []SparseRow{
+			{a, a, a}, {b, a, a, a, a}, {}, {a, b, a, b, a, b, a}, {b, b, b, b, b, b},
+		}},
+		"wordBoundary64": {64, []SparseRow{long(64), long(64), long(3)}},
+		"wordBoundary65": {65, []SparseRow{long(65), long(63), long(65)}},
+		"wordBoundary63": {63, []SparseRow{long(63), {}, long(63), long(2), long(63)}},
+	} {
+		I, D := PrefixTreeEncode(tc.rows)
+		for _, variant := range []Variant{Full, SparseLogical} {
+			tag := fmt.Sprintf("%s/%v", name, variant)
+			lc := newLogicalCase(t, tag, len(tc.rows), tc.cols, variant, I, D)
+			checkResidentForm(t, tag, lc.b, lc.paper)
 		}
-		// Twice on one scratch: the second call starts from the first's
-		// marks and list.
-		for pass := 0; pass < 2; pass++ {
-			if got := sc.liveNodes(tree, b.d); !reflect.DeepEqual(append([]uint32{}, got...), want) {
-				t.Fatalf("%s pass %d: live nodes %v, reachable from D %v", name, pass, got, want)
-			}
-		}
+	}
+	// The paper's running example: D = {1,2,3,4 | 6,3 | 5,8 | 6} keeps
+	// nodes 6 and 8 of the five it creates.
+	ex := compressedCase(figure3Input())
+	checkResidentForm(t, "figure3", ex.b, ex.paper)
+	if ex.b.d.live != 2 || !reflect.DeepEqual(ex.b.d.created, []uint64{1<<0 | 1<<2}) {
+		t.Fatalf("figure3: live deep nodes %d, creation bitmap %b; want 2 and positions 0, 2", ex.b.d.live, ex.b.d.created)
 	}
 }
 
 // poisonScratch makes every byte the pooled scratch owns hostile: NaN in
-// both float arenas, set marks, out-of-range node indexes.
+// both float arenas.
 func poisonScratch(sc *opScratch) {
 	for _, arena := range [][]float64{sc.floats[:cap(sc.floats)], sc.gather[:cap(sc.gather)]} {
 		for i := range arena {
 			arena[i] = math.NaN()
 		}
 	}
-	mark, live := sc.mark[:cap(sc.mark)], sc.live[:cap(sc.live)]
-	for i := range mark {
-		mark[i] = 0xff
-	}
-	for i := range live {
-		live[i] = math.MaxUint32
-	}
 }
 
 // H is uninitialized outside the rows a call writes. With the one pooled
 // scratch grown past every case and refilled with NaN before each call,
-// a kernel that read a dead row, a row of another panel's stride or a
-// stale mark would carry the NaN into its result.
+// a kernel that read a row it had not written or a row of another
+// panel's stride would carry the NaN into its result.
 func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the poisoned scratch may not be the one a kernel gets")
@@ -142,16 +167,18 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 	poisoned := scratchPool.Get().(*opScratch)
 	scratchPool.Put(poisoned)
 
-	for name, b := range logicalCases(t, rng) {
-		if treeSize(b.i, b.d) > bigLen || b.cols > big.cols {
+	for name, c := range logicalCases(t, rng) {
+		b := c.b
+		// The slab is one row per live node.
+		if 1+len(b.i)+b.d.live > bigLen || b.cols > big.cols {
 			t.Fatalf("%s: case outgrows the throwaway batch", name)
 		}
-		want := oracleBuild(b.i, b.d)
+		want := oracleBuild(b.i, c.paper)
 		mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
 		fillRand(rng, mr)
 		fillRand(rng, ml)
-		wantMulMat := want.mulMat(b.d, mr).Data()
-		wantMatMul := want.matMul(b.d, ml, b.cols).Data()
+		wantMulMat := want.mulMat(c.paper, mr).Data()
+		wantMatMul := want.matMul(c.paper, ml, b.cols).Data()
 		plan := b.NewKernelPlan()
 		for _, workers := range []int{1, 2} {
 			poisonScratch(poisoned)
@@ -171,12 +198,27 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 	}
 }
 
-// Algorithm 8 as written adds key.Val·G for every node of C', so a node
-// nothing references, G exactly 0, whose key value is ±Inf or NaN puts
-// Inf·0 = NaN into a result column the dense kernel leaves finite or
-// infinite. Visiting live nodes only, M·A no longer does: on which
-// elements are NaN, and on every infinite one, both matrix kernels agree
-// with the dense ones. (Finite elements are the oracle tests' business.)
+// unreferencedFirstLayerImage is a well-formed SparseLogical image no
+// Compress writes: its I holds a pair (1:+Inf) that no code of D reaches.
+// Such a pair would keep its number in the resident form, the one node
+// with G exactly 0, and v·A and M·A would turn it into Inf·0 = NaN in a
+// column the decoded matrix has only zeros in.
+func unreferencedFirstLayerImage() []byte {
+	b := &Batch{rows: 2, cols: 3, variant: SparseLogical,
+		i: []Pair{{0, 2.5}, {1, math.Inf(1)}, {2, 0.5}},
+		d: dTable{Nodes: []uint32{1, 3, 1}, Starts: []uint32{0, 2, 3}},
+	}
+	return b.buildImage(b.d.Nodes)
+}
+
+// Algorithms 5 and 8 as written add key.Val·G for every node of C', so a
+// node nothing references, G exactly 0, whose key value is ±Inf or NaN
+// puts Inf·0 = NaN into a result column the dense kernel leaves finite
+// or infinite. A batch's tree holds no such node, so v·A and M·A do not:
+// on which elements are NaN, and on every infinite one, all four kernels
+// agree with the dense ones at every worker count. (Finite elements are
+// the oracle tests' business.) The one dead node the renumbering could
+// not leave out, an unreferenced first-layer pair, never gets in.
 func TestMatrixKernelsNonFiniteMatchDense(t *testing.T) {
 	nanA := math.Float64frombits(0x7ff8000000000001)
 	nanB := math.Float64frombits(0xfff0000000000abc)
@@ -195,16 +237,17 @@ func TestMatrixKernelsNonFiniteMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(2030))
 	const p = 5
 	mr, ml := matrix.NewDense(a.Cols(), p), matrix.NewDense(p, a.Rows())
-	for _, m := range []*matrix.Dense{mr, ml} {
-		for i := range m.Data() {
-			m.Data()[i] = 0.25 + rng.Float64() // positive: no product is 0·Inf, no sum Inf-Inf but where A has both
+	vr, vl := make([]float64, a.Cols()), make([]float64, a.Rows())
+	for _, operand := range [][]float64{mr.Data(), ml.Data(), vr, vl} {
+		for i := range operand {
+			operand[i] = 0.25 + rng.Float64() // positive: no product is 0·Inf, no sum Inf-Inf but where A has both
 		}
 	}
-	agree := func(tag string, got, want *matrix.Dense) {
+	agree := func(tag string, got, want []float64) {
 		t.Helper()
 		nans := 0
-		for i, g := range got.Data() {
-			w := want.Data()[i]
+		for i, g := range got {
+			w := want[i]
 			if math.IsNaN(g) != math.IsNaN(w) || (math.IsInf(w, 0) && g != w) {
 				t.Errorf("%s: element %d is %v, dense kernel has %v", tag, i, g, w)
 			}
@@ -212,47 +255,62 @@ func TestMatrixKernelsNonFiniteMatchDense(t *testing.T) {
 				nans++
 			}
 		}
-		if nans == 0 || nans == len(got.Data()) {
-			t.Errorf("%s: %d of %d elements NaN; the case should have both kinds", tag, nans, len(got.Data()))
+		if nans == 0 || nans == len(got) {
+			t.Errorf("%s: %d of %d elements NaN; the case should have both kinds", tag, nans, len(got))
 		}
 	}
 	for _, variant := range []Variant{Full, SparseLogical} {
 		b := CompressVariant(a, variant)
-		plan := b.NewKernelPlan()
-		live := make([]bool, plan.tree.Len())
-		for _, i := range new(opScratch).liveNodes(plan.tree, b.d) {
-			live[i] = true
+		// The full tree has a dead node with a non-finite key, or the
+		// case no longer exercises the deviation.
+		_, D := PrefixTreeEncode(SparseEncode(a))
+		full := oracleBuild(b.i, flattenD(D))
+		referenced := map[uint32]bool{}
+		for _, codes := range D {
+			for _, n := range codes {
+				referenced[n] = true
+			}
 		}
 		deadNonFinite := false
-		for i := 1; i < len(live); i++ {
-			if v := b.i[plan.tree.KeyIdx[i]-1].Val; !live[i] && (math.IsInf(v, 0) || math.IsNaN(v)) {
+		for i := 1; i < len(full.Key); i++ {
+			if v := full.Key[i].Val; !referenced[uint32(i)] && (math.IsInf(v, 0) || math.IsNaN(v)) {
 				deadNonFinite = true
 			}
 		}
 		if !deadNonFinite {
 			t.Fatalf("%v: no dead node has a non-finite key; the case no longer exercises the deviation", variant)
 		}
+		plan := b.NewKernelPlan()
 		for _, workers := range []int{1, 2} {
-			agree(fmt.Sprintf("%v A·M workers=%d", variant, workers), plan.MulMatInto(nil, mr, workers), a.MulMat(mr))
-			agree(fmt.Sprintf("%v M·A workers=%d", variant, workers), plan.MatMulInto(nil, ml, workers), a.MatMul(ml))
+			agree(fmt.Sprintf("%v A·v workers=%d", variant, workers), plan.MulVecInto(nil, vr, workers), a.MulVec(vr))
+			agree(fmt.Sprintf("%v v·A workers=%d", variant, workers), plan.VecMulInto(nil, vl, workers), a.VecMul(vl))
+			agree(fmt.Sprintf("%v A·M workers=%d", variant, workers), plan.MulMatInto(nil, mr, workers).Data(), a.MulMat(mr).Data())
+			agree(fmt.Sprintf("%v M·A workers=%d", variant, workers), plan.MatMulInto(nil, ml, workers).Data(), a.MatMul(ml).Data())
 		}
 		plan.Release()
+	}
+	if _, err := Deserialize(unreferencedFirstLayerImage()); err == nil {
+		t.Error("an image with an unreferenced first-layer pair was accepted; M·A would turn its +Inf key into Inf·0")
 	}
 }
 
 // The H scratch of a matrix kernel is one |C'|×panelWidth slab per
-// worker, whatever p is (it was |C'|×p).
+// worker, |C'| counting live nodes only, whatever p is (it was |C'|×p
+// over the full tree).
 func TestMatrixKernelScratchIndependentOfP(t *testing.T) {
 	rng := rand.New(rand.NewSource(2040))
 	const p = 512
 	b := Compress(redundantMatrix(rng, 64, 16, 0.9, 4))
 	plan := b.NewKernelPlan()
 	defer plan.Release()
+	if plan.tree.Len() != 1+len(b.i)+b.d.live {
+		t.Fatalf("plan tree has %d nodes, the batch 1+%d+%d live ones", plan.tree.Len(), len(b.i), b.d.live)
+	}
 	mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
 	fillRand(rng, mr)
 	fillRand(rng, ml)
 	for _, workers := range []int{1, 2} {
-		limit := workers * plan.tree.Len() * panelWidth
+		limit := workers * (1 + len(b.i) + b.d.live) * panelWidth
 		sc := new(opScratch)
 		b.mulMatTree(plan.tree, sc, mr, matrix.NewDense(b.rows, p), workers)
 		if got := cap(sc.floats); got > limit {
@@ -285,7 +343,7 @@ func BenchmarkMatrixKernels(b *testing.B) {
 		}
 		batch := Compress(ds.X)
 		plan := batch.NewKernelPlan()
-		liveShare := float64(len(new(opScratch).liveNodes(plan.tree, batch.d))) / float64(plan.tree.Len())
+		liveShare := float64(plan.tree.Len()) / float64(treeSize(batch.i, batch.d))
 		work := float64(ds.X.NNZ() * p)
 		mr, ml := matrix.NewDense(batch.cols, p), matrix.NewDense(p, rows)
 		for i := range mr.Data() {

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"toc/internal/bitpack"
@@ -14,13 +16,15 @@ import (
 	"toc/internal/matrix"
 )
 
-// The oracle: Algorithm 2 exactly as the paper writes it — a tree that
-// stores every node's key as a Pair, built with the Pair-valued F array —
-// and the four Table 1 kernels as textbook loops over it, no unrolling,
-// no sharding, no first-layer indirection. The lean 8-byte tree and both
-// entry points built on it (the per-op Batch methods and KernelPlan's
-// Into methods at any worker count, allocating or into a caller-owned
-// dst) must reproduce the oracle's bits, and Decode its sequences.
+// The oracle: Algorithm 2 exactly as the paper writes it — the full tree
+// in the paper's numbering, every node's key stored as a Pair, built with
+// the Pair-valued F array from D as Algorithm 1 emitted it — and the four
+// Table 1 kernels as textbook loops over it, no unrolling, no sharding,
+// no first-layer indirection, no node left out. The lean 8-byte live-only
+// tree of a Batch's resident form and both entry points built on it (the
+// per-op Batch methods and KernelPlan's Into methods at any worker count,
+// allocating or into a caller-owned dst) must reproduce the oracle's
+// bits, and Decode its sequences.
 
 type oracleTree struct {
 	Key    []Pair
@@ -44,6 +48,175 @@ func oracleBuild(I []Pair, D dTable) *oracleTree {
 		}
 	}
 	return t
+}
+
+// seq is the pair sequence node idx represents (§3.1.1).
+func (t *oracleTree) seq(idx uint32) []Pair {
+	var seq []Pair
+	for i := idx; i != 0; i = t.Parent[i] {
+		seq = append([]Pair{t.Key[i]}, seq...)
+	}
+	return seq
+}
+
+// logicalCase is a batch in resident form beside the D Algorithm 1
+// emitted for it, which is what the oracle runs on.
+type logicalCase struct {
+	b     *Batch
+	paper dTable
+}
+
+// newLogicalCase makes the batch of (I, D) as PrefixTreeEncode returns
+// them through the one constructor.
+func newLogicalCase(t testing.TB, tag string, rows, cols int, v Variant, I []Pair, D [][]uint32) logicalCase {
+	t.Helper()
+	b, err := newLogical(rows, cols, v, I, flattenD(D), nil)
+	if err != nil {
+		t.Fatalf("%s: encoder output rejected: %v", tag, err)
+	}
+	return logicalCase{b: b, paper: flattenD(D)}
+}
+
+// compressedCase is Compress(m) beside Algorithm 1's D for m.
+func compressedCase(m *matrix.Dense) logicalCase {
+	_, D := PrefixTreeEncode(SparseEncode(m))
+	return logicalCase{b: Compress(m), paper: flattenD(D)}
+}
+
+// paperIDs replays the creation bitmap into the paper's number of every
+// live node, indexed by live id (entry 0 is the root), checking the
+// resident-form invariants on the way: a bit is set only at a non-final
+// position of its tuple, the bitmap's population is d.live, and every id
+// in d.Nodes is in 1..|I|+live.
+func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
+	t.Helper()
+	d := b.d
+	if want := (len(d.Nodes) + 63) / 64; len(d.created) != want {
+		t.Fatalf("%s: creation bitmap has %d words for |D| = %d, want %d", tag, len(d.created), len(d.Nodes), want)
+	}
+	ids := make([]uint32, len(b.i)+1, len(b.i)+1+d.live)
+	for k := range ids {
+		ids[k] = uint32(k)
+	}
+	set, next := 0, uint32(len(b.i))+1
+	for r := 0; r < d.rows(); r++ {
+		for q := int(d.Starts[r]); q < int(d.Starts[r+1]); q++ {
+			bit := d.created[q>>6]>>(q&63)&1 != 0
+			if q+1 == int(d.Starts[r+1]) {
+				if bit {
+					t.Fatalf("%s: creation bit set at %d, the final position of tuple %d", tag, q, r)
+				}
+				continue
+			}
+			if bit {
+				ids = append(ids, next)
+				set++
+			}
+			next++
+		}
+	}
+	pop := 0
+	for _, w := range d.created {
+		pop += bits.OnesCount64(w)
+	}
+	if pop != set || pop != d.live {
+		t.Fatalf("%s: bitmap population %d (%d at creating positions), live count %d", tag, pop, set, d.live)
+	}
+	for k, n := range d.Nodes {
+		if n == 0 || int(n) > len(b.i)+d.live {
+			t.Fatalf("%s: D position %d holds id %d, outside 1..%d", tag, k, n, len(b.i)+d.live)
+		}
+	}
+	return ids
+}
+
+// checkResidentForm checks everything a batch's resident form promises
+// against the oracle tree of paper, D in the paper's numbering: the
+// numbering covers exactly the nodes D reaches by parent walks, in
+// order; D maps back to paper position by position; the live-only tree
+// is the oracle's restricted to those nodes; Decode gives the oracle's
+// sequences; and the image round-trips byte for byte, from the batch and
+// from a scaled one whose image goes through the inverse map.
+func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
+	t.Helper()
+	ids := paperIDs(t, tag, b)
+	want := oracleBuild(b.i, paper)
+	reach := make([]bool, len(want.Key))
+	for _, n := range paper.Nodes {
+		for i := n; i != 0 && !reach[i]; i = want.Parent[i] {
+			reach[i] = true
+		}
+	}
+	reachable := []uint32{0}
+	for i, ok := range reach {
+		if ok {
+			reachable = append(reachable, uint32(i))
+		}
+	}
+	if !reflect.DeepEqual(ids, reachable) {
+		t.Fatalf("%s: numbered nodes %v, reachable from D %v", tag, ids[1:], reachable[1:])
+	}
+	if !slices.Equal(b.d.Starts, paper.Starts) {
+		t.Fatalf("%s: tuple starts %v, want %v", tag, b.d.Starts, paper.Starts)
+	}
+	for k, n := range b.d.Nodes {
+		if ids[n] != paper.Nodes[k] {
+			t.Fatalf("%s: D position %d holds live id %d = paper node %d, Algorithm 1 emitted %d", tag, k, n, ids[n], paper.Nodes[k])
+		}
+	}
+	if got := b.d.paperNodes(len(b.i)); !slices.Equal(got, paper.Nodes) {
+		t.Fatalf("%s: the inverse map gives %v, Algorithm 1 emitted %v", tag, got, paper.Nodes)
+	}
+
+	lean := b.buildTree()
+	if lean.Len() != len(ids) {
+		t.Fatalf("%s: lean tree has %d nodes, %d are live", tag, lean.Len(), len(ids))
+	}
+	for i := 1; i < lean.Len(); i++ {
+		// Keys compare by bits: a NaN value is a pair like any other.
+		got, key := b.i[lean.KeyIdx[i]-1], want.Key[ids[i]]
+		if ids[lean.Parent[i]] != want.Parent[ids[i]] || got.Col != key.Col || math.Float64bits(got.Val) != math.Float64bits(key.Val) {
+			t.Fatalf("%s: live node %d (paper %d) = key %v parent %d, oracle key %v parent %d", tag, i, ids[i],
+				b.i[lean.KeyIdx[i]-1], ids[lean.Parent[i]], want.Key[ids[i]], want.Parent[ids[i]])
+		}
+	}
+
+	// Decode writes each code's sequence into its row; with the oracle's
+	// keys that is a plain walk up the parents.
+	dec := matrix.NewDense(b.rows, b.cols)
+	for i := 0; i < b.rows; i++ {
+		for _, n := range paper.row(i) {
+			for idx := n; idx != 0; idx = want.Parent[idx] {
+				dec.Set(i, int(want.Key[idx].Col), want.Key[idx].Val)
+			}
+		}
+	}
+	if got := b.Decode(); got.Rows() != b.rows || got.Cols() != b.cols || !bitsEqual(got.Data(), dec.Data()) {
+		t.Fatalf("%s: Decode differs from the oracle", tag)
+	}
+
+	// stale is b as Scale leaves a batch: no image, so Serialize writes
+	// one through the inverse map. (Scale itself may change a NaN's bits.)
+	stale := *b
+	stale.img = nil
+	if !bytes.Equal(stale.Serialize(), b.Serialize()) {
+		t.Fatalf("%s: the image rebuilt through the inverse map differs from the batch's", tag)
+	}
+	for name, x := range map[string]*Batch{"batch": b, "scaled batch": b.Scale(2)} {
+		img := x.Serialize()
+		back, err := Deserialize(img)
+		if err != nil {
+			t.Fatalf("%s: the %s's image is rejected: %v", tag, name, err)
+		}
+		if !slices.Equal(back.d.Nodes, b.d.Nodes) || !slices.Equal(back.d.Starts, b.d.Starts) ||
+			!slices.Equal(back.d.created, b.d.created) || back.d.live != b.d.live {
+			t.Fatalf("%s: the %s's image deserializes to another resident D", tag, name)
+		}
+		back.img = nil
+		if !bytes.Equal(back.Serialize(), img) {
+			t.Fatalf("%s: the %s's image does not round-trip byte for byte", tag, name)
+		}
+	}
 }
 
 func (t *oracleTree) mulVec(D dTable, v []float64) []float64 {
@@ -169,23 +342,11 @@ func TestLeanTreeMatchesPairKeyedOracle(t *testing.T) {
 	for name, c := range oracleCases(rng) {
 		I, D := PrefixTreeEncode(c.rows)
 		for _, variant := range []Variant{Full, SparseLogical} {
-			b := &Batch{rows: len(c.rows), cols: c.cols, variant: variant, i: I, d: flattenD(D)}
-			if err := b.validateLogical(); err != nil {
-				t.Fatalf("%s: encoder output rejected: %v", name, err)
-			}
 			tag := fmt.Sprintf("%s/%v", name, variant)
-			want := oracleBuild(b.i, b.d)
-
-			lean := new(treeArena).build(b.i, b.d)
-			if lean.Len() != len(want.Key) {
-				t.Fatalf("%s: lean tree has %d nodes, oracle %d", tag, lean.Len(), len(want.Key))
-			}
-			for i := 1; i < lean.Len(); i++ {
-				if lean.Parent[i] != want.Parent[i] || b.i[lean.KeyIdx[i]-1] != want.Key[i] {
-					t.Fatalf("%s: node %d = key %v parent %d, oracle key %v parent %d", tag, i,
-						b.i[lean.KeyIdx[i]-1], lean.Parent[i], want.Key[i], want.Parent[i])
-				}
-			}
+			lc := newLogicalCase(t, tag, len(c.rows), c.cols, variant, I, D)
+			b, paper := lc.b, lc.paper
+			want := oracleBuild(b.i, paper)
+			checkResidentForm(t, tag, b, paper)
 
 			p := 1 + rng.Intn(6)
 			vr, vl := randVec(rng, b.cols), randVec(rng, b.rows)
@@ -197,10 +358,10 @@ func TestLeanTreeMatchesPairKeyedOracle(t *testing.T) {
 			mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
 			fillRand(rng, mr)
 			fillRand(rng, ml)
-			wantMulVec := want.mulVec(b.d, vr)
-			wantVecMul := want.vecMul(b.d, vl, b.cols)
-			wantMulMat := want.mulMat(b.d, mr).Data()
-			wantMatMul := want.matMul(b.d, ml, b.cols).Data()
+			wantMulVec := want.mulVec(paper, vr)
+			wantVecMul := want.vecMul(paper, vl, b.cols)
+			wantMulMat := want.mulMat(paper, mr).Data()
+			wantMatMul := want.matMul(paper, ml, b.cols).Data()
 
 			check := func(entry string, mulVec, vecMul, mulMat, matMul []float64) {
 				t.Helper()
@@ -226,20 +387,6 @@ func TestLeanTreeMatchesPairKeyedOracle(t *testing.T) {
 					plan.MulMatInto(dirtyMat(b.rows, p), mr, w).Data(), plan.MatMulInto(dirtyMat(p, b.cols), ml, w).Data())
 			}
 			plan.Release()
-
-			// Decode writes each code's sequence into its row; with the
-			// oracle's keys that is a plain walk up the parents.
-			dec := matrix.NewDense(b.rows, b.cols)
-			for i := 0; i < b.rows; i++ {
-				for _, n := range b.d.row(i) {
-					for idx := n; idx != 0; idx = want.Parent[idx] {
-						dec.Set(i, int(want.Key[idx].Col), want.Key[idx].Val)
-					}
-				}
-			}
-			if !b.Decode().Equal(dec) {
-				t.Fatalf("%s: Decode differs from the oracle", tag)
-			}
 		}
 	}
 }
@@ -377,7 +524,9 @@ func flattenD(D [][]uint32) dTable {
 	return d
 }
 
-func oracleFullImage(b *Batch) []byte {
+// oracleFullImage is the Full image of b with D's node indexes given in
+// the paper's numbering.
+func oracleFullImage(b *Batch, nodes []uint32) []byte {
 	cols := make([]uint32, len(b.i))
 	occ := make([]uint32, len(b.i))
 	var dict []float64
@@ -399,7 +548,7 @@ func oracleFullImage(b *Batch) []byte {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	out = bitpack.Pack(occ).AppendTo(out)
-	out = bitpack.Pack(b.d.Nodes).AppendTo(out)
+	out = bitpack.Pack(nodes).AppendTo(out)
 	return bitpack.Pack(b.d.Starts).AppendTo(out)
 }
 
@@ -416,19 +565,22 @@ func checkAgainstMapOracle(t *testing.T, tag string, cols int, rows []SparseRow,
 	if !reflect.DeepEqual(D, wantD) {
 		t.Fatalf("%s: D differs from the map oracle:\n got %v\nwant %v", tag, D, wantD)
 	}
-	want := &Batch{rows: len(rows), cols: cols, variant: Full, i: wantI, d: flattenD(wantD)}
-	wantImg := oracleFullImage(want)
+	want := newLogicalCase(t, tag, len(rows), cols, Full, wantI, wantD)
+	wantImg := oracleFullImage(want.b, want.paper.Nodes)
 	if got == nil {
-		got = &Batch{rows: len(rows), cols: cols, variant: Full, i: I, d: flattenD(D)}
+		got = newLogicalCase(t, tag, len(rows), cols, Full, I, D).b
 	}
-	if !reflect.DeepEqual(got.i, want.i) || !reflect.DeepEqual(got.d.Nodes, want.d.Nodes) ||
-		!reflect.DeepEqual(got.d.Starts, want.d.Starts) {
+	// The batch keeps D in live numbering; the inverse map reads it back
+	// as Algorithm 1 emitted it.
+	gotNodes := got.d.paperNodes(len(got.i))
+	if !reflect.DeepEqual(got.i, wantI) || !reflect.DeepEqual(gotNodes, want.paper.Nodes) ||
+		!reflect.DeepEqual(got.d.Starts, want.paper.Starts) {
 		t.Fatalf("%s: the batch's (I, D) differs from the map oracle", tag)
 	}
-	if img := got.buildImage(); !bytes.Equal(img, wantImg) {
+	if img := got.buildImage(gotNodes); !bytes.Equal(img, wantImg) {
 		t.Fatalf("%s: image is %d bytes, differs from the map oracle's %d", tag, len(img), len(wantImg))
 	}
-	if got.img != nil && !bytes.Equal(got.Serialize(), wantImg) {
+	if !bytes.Equal(got.Serialize(), wantImg) {
 		t.Fatalf("%s: Serialize() differs from the map oracle", tag)
 	}
 }

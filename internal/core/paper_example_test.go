@@ -62,17 +62,18 @@ type TraceStep struct {
 // prefixTreeEncodeTrace derives the step-by-step trace of phase II from
 // the encoder's output alone: each code of D is one iteration, the match
 // is the code's node, its position advances by the length of the node's
-// sequence in the decode tree, and every iteration but a tuple's last
-// added the next sequence number — the match extended by the pair that
-// follows it in the tuple.
+// sequence in the decode tree (Algorithm 2's full one, in the paper's
+// numbering), and every iteration but a tuple's last added the next
+// sequence number — the match extended by the pair that follows it in the
+// tuple.
 func prefixTreeEncodeTrace(b []SparseRow) (trace []TraceStep) {
 	I, D := PrefixTreeEncode(b)
-	tree := new(treeArena).build(I, flattenD(D))
+	tree := oracleBuild(I, flattenD(D))
 	next := uint32(len(I)) + 1
 	for ti, codes := range D {
 		pos := 0
 		for k, n := range codes {
-			seq := tree.Seq(I, n)
+			seq := tree.seq(n)
 			step := TraceStep{Tuple: ti, I: pos, MatchNode: n, Appended: n}
 			pos += len(seq)
 			if k+1 < len(codes) {
@@ -127,13 +128,16 @@ func TestAlgorithm1TraceTable2(t *testing.T) {
 }
 
 // TestBuildPrefixTreeTable4 reproduces the paper's Table 4: the decode
-// tree C' rebuilt from I and D for the running example.
+// tree C' rebuilt from I and D for the running example — Algorithm 2 as
+// written, through the oracle builder — and the tree a batch builds from
+// it: the same nodes with 7, 9 and 10, which D never references, left
+// out and 8 numbered 7.
 func TestBuildPrefixTreeTable4(t *testing.T) {
 	I, D := PrefixTreeEncode(SparseEncode(figure3Input()))
-	tree := new(treeArena).build(I, flattenD(D))
+	full := oracleBuild(I, flattenD(D))
 
-	if tree.Len() != 11 {
-		t.Fatalf("C' has %d nodes, want 11 (root + 10)", tree.Len())
+	if len(full.Key) != 11 {
+		t.Fatalf("C' has %d nodes, want 11 (root + 10)", len(full.Key))
 	}
 	wantKey := []Pair{
 		{},                                           // root, unused
@@ -141,21 +145,36 @@ func TestBuildPrefixTreeTable4(t *testing.T) {
 		{1, 2}, {2, 3}, {3, 1.4}, {2, 3}, {2, 3}, // rebuilt phase-II nodes
 	}
 	wantParent := []uint32{0, 0, 0, 0, 0, 0, 1, 2, 3, 6, 5}
-	for i := 1; i < tree.Len(); i++ {
-		if got := I[tree.KeyIdx[i]-1]; got != wantKey[i] {
-			t.Errorf("key of node %d = %v, want %v", i, got, wantKey[i])
+	for i := 1; i < len(full.Key); i++ {
+		if full.Key[i] != wantKey[i] {
+			t.Errorf("key of node %d = %v, want %v", i, full.Key[i], wantKey[i])
 		}
-		if tree.Parent[i] != wantParent[i] {
-			t.Errorf("Parent[%d] = %d, want %d", i, tree.Parent[i], wantParent[i])
+		if full.Parent[i] != wantParent[i] {
+			t.Errorf("Parent[%d] = %d, want %d", i, full.Parent[i], wantParent[i])
+		}
+	}
+
+	tree := Compress(figure3Input()).buildTree()
+	paper := []uint32{0, 1, 2, 3, 4, 5, 6, 8} // live id → Table 4's number
+	liveParent := []uint32{0, 0, 0, 0, 0, 0, 1, 3}
+	if tree.Len() != len(paper) {
+		t.Fatalf("the batch's C' has %d nodes, want %d (root + first layer + nodes 6 and 8)", tree.Len(), len(paper))
+	}
+	for i := 1; i < tree.Len(); i++ {
+		if got := I[tree.KeyIdx[i]-1]; got != wantKey[paper[i]] || tree.Parent[i] != liveParent[i] {
+			t.Errorf("live node %d = key %v parent %d, want Table 4's node %d: key %v parent %d",
+				i, got, tree.Parent[i], paper[i], wantKey[paper[i]], liveParent[i])
 		}
 	}
 }
 
 // TestDecodeTreeSequences checks §3.1.1's sequence semantics on the
 // running example: node 9 represents [1:1.1, 2:2, 3:3] (paper indexes).
+// In a batch's tree the two deep nodes D references keep their sequences
+// under their live numbers.
 func TestDecodeTreeSequences(t *testing.T) {
 	I, D := PrefixTreeEncode(SparseEncode(figure3Input()))
-	tree := new(treeArena).build(I, flattenD(D))
+	full := oracleBuild(I, flattenD(D))
 
 	want := map[uint32][]Pair{
 		1:  {{0, 1.1}},
@@ -165,8 +184,20 @@ func TestDecodeTreeSequences(t *testing.T) {
 		10: {{1, 1.1}, {2, 3}},
 	}
 	for idx, seq := range want {
-		if got := tree.Seq(I, idx); !reflect.DeepEqual(got, seq) {
+		if got := full.seq(idx); !reflect.DeepEqual(got, seq) {
 			t.Errorf("Seq(%d) = %v, want %v", idx, got, seq)
+		}
+	}
+
+	tree := Compress(figure3Input()).buildTree()
+	for idx, seq := range map[uint32][]Pair{
+		1: {{0, 1.1}},
+		5: {{1, 1.1}},
+		6: {{0, 1.1}, {1, 2}},
+		7: {{2, 3}, {3, 1.4}}, // Table 4's node 8
+	} {
+		if got := tree.Seq(I, idx); !reflect.DeepEqual(got, seq) {
+			t.Errorf("live Seq(%d) = %v, want %v", idx, got, seq)
 		}
 	}
 }
@@ -177,8 +208,13 @@ func TestDecodeTreeSequences(t *testing.T) {
 func TestFigure3PhysicalSections(t *testing.T) {
 	b := Compress(figure3Input())
 
-	if got := b.d.Nodes; !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 6, 3, 5, 8, 6}) {
+	// The image holds the paper's D; the batch reads it back through the
+	// inverse map and keeps it renumbered onto the live nodes (8 → 7).
+	if got := b.d.paperNodes(len(b.i)); !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 6, 3, 5, 8, 6}) {
 		t.Errorf("concatenated node indexes = %v", got)
+	}
+	if got := b.d.Nodes; !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 6, 3, 5, 7, 6}) {
+		t.Errorf("resident node indexes = %v", got)
 	}
 	// Figure 3 shows starts 0,4,6,8; our layout appends the total (9) as a
 	// sentinel in place of a separate element count.
@@ -258,7 +294,11 @@ func TestSelfReferencingCode(t *testing.T) {
 	if !reflect.DeepEqual(D, [][]uint32{{1, 2}}) {
 		t.Fatalf("D = %v, want [[1 2]]", D)
 	}
-	tree := new(treeArena).build(I, flattenD(D))
+	b, err := newLogical(1, 1, SparseLogical, I, flattenD(D), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := b.buildTree()
 	if tree.Len() != 3 {
 		t.Fatalf("tree has %d nodes, want 3", tree.Len())
 	}

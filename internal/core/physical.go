@@ -30,27 +30,35 @@ const (
 	headerSize   = 4 + 1 + 1 + 4 + 4
 )
 
-// Serialize returns the physical byte image of the batch.
+// Serialize returns the physical byte image of the batch. A batch made
+// by Scale or Square has none yet; its D goes back to the paper's
+// numbering through the inverse map, so the image is the one Compress
+// would have written for the same (I, D).
 func (b *Batch) Serialize() []byte {
 	if b.img == nil {
-		b.img = b.buildImage()
+		var nodes []uint32
+		if b.variant != SparseOnly {
+			nodes = b.d.paperNodes(len(b.i))
+		}
+		b.img = b.buildImage(nodes)
 	}
 	return b.img
 }
 
-// buildImage serializes in one exactly-sized allocation. The ablation
-// variants' section sizes are computable up front and their raw u32/f64
-// sections are written with bulk little-endian stores; the Full image is
-// assembled in a pooled encoder's staging memory.
-func (b *Batch) buildImage() []byte {
+// buildImage serializes in one exactly-sized allocation; nodes is D's
+// node indexes in the paper's numbering (unused by SparseOnly). The
+// ablation variants' section sizes are computable up front and their raw
+// u32/f64 sections are written with bulk little-endian stores; the Full
+// image is assembled in a pooled encoder's staging memory.
+func (b *Batch) buildImage(nodes []uint32) []byte {
 	switch b.variant {
 	case Full:
 		e := encoderPool.Get().(*encoder)
 		defer encoderPool.Put(e)
-		return e.fullImage(b)
+		return e.fullImage(b, nodes)
 
 	case SparseLogical:
-		size := headerSize + 4 + 12*len(b.i) + 4 + 4*len(b.d.Nodes) + 4*len(b.d.Starts)
+		size := headerSize + 4 + 12*len(b.i) + 4 + 4*len(nodes) + 4*len(b.d.Starts)
 		out := b.appendHeader(make([]byte, headerSize, size))[:size]
 		off := headerSize
 		binary.LittleEndian.PutUint32(out[off:], uint32(len(b.i)))
@@ -60,9 +68,9 @@ func (b *Batch) buildImage() []byte {
 			binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(p.Val))
 			off += 12
 		}
-		binary.LittleEndian.PutUint32(out[off:], uint32(len(b.d.Nodes)))
+		binary.LittleEndian.PutUint32(out[off:], uint32(len(nodes)))
 		off += 4
-		off += putU32s(out[off:], b.d.Nodes)
+		off += putU32s(out[off:], nodes)
 		putU32s(out[off:], b.d.Starts)
 		return out
 
@@ -84,12 +92,13 @@ func (b *Batch) buildImage() []byte {
 // fullImage writes the Figure 3 physical encoding of b: I's column
 // indexes bit packed, I's values value-indexed (§3.2: the unique values
 // once, in first-appearance order, then a bit-packed dictionary index per
-// pair), D's node indexes and tuple starts bit packed. It is assembled in
+// pair), D's node indexes (nodes, in the paper's numbering) and tuple
+// starts bit packed. It is assembled in
 // the encoder's staging memory and copied out at exact length; the bytes
 // are exactly what bitpack.Pack and bitpack.BuildValueIndex would append
 // (TestEncoderMatchesMapOracle), and bitpack.ReadArray and ReadValueIndex
 // read them back.
-func (e *encoder) fullImage(b *Batch) []byte {
+func (e *encoder) fullImage(b *Batch, nodes []uint32) []byte {
 	e.dict.reset()
 	e.cols, e.vals, e.occ = e.cols[:0], e.vals[:0], e.occ[:0]
 	for _, p := range b.i {
@@ -107,7 +116,7 @@ func (e *encoder) fullImage(b *Batch) []byte {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	out = appendPacked(out, e.occ)
-	out = appendPacked(out, b.d.Nodes)
+	out = appendPacked(out, nodes)
 	out = appendPacked(out, b.d.Starts)
 	e.img = out
 	return exactCopy(out)
@@ -173,58 +182,62 @@ func Deserialize(img []byte) (*Batch, error) {
 	if v > SparseOnly {
 		return nil, fmt.Errorf("core: unknown variant %d", img[5])
 	}
-	b := &Batch{
-		rows:    int(binary.LittleEndian.Uint32(img[6:10])),
-		cols:    int(binary.LittleEndian.Uint32(img[10:14])),
-		variant: v,
-		img:     img,
-	}
+	rows := int(binary.LittleEndian.Uint32(img[6:10]))
+	cols := int(binary.LittleEndian.Uint32(img[10:14]))
 	// Bound dimensions so corrupt headers cannot trigger enormous
 	// allocations in Decode or the kernels.
 	const maxDim = 1 << 27
-	if b.rows > maxDim || b.cols > maxDim {
-		return nil, fmt.Errorf("core: implausible dims %dx%d", b.rows, b.cols)
+	if rows > maxDim || cols > maxDim {
+		return nil, fmt.Errorf("core: implausible dims %dx%d", rows, cols)
 	}
 	buf := img[headerSize:]
+	if v == SparseOnly {
+		b := &Batch{rows: rows, cols: cols, variant: v, img: img}
+		if err := b.parseSparseOnly(buf); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	var I []Pair
+	var D dTable
 	var err error
-	switch v {
-	case Full:
-		err = b.parseFull(buf)
-	case SparseLogical:
-		err = b.parseSparseLogical(buf)
-	case SparseOnly:
-		err = b.parseSparseOnly(buf)
+	if v == Full {
+		I, D, err = parseFull(buf)
+	} else {
+		I, D, err = parseSparseLogical(buf, rows)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return b, nil
+	return newLogical(rows, cols, v, I, D, img)
 }
 
-func (b *Batch) parseFull(buf []byte) error {
+// parseFull unpacks the sections of a Full image into (I, D), range
+// checked by bitpack but not yet validated against each other.
+func parseFull(buf []byte) (I []Pair, D dTable, err error) {
 	colsArr, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return fmt.Errorf("core: I columns: %w", err)
+		return nil, D, fmt.Errorf("core: I columns: %w", err)
 	}
 	vi, buf, err := bitpack.ReadValueIndex(buf)
 	if err != nil {
-		return fmt.Errorf("core: I values: %w", err)
+		return nil, D, fmt.Errorf("core: I values: %w", err)
 	}
 	occ, dict := vi.Indexes(), vi.Values()
 	if colsArr.Len() != len(occ) {
-		return fmt.Errorf("core: I columns (%d) and values (%d) disagree", colsArr.Len(), len(occ))
+		return nil, D, fmt.Errorf("core: I columns (%d) and values (%d) disagree", colsArr.Len(), len(occ))
 	}
 	// Decode straight into I: the values through the dictionary (whose
 	// occurrence indexes ReadValueIndex has range-checked), the column
 	// indexes with the bulk word-at-a-time unpack through a small stack
 	// window — no |I|-sized temporaries.
-	b.i = make([]Pair, len(occ))
+	I = make([]Pair, len(occ))
 	for k, o := range occ {
-		b.i[k].Val = dict[o]
+		I[k].Val = dict[o]
 	}
 	var win [256]uint32
-	for lo := 0; lo < len(b.i); lo += len(win) {
-		part := b.i[lo:min(lo+len(win), len(b.i))]
+	for lo := 0; lo < len(I); lo += len(win) {
+		part := I[lo:min(lo+len(win), len(I))]
 		colsArr.UnpackRange(win[:len(part)], lo, lo+len(part))
 		for k := range part {
 			part[k].Col = win[k]
@@ -232,30 +245,30 @@ func (b *Batch) parseFull(buf []byte) error {
 	}
 	nodesArr, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return fmt.Errorf("core: D nodes: %w", err)
+		return nil, D, fmt.Errorf("core: D nodes: %w", err)
 	}
 	startsArr, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return fmt.Errorf("core: D starts: %w", err)
+		return nil, D, fmt.Errorf("core: D starts: %w", err)
 	}
 	if len(buf) != 0 {
-		return fmt.Errorf("core: %d trailing bytes", len(buf))
+		return nil, D, fmt.Errorf("core: %d trailing bytes", len(buf))
 	}
-	b.d = dTable{Nodes: nodesArr.Unpack(), Starts: startsArr.Unpack()}
-	return b.validateLogical()
+	return I, dTable{Nodes: nodesArr.Unpack(), Starts: startsArr.Unpack()}, nil
 }
 
-func (b *Batch) parseSparseLogical(buf []byte) error {
+// parseSparseLogical is parseFull for the raw SparseLogical sections.
+func parseSparseLogical(buf []byte, rows int) (I []Pair, D dTable, err error) {
 	lenI, buf, err := takeU32(buf)
 	if err != nil {
-		return fmt.Errorf("core: |I|: %w", err)
+		return nil, D, fmt.Errorf("core: |I|: %w", err)
 	}
 	if len(buf) < int(lenI)*12 {
-		return fmt.Errorf("core: truncated I section")
+		return nil, D, fmt.Errorf("core: truncated I section")
 	}
-	b.i = make([]Pair, lenI)
-	for k := range b.i {
-		b.i[k] = Pair{
+	I = make([]Pair, lenI)
+	for k := range I {
+		I[k] = Pair{
 			Col: binary.LittleEndian.Uint32(buf[k*12:]),
 			Val: math.Float64frombits(binary.LittleEndian.Uint64(buf[k*12+4:])),
 		}
@@ -263,16 +276,16 @@ func (b *Batch) parseSparseLogical(buf []byte) error {
 	buf = buf[lenI*12:]
 	lenN, buf, err := takeU32(buf)
 	if err != nil {
-		return fmt.Errorf("core: |D|: %w", err)
+		return nil, D, fmt.Errorf("core: |D|: %w", err)
 	}
-	need := int(lenN)*4 + (b.rows+1)*4
+	need := int(lenN)*4 + (rows+1)*4
 	if len(buf) != need {
-		return fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
+		return nil, D, fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
 	}
-	b.d = dTable{Nodes: make([]uint32, lenN), Starts: make([]uint32, b.rows+1)}
-	buf = buf[getU32s(b.d.Nodes, buf):]
-	getU32s(b.d.Starts, buf)
-	return b.validateLogical()
+	D = dTable{Nodes: make([]uint32, lenN), Starts: make([]uint32, rows+1)}
+	buf = buf[getU32s(D.Nodes, buf):]
+	getU32s(D.Starts, buf)
+	return I, D, nil
 }
 
 func (b *Batch) parseSparseOnly(buf []byte) error {
@@ -309,10 +322,14 @@ func (b *Batch) parseSparseOnly(buf []byte) error {
 	return nil
 }
 
-// validateLogical checks the structural invariants of (I, D): column
-// indexes in range, starts well-formed, and every node index referencing
-// only nodes that exist at that point of the Algorithm-2 replay.
-func (b *Batch) validateLogical() error {
+// validateLogical checks the structural invariants of (I, D) as
+// Algorithm 1 emits them: column indexes in range, starts well-formed,
+// every node index referencing only nodes that exist at that point of
+// the Algorithm-2 replay, and every first-layer pair referenced. The
+// replay also leaves in sc.mark, sized to the paper's |C'|, which nodes D
+// references — renumber's input; a node index is range-checked before it
+// is used as an index.
+func (b *Batch) validateLogical(sc *liveScratch) error {
 	for k, p := range b.i {
 		if int(p.Col) >= b.cols {
 			return fmt.Errorf("core: I[%d] column %d out of range %d", k, p.Col, b.cols)
@@ -336,17 +353,34 @@ func (b *Batch) validateLogical() error {
 	// nodes 1..len(I)+created+j are addressable (the +j admits references
 	// to nodes created earlier in the same tuple, including the
 	// self-referencing code pattern of repeated sequences).
-	created := 0
+	size := treeSize(b.i, b.d)
+	if cap(sc.mark) < size {
+		sc.mark = make([]byte, size)
+	}
+	mark := sc.mark[:size]
+	sc.mark = mark
+	clear(mark)
+	nodes, starts := b.d.Nodes, b.d.Starts
+	limit := len(b.i) // + created so far
 	for r := 0; r < b.rows; r++ {
-		row := b.d.row(r)
+		row := nodes[starts[r]:starts[r+1]]
 		for j, n := range row {
-			limit := len(b.i) + created + j
-			if n == 0 || int(n) > limit {
-				return fmt.Errorf("core: node index %d invalid at row %d pos %d (limit %d)", n, r, j, limit)
+			if n == 0 || int(n) > limit+j {
+				return fmt.Errorf("core: node index %d invalid at row %d pos %d (limit %d)", n, r, j, limit+j)
 			}
+			mark[n] = 1
 		}
 		if len(row) > 0 {
-			created += len(row) - 1
+			limit += len(row) - 1
+		}
+	}
+	// Algorithm 1 codes the first occurrence of a pair as its first-layer
+	// node, so it never leaves one unreferenced. A hand-built image can;
+	// such a pair would keep its number in the resident form and be the
+	// one node no tuple reaches, so the image is refused.
+	for k := range b.i {
+		if mark[k+1] == 0 {
+			return fmt.Errorf("core: first-layer pair %d is not referenced by D", k)
 		}
 	}
 	return nil

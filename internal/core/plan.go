@@ -10,9 +10,10 @@ import (
 // KernelPlan holds the decode tree C' of one Batch so the 2-3 kernel
 // calls a gradient step makes on the same mini-batch — the A·v or A·M
 // forward pass plus the v·A or M·A gradient aggregation — share a single
-// O(|I|+|D|) build instead of paying it per operation. The paper's cost
-// model charges every kernel a rebuild of C'; a plan pays that charge
-// once per step without changing any result.
+// build instead of paying it per operation. The paper's cost model
+// charges every kernel an O(|I|+|D|) rebuild of C'; a plan pays that
+// charge once per step, and only for the nodes D references
+// (O(|I|+|live|), decodetree.go), without changing any result.
 //
 // The plan's four Into methods are the one implementation of the Table 1
 // multiplications: workers <= 1 runs the kernel sequentially, workers > 1

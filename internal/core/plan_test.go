@@ -170,8 +170,9 @@ func TestKernelPlanDimMismatchPanics(t *testing.T) {
 // shared-plan (one build, both kernels, Release) must be FASTER than
 // per-op-build (two builds into pooled scratch) and allocate nothing;
 // if it is the slower row, the plan costs the step more than the build
-// it saves. Measured on the 2-core 2.1 GHz Xeon: per-op-build 87-91
-// us/op, 2 allocs; shared-plan 65-72 us/op, 0 allocs.
+// it saves. Measured on the 2-core 2.1 GHz Xeon (-cpu 1, five
+// alternating runs against the full-tree build): per-op-build 95-125 →
+// 70-74 us/op, 2 allocs; shared-plan 65-102 → 53-63 us/op, 0 allocs.
 func BenchmarkKernelPlanStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	batch := Compress(redundantMatrix(rng, 2000, 120, 0.6, 5))
@@ -195,6 +196,42 @@ func BenchmarkKernelPlanStep(b *testing.B) {
 			plan.Release()
 		}
 	})
+}
+
+// benchBatches compresses n consecutive 250-row batches of a generator
+// dataset, the shape the benchmark's workloads step through.
+func benchBatches(b *testing.B, name string, n int) []*Batch {
+	b.Helper()
+	const rows = 250
+	ds, err := data.Generate(name, rows*n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]*Batch, n)
+	for k := range out {
+		m, _ := ds.Batch(k, rows)
+		out[k] = Compress(m)
+	}
+	return out
+}
+
+// BenchmarkPlanBuild measures NewKernelPlan + Release — the per-step
+// decode-tree build — cycling 256 batches so D and the creation bitmap
+// come from memory the way a training pass finds them, not from L1.
+// Measured on the 2-core 2.1 GHz Xeon (-cpu 1, five alternating runs):
+// the full-tree build of Algorithm 2 as written ran 13.7-14.8 us/op on
+// imagenet and 28.7-35.5 on mnist; the live-only build runs 6.9-7.4 and
+// 14.6-17.2, 0 allocs.
+func BenchmarkPlanBuild(b *testing.B) {
+	for _, name := range []string{"imagenet", "mnist"} {
+		batches := benchBatches(b, name, 256)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				batches[i%len(batches)].NewKernelPlan().Release()
+			}
+		})
+	}
 }
 
 // BenchmarkCompress measures core.Compress on the benchmark's ingest

@@ -23,15 +23,14 @@ import (
 // (decodetree.go); A·v goes one step further and multiplies each of the
 // |I| distinct pairs by v exactly once.
 //
-// A·M differs from the textbook loop in two ways that change no bit.
-// Live nodes: LZW adds a node per emitted code, and inside one batch
-// most of them are never matched again, so A·M evaluates F only for the
-// nodes D references, directly or through a descendant
-// (opScratch.liveNodes) — the D scan reads no other F. Panels: the p
-// result columns are independent recurrences, so the kernel runs both
-// scans on panelWidth columns at a time, and H is a |C'|×panelWidth slab
-// written by one scan and read straight back by the other instead of
-// |C'|×p floats cleared, filled and re-read per call.
+// Both kernels differ from the textbook loop in one way that changes no
+// bit: C' here is the batch's resident tree, which holds only the nodes
+// D references (decodetree.go) — the D scan reads no other F. A·M
+// differs in one more. Panels: the p result columns are independent
+// recurrences, so the kernel runs both scans on panelWidth columns at a
+// time, and H is a |C'|×panelWidth slab written by one scan and read
+// straight back by the other instead of |C'|×p floats cleared, filled
+// and re-read per call.
 //
 // The inner loops are written for the hardware, not the paper's
 // pseudocode: D is walked through the flat Nodes/Starts arrays with the
@@ -176,23 +175,22 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 	workers = panelWorkers(workers, p)
 	slab := t.Len() * panelWidth
 	h := sc.rawBuf(workers * slab)
-	live := sc.liveNodes(t, b.d)
 	if workers > 1 {
 		forEachPanelRun(p, workers, func(w, clo, chi int) {
-			b.mulMatPanel(t, live, h[w*slab:(w+1)*slab], m, r, clo, chi)
+			b.mulMatPanel(t, h[w*slab:(w+1)*slab], m, r, clo, chi)
 		})
 	} else {
-		b.mulMatPanel(t, live, h, m, r, 0, p)
+		b.mulMatPanel(t, h, m, r, 0, p)
 	}
 }
 
 // mulMatPanel is A·M for result columns [clo,chi), one panel [lo,hi) at
 // a time on the slab h (|C'| rows of hi-lo floats, uninitialized). Per
-// panel it runs the C' forward scan over the live nodes,
-// H[i,j] = key.Val·M[key.Col,j] + H[parent,j] — a live node's parent is
-// live and precedes it, so every row is written before it is read and
-// only the root's needs clearing — and then the D scan,
-// R[i,j] = Σ_n H[n,j] over tuple i's codes n, which reads live rows only.
+// panel it runs the C' forward scan,
+// H[i,j] = key.Val·M[key.Col,j] + H[parent,j] — a node's parent precedes
+// it, so every row is written before it is read and only the root's
+// needs clearing — and then the D scan, R[i,j] = Σ_n H[n,j] over tuple
+// i's codes n.
 // Column j of H and of R depends on column j alone, so each column is
 // the same sequential recurrence whatever panel and worker it falls in.
 // The D scan holds eight columns of a result row in registers while it
@@ -200,7 +198,7 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 // is short enough to re-walk from L1): each column still folds from +0
 // in code order, with one load per element instead of a load, a reload
 // of R and a store.
-func (b *Batch) mulMatPanel(t *DecodeTree, live []uint32, h []float64, m *matrix.Dense, r *matrix.Dense, clo, chi int) {
+func (b *Batch) mulMatPanel(t *DecodeTree, h []float64, m *matrix.Dense, r *matrix.Dense, clo, chi int) {
 	I, par := b.i, t.Parent
 	kix := t.KeyIdx[:len(par)]
 	nodes, starts := b.d.Nodes, b.d.Starts
@@ -209,9 +207,9 @@ func (b *Batch) mulMatPanel(t *DecodeTree, live []uint32, h []float64, m *matrix
 		hi := min(lo+panelWidth, chi)
 		w := hi - lo
 		clear(h[:w])
-		for _, i := range live {
+		for i := 1; i < len(par); i++ {
 			k := I[kix[i]-1]
-			hw := h[int(i)*w : int(i)*w+w]
+			hw := h[i*w : i*w+w]
 			hp := h[int(par[i])*w : int(par[i])*w+w]
 			mr := m.Row(int(k.Col))[lo:hi]
 			kv := k.Val

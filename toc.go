@@ -86,9 +86,10 @@ type CompressedMatrix = formats.CompressedMatrix
 // concrete plan type).
 type ParallelOps = formats.ParallelOps
 
-// KernelPlan holds one mini-batch's decode state (TOC's decode tree C')
-// so the 2-3 kernel calls a gradient step makes on that batch share a
-// single O(|I|+|D|) build instead of paying it per operation. Obtain one
+// KernelPlan holds one mini-batch's decode state (TOC's decode tree C',
+// restricted to the nodes the batch's D references) so the 2-3 kernel
+// calls a gradient step makes on that batch share a single O(|I|+|live|)
+// build instead of paying it per operation. Obtain one
 // from ParallelOps.NewKernelPlan (or *Batch.NewKernelPlan). Its four
 // kernels share one call shape, plan.MulVecInto(dst, v, workers) and
 // likewise VecMulInto, MulMatInto, MatMulInto: workers <= 1 runs
