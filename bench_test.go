@@ -10,7 +10,6 @@ package toc
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"toc/internal/bench"
@@ -135,69 +134,6 @@ func BenchmarkKernelsTOC(b *testing.B) { benchKernels(b, "TOC") }
 func BenchmarkKernelsCSR(b *testing.B) { benchKernels(b, "CSR") }
 func BenchmarkKernelsDEN(b *testing.B) { benchKernels(b, "DEN") }
 func BenchmarkKernelsCLA(b *testing.B) { benchKernels(b, "CLA") }
-
-// BenchmarkParallelMulMat measures the sharded right-mul kernel (a plan
-// at workers = GOMAXPROCS) against the sequential one on a 250-row batch.
-func BenchmarkParallelMulMat(b *testing.B) {
-	m := benchBatch(b)
-	c := Compress(m)
-	w := matrix.NewDense(m.Cols(), 20)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.MulMat(w)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan := c.NewKernelPlan()
-			plan.MulMatInto(nil, w, runtime.GOMAXPROCS(0))
-			plan.Release()
-		}
-	})
-}
-
-// BenchmarkParallelLeftMul measures the accumulator-sharded left-mul
-// kernels (a plan at workers = GOMAXPROCS) against the sequential ones on
-// a 250-row batch; the results are bitwise identical by contract.
-func BenchmarkParallelLeftMul(b *testing.B) {
-	m := benchBatch(b)
-	c := Compress(m)
-	rng := rand.New(rand.NewSource(3))
-	u := make([]float64, m.Rows())
-	for i := range u {
-		u[i] = rng.NormFloat64()
-	}
-	w := matrix.NewDense(20, m.Rows())
-	for i := 0; i < w.Rows(); i++ {
-		for j := 0; j < w.Cols(); j++ {
-			w.Set(i, j, rng.NormFloat64())
-		}
-	}
-	b.Run("VecMul-sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.VecMul(u)
-		}
-	})
-	b.Run("VecMul-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan := c.NewKernelPlan()
-			plan.VecMulInto(nil, u, runtime.GOMAXPROCS(0))
-			plan.Release()
-		}
-	})
-	b.Run("MatMul-sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.MatMul(w)
-		}
-	})
-	b.Run("MatMul-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			plan := c.NewKernelPlan()
-			plan.MatMulInto(nil, w, runtime.GOMAXPROCS(0))
-			plan.Release()
-		}
-	})
-}
 
 // BenchmarkVarintVsBitpack is the §3.2 "future work" ablation: varint
 // against fixed-width bit packing on TOC-shaped index arrays.

@@ -103,7 +103,6 @@ func main() {
 		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, rightmul, kernelspeed) or 'all'")
 		scale      = flag.Float64("scale", 1.0, "dataset size multiplier")
 		seed       = flag.Int64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "extra worker count for the rightmul sweep")
 		spillShard = flag.Int("spill-shards", 0, "spill shard count for the out-of-core experiments")
 		spillDirs  = flag.String("spill-dirs", "", "comma-separated spill shard directories (models distinct devices)")
 		evict      = flag.String("evict", "", "override the spill experiments' residency policy: first-fit, largest-first or access-order")
@@ -130,7 +129,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Seed = *seed
-	cfg.Workers = *workers
 	cfg.SpillShards = *spillShard
 	cfg.Evict = *evict
 	if *spillDirs != "" {

@@ -28,12 +28,13 @@
 // gradients per parameter update, so its loss trajectory differs from the
 // serial per-batch schedule (it depends on -group, never on -workers);
 // -group 1 reproduces the serial trajectory exactly. Workers left over
-// after the group's slots shard the kernels inside each gradient — the
-// parallel left/right multiplications are bitwise identical to the
-// sequential ones, so "-workers 8 -group 1" walks the serial trajectory
-// on all eight cores. Each gradient also shares one decode-tree build
-// across its kernels (KernelPlan); the run prints the build counter so
-// the amortization is visible.
+// after the group's slots shard the matrix kernels inside each gradient
+// — A·M and M·A split by panel run, bitwise identical to the sequential
+// ones — and the vector kernels A·v and v·A never shard, so "-workers 8
+// -group 1" walks the serial trajectory on all eight cores for -model
+// nn and on one for lr, svm and linreg. Each gradient also shares one
+// decode-tree build across its kernels (KernelPlan); the run prints the
+// build counter so the amortization is visible.
 //
 // With -async the bounded-staleness engine replaces the group steps:
 // every mini-batch gradient is its own parameter update, applied in
@@ -229,7 +230,7 @@ func main() {
 		workers    = flag.Int("workers", 1, "worker pool size; != 1 enables the concurrent engine (0 = GOMAXPROCS)")
 		prefetch   = flag.Int("prefetch", 16, "spill prefetch window depth in batches (engine mode)")
 		prefBytes  = flag.Int64("prefetch-bytes", 0, "bound the prefetch window by compressed bytes instead of only batch count (0 = off)")
-		group      = flag.Int("group", 8, "engine mode: batch gradients merged per update; changes the update schedule vs serial (1 = serial-equivalent trajectory, with all workers sharding each gradient's kernels)")
+		group      = flag.Int("group", 8, "engine mode: batch gradients merged per update; changes the update schedule vs serial (1 = serial-equivalent trajectory, with all workers sharding each gradient's matrix kernels: -model nn only)")
 		async      = flag.Bool("async", false, "train with the asynchronous bounded-staleness engine instead of synchronous group steps")
 		staleness  = flag.Int("staleness", 8, "async mode: max parameter updates a gradient's snapshot may miss (0 = bitwise-serial trajectory, -1 = unbounded Hogwild-style free-running)")
 		elastic    = flag.String("elastic", "", "async mode: worker join/leave schedule as step:±delta pairs, e.g. 200:+4,500:-2")

@@ -31,9 +31,6 @@ type Config struct {
 	Seed int64
 	// Dir is where spill files are created ("" = OS temp).
 	Dir string
-	// Workers adds an extra worker count to the rightmul sweep (0 keeps
-	// the default sweep).
-	Workers int
 	// SpillShards is the spill shard count of the out-of-core
 	// experiments (0 keeps the store's default layout).
 	SpillShards int

@@ -168,11 +168,6 @@ func runFig10(cfg Config) (*Table, error) {
 // runEndToEndTable builds a Table 6/7-style table for two datasets.
 func runEndToEndTable(cfg Config, id, title string, datasets []string) (*Table, error) {
 	models := []string{"nn", "lr", "svm"}
-	systems := []string{
-		"BismarckTOC", "BismarckDEN", "BismarckCSR",
-		"ScikitLearnDEN", "ScikitLearnCSR",
-		"TensorFlowDEN", "TensorFlowCSR",
-	}
 	t := &Table{
 		ID:      id,
 		Title:   title,
@@ -180,8 +175,8 @@ func runEndToEndTable(cfg Config, id, title string, datasets []string) (*Table, 
 		Notes: []string{
 			"regime small = fits in RAM for all encodings (the paper's *1m);",
 			"regime large = only TOC/Gzip/Snappy resident (the paper's *25m, 15GB RAM)",
-			"system rows (Bismarck/ScikitLearn/TensorFlow) are modeled from the native",
-			"  runs via documented multipliers; see internal/bench/systems.go",
+			"every row is one of this repo's encodings under the one Go training loop;",
+			"  the paper's Bismarck/ScikitLearn/TensorFlow rows are not reproduced",
 			"paper shape: small regime TOC ~ CVI best; large regime TOC wins by",
 			"  multiples on LR/SVM and clearly on NN",
 		},
@@ -196,10 +191,6 @@ func runEndToEndTable(cfg Config, id, title string, datasets []string) (*Table, 
 		{"large", 4000, func(d *data.Dataset) int64 {
 			return int64(float64(totalCompressed(d, 250, "TOC")) * 1.1)
 		}},
-	}
-	native := map[string]time.Duration{} // method/regime/dataset/model -> duration
-	key := func(method, reg, ds, model string) string {
-		return method + "/" + reg + "/" + ds + "/" + model
 	}
 	for _, ds := range datasets {
 		for _, reg := range regimes {
@@ -219,25 +210,7 @@ func runEndToEndTable(cfg Config, id, title string, datasets []string) (*Table, 
 					if err != nil {
 						return nil, err
 					}
-					native[key(method, reg.name, ds, modelName)] = dur
 					row = append(row, fmt.Sprintf("%.0f", dur.Seconds()*1e3))
-				}
-				t.Rows = append(t.Rows, row)
-			}
-		}
-	}
-	// Modeled system rows.
-	for _, ds := range datasets {
-		for _, reg := range regimes {
-			for _, sys := range systems {
-				row := []string{sys + "*", reg.name, ds}
-				for _, modelName := range models {
-					if !systemSupports(sys, modelName) {
-						row = append(row, "N/A")
-						continue
-					}
-					base := native[key(systemBase(sys), reg.name, ds, modelName)]
-					row = append(row, fmt.Sprintf("%.0f", modelSystemTime(sys, modelName, base).Seconds()*1e3))
 				}
 				t.Rows = append(t.Rows, row)
 			}

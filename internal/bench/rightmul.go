@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"toc/internal/formats"
@@ -16,30 +15,31 @@ import (
 // (NN input layer) that every model's forward pass runs. Each measured
 // "step" mimics what a gradient step does on one compressed batch: build
 // one KernelPlan (a single decode-tree build) and push both forward
-// kernels through it at the configured worker count. The serial baseline
-// is the paper's cost model: the per-op CompressedMatrix methods, each a
-// plan of its own, so one tree rebuild per op.
+// kernels through it. The serial baseline is the paper's cost model: the
+// per-op CompressedMatrix methods, each a plan of its own, so one tree
+// rebuild per op. Both rows run on one goroutine: A·v never shards and
+// A·M at p = 32 is a single panel, so a worker sweep here would measure
+// nothing (BenchmarkMatrixKernels, p = 200, is where A·M and M·A scale).
 //
-// Because a plan's kernels are bitwise identical at every worker count,
-// every row reports the same checksum — worker count and plan reuse buy
-// wall-clock, never different numbers.
+// Because a plan's kernels are bitwise identical to the per-op methods,
+// both rows report the same checksum — plan reuse buys wall-clock, never
+// different numbers.
 
 func init() {
-	register("rightmul", "right-multiplication (forward) kernel scaling with per-step plan reuse", runRightMul)
+	register("rightmul", "right-multiplication (forward) kernels: per-step plan reuse vs per-op rebuild", runRightMul)
 }
 
 func runRightMul(cfg Config) (*Table, error) {
 	const batchSize, p = 1000, 32
 	t := &Table{
 		ID:    "rightmul",
-		Title: "right-mul kernel scaling (A·v + A·M per step, TOC batches)",
+		Title: "right-mul plan reuse (A·v + A·M per step, TOC batches)",
 		Columns: []string{"config", "workers", "steps", "kernel_ms", "per_step_us",
 			"speedup", "checksum"},
 		Notes: []string{
-			"each step = one batch's forward pair A·v + A·M; plan rows build C' once",
-			"  per step (KernelPlan), serial row rebuilds it per op",
-			fmt.Sprintf("  (GOMAXPROCS=%d; identical checksum across rows = bitwise-identical results)",
-				runtime.GOMAXPROCS(0)),
+			"each step = one batch's forward pair A·v + A·M; the plan row builds C' once",
+			"  per step (KernelPlan), the serial row rebuilds it per op",
+			"  (identical checksum across rows = bitwise-identical results)",
 		},
 	}
 	d, err := getDataset("imagenet", cfg.rows(4000), cfg.Seed)
@@ -76,7 +76,7 @@ func runRightMul(cfg Config) (*Table, error) {
 
 	// checksum folds every result element in a fixed order, so it is
 	// bit-for-bit identical across configs exactly when the kernels are.
-	measure := func(workers int, plan bool) (time.Duration, float64) {
+	measure := func(plan bool) (time.Duration, float64) {
 		var sum float64
 		start := time.Now()
 		for s := 0; s < steps; s++ {
@@ -85,8 +85,8 @@ func runRightMul(cfg Config) (*Table, error) {
 				var r2 *matrix.Dense
 				if plan {
 					kp := b.NewKernelPlan()
-					r1 = kp.MulVecInto(nil, v, workers)
-					r2 = kp.MulMatInto(nil, m, workers)
+					r1 = kp.MulVecInto(nil, v, 1)
+					r2 = kp.MulMatInto(nil, m, 1)
 					kp.Release()
 				} else {
 					r1 = b.MulVec(v)
@@ -103,34 +103,21 @@ func runRightMul(cfg Config) (*Table, error) {
 		return time.Since(start), sum
 	}
 
-	serialDur, serialSum := measure(1, false)
-	row := func(config string, workers int, dur time.Duration, sum float64) {
-		totalSteps := steps * len(batches)
+	totalSteps := steps * len(batches)
+	serialDur, serialSum := measure(false)
+	planDur, planSum := measure(true)
+	for _, r := range []struct {
+		config string
+		dur    time.Duration
+		sum    float64
+	}{{"serial", serialDur, serialSum}, {"plan", planDur, planSum}} {
 		t.Rows = append(t.Rows, []string{
-			config, fmt.Sprint(workers), fmt.Sprint(totalSteps),
-			fmt.Sprintf("%.0f", dur.Seconds()*1e3),
-			fmt.Sprintf("%.0f", dur.Seconds()*1e6/float64(totalSteps)),
-			fmt.Sprintf("%.2f", serialDur.Seconds()/dur.Seconds()),
-			fmt.Sprintf("%016x", math.Float64bits(sum)),
+			r.config, "1", fmt.Sprint(totalSteps),
+			fmt.Sprintf("%.0f", r.dur.Seconds()*1e3),
+			fmt.Sprintf("%.0f", r.dur.Seconds()*1e6/float64(totalSteps)),
+			fmt.Sprintf("%.2f", serialDur.Seconds()/r.dur.Seconds()),
+			fmt.Sprintf("%016x", math.Float64bits(r.sum)),
 		})
 	}
-	row("serial", 1, serialDur, serialSum)
-	for _, w := range addCount([]int{1, 2, 4, 8}, cfg.Workers) {
-		dur, sum := measure(w, true)
-		row("plan", w, dur, sum)
-	}
 	return t, nil
-}
-
-// addCount appends extra to counts unless it is unset or already present.
-func addCount(counts []int, extra int) []int {
-	if extra <= 0 {
-		return counts
-	}
-	for _, c := range counts {
-		if c == extra {
-			return counts
-		}
-	}
-	return append(counts, extra)
 }

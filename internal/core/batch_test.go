@@ -188,6 +188,11 @@ func TestOpsMatchDenseProperty(t *testing.T) {
 			if !b.AddScalar(c).EqualApprox(a.AddScalar(c), 1e-9) {
 				return false
 			}
+			m3 := matrix.NewDense(rows, cols)
+			fillRand(rng, m3)
+			if !b.AddDense(m3).EqualApprox(a.Add(m3), 1e-9) {
+				return false
+			}
 		}
 		return true
 	}

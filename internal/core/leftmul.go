@@ -14,8 +14,21 @@ import "toc/internal/matrix"
 // Batch.MatMul are a plan used for a single sequential call. The bodies
 // walk D through the flat Nodes/Starts arrays with the bounds proven up
 // front (boundsHint in rightmul.go), mirroring the right-mul loop shape.
-// leftmul_parallel.go holds the sharded v·A and says why sharding either
-// kernel cannot change a bit.
+//
+// Unlike the right multiplications, where every output row depends on
+// one tuple of D only, the D scan here accumulates into shared per-node
+// state H[x] = G(x). Sharding D by rows would give each worker a partial
+// H whose per-node sums fold in a different order than the sequential
+// scan, so the merged floats could drift in the last bit — and the
+// engine's "worker count never changes the trajectory" guarantee would
+// be lost. So v·A is one sequential body, and matMulTree splits the p
+// dimension (rows of M) instead: the sequential kernel already works
+// through it a panel at a time, each panel a complete M·A for its rows
+// of M on a private H slab, so a worker is simply handed a run of the
+// panels and a slab of its own (forEachPanelRun in rightmul_parallel.go).
+// One body serves every worker count, no barrier separates a run's two
+// scans, and every reduction keeps the sequential order
+// (TestLeftMulParallel*).
 //
 // Both kernels run on the batch's resident tree, which holds only the
 // live nodes of C' (decodetree.go: the nodes D references); M·A works
@@ -92,8 +105,8 @@ func (b *Batch) vecMulRows(v, h []float64) {
 	}
 }
 
-// vecMulSparseSeq is the SparseOnly v·A, accumulating into caller-zeroed r.
-func (b *Batch) vecMulSparseSeq(v, r []float64) {
+// vecMulSparse is the SparseOnly v·A, accumulating into caller-zeroed r.
+func (b *Batch) vecMulSparse(v, r []float64) {
 	starts, cols, vals := b.srStarts, b.srCols, b.srVals
 	boundsHint(0, b.rows, len(starts), len(v))
 	for i := 0; i < b.rows; i++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"toc/internal/matrix"
@@ -128,64 +127,5 @@ func TestLeftMulParallelDimMismatchPanics(t *testing.T) {
 			}()
 			call()
 		}()
-	}
-}
-
-// BenchmarkVecMulBackward measures the two backward-scan strategies the
-// split kernel can use after the sequential parent pushes: keeping the
-// r[col] scatter sequential vs sharding it over disjoint column ranges.
-// scatterCols is the default above a small size floor (see its comment).
-func BenchmarkVecMulBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	a := redundantMatrix(rng, 2000, 120, 0.6, 5)
-	batch := Compress(a)
-	t := batch.buildTree()
-	h := make([]float64, t.Len())
-	for i := range h {
-		h[i] = rng.NormFloat64()
-	}
-	leftPushSeq(t, h)
-	b.Run("sequential", func(b *testing.B) {
-		r := make([]float64, batch.cols)
-		for i := 0; i < b.N; i++ {
-			batch.scatterSeq(t, h, r)
-		}
-	})
-	b.Run("colsharded", func(b *testing.B) {
-		r := make([]float64, batch.cols)
-		for i := 0; i < b.N; i++ {
-			batch.scatterCols(t, h, r, 4)
-		}
-	})
-}
-
-// BenchmarkLeftMulParallel compares the sequential and sharded left-mul
-// kernels (workers = GOMAXPROCS) on a batch large enough for the sharding
-// to matter.
-func BenchmarkLeftMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	a := redundantMatrix(rng, 4000, 100, 0.55, 5)
-	batch := Compress(a)
-	v := randVec(rng, 4000)
-	m := matrix.NewDense(24, 4000)
-	fillRand(rng, m)
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
-		b.Run("VecMul-"+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := batch.NewKernelPlan()
-				plan.VecMulInto(nil, v, c.workers)
-				plan.Release()
-			}
-		})
-		b.Run("MatMul-"+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := batch.NewKernelPlan()
-				plan.MatMulInto(nil, m, c.workers)
-				plan.Release()
-			}
-		})
 	}
 }

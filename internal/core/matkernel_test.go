@@ -334,6 +334,14 @@ func TestMatrixKernelScratchIndependentOfP(t *testing.T) {
 //
 //	mnist    250×196  A·M 7.1 | 6.1 → 3.1 | 1.7   M·A 9.7 | 8.0 → 3.9 | 2.1
 //	imagenet 250×180  A·M 3.5 | 2.8 → 1.5 | 0.9   M·A 4.4 | 3.5 → 2.2 | 1.3
+//
+// It is also the one place a kernel worker count is measured to pay (the
+// vector kernels lost their forks for being slower than their sequential
+// bodies at every shape). On the batch's live-only tree, same box, median
+// of 8 × 60 iterations, ms/op at workers 1 | 2:
+//
+//	mnist    250×196  A·M 2.3 | 1.4   M·A 3.4 | 1.9
+//	imagenet 250×180  A·M 1.2 | 0.7   M·A 1.9 | 1.2
 func BenchmarkMatrixKernels(b *testing.B) {
 	const rows, p = 250, 200
 	for _, name := range []string{"mnist", "imagenet"} {

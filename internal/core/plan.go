@@ -16,12 +16,14 @@ import (
 // (O(|I|+|live|), decodetree.go), without changing any result.
 //
 // The plan's four Into methods are the one implementation of the Table 1
-// multiplications: workers <= 1 runs the kernel sequentially, workers > 1
-// shards it across that many goroutines, and the result bits are the same
-// for every workers value (rightmul_parallel.go and leftmul_parallel.go
-// say why). A nil dst allocates the result; a caller-owned one removes
-// the last per-op allocation. Batch.MulVec/VecMul/MulMat/MatMul are the
-// plan used once: build, one kernel, release.
+// multiplications. The matrix kernels A·M and M·A hand runs of the p
+// dimension to workers goroutines when workers > 1 (rightmul_parallel.go
+// says why that cannot change a bit); the vector kernels A·v and v·A are
+// one sequential body each and ignore workers. The result bits are the
+// same for every workers value. A nil dst allocates the result; a
+// caller-owned one removes the last per-op allocation.
+// Batch.MulVec/VecMul/MulMat/MatMul are the plan used once: build, one
+// kernel, release.
 //
 // Lifecycle. A plan and its tree memory come from a pool. Release hands
 // both back, after which the next NewKernelPlan — for any batch — reuses
@@ -115,26 +117,22 @@ func intoMat(dst *matrix.Dense, rows, cols int, kernel string) *matrix.Dense {
 }
 
 // MulVecInto computes A·v into dst (length rows, fully overwritten; nil
-// allocates) and returns it. workers > 1 shards the D scan over result
-// rows.
+// allocates) and returns it. workers is accepted for interface symmetry,
+// the vector kernels always run on the caller's goroutine — see the
+// table in README.
 func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	b := p.Batch()
 	if len(v) != b.cols {
 		panic(fmt.Sprintf("core: MulVec dim mismatch %d != %d", len(v), b.cols))
 	}
-	workers = rightWorkers(workers, b.rows)
 	r := intoVec(dst, b.rows, false, "MulVecInto")
 	if b.variant == SparseOnly {
-		if workers > 1 {
-			forEachSpan(b.rows, workers, func(lo, hi int) { b.mulVecSparseRows(v, r, lo, hi) })
-		} else {
-			b.mulVecSparseRows(v, r, 0, b.rows)
-		}
+		b.mulVecSparse(v, r)
 		return r
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	b.mulVecTree(p.tree, sc, v, r, workers)
+	b.mulVecTree(p.tree, sc, v, r)
 	return r
 }
 
@@ -162,8 +160,9 @@ func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int)
 }
 
 // VecMulInto computes v·A into dst (length cols, zeroed first; nil
-// allocates) and returns it. workers > 1 selects the accumulator-sharded
-// kernel once every worker has at least two rows to scan.
+// allocates) and returns it. workers is accepted for interface symmetry,
+// the vector kernels always run on the caller's goroutine — see the
+// table in README.
 func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	b := p.Batch()
 	if len(v) != b.rows {
@@ -171,20 +170,12 @@ func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	}
 	r := intoVec(dst, b.cols, true, "VecMulInto")
 	if b.variant == SparseOnly {
-		if workers > 1 {
-			b.vecMulSparseParallel(v, r, workers)
-		} else {
-			b.vecMulSparseSeq(v, r)
-		}
+		b.vecMulSparse(v, r)
 		return r
 	}
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
-	if workers > 1 && b.rows >= 2*workers {
-		b.vecMulTreePar(p.tree, sc, v, r, workers)
-	} else {
-		b.vecMulTree(p.tree, sc, v, r)
-	}
+	b.vecMulTree(p.tree, sc, v, r)
 	return r
 }
 

@@ -90,7 +90,9 @@ func TestPlanIntoShapePanics(t *testing.T) {
 // caller-owned destination and workers=1, no kernel allocates — the tree
 // is held by the plan, accumulators come from the scratch pool, and the
 // result lands in dst — and neither does building and releasing the plan
-// itself.
+// itself. The two vector kernels run on the caller's goroutine whatever
+// workers says, so they allocate nothing at workers=8 either: a fork
+// would cost its closures and WaitGroup.
 func TestPlanIntoAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
@@ -110,11 +112,13 @@ func TestPlanIntoAllocs(t *testing.T) {
 		dmr := matrix.NewDense(rows, 4)
 		dml := matrix.NewDense(4, cols)
 
-		if got := testing.AllocsPerRun(50, func() { plan.MulVecInto(dv, vr, 1) }); got != 0 {
-			t.Errorf("%s: MulVecInto allocates %.0f objects/op, want 0", name, got)
-		}
-		if got := testing.AllocsPerRun(50, func() { plan.VecMulInto(dc, vl, 1) }); got != 0 {
-			t.Errorf("%s: VecMulInto allocates %.0f objects/op, want 0", name, got)
+		for _, w := range []int{1, 8} {
+			if got := testing.AllocsPerRun(50, func() { plan.MulVecInto(dv, vr, w) }); got != 0 {
+				t.Errorf("%s workers=%d: MulVecInto allocates %.0f objects/op, want 0", name, w, got)
+			}
+			if got := testing.AllocsPerRun(50, func() { plan.VecMulInto(dc, vl, w) }); got != 0 {
+				t.Errorf("%s workers=%d: VecMulInto allocates %.0f objects/op, want 0", name, w, got)
+			}
 		}
 		if got := testing.AllocsPerRun(50, func() { plan.MulMatInto(dmr, mr, 1) }); got != 0 {
 			t.Errorf("%s: MulMatInto allocates %.0f objects/op, want 0", name, got)

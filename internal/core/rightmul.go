@@ -13,12 +13,13 @@ import (
 // (Equation 6), then D is scanned once to sum F over each tuple's codes
 // (Equation 5).
 //
-// The bodies here take an already-built tree and a worker count; their
-// one caller is KernelPlan (plan.go), which builds C' once per batch-step
-// and shares it across every kernel call of that step. Batch.MulVec and
+// The bodies here take an already-built tree; their one caller is
+// KernelPlan (plan.go), which builds C' once per batch-step and shares
+// it across every kernel call of that step. Batch.MulVec and
 // Batch.MulMat are a plan used for a single sequential call — the paper's
-// cost model, one rebuild per op. rightmul_parallel.go says why the
-// sharded scans cannot change a bit.
+// cost model, one rebuild per op. A·v is one sequential body; A·M takes
+// a worker count, and rightmul_parallel.go says why handing its panel
+// runs to workers cannot change a bit.
 // Every body reads a node's key through the first layer, I[KeyIdx[i]-1]
 // (decodetree.go); A·v goes one step further and multiplies each of the
 // |I| distinct pairs by v exactly once.
@@ -66,11 +67,8 @@ func (b *Batch) MulVec(v []float64) []float64 {
 }
 
 // mulVecTree is A·v over an already-built decode tree, writing into r
-// (length rows, fully overwritten). The scalar H scan stays sequential
-// for any worker count (each H[i] chains on its parent, and it is a
-// |C'|-long stream of 8-byte gathers next to the D scan's |D| of them);
-// the D scan shards over result rows when workers > 1.
-func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64, workers int) {
+// (length rows, fully overwritten).
+func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	// Scan C' to compute H[i] = F(i) = C'[i].key·v + H[parent(i)]; parents
 	// precede children, so one forward pass suffices and writes every H[i]
 	// before anything reads it (only the root needs clearing).
@@ -100,25 +98,20 @@ func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64, workers
 	for j := range pw {
 		hw[j] = h[kw[j]] + h[pw[j]]
 	}
-	if workers > 1 {
-		forEachSpan(b.rows, workers, func(lo, hi int) { b.mulVecRows(h, r, lo, hi) })
-	} else {
-		b.mulVecRows(h, r, 0, b.rows)
-	}
+	b.mulVecRows(h, r)
 }
 
-// mulVecRows scans D for result rows [lo,hi): R[i] = Σ_j H[D[i][j]]. Each
-// output row is an independent sequential reduction, so disjoint row
-// ranges compute bitwise-identical results concurrently. The walk is flat
+// mulVecRows scans D: R[i] = Σ_j H[D[i][j]], each output row an
+// independent sequential reduction. The walk is flat
 // over Nodes/Starts with a 4-way unrolled single-chain accumulation: the
 // fold order is exactly the sequential one, only the loop control is
 // amortized over four elements. Advancing by re-slicing row (rather than
 // indexing with k) is what lets the compiler drop the row element checks;
 // only the data-dependent h gathers keep theirs.
-func (b *Batch) mulVecRows(h, r []float64, lo, hi int) {
+func (b *Batch) mulVecRows(h, r []float64) {
 	nodes, starts := b.d.Nodes, b.d.Starts
-	boundsHint(lo, hi, len(starts), len(r))
-	for i := lo; i < hi; i++ {
+	boundsHint(0, b.rows, len(starts), len(r))
+	for i := 0; i < b.rows; i++ {
 		row := nodes[starts[i]:starts[i+1]]
 		var s float64
 		for len(row) >= 4 {
@@ -136,12 +129,12 @@ func (b *Batch) mulVecRows(h, r []float64, lo, hi int) {
 	}
 }
 
-// mulVecSparseRows is the SparseOnly A·v for result rows [lo,hi), the
-// same flat walk over srStarts/srCols/srVals.
-func (b *Batch) mulVecSparseRows(v, r []float64, lo, hi int) {
+// mulVecSparse is the SparseOnly A·v, the same flat walk over
+// srStarts/srCols/srVals.
+func (b *Batch) mulVecSparse(v, r []float64) {
 	starts, cols, vals := b.srStarts, b.srCols, b.srVals
-	boundsHint(lo, hi, len(starts), len(r))
-	for i := lo; i < hi; i++ {
+	boundsHint(0, b.rows, len(starts), len(r))
+	for i := 0; i < b.rows; i++ {
 		cs := cols[starts[i]:starts[i+1]]
 		vs := vals[starts[i]:starts[i+1]]
 		var s float64

@@ -2,32 +2,28 @@ package core
 
 import "sync"
 
-// Sharding the right multiplications A·v (Algorithm 4) and A·M
-// (Algorithm 7) — the forward pass of every model. leftmul_parallel.go
-// covers the other direction.
+// Sharding the matrix kernels A·M (Algorithm 7) and M·A (Algorithm 8).
+// The vector kernels A·v and v·A are one sequential body each: a fork
+// inside a 15-500 µs scan was measured slower than the scan at every
+// shape (the table in README), so workers means panel runs of A·M / M·A
+// and nothing else.
 //
-// Right multiplications are the easy direction: every output row depends
-// on exactly one tuple of D, so the D scan shards over disjoint result-row
-// ranges and each row's reduction folds in the sequential order untouched.
-// The H table adds one subtlety per kernel:
-//
-//   - mulVecTree keeps its scalar H scan sequential. Each H[i] chains on
-//     H[parent(i)]; |C'| is of the order of |D| (one node per non-final
-//     tuple element, plus |I|), not far below it, but the scan is two
-//     8-byte gathers per node with the |I| multiplies done up front, so
-//     it is the cheap half and the chain is not worth breaking.
-//   - mulMatTree shards the p result columns: column j of every H row
-//     depends only on column j of its parent row, and column j of every
-//     result row only on column j of H, so each column is an independent
-//     sequential recurrence through both scans. The sequential kernel
-//     already exploits that to run a panel of columns at a time on a
-//     small H slab; a worker is handed a run of the panels and a slab of
-//     its own, and no barrier separates its forward scan from its D scan.
+// Column j of every H row of A·M depends only on column j of its parent
+// row, and column j of every result row only on column j of H, so each
+// of the p result columns is an independent sequential recurrence
+// through both scans. The sequential kernel already exploits that to run
+// a panel of columns at a time on a small H slab; a worker is handed a
+// run of the panels and a slab of its own, and no barrier separates its
+// forward scan from its D scan. M·A splits its p dimension (rows of M)
+// the same way; leftmul.go says why that is the only split that keeps
+// its reductions in order. SparseOnly batches have no H: A·M shards over
+// result rows and M·A over rows of M (forEachSpan), each output element
+// still one sequential reduction.
 //
 // Both kernels therefore return the same bits for any worker count
-// (asserted by TestRightMulParallel*), which is what lets the engine pick
-// a worker count freely without ever changing a training trajectory.
-// SparseOnly batches shard over rows the same way.
+// (asserted by TestRightMulParallel* and TestLeftMulParallel*), which is
+// what lets the engine pick a worker count freely without ever changing
+// a training trajectory.
 
 // rightWorkers clamps a requested worker count against the row count: a
 // shard is only worth a goroutine with at least two rows to scan, and

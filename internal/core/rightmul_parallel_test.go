@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"toc/internal/matrix"
@@ -115,36 +114,5 @@ func TestRightMulParallelDimMismatchPanics(t *testing.T) {
 			}()
 			call()
 		}()
-	}
-}
-
-// BenchmarkRightMulParallel compares the sequential and sharded right-mul
-// kernels (workers = GOMAXPROCS) on a batch large enough for the sharding
-// to matter.
-func BenchmarkRightMulParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	a := redundantMatrix(rng, 4000, 100, 0.55, 5)
-	batch := Compress(a)
-	v := randVec(rng, 100)
-	m := matrix.NewDense(100, 24)
-	fillRand(rng, m)
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
-		b.Run("MulVec-"+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := batch.NewKernelPlan()
-				plan.MulVecInto(nil, v, c.workers)
-				plan.Release()
-			}
-		})
-		b.Run("MulMat-"+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				plan := batch.NewKernelPlan()
-				plan.MulMatInto(nil, m, c.workers)
-				plan.Release()
-			}
-		})
 	}
 }

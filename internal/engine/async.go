@@ -263,8 +263,8 @@ func (a *Async) inflightCap() int {
 }
 
 // KernelWorkers returns the goroutine count each in-flight gradient's
-// kernels get: with a tight staleness window fewer gradients are in
-// flight than the pool holds, so the spare workers shard the kernels
+// matrix kernels get: with a tight staleness window fewer gradients are
+// in flight than the pool holds, so the spare workers shard A·M and M·A
 // inside each gradient (staleness 0 puts the whole pool into the one
 // running gradient, mirroring the synchronous GroupSize-1 split).
 func (a *Async) KernelWorkers() int {

@@ -17,9 +17,11 @@
 // synchronous group steps: bound 0 with group = GroupSize, so a step's
 // gradients are computed concurrently on the live model, whose parameters
 // are frozen until the step applies; workers left over after the group's
-// slots shard the kernels inside each gradient (bitwise identical to the
-// sequential kernels), so GroupSize 1 still uses the whole pool on the
-// serial trajectory. Async (async.go) is group 1 under a staleness bound:
+// slots shard the matrix kernels inside each gradient (A·M and M·A by
+// panel run, bitwise identical to the sequential kernels; the vector
+// kernels never shard), so GroupSize 1 still uses the whole pool on the
+// serial trajectory of a neural network, and one core on a linear model.
+// Async (async.go) is group 1 under a staleness bound:
 // private model clones, a supervisor with a restart budget, elastic
 // join/leave. internal/dist is the same over RPC. The package also shards
 // compression of incoming batches across the pool (EncodeAll, FillStore)
@@ -127,8 +129,8 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) GroupSize() int { return e.group }
 
 // KernelWorkers returns the goroutine count Train gives each gradient's
-// kernels when training over n batches — the pool split of the package
-// doc. n <= 0 means "unclamped" (use the configured group size).
+// matrix kernels when training over n batches — the pool split of the
+// package doc. n <= 0 means "unclamped" (use the configured group size).
 func (e *Engine) KernelWorkers(n int) int {
 	group := e.group
 	if n > 0 && group > n {
@@ -211,10 +213,10 @@ func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float6
 	defer e.cur.Store(nil)
 	// Split the pool between batch-level and kernel-level parallelism: the
 	// group's in-flight gradients claim workers first, and any leftover
-	// goroutines shard the kernels inside each gradient (workers=8 with
-	// group=1 puts all eight into every kernel call). The parallel kernels
-	// are bitwise identical to the sequential ones, so this split never
-	// changes the trajectory, only the wall-clock.
+	// goroutines shard the matrix kernels inside each gradient (workers=8
+	// with group=1 puts all eight into every A·M and M·A; a linear model
+	// has neither). Sharding changes no bit, so this split never changes
+	// the trajectory, only the wall-clock.
 	m.SetKernelWorkers(e.KernelWorkers(n))
 	var wg sync.WaitGroup
 	for w := min(e.workers, group); w > 0; w-- {

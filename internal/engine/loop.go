@@ -19,28 +19,19 @@ import (
 // trajectory.
 var ErrHalted = errors.New("engine: halted before completion")
 
-// OrderedSource is a BatchSource that accepts visit-order hints;
-// storage.Prefetcher implements it. The loop announces each epoch's
-// permutation through it so prefetching stays ahead of the stream.
-type OrderedSource interface {
-	ml.BatchSource
+// prefetchHints is what the loop tells a batch source that reads ahead;
+// storage.Prefetcher implements it. SetOrder announces each epoch's
+// permutation so prefetching stays ahead of the stream; SetNextOrder the
+// epoch after it, so a window that wraps past the epoch boundary aims at
+// the next epoch's head instead of re-reading the current one's — which
+// matters exactly when Shuffle gives every epoch a fresh permutation;
+// Request names one batch whenever the stream deviates from the
+// announced permutation — a rejected or abandoned position's batch is
+// about to be read a second time. All three must not block: the loop
+// calls them under its lock.
+type prefetchHints interface {
 	SetOrder(order []int)
-}
-
-// NextOrderedSource can additionally be told the epoch after the
-// announced one, so a prefetch window that wraps past the epoch boundary
-// aims at the next epoch's head instead of re-reading the current one's —
-// which matters exactly when Shuffle gives every epoch a fresh
-// permutation. storage.Prefetcher implements it.
-type NextOrderedSource interface {
 	SetNextOrder(order []int)
-}
-
-// RequestSource accepts explicit single-batch prefetch requests;
-// storage.Prefetcher implements it. The loop uses it whenever the stream
-// deviates from the announced permutation — a rejected or abandoned
-// position's batch is about to be read a second time.
-type RequestSource interface {
 	Request(idx int)
 }
 
@@ -187,7 +178,7 @@ type stepEvent struct {
 type Loop struct {
 	cfg    LoopConfig
 	m      ml.Model
-	src    ml.BatchSource // hint target only; nil for remote workers
+	hints  prefetchHints // src when it reads ahead, else nil
 	n      int64
 	total  int64
 	group  int64
@@ -260,7 +251,7 @@ func NewLoop(cfg LoopConfig, m ml.Model, src ml.BatchSource) (*Loop, error) {
 	// deterministic, and an unbounded one has no defined delay.
 	cfg.Deterministic = cfg.Deterministic && cfg.Staleness > 0
 	l := &Loop{
-		cfg: cfg, m: m, src: src,
+		cfg: cfg, m: m,
 		n: int64(cfg.NumBatches), total: int64(cfg.Epochs) * int64(cfg.NumBatches),
 		group: max(1, int64(cfg.Group)), bound: max(-1, int64(cfg.Staleness)),
 		window: int64(cfg.Window), np: m.NumParams(),
@@ -268,6 +259,7 @@ func NewLoop(cfg LoopConfig, m ml.Model, src ml.BatchSource) (*Loop, error) {
 		pending: map[int64]pendingGrad{}, owners: map[int]ownerState{},
 		res: &ml.TrainResult{},
 	}
+	l.hints, _ = src.(prefetchHints)
 	l.cond = sync.NewCond(&l.mu)
 	if l.window <= 0 {
 		l.window = l.bound + 1
@@ -443,8 +435,8 @@ func (l *Loop) Next(owner int) (t Task, ok bool, err error) {
 			t, l.requeue = l.requeue[0], l.requeue[1:]
 			t.Version = l.clock
 			// The batch may already have left the prefetch stream.
-			if rs, ok := l.src.(RequestSource); ok {
-				rs.Request(t.Batch)
+			if l.hints != nil {
+				l.hints.Request(t.Batch)
 			}
 			l.held = append(l.held, assignment{t, owner})
 			return t, true, nil
@@ -486,10 +478,10 @@ func (l *Loop) releasableLocked() bool {
 //toc:locked mu
 func (l *Loop) enterEpochLocked(epoch int) {
 	l.order = epochOrder(l.cfg.Seed, l.cfg.Shuffle, epoch, int(l.n))
-	if os, ok := l.src.(OrderedSource); ok {
-		os.SetOrder(l.order)
-		if ns, ok := l.src.(NextOrderedSource); ok && l.cfg.Shuffle && epoch+1 < l.cfg.Epochs {
-			ns.SetNextOrder(epochPerm(l.cfg.Seed, epoch+1, int(l.n)))
+	if l.hints != nil {
+		l.hints.SetOrder(l.order)
+		if l.cfg.Shuffle && epoch+1 < l.cfg.Epochs {
+			l.hints.SetNextOrder(epochPerm(l.cfg.Seed, epoch+1, int(l.n)))
 		}
 	}
 }
@@ -583,8 +575,8 @@ func (l *Loop) Submit(owner int, pos, version int64, loss float64, grad []float6
 	case !l.admitsLocked(l.stepStart(pos), version):
 		l.stats.Rejected++
 		rejected = true
-		if rs, ok := l.src.(RequestSource); ok {
-			rs.Request(l.held[at].task.Batch)
+		if l.hints != nil {
+			l.hints.Request(l.held[at].task.Batch)
 		}
 	default:
 		l.held[at] = l.held[len(l.held)-1]

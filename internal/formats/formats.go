@@ -61,9 +61,10 @@ type ParallelOps interface {
 
 // KernelPlan is the per-batch kernel plan of ParallelOps.NewKernelPlan:
 // the one way to run a Table 1 multiplication on a planned batch. Every
-// kernel takes the worker count directly — workers <= 1 runs
-// sequentially, workers > 1 shards the kernel across that many
-// goroutines — and a destination: nil allocates the result, a non-nil
+// kernel takes a worker count — A·M and M·A split their panel runs
+// across that many goroutines, A·v and v·A accept it for interface
+// symmetry and always run on the caller's goroutine (README has the
+// table) — and a destination: nil allocates the result, a non-nil
 // dst must have the result's exact shape and is written and returned.
 // The contract is strict: for any dst and any workers value the result is
 // bitwise identical to the corresponding CompressedMatrix method, so

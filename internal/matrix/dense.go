@@ -26,14 +26,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseFromSlice wraps data (row-major, len rows*cols) without copying.
-func NewDenseFromSlice(rows, cols int, data []float64) *Dense {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("matrix: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Dense{rows: rows, cols: cols, data: data}
-}
-
 // NewDenseFromRows builds a matrix from per-row slices, copying them.
 // All rows must have equal length.
 func NewDenseFromRows(rows [][]float64) *Dense {

@@ -241,26 +241,6 @@ func (d *Dense) Sub(o *Dense) *Dense {
 	return r
 }
 
-// AddInPlace adds o into d element-wise.
-func (d *Dense) AddInPlace(o *Dense) {
-	if d.rows != o.rows || d.cols != o.cols {
-		panic(fmt.Sprintf("matrix: AddInPlace shape mismatch %dx%d vs %dx%d", d.rows, d.cols, o.rows, o.cols))
-	}
-	for i, v := range o.data {
-		d.data[i] += v
-	}
-}
-
-// AddScaledInPlace adds c*o into d element-wise (axpy).
-func (d *Dense) AddScaledInPlace(c float64, o *Dense) {
-	if d.rows != o.rows || d.cols != o.cols {
-		panic(fmt.Sprintf("matrix: AddScaledInPlace shape mismatch %dx%d vs %dx%d", d.rows, d.cols, o.rows, o.cols))
-	}
-	for i, v := range o.data {
-		d.data[i] += c * v
-	}
-}
-
 // Apply returns a new matrix with f applied to every element.
 func (d *Dense) Apply(f func(float64) float64) *Dense {
 	r := NewDense(d.rows, d.cols)

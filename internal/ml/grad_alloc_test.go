@@ -56,4 +56,10 @@ func TestLinGradAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(50, func() { lr.Grad(c, yb, out) }); got != 0 {
 		t.Errorf("logreg Grad allocates %.0f objects/op, want 0", got)
 	}
+	// Kernel workers are for A·M / M·A; a GLM gradient has neither, so
+	// asking for them starts no goroutine and allocates nothing.
+	lr.SetKernelWorkers(4)
+	if got := testing.AllocsPerRun(50, func() { lr.Grad(c, yb, out) }); got != 0 {
+		t.Errorf("logreg Grad after SetKernelWorkers(4) allocates %.0f objects/op, want 0", got)
+	}
 }

@@ -11,8 +11,9 @@ import (
 // call) with planFor and every multiplication of that call runs on it:
 // the 2-3 multiplications a gradient makes on one batch (the A·v/A·M
 // forward and the v·A/M·A aggregation) share a single decode-tree build
-// instead of paying the O(|I|+|D|) rebuild per operation, at the model's
-// worker count and into the caller's buffer. Whoever called planFor
+// instead of paying the O(|I|+|D|) rebuild per operation, into the
+// caller's buffer; the two matrix kernels run at the model's worker
+// count, the two vector kernels are sequential. Whoever called planFor
 // releases the plan on return, which recycles the tree's memory into the
 // next step's plan; core.TreeBuilds is the white-box counter proving the
 // amortization. Every other encoding gets a nil plan and its own
@@ -44,16 +45,16 @@ func releasePlan(plan formats.KernelPlan) {
 // nil dst allocates in the two vector ones; the two matrix ones size
 // their dst for the product first (Dense.Reshape), so a pooled matrix of
 // whatever earlier shape serves.
-func mulVec(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
+func mulVec(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64) []float64 {
 	if plan != nil {
-		return plan.MulVecInto(dst, v, workers)
+		return plan.MulVecInto(dst, v, 1)
 	}
 	return x.MulVec(v)
 }
 
-func vecMul(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64, workers int) []float64 {
+func vecMul(dst []float64, x formats.CompressedMatrix, plan formats.KernelPlan, v []float64) []float64 {
 	if plan != nil {
-		return plan.VecMulInto(dst, v, workers)
+		return plan.VecMulInto(dst, v, 1)
 	}
 	return x.VecMul(v)
 }

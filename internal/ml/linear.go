@@ -16,10 +16,6 @@ type Linear struct {
 	W  []float64 // weight vector, one per feature
 	B  float64   // bias
 	L2 float64   // optional ridge penalty coefficient
-	// Workers is the goroutine count each compressed-kernel call may use
-	// (0 or 1 = sequential). Parallel kernels are bitwise identical to
-	// sequential ones, so it changes wall-clock only.
-	Workers int
 
 	glm *glm
 }
@@ -90,15 +86,17 @@ func NewLogReg(dims int) *Linear { return &Linear{W: make([]float64, dims), glm:
 // NewSVM creates a zero-initialized linear support vector machine.
 func NewSVM(dims int) *Linear { return &Linear{W: make([]float64, dims), L2: 1e-4, glm: hinge} }
 
-// SetKernelWorkers sets the per-kernel goroutine count.
-func (m *Linear) SetKernelWorkers(workers int) { m.Workers = workers }
+// SetKernelWorkers is a no-op that satisfies Model: a GLM gradient is
+// A·v + v·A, the two vector kernels, which always run on the caller's
+// goroutine — there is nothing for a second goroutine to do.
+func (m *Linear) SetKernelWorkers(int) {}
 
 // scores computes A·w on a plan of its own: the single multiplication of
-// a Loss, Score or Predict call, at the model's worker count.
+// a Loss, Score or Predict call.
 func (m *Linear) scores(x formats.CompressedMatrix) []float64 {
 	plan := planFor(x)
 	defer releasePlan(plan)
-	return mulVec(nil, x, plan, m.W, m.Workers)
+	return mulVec(nil, x, plan, m.W)
 }
 
 // Loss evaluates the mean loss with the residual function Grad uses, so
@@ -165,11 +163,9 @@ func (m *Linear) Grad(x formats.CompressedMatrix, y []float64, out []float64) fl
 // gradPlan runs the GLM gradient shape — score the batch with A·w, turn
 // per-row residuals into r, aggregate with r·A — on the caller's kernel
 // plan, writing the flat [dW..., dB] gradient into out and returning the
-// mean loss. Both multiplications shard across Workers goroutines when
-// the encoding supports it and share the plan (one decode-tree build for
-// the forward and backward passes, and — through OneVsRest — for every
-// class); the gradient is bitwise independent of both the worker count
-// and the plan.
+// mean loss. Both multiplications share the plan (one decode-tree build
+// for the forward and backward passes, and — through OneVsRest — for
+// every class); the gradient is bitwise independent of the plan.
 //
 // On a plan the whole gradient runs allocation-free: the score and
 // residual vectors come from a pool and the v·A aggregation lands
@@ -179,7 +175,7 @@ func (m *Linear) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y
 	n := float64(x.Rows())
 	sc := linScratchPool.Get().(*linScratch)
 	defer linScratchPool.Put(sc)
-	s := mulVec(sc.vec(&sc.s, x.Rows()), x, plan, w, m.Workers)
+	s := mulVec(sc.vec(&sc.s, x.Rows()), x, plan, w)
 	var loss, rsum float64
 	r := sc.vec(&sc.r, len(s))
 	for i := range s {
@@ -195,7 +191,7 @@ func (m *Linear) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y
 	// g aliases out's weight slice on the plan path, so the l2 fold below
 	// reads each g[j] before overwriting that same element — identical
 	// arithmetic to folding from a fresh vector.
-	g := vecMul(out[:len(w):len(w)], x, plan, r, m.Workers)
+	g := vecMul(out[:len(w):len(w)], x, plan, r)
 	for j := range g {
 		out[j] = g[j] + l2*w[j]
 	}

@@ -63,10 +63,10 @@ type Model interface {
 	// hyperparameters; mutating either side never affects the other.
 	Clone() Model
 
-	// SetKernelWorkers sets the goroutine count each compressed-kernel
-	// call may use; 0 or 1 keeps the kernels sequential. Parallel kernels
-	// are bitwise identical to sequential ones, so it changes wall-clock
-	// only.
+	// SetKernelWorkers sets the goroutine count each compressed matrix
+	// kernel (A·M, M·A) may split its panel runs over; 0 or 1 keeps them
+	// sequential, and the linear models, which run only the vector
+	// kernels, ignore it. It changes wall-clock only, never a bit.
 	SetKernelWorkers(workers int)
 }
 

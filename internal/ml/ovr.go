@@ -28,13 +28,9 @@ func NewOneVsRest(classes int, newModel func() *Linear) *OneVsRest {
 	return o
 }
 
-// SetKernelWorkers forwards the per-kernel goroutine count to every
-// per-class model.
-func (o *OneVsRest) SetKernelWorkers(workers int) {
-	for _, m := range o.Models {
-		m.SetKernelWorkers(workers)
-	}
-}
+// SetKernelWorkers is a no-op that satisfies Model, like
+// Linear.SetKernelWorkers: every per-class gradient is A·v + v·A.
+func (o *OneVsRest) SetKernelWorkers(int) {}
 
 // relabel fills yc with class c's rest-relabelled copy of y — 1 where
 // the label is c, 0 elsewhere — and returns it.

@@ -92,10 +92,11 @@ type ParallelOps = formats.ParallelOps
 // build instead of paying it per operation. Obtain one
 // from ParallelOps.NewKernelPlan (or *Batch.NewKernelPlan). Its four
 // kernels share one call shape, plan.MulVecInto(dst, v, workers) and
-// likewise VecMulInto, MulMatInto, MatMulInto: workers <= 1 runs
-// sequentially, workers > 1 shards the kernel across that many
-// goroutines — the right multiplications A·v and A·M over result rows
-// and columns, the left multiplications v·A and M·A over accumulators —
+// likewise VecMulInto, MulMatInto, MatMulInto: the matrix kernels A·M
+// and M·A split the panel runs of their p dimension across workers
+// goroutines when workers > 1; the vector kernels A·v and v·A accept
+// workers for symmetry and always run on the caller's goroutine (a fork
+// inside them was measured slower at every size — the table in README);
 // a nil dst allocates the result and a caller-owned dst is written and
 // returned. For any dst and worker count the result is bitwise identical
 // to the corresponding CompressedMatrix method, so neither ever changes a
@@ -150,12 +151,13 @@ func GenerateDataset(name string, rows int, seed int64) (*Dataset, error) {
 // and ApplyGrad (a step is Grad then ApplyGrad, for Train and the engines
 // alike); Params, SetParams and Clone (the flat parameter vector that
 // checkpoints, async workers and the parameter server exchange); and
-// SetKernelWorkers, which lets the compressed-kernel calls (the Table 1
-// multiplications) use multiple goroutines per gradient: the engines set
-// it from their worker pool, and serial callers may call
-// model.SetKernelWorkers(8) to parallelize the kernels inside Train, Loss
-// and Predict without changing any result. Every model NewModel returns
-// implements all of it.
+// SetKernelWorkers, which lets the compressed matrix kernels (A·M and
+// M·A, the neural network's input layer) use multiple goroutines per
+// gradient: the engines set it from their worker pool, and serial
+// callers may call model.SetKernelWorkers(8) to parallelize them inside
+// Train, Loss and Predict without changing any result. The linear
+// models run only the vector kernels, which never shard, and ignore it.
+// Every model NewModel returns implements all of it.
 type Model = ml.Model
 
 // BatchSource supplies compressed mini-batches to the training driver.
@@ -199,7 +201,7 @@ type (
 // compression across a worker pool, runs data-parallel MGD with
 // deterministic batch-order gradient merging (the trajectory is identical
 // for any worker count), routes workers left over after the group's slots
-// into the parallel kernels inside each gradient, and keeps the spill
+// into the matrix kernels inside each gradient, and keeps the spill
 // prefetcher aimed at the upcoming batches — including across shuffled
 // epoch boundaries.
 type Engine = engine.Engine
