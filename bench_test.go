@@ -46,7 +46,6 @@ func BenchmarkFig11AccuracyVsTime(b *testing.B)   { runExperiment(b, "fig11", 0.
 func BenchmarkFig12CodecSpeed(b *testing.B)       { runExperiment(b, "fig12", 1) }
 func BenchmarkTable6EndToEnd(b *testing.B)        { runExperiment(b, "table6", 0.25) }
 func BenchmarkTable7EndToEnd(b *testing.B)        { runExperiment(b, "table7", 0.25) }
-func BenchmarkRightMulScaling(b *testing.B)       { runExperiment(b, "rightmul", 0.25) }
 
 // --- micro-benchmarks on a census-like 250-row mini-batch ---
 

@@ -1,18 +1,17 @@
 // Command benchdiff is the CI benchmark-regression gate: it compares the
-// CSV tables cmd/tocbench emits for the two real-CPU regimes (rightmul,
-// kernelspeed) against committed BENCH_<experiment>.json baselines and
-// fails when any row's metric regresses beyond the threshold.
+// CSV table cmd/tocbench emits for the real-CPU kernelspeed regime against
+// the committed BENCH_<experiment>.json baseline and fails when any row's
+// metric regresses beyond the threshold.
 //
 // Usage:
 //
-//	benchdiff -baselines . rightmul.csv kernelspeed.csv
+//	benchdiff -baselines . kernelspeed.csv
 //	benchdiff -baselines . -update kernelspeed.csv   # (re)write baselines
 //
-// Baselines pin the *relative* metrics (speedup, vs_roofline), which
-// transfer across runners far better than absolute milliseconds: a CSV
-// row regresses when its speedup falls more than threshold (default 20%)
-// below the committed value (or rises above it, for lower-is-better
-// metrics).
+// Baselines pin a *relative* metric (vs_roofline), which transfers across
+// runners far better than absolute milliseconds: a CSV row regresses when
+// its metric rises more than threshold (default 20%) above the committed
+// value (or falls below it, for higher-is-better metrics).
 // Rows present in the baseline but missing from the CSVs fail the gate
 // too — a silently dropped sweep point is a regression in coverage. New
 // rows not yet in the baseline are reported but do not fail (as GitHub
@@ -55,15 +54,13 @@ type baseline struct {
 }
 
 // defaultSpecs seeds -update for experiments without a committed
-// baseline yet. Both regimes gate on a *relative* column — a ratio
-// against an in-run reference — so it transfers across runner
-// generations where absolute times do not. kernelspeed gates on
-// vs_roofline: each decode kernel's single-core ns/nonzero as a multiple
+// baseline yet. The gate is on a *relative* column — a ratio against an
+// in-run reference — so it transfers across runner generations where
+// absolute times do not. kernelspeed gates on vs_roofline: each decode kernel's single-core ns/nonzero as a multiple
 // of the dense kernel's ns/element roofline, measured in the same
 // process; lower is better, and a rise means the decode loops drifted
 // away from hardware-limited.
 var defaultSpecs = map[string]baseline{
-	"rightmul":    {Metric: "speedup", Direction: "higher", Keys: []string{"config", "workers"}},
 	"kernelspeed": {Metric: "vs_roofline", Direction: "lower", Keys: []string{"kernel", "variant"}},
 }
 

@@ -5,7 +5,7 @@
 //	tocbench -list
 //	tocbench -run fig5
 //	tocbench -run all -scale 0.5
-//	tocbench -run rightmul -csv rightmul.csv
+//	tocbench -run kernelspeed -csv kernelspeed.csv
 //	tocbench -run kernelspeed -cpuprofile kernels.pprof
 //
 // Each experiment prints a paper-style table; benchmark/README.md records
@@ -19,10 +19,11 @@
 //
 // The spill experiments (the out-of-core cells of fig9/fig10/table6/
 // table7) take the storage layer's knobs: -spill-shards/-spill-dirs
-// spread the spill and -evict picks the residency policy. Their simulated
-// disk is the store's one model — bandwidth an aggregate cap per
-// directory, seeks serialized per shard — whose pacing arithmetic is
-// unit-tested in internal/storage; benchmark/ measures the real costs.
+// spread the spill; a batch stays resident iff it fits the budget left
+// when it arrives. Their simulated disk is the store's one model —
+// bandwidth an aggregate cap per directory, seeks serialized per shard —
+// whose pacing arithmetic is unit-tested in internal/storage; benchmark/
+// measures the real costs.
 package main
 
 import (
@@ -100,12 +101,11 @@ func runExperiments(experiments []bench.Experiment, cfg bench.Config, csvFile *o
 
 func main() {
 	var (
-		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, rightmul, kernelspeed) or 'all'")
+		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, kernelspeed) or 'all'")
 		scale      = flag.Float64("scale", 1.0, "dataset size multiplier")
 		seed       = flag.Int64("seed", 1, "random seed")
 		spillShard = flag.Int("spill-shards", 0, "spill shard count for the out-of-core experiments")
 		spillDirs  = flag.String("spill-dirs", "", "comma-separated spill shard directories (models distinct devices)")
-		evict      = flag.String("evict", "", "override the spill experiments' residency policy: first-fit, largest-first or access-order")
 		csvPath    = flag.String("csv", "", "also append every table to this CSV file (refuses to overwrite an existing file)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (refuses to overwrite an existing file)")
 		memProfile = flag.String("memprofile", "", "write a post-run heap profile to this file (refuses to overwrite an existing file)")
@@ -130,7 +130,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.SpillShards = *spillShard
-	cfg.Evict = *evict
 	if *spillDirs != "" {
 		cfg.SpillDirs = strings.Split(*spillDirs, ",")
 	}

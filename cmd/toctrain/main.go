@@ -8,18 +8,19 @@
 //	toctrain -dataset mnist -model nn -method CSR -budget 500000
 //	toctrain -dataset mnist -model lr -budget 500000 -workers 8
 //	toctrain -dataset mnist -model lr -budget 500000 -workers 8 \
-//	    -spill-shards 4 -seek 2ms -evict largest-first
+//	    -spill-shards 4 -seek 2ms
 //	toctrain -dataset mnist -model lr -workers 8 -async -staleness 8
 //	toctrain -dataset mnist -model lr -workers 8 -async -elastic 200:+4,500:-2
 //
-// The spill layer is configurable: -spill-shards/-spill-dirs spread the
-// spill across files/directories (prefetch reads distinct shards
+// Under -budget a batch stays resident iff it fits the budget left when
+// it arrives; every epoch visits the batches in ingest order. The spill
+// layer is configurable: -spill-shards/-spill-dirs spread the spill
+// across files/directories (prefetch reads distinct shards
 // concurrently), -bw is the simulated read bandwidth — an aggregate cap
 // per directory that concurrent readers share, so more bandwidth means
 // more -spill-dirs — and -seek a per-read latency that serializes within
-// a shard and overlaps across shards, -evict picks which batches stay
-// resident, and -prefetch-bytes bounds the prefetch window by compressed
-// bytes.
+// a shard and overlaps across shards, and -prefetch-bytes bounds the
+// prefetch window by compressed bytes.
 //
 // With -workers N (N != 1) the concurrent engine takes over: ingest
 // compression is sharded across the pool, training is data-parallel with
@@ -241,7 +242,6 @@ func main() {
 		spillShard = flag.Int("spill-shards", 0, "number of spill files, read concurrently by the prefetcher (0 = one, or one per -spill-dirs entry)")
 		spillDirs  = flag.String("spill-dirs", "", "comma-separated directories for spill shards (models distinct devices)")
 		seek       = flag.Duration("seek", 0, "simulated per-read access latency (e.g. 2ms; serialized per shard, overlapped across shards)")
-		evict      = flag.String("evict", "first-fit", "spill residency policy: first-fit, largest-first or access-order")
 		ckptDir    = flag.String("checkpoint-dir", "", "write crash-safe training checkpoints (and the spill-store manifest) into this directory")
 		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in parameter updates (0 = once per epoch)")
 		resumeRun  = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir, recovering the spill store from its manifest instead of re-ingesting")
@@ -285,15 +285,10 @@ func main() {
 	if *budget <= 0 {
 		*budget = 1 << 50
 	}
-	policy, err := toc.NewEvictionPolicy(*evict)
-	if err != nil {
-		log.Fatal(err)
-	}
 	opts := []toc.StoreOption{
 		toc.WithShards(*spillShard),
 		toc.WithReadBandwidth(*bandwidth),
 		toc.WithAccessLatency(*seek),
-		toc.WithEviction(policy),
 	}
 	if *spillDirs != "" {
 		opts = append(opts, toc.WithShardDirs(strings.Split(*spillDirs, ",")...))
@@ -441,8 +436,7 @@ func main() {
 		store.NumBatches(), st.ResidentBatches, st.ResidentBytes/1024,
 		st.SpilledBatches, st.SpilledBytes/1024)
 	if store.Spilled() {
-		fmt.Printf("spill: %d shards, %s eviction (%d evicted), seek %v\n",
-			store.Shards(), store.EvictionPolicyName(), st.Evictions, *seek)
+		fmt.Printf("spill: %d shards, seek %v\n", store.Shards(), *seek)
 	}
 
 	model, err := toc.NewModel(*modelName, d.X.Cols(), d.Classes, *hidden, *seed+7)

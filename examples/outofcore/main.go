@@ -33,11 +33,11 @@ func main() {
 
 	fmt.Println("method  resident  spilled  spill_KB   epoch_ms  io_ms")
 	for _, method := range []string{"TOC", "CSR", "DEN", "Gzip"} {
-		store, err := toc.NewStore("", method, budget)
+		// The paper's ~150 MB/s cloud disk.
+		store, err := toc.NewStore("", method, budget, toc.WithReadBandwidth(150<<20))
 		if err != nil {
 			log.Fatal(err)
 		}
-		store.SetReadBandwidth(150 << 20) // the paper's ~150 MB/s cloud disk
 		for i := 0; i < d.NumBatches(batchSize); i++ {
 			x, y := d.Batch(i, batchSize)
 			if err := store.Add(x, y); err != nil {

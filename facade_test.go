@@ -81,14 +81,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if e := EvaluateError(model, src); e < 0 || e > 1 {
 		t.Fatalf("kernel-parallel evaluation error rate %v", e)
 	}
-	// The sharded-spill surface: store options, eviction policies and the
-	// byte-bounded prefetch window, all via the facade.
-	if p, err := NewEvictionPolicy("access-order"); err != nil || p.Name() != "access-order" {
-		t.Fatalf("NewEvictionPolicy: %v", err)
-	}
+	// The sharded-spill surface: store options and the byte-bounded
+	// prefetch window, all via the facade.
 	sharded, err := NewStore(t.TempDir(), "TOC", 1,
-		WithShards(2), WithReadBandwidth(0), WithAccessLatency(0),
-		WithEviction(LargestFirstPolicy()))
+		WithShards(2), WithReadBandwidth(0), WithAccessLatency(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +97,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if err := sharded.Add(bx, by); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if sharded.EvictionPolicyName() != "largest-first" {
-		t.Fatalf("EvictionPolicyName() = %s", sharded.EvictionPolicyName())
 	}
 	pf := NewPrefetcher(sharded, 3, 2, WithPrefetchBytes(1<<20))
 	defer pf.Close()

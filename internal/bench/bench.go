@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"toc/internal/data"
-	"toc/internal/storage"
 )
 
 // Config controls experiment sizing.
@@ -37,26 +36,6 @@ type Config struct {
 	// SpillDirs, when non-empty, places spill shards across these
 	// directories (modeling distinct devices) in the spill experiments.
 	SpillDirs []string
-	// Evict overrides the spill experiments' residency policy
-	// ("first-fit", "largest-first", "access-order"; "" = first-fit).
-	Evict string
-}
-
-// spillOptions translates the Config's spill knobs into store options for
-// the experiments that exercise the out-of-core path.
-func (c Config) spillOptions() ([]storage.Option, error) {
-	policy, err := storage.NewEvictionPolicy(c.Evict)
-	if err != nil {
-		return nil, err
-	}
-	opts := []storage.Option{
-		storage.WithEviction(policy),
-		storage.WithShards(c.SpillShards),
-	}
-	if len(c.SpillDirs) > 0 {
-		opts = append(opts, storage.WithShardDirs(c.SpillDirs...))
-	}
-	return opts, nil
 }
 
 // DefaultConfig returns the sizing used by cmd/tocbench and bench_test.go.

@@ -9,7 +9,7 @@ import (
 
 func TestRegistryHasEveryPaperArtifact(t *testing.T) {
 	want := []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "kernelspeed", "rightmul", "table6", "table7"}
+		"fig11", "fig12", "kernelspeed", "table6", "table7"}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Errorf("experiment %q not registered", id)

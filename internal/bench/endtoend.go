@@ -41,18 +41,17 @@ type storeSource struct {
 
 func (s storeSource) close() { _ = s.Close() }
 
-// newStoreSource loads a dataset into a budgeted store, honoring the
-// Config's spill knobs (shard count and directories, eviction policy).
+// newStoreSource loads a dataset into a budgeted store on the simulated
+// disk, honoring the Config's spill knobs (shard count and directories).
 func newStoreSource(cfg Config, d *data.Dataset, batchSize int, method string, budget int64) (storeSource, error) {
-	opts, err := cfg.spillOptions()
-	if err != nil {
-		return storeSource{}, err
+	opts := []storage.Option{storage.WithShards(cfg.SpillShards), storage.WithReadBandwidth(simulatedDiskBandwidth)}
+	if len(cfg.SpillDirs) > 0 {
+		opts = append(opts, storage.WithShardDirs(cfg.SpillDirs...))
 	}
 	st, err := storage.NewStore(cfg.Dir, method, budget, opts...)
 	if err != nil {
 		return storeSource{}, err
 	}
-	st.SetReadBandwidth(simulatedDiskBandwidth)
 	for i := 0; i < d.NumBatches(batchSize); i++ {
 		x, y := d.Batch(i, batchSize)
 		if err := st.Add(x, y); err != nil {

@@ -4,13 +4,12 @@
 // flat parameter vector, the position inside the epoch schedule (epoch,
 // batch position, async clock), the partially-accumulated epoch loss,
 // the run configuration whose mismatch would silently fork the
-// trajectory (seed, shuffle, group size, staleness bound, learning
-// rate), and the async engine's staleness frontier (the archived
-// parameter versions its delayed-gradient mode replays from).
+// trajectory (seed, group size, staleness bound, learning rate), and the
+// async engine's staleness frontier (the archived parameter versions its
+// delayed-gradient mode replays from).
 //
-// The epoch permutation and "RNG state" need no bytes of their own: the
-// engines derive every epoch's order from the pure function
-// epochPerm(seed, epoch), so seed + position *is* the RNG state.
+// The visit order needs no bytes of its own: every epoch visits the
+// batches in ingest order, so the position is the whole cursor.
 //
 // The wire format is a single little-endian image with a trailing
 // CRC-32C, written atomically: temp file in the destination directory,
@@ -68,13 +67,11 @@ func (k Kind) String() string {
 type State struct {
 	// Kind is the engine that wrote the snapshot.
 	Kind Kind
-	// Seed is the engine's permutation seed; with Epoch/Pos it fully
-	// determines the remaining visit order (epochPerm is pure).
+	// Seed identifies the run; resume refuses a checkpoint of another
+	// seed.
 	Seed int64
 	// LR is the learning rate; resume validates it bit-for-bit.
 	LR float64
-	// Shuffle mirrors the engine's per-epoch permutation switch.
-	Shuffle bool
 	// Deterministic marks an async run in delayed-gradient replay mode
 	// (the only async mode with a bitwise-resumable trajectory at
 	// staleness > 0).
@@ -122,9 +119,11 @@ func (s *State) Step() int64 {
 }
 
 const (
-	magic             = "TOCK"
-	version           = 1
-	flagShuffle       = 1 << 0
+	magic   = "TOCK"
+	version = 1
+	// Bit 0 stays unassigned: older images set it for a run whose epochs
+	// were permuted, and such an image must be refused (unknown flags),
+	// not resumed in ingest order.
 	flagDeterministic = 1 << 1
 
 	// headerLen is the fixed-size prefix before the variable sections:
@@ -148,9 +147,6 @@ func Encode(s *State) []byte {
 	img = append(img, magic...)
 	img = append(img, version, byte(s.Kind))
 	var flags byte
-	if s.Shuffle {
-		flags |= flagShuffle
-	}
 	if s.Deterministic {
 		flags |= flagDeterministic
 	}
@@ -203,7 +199,7 @@ func Decode(img []byte) (*State, error) {
 		return nil, fmt.Errorf("checkpoint: unknown engine kind %d", img[5])
 	}
 	flags := img[6]
-	if flags&^(flagShuffle|flagDeterministic) != 0 {
+	if flags&^flagDeterministic != 0 {
 		return nil, fmt.Errorf("checkpoint: unknown flags %#x", flags)
 	}
 	le := binary.LittleEndian
@@ -220,7 +216,6 @@ func Decode(img []byte) (*State, error) {
 	}
 	s := &State{
 		Kind:          kind,
-		Shuffle:       flags&flagShuffle != 0,
 		Deterministic: flags&flagDeterministic != 0,
 		Seed:          int64(le.Uint64(img[8:])),
 		LR:            math.Float64frombits(le.Uint64(img[16:])),

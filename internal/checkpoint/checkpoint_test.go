@@ -2,11 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -28,7 +31,6 @@ func sampleState(variant int) *State {
 	switch variant {
 	case 1:
 		s.Kind = KindAsync
-		s.Shuffle = true
 		s.Deterministic = true
 		s.Group = 0
 		s.Staleness = 4
@@ -82,6 +84,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if _, err := Decode(mut); err == nil {
 			t.Fatalf("bit flip at byte %d decoded without error", i)
 		}
+	}
+	// Flag bit 0 marked a shuffled run. Epochs only scan in ingest order
+	// now, so an image asking for anything else is refused even with a
+	// valid CRC, not resumed as if it were in order.
+	shuffled := append([]byte(nil), img[:len(img)-trailerLen]...)
+	shuffled[6] |= 1
+	shuffled = binary.LittleEndian.AppendUint32(shuffled, crc32.Checksum(shuffled, castagnoli))
+	if _, err := Decode(shuffled); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+		t.Fatalf("image with flag bit 0 set: err = %v, want unknown flags", err)
 	}
 }
 

@@ -22,10 +22,10 @@ type ServerConfig struct {
 	NumBatches int
 	// LR is the learning rate applied per admitted gradient.
 	LR float64
-	// Seed drives the per-epoch visit permutation when Shuffle is set —
-	// the same engine.EpochPerm schedule the local engines walk.
-	Seed    int64
-	Shuffle bool
+	// Seed identifies the run, as it does for the local engines: a resume
+	// refuses a checkpoint of another seed. Every epoch visits the batches
+	// in ingest order.
+	Seed int64
 	// Staleness bounds how many parameter updates a pushed gradient's
 	// snapshot version may trail the server clock; 0 reproduces the
 	// serial trajectory (with one trainer and the dense codec,
@@ -111,7 +111,7 @@ func NewServer(cfg ServerConfig, m ml.Model) (*Server, error) {
 	}
 	loop, err := engine.NewLoop(engine.LoopConfig{
 		Kind: checkpoint.KindDist, Epochs: cfg.Epochs, NumBatches: cfg.NumBatches, LR: cfg.LR,
-		Seed: cfg.Seed, Shuffle: cfg.Shuffle, Staleness: cfg.Staleness,
+		Seed: cfg.Seed, Staleness: cfg.Staleness,
 		Checkpoint: cfg.Checkpoint, CheckpointEvery: cfg.CheckpointEvery, Resume: cfg.Resume,
 		OnStep: cfg.OnStep,
 	}, m, nil)

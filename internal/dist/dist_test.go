@@ -81,69 +81,67 @@ func runCluster(t *testing.T, srv *Server, n int, mk func(i int) (ml.SnapshotMod
 // walks the local async engine's serial trajectory bitwise — parameters,
 // per-step loss log, and epoch losses.
 func TestSingleTrainerDenseMatchesAsyncBitwise(t *testing.T) {
-	for _, shuffle := range []bool{false, true} {
-		d, src := testSource(t, "mnist", 400)
+	d, src := testSource(t, "mnist", 400)
 
-		var asyncSteps []float64
-		a := engine.NewAsync(engine.AsyncConfig{
-			Workers: 1, Staleness: 0, Seed: 11, Shuffle: shuffle,
-			OnStep: func(step int64, loss float64) { asyncSteps = append(asyncSteps, loss) },
-		})
-		am := newSnapshotModel(t, "lr", d, 13)
-		resA, err := a.Train(am, src, 3, 0.2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+	var asyncSteps []float64
+	a := engine.NewAsync(engine.AsyncConfig{
+		Workers: 1, Staleness: 0, Seed: 11,
+		OnStep: func(step int64, loss float64) { asyncSteps = append(asyncSteps, loss) },
+	})
+	am := newSnapshotModel(t, "lr", d, 13)
+	resA, err := a.Train(am, src, 3, 0.2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		var distSteps []float64
-		sm := newSnapshotModel(t, "lr", d, 13)
-		srv, err := NewServer(ServerConfig{
-			Epochs: 3, NumBatches: src.NumBatches(), LR: 0.2,
-			Seed: 11, Shuffle: shuffle, Staleness: 0,
-			OnStep: func(step int64, loss float64) { distSteps = append(distSteps, loss) },
-		}, sm)
-		if err != nil {
-			t.Fatal(err)
+	var distSteps []float64
+	sm := newSnapshotModel(t, "lr", d, 13)
+	srv, err := NewServer(ServerConfig{
+		Epochs: 3, NumBatches: src.NumBatches(), LR: 0.2,
+		Seed: 11, Staleness: 0,
+		OnStep: func(step int64, loss float64) { distSteps = append(distSteps, loss) },
+	}, sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resD, werr, errs, _ := runCluster(t, srv, 1, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
+		return newSnapshotModel(t, "lr", d, 13), src, TrainerConfig{}
+	})
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("trainer %d: %v", i, e)
 		}
-		resD, werr, errs, _ := runCluster(t, srv, 1, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
-			return newSnapshotModel(t, "lr", d, 13), src, TrainerConfig{}
-		})
-		if werr != nil {
-			t.Fatalf("shuffle=%v: %v", shuffle, werr)
+	}
+	if diff := maxAbsDiff(paramsOf(am), paramsOf(sm)); diff != 0 {
+		t.Errorf("params diverge from async by %g (want bitwise identity)", diff)
+	}
+	if len(distSteps) != len(asyncSteps) {
+		t.Fatalf("%d dist steps, async logged %d", len(distSteps), len(asyncSteps))
+	}
+	for i := range asyncSteps {
+		if math.Float64bits(distSteps[i]) != math.Float64bits(asyncSteps[i]) {
+			t.Fatalf("step %d loss %v != async %v (want bitwise identity)",
+				i, distSteps[i], asyncSteps[i])
 		}
-		for i, e := range errs {
-			if e != nil {
-				t.Fatalf("shuffle=%v: trainer %d: %v", shuffle, i, e)
-			}
+	}
+	for e := range resA.EpochLoss {
+		if math.Float64bits(resA.EpochLoss[e]) != math.Float64bits(resD.EpochLoss[e]) {
+			t.Errorf("epoch %d loss %v != async %v (want bitwise identity)",
+				e, resD.EpochLoss[e], resA.EpochLoss[e])
 		}
-		if diff := maxAbsDiff(paramsOf(am), paramsOf(sm)); diff != 0 {
-			t.Errorf("shuffle=%v: params diverge from async by %g (want bitwise identity)", shuffle, diff)
-		}
-		if len(distSteps) != len(asyncSteps) {
-			t.Fatalf("shuffle=%v: %d dist steps, async logged %d", shuffle, len(distSteps), len(asyncSteps))
-		}
-		for i := range asyncSteps {
-			if math.Float64bits(distSteps[i]) != math.Float64bits(asyncSteps[i]) {
-				t.Fatalf("shuffle=%v: step %d loss %v != async %v (want bitwise identity)",
-					shuffle, i, distSteps[i], asyncSteps[i])
-			}
-		}
-		for e := range resA.EpochLoss {
-			if math.Float64bits(resA.EpochLoss[e]) != math.Float64bits(resD.EpochLoss[e]) {
-				t.Errorf("shuffle=%v: epoch %d loss %v != async %v (want bitwise identity)",
-					shuffle, e, resD.EpochLoss[e], resA.EpochLoss[e])
-			}
-		}
-		st := srv.Stats()
-		if want := int64(3 * src.NumBatches()); st.Updates != want {
-			t.Errorf("shuffle=%v: %d updates, want %d", shuffle, st.Updates, want)
-		}
-		if st.MaxStaleness != 0 {
-			t.Errorf("shuffle=%v: max staleness %d under bound 0", shuffle, st.MaxStaleness)
-		}
-		if st.Rejected != 0 {
-			t.Errorf("shuffle=%v: %d rejections with slack 0 (pull policy guarantees admission)", shuffle, st.Rejected)
-		}
+	}
+	st := srv.Stats()
+	if want := int64(3 * src.NumBatches()); st.Updates != want {
+		t.Errorf("%d updates, want %d", st.Updates, want)
+	}
+	if st.MaxStaleness != 0 {
+		t.Errorf("max staleness %d under bound 0", st.MaxStaleness)
+	}
+	if st.Rejected != 0 {
+		t.Errorf("%d rejections with slack 0 (pull policy guarantees admission)", st.Rejected)
 	}
 }
 

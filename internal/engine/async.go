@@ -24,7 +24,6 @@ type Async struct {
 	workers   int
 	staleness int
 	seed      int64
-	shuffle   bool
 	det       bool
 	ck        *checkpoint.Writer
 	ckEvery   int
@@ -87,11 +86,8 @@ type AsyncConfig struct {
 	// GroupSize-1 trajectory bitwise; StalenessUnbounded (-1, or any
 	// negative value) free-runs.
 	Staleness int
-	// Seed drives the per-epoch visit permutation when Shuffle is set.
+	// Seed identifies the run, as Config.Seed does.
 	Seed int64
-	// Shuffle revisits batches in a fresh seeded permutation every epoch,
-	// using the same permutations as the synchronous engine.
-	Shuffle bool
 
 	// Deterministic switches a bounded Staleness > 0 run to delayed-
 	// gradient SGD: the gradient for position p is always computed
@@ -99,7 +95,7 @@ type AsyncConfig struct {
 	// the oldest version the staleness bound admits — instead of
 	// whatever snapshot is current when a worker picks p up. Every
 	// gradient still respects the bound, but the trajectory becomes a
-	// pure function of (Seed, Staleness), bitwise reproducible for any
+	// pure function of Staleness, bitwise reproducible for any
 	// worker count and across crash/resume. Ignored when Staleness <= 0
 	// (0 is already deterministic, unbounded has no defined delay).
 	Deterministic bool
@@ -163,7 +159,7 @@ func NewAsync(cfg AsyncConfig) *Async {
 	}
 	s := max(cfg.Staleness, StalenessUnbounded)
 	return &Async{
-		workers: w, staleness: s, seed: cfg.Seed, shuffle: cfg.Shuffle,
+		workers: w, staleness: s, seed: cfg.Seed,
 		det:           cfg.Deterministic && s > 0,
 		restartBudget: max(rb, 0), restartWindow: rw,
 		ck: cfg.Checkpoint, ckEvery: cfg.CheckpointEvery, onStep: cfg.OnStep,
@@ -282,10 +278,10 @@ func (a *Async) NewPrefetcher(st *storage.Store, depth int, maxBytes int64) *sto
 }
 
 // FillStore ingests a dataset exactly like Engine.FillStore (sharded
-// compression across the pool, in-order admission, epoch-0 order
-// announced to the eviction policy), using this engine's pool and seed.
+// compression across the pool, in-order admission), using this engine's
+// pool.
 func (a *Async) FillStore(st *storage.Store, d *data.Dataset, batchSize int) error {
-	return New(Config{Workers: a.workers, Seed: a.seed, Shuffle: a.shuffle}).FillStore(st, d, batchSize)
+	return New(Config{Workers: a.workers}).FillStore(st, d, batchSize)
 }
 
 // asyncRun is the shared state of one TrainFrom call, kept off the Async
@@ -336,11 +332,11 @@ func (r *asyncRun) recoverTo(role string) {
 }
 
 // Train runs asynchronous bounded-staleness MGD for the given epochs:
-// every epoch visits all batches (in the seeded permutation when Shuffle
-// is set), each batch's gradient is one parameter update, and updates are
-// applied in visit order under the staleness bound. The per-epoch losses
-// sum each update's admitted mini-batch loss, exactly as the serial
-// driver accounts them. cb may be nil.
+// every epoch visits all batches in ingest order, each batch's gradient
+// is one parameter update, and updates are applied in visit order under
+// the staleness bound. The per-epoch losses sum each update's admitted
+// mini-batch loss, exactly as the serial driver accounts them. cb may be
+// nil.
 //
 // A panic in a worker (a poisoned batch, a failed storage read, a model
 // bug) does not abort the run: the supervisor recovers it, requeues the
@@ -364,8 +360,7 @@ func (a *Async) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64
 	a.stats = AsyncStats{}
 	a.statsMu.Unlock()
 	loop, err := NewLoop(LoopConfig{
-		Kind: checkpoint.KindAsync, Epochs: epochs, NumBatches: src.NumBatches(), LR: lr,
-		Seed: a.seed, Shuffle: a.shuffle,
+		Kind: checkpoint.KindAsync, Epochs: epochs, NumBatches: src.NumBatches(), LR: lr, Seed: a.seed,
 		Staleness: a.staleness, Deterministic: a.det, Window: a.inflightCap(),
 		Checkpoint: a.ck, CheckpointEvery: a.ckEvery, Resume: resume,
 		OnStep: a.onStep, OnEpoch: cb,

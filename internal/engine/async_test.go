@@ -55,31 +55,6 @@ func TestAsyncStalenessZeroMatchesSerialBitwise(t *testing.T) {
 	}
 }
 
-// Shuffled epochs use the same seeded permutations as the synchronous
-// engine, so staleness 0 with Shuffle matches the synchronous GroupSize-1
-// shuffled trajectory bitwise.
-func TestAsyncStalenessZeroShuffleMatchesSyncEngine(t *testing.T) {
-	d, src := testSource(t, "census", 400)
-	sync := newModel(t, "lr", d, 31)
-	resSync := New(Config{Workers: 4, GroupSize: 1, Seed: 11, Shuffle: true}).Train(sync, src, 3, 0.2, nil)
-
-	a := NewAsync(AsyncConfig{Workers: 4, Staleness: 0, Seed: 11, Shuffle: true})
-	am := newSnapshotModel(t, "lr", d, 31)
-	resA, err := a.Train(am, src, 3, 0.2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := range resSync.EpochLoss {
-		if math.Float64bits(resSync.EpochLoss[e]) != math.Float64bits(resA.EpochLoss[e]) {
-			t.Errorf("epoch %d: async loss %v != sync group-1 %v (want bitwise identity)",
-				e, resA.EpochLoss[e], resSync.EpochLoss[e])
-		}
-	}
-	if diff := maxAbsDiff(flatParams(t, sync), flatParams(t, am)); diff != 0 {
-		t.Errorf("weights diverge from sync group-1 by %g (want bitwise identity)", diff)
-	}
-}
-
 // The staleness bound is a hard property of the run: no applied gradient
 // may have missed more updates than configured, and every position still
 // trains exactly once.
@@ -225,8 +200,7 @@ func TestAsyncWorkerPanicDrainsPool(t *testing.T) {
 }
 
 // Exercised under -race in CI: asynchronous training over a spilled store
-// behind the prefetcher, with shuffled epochs — the queue announces each
-// epoch's permutation so the window stays aimed.
+// behind the prefetcher.
 func TestAsyncOverPrefetchedSpilledStore(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	d, err := data.Generate("census", 500, 3)
@@ -239,7 +213,7 @@ func TestAsyncOverPrefetchedSpilledStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	a := NewAsync(AsyncConfig{Workers: 8, Staleness: 4, Seed: 9, Shuffle: true})
+	a := NewAsync(AsyncConfig{Workers: 8, Staleness: 4, Seed: 9})
 	if err := a.FillStore(st, d, 50); err != nil {
 		t.Fatal(err)
 	}

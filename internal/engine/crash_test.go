@@ -48,7 +48,6 @@ func runCrashHelper(cfgName, dir string) error {
 		return err
 	}
 	d.ShuffleOnce(2)
-	shuffle := cfgName == "sync-shuffle" || cfgName == "async4"
 
 	// Spill store: recovered from the manifest when one survived, else
 	// re-ingested from scratch (a crash before the manifest rename loses
@@ -68,7 +67,7 @@ func runCrashHelper(cfgName, dir string) error {
 		if st, err = storage.NewStore(storeDir, "TOC", 2000, storage.WithShards(2)); err != nil {
 			return err
 		}
-		ing := New(Config{Workers: 2, Seed: 11, Shuffle: shuffle})
+		ing := New(Config{Workers: 2, Seed: 11})
 		if err = ing.FillStore(st, d, 50); err != nil {
 			return err
 		}
@@ -100,9 +99,8 @@ func runCrashHelper(cfgName, dir string) error {
 
 	var res *ml.TrainResult
 	switch cfgName {
-	case "sync", "sync-shuffle":
-		eng := New(Config{Workers: 4, GroupSize: 4, Seed: 11, Shuffle: shuffle,
-			Checkpoint: w, CheckpointEvery: 2})
+	case "sync":
+		eng := New(Config{Workers: 4, GroupSize: 4, Seed: 11, Checkpoint: w, CheckpointEvery: 2})
 		res, err = eng.TrainFrom(m, st, 3, 0.2, nil, resume)
 	case "async0", "async4":
 		staleness := 0
@@ -110,7 +108,7 @@ func runCrashHelper(cfgName, dir string) error {
 			staleness = 4
 		}
 		a := NewAsync(AsyncConfig{Workers: 4, Staleness: staleness, Deterministic: true,
-			Seed: 11, Shuffle: shuffle, Checkpoint: w, CheckpointEvery: 2})
+			Seed: 11, Checkpoint: w, CheckpointEvery: 2})
 		res, err = a.TrainFrom(m, st, 3, 0.2, nil, resume)
 	default:
 		return fmt.Errorf("unknown config %q", cfgName)
@@ -174,7 +172,7 @@ func TestCrashMatrixResumeIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash matrix is not -short")
 	}
-	for _, cfg := range []string{"sync", "sync-shuffle", "async0", "async4"} {
+	for _, cfg := range []string{"sync", "async0", "async4"} {
 		cfg := cfg
 		t.Run(cfg, func(t *testing.T) {
 			// Uninterrupted baseline for this configuration.

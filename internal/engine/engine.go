@@ -3,15 +3,16 @@
 // feed it.
 //
 // The loop owns the model, the clock and everything that makes a run a
-// trajectory — the epoch-major position stream, release and admission,
-// the reorder buffer, the in-order merge and apply, epoch-loss
-// accounting, observers, checkpoint cadence and snapshot, resume
-// validation, halt. Its one rule: positions are cut into steps of group
-// consecutive positions; a position is released, and a gradient computed
-// at version v admitted, when clock (resp. v) >= stepStart(pos) − bound;
-// a step is applied when all its positions are buffered, merged in
-// position order — never completion order — so the trajectory is bitwise
-// identical for any worker count.
+// trajectory — the epoch-major position stream (every epoch visits the
+// batches 0..n-1 in ingest order, so position p is batch p mod n),
+// release and admission, the reorder buffer, the in-order merge and
+// apply, epoch-loss accounting, observers, checkpoint cadence and
+// snapshot, resume validation, halt. Its one rule: positions are cut into
+// steps of group consecutive positions; a position is released, and a
+// gradient computed at version v admitted, when clock (resp. v) >=
+// stepStart(pos) − bound; a step is applied when all its positions are
+// buffered, merged in position order — never completion order — so the
+// trajectory is bitwise identical for any worker count.
 //
 // A front end only moves parameters and gradients. Engine (this file) is
 // synchronous group steps: bound 0 with group = GroupSize, so a step's
@@ -56,13 +57,11 @@ type Config struct {
 	// frozen parameters and merged per update step; <= 0 uses
 	// DefaultGroupSize. GroupSize 1 reproduces serial ml.Train exactly.
 	GroupSize int
-	// Seed drives the per-epoch visit permutation when Shuffle is set.
+	// Seed identifies the run: checkpoints record it and resume refuses a
+	// checkpoint of another seed. Every epoch visits the batches in ingest
+	// order — the paper shuffles the data once upfront (§2.1.3) — so it
+	// selects no visit order.
 	Seed int64
-	// Shuffle revisits batches in a fresh seeded permutation every epoch.
-	// Off by default: the paper shuffles once upfront (§2.1.3) and epochs
-	// scan in order, which also keeps the spill prefetcher's predictions
-	// trivially right.
-	Shuffle bool
 
 	// Checkpoint, when non-nil, snapshots the run into the writer's
 	// directory so a crash (or Halt) can resume the exact trajectory.
@@ -85,7 +84,6 @@ type Engine struct {
 	workers int
 	group   int
 	seed    int64
-	shuffle bool
 	ck      *checkpoint.Writer
 	ckEvery int
 	onStep  func(step int64, loss float64)
@@ -106,7 +104,7 @@ func New(cfg Config) *Engine {
 		g = DefaultGroupSize
 	}
 	return &Engine{
-		workers: w, group: g, seed: cfg.Seed, shuffle: cfg.Shuffle,
+		workers: w, group: g, seed: cfg.Seed,
 		ck: cfg.Checkpoint, ckEvery: cfg.CheckpointEvery, onStep: cfg.OnStep,
 	}
 }
@@ -170,7 +168,7 @@ func newPrefetcher(st *storage.Store, depth, workers int, maxBytes int64) *stora
 // Train runs data-parallel MGD for the given epochs: per step it fans the
 // next GroupSize batch gradients out over the worker pool and applies
 // their deterministic merge. The result is reproducible for a fixed
-// (Seed, GroupSize) regardless of Workers. cb may be nil.
+// GroupSize regardless of Workers. cb may be nil.
 //
 // Train swallows ErrHalted, returning the partial result, and panics if
 // the run failed; use TrainFrom for the error-aware form.
@@ -184,7 +182,7 @@ func (e *Engine) Train(m ml.Model, src ml.BatchSource, epochs int, lr float64, c
 
 // TrainFrom is Train with crash/resume support. With resume nil it
 // starts fresh; otherwise it validates that the checkpoint was taken by
-// a compatible run (same kind, seed, shuffle, group size, batch count,
+// a compatible run (same kind, seed, group size, batch count,
 // learning-rate bits and parameter dimension), restores the model
 // parameters and the exact epoch/position/partial-loss cursor, and
 // continues the trajectory: the completed run is bitwise identical to
@@ -202,7 +200,7 @@ func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float6
 	}
 	loop, err := NewLoop(LoopConfig{
 		Kind: checkpoint.KindSync, Epochs: epochs, NumBatches: n, LR: lr,
-		Seed: e.seed, Shuffle: e.shuffle, Group: group,
+		Seed: e.seed, Group: group,
 		Checkpoint: e.ck, CheckpointEvery: e.ckEvery, Resume: resume,
 		OnStep: e.onStep, OnEpoch: cb,
 	}, m, src)
@@ -276,11 +274,6 @@ func (e *Engine) EncodeAll(enc formats.Encoder, batches []*matrix.Dense) []forma
 // until the in-order Add pass.
 func (e *Engine) FillStore(st *storage.Store, d *data.Dataset, batchSize int) error {
 	n := d.NumBatches(batchSize)
-	// Aim the store's eviction policy at the first epoch before anything
-	// is admitted: epoch 0 visits the order the loop will announce to the
-	// prefetcher, and an order-aware policy (storage.AccessOrder) keeps
-	// exactly its head resident.
-	st.SetUpcomingOrder(epochOrder(e.seed, e.shuffle, 0, n))
 	encoded := make([]formats.CompressedMatrix, n)
 	labels := make([][]float64, n)
 	parallelFor(e.workers, n, func(i int) {

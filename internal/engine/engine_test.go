@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -93,17 +92,17 @@ func TestEngineGroupOneMatchesSerialTrain(t *testing.T) {
 	}
 }
 
-// The acceptance determinism property: for a fixed seed and group size,
+// The acceptance determinism property: for a fixed group size,
 // workers=1 and workers=8 converge to the same weights.
 func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, name := range []string{"lr", "nn"} {
 		d, src := testSource(t, "mnist", 600)
 
 		m1 := newModel(t, name, d, 11)
-		res1 := New(Config{Workers: 1, GroupSize: 8, Seed: 5, Shuffle: true}).Train(m1, src, 3, 0.2, nil)
+		res1 := New(Config{Workers: 1, GroupSize: 8, Seed: 5}).Train(m1, src, 3, 0.2, nil)
 
 		m8 := newModel(t, name, d, 11)
-		res8 := New(Config{Workers: 8, GroupSize: 8, Seed: 5, Shuffle: true}).Train(m8, src, 3, 0.2, nil)
+		res8 := New(Config{Workers: 8, GroupSize: 8, Seed: 5}).Train(m8, src, 3, 0.2, nil)
 
 		if diff := maxAbsDiff(flatParams(t, m1), flatParams(t, m8)); diff > 1e-12 {
 			t.Errorf("%s: workers=1 vs workers=8 final weights differ by %g", name, diff)
@@ -131,7 +130,7 @@ func TestEngineConcurrentOverPrefetchedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	eng := New(Config{Workers: 8, GroupSize: 8, Seed: 9, Shuffle: true})
+	eng := New(Config{Workers: 8, GroupSize: 8, Seed: 9})
 	if err := eng.FillStore(st, d, 50); err != nil {
 		t.Fatal(err)
 	}
@@ -222,82 +221,6 @@ func TestEngineKernelParallelMatchesSerialTrain(t *testing.T) {
 
 		if diff := maxAbsDiff(flatParams(t, serial), flatParams(t, parallel)); diff != 0 {
 			t.Errorf("%s: kernel-parallel weights diverge from serial by %g (want bitwise identity)", name, diff)
-		}
-	}
-}
-
-// With Shuffle on, Train announces the next epoch's permutation so the
-// prefetch window crosses epoch boundaries into the right batches
-// (the window mechanics are pinned down by the white-box
-// TestPrefetcherWindowCrossesBoundaryIntoNextOrder); end to end, shuffled
-// training over a throttled spilled store must stay essentially all-hits.
-func TestEngineShuffleBoundaryPrefetch(t *testing.T) {
-	// Many more batches than the window depth, so a window wrapped into
-	// the *wrong* permutation head almost never covers the right one by
-	// accident.
-	const epochs, depth = 4, 8
-	d, err := data.Generate("census", 600, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.ShuffleOnce(6)
-	st, err := storage.NewStore(t.TempDir(), "TOC", 1) // all spilled
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	eng := New(Config{Workers: 2, GroupSize: 2, Seed: 17, Shuffle: true})
-	if err := eng.FillStore(st, d, 10); err != nil { // 60 batches
-		t.Fatal(err)
-	}
-	// Slow the simulated disk so wrongly-aimed boundary prefetches stay in
-	// flight across the epoch switch instead of draining unnoticed.
-	st.SetReadBandwidth(200 << 10) // shared by the two readers
-	pf := storage.NewPrefetcher(st, depth, 2)
-	defer pf.Close()
-	eng.Train(newModel(t, "lr", d, 23), pf, epochs, 0.2, nil)
-	// Allow a little startup scramble (the window is primed sequentially
-	// before the first SetOrder); the un-announced boundaries would cost
-	// roughly depth misses per epoch on top of that.
-	if ps := pf.Stats(); ps.Misses > 6 {
-		t.Errorf("shuffled training missed %d times (boundary prefetch broken): %+v", ps.Misses, ps)
-	}
-}
-
-// FillStore announces the first epoch's visit order to the store before
-// ingest, so an access-order (Belady-style) eviction policy keeps exactly
-// the head of the epoch-0 permutation resident — the batches the
-// prefetcher has no lead time to fetch.
-func TestFillStoreAnnouncesShuffleOrderToEviction(t *testing.T) {
-	const seed, batchSize, keep = 41, 25, 3
-	d, err := data.Generate("census", 300, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := d.NumBatches(batchSize)
-	// DEN batches of equal shape have equal compressed size, so the
-	// budget holds exactly `keep` batches and evictions are exact swaps.
-	x, _ := d.Batch(0, batchSize)
-	size := int64(formats.MustGet("DEN")(x).CompressedSize())
-	st, err := storage.NewStore(t.TempDir(), "DEN", keep*size,
-		storage.WithEviction(storage.AccessOrder()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	eng := New(Config{Workers: 4, Seed: seed, Shuffle: true})
-	if err := eng.FillStore(st, d, batchSize); err != nil {
-		t.Fatal(err)
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	want := map[int]bool{}
-	for _, i := range perm[:keep] {
-		want[i] = true
-	}
-	for i := 0; i < n; i++ {
-		if st.Resident(i) != want[i] {
-			t.Errorf("batch %d resident=%v, want %v (epoch-0 head %v)",
-				i, st.Resident(i), want[i], perm[:keep])
 		}
 	}
 }

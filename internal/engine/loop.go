@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -20,44 +19,12 @@ import (
 var ErrHalted = errors.New("engine: halted before completion")
 
 // prefetchHints is what the loop tells a batch source that reads ahead;
-// storage.Prefetcher implements it. SetOrder announces each epoch's
-// permutation so prefetching stays ahead of the stream; SetNextOrder the
-// epoch after it, so a window that wraps past the epoch boundary aims at
-// the next epoch's head instead of re-reading the current one's — which
-// matters exactly when Shuffle gives every epoch a fresh permutation;
-// Request names one batch whenever the stream deviates from the
-// announced permutation — a rejected or abandoned position's batch is
-// about to be read a second time. All three must not block: the loop
-// calls them under its lock.
+// storage.Prefetcher implements it. Request names one batch whenever the
+// stream deviates from ingest order — a rejected or abandoned position's
+// batch is about to be read a second time. It must not block: the loop
+// calls it under its lock.
 type prefetchHints interface {
-	SetOrder(order []int)
-	SetNextOrder(order []int)
 	Request(idx int)
-}
-
-// epochPerm is the single definition of the per-epoch visit permutation.
-// The loop (current and next epoch announcements) and FillStore (the
-// eviction policy's upcoming order) must all derive it here, or an
-// order-aware eviction policy would pin batches training never visits
-// first.
-func epochPerm(seed int64, epoch, n int) []int {
-	return rand.New(rand.NewSource(seed + int64(epoch))).Perm(n)
-}
-
-// EpochPerm exposes the per-epoch visit permutation.
-func EpochPerm(seed int64, epoch, n int) []int { return epochPerm(seed, epoch, n) }
-
-// epochOrder is the order epoch visits its n batches in: the seeded
-// permutation under Shuffle, ingest order otherwise.
-func epochOrder(seed int64, shuffle bool, epoch, n int) []int {
-	if shuffle {
-		return epochPerm(seed, epoch, n)
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
 }
 
 // LoopConfig is the schedule a Loop walks. Every field is one the three
@@ -66,13 +33,14 @@ type LoopConfig struct {
 	// Kind names the front end; it is written into every checkpoint and a
 	// checkpoint of another Kind is refused on resume.
 	Kind checkpoint.Kind
-	// Epochs × NumBatches global positions, applied in order.
+	// Epochs × NumBatches global positions, applied in order; position
+	// pos visits batch pos mod NumBatches.
 	Epochs     int
 	NumBatches int
 	LR         float64
-	// Seed and Shuffle select each epoch's visit permutation.
-	Seed    int64
-	Shuffle bool
+	// Seed identifies the run: it is written into every checkpoint and a
+	// checkpoint of another Seed is refused on resume.
+	Seed int64
 	// Group is the sync engine's positions-per-step count, already clamped
 	// to the batch count; 0 (async, dist) means steps of one.
 	Group int
@@ -123,8 +91,8 @@ func (s LoopStats) MeanStaleness() float64 {
 }
 
 // Task is one released position: its global epoch-major index, the batch
-// it visits, and the clock at release time (the parameter version a front
-// end computing on the live model submits).
+// it visits (Pos mod NumBatches), and the clock at release time (the
+// parameter version a front end computing on the live model submits).
 type Task struct {
 	Pos     int64
 	Batch   int
@@ -196,8 +164,6 @@ type Loop struct {
 	//toc:guardedby mu
 	step int64 // applied steps from the run's origin
 	//toc:guardedby mu
-	order []int // visit order of the epoch the release frontier is in
-	//toc:guardedby mu
 	held []assignment // released positions and who computes them
 	//toc:guardedby mu
 	requeue []Task // abandoned positions awaiting a new owner
@@ -242,7 +208,7 @@ type Loop struct {
 // NewLoop validates cfg (and cfg.Resume against it), restores a resumed
 // run's parameters and cursor into m, and returns the loop ready for
 // owners to Join. src is the caller's own batch source, used only for
-// order and request hints; pass nil when workers own the data.
+// request hints; pass nil when workers own the data.
 func NewLoop(cfg LoopConfig, m ml.Model, src ml.BatchSource) (*Loop, error) {
 	if cfg.Epochs < 0 || cfg.NumBatches < 0 {
 		return nil, fmt.Errorf("engine: need Epochs >= 0 and NumBatches >= 0, got %d and %d", cfg.Epochs, cfg.NumBatches)
@@ -321,7 +287,6 @@ func (l *Loop) validateResume(st *checkpoint.State) error {
 		{st.NumBatches != cfg.NumBatches, "batch count", st.NumBatches, cfg.NumBatches},
 		{st.Group != cfg.Group, "group size", st.Group, cfg.Group},
 		{st.Seed != cfg.Seed, "seed", st.Seed, cfg.Seed},
-		{st.Shuffle != cfg.Shuffle, "shuffle", st.Shuffle, cfg.Shuffle},
 		{int64(st.Staleness) != l.bound, "staleness", st.Staleness, l.bound},
 		{st.Deterministic != cfg.Deterministic, "deterministic", st.Deterministic, cfg.Deterministic},
 		{math.Float64bits(st.LR) != math.Float64bits(cfg.LR), "learning rate", st.LR, cfg.LR},
@@ -446,13 +411,8 @@ func (l *Loop) Next(owner int) (t Task, ok bool, err error) {
 				l.epochStart = l.start
 			}
 			pos := l.released
-			// order == nil covers a mid-epoch resume: the source still
-			// needs this epoch's permutation even though pos%n != 0.
-			if pos%l.n == 0 || l.order == nil {
-				l.enterEpochLocked(int(pos / l.n))
-			}
 			l.released++
-			t = Task{Pos: pos, Batch: l.order[pos%l.n], Version: l.clock}
+			t = Task{Pos: pos, Batch: int(pos % l.n), Version: l.clock}
 			l.held = append(l.held, assignment{t, owner})
 			return t, true, nil
 		}
@@ -467,23 +427,6 @@ func (l *Loop) Next(owner int) (t Task, ok bool, err error) {
 //toc:locked mu
 func (l *Loop) releasableLocked() bool {
 	return l.released < l.total && l.stepStart(l.released)-l.clock < l.window
-}
-
-// enterEpochLocked moves the release frontier into epoch and announces
-// its visit order (and, under Shuffle, the next epoch's, so a prefetch
-// window wrapping the boundary stays aimed). The hints are non-blocking
-// by contract, so they are safe under the lock — which is also what
-// orders them before the epoch's first Batch call.
-//
-//toc:locked mu
-func (l *Loop) enterEpochLocked(epoch int) {
-	l.order = epochOrder(l.cfg.Seed, l.cfg.Shuffle, epoch, int(l.n))
-	if l.hints != nil {
-		l.hints.SetOrder(l.order)
-		if l.cfg.Shuffle && epoch+1 < l.cfg.Epochs {
-			l.hints.SetNextOrder(epochPerm(l.cfg.Seed, epoch+1, int(l.n)))
-		}
-	}
 }
 
 // GradBuf returns a NumParams-long buffer for one gradient; Submit takes
@@ -714,8 +657,7 @@ func (l *Loop) snapshotLocked() *checkpoint.State {
 	params := make([]float64, l.np)
 	l.m.Params(params)
 	st := &checkpoint.State{
-		Kind: l.cfg.Kind, Seed: l.cfg.Seed, LR: l.cfg.LR,
-		Shuffle: l.cfg.Shuffle, Deterministic: l.cfg.Deterministic,
+		Kind: l.cfg.Kind, Seed: l.cfg.Seed, LR: l.cfg.LR, Deterministic: l.cfg.Deterministic,
 		Group: l.cfg.Group, Staleness: int(l.bound), NumBatches: int(l.n),
 		Epoch: int(l.clock / l.n), Pos: int(l.clock % l.n), Clock: l.clock,
 		PartialLoss: l.epochLoss,

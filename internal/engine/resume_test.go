@@ -45,17 +45,13 @@ func snapshotParams(t *testing.T, m ml.Model) []float64 {
 	return out
 }
 
-func syncResumeRunner(shuffle bool) resumeRunner {
-	name := "sync"
-	if shuffle {
-		name = "sync-shuffle"
-	}
+func syncResumeRunner() resumeRunner {
 	return resumeRunner{
-		name: name,
+		name: "sync",
 		run: func(t *testing.T, d *data.Dataset, src ml.BatchSource, ck *checkpoint.Writer, log stepLog, resume *checkpoint.State) (*ml.TrainResult, []float64, error) {
 			m := newModel(t, "lr", d, 7)
 			eng := New(Config{
-				Workers: 4, GroupSize: resumeGroup, Seed: 11, Shuffle: shuffle,
+				Workers: 4, GroupSize: resumeGroup, Seed: 11,
 				Checkpoint: ck, CheckpointEvery: 2, OnStep: log.record,
 			})
 			res, err := eng.TrainFrom(m, src, resumeEpochs, resumeLR, nil, resume)
@@ -68,18 +64,17 @@ func syncResumeRunner(shuffle bool) resumeRunner {
 	}
 }
 
-func asyncResumeRunner(staleness int, shuffle bool) resumeRunner {
+func asyncResumeRunner(staleness int) resumeRunner {
 	name := "async-staleness0"
 	if staleness > 0 {
-		name = "async-det-shuffle"
+		name = "async-det"
 	}
 	return resumeRunner{
 		name: name,
 		run: func(t *testing.T, d *data.Dataset, src ml.BatchSource, ck *checkpoint.Writer, log stepLog, resume *checkpoint.State) (*ml.TrainResult, []float64, error) {
 			m := newModel(t, "lr", d, 7)
 			a := NewAsync(AsyncConfig{
-				Workers: 4, Staleness: staleness, Deterministic: true,
-				Seed: 11, Shuffle: shuffle,
+				Workers: 4, Staleness: staleness, Deterministic: true, Seed: 11,
 				Checkpoint: ck, CheckpointEvery: 2, OnStep: log.record,
 			})
 			res, err := a.TrainFrom(m, src, resumeEpochs, resumeLR, nil, resume)
@@ -93,10 +88,9 @@ func asyncResumeRunner(staleness int, shuffle bool) resumeRunner {
 
 func resumeRunners() []resumeRunner {
 	return []resumeRunner{
-		syncResumeRunner(false),
-		syncResumeRunner(true),
-		asyncResumeRunner(0, false),
-		asyncResumeRunner(4, true),
+		syncResumeRunner(),
+		asyncResumeRunner(0),
+		asyncResumeRunner(4),
 	}
 }
 
@@ -236,21 +230,21 @@ func TestHaltWritesResumableCheckpoint(t *testing.T) {
 			var haltedErr error
 			var haltedParams []float64
 			switch r.name {
-			case "sync", "sync-shuffle":
+			case "sync":
 				m := newModel(t, "lr", d, 7)
 				eng := New(Config{Workers: 4, GroupSize: resumeGroup, Seed: 11,
-					Shuffle: r.name == "sync-shuffle", Checkpoint: w, CheckpointEvery: 2, OnStep: record})
+					Checkpoint: w, CheckpointEvery: 2, OnStep: record})
 				halter = eng
 				_, haltedErr = eng.TrainFrom(m, src, resumeEpochs, resumeLR, nil, nil)
 				haltedParams = snapshotParams(t, m)
 			default:
 				m := newModel(t, "lr", d, 7)
 				staleness := 0
-				if r.name == "async-det-shuffle" {
+				if r.name == "async-det" {
 					staleness = 4
 				}
 				a := NewAsync(AsyncConfig{Workers: 4, Staleness: staleness, Deterministic: true,
-					Seed: 11, Shuffle: r.name == "async-det-shuffle", Checkpoint: w, CheckpointEvery: 2, OnStep: record})
+					Seed: 11, Checkpoint: w, CheckpointEvery: 2, OnStep: record})
 				halter = a
 				_, haltedErr = a.TrainFrom(m, src, resumeEpochs, resumeLR, nil, nil)
 				haltedParams = snapshotParams(t, m)
@@ -277,7 +271,7 @@ func TestHaltWritesResumableCheckpoint(t *testing.T) {
 }
 
 // Deterministic delayed-gradient mode makes bounded staleness a pure
-// function of (Seed, Staleness): any worker count must walk the same
+// function of Staleness: any worker count must walk the same
 // trajectory bitwise.
 func TestAsyncDeterministicAcrossWorkerCounts(t *testing.T) {
 	d, src := testSource(t, "census", 600)
@@ -285,7 +279,7 @@ func TestAsyncDeterministicAcrossWorkerCounts(t *testing.T) {
 	var refLoss []float64
 	for _, workers := range []int{1, 2, 8} {
 		m := newModel(t, "lr", d, 7)
-		a := NewAsync(AsyncConfig{Workers: workers, Staleness: 3, Deterministic: true, Seed: 11, Shuffle: true})
+		a := NewAsync(AsyncConfig{Workers: workers, Staleness: 3, Deterministic: true, Seed: 11})
 		res, err := a.TrainFrom(m, src, 2, resumeLR, nil, nil)
 		if err != nil {
 			t.Fatal(err)

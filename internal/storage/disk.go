@@ -2,7 +2,6 @@ package storage
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"toc/internal/pace"
@@ -18,13 +17,13 @@ import (
 // access latency serializes within a shard and overlaps across shards —
 // which is what more shards on one device buy.
 type disk struct {
-	// The knobs are atomics so an unthrottled read consults the model
-	// without taking a lock.
-	bandwidth atomic.Int64 // read bytes/s per device; <= 0 = unthrottled
-	latency   atomic.Int64 // per-read access (seek) time in ns
+	// bandwidth, latency and dev are fixed at construction, so an
+	// unthrottled read consults the model without taking a lock.
+	bandwidth int64          // read bytes/s per device; <= 0 = unthrottled
+	latency   time.Duration  // per-read access (seek) time
+	dev       []*pace.Bucket // per shard: its directory's budget
 
-	dev []*pace.Bucket // per shard: its directory's budget; fixed at construction
-	mu  sync.Mutex
+	mu sync.Mutex
 	//toc:guardedby mu
 	arm []time.Time // per shard: when its arm is next free
 }
@@ -32,9 +31,10 @@ type disk struct {
 // newDisk models the given shards: those sharing a directory (the
 // cleaned path, however it was spelled) share one device.
 func newDisk(shards []*shard, bandwidth int64, latency time.Duration) *disk {
-	d := &disk{dev: make([]*pace.Bucket, len(shards)), arm: make([]time.Time, len(shards))}
-	d.bandwidth.Store(bandwidth)
-	d.latency.Store(int64(latency))
+	d := &disk{
+		bandwidth: bandwidth, latency: latency,
+		dev: make([]*pace.Bucket, len(shards)), arm: make([]time.Time, len(shards)),
+	}
 	byDir := map[string]*pace.Bucket{}
 	for i, sh := range shards {
 		if byDir[sh.dir] == nil {
@@ -52,7 +52,7 @@ func newDisk(shards []*shard, bandwidth int64, latency time.Duration) *disk {
 // latency configured the read is free: reserve returns now and touches
 // no shared state.
 func (d *disk) reserve(now time.Time, shard int, n int64) time.Time {
-	bw, seek := d.bandwidth.Load(), time.Duration(d.latency.Load())
+	bw, seek := d.bandwidth, d.latency
 	if bw <= 0 && seek <= 0 {
 		return now
 	}

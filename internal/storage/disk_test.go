@@ -184,9 +184,8 @@ func TestUnthrottledReadsBypassTheDiskModel(t *testing.T) {
 // The one wall-clock check here: a throttled read really is held until
 // its reservation completes.
 func TestThrottledReadSleepsOutItsReservation(t *testing.T) {
-	st := shardedSpilledStore(t, 1, 1)
-	bw := st.spans[0].length * 100 // 10ms per read
-	st.SetReadBandwidth(bw)
+	bw := shardedSpilledStore(t, 1, 1).spans[0].length * 100 // 10ms per read
+	st := shardedSpilledStore(t, 1, 1, WithReadBandwidth(bw))
 	st.Batch(0)
 	if got, want := st.Stats().ReadTime, pace.Transfer(st.spans[0].length, bw); got < want {
 		t.Errorf("throttled read took %v, want at least its transfer time %v", got, want)

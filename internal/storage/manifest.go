@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 
@@ -30,10 +29,21 @@ import (
 // file's size, and — at recovery time, once — every span's CRC, so a
 // truncated or bit-flipped shard file is a loud error, never silently
 // wrong training data.
+//
+// The CRC catches accidents, not forgeries, so the manifest is untrusted
+// input: decodeManifest bounds every count by the bytes left before it
+// allocates, and checks every span against its shard's write position
+// before OpenStore reads it.
 
 const (
 	manifestMagic   = "TOCM"
-	manifestVersion = 1
+	manifestVersion = 2
+
+	// Smallest encodings of a shard record (two empty strings, wpos,
+	// bytes) and of a batch record (flags, size, span, no labels): a
+	// count larger than the bytes left divided by these is a lie.
+	minShardRecord = 2 + 2 + 8 + 8
+	minBatchRecord = 1 + 8 + 4 + 8 + 8 + 4 + 4
 )
 
 // WriteManifest persists the store's layout to path and flushes every
@@ -119,16 +129,12 @@ func (s *Store) WriteManifest(path string) error {
 
 // encodeManifest serializes the store layout (with trailing CRC-32C).
 func (s *Store) encodeManifest() []byte {
-	s.mu.Lock()
-	evictions := s.stats.Evictions
-	s.mu.Unlock()
 	le := binary.LittleEndian
 	var img []byte
 	img = append(img, manifestMagic...)
 	img = append(img, manifestVersion, 0, 0, 0)
 	img = appendStr(img, s.method)
 	img = le.AppendUint64(img, uint64(s.budget))
-	img = le.AppendUint32(img, uint32(evictions))
 	img = le.AppendUint32(img, uint32(len(s.shards)))
 	for _, sh := range s.shards {
 		// The file's actual location, not the configured dir: a shard
@@ -182,7 +188,7 @@ type manifestReader struct {
 func (r *manifestReader) take(n int) []byte {
 	if r.err != nil || r.off+n > len(r.buf) {
 		if r.err == nil {
-			r.err = fmt.Errorf("storage: manifest truncated at byte %d", r.off)
+			r.err = fmt.Errorf("truncated at byte %d", r.off)
 		}
 		return nil
 	}
@@ -230,8 +236,8 @@ func (r *manifestReader) str() string {
 }
 
 func (r *manifestReader) f64s() []float64 {
-	n := int(r.u32())
-	b := r.take(8 * n) // bounds-checked before allocating
+	n := r.count("labels", 8)
+	b := r.take(8 * n)
 	if b == nil {
 		return nil
 	}
@@ -242,148 +248,205 @@ func (r *manifestReader) f64s() []float64 {
 	return out
 }
 
+// count reads a record count, refusing one the bytes left cannot hold at
+// minLen bytes a record, so no slice is ever sized by an unchecked word.
+func (r *manifestReader) count(what string, minLen int) int {
+	n := r.u32()
+	if left := len(r.buf) - r.off; r.err == nil && uint64(n) > uint64(left/minLen) {
+		r.err = fmt.Errorf("claims %d %s in %d bytes", n, what, left)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// manifest is a decoded store manifest: the layout OpenStore rebuilds a
+// store from.
+type manifest struct {
+	method  string
+	budget  int64
+	shards  []manifestShard
+	batches []manifestBatch
+}
+
+// manifestShard is one shard file: where it is, how many bytes the store
+// wrote to it, and how many of those are spills (the placement balance).
+type manifestShard struct {
+	dir, base   string
+	wpos, bytes int64
+}
+
+// manifestBatch is one batch: whether it was resident (its span is then
+// a backup), its compressed size, where its bytes are, and its labels.
+type manifestBatch struct {
+	resident bool
+	size     int64
+	sp       span
+	labels   []float64
+}
+
+// decodeManifest parses a manifest image without opening any file. Any
+// input yields a manifest or an error, never a panic, and every slice it
+// makes is bounded by the bytes in hand. An accepted manifest names only
+// shards it lists and spans inside the bytes their shard wrote, so the
+// reads OpenStore then makes are bounded by files whose size it checks.
+func decodeManifest(img []byte) (*manifest, error) {
+	if len(img) < 12 {
+		return nil, fmt.Errorf("truncated (%d bytes)", len(img))
+	}
+	if string(img[:4]) != manifestMagic {
+		return nil, fmt.Errorf("not a store manifest (magic %q)", img[:4])
+	}
+	if img[4] != manifestVersion {
+		return nil, fmt.Errorf("unsupported version %d", img[4])
+	}
+	body, stored := img[:len(img)-4], binary.LittleEndian.Uint32(img[len(img)-4:])
+	if got := crc32.Checksum(body, spanTable); got != stored {
+		return nil, fmt.Errorf("failed CRC (stored %08x, computed %08x)", stored, got)
+	}
+
+	r := &manifestReader{buf: body, off: 8}
+	m := &manifest{method: r.str(), budget: int64(r.u64())}
+	nShards := r.count("shards", minShardRecord)
+	if r.err != nil {
+		return nil, r.err
+	}
+	m.shards = make([]manifestShard, nShards)
+	for i := range m.shards {
+		sh := manifestShard{dir: r.str(), base: r.str(), wpos: int64(r.u64()), bytes: int64(r.u64())}
+		switch {
+		case r.err != nil:
+			return nil, r.err
+		case sh.wpos < 0 || sh.bytes < 0 || sh.bytes > sh.wpos:
+			return nil, fmt.Errorf("shard %d wrote %d bytes, %d of them spills", i, sh.wpos, sh.bytes)
+		case sh.base == "" && sh.wpos > 0:
+			return nil, fmt.Errorf("shard %d wrote %d bytes but names no file", i, sh.wpos)
+		}
+		m.shards[i] = sh
+	}
+	nBatches := r.count("batches", minBatchRecord)
+	if r.err != nil {
+		return nil, r.err
+	}
+	m.batches = make([]manifestBatch, nBatches)
+	for i := range m.batches {
+		flags, size, shard := r.u8(), int64(r.u64()), r.u32()
+		sp := span{off: int64(r.u64()), length: int64(r.u64()), crc: r.u32()}
+		labels := r.f64s()
+		switch {
+		case r.err != nil:
+			return nil, r.err
+		case flags > 1:
+			return nil, fmt.Errorf("batch %d has unknown flags %#x", i, flags)
+		case uint64(shard) >= uint64(len(m.shards)):
+			return nil, fmt.Errorf("batch %d names shard %d of %d", i, shard, len(m.shards))
+		}
+		sp.shard = int(shard)
+		if wpos := m.shards[sp.shard].wpos; size < 0 || sp.off < 0 || sp.length < 0 || sp.off > wpos-sp.length {
+			return nil, fmt.Errorf("batch %d (size %d) spans [%d, +%d) of shard %d, which wrote %d bytes",
+				i, size, sp.off, sp.length, shard, wpos)
+		}
+		m.batches[i] = manifestBatch{resident: flags == 1, size: size, sp: sp, labels: labels}
+	}
+	if r.off != len(body) {
+		return nil, fmt.Errorf("%d trailing bytes", len(body)-r.off)
+	}
+	return m, nil
+}
+
 // OpenStore reopens a store from a manifest written by WriteManifest:
-// it verifies the manifest's CRC, opens the shard files read-only,
-// checks each file is at least as long as the manifest says it wrote
-// (truncation), re-reads every span — resident backups and spills alike
-// — verifying its CRC, and decodes the resident batches back into
-// memory. Any mismatch is a loud error; a recovered store never serves
-// bytes that differ from what was persisted.
+// it decodes and validates the manifest, opens the shard files
+// read-only, checks each file is at least as long as the manifest says
+// it wrote (truncation), re-reads every span — resident backups and
+// spills alike — verifying its CRC, and decodes the resident batches
+// back into memory. Any mismatch is a loud error; a recovered store
+// never serves bytes that differ from what was persisted.
 //
-// Options configure the runtime disk model (bandwidth, model, latency);
-// the shard layout comes from the manifest, so WithShards/WithShardDirs
-// are ignored. The reopened store is persistent: Close keeps the shard
-// files for the next restart.
+// Options configure the runtime disk model (bandwidth, latency) and the
+// read retries; the shard layout comes from the manifest, so
+// WithShards/WithShardDirs are ignored. The reopened store is
+// persistent: Close keeps the shard files for the next restart.
 func OpenStore(manifestPath string, opts ...Option) (*Store, error) {
 	img, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return nil, err
 	}
-	if len(img) < 12 {
-		return nil, fmt.Errorf("storage: manifest %s truncated (%d bytes)", manifestPath, len(img))
+	m, err := decodeManifest(img)
+	if err != nil {
+		return nil, fmt.Errorf("storage: manifest %s: %w", manifestPath, err)
 	}
-	if string(img[:4]) != manifestMagic {
-		return nil, fmt.Errorf("storage: %s is not a store manifest (magic %q)", manifestPath, img[:4])
-	}
-	if img[4] != manifestVersion {
-		return nil, fmt.Errorf("storage: manifest %s has unsupported version %d", manifestPath, img[4])
-	}
-	body, stored := img[:len(img)-4], binary.LittleEndian.Uint32(img[len(img)-4:])
-	if got := crc32.Checksum(body, spanTable); got != stored {
-		return nil, fmt.Errorf("storage: manifest %s failed CRC (stored %08x, computed %08x)", manifestPath, stored, got)
-	}
-
-	r := &manifestReader{buf: body, off: 8}
-	method := r.str()
-	budget := int64(r.u64())
-	evictions := int(r.u32())
-	nShards := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	codec, ok := formats.GetCodec(method)
+	codec, ok := formats.GetCodec(m.method)
 	if !ok {
-		return nil, fmt.Errorf("storage: manifest %s names unknown method %q", manifestPath, method)
+		return nil, fmt.Errorf("storage: manifest %s names unknown method %q", manifestPath, m.method)
 	}
-	cfg := storeConfig{policy: FirstFit(), retry: DefaultRetryPolicy()}
-	for _, o := range opts {
-		o(&cfg)
+	shards := make([]*shard, len(m.shards))
+	for i, ms := range m.shards {
+		shards[i] = &shard{dir: ms.dir, wpos: ms.wpos, bytes: ms.bytes}
 	}
-	if cfg.retry.Attempts < 1 {
-		cfg.retry.Attempts = 1
+	s := resolveOptions(opts).newStore(m.method, codec, m.budget, shards)
+	s.persist = true
+	if err := s.restore(m); err != nil {
+		s.Close()
+		return nil, err
 	}
-	s := &Store{
-		method:  method,
-		codec:   codec,
-		budget:  budget,
-		policy:  cfg.policy,
-		retry:   cfg.retry,
-		jitter:  rand.New(rand.NewSource(cfg.retry.Seed)),
-		persist: true,
-	}
-	s.stats.Evictions = evictions
-	for i := 0; i < nShards; i++ {
-		dir := r.str()
-		base := r.str()
-		wpos := int64(r.u64())
-		bytes := int64(r.u64())
-		if r.err != nil {
-			return nil, r.err
-		}
-		sh := &shard{dir: dir, wpos: wpos, bytes: bytes}
-		if base != "" {
-			path := filepath.Join(dir, base)
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, fmt.Errorf("storage: open shard %d: %w", i, err)
-			}
-			fi, err := f.Stat()
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("storage: stat shard %d: %w", i, err)
-			}
-			if fi.Size() < wpos {
-				f.Close()
-				return nil, fmt.Errorf("storage: shard file %s truncated: %d bytes, manifest wrote %d", path, fi.Size(), wpos)
-			}
-			sh.file = f
-		} else if wpos > 0 {
-			return nil, fmt.Errorf("storage: manifest shard %d wrote %d bytes but names no file", i, wpos)
-		}
-		s.shards = append(s.shards, sh)
-	}
-	s.disk = newDisk(s.shards, cfg.bandwidth, cfg.latency)
+	return s, nil
+}
 
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
+// restore opens the shard files m names and reads every batch back from
+// them: resident batches into memory, spilled ones as spans.
+func (s *Store) restore(m *manifest) error {
+	for i, ms := range m.shards {
+		if ms.base == "" {
+			continue
+		}
+		path := filepath.Join(ms.dir, ms.base)
+		f, err := os.Open(path)
+		if err != nil {
+			return fmt.Errorf("storage: open shard %d: %w", i, err)
+		}
+		s.shards[i].file = f
+		fi, err := f.Stat()
+		if err != nil {
+			return fmt.Errorf("storage: stat shard %d: %w", i, err)
+		}
+		if fi.Size() < ms.wpos {
+			return fmt.Errorf("storage: shard file %s truncated: %d bytes, manifest wrote %d", path, fi.Size(), ms.wpos)
+		}
 	}
+	n := len(m.batches)
 	s.resident = make([]formats.CompressedMatrix, n)
 	s.labels = make([][]float64, n)
 	s.spans = make([]span, n)
 	s.sizes = make([]int64, n)
 	s.resSpans = make([]span, n)
-	for i := 0; i < n; i++ {
-		flags := r.u8()
-		size := int64(r.u64())
-		sp := span{
-			shard:  int(r.u32()),
-			off:    int64(r.u64()),
-			length: int64(r.u64()),
-			crc:    r.u32(),
-		}
-		labels := r.f64s()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if sp.shard < 0 || sp.shard >= len(s.shards) {
-			return nil, fmt.Errorf("storage: batch %d names shard %d of %d", i, sp.shard, len(s.shards))
-		}
-		img, err := s.readSpanVerified(i, sp)
+	var st Stats
+	for i, b := range m.batches {
+		img, err := s.readSpanVerified(i, b.sp)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.labels[i] = labels
-		s.sizes[i] = size
-		if flags&1 != 0 {
-			c, err := codec.Decode(img)
-			if err != nil {
-				return nil, fmt.Errorf("storage: decode resident batch %d backup: %w", i, err)
-			}
-			s.resident[i] = c
-			s.resSpans[i] = sp
-			s.stats.ResidentBatches++
-			s.stats.ResidentBytes += size
-		} else {
-			s.spans[i] = sp
-			s.stats.SpilledBatches++
-			s.stats.SpilledBytes += sp.length
+		s.labels[i] = b.labels
+		s.sizes[i] = b.size
+		if !b.resident {
+			s.spans[i] = b.sp
+			st.SpilledBatches++
+			st.SpilledBytes += b.sp.length
+			continue
 		}
+		c, err := s.codec.Decode(img)
+		if err != nil {
+			return fmt.Errorf("storage: decode resident batch %d backup: %w", i, err)
+		}
+		s.resident[i] = c
+		s.resSpans[i] = b.sp
+		st.ResidentBatches++
+		st.ResidentBytes += b.size
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("storage: manifest has %d trailing bytes", len(body)-r.off)
-	}
-	return s, nil
+	s.mu.Lock()
+	s.stats = st
+	s.mu.Unlock()
+	return nil
 }
 
 // readSpanVerified reads one span's bytes and checks them against the

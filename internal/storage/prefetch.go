@@ -63,15 +63,13 @@ func WithPrefetchBytes(maxBytes int64) PrefetchOption {
 
 // Prefetcher wraps a Store and reads spilled batches ahead of the training
 // loop instead of on its critical path — the paper's Figure 1A IO time
-// overlapped with compute. It predicts the visit sequence from an order
-// hint (SetOrder, which the engine refreshes with its per-epoch
-// permutation; the default is sequential) and keeps up to depth upcoming
-// spilled batches resident or in flight. At the epoch boundary the window
-// continues into the sequence announced by SetNextOrder when there is one
-// and wraps to the current head otherwise. It implements the
-// ml.BatchSource contract and is safe for concurrent Batch calls,
-// including duplicate indices: callers racing for the same in-flight
-// batch share one read.
+// overlapped with compute. Every epoch visits batches 0..n-1 in ingest
+// order, so the window is the depth indices after the consumption
+// frontier, wrapping mod n into the next epoch's head; within it, spilled
+// batches are kept resident or in flight. Request adds one batch outside
+// the window. It implements the ml.BatchSource contract and is safe for
+// concurrent Batch calls, including duplicate indices: callers racing for
+// the same in-flight batch share one read.
 //
 // Reads are issued per shard: each of the store's spill shards has its
 // own job queue and reader goroutines, so the prefetcher keeps every
@@ -79,6 +77,7 @@ func WithPrefetchBytes(maxBytes int64) PrefetchOption {
 // pool that a single slow shard can clog.
 type Prefetcher struct {
 	store    *Store
+	n        int // the store's batch count
 	depth    int
 	maxBytes int64           // 0 = unbounded; see WithPrefetchBytes
 	jobs     []chan fetchJob // one queue per spill shard
@@ -87,13 +86,7 @@ type Prefetcher struct {
 
 	mu sync.Mutex
 	//toc:guardedby mu
-	order []int // predicted visit sequence (a permutation of 0..n-1)
-	//toc:guardedby mu
-	next []int // the following epoch's sequence; nil = wrap into order
-	//toc:guardedby mu
-	posOf []int // batch index -> position in order
-	//toc:guardedby mu
-	lastPos int // consumption frontier: deepest consumed position of the current lap (-1 before any)
+	lastPos int // consumption frontier: deepest consumed index of the current lap (-1 before any)
 	//toc:guardedby mu
 	cache map[int]*entry
 	//toc:guardedby mu
@@ -109,7 +102,7 @@ type Prefetcher struct {
 // goroutines. readers is the total reader target (readers <= 0 picks a
 // small default); the pool is split across the store's spill shards with
 // at least one reader per shard, so concurrent reads reach every shard.
-// It immediately begins prefetching the head of the sequential order.
+// It immediately begins prefetching the first depth batches.
 func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefetcher {
 	n := s.NumBatches()
 	if depth > n-1 {
@@ -131,20 +124,15 @@ func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefet
 	}
 	p := &Prefetcher{
 		store:   s,
+		n:       n,
 		depth:   depth,
 		jobs:    make([]chan fetchJob, shards),
 		quit:    make(chan struct{}),
-		order:   make([]int, n),
-		posOf:   make([]int, n),
 		lastPos: -1,
 		cache:   make(map[int]*entry, depth+1),
 	}
 	for _, o := range opts {
 		o(p)
-	}
-	for i := range p.order {
-		p.order[i] = i
-		p.posOf[i] = i
 	}
 	for sh := range p.jobs {
 		p.jobs[sh] = make(chan fetchJob, depth+perShard)
@@ -177,34 +165,6 @@ func (p *Prefetcher) reader(jobs <-chan fetchJob) {
 	}
 }
 
-// SetOrder replaces the predicted visit sequence (a permutation of batch
-// indices) and prefetches its head. The engine calls this with its seeded
-// per-epoch permutation before each epoch. Any next-epoch sequence set by
-// SetNextOrder is cleared: it normally *is* this order, already consumed.
-func (p *Prefetcher) SetOrder(order []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.order = append(p.order[:0], order...)
-	p.next = nil
-	p.lastPos = -1
-	for pos, idx := range p.order {
-		p.posOf[idx] = pos
-	}
-	p.scheduleLocked(-1)
-}
-
-// SetNextOrder announces the epoch *after* the current order, so the
-// window's wrap past the boundary prefetches the right batches. Without
-// it the wrap falls back to the current order's head — correct for
-// in-order epochs, wasted work when every epoch is freshly permuted. The
-// engine calls this right after SetOrder whenever Shuffle is on.
-func (p *Prefetcher) SetNextOrder(order []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.next = append(p.next[:0], order...)
-	p.scheduleLocked(p.lastPos)
-}
-
 // dropLocked removes a cache entry and refunds its byte charge. Must be
 // called with p.mu held.
 //
@@ -214,45 +174,32 @@ func (p *Prefetcher) dropLocked(idx int, en *entry) {
 	p.cacheBytes -= en.size
 }
 
-// scheduleLocked queues background reads for the spilled batches within
-// depth positions after pos in the predicted order, continuing into the
-// announced next epoch at the boundary (or wrapping to the current head
-// when none is announced). The window additionally stops at the byte
-// budget when one is configured. Must be called with p.mu held.
+// scheduleLocked queues background reads for the spilled batches among
+// the depth indices after pos, wrapping mod n into the next epoch. The
+// window additionally stops at the byte budget when one is configured.
+// Must be called with p.mu held.
 //
 //toc:locked mu
 func (p *Prefetcher) scheduleLocked(pos int) {
-	n := len(p.order)
-	if n == 0 || p.closed {
+	if p.n == 0 || p.closed {
 		return
 	}
 	for k := 1; k <= p.depth; k++ {
-		var idx int
-		if at := pos + k; at < n {
-			idx = p.order[at]
-		} else if p.next != nil {
-			if at-n >= len(p.next) {
-				return
-			}
-			idx = p.next[at-n]
-		} else {
-			idx = p.order[at%n]
-		}
-		if !p.requestLocked(idx) {
+		if !p.requestLocked((pos + k) % p.n) {
 			return // byte budget or shard queue exhausted; a later access re-schedules
 		}
 	}
 }
 
 // Request schedules a background read of one specific batch, regardless
-// of its place in the predicted order. The async engine calls this when
-// its dispatch queue deviates from the announced permutation — a
-// staleness-rejected gradient's batch is about to be re-read for the
-// recompute — so the prefetch stream follows the actual queue rather
-// than only the epoch permutation. Resident, already-cached and in-flight
-// batches are no-ops; like the window, an explicit request respects the
-// byte budget (but never starves below one entry) and degrades to a
-// synchronous read if the shard's queue is full.
+// of its place in the window. The engines call this when their stream
+// deviates from ingest order — a staleness-rejected gradient's batch is
+// about to be re-read for the recompute, or an abandoned position's batch
+// goes to a new owner — so the prefetch stream follows the actual
+// positions rather than only the epoch scan. Resident, already-cached and
+// in-flight batches are no-ops; like the window, an explicit request
+// respects the byte budget (but never starves below one entry) and
+// degrades to a synchronous read if the shard's queue is full.
 func (p *Prefetcher) Request(idx int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -296,18 +243,18 @@ func (p *Prefetcher) requestLocked(idx int) bool {
 }
 
 // advanceLocked records that batch i is being consumed and extends the
-// window from the consumption frontier — not from i's own position.
-// Concurrent consumers finish out of order: when positions p+1 and then p
-// are consumed, scheduling from p would re-request p+1, a read nobody is
+// window from the consumption frontier — not from i itself. Concurrent
+// consumers finish out of order: when batches p+1 and then p are
+// consumed, scheduling from p would re-request p+1, a read nobody is
 // waiting for that then sits in the cache until the next lap reaches it
-// (after the last lap, for good). A position more than depth behind the
-// frontier is no straggler but the start of a new lap over the same
-// order, and moves the frontier back. Must be called with p.mu held.
+// (after the last lap, for good). A batch more than depth behind the
+// frontier is no straggler but the start of a new lap, and moves the
+// frontier back. Must be called with p.mu held.
 //
 //toc:locked mu
 func (p *Prefetcher) advanceLocked(i int) {
-	if pos := p.posOf[i]; pos > p.lastPos || p.lastPos-pos > p.depth {
-		p.lastPos = pos
+	if i > p.lastPos || p.lastPos-i > p.depth {
+		p.lastPos = i
 	}
 	p.scheduleLocked(p.lastPos)
 }
@@ -317,7 +264,7 @@ func (p *Prefetcher) NumBatches() int { return p.store.NumBatches() }
 
 // Batch returns mini-batch i, consuming its prefetched copy when one is
 // ready or in flight, and advances the prefetch window past the
-// consumption frontier of the predicted order.
+// consumption frontier.
 //
 // A completed entry is consumed (dropped from the cache) immediately; an
 // in-flight entry stays cached until it lands, so concurrent Batch calls

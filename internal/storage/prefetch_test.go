@@ -10,9 +10,9 @@ import (
 )
 
 // spilledStore builds a store of n 4-row batches that all spill to disk.
-func spilledStore(t *testing.T, n int) *Store {
+func spilledStore(t *testing.T, n int, opts ...Option) *Store {
 	t.Helper()
-	st, err := NewStore(t.TempDir(), "TOC", 1) // 1-byte budget: everything spills
+	st, err := NewStore(t.TempDir(), "TOC", 1, opts...) // 1-byte budget: everything spills
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +84,6 @@ func TestPrefetcherOutOfWindowMiss(t *testing.T) {
 	}
 }
 
-// SetOrder re-aims the window: a scan in the announced permutation order
-// never misses.
-func TestPrefetcherFollowsSetOrder(t *testing.T) {
-	const n = 10
-	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, 4, 2)
-	defer pf.Close()
-	order := []int{7, 3, 9, 0, 5, 1, 8, 2, 6, 4}
-	pf.SetOrder(order)
-	for _, i := range order {
-		pf.Batch(i)
-	}
-	if ps := pf.Stats(); ps.Misses != 0 || ps.Hits != n {
-		t.Errorf("permuted scan: %+v, want 0 misses / %d hits", ps, n)
-	}
-}
-
 // Concurrent Batch calls (the engine's group fan-out) stay correct.
 func TestPrefetcherConcurrentReads(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
@@ -132,8 +115,7 @@ func TestPrefetcherConcurrentReads(t *testing.T) {
 // that every caller arrives before they land.
 func TestPrefetcherDuplicateInFlightShared(t *testing.T) {
 	const n, depth, dupes = 6, 5, 8
-	st := spilledStore(t, n)
-	st.SetReadBandwidth(4096) // a few hundred bytes per batch → tens of ms per read
+	st := spilledStore(t, n, WithReadBandwidth(4096)) // a few hundred bytes per batch → tens of ms per read
 	pf := NewPrefetcher(st, depth, 2)
 	defer pf.Close()
 	// NewPrefetcher has primed batches 0..depth-1; hit them all, many
@@ -194,44 +176,6 @@ func TestPrefetcherDuplicateIndexHammer(t *testing.T) {
 	ps := pf.Stats()
 	if ps.Hits+ps.Misses != goroutines*rounds {
 		t.Errorf("Hits+Misses = %d, want %d: %+v", ps.Hits+ps.Misses, goroutines*rounds, ps)
-	}
-}
-
-// With the next epoch's permutation announced, the window that crosses
-// the epoch boundary must hold exactly the *next* order's head — without
-// SetNextOrder it would wrap around and re-prefetch the current epoch's
-// head, which a fresh permutation then never asks for first.
-func TestPrefetcherWindowCrossesBoundaryIntoNextOrder(t *testing.T) {
-	const n, depth = 10, 4
-	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, depth, 2)
-	defer pf.Close()
-	o1 := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	o2 := []int{7, 2, 9, 4, 0, 8, 1, 6, 3, 5}
-	pf.SetOrder(o1)
-	pf.SetNextOrder(o2)
-	for _, i := range o1 {
-		pf.Batch(i)
-	}
-	// The tail Batch calls scheduled past the boundary: the cache must now
-	// hold o2's head and nothing else (in particular not o1's head, which
-	// the un-announced wrap would have re-read).
-	pf.mu.Lock()
-	for k := 0; k < depth; k++ {
-		if _, ok := pf.cache[o2[k]]; !ok {
-			t.Errorf("next epoch's head batch %d not prefetched across the boundary", o2[k])
-		}
-	}
-	if len(pf.cache) != depth {
-		t.Errorf("cache holds %d entries, want exactly the %d-deep next-order head", len(pf.cache), depth)
-	}
-	pf.mu.Unlock()
-	pf.SetOrder(o2)
-	for _, i := range o2 {
-		pf.Batch(i)
-	}
-	if ps := pf.Stats(); ps.Misses != 0 || ps.Hits != 2*n {
-		t.Errorf("shuffled boundary scan: %+v, want 0 misses / %d hits", ps, 2*n)
 	}
 }
 
@@ -432,7 +376,7 @@ func TestPrefetcherResidentBypass(t *testing.T) {
 	}
 }
 
-// Request schedules a background read outside the predicted order; the
+// Request schedules a background read outside the window; the
 // batch must then be served as a hit, and requests for resident, cached
 // or out-of-range indices must be harmless no-ops.
 func TestPrefetcherRequestExplicitFetch(t *testing.T) {
@@ -465,9 +409,8 @@ func TestPrefetcherRequestExplicitFetch(t *testing.T) {
 // job queues.
 func TestPrefetcherCloseWithReadsInFlight(t *testing.T) {
 	const n = 16
-	st := spilledStore(t, n)
 	// Slow reads so the window is still in flight when Close races in.
-	st.SetReadBandwidth(200 << 10)
+	st := spilledStore(t, n, WithReadBandwidth(200<<10))
 	pf := NewPrefetcher(st, 8, 4)
 
 	var wg sync.WaitGroup

@@ -11,8 +11,8 @@
 //
 // The spill side is sharded: batches spread over N spill files
 // (WithShards), optionally across N directories modeling N devices
-// (WithShardDirs), with placement balancing bytes across shards. Which
-// batches stay resident is a pluggable EvictionPolicy (WithEviction), and
+// (WithShardDirs), with placement balancing bytes across shards. A batch
+// stays resident iff it fits the remaining budget when it arrives, and
 // reads are paced by one simulated disk model (disk.go): read bandwidth
 // is an aggregate cap per directory, the access latency serializes per
 // shard, and more devices means more directories.
@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -44,9 +43,6 @@ type Stats struct {
 	// ResidentBytes is the compressed size held in memory;
 	// SpilledBytes is the compressed size on disk.
 	ResidentBytes, SpilledBytes int64
-	// Evictions counts resident batches displaced to disk by the
-	// eviction policy during ingest (they are also in SpilledBatches).
-	Evictions int
 	// Reads counts spilled-batch loads; BytesRead totals their sizes.
 	Reads     int64
 	BytesRead int64
@@ -95,12 +91,11 @@ type Store struct {
 
 	shards []*shard
 	disk   *disk
-	policy EvictionPolicy
 
 	resident []formats.CompressedMatrix // nil for spilled batches
 	labels   [][]float64
 	spans    []span  // zero length for resident batches
-	sizes    []int64 // compressed size per batch (policy input)
+	sizes    []int64 // compressed size per batch, as the manifest records it
 
 	// resSpans holds the backup spans WriteManifest appends for
 	// resident batches so a restarted process can rebuild them from the
@@ -127,14 +122,37 @@ type Store struct {
 	jitter *rand.Rand // seeded backoff-jitter stream (see RetryPolicy)
 }
 
-// storeConfig collects NewStore options.
+// storeConfig collects NewStore and OpenStore options.
 type storeConfig struct {
 	shards    int
 	dirs      []string
 	bandwidth int64
 	latency   time.Duration
-	policy    EvictionPolicy
 	retry     RetryPolicy
+}
+
+// resolveOptions applies opts over the defaults.
+func resolveOptions(opts []Option) storeConfig {
+	cfg := storeConfig{retry: DefaultRetryPolicy()}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	cfg.retry.Attempts = max(cfg.retry.Attempts, 1)
+	return cfg
+}
+
+// newStore is the construction NewStore and OpenStore share: a store for
+// method over shards, with the disk model and retry policy of cfg.
+func (cfg storeConfig) newStore(method string, codec formats.Codec, budget int64, shards []*shard) *Store {
+	return &Store{
+		method: method,
+		codec:  codec,
+		budget: budget,
+		shards: shards,
+		disk:   newDisk(shards, cfg.bandwidth, cfg.latency),
+		retry:  cfg.retry,
+		jitter: rand.New(rand.NewSource(cfg.retry.Seed)),
+	}
 }
 
 // Option configures a Store at construction.
@@ -156,8 +174,12 @@ func WithShardDirs(dirs ...string) Option {
 	return func(c *storeConfig) { c.dirs = append([]string(nil), dirs...) }
 }
 
-// WithReadBandwidth sets the simulated read bandwidth at construction
-// (equivalent to SetReadBandwidth, but racing nothing by construction).
+// WithReadBandwidth simulates storage devices of the given read
+// bandwidth (bytes per second). The paper's large datasets live on
+// actual cloud disks (~100-200 MB/s); at laptop scale the OS page cache
+// would otherwise hide the IO cost this repository needs to reproduce.
+// Zero disables throttling. The bandwidth is an aggregate cap per device
+// (directory): concurrent readers share it, they do not multiply it.
 func WithReadBandwidth(bytesPerSec int64) Option {
 	return func(c *storeConfig) { c.bandwidth = bytesPerSec }
 }
@@ -168,11 +190,6 @@ func WithReadBandwidth(bytesPerSec int64) Option {
 // shards.
 func WithAccessLatency(d time.Duration) Option {
 	return func(c *storeConfig) { c.latency = d }
-}
-
-// WithEviction selects the residency policy (default FirstFit).
-func WithEviction(p EvictionPolicy) Option {
-	return func(c *storeConfig) { c.policy = p }
 }
 
 // NewStore creates a store for the given scheme. budgetBytes bounds the
@@ -187,13 +204,7 @@ func NewStore(dir, method string, budgetBytes int64, opts ...Option) (*Store, er
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown method %q", method)
 	}
-	cfg := storeConfig{policy: FirstFit(), retry: DefaultRetryPolicy()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.retry.Attempts < 1 {
-		cfg.retry.Attempts = 1
-	}
+	cfg := resolveOptions(opts)
 	if len(cfg.dirs) == 0 {
 		cfg.dirs = []string{dir}
 	}
@@ -202,26 +213,15 @@ func NewStore(dir, method string, budgetBytes int64, opts ...Option) (*Store, er
 	if cfg.shards <= 0 {
 		cfg.shards = len(cfg.dirs)
 	}
-	if cfg.policy == nil {
-		cfg.policy = FirstFit()
-	}
-	s := &Store{
-		method: method,
-		codec:  codec,
-		budget: budgetBytes,
-		policy: cfg.policy,
-		retry:  cfg.retry,
-		jitter: rand.New(rand.NewSource(cfg.retry.Seed)),
-	}
-	for i := 0; i < cfg.shards; i++ {
+	shards := make([]*shard, cfg.shards)
+	for i := range shards {
 		d := cfg.dirs[i%len(cfg.dirs)]
 		if d != "" {
 			d = filepath.Clean(d)
 		}
-		s.shards = append(s.shards, &shard{dir: d})
+		shards[i] = &shard{dir: d}
 	}
-	s.disk = newDisk(s.shards, cfg.bandwidth, cfg.latency)
-	return s, nil
+	return cfg.newStore(method, codec, budgetBytes, shards), nil
 }
 
 // Method returns the scheme name this store encodes with.
@@ -240,40 +240,12 @@ func (s *Store) ShardBytes() []int64 {
 	return out
 }
 
-// EvictionPolicyName returns the active residency policy's name.
-func (s *Store) EvictionPolicyName() string { return s.policy.Name() }
-
-// SetUpcomingOrder announces the visit order of the next training epoch
-// to an order-aware eviction policy (AccessOrder) — the same permutation
-// the engine hands the Prefetcher via SetOrder/SetNextOrder. It must be
-// called before the Add calls whose admission it should steer; policies
-// that do not rank by access order ignore it.
-func (s *Store) SetUpcomingOrder(order []int) {
-	if oa, ok := s.policy.(OrderAware); ok {
-		oa.SetUpcomingOrder(order)
-	}
-}
-
-// SetReadBandwidth simulates storage devices of the given read bandwidth
-// (bytes per second). The paper's large datasets live on actual cloud
-// disks (~100-200 MB/s); at laptop scale the OS page cache would
-// otherwise hide the IO cost this repository needs to reproduce. Zero
-// disables throttling. The bandwidth is an aggregate cap per device
-// (directory): concurrent readers share it, they do not multiply it.
-//
-// Safe to call concurrently with Batch.
-func (s *Store) SetReadBandwidth(bytesPerSec int64) { s.disk.bandwidth.Store(bytesPerSec) }
-
-// SetAccessLatency sets the simulated per-read access latency. Safe to
-// call concurrently with Batch.
-func (s *Store) SetAccessLatency(d time.Duration) { s.disk.latency.Store(int64(d)) }
-
 // Encode compresses a dense mini-batch with this store's codec; it is the
 // formats.Encoder the engine's parallel ingest shards across workers.
 func (s *Store) Encode(x *matrix.Dense) formats.CompressedMatrix { return s.codec.Encode(x) }
 
 // Add encodes a dense mini-batch and places it in memory or on disk
-// according to the remaining budget and the eviction policy.
+// according to the remaining budget.
 func (s *Store) Add(x *matrix.Dense, y []float64) error {
 	if x.Rows() != len(y) {
 		return fmt.Errorf("storage: batch has %d rows but %d labels", x.Rows(), len(y))
@@ -282,21 +254,19 @@ func (s *Store) Add(x *matrix.Dense, y []float64) error {
 }
 
 // AddCompressed places an already-encoded mini-batch (produced by this
-// store's Encode, possibly on another goroutine) in memory or on disk
-// according to the remaining budget and the eviction policy; admitting it
-// may displace lower-value residents to disk. Add calls must not race
-// with Batch.
+// store's Encode, possibly on another goroutine) in memory or on disk: it
+// stays resident iff it fits the budget left by the batches before it,
+// and a resident batch is never displaced. Add calls must not race with
+// Batch.
 func (s *Store) AddCompressed(c formats.CompressedMatrix, y []float64) error {
 	if c.Rows() != len(y) {
 		return fmt.Errorf("storage: batch has %d rows but %d labels", c.Rows(), len(y))
 	}
-	idx := len(s.resident)
 	size := int64(c.CompressedSize())
-	admit, err := s.admit(idx, size)
-	if err != nil {
-		return err
-	}
-	if admit {
+	s.mu.Lock()
+	fits := s.stats.ResidentBytes+size <= s.budget
+	s.mu.Unlock()
+	if fits {
 		s.labels = append(s.labels, append([]float64(nil), y...))
 		s.resident = append(s.resident, c)
 		s.spans = append(s.spans, span{})
@@ -319,82 +289,6 @@ func (s *Store) AddCompressed(c formats.CompressedMatrix, y []float64) error {
 	s.stats.SpilledBatches++
 	s.stats.SpilledBytes += sp.length
 	s.mu.Unlock()
-	return nil
-}
-
-// admit decides whether the incoming batch (idx, size) stays resident,
-// evicting lower-value residents to disk if that frees enough budget.
-func (s *Store) admit(idx int, size int64) (bool, error) {
-	// Snapshot the resident-byte level once; it cannot change until the
-	// evictions this call itself performs, which happen after need is
-	// computed from the same snapshot.
-	s.mu.Lock()
-	residentBytes := s.stats.ResidentBytes
-	s.mu.Unlock()
-	if residentBytes+size <= s.budget {
-		return true, nil
-	}
-	// First-fit can never evict (the incoming batch always scores lowest),
-	// so skip the candidate scan and keep the historical O(1) spill path.
-	if _, ok := s.policy.(firstFit); ok {
-		return false, nil
-	}
-	vNew := s.policy.Value(idx, size)
-	type cand struct {
-		i    int
-		size int64
-		v    float64
-	}
-	var cands []cand
-	for i, c := range s.resident {
-		if c == nil {
-			continue
-		}
-		if v := s.policy.Value(i, s.sizes[i]); v < vNew {
-			cands = append(cands, cand{i: i, size: s.sizes[i], v: v})
-		}
-	}
-	// Cheapest victims first; ties broken toward evicting the later
-	// arrival, so equal-value layouts stay first-fit-stable.
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].v != cands[b].v {
-			return cands[a].v < cands[b].v
-		}
-		return cands[a].i > cands[b].i
-	})
-	need := residentBytes + size - s.budget
-	var freed int64
-	k := 0
-	for k < len(cands) && freed < need {
-		freed += cands[k].size
-		k++
-	}
-	if freed < need {
-		return false, nil
-	}
-	for _, v := range cands[:k] {
-		if err := s.evict(v.i); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// evict moves resident batch i to disk.
-func (s *Store) evict(i int) error {
-	sp, err := s.spill(s.resident[i].Serialize())
-	if err != nil {
-		return fmt.Errorf("storage: evict batch %d: %w", i, err)
-	}
-	s.mu.Lock()
-	s.stats.ResidentBatches--
-	s.stats.ResidentBytes -= s.sizes[i]
-	s.stats.SpilledBatches++
-	s.stats.SpilledBytes += sp.length
-	s.stats.Evictions++
-	s.mu.Unlock()
-	s.resident[i] = nil
-	s.spans[i] = sp
 	return nil
 }
 

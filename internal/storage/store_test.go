@@ -302,3 +302,53 @@ func TestTrainingThroughSpillMatchesMemory(t *testing.T) {
 		t.Fatal("spilled training should have counted reads")
 	}
 }
+
+// denBatch builds a rows×4 dense batch; with the DEN codec its compressed
+// size is a deterministic function of the shape alone, which makes
+// residency traces exact.
+func denBatch(rows int) (*matrix.Dense, []float64) {
+	x := matrix.NewDense(rows, 4)
+	for i := 0; i < rows; i++ {
+		x.Set(i, i%4, float64(i+1))
+	}
+	return x, make([]float64, rows)
+}
+
+// residency reports which batches are resident, as a bitmap string.
+func residency(s *Store) string {
+	out := make([]byte, s.NumBatches())
+	for i := range out {
+		if s.Resident(i) {
+			out[i] = 'R'
+		} else {
+			out[i] = 'S'
+		}
+	}
+	return string(out)
+}
+
+// A batch is resident iff it fits the budget left when it arrives, and a
+// resident batch is never displaced: the big first arrival keeps its
+// slot, and the smalls after it spill although two of them would fit
+// where it sits.
+func TestEvictionFirstFitTrace(t *testing.T) {
+	x, _ := denBatch(20)
+	big := int64(formats.MustGet("DEN")(x).CompressedSize())
+	s, err := NewStore(t.TempDir(), "DEN", big+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, rows := range []int{20, 6, 6} {
+		x, y := denBatch(rows)
+		if err := s.Add(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := residency(s); got != "RSS" {
+		t.Fatalf("residency = %s, want RSS", got)
+	}
+	if st := s.Stats(); st.ResidentBytes != big || st.SpilledBatches != 2 {
+		t.Fatalf("layout: %+v", st)
+	}
+}

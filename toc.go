@@ -186,38 +186,21 @@ func Train(m Model, src BatchSource, epochs int, lr float64, cb ml.EpochCallback
 // EvaluateError returns a model's error rate over a batch source.
 func EvaluateError(m Model, src BatchSource) float64 { return ml.EvaluateError(m, src) }
 
-// GradModel, SnapshotModel and KernelParallel are Model. They name the
-// slices of the contract that used to be separate interfaces — the
-// separable gradient/update (NumParams, Grad, ApplyGrad), the flat
-// parameter vector (Params, SetParams, Clone) and the SetKernelWorkers
-// knob — and stay as aliases so existing signatures keep compiling.
-type (
-	GradModel      = Model
-	SnapshotModel  = Model
-	KernelParallel = Model
-)
-
 // Engine is the concurrent mini-batch training engine: it shards
 // compression across a worker pool, runs data-parallel MGD with
 // deterministic batch-order gradient merging (the trajectory is identical
 // for any worker count), routes workers left over after the group's slots
-// into the matrix kernels inside each gradient, and keeps the spill
-// prefetcher aimed at the upcoming batches — including across shuffled
-// epoch boundaries.
+// into the matrix kernels inside each gradient, and sizes the spill
+// prefetcher that reads ahead of the batches each epoch visits in ingest
+// order.
 type Engine = engine.Engine
 
-// EngineConfig sizes the engine: Workers, GroupSize, Seed, Shuffle.
+// EngineConfig sizes the engine: Workers, GroupSize, Seed, and the
+// checkpoint and step-observer hooks.
 type EngineConfig = engine.Config
 
 // NewEngine builds a concurrent training engine.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
-
-// TrainParallel runs data-parallel MGD across workers goroutines: each
-// step's mini-batch gradients are computed concurrently against frozen
-// parameters and merged deterministically before one update.
-func TrainParallel(m Model, src BatchSource, epochs int, lr float64, workers int, cb ml.EpochCallback) *TrainResult {
-	return engine.New(engine.Config{Workers: workers}).Train(m, src, epochs, lr, cb)
-}
 
 // AsyncEngine is the asynchronous bounded-staleness training engine, the
 // alternative to Engine's synchronous group steps: workers take batch
@@ -230,7 +213,9 @@ func TrainParallel(m Model, src BatchSource, epochs int, lr float64, workers int
 // stalls another worker's compute.
 type AsyncEngine = engine.Async
 
-// AsyncConfig sizes the async engine: Workers, Staleness, Seed, Shuffle.
+// AsyncConfig sizes the async engine: Workers, Staleness, Seed,
+// Deterministic, the restart budget, and the checkpoint and step-observer
+// hooks.
 type AsyncConfig = engine.AsyncConfig
 
 // AsyncStats reports an async run's applied updates, staleness-rejected
@@ -266,41 +251,17 @@ func TrainAsync(m Model, src BatchSource, epochs int, lr float64, workers, stale
 
 // Store is a memory-budgeted mini-batch store: batches beyond the budget
 // spill to disk and are re-read every epoch, reproducing the paper's
-// out-of-core training regime. The spill side is sharded across N files
-// (optionally N directories, modeling N devices), its residency is a
-// pluggable eviction policy, and its reads are paced by one simulated
-// disk model: read bandwidth is an aggregate cap per directory and the
-// access latency serializes per shard — see the StoreOption constructors.
+// out-of-core training regime. A batch stays resident iff it fits the
+// budget left when it arrives. The spill side is sharded across N files
+// (optionally N directories, modeling N devices), and its reads are paced
+// by one simulated disk model: read bandwidth is an aggregate cap per
+// directory and the access latency serializes per shard — see the
+// StoreOption constructors.
 type Store = storage.Store
 
 // StoreOption configures a Store at construction (shard count, shard
-// directories, simulated bandwidth and latency, eviction policy, ...).
+// directories, simulated bandwidth and latency, read retries).
 type StoreOption = storage.Option
-
-// EvictionPolicy decides which batches stay resident when the store's
-// memory budget overflows during ingest; see FirstFitPolicy,
-// LargestFirstPolicy and AccessOrderPolicy.
-type EvictionPolicy = storage.EvictionPolicy
-
-// FirstFitPolicy admits batches in arrival order until the budget is
-// exhausted and never evicts — the historical residency behavior.
-func FirstFitPolicy() EvictionPolicy { return storage.FirstFit() }
-
-// LargestFirstPolicy keeps the smallest compressed batches resident,
-// minimizing the number of spilled reads per epoch (the dominant cost on
-// seek-bound devices).
-func LargestFirstPolicy() EvictionPolicy { return storage.LargestFirst() }
-
-// AccessOrderPolicy is the Belady-style policy: batches visited earliest
-// in the announced epoch order (Store.SetUpcomingOrder; the engine's
-// FillStore announces it automatically) stay resident.
-func AccessOrderPolicy() EvictionPolicy { return storage.AccessOrder() }
-
-// NewEvictionPolicy resolves a flag value ("first-fit", "largest-first",
-// "access-order") to a fresh policy.
-func NewEvictionPolicy(name string) (EvictionPolicy, error) {
-	return storage.NewEvictionPolicy(name)
-}
 
 // WithShards spreads the store's spill across n files; placement balances
 // bytes and the prefetcher reads distinct shards concurrently.
@@ -322,9 +283,6 @@ func WithReadBandwidth(bytesPerSec int64) StoreOption {
 // serializes within a shard and overlaps across shards.
 func WithAccessLatency(d time.Duration) StoreOption { return storage.WithAccessLatency(d) }
 
-// WithEviction selects the store's residency policy (default first-fit).
-func WithEviction(p EvictionPolicy) StoreOption { return storage.WithEviction(p) }
-
 // RetryPolicy bounds how a Store retries transient spilled-read
 // failures: Attempts tries total, exponential backoff from Base capped
 // at Max, with deterministic Seed-driven jitter.
@@ -342,14 +300,15 @@ type ReadError = storage.ReadError
 
 // NewStore creates a store holding batches encoded with method under a
 // resident-bytes budget; dir "" uses the OS temp dir. Options configure
-// spill sharding, the disk model and the eviction policy.
+// spill sharding, the disk model and the read retries.
 func NewStore(dir, method string, budgetBytes int64, opts ...StoreOption) (*Store, error) {
 	return storage.NewStore(dir, method, budgetBytes, opts...)
 }
 
 // Prefetcher reads spilled batches ahead of the training loop so their IO
 // and wire decoding overlap compute instead of sitting on the critical
-// path. It is a BatchSource; the engine feeds it each epoch's visit order.
+// path. It is a BatchSource that reads ahead in ingest order, the order
+// every epoch visits.
 // Its reader pool is split across the store's spill shards, so sharded
 // stores serve truly concurrent reads.
 type Prefetcher = storage.Prefetcher
@@ -380,8 +339,8 @@ func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefet
 // ---- Fault tolerance: checkpoint/resume and crash-safe spill recovery ----
 
 // CheckpointState is one versioned, CRC-guarded training snapshot: model
-// parameters, optimizer schedule position, epoch permutation cursor and
-// (async) update clock plus staleness frontier. A run resumed from it
+// parameters, schedule position (epoch, batch position and, async, the
+// update clock) and staleness frontier. A run resumed from it
 // reproduces the uninterrupted run's trajectory bitwise for every
 // deterministic configuration (sync engine, async staleness 0, async
 // Deterministic mode).
@@ -400,9 +359,6 @@ func NewCheckpointWriter(dir string) (*CheckpointWriter, error) { return checkpo
 // checkpoint is an error — never a silent fallback to an older one. When
 // dir holds no checkpoints the error wraps os.ErrNotExist.
 func LatestCheckpoint(dir string) (*CheckpointState, error) { return checkpoint.Latest(dir) }
-
-// LoadCheckpoint loads one checkpoint file, verifying its CRC.
-func LoadCheckpoint(path string) (*CheckpointState, error) { return checkpoint.Load(path) }
 
 // ErrHalted is returned by the engines' TrainFrom when Halt stopped the
 // run after writing a final checkpoint.
@@ -434,8 +390,8 @@ func ArmFaultpoints(spec string) error { return faultpoint.ArmSpec(spec) }
 type DistServer = dist.Server
 
 // DistServerConfig sizes a parameter-server run: schedule (Epochs,
-// NumBatches, Seed, Shuffle), learning rate, staleness bound, gradient
-// codec, simulated link, and checkpoint/resume.
+// NumBatches, Seed), learning rate, staleness bound, gradient codec,
+// simulated link, and checkpoint/resume.
 type DistServerConfig = dist.ServerConfig
 
 // DistServerStats counts a distributed run: applied/rejected/duplicate
