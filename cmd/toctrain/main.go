@@ -22,13 +22,14 @@
 // a shard and overlaps across shards, and -prefetch-bytes bounds the
 // prefetch window by compressed bytes.
 //
-// With -workers N (N != 1) the concurrent engine takes over: ingest
-// compression is sharded across the pool, training is data-parallel with
-// deterministic gradient merging, and spilled batches are read by the
-// async prefetcher ahead of the loop. Engine mode merges -group batch
-// gradients per parameter update, so its loss trajectory differs from the
-// serial per-batch schedule (it depends on -group, never on -workers);
-// -group 1 reproduces the serial trajectory exactly. Workers left over
+// Every local run goes through an engine: ingest compression is sharded
+// across the pool, training is data-parallel with deterministic gradient
+// merging, and spilled batches are read by the async prefetcher ahead of
+// the loop. -workers 1 runs the serial schedule, one batch gradient per
+// parameter update, with or without -checkpoint-dir. With -workers N
+// (N != 1) the engine merges -group batch gradients per update, so its
+// loss trajectory differs from the serial one (it depends on -group,
+// never on -workers); -group 1 reproduces it exactly. Workers left over
 // after the group's slots shard the matrix kernels inside each gradient
 // — A·M and M·A split by panel run, bitwise identical to the sequential
 // ones — and the vector kernels A·v and v·A never shard, so "-workers 8
@@ -49,8 +50,8 @@
 // The async pool is elastic and fault tolerant: -elastic applies a
 // join/leave schedule ("200:+4,500:-2" adds four workers after 200
 // updates and removes two after 500; such runs use delayed gradients so
-// the schedule never changes the trajectory), a supervisor replaces
-// crashed workers within -restart-budget replacements per
+// the schedule never changes the trajectory), crashed workers are
+// replaced within -restart-budget replacements per
 // -restart-window (degrading the pool past it, failing loudly with the
 // panic chain once no workers remain), and spilled-batch reads retry
 // transient failures with -read-retries attempts backing off from
@@ -78,6 +79,50 @@ import (
 	"toc"
 )
 
+var (
+	dataset    = flag.String("dataset", "census", "dataset name")
+	rows       = flag.Int("rows", 4000, "dataset rows")
+	modelName  = flag.String("model", "lr", "model: linreg, lr, svm, nn")
+	method     = flag.String("method", "TOC", "mini-batch encoding method")
+	batchSize  = flag.Int("batch", 250, "mini-batch rows")
+	epochs     = flag.Int("epochs", 5, "training epochs")
+	lr         = flag.Float64("lr", 0.3, "learning rate")
+	budget     = flag.Int64("budget", 0, "memory budget bytes (0 = unlimited)")
+	bandwidth  = flag.Int64("bw", 150<<20, "simulated disk read bandwidth bytes/s, an aggregate cap per spill directory (0 = unthrottled)")
+	seed       = flag.Int64("seed", 1, "random seed")
+	hidden     = flag.Float64("hidden", 0.25, "NN hidden layer scale (1.0 = paper's 200/50)")
+	workers    = flag.Int("workers", 1, "worker pool size; 1 runs the serial schedule (0 = GOMAXPROCS)")
+	prefetch   = flag.Int("prefetch", 16, "spill prefetch window depth in batches")
+	prefBytes  = flag.Int64("prefetch-bytes", 0, "bound the prefetch window by compressed bytes instead of only batch count (0 = off)")
+	group      = flag.Int("group", 8, "with -workers != 1: batch gradients merged per update; changes the update schedule vs serial (1 = serial-equivalent trajectory, with all workers sharding each gradient's matrix kernels: -model nn only)")
+	async      = flag.Bool("async", false, "train with the asynchronous bounded-staleness engine instead of synchronous group steps")
+	staleness  = flag.Int("staleness", 8, "async mode: max parameter updates a gradient's snapshot may miss (0 = bitwise-serial trajectory, -1 = unbounded Hogwild-style free-running)")
+	elastic    = flag.String("elastic", "", "async mode: worker join/leave schedule as step:±delta pairs, e.g. 200:+4,500:-2")
+	restartBud = flag.Int("restart-budget", 0, "async mode: crashed-worker replacements allowed per -restart-window (0 = default, negative = never replace)")
+	restartWin = flag.Duration("restart-window", 0, "async mode: sliding window the restart budget counts replacements in (0 = default)")
+	readRetry  = flag.Int("read-retries", 0, "spilled-read attempts before a read fails permanently (0 = store default)")
+	retryBase  = flag.Duration("retry-base", 0, "initial spilled-read retry backoff, doubled per attempt with seeded jitter (0 = store default)")
+	spillShard = flag.Int("spill-shards", 0, "number of spill files, read concurrently by the prefetcher (0 = one, or one per -spill-dirs entry)")
+	spillDirs  = flag.String("spill-dirs", "", "comma-separated directories for spill shards (models distinct devices)")
+	seek       = flag.Duration("seek", 0, "simulated per-read access latency (e.g. 2ms; serialized per shard, overlapped across shards)")
+	ckptDir    = flag.String("checkpoint-dir", "", "write crash-safe training checkpoints (and the spill-store manifest) into this directory")
+	ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in parameter updates (0 = once per epoch)")
+	resumeRun  = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir, recovering the spill store from its manifest instead of re-ingesting")
+	faults     = flag.String("faultpoint", "", "arm fault-injection points, e.g. checkpoint.rename=crash:2 (testing only)")
+	distN      = flag.Int("dist", 0, "run distributed: N trainer processes exchanging compressed gradients with a parameter server over loopback TCP (uses -staleness as the admission bound)")
+	codecSpec  = flag.String("codec", "dense", "dist mode: gradient codec — dense, topk:<ratio> or dsq:<bits>")
+	linkMbps   = flag.Float64("link-mbps", 0, "dist mode: simulated symmetric link bandwidth in Mbit/s (0 = unmetered)")
+)
+
+// frontEnd is what a local run needs of its engine; toc.Engine and
+// toc.AsyncEngine both provide it.
+type frontEnd interface {
+	FillStore(st *toc.Store, d *toc.Dataset, batchSize int) error
+	NewPrefetcher(st *toc.Store, depth int, maxBytes int64) *toc.Prefetcher
+	TrainFrom(m toc.Model, src toc.BatchSource, epochs int, lr float64, cb toc.EpochCallback, resume *toc.CheckpointState) (*toc.TrainResult, error)
+	Halt()
+}
+
 // paramsCRC fingerprints a model's flat parameter vector so two runs can
 // be compared for bitwise identity from their output alone.
 func paramsCRC(m toc.Model) uint32 {
@@ -90,43 +135,45 @@ func paramsCRC(m toc.Model) uint32 {
 	return crc32.ChecksumIEEE(buf)
 }
 
-// distConfig carries the flag values the distributed mode needs.
-type distConfig struct {
-	d          *toc.Dataset
-	n          int
-	codecSpec  string
-	linkMbps   float64
-	modelName  string
-	method     string
-	batchSize  int
-	epochs     int
-	lr, hidden float64
-	seed       int64
-	staleness  int
-	ckpt       *toc.CheckpointWriter
-	ckptEvery  int
-	resume     *toc.CheckpointState
-	ckptDir    string
+// haltOnSignal makes SIGINT/SIGTERM halt the run after the in-flight
+// update: a final checkpoint is written synchronously, so a later -resume
+// continues the exact trajectory.
+func haltOnSignal(halt func()) {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigs
+		log.Print("signal received: halting after the in-flight update")
+		halt()
+	}()
+}
+
+// finishHalted flushes the final checkpoint of a halted run.
+func finishHalted(ckpt *toc.CheckpointWriter) {
+	if err := ckpt.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("halted: final checkpoint in %s; rerun with -resume to continue\n", *ckptDir)
 }
 
 // runDist trains with the parameter-server stack: one DistServer owns
 // the model and N trainers exchange codec-compressed gradients with it
 // over loopback TCP — the full net/rpc wire path, in one process.
-func runDist(cfg distConfig) {
-	codec, err := toc.ParseGradCodec(cfg.codecSpec, cfg.seed)
+func runDist(d *toc.Dataset, ckpt *toc.CheckpointWriter, resume *toc.CheckpointState) {
+	codec, err := toc.ParseGradCodec(*codecSpec, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := toc.NewModel(cfg.modelName, cfg.d.X.Cols(), cfg.d.Classes, cfg.hidden, cfg.seed+7)
+	model, err := toc.NewModel(*modelName, d.X.Cols(), d.Classes, *hidden, *seed+7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	src := toc.NewMemorySource(cfg.d, cfg.batchSize, cfg.method)
-	link := toc.NewDistLinkMbps(cfg.linkMbps)
+	src := toc.NewMemorySource(d, *batchSize, *method)
+	link := toc.NewDistLinkMbps(*linkMbps)
 	srv, err := toc.NewDistServer(toc.DistServerConfig{
-		Epochs: cfg.epochs, NumBatches: src.NumBatches(), LR: cfg.lr,
-		Seed: cfg.seed, Staleness: cfg.staleness, Codec: codec, Link: link,
-		Checkpoint: cfg.ckpt, CheckpointEvery: cfg.ckptEvery, Resume: cfg.resume,
+		Epochs: *epochs, NumBatches: src.NumBatches(), LR: *lr,
+		Seed: *seed, Staleness: *staleness, Codec: codec, Link: link,
+		Checkpoint: ckpt, CheckpointEvery: *ckptEvery, Resume: resume,
 	}, model)
 	if err != nil {
 		log.Fatal(err)
@@ -136,34 +183,28 @@ func runDist(cfg distConfig) {
 		log.Fatal(err)
 	}
 	go srv.Serve(ln)
-	if cfg.ckpt != nil {
-		sigs := make(chan os.Signal, 1)
-		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigs
-			log.Print("signal received: halting after the in-flight updates")
-			srv.Halt()
-		}()
+	if ckpt != nil {
+		haltOnSignal(srv.Halt)
 	}
 
 	bound := "unbounded"
-	if cfg.staleness >= 0 {
-		bound = fmt.Sprint(cfg.staleness)
+	if *staleness >= 0 {
+		bound = fmt.Sprint(*staleness)
 	}
 	linkDesc := "unmetered link"
 	if link != nil {
-		linkDesc = fmt.Sprintf("%.0f Mbit/s link", cfg.linkMbps)
+		linkDesc = fmt.Sprintf("%.0f Mbit/s link", *linkMbps)
 	}
 	fmt.Printf("dist: %d trainers, codec %s, staleness %s, %s, %d batches/epoch\n",
-		cfg.n, codec.Name(), bound, linkDesc, src.NumBatches())
+		*distN, codec.Name(), bound, linkDesc, src.NumBatches())
 
 	// Trainers are goroutines dialing real TCP connections; a trainer
 	// model is a fresh clone (the Join handshake overwrites its
 	// parameters with the server image anyway).
-	errs := make([]error, cfg.n)
-	trainers := make([]*toc.DistTrainer, cfg.n)
+	errs := make([]error, *distN)
+	trainers := make([]*toc.DistTrainer, *distN)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.n; i++ {
+	for i := range trainers {
 		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			log.Fatal(err)
@@ -206,50 +247,13 @@ func runDist(cfg distConfig) {
 		res.Total.Seconds()*1e3, toc.EvaluateError(model, src))
 	fmt.Printf("final params crc32 %08x\n", paramsCRC(model))
 	if halted {
-		if err := cfg.ckpt.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("halted: final checkpoint in %s; rerun with -resume to continue\n", cfg.ckptDir)
+		finishHalted(ckpt)
 	}
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("toctrain: ")
-	var (
-		dataset    = flag.String("dataset", "census", "dataset name")
-		rows       = flag.Int("rows", 4000, "dataset rows")
-		modelName  = flag.String("model", "lr", "model: linreg, lr, svm, nn")
-		method     = flag.String("method", "TOC", "mini-batch encoding method")
-		batchSize  = flag.Int("batch", 250, "mini-batch rows")
-		epochs     = flag.Int("epochs", 5, "training epochs")
-		lr         = flag.Float64("lr", 0.3, "learning rate")
-		budget     = flag.Int64("budget", 0, "memory budget bytes (0 = unlimited)")
-		bandwidth  = flag.Int64("bw", 150<<20, "simulated disk read bandwidth bytes/s, an aggregate cap per spill directory (0 = unthrottled)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		hidden     = flag.Float64("hidden", 0.25, "NN hidden layer scale (1.0 = paper's 200/50)")
-		workers    = flag.Int("workers", 1, "worker pool size; != 1 enables the concurrent engine (0 = GOMAXPROCS)")
-		prefetch   = flag.Int("prefetch", 16, "spill prefetch window depth in batches (engine mode)")
-		prefBytes  = flag.Int64("prefetch-bytes", 0, "bound the prefetch window by compressed bytes instead of only batch count (0 = off)")
-		group      = flag.Int("group", 8, "engine mode: batch gradients merged per update; changes the update schedule vs serial (1 = serial-equivalent trajectory, with all workers sharding each gradient's matrix kernels: -model nn only)")
-		async      = flag.Bool("async", false, "train with the asynchronous bounded-staleness engine instead of synchronous group steps")
-		staleness  = flag.Int("staleness", 8, "async mode: max parameter updates a gradient's snapshot may miss (0 = bitwise-serial trajectory, -1 = unbounded Hogwild-style free-running)")
-		elastic    = flag.String("elastic", "", "async mode: worker join/leave schedule as step:±delta pairs, e.g. 200:+4,500:-2")
-		restartBud = flag.Int("restart-budget", 0, "async mode: crashed-worker replacements allowed per -restart-window (0 = default, negative = never replace)")
-		restartWin = flag.Duration("restart-window", 0, "async mode: sliding window the restart budget counts replacements in (0 = default)")
-		readRetry  = flag.Int("read-retries", 0, "spilled-read attempts before a read fails permanently (0 = store default)")
-		retryBase  = flag.Duration("retry-base", 0, "initial spilled-read retry backoff, doubled per attempt with seeded jitter (0 = store default)")
-		spillShard = flag.Int("spill-shards", 0, "number of spill files, read concurrently by the prefetcher (0 = one, or one per -spill-dirs entry)")
-		spillDirs  = flag.String("spill-dirs", "", "comma-separated directories for spill shards (models distinct devices)")
-		seek       = flag.Duration("seek", 0, "simulated per-read access latency (e.g. 2ms; serialized per shard, overlapped across shards)")
-		ckptDir    = flag.String("checkpoint-dir", "", "write crash-safe training checkpoints (and the spill-store manifest) into this directory")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in parameter updates (0 = once per epoch)")
-		resumeRun  = flag.Bool("resume", false, "resume from the newest checkpoint in -checkpoint-dir, recovering the spill store from its manifest instead of re-ingesting")
-		faults     = flag.String("faultpoint", "", "arm fault-injection points, e.g. checkpoint.rename=crash:2 (testing only)")
-		distN      = flag.Int("dist", 0, "run distributed: N trainer processes exchanging compressed gradients with a parameter server over loopback TCP (uses -staleness as the admission bound)")
-		codecSpec  = flag.String("codec", "dense", "dist mode: gradient codec — dense, topk:<ratio> or dsq:<bits>")
-		linkMbps   = flag.Float64("link-mbps", 0, "dist mode: simulated symmetric link bandwidth in Mbit/s (0 = unmetered)")
-	)
 	flag.Parse()
 	if *faults != "" {
 		if err := toc.ArmFaultpoints(*faults); err != nil {
@@ -337,13 +341,7 @@ func main() {
 	}
 
 	if *distN > 0 {
-		runDist(distConfig{
-			d: d, n: *distN, codecSpec: *codecSpec, linkMbps: *linkMbps,
-			modelName: *modelName, method: *method, batchSize: *batchSize,
-			epochs: *epochs, lr: *lr, hidden: *hidden, seed: *seed,
-			staleness: *staleness, ckpt: ckpt, ckptEvery: *ckptEvery,
-			resume: resumeState, ckptDir: *ckptDir,
-		})
+		runDist(d, ckpt, resumeState)
 		return
 	}
 
@@ -369,8 +367,9 @@ func main() {
 	}
 	defer store.Close()
 
-	var eng *toc.Engine
+	var fe frontEnd
 	var aeng *toc.AsyncEngine
+	var header string
 	if *async {
 		aeng = toc.NewAsyncEngine(toc.AsyncConfig{
 			Workers: *workers, Staleness: *staleness, Seed: *seed,
@@ -381,31 +380,29 @@ func main() {
 		if len(elasticEvents) > 0 {
 			aeng.SetOnStep(aeng.ElasticHook(elasticEvents, nil))
 		}
-	} else if *workers != 1 || ckpt != nil {
-		// Checkpointing runs through the engine even single-threaded:
-		// the engine owns the resumable update schedule.
-		eng = toc.NewEngine(toc.EngineConfig{
-			Workers: *workers, GroupSize: *group, Seed: *seed,
+		bound := "unbounded"
+		if aeng.Staleness() >= 0 {
+			bound = fmt.Sprint(aeng.Staleness())
+		}
+		fe = aeng
+		header = fmt.Sprintf("async engine: %d workers, staleness %s, kernel workers %d",
+			aeng.Workers(), bound, aeng.KernelWorkers())
+	} else {
+		g := 1 // the serial schedule
+		if *workers != 1 {
+			g = *group
+		}
+		eng := toc.NewEngine(toc.EngineConfig{
+			Workers: *workers, GroupSize: g, Seed: *seed,
 			Checkpoint: ckpt, CheckpointEvery: *ckptEvery,
 		})
+		fe = eng
+		header = fmt.Sprintf("engine: %d workers, group %d, kernel workers %d",
+			eng.Workers(), eng.GroupSize(), eng.KernelWorkers(d.NumBatches(*batchSize)))
 	}
 	if !recovered {
-		switch {
-		case aeng != nil:
-			if err := aeng.FillStore(store, d, *batchSize); err != nil {
-				log.Fatal(err)
-			}
-		case eng != nil:
-			if err := eng.FillStore(store, d, *batchSize); err != nil {
-				log.Fatal(err)
-			}
-		default:
-			for i := 0; i < d.NumBatches(*batchSize); i++ {
-				x, y := d.Batch(i, *batchSize)
-				if err := store.Add(x, y); err != nil {
-					log.Fatal(err)
-				}
-			}
+		if err := fe.FillStore(store, d, *batchSize); err != nil {
+			log.Fatal(err)
 		}
 		if manifest != "" {
 			if err := store.WriteManifest(manifest); err != nil {
@@ -413,22 +410,8 @@ func main() {
 			}
 		}
 	}
-
-	// SIGINT/SIGTERM halt the run after the in-flight update: a final
-	// checkpoint is written synchronously, so a later -resume continues
-	// the exact trajectory.
 	if ckpt != nil {
-		sigs := make(chan os.Signal, 1)
-		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sigs
-			log.Print("signal received: halting after the in-flight update")
-			if aeng != nil {
-				aeng.Halt()
-			} else if eng != nil {
-				eng.Halt()
-			}
-		}()
+		haltOnSignal(fe.Halt)
 	}
 	st := store.Stats()
 	fmt.Printf("%s %dx%d as %s: %d batches, %d resident (%d KB), %d spilled (%d KB)\n",
@@ -443,30 +426,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	pf := fe.NewPrefetcher(store, *prefetch, *prefBytes)
+	defer pf.Close()
+	fmt.Printf("%s, prefetch depth %d (byte budget %d)\n", header, *prefetch, *prefBytes)
 	fmt.Println("epoch  loss      elapsed_ms")
 	cb := func(e int, elapsed time.Duration, loss float64) {
 		fmt.Printf("%5d  %.6f  %10.1f\n", e+1, loss, elapsed.Seconds()*1e3)
 	}
-	var res *toc.TrainResult
-	var pf *toc.Prefetcher
-	halted := false
 	treeBuilds := toc.DecodeTreeBuilds()
-	switch {
-	case aeng != nil:
-		pf = aeng.NewPrefetcher(store, *prefetch, *prefBytes)
-		defer pf.Close()
-		bound := "unbounded"
-		if aeng.Staleness() >= 0 {
-			bound = fmt.Sprint(aeng.Staleness())
-		}
-		fmt.Printf("async engine: %d workers, staleness %s, kernel workers %d, prefetch depth %d (byte budget %d)\n",
-			aeng.Workers(), bound, aeng.KernelWorkers(), *prefetch, *prefBytes)
-		res, err = aeng.TrainFrom(model, pf, *epochs, *lr, cb, resumeState)
-		if errors.Is(err, toc.ErrHalted) {
-			halted = true
-		} else if err != nil {
-			log.Fatal(err)
-		}
+	res, err := fe.TrainFrom(model, pf, *epochs, *lr, cb, resumeState)
+	halted := errors.Is(err, toc.ErrHalted)
+	if err != nil && !halted {
+		log.Fatal(err)
+	}
+	if aeng != nil {
 		as := aeng.Stats()
 		fmt.Printf("async: %d updates, %d rejected, staleness max %d mean %.2f\n",
 			as.Updates, as.Rejected, as.MaxStaleness, as.MeanStaleness())
@@ -475,19 +448,6 @@ func main() {
 			int64(aeng.Workers())+as.Joined-as.Departed-as.Degraded)
 		fmt.Printf("crash recovery: %d worker panics, %d restarts, %d degraded\n",
 			as.WorkerPanics, as.Restarts, as.Degraded)
-	case eng != nil:
-		pf = eng.NewPrefetcher(store, *prefetch, *prefBytes)
-		defer pf.Close()
-		fmt.Printf("engine: %d workers, group %d, kernel workers %d, prefetch depth %d (byte budget %d)\n",
-			eng.Workers(), eng.GroupSize(), eng.KernelWorkers(store.NumBatches()), *prefetch, *prefBytes)
-		res, err = eng.TrainFrom(model, pf, *epochs, *lr, cb, resumeState)
-		if errors.Is(err, toc.ErrHalted) {
-			halted = true
-		} else if err != nil {
-			log.Fatal(err)
-		}
-	default:
-		res = toc.Train(model, store, *epochs, *lr, cb)
 	}
 	treeBuilds = toc.DecodeTreeBuilds() - treeBuilds
 	st = store.Stats()
@@ -500,16 +460,11 @@ func main() {
 	}
 	fmt.Printf("decode-tree builds during training: %d (plan reuse: one per batch-gradient, not one per op)\n",
 		treeBuilds)
-	if pf != nil {
-		ps := pf.Stats()
-		fmt.Printf("prefetch: %d hits, %d misses, %d issued, stall %.1fms\n",
-			ps.Hits, ps.Misses, ps.Prefetched, ps.Stall.Seconds()*1e3)
-	}
+	ps := pf.Stats()
+	fmt.Printf("prefetch: %d hits, %d misses, %d issued, stall %.1fms\n",
+		ps.Hits, ps.Misses, ps.Prefetched, ps.Stall.Seconds()*1e3)
 	fmt.Printf("final params crc32 %08x\n", paramsCRC(model))
 	if halted {
-		if err := ckpt.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("halted: final checkpoint in %s; rerun with -resume to continue\n", *ckptDir)
+		finishHalted(ckpt)
 	}
 }

@@ -146,10 +146,12 @@ func TestDistSingleDenseMatchesAsyncCRC(t *testing.T) {
 	}
 }
 
-// The serial driver runs a step the way the engines do — one Grad, one
+// A -workers 1 run steps the way every engine does — one Grad, one
 // ApplyGrad — so multi-class LR (one-vs-rest, 10 per-class gradients on
 // mnist) builds each batch's decode tree once per step, not once per
-// class, and lands on the parameters of the engine at group 1.
+// class, and lands on the parameters of the engine at group 1. Turning on
+// checkpointing must not change the schedule: the checkpointed serial run
+// lands on the same parameters.
 func TestSerialOneVsRestBuildsOneTreePerStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -161,9 +163,14 @@ func TestSerialOneVsRestBuildsOneTreePerStep(t *testing.T) {
 	if want := "decode-tree builds during training: 8 ("; !strings.Contains(serial, want) {
 		t.Fatalf("serial run does not print %q:\n%s", want, serial)
 	}
+	sc := paramsCRCOf(t, serial)
 	engine := runToctrain(t, bin, append(args, "-workers", "2", "-group", "1")...)
-	if sc, ec := paramsCRCOf(t, serial), paramsCRCOf(t, engine); sc != ec {
+	if ec := paramsCRCOf(t, engine); sc != ec {
 		t.Fatalf("serial CRC %s, engine group-1 CRC %s (not bitwise identical)", sc, ec)
+	}
+	ckpt := runToctrain(t, bin, append(args, "-checkpoint-dir", t.TempDir())...)
+	if cc := paramsCRCOf(t, ckpt); sc != cc {
+		t.Fatalf("serial CRC %s, checkpointed serial CRC %s (checkpointing changed the schedule)", sc, cc)
 	}
 }
 

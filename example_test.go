@@ -74,12 +74,12 @@ func ExampleNewStore() {
 	// round trip: true [0 1]
 }
 
-// ExampleParallelOps plans a batch and shards the left-multiplication
-// kernel v·A across goroutines. Sharded kernels partition the accumulator
-// space instead of the rows, so the result is bitwise identical to the
-// sequential kernel for any worker count — which is why a kernel-parallel
-// training run walks exactly the sequential trajectory.
-func ExampleParallelOps() {
+// ExampleBatch_NewKernelPlan builds a batch's decode tree once and runs
+// the left-multiplication kernel v·A on it. The plan's v·A equals VecMul
+// bit for bit; the vector kernels ignore the workers argument (only the
+// matrix kernels A·M and M·A split across goroutines), so a planned
+// training step walks exactly the sequential trajectory.
+func ExampleBatch_NewKernelPlan() {
 	m := toc.NewDenseFromRows([][]float64{
 		{1.5, 2, 0, 3},
 		{1.5, 2, 0, 0},
@@ -88,13 +88,13 @@ func ExampleParallelOps() {
 	})
 	batch := toc.Compress(m)
 	v := []float64{0.5, -1, 2, 0.25}
-	seq := batch.VecMul(v) // v·A, one goroutine
+	seq := batch.VecMul(v) // v·A
 	plan := batch.NewKernelPlan()
-	par := plan.VecMulInto(nil, v, 8) // v·A, sharded over 8 goroutines
+	planned := plan.VecMulInto(nil, v, 8) // v·A on the plan; workers is ignored
 	plan.Release()
 	identical := true
 	for i := range seq {
-		identical = identical && seq[i] == par[i]
+		identical = identical && seq[i] == planned[i]
 	}
 	fmt.Println("v.A =", seq)
 	fmt.Println("bitwise identical:", identical)

@@ -60,21 +60,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if _, ok := GetCodec("TOC"); !ok {
 		t.Fatal("TOC codec missing")
 	}
-	// The parallel-kernel surface: TOC plans its batches, a plan's kernels
-	// shard, every model takes a kernel-worker knob, and none of it
-	// changes any result.
-	tc := Encode("TOC", a)
-	po, ok := tc.(ParallelOps)
-	if !ok {
-		t.Fatal("TOC should implement ParallelOps")
-	}
-	seq := tc.VecMul([]float64{1, -2, 3, 0.5})
-	var plan KernelPlan = po.NewKernelPlan()
-	par := plan.VecMulInto(nil, []float64{1, -2, 3, 0.5}, 4)
+	// The kernel-plan surface: a TOC batch plans its kernels, every model
+	// takes a kernel-worker knob, and none of it changes any result.
+	seq := b.VecMul([]float64{1, -2, 3, 0.5})
+	plan := b.NewKernelPlan()
+	planned := plan.VecMulInto(nil, []float64{1, -2, 3, 0.5}, 4)
 	plan.Release()
 	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("sharded VecMulInto diverges at %d: %v vs %v", i, par[i], seq[i])
+		if seq[i] != planned[i] {
+			t.Fatalf("planned VecMulInto diverges at %d: %v vs %v", i, planned[i], seq[i])
 		}
 	}
 	model.SetKernelWorkers(4)
@@ -98,7 +92,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pf := NewPrefetcher(sharded, 3, 2, WithPrefetchBytes(1<<20))
+	pf := NewEngine(EngineConfig{Workers: 2}).NewPrefetcher(sharded, 3, 1<<20)
 	defer pf.Close()
 	for i := 0; i < 4; i++ {
 		bx, _ := d.Batch(i, 50)
@@ -107,26 +101,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("sharded store batch %d round trip mismatch", i)
 		}
 	}
-	// The async surface: TrainAsync runs the bounded-staleness engine,
-	// and the staleness bound holds.
+	// The async surface: the bounded-staleness engine trains, and the
+	// staleness bound holds.
+	aeng := NewAsyncEngine(AsyncConfig{Workers: 4, Staleness: 2})
 	am, err := NewModel("lr", d.X.Cols(), d.Classes, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ares, err := TrainAsync(am, src, 4, 0.5, 4, 2, nil)
+	ares, err := aeng.Train(am, src, 2, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ares.EpochLoss) != 4 {
+	if len(ares.EpochLoss) != 2 {
 		t.Fatalf("async epochs = %d", len(ares.EpochLoss))
-	}
-	aeng := NewAsyncEngine(AsyncConfig{Workers: 4, Staleness: 2})
-	am2, err := NewModel("lr", d.X.Cols(), d.Classes, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := aeng.Train(am2, src, 2, 0.5, nil); err != nil {
-		t.Fatal(err)
 	}
 	if st := aeng.Stats(); st.MaxStaleness > 2 || st.Updates != int64(2*src.NumBatches()) {
 		t.Fatalf("async stats out of contract: %+v", st)

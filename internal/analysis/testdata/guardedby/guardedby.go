@@ -109,7 +109,7 @@ func (c *counter) unguardedAccess() {
 	c.unguarded++
 }
 
-// supervisor mirrors the async engine's crash-recovery loop: membership
+// supervisor is a channel-driven crash-recovery coordinator: membership
 // counters and the panic chain are locked per event — never across the
 // blocking channel operations — and spawned worker closures must take
 // the lock themselves because they outlive the spawning scope.

@@ -13,21 +13,18 @@ import (
 	"toc/internal/storage"
 )
 
-// Async is the bounded-staleness front end of Loop: a supervised, elastic
-// pool of workers, each computing on a private model clone refreshed from
+// Async is the bounded-staleness front end of Loop: an elastic,
+// crash-tolerant pool of workers, each computing on a private model clone refreshed from
 // the loop's versioned parameters, so one slow batch (a spill miss, a
 // skewed shard, a cold decode) delays only its own position's update.
 // Staleness 0 is the serial chain — bitwise the synchronous engine at
 // GroupSize 1 and serial ml.Train, for any worker count;
 // StalenessUnbounded free-runs Hogwild-style.
 type Async struct {
-	workers   int
-	staleness int
-	seed      int64
-	det       bool
-	ck        *checkpoint.Writer
-	ckEvery   int
-	onStep    func(step int64, loss float64)
+	workers int
+	// base is the loop every TrainFrom runs: kind, seed, staleness,
+	// delayed-gradient mode, window and the checkpoint and step hooks.
+	base LoopConfig
 
 	// restartBudget and restartWindow bound crash recovery: a worker
 	// panic is recovered and the worker replaced as long as fewer than
@@ -126,17 +123,16 @@ type AsyncConfig struct {
 }
 
 // AsyncStats describes one asynchronous training run: the loop's
-// admission counters plus the supervisor's membership accounting.
+// admission counters plus the pool's membership and crash accounting.
 type AsyncStats struct {
 	LoopStats
-	// WorkerPanics counts worker panics the supervisor recovered; each
-	// one's position was requeued and recomputed.
+	// WorkerPanics counts recovered worker panics; each one's position was
+	// requeued and recomputed.
 	WorkerPanics int64
-	// Restarts counts crashed workers the supervisor replaced within the
-	// restart budget.
+	// Restarts counts crashed workers replaced within the restart budget.
 	Restarts int64
-	// Degraded counts crashed workers the supervisor did not replace
-	// because the budget was exhausted — permanent pool shrinkage.
+	// Degraded counts crashed workers not replaced because the budget was
+	// exhausted — permanent pool shrinkage.
 	Degraded int64
 	// Joined and Departed count mid-run membership changes: workers
 	// added by AddWorkers and workers retired by RemoveWorkers.
@@ -158,23 +154,33 @@ func NewAsync(cfg AsyncConfig) *Async {
 		rw = DefaultRestartWindow
 	}
 	s := max(cfg.Staleness, StalenessUnbounded)
+	// The window bounds how many positions may be released but not yet
+	// applied: the staleness window when one is configured, and a
+	// resource ceiling (buffered gradients) either way.
+	window := 4*w + 4
+	if s >= 0 {
+		window = min(window, s+1)
+	}
 	return &Async{
-		workers: w, staleness: s, seed: cfg.Seed,
-		det:           cfg.Deterministic && s > 0,
+		workers: w,
+		base: LoopConfig{
+			Kind: checkpoint.KindAsync, Seed: cfg.Seed, Staleness: s,
+			Deterministic: cfg.Deterministic && s > 0, Window: window,
+			Checkpoint: cfg.Checkpoint, CheckpointEvery: cfg.CheckpointEvery, OnStep: cfg.OnStep,
+		},
 		restartBudget: max(rb, 0), restartWindow: rw,
-		ck: cfg.Checkpoint, ckEvery: cfg.CheckpointEvery, onStep: cfg.OnStep,
 	}
 }
 
 // Deterministic reports whether the engine runs in delayed-gradient
 // mode (see AsyncConfig.Deterministic; always false at staleness <= 0).
-func (a *Async) Deterministic() bool { return a.det }
+func (a *Async) Deterministic() bool { return a.base.Deterministic }
 
 // Workers returns the configured (initial) pool size.
 func (a *Async) Workers() int { return a.workers }
 
 // Staleness returns the configured bound (StalenessUnbounded = none).
-func (a *Async) Staleness() int { return a.staleness }
+func (a *Async) Staleness() int { return a.base.Staleness }
 
 // Stats returns the counters of the most recent Train run.
 func (a *Async) Stats() AsyncStats {
@@ -229,33 +235,38 @@ func (a *Async) AddWorkers(n int) int { return a.resize(n) }
 // retirements were actually granted — 0 when no run is active or n <= 0.
 func (a *Async) RemoveWorkers(n int) int { return a.resize(-n) }
 
-// resize relays a membership request to the active run's supervisor and
-// waits for its verdict.
+// resize applies a membership change to the active run: joins spawn
+// immediately (capped at maxLiveWorkers); departures retire the newest
+// workers, clamped so the pool keeps at least one.
 func (a *Async) resize(delta int) int {
 	run := a.running()
 	if delta == 0 || run == nil {
 		return 0
 	}
-	reply := make(chan int, 1)
-	select {
-	case run.ctl <- asyncCtl{delta: delta, reply: reply}:
-		// ctl is unbuffered: the supervisor has the request and always
-		// replies without blocking on anything but a lock.
-		return <-reply
-	case <-run.done:
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	if run.closed {
 		return 0
 	}
-}
-
-// inflightCap bounds how many positions may be released but not yet
-// applied — the loop's Window: the staleness window when one is
-// configured, and a resource ceiling (buffered gradients) either way.
-func (a *Async) inflightCap() int {
-	limit := 4*a.workers + 4
-	if a.staleness >= 0 {
-		limit = min(limit, a.staleness+1)
+	live := len(run.live)
+	if delta > 0 {
+		delta = max(0, min(delta, maxLiveWorkers-live))
+		for i := 0; i < delta; i++ {
+			a.spawnLocked(run)
+		}
+		run.stats.Joined += int64(delta)
+		return delta
 	}
-	return limit
+	n := min(-delta, live-1)
+	if n <= 0 {
+		return 0
+	}
+	for _, owner := range run.live[live-n:] {
+		run.loop.Retire(owner)
+	}
+	run.live = run.live[:live-n]
+	run.stats.Departed += int64(n)
+	return n
 }
 
 // KernelWorkers returns the goroutine count each in-flight gradient's
@@ -264,7 +275,7 @@ func (a *Async) inflightCap() int {
 // inside each gradient (staleness 0 puts the whole pool into the one
 // running gradient, mirroring the synchronous GroupSize-1 split).
 func (a *Async) KernelWorkers() int {
-	return max(1, a.workers/min(a.inflightCap(), a.workers))
+	return max(1, a.workers/min(a.base.Window, a.workers))
 }
 
 // NewPrefetcher sizes a spill prefetcher for asynchronous training the
@@ -272,7 +283,7 @@ func (a *Async) KernelWorkers() int {
 // two pipeline windows' worth of batches.
 func (a *Async) NewPrefetcher(st *storage.Store, depth int, maxBytes int64) *storage.Prefetcher {
 	if depth <= 0 {
-		depth = max(8, 2*a.inflightCap())
+		depth = max(8, 2*a.base.Window)
 	}
 	return newPrefetcher(st, depth, a.workers, maxBytes)
 }
@@ -285,49 +296,34 @@ func (a *Async) FillStore(st *storage.Store, d *data.Dataset, batchSize int) err
 }
 
 // asyncRun is the shared state of one TrainFrom call, kept off the Async
-// struct so Train stays reentrant.
+// struct so Train stays reentrant. Membership changes and crash recovery
+// are direct calls under mu; the lock order is mu, then the loop's lock.
 type asyncRun struct {
 	loop *Loop
 	src  ml.BatchSource
 	kw   int // kernel workers per clone
 	wg   sync.WaitGroup
 
-	// ctl carries AddWorkers/RemoveWorkers requests to the supervisor;
-	// unbuffered, so an accepted send guarantees a reply.
-	ctl    chan asyncCtl
-	events chan workerCrash // worker -> supervisor
-	done   chan struct{}    // closed once the loop has finished
-
 	mu sync.Mutex
 	//toc:guardedby mu
-	live []int // owner ids of the pool, oldest first (supervisor-maintained)
+	closed bool // the loop has finished: nothing spawns any more
+	//toc:guardedby mu
+	live []int // owner ids of the pool, oldest first
 	//toc:guardedby mu
 	chain []error // recovered worker panics, oldest first
 	//toc:guardedby mu
-	stats AsyncStats // the supervisor's share; LoopStats folded in at the end
+	restarts []time.Time // replacement times inside the sliding window
+	//toc:guardedby mu
+	stats AsyncStats // membership and crash counts; LoopStats folded in at the end
 }
 
-// asyncCtl is one membership request relayed to a run's supervisor.
-type asyncCtl struct {
-	delta int      // workers to add (> 0) or remove (< 0)
-	reply chan int // how many were actually granted
-}
-
-// workerCrash is a worker's last report: the owner id it trained as and
-// the recovered panic value.
-type workerCrash struct {
-	owner int
-	val   any
-}
-
-// recoverTo converts a panic escaping the supervisor or a worker's
-// dispatch loop into a run error so Train can drain the pool and report
-// instead of crashing the process mid-epoch. Worker *compute* panics
-// never reach it: computeTask recovers those into crash reports the
-// supervisor absorbs under the restart budget.
-func (r *asyncRun) recoverTo(role string) {
+// recoverTo converts a panic escaping a worker's dispatch loop into a run
+// error so Train can drain the pool and report instead of crashing the
+// process mid-epoch. Worker *compute* panics never reach it: computeTask
+// recovers those and handleCrash absorbs them under the restart budget.
+func (r *asyncRun) recoverTo() {
 	if p := recover(); p != nil {
-		r.loop.Fail(fmt.Errorf("engine: async %s panicked: %v", role, p))
+		r.loop.Fail(fmt.Errorf("engine: async worker panicked: %v", p))
 	}
 }
 
@@ -339,11 +335,11 @@ func (r *asyncRun) recoverTo(role string) {
 // nil.
 //
 // A panic in a worker (a poisoned batch, a failed storage read, a model
-// bug) does not abort the run: the supervisor recovers it, requeues the
-// lost position, and restarts the worker within the configured restart
-// budget. Only when the budget is exhausted and the pool has degraded
-// to nothing does the run fail, returning an error that chains every
-// recovered panic (errors.Is/As reach the original values).
+// bug) does not abort the run: the worker recovers it, requeues the lost
+// position, and is replaced within the configured restart budget. Only
+// when the budget is exhausted and the pool has degraded to nothing does
+// the run fail, returning an error that chains every recovered panic
+// (errors.Is/As reach the original values).
 func (a *Async) Train(m ml.Model, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback) (*ml.TrainResult, error) {
 	return a.TrainFrom(m, src, epochs, lr, cb, nil)
 }
@@ -359,21 +355,13 @@ func (a *Async) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64
 	a.statsMu.Lock()
 	a.stats = AsyncStats{}
 	a.statsMu.Unlock()
-	loop, err := NewLoop(LoopConfig{
-		Kind: checkpoint.KindAsync, Epochs: epochs, NumBatches: src.NumBatches(), LR: lr, Seed: a.seed,
-		Staleness: a.staleness, Deterministic: a.det, Window: a.inflightCap(),
-		Checkpoint: a.ck, CheckpointEvery: a.ckEvery, Resume: resume,
-		OnStep: a.onStep, OnEpoch: cb,
-	}, m, src)
+	cfg := a.base
+	cfg.Epochs, cfg.NumBatches, cfg.LR, cfg.OnEpoch, cfg.Resume = epochs, src.NumBatches(), lr, cb, resume
+	loop, err := NewLoop(cfg, m, src)
 	if err != nil {
 		return nil, err
 	}
-	run := &asyncRun{
-		loop: loop, src: src, kw: a.KernelWorkers(),
-		ctl:    make(chan asyncCtl),
-		events: make(chan workerCrash),
-		done:   make(chan struct{}),
-	}
+	run := &asyncRun{loop: loop, src: src, kw: a.KernelWorkers()}
 	// Publish the run so Halt/AddWorkers/RemoveWorkers can reach it; torn
 	// down before Train returns so late calls see no run and no-op.
 	a.runMu.Lock()
@@ -385,20 +373,17 @@ func (a *Async) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64
 		a.runMu.Unlock()
 	}()
 
-	// The supervisor owns the pool: it replaces crashed workers within
-	// the restart budget and applies mid-run membership changes.
+	run.mu.Lock()
 	for w := 0; w < a.workers; w++ {
-		a.spawnClone(run)
+		a.spawnLocked(run)
 	}
-	run.wg.Add(1)
-	go func() {
-		defer run.wg.Done()
-		defer run.recoverTo("supervisor")
-		a.supervise(run)
-	}()
+	run.mu.Unlock()
 
 	res, err := loop.Wait()
-	close(run.done)
+	// Once closed is set nothing spawns, so no wg.Add races the Wait.
+	run.mu.Lock()
+	run.closed = true
+	run.mu.Unlock()
 	run.wg.Wait()
 
 	run.mu.Lock()
@@ -411,33 +396,33 @@ func (a *Async) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64
 	return res, err
 }
 
-// spawnClone adds one worker goroutine to a run's pool, training as a
-// fresh owner on a clone of the live model.
-func (a *Async) spawnClone(run *asyncRun) {
+// spawnLocked adds one worker goroutine to a run's pool, training as a
+// fresh owner on a clone of the live model. A worker whose compute
+// panics runs handleCrash before it exits.
+//
+//toc:locked mu
+func (a *Async) spawnLocked(run *asyncRun) {
+	if run.closed {
+		return
+	}
 	clone := run.loop.Clone()
 	clone.SetKernelWorkers(run.kw)
 	owner := run.loop.Join()
-	run.mu.Lock()
 	run.live = append(run.live, owner)
-	run.mu.Unlock()
 	run.wg.Add(1)
 	go func() {
 		defer run.wg.Done()
-		defer run.recoverTo("worker")
+		defer run.recoverTo()
 		w := &asyncWorker{clone: clone, owner: owner, snap: make([]float64, clone.NumParams()), version: -1}
 		for {
 			t, ok, _ := run.loop.Next(owner)
 			if !ok {
 				return // done, halted, failed — or retired by RemoveWorkers
 			}
-			if crash := a.computeTask(run, w, t); crash != nil {
-				// Report and retire: the supervisor decides whether a
-				// replacement spawns, so a crashing worker never loops on
-				// a poisoned state.
-				select {
-				case run.events <- *crash:
-				case <-run.done:
-				}
+			// A crashing worker never loops on a poisoned state: it
+			// retires, and handleCrash decides whether a replacement spawns.
+			if p, crashed := a.computeTask(run, w, t); crashed {
+				a.handleCrash(run, owner, p)
 				return
 			}
 		}
@@ -445,14 +430,13 @@ func (a *Async) spawnClone(run *asyncRun) {
 }
 
 // computeTask runs one position on the worker's private clone until the
-// loop admits its gradient, converting any panic — a poisoned batch, a
+// loop admits its gradient, recovering any panic — a poisoned batch, a
 // storage read that exhausted its retries, an injected
-// engine.async.worker fault — into a crash report for the supervisor
-// instead of killing the run.
-func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (crash *workerCrash) {
+// engine.async.worker fault — instead of killing the run.
+func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (val any, crashed bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			crash = &workerCrash{owner: w.owner, val: p}
+			val, crashed = p, true
 		}
 	}()
 	// The canonical worker-kill injection point: chaos tests arm it to
@@ -466,11 +450,11 @@ func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (crash *worke
 		// costs the gradient no freshness. Only the test-only slack ever
 		// holds a snapshot over, and never for a recompute.
 		holdOver := a.releaseSlack > 0 && !rejected && w.version >= 0 &&
-			t.Pos-w.version <= int64(a.staleness+a.releaseSlack)
+			t.Pos-w.version <= int64(a.base.Staleness+a.releaseSlack)
 		if !holdOver {
 			var ok bool
 			if w.version, ok = run.loop.Params(t.Pos, w.snap); !ok {
-				return nil
+				return nil, false
 			}
 			w.clone.SetParams(w.snap)
 		}
@@ -481,7 +465,7 @@ func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (crash *worke
 		// it is the next to apply the recompute is exact and admitted.
 		rejected, err = run.loop.Submit(w.owner, t.Pos, w.version, w.clone.Grad(x, y, g), g)
 		if err != nil || !rejected {
-			return nil // on error the run has failed; the next Next ends this worker
+			return nil, false // on error the run has failed; the next Next ends this worker
 		}
 	}
 }
@@ -495,78 +479,29 @@ type asyncWorker struct {
 	version int64 // -1 before the first refresh
 }
 
-// supervise is a run's membership and crash authority: it grants
-// AddWorkers/RemoveWorkers requests, replaces crashed workers within
-// the sliding-window restart budget, degrades the pool past it, and
-// fails the run — panic chain intact — when no workers remain. It runs
-// until the run stops.
-func (a *Async) supervise(run *asyncRun) {
-	var restarts []time.Time // replacement times inside the sliding window
-	for {
-		select {
-		case <-run.done:
-			return
-		case c := <-run.ctl:
-			c.reply <- a.applyCtl(run, c.delta)
-		case ev := <-run.events:
-			restarts = a.handleCrash(run, ev, restarts)
-		}
-	}
-}
-
-// applyCtl grants a membership request: joins spawn immediately (capped
-// at maxLiveWorkers); departures retire the newest workers, clamped so
-// the pool keeps at least one.
-func (a *Async) applyCtl(run *asyncRun, delta int) int {
-	run.mu.Lock()
-	live := len(run.live)
-	run.mu.Unlock()
-	if delta > 0 {
-		delta = max(0, min(delta, maxLiveWorkers-live))
-		for i := 0; i < delta; i++ {
-			a.spawnClone(run)
-		}
-		run.mu.Lock()
-		run.stats.Joined += int64(delta)
-		run.mu.Unlock()
-		return delta
-	}
-	n := min(-delta, live-1)
-	if n <= 0 {
-		return 0
-	}
-	run.mu.Lock()
-	leaving := append([]int(nil), run.live[live-n:]...)
-	run.live = run.live[:live-n]
-	run.stats.Departed += int64(n)
-	run.mu.Unlock()
-	for _, owner := range leaving {
-		run.loop.Retire(owner)
-	}
-	return n
-}
-
-// handleCrash absorbs one worker panic: the lost position is requeued
-// for the rest of the pool, and the worker is replaced if the
-// sliding-window budget allows (degrading the pool otherwise). When the
-// pool is exhausted it fails the run. It returns the updated window.
+// handleCrash absorbs one worker panic on the crashed worker's goroutine:
+// the lost position is requeued for the rest of the pool, and the worker
+// is replaced if the sliding-window budget allows (degrading the pool
+// otherwise). When the pool is exhausted it fails the run.
 //
 //toc:timing
-func (a *Async) handleCrash(run *asyncRun, ev workerCrash, restarts []time.Time) []time.Time {
-	run.loop.Abandon(ev.owner)
+func (a *Async) handleCrash(run *asyncRun, owner int, val any) {
+	run.loop.Abandon(owner)
 	now := time.Now()
-	keep := restarts[:0]
-	for _, ts := range restarts {
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	keep := run.restarts[:0]
+	for _, ts := range run.restarts {
 		if now.Sub(ts) < a.restartWindow {
 			keep = append(keep, ts)
 		}
 	}
-	run.mu.Lock()
+	run.restarts = keep
 	run.stats.WorkerPanics++
-	run.chain = append(run.chain, asyncPanicError(ev.val))
+	run.chain = append(run.chain, asyncPanicError(val))
 	member := false
-	for i, owner := range run.live {
-		if owner == ev.owner {
+	for i, o := range run.live {
+		if o == owner {
 			run.live = append(run.live[:i], run.live[i+1:]...)
 			member = true
 			break
@@ -574,23 +509,18 @@ func (a *Async) handleCrash(run *asyncRun, ev workerCrash, restarts []time.Time)
 	}
 	// A worker RemoveWorkers already retired is no longer the pool's to
 	// replace or to lose.
-	replace := member && len(keep) < a.restartBudget
+	replace := member && len(run.restarts) < a.restartBudget
 	if replace {
 		run.stats.Restarts++
+		run.restarts = append(run.restarts, now)
+		a.spawnLocked(run)
 	} else if member {
 		run.stats.Degraded++
 	}
-	dead := !replace && len(run.live) == 0
-	chain := append([]error(nil), run.chain...)
-	run.mu.Unlock()
-	if replace {
-		keep = append(keep, now)
-		a.spawnClone(run)
-	} else if dead {
+	if !replace && len(run.live) == 0 {
 		run.loop.Fail(fmt.Errorf("engine: async worker pool exhausted after %d worker panics (restart budget %d per %v): %w",
-			len(chain), a.restartBudget, a.restartWindow, errors.Join(chain...)))
+			len(run.chain), a.restartBudget, a.restartWindow, errors.Join(run.chain...)))
 	}
-	return keep
 }
 
 // asyncPanicError converts a recovered worker panic value into an

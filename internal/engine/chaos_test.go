@@ -75,8 +75,8 @@ func TestDeterministicBitwiseAcrossElasticSchedules(t *testing.T) {
 		}
 	}
 	// Same guarantee with a worker kill layered on top of churn: the
-	// injected fault fells one worker at its 7th task, the supervisor
-	// restarts it, and the lost position re-enters the queue.
+	// injected fault fells one worker at its 7th task, a replacement
+	// spawns, and the lost position re-enters the queue.
 	p, l, st := elasticRun(t, d, src, "5:+2,12:-1", 7)
 	assertBitwise(t, "schedule 5:+2,12:-1 with crash", p, baseP, l, baseL)
 	if st.WorkerPanics != 1 || st.Restarts != 1 {

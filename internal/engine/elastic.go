@@ -63,9 +63,9 @@ func ParseElasticSchedule(spec string) ([]ElasticEvent, error) {
 
 // SetOnStep installs (or replaces) the per-update observer configured
 // by AsyncConfig.OnStep. It must be called between runs — the loop
-// reads it once, when a run starts. Its main use is wiring an ElasticHook, which needs the engine
-// to exist first.
-func (a *Async) SetOnStep(fn func(step int64, loss float64)) { a.onStep = fn }
+// reads it once, when a run starts. Its main use is wiring an
+// ElasticHook, which needs the engine to exist first.
+func (a *Async) SetOnStep(fn func(step int64, loss float64)) { a.base.OnStep = fn }
 
 // ElasticHook turns a schedule into an OnStep callback that applies
 // each event as training passes its step, chaining to next (which may
@@ -74,8 +74,8 @@ func (a *Async) SetOnStep(fn func(step int64, loss float64)) { a.onStep = fn }
 // the next one does — so two runs with the same schedule fire at
 // identical points in the trajectory. The callback runs on the worker
 // that submitted the update, outside the loop's lock, so the
-// AddWorkers/RemoveWorkers it relays to the supervisor cannot deadlock
-// against the model clone a join takes.
+// AddWorkers/RemoveWorkers it calls cannot deadlock against the model
+// clone a join takes.
 //
 // The returned counts are accumulated into the run's AsyncStats by the
 // engine (Joined/Departed), so the hook itself keeps no observable

@@ -23,10 +23,11 @@
 // kernels never shard), so GroupSize 1 still uses the whole pool on the
 // serial trajectory of a neural network, and one core on a linear model.
 // Async (async.go) is group 1 under a staleness bound:
-// private model clones, a supervisor with a restart budget, elastic
-// join/leave. internal/dist is the same over RPC. The package also shards
-// compression of incoming batches across the pool (EncodeAll, FillStore)
-// and sizes the spill prefetcher so out-of-core IO overlaps compute.
+// private model clones, crashed workers replaced within a restart budget,
+// elastic join/leave. internal/dist is the same over RPC. The package
+// also shards compression of incoming batches across the pool
+// (FillStore) and sizes the spill prefetcher so out-of-core IO overlaps
+// compute.
 package engine
 
 import (
@@ -38,7 +39,6 @@ import (
 	"toc/internal/checkpoint"
 	"toc/internal/data"
 	"toc/internal/formats"
-	"toc/internal/matrix"
 	"toc/internal/ml"
 	"toc/internal/storage"
 )
@@ -82,12 +82,10 @@ type Config struct {
 // Engine executes training and compression work over a bounded pool.
 type Engine struct {
 	workers int
-	group   int
-	seed    int64
-	ck      *checkpoint.Writer
-	ckEvery int
-	onStep  func(step int64, loss float64)
-	cur     atomic.Pointer[Loop] // the running TrainFrom's loop, for Halt
+	// base is the loop every TrainFrom runs: kind, seed, the configured
+	// group size and the checkpoint and step hooks.
+	base LoopConfig
+	cur  atomic.Pointer[Loop] // the running TrainFrom's loop, for Halt
 }
 
 // defaultWorkers is the pool size when a config leaves Workers unset.
@@ -103,10 +101,10 @@ func New(cfg Config) *Engine {
 	if g <= 0 {
 		g = DefaultGroupSize
 	}
-	return &Engine{
-		workers: w, group: g, seed: cfg.Seed,
-		ck: cfg.Checkpoint, ckEvery: cfg.CheckpointEvery, onStep: cfg.OnStep,
-	}
+	return &Engine{workers: w, base: LoopConfig{
+		Kind: checkpoint.KindSync, Seed: cfg.Seed, Group: g,
+		Checkpoint: cfg.Checkpoint, CheckpointEvery: cfg.CheckpointEvery, OnStep: cfg.OnStep,
+	}}
 }
 
 // Halt asks a running Train/TrainFrom to stop after the update it is
@@ -124,13 +122,13 @@ func (e *Engine) Workers() int { return e.workers }
 
 // GroupSize returns the configured gradients-per-update count (the
 // default applied); Train additionally clamps it to the batch count.
-func (e *Engine) GroupSize() int { return e.group }
+func (e *Engine) GroupSize() int { return e.base.Group }
 
 // KernelWorkers returns the goroutine count Train gives each gradient's
 // matrix kernels when training over n batches — the pool split of the
 // package doc. n <= 0 means "unclamped" (use the configured group size).
 func (e *Engine) KernelWorkers(n int) int {
-	group := e.group
+	group := e.base.Group
 	if n > 0 && group > n {
 		group = n
 	}
@@ -152,7 +150,7 @@ func (e *Engine) KernelWorkers(n int) int {
 // outgrow the memory budget the store is protecting.
 func (e *Engine) NewPrefetcher(st *storage.Store, depth int, maxBytes int64) *storage.Prefetcher {
 	if depth <= 0 {
-		depth = 2 * e.group
+		depth = 2 * e.base.Group
 	}
 	return newPrefetcher(st, depth, e.workers, maxBytes)
 }
@@ -194,16 +192,12 @@ func (e *Engine) Train(m ml.Model, src ml.BatchSource, epochs int, lr float64, c
 // and no worker needs a clone.
 func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64, cb ml.EpochCallback, resume *checkpoint.State) (*ml.TrainResult, error) {
 	n := src.NumBatches()
-	group := e.group
-	if group > n && n > 0 {
-		group = n
+	cfg := e.base
+	cfg.Epochs, cfg.NumBatches, cfg.LR, cfg.OnEpoch, cfg.Resume = epochs, n, lr, cb, resume
+	if n > 0 {
+		cfg.Group = min(cfg.Group, n)
 	}
-	loop, err := NewLoop(LoopConfig{
-		Kind: checkpoint.KindSync, Epochs: epochs, NumBatches: n, LR: lr,
-		Seed: e.seed, Group: group,
-		Checkpoint: e.ck, CheckpointEvery: e.ckEvery, Resume: resume,
-		OnStep: e.onStep, OnEpoch: cb,
-	}, m, src)
+	loop, err := NewLoop(cfg, m, src)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +211,7 @@ func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float6
 	// the trajectory, only the wall-clock.
 	m.SetKernelWorkers(e.KernelWorkers(n))
 	var wg sync.WaitGroup
-	for w := min(e.workers, group); w > 0; w-- {
+	for w := min(e.workers, cfg.Group); w > 0; w-- {
 		owner := loop.Join()
 		wg.Add(1)
 		go func() {
@@ -255,14 +249,6 @@ func parallelFor(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// EncodeAll compresses dense mini-batches across the worker pool,
-// returning results in input order.
-func (e *Engine) EncodeAll(enc formats.Encoder, batches []*matrix.Dense) []formats.CompressedMatrix {
-	out := make([]formats.CompressedMatrix, len(batches))
-	parallelFor(e.workers, len(batches), func(i int) { out[i] = enc(batches[i]) })
-	return out
 }
 
 // FillStore slices the dataset into batchSize mini-batches, compresses

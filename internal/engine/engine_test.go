@@ -1,14 +1,12 @@
 package engine
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
 
 	"toc/internal/data"
 	"toc/internal/formats"
-	"toc/internal/matrix"
 	"toc/internal/ml"
 	"toc/internal/storage"
 	"toc/internal/testutil"
@@ -266,27 +264,6 @@ func TestEngineNewPrefetcherOverShardedStore(t *testing.T) {
 	for e := range lossOne {
 		if lossOne[e] != lossFour[e] {
 			t.Errorf("epoch %d: 4-shard loss %g != 1-shard %g", e, lossFour[e], lossOne[e])
-		}
-	}
-}
-
-// EncodeAll must equal batch-at-a-time encoding, byte for byte.
-func TestEncodeAllMatchesSerial(t *testing.T) {
-	d, err := data.Generate("kdd99", 300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dense []*matrix.Dense
-	for i := 0; i < d.NumBatches(25); i++ {
-		x, _ := d.Batch(i, 25)
-		dense = append(dense, x)
-	}
-	enc := formats.MustGet("TOC")
-	got := New(Config{Workers: 8}).EncodeAll(enc, dense)
-	for i, x := range dense {
-		want := enc(x).Serialize()
-		if !bytes.Equal(got[i].Serialize(), want) {
-			t.Fatalf("batch %d: parallel encoding differs from serial", i)
 		}
 	}
 }

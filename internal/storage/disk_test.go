@@ -88,7 +88,7 @@ func transferTime(st *Store, bw int64, shard int) time.Duration {
 // epoch over four shards in one directory takes exactly its bytes divided
 // by the rate. And the budget is use-it-or-lose-it: a device left idle
 // banks no credit for the next read.
-func TestSharedBucketHoldsAggregateCapRegardlessOfQueueDepth(t *testing.T) {
+func TestReadBandwidthHoldsAggregateCapRegardlessOfQueueDepth(t *testing.T) {
 	const bw = 1 << 20
 	for _, readers := range []int{1, 8} {
 		st := shardedSpilledStore(t, 16, 4, WithReadBandwidth(bw))
@@ -107,7 +107,7 @@ func TestSharedBucketHoldsAggregateCapRegardlessOfQueueDepth(t *testing.T) {
 // within a shard (one arm) and overlaps across shards, so a seek-bound
 // epoch over four shards takes less than half of what one shard takes —
 // while the shared bandwidth budget still floors both.
-func TestShardingRaisesEpochThroughputUnderSharedBucket(t *testing.T) {
+func TestShardingRaisesEpochThroughputUnderBandwidthCap(t *testing.T) {
 	const (
 		n       = 32
 		readers = 8

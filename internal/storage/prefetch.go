@@ -149,7 +149,7 @@ func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefet
 
 // reader drains one shard's job queue. A read that fails permanently is
 // recorded on the entry instead of panicking here: the panic belongs on
-// the consumer's goroutine, where the engine's supervisor can catch it,
+// the consumer's goroutine, where the engine's worker recovers it,
 // not in an anonymous reader where it would kill the process. Close's
 // quit channel interrupts a retry backoff mid-sleep.
 func (p *Prefetcher) reader(jobs <-chan fetchJob) {

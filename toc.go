@@ -12,8 +12,7 @@
 //
 // Quick start:
 //
-//	m := toc.NewDense(2, 3)
-//	m.Set(0, 0, 1.5)
+//	m := toc.NewDenseFromRows([][]float64{{1.5, 0, 0}, {0, 0, 0}})
 //	batch := toc.Compress(m)
 //	r := batch.MulVec([]float64{1, 2, 3}) // runs on the compressed form
 //
@@ -43,33 +42,14 @@ import (
 // Dense is a row-major dense matrix, the uncompressed mini-batch form.
 type Dense = matrix.Dense
 
-// NewDense allocates a rows × cols zero matrix.
-func NewDense(rows, cols int) *Dense { return matrix.NewDense(rows, cols) }
-
 // NewDenseFromRows builds a matrix from per-row slices, copying them.
 func NewDenseFromRows(rows [][]float64) *Dense { return matrix.NewDenseFromRows(rows) }
 
 // Batch is a TOC-compressed mini-batch (the paper's contribution).
 type Batch = core.Batch
 
-// Pair is a column-index:value pair, TOC's compression unit.
-type Pair = core.Pair
-
-// Variant selects TOC encoding layers (Full, SparseLogical, SparseOnly).
-type Variant = core.Variant
-
-// TOC encoding-layer variants, used by the paper's ablation studies.
-const (
-	Full          = core.Full
-	SparseLogical = core.SparseLogical
-	SparseOnly    = core.SparseOnly
-)
-
 // Compress encodes a dense mini-batch with the full TOC pipeline.
 func Compress(m *Dense) *Batch { return core.Compress(m) }
-
-// CompressVariant encodes with a subset of the TOC layers.
-func CompressVariant(m *Dense, v Variant) *Batch { return core.CompressVariant(m, v) }
 
 // Deserialize reconstructs a TOC batch from its Serialize image.
 func Deserialize(img []byte) (*Batch, error) { return core.Deserialize(img) }
@@ -78,36 +58,6 @@ func Deserialize(img []byte) (*Batch, error) { return core.Deserialize(img) }
 // TOC, the light-weight schemes (CSR, CVI, DVI, CLA) and the general
 // schemes (Gzip, Snappy).
 type CompressedMatrix = formats.CompressedMatrix
-
-// ParallelOps is the optional interface of encodings that can plan a
-// mini-batch: NewKernelPlan builds the per-batch decode state once, and
-// the plan runs every multiplication on it at any worker count. TOC
-// implements it (*Batch has the same NewKernelPlan, returning the
-// concrete plan type).
-type ParallelOps = formats.ParallelOps
-
-// KernelPlan holds one mini-batch's decode state (TOC's decode tree C',
-// restricted to the nodes the batch's D references) so the 2-3 kernel
-// calls a gradient step makes on that batch share a single O(|I|+|live|)
-// build instead of paying it per operation. Obtain one
-// from ParallelOps.NewKernelPlan (or *Batch.NewKernelPlan). Its four
-// kernels share one call shape, plan.MulVecInto(dst, v, workers) and
-// likewise VecMulInto, MulMatInto, MatMulInto: the matrix kernels A·M
-// and M·A split the panel runs of their p dimension across workers
-// goroutines when workers > 1; the vector kernels A·v and v·A accept
-// workers for symmetry and always run on the caller's goroutine (a fork
-// inside them was measured slower at every size — the table in README);
-// a nil dst allocates the result and a caller-owned dst is written and
-// returned. For any dst and worker count the result is bitwise identical
-// to the corresponding CompressedMatrix method, so neither ever changes a
-// training trajectory. Call Release after the step's last kernel to
-// recycle the plan's memory into the next plan (a build-use-release loop
-// allocates nothing); a released plan must not be used again, an
-// unreleased one is simply garbage collected, and until Release a plan is
-// safe for concurrent use. The ml layer builds, threads and releases one
-// plan per Grad automatically — DecodeTreeBuilds is the white-box counter
-// proving it.
-type KernelPlan = formats.KernelPlan
 
 // DecodeTreeBuilds returns the cumulative number of decode-tree (C')
 // builds in this process. With plan reuse, training builds the tree once
@@ -126,7 +76,9 @@ func PaperMethods() []string { return formats.PaperMethods() }
 
 // Encode compresses a mini-batch with the named method ("TOC", "CSR",
 // "CVI", "DVI", "CLA", "DEN", "Gzip", "Snappy", or a TOC ablation
-// variant). It panics on unknown names; use GetCodec to probe.
+// variant such as "TOC_SPARSE"). It panics on unknown names; use GetCodec
+// to probe. A TOC batch's NewKernelPlan builds its decode tree once for
+// the two or three kernels a gradient step runs on it.
 func Encode(method string, m *Dense) CompressedMatrix {
 	return formats.MustGet(method)(m)
 }
@@ -166,6 +118,10 @@ type BatchSource = ml.BatchSource
 // TrainResult records per-epoch losses and timings of a training run.
 type TrainResult = ml.TrainResult
 
+// EpochCallback observes each completed epoch: its index, the elapsed
+// wall time and the epoch's mean mini-batch loss.
+type EpochCallback = ml.EpochCallback
+
 // NewModel constructs a model by name: "linreg", "lr", "svm" or "nn".
 // LR and SVM become one-vs-rest ensembles when classes > 2.
 func NewModel(name string, dims, classes int, hiddenScale float64, seed int64) (Model, error) {
@@ -179,7 +135,7 @@ func NewMemorySource(d *Dataset, batchSize int, method string) *ml.MemorySource 
 
 // Train runs mini-batch gradient descent (Equation 2 of the paper) for the
 // given epochs over a batch source. cb may be nil.
-func Train(m Model, src BatchSource, epochs int, lr float64, cb ml.EpochCallback) *TrainResult {
+func Train(m Model, src BatchSource, epochs int, lr float64, cb EpochCallback) *TrainResult {
 	return ml.Train(m, src, epochs, lr, cb)
 }
 
@@ -208,23 +164,17 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 // clones refreshed from versioned parameter snapshots, and the loop
 // applies the results in visit order, admitting each gradient only if its snapshot
 // missed at most Staleness updates. Staleness 0 reproduces the
-// synchronous GroupSize-1 trajectory bitwise for any worker count;
-// StalenessUnbounded free-runs Hogwild-style, so one slow batch never
-// stalls another worker's compute.
+// synchronous GroupSize-1 trajectory bitwise for any worker count; a
+// negative Staleness free-runs Hogwild-style, so one slow batch never
+// stalls another worker's compute. Its Stats report applied updates,
+// staleness-rejected gradients, the max/mean staleness and the pool's
+// membership and crash counts.
 type AsyncEngine = engine.Async
 
 // AsyncConfig sizes the async engine: Workers, Staleness, Seed,
 // Deterministic, the restart budget, and the checkpoint and step-observer
 // hooks.
 type AsyncConfig = engine.AsyncConfig
-
-// AsyncStats reports an async run's applied updates, staleness-rejected
-// gradients, and the max/mean staleness among applied gradients.
-type AsyncStats = engine.AsyncStats
-
-// StalenessUnbounded disables the async engine's staleness bound
-// (Hogwild-style free-running).
-const StalenessUnbounded = engine.StalenessUnbounded
 
 // ElasticEvent is one membership change in an elastic schedule: after
 // Step applied updates, add (Delta > 0) or remove (Delta < 0) workers.
@@ -240,14 +190,6 @@ func ParseElasticSchedule(spec string) ([]ElasticEvent, error) {
 
 // NewAsyncEngine builds an asynchronous bounded-staleness engine.
 func NewAsyncEngine(cfg AsyncConfig) *AsyncEngine { return engine.NewAsync(cfg) }
-
-// TrainAsync runs asynchronous bounded-staleness MGD: each mini-batch
-// gradient is one parameter update, applied in visit order under the
-// staleness discipline. It returns an error (with the pool fully
-// drained) if a worker fails mid-epoch. cb may be nil.
-func TrainAsync(m Model, src BatchSource, epochs int, lr float64, workers, staleness int, cb ml.EpochCallback) (*TrainResult, error) {
-	return engine.NewAsync(engine.AsyncConfig{Workers: workers, Staleness: staleness}).Train(m, src, epochs, lr, cb)
-}
 
 // Store is a memory-budgeted mini-batch store: batches beyond the budget
 // spill to disk and are re-read every epoch, reproducing the paper's
@@ -310,31 +252,10 @@ func NewStore(dir, method string, budgetBytes int64, opts ...StoreOption) (*Stor
 // path. It is a BatchSource that reads ahead in ingest order, the order
 // every epoch visits.
 // Its reader pool is split across the store's spill shards, so sharded
-// stores serve truly concurrent reads.
+// stores serve truly concurrent reads. Engine.NewPrefetcher and
+// AsyncEngine.NewPrefetcher size one from the worker pool and optionally
+// bound its window by compressed bytes.
 type Prefetcher = storage.Prefetcher
-
-// PrefetchStats reports prefetch hits, misses, issued reads and residual
-// stall time.
-type PrefetchStats = storage.PrefetchStats
-
-// PrefetchOption configures a Prefetcher at construction.
-type PrefetchOption = storage.PrefetchOption
-
-// WithPrefetchBytes bounds the compressed bytes held prefetched or in
-// flight, so a deep window on large batches cannot outgrow the memory
-// budget the store is protecting. 0 (the default) disables the bound.
-func WithPrefetchBytes(maxBytes int64) PrefetchOption {
-	return storage.WithPrefetchBytes(maxBytes)
-}
-
-// NewPrefetcher wraps a fully-loaded store with an async spill prefetcher
-// holding up to depth upcoming batches, served by readers background
-// goroutines split across the store's spill shards (readers <= 0 picks a
-// small default; every shard gets at least one). Engine.NewPrefetcher
-// sizes one automatically from the worker pool and shard layout.
-func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefetcher {
-	return storage.NewPrefetcher(s, depth, readers, opts...)
-}
 
 // ---- Fault tolerance: checkpoint/resume and crash-safe spill recovery ----
 
@@ -394,11 +315,6 @@ type DistServer = dist.Server
 // simulated link, and checkpoint/resume.
 type DistServerConfig = dist.ServerConfig
 
-// DistServerStats counts a distributed run: applied/rejected/duplicate
-// pushes, staleness, membership (joins, crashes, reassigned positions),
-// and bytes-on-wire against the dense baseline (WireRatio).
-type DistServerStats = dist.ServerStats
-
 // DistTrainer is one worker process of a distributed run: it joins a
 // DistServer over any io.ReadWriteCloser, pulls compressed parameter
 // images, and pushes compressed gradients for the positions it is
@@ -408,10 +324,6 @@ type DistTrainer = dist.Trainer
 // DistTrainerConfig configures a trainer's codec (must match the
 // server's) and its pull policy.
 type DistTrainerConfig = dist.TrainerConfig
-
-// DistTrainerStats counts one trainer's steps, recomputes, pulls and
-// payload bytes.
-type DistTrainerStats = dist.TrainerStats
 
 // GradCodec compresses the two directions of parameter-server traffic:
 // dense (exact baseline), top-k sparsification with error-feedback
