@@ -1,51 +1,18 @@
 package toc
 
-// One benchmark per paper table and figure (deliverable d): each wraps the
-// corresponding internal/bench experiment runner, so `go test -bench=.`
-// regenerates every artifact. cmd/tocbench prints the same tables with
-// full control over scale; benchmark/README.md records measured-vs-paper.
-//
-// Micro-benchmarks for the core TOC pipeline (compress, decompress, the
-// four multiplication kernels vs CSR/DEN) follow the experiment wrappers.
+// Micro-benchmarks for the core TOC pipeline: compress, decode, and the
+// four multiplication kernels against CSR, DEN and CLA. End-to-end costs
+// are measured by benchmark/, single-core kernel speed against the dense
+// roofline by cmd/tocbench.
 
 import (
 	"math/rand"
 	"testing"
 
-	"toc/internal/bench"
 	"toc/internal/bitpack"
 	"toc/internal/formats"
 	"toc/internal/matrix"
 )
-
-// runExperiment executes a paper artifact reproduction b.N times.
-func runExperiment(b *testing.B, id string, scale float64) {
-	b.Helper()
-	e, ok := bench.Get(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	cfg := bench.DefaultConfig()
-	cfg.Scale = scale
-	cfg.Dir = b.TempDir()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig2MGDConvergence(b *testing.B)    { runExperiment(b, "fig2", 0.5) }
-func BenchmarkFig5CompressionRatios(b *testing.B) { runExperiment(b, "fig5", 1) }
-func BenchmarkFig6Ablation(b *testing.B)          { runExperiment(b, "fig6", 1) }
-func BenchmarkFig7LargeBatches(b *testing.B)      { runExperiment(b, "fig7", 0.5) }
-func BenchmarkFig8MatOps(b *testing.B)            { runExperiment(b, "fig8", 1) }
-func BenchmarkFig9RuntimeVsSize(b *testing.B)     { runExperiment(b, "fig9", 0.25) }
-func BenchmarkFig10MGDAblation(b *testing.B)      { runExperiment(b, "fig10", 0.25) }
-func BenchmarkFig11AccuracyVsTime(b *testing.B)   { runExperiment(b, "fig11", 0.25) }
-func BenchmarkFig12CodecSpeed(b *testing.B)       { runExperiment(b, "fig12", 1) }
-func BenchmarkTable6EndToEnd(b *testing.B)        { runExperiment(b, "table6", 0.25) }
-func BenchmarkTable7EndToEnd(b *testing.B)        { runExperiment(b, "table7", 0.25) }
 
 // --- micro-benchmarks on a census-like 250-row mini-batch ---
 

@@ -30,8 +30,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"toc/internal/bench"
 )
 
 // baseline is one committed BENCH_<experiment>.json.
@@ -53,10 +51,11 @@ type baseline struct {
 	Rows map[string]float64 `json:"rows"`
 }
 
-// defaultSpecs seeds -update for experiments without a committed
-// baseline yet. The gate is on a *relative* column — a ratio against an
-// in-run reference — so it transfers across runner generations where
-// absolute times do not. kernelspeed gates on vs_roofline: each decode kernel's single-core ns/nonzero as a multiple
+// defaultSpecs names the known regimes and seeds -update for those
+// without a committed baseline yet. The gate is on a *relative* column —
+// a ratio against an in-run reference — so it transfers across runner
+// generations where absolute times do not. kernelspeed gates on
+// vs_roofline: each decode kernel's single-core ns/nonzero as a multiple
 // of the dense kernel's ns/element roofline, measured in the same
 // process; lower is better, and a rise means the decode loops drifted
 // away from hardware-limited.
@@ -186,9 +185,9 @@ func baselinePath(dir, experiment string) string {
 }
 
 // staleBaselines returns the experiments among the baseline file names
-// that the registry no longer knows — committed BENCH_*.json files whose
-// regime was renamed or removed from internal/bench. names are base
-// names; known is the registered-experiment set.
+// that are not known regimes — committed BENCH_*.json files whose regime
+// was renamed or removed from cmd/tocbench. names are base names; known
+// is the set of regimes benchdiff has a default spec for.
 func staleBaselines(names []string, known map[string]bool) []string {
 	var stale []string
 	for _, name := range names {
@@ -223,11 +222,11 @@ func warnStaleBaselines(dir string) {
 		}
 	}
 	known := map[string]bool{}
-	for _, id := range bench.IDs() {
+	for id := range defaultSpecs {
 		known[id] = true
 	}
 	for _, exp := range staleBaselines(names, known) {
-		fmt.Printf("benchdiff: WARNING: %s names experiment %q, which internal/bench no longer registers; delete the baseline or restore the regime\n",
+		fmt.Printf("benchdiff: WARNING: %s names experiment %q, which is not a known regime; delete the baseline or restore the regime\n",
 			baselinePath(dir, exp), exp)
 	}
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-
-	"toc/internal/bench"
 )
 
 const sampleCSV = `experiment,kernel,variant,ns_per_nnz,vs_roofline
@@ -139,7 +137,7 @@ func TestMetricRowsErrors(t *testing.T) {
 	}
 }
 
-// A committed baseline whose regime left the registry is reported, and
+// A committed baseline whose regime is no longer known is reported, and
 // non-baseline files are ignored.
 func TestStaleBaselines(t *testing.T) {
 	known := map[string]bool{"kernelspeed": true}
@@ -155,22 +153,5 @@ func TestStaleBaselines(t *testing.T) {
 	want := []string{"barrierscale", "decodecache", "rightmul"}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Errorf("staleBaselines = %v, want %v", got, want)
-	}
-}
-
-// Every experiment benchdiff seeds a default spec for must exist in the
-// registry — otherwise the spec itself is the stale name.
-func TestDefaultSpecsMatchRegistry(t *testing.T) {
-	known := map[string]bool{}
-	for _, id := range bench.IDs() {
-		known[id] = true
-	}
-	if len(known) == 0 {
-		t.Fatal("internal/bench registers no experiments")
-	}
-	for id := range defaultSpecs {
-		if !known[id] {
-			t.Errorf("defaultSpecs names %q, which internal/bench does not register", id)
-		}
 	}
 }

@@ -1,11 +1,15 @@
-package bench
+package main
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
 	"math"
+	"strings"
 	"time"
 
 	"toc/internal/core"
+	"toc/internal/data"
 	"toc/internal/matrix"
 )
 
@@ -18,29 +22,80 @@ import (
 // The roofline-relative column (vs_roofline = compressed ns/work ÷ dense
 // ns/element) is what CI gates: it is a ratio of two loops measured
 // back-to-back on the same machine and the same data, so it transfers
-// across runner generations the way raw nanoseconds never do. The
-// speedup-ratio baselines of the other regimes deliberately cannot see a
-// single-core regression — if every worker count slows down by the same
-// factor, every speedup ratio is unchanged — which is exactly the gap
-// this regime closes (ROADMAP item 4).
+// across runner generations the way raw nanoseconds never do.
 //
 // All rows run at workers=1 through a KernelPlan, so the numbers isolate
 // the inner decode loops: no goroutine fan-out, no per-op tree rebuild.
-// The checksum column folds every result element in a fixed order; it is
-// the in-run evidence that a loop rewrite changed wall-clock only.
+// The checksum column folds every result element in a fixed order: a
+// sum that strays more than 1e-6 (relative) from the dense kernel's
+// fails the run, and the printed bits are a per-row fingerprint that is
+// stable from run to run. Full and sparse rows fold in a different
+// order, so their checksums may differ in the last bits.
 
-func init() {
-	register("kernelspeed", "single-core kernel ns/nonzero vs dense roofline", runKernelSpeed)
+// Table is a rendered regime result.
+type Table struct {
+	ID      string
+	Title   string
+	Columns []string
+	Rows    [][]string
+	Notes   []string
 }
 
-// ksReps returns the measurement repetition count for the configured
-// scale, never below 3 so the min-of-reps has something to minimize over.
-func ksReps(scale float64) int {
-	reps := int(6 * scale)
-	if reps < 3 {
-		reps = 3
+// Render writes the table as aligned text.
+func (t *Table) Render(w io.Writer) {
+	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
+	widths := make([]int, len(t.Columns))
+	for i, c := range t.Columns {
+		widths[i] = len(c)
 	}
-	return reps
+	for _, row := range t.Rows {
+		for i, cell := range row {
+			if i < len(widths) && len(cell) > widths[i] {
+				widths[i] = len(cell)
+			}
+		}
+	}
+	line := func(cells []string) {
+		parts := make([]string, len(cells))
+		for i, cell := range cells {
+			if i < len(widths) {
+				parts[i] = fmt.Sprintf("%-*s", widths[i], cell)
+			} else {
+				parts[i] = cell
+			}
+		}
+		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
+	}
+	line(t.Columns)
+	sep := make([]string, len(t.Columns))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	line(sep)
+	for _, row := range t.Rows {
+		line(row)
+	}
+	for _, n := range t.Notes {
+		fmt.Fprintf(w, "note: %s\n", n)
+	}
+	fmt.Fprintln(w)
+}
+
+// RenderCSV writes the table to w as CSV: a header row of "experiment"
+// plus the column names, then one record per row prefixed with the
+// table id — the format cmd/benchdiff reads.
+func (t *Table) RenderCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(append([]string{"experiment"}, t.Columns...)); err != nil {
+		return err
+	}
+	for _, row := range t.Rows {
+		if err := cw.Write(append([]string{t.ID}, row...)); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // minDuration runs fn reps times and returns the fastest run — the
@@ -58,7 +113,10 @@ func minDuration(reps int, fn func()) time.Duration {
 	return best
 }
 
-func runKernelSpeed(cfg Config) (*Table, error) {
+// runKernelSpeed measures the regime over the first full 1000-row
+// batches (at most four) of a seeded imagenet set of dataRows rows,
+// keeping the fastest of reps runs per row.
+func runKernelSpeed(dataRows, reps int) (*Table, error) {
 	const batchSize, p = 1000, 32
 	t := &Table{
 		ID:    "kernelspeed",
@@ -72,10 +130,11 @@ func runKernelSpeed(cfg Config) (*Table, error) {
 			"  and portable across runners — both loops run on the same machine and data)",
 		},
 	}
-	d, err := getDataset("imagenet", cfg.rows(4000), cfg.Seed)
+	d, err := data.Generate("imagenet", dataRows, 1)
 	if err != nil {
 		return nil, err
 	}
+	d.ShuffleOnce(2)
 	// Only full-size batches: every row then shares the operand shapes,
 	// and a partial tail batch cannot skew the per-work normalization.
 	var dense []*matrix.Dense
@@ -117,7 +176,6 @@ func runKernelSpeed(cfg Config) (*Table, error) {
 			ml.Set(i, j, float64((2*i+j)%9)-3.9)
 		}
 	}
-	reps := ksReps(cfg.Scale)
 
 	sumVec := func(r []float64) float64 {
 		var s float64

@@ -1,29 +1,19 @@
-// Command tocbench reproduces the paper's tables and figures.
+// Command tocbench runs the kernelspeed regime: the single-core speed of
+// the four compressed multiplication kernels against a dense roofline
+// measured in the same process (kernelspeed.go documents the columns).
 //
 // Usage:
 //
-//	tocbench -list
-//	tocbench -run fig5
-//	tocbench -run all -scale 0.5
-//	tocbench -run kernelspeed -csv kernelspeed.csv
-//	tocbench -run kernelspeed -cpuprofile kernels.pprof
+//	tocbench
+//	tocbench -csv kernelspeed.csv
+//	tocbench -cpuprofile kernels.pprof -memprofile kernels.heap
 //
-// Each experiment prints a paper-style table; benchmark/README.md records
-// measured-vs-paper numbers. -scale trades runtime for fidelity (1.0 =
-// default).
-// -csv additionally appends every table to a CSV file, which is what CI
-// uploads as an artifact so BENCH_* trajectories compare across PRs.
+// -csv also writes the table as CSV, which CI compares against the
+// committed BENCH_kernelspeed.json baseline with cmd/benchdiff.
 // -cpuprofile and -memprofile capture pprof profiles of the run itself —
 // the loop that found this repo's decode-kernel hotspots — without
-// having to wrap an experiment in a go test harness.
-//
-// The spill experiments (the out-of-core cells of fig9/fig10/table6/
-// table7) take the storage layer's knobs: -spill-shards/-spill-dirs
-// spread the spill; a batch stays resident iff it fits the budget left
-// when it arrives. Their simulated disk is the store's one model —
-// bandwidth an aggregate cap per directory, seeks serialized per shard —
-// whose pacing arithmetic is unit-tested in internal/storage; benchmark/
-// measures the real costs.
+// wrapping the regime in a go test harness. End-to-end costs (training,
+// spill IO, the distributed link) are measured by benchmark/.
 package main
 
 import (
@@ -32,9 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
-
-	"toc/internal/bench"
 )
 
 // openResult opens an output file (-csv, -cpuprofile, -memprofile). The
@@ -52,7 +39,7 @@ func openResult(path string, force bool) (*os.File, error) {
 // startCPUProfile begins profiling into path under the same overwrite
 // refusal as every other output. The returned stop flushes and closes
 // the profile; it must run before the process exits, including on
-// experiment failure, so a partial run still leaves a readable profile.
+// a failed run, so a partial run still leaves a readable profile.
 func startCPUProfile(path string, force bool) (stop func(), err error) {
 	f, err := openResult(path, force)
 	if err != nil {
@@ -70,7 +57,7 @@ func startCPUProfile(path string, force bool) (stop func(), err error) {
 
 // writeMemProfile snapshots the heap to path after a run. The GC pass
 // first drops already-dead objects so the profile shows what the
-// experiments actually retain, not transient garbage.
+// regime actually retains, not transient garbage.
 func writeMemProfile(path string, force bool) error {
 	f, err := openResult(path, force)
 	if err != nil {
@@ -81,75 +68,14 @@ func writeMemProfile(path string, force bool) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// runExperiments executes every experiment in order, rendering each
-// table to stdout and, when csvFile is non-nil, appending it there.
-func runExperiments(experiments []bench.Experiment, cfg bench.Config, csvFile *os.File) error {
-	for _, e := range experiments {
-		table, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %v", e.ID, err)
-		}
-		table.Render(os.Stdout)
-		if csvFile != nil {
-			if err := table.RenderCSV(csvFile); err != nil {
-				return fmt.Errorf("csv: %v", err)
-			}
-		}
-	}
-	return nil
-}
-
 func main() {
 	var (
-		run        = flag.String("run", "", "experiment id (fig2, fig5, ..., table6, table7, kernelspeed) or 'all'")
-		scale      = flag.Float64("scale", 1.0, "dataset size multiplier")
-		seed       = flag.Int64("seed", 1, "random seed")
-		spillShard = flag.Int("spill-shards", 0, "spill shard count for the out-of-core experiments")
-		spillDirs  = flag.String("spill-dirs", "", "comma-separated spill shard directories (models distinct devices)")
-		csvPath    = flag.String("csv", "", "also append every table to this CSV file (refuses to overwrite an existing file)")
+		csvPath    = flag.String("csv", "", "also write the table to this CSV file (refuses to overwrite an existing file)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (refuses to overwrite an existing file)")
 		memProfile = flag.String("memprofile", "", "write a post-run heap profile to this file (refuses to overwrite an existing file)")
 		force      = flag.Bool("force", false, "with -csv/-cpuprofile/-memprofile, truncate and overwrite an existing results file")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
-
-	if *list || *run == "" {
-		fmt.Println("available experiments:")
-		for _, id := range bench.IDs() {
-			e, _ := bench.Get(id)
-			fmt.Printf("  %-10s %s\n", id, e.Title)
-		}
-		if *run == "" && !*list {
-			fmt.Println("\nrun one with: tocbench -run <id>")
-		}
-		return
-	}
-
-	cfg := bench.DefaultConfig()
-	cfg.Scale = *scale
-	cfg.Seed = *seed
-	cfg.SpillShards = *spillShard
-	if *spillDirs != "" {
-		cfg.SpillDirs = strings.Split(*spillDirs, ",")
-	}
-
-	// Resolve every experiment id before any side effects, so a typo'd
-	// -run cannot leave a truncated CSV or empty profile behind.
-	ids := []string{*run}
-	if *run == "all" {
-		ids = bench.IDs()
-	}
-	experiments := make([]bench.Experiment, len(ids))
-	for i, id := range ids {
-		e, ok := bench.Get(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tocbench: unknown experiment %q; valid ids: %s (or 'all')\n",
-				id, strings.Join(bench.IDs(), ", "))
-			os.Exit(1)
-		}
-		experiments[i] = e
-	}
 
 	failOpen := func(what, path string, err error) {
 		if os.IsExist(err) {
@@ -179,13 +105,20 @@ func main() {
 		stopCPU = stop
 	}
 
-	runErr := runExperiments(experiments, cfg, csvFile)
+	table, runErr := runKernelSpeed(4000, 6)
 	if stopCPU != nil {
 		stopCPU()
 	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "tocbench: %v\n", runErr)
 		os.Exit(1)
+	}
+	table.Render(os.Stdout)
+	if csvFile != nil {
+		if err := table.RenderCSV(csvFile); err != nil {
+			fmt.Fprintf(os.Stderr, "tocbench: csv: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if *memProfile != "" {

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"toc/internal/core"
+	"toc/internal/data"
 	"toc/internal/matrix"
 )
 
@@ -175,6 +176,57 @@ func TestCompressionRatioShape(t *testing.T) {
 	}
 	if gzip >= den || snappySize >= den {
 		t.Errorf("GC should beat DEN: gzip=%d snappy=%d den=%d", gzip, snappySize, den)
+	}
+}
+
+// The paper's Figure 5 and 6 shapes on the synthetic stand-in datasets,
+// one 250-row mini-batch each (ratio = DEN bytes / compressed bytes): TOC
+// beats CSR/CVI/DVI/CLA/Snappy and roughly matches Gzip on the
+// moderate-sparsity sets, where each encoding layer also raises the
+// ratio; Gzip edges TOC on mnist; TOC tracks CSR on rcv1; nothing
+// compresses deep1b.
+func TestCompressionRatioShapes(t *testing.T) {
+	methods := []string{"CSR", "CVI", "DVI", "Snappy", "Gzip", "TOC", "CLA",
+		"TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL", "TOC_FULL"}
+	ratios := map[string]map[string]float64{}
+	for _, ds := range []string{"census", "imagenet", "mnist", "kdd99", "rcv1", "deep1b"} {
+		d, err := data.Generate(ds, 250, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ShuffleOnce(2)
+		batch := d.X.SliceRows(0, 250)
+		r := map[string]float64{}
+		for _, m := range methods {
+			r[m] = float64(batch.SerializedSize()) / float64(MustGet(m)(batch).CompressedSize())
+		}
+		ratios[ds] = r
+	}
+	for _, ds := range []string{"census", "imagenet", "kdd99"} {
+		r := ratios[ds]
+		for _, other := range []string{"CSR", "CVI", "DVI", "CLA", "Snappy"} {
+			if r["TOC"] <= r[other] {
+				t.Errorf("%s: TOC %.2f should beat %s %.2f", ds, r["TOC"], other, r[other])
+			}
+		}
+		if r["TOC"] < r["Gzip"]*0.95 {
+			t.Errorf("%s: TOC %.2f should be at least ~Gzip %.2f", ds, r["TOC"], r["Gzip"])
+		}
+		if !(r["TOC_SPARSE"] < r["TOC_SPARSE_AND_LOGICAL"] && r["TOC_SPARSE_AND_LOGICAL"] < r["TOC_FULL"]) {
+			t.Errorf("%s: want TOC_SPARSE < TOC_SPARSE_AND_LOGICAL < TOC_FULL, got %.2f, %.2f, %.2f",
+				ds, r["TOC_SPARSE"], r["TOC_SPARSE_AND_LOGICAL"], r["TOC_FULL"])
+		}
+	}
+	if m := ratios["mnist"]; m["Gzip"] <= m["TOC"] {
+		t.Errorf("mnist: Gzip %.2f should beat TOC %.2f (paper)", m["Gzip"], m["TOC"])
+	}
+	if r := ratios["rcv1"]; r["TOC"] < r["CSR"]*0.8 || r["TOC"] > r["CSR"]*1.5 {
+		t.Errorf("rcv1: TOC %.2f should track CSR %.2f", r["TOC"], r["CSR"])
+	}
+	for _, name := range []string{"CSR", "CVI", "DVI", "Snappy", "Gzip", "TOC", "CLA"} {
+		if v := ratios["deep1b"][name]; v > 1.2 {
+			t.Errorf("deep1b: %s ratio %.2f should be ~1", name, v)
+		}
 	}
 }
 
