@@ -44,7 +44,8 @@
 // parameter snapshot missed at most -staleness updates. There is no
 // merge barrier, so one slow batch never idles the other workers;
 // -staleness 0 walks the serial trajectory bitwise and -staleness -1
-// free-runs Hogwild-style. The run prints the update/rejection counters
+// free-runs Hogwild-style. The run prints the update count, the
+// refused-gradient count (always 0: no worker computes outside the bound)
 // and the observed staleness.
 //
 // The async pool is elastic and fault tolerant: -elastic applies a

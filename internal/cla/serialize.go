@@ -100,9 +100,9 @@ func Deserialize(img []byte) (*Matrix, error) {
 		return nil, fmt.Errorf("cla: negative header fields")
 	}
 	// Bound dimensions so corrupt headers cannot trigger enormous
-	// allocations below.
+	// allocations below; every column is named by a u32 in some group.
 	const maxDim = 1 << 27
-	if m.rows > maxDim || m.cols > maxDim || nGroups > m.cols {
+	if m.rows > maxDim || m.cols > maxDim || nGroups > m.cols || 4*m.cols > len(buf) {
 		return nil, fmt.Errorf("cla: implausible header %dx%d, %d groups", m.rows, m.cols, nGroups)
 	}
 	offW := bitpack.BytesPerInt(uint32(maxInt(m.rows-1, 0)))
@@ -186,6 +186,9 @@ func Deserialize(img []byte) (*Matrix, error) {
 				cnt, buf, err = takeU32s(buf, 1)
 				if err != nil {
 					return nil, fmt.Errorf("cla: group %d runs %d: %w", gi, t, err)
+				}
+				if uint64(len(buf)) < uint64(cnt[0])*uint64(2*offW) {
+					return nil, fmt.Errorf("cla: group %d runs %d: truncated (need %d runs)", gi, t, cnt[0])
 				}
 				rs := make([]run, cnt[0])
 				for ri := range rs {

@@ -5,9 +5,11 @@
 // staleness protocol as the wire contract. The server owns the model
 // and the update clock; trainers pull versioned parameter images,
 // compute mini-batch gradients against them, and push the gradients
-// back. A push whose snapshot version trails the server clock by more
-// than the staleness bound is rejected and recomputed against fresh
-// parameters — engine.Loop's admission rule, the one the local engines
+// back. A trainer pulls whenever its image trails the position it is
+// about to compute by more than the staleness bound, so its push is
+// always admitted; a push the server refuses anyway is an RPC error that
+// ends the trainer, and the server requeues its position like a crashed
+// trainer's — engine.Loop's admission rule, the one the local engines
 // run under, carried across the wire.
 //
 // Gradient traffic is compressed by a GradCodec on both directions:
@@ -70,10 +72,6 @@ type GradCodec interface {
 	// payload drops, so the residual plus everything delivered sums to
 	// the exact gradient history.
 	EncodeGrad(grad []float64, dst []byte) []byte
-	// ReturnGrad folds an encoded-but-never-applied payload back into
-	// the residual — the reject-recompute path, where the server refused
-	// the push and the information the payload carried must not be lost.
-	ReturnGrad(payload []byte) error
 	// DecodeGrad reconstructs a full (dense) gradient vector from an
 	// uplink payload into out, which sizes the expected vector.
 	DecodeGrad(payload []byte, out []float64) error
@@ -208,14 +206,6 @@ func (f *feedback) encodeGrad(c compressor, grad []float64, dst []byte) []byte {
 	return c.encode(res, dst)
 }
 
-// returnGrad re-credits a rejected payload to the residual.
-func (f *feedback) returnGrad(c compressor, payload []byte) error {
-	if len(f.gradRes) == 0 {
-		return fmt.Errorf("dist: ReturnGrad before any EncodeGrad")
-	}
-	return addPayload(c, payload, f.gradRes)
-}
-
 func (f *feedback) encodeSnap(c compressor, params, prev []float64, dst []byte) []byte {
 	acc := grow(&f.acc, len(params))
 	for i := range acc {
@@ -246,8 +236,7 @@ func decodeGrad(c compressor, payload []byte, out []float64) error {
 	return c.decode(payload, len(out), func(i int, v float64) { out[i] = v })
 }
 
-// addPayload adds a payload's coordinates to vec: a downlink delta onto
-// the trainer's image, a returned gradient onto the residual.
+// addPayload adds a downlink delta's coordinates onto the trainer's image.
 func addPayload(c compressor, payload []byte, vec []float64) error {
 	if err := validate(c, payload, len(vec)); err != nil {
 		return err
@@ -271,10 +260,6 @@ func (*Dense) Clone() GradCodec { return &Dense{} }
 func (*Dense) EncodeGrad(grad []float64, dst []byte) []byte {
 	return appendFloats(header(dst, tagDense, len(grad)), grad)
 }
-
-// ReturnGrad implements GradCodec: a dense payload dropped nothing, so
-// there is nothing to feed back.
-func (*Dense) ReturnGrad([]byte) error { return nil }
 
 // DecodeGrad implements GradCodec.
 func (*Dense) DecodeGrad(payload []byte, out []float64) error {

@@ -14,14 +14,6 @@ func randomVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-func sum(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
 // Dense encodes bit-exactly: decode(encode(g)) == g down to the last
 // float bit, on both the gradient and the snapshot path — the property
 // the single-trainer identity test stands on.
@@ -97,42 +89,6 @@ func TestTopKErrorFeedbackConservation(t *testing.T) {
 		if diff := math.Abs(delivered[i] + c.gradRes[i] - fedIn[i]); diff > 1e-9 {
 			t.Fatalf("coord %d leaks %g gradient mass", i, diff)
 		}
-	}
-}
-
-// ReturnGrad undoes an encode: after crediting a rejected payload back,
-// the next encode re-delivers the refused mass, so a reject-recompute
-// cycle still conserves.
-func TestTopKReturnGradConservation(t *testing.T) {
-	const np = 100
-	rng := rand.New(rand.NewSource(3))
-	c := &TopK{ratio: 0.1}
-	g := randomVec(rng, np)
-	payload := c.EncodeGrad(g, nil)
-	if err := c.ReturnGrad(payload); err != nil {
-		t.Fatal(err)
-	}
-	// All of g must now sit in the residual.
-	for i := range g {
-		if diff := math.Abs(c.gradRes[i] - g[i]); diff > 1e-12 {
-			t.Fatalf("coord %d: residual %g after return, fed %g", i, c.gradRes[i], g[i])
-		}
-	}
-	zero := make([]float64, np)
-	payload = c.EncodeGrad(zero, payload[:0])
-	out := make([]float64, np)
-	if err := c.DecodeGrad(payload, out); err != nil {
-		t.Fatal(err)
-	}
-	if sum(out) == 0 {
-		t.Fatal("returned mass not re-delivered on the next encode")
-	}
-}
-
-func TestTopKReturnBeforeEncode(t *testing.T) {
-	c := &TopK{ratio: 0.5}
-	if err := c.ReturnGrad([]byte{tagTopK}); err == nil {
-		t.Fatal("ReturnGrad before any EncodeGrad must error")
 	}
 }
 

@@ -77,6 +77,18 @@ func runCluster(t *testing.T, srv *Server, n int, mk func(i int) (ml.SnapshotMod
 	return res, err, errs, trainers
 }
 
+// trainToEnd runs srv's remaining schedule with one honest dense trainer
+// on an lr model of seed 3.
+func trainToEnd(t *testing.T, srv *Server, d *data.Dataset, src ml.BatchSource) {
+	t.Helper()
+	_, werr, errs, _ := runCluster(t, srv, 1, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
+		return newSnapshotModel(t, "lr", d, 3), src, TrainerConfig{}
+	})
+	if werr != nil || errs[0] != nil {
+		t.Fatalf("run did not complete: server %v, trainer %v", werr, errs[0])
+	}
+}
+
 // The tentpole identity contract: one trainer, dense codec, staleness 0
 // walks the local async engine's serial trajectory bitwise — parameters,
 // per-step loss log, and epoch losses.
@@ -184,40 +196,68 @@ func TestMultiTrainerBoundedStaleness(t *testing.T) {
 	}
 }
 
-// PullSlack makes a trainer push snapshots the bound forbids, forcing
-// the server's reject path; the trainer recomputes against a fresh pull
-// and the run still applies every position exactly once.
-func TestRejectRecompute(t *testing.T) {
-	const bound = 1
-	d, src := testSource(t, "census", 400)
-	sm := newSnapshotModel(t, "lr", d, 3)
-	srv, err := NewServer(ServerConfig{
-		Epochs: 2, NumBatches: src.NumBatches(), LR: 0.2, Staleness: bound,
-	}, sm)
+// A push outside the staleness bound is refused with an RPC error and
+// moves nothing: a raw peer at bound 0 pushes position 1 computed at
+// version 0, the clock stays put, and once the peer drops its connection
+// the position is requeued, as for any crashed trainer. An honest trainer
+// then finishes on the trajectory of a run no stale push touched.
+func TestStalePushIsRefused(t *testing.T) {
+	d, src := testSource(t, "census", 200)
+	n := src.NumBatches()
+	cfg := ServerConfig{Epochs: 2, NumBatches: n, LR: 0.2}
+	clean := newSnapshotModel(t, "lr", d, 3)
+	srv, err := NewServer(cfg, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, werr, errs, trainers := runCluster(t, srv, 1, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
-		return newSnapshotModel(t, "lr", d, 3), src, TrainerConfig{PullSlack: 2}
-	})
-	if werr != nil {
-		t.Fatal(werr)
+	trainToEnd(t, srv, d, src)
+
+	stale := newSnapshotModel(t, "lr", d, 3)
+	if srv, err = NewServer(cfg, stale); err != nil {
+		t.Fatal(err)
 	}
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	client, server := net.Pipe()
+	served := make(chan struct{}) // closed once the session has requeued what it held
+	go func() {
+		srv.ServeConn(server)
+		close(served)
+	}()
+	peer := rpc.NewClient(client)
+	if err := peer.Call("PS.Join", &JoinArgs{Codec: "dense", NumParams: stale.NumParams(), NumBatches: n}, &JoinReply{}); err != nil {
+		t.Fatal(err)
+	}
+	// The peer computes every gradient at version 0, the join image.
+	m := newSnapshotModel(t, "lr", d, 3)
+	grad := make([]float64, m.NumParams())
+	push := func(pos int64) error {
+		t.Helper()
+		var nr NextReply
+		if err := peer.Call("PS.Next", &NextArgs{}, &nr); err != nil || nr.Done || nr.Pos != pos {
+			t.Fatalf("Next = %+v, %v; want position %d", nr, err, pos)
+		}
+		x, y := src.Batch(nr.Batch)
+		loss := m.Grad(x, y, grad)
+		return peer.Call("PS.Push", &PushArgs{Pos: pos, Version: 0, Loss: loss, Payload: (&Dense{}).EncodeGrad(grad, nil)}, &PushReply{})
+	}
+	if err := push(0); err != nil {
+		t.Fatalf("position 0 at version 0: %v", err)
+	}
+	if err := push(1); err == nil {
+		t.Fatal("position 1 at version 0 admitted under staleness 0")
+	}
+	if got := srv.Clock(); got != 1 {
+		t.Fatalf("clock %d after the refused push, want 1", got)
+	}
+	peer.Close()
+	<-served
+
+	trainToEnd(t, srv, d, src)
+	if diff := maxAbsDiff(paramsOf(clean), paramsOf(stale)); diff != 0 {
+		t.Errorf("params diverge from the clean run's by %g", diff)
 	}
 	st := srv.Stats()
-	if st.Rejected == 0 {
-		t.Error("no rejections despite PullSlack over-holding stale snapshots")
-	}
-	if st.MaxStaleness > bound {
-		t.Errorf("max admitted staleness %d exceeds bound %d", st.MaxStaleness, bound)
-	}
-	if want := int64(2 * src.NumBatches()); st.Updates != want {
-		t.Errorf("%d updates, want %d", st.Updates, want)
-	}
-	if ts := trainers[0].Stats(); ts.Recomputes != st.Rejected {
-		t.Errorf("trainer recomputed %d, server rejected %d", ts.Recomputes, st.Rejected)
+	if want := int64(2 * n); st.Updates != want || st.Rejected != 1 || st.Reassigned != 1 {
+		t.Errorf("%d updates, %d rejected, %d reassigned; want %d, 1 and 1", st.Updates, st.Rejected, st.Reassigned, want)
 	}
 }
 
@@ -383,22 +423,13 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 	d, src := testSource(t, "census", 200)
 	n := src.NumBatches()
-	train := func(srv *Server) {
-		t.Helper()
-		_, werr, errs, _ := runCluster(t, srv, 1, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
-			return newSnapshotModel(t, "lr", d, 3), src, TrainerConfig{}
-		})
-		if werr != nil || errs[0] != nil {
-			t.Fatalf("run did not complete: server %v, trainer %v", werr, errs[0])
-		}
-	}
 	cfg := ServerConfig{Epochs: 2, NumBatches: n, LR: 0.2}
 	clean := newSnapshotModel(t, "lr", d, 3)
 	srv, err := NewServer(cfg, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	train(srv)
+	trainToEnd(t, srv, d, src)
 
 	attacked := newSnapshotModel(t, "lr", d, 3)
 	if srv, err = NewServer(cfg, attacked); err != nil {
@@ -466,7 +497,7 @@ func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 	}
 	victim.Close() // vanishes holding position 0: requeued for the honest trainer
 
-	train(srv)
+	trainToEnd(t, srv, d, src)
 	if diff := maxAbsDiff(paramsOf(clean), paramsOf(attacked)); diff != 0 {
 		t.Errorf("attacked run's params diverge from the clean run's by %g", diff)
 	}

@@ -159,7 +159,6 @@ func (*DSQ) decode(payload []byte, np int, visit func(i int, v float64)) error {
 // two functions above.
 
 func (c *DSQ) EncodeGrad(grad []float64, dst []byte) []byte { return c.encodeGrad(c, grad, dst) }
-func (c *DSQ) ReturnGrad(payload []byte) error              { return c.returnGrad(c, payload) }
 func (c *DSQ) DecodeGrad(payload []byte, out []float64) error {
 	return decodeGrad(c, payload, out)
 }

@@ -11,9 +11,10 @@ import (
 // parameter image), then loops Next (Loop.Next), optionally Pull (a
 // compressed delta bringing its image to the current version), computes,
 // and Pushes the compressed gradient tagged with the version it was
-// computed at (Loop.Submit); a rejected trainer recomputes against a
-// fresh pull. Bye leaves cleanly; vanishing without it is a crash
-// (Loop.Abandon).
+// computed at (Loop.Submit). A push the loop refuses — a version outside
+// the staleness bound among them — is an RPC error, and the trainer that
+// gets one drops its connection. Bye leaves cleanly; vanishing without it
+// is a crash (Loop.Abandon), whose positions the survivors compute.
 //
 // Every id, position and version a peer sends is untrusted: the session
 // acts only as the owner its own Join created, and the loop refuses
@@ -72,12 +73,8 @@ type PushArgs struct {
 	Payload []byte
 }
 
-// PushReply reports admission: Rejected means the snapshot exceeded the
-// staleness bound and the trainer must pull and recompute.
-type PushReply struct {
-	Rejected bool
-	Clock    int64
-}
+// PushReply is empty: a push is admitted, or refused with an RPC error.
+type PushReply struct{}
 
 // ByeArgs announces a clean departure.
 type ByeArgs struct{ Trainer int }
@@ -217,10 +214,7 @@ func (x *session) Push(args *PushArgs, reply *PushReply) error {
 		st.UpBytes += int64(len(args.Payload))
 		st.DenseUpBytes += int64(8 * s.np)
 	})
-	var err error
-	reply.Rejected, err = s.loop.Submit(id, args.Pos, args.Version, args.Loss, grad)
-	reply.Clock = s.loop.Clock()
-	return err
+	return s.loop.Submit(id, args.Pos, args.Version, args.Loss, grad)
 }
 
 // Bye implements the clean-departure RPC.

@@ -227,7 +227,6 @@ func (*TopK) decode(payload []byte, np int, visit func(i int, v float64)) error 
 // two functions above.
 
 func (c *TopK) EncodeGrad(grad []float64, dst []byte) []byte { return c.encodeGrad(c, grad, dst) }
-func (c *TopK) ReturnGrad(payload []byte) error              { return c.returnGrad(c, payload) }
 func (c *TopK) DecodeGrad(payload []byte, out []float64) error {
 	return decodeGrad(c, payload, out)
 }

@@ -121,12 +121,6 @@ func TestErrorFeedbackConservesEveryCoordinate(t *testing.T) {
 						fed[i] += v
 					}
 					payload = c.EncodeGrad(g, payload[:0])
-					if r == rounds/2 { // a rejected push: credited back, then sent again
-						if err := c.ReturnGrad(payload); err != nil {
-							t.Fatal(err)
-						}
-						payload = c.EncodeGrad(make([]float64, np), payload[:0])
-					}
 					if err := c.DecodeGrad(payload, out); err != nil {
 						t.Fatal(err)
 					}

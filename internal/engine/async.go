@@ -36,14 +36,6 @@ type Async struct {
 	restartBudget int
 	restartWindow time.Duration
 
-	// releaseSlack lets a worker keep computing against its previous
-	// parameter snapshot until it is releaseSlack updates staler than the
-	// bound admits, so the loop's reject-and-recompute path fires on
-	// demand — the local mirror of dist's TrainerConfig.PullSlack. Tests
-	// only: production runs keep it 0, where every gradient starts from a
-	// fresh snapshot and the release window makes rejection impossible.
-	releaseSlack int
-
 	// runMu guards cur, the active TrainFrom's shared run state; Halt,
 	// AddWorkers and RemoveWorkers reach a running pool through it.
 	runMu sync.Mutex
@@ -171,10 +163,6 @@ func NewAsync(cfg AsyncConfig) *Async {
 		restartBudget: max(rb, 0), restartWindow: rw,
 	}
 }
-
-// Deterministic reports whether the engine runs in delayed-gradient
-// mode (see AsyncConfig.Deterministic; always false at staleness <= 0).
-func (a *Async) Deterministic() bool { return a.base.Deterministic }
 
 // Workers returns the configured (initial) pool size.
 func (a *Async) Workers() int { return a.workers }
@@ -413,7 +401,7 @@ func (a *Async) spawnLocked(run *asyncRun) {
 	go func() {
 		defer run.wg.Done()
 		defer run.recoverTo()
-		w := &asyncWorker{clone: clone, owner: owner, snap: make([]float64, clone.NumParams()), version: -1}
+		w := &asyncWorker{clone: clone, owner: owner, snap: make([]float64, clone.NumParams())}
 		for {
 			t, ok, _ := run.loop.Next(owner)
 			if !ok {
@@ -429,10 +417,10 @@ func (a *Async) spawnLocked(run *asyncRun) {
 	}()
 }
 
-// computeTask runs one position on the worker's private clone until the
-// loop admits its gradient, recovering any panic — a poisoned batch, a
-// storage read that exhausted its retries, an injected
-// engine.async.worker fault — instead of killing the run.
+// computeTask runs one position on the worker's private clone and submits
+// its gradient, recovering any panic — a poisoned batch, a storage read
+// that exhausted its retries, an injected engine.async.worker fault —
+// instead of killing the run.
 func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (val any, crashed bool) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -444,39 +432,27 @@ func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (val any, cra
 	if err := faultpoint.Err("engine.async.worker"); err != nil {
 		panic(err)
 	}
-	for rejected := false; ; {
-		x, y := run.src.Batch(t.Batch)
-		// Refresh the clone after the batch is in hand, so a slow read
-		// costs the gradient no freshness. Only the test-only slack ever
-		// holds a snapshot over, and never for a recompute.
-		holdOver := a.releaseSlack > 0 && !rejected && w.version >= 0 &&
-			t.Pos-w.version <= int64(a.base.Staleness+a.releaseSlack)
-		if !holdOver {
-			var ok bool
-			if w.version, ok = run.loop.Params(t.Pos, w.snap); !ok {
-				return nil, false
-			}
-			w.clone.SetParams(w.snap)
-		}
-		g := run.loop.GradBuf()
-		var err error
-		// A rejected position stays this worker's: recompute it against
-		// fresher parameters. The clock cannot pass it meanwhile, so once
-		// it is the next to apply the recompute is exact and admitted.
-		rejected, err = run.loop.Submit(w.owner, t.Pos, w.version, w.clone.Grad(x, y, g), g)
-		if err != nil || !rejected {
-			return nil, false // on error the run has failed; the next Next ends this worker
-		}
+	x, y := run.src.Batch(t.Batch)
+	// Refresh the clone after the batch is in hand, so a slow read costs
+	// the gradient no freshness.
+	version, ok := run.loop.Params(t.Pos, w.snap)
+	if !ok {
+		return nil, false
 	}
+	w.clone.SetParams(w.snap)
+	g := run.loop.GradBuf()
+	// Submit refuses only once the run has failed (this version is always
+	// admissible), and then the next Next ends this worker.
+	_ = run.loop.Submit(w.owner, t.Pos, version, w.clone.Grad(x, y, g), g)
+	return nil, false
 }
 
 // asyncWorker is one pool member: its loop owner id, its private model
-// clone and the parameter version the clone currently holds.
+// clone and the buffer its parameters are refreshed through.
 type asyncWorker struct {
-	clone   ml.Model
-	owner   int
-	snap    []float64
-	version int64 // -1 before the first refresh
+	clone ml.Model
+	owner int
+	snap  []float64
 }
 
 // handleCrash absorbs one worker panic on the crashed worker's goroutine:

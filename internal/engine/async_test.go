@@ -120,40 +120,6 @@ func TestAsyncUnboundedCompletes(t *testing.T) {
 	}
 }
 
-// White box: widening the release gate past the staleness bound lets
-// workers compute against snapshots the updater must refuse, so the
-// reject-and-recompute path actually runs — and because every admitted
-// gradient still has staleness 0, the trajectory stays bitwise serial.
-// This pins the bound as the updater's property, not the scheduler's.
-func TestAsyncRejectionPreservesStalenessZeroTrajectory(t *testing.T) {
-	d, src := testSource(t, "census", 500)
-	serial := newModel(t, "lr", d, 19)
-	resS := ml.Train(serial, src, 3, 0.2, nil)
-
-	a := NewAsync(AsyncConfig{Workers: 4, Staleness: 0})
-	a.releaseSlack = 8
-	m := newSnapshotModel(t, "lr", d, 19)
-	resA, err := a.Train(m, src, 3, 0.2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := a.Stats()
-	if st.Rejected == 0 {
-		t.Errorf("release slack 8 with 4 workers never tripped the admission check: %+v", st)
-	}
-	if st.MaxStaleness != 0 {
-		t.Errorf("admitted staleness %d under bound 0", st.MaxStaleness)
-	}
-	for e := range resS.EpochLoss {
-		if math.Float64bits(resS.EpochLoss[e]) != math.Float64bits(resA.EpochLoss[e]) {
-			t.Errorf("epoch %d: loss %v != serial %v despite staleness-0 admission", e, resA.EpochLoss[e], resS.EpochLoss[e])
-		}
-	}
-	if diff := maxAbsDiff(flatParams(t, serial), flatParams(t, m)); diff != 0 {
-		t.Errorf("weights diverge from serial by %g", diff)
-	}
-}
-
 // panicGradModel panics on the nth Grad call across all clones — a
 // poisoned batch mid-epoch.
 type panicGradModel struct {

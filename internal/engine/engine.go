@@ -225,7 +225,7 @@ func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float6
 				g := loop.GradBuf()
 				// Submit refuses only once the run has failed, and then the
 				// next Next ends this worker.
-				_, _ = loop.Submit(owner, t.Pos, t.Version, m.Grad(x, y, g), g)
+				_ = loop.Submit(owner, t.Pos, t.Version, m.Grad(x, y, g), g)
 			}
 		}()
 	}

@@ -223,6 +223,32 @@ func TestEngineKernelParallelMatchesSerialTrain(t *testing.T) {
 	}
 }
 
+// The pool split of the package doc: the gradients a step (or a staleness
+// window) keeps in flight claim workers first, and each gradient's matrix
+// kernels get what is left over.
+func TestKernelWorkersSplitThePool(t *testing.T) {
+	engine := func(group, n int) int { return New(Config{Workers: 8, GroupSize: group}).KernelWorkers(n) }
+	async := func(staleness int) int {
+		return NewAsync(AsyncConfig{Workers: 8, Staleness: staleness}).KernelWorkers()
+	}
+	for _, row := range []struct {
+		name      string
+		got, want int
+	}{
+		{"engine group 1", engine(1, 40), 8},
+		{"engine group 8", engine(8, 40), 1},
+		{"engine group 8 over 2 batches", engine(8, 2), 4},
+		{"async staleness 0", async(0), 8},
+		{"async staleness 3", async(3), 2},
+		{"async staleness 8", async(8), 1},
+		{"async unbounded", async(StalenessUnbounded), 1},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s with 8 workers: %d kernel workers, want %d", row.name, row.got, row.want)
+		}
+	}
+}
+
 // Engine-built prefetchers cover every spill shard and honor the byte
 // budget; training through one over a 4-shard store must walk the same
 // trajectory as the single-file layout.

@@ -20,9 +20,9 @@ var ErrHalted = errors.New("engine: halted before completion")
 
 // prefetchHints is what the loop tells a batch source that reads ahead;
 // storage.Prefetcher implements it. Request names one batch whenever the
-// stream deviates from ingest order — a rejected or abandoned position's
-// batch is about to be read a second time. It must not block: the loop
-// calls it under its lock.
+// stream deviates from ingest order — an abandoned position's batch is
+// about to be read a second time. It must not block: the loop calls it
+// under its lock.
 type prefetchHints interface {
 	Request(idx int)
 }
@@ -51,7 +51,8 @@ type LoopConfig struct {
 	// (delayed-gradient SGD) and serves it from an archive ring.
 	Deterministic bool
 	// Window caps how far the release frontier may run ahead of the clock;
-	// <= 0 means Staleness+1, or no cap when unbounded.
+	// <= 0 means no cap. A bounded run's window is at most Staleness+1:
+	// a position released further ahead could only be refused.
 	Window int
 
 	Checkpoint      *checkpoint.Writer
@@ -69,8 +70,9 @@ type LoopConfig struct {
 type LoopStats struct {
 	// Updates counts applied parameter updates.
 	Updates int64
-	// Rejected counts gradients refused because their parameter version
-	// exceeded the staleness bound; the owner recomputes.
+	// Rejected counts gradients Submit refused because their parameter
+	// version was outside the staleness bound (in Deterministic mode: not
+	// the delayed version). No healthy front end sends one.
 	Rejected int64
 	// Duplicates counts late gradients from abandoned owners — their
 	// positions were reassigned — dropped idempotently.
@@ -228,10 +230,10 @@ func NewLoop(cfg LoopConfig, m ml.Model, src ml.BatchSource) (*Loop, error) {
 	l.hints, _ = src.(prefetchHints)
 	l.cond = sync.NewCond(&l.mu)
 	if l.window <= 0 {
-		l.window = l.bound + 1
-		if l.bound < 0 {
-			l.window = math.MaxInt64
-		}
+		l.window = math.MaxInt64
+	}
+	if l.bound >= 0 {
+		l.window = min(l.window, l.bound+1)
 	}
 	if l.group > 1 {
 		l.merged = make([]float64, l.np)
@@ -487,14 +489,22 @@ func (l *Loop) admitsLocked(start, version int64) bool {
 // Submit hands in the gradient owner computed for pos against parameter
 // version version. The loop takes grad back in every case. A late
 // gradient from an abandoned owner — its position is someone else's now —
-// is dropped and counted in Duplicates; one staler than the bound is
-// counted in Rejected and reported so the owner, who keeps the position,
-// can recompute. Anything else a well-behaved owner cannot send — an id
-// that never joined, a position it does not hold, a version from the
-// future, a wrong-length vector — is an error that changes nothing. An
-// admitted gradient is buffered, and every step it completes is applied,
-// in order, before Submit returns.
-func (l *Loop) Submit(owner int, pos, version int64, loss float64, grad []float64) (rejected bool, err error) {
+// is dropped and counted in Duplicates. Anything a well-behaved owner
+// cannot send — an id that never joined, a position it does not hold, a
+// wrong-length vector, a version from the future or one the staleness
+// rule does not admit (counted in Rejected) — is an error that changes
+// nothing else. An admitted gradient is buffered, and every step it
+// completes is applied, in order, before Submit returns.
+//
+// A healthy front end is never refused for staleness:
+//   - a position p is released only while stepStart(p) − clock < Window
+//     ≤ Staleness+1;
+//   - an Async worker reads its version with Params after the batch is in
+//     hand, an Engine worker submits the release-time clock, and a
+//     requeued position's clock only grew;
+//   - a dist trainer pulls whenever p − version > bound;
+//   - in Deterministic mode, Params returns exactly max(0, p−Staleness).
+func (l *Loop) Submit(owner int, pos, version int64, loss float64, grad []float64) (err error) {
 	l.mu.Lock()
 	at, buffered := -1, false
 	for i, a := range l.held {
@@ -517,10 +527,7 @@ func (l *Loop) Submit(owner int, pos, version int64, loss float64, grad []float6
 		err = fmt.Errorf("engine: position %d computed at version %d, clock is %d", pos, version, l.clock)
 	case !l.admitsLocked(l.stepStart(pos), version):
 		l.stats.Rejected++
-		rejected = true
-		if l.hints != nil {
-			l.hints.Request(l.held[at].task.Batch)
-		}
+		err = fmt.Errorf("engine: position %d computed at version %d, which staleness bound %d does not admit", pos, version, l.bound)
 	default:
 		l.held[at] = l.held[len(l.held)-1]
 		l.held = l.held[:len(l.held)-1]
@@ -534,7 +541,7 @@ func (l *Loop) Submit(owner int, pos, version int64, loss float64, grad []float6
 	if buffered {
 		l.drain()
 	}
-	return rejected, err
+	return err
 }
 
 // drain applies every complete step at the clock, one at a time, running

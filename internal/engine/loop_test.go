@@ -76,8 +76,15 @@ func (d *driver) next(owner int, want int64) Task {
 	return task
 }
 
+// canNext reports whether a Next would return without waiting.
+func (d *driver) canNext() bool {
+	d.l.mu.Lock()
+	defer d.l.mu.Unlock()
+	return d.l.done || len(d.l.requeue) > 0 || d.l.releasableLocked()
+}
+
 // submit hands in position pos computed at version and returns the verdict.
-func (d *driver) submit(owner int, pos, version int64) (bool, error) {
+func (d *driver) submit(owner int, pos, version int64) error {
 	g := d.l.GradBuf()
 	g[0] = float64(pos + 1)
 	return d.l.Submit(owner, pos, version, float64(pos+1), g)
@@ -85,8 +92,8 @@ func (d *driver) submit(owner int, pos, version int64) (bool, error) {
 
 func (d *driver) admit(owner int, pos, version int64) {
 	d.t.Helper()
-	if rejected, err := d.submit(owner, pos, version); rejected || err != nil {
-		d.t.Fatalf("Submit(owner %d, pos %d, v%d) = rejected %v, %v; want admitted", owner, pos, version, rejected, err)
+	if err := d.submit(owner, pos, version); err != nil {
+		d.t.Fatalf("Submit(owner %d, pos %d, v%d) = %v; want admitted", owner, pos, version, err)
 	}
 }
 
@@ -106,17 +113,17 @@ func TestLoopOutOfOrderDuplicateAndUnheldSubmits(t *testing.T) {
 	d.admit(a, 2, 0)
 	d.admit(b, 1, 0)
 	d.check("clock with position 0 outstanding", d.l.Clock(), int64(0))
-	for name, sub := range map[string]func() (bool, error){
-		"duplicate":          func() (bool, error) { return d.submit(a, 2, 0) },
-		"another owner's":    func() (bool, error) { return d.submit(b, 0, 0) },
-		"never released":     func() (bool, error) { return d.submit(a, 3, 0) },
-		"past the schedule":  func() (bool, error) { return d.submit(a, 4, 0) },
-		"future version":     func() (bool, error) { return d.submit(a, 0, 1) },
-		"never-joined owner": func() (bool, error) { return d.submit(99, 0, 0) },
-		"wrong length":       func() (bool, error) { return d.l.Submit(a, 0, 0, 1, make([]float64, 3)) },
+	for name, sub := range map[string]func() error{
+		"duplicate":          func() error { return d.submit(a, 2, 0) },
+		"another owner's":    func() error { return d.submit(b, 0, 0) },
+		"never released":     func() error { return d.submit(a, 3, 0) },
+		"past the schedule":  func() error { return d.submit(a, 4, 0) },
+		"future version":     func() error { return d.submit(a, 0, 1) },
+		"never-joined owner": func() error { return d.submit(99, 0, 0) },
+		"wrong length":       func() error { return d.l.Submit(a, 0, 0, 1, make([]float64, 3)) },
 	} {
-		if rejected, err := sub(); err == nil || rejected {
-			t.Errorf("%s submit = rejected %v, %v; want an error", name, rejected, err)
+		if err := sub(); err == nil {
+			t.Errorf("%s submit admitted; want an error", name)
 		}
 	}
 	if _, _, err := d.l.Next(99); err == nil {
@@ -137,18 +144,22 @@ func TestLoopOutOfOrderDuplicateAndUnheldSubmits(t *testing.T) {
 	}
 }
 
-func TestLoopStaleSubmitRejectedThenResubmitted(t *testing.T) {
-	// Window 3 releases past what staleness 0 admits, as a slack front end
-	// would, so the admission check is what holds the bound.
+func TestLoopStaleSubmitIsRefused(t *testing.T) {
+	// Window 3 at staleness 0 is clamped to the bound's window of one step:
+	// nothing is released that could only be refused.
 	d := drive(t, LoopConfig{Kind: checkpoint.KindAsync, Epochs: 1, NumBatches: 3, Window: 3})
 	a := d.l.Join()
 	d.next(a, 0)
-	d.next(a, 1)
-	if rejected, err := d.submit(a, 1, 0); !rejected || err != nil {
-		t.Fatalf("stale submit = rejected %v, %v; want rejected", rejected, err)
+	if d.canNext() {
+		t.Fatal("position 1 releasable at clock 0 under staleness 0")
 	}
 	d.admit(a, 0, 0)
-	d.admit(a, 1, 1) // still a's: recomputed at the version the bound admits
+	d.next(a, 1)
+	if err := d.submit(a, 1, 0); err == nil {
+		t.Fatal("version 0 admitted for position 1 under staleness 0")
+	}
+	d.check("stats after the refusal", d.l.Stats(), LoopStats{Updates: 1, Rejected: 1})
+	d.admit(a, 1, 1) // still a's: the refusal changed nothing
 	d.check("applied", d.m.applied, []float64{1, 2})
 	d.check("stats", d.l.Stats(), LoopStats{Updates: 2, Rejected: 1})
 }
@@ -166,7 +177,7 @@ func TestLoopDeterministicAdmitsOnlyTheArchivedVersion(t *testing.T) {
 		}
 		if pos == 3 {
 			// Fresher than the delay is as wrong as staler.
-			if rejected, _ := d.submit(a, pos, 2); !rejected {
+			if err := d.submit(a, pos, 2); err == nil {
 				t.Error("version 2 admitted for position 3 at delay 2")
 			}
 			d.check("archived params of version 1", snap[0], -0.5*1)
@@ -185,8 +196,8 @@ func TestLoopAbandonRequeuesForAnotherOwner(t *testing.T) {
 	d.next(b, 0) // requeued positions come back first, oldest first
 	d.next(b, 1)
 	// a's late gradient is dropped, not applied in b's place, and a is gone.
-	if rejected, err := d.submit(a, 0, 0); rejected || err != nil {
-		t.Errorf("late submit from an abandoned owner = rejected %v, %v; want a silent drop", rejected, err)
+	if err := d.submit(a, 0, 0); err != nil {
+		t.Errorf("late submit from an abandoned owner = %v; want a silent drop", err)
 	}
 	if _, _, err := d.l.Next(a); err == nil {
 		t.Error("Next from an abandoned owner succeeded")
@@ -222,8 +233,8 @@ func TestLoopHaltWithPositionsInFlight(t *testing.T) {
 	}
 	d.check("epoch losses of a run halted mid-epoch", res.EpochLoss, []float64(nil))
 	// The gradient that was in flight is dropped; nothing more is released.
-	if rejected, err := d.submit(a, 1, 0); rejected || err != nil {
-		t.Errorf("submit after halt = rejected %v, %v; want a silent drop", rejected, err)
+	if err := d.submit(a, 1, 0); err != nil {
+		t.Errorf("submit after halt = %v; want a silent drop", err)
 	}
 	if _, ok, err := d.l.Next(a); ok || err != nil {
 		t.Errorf("Next after halt = %v, %v; want done", ok, err)
@@ -386,9 +397,9 @@ func TestLoopResumeRefusesEveryMismatch(t *testing.T) {
 // and only then picks its parameter version — the clock at that moment
 // when refresh is set, as an Async worker refreshing its clone after the
 // batch is in hand; the release-time clock otherwise, as an Engine worker
-// computing on the live model — and submits. A rejected worker pays the
-// cost again and resubmits. Completions are processed in time order, ties
-// to the lower worker. It returns the makespan and the loop's counters.
+// computing on the live model — and submits. Completions are processed in
+// time order, ties to the lower worker. It returns the makespan and the
+// loop's counters.
 func simulate(t *testing.T, cfg LoopConfig, workers int, refresh bool, cost func(batch int) int64) (int64, LoopStats) {
 	t.Helper()
 	d := drive(t, cfg)
@@ -402,15 +413,10 @@ func simulate(t *testing.T, cfg LoopConfig, workers int, refresh bool, cost func
 	for i := range pool {
 		pool[i] = &worker{owner: d.l.Join()}
 	}
-	canNext := func() bool {
-		d.l.mu.Lock()
-		defer d.l.mu.Unlock()
-		return d.l.done || len(d.l.requeue) > 0 || d.l.releasableLocked()
-	}
 	for now := int64(0); ; {
 		var first *worker
 		for _, w := range pool {
-			if !w.busy && canNext() {
+			if !w.busy && d.canNext() {
 				task, ok, err := d.l.Next(w.owner)
 				if err != nil {
 					t.Fatal(err)
@@ -432,11 +438,10 @@ func simulate(t *testing.T, cfg LoopConfig, workers int, refresh bool, cost func
 		if refresh {
 			version = d.l.Clock()
 		}
-		rejected, err := d.submit(first.owner, first.task.Pos, version)
-		if err != nil {
+		if err := d.submit(first.owner, first.task.Pos, version); err != nil {
 			t.Fatal(err)
 		}
-		first.busy, first.until = rejected, now+cost(first.task.Batch)
+		first.busy = false
 	}
 }
 
@@ -447,8 +452,7 @@ func simulate(t *testing.T, cfg LoopConfig, workers int, refresh bool, cost func
 // schedule with a staleness window covering the skew period lets them
 // flow around it. Staleness 0 is the serial chain — one position in
 // flight, every cost in series — at any worker count. No row ever applies
-// a gradient staler than its bound, and a window of staleness+1 means no
-// row ever has one rejected.
+// a gradient staler than its bound or has one refused.
 func TestLoopAsyncFlowsAroundStragglersSyncBarrierWaits(t *testing.T) {
 	const n, epochs, group = 40, 2, 8
 	cost := func(batch int) int64 {

@@ -12,6 +12,11 @@ import (
 
 const denHeaderSize = 16 // two uint64 dims
 
+// maxDenDim bounds each decoded dimension, as every other scheme's header
+// is bounded, so a forged header cannot size an enormous matrix; at this
+// bound 8·rows·cols cannot overflow an int.
+const maxDenDim = 1 << 27
+
 // SerializedSize returns the number of bytes Serialize produces.
 func (d *Dense) SerializedSize() int {
 	return denHeaderSize + 8*len(d.data)
@@ -35,16 +40,12 @@ func DeserializeDense(buf []byte) (*Dense, error) {
 	if len(buf) < denHeaderSize {
 		return nil, fmt.Errorf("matrix: DEN image too short: %d bytes", len(buf))
 	}
-	rows := int(binary.LittleEndian.Uint64(buf[0:8]))
-	cols := int(binary.LittleEndian.Uint64(buf[8:16]))
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("matrix: DEN image has negative dims %dx%d", rows, cols)
+	r, c := binary.LittleEndian.Uint64(buf[0:8]), binary.LittleEndian.Uint64(buf[8:16])
+	if r > maxDenDim || c > maxDenDim {
+		return nil, fmt.Errorf("matrix: DEN image claims implausible dims %dx%d", r, c)
 	}
-	want := denHeaderSize + 8*rows*cols
-	if rows > 0 && cols > 0 && (want/rows/8 != cols+denHeaderSize/8/rows || want < 0) {
-		// overflow guard; recompute carefully below
-	}
-	if len(buf) != want {
+	rows, cols := int(r), int(c)
+	if want := denHeaderSize + 8*rows*cols; len(buf) != want {
 		return nil, fmt.Errorf("matrix: DEN image size %d != expected %d for %dx%d", len(buf), want, rows, cols)
 	}
 	d := NewDense(rows, cols)

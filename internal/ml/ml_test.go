@@ -269,18 +269,6 @@ func TestTrainCallback(t *testing.T) {
 	}
 }
 
-func TestErrorRateAndAccuracy(t *testing.T) {
-	if got := ErrorRate([]float64{1, 0, 1}, []float64{1, 1, 1}); math.Abs(got-1.0/3) > 1e-12 {
-		t.Fatalf("ErrorRate = %v", got)
-	}
-	if got := Accuracy([]float64{1, 0, 1}, []float64{1, 1, 1}); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("Accuracy = %v", got)
-	}
-	if ErrorRate(nil, nil) != 0 {
-		t.Fatal("empty ErrorRate should be 0")
-	}
-}
-
 func TestNewModelNames(t *testing.T) {
 	for _, name := range []string{"linreg", "lr", "svm", "nn"} {
 		if _, err := NewModel(name, 10, 2, 1, 1); err != nil {

@@ -137,26 +137,6 @@ func NewModel(name string, dims, classes int, hiddenScale float64, seed int64) (
 	}
 }
 
-// ErrorRate returns the fraction of predictions differing from labels.
-func ErrorRate(pred, y []float64) float64 {
-	if len(pred) != len(y) {
-		panic(fmt.Sprintf("ml: ErrorRate length mismatch %d != %d", len(pred), len(y)))
-	}
-	if len(y) == 0 {
-		return 0
-	}
-	wrong := 0
-	for i := range y {
-		if pred[i] != y[i] {
-			wrong++
-		}
-	}
-	return float64(wrong) / float64(len(y))
-}
-
-// Accuracy is 1 − ErrorRate.
-func Accuracy(pred, y []float64) float64 { return 1 - ErrorRate(pred, y) }
-
 // EvaluateError runs the model over a source and returns the error rate.
 func EvaluateError(m Model, src BatchSource) float64 {
 	var wrong, total int

@@ -193,10 +193,9 @@ func (p *Prefetcher) scheduleLocked(pos int) {
 
 // Request schedules a background read of one specific batch, regardless
 // of its place in the window. The engines call this when their stream
-// deviates from ingest order — a staleness-rejected gradient's batch is
-// about to be re-read for the recompute, or an abandoned position's batch
-// goes to a new owner — so the prefetch stream follows the actual
-// positions rather than only the epoch scan. Resident, already-cached and
+// deviates from ingest order — an abandoned position's batch goes to a
+// new owner — so the prefetch stream follows the actual positions rather
+// than only the epoch scan. Resident, already-cached and
 // in-flight batches are no-ops; like the window, an explicit request
 // respects the byte budget (but never starves below one entry) and
 // degrades to a synchronous read if the shard's queue is full.
@@ -330,10 +329,6 @@ func (p *Prefetcher) Stats() PrefetchStats {
 	defer p.mu.Unlock()
 	return p.stats
 }
-
-// Store returns the wrapped store (for its IO stats and cleanup; closing
-// the store remains the caller's job).
-func (p *Prefetcher) Store() *Store { return p.store }
 
 // Close stops the background readers, interrupting any reader sitting
 // in a retry-backoff sleep so it returns promptly instead of serving

@@ -224,9 +224,6 @@ func NewStore(dir, method string, budgetBytes int64, opts ...Option) (*Store, er
 	return cfg.newStore(method, codec, budgetBytes, shards), nil
 }
 
-// Method returns the scheme name this store encodes with.
-func (s *Store) Method() string { return s.method }
-
 // Shards returns the number of spill shards.
 func (s *Store) Shards() int { return len(s.shards) }
 

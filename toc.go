@@ -167,8 +167,7 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 // synchronous GroupSize-1 trajectory bitwise for any worker count; a
 // negative Staleness free-runs Hogwild-style, so one slow batch never
 // stalls another worker's compute. Its Stats report applied updates,
-// staleness-rejected gradients, the max/mean staleness and the pool's
-// membership and crash counts.
+// the max/mean staleness and the pool's membership and crash counts.
 type AsyncEngine = engine.Async
 
 // AsyncConfig sizes the async engine: Workers, Staleness, Seed,
@@ -321,8 +320,8 @@ type DistServerConfig = dist.ServerConfig
 // assigned.
 type DistTrainer = dist.Trainer
 
-// DistTrainerConfig configures a trainer's codec (must match the
-// server's) and its pull policy.
+// DistTrainerConfig configures a trainer's codec, which must match the
+// server's.
 type DistTrainerConfig = dist.TrainerConfig
 
 // GradCodec compresses the two directions of parameter-server traffic:
