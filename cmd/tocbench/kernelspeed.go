@@ -8,8 +8,8 @@ import (
 	"strings"
 	"time"
 
-	"toc/internal/core"
 	"toc/internal/data"
+	"toc/internal/formats"
 	"toc/internal/matrix"
 )
 
@@ -24,13 +24,15 @@ import (
 // back-to-back on the same machine and the same data, so it transfers
 // across runner generations the way raw nanoseconds never do.
 //
-// All rows run at workers=1 through a KernelPlan, so the numbers isolate
-// the inner decode loops: no goroutine fan-out, no per-op tree rebuild.
-// The checksum column folds every result element in a fixed order: a
-// sum that strays more than 1e-6 (relative) from the dense kernel's
-// fails the run, and the printed bits are a per-row fingerprint that is
-// stable from run to run. Full and sparse rows fold in a different
-// order, so their checksums may differ in the last bits.
+// All rows run at workers=1 through a formats.KernelPlan, so the numbers
+// isolate the inner decode loops: no goroutine fan-out, no per-op tree
+// rebuild. A "full" row is the TOC_FULL plan; a "sparse" row is the
+// TOC_SPARSE plan, which is CSR's. The checksum column folds every result
+// element in a fixed order: a sum that strays more than 1e-6 (relative)
+// from the dense kernel's fails the run, and the printed bits are a
+// per-row fingerprint that is stable from run to run. Full and sparse
+// rows fold in a different order, so their checksums may differ in the
+// last bits.
 
 // Table is a rendered regime result.
 type Table struct {
@@ -191,7 +193,7 @@ func runKernelSpeed(dataRows, reps int) (*Table, error) {
 		work int
 		// run executes the compressed kernel over every batch's plan,
 		// folding results into a checksum.
-		run func(plans []*core.KernelPlan) float64
+		run func(plans []formats.KernelPlan) float64
 		// roofline executes the dense counterpart over every batch.
 		roofline func() float64
 		// roofElems is the dense work denominator.
@@ -200,7 +202,7 @@ func runKernelSpeed(dataRows, reps int) (*Table, error) {
 	cases := []kernelCase{
 		{
 			name: "MulVec", work: nnz, roofElems: elems,
-			run: func(plans []*core.KernelPlan) float64 {
+			run: func(plans []formats.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
 					s += sumVec(kp.MulVecInto(nil, vr, 1))
@@ -217,7 +219,7 @@ func runKernelSpeed(dataRows, reps int) (*Table, error) {
 		},
 		{
 			name: "VecMul", work: nnz, roofElems: elems,
-			run: func(plans []*core.KernelPlan) float64 {
+			run: func(plans []formats.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
 					s += sumVec(kp.VecMulInto(nil, vl, 1))
@@ -234,7 +236,7 @@ func runKernelSpeed(dataRows, reps int) (*Table, error) {
 		},
 		{
 			name: "MulMat", work: nnz * p, roofElems: elems * p,
-			run: func(plans []*core.KernelPlan) float64 {
+			run: func(plans []formats.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
 					s += sumVec(kp.MulMatInto(nil, mr, 1).Data())
@@ -251,7 +253,7 @@ func runKernelSpeed(dataRows, reps int) (*Table, error) {
 		},
 		{
 			name: "MatMul", work: nnz * p, roofElems: elems * p,
-			run: func(plans []*core.KernelPlan) float64 {
+			run: func(plans []formats.KernelPlan) float64 {
 				var s float64
 				for _, kp := range plans {
 					s += sumVec(kp.MatMulInto(nil, ml, 1).Data())
@@ -268,14 +270,11 @@ func runKernelSpeed(dataRows, reps int) (*Table, error) {
 		},
 	}
 
-	for _, variant := range []core.Variant{core.Full, core.SparseOnly} {
-		plans := make([]*core.KernelPlan, n)
+	for _, variant := range []struct{ method, vname string }{{"TOC_FULL", "full"}, {"TOC_SPARSE", "sparse"}} {
+		enc, vname := formats.MustGet(variant.method), variant.vname
+		plans := make([]formats.KernelPlan, n)
 		for i, x := range dense {
-			plans[i] = core.CompressVariant(x, variant).NewKernelPlan()
-		}
-		vname := "full"
-		if variant == core.SparseOnly {
-			vname = "sparse"
+			plans[i] = enc(x).(formats.ParallelOps).NewKernelPlan()
 		}
 		for _, kc := range cases {
 			var sum float64

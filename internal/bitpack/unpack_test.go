@@ -1,7 +1,9 @@
 package bitpack
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -101,6 +103,65 @@ func TestUnpackRangeAllocs(t *testing.T) {
 			t.Errorf("width %d: UnpackRange allocates %.0f objects/run, want 0", width, got)
 		}
 	}
+}
+
+// FuzzUnpackRange drives UnpackRange with an arbitrary width, payload,
+// range [lo,hi) and dst length (hi-lo+slack). The contract: a range
+// inside the array with a dst that holds it decodes exactly Get's values,
+// writes nothing past them and allocates nothing; an out-of-range range,
+// or else a short dst, panics with its documented message; nothing else
+// panics. The array comes from ReadArray over the payload, so every width
+// meets arbitrary bytes. Seed corpus lives in testdata/fuzz/FuzzUnpackRange.
+func FuzzUnpackRange(f *testing.F) {
+	f.Add(uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, int16(1), int16(7), int8(0))
+	f.Fuzz(func(t *testing.T, width uint8, payload []byte, lo, hi int16, slack int8) {
+		w := 1 + int(width)%4
+		n := len(payload) / w
+		img := binary.LittleEndian.AppendUint32(nil, uint32(n))
+		img = append(append(img, byte(w)), payload[:n*w]...)
+		a, _, err := ReadArray(img)
+		if err != nil {
+			t.Fatalf("ReadArray of a %d×%d array: %v", n, w, err)
+		}
+		l, h := int(lo), int(hi)
+		dst := make([]uint32, max(0, h-l+int(slack)))
+		const sentinel = 0xdeadbeef
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		var want string
+		switch {
+		case l < 0 || h > n || l > h:
+			want = fmt.Sprintf("bitpack: UnpackRange [%d,%d) out of range %d", l, h, n)
+		case len(dst) < h-l:
+			want = fmt.Sprintf("bitpack: UnpackRange dst holds %d, need %d", len(dst), h-l)
+		}
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			a.UnpackRange(dst, l, h)
+			return nil
+		}()
+		if want != "" {
+			if got != want {
+				t.Fatalf("UnpackRange(dst[%d], %d, %d) of %d: panic %v, want %q", len(dst), l, h, n, got, want)
+			}
+			return
+		}
+		if got != nil {
+			t.Fatalf("UnpackRange(dst[%d], %d, %d) of %d: unexpected panic %v", len(dst), l, h, n, got)
+		}
+		for i := range dst {
+			if i < h-l && dst[i] != a.Get(l+i) {
+				t.Fatalf("width %d [%d,%d): dst[%d] = %d, Get(%d) = %d", w, l, h, i, dst[i], l+i, a.Get(l+i))
+			}
+			if i >= h-l && dst[i] != sentinel {
+				t.Fatalf("width %d [%d,%d): wrote dst[%d] past the range", w, l, h, i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(1, func() { a.UnpackRange(dst, l, h) }); allocs != 0 {
+			t.Fatalf("width %d [%d,%d): %.0f allocations, want 0", w, l, h, allocs)
+		}
+	})
 }
 
 func TestUvarintOverflow(t *testing.T) {

@@ -9,7 +9,9 @@ import (
 )
 
 // Variant selects which encoding layers a Batch uses. The paper's ablation
-// study (Figures 6 and 10) compares the cumulative variants.
+// study (Figures 6 and 10) compares the cumulative variants; its first
+// rung, the sparse encoding alone (TOC_SPARSE), stores exactly CSR's
+// arrays and is formats' CSR.
 type Variant uint8
 
 const (
@@ -18,8 +20,6 @@ const (
 	// SparseLogical uses sparse + logical encoding with raw physical
 	// storage (TOC_SPARSE_AND_LOGICAL).
 	SparseLogical
-	// SparseOnly uses just the sparse encoding (TOC_SPARSE).
-	SparseOnly
 )
 
 // String names the variant as in the paper's figures.
@@ -29,8 +29,6 @@ func (v Variant) String() string {
 		return "TOC_FULL"
 	case SparseLogical:
 		return "TOC_SPARSE_AND_LOGICAL"
-	case SparseOnly:
-		return "TOC_SPARSE"
 	default:
 		return fmt.Sprintf("Variant(%d)", uint8(v))
 	}
@@ -53,14 +51,8 @@ type Batch struct {
 	rows, cols int
 	variant    Variant
 
-	// logical layer (Full, SparseLogical)
 	i []Pair
 	d dTable
-
-	// sparse layer (SparseOnly)
-	srStarts []uint32
-	srCols   []uint32
-	srVals   []float64
 
 	img []byte // serialized physical image; nil when stale (after Scale)
 }
@@ -70,24 +62,6 @@ func Compress(m *matrix.Dense) *Batch { return CompressVariant(m, Full) }
 
 // CompressVariant encodes a dense mini-batch using the given layer subset.
 func CompressVariant(m *matrix.Dense, v Variant) *Batch {
-	if v == SparseOnly {
-		b := &Batch{rows: m.Rows(), cols: m.Cols(), variant: v}
-		b.srStarts = make([]uint32, b.rows+1)
-		nnz := m.NNZ()
-		b.srCols = make([]uint32, 0, nnz)
-		b.srVals = make([]float64, 0, nnz)
-		for i := 0; i < b.rows; i++ {
-			for j, x := range m.Row(i) {
-				if x != 0 {
-					b.srCols = append(b.srCols, uint32(j))
-					b.srVals = append(b.srVals, x)
-				}
-			}
-			b.srStarts[i+1] = uint32(len(b.srCols))
-		}
-		b.img = b.buildImage(nil)
-		return b
-	}
 	e := encoderPool.Get().(*encoder)
 	e.addDense(m)
 	e.encode()
@@ -110,11 +84,11 @@ type liveScratch struct {
 
 var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 
-// newLogical is the one place a Full or SparseLogical batch is made: it
-// takes (I, D) as Algorithm 1 emits them — from the encoder, or unpacked
-// from an image, which is then img — validates them, writes the image if
-// there is none yet, and rewrites D.Nodes in place into the resident form
-// of decodetree.go. D.Nodes must not be aliased by the caller.
+// newLogical is the one place a batch is made: it takes (I, D) as
+// Algorithm 1 emits them — from the encoder, or unpacked from an image,
+// which is then img — validates them, writes the image if there is none
+// yet, and rewrites D.Nodes in place into the resident form of
+// decodetree.go. D.Nodes must not be aliased by the caller.
 func newLogical(rows, cols int, v Variant, I []Pair, D dTable, img []byte) (*Batch, error) {
 	b := &Batch{rows: rows, cols: cols, variant: v, i: I, d: D, img: img}
 	sc := liveScratchPool.Get().(*liveScratch)
@@ -238,20 +212,10 @@ func (b *Batch) CompressionRatio() float64 {
 	return float64(b.UncompressedSize()) / float64(b.CompressedSize())
 }
 
-// Decode losslessly reconstructs the original dense mini-batch. For the
-// logical variants it backtracks the decode tree as in Algorithm 6; for
-// SparseOnly it expands the sparse rows.
+// Decode losslessly reconstructs the original dense mini-batch by
+// backtracking the decode tree as in Algorithm 6.
 func (b *Batch) Decode() *matrix.Dense {
 	out := matrix.NewDense(b.rows, b.cols)
-	if b.variant == SparseOnly {
-		for i := 0; i < b.rows; i++ {
-			row := out.Row(i)
-			for k := b.srStarts[i]; k < b.srStarts[i+1]; k++ {
-				row[b.srCols[k]] = b.srVals[k]
-			}
-		}
-		return out
-	}
 	p := b.NewKernelPlan()
 	defer p.Release()
 	t := p.tree

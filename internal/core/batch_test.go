@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +51,7 @@ func redundantMatrix(rng *rand.Rand, rows, cols int, sparsity float64, poolSize 
 	return d
 }
 
-var allVariants = []Variant{Full, SparseLogical, SparseOnly}
+var allVariants = []Variant{Full, SparseLogical}
 
 func TestCompressDecodeLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -128,7 +129,7 @@ func TestCompressNonFiniteRoundTrip(t *testing.T) {
 		if !bitEqual(back.Decode()) {
 			t.Fatalf("%v: Decode() after Deserialize(Serialize()) is not bit-equal to the input", v)
 		}
-		if v != SparseOnly && b.NumFirstLayer() != 12 {
+		if b.NumFirstLayer() != 12 {
 			t.Fatalf("%v: |I| = %d, want 12 (each NaN payload is one pair per column)", v, b.NumFirstLayer())
 		}
 	}
@@ -286,26 +287,28 @@ func TestDeserializeRejectsCorruption(t *testing.T) {
 	a := redundantMatrix(rng, 10, 8, 0.5, 3)
 	img := Compress(a).Serialize()
 
-	if _, err := Deserialize(nil); err == nil {
-		t.Fatal("nil image should error")
+	with := func(pos int, c byte) []byte {
+		bad := append([]byte(nil), img...)
+		bad[pos] = c
+		return bad
 	}
-	if _, err := Deserialize(img[:5]); err == nil {
-		t.Fatal("truncated header should error")
-	}
-	bad := append([]byte(nil), img...)
-	bad[0] = 'X'
-	if _, err := Deserialize(bad); err == nil {
-		t.Fatal("bad magic should error")
-	}
-	bad = append([]byte(nil), img...)
-	bad[4] = 99
-	if _, err := Deserialize(bad); err == nil {
-		t.Fatal("bad version should error")
-	}
-	bad = append([]byte(nil), img...)
-	bad[5] = 7
-	if _, err := Deserialize(bad); err == nil {
-		t.Fatal("bad variant should error")
+	for _, c := range []struct {
+		name, want string
+		img        []byte
+	}{
+		{"nil image", "too short", nil},
+		{"truncated header", "too short", img[:5]},
+		{"bad magic", "bad magic", with(0, 'X')},
+		{"bad version", "unsupported version", with(4, 99)},
+		{"bad variant", "unknown variant 7", with(5, 7)},
+		// Variant 2 was the sparse encoding alone, which is formats' CSR
+		// (TOC_SPARSE) now; an image of it written by an older build is
+		// refused, not misread.
+		{"sparse-only image", "unknown variant 2", corpusImage(t, "FuzzDeserialize/seed-sparse-only")},
+	} {
+		if _, err := Deserialize(c.img); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 	for cut := headerSize; cut < len(img); cut += 7 {
 		if _, err := Deserialize(img[:cut]); err == nil {
@@ -362,12 +365,14 @@ func TestValidateRejectsForwardReference(t *testing.T) {
 
 func TestCompressionRatioOrdering(t *testing.T) {
 	// On redundant data the full pipeline must beat logical-only, which
-	// must beat sparse-only; all must beat DEN (ratio > 1).
+	// must beat sparse-only — CSR, TOC_SPARSE's encoding: a 16-byte header,
+	// the row starts and a u32 column and f64 value per nonzero; all must
+	// beat DEN (ratio > 1).
 	rng := rand.New(rand.NewSource(8))
 	a := redundantMatrix(rng, 200, 60, 0.4, 4)
 	full := CompressVariant(a, Full).CompressedSize()
 	logical := CompressVariant(a, SparseLogical).CompressedSize()
-	sparse := CompressVariant(a, SparseOnly).CompressedSize()
+	sparse := 16 + 4*(200+1) + 12*a.NNZ()
 	den := 16 + 8*200*60
 	if !(full < logical && logical < sparse && sparse < den) {
 		t.Fatalf("size ordering violated: full=%d logical=%d sparse=%d den=%d",

@@ -12,15 +12,6 @@ import "toc/internal/matrix"
 // receiver, not copied.
 func (b *Batch) Scale(c float64) *Batch {
 	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant}
-	if b.variant == SparseOnly {
-		nb.srStarts = b.srStarts
-		nb.srCols = b.srCols
-		nb.srVals = make([]float64, len(b.srVals))
-		for i, v := range b.srVals {
-			nb.srVals[i] = v * c
-		}
-		return nb
-	}
 	nb.d = b.d
 	nb.i = make([]Pair, len(b.i))
 	for i, p := range b.i {
@@ -32,15 +23,6 @@ func (b *Batch) Scale(c float64) *Batch {
 // Square returns a new batch representing A.^2 element-wise (sparse-safe).
 func (b *Batch) Square() *Batch {
 	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant}
-	if b.variant == SparseOnly {
-		nb.srStarts = b.srStarts
-		nb.srCols = b.srCols
-		nb.srVals = make([]float64, len(b.srVals))
-		for i, v := range b.srVals {
-			nb.srVals[i] = v * v
-		}
-		return nb
-	}
 	nb.d = b.d
 	nb.i = make([]Pair, len(b.i))
 	for i, p := range b.i {

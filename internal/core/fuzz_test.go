@@ -3,6 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"toc/internal/matrix"
@@ -27,7 +31,7 @@ func FuzzDeserialize(f *testing.F) {
 			}
 		}
 	}
-	for _, v := range []Variant{Full, SparseLogical, SparseOnly} {
+	for _, v := range allVariants {
 		f.Add(CompressVariant(dense, v).Serialize())
 	}
 	good := Compress(dense).Serialize()
@@ -38,13 +42,16 @@ func FuzzDeserialize(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("TOCB"))
 	f.Add(unreferencedFirstLayerImage())
+	// A 1×1 header naming variant 2, the sparse encoding alone, which
+	// this package no longer has (formats' TOC_SPARSE is CSR).
+	f.Add([]byte("TOCB\x01\x02\x01\x00\x00\x00\x01\x00\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, img []byte) {
 		b, err := Deserialize(img)
 		if err != nil {
 			return
 		}
-		if b.Variant() != SparseOnly && len(b.d.Nodes) <= 1<<16 {
+		if len(b.d.Nodes) <= 1<<16 {
 			var paper dTable
 			if b.Variant() == Full {
 				_, paper, err = parseFull(img[headerSize:])
@@ -106,6 +113,22 @@ func FuzzDeserialize(f *testing.F) {
 	})
 }
 
+// corpusImage reads the []byte value of a committed corpus entry,
+// testdata/fuzz/<target>/<name> in Go's "go test fuzz v1" encoding.
+func corpusImage(t *testing.T, entry string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", entry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, line, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	img, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", entry, err)
+	}
+	return []byte(img)
+}
+
 // fuzzMatrix turns fuzz bytes into a small dense matrix with the
 // structure Algorithm 1 feeds on: a shape, a short palette of values
 // whose raw float64 bits come straight from the input (so NaNs of any
@@ -160,29 +183,27 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		for i := range v {
 			v[i] = float64(i%5) - 2
 		}
-		for _, variant := range []Variant{Full, SparseLogical, SparseOnly} {
+		for _, variant := range allVariants {
 			b := CompressVariant(m, variant)
 			back, err := Deserialize(b.Serialize())
 			if err != nil {
 				t.Fatalf("%v: own image rejected: %v", variant, err)
 			}
-			if variant != SparseOnly {
-				referenced := make([]bool, len(b.i)+1)
-				_, D := PrefixTreeEncode(SparseEncode(m))
-				for _, codes := range D {
-					for _, n := range codes {
-						if int(n) <= len(b.i) {
-							referenced[n] = true
-						}
+			referenced := make([]bool, len(b.i)+1)
+			_, D := PrefixTreeEncode(SparseEncode(m))
+			for _, codes := range D {
+				for _, n := range codes {
+					if int(n) <= len(b.i) {
+						referenced[n] = true
 					}
 				}
-				for k := 1; k <= len(b.i); k++ {
-					if !referenced[k] {
-						t.Fatalf("%v: Algorithm 1 never emits first-layer node %d (%v)", variant, k, b.i[k-1])
-					}
-				}
-				checkResidentForm(t, variant.String(), b, flattenD(D))
 			}
+			for k := 1; k <= len(b.i); k++ {
+				if !referenced[k] {
+					t.Fatalf("%v: Algorithm 1 never emits first-layer node %d (%v)", variant, k, b.i[k-1])
+				}
+			}
+			checkResidentForm(t, variant.String(), b, flattenD(D))
 			for name, got := range map[string]*Batch{"batch": b, "deserialized image": back} {
 				d := got.Decode()
 				if d.Rows() != m.Rows() || d.Cols() != m.Cols() || !bitsEqual(d.Data(), want.Data()) {

@@ -105,24 +105,6 @@ func (b *Batch) vecMulRows(v, h []float64) {
 	}
 }
 
-// vecMulSparse is the SparseOnly v·A, accumulating into caller-zeroed r.
-func (b *Batch) vecMulSparse(v, r []float64) {
-	starts, cols, vals := b.srStarts, b.srCols, b.srVals
-	boundsHint(0, b.rows, len(starts), len(v))
-	for i := 0; i < b.rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		cs := cols[starts[i]:starts[i+1]]
-		vs := vals[starts[i]:starts[i+1]]
-		vs = vs[:len(cs)]
-		for k, c := range cs {
-			r[c] += vi * vs[k]
-		}
-	}
-}
-
 // MatMul computes M·A on the compressed batch, where M is p × rows.
 func (b *Batch) MatMul(m *matrix.Dense) *matrix.Dense {
 	p := b.NewKernelPlan()
@@ -231,29 +213,6 @@ func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *m
 			rj := r.Row(lo + j)
 			for c := range rj {
 				rj[c] = rt[c*w+j]
-			}
-		}
-	}
-}
-
-// matMulSparseRange is the SparseOnly M·A for result rows [klo,khi). The
-// result row is the outer loop: for a fixed output row the (i,k) nonzero
-// scan order is unchanged, so every result element folds in the exact
-// pre-restructure order, while M's row and the result row become
-// contiguous slices instead of strided column walks.
-func (b *Batch) matMulSparseRange(m *matrix.Dense, r *matrix.Dense, klo, khi int) {
-	starts, cols, vals := b.srStarts, b.srCols, b.srVals
-	boundsHint(0, b.rows, len(starts), b.rows)
-	for row := klo; row < khi; row++ {
-		mrow := m.Row(row)
-		rrow := r.Row(row)
-		for i := 0; i < b.rows; i++ {
-			mi := mrow[i]
-			cs := cols[starts[i]:starts[i+1]]
-			vs := vals[starts[i]:starts[i+1]]
-			vs = vs[:len(cs)]
-			for k, c := range cs {
-				rrow[c] += mi * vs[k]
 			}
 		}
 	}

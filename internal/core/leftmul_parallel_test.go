@@ -22,16 +22,14 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// leftMulBatches builds the three batch shapes the sharded kernels must
-// cover: a dense-ish logical batch, a sparse logical batch, and a
-// SparseOnly batch.
+// leftMulBatches builds the two batch shapes the sharded kernels must
+// cover: a dense-ish logical batch and a sparse logical batch.
 func leftMulBatches(rng *rand.Rand, rows, cols int) map[string]*Batch {
 	dense := redundantMatrix(rng, rows, cols, 0.95, 4)
 	sparse := redundantMatrix(rng, rows, cols, 0.25, 5)
 	return map[string]*Batch{
-		"dense":      Compress(dense),
-		"sparse":     Compress(sparse),
-		"sparseOnly": CompressVariant(sparse, SparseOnly),
+		"dense":  Compress(dense),
+		"sparse": Compress(sparse),
 	}
 }
 
@@ -98,12 +96,12 @@ func TestLeftMulParallelEdgeCases(t *testing.T) {
 	if !bitsEqual(tinyPlan.VecMulInto(nil, v, 8), tiny.VecMul(v)) {
 		t.Fatal("tiny batch fallback diverges")
 	}
-	sp := CompressVariant(redundantMatrix(rng, 40, 12, 0.4, 3), SparseOnly)
+	sp := Compress(redundantMatrix(rng, 40, 12, 0.4, 3))
 	spPlan := sp.NewKernelPlan()
 	defer spPlan.Release()
 	zeros := make([]float64, 40)
 	if !bitsEqual(spPlan.VecMulInto(nil, zeros, 7), sp.VecMul(zeros)) {
-		t.Fatal("all-zero vector diverges on SparseOnly")
+		t.Fatal("all-zero vector diverges")
 	}
 	m := matrix.NewDense(1, 40)
 	fillRand(rng, m)

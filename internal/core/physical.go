@@ -12,7 +12,7 @@ import (
 // bytes. For the Full variant, integer arrays (column indexes of I, value
 // indexes, tree-node indexes of D, tuple start indexes) are bit packed and
 // the float values of I are value-indexed, exactly as in Figure 3. The
-// ablation variants store the same information raw.
+// SparseLogical ablation variant stores the same information raw.
 //
 // Image layout (little-endian):
 //
@@ -21,8 +21,6 @@ import (
 //	               bitpack(D.nodes) | bitpack(D.starts)
 //	SparseLogical: u32 |I|, raw (u32 col, f64 val)... |
 //	               u32 |D.nodes|, raw u32... | raw u32 starts[rows+1]
-//	SparseOnly:    u32 nnz | raw u32 starts[rows+1] | raw u32 cols |
-//	               raw f64 vals
 
 const (
 	imageMagic   = "TOCB"
@@ -36,20 +34,16 @@ const (
 // would have written for the same (I, D).
 func (b *Batch) Serialize() []byte {
 	if b.img == nil {
-		var nodes []uint32
-		if b.variant != SparseOnly {
-			nodes = b.d.paperNodes(len(b.i))
-		}
-		b.img = b.buildImage(nodes)
+		b.img = b.buildImage(b.d.paperNodes(len(b.i)))
 	}
 	return b.img
 }
 
 // buildImage serializes in one exactly-sized allocation; nodes is D's
-// node indexes in the paper's numbering (unused by SparseOnly). The
-// ablation variants' section sizes are computable up front and their raw
-// u32/f64 sections are written with bulk little-endian stores; the Full
-// image is assembled in a pooled encoder's staging memory.
+// node indexes in the paper's numbering. The SparseLogical section sizes
+// are computable up front and its raw u32 sections are written with bulk
+// little-endian stores; the Full image is assembled in a pooled
+// encoder's staging memory.
 func (b *Batch) buildImage(nodes []uint32) []byte {
 	switch b.variant {
 	case Full:
@@ -72,18 +66,6 @@ func (b *Batch) buildImage(nodes []uint32) []byte {
 		off += 4
 		off += putU32s(out[off:], nodes)
 		putU32s(out[off:], b.d.Starts)
-		return out
-
-	case SparseOnly:
-		nnz := len(b.srCols)
-		size := headerSize + 4 + 4*len(b.srStarts) + 4*nnz + 8*nnz
-		out := b.appendHeader(make([]byte, headerSize, size))[:size]
-		off := headerSize
-		binary.LittleEndian.PutUint32(out[off:], uint32(nnz))
-		off += 4
-		off += putU32s(out[off:], b.srStarts)
-		off += putU32s(out[off:], b.srCols)
-		putF64s(out[off:], b.srVals)
 		return out
 	}
 	return b.appendHeader(make([]byte, 0, headerSize))
@@ -156,15 +138,6 @@ func putU32s(dst []byte, vals []uint32) int {
 	return 4 * len(vals)
 }
 
-// putF64s bulk-writes vals little-endian into dst, returning the byte
-// count written.
-func putF64s(dst []byte, vals []float64) int {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
-	}
-	return 8 * len(vals)
-}
-
 // Deserialize reconstructs a Batch from a physical image produced by
 // Serialize, validating structural invariants so corrupt images return an
 // error rather than corrupting kernel execution.
@@ -179,7 +152,7 @@ func Deserialize(img []byte) (*Batch, error) {
 		return nil, fmt.Errorf("core: unsupported version %d", img[4])
 	}
 	v := Variant(img[5])
-	if v > SparseOnly {
+	if v > SparseLogical {
 		return nil, fmt.Errorf("core: unknown variant %d", img[5])
 	}
 	rows := int(binary.LittleEndian.Uint32(img[6:10]))
@@ -191,13 +164,6 @@ func Deserialize(img []byte) (*Batch, error) {
 		return nil, fmt.Errorf("core: implausible dims %dx%d", rows, cols)
 	}
 	buf := img[headerSize:]
-	if v == SparseOnly {
-		b := &Batch{rows: rows, cols: cols, variant: v, img: img}
-		if err := b.parseSparseOnly(buf); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
 	var I []Pair
 	var D dTable
 	var err error
@@ -288,40 +254,6 @@ func parseSparseLogical(buf []byte, rows int) (I []Pair, D dTable, err error) {
 	return I, D, nil
 }
 
-func (b *Batch) parseSparseOnly(buf []byte) error {
-	nnz, buf, err := takeU32(buf)
-	if err != nil {
-		return fmt.Errorf("core: nnz: %w", err)
-	}
-	need := (b.rows+1)*4 + int(nnz)*4 + int(nnz)*8
-	if len(buf) != need {
-		return fmt.Errorf("core: sparse section is %d bytes, want %d", len(buf), need)
-	}
-	b.srStarts = make([]uint32, b.rows+1)
-	buf = buf[getU32s(b.srStarts, buf):]
-	b.srCols = make([]uint32, nnz)
-	buf = buf[getU32s(b.srCols, buf):]
-	b.srVals = make([]float64, nnz)
-	getF64s(b.srVals, buf)
-	// Validate.
-	prev := uint32(0)
-	for k, s := range b.srStarts {
-		if s < prev {
-			return fmt.Errorf("core: starts not monotone at %d", k)
-		}
-		prev = s
-	}
-	if b.srStarts[0] != 0 || b.srStarts[b.rows] != nnz {
-		return fmt.Errorf("core: starts endpoints invalid")
-	}
-	for k, c := range b.srCols {
-		if int(c) >= b.cols {
-			return fmt.Errorf("core: column index %d out of range %d at %d", c, b.cols, k)
-		}
-	}
-	return nil
-}
-
 // validateLogical checks the structural invariants of (I, D) as
 // Algorithm 1 emits them: column indexes in range, starts well-formed,
 // every node index referencing only nodes that exist at that point of
@@ -395,16 +327,6 @@ func getU32s(dst []uint32, src []byte) int {
 		dst[k] = binary.LittleEndian.Uint32(src[4*k:])
 	}
 	return 4 * len(dst)
-}
-
-// getF64s bulk-decodes len(dst) little-endian f64s from src (which the
-// caller has length-checked), returning the byte count consumed.
-func getF64s(dst []float64, src []byte) int {
-	src = src[:8*len(dst)]
-	for k := 0; 8*k < len(src); k++ {
-		dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*k:]))
-	}
-	return 8 * len(dst)
 }
 
 func takeU32(buf []byte) (uint32, []byte, error) {

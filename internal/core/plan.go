@@ -43,7 +43,7 @@ import (
 // stale.
 type KernelPlan struct {
 	b     *Batch      // nil once released
-	tree  *DecodeTree // nil for SparseOnly, which has no logical layer
+	tree  *DecodeTree // the batch's C'
 	arena treeArena   // tree's backing memory, kept across pool round trips
 }
 
@@ -55,9 +55,7 @@ var planPool = sync.Pool{New: func() any { return new(KernelPlan) }}
 func (b *Batch) NewKernelPlan() *KernelPlan {
 	p := planPool.Get().(*KernelPlan)
 	p.b = b
-	if b.variant != SparseOnly {
-		p.tree = p.arena.build(b.i, b.d)
-	}
+	p.tree = p.arena.build(b.i, b.d)
 	return p
 }
 
@@ -81,41 +79,6 @@ func (p *KernelPlan) Batch() *Batch {
 	return p.b
 }
 
-// intoVec validates or allocates a float destination of length n. The
-// clear flag zeroes a caller-provided buffer for kernels that accumulate
-// rather than overwrite; fresh allocations are already zero.
-func intoVec(dst []float64, n int, clear bool, kernel string) []float64 {
-	if dst == nil {
-		return make([]float64, n)
-	}
-	if len(dst) != n {
-		panic(fmt.Sprintf("core: KernelPlan.%s dst length %d != %d", kernel, len(dst), n))
-	}
-	if clear {
-		for i := range dst {
-			dst[i] = 0
-		}
-	}
-	return dst
-}
-
-// intoMat validates or allocates a matrix destination of shape rows×cols,
-// zeroing a caller-provided one (every matrix kernel accumulates).
-func intoMat(dst *matrix.Dense, rows, cols int, kernel string) *matrix.Dense {
-	if dst == nil {
-		return matrix.NewDense(rows, cols)
-	}
-	if dst.Rows() != rows || dst.Cols() != cols {
-		panic(fmt.Sprintf("core: KernelPlan.%s dst shape %dx%d != %dx%d",
-			kernel, dst.Rows(), dst.Cols(), rows, cols))
-	}
-	d := dst.Data()
-	for i := range d {
-		d[i] = 0
-	}
-	return dst
-}
-
 // MulVecInto computes A·v into dst (length rows, fully overwritten; nil
 // allocates) and returns it. workers is accepted for interface symmetry,
 // the vector kernels always run on the caller's goroutine — see the
@@ -125,11 +88,7 @@ func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	if len(v) != b.cols {
 		panic(fmt.Sprintf("core: MulVec dim mismatch %d != %d", len(v), b.cols))
 	}
-	r := intoVec(dst, b.rows, false, "MulVecInto")
-	if b.variant == SparseOnly {
-		b.mulVecSparse(v, r)
-		return r
-	}
+	r := matrix.IntoVec(dst, b.rows, false, "core: KernelPlan.MulVecInto")
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
 	b.mulVecTree(p.tree, sc, v, r)
@@ -138,21 +97,13 @@ func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 
 // MulMatInto computes A·M, M being cols × p, into dst (rows × p, zeroed
 // first; nil allocates) and returns it. workers > 1 shards the panels of
-// the p result columns (SparseOnly: the result rows).
+// the p result columns.
 func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	b := p.Batch()
 	if m.Rows() != b.cols {
 		panic(fmt.Sprintf("core: MulMat dim mismatch %d != %d", m.Rows(), b.cols))
 	}
-	r := intoMat(dst, b.rows, m.Cols(), "MulMatInto")
-	if b.variant == SparseOnly {
-		if workers = rightWorkers(workers, b.rows); workers > 1 {
-			forEachSpan(b.rows, workers, func(lo, hi int) { b.mulMatSparseRows(m, r, lo, hi) })
-		} else {
-			b.mulMatSparseRows(m, r, 0, b.rows)
-		}
-		return r
-	}
+	r := matrix.IntoDense(dst, b.rows, m.Cols(), "core: KernelPlan.MulMatInto")
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
 	b.mulMatTree(p.tree, sc, m, r, workers)
@@ -168,11 +119,7 @@ func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	if len(v) != b.rows {
 		panic(fmt.Sprintf("core: VecMul dim mismatch %d != %d", len(v), b.rows))
 	}
-	r := intoVec(dst, b.cols, true, "VecMulInto")
-	if b.variant == SparseOnly {
-		b.vecMulSparse(v, r)
-		return r
-	}
+	r := matrix.IntoVec(dst, b.cols, true, "core: KernelPlan.VecMulInto")
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
 	b.vecMulTree(p.tree, sc, v, r)
@@ -181,21 +128,13 @@ func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 
 // MatMulInto computes M·A, M being p × rows, into dst (p × cols, zeroed
 // first; nil allocates) and returns it. workers > 1 shards the p
-// dimension: by panels, SparseOnly by rows of M.
+// dimension by panels.
 func (p *KernelPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	b := p.Batch()
 	if m.Cols() != b.rows {
 		panic(fmt.Sprintf("core: MatMul dim mismatch %d != %d", m.Cols(), b.rows))
 	}
-	r := intoMat(dst, m.Rows(), b.cols, "MatMulInto")
-	if b.variant == SparseOnly {
-		if workers = min(workers, m.Rows()); workers > 1 {
-			forEachSpan(m.Rows(), workers, func(klo, khi int) { b.matMulSparseRange(m, r, klo, khi) })
-		} else {
-			b.matMulSparseRange(m, r, 0, m.Rows())
-		}
-		return r
-	}
+	r := matrix.IntoDense(dst, m.Rows(), b.cols, "core: KernelPlan.MatMulInto")
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
 	b.matMulTree(p.tree, sc, m, r, workers)

@@ -106,8 +106,7 @@ func TestKernelPlanConcurrentReuse(t *testing.T) {
 }
 
 // The white-box build counter: constructing a plan costs exactly one C'
-// build for the logical variants (zero for SparseOnly, which has no
-// tree), and kernel calls through the plan cost zero more — while the
+// build, and kernel calls through the plan cost zero more — while the
 // plain Batch kernels pay one build per call.
 func TestKernelPlanBuildCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -134,14 +133,6 @@ func TestKernelPlanBuildCounter(t *testing.T) {
 	b.VecMul(u)
 	if got := TreeBuilds() - before; got != 2 {
 		t.Fatalf("plain kernel calls: %d tree builds, want 2 (one per op)", got)
-	}
-
-	sp := CompressVariant(a, SparseOnly)
-	before = TreeBuilds()
-	spPlan := sp.NewKernelPlan()
-	spPlan.MulVecInto(nil, v, 2)
-	if got := TreeBuilds() - before; got != 0 {
-		t.Fatalf("SparseOnly plan: %d tree builds, want 0", got)
 	}
 }
 

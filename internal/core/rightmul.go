@@ -129,30 +129,6 @@ func (b *Batch) mulVecRows(h, r []float64) {
 	}
 }
 
-// mulVecSparse is the SparseOnly A·v, the same flat walk over
-// srStarts/srCols/srVals.
-func (b *Batch) mulVecSparse(v, r []float64) {
-	starts, cols, vals := b.srStarts, b.srCols, b.srVals
-	boundsHint(0, b.rows, len(starts), len(r))
-	for i := 0; i < b.rows; i++ {
-		cs := cols[starts[i]:starts[i+1]]
-		vs := vals[starts[i]:starts[i+1]]
-		var s float64
-		for len(cs) >= 4 && len(vs) >= 4 {
-			s += vs[0] * v[cs[0]]
-			s += vs[1] * v[cs[1]]
-			s += vs[2] * v[cs[2]]
-			s += vs[3] * v[cs[3]]
-			cs, vs = cs[4:], vs[4:]
-		}
-		for len(cs) >= 1 && len(vs) >= 1 {
-			s += vs[0] * v[cs[0]]
-			cs, vs = cs[1:], vs[1:]
-		}
-		r[i] = s
-	}
-}
-
 // MulMat computes A·M on the compressed batch, where M is cols × p.
 func (b *Batch) MulMat(m *matrix.Dense) *matrix.Dense {
 	p := b.NewKernelPlan()
@@ -237,33 +213,6 @@ func (b *Batch) mulMatPanel(t *DecodeTree, h []float64, m *matrix.Dense, r *matr
 					s += h[int(n)*w+c]
 				}
 				ri[c] = s
-			}
-		}
-	}
-}
-
-// mulMatSparseRows is the SparseOnly A·M for result rows [lo,hi): the
-// flat sparse walk, accumulating into caller-zeroed r with the loop over
-// the independent result columns 4-way unrolled.
-func (b *Batch) mulMatSparseRows(m *matrix.Dense, r *matrix.Dense, lo, hi int) {
-	starts, cols, vals := b.srStarts, b.srCols, b.srVals
-	boundsHint(lo, hi, len(starts), r.Rows())
-	for i := lo; i < hi; i++ {
-		ri := r.Row(i)
-		for k := starts[i]; k < starts[i+1]; k++ {
-			val := vals[k]
-			mr := m.Row(int(cols[k]))
-			rw := ri
-			for len(rw) >= 4 && len(mr) >= 4 {
-				rw[0] += val * mr[0]
-				rw[1] += val * mr[1]
-				rw[2] += val * mr[2]
-				rw[3] += val * mr[3]
-				rw, mr = rw[4:], mr[4:]
-			}
-			for len(rw) >= 1 && len(mr) >= 1 {
-				rw[0] += val * mr[0]
-				rw, mr = rw[1:], mr[1:]
 			}
 		}
 	}

@@ -16,49 +16,12 @@ import "sync"
 // run of the panels and a slab of its own, and no barrier separates its
 // forward scan from its D scan. M·A splits its p dimension (rows of M)
 // the same way; leftmul.go says why that is the only split that keeps
-// its reductions in order. SparseOnly batches have no H: A·M shards over
-// result rows and M·A over rows of M (forEachSpan), each output element
-// still one sequential reduction.
+// its reductions in order.
 //
 // Both kernels therefore return the same bits for any worker count
 // (asserted by TestRightMulParallel* and TestLeftMulParallel*), which is
 // what lets the engine pick a worker count freely without ever changing
 // a training trajectory.
-
-// rightWorkers clamps a requested worker count against the row count: a
-// shard is only worth a goroutine with at least two rows to scan, and
-// anything below one worker is one.
-func rightWorkers(workers, rows int) int {
-	if max := (rows + 1) / 2; workers > max {
-		workers = max
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// forEachSpan splits [0,n) into equal-width spans and runs fn on each
-// concurrently, waiting for all of them.
-func forEachSpan(n, workers int, fn func(lo, hi int)) {
-	var wg sync.WaitGroup
-	span := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*span, (w+1)*span
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // panelWidth is how many of the p columns of H the matrix kernels A·M and
 // M·A compute at a time: H is a |C'|×panelWidth slab per worker, not

@@ -7,16 +7,14 @@ import (
 	"toc/internal/matrix"
 )
 
-// rightMulBatches builds the three variants the sharded right-mul
-// kernels must cover: a dense-ish Full batch, a sparse SparseLogical
-// batch, and a SparseOnly batch.
+// rightMulBatches builds the two variants the sharded right-mul kernels
+// must cover: a dense-ish Full batch and a sparse SparseLogical batch.
 func rightMulBatches(rng *rand.Rand, rows, cols int) map[string]*Batch {
 	dense := redundantMatrix(rng, rows, cols, 0.95, 4)
 	sparse := redundantMatrix(rng, rows, cols, 0.25, 5)
 	return map[string]*Batch{
 		"full":          Compress(dense),
 		"sparseLogical": CompressVariant(sparse, SparseLogical),
-		"sparseOnly":    CompressVariant(sparse, SparseOnly),
 	}
 }
 
@@ -89,13 +87,13 @@ func TestRightMulParallelEdgeCases(t *testing.T) {
 			t.Fatalf("workers=%d diverges", w)
 		}
 	}
-	sp := CompressVariant(redundantMatrix(rng, 40, 12, 0.4, 3), SparseOnly)
+	sp := Compress(redundantMatrix(rng, 40, 12, 0.4, 3))
 	spPlan := sp.NewKernelPlan()
 	defer spPlan.Release()
 	m := matrix.NewDense(12, 1)
 	fillRand(rng, m)
 	if !bitsEqual(spPlan.MulMatInto(nil, m, 7).Data(), sp.MulMat(m).Data()) {
-		t.Fatal("p=1 SparseOnly MulMat diverges")
+		t.Fatal("p=1 MulMat diverges")
 	}
 }
 

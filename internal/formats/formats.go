@@ -46,23 +46,23 @@ type CompressedMatrix interface {
 
 // ParallelOps is the optional interface of encodings that can plan a
 // mini-batch's multiplications: build the per-batch decode state once,
-// run a step's kernels on it at any worker count, release it. TOC
-// implements it; schemes that decompress before every operation gain
-// nothing from it and do not.
+// run a step's kernels on it at any worker count, release it. TOC and
+// CSR implement it — TOC's plan holds the decode tree C', CSR's is the
+// batch itself — and their Table 1 methods are wrappers over the plan.
 type ParallelOps interface {
 	CompressedMatrix
 	// NewKernelPlan returns a plan holding the per-batch decode state
-	// (TOC's decode tree C') so the 2-3 kernel calls a gradient step makes
-	// on one mini-batch share a single build instead of paying the per-op
-	// rebuild. The plan is tied to this batch and, until it is released,
-	// safe for concurrent use.
+	// (TOC's decode tree C'; none for CSR) so the 2-3 kernel calls a
+	// gradient step makes on one mini-batch share a single build instead
+	// of paying the per-op rebuild. The plan is tied to this batch and,
+	// until it is released, safe for concurrent use.
 	NewKernelPlan() KernelPlan
 }
 
 // KernelPlan is the per-batch kernel plan of ParallelOps.NewKernelPlan:
 // the one way to run a Table 1 multiplication on a planned batch. Every
-// kernel takes a worker count — A·M and M·A split their panel runs
-// across that many goroutines, A·v and v·A accept it for interface
+// kernel takes a worker count — A·M and M·A split their work (TOC: panel
+// runs; CSR: rows) across that many goroutines, A·v and v·A accept it for interface
 // symmetry and always run on the caller's goroutine (README has the
 // table) — and a destination: nil allocates the result, a non-nil
 // dst must have the result's exact shape and is written and returned.
@@ -76,7 +76,7 @@ type ParallelOps interface {
 // step's last kernel has returned. That hands the plan's memory back for
 // the next plan to reuse — what makes a build-use-release loop
 // allocation-free — and ends the plan's life: using a released plan is a
-// bug (it panics until the memory is reused, and after that it is
+// bug (a TOC plan panics until the memory is reused, and after that it is
 // someone else's plan). Releasing is optional; a plan that is dropped is
 // garbage collected. Between NewKernelPlan and Release a plan is
 // read-only — all per-call state is scratch owned by the call — so any

@@ -273,6 +273,10 @@ func TestKernelSurface(t *testing.T) {
 		"MatMulInto MulMatInto MulVecInto Release VecMulInto"; got != want {
 		t.Errorf("KernelPlan declares {%s}, want {%s}", got, want)
 	}
+	if got, want := methods(reflect.TypeOf((*csrPlan)(nil))),
+		"MatMulInto MulMatInto MulVecInto Release VecMulInto"; got != want {
+		t.Errorf("*csrPlan exports {%s}, want {%s}", got, want)
+	}
 	base := " " + methods(reflect.TypeOf((*CompressedMatrix)(nil)).Elem()) + " "
 	var added []string
 	for _, name := range strings.Fields(methods(reflect.TypeOf((*ParallelOps)(nil)).Elem())) {

@@ -1,6 +1,8 @@
 package formats
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"math/rand"
 	"runtime"
@@ -12,18 +14,32 @@ import (
 // first because 8·rows·cols wraps to 0, the second, bounded by nothing,
 // asking 6.4 GB of its first MulVec. The CLA images used to allocate
 // 4 GiB of runs for one 49-byte RLE list, and 128 MiB of column flags for
-// a 16-byte header naming no group.
+// a 16-byte header naming no group. The GC images sized their
+// decompression by the stream, not the header's rows×cols: the 21-byte
+// Snappy image, whose stream declares 2^30 bytes, allocated 1 GiB, and the
+// 65 KB Gzip one, 64 MiB of zeros behind a 1×1 header, 375 MB.
 func TestDecodersRefuseForgedCounts(t *testing.T) {
 	den := func(rows, cols uint64) []byte {
 		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, rows), cols)
 	}
-	cla := func(rows, cols, groups uint32) []byte {
-		img := []byte{0x16, 0, 0, 0}
-		for _, v := range []uint32{rows, cols, groups} {
+	header := func(magic byte, rows, cols, extra uint32) []byte {
+		img := []byte{magic, 0, 0, 0}
+		for _, v := range []uint32{rows, cols, extra} {
 			img = binary.LittleEndian.AppendUint32(img, v)
 		}
 		return img
 	}
+	cla := func(rows, cols, groups uint32) []byte { return header(0x16, rows, cols, groups) }
+	gc := func(magic byte, rows, cols uint32, blob []byte) []byte {
+		return append(header(magic, rows, cols, uint32(len(blob))), blob...)
+	}
+	claim := binary.AppendUvarint(nil, 1<<30) // a Snappy stream declaring 2^30 bytes
+	var zeros bytes.Buffer
+	zw := gzip.NewWriter(&zeros)
+	for range 64 {
+		zw.Write(make([]byte, 1<<20))
+	}
+	zw.Close()
 	rle := append(cla(1, 1, 1), 2, 1, 0, 0, 1, 0, 0, 0)                            // RLE, width 1, one list
 	rle = append(rle, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f)                    // column 0, dict {1.0}
 	rle = append(binary.LittleEndian.AppendUint32(rle, 1<<29), make([]byte, 9)...) // 2^29 runs
@@ -35,6 +51,9 @@ func TestDecodersRefuseForgedCounts(t *testing.T) {
 		{"805306385×0", "DEN", den(805306385, 0)},
 		{"2^29 runs", "CLA", rle},
 		{"2^27 columns", "CLA", cla(1, 1<<27, 0)},
+		{"1×1", "Snappy", gc(magicSnappy, 1, 1, claim)},
+		{"2^27×2^27", "Snappy", gc(magicSnappy, 1<<27, 1<<27, claim)},
+		{"1×1", "Gzip", gc(magicGzip, 1, 1, zeros.Bytes())},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -54,8 +73,9 @@ func TestDecodersRefuseForgedCounts(t *testing.T) {
 // image is refused with an error, or it decodes to a matrix of bounded
 // dimensions whose size is its own image's length, and one of at most
 // 4096×4096 also decodes and runs A·v and v·A without a panic. The
-// committed corpus holds the 805306385×0 DEN and the 2^29-run CLA
-// forgeries of TestDecodersRefuseForgedCounts.
+// committed corpus holds the 805306385×0 DEN, the 2^29-run CLA and the
+// 1×1 Snappy forgeries of TestDecodersRefuseForgedCounts, and a 1×1 Gzip
+// image of 1 MiB of zeros (its 64 MiB one, shrunk to keep the seed small).
 //
 // An accepted image need not re-serialize to itself: DVI and CLA accept
 // nonzero reserved header bytes, which is non-canonical but safe.

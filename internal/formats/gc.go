@@ -15,11 +15,13 @@ import (
 // whole mini-batch first — the decompression overhead that makes GC a poor
 // fit for MGD (paper Figure 1B and §5.2).
 
-// gcCodec abstracts the byte compressor a gcMatrix uses.
+// gcCodec abstracts the byte compressor a gcMatrix uses. decompress
+// refuses a stream that would inflate past limit bytes before it
+// allocates for more than that.
 type gcCodec interface {
 	name() string
 	compress([]byte) []byte
-	decompress([]byte) ([]byte, error)
+	decompress(b []byte, limit int) ([]byte, error)
 }
 
 // gcMatrix is a mini-batch stored as compressed DEN bytes.
@@ -66,7 +68,7 @@ func deserializeGC(img []byte, magic byte, c gcCodec) (CompressedMatrix, error) 
 	e := &gcMatrix{rows: rows, cols: cols, codec: c, blob: append([]byte(nil), buf...)}
 	// Validate eagerly so corrupt images error here instead of panicking
 	// inside a later matrix operation.
-	raw, err := c.decompress(e.blob)
+	raw, err := c.decompress(e.blob, e.denSize())
 	if err != nil {
 		return nil, fmt.Errorf("formats: %s payload: %w", c.name(), err)
 	}
@@ -87,12 +89,16 @@ func (e *gcMatrix) Rows() int { return e.rows }
 // Cols returns the number of columns.
 func (e *gcMatrix) Cols() int { return e.cols }
 
+// denSize is the DEN image size the header's rows×cols implies: the most
+// a blob may decompress to.
+func (e *gcMatrix) denSize() int { return 16 + 8*e.rows*e.cols }
+
 // CompressedSize returns the wire size (header + compressed blob).
 func (e *gcMatrix) CompressedSize() int { return wireHeaderSize + len(e.blob) }
 
 // Decode decompresses the blob and deserializes the DEN bytes.
 func (e *gcMatrix) Decode() *matrix.Dense {
-	raw, err := e.codec.decompress(e.blob)
+	raw, err := e.codec.decompress(e.blob, e.denSize())
 	if err != nil {
 		panic(fmt.Sprintf("formats: %s decompress: %v", e.codec.name(), err))
 	}
@@ -137,13 +143,17 @@ func (gzipCodec) compress(b []byte) []byte {
 	return buf.Bytes()
 }
 
-func (gzipCodec) decompress(b []byte) ([]byte, error) {
+func (gzipCodec) decompress(b []byte, limit int) ([]byte, error) {
 	r, err := gzip.NewReader(bytes.NewReader(b))
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return io.ReadAll(r)
+	raw, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
+	if err == nil && len(raw) > limit {
+		err = fmt.Errorf("gzip: stream inflates past %d bytes", limit)
+	}
+	return raw, err
 }
 
 type snappyCodec struct{}
@@ -152,4 +162,9 @@ func (snappyCodec) name() string { return "Snappy" }
 
 func (snappyCodec) compress(b []byte) []byte { return snappy.Encode(b) }
 
-func (snappyCodec) decompress(b []byte) ([]byte, error) { return snappy.Decode(b) }
+func (snappyCodec) decompress(b []byte, limit int) ([]byte, error) {
+	if n, err := snappy.DecodedLen(b); err == nil && n > limit {
+		return nil, fmt.Errorf("snappy: declared length %d exceeds %d", n, limit)
+	}
+	return snappy.Decode(b)
+}

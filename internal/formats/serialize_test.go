@@ -56,7 +56,7 @@ func TestWireRejectsCorruption(t *testing.T) {
 		}
 		// Cross-scheme confusion: feed every other scheme's image.
 		for other, oimg := range images {
-			if other == name || isTOCFamily(name) && isTOCFamily(other) {
+			if wireFamily(other) == wireFamily(name) {
 				continue
 			}
 			if _, err := codec.Decode(oimg); err == nil {
@@ -66,12 +66,16 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 }
 
-func isTOCFamily(name string) bool {
+// wireFamily names the decoder a scheme's images share: the TOC variants
+// with a logical layer are all core images, and TOC_SPARSE is CSR.
+func wireFamily(name string) string {
 	switch name {
-	case "TOC", "TOC_FULL", "TOC_SPARSE", "TOC_SPARSE_AND_LOGICAL":
-		return true
+	case "TOC", "TOC_FULL", "TOC_SPARSE_AND_LOGICAL":
+		return "TOC"
+	case "TOC_SPARSE":
+		return "CSR"
 	}
-	return false
+	return name
 }
 
 // Single-byte flips must never panic in Decode (error or valid parse only).

@@ -6,7 +6,8 @@ import (
 )
 
 // TOC adapts core.Batch (the paper's contribution) to the CompressedMatrix
-// interface, together with the ablation variants of Figures 6 and 10.
+// interface, together with the ablation variants of Figures 6 and 10 that
+// have a logical layer (TOC_SPARSE, the sparse encoding alone, is CSR).
 type TOC struct {
 	*core.Batch
 }
@@ -23,9 +24,6 @@ func deserializeTOC(img []byte) (CompressedMatrix, error) {
 func init() {
 	Register("TOC", func(d *matrix.Dense) CompressedMatrix {
 		return TOC{core.Compress(d)}
-	}, deserializeTOC)
-	Register("TOC_SPARSE", func(d *matrix.Dense) CompressedMatrix {
-		return TOC{core.CompressVariant(d, core.SparseOnly)}
 	}, deserializeTOC)
 	Register("TOC_SPARSE_AND_LOGICAL", func(d *matrix.Dense) CompressedMatrix {
 		return TOC{core.CompressVariant(d, core.SparseLogical)}

@@ -59,6 +59,37 @@ func (d *Dense) Reshape(rows, cols int) *Dense {
 	return d
 }
 
+// IntoVec is the destination rule of the compressed kernel plans' Into
+// methods for a length-n result: a nil dst allocates it, and a
+// caller-owned dst must have exactly that length (kernel names the
+// method in the panic) and is zeroed first when zero is set, for kernels
+// that accumulate rather than overwrite.
+func IntoVec(dst []float64, n int, zero bool, kernel string) []float64 {
+	if dst == nil {
+		return make([]float64, n)
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("%s dst length %d != %d", kernel, len(dst), n))
+	}
+	if zero {
+		clear(dst)
+	}
+	return dst
+}
+
+// IntoDense is IntoVec for a rows x cols result, which is always zeroed:
+// every matrix kernel accumulates.
+func IntoDense(dst *Dense, rows, cols int, kernel string) *Dense {
+	if dst == nil {
+		return NewDense(rows, cols)
+	}
+	if dst.rows != rows || dst.cols != cols {
+		panic(fmt.Sprintf("%s dst shape %dx%d != %dx%d", kernel, dst.rows, dst.cols, rows, cols))
+	}
+	clear(dst.data)
+	return dst
+}
+
 // Rows returns the number of rows.
 func (d *Dense) Rows() int { return d.rows }
 

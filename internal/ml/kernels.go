@@ -7,8 +7,9 @@ import (
 
 // Kernel dispatch: every model reaches the compressed mini-batch through
 // the four helpers below. When the encoding plans its batches
-// (formats.ParallelOps — TOC), the caller builds one plan per (batch,
-// call) with planFor and every multiplication of that call runs on it:
+// (formats.ParallelOps — TOC, and CSR, which TOC_SPARSE is), the caller
+// builds one plan per (batch, call) with planFor and every
+// multiplication of that call runs on it:
 // the 2-3 multiplications a gradient makes on one batch (the A·v/A·M
 // forward and the v·A/M·A aggregation) share a single decode-tree build
 // instead of paying the O(|I|+|D|) rebuild per operation, into the

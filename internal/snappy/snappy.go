@@ -189,6 +189,11 @@ func Decode(src []byte) ([]byte, error) {
 		return nil, ErrTooLarge
 	}
 	src = src[c:]
+	// No element writes more than 64 bytes from 3 (a copy2), so a length
+	// the stream cannot reach is refused before it sizes dst.
+	if 3*n > 64*uint64(len(src)) {
+		return nil, ErrCorrupt
+	}
 	dst := make([]byte, n)
 	d := 0
 	for len(src) > 0 {

@@ -76,9 +76,10 @@ func PaperMethods() []string { return formats.PaperMethods() }
 
 // Encode compresses a mini-batch with the named method ("TOC", "CSR",
 // "CVI", "DVI", "CLA", "DEN", "Gzip", "Snappy", or a TOC ablation
-// variant such as "TOC_SPARSE"). It panics on unknown names; use GetCodec
-// to probe. A TOC batch's NewKernelPlan builds its decode tree once for
-// the two or three kernels a gradient step runs on it.
+// variant such as "TOC_SPARSE", the sparse encoding alone, which is CSR).
+// It panics on unknown names; use GetCodec to probe. A TOC batch's
+// NewKernelPlan builds its decode tree once for the two or three kernels a
+// gradient step runs on it; a CSR batch plans too, with nothing to build.
 func Encode(method string, m *Dense) CompressedMatrix {
 	return formats.MustGet(method)(m)
 }
