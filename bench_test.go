@@ -71,22 +71,22 @@ func benchKernels(b *testing.B, method string) {
 	ml := matrix.NewDense(20, m.Rows())
 	b.Run("MulVec", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.MulVec(v)
+			c.NewKernelPlan().MulVecInto(nil, v, 1)
 		}
 	})
 	b.Run("VecMul", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.VecMul(u)
+			c.NewKernelPlan().VecMulInto(nil, u, 1)
 		}
 	})
 	b.Run("MulMat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.MulMat(mr)
+			c.NewKernelPlan().MulMatInto(nil, mr, 1)
 		}
 	})
 	b.Run("MatMul", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.MatMul(ml)
+			c.NewKernelPlan().MatMulInto(nil, ml, 1)
 		}
 	})
 	b.Run("Scale", func(b *testing.B) {

@@ -274,7 +274,7 @@ func runKernelSpeed(dataRows, reps int) (*Table, error) {
 		enc, vname := formats.MustGet(variant.method), variant.vname
 		plans := make([]formats.KernelPlan, n)
 		for i, x := range dense {
-			plans[i] = enc(x).(formats.ParallelOps).NewKernelPlan()
+			plans[i] = enc(x).NewKernelPlan()
 		}
 		for _, kc := range cases {
 			var sum float64

@@ -73,7 +73,7 @@ func TestOpsMatchDenseProperty(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		gv, wv := m.MulVec(v), a.MulVec(v)
+		gv, wv := m.MulVecInto(nil, v), a.MulVec(v)
 		for i := range wv {
 			if math.Abs(gv[i]-wv[i]) > 1e-9 {
 				return false
@@ -83,7 +83,7 @@ func TestOpsMatchDenseProperty(t *testing.T) {
 		for i := range u {
 			u[i] = rng.NormFloat64()
 		}
-		gu, wu := m.VecMul(u), a.VecMul(u)
+		gu, wu := m.VecMulInto(nil, u), a.VecMul(u)
 		for i := range wu {
 			if math.Abs(gu[i]-wu[i]) > 1e-9 {
 				return false
@@ -96,7 +96,7 @@ func TestOpsMatchDenseProperty(t *testing.T) {
 				mr.Set(i, j, rng.NormFloat64())
 			}
 		}
-		if !m.MulMat(mr).EqualApprox(a.MulMat(mr), 1e-9) {
+		if !m.MulMatInto(nil, mr).EqualApprox(a.MulMat(mr), 1e-9) {
 			return false
 		}
 		ml := matrix.NewDense(p, rows)
@@ -105,7 +105,7 @@ func TestOpsMatchDenseProperty(t *testing.T) {
 				ml.Set(i, j, rng.NormFloat64())
 			}
 		}
-		if !m.MatMul(ml).EqualApprox(a.MatMul(ml), 1e-9) {
+		if !m.MatMulInto(nil, ml).EqualApprox(a.MatMul(ml), 1e-9) {
 			return false
 		}
 		c := rng.NormFloat64()
@@ -191,10 +191,10 @@ func TestCompressionBeatsDenseOnRedundantData(t *testing.T) {
 func TestDimMismatchPanics(t *testing.T) {
 	m := Compress(matrix.NewDense(3, 4))
 	cases := []func(){
-		func() { m.MulVec(make([]float64, 3)) },
-		func() { m.VecMul(make([]float64, 4)) },
-		func() { m.MulMat(matrix.NewDense(3, 2)) },
-		func() { m.MatMul(matrix.NewDense(2, 2)) },
+		func() { m.MulVecInto(nil, make([]float64, 3)) },
+		func() { m.VecMulInto(nil, make([]float64, 4)) },
+		func() { m.MulMatInto(nil, matrix.NewDense(3, 2)) },
+		func() { m.MatMulInto(nil, matrix.NewDense(2, 2)) },
 	}
 	for i, c := range cases {
 		func() {

@@ -122,13 +122,14 @@ func (m *Matrix) Scale(c float64) *Matrix {
 	return nm
 }
 
-// MulVec computes A·v: one dot product per dictionary tuple, distributed
-// to rows.
-func (m *Matrix) MulVec(v []float64) []float64 {
+// MulVecInto computes A·v into dst (length Rows, overwritten; nil
+// allocates it): one dot product per dictionary tuple, distributed to
+// rows.
+func (m *Matrix) MulVecInto(dst, v []float64) []float64 {
 	if len(v) != m.cols {
 		panic(fmt.Sprintf("cla: MulVec dim mismatch %d != %d", len(v), m.cols))
 	}
-	r := make([]float64, m.rows)
+	r := matrix.IntoVec(dst, m.rows, true, "cla: MulVecInto")
 	for _, g := range m.groups {
 		w := len(g.cols)
 		switch g.kind {
@@ -179,13 +180,13 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return r
 }
 
-// VecMul computes v·A: per-tuple accumulation of v, then one dictionary
-// pass.
-func (m *Matrix) VecMul(v []float64) []float64 {
+// VecMulInto computes v·A into dst (length Cols, overwritten; nil
+// allocates it): per-tuple accumulation of v, then one dictionary pass.
+func (m *Matrix) VecMulInto(dst, v []float64) []float64 {
 	if len(v) != m.rows {
 		panic(fmt.Sprintf("cla: VecMul dim mismatch %d != %d", len(v), m.rows))
 	}
-	r := make([]float64, m.cols)
+	r := matrix.IntoVec(dst, m.cols, true, "cla: VecMulInto")
 	for _, g := range m.groups {
 		w := len(g.cols)
 		if g.kind == kindUC {
@@ -239,13 +240,14 @@ func (m *Matrix) VecMul(v []float64) []float64 {
 	return r
 }
 
-// MulMat computes A·M (M is cols × p).
-func (m *Matrix) MulMat(mm *matrix.Dense) *matrix.Dense {
+// MulMatInto computes A·M (M is cols × p) into dst (Rows × p,
+// overwritten; nil allocates it).
+func (m *Matrix) MulMatInto(dst, mm *matrix.Dense) *matrix.Dense {
 	if mm.Rows() != m.cols {
 		panic(fmt.Sprintf("cla: MulMat dim mismatch %d != %d", mm.Rows(), m.cols))
 	}
 	p := mm.Cols()
-	r := matrix.NewDense(m.rows, p)
+	r := matrix.IntoDense(dst, m.rows, p, "cla: MulMatInto")
 	for _, g := range m.groups {
 		w := len(g.cols)
 		if g.kind == kindUC {
@@ -311,13 +313,14 @@ func (m *Matrix) MulMat(mm *matrix.Dense) *matrix.Dense {
 	return r
 }
 
-// MatMul computes M·A (M is p × rows).
-func (m *Matrix) MatMul(mm *matrix.Dense) *matrix.Dense {
+// MatMulInto computes M·A (M is p × rows) into dst (p × Cols,
+// overwritten; nil allocates it).
+func (m *Matrix) MatMulInto(dst, mm *matrix.Dense) *matrix.Dense {
 	if mm.Cols() != m.rows {
 		panic(fmt.Sprintf("cla: MatMul dim mismatch %d != %d", mm.Cols(), m.rows))
 	}
 	p := mm.Rows()
-	r := matrix.NewDense(p, m.cols)
+	r := matrix.IntoDense(dst, p, m.cols, "cla: MatMulInto")
 	for _, g := range m.groups {
 		w := len(g.cols)
 		if g.kind == kindUC {

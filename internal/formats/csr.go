@@ -97,27 +97,12 @@ func (e *CSR) Scale(c float64) CompressedMatrix {
 	return &CSR{rows: e.rows, cols: e.cols, starts: e.starts, colIdx: e.colIdx, vals: vals}
 }
 
-// MulVec computes A·v with one pass over the non-zeros.
-func (e *CSR) MulVec(v []float64) []float64 { return e.NewKernelPlan().MulVecInto(nil, v, 1) }
-
-// VecMul computes v·A with one pass over the non-zeros.
-func (e *CSR) VecMul(v []float64) []float64 { return e.NewKernelPlan().VecMulInto(nil, v, 1) }
-
-// MulMat computes A·M row by row over the non-zeros.
-func (e *CSR) MulMat(m *matrix.Dense) *matrix.Dense { return e.NewKernelPlan().MulMatInto(nil, m, 1) }
-
-// MatMul computes M·A over the non-zeros.
-func (e *CSR) MatMul(m *matrix.Dense) *matrix.Dense { return e.NewKernelPlan().MatMulInto(nil, m, 1) }
-
 // NewKernelPlan returns the batch's kernel plan. CSR has no per-batch
 // decode state to build, so the plan is the batch itself and Release has
-// nothing to recycle.
+// nothing to recycle. A·M splits its result rows across workers, M·A the
+// rows of M, each output element one sequential reduction whatever the
+// split.
 func (e *CSR) NewKernelPlan() KernelPlan { return (*csrPlan)(e) }
-
-// CSR plans its batches: A·M splits its result rows across workers, M·A
-// the rows of M, each output element one sequential reduction whatever
-// the split.
-var _ ParallelOps = (*CSR)(nil)
 
 // csrPlan is CSR's KernelPlan: the four Table 1 multiplications as flat
 // walks over starts/colIdx/vals. Every output element folds its terms in

@@ -127,12 +127,24 @@ func (e *CVI) Scale(c float64) CompressedMatrix {
 		colIdx: e.colIdx, valIdx: e.valIdx, dict: dict, size: e.size}
 }
 
-// MulVec computes A·v.
-func (e *CVI) MulVec(v []float64) []float64 {
+// NewKernelPlan returns the batch's kernel plan: the batch itself, whose
+// Release has nothing to recycle.
+func (e *CVI) NewKernelPlan() KernelPlan { return (*cviPlan)(e) }
+
+// cviPlan is CVI's KernelPlan: CSR's walks over the non-zeros, each value
+// looked up in the dictionary. Its kernels run on the caller's goroutine;
+// workers is accepted for interface symmetry.
+type cviPlan CVI
+
+// Release is a no-op: the plan holds no memory of its own.
+func (e *cviPlan) Release() {}
+
+// MulVecInto computes A·v into dst.
+func (e *cviPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	if len(v) != e.cols {
 		panic(fmt.Sprintf("formats: CVI MulVec dim mismatch %d != %d", len(v), e.cols))
 	}
-	r := make([]float64, e.rows)
+	r := matrix.IntoVec(dst, e.rows, false, "formats: CVI plan MulVecInto")
 	for i := 0; i < e.rows; i++ {
 		var s float64
 		for k := e.starts[i]; k < e.starts[i+1]; k++ {
@@ -143,12 +155,12 @@ func (e *CVI) MulVec(v []float64) []float64 {
 	return r
 }
 
-// VecMul computes v·A.
-func (e *CVI) VecMul(v []float64) []float64 {
+// VecMulInto computes v·A into dst.
+func (e *cviPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	if len(v) != e.rows {
 		panic(fmt.Sprintf("formats: CVI VecMul dim mismatch %d != %d", len(v), e.rows))
 	}
-	r := make([]float64, e.cols)
+	r := matrix.IntoVec(dst, e.cols, true, "formats: CVI plan VecMulInto")
 	for i := 0; i < e.rows; i++ {
 		vi := v[i]
 		if vi == 0 {
@@ -161,12 +173,12 @@ func (e *CVI) VecMul(v []float64) []float64 {
 	return r
 }
 
-// MulMat computes A·M.
-func (e *CVI) MulMat(m *matrix.Dense) *matrix.Dense {
+// MulMatInto computes A·M into dst.
+func (e *cviPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	if m.Rows() != e.cols {
 		panic(fmt.Sprintf("formats: CVI MulMat dim mismatch %d != %d", m.Rows(), e.cols))
 	}
-	r := matrix.NewDense(e.rows, m.Cols())
+	r := matrix.IntoDense(dst, e.rows, m.Cols(), "formats: CVI plan MulMatInto")
 	for i := 0; i < e.rows; i++ {
 		ri := r.Row(i)
 		for k := e.starts[i]; k < e.starts[i+1]; k++ {
@@ -180,13 +192,13 @@ func (e *CVI) MulMat(m *matrix.Dense) *matrix.Dense {
 	return r
 }
 
-// MatMul computes M·A.
-func (e *CVI) MatMul(m *matrix.Dense) *matrix.Dense {
+// MatMulInto computes M·A into dst.
+func (e *cviPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	if m.Cols() != e.rows {
 		panic(fmt.Sprintf("formats: CVI MatMul dim mismatch %d != %d", m.Cols(), e.rows))
 	}
 	p := m.Rows()
-	r := matrix.NewDense(p, e.cols)
+	r := matrix.IntoDense(dst, p, e.cols, "formats: CVI plan MatMulInto")
 	for i := 0; i < e.rows; i++ {
 		for k := e.starts[i]; k < e.starts[i+1]; k++ {
 			col := int(e.colIdx[k])

@@ -3,7 +3,7 @@ package formats
 import "toc/internal/matrix"
 
 // DEN is the paper's uncompressed baseline: the matrix stored row by row,
-// each value in IEEE-754 double format. Operations run the plain dense
+// each value in IEEE-754 double format. Its plan runs the plain dense
 // kernels.
 type DEN struct {
 	d *matrix.Dense
@@ -39,14 +39,34 @@ func (e *DEN) Decode() *matrix.Dense { return e.d.Clone() }
 // Scale computes A.*c.
 func (e *DEN) Scale(c float64) CompressedMatrix { return &DEN{d: e.d.Scale(c)} }
 
-// MulVec computes A·v.
-func (e *DEN) MulVec(v []float64) []float64 { return e.d.MulVec(v) }
+// NewKernelPlan returns the batch's kernel plan: the batch itself, whose
+// Release has nothing to recycle.
+func (e *DEN) NewKernelPlan() KernelPlan { return (*denPlan)(e) }
 
-// VecMul computes v·A.
-func (e *DEN) VecMul(v []float64) []float64 { return e.d.VecMul(v) }
+// denPlan is DEN's KernelPlan: internal/matrix's dense kernels, the
+// ground truth every other scheme is tested against. They run on the
+// caller's goroutine; workers is accepted for interface symmetry.
+type denPlan DEN
 
-// MulMat computes A·M.
-func (e *DEN) MulMat(m *matrix.Dense) *matrix.Dense { return e.d.MulMat(m) }
+// Release is a no-op: the plan holds no memory of its own.
+func (p *denPlan) Release() {}
 
-// MatMul computes M·A.
-func (e *DEN) MatMul(m *matrix.Dense) *matrix.Dense { return e.d.MatMul(m) }
+// MulVecInto computes A·v into dst.
+func (p *denPlan) MulVecInto(dst, v []float64, workers int) []float64 { return p.d.MulVecInto(dst, v) }
+
+// VecMulInto computes v·A into dst.
+func (p *denPlan) VecMulInto(dst, v []float64, workers int) []float64 { return p.d.VecMulInto(dst, v) }
+
+// MulMatInto computes A·M into dst.
+func (p *denPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
+	r := matrix.IntoDense(dst, p.d.Rows(), m.Cols(), "formats: DEN plan MulMatInto")
+	matrix.MulInto(r.Data(), p.d, m)
+	return r
+}
+
+// MatMulInto computes M·A into dst.
+func (p *denPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
+	r := matrix.IntoDense(dst, m.Rows(), p.d.Cols(), "formats: DEN plan MatMulInto")
+	matrix.MulInto(r.Data(), m, p.d)
+	return r
+}

@@ -98,12 +98,24 @@ func (e *DVI) Scale(c float64) CompressedMatrix {
 	return &DVI{rows: e.rows, cols: e.cols, idx: e.idx, dict: dict, size: e.size}
 }
 
-// MulVec computes A·v with per-cell dictionary lookups.
-func (e *DVI) MulVec(v []float64) []float64 {
+// NewKernelPlan returns the batch's kernel plan: the batch itself, whose
+// Release has nothing to recycle.
+func (e *DVI) NewKernelPlan() KernelPlan { return (*dviPlan)(e) }
+
+// dviPlan is DVI's KernelPlan: dense walks over every cell, each value
+// looked up in the dictionary. Its kernels run on the caller's goroutine;
+// workers is accepted for interface symmetry.
+type dviPlan DVI
+
+// Release is a no-op: the plan holds no memory of its own.
+func (e *dviPlan) Release() {}
+
+// MulVecInto computes A·v into dst with per-cell dictionary lookups.
+func (e *dviPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	if len(v) != e.cols {
 		panic(fmt.Sprintf("formats: DVI MulVec dim mismatch %d != %d", len(v), e.cols))
 	}
-	r := make([]float64, e.rows)
+	r := matrix.IntoVec(dst, e.rows, false, "formats: DVI plan MulVecInto")
 	for i := 0; i < e.rows; i++ {
 		var s float64
 		base := i * e.cols
@@ -115,12 +127,12 @@ func (e *DVI) MulVec(v []float64) []float64 {
 	return r
 }
 
-// VecMul computes v·A with per-cell dictionary lookups.
-func (e *DVI) VecMul(v []float64) []float64 {
+// VecMulInto computes v·A into dst with per-cell dictionary lookups.
+func (e *dviPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	if len(v) != e.rows {
 		panic(fmt.Sprintf("formats: DVI VecMul dim mismatch %d != %d", len(v), e.rows))
 	}
-	r := make([]float64, e.cols)
+	r := matrix.IntoVec(dst, e.cols, true, "formats: DVI plan VecMulInto")
 	for i := 0; i < e.rows; i++ {
 		vi := v[i]
 		if vi == 0 {
@@ -134,12 +146,12 @@ func (e *DVI) VecMul(v []float64) []float64 {
 	return r
 }
 
-// MulMat computes A·M.
-func (e *DVI) MulMat(m *matrix.Dense) *matrix.Dense {
+// MulMatInto computes A·M into dst.
+func (e *dviPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	if m.Rows() != e.cols {
 		panic(fmt.Sprintf("formats: DVI MulMat dim mismatch %d != %d", m.Rows(), e.cols))
 	}
-	r := matrix.NewDense(e.rows, m.Cols())
+	r := matrix.IntoDense(dst, e.rows, m.Cols(), "formats: DVI plan MulMatInto")
 	for i := 0; i < e.rows; i++ {
 		ri := r.Row(i)
 		base := i * e.cols
@@ -157,13 +169,13 @@ func (e *DVI) MulMat(m *matrix.Dense) *matrix.Dense {
 	return r
 }
 
-// MatMul computes M·A.
-func (e *DVI) MatMul(m *matrix.Dense) *matrix.Dense {
+// MatMulInto computes M·A into dst.
+func (e *dviPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	if m.Cols() != e.rows {
 		panic(fmt.Sprintf("formats: DVI MatMul dim mismatch %d != %d", m.Cols(), e.rows))
 	}
 	p := m.Rows()
-	r := matrix.NewDense(p, e.cols)
+	r := matrix.IntoDense(dst, p, e.cols, "formats: DVI plan MatMulInto")
 	for row := 0; row < p; row++ {
 		rr := r.Row(row)
 		for i := 0; i < e.rows; i++ {

@@ -4,9 +4,11 @@
 // the general compression schemes Snappy and Gzip, and TOC itself
 // (including its ablation variants).
 //
-// Light-weight schemes and TOC execute matrix operations directly on the
-// encoded data; the general schemes must decompress the whole mini-batch
-// before every operation — exactly the decompression overhead the paper
+// Every scheme multiplies through one seam: a batch's NewKernelPlan, whose
+// four Into kernels are the only way to run a Table 1 multiplication on
+// it. Light-weight schemes and TOC execute them directly on the encoded
+// data; the general schemes' plans decompress the whole mini-batch before
+// every kernel call — exactly the decompression overhead the paper
 // measures.
 package formats
 
@@ -34,43 +36,34 @@ type CompressedMatrix interface {
 	Decode() *matrix.Dense
 	// Scale computes the sparse-safe element-wise A.*c.
 	Scale(c float64) CompressedMatrix
-	// MulVec computes A·v.
-	MulVec(v []float64) []float64
-	// VecMul computes v·A.
-	VecMul(v []float64) []float64
-	// MulMat computes A·M.
-	MulMat(m *matrix.Dense) *matrix.Dense
-	// MatMul computes M·A.
-	MatMul(m *matrix.Dense) *matrix.Dense
-}
-
-// ParallelOps is the optional interface of encodings that can plan a
-// mini-batch's multiplications: build the per-batch decode state once,
-// run a step's kernels on it at any worker count, release it. TOC and
-// CSR implement it — TOC's plan holds the decode tree C', CSR's is the
-// batch itself — and their Table 1 methods are wrappers over the plan.
-type ParallelOps interface {
-	CompressedMatrix
 	// NewKernelPlan returns a plan holding the per-batch decode state
-	// (TOC's decode tree C'; none for CSR) so the 2-3 kernel calls a
-	// gradient step makes on one mini-batch share a single build instead
-	// of paying the per-op rebuild. The plan is tied to this batch and,
-	// until it is released, safe for concurrent use.
+	// (TOC's decode tree C'; none for the other schemes, whose plan is
+	// the batch itself) so the 2-3 kernel calls a gradient step makes on
+	// one mini-batch share a single build instead of paying the per-op
+	// rebuild. The plan is tied to this batch and, until it is released,
+	// safe for concurrent use.
 	NewKernelPlan() KernelPlan
 }
 
-// KernelPlan is the per-batch kernel plan of ParallelOps.NewKernelPlan:
-// the one way to run a Table 1 multiplication on a planned batch. Every
-// kernel takes a worker count — A·M and M·A split their work (TOC: panel
-// runs; CSR: rows) across that many goroutines, A·v and v·A accept it for interface
-// symmetry and always run on the caller's goroutine (README has the
-// table) — and a destination: nil allocates the result, a non-nil
-// dst must have the result's exact shape and is written and returned.
-// The contract is strict: for any dst and any workers value the result is
-// bitwise identical to the corresponding CompressedMatrix method, so
-// callers may thread a plan through a step's forward and backward
-// multiplications, pick any worker count and reuse their gradient
-// buffers across steps without ever changing a training trajectory.
+// ParallelOps is CompressedMatrix under the name it had while planning
+// was optional. It exists only because benchmark/decorators.go asserts to
+// and embeds that name and benchmark/ is frozen for code PRs; the next
+// benchmark PR renames its uses and deletes this line.
+type ParallelOps = CompressedMatrix
+
+// KernelPlan is the per-batch kernel plan of NewKernelPlan: the one way
+// to run a Table 1 multiplication on an encoded batch. Every kernel takes
+// a worker count — TOC's and CSR's A·M and M·A split their work (TOC:
+// panel runs; CSR: rows) across that many goroutines; every other
+// kernel, every scheme's A·v and v·A included, accepts it for interface
+// symmetry and runs on the caller's goroutine (README has the table) —
+// and a destination: nil allocates the result, a non-nil dst must have
+// the result's exact shape and is written and returned. The contract is
+// strict: for any dst and any workers value the result is bitwise the
+// one a nil dst at one worker gets, so callers may thread a plan through
+// a step's forward and backward multiplications, pick any worker count
+// and reuse their gradient buffers across steps without ever changing a
+// training trajectory.
 //
 // Lifecycle: whoever called NewKernelPlan may call Release once the
 // step's last kernel has returned. That hands the plan's memory back for
@@ -78,10 +71,10 @@ type ParallelOps interface {
 // allocation-free — and ends the plan's life: using a released plan is a
 // bug (a TOC plan panics until the memory is reused, and after that it is
 // someone else's plan). Releasing is optional; a plan that is dropped is
-// garbage collected. Between NewKernelPlan and Release a plan is
-// read-only — all per-call state is scratch owned by the call — so any
-// number of goroutines may run kernels on it at once; Release itself
-// must not race with them.
+// garbage collected, and only TOC's has memory to recycle. Between
+// NewKernelPlan and Release a plan is read-only — all per-call state is
+// scratch owned by the call — so any number of goroutines may run kernels
+// on it at once; Release itself must not race with them.
 type KernelPlan interface {
 	// MulVecInto computes A·v into dst (length rows, fully overwritten).
 	MulVecInto(dst, v []float64, workers int) []float64

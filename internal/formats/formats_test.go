@@ -86,64 +86,107 @@ func TestAllMethodsLossless(t *testing.T) {
 	}
 }
 
-// Every method must produce identical results for every op.
+// Every scheme's plan computes Table 1's four multiplications as DEN's
+// dense kernels do: bit for bit for the schemes that fold each output
+// element in DEN's order, within 1e-9 for CLA and the TOC variants, which
+// fold in their own. A plan's result is the same bits with a nil dst or a
+// dirty caller-owned one, at every worker count. v, u and M hold zeros,
+// which the dense kernels skip.
 func TestAllMethodsOpsMatchDense(t *testing.T) {
+	bitwise := map[string]bool{"DEN": true, "CSR": true, "TOC_SPARSE": true,
+		"CVI": true, "DVI": true, "Snappy": true, "Gzip": true}
+	opNames := [4]string{"A·v", "v·A", "A·M", "M·A"}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 1 + rng.Intn(25)
 		cols := 1 + rng.Intn(15)
 		a := redundantMatrix(rng, rows, cols, 0.2+rng.Float64()*0.6, 3)
-		v := make([]float64, cols)
-		for i := range v {
-			v[i] = rng.NormFloat64()
+		draw := func(x []float64) {
+			for i := range x {
+				if rng.Intn(4) != 0 {
+					x[i] = rng.NormFloat64()
+				}
+			}
 		}
-		u := make([]float64, rows)
-		for i := range u {
-			u[i] = rng.NormFloat64()
-		}
+		v, u := make([]float64, cols), make([]float64, rows)
+		draw(v)
+		draw(u)
 		p := 1 + rng.Intn(3)
-		mr := matrix.NewDense(cols, p)
-		ml := matrix.NewDense(p, rows)
-		for i := 0; i < cols; i++ {
-			for j := 0; j < p; j++ {
-				mr.Set(i, j, rng.NormFloat64())
-			}
-		}
-		for i := 0; i < p; i++ {
-			for j := 0; j < rows; j++ {
-				ml.Set(i, j, rng.NormFloat64())
-			}
-		}
-		wantMulVec := a.MulVec(v)
-		wantVecMul := a.VecMul(u)
-		wantMulMat := a.MulMat(mr)
-		wantMatMul := a.MatMul(ml)
+		mr, ml := matrix.NewDense(cols, p), matrix.NewDense(p, rows)
+		draw(mr.Data())
+		draw(ml.Data())
+		want := [4][]float64{a.MulVec(v), a.VecMul(u), a.MulMat(mr).Data(), a.MatMul(ml).Data()}
 		scale := rng.NormFloat64()
 		wantScale := a.Scale(scale)
 
+		ok := true
 		for _, name := range Names() {
 			c := MustGet(name)(a)
-			if !vecEq(c.MulVec(v), wantMulVec) {
-				return false
+			plan := c.NewKernelPlan()
+			var first [4][]float64
+			for _, workers := range []int{1, 2, 7} {
+				for _, dirty := range []bool{false, true} {
+					var dv, du []float64
+					var dr, dl *matrix.Dense
+					if dirty {
+						dv, du = nans(make([]float64, rows)), nans(make([]float64, cols))
+						dr, dl = matrix.NewDense(rows, p), matrix.NewDense(p, cols)
+						nans(dr.Data())
+						nans(dl.Data())
+					}
+					got := [4][]float64{
+						plan.MulVecInto(dv, v, workers),
+						plan.VecMulInto(du, u, workers),
+						plan.MulMatInto(dr, mr, workers).Data(),
+						plan.MatMulInto(dl, ml, workers).Data(),
+					}
+					for op := range got {
+						switch {
+						case first[op] == nil:
+							first[op] = got[op]
+							if bitwise[name] && !sameBits(got[op], want[op]) || !vecEq(got[op], want[op]) {
+								t.Errorf("seed %d %s %s: %v, DEN %v", seed, name, opNames[op], got[op], want[op])
+								ok = false
+							}
+						case !sameBits(got[op], first[op]):
+							t.Errorf("seed %d %s %s workers=%d dirty=%v: %v, want %v",
+								seed, name, opNames[op], workers, dirty, got[op], first[op])
+							ok = false
+						}
+					}
+				}
 			}
-			if !vecEq(c.VecMul(u), wantVecMul) {
-				return false
-			}
-			if !c.MulMat(mr).EqualApprox(wantMulMat, 1e-9) {
-				return false
-			}
-			if !c.MatMul(ml).EqualApprox(wantMatMul, 1e-9) {
-				return false
-			}
+			plan.Release()
 			if !c.Scale(scale).Decode().EqualApprox(wantScale, 1e-9) {
-				return false
+				t.Errorf("seed %d %s: Scale differs from DEN", seed, name)
+				ok = false
 			}
 		}
-		return true
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nans fills x with NaN, a dirty destination, and returns it.
+func nans(x []float64) []float64 {
+	for i := range x {
+		x[i] = math.NaN()
+	}
+	return x
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func vecEq(a, b []float64) bool {
@@ -252,9 +295,10 @@ func TestScaleDoesNotMutate(t *testing.T) {
 	}
 }
 
-// One way to multiply a batch: a plan's exported methods are its four
-// Into kernels plus Batch and Release, and ParallelOps adds nothing to
-// CompressedMatrix but NewKernelPlan. A second entry point per kernel — a
+// One way to multiply a batch: CompressedMatrix declares no kernel of its
+// own, only NewKernelPlan, and every scheme's plan exports exactly the
+// four Into kernels and Release (TOC's, core.KernelPlan, also its Batch).
+// A second entry point per kernel — an allocating method on the batch, a
 // *Parallel method, a non-Into plan method — fails here.
 func TestKernelSurface(t *testing.T) {
 	methods := func(typ reflect.Type) string {
@@ -265,26 +309,26 @@ func TestKernelSurface(t *testing.T) {
 		sort.Strings(names)
 		return strings.Join(names, " ")
 	}
-	if got, want := methods(reflect.TypeOf((*core.KernelPlan)(nil))),
-		"Batch MatMulInto MulMatInto MulVecInto Release VecMulInto"; got != want {
+	if got, want := methods(reflect.TypeOf((*CompressedMatrix)(nil)).Elem()),
+		"Cols CompressedSize Decode NewKernelPlan Rows Scale Serialize"; got != want {
+		t.Errorf("CompressedMatrix declares {%s}, want {%s}", got, want)
+	}
+	const kernels = "MatMulInto MulMatInto MulVecInto Release VecMulInto"
+	if got := methods(reflect.TypeOf((*KernelPlan)(nil)).Elem()); got != kernels {
+		t.Errorf("KernelPlan declares {%s}, want {%s}", got, kernels)
+	}
+	corePlan := reflect.TypeOf((*core.KernelPlan)(nil))
+	if got, want := methods(corePlan), "Batch "+kernels; got != want {
 		t.Errorf("*core.KernelPlan exports {%s}, want {%s}", got, want)
 	}
-	if got, want := methods(reflect.TypeOf((*KernelPlan)(nil)).Elem()),
-		"MatMulInto MulMatInto MulVecInto Release VecMulInto"; got != want {
-		t.Errorf("KernelPlan declares {%s}, want {%s}", got, want)
-	}
-	if got, want := methods(reflect.TypeOf((*csrPlan)(nil))),
-		"MatMulInto MulMatInto MulVecInto Release VecMulInto"; got != want {
-		t.Errorf("*csrPlan exports {%s}, want {%s}", got, want)
-	}
-	base := " " + methods(reflect.TypeOf((*CompressedMatrix)(nil)).Elem()) + " "
-	var added []string
-	for _, name := range strings.Fields(methods(reflect.TypeOf((*ParallelOps)(nil)).Elem())) {
-		if !strings.Contains(base, " "+name+" ") {
-			added = append(added, name)
+	a := matrix.NewDense(2, 3)
+	for _, name := range Names() {
+		typ := reflect.TypeOf(MustGet(name)(a).NewKernelPlan())
+		if typ == corePlan {
+			continue
 		}
-	}
-	if len(added) != 1 || added[0] != "NewKernelPlan" {
-		t.Errorf("ParallelOps adds %v to CompressedMatrix, want [NewKernelPlan]", added)
+		if got := methods(typ); got != kernels {
+			t.Errorf("%s: %v exports {%s}, want {%s}", name, typ, got, kernels)
+		}
 	}
 }

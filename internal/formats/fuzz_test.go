@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"toc/internal/matrix"
 )
 
 // A header that claims more than its bytes hold is refused before
@@ -72,7 +74,9 @@ func TestDecodersRefuseForgedCounts(t *testing.T) {
 // arbitrary bytes; scheme picks the decoder by its index in Names(). An
 // image is refused with an error, or it decodes to a matrix of bounded
 // dimensions whose size is its own image's length, and one of at most
-// 4096×4096 also decodes and runs A·v and v·A without a panic. The
+// 4096×4096 also decodes and runs its plan's four kernels (A·M and M·A
+// at p = 2, on two workers) into caller-owned destinations without a
+// panic. The
 // committed corpus holds the 805306385×0 DEN, the 2^29-run CLA and the
 // 1×1 Snappy forgeries of TestDecodersRefuseForgedCounts, and a 1×1 Gzip
 // image of 1 MiB of zeros (its 64 MiB one, shrunk to keep the seed small).
@@ -100,8 +104,12 @@ func FuzzFormatsDecode(f *testing.F) {
 		}
 		if rows <= 4096 && cols <= 4096 {
 			c.Decode()
-			c.MulVec(make([]float64, cols))
-			c.VecMul(make([]float64, rows))
+			plan := c.NewKernelPlan()
+			plan.MulVecInto(make([]float64, rows), make([]float64, cols), 1)
+			plan.VecMulInto(make([]float64, cols), make([]float64, rows), 1)
+			plan.MulMatInto(matrix.NewDense(rows, 2), matrix.NewDense(cols, 2), 2)
+			plan.MatMulInto(matrix.NewDense(2, cols), matrix.NewDense(2, rows), 2)
+			plan.Release()
 		}
 	})
 }

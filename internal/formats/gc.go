@@ -115,17 +115,40 @@ func (e *gcMatrix) Scale(c float64) CompressedMatrix {
 	return newGC(e.Decode().Scale(c), e.codec)
 }
 
-// MulVec decompresses, then runs the dense kernel.
-func (e *gcMatrix) MulVec(v []float64) []float64 { return e.Decode().MulVec(v) }
+// NewKernelPlan returns the batch's kernel plan: the batch itself, whose
+// Release has nothing to recycle.
+func (e *gcMatrix) NewKernelPlan() KernelPlan { return (*gcPlan)(e) }
 
-// VecMul decompresses, then runs the dense kernel.
-func (e *gcMatrix) VecMul(v []float64) []float64 { return e.Decode().VecMul(v) }
+// gcPlan is a GC scheme's KernelPlan: every kernel call decompresses the
+// whole mini-batch, then runs DEN's kernel on it — the per-operation
+// decompression the paper's §5 measures.
+type gcPlan gcMatrix
 
-// MulMat decompresses, then runs the dense kernel.
-func (e *gcMatrix) MulMat(m *matrix.Dense) *matrix.Dense { return e.Decode().MulMat(m) }
+// den decompresses the mini-batch into DEN's plan.
+func (p *gcPlan) den() *denPlan { return &denPlan{d: (*gcMatrix)(p).Decode()} }
 
-// MatMul decompresses, then runs the dense kernel.
-func (e *gcMatrix) MatMul(m *matrix.Dense) *matrix.Dense { return e.Decode().MatMul(m) }
+// Release is a no-op: the plan holds no memory of its own.
+func (p *gcPlan) Release() {}
+
+// MulVecInto decompresses, then computes A·v into dst.
+func (p *gcPlan) MulVecInto(dst, v []float64, workers int) []float64 {
+	return p.den().MulVecInto(dst, v, workers)
+}
+
+// VecMulInto decompresses, then computes v·A into dst.
+func (p *gcPlan) VecMulInto(dst, v []float64, workers int) []float64 {
+	return p.den().VecMulInto(dst, v, workers)
+}
+
+// MulMatInto decompresses, then computes A·M into dst.
+func (p *gcPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
+	return p.den().MulMatInto(dst, m, workers)
+}
+
+// MatMulInto decompresses, then computes M·A into dst.
+func (p *gcPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
+	return p.den().MatMulInto(dst, m, workers)
+}
 
 type gzipCodec struct{}
 

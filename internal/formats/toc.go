@@ -38,10 +38,6 @@ func (t TOC) Scale(c float64) CompressedMatrix { return TOC{t.Batch.Scale(c)} }
 
 // NewKernelPlan builds the batch's decode tree C' once and returns the
 // plan sharing it across kernel calls (until its Release), adapting the
-// concrete return type.
+// concrete return type. A·M and M·A shard their panel runs across
+// workers with bitwise-identical results.
 func (t TOC) NewKernelPlan() KernelPlan { return t.Batch.NewKernelPlan() }
-
-// TOC plans its batches: a plan's kernels shard across goroutines with
-// bitwise-identical results and amortize the decode-tree build across a
-// step's kernels.
-var _ ParallelOps = TOC{}

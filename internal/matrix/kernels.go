@@ -7,11 +7,15 @@ import "fmt"
 // the ground truth that every compressed kernel is tested against.
 
 // MulVec computes A·v for a dense A, returning a new vector of length Rows.
-func (d *Dense) MulVec(v []float64) []float64 {
+func (d *Dense) MulVec(v []float64) []float64 { return d.MulVecInto(nil, v) }
+
+// MulVecInto computes A·v into dst (length Rows, fully overwritten; nil
+// allocates it) and returns it.
+func (d *Dense) MulVecInto(dst, v []float64) []float64 {
 	if len(v) != d.cols {
 		panic(fmt.Sprintf("matrix: MulVec dim mismatch %d != %d", len(v), d.cols))
 	}
-	r := make([]float64, d.rows)
+	r := IntoVec(dst, d.rows, false, "matrix: MulVecInto")
 	for i := 0; i < d.rows; i++ {
 		row := d.Row(i)
 		var s float64
@@ -24,11 +28,15 @@ func (d *Dense) MulVec(v []float64) []float64 {
 }
 
 // VecMul computes v·A for a dense A, returning a new vector of length Cols.
-func (d *Dense) VecMul(v []float64) []float64 {
+func (d *Dense) VecMul(v []float64) []float64 { return d.VecMulInto(nil, v) }
+
+// VecMulInto computes v·A into dst (length Cols, zeroed first; nil
+// allocates it) and returns it.
+func (d *Dense) VecMulInto(dst, v []float64) []float64 {
 	if len(v) != d.rows {
 		panic(fmt.Sprintf("matrix: VecMul dim mismatch %d != %d", len(v), d.rows))
 	}
-	r := make([]float64, d.cols)
+	r := IntoVec(dst, d.cols, true, "matrix: VecMulInto")
 	for i := 0; i < d.rows; i++ {
 		vi := v[i]
 		if vi == 0 {
@@ -44,45 +52,15 @@ func (d *Dense) VecMul(v []float64) []float64 {
 
 // MulMat computes A·M, where M is cols x p. The result is rows x p.
 func (d *Dense) MulMat(m *Dense) *Dense {
-	if d.cols != m.rows {
-		panic(fmt.Sprintf("matrix: MulMat dim mismatch %d != %d", d.cols, m.rows))
-	}
 	r := NewDense(d.rows, m.cols)
-	for i := 0; i < d.rows; i++ {
-		ri := r.Row(i)
-		ai := d.Row(i)
-		for k, a := range ai {
-			if a == 0 {
-				continue
-			}
-			mk := m.Row(k)
-			for j, b := range mk {
-				ri[j] += a * b
-			}
-		}
-	}
+	MulInto(r.data, d, m)
 	return r
 }
 
 // MatMul computes M·A, where M is p x rows. The result is p x cols.
 func (d *Dense) MatMul(m *Dense) *Dense {
-	if m.cols != d.rows {
-		panic(fmt.Sprintf("matrix: MatMul dim mismatch %d != %d", m.cols, d.rows))
-	}
 	r := NewDense(m.rows, d.cols)
-	for i := 0; i < m.rows; i++ {
-		ri := r.Row(i)
-		mi := m.Row(i)
-		for k, b := range mi {
-			if b == 0 {
-				continue
-			}
-			ak := d.Row(k)
-			for j, a := range ak {
-				ri[j] += b * a
-			}
-		}
-	}
+	MulInto(r.data, m, d)
 	return r
 }
 

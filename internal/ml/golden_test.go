@@ -57,7 +57,9 @@ func paramsCRC(m Model) uint32 {
 // tests compare two drivers over the same model code, so an arithmetic
 // slip common to both would pass them; this cannot: the CRC32 of the
 // final flat parameters and the bits of every epoch loss must equal what
-// the old code produced.
+// the old code produced. The rows run through every compared scheme; the
+// CLA rows were captured at the commit before CLA's kernels took a
+// destination.
 func TestGoldenSerialTrajectories(t *testing.T) {
 	type golden struct {
 		crc  uint32
@@ -78,6 +80,22 @@ func TestGoldenSerialTrajectories(t *testing.T) {
 		"mnist/lr/DEN":      {0x88627320, [goldenEpochs]uint64{0x3fdfa0344a2225e0, 0x3fd4c111cb1606af}},
 		"mnist/svm/DEN":     {0xf2f7e2c6, [goldenEpochs]uint64{0x3fd915acc3e4c794, 0x3fca5f6f13a00ba5}},
 		"mnist/nn/DEN":      {0xf04321f6, [goldenEpochs]uint64{0x4001d0806b986743, 0x40009282ef19e311}},
+		"census/linreg/CLA": {0xad3ebc4f, [goldenEpochs]uint64{0x3fb6de9a7ca65215, 0x3fa6f9a622c4a15d}},
+		"census/lr/CLA":     {0x615695cf, [goldenEpochs]uint64{0x3fe3f45dac654033, 0x3fe00388b63f8533}},
+		"census/svm/CLA":    {0x24e9df75, [goldenEpochs]uint64{0x3fe5e30f8ad27781, 0x3fd16a9687054966}},
+		"census/nn/CLA":     {0xa00ee804, [goldenEpochs]uint64{0x3fe65d77bac1b8e1, 0x3fe62ec3bc6aadc0}},
+		"mnist/lr/CLA":      {0xcab30c43, [goldenEpochs]uint64{0x3fdfa0344a2225e0, 0x3fd4c111cb1606af}},
+		"mnist/svm/CLA":     {0x037eb890, [goldenEpochs]uint64{0x3fd915acc3e4c794, 0x3fca5f6f13a00ba5}},
+		"mnist/nn/CLA":      {0xff87e8cb, [goldenEpochs]uint64{0x4001d0806b986743, 0x40009282ef19e311}},
+	}
+	// CSR, CVI, DVI, Snappy and Gzip multiply bit for bit as DEN does, so
+	// their trajectories are DEN's; CLA and TOC fold in their own orders.
+	ref := func(method string) string {
+		switch method {
+		case "CSR", "CVI", "DVI", "Snappy", "Gzip":
+			return "DEN"
+		}
+		return method
 	}
 	var got []string
 	for _, ds := range []struct {
@@ -87,7 +105,7 @@ func TestGoldenSerialTrajectories(t *testing.T) {
 		{"census", []string{"linreg", "lr", "svm", "nn"}}, // binary GLMs and the NN's single sigmoid output
 		{"mnist", []string{"lr", "svm", "nn"}},            // one-vs-rest and softmax
 	} {
-		for _, method := range []string{"TOC", "DEN"} {
+		for _, method := range formats.PaperMethods() {
 			d, src := goldenSource(t, ds.dataset, method)
 			for _, name := range ds.models {
 				m := goldenModel(t, name, d)
@@ -98,8 +116,8 @@ func TestGoldenSerialTrajectories(t *testing.T) {
 				}
 				key := ds.dataset + "/" + name + "/" + method
 				got = append(got, fmt.Sprintf("%q: {%#08x, [goldenEpochs]uint64{%#x, %#x}},", key, g.crc, g.loss[0], g.loss[1]))
-				if g != want[key] {
-					t.Errorf("%s: trajectory changed: got %+v, want %+v", key, g, want[key])
+				if w := want[ds.dataset+"/"+name+"/"+ref(method)]; g != w {
+					t.Errorf("%s: trajectory changed: got %+v, want %+v", key, g, w)
 				}
 			}
 		}

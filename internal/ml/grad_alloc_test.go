@@ -13,7 +13,8 @@ import (
 // buffer, every GLM gradient on a TOC batch allocates nothing — the
 // score/residual vectors come from the pool and both multiplications
 // write into caller-owned memory through the plan's Into kernels — and so
-// does a whole Grad, which builds and releases its own plan.
+// does a whole Grad, which builds and releases its own plan, on TOC and on
+// DEN, CSR, CVI and DVI, whose plans are the batch itself.
 func TestLinGradAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
@@ -25,7 +26,7 @@ func TestLinGradAllocs(t *testing.T) {
 	d.ShuffleOnce(4)
 	x, y := d.Batch(0, 128)
 	c := formats.MustGet("TOC")(x)
-	plan := c.(formats.ParallelOps).NewKernelPlan()
+	plan := c.NewKernelPlan()
 	yb := make([]float64, len(y))
 	for i, yi := range y {
 		if yi != 0 {
@@ -52,9 +53,12 @@ func TestLinGradAllocs(t *testing.T) {
 	// it allocates nothing either.
 	lr := NewLogReg(x.Cols())
 	out := make([]float64, lr.NumParams())
-	lr.Grad(c, yb, out) // warm the plan and scratch pools
-	if got := testing.AllocsPerRun(50, func() { lr.Grad(c, yb, out) }); got != 0 {
-		t.Errorf("logreg Grad allocates %.0f objects/op, want 0", got)
+	for _, method := range []string{"TOC", "DEN", "CSR", "CVI", "DVI"} {
+		batch := formats.MustGet(method)(x)
+		lr.Grad(batch, yb, out) // warm the plan and scratch pools
+		if got := testing.AllocsPerRun(50, func() { lr.Grad(batch, yb, out) }); got != 0 {
+			t.Errorf("%s: logreg Grad allocates %.0f objects/op, want 0", method, got)
+		}
 	}
 	// Kernel workers are for A·M / M·A; a GLM gradient has neither, so
 	// asking for them starts no goroutine and allocates nothing.

@@ -94,9 +94,9 @@ func (m *Linear) SetKernelWorkers(int) {}
 // scores computes A·w on a plan of its own: the single multiplication of
 // a Loss, Score or Predict call.
 func (m *Linear) scores(x formats.CompressedMatrix) []float64 {
-	plan := planFor(x)
-	defer releasePlan(plan)
-	return mulVec(nil, x, plan, m.W)
+	plan := x.NewKernelPlan()
+	defer plan.Release()
+	return plan.MulVecInto(nil, m.W, 1)
 }
 
 // Loss evaluates the mean loss with the residual function Grad uses, so
@@ -154,9 +154,9 @@ func (m *Linear) NumParams() int { return len(m.W) + 1 }
 // Grad writes the flat [dW..., dB] gradient: build the batch's plan, run
 // the gradient on it, release it.
 func (m *Linear) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
-	plan := planFor(x)
+	plan := x.NewKernelPlan()
 	loss := m.gradPlan(x, plan, y, out)
-	releasePlan(plan)
+	plan.Release()
 	return loss
 }
 
@@ -167,7 +167,7 @@ func (m *Linear) Grad(x formats.CompressedMatrix, y []float64, out []float64) fl
 // for the forward and backward passes, and — through OneVsRest — for
 // every class); the gradient is bitwise independent of the plan.
 //
-// On a plan the whole gradient runs allocation-free: the score and
+// The whole gradient runs allocation-free: the score and
 // residual vectors come from a pool and the v·A aggregation lands
 // directly in out's weight slice (pinned by TestLinGradAllocs).
 func (m *Linear) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y, out []float64) float64 {
@@ -175,7 +175,7 @@ func (m *Linear) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y
 	n := float64(x.Rows())
 	sc := linScratchPool.Get().(*linScratch)
 	defer linScratchPool.Put(sc)
-	s := mulVec(sc.vec(&sc.s, x.Rows()), x, plan, w)
+	s := plan.MulVecInto(sc.vec(&sc.s, x.Rows()), w, 1)
 	var loss, rsum float64
 	r := sc.vec(&sc.r, len(s))
 	for i := range s {
@@ -188,10 +188,10 @@ func (m *Linear) gradPlan(x formats.CompressedMatrix, plan formats.KernelPlan, y
 		}
 		r[i] = rv
 	}
-	// g aliases out's weight slice on the plan path, so the l2 fold below
-	// reads each g[j] before overwriting that same element — identical
-	// arithmetic to folding from a fresh vector.
-	g := vecMul(out[:len(w):len(w)], x, plan, r)
+	// g aliases out's weight slice, so the l2 fold below reads each g[j]
+	// before overwriting that same element — identical arithmetic to
+	// folding from a fresh vector.
+	g := plan.VecMulInto(out[:len(w):len(w)], r, 1)
 	for j := range g {
 		out[j] = g[j] + l2*w[j]
 	}

@@ -290,10 +290,8 @@ func TestNewModelNames(t *testing.T) {
 }
 
 // The kernel-worker knob must never change a gradient: every model's Grad
-// at Workers=N is bitwise identical to Workers=1 on a TOC batch, because
-// the parallel kernels are bitwise identical to the sequential ones. DEN
-// does not implement formats.ParallelOps, so the dispatch must also fall
-// back cleanly.
+// at Workers=N is bitwise identical to Workers=1 on every scheme's batch,
+// because each plan's kernels give the same bits at every worker count.
 func TestKernelWorkersGradBitwiseIdentical(t *testing.T) {
 	d, err := data.Generate("imagenet", 200, 3)
 	if err != nil {
@@ -301,7 +299,7 @@ func TestKernelWorkersGradBitwiseIdentical(t *testing.T) {
 	}
 	d.ShuffleOnce(4)
 	x, y := d.Batch(0, 200)
-	for _, method := range []string{"TOC", "DEN"} {
+	for _, method := range formats.Names() {
 		c := formats.MustGet(method)(x)
 		for _, name := range []string{"linreg", "lr", "svm", "nn"} {
 			mk := func() Model {

@@ -48,6 +48,18 @@ type Model interface {
 	// with the flat gradient including any regularization terms, and
 	// returns the mini-batch loss. It must not mutate the model, so
 	// concurrent Grad calls on one model are safe.
+	//
+	// Every call builds one kernel plan for its batch (x.NewKernelPlan)
+	// and runs all its multiplications on it: the 2-3 a gradient makes
+	// (the A·v/A·M forward and the v·A/M·A aggregation) share a single
+	// decode-tree build instead of paying the O(|I|+|D|) rebuild per
+	// operation, and write into the caller's buffers; the two matrix
+	// kernels run at the kernel worker count, the two vector kernels
+	// sequentially. Only the call that built a plan releases it, after
+	// its last kernel, which recycles the tree's memory into the next
+	// step's plan (core.TreeBuilds counts the builds). A plan's kernels
+	// give the same bits at every worker count, so a trajectory computed
+	// at 8 kernel workers matches 1 exactly.
 	Grad(x formats.CompressedMatrix, y []float64, out []float64) float64
 	// ApplyGrad performs the update params -= lr·g for a flat gradient g
 	// laid out as Grad writes it.

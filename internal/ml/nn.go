@@ -78,9 +78,9 @@ var nnScratchPool = sync.Pool{New: func() any { return new(nnScratch) }}
 
 // forward runs the network on a compressed batch, filling sc.acts with
 // every layer's post-activation output (the input stays compressed), and
-// returns the last one. plan is the caller's planFor(x): the input-layer
-// A·M runs on it, so Grad's backward M·A reuses the same decode-tree
-// build. Grad, Loss and Predict all run this one body.
+// returns the last one. plan is the caller's x.NewKernelPlan(): the
+// input-layer A·M runs on it, so Grad's backward M·A reuses the same
+// decode-tree build. Grad, Loss and Predict all run this one body.
 func (n *NN) forward(sc *nnScratch, x formats.CompressedMatrix, plan formats.KernelPlan) *matrix.Dense {
 	for len(sc.acts) < len(n.W) {
 		sc.acts = append(sc.acts, new(matrix.Dense))
@@ -91,7 +91,7 @@ func (n *NN) forward(sc *nnScratch, x formats.CompressedMatrix, plan formats.Ker
 	for l := range n.W {
 		z := sc.acts[l]
 		if l == 0 {
-			z = mulMat(z, x, plan, n.W[0], n.Workers) // A·M on the compressed input
+			z = plan.MulMatInto(z.Reshape(rows, n.Sizes[1]), n.W[0], n.Workers) // A·M on the compressed input
 		} else {
 			matrix.MulInto(z.Reshape(rows, n.Sizes[l+1]).Data(), h, n.W[l])
 		}
@@ -176,8 +176,8 @@ func (n *NN) lossDelta(p *matrix.Dense, y []float64, delta *matrix.Dense) float6
 func (n *NN) Loss(x formats.CompressedMatrix, y []float64) float64 {
 	sc := nnScratchPool.Get().(*nnScratch)
 	defer nnScratchPool.Put(sc)
-	plan := planFor(x)
-	defer releasePlan(plan)
+	plan := x.NewKernelPlan()
+	defer plan.Release()
 	return n.lossDelta(n.forward(sc, x, plan), y, nil)
 }
 
@@ -186,8 +186,8 @@ func (n *NN) Loss(x formats.CompressedMatrix, y []float64) float64 {
 func (n *NN) Predict(x formats.CompressedMatrix) []float64 {
 	sc := nnScratchPool.Get().(*nnScratch)
 	defer nnScratchPool.Put(sc)
-	plan := planFor(x)
-	defer releasePlan(plan)
+	plan := x.NewKernelPlan()
+	defer plan.Release()
 	out := n.forward(sc, x, plan)
 	pred := make([]float64, out.Rows())
 	if n.Classes <= 2 {
@@ -231,8 +231,8 @@ func (n *NN) Grad(x formats.CompressedMatrix, y []float64, out []float64) float6
 	}
 	sc := nnScratchPool.Get().(*nnScratch)
 	defer nnScratchPool.Put(sc)
-	plan := planFor(x)
-	defer releasePlan(plan)
+	plan := x.NewKernelPlan()
+	defer plan.Release()
 
 	rows, last := x.Rows(), len(n.W)-1
 	outAct := n.forward(sc, x, plan)
@@ -248,7 +248,7 @@ func (n *NN) Grad(x formats.CompressedMatrix, y []float64, out []float64) float6
 		if l == 0 {
 			// dW0 = Aᵀ·delta = (deltaᵀ·A)ᵀ — M·A on the compressed input.
 			delta.TransposeInto(sc.dT.Reshape(width, rows).Data())
-			matMul(&sc.dW0T, x, plan, &sc.dT, n.Workers).TransposeInto(dW)
+			plan.MatMulInto(sc.dW0T.Reshape(width, in), &sc.dT, n.Workers).TransposeInto(dW)
 		} else {
 			matrix.MulATBInto(dW, sc.acts[l-1], delta)
 		}

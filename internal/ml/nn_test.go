@@ -42,10 +42,10 @@ func TestNNGradAllocs(t *testing.T) {
 		var h, dW0T matrix.Dense
 		m := matrix.NewDense(n.Sizes[1], c.Rows())
 		planOnly := testing.AllocsPerRun(20, func() {
-			plan := planFor(c)
-			mulMat(&h, c, plan, n.W[0], workers)
-			matMul(&dW0T, c, plan, m, workers)
-			releasePlan(plan)
+			plan := c.NewKernelPlan()
+			plan.MulMatInto(h.Reshape(c.Rows(), n.Sizes[1]), n.W[0], workers)
+			plan.MatMulInto(dW0T.Reshape(n.Sizes[1], c.Cols()), m, workers)
+			plan.Release()
 		})
 		if got := testing.AllocsPerRun(20, func() { n.Grad(c, y, out) }); got != planOnly {
 			t.Errorf("workers=%d: Grad allocates %.0f objects/op, its two plan kernels alone %.0f", workers, got, planOnly)

@@ -99,7 +99,7 @@ func (o *OneVsRest) NumParams() int {
 // across every per-class gradient, so the whole multi-class Grad builds
 // the batch's decode tree once instead of once per class and direction.
 func (o *OneVsRest) Grad(x formats.CompressedMatrix, y []float64, out []float64) float64 {
-	plan := planFor(x)
+	plan := x.NewKernelPlan()
 	yc := make([]float64, len(y))
 	var total float64
 	off := 0
@@ -108,7 +108,7 @@ func (o *OneVsRest) Grad(x formats.CompressedMatrix, y []float64, out []float64)
 		total += m.gradPlan(x, plan, relabel(yc, y, c), out[off:off+np])
 		off += np
 	}
-	releasePlan(plan)
+	plan.Release()
 	return total / float64(len(o.Models))
 }
 

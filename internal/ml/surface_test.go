@@ -16,7 +16,9 @@ import (
 // — a second one is a forked GLM), no method named Step (a step is
 // Train's Grad+ApplyGrad, for every model) and no type assertion from one
 // model interface to another (Model is the whole contract; its other
-// names are aliases).
+// names are aliases). Nor does it assert a batch to any formats type: a
+// batch's NewKernelPlan is the one way to multiply it, whatever its
+// scheme.
 func TestModelSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -92,9 +94,26 @@ func TestModelSurface(t *testing.T) {
 		}
 	}
 	ast.Inspect(pkg, func(n ast.Node) bool {
-		if ta, ok := n.(*ast.TypeAssertExpr); ok && ta.Type != nil && modelIfaces[types.ExprString(ta.Type)] {
-			t.Errorf("%s: assertion to model interface %s — Model is the whole contract",
-				fset.Position(ta.Pos()), types.ExprString(ta.Type))
+		var targets []ast.Expr
+		switch n := n.(type) {
+		case *ast.TypeAssertExpr:
+			if n.Type != nil { // nil in a type switch's guard
+				targets = append(targets, n.Type)
+			}
+		case *ast.TypeSwitchStmt:
+			for _, cc := range n.Body.List {
+				targets = append(targets, cc.(*ast.CaseClause).List...)
+			}
+		}
+		for _, e := range targets {
+			switch target := types.ExprString(e); {
+			case modelIfaces[target]:
+				t.Errorf("%s: assertion to model interface %s — Model is the whole contract",
+					fset.Position(e.Pos()), target)
+			case strings.HasPrefix(target, "formats.") || strings.HasPrefix(target, "*formats."):
+				t.Errorf("%s: assertion to %s — multiply a batch through its NewKernelPlan",
+					fset.Position(e.Pos()), target)
+			}
 		}
 		return true
 	})

@@ -56,7 +56,8 @@ func Deserialize(img []byte) (*Batch, error) { return core.Deserialize(img) }
 
 // CompressedMatrix is the interface every mini-batch encoding implements:
 // TOC, the light-weight schemes (CSR, CVI, DVI, CLA) and the general
-// schemes (Gzip, Snappy).
+// schemes (Gzip, Snappy). Its NewKernelPlan is the one way to multiply an
+// encoded batch.
 type CompressedMatrix = formats.CompressedMatrix
 
 // DecodeTreeBuilds returns the cumulative number of decode-tree (C')
@@ -77,9 +78,10 @@ func PaperMethods() []string { return formats.PaperMethods() }
 // Encode compresses a mini-batch with the named method ("TOC", "CSR",
 // "CVI", "DVI", "CLA", "DEN", "Gzip", "Snappy", or a TOC ablation
 // variant such as "TOC_SPARSE", the sparse encoding alone, which is CSR).
-// It panics on unknown names; use GetCodec to probe. A TOC batch's
-// NewKernelPlan builds its decode tree once for the two or three kernels a
-// gradient step runs on it; a CSR batch plans too, with nothing to build.
+// It panics on unknown names; use GetCodec to probe. Every batch plans:
+// a TOC batch's NewKernelPlan builds its decode tree once for the two or
+// three kernels a gradient step runs on it; every other scheme's plan is
+// the batch itself, with nothing to build.
 func Encode(method string, m *Dense) CompressedMatrix {
 	return formats.MustGet(method)(m)
 }
