@@ -112,10 +112,11 @@ func TestShardedMatMulAllocBytesIndependentOfP(t *testing.T) {
 // Deserialize sits on the spilled read path, once per visit: what it
 // allocates beyond the arrays the Batch keeps is garbage the collector
 // has to chase on every step. Pin the total at 1.5x what the returned
-// Batch retains (I, D with its creation bitmap, and the image it aliases)
-// on the benchmark's batch
-// shape — building the encode-side value->index map per decode, or
-// staging I through |I|-sized column/value temporaries, breaks it.
+// Batch retains (I, D′ with its tuple starts and creation bitmap, and
+// the image it aliases) on the benchmark's batch shape —
+// building the encode-side value->index map per decode, staging I
+// through |I|-sized column/value temporaries, or unpacking the
+// paper-numbered D anywhere but pooled scratch breaks it.
 func TestDeserializeAllocBytes(t *testing.T) {
 	d, err := data.Generate("imagenet", 250, 1)
 	if err != nil {
@@ -126,7 +127,10 @@ func TestDeserializeAllocBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retained := 16*len(b.i) + 4*len(b.d.Nodes) + 4*len(b.d.Starts) + 8*len(b.d.created) + len(img)
+	if b.d.isWide() {
+		t.Fatal("a benchmark batch's D′ is 32 bits a code")
+	}
+	retained := 16*len(b.i) + 2*len(b.d.narrow) + 4*len(b.d.starts) + 8*len(b.d.created) + len(img)
 	const runs = 50
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -144,30 +148,31 @@ func TestDeserializeAllocBytes(t *testing.T) {
 }
 
 // Compress sits on the ingest path, once per batch: everything Algorithm 1
-// works in — both tables, the tuple rewrite, D, the physical layer's
-// staging — is pooled encoder state, so the steady state allocates only
-// what the Batch retains (the Batch, I, D's two arrays and creation
-// bitmap, the image). And
-// what it retains is copied out of the pooled scratch at exact length:
-// append-grown capacity kept resident per batch is live heap that no
-// byte count in the store's budget sees.
+// works in — both tables, the tuple rewrite, D in the paper's numbering,
+// the physical layer's staging — is pooled encoder state, so the steady
+// state allocates only what the Batch retains (the Batch, I, D′, the
+// tuple starts and the creation bitmap; no image). And what it retains
+// is copied out of the pooled scratch at exact length: append-grown
+// capacity kept resident per batch is live heap that no byte count in
+// the store's budget sees.
 func TestCompressAllocs(t *testing.T) {
 	d, err := data.Generate("imagenet", 250, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := Compress(d.X)
-	if cap(b.i) != len(b.i) || cap(b.d.Nodes) != len(b.d.Nodes) ||
-		cap(b.d.Starts) != len(b.d.Starts) || cap(b.img) != len(b.img) {
-		t.Errorf("retained slices carry slack: I %d/%d, D.Nodes %d/%d, D.Starts %d/%d, img %d/%d (len/cap)",
-			len(b.i), cap(b.i), len(b.d.Nodes), cap(b.d.Nodes),
-			len(b.d.Starts), cap(b.d.Starts), len(b.img), cap(b.img))
+	if b.img != nil || b.d.isWide() {
+		t.Fatalf("a compressed benchmark batch keeps an image (%v) or a 32-bit D′ (%v)", b.img != nil, b.d.isWide())
+	}
+	if cap(b.i) != len(b.i) || cap(b.d.narrow) != len(b.d.narrow) || cap(b.d.starts) != len(b.d.starts) {
+		t.Errorf("retained slices carry slack: I %d/%d, D′ %d/%d, starts %d/%d (len/cap)",
+			len(b.i), cap(b.i), len(b.d.narrow), cap(b.d.narrow), len(b.d.starts), cap(b.d.starts))
 	}
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
 	}
-	if got := testing.AllocsPerRun(20, func() { Compress(d.X) }); got > 7 {
-		t.Errorf("Compress allocates %.0f objects/op, want <= 7 (what the Batch retains)", got)
+	if got := testing.AllocsPerRun(20, func() { Compress(d.X) }); got > 5 {
+		t.Errorf("Compress allocates %.0f objects/op, want <= 5 (what the Batch retains)", got)
 	}
 }
 

@@ -34,44 +34,51 @@ func (v Variant) String() string {
 	}
 }
 
-// Batch is a TOC-compressed mini-batch. It holds the logical encoding
-// (I, D) in memory for kernel execution — D renumbered onto the live
-// nodes of the decode tree, the resident form decodetree.go describes —
-// plus the physical byte image whose length is the batch's compressed
-// size; Serialize returns that image, which is in the paper's numbering,
-// and Deserialize reconstructs the batch from it.
+// Batch is a TOC-compressed mini-batch. Its resident form is its kernel
+// inputs and nothing else: the first layer I and D′ — D renumbered onto
+// the live nodes of the decode tree, 16 bits a code when they fit, with
+// its tuple starts and creation bitmap (decodetree.go). It keeps no
+// physical image: it knows the image's length, which CompressedSize
+// reports, and Serialize writes the image, in the paper's numbering, on
+// every call. A batch Deserialize made is the one exception: it aliases
+// the image it was read from.
 //
 // Invariants (checked by tests):
 //   - lossless: Decode() equals the compressed input exactly;
 //   - every node index in D is non-zero and below the decode-tree length;
 //   - in the decode tree, Parent[i] < i for every node, which is what makes
 //     the single forward scan of Algorithms 4/7 and the single backward
-//     scan of Algorithms 5/8 correct.
+//     scan of Algorithms 5/8 correct;
+//   - CompressedSize() == len(Serialize()).
 type Batch struct {
 	rows, cols int
 	variant    Variant
 
 	i []Pair
-	d dTable
+	d residentD
 
-	img []byte // serialized physical image; nil when stale (after Scale)
+	size     int    // len(Serialize()), fixed when the batch is made
+	distinct int    // I's distinct values, counted with size when there is no img
+	img      []byte // the image Deserialize read the batch from; nil otherwise
 }
 
 // Compress encodes a dense mini-batch with the Full TOC pipeline.
 func Compress(m *matrix.Dense) *Batch { return CompressVariant(m, Full) }
 
 // CompressVariant encodes a dense mini-batch using the given layer subset.
+// D in the paper's numbering stays in the pooled encoder; the batch keeps
+// only what newLogical renumbers it into.
 func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
 	e.addDense(m)
 	e.encode()
-	I := exactCopy(e.pairs)
-	D := dTable{Nodes: exactCopy(e.d.Nodes), Starts: exactCopy(e.d.Starts)}
-	encoderPool.Put(e)
-	b, err := newLogical(m.Rows(), m.Cols(), v, I, D, nil)
+	D := dTable{Nodes: e.d.Nodes, Starts: exactCopy(e.d.Starts)}
+	b, err := newLogical(m.Rows(), m.Cols(), v, exactCopy(e.pairs), D, nil)
 	if err != nil {
 		panic("core: Algorithm 1 emitted an invalid (I, D): " + err.Error())
 	}
+	e.sizeImage(b)
 	return b
 }
 
@@ -86,33 +93,28 @@ var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 
 // newLogical is the one place a batch is made: it takes (I, D) as
 // Algorithm 1 emits them — from the encoder, or unpacked from an image,
-// which is then img — validates them, writes the image if there is none
-// yet, and rewrites D.Nodes in place into the resident form of
-// decodetree.go. D.Nodes must not be aliased by the caller.
+// which is then img — validates them and renumbers D into the resident
+// form of decodetree.go. The batch keeps I and D.Starts; D.Nodes may be
+// pooled scratch, which it does not retain. An image's length is the
+// batch's size; a batch made without one has its size set by the caller.
 func newLogical(rows, cols int, v Variant, I []Pair, D dTable, img []byte) (*Batch, error) {
-	b := &Batch{rows: rows, cols: cols, variant: v, i: I, d: D, img: img}
+	b := &Batch{rows: rows, cols: cols, variant: v, i: I, size: len(img), img: img}
 	sc := liveScratchPool.Get().(*liveScratch)
 	defer liveScratchPool.Put(sc)
-	if err := b.validateLogical(sc); err != nil {
+	if err := validateLogical(rows, cols, I, D, sc); err != nil {
 		return nil, err
 	}
-	if img == nil {
-		b.img = b.buildImage(D.Nodes)
-	}
-	b.renumber(sc)
+	b.d = renumber(D, len(I), sc)
 	return b, nil
 }
 
-// renumber rewrites d.Nodes from the paper's numbering to live ids and
-// fills in d.created and d.live, given validateLogical's marks. It runs
-// on every spilled read, so every loop over nodes or codes is flat and
-// branch-free — most nodes are dead and no predictor learns which, and
-// a loop per tuple mispredicts its exit once a tuple — and sits in a
-// leaf function of its own, where its counter stays in a register
-// (inlined here the compiler spills it to the stack on every iteration).
-func (b *Batch) renumber(sc *liveScratch) {
-	nodes, starts := b.d.Nodes, b.d.Starts
-	firstLayer := len(b.i) + 1
+// renumber returns D in resident form, given validateLogical's marks. It
+// runs on every spilled read, so every loop over nodes or codes is flat
+// and branch-free — most nodes are dead and no predictor learns which,
+// and a loop per tuple mispredicts its exit once a tuple.
+func renumber(D dTable, lenI int, sc *liveScratch) residentD {
+	nodes, starts := D.Nodes, D.Starts
+	firstLayer := lenI + 1
 	mark := sc.mark
 	if cap(sc.remap) < len(mark) {
 		sc.remap = make([]uint32, len(mark))
@@ -120,7 +122,18 @@ func (b *Batch) renumber(sc *liveScratch) {
 	remap := sc.remap[:len(mark)]
 	mark[0] = 1 // the root, so that every marked first-layer node keeps its number
 	marked := numberMarked(remap, mark)
-	translate(nodes, remap)
+	top := len(mark) - 1 // the largest code: the last marked node, the root at worst
+	for mark[top] == 0 {
+		top--
+	}
+	d := residentD{starts: starts, top: uint32(top)}
+	if marked <= 1<<16 { // live ids 0..marked-1
+		d.narrow = make([]uint16, len(nodes))
+		translate(d.narrow, nodes, remap)
+	} else {
+		d.wide = make([]uint32, len(nodes))
+		translate(d.wide, nodes, remap)
+	}
 
 	// The creation bitmap. A tuple's non-final positions created a run of
 	// consecutive nodes, so their marks move to position order a run at a
@@ -139,7 +152,8 @@ func (b *Batch) renumber(sc *liveScratch) {
 		}
 	}
 	packBits(created, at)
-	b.d.created, b.d.live = created, marked-firstLayer
+	d.created, d.live = created, marked-firstLayer
+	return d
 }
 
 // numberMarked numbers the marked nodes in order, the unmarked ones
@@ -157,14 +171,16 @@ func numberMarked(remap []uint32, mark []byte) int {
 	return int(id)
 }
 
-// translate replaces every code by its entry in remap. All of remap is
+// translate writes every code's entry in remap to dst. All of remap is
 // known by now, so a code that references the node its predecessor
-// created resolves like any other.
+// created resolves like any other. It sits in a leaf function of its
+// own, where its counter stays in a register.
 //
 //go:noinline
-func translate(nodes, remap []uint32) {
+func translate[N code](dst []N, nodes, remap []uint32) {
+	dst = dst[:len(nodes)]
 	for k, n := range nodes {
-		nodes[k] = remap[n]
+		dst[k] = N(remap[n])
 	}
 }
 
@@ -196,11 +212,13 @@ func (b *Batch) Variant() Variant { return b.variant }
 func (b *Batch) NumFirstLayer() int { return len(b.i) }
 
 // NumCodes returns the total number of tree-node indexes in D.
-func (b *Batch) NumCodes() int { return len(b.d.Nodes) }
+func (b *Batch) NumCodes() int { return b.d.len() }
 
-// CompressedSize returns the size in bytes of the physical image — the
-// number the paper's compression ratios are computed from.
-func (b *Batch) CompressedSize() int { return len(b.Serialize()) }
+// CompressedSize returns the length in bytes of the physical image — the
+// number the paper's compression ratios are computed from. It is fixed
+// when the batch is made, from the section widths and the number of
+// distinct values, and writes no image.
+func (b *Batch) CompressedSize() int { return b.size }
 
 // UncompressedSize returns the DEN size of the original matrix.
 func (b *Batch) UncompressedSize() int {
@@ -218,15 +236,23 @@ func (b *Batch) Decode() *matrix.Dense {
 	out := matrix.NewDense(b.rows, b.cols)
 	p := b.NewKernelPlan()
 	defer p.Release()
-	t := p.tree
-	for i := 0; i < b.rows; i++ {
+	if b.d.isWide() {
+		decodeRows(out, b.i, b.d.wide, b.d.starts, p.tree)
+	} else {
+		decodeRows(out, b.i, b.d.narrow, b.d.starts, p.tree)
+	}
+	return out
+}
+
+// decodeRows writes every tuple's codes' sequences into its row of out.
+func decodeRows[N code](out *matrix.Dense, I []Pair, nodes []N, starts []uint32, t *DecodeTree) {
+	for i := 0; i < out.Rows(); i++ {
 		row := out.Row(i)
-		for _, n := range b.d.row(i) {
-			for idx := n; idx != 0; idx = t.Parent[idx] {
-				k := b.i[t.KeyIdx[idx]-1]
+		for _, n := range nodes[starts[i]:starts[i+1]] {
+			for idx := uint32(n); idx != 0; idx = t.Parent[idx] {
+				k := I[t.KeyIdx[idx]-1]
 				row[k.Col] = k.Val
 			}
 		}
 	}
-	return out
 }

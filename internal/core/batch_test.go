@@ -232,7 +232,7 @@ func vecApproxEq(a, b []float64) bool {
 
 // buildTree builds the batch's decode tree C' into memory of its own.
 func (b *Batch) buildTree() *DecodeTree {
-	return new(treeArena).build(b.i, b.d)
+	return new(treeArena).build(b.i, &b.d)
 }
 
 // The decode tree parent index is always smaller than the child index —
@@ -351,14 +351,13 @@ func TestValidateRejectsForwardReference(t *testing.T) {
 	// would make this batch.
 	b := &Batch{rows: 1, cols: 2, variant: SparseLogical,
 		i: []Pair{{0, 1}},
-		d: dTable{Nodes: []uint32{2}, Starts: []uint32{0, 1}},
+		d: residentD{starts: []uint32{0, 1}},
 	}
-	if _, err := Deserialize(b.buildImage(b.d.Nodes)); err == nil {
+	if _, err := Deserialize(paperImage(b, []uint32{2})); err == nil {
 		t.Fatal("forward node reference should be rejected")
 	}
 	// Node index 0 (the root) is never a valid code either.
-	b.d = dTable{Nodes: []uint32{0}, Starts: []uint32{0, 1}}
-	if _, err := Deserialize(b.buildImage(b.d.Nodes)); err == nil {
+	if _, err := Deserialize(paperImage(b, []uint32{0})); err == nil {
 		t.Fatal("root code should be rejected")
 	}
 }
@@ -386,7 +385,7 @@ func TestScaleSharesD(t *testing.T) {
 	b := Compress(a)
 	s := b.Scale(3)
 	// Algorithm 3 touches only I; D must be shared, not copied.
-	if len(s.d.Nodes) > 0 && &s.d.Nodes[0] != &b.d.Nodes[0] {
+	if len(s.d.narrow) == 0 || &s.d.narrow[0] != &b.d.narrow[0] || &s.d.starts[0] != &b.d.starts[0] {
 		t.Fatal("Scale copied D; Algorithm 3 should only touch I")
 	}
 	if len(s.d.created) == 0 || &s.d.created[0] != &b.d.created[0] || s.d.live != b.d.live {

@@ -26,17 +26,34 @@ import (
 //     computation: the node created at D position q has parent D[q], so
 //     every node's parent is itself an element of D and one mark pass
 //     over D closes the set under "parent of".
-//   - d.Nodes holds live ids: first-layer nodes 1..|I| keep their numbers
+//   - D′ holds live ids: first-layer nodes 1..|I| keep their numbers
 //     (Compress never leaves one unreferenced and Deserialize rejects an
 //     image that does), live deep nodes follow from |I|+1 in creation
 //     order, dead ones have no number. Order is preserved, so a parent
 //     still precedes its children and every kernel folds in the order it
 //     would over the full tree.
+//   - D′ is 16 bits a code (d.narrow) when the live tree has at most
+//     1<<16 nodes, so that every live id is below 65536, and 32 bits
+//     (d.wide) otherwise. Every benchmark batch is narrow: the largest
+//     live tree, seed 1, is 3516 nodes over the 800 imagenet batches and
+//     8359 over the 80 mnist ones. Each scan of
+//     D′ — the four kernels' (mulVecRows, vecMulRows, mulMatRows,
+//     matMulRows), the build's (addLive), Decode's (decodeRows) and the
+//     inverse map's (paperNodes), and translate, which writes it — is one
+//     generic body over code, and its one caller picks the instantiation.
 //   - d.created is a bitmap over D positions: bit q is set iff the node
 //     position q created is live (only a non-final position of a tuple
-//     creates one). d.live is its population count. With D it is all the
-//     build needs, and its replay is also the inverse map back to the
-//     paper's numbering (paperNodes), which the image is written in.
+//     creates one). d.live is its population count. With D′ it is all
+//     the build needs, and its replay (liveToPaper) is also the inverse
+//     map back to the paper's numbering, which the image is written in.
+//   - That is all a resident batch holds besides I and the tuple starts.
+//     The paper-numbered D that Algorithm 1 emits, or an image's unpack
+//     yields, stays in pooled scratch, and the physical image is not
+//     kept: Serialize writes it from (I, D′) through the inverse map on
+//     every call (physical.go). On the benchmark's 250-row batches a
+//     resident batch costs 1.4 (imagenet) and 3.8 (mnist) heap bytes per
+//     image byte, against 2.7 and 5.6 with the image and a 32-bit D′
+//     (TestResidentHeapPerCompressedByte).
 //
 // build therefore is Algorithm 2 restricted to live nodes,
 // O(|I| + |live|) per plan; Algorithm 2 as written — the full tree — is
@@ -81,18 +98,17 @@ func (t *DecodeTree) Seq(I []Pair, idx uint32) []Pair {
 	return seq
 }
 
-// dTable is the flattened encoded table D: Nodes holds every tuple's node
-// indexes concatenated, Starts[i] is the offset of tuple i (len rows+1,
-// with Starts[rows] == len(Nodes)). This is also the physical layout of D
-// in Figure 3 ("tree node indexes" + "tuple start indexes"). As Algorithm
-// 1 emits it Nodes is in the paper's numbering and the last two fields
-// are unset; inside a Batch it is in the resident form described above.
+// dTable is the flattened encoded table D as Algorithm 1 emits it, in the
+// paper's numbering: Nodes holds every tuple's node indexes
+// concatenated, Starts[i] is the offset of tuple i (len rows+1, with
+// Starts[rows] == len(Nodes)). This is also the physical layout of D in
+// Figure 3 ("tree node indexes" + "tuple start indexes"). Nodes lives in
+// the pooled encoder — Algorithm 1 writes it there and Deserialize
+// unpacks an image's codes there — only until it is validated and
+// renumbered into a residentD, which keeps Starts.
 type dTable struct {
 	Nodes  []uint32
 	Starts []uint32
-
-	created []uint64 // bit q: the node D position q created is live
-	live    int      // live deep nodes, the population count of created
 }
 
 func (d dTable) rows() int { return len(d.Starts) - 1 }
@@ -100,29 +116,66 @@ func (d dTable) rows() int { return len(d.Starts) - 1 }
 // row returns tuple i's node indexes (aliased).
 func (d dTable) row(i int) []uint32 { return d.Nodes[d.Starts[i]:d.Starts[i+1]] }
 
-// paperNodes returns Nodes in the paper's numbering, the one Algorithm 1
-// emitted and the image stores, by replaying the creation bitmap: the
-// node D position q created was number firstLayer+1+(non-final positions
-// before q), and the j-th set bit is live deep node j.
-func (d dTable) paperNodes(firstLayer int) []uint32 {
-	paper := make([]uint32, 0, d.live)
-	next := uint32(firstLayer) + 1
-	for r := 0; r < d.rows(); r++ {
-		for q := d.Starts[r]; q+1 < d.Starts[r+1]; q++ {
-			if d.created[q>>6]>>(q&63)&1 != 0 {
-				paper = append(paper, next)
-			}
-			next++
+// code is the width of a resident D′ entry: a live id.
+type code interface{ ~uint16 | ~uint32 }
+
+// residentD is D′, the resident form described above: D renumbered onto
+// the live nodes, 16 bits a code when the live tree has at most 1<<16
+// nodes (narrow) and 32 otherwise (wide). Exactly one of the two is
+// non-nil; the callers of the generic scans pick one with isWide().
+type residentD struct {
+	narrow  []uint16
+	wide    []uint32
+	starts  []uint32 // as in dTable
+	created []uint64 // bit q: the node D position q created is live
+	live    int      // live deep nodes, the population count of created
+	top     uint32   // the largest code of D in the paper's numbering
+}
+
+// isWide reports whether D′ holds 32-bit codes.
+func (d *residentD) isWide() bool { return d.wide != nil }
+
+// len returns |D|, the number of codes.
+func (d *residentD) len() int { return len(d.narrow) + len(d.wide) }
+
+// liveToPaper fills inv, of length 1+|I|+live, with the paper's number
+// of every live id: first-layer nodes keep theirs, and the j-th set bit
+// of the creation bitmap, at D position q, is live deep node j, which was
+// paper node firstLayer+q-(tuple ends before q). ends, as long as
+// created, is scratch for the bitmap of tuple ends, so each number is a
+// population count, and the pass over the set bits has no branch but its
+// own.
+func liveToPaper(inv []uint32, ends []uint64, starts []uint32, created []uint64, firstLayer int) {
+	for k := range inv[:firstLayer] {
+		inv[k] = uint32(k)
+	}
+	ends = ends[:len(created)]
+	clear(ends)
+	for r := 1; r < len(starts); r++ {
+		if lo, hi := starts[r-1], starts[r]; lo < hi {
+			ends[(hi-1)>>6] |= 1 << ((hi - 1) & 63)
 		}
 	}
-	out := make([]uint32, len(d.Nodes))
-	for k, n := range d.Nodes {
-		if int(n) > firstLayer {
-			n = paper[int(n)-firstLayer-1]
+	idx, base := firstLayer, firstLayer // base: firstLayer less the tuple ends before word wi
+	for wi, w := range created {
+		e := ends[wi]
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			inv[idx] = uint32(base + wi<<6 + b - bits.OnesCount64(e&(1<<b-1)))
+			idx++
 		}
-		out[k] = n
+		base -= bits.OnesCount64(e)
 	}
-	return out
+}
+
+// paperNodes writes D′ back in the paper's numbering — the one Algorithm
+// 1 emitted and the image stores — into dst, in one flat pass: code n is
+// paper node inv[n].
+func paperNodes[N code](dst []uint32, nodes []N, inv []uint32) {
+	dst = dst[:len(nodes)]
+	for k, n := range nodes {
+		dst[k] = inv[n]
+	}
 }
 
 // treeArena is the reusable backing memory of one decode tree: Parent,
@@ -158,13 +211,9 @@ func treeSize(I []Pair, D dTable) int {
 
 // build implements Algorithm 2 into the arena for a D in resident form:
 // phase I initializes C' (and the first-pair index array F) from I;
-// phase II adds the live nodes in creation order by walking the set bits
-// of D.created, mimicking how Algorithm 1 built C with the never-matched
-// nodes left out. The result is valid until the arena's next build. Only
-// newLogical guarantees D's node indexes are in range and the bitmap's
-// population is D.live; the data-dependent gathers keep their bounds
-// checks regardless.
-func (a *treeArena) build(I []Pair, D dTable) *DecodeTree {
+// phase II (addLive) adds the live nodes in creation order. The result
+// is valid until the arena's next build.
+func (a *treeArena) build(I []Pair, D *residentD) *DecodeTree {
 	treeBuilds.Add(1)
 	size := 1 + len(I) + D.live
 	if cap(a.words) < 3*size {
@@ -184,27 +233,36 @@ func (a *treeArena) build(I []Pair, D dTable) *DecodeTree {
 		keyIdx[k] = uint32(k)
 		first[k] = uint32(k)
 	}
+	if D.isWide() {
+		addLive(parent, keyIdx, first, D.wide, D.created, firstLayer)
+	} else {
+		addLive(parent, keyIdx, first, D.narrow, D.created, firstLayer)
+	}
+	return &a.tree
+}
 
-	// Phase II (lines 8-14): the element at a live creation position q
-	// adds a node whose parent is the element's own node, whose first
-	// pair is that parent's, and whose key is the first pair of the
-	// *next* element. Order matters: F of the new node is stored before
-	// its key is read, because the next element may be the node being
-	// added (a tuple that repeats its own just-added sequence references
-	// itself).
-	idx := firstLayer
-	nodes := D.Nodes
-	for wi, w := range D.created {
+// addLive is phase II (lines 8-14), walking the set bits of the creation
+// bitmap from node idx on: the element at a live creation position q
+// adds a node whose parent is the element's own node, whose first pair
+// is that parent's, and whose key is the first pair of the *next*
+// element. Order matters: F of the new node is stored before its key is
+// read, because the next element may be the node being added (a tuple
+// that repeats its own just-added sequence references itself). Only
+// newLogical guarantees D's codes are in range and the bitmap's
+// population is the live count; the data-dependent gathers keep their
+// bounds checks regardless.
+func addLive[N code](parent, keyIdx, first []uint32, nodes []N, created []uint64, idx int) {
+	keyIdx, first = keyIdx[:len(parent)], first[:len(parent)] // one proof for all three stores
+	for wi, w := range created {
 		for ; w != 0; w &= w - 1 {
 			q := wi<<6 + bits.TrailingZeros64(w)
 			p := nodes[q]
-			parent[idx] = p
+			parent[idx] = uint32(p)
 			first[idx] = first[p]
 			keyIdx[idx] = first[nodes[q+1]]
 			idx++
 		}
 	}
-	return &a.tree
 }
 
 // opScratch holds the per-call working memory of one kernel: the H

@@ -11,23 +11,28 @@ import "toc/internal/matrix"
 // regardless of the matrix size; the encoded table D is shared with the
 // receiver, not copied.
 func (b *Batch) Scale(c float64) *Batch {
-	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant}
-	nb.d = b.d
-	nb.i = make([]Pair, len(b.i))
-	for i, p := range b.i {
-		nb.i[i] = Pair{Col: p.Col, Val: p.Val * c}
-	}
-	return nb
+	return b.mapValues(func(v float64) float64 { return v * c })
 }
 
 // Square returns a new batch representing A.^2 element-wise (sparse-safe).
 func (b *Batch) Square() *Batch {
-	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant}
-	nb.d = b.d
+	return b.mapValues(func(v float64) float64 { return v * v })
+}
+
+// mapValues returns the batch with f applied to every value of I and D
+// shared. Its image length is counted afresh: two values f maps to the
+// same bits share a dictionary entry, and the receiver's own length may
+// be that of an image Deserialize read, which need not be the one
+// Serialize writes.
+func (b *Batch) mapValues(f func(float64) float64) *Batch {
+	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant, d: b.d}
 	nb.i = make([]Pair, len(b.i))
 	for i, p := range b.i {
-		nb.i[i] = Pair{Col: p.Col, Val: p.Val * p.Val}
+		nb.i[i] = Pair{Col: p.Col, Val: f(p.Val)}
 	}
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	e.sizeImage(nb)
 	return nb
 }
 

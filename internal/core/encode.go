@@ -44,9 +44,10 @@ import (
 // Pool contract. All encoder state — the tables, the tuple rewrite, D and
 // the physical layer's staging arrays — lives in one encoder recycled
 // through encoderPool, so steady-state compression allocates only what
-// the Batch keeps. Nothing a caller receives aliases the encoder: I, D
-// and the image are copied out at exact length before Put, and an encoder
-// is owned by one goroutine between Get and Put.
+// the Batch keeps. Nothing a caller receives aliases the encoder: I and
+// D's tuple starts are copied out at exact length and D is renumbered
+// out of it before Put, and an encoder is owned by one goroutine between
+// Get and Put.
 
 // slot is one entry of an internTable. Interned ids are tree-node indexes
 // or 1-based dictionary positions, never 0, so id == 0 marks a free slot.
@@ -126,15 +127,21 @@ type encoder struct {
 	pairs  []Pair   // I: the first layer in first-appearance order
 	ids    []uint32 // first-layer node of every non-zero, tuples concatenated
 	tuples []uint32 // tuples[r]: offset of tuple r in ids; one final entry = len(ids)
-	d      dTable   // D, flat
+	d      dTable   // D, flat; Deserialize unpacks an image's codes here too
 
-	// Staging for the Full image (physical.go): I's columns, the value
-	// dictionary of I's values, one dictionary index per pair, the bytes.
-	dict internTable
-	cols []uint32
-	vals []float64
-	occ  []uint32
-	img  []byte
+	// Staging for the physical layer (physical.go): I's columns and the
+	// largest of them, the value dictionary of I's values, one dictionary
+	// index per pair, and a resident D's way back to the paper's
+	// numbering — every live id's paper number, the bitmap of tuple ends
+	// it is counted from, and D in it.
+	cols   []uint32
+	colTop uint32
+	dict   internTable
+	vals   []float64
+	occ    []uint32
+	inv    []uint32
+	ends   []uint64
+	paper  []uint32
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}

@@ -42,6 +42,11 @@ func FuzzDeserialize(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("TOCB"))
 	f.Add(unreferencedFirstLayerImage())
+	// Both sides of the D′ width boundary: live trees of 1<<16 nodes
+	// (16-bit codes) and one more (32-bit).
+	for _, nodes := range []int{1 << 16, 1<<16 + 1} {
+		f.Add(Compress(boundaryMatrix(f, nodes)).Serialize())
+	}
 	// A 1×1 header naming variant 2, the sparse encoding alone, which
 	// this package no longer has (formats' TOC_SPARSE is CSR).
 	f.Add([]byte("TOCB\x01\x02\x01\x00\x00\x00\x01\x00\x00\x00"))
@@ -51,12 +56,12 @@ func FuzzDeserialize(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(b.d.Nodes) <= 1<<16 {
+		if b.d.len() <= 1<<16 {
 			var paper dTable
 			if b.Variant() == Full {
-				_, paper, err = parseFull(img[headerSize:])
+				_, paper, err = parseFull(img[headerSize:], nil)
 			} else {
-				_, paper, err = parseSparseLogical(img[headerSize:], b.rows)
+				_, paper, err = parseSparseLogical(img[headerSize:], b.rows, nil)
 			}
 			if err != nil {
 				t.Fatalf("accepted image does not parse: %v", err)
@@ -162,11 +167,12 @@ func fuzzMatrix(in []byte) *matrix.Dense {
 
 // FuzzCompressRoundTrip drives arbitrary float bit patterns through the
 // encoder. The contract under fuzz: every variant of every matrix
-// compresses, its image deserializes, and both the batch and its image
-// decode to the input's exact bits — except that a cell equal to zero
-// (either sign) is not stored and decodes +0 — a kernel plan runs over
-// the result, and Algorithm 1 leaves no first-layer pair unreferenced
-// (the renumbering keeps a first-layer node's number on that ground).
+// compresses, its image is CompressedSize bytes and deserializes, and
+// both the batch and its image decode to the input's exact bits — except
+// that a cell equal to zero (either sign) is not stored and decodes +0 —
+// a kernel plan runs over the result, and Algorithm 1 leaves no
+// first-layer pair unreferenced (the renumbering keeps a first-layer
+// node's number on that ground).
 // Seed corpus lives in
 // testdata/fuzz/FuzzCompressRoundTrip; CI runs a short -fuzz pass.
 func FuzzCompressRoundTrip(f *testing.F) {
@@ -185,7 +191,11 @@ func FuzzCompressRoundTrip(f *testing.F) {
 		}
 		for _, variant := range allVariants {
 			b := CompressVariant(m, variant)
-			back, err := Deserialize(b.Serialize())
+			img := b.Serialize()
+			if b.CompressedSize() != len(img) {
+				t.Fatalf("%v: CompressedSize %d, image %d bytes", variant, b.CompressedSize(), len(img))
+			}
+			back, err := Deserialize(img)
 			if err != nil {
 				t.Fatalf("%v: own image rejected: %v", variant, err)
 			}

@@ -12,8 +12,9 @@ import "toc/internal/matrix"
 // Like the right multiplications, the bodies take an already-built tree
 // and are called by KernelPlan (plan.go) alone; Batch.VecMul and
 // Batch.MatMul are a plan used for a single sequential call. The bodies
-// walk D through the flat Nodes/Starts arrays with the bounds proven up
-// front (boundsHint in rightmul.go), mirroring the right-mul loop shape.
+// walk D′ through its flat code and tuple-start arrays with the bounds
+// proven up front (boundsHint in rightmul.go), mirroring the right-mul
+// loop shape.
 //
 // Unlike the right multiplications, where every output row depends on
 // one tuple of D only, the D scan here accumulates into shared per-node
@@ -57,7 +58,11 @@ func (b *Batch) VecMul(v []float64) []float64 {
 // r (length cols, caller-zeroed).
 func (b *Batch) vecMulTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	h := sc.floatBuf(t.Len())
-	b.vecMulRows(v, h)
+	if d := &b.d; d.isWide() {
+		vecMulRows(d.wide, d.starts, v, h)
+	} else {
+		vecMulRows(d.narrow, d.starts, v, h)
+	}
 	// Scan C' backwards: children precede parents, so pushing H[i] onto
 	// H[parent] visits every implicit sequence element exactly once.
 	// keyIdx/parent/h share one proven length; the data-dependent key
@@ -82,13 +87,13 @@ func (b *Batch) vecMulTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 }
 
 // vecMulRows scans D to compute H[x] = G(x) = Σ_{D[i,j]=x} v[i]. The walk
-// is flat over Nodes/Starts, 4-way unrolled; the unrolled scatters execute
-// in program order, so a node repeated within one tuple still accumulates
-// in the sequential order.
-func (b *Batch) vecMulRows(v, h []float64) {
-	nodes, starts := b.d.Nodes, b.d.Starts
-	boundsHint(0, b.rows, len(starts), len(v))
-	for i := 0; i < b.rows; i++ {
+// is flat over the codes and starts, 4-way unrolled; the unrolled
+// scatters execute in program order, so a node repeated within one tuple
+// still accumulates in the sequential order.
+func vecMulRows[N code](nodes []N, starts []uint32, v, h []float64) {
+	rows := len(starts) - 1
+	boundsHint(0, rows, len(starts), len(v))
+	for i := 0; i < rows; i++ {
 		vi := v[i]
 		row := nodes[starts[i]:starts[i+1]]
 		for len(row) >= 4 {
@@ -144,8 +149,6 @@ func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *m
 	mc, rt := g[:panelWidth], g[panelWidth:]
 	I, par := b.i, t.Parent
 	kix := t.KeyIdx[:len(par)]
-	nodes, starts := b.d.Nodes, b.d.Starts
-	boundsHint(0, b.rows, len(starts), b.rows)
 	for lo := klo; lo < khi; lo += panelWidth {
 		w := min(lo+panelWidth, khi) - lo
 		md := m.Data()[lo*mcols:]
@@ -158,24 +161,14 @@ func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *m
 		// a contiguous buffer once per tuple: the strided column walk runs
 		// once instead of once per code, and every accumulation reads
 		// sequential memory. The gather changes no addend and no order,
-		// only the load addresses.
-		for i := 0; i < b.rows; i++ {
-			row := nodes[starts[i]:starts[i+1]]
-			if len(row) == 0 {
-				continue
-			}
-			off := i
-			for k := range mc {
-				mc[k] = md[off]
-				off += mcols
-			}
-			for _, n := range row {
-				hn := h[int(n)*w : int(n)*w+w]
-				hn = hn[:len(mc)]
-				for j, x := range mc {
-					hn[j] += x
-				}
-			}
+		// only the load addresses. The scan is the one part of the panel
+		// that reads D, so it alone is generic over the code width; with
+		// the whole panel generic, ram_nn_sync's core.matmul_ns_per_nnz
+		// read 15-30% higher, its inner loops unchanged.
+		if d := &b.d; d.isWide() {
+			matMulRows(d.wide, d.starts, h, mc, md, mcols)
+		} else {
+			matMulRows(d.narrow, d.starts, h, mc, md, mcols)
 		}
 		// Scan C' backwards, pushing accumulated weights to parents. Result element (lo+j, col) accumulates in rt[col][j],
 		// the panel of r transposed, so a node's w contributions land in
@@ -213,6 +206,32 @@ func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *m
 			rj := r.Row(lo + j)
 			for c := range rj {
 				rj[c] = rt[c*w+j]
+			}
+		}
+	}
+}
+
+// matMulRows is M·A's D scan for one panel of len(mc) rows of M, md
+// starting at the panel's first: it gathers column i of the panel into
+// mc and adds it to H[n,:] for every code n of tuple i.
+func matMulRows[N code](nodes []N, starts []uint32, h, mc, md []float64, mcols int) {
+	w, rows := len(mc), len(starts)-1
+	boundsHint(0, rows, len(starts), rows)
+	for i := 0; i < rows; i++ {
+		row := nodes[starts[i]:starts[i+1]]
+		if len(row) == 0 {
+			continue
+		}
+		off := i
+		for k := range mc {
+			mc[k] = md[off]
+			off += mcols
+		}
+		for _, n := range row {
+			hn := h[int(n)*w : int(n)*w+w]
+			hn = hn[:len(mc)]
+			for j, x := range mc {
+				hn[j] += x
 			}
 		}
 	}

@@ -206,9 +206,9 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 func unreferencedFirstLayerImage() []byte {
 	b := &Batch{rows: 2, cols: 3, variant: SparseLogical,
 		i: []Pair{{0, 2.5}, {1, math.Inf(1)}, {2, 0.5}},
-		d: dTable{Nodes: []uint32{1, 3, 1}, Starts: []uint32{0, 2, 3}},
+		d: residentD{starts: []uint32{0, 2, 3}},
 	}
-	return b.buildImage(b.d.Nodes)
+	return paperImage(b, []uint32{1, 3, 1})
 }
 
 // Algorithms 5 and 8 as written add key.Val·G for every node of C', so a
@@ -351,7 +351,8 @@ func BenchmarkMatrixKernels(b *testing.B) {
 		}
 		batch := Compress(ds.X)
 		plan := batch.NewKernelPlan()
-		liveShare := float64(plan.tree.Len()) / float64(treeSize(batch.i, batch.d))
+		_, D := PrefixTreeEncode(SparseEncode(ds.X))
+		liveShare := float64(plan.tree.Len()) / float64(treeSize(batch.i, flattenD(D)))
 		work := float64(ds.X.NNZ() * p)
 		mr, ml := matrix.NewDense(batch.cols, p), matrix.NewDense(p, rows)
 		for i := range mr.Data() {

@@ -74,6 +74,7 @@ func newLogicalCase(t testing.TB, tag string, rows, cols int, v Variant, I []Pai
 	if err != nil {
 		t.Fatalf("%s: encoder output rejected: %v", tag, err)
 	}
+	new(encoder).sizeImage(b)
 	return logicalCase{b: b, paper: flattenD(D)}
 }
 
@@ -83,26 +84,76 @@ func compressedCase(m *matrix.Dense) logicalCase {
 	return logicalCase{b: Compress(m), paper: flattenD(D)}
 }
 
+// residentCodes returns D′ widened to uint32, whichever width the batch
+// holds it in.
+func residentCodes(b *Batch) []uint32 {
+	if b.d.isWide() {
+		return b.d.wide
+	}
+	out := make([]uint32, len(b.d.narrow))
+	for k, n := range b.d.narrow {
+		out[k] = uint32(n)
+	}
+	return out
+}
+
+// written is the image Serialize writes from b's resident form, whether
+// or not b aliases one.
+func written(b *Batch) []byte {
+	c := *b
+	c.img = nil
+	return c.Serialize()
+}
+
+// paperCodes is D′ mapped back to the paper's numbering through the
+// inverse map.
+func paperCodes(b *Batch) []uint32 {
+	return new(encoder).paperD(b)
+}
+
+// paperImage writes the image of b's first layer and tuple starts with
+// nodes, in the paper's numbering, as its codes: any D, valid or not.
+func paperImage(b *Batch, nodes []uint32) []byte {
+	return new(encoder).image(b, nodes, maxOf(nodes))
+}
+
+// maxOf returns the largest of vals, zero for none.
+func maxOf(vals []uint32) uint32 {
+	var top uint32
+	for _, v := range vals {
+		top = max(top, v)
+	}
+	return top
+}
+
 // paperIDs replays the creation bitmap into the paper's number of every
 // live node, indexed by live id (entry 0 is the root), checking the
 // resident-form invariants on the way: a bit is set only at a non-final
-// position of its tuple, the bitmap's population is d.live, and every id
-// in d.Nodes is in 1..|I|+live.
+// position of its tuple, the bitmap's population is d.live, every id in
+// D′ is in 1..|I|+live, and D′ is 16 bits a code iff the live tree has
+// at most 1<<16 nodes.
 func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 	t.Helper()
 	d := b.d
-	if want := (len(d.Nodes) + 63) / 64; len(d.created) != want {
-		t.Fatalf("%s: creation bitmap has %d words for |D| = %d, want %d", tag, len(d.created), len(d.Nodes), want)
+	nodes := residentCodes(b)
+	if (d.narrow == nil) == (d.wide == nil) {
+		t.Fatalf("%s: D′ has both widths or neither", tag)
+	}
+	if size := 1 + len(b.i) + d.live; d.isWide() != (size > 1<<16) {
+		t.Fatalf("%s: live tree of %d nodes holds D′ wide=%v", tag, size, d.isWide())
+	}
+	if want := (len(nodes) + 63) / 64; len(d.created) != want {
+		t.Fatalf("%s: creation bitmap has %d words for |D| = %d, want %d", tag, len(d.created), len(nodes), want)
 	}
 	ids := make([]uint32, len(b.i)+1, len(b.i)+1+d.live)
 	for k := range ids {
 		ids[k] = uint32(k)
 	}
 	set, next := 0, uint32(len(b.i))+1
-	for r := 0; r < d.rows(); r++ {
-		for q := int(d.Starts[r]); q < int(d.Starts[r+1]); q++ {
+	for r := 0; r+1 < len(d.starts); r++ {
+		for q := int(d.starts[r]); q < int(d.starts[r+1]); q++ {
 			bit := d.created[q>>6]>>(q&63)&1 != 0
-			if q+1 == int(d.Starts[r+1]) {
+			if q+1 == int(d.starts[r+1]) {
 				if bit {
 					t.Fatalf("%s: creation bit set at %d, the final position of tuple %d", tag, q, r)
 				}
@@ -122,7 +173,7 @@ func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 	if pop != set || pop != d.live {
 		t.Fatalf("%s: bitmap population %d (%d at creating positions), live count %d", tag, pop, set, d.live)
 	}
-	for k, n := range d.Nodes {
+	for k, n := range nodes {
 		if n == 0 || int(n) > len(b.i)+d.live {
 			t.Fatalf("%s: D position %d holds id %d, outside 1..%d", tag, k, n, len(b.i)+d.live)
 		}
@@ -135,8 +186,10 @@ func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 // numbering covers exactly the nodes D reaches by parent walks, in
 // order; D maps back to paper position by position; the live-only tree
 // is the oracle's restricted to those nodes; Decode gives the oracle's
-// sequences; and the image round-trips byte for byte, from the batch and
-// from a scaled one whose image goes through the inverse map.
+// sequences; the image written through the inverse map is the one
+// Algorithm 1's D gives and the batch's own; and the image round-trips
+// byte for byte, with CompressedSize its length, from the batch and from
+// a scaled one.
 func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	t.Helper()
 	ids := paperIDs(t, tag, b)
@@ -156,15 +209,15 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	if !reflect.DeepEqual(ids, reachable) {
 		t.Fatalf("%s: numbered nodes %v, reachable from D %v", tag, ids[1:], reachable[1:])
 	}
-	if !slices.Equal(b.d.Starts, paper.Starts) {
-		t.Fatalf("%s: tuple starts %v, want %v", tag, b.d.Starts, paper.Starts)
+	if !slices.Equal(b.d.starts, paper.Starts) {
+		t.Fatalf("%s: tuple starts %v, want %v", tag, b.d.starts, paper.Starts)
 	}
-	for k, n := range b.d.Nodes {
+	for k, n := range residentCodes(b) {
 		if ids[n] != paper.Nodes[k] {
 			t.Fatalf("%s: D position %d holds live id %d = paper node %d, Algorithm 1 emitted %d", tag, k, n, ids[n], paper.Nodes[k])
 		}
 	}
-	if got := b.d.paperNodes(len(b.i)); !slices.Equal(got, paper.Nodes) {
+	if got := paperCodes(b); !slices.Equal(got, paper.Nodes) {
 		t.Fatalf("%s: the inverse map gives %v, Algorithm 1 emitted %v", tag, got, paper.Nodes)
 	}
 
@@ -195,25 +248,38 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 		t.Fatalf("%s: Decode differs from the oracle", tag)
 	}
 
-	// stale is b as Scale leaves a batch: no image, so Serialize writes
-	// one through the inverse map. (Scale itself may change a NaN's bits.)
-	stale := *b
-	stale.img = nil
-	if !bytes.Equal(stale.Serialize(), b.Serialize()) {
-		t.Fatalf("%s: the image rebuilt through the inverse map differs from the batch's", tag)
+	// The image written through the inverse map is the one written from
+	// Algorithm 1's D, and the batch's own: a batch that keeps no image
+	// serializes to it, and one Deserialize made was read from these very
+	// bytes. (Scale itself may change a NaN's bits.)
+	if b.d.top != maxOf(paper.Nodes) {
+		t.Fatalf("%s: the resident D's largest code is %d, Algorithm 1's %d", tag, b.d.top, maxOf(paper.Nodes))
+	}
+	img := written(b)
+	if want := paperImage(b, paper.Nodes); !bytes.Equal(img, want) {
+		t.Fatalf("%s: the image written through the inverse map differs from Algorithm 1's", tag)
+	}
+	if !bytes.Equal(img, b.Serialize()) {
+		t.Fatalf("%s: the image written through the inverse map differs from the batch's", tag)
+	}
+	if b.img != nil && &b.Serialize()[0] != &b.img[0] {
+		t.Fatalf("%s: a deserialized batch does not return the image it was read from", tag)
 	}
 	for name, x := range map[string]*Batch{"batch": b, "scaled batch": b.Scale(2)} {
 		img := x.Serialize()
+		if x.CompressedSize() != len(img) {
+			t.Fatalf("%s: the %s's CompressedSize is %d, its image %d bytes", tag, name, x.CompressedSize(), len(img))
+		}
 		back, err := Deserialize(img)
 		if err != nil {
 			t.Fatalf("%s: the %s's image is rejected: %v", tag, name, err)
 		}
-		if !slices.Equal(back.d.Nodes, b.d.Nodes) || !slices.Equal(back.d.Starts, b.d.Starts) ||
-			!slices.Equal(back.d.created, b.d.created) || back.d.live != b.d.live {
+		if back.d.isWide() != b.d.isWide() || !slices.Equal(residentCodes(back), residentCodes(b)) ||
+			!slices.Equal(back.d.starts, b.d.starts) || !slices.Equal(back.d.created, b.d.created) ||
+			back.d.live != b.d.live || back.d.top != b.d.top {
 			t.Fatalf("%s: the %s's image deserializes to another resident D", tag, name)
 		}
-		back.img = nil
-		if !bytes.Equal(back.Serialize(), img) {
+		if !bytes.Equal(written(back), img) {
 			t.Fatalf("%s: the %s's image does not round-trip byte for byte", tag, name)
 		}
 	}
@@ -541,7 +607,8 @@ func oracleFullImage(b *Batch, nodes []uint32) []byte {
 		}
 		occ[k] = idx
 	}
-	out := b.appendHeader(make([]byte, 0, headerSize))
+	out := make([]byte, headerSize)
+	b.putHeader(out)
 	out = bitpack.Pack(cols).AppendTo(out)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(dict)))
 	for _, v := range dict {
@@ -549,7 +616,7 @@ func oracleFullImage(b *Batch, nodes []uint32) []byte {
 	}
 	out = bitpack.Pack(occ).AppendTo(out)
 	out = bitpack.Pack(nodes).AppendTo(out)
-	return bitpack.Pack(b.d.Starts).AppendTo(out)
+	return bitpack.Pack(b.d.starts).AppendTo(out)
 }
 
 // checkAgainstMapOracle encodes the sparse table both ways and compares
@@ -572,16 +639,16 @@ func checkAgainstMapOracle(t *testing.T, tag string, cols int, rows []SparseRow,
 	}
 	// The batch keeps D in live numbering; the inverse map reads it back
 	// as Algorithm 1 emitted it.
-	gotNodes := got.d.paperNodes(len(got.i))
-	if !reflect.DeepEqual(got.i, wantI) || !reflect.DeepEqual(gotNodes, want.paper.Nodes) ||
-		!reflect.DeepEqual(got.d.Starts, want.paper.Starts) {
+	gotNodes := paperCodes(got)
+	if !reflect.DeepEqual(got.i, wantI) || !slices.Equal(gotNodes, want.paper.Nodes) ||
+		!slices.Equal(got.d.starts, want.paper.Starts) {
 		t.Fatalf("%s: the batch's (I, D) differs from the map oracle", tag)
 	}
-	if img := got.buildImage(gotNodes); !bytes.Equal(img, wantImg) {
+	if img := paperImage(got, gotNodes); !bytes.Equal(img, wantImg) {
 		t.Fatalf("%s: image is %d bytes, differs from the map oracle's %d", tag, len(img), len(wantImg))
 	}
-	if !bytes.Equal(got.Serialize(), wantImg) {
-		t.Fatalf("%s: Serialize() differs from the map oracle", tag)
+	if !bytes.Equal(got.Serialize(), wantImg) || got.CompressedSize() != len(wantImg) {
+		t.Fatalf("%s: Serialize() differs from the map oracle, or CompressedSize from its length", tag)
 	}
 }
 

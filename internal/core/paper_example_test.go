@@ -209,16 +209,17 @@ func TestFigure3PhysicalSections(t *testing.T) {
 	b := Compress(figure3Input())
 
 	// The image holds the paper's D; the batch reads it back through the
-	// inverse map and keeps it renumbered onto the live nodes (8 → 7).
-	if got := b.d.paperNodes(len(b.i)); !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 6, 3, 5, 8, 6}) {
+	// inverse map and keeps it renumbered onto the live nodes (8 → 7),
+	// 16 bits a code.
+	if got := paperCodes(b); !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 6, 3, 5, 8, 6}) {
 		t.Errorf("concatenated node indexes = %v", got)
 	}
-	if got := b.d.Nodes; !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 6, 3, 5, 7, 6}) {
+	if got := b.d.narrow; !reflect.DeepEqual(got, []uint16{1, 2, 3, 4, 6, 3, 5, 7, 6}) {
 		t.Errorf("resident node indexes = %v", got)
 	}
 	// Figure 3 shows starts 0,4,6,8; our layout appends the total (9) as a
 	// sentinel in place of a separate element count.
-	if got := b.d.Starts; !reflect.DeepEqual(got, []uint32{0, 4, 6, 8, 9}) {
+	if got := b.d.starts; !reflect.DeepEqual(got, []uint32{0, 4, 6, 8, 9}) {
 		t.Errorf("tuple start indexes = %v", got)
 	}
 	wantI := []Pair{{0, 1.1}, {1, 2}, {2, 3}, {3, 1.4}, {1, 1.1}}
@@ -294,10 +295,7 @@ func TestSelfReferencingCode(t *testing.T) {
 	if !reflect.DeepEqual(D, [][]uint32{{1, 2}}) {
 		t.Fatalf("D = %v, want [[1 2]]", D)
 	}
-	b, err := newLogical(1, 1, SparseLogical, I, flattenD(D), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newLogicalCase(t, "[a,a,a]", 1, 1, SparseLogical, I, D).b
 	tree := b.buildTree()
 	if tree.Len() != 3 {
 		t.Fatalf("tree has %d nodes, want 3", tree.Len())

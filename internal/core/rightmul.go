@@ -34,9 +34,10 @@ import (
 // and re-read per call.
 //
 // The inner loops are written for the hardware, not the paper's
-// pseudocode: D is walked through the flat Nodes/Starts arrays with the
-// shard bounds proven up front (boundsHint) so the compiler drops the
-// per-element checks, and the per-row reductions are unrolled. Every
+// pseudocode: D′ is walked through its flat code and tuple-start arrays,
+// one generic body for 16- and 32-bit codes, with the shard bounds
+// proven up front (boundsHint) so the compiler drops the per-element
+// checks, and the per-row reductions are unrolled. Every
 // unroll keeps the exact sequential fold order — a single accumulator
 // chain for scalar sums, per-column independence for the matrix rows —
 // so results stay bitwise identical to the textbook loops, which the
@@ -98,20 +99,24 @@ func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	for j := range pw {
 		hw[j] = h[kw[j]] + h[pw[j]]
 	}
-	b.mulVecRows(h, r)
+	if d := &b.d; d.isWide() {
+		mulVecRows(d.wide, d.starts, h, r)
+	} else {
+		mulVecRows(d.narrow, d.starts, h, r)
+	}
 }
 
 // mulVecRows scans D: R[i] = Σ_j H[D[i][j]], each output row an
-// independent sequential reduction. The walk is flat
-// over Nodes/Starts with a 4-way unrolled single-chain accumulation: the
-// fold order is exactly the sequential one, only the loop control is
-// amortized over four elements. Advancing by re-slicing row (rather than
+// independent sequential reduction. The walk is flat over the codes and
+// starts with a 4-way unrolled single-chain accumulation: the fold order
+// is exactly the sequential one, only the loop control is amortized over
+// four elements. Advancing by re-slicing row (rather than
 // indexing with k) is what lets the compiler drop the row element checks;
 // only the data-dependent h gathers keep theirs.
-func (b *Batch) mulVecRows(h, r []float64) {
-	nodes, starts := b.d.Nodes, b.d.Starts
-	boundsHint(0, b.rows, len(starts), len(r))
-	for i := 0; i < b.rows; i++ {
+func mulVecRows[N code](nodes []N, starts []uint32, h, r []float64) {
+	rows := len(starts) - 1
+	boundsHint(0, rows, len(starts), len(r))
+	for i := 0; i < rows; i++ {
 		row := nodes[starts[i]:starts[i+1]]
 		var s float64
 		for len(row) >= 4 {
@@ -170,8 +175,6 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 func (b *Batch) mulMatPanel(t *DecodeTree, h []float64, m *matrix.Dense, r *matrix.Dense, clo, chi int) {
 	I, par := b.i, t.Parent
 	kix := t.KeyIdx[:len(par)]
-	nodes, starts := b.d.Nodes, b.d.Starts
-	boundsHint(0, b.rows, len(starts), r.Rows())
 	for lo := clo; lo < chi; lo += panelWidth {
 		hi := min(lo+panelWidth, chi)
 		w := hi - lo
@@ -187,33 +190,46 @@ func (b *Batch) mulMatPanel(t *DecodeTree, h []float64, m *matrix.Dense, r *matr
 				hw[j] = kv*mr[j] + hp[j]
 			}
 		}
-		for i := 0; i < b.rows; i++ {
-			ri := r.Row(i)[lo:hi]
-			row := nodes[starts[i]:starts[i+1]]
-			c := 0
-			for ; c+8 <= w; c += 8 {
-				var s0, s1, s2, s3, s4, s5, s6, s7 float64
-				for _, n := range row {
-					hn := h[int(n)*w+c : int(n)*w+c+8]
-					s0 += hn[0]
-					s1 += hn[1]
-					s2 += hn[2]
-					s3 += hn[3]
-					s4 += hn[4]
-					s5 += hn[5]
-					s6 += hn[6]
-					s7 += hn[7]
-				}
-				rc := ri[c : c+8]
-				rc[0], rc[1], rc[2], rc[3], rc[4], rc[5], rc[6], rc[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		if d := &b.d; d.isWide() {
+			mulMatRows(d.wide, d.starts, h, r, lo, hi)
+		} else {
+			mulMatRows(d.narrow, d.starts, h, r, lo, hi)
+		}
+	}
+}
+
+// mulMatRows is A·M's D scan for the panel [lo,hi) of the result
+// columns: R[i,j] = Σ_n H[n,j] over tuple i's codes n, H a |C'|×(hi-lo)
+// slab.
+func mulMatRows[N code](nodes []N, starts []uint32, h []float64, r *matrix.Dense, lo, hi int) {
+	w, rows := hi-lo, len(starts)-1
+	boundsHint(0, rows, len(starts), r.Rows())
+	for i := 0; i < rows; i++ {
+		ri := r.Row(i)[lo:hi]
+		row := nodes[starts[i]:starts[i+1]]
+		c := 0
+		for ; c+8 <= w; c += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			for _, n := range row {
+				hn := h[int(n)*w+c : int(n)*w+c+8]
+				s0 += hn[0]
+				s1 += hn[1]
+				s2 += hn[2]
+				s3 += hn[3]
+				s4 += hn[4]
+				s5 += hn[5]
+				s6 += hn[6]
+				s7 += hn[7]
 			}
-			for ; c < w; c++ {
-				var s float64
-				for _, n := range row {
-					s += h[int(n)*w+c]
-				}
-				ri[c] = s
+			rc := ri[c : c+8]
+			rc[0], rc[1], rc[2], rc[3], rc[4], rc[5], rc[6], rc[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		}
+		for ; c < w; c++ {
+			var s float64
+			for _, n := range row {
+				s += h[int(n)*w+c]
 			}
+			ri[c] = s
 		}
 	}
 }

@@ -257,15 +257,25 @@ func parallelFor(workers, n int, fn func(i int)) {
 // a loop. Each worker materializes its dense batch copy only for the
 // duration of its encode, so peak uncompressed overhead is one batch per
 // worker, not one per dataset; only the compressed forms are retained
-// until the in-order Add pass.
+// until the in-order Add pass. The batches that will spill have their
+// images written across the pool too, so the serial pass only stores
+// them.
 func (e *Engine) FillStore(st *storage.Store, d *data.Dataset, batchSize int) error {
 	n := d.NumBatches(batchSize)
 	encoded := make([]formats.CompressedMatrix, n)
 	labels := make([][]float64, n)
+	sizes := make([]int64, n)
 	parallelFor(e.workers, n, func(i int) {
 		x, y := d.Batch(i, batchSize)
 		encoded[i] = st.Encode(x)
 		labels[i] = y
+		sizes[i] = int64(encoded[i].CompressedSize())
+	})
+	spills := st.Spills(sizes)
+	parallelFor(e.workers, n, func(i int) {
+		if spills[i] {
+			encoded[i] = serialized{encoded[i], encoded[i].Serialize()}
+		}
 	})
 	for i, c := range encoded {
 		if err := st.AddCompressed(c, labels[i]); err != nil {
@@ -274,3 +284,12 @@ func (e *Engine) FillStore(st *storage.Store, d *data.Dataset, batchSize int) er
 	}
 	return nil
 }
+
+// serialized is an encoded batch whose image is already written, which
+// AddCompressed stores as is.
+type serialized struct {
+	formats.CompressedMatrix
+	img []byte
+}
+
+func (s serialized) Serialize() []byte { return s.img }

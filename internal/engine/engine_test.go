@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -324,10 +325,16 @@ func TestFillStoreMatchesSerialAdd(t *testing.T) {
 		ss.ResidentBytes != ps.ResidentBytes || ss.SpilledBytes != ps.SpilledBytes {
 		t.Fatalf("layout differs: serial %+v parallel %+v", ss, ps)
 	}
+	if ss.SpilledBatches == 0 || ss.ResidentBatches == 0 {
+		t.Fatalf("want both resident and spilled batches, got %+v", ss)
+	}
 	for i := 0; i < serial.NumBatches(); i++ {
 		a, ya := serial.Batch(i)
 		b, yb := parallel.Batch(i)
-		if !a.Decode().Equal(b.Decode()) {
+		if serial.Resident(i) != parallel.Resident(i) {
+			t.Fatalf("batch %d: resident %v serially, %v in parallel", i, serial.Resident(i), parallel.Resident(i))
+		}
+		if !a.Decode().Equal(b.Decode()) || !bytes.Equal(a.Serialize(), b.Serialize()) {
 			t.Fatalf("batch %d contents differ", i)
 		}
 		for k := range ya {

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math"
 	"sync"
 
 	"toc/internal/formats"
@@ -59,7 +58,7 @@ var (
 		residual: func(z, y float64) (float64, float64) {
 			p := sigmoid(z)
 			pc := clampProb(p)
-			return -(y*math.Log(pc) + (1-y)*math.Log(1-pc)), p - y
+			return crossEntropy(y, pc), p - y
 		},
 		link: sigmoid, label: above(0.5),
 	}

@@ -97,6 +97,39 @@ func TestLogRegGradient(t *testing.T) {
 	gradCheck(t, "logreg", mk, func(m Model) []float64 { return m.(*Linear).W }, x, y, 1e-5)
 }
 
+// crossEntropy takes one log for a 0/1 label and must give the two-log
+// form's bits, for every probability the logistic loss can hand it: a z
+// grid through sigmoid and clampProb with ±0, ±Inf, NaN and both clamp
+// edges, and the clamp values themselves.
+func TestCrossEntropyOneLogMatchesTwoLog(t *testing.T) {
+	twoLog := func(y, pc float64) float64 { return -(y*math.Log(pc) + (1-y)*math.Log(1-pc)) }
+	var pcs []float64
+	zs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e-300, -1e-300, 700, -700, 1e300, -1e300}
+	for z := -40.0; z <= 40; z += 0.37 {
+		zs = append(zs, z)
+	}
+	// sigmoid(z) crosses the clamp edges 1e-12 and 1-1e-12 near z = ±27.631.
+	for z := 27.62; z <= 27.64; z += 0.0005 {
+		zs = append(zs, z, -z)
+	}
+	for _, z := range zs {
+		pcs = append(pcs, clampProb(sigmoid(z)))
+	}
+	const eps = 1e-12
+	pcs = append(pcs, eps, 1-eps, math.Nextafter(eps, 1), math.Nextafter(1-eps, 0), 0.5)
+	for _, pc := range pcs {
+		for _, y := range []float64{0, 1} {
+			if got, want := crossEntropy(y, pc), twoLog(y, pc); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("y=%v pc=%v: one log gives %v (%#x), two logs %v (%#x)", y, pc, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	// Any other label keeps the two-log form.
+	if got, want := crossEntropy(0.25, 0.5), twoLog(0.25, 0.5); got != want {
+		t.Errorf("y=0.25: %v, want %v", got, want)
+	}
+}
+
 func TestSVMGradient(t *testing.T) {
 	x, y := smallProblem()
 	mk := func() Model {

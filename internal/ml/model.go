@@ -121,3 +121,19 @@ func clampProb(p float64) float64 {
 	}
 	return p
 }
+
+// crossEntropy is the binary cross-entropy −(y·log pc + (1−y)·log(1−pc))
+// of a clamped probability pc against a label y, with one log for a 0/1
+// label. For y = 1 the second term is 0·log(1−pc) = −0 — clamping keeps
+// 1−pc below 1, so the log is negative — and x + (−0) = x, so the sum is
+// exactly −log pc; for y = 0 it is exactly −log(1−pc) the same way. Any
+// other label takes the two-log form.
+func crossEntropy(y, pc float64) float64 {
+	switch y {
+	case 1:
+		return -math.Log(pc)
+	case 0:
+		return -math.Log(1 - pc)
+	}
+	return -(y*math.Log(pc) + (1-y)*math.Log(1-pc))
+}

@@ -155,7 +155,7 @@ func (n *NN) lossDelta(p *matrix.Dense, y []float64, delta *matrix.Dense) float6
 		hot := 0 // the column whose target is yi's (binary) or 1 (one-hot)
 		if n.Classes <= 2 {
 			pi := clampProb(row[0])
-			loss += -(yi*math.Log(pi) + (1-yi)*math.Log(1-pi))
+			loss += crossEntropy(yi, pi)
 		} else {
 			hot = int(yi)
 			loss += -math.Log(clampProb(row[hot]))

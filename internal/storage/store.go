@@ -261,7 +261,7 @@ func (s *Store) AddCompressed(c formats.CompressedMatrix, y []float64) error {
 	}
 	size := int64(c.CompressedSize())
 	s.mu.Lock()
-	fits := s.stats.ResidentBytes+size <= s.budget
+	fits := s.fits(s.stats.ResidentBytes, size)
 	s.mu.Unlock()
 	if fits {
 		s.labels = append(s.labels, append([]float64(nil), y...))
@@ -288,6 +288,28 @@ func (s *Store) AddCompressed(c formats.CompressedMatrix, y []float64) error {
 	s.mu.Unlock()
 	return nil
 }
+
+// Spills reports which of the next len(sizes) batches, added in order
+// with these compressed sizes, AddCompressed would spill — so that a
+// caller can write their images ahead, concurrently.
+func (s *Store) Spills(sizes []int64) []bool {
+	s.mu.Lock()
+	used := s.stats.ResidentBytes
+	s.mu.Unlock()
+	out := make([]bool, len(sizes))
+	for i, size := range sizes {
+		if s.fits(used, size) {
+			used += size
+		} else {
+			out[i] = true
+		}
+	}
+	return out
+}
+
+// fits is the residency rule: a batch of size bytes stays resident iff
+// it fits beside the used bytes of the resident batches before it.
+func (s *Store) fits(used, size int64) bool { return used+size <= s.budget }
 
 // spill writes one serialized batch to the least-loaded shard (fewest
 // spilled bytes; ties to the lowest index), creating its file lazily.

@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -350,5 +351,41 @@ func TestEvictionFirstFitTrace(t *testing.T) {
 	}
 	if st := s.Stats(); st.ResidentBytes != big || st.SpilledBatches != 2 {
 		t.Fatalf("layout: %+v", st)
+	}
+}
+
+// Spills predicts AddCompressed's residency for the batches still to
+// come, counting the bytes of those already resident: with a 500-byte
+// budget, DEN batches of 6, 20, 6, 2 and 20 rows (208, 656, 208, 80 and
+// 656 bytes) land RSRRS, and after the first two only the last spills.
+func TestSpillsPredictsAdd(t *testing.T) {
+	s, err := NewStore(t.TempDir(), "DEN", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rows := []int{6, 20, 6, 2, 20}
+	sizes := make([]int64, len(rows))
+	for i, r := range rows {
+		x, _ := denBatch(r)
+		sizes[i] = int64(formats.MustGet("DEN")(x).CompressedSize())
+	}
+	want := []bool{false, true, false, false, true}
+	if got := s.Spills(sizes); !slices.Equal(got, want) {
+		t.Fatalf("Spills = %v, want %v", got, want)
+	}
+	for i, r := range rows {
+		if i == 2 {
+			if got := s.Spills(sizes[2:]); !slices.Equal(got, want[2:]) {
+				t.Fatalf("after two adds, Spills = %v, want %v", got, want[2:])
+			}
+		}
+		x, y := denBatch(r)
+		if err := s.Add(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := residency(s); got != "RSRRS" {
+		t.Fatalf("residency = %s, want RSRRS", got)
 	}
 }
