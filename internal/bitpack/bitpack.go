@@ -109,7 +109,7 @@ func (a *Array) Unpack() []uint32 {
 // seek-and-cast per element it decodes word-at-a-time — each 8-byte
 // little-endian load yields 8/4/2/2 values for widths 1/2/3/4 with pure
 // shift-and-mask extraction, no per-element branching — and allocates
-// nothing. Deserialize and ReadValueIndex decode through it.
+// nothing. core's Deserialize decodes every packed section through it.
 func (a *Array) UnpackRange(dst []uint32, lo, hi int) {
 	if lo < 0 || hi > a.n || lo > hi {
 		panic(fmt.Sprintf("bitpack: UnpackRange [%d,%d) out of range %d", lo, hi, a.n))
@@ -222,20 +222,22 @@ func (a *Array) AppendTo(dst []byte) []byte {
 }
 
 // ReadArray decodes an encoded array from the front of buf, returning the
-// array and the remaining bytes. The returned Array aliases buf.
-func ReadArray(buf []byte) (*Array, []byte, error) {
+// array and the remaining bytes. The Array is returned by value — its
+// header, with a payload that aliases buf — so reading one allocates
+// nothing.
+func ReadArray(buf []byte) (Array, []byte, error) {
 	if len(buf) < headerSize {
-		return nil, nil, fmt.Errorf("bitpack: truncated header: %d bytes", len(buf))
+		return Array{}, nil, fmt.Errorf("bitpack: truncated header: %d bytes", len(buf))
 	}
 	n := int(binary.LittleEndian.Uint32(buf[0:4]))
 	w := int(buf[4])
 	if w < 1 || w > 4 {
-		return nil, nil, fmt.Errorf("bitpack: invalid width %d", w)
+		return Array{}, nil, fmt.Errorf("bitpack: invalid width %d", w)
 	}
 	need := n * w
 	rest := buf[headerSize:]
 	if len(rest) < need {
-		return nil, nil, fmt.Errorf("bitpack: truncated payload: have %d, need %d", len(rest), need)
+		return Array{}, nil, fmt.Errorf("bitpack: truncated payload: have %d, need %d", len(rest), need)
 	}
-	return &Array{n: n, width: w, data: rest[:need:need]}, rest[need:], nil
+	return Array{n: n, width: w, data: rest[:need:need]}, rest[need:], nil
 }

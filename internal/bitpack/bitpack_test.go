@@ -1,6 +1,8 @@
 package bitpack
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -114,21 +116,25 @@ func TestPackRoundTripProperty(t *testing.T) {
 func TestValueIndexBasics(t *testing.T) {
 	vals := []float64{1.1, 2, 1.1, 3, 2, 1.1}
 	vi := BuildValueIndex(vals)
-	if vi.NumUnique() != 3 {
-		t.Fatalf("unique = %d, want 3", vi.NumUnique())
+	if !reflect.DeepEqual(vi.Values(), []float64{1.1, 2, 3}) {
+		t.Fatalf("dictionary = %v, want first-appearance order", vi.Values())
 	}
-	if !reflect.DeepEqual(vi.Decode(), vals) {
-		t.Fatalf("decode = %v, want %v", vi.Decode(), vals)
-	}
-	if vi.Value(0) != 1.1 || vi.Value(1) != 2 || vi.Value(2) != 3 {
-		t.Fatalf("dictionary order wrong: %v", vi.Values())
-	}
-	// occurrence indexes
 	if !reflect.DeepEqual(vi.Indexes(), []uint32{0, 1, 0, 2, 1, 0}) {
 		t.Fatalf("indexes = %v", vi.Indexes())
 	}
+	// Interning into a built dictionary keeps known values' indexes and
+	// extends it with new ones.
+	for want, v := range []float64{1.1, 2, 3, 9} {
+		if idx := vi.Intern(v); idx != uint32(want) {
+			t.Fatalf("Intern(%v) = %d, want %d", v, idx, want)
+		}
+	}
 }
 
+// AppendTo's bytes are a u32 dictionary length, the dictionary 8 bytes a
+// value, and the occurrence indexes as a packed array; reading them the
+// way a decoder does — ReadArray, then each index looked up in the
+// dictionary's bytes — gives every input value back.
 func TestValueIndexSerializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vals := make([]float64, 500)
@@ -136,67 +142,31 @@ func TestValueIndexSerializeRoundTrip(t *testing.T) {
 	for i := range vals {
 		vals[i] = pool[rng.Intn(len(pool))]
 	}
-	vi := BuildValueIndex(vals)
-	buf := vi.AppendTo(nil)
-	if len(buf) != vi.EncodedSize() {
-		t.Fatalf("encoded size %d != declared %d", len(buf), vi.EncodedSize())
-	}
-	got, rest, err := ReadValueIndex(buf)
+	buf := BuildValueIndex(vals).AppendTo(nil)
+	n := int(binary.LittleEndian.Uint32(buf))
+	dict := buf[4 : 4+8*n]
+	occ, rest, err := ReadArray(buf[4+8*n:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 {
-		t.Fatalf("rest = %d bytes", len(rest))
+	if n != len(pool) || occ.Len() != len(vals) || len(rest) != 0 {
+		t.Fatalf("%d values, %d indexes, %d trailing bytes; want %d, %d, 0", n, occ.Len(), len(rest), len(pool), len(vals))
 	}
-	if !reflect.DeepEqual(got.Decode(), vals) {
-		t.Fatal("value index round trip mismatch")
-	}
-}
-
-// A decoded dictionary carries no value->index map until something
-// interns into it; the first Intern builds the map from the decoded
-// values, so known values keep their indexes and new ones extend it.
-func TestValueIndexInternAfterRead(t *testing.T) {
-	vi := BuildValueIndex([]float64{0.5, -1, 0.5, 3.25})
-	got, _, err := ReadValueIndex(vi.AppendTo(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.lookup != nil {
-		t.Fatal("ReadValueIndex built the encode-side lookup map")
-	}
-	for want, v := range []float64{0.5, -1, 3.25, 9} {
-		if idx := got.Intern(v); idx != uint32(want) {
-			t.Fatalf("Intern(%v) = %d, want %d", v, idx, want)
+	for k, v := range vals {
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(dict[8*occ.Get(k):])); got != v {
+			t.Fatalf("value %d reads back as %v, want %v", k, got, v)
 		}
 	}
-	if got.NumUnique() != 4 || got.Value(3) != 9 {
-		t.Fatalf("dictionary after interning = %v", got.Values())
-	}
 }
 
-func TestValueIndexErrors(t *testing.T) {
-	if _, _, err := ReadValueIndex(nil); err == nil {
-		t.Fatal("nil should error")
-	}
-	if _, _, err := ReadValueIndex([]byte{5, 0, 0, 0, 1}); err == nil {
-		t.Fatal("truncated dictionary should error")
-	}
-	// valid dictionary of 1 value, then a packed array referencing index 3
-	vi := &ValueIndex{values: []float64{1}, indexes: []uint32{3}}
-	if _, _, err := ReadValueIndex(vi.AppendTo(nil)); err == nil {
-		t.Fatal("out-of-range occurrence index should error")
-	}
-}
-
+// An empty index encodes as an empty dictionary and an empty packed array.
 func TestValueIndexEmpty(t *testing.T) {
 	vi := BuildValueIndex(nil)
-	got, _, err := ReadValueIndex(vi.AppendTo(nil))
-	if err != nil {
-		t.Fatal(err)
+	if len(vi.Values()) != 0 || len(vi.Indexes()) != 0 {
+		t.Fatal("empty value index is not empty")
 	}
-	if got.NumUnique() != 0 || len(got.Decode()) != 0 {
-		t.Fatal("empty value index round trip wrong")
+	if got, want := vi.AppendTo(nil), []byte{0, 0, 0, 0, 0, 0, 0, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("empty value index encodes as %v, want %v", got, want)
 	}
 }
 

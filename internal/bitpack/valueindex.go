@@ -2,24 +2,25 @@ package bitpack
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
 // ValueIndex is the §3.2 value-indexing (dictionary) encoding for float64
 // values: all unique values are stored once in an array, and occurrences are
-// replaced by bit-packed indexes into that array.
+// replaced by bit-packed indexes into that array. It is the encode side
+// only: a reader of the encoded form, like core's Deserialize, looks each
+// index up in the dictionary's bytes itself.
 //
 // "Unique" means unique bit pattern: a value's index is found through an
 // open-addressed, power-of-two table keyed on math.Float64bits, not a Go
-// map keyed on the float. Bits are what Decode has to give back, so two
+// map keyed on the float. Bits are what a reader has to give back, so two
 // values share an entry exactly when storing one for the other loses
 // nothing. That differs from == only in the lossless direction: a NaN is
 // found again (under == every occurrence got its own entry) and -0 no
 // longer decodes as the +0 interned before it.
 type ValueIndex struct {
 	values  []float64 // unique values, in first-appearance order
-	lookup  []uint32  // 0 = free, else 1 + index into values (which holds the keys); encode side only, built by the first Intern
+	lookup  []uint32  // 0 = free, else 1 + index into values (which holds the keys), built by the first Intern
 	indexes []uint32  // one index per input value, in input order
 }
 
@@ -36,8 +37,7 @@ func BuildValueIndex(vals []float64) *ValueIndex {
 // Intern returns the dictionary index for v, adding it if unseen. It does
 // not append to the occurrence list; use BuildValueIndex for that. The
 // lookup table only serves Intern, so it is built (and doubled, keeping
-// its load <= 1/2) here — a decoded dictionary (ReadValueIndex) that is
-// never extended never pays for it.
+// its load <= 1/2) here.
 func (vi *ValueIndex) Intern(v float64) uint32 {
 	if 2*(len(vi.values)+1) > len(vi.lookup) {
 		size := 16
@@ -70,31 +70,11 @@ func (vi *ValueIndex) slot(b uint64) int {
 	return i
 }
 
-// NumUnique returns the dictionary size.
-func (vi *ValueIndex) NumUnique() int { return len(vi.values) }
-
-// Value returns the value stored at dictionary index i.
-func (vi *ValueIndex) Value(i uint32) float64 { return vi.values[i] }
-
 // Values returns the dictionary contents (aliased).
 func (vi *ValueIndex) Values() []float64 { return vi.values }
 
 // Indexes returns the occurrence index list built by BuildValueIndex.
 func (vi *ValueIndex) Indexes() []uint32 { return vi.indexes }
-
-// EncodedSize returns the bytes AppendTo writes: the value dictionary
-// (uint32 count + 8 bytes per value) plus the bit-packed occurrence
-// indexes — computed arithmetically (a max scan, no packing), so callers
-// presizing a buffer do not pay AppendTo's O(n) pack twice.
-func (vi *ValueIndex) EncodedSize() int {
-	var max uint32
-	for _, v := range vi.indexes {
-		if v > max {
-			max = v
-		}
-	}
-	return 4 + 8*len(vi.values) + headerSize + BytesPerInt(max)*len(vi.indexes)
-}
 
 // AppendTo appends the encoded dictionary and occurrence indexes to dst.
 func (vi *ValueIndex) AppendTo(dst []byte) []byte {
@@ -107,43 +87,4 @@ func (vi *ValueIndex) AppendTo(dst []byte) []byte {
 		dst = append(dst, b[:]...)
 	}
 	return Pack(vi.indexes).AppendTo(dst)
-}
-
-// ReadValueIndex decodes a ValueIndex from the front of buf, returning it
-// and the remaining bytes.
-func ReadValueIndex(buf []byte) (*ValueIndex, []byte, error) {
-	if len(buf) < 4 {
-		return nil, nil, fmt.Errorf("bitpack: truncated value index header")
-	}
-	n := int(binary.LittleEndian.Uint32(buf[0:4]))
-	buf = buf[4:]
-	if len(buf) < 8*n {
-		return nil, nil, fmt.Errorf("bitpack: truncated value dictionary: have %d, need %d", len(buf), 8*n)
-	}
-	vi := &ValueIndex{values: make([]float64, n)}
-	for i := range vi.values {
-		vi.values[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	buf = buf[8*n:]
-	arr, rest, err := ReadArray(buf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bitpack: value index occurrences: %w", err)
-	}
-	vi.indexes = arr.Unpack()
-	for _, idx := range vi.indexes {
-		if int(idx) >= n {
-			return nil, nil, fmt.Errorf("bitpack: value index %d out of range %d", idx, n)
-		}
-	}
-	return vi, rest, nil
-}
-
-// Decode reconstructs the original value sequence from the dictionary and
-// the occurrence indexes.
-func (vi *ValueIndex) Decode() []float64 {
-	out := make([]float64, len(vi.indexes))
-	for i, idx := range vi.indexes {
-		out[i] = vi.values[idx]
-	}
-	return out
 }

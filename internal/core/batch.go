@@ -101,7 +101,7 @@ func newLogical(rows, cols int, v Variant, I []Pair, D dTable, img []byte) (*Bat
 	b := &Batch{rows: rows, cols: cols, variant: v, i: I, size: len(img), img: img}
 	sc := liveScratchPool.Get().(*liveScratch)
 	defer liveScratchPool.Put(sc)
-	if err := validateLogical(rows, cols, I, D, sc); err != nil {
+	if err := validateLogical(rows, I, D, sc); err != nil {
 		return nil, err
 	}
 	b.d = renumber(D, len(I), sc)

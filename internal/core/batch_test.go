@@ -429,3 +429,48 @@ func TestCompressionRatioValue(t *testing.T) {
 		t.Fatalf("uncompressed size = %d", b.UncompressedSize())
 	}
 }
+
+// Scale must keep the serialized image consistent: a scaled batch
+// round-trips through Serialize/Deserialize with the scaled values.
+func TestScaleSerializeRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := redundantMatrix(rng, 25, 12, 0.5, 3)
+	for _, v := range allVariants {
+		s := CompressVariant(a, v).Scale(3)
+		got, err := Deserialize(s.Serialize())
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if !got.Decode().EqualApprox(a.Scale(3), 1e-12) {
+			t.Fatalf("%v: scaled round trip mismatch", v)
+		}
+	}
+}
+
+// Ops must be usable concurrently on the same batch (the scratch pool is
+// shared process-wide).
+func TestConcurrentOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := redundantMatrix(rng, 60, 30, 0.5, 4)
+	b := Compress(a)
+	v := randVec(rng, 30)
+	want := a.MulVec(v)
+	done := make(chan bool, 8)
+	for g := 0; g < 8; g++ {
+		go func() {
+			ok := true
+			for i := 0; i < 50; i++ {
+				if !vecApproxEq(b.MulVec(v), want) {
+					ok = false
+					break
+				}
+			}
+			done <- ok
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		if !<-done {
+			t.Fatal("concurrent MulVec returned wrong results")
+		}
+	}
+}

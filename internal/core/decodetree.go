@@ -47,13 +47,16 @@ import (
 //     the build needs, and its replay (liveToPaper) is also the inverse
 //     map back to the paper's numbering, which the image is written in.
 //   - That is all a resident batch holds besides I and the tuple starts.
-//     The paper-numbered D that Algorithm 1 emits, or an image's unpack
-//     yields, stays in pooled scratch, and the physical image is not
-//     kept: Serialize writes it from (I, D′) through the inverse map on
-//     every call (physical.go). On the benchmark's 250-row batches a
-//     resident batch costs 1.4 (imagenet) and 3.8 (mnist) heap bytes per
-//     image byte, against 2.7 and 5.6 with the image and a 32-bit D′
-//     (TestResidentHeapPerCompressedByte).
+//     The paper-numbered D that Algorithm 1 emits, or an image holds,
+//     stays in pooled scratch. Deserialize unpacks an image's codes
+//     there in one bulk call; replay (physical.go) then checks every code
+//     against the Algorithm-2 replay and marks the node it references in
+//     one pass, and numberMarked and translate turn the marks into D′. The
+//     physical image is not kept: Serialize writes it from (I, D′)
+//     through the inverse map on every call (physical.go). On the
+//     benchmark's 250-row batches a resident batch costs 1.4 (imagenet)
+//     and 3.8 (mnist) heap bytes per image byte, against 2.7 and 5.6
+//     with the image and a 32-bit D′ (TestResidentHeapPerCompressedByte).
 //
 // build therefore is Algorithm 2 restricted to live nodes,
 // O(|I| + |live|) per plan; Algorithm 2 as written — the full tree — is

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"toc/internal/bitpack"
 	"toc/internal/matrix"
 )
 
@@ -57,12 +58,7 @@ func FuzzDeserialize(f *testing.F) {
 			return
 		}
 		if b.d.len() <= 1<<16 {
-			var paper dTable
-			if b.Variant() == Full {
-				_, paper, err = parseFull(img[headerSize:], nil)
-			} else {
-				_, paper, err = parseSparseLogical(img[headerSize:], b.rows, nil)
-			}
+			paper, err := imageD(img, b.Variant(), b.rows)
 			if err != nil {
 				t.Fatalf("accepted image does not parse: %v", err)
 			}
@@ -116,6 +112,40 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatalf("accepted batch does not reserialize: %v", err)
 		}
 	})
+}
+
+// imageD reads D in the paper's numbering out of an image of variant v
+// and rows tuples, by a path of its own: bitpack's reader and whole-array
+// unpack for a Full image, which skip I's sections, and a byte-by-byte
+// read for a SparseLogical one.
+func imageD(img []byte, v Variant, rows int) (dTable, error) {
+	buf := img[headerSize:]
+	if v == SparseLogical {
+		lenI := int(binary.LittleEndian.Uint32(buf))
+		buf = buf[4+12*lenI:]
+		lenD := int(binary.LittleEndian.Uint32(buf))
+		buf = buf[4:]
+		raw := make([]uint32, lenD+rows+1)
+		for k := range raw {
+			raw[k] = binary.LittleEndian.Uint32(buf[4*k:])
+		}
+		return dTable{Nodes: raw[:lenD], Starts: raw[lenD:]}, nil
+	}
+	// A Full image's packed sections are I's columns, the values'
+	// dictionary indexes, D's codes and the starts; the value dictionary
+	// (a count, then 8 bytes a value) follows the first.
+	var sections []bitpack.Array
+	for len(sections) < 4 {
+		a, rest, err := bitpack.ReadArray(buf)
+		if err != nil {
+			return dTable{}, err
+		}
+		sections, buf = append(sections, a), rest
+		if len(sections) == 1 {
+			buf = buf[4+8*int(binary.LittleEndian.Uint32(buf)):]
+		}
+	}
+	return dTable{Nodes: sections[2].Unpack(), Starts: sections[3].Unpack()}, nil
 }
 
 // corpusImage reads the []byte value of a committed corpus entry,

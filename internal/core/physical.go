@@ -74,8 +74,7 @@ func (e *encoder) paperD(b *Batch) []uint32 {
 // first-appearance order, then a bit-packed dictionary index per pair),
 // D's node indexes and tuple starts bit packed. The bytes are exactly
 // what bitpack.Pack and bitpack.BuildValueIndex would append
-// (TestEncoderMatchesMapOracle), and bitpack.ReadArray and
-// ReadValueIndex read them back.
+// (TestEncoderMatchesMapOracle), and readFull reads them back.
 func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 	switch b.variant {
 	case Full:
@@ -246,6 +245,12 @@ func putU32s(dst []byte, vals []uint32) int {
 // Deserialize reconstructs a Batch from a physical image produced by
 // Serialize, validating structural invariants so corrupt images return an
 // error rather than corrupting kernel execution.
+//
+// A Full image is read in one pass over its sections (readFull), and the
+// call allocates only what the batch keeps: the Batch, I, D′, the tuple
+// starts and the creation bitmap. The batch aliases img. On an imagenet
+// batch of the benchmark's shape (|I| 1739, |D| 7402) that is 5
+// allocations and 47 KB (BenchmarkDeserialize, TestDeserializeAllocBytes).
 func Deserialize(img []byte) (*Batch, error) {
 	if len(img) < headerSize {
 		return nil, fmt.Errorf("core: image too short: %d bytes", len(img))
@@ -272,15 +277,10 @@ func Deserialize(img []byte) (*Batch, error) {
 	// retains only the D′ newLogical renumbers them into.
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
-	buf := img[headerSize:]
-	var I []Pair
-	var D dTable
-	var err error
 	if v == Full {
-		I, D, err = parseFull(buf, e.d.Nodes)
-	} else {
-		I, D, err = parseSparseLogical(buf, rows, e.d.Nodes)
+		return e.readFull(rows, cols, img)
 	}
+	I, D, err := parseSparseLogical(img[headerSize:], rows, cols, e.d.Nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -288,56 +288,86 @@ func Deserialize(img []byte) (*Batch, error) {
 	return newLogical(rows, cols, v, I, D, img)
 }
 
-// parseFull unpacks the sections of a Full image into (I, D), range
-// checked by bitpack but not yet validated against each other. D.Nodes
-// is unpacked into scratch, grown if it is too small.
-func parseFull(buf []byte, scratch []uint32) (I []Pair, D dTable, err error) {
-	colsArr, buf, err := bitpack.ReadArray(buf)
+// readFull reads a Full image. Every section header is read by value
+// (bitpack.ReadArray) and every length checked before anything is
+// allocated; then each section is read once:
+//   - the tuple starts are unpacked into the slice the batch keeps, and
+//     newLogical checks them there;
+//   - I is decoded by decodeFirstLayer, straight from the image's bytes;
+//   - D's codes are unpacked in bulk into the encoder's scratch, where
+//     newLogical's replay checks each one and marks the node it
+//     references in one pass.
+func (e *encoder) readFull(rows, cols int, img []byte) (*Batch, error) {
+	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
-		return nil, D, fmt.Errorf("core: I columns: %w", err)
+		return nil, fmt.Errorf("core: I columns: %w", err)
 	}
-	vi, buf, err := bitpack.ReadValueIndex(buf)
+	distinct, buf, err := takeU32(buf)
+	if err != nil || len(buf) < 8*int(distinct) {
+		return nil, fmt.Errorf("core: I values: truncated value dictionary")
+	}
+	dict, buf := buf[:8*int(distinct)], buf[8*int(distinct):]
+	valSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return nil, D, fmt.Errorf("core: I values: %w", err)
+		return nil, fmt.Errorf("core: I values: %w", err)
 	}
-	occ, dict := vi.Indexes(), vi.Values()
-	if colsArr.Len() != len(occ) {
-		return nil, D, fmt.Errorf("core: I columns (%d) and values (%d) disagree", colsArr.Len(), len(occ))
-	}
-	// Decode straight into I: the values through the dictionary (whose
-	// occurrence indexes ReadValueIndex has range-checked), the column
-	// indexes with the bulk word-at-a-time unpack through a small stack
-	// window — no |I|-sized temporaries.
-	I = make([]Pair, len(occ))
-	for k, o := range occ {
-		I[k].Val = dict[o]
-	}
-	var win [256]uint32
-	for lo := 0; lo < len(I); lo += len(win) {
-		part := I[lo:min(lo+len(win), len(I))]
-		colsArr.UnpackRange(win[:len(part)], lo, lo+len(part))
-		for k := range part {
-			part[k].Col = win[k]
-		}
-	}
-	nodesArr, buf, err := bitpack.ReadArray(buf)
+	nodeSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return nil, D, fmt.Errorf("core: D nodes: %w", err)
+		return nil, fmt.Errorf("core: D nodes: %w", err)
 	}
-	startsArr, buf, err := bitpack.ReadArray(buf)
+	startSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return nil, D, fmt.Errorf("core: D starts: %w", err)
+		return nil, fmt.Errorf("core: D starts: %w", err)
 	}
 	if len(buf) != 0 {
-		return nil, D, fmt.Errorf("core: %d trailing bytes", len(buf))
+		return nil, fmt.Errorf("core: %d trailing bytes", len(buf))
 	}
-	nodes := grow(scratch, nodesArr.Len())
-	nodesArr.UnpackRange(nodes, 0, len(nodes))
-	return I, dTable{Nodes: nodes, Starts: startsArr.Unpack()}, nil
+	if colSec.Len() != valSec.Len() {
+		return nil, fmt.Errorf("core: I columns (%d) and values (%d) disagree", colSec.Len(), valSec.Len())
+	}
+	if startSec.Len() != rows+1 {
+		return nil, fmt.Errorf("core: starts length %d != rows+1 (%d)", startSec.Len(), rows+1)
+	}
+	starts := make([]uint32, rows+1)
+	startSec.UnpackRange(starts, 0, len(starts))
+	I := make([]Pair, colSec.Len())
+	if err := decodeFirstLayer(I, &colSec, &valSec, dict, cols); err != nil {
+		return nil, err
+	}
+	e.d.Nodes = grow(e.d.Nodes, nodeSec.Len())
+	nodeSec.UnpackRange(e.d.Nodes, 0, len(e.d.Nodes))
+	return newLogical(rows, cols, Full, I, dTable{Nodes: e.d.Nodes, Starts: starts}, img)
 }
 
-// parseSparseLogical is parseFull for the raw SparseLogical sections.
-func parseSparseLogical(buf []byte, rows int, scratch []uint32) (I []Pair, D dTable, err error) {
+// decodeFirstLayer decodes I from a Full image: pair k's column index is
+// element k of colIdx, and its value is the dictionary entry that element
+// k of valIdx names, read from the image's dictionary bytes dict. Both
+// arrays are unpacked a window at a time onto the stack, and each index
+// is checked in the same pass: a column index against cols, a dictionary
+// index against the dictionary's length.
+func decodeFirstLayer(I []Pair, colIdx, valIdx *bitpack.Array, dict []byte, cols int) error {
+	var colWin, valWin [256]uint32
+	for lo := 0; lo < len(I); lo += len(colWin) {
+		part := I[lo:min(lo+len(colWin), len(I))]
+		c, v := colWin[:len(part)], valWin[:len(part)]
+		colIdx.UnpackRange(c, lo, lo+len(part))
+		valIdx.UnpackRange(v, lo, lo+len(part))
+		for k := range part {
+			at := 8 * int(v[k])
+			if c[k] >= uint32(cols) || at >= len(dict) {
+				return fmt.Errorf("core: I[%d] column %d (of %d) or value index %d (of %d) out of range",
+					lo+k, c[k], cols, v[k], len(dict)/8)
+			}
+			part[k] = Pair{Col: c[k], Val: math.Float64frombits(binary.LittleEndian.Uint64(dict[at : at+8]))}
+		}
+	}
+	return nil
+}
+
+// parseSparseLogical unpacks the raw sections of a SparseLogical image
+// into (I, D), each column index checked against cols. D.Nodes is
+// unpacked into scratch, grown if it is too small.
+func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32) (I []Pair, D dTable, err error) {
 	lenI, buf, err := takeU32(buf)
 	if err != nil {
 		return nil, D, fmt.Errorf("core: |I|: %w", err)
@@ -347,10 +377,11 @@ func parseSparseLogical(buf []byte, rows int, scratch []uint32) (I []Pair, D dTa
 	}
 	I = make([]Pair, lenI)
 	for k := range I {
-		I[k] = Pair{
-			Col: binary.LittleEndian.Uint32(buf[k*12:]),
-			Val: math.Float64frombits(binary.LittleEndian.Uint64(buf[k*12+4:])),
+		c := binary.LittleEndian.Uint32(buf[k*12:])
+		if c >= uint32(cols) {
+			return nil, D, fmt.Errorf("core: I[%d] column %d out of range %d", k, c, cols)
 		}
+		I[k] = Pair{Col: c, Val: math.Float64frombits(binary.LittleEndian.Uint64(buf[k*12+4:]))}
 	}
 	buf = buf[lenI*12:]
 	lenN, buf, err := takeU32(buf)
@@ -368,18 +399,14 @@ func parseSparseLogical(buf []byte, rows int, scratch []uint32) (I []Pair, D dTa
 }
 
 // validateLogical checks the structural invariants of (I, D) as
-// Algorithm 1 emits them: column indexes in range, starts well-formed,
-// every node index referencing only nodes that exist at that point of
-// the Algorithm-2 replay, and every first-layer pair referenced. The
-// replay also leaves in sc.mark, sized to the paper's |C'|, which nodes D
-// references — renumber's input; a node index is range-checked before it
-// is used as an index.
-func validateLogical(rows, cols int, I []Pair, D dTable, sc *liveScratch) error {
-	for k, p := range I {
-		if int(p.Col) >= cols {
-			return fmt.Errorf("core: I[%d] column %d out of range %d", k, p.Col, cols)
-		}
-	}
+// Algorithm 1 emits them: starts well-formed, every node index
+// referencing only nodes that exist at that point of the Algorithm-2
+// replay, and every first-layer pair referenced. The replay also leaves
+// in sc.mark, sized to the paper's |C'|, which nodes D references —
+// renumber's input. Column indexes are checked where I is read from an
+// image (decodeFirstLayer, parseSparseLogical); the encoder's are in
+// range by construction.
+func validateLogical(rows int, I []Pair, D dTable, sc *liveScratch) error {
 	if len(D.Starts) != rows+1 {
 		return fmt.Errorf("core: starts length %d != rows+1 (%d)", len(D.Starts), rows+1)
 	}
@@ -393,11 +420,6 @@ func validateLogical(rows, cols int, I []Pair, D dTable, sc *liveScratch) error 
 	if D.Starts[0] != 0 || int(D.Starts[rows]) != len(D.Nodes) {
 		return fmt.Errorf("core: starts endpoints invalid")
 	}
-	// Replay node creation: each of a tuple's elements except the last
-	// created exactly one node during encoding, so at element j of a tuple,
-	// nodes 1..len(I)+created+j are addressable (the +j admits references
-	// to nodes created earlier in the same tuple, including the
-	// self-referencing code pattern of repeated sequences).
 	size := treeSize(I, D)
 	if cap(sc.mark) < size {
 		sc.mark = make([]byte, size)
@@ -405,13 +427,42 @@ func validateLogical(rows, cols int, I []Pair, D dTable, sc *liveScratch) error 
 	mark := sc.mark[:size]
 	sc.mark = mark
 	clear(mark)
-	nodes, starts := D.Nodes, D.Starts
-	limit := len(I) // + created so far
-	for r := 0; r < rows; r++ {
-		row := nodes[starts[r]:starts[r+1]]
+	if q := replay(D.Nodes, D.Starts, len(I), mark); q >= 0 {
+		return fmt.Errorf("core: node index %d at D position %d references a node that does not exist yet", D.Nodes[q], q)
+	}
+	// Algorithm 1 codes the first occurrence of a pair as its first-layer
+	// node, so it never leaves one unreferenced. A hand-built image can;
+	// such a pair would keep its number in the resident form and be the
+	// one node no tuple reaches, so the image is refused.
+	for k, m := range mark[1 : len(I)+1] {
+		if m == 0 {
+			return fmt.Errorf("core: first-layer pair %d is not referenced by D", k)
+		}
+	}
+	return nil
+}
+
+// replay checks every code of D against the Algorithm-2 replay and marks
+// in mark the node it references, in one pass. Each of a tuple's elements
+// except the last created exactly one node during encoding, so at element
+// j of a tuple nodes 1..limit+j are addressable, limit being |I| plus the
+// nodes earlier tuples created (the +j admits references to nodes created
+// earlier in the same tuple, including the self-referencing code pattern
+// of repeated sequences). A code is range-checked before it is used as an
+// index. replay returns the D position of the first code out of range, or
+// -1. It is a leaf function of its own and leaves the error to its
+// caller: inlined there, its loop reloaded its slices from the stack on
+// every code.
+//
+//go:noinline
+func replay(nodes, starts []uint32, lenI int, mark []byte) int {
+	limit := lenI
+	for r := 1; r < len(starts); r++ {
+		lo := int(starts[r-1])
+		row := nodes[lo:starts[r]]
 		for j, n := range row {
-			if n == 0 || int(n) > limit+j {
-				return fmt.Errorf("core: node index %d invalid at row %d pos %d (limit %d)", n, r, j, limit+j)
+			if uint(n)-1 >= uint(limit+j) { // n == 0 wraps around
+				return lo + j
 			}
 			mark[n] = 1
 		}
@@ -419,16 +470,7 @@ func validateLogical(rows, cols int, I []Pair, D dTable, sc *liveScratch) error 
 			limit += len(row) - 1
 		}
 	}
-	// Algorithm 1 codes the first occurrence of a pair as its first-layer
-	// node, so it never leaves one unreferenced. A hand-built image can;
-	// such a pair would keep its number in the resident form and be the
-	// one node no tuple reaches, so the image is refused.
-	for k := range I {
-		if mark[k+1] == 0 {
-			return fmt.Errorf("core: first-layer pair %d is not referenced by D", k)
-		}
-	}
-	return nil
+	return -1
 }
 
 // getU32s bulk-decodes len(dst) little-endian u32s from src (which the

@@ -43,25 +43,33 @@ func BenchmarkSerialize(b *testing.B) {
 	}
 }
 
-// BenchmarkDeserialize's imagenet row is the spilled read path's cost per
-// visit on the benchmark's batch shape, 256 images cycling: unpack,
-// validate and renumber D onto its live nodes. Measured on the 2-core
-// 2.1 GHz Xeon (-cpu 1, five alternating runs): 31.5-44.9 us/op without
-// the renumbering, 47.3-57.5 with it (11 → 12 allocs: the bitmap).
+// BenchmarkDeserialize's imagenet and mnist rows are the spilled read
+// path's cost per visit on the benchmark's batch shape, 256 images
+// cycling: read the sections, decode I, check and mark D and renumber it
+// onto its live nodes. The mnist row has 1-byte dictionary indexes into
+// a 256-value dictionary; imagenet's values are all distinct. Measured
+// on the 2-core Xeon (-cpu 1, eight alternating runs of four, medians
+// and quartiles): reading each section into a heap object and the value
+// dictionary into slices of its own took 88.7 (84.7-92.7) us/op on
+// imagenet and 188 (178-194) on mnist, 12 allocs and 70/188 KB; the
+// one-pass read takes 74.8 (70.8-77.9) and 160 (116-170), 5 allocs and
+// 47/153 KB.
 func BenchmarkDeserialize(b *testing.B) {
-	imgs := [][]byte{}
-	for _, batch := range benchBatches(b, "imagenet", 256) {
-		imgs = append(imgs, batch.Serialize())
-	}
-	b.Run("imagenet", func(b *testing.B) {
-		b.SetBytes(int64(len(imgs[0])))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Deserialize(imgs[i%len(imgs)]); err != nil {
-				b.Fatal(err)
-			}
+	for _, name := range []string{"imagenet", "mnist"} {
+		imgs := [][]byte{}
+		for _, batch := range benchBatches(b, name, 256) {
+			imgs = append(imgs, batch.Serialize())
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(imgs[0])))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Deserialize(imgs[i%len(imgs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for name, batch := range benchVariantBatches(b) {
 		img := batch.Serialize()
 		b.Run(name, func(b *testing.B) {
