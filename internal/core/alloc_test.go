@@ -118,13 +118,18 @@ func TestShardedMatMulAllocBytesIndependentOfP(t *testing.T) {
 // five objects of those sizes cost, size-class rounding included, on the
 // benchmark's batch shape. A section read into a heap object, the value
 // dictionary staged in slices of its own, or the paper-numbered D
-// unpacked anywhere but pooled scratch breaks it.
+// unpacked anywhere but pooled scratch breaks it. Read into the memory
+// of a batch Recycle took back, it allocates nothing at all.
 func TestDeserializeAllocBytes(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one P, one pool shard
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collection empties the pools mid-run
+	// Two collections empty the pools, of batches earlier tests recycled
+	// too: the five allocations below are a read with nothing to reuse.
+	runtime.GC()
+	runtime.GC()
 	d, err := data.Generate("imagenet", 250, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +163,16 @@ func TestDeserializeAllocBytes(t *testing.T) {
 	})
 	if got := bytesPerRun(func() { Deserialize(img) }); got > want {
 		t.Errorf("Deserialize allocates %d B/op; objects of the sizes the batch keeps (%v B) cost %d", got, kept, want)
+	}
+	recycledRead := func() {
+		b, err := Deserialize(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Recycle()
+	}
+	if got := testing.AllocsPerRun(runs, recycledRead); got != 0 {
+		t.Errorf("Deserialize into recycled memory allocates %.0f objects/op, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"toc/internal/matrix"
@@ -74,8 +75,8 @@ func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 	e.addDense(m)
 	e.encode()
 	D := dTable{Nodes: e.d.Nodes, Starts: exactCopy(e.d.Starts)}
-	b, err := newLogical(m.Rows(), m.Cols(), v, exactCopy(e.pairs), D, nil)
-	if err != nil {
+	b := new(Batch)
+	if err := newLogical(b, m.Rows(), m.Cols(), v, exactCopy(e.pairs), D, nil); err != nil {
 		panic("core: Algorithm 1 emitted an invalid (I, D): " + err.Error())
 	}
 	e.sizeImage(b)
@@ -94,25 +95,94 @@ var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 // newLogical is the one place a batch is made: it takes (I, D) as
 // Algorithm 1 emits them — from the encoder, or unpacked from an image,
 // which is then img — validates them and renumbers D into the resident
-// form of decodetree.go. The batch keeps I and D.Starts; D.Nodes may be
-// pooled scratch, which it does not retain. An image's length is the
-// batch's size; a batch made without one has its size set by the caller.
-func newLogical(rows, cols int, v Variant, I []Pair, D dTable, img []byte) (*Batch, error) {
-	b := &Batch{rows: rows, cols: cols, variant: v, i: I, size: len(img), img: img}
+// form of decodetree.go, which it writes to b. The batch keeps I and
+// D.Starts; D.Nodes may be pooled scratch, which it does not retain. D′
+// and the creation bitmap reuse b's arrays when they are large enough (b
+// is recycled memory; see Recycle). An image's length is the batch's
+// size; a batch made without one has its size set by the caller. On an
+// error b is left as it was.
+func newLogical(b *Batch, rows, cols int, v Variant, I []Pair, D dTable, img []byte) error {
 	sc := liveScratchPool.Get().(*liveScratch)
 	defer liveScratchPool.Put(sc)
 	if err := validateLogical(rows, I, D, sc); err != nil {
-		return nil, err
+		return err
 	}
-	b.d = renumber(D, len(I), sc)
-	return b, nil
+	*b = Batch{rows: rows, cols: cols, variant: v, i: I, d: renumber(D, len(I), sc, &b.d), size: len(img), img: img}
+	return nil
 }
 
-// renumber returns D in resident form, given validateLogical's marks. It
+// batchPool holds batches Recycle took back, each with its arrays
+// emptied, for the next Deserialize to fill.
+var batchPool sync.Pool
+
+// Recycle hands b's memory — the Batch, I, D′, the tuple starts and the
+// creation bitmap — to a later Deserialize, which overwrites it. It is
+// for a batch read for one use, once that use is over: nothing may touch
+// b afterwards, nor a plan built on it, nor a Scale or Square of it
+// (which share its D′), nor the image it was read from, which the caller
+// may then reuse. Under the race detector the memory, image included, is
+// poisoned first, so that a use after Recycle fails loudly. Memory that
+// is never recycled is collected as usual.
+func (b *Batch) Recycle() {
+	if raceEnabled {
+		b.poison()
+	}
+	b.spare()
+	batchPool.Put(b)
+}
+
+// spare empties b, keeping its arrays for a later Deserialize to fill.
+func (b *Batch) spare() {
+	d := &b.d
+	*b = Batch{i: b.i[:0], d: residentD{narrow: d.narrow[:0], wide: d.wide[:0], starts: d.starts[:0], created: d.created[:0]}}
+}
+
+// poison overwrites everything b holds with values no kernel survives:
+// out-of-range columns, codes and starts, NaN values, a bitmap of ones,
+// and an image whose magic no longer matches.
+func (b *Batch) poison() {
+	fill(b.i, Pair{Col: math.MaxUint32, Val: math.NaN()})
+	fill(b.d.narrow, math.MaxUint16)
+	fill(b.d.wide, math.MaxUint32)
+	fill(b.d.starts, math.MaxUint32)
+	fill(b.d.created, math.MaxUint64)
+	fill(b.img, 0xff)
+}
+
+// fill sets every element of s to v in a logarithmic number of copies,
+// which the race detector checks a range at a time.
+func fill[T any](s []T, v T) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for n := uint(1); n < uint(len(s)); n *= 2 {
+		copy(s[n:], s[:n])
+	}
+}
+
+// fit returns s resized to n, reusing its array when it is large enough.
+// With nothing to reuse the new array is exact, as a resident batch's
+// must be (TestCompressAllocs). One replacing a recycled array that was
+// too small gets the capacity its allocation size class holds anyway:
+// the slack costs no memory, and lets it take a slightly larger batch
+// next time.
+func fit[T any](s []T, n int) []T {
+	switch {
+	case s != nil && uint(n) <= uint(cap(s)):
+		return s[:n]
+	case cap(s) > 0:
+		return append(make([]T, 0), make([]T, n)...)
+	}
+	return make([]T, n)
+}
+
+// renumber returns D in resident form, given validateLogical's marks,
+// with D′ and the creation bitmap in spare's arrays when they fit. It
 // runs on every spilled read, so every loop over nodes or codes is flat
 // and branch-free — most nodes are dead and no predictor learns which,
 // and a loop per tuple mispredicts its exit once a tuple.
-func renumber(D dTable, lenI int, sc *liveScratch) residentD {
+func renumber(D dTable, lenI int, sc *liveScratch, spare *residentD) residentD {
 	nodes, starts := D.Nodes, D.Starts
 	firstLayer := lenI + 1
 	mark := sc.mark
@@ -128,17 +198,17 @@ func renumber(D dTable, lenI int, sc *liveScratch) residentD {
 	}
 	d := residentD{starts: starts, top: uint32(top)}
 	if marked <= 1<<16 { // live ids 0..marked-1
-		d.narrow = make([]uint16, len(nodes))
+		d.narrow = fit(spare.narrow, len(nodes))
 		translate(d.narrow, nodes, remap)
 	} else {
-		d.wide = make([]uint32, len(nodes))
+		d.wide = fit(spare.wide, len(nodes))
 		translate(d.wide, nodes, remap)
 	}
 
 	// The creation bitmap. A tuple's non-final positions created a run of
 	// consecutive nodes, so their marks move to position order a run at a
 	// time; a tuple's last position created nothing.
-	created := make([]uint64, (len(nodes)+63)/64)
+	created := fit(spare.created, (len(nodes)+63)/64)
 	if cap(sc.at) < 64*len(created) {
 		sc.at = make([]byte, 64*len(created))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"os"
@@ -18,7 +19,9 @@ import (
 // or returns a Batch whose decode and kernels are safe to execute —
 // never a panic, never an out-of-bounds access, regardless of input —
 // and whose resident form keeps every promise of decodetree.go against
-// the oracle tree of the image's own D (checkResidentForm).
+// the oracle tree of the image's own D (checkResidentForm). Read a second
+// time into poisoned recycled memory, every input gets the same verdict,
+// and an accepted one the same batch.
 // Seed corpus lives in testdata/fuzz/FuzzDeserialize; CI runs a short
 // -fuzz pass over it on every push.
 func FuzzDeserialize(f *testing.F) {
@@ -52,10 +55,29 @@ func FuzzDeserialize(f *testing.F) {
 	// this package no longer has (formats' TOC_SPARSE is CSR).
 	f.Add([]byte("TOCB\x01\x02\x01\x00\x00\x00\x01\x00\x00\x00"))
 
+	// The batch whose recycled memory every input is read into a second
+	// time: larger than the small seeds, smaller than the boundary ones.
+	recycled := matrix.NewDense(60, 40)
+	for r := 0; r < 60; r++ {
+		for c := 0; c < 40; c++ {
+			if (r*c)%7 != 0 {
+				recycled.Set(r, c, float64((r+2*c)%9))
+			}
+		}
+	}
+	recycledImg := Compress(recycled).Serialize()
+
 	f.Fuzz(func(t *testing.T, img []byte) {
 		b, err := Deserialize(img)
+		again := recycledFrom(t, recycledImg)
+		if rerr := deserializeInto(again, img); (rerr == nil) != (err == nil) {
+			t.Fatalf("fresh read: %v; read into recycled memory: %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if !bytes.Equal(written(again), written(b)) {
+			t.Fatal("the batch read into recycled memory writes another image")
 		}
 		if b.d.len() <= 1<<16 {
 			paper, err := imageD(img, b.Variant(), b.rows)

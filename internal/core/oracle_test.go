@@ -70,8 +70,8 @@ type logicalCase struct {
 // them through the one constructor.
 func newLogicalCase(t testing.TB, tag string, rows, cols int, v Variant, I []Pair, D [][]uint32) logicalCase {
 	t.Helper()
-	b, err := newLogical(rows, cols, v, I, flattenD(D), nil)
-	if err != nil {
+	b := new(Batch)
+	if err := newLogical(b, rows, cols, v, I, flattenD(D), nil); err != nil {
 		t.Fatalf("%s: encoder output rejected: %v", tag, err)
 	}
 	new(encoder).sizeImage(b)

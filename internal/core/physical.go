@@ -250,20 +250,37 @@ func putU32s(dst []byte, vals []uint32) int {
 // call allocates only what the batch keeps: the Batch, I, D′, the tuple
 // starts and the creation bitmap. The batch aliases img. On an imagenet
 // batch of the benchmark's shape (|I| 1739, |D| 7402) that is 5
-// allocations and 47 KB (BenchmarkDeserialize, TestDeserializeAllocBytes).
+// allocations and 47 KB (BenchmarkDeserialize, TestDeserializeAllocBytes)
+// — or none, when a batch Recycle took back is large enough: its memory
+// is filled instead, every array overwritten before anything reads it.
+// Which memory a batch is read into changes neither its bits nor which
+// images are accepted.
 func Deserialize(img []byte) (*Batch, error) {
+	b, _ := batchPool.Get().(*Batch)
+	if b == nil {
+		b = new(Batch)
+	}
+	if err := deserializeInto(b, img); err != nil {
+		batchPool.Put(b) // still recycled memory: newLogical leaves b alone on an error
+		return nil, err
+	}
+	return b, nil
+}
+
+// deserializeInto reads img into b, reusing b's arrays where they fit.
+func deserializeInto(b *Batch, img []byte) error {
 	if len(img) < headerSize {
-		return nil, fmt.Errorf("core: image too short: %d bytes", len(img))
+		return fmt.Errorf("core: image too short: %d bytes", len(img))
 	}
 	if string(img[:4]) != imageMagic {
-		return nil, fmt.Errorf("core: bad magic %q", img[:4])
+		return fmt.Errorf("core: bad magic %q", img[:4])
 	}
 	if img[4] != imageVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", img[4])
+		return fmt.Errorf("core: unsupported version %d", img[4])
 	}
 	v := Variant(img[5])
 	if v > SparseLogical {
-		return nil, fmt.Errorf("core: unknown variant %d", img[5])
+		return fmt.Errorf("core: unknown variant %d", img[5])
 	}
 	rows := int(binary.LittleEndian.Uint32(img[6:10]))
 	cols := int(binary.LittleEndian.Uint32(img[10:14]))
@@ -271,25 +288,25 @@ func Deserialize(img []byte) (*Batch, error) {
 	// allocations in Decode or the kernels.
 	const maxDim = 1 << 27
 	if rows > maxDim || cols > maxDim {
-		return nil, fmt.Errorf("core: implausible dims %dx%d", rows, cols)
+		return fmt.Errorf("core: implausible dims %dx%d", rows, cols)
 	}
 	// D's codes are unpacked into the pooled encoder's D, so the batch
 	// retains only the D′ newLogical renumbers them into.
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
 	if v == Full {
-		return e.readFull(rows, cols, img)
+		return e.readFull(b, rows, cols, img)
 	}
-	I, D, err := parseSparseLogical(img[headerSize:], rows, cols, e.d.Nodes)
+	I, D, err := parseSparseLogical(img[headerSize:], rows, cols, e.d.Nodes, b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	e.d.Nodes = D.Nodes
-	return newLogical(rows, cols, v, I, D, img)
+	return newLogical(b, rows, cols, v, I, D, img)
 }
 
-// readFull reads a Full image. Every section header is read by value
-// (bitpack.ReadArray) and every length checked before anything is
+// readFull reads a Full image into b. Every section header is read by
+// value (bitpack.ReadArray) and every length checked before anything is
 // allocated; then each section is read once:
 //   - the tuple starts are unpacked into the slice the batch keeps, and
 //     newLogical checks them there;
@@ -297,46 +314,46 @@ func Deserialize(img []byte) (*Batch, error) {
 //   - D's codes are unpacked in bulk into the encoder's scratch, where
 //     newLogical's replay checks each one and marks the node it
 //     references in one pass.
-func (e *encoder) readFull(rows, cols int, img []byte) (*Batch, error) {
+func (e *encoder) readFull(b *Batch, rows, cols int, img []byte) error {
 	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
-		return nil, fmt.Errorf("core: I columns: %w", err)
+		return fmt.Errorf("core: I columns: %w", err)
 	}
 	distinct, buf, err := takeU32(buf)
 	if err != nil || len(buf) < 8*int(distinct) {
-		return nil, fmt.Errorf("core: I values: truncated value dictionary")
+		return fmt.Errorf("core: I values: truncated value dictionary")
 	}
 	dict, buf := buf[:8*int(distinct)], buf[8*int(distinct):]
 	valSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return nil, fmt.Errorf("core: I values: %w", err)
+		return fmt.Errorf("core: I values: %w", err)
 	}
 	nodeSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return nil, fmt.Errorf("core: D nodes: %w", err)
+		return fmt.Errorf("core: D nodes: %w", err)
 	}
 	startSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return nil, fmt.Errorf("core: D starts: %w", err)
+		return fmt.Errorf("core: D starts: %w", err)
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes", len(buf))
+		return fmt.Errorf("core: %d trailing bytes", len(buf))
 	}
 	if colSec.Len() != valSec.Len() {
-		return nil, fmt.Errorf("core: I columns (%d) and values (%d) disagree", colSec.Len(), valSec.Len())
+		return fmt.Errorf("core: I columns (%d) and values (%d) disagree", colSec.Len(), valSec.Len())
 	}
 	if startSec.Len() != rows+1 {
-		return nil, fmt.Errorf("core: starts length %d != rows+1 (%d)", startSec.Len(), rows+1)
+		return fmt.Errorf("core: starts length %d != rows+1 (%d)", startSec.Len(), rows+1)
 	}
-	starts := make([]uint32, rows+1)
+	starts := fit(b.d.starts, rows+1)
 	startSec.UnpackRange(starts, 0, len(starts))
-	I := make([]Pair, colSec.Len())
+	I := fit(b.i, colSec.Len())
 	if err := decodeFirstLayer(I, &colSec, &valSec, dict, cols); err != nil {
-		return nil, err
+		return err
 	}
 	e.d.Nodes = grow(e.d.Nodes, nodeSec.Len())
 	nodeSec.UnpackRange(e.d.Nodes, 0, len(e.d.Nodes))
-	return newLogical(rows, cols, Full, I, dTable{Nodes: e.d.Nodes, Starts: starts}, img)
+	return newLogical(b, rows, cols, Full, I, dTable{Nodes: e.d.Nodes, Starts: starts}, img)
 }
 
 // decodeFirstLayer decodes I from a Full image: pair k's column index is
@@ -366,8 +383,9 @@ func decodeFirstLayer(I []Pair, colIdx, valIdx *bitpack.Array, dict []byte, cols
 
 // parseSparseLogical unpacks the raw sections of a SparseLogical image
 // into (I, D), each column index checked against cols. D.Nodes is
-// unpacked into scratch, grown if it is too small.
-func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32) (I []Pair, D dTable, err error) {
+// unpacked into scratch, grown if it is too small; I and D.Starts reuse
+// b's arrays where they fit.
+func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32, b *Batch) (I []Pair, D dTable, err error) {
 	lenI, buf, err := takeU32(buf)
 	if err != nil {
 		return nil, D, fmt.Errorf("core: |I|: %w", err)
@@ -375,7 +393,7 @@ func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32) (I []Pair,
 	if len(buf) < int(lenI)*12 {
 		return nil, D, fmt.Errorf("core: truncated I section")
 	}
-	I = make([]Pair, lenI)
+	I = fit(b.i, int(lenI))
 	for k := range I {
 		c := binary.LittleEndian.Uint32(buf[k*12:])
 		if c >= uint32(cols) {
@@ -392,7 +410,7 @@ func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32) (I []Pair,
 	if len(buf) != need {
 		return nil, D, fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
 	}
-	D = dTable{Nodes: grow(scratch, int(lenN)), Starts: make([]uint32, rows+1)}
+	D = dTable{Nodes: grow(scratch, int(lenN)), Starts: fit(b.d.starts, rows+1)}
 	buf = buf[getU32s(D.Nodes, buf):]
 	getU32s(D.Starts, buf)
 	return I, D, nil

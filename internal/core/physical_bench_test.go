@@ -69,6 +69,19 @@ func BenchmarkDeserialize(b *testing.B) {
 				}
 			}
 		})
+		// A spilled visit's read: into the memory of the batch the
+		// previous visit recycled.
+		b.Run(name+"/recycled", func(b *testing.B) {
+			b.SetBytes(int64(len(imgs[0])))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				back, err := Deserialize(imgs[i%len(imgs)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				back.Recycle()
+			}
+		})
 	}
 	for name, batch := range benchVariantBatches(b) {
 		img := batch.Serialize()

@@ -16,6 +16,7 @@ import (
 	"toc/internal/formats"
 	"toc/internal/ml"
 	"toc/internal/pace"
+	"toc/internal/storage"
 )
 
 func testSource(t testing.TB, name string, rows int) (*data.Dataset, *ml.MemorySource) {
@@ -670,4 +671,56 @@ func replayOnLink(st ServerStats, trainers int, compute time.Duration, link *Lin
 		phase[r] = (phase[r] + 1) % 3
 	}
 	return end.Sub(t0)
+}
+
+// Two trainers at staleness 0 sharing one prefetcher over a fully
+// spilled store walk the serial in-RAM trajectory bit for bit, though
+// every batch they read is recycled once its gradient has returned. Under
+// the race detector a recycled batch is poisoned, so a trainer that used
+// one after its release would break the identity.
+func TestTrainersOverSpilledStoreMatchSerialBitwise(t *testing.T) {
+	d, mem := testSource(t, "census", 500)
+	want := newSnapshotModel(t, "lr", d, 3)
+	wantRes := ml.Train(want, mem, 3, 0.2, nil)
+
+	st, err := storage.NewStore(t.TempDir(), "TOC", 1, storage.WithShards(2)) // all spilled
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := engine.New(engine.Config{Workers: 2}).FillStore(st, d, 50); err != nil {
+		t.Fatal(err)
+	}
+	pf := storage.NewPrefetcher(st, 4, 2)
+	defer pf.Close()
+	sm := newSnapshotModel(t, "lr", d, 3)
+	srv, err := NewServer(ServerConfig{Epochs: 3, NumBatches: pf.NumBatches(), LR: 0.2}, sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, werr, errs, _ := runCluster(t, srv, 2, func(int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig) {
+		return newSnapshotModel(t, "lr", d, 3), pf, TrainerConfig{}
+	})
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("trainer %d: %v", i, e)
+		}
+	}
+	if ps := pf.Stats(); ps.Hits == 0 {
+		t.Errorf("the prefetcher never hit: %+v", ps)
+	}
+	for e := range wantRes.EpochLoss {
+		if math.Float64bits(res.EpochLoss[e]) != math.Float64bits(wantRes.EpochLoss[e]) {
+			t.Errorf("epoch %d loss %v, serial %v", e, res.EpochLoss[e], wantRes.EpochLoss[e])
+		}
+	}
+	got, wp := paramsOf(sm), paramsOf(want)
+	for i := range wp {
+		if math.Float64bits(got[i]) != math.Float64bits(wp[i]) {
+			t.Fatalf("parameter %d is %v, serial %v", i, got[i], wp[i])
+		}
+	}
 }

@@ -23,6 +23,7 @@ type Trainer struct {
 	c     *rpc.Client
 	m     ml.Model
 	src   ml.BatchSource
+	rel   ml.Releaser // src's release hook, nil if it has none
 	codec GradCodec
 
 	id      int
@@ -40,7 +41,8 @@ func NewTrainer(conn io.ReadWriteCloser, m ml.Model, src ml.BatchSource, cfg Tra
 	if codec == nil {
 		codec = &Dense{}
 	}
-	return &Trainer{c: rpc.NewClient(conn), m: m, src: src, codec: codec, id: -1}
+	rel, _ := src.(ml.Releaser)
+	return &Trainer{c: rpc.NewClient(conn), m: m, src: src, rel: rel, codec: codec, id: -1}
 }
 
 // Run joins the server and computes positions until the schedule is
@@ -108,7 +110,11 @@ func (t *Trainer) stalePull(pos int64) bool {
 // compute evaluates one mini-batch gradient at the current replica.
 func (t *Trainer) compute(batch int) float64 {
 	x, y := t.src.Batch(batch)
-	return t.m.Grad(x, y, t.grad)
+	loss := t.m.Grad(x, y, t.grad)
+	if t.rel != nil {
+		t.rel.Release(x)
+	}
+	return loss
 }
 
 // push encodes and submits the gradient for pos.

@@ -9,6 +9,7 @@ import (
 	"toc/internal/checkpoint"
 	"toc/internal/data"
 	"toc/internal/faultpoint"
+	"toc/internal/formats"
 	"toc/internal/ml"
 	"toc/internal/storage"
 )
@@ -289,7 +290,8 @@ func (a *Async) FillStore(st *storage.Store, d *data.Dataset, batchSize int) err
 type asyncRun struct {
 	loop *Loop
 	src  ml.BatchSource
-	kw   int // kernel workers per clone
+	rel  ml.Releaser // src's release hook, nil if it has none
+	kw   int         // kernel workers per clone
 	wg   sync.WaitGroup
 
 	mu sync.Mutex
@@ -349,7 +351,8 @@ func (a *Async) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float64
 	if err != nil {
 		return nil, err
 	}
-	run := &asyncRun{loop: loop, src: src, kw: a.KernelWorkers()}
+	rel, _ := src.(ml.Releaser)
+	run := &asyncRun{loop: loop, src: src, rel: rel, kw: a.KernelWorkers()}
 	// Publish the run so Halt/AddWorkers/RemoveWorkers can reach it; torn
 	// down before Train returns so late calls see no run and no-op.
 	a.runMu.Lock()
@@ -437,14 +440,24 @@ func (a *Async) computeTask(run *asyncRun, w *asyncWorker, t Task) (val any, cra
 	// the gradient no freshness.
 	version, ok := run.loop.Params(t.Pos, w.snap)
 	if !ok {
+		run.release(x)
 		return nil, false
 	}
 	w.clone.SetParams(w.snap)
 	g := run.loop.GradBuf()
+	loss := w.clone.Grad(x, y, g)
+	run.release(x)
 	// Submit refuses only once the run has failed (this version is always
 	// admissible), and then the next Next ends this worker.
-	_ = run.loop.Submit(w.owner, t.Pos, version, w.clone.Grad(x, y, g), g)
+	_ = run.loop.Submit(w.owner, t.Pos, version, loss, g)
 	return nil, false
+}
+
+// release hands x back to the source once the worker is done with it.
+func (run *asyncRun) release(x formats.CompressedMatrix) {
+	if run.rel != nil {
+		run.rel.Release(x)
+	}
 }
 
 // asyncWorker is one pool member: its loop owner id, its private model

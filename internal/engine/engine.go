@@ -210,6 +210,7 @@ func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float6
 	// has neither). Sharding changes no bit, so this split never changes
 	// the trajectory, only the wall-clock.
 	m.SetKernelWorkers(e.KernelWorkers(n))
+	rel, _ := src.(ml.Releaser)
 	var wg sync.WaitGroup
 	for w := min(e.workers, cfg.Group); w > 0; w-- {
 		owner := loop.Join()
@@ -223,9 +224,13 @@ func (e *Engine) TrainFrom(m ml.Model, src ml.BatchSource, epochs int, lr float6
 				}
 				x, y := src.Batch(t.Batch)
 				g := loop.GradBuf()
+				loss := m.Grad(x, y, g)
+				if rel != nil {
+					rel.Release(x)
+				}
 				// Submit refuses only once the run has failed, and then the
 				// next Next ends this worker.
-				_ = loop.Submit(owner, t.Pos, t.Version, m.Grad(x, y, g), g)
+				_ = loop.Submit(owner, t.Pos, t.Version, loss, g)
 			}
 		}()
 	}

@@ -371,3 +371,53 @@ func TestEngineRightMulPlanTrajectoryIdentity(t *testing.T) {
 		}
 	}
 }
+
+// A spilled run reads every batch back through the prefetcher, which
+// recycles it once its gradient has returned; a resident run recycles
+// nothing. Under the sync engine and the deterministic async one both
+// walk one trajectory, bit for bit — and under the race detector a batch
+// used after its release is poisoned, which breaks the identity.
+func TestSpilledMatchesResidentBitwise(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	d, mem := testSource(t, "census", 500)
+	frontEnds := map[string]func(m ml.Model, src ml.BatchSource) (*ml.TrainResult, error){
+		"sync": func(m ml.Model, src ml.BatchSource) (*ml.TrainResult, error) {
+			return New(Config{Workers: 4, GroupSize: 2, Seed: 9}).TrainFrom(m, src, 3, 0.3, nil, nil)
+		},
+		"async": func(m ml.Model, src ml.BatchSource) (*ml.TrainResult, error) {
+			return NewAsync(AsyncConfig{Workers: 4, Staleness: 3, Deterministic: true, Seed: 9}).Train(m, src, 3, 0.3, nil)
+		},
+	}
+	for name, train := range frontEnds {
+		want := newModel(t, "lr", d, 13)
+		wantRes, err := train(want, mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := storage.NewStore(t.TempDir(), "TOC", 1, storage.WithShards(2)) // all spilled
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := New(Config{Workers: 2}).FillStore(st, d, 50); err != nil {
+			t.Fatal(err)
+		}
+		pf := storage.NewPrefetcher(st, 4, 2)
+		got := newModel(t, "lr", d, 13)
+		gotRes, err := train(got, pf)
+		pf.Close()
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ps := pf.Stats(); ps.Hits == 0 {
+			t.Errorf("%s: the prefetcher never hit: %+v", name, ps)
+		}
+		gp, wp := flatParams(t, got), flatParams(t, want)
+		assertBitwise(t, name+" spilled", gp, wp, gotRes.EpochLoss, wantRes.EpochLoss)
+		for i := range wp {
+			if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) { // NaN too
+				t.Fatalf("%s: spilled parameter %d is %v, resident %v", name, i, gp[i], wp[i])
+			}
+		}
+	}
+}

@@ -31,11 +31,29 @@ func dirty(n int) []float64 {
 	return dst
 }
 
-// The three Into kernels are bit-equal to the allocating spellings
-// NN.Grad used to make — h.MulMat(W), acts.Transpose().MulMat(delta),
-// delta.MulMat(W.Transpose()) — on the NN's own shapes, the degenerate
-// ones, and operands where the a == 0 skip and the fold order are
-// visible (zeros beside ±Inf, NaN, mixed signs), into a dirty dst.
+// naiveMul is the reference A·B, a triple loop of its own that shares no
+// code with the kernels: every element folds k ascending from +0 and
+// skips a zero of A.
+func naiveMul(a, b *Dense) []float64 {
+	out := make([]float64, a.Rows()*b.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < b.Cols(); j++ {
+			s := 0.0
+			for k := 0; k < a.Cols(); k++ {
+				if av := a.At(i, k); av != 0 {
+					s += av * b.At(k, j)
+				}
+			}
+			out[i*b.Cols()+j] = s
+		}
+	}
+	return out
+}
+
+// The three Into kernels — the products NN.Grad makes, h·W, actsᵀ·delta
+// and delta·Wᵀ — are bit-equal to naiveMul on the NN's own shapes, the
+// degenerate ones, and operands where the a == 0 skip and the fold order
+// are visible (zeros beside ±Inf, NaN, mixed signs), into a dirty dst.
 func TestDenseIntoKernelsMatchTransposeForm(t *testing.T) {
 	fills := map[string]func(rng *rand.Rand, d *Dense){
 		"random": func(rng *rand.Rand, d *Dense) {
@@ -68,19 +86,20 @@ func TestDenseIntoKernelsMatchTransposeForm(t *testing.T) {
 			at, bt := a.Transpose(), b.Transpose() // k×n, p×k
 			label := fmt.Sprintf("%s %dx%d·%dx%d", name, n, k, k, p)
 
+			want := naiveMul(a, b)
 			dst := dirty(n * p)
 			MulInto(dst, a, b)
-			if err := sameFloats(dst, a.MulMat(b).data); err != nil {
+			if err := sameFloats(dst, want); err != nil {
 				t.Errorf("MulInto %s: %v", label, err)
 			}
 			dst = dirty(n * p)
 			MulATBInto(dst, at, b)
-			if err := sameFloats(dst, at.Transpose().MulMat(b).data); err != nil {
+			if err := sameFloats(dst, want); err != nil {
 				t.Errorf("MulATBInto %s: %v", label, err)
 			}
 			dst = dirty(n * p)
 			MulABTInto(dst, a, bt)
-			if err := sameFloats(dst, a.MulMat(bt.Transpose()).data); err != nil {
+			if err := sameFloats(dst, want); err != nil {
 				t.Errorf("MulABTInto %s: %v", label, err)
 			}
 			dst = dirty(n * k)

@@ -19,6 +19,21 @@ type BatchSource interface {
 	Batch(i int) (formats.CompressedMatrix, []float64)
 }
 
+// Releaser is the optional release hook of a BatchSource. Release(x)
+// tells the source that the caller is done with x, a batch its Batch
+// returned, and with everything built on it, so the source may reuse its
+// memory. Each Batch call is matched by at most one Release, and the
+// caller does not touch x after it. storage.Prefetcher implements the
+// hook, recycling a spilled batch's memory into a later read; without
+// it, batches are the collector's, as they always were.
+//
+// Every training loop looks the hook up once per run and calls it after
+// Grad (or Predict) has returned for a batch — not when either panics,
+// which leaves the batch to the collector.
+type Releaser interface {
+	Release(x formats.CompressedMatrix)
+}
+
 // MemorySource keeps every compressed mini-batch in memory.
 type MemorySource struct {
 	batches []formats.CompressedMatrix
@@ -81,6 +96,7 @@ type EpochCallback func(epoch int, elapsed time.Duration, avgLoss float64)
 func Train(m Model, src BatchSource, epochs int, lr float64, cb EpochCallback) *TrainResult {
 	res := &TrainResult{}
 	g := make([]float64, m.NumParams())
+	rel, _ := src.(Releaser)
 	start := time.Now()
 	n := src.NumBatches()
 	for e := 0; e < epochs; e++ {
@@ -89,6 +105,9 @@ func Train(m Model, src BatchSource, epochs int, lr float64, cb EpochCallback) *
 		for i := 0; i < n; i++ {
 			x, y := src.Batch(i)
 			loss += m.Grad(x, y, g)
+			if rel != nil {
+				rel.Release(x)
+			}
 			m.ApplyGrad(g, lr)
 		}
 		if n > 0 {
@@ -140,9 +159,13 @@ func NewModel(name string, dims, classes int, hiddenScale float64, seed int64) (
 // EvaluateError runs the model over a source and returns the error rate.
 func EvaluateError(m Model, src BatchSource) float64 {
 	var wrong, total int
+	rel, _ := src.(Releaser)
 	for i := 0; i < src.NumBatches(); i++ {
 		x, y := src.Batch(i)
 		pred := m.Predict(x)
+		if rel != nil {
+			rel.Release(x)
+		}
 		for k := range y {
 			if pred[k] != y[k] {
 				wrong++

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,17 +34,25 @@ type fetchJob struct {
 	en  *entry
 }
 
-// entry is a prefetched (or in-flight) batch; c, y and err are valid
-// after done is closed — err non-nil means the background read failed
-// permanently (a *ReadError) and the consumer must surface it. size is
-// the batch's on-disk length, charged against the optional byte budget
-// while the entry lives in the cache.
+// entry is a prefetched (or in-flight) batch; c, y, buf and err are
+// valid after done is closed — err non-nil means the background read
+// failed permanently (a *ReadError) and the consumer must surface it.
+// buf is the read buffer c aliases when c can be recycled, else nil.
+// size is the batch's on-disk length, charged against the optional byte
+// budget while the entry lives in the cache.
 type entry struct {
 	done chan struct{}
 	size int64
 	c    formats.CompressedMatrix
 	y    []float64
+	buf  *[]byte
 	err  error
+
+	// refs counts the consumers Batch handed the entry to that have not
+	// released it; lent marks an entry that has been on the lent list.
+	// The Prefetcher's mu guards both.
+	refs int
+	lent bool
 }
 
 // PrefetchOption configures a Prefetcher at construction.
@@ -75,10 +84,17 @@ func WithPrefetchBytes(maxBytes int64) PrefetchOption {
 // own job queue and reader goroutines, so the prefetcher keeps every
 // shard busy concurrently instead of funneling all reads through one
 // pool that a single slow shard can clog.
+//
+// A prefetched batch is read for one visit, so its memory is recycled
+// once that visit is over: Release(x) by each consumer Batch handed x to
+// returns the batch's arrays and the read buffer it aliases for the next
+// read (see Release). A caller that never releases leaves the memory to
+// the garbage collector, as with any other batch.
 type Prefetcher struct {
 	store    *Store
 	n        int // the store's batch count
 	depth    int
+	readers  int             // reader goroutines across all shards
 	maxBytes int64           // 0 = unbounded; see WithPrefetchBytes
 	jobs     []chan fetchJob // one queue per spill shard
 	quit     chan struct{}   // closed by Close; interrupts in-flight retry backoffs
@@ -89,6 +105,10 @@ type Prefetcher struct {
 	lastPos int // consumption frontier: deepest consumed index of the current lap (-1 before any)
 	//toc:guardedby mu
 	cache map[int]*entry
+	//toc:guardedby mu
+	lent []*entry // handed-out entries Release may recycle, oldest first
+	//toc:guardedby mu
+	recycled int64 // entries recycled by Release
 	//toc:guardedby mu
 	cacheBytes int64 // sum of cached/in-flight entry sizes
 	//toc:guardedby mu
@@ -126,6 +146,7 @@ func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefet
 		store:   s,
 		n:       n,
 		depth:   depth,
+		readers: perShard * shards,
 		jobs:    make([]chan fetchJob, shards),
 		quit:    make(chan struct{}),
 		lastPos: -1,
@@ -155,7 +176,7 @@ func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefet
 func (p *Prefetcher) reader(jobs <-chan fetchJob) {
 	defer p.wg.Done()
 	for j := range jobs {
-		j.en.c, j.en.y, j.en.err = p.store.batch(j.idx, p.quit)
+		j.en.c, j.en.y, j.en.buf, j.en.err = p.store.batch(j.idx, p.quit)
 		if j.en.err != nil {
 			p.mu.Lock()
 			p.stats.Errors++
@@ -269,12 +290,15 @@ func (p *Prefetcher) NumBatches() int { return p.store.NumBatches() }
 // in-flight entry stays cached until it lands, so concurrent Batch calls
 // for the same index share the one outstanding read instead of the loser
 // issuing a duplicate synchronous read and being miscounted as a miss.
+// Every caller a prefetched batch is handed to counts as one consumer of
+// it for Release.
 func (p *Prefetcher) Batch(i int) (formats.CompressedMatrix, []float64) {
 	p.mu.Lock()
 	en := p.cache[i]
 	inFlight := false
 	if en != nil {
 		p.stats.Hits++
+		en.refs++
 		select {
 		case <-en.done:
 			p.dropLocked(i, en) // consumed; re-prefetched on the next lap
@@ -290,29 +314,31 @@ func (p *Prefetcher) Batch(i int) (formats.CompressedMatrix, []float64) {
 	if en == nil {
 		return p.store.Batch(i) // resident, or a synchronous miss
 	}
+	var stall time.Duration
 	if inFlight {
 		select {
 		case <-en.done: // landed between the unlock and here: no stall
 		default:
 			start := time.Now()
 			<-en.done
-			stall := time.Since(start)
-			p.mu.Lock()
-			p.stats.Stall += stall
-			p.mu.Unlock()
+			stall = time.Since(start)
 		}
-		// First consumer to get here retires the entry; sharers that
-		// arrive later find a newer entry (or none) and leave it alone.
-		// Retiring frees byte budget, so the window may extend again —
-		// without this, a tight budget alternates hit/miss because the
-		// next batch can only be scheduled once the current one is gone.
-		p.mu.Lock()
-		if p.cache[i] == en {
-			p.dropLocked(i, en)
-			p.scheduleLocked(p.lastPos)
-		}
-		p.mu.Unlock()
 	}
+	p.mu.Lock()
+	p.stats.Stall += stall
+	// First consumer to get here retires an in-flight entry; sharers that
+	// arrive later find a newer entry (or none) and leave it alone.
+	// Retiring frees byte budget, so the window may extend again —
+	// without this, a tight budget alternates hit/miss because the next
+	// batch can only be scheduled once the current one is gone.
+	if p.cache[i] == en {
+		p.dropLocked(i, en)
+		p.scheduleLocked(p.lastPos)
+	}
+	if en.err == nil {
+		p.lendLocked(en)
+	}
+	p.mu.Unlock()
 	if en.err != nil {
 		// Surface the background read's permanent failure on the
 		// consumer's goroutine, matching Store.Batch's panic contract.
@@ -321,6 +347,72 @@ func (p *Prefetcher) Batch(i int) (formats.CompressedMatrix, []float64) {
 		panic(en.err)
 	}
 	return en.c, en.y
+}
+
+// lendLocked puts en on the lent list, where Release finds it, if its
+// batch can be recycled and it has not been there yet. The list holds at
+// most depth+readers entries, more than the consumers a full window and
+// reader pool can keep busy; beyond that the oldest entry drops off, and
+// its batch is left to the collector. That bounds what consumers that
+// never release — or release a wrapper they made — can keep alive. Must
+// be called with p.mu held.
+//
+//toc:locked mu
+func (p *Prefetcher) lendLocked(en *entry) {
+	if en.buf == nil || en.lent {
+		return
+	}
+	en.lent = true
+	if len(p.lent) >= p.depth+p.readers {
+		p.lent = slices.Delete(p.lent, 0, 1)
+	}
+	p.lent = append(p.lent, en)
+}
+
+// Release tells the prefetcher that one consumer is done with x, a batch
+// its Batch call returned, and with everything built on it. When the
+// last consumer of a prefetched batch has released it, the batch's
+// memory and the read buffer it aliases go back for later reads, and x
+// must not be used again by anyone. The training loops call it once a
+// gradient has returned (ml.Releaser).
+//
+// Release goes by identity: anything it did not hand out — a resident
+// batch, a synchronous miss, a wrapper around a batch, a foreign value —
+// is a no-op and is never recycled, and so is a batch dropped from the
+// lent list (see lendLocked). Each Batch call may be matched by at most
+// one Release. A second Release of a recycled batch is a no-op until a
+// later read reuses its memory, and a use after release from then on; a
+// second Release of a shared batch takes a sharer's count with it.
+// Nothing is ever recycled twice. Safe for concurrent use, and after
+// Close.
+func (p *Prefetcher) Release(x formats.CompressedMatrix) {
+	p.mu.Lock()
+	en := p.releaseLocked(x)
+	p.mu.Unlock()
+	if en != nil {
+		en.c.(recycler).Recycle()
+		readBufs.Put(en.buf)
+	}
+}
+
+// releaseLocked counts one release of x and returns its entry when that
+// was the last one, taking it off the lent list. Must be called with
+// p.mu held.
+//
+//toc:locked mu
+func (p *Prefetcher) releaseLocked(x formats.CompressedMatrix) *entry {
+	for k, en := range p.lent {
+		if en.c != x { // a recycler is pointer-shaped: this never panics
+			continue
+		}
+		if en.refs--; en.refs > 0 {
+			return nil
+		}
+		p.lent = slices.Delete(p.lent, k, k+1)
+		p.recycled++
+		return en
+	}
+	return nil
 }
 
 // Stats returns a snapshot of the hit/miss counters.

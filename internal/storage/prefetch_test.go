@@ -2,12 +2,24 @@ package storage
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
+	"toc/internal/data"
+	"toc/internal/formats"
 	"toc/internal/matrix"
+	"toc/internal/ml"
 	"toc/internal/testutil"
 )
+
+// recycled reads the prefetcher's count of batches Release recycled.
+func recycled(pf *Prefetcher) int64 {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	return pf.recycled
+}
 
 // spilledStore builds a store of n 4-row batches that all spill to disk.
 func spilledStore(t *testing.T, n int, opts ...Option) *Store {
@@ -120,7 +132,11 @@ func TestPrefetcherDuplicateInFlightShared(t *testing.T) {
 	defer pf.Close()
 	// NewPrefetcher has primed batches 0..depth-1; hit them all, many
 	// callers per index, while the reads are still in flight.
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		handed = map[formats.CompressedMatrix]int{} // consumers per batch handed out
+	)
 	for i := 0; i < depth; i++ {
 		for d := 0; d < dupes; d++ {
 			wg.Add(1)
@@ -130,10 +146,37 @@ func TestPrefetcherDuplicateInFlightShared(t *testing.T) {
 				if c.Rows() != 4 || len(y) != 4 {
 					t.Errorf("batch %d: rows=%d labels=%d", i, c.Rows(), len(y))
 				}
+				mu.Lock()
+				handed[c]++
+				mu.Unlock()
 			}(i)
 		}
 	}
 	wg.Wait()
+	// A shared batch is recycled only when its last consumer releases it:
+	// every release before that leaves it intact and counts nothing.
+	for c, consumers := range handed {
+		want := c.Decode()
+		for k := 1; k < consumers; k++ {
+			pf.Release(c)
+		}
+		if got := recycled(pf); got != 0 {
+			t.Fatalf("%d batches recycled before their last consumer released", got)
+		}
+		if !c.Decode().Equal(want) {
+			t.Fatal("a batch changed before its last consumer released it")
+		}
+		pf.Release(c)
+		if got := recycled(pf); got != 1 {
+			t.Fatalf("recycled = %d after the last of %d consumers released, want 1", got, consumers)
+		}
+		pf.mu.Lock()
+		pf.recycled = 0
+		pf.mu.Unlock()
+	}
+	if len(handed) < depth {
+		t.Errorf("%d distinct batches handed out for %d indices", len(handed), depth)
+	}
 	// The wrap-around window may legitimately re-prefetch consumed batches,
 	// but duplicate callers must never add synchronous reads on top: without
 	// sharing, up to depth*(dupes-1) extra reads would show up here.
@@ -452,4 +495,138 @@ func TestPrefetcherCloseWithReadsInFlight(t *testing.T) {
 		t.Errorf("second Close: %v", err)
 	}
 	pf.Request(0)
+}
+
+// Release recycles only a prefetched visit, and each at most once: a
+// resident batch, a synchronous miss, a wrapper around a prefetched
+// batch, a foreign value and a second release of one visit are no-ops,
+// before Close and after it.
+func TestPrefetcherReleaseRecyclesOnlyItsOwnVisits(t *testing.T) {
+	const n = 6
+	x := matrix.NewDense(4, 6)
+	for i := 0; i < 4; i++ {
+		x.Set(i, i, float64(i+1))
+	}
+	// The budget keeps exactly the first batch resident.
+	st, err := NewStore(t.TempDir(), "TOC", int64(formats.MustGet("TOC")(x).CompressedSize()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for b := 0; b < n; b++ {
+		if err := st.Add(x, []float64{0, 1, 0, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !st.Resident(0) || st.Resident(1) {
+		t.Fatal("want batch 0 resident and the rest spilled")
+	}
+	pf := NewPrefetcher(st, 2, 1) // primes batches 1 and 2
+	defer pf.Close()
+
+	noop := func(what string, c formats.CompressedMatrix) {
+		t.Helper()
+		pf.Release(c)
+		if got := recycled(pf); got != 0 {
+			t.Fatalf("releasing %s recycled %d batches", what, got)
+		}
+	}
+	resident, _ := pf.Batch(0)
+	noop("a resident batch", resident)
+	if !resident.Decode().Equal(x) {
+		t.Fatal("releasing a resident batch changed it")
+	}
+	miss, _ := pf.Batch(5) // outside the window: a synchronous read
+	if ps := pf.Stats(); ps.Misses != 1 {
+		t.Fatalf("batch 5 was not a miss: %+v", ps)
+	}
+	noop("a synchronous miss", miss)
+	if !miss.Decode().Equal(x) {
+		t.Fatal("releasing a miss changed it")
+	}
+	hit, _ := pf.Batch(1)
+	noop("a wrapper", struct{ formats.CompressedMatrix }{hit})
+	noop("a foreign, incomparable value", struct {
+		formats.CompressedMatrix
+		tag []int
+	}{hit, nil})
+	noop("nil", nil)
+	if !hit.Decode().Equal(x) {
+		t.Fatal("a no-op release changed the batch")
+	}
+	pf.Release(hit)
+	if got := recycled(pf); got != 1 {
+		t.Fatalf("releasing a prefetched visit recycled %d batches, want 1", got)
+	}
+	pf.Release(hit)
+	if got := recycled(pf); got != 1 {
+		t.Fatalf("a second release recycled again: %d", got)
+	}
+	late, _ := pf.Batch(2)
+	if err := pf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pf.Release(late)
+	pf.Release(late)
+	if got := recycled(pf); got != 2 {
+		t.Fatalf("releasing after Close recycled %d batches in all, want 2", got)
+	}
+}
+
+// A visit to a fully spilled store — Batch, Grad, Release, the way every
+// training loop steps — allocates next to nothing once the recycled
+// memory has settled: the prefetcher's entry and its done channel, and
+// not the batch, its read buffer or anything the gradient needs.
+func TestSpilledVisitAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one P, one pool shard
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collection empties the pools mid-run
+	const rows, n = 250, 16
+	d, err := data.Generate("imagenet", rows*n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(t.TempDir(), "TOC", 0) // nothing fits: every batch spills
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < n; i++ {
+		x, y := d.Batch(i, rows)
+		if err := st.Add(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pf := NewPrefetcher(st, 4, 1)
+	defer pf.Close()
+	m := ml.NewLogReg(d.X.Cols())
+	g := make([]float64, m.NumParams())
+	lap := func() {
+		for i := 0; i < n; i++ {
+			x, y := pf.Batch(i)
+			m.Grad(x, y, g)
+			pf.Release(x)
+		}
+	}
+	lap()
+	lap() // the recycled memory has met every batch once
+	const laps = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < laps; k++ {
+		lap()
+	}
+	runtime.ReadMemStats(&after)
+	visits := float64(laps * n)
+	mallocs := float64(after.Mallocs-before.Mallocs) / visits
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / visits
+	t.Logf("%.2f allocations, %.0f B per visit", mallocs, bytes)
+	if mallocs > 3 || bytes > 1024 {
+		t.Errorf("a spilled visit allocates %.2f objects and %.0f B; want at most 3 and 1 KB", mallocs, bytes)
+	}
+	if ps := pf.Stats(); ps.Misses != 0 {
+		t.Errorf("the steady state missed %d times: %+v", ps.Misses, ps)
+	}
 }

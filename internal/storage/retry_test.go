@@ -199,7 +199,7 @@ func TestCanceledReadWrapsErrReadCanceled(t *testing.T) {
 	cancel := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.batch(0, cancel)
+		_, _, _, err := s.batch(0, cancel)
 		done <- err
 	}()
 	// Give the read time to fail once and enter its hour-long backoff.

@@ -384,9 +384,10 @@ func (s *Store) ShardOf(i int) int {
 // the historical loud-failure contract for callers that treat disk
 // corruption as a programming/environment error. Use TryBatch to
 // observe the failure as an error instead. Safe for concurrent use once
-// loading is done.
+// loading is done. A spilled batch it returns is the caller's, and is
+// left to the garbage collector; only the Prefetcher recycles reads.
 func (s *Store) Batch(i int) (formats.CompressedMatrix, []float64) {
-	c, y, err := s.batch(i, nil)
+	c, y, _, err := s.batch(i, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -397,16 +398,46 @@ func (s *Store) Batch(i int) (formats.CompressedMatrix, []float64) {
 // that exhausts the retry policy returns a *ReadError (wrapping the
 // last attempt's cause) instead of panicking.
 func (s *Store) TryBatch(i int) (formats.CompressedMatrix, []float64, error) {
-	return s.batch(i, nil)
+	c, y, _, err := s.batch(i, nil)
+	return c, y, err
+}
+
+// recycler is a decoded batch that can hand its memory back for a later
+// read: core.Batch's Recycle, which formats.TOC carries. Once it has, the
+// read buffer the batch aliases is free as well. Both implementations
+// are pointer-shaped, so batches compare by identity.
+type recycler interface{ Recycle() }
+
+// readBufs holds spilled-read buffers for reuse. A buffer goes back when
+// nothing aliases it: at once when its read fails, and with the batch
+// decoded from it when that batch is recycled (Prefetcher.Release).
+var readBufs sync.Pool
+
+// readBuf returns a buffer of at least n bytes from readBufs. One that is
+// too small is replaced by one of the capacity its allocation holds
+// anyway — whole pages, for a batch's image — which lets it take a
+// slightly longer span next time.
+func readBuf(n int) *[]byte {
+	bp, _ := readBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if cap(*bp) < n {
+		*bp = append([]byte(nil), make([]byte, n)...)
+	}
+	return bp
 }
 
 // batch loads mini-batch i, retrying transient spilled-read failures
 // under the store's RetryPolicy with seeded exponential backoff. cancel
 // (may be nil) interrupts a backoff sleep — the Prefetcher closes it so
-// its readers do not serve out a long retry schedule after Close.
-func (s *Store) batch(i int, cancel <-chan struct{}) (formats.CompressedMatrix, []float64, error) {
+// its readers do not serve out a long retry schedule after Close. For a
+// spilled batch that can be recycled it also returns the read buffer the
+// batch aliases; otherwise that result is nil, and the buffer is the
+// collector's.
+func (s *Store) batch(i int, cancel <-chan struct{}) (formats.CompressedMatrix, []float64, *[]byte, error) {
 	if c := s.resident[i]; c != nil {
-		return c, s.labels[i], nil
+		return c, s.labels[i], nil, nil
 	}
 	start := time.Now()
 	sp := s.spans[i]
@@ -414,14 +445,14 @@ func (s *Store) batch(i int, cancel <-chan struct{}) (formats.CompressedMatrix, 
 	attempts := 0
 	for attempt := 1; attempt <= s.retry.Attempts; attempt++ {
 		attempts = attempt
-		c, err := s.readSpilled(i)
+		c, buf, err := s.readSpilled(i)
 		if err == nil {
 			s.mu.Lock()
 			s.stats.Reads++
 			s.stats.BytesRead += sp.length
 			s.stats.ReadTime += time.Since(start)
 			s.mu.Unlock()
-			return c, s.labels[i], nil
+			return c, s.labels[i], buf, nil
 		}
 		last = err
 		if attempt == s.retry.Attempts {
@@ -440,7 +471,7 @@ func (s *Store) batch(i int, cancel <-chan struct{}) (formats.CompressedMatrix, 
 	s.stats.FailedReads++
 	s.stats.ReadTime += time.Since(start)
 	s.mu.Unlock()
-	return nil, nil, &ReadError{Batch: i, Shard: sp.shard, Attempts: attempts, Err: last}
+	return nil, nil, nil, &ReadError{Batch: i, Shard: sp.shard, Attempts: attempts, Err: last}
 }
 
 // readSpilled performs one attempt at reading and decoding spilled
@@ -449,19 +480,27 @@ func (s *Store) batch(i int, cancel <-chan struct{}) (formats.CompressedMatrix, 
 // store reserves nothing and never sleeps. Any failure — a short or
 // errored ReadAt, a CRC mismatch, a decode error, or an armed
 // storage.read.* faultpoint — is returned for the retry loop in batch
-// to absorb or surface.
-func (s *Store) readSpilled(i int) (formats.CompressedMatrix, error) {
+// to absorb or surface. The bytes are read into a buffer from readBufs,
+// which goes back on a failure; on success it is returned when the
+// decoded batch aliases it and can be recycled, and nil otherwise.
+func (s *Store) readSpilled(i int) (c formats.CompressedMatrix, bp *[]byte, err error) {
 	sp := s.spans[i]
 	done := s.disk.reserve(time.Now(), sp.shard, sp.length)
-	buf := make([]byte, sp.length)
+	bp = readBuf(int(sp.length))
+	defer func() {
+		if err != nil {
+			readBufs.Put(bp) // nothing decoded from it survives
+		}
+	}()
+	buf := (*bp)[:sp.length:sp.length]
 	// storage.read.error models a transient device-level read fault (an
 	// EIO a re-read clears). It sits in front of the real read so the
 	// retry loop sees exactly what a flaky disk produces.
 	if err := faultpoint.Err("storage.read.error"); err != nil {
-		return nil, fmt.Errorf("storage: read spilled batch %d: %w", i, err)
+		return nil, nil, fmt.Errorf("storage: read spilled batch %d: %w", i, err)
 	}
 	if _, err := s.shards[sp.shard].file.ReadAt(buf, sp.off); err != nil {
-		return nil, fmt.Errorf("storage: read spilled batch %d: %w", i, err)
+		return nil, nil, fmt.Errorf("storage: read spilled batch %d: %w", i, err)
 	}
 	if wait := time.Until(done); wait > 0 {
 		time.Sleep(wait)
@@ -474,13 +513,15 @@ func (s *Store) readSpilled(i int) (formats.CompressedMatrix, error) {
 		got = ^got
 	}
 	if got != sp.crc {
-		return nil, fmt.Errorf("storage: spilled batch %d failed CRC (stored %08x, read %08x): corrupt shard file", i, sp.crc, got)
+		return nil, nil, fmt.Errorf("storage: spilled batch %d failed CRC (stored %08x, read %08x): corrupt shard file", i, sp.crc, got)
 	}
-	c, err := s.codec.Decode(buf)
-	if err != nil {
-		return nil, fmt.Errorf("storage: decode spilled batch %d: %w", i, err)
+	if c, err = s.codec.Decode(buf); err != nil {
+		return nil, nil, fmt.Errorf("storage: decode spilled batch %d: %w", i, err)
 	}
-	return c, nil
+	if _, ok := c.(recycler); !ok {
+		return c, nil, nil // its decoder may alias buf: the buffer is the collector's
+	}
+	return c, bp, nil
 }
 
 // Stats returns a snapshot of layout and IO counters.

@@ -256,7 +256,10 @@ func NewStore(dir, method string, budgetBytes int64, opts ...StoreOption) (*Stor
 // Its reader pool is split across the store's spill shards, so sharded
 // stores serve truly concurrent reads. Engine.NewPrefetcher and
 // AsyncEngine.NewPrefetcher size one from the worker pool and optionally
-// bound its window by compressed bytes.
+// bound its window by compressed bytes. Every training loop releases a
+// batch once its gradient is done, and the prefetcher then reuses the
+// batch's memory for a later read; a caller of Batch may do the same
+// with Release.
 type Prefetcher = storage.Prefetcher
 
 // ---- Fault tolerance: checkpoint/resume and crash-safe spill recovery ----
