@@ -9,8 +9,8 @@
 //	toctrain -dataset mnist -model lr -budget 500000 -workers 8
 //	toctrain -dataset mnist -model lr -budget 500000 -workers 8 \
 //	    -spill-shards 4 -seek 2ms
-//	toctrain -dataset mnist -model lr -workers 8 -async -staleness 8
-//	toctrain -dataset mnist -model lr -workers 8 -async -elastic 200:+4,500:-2
+//	toctrain -dataset mnist -model lr -workers 8 -group 1 -staleness 8 \
+//	    -elastic 200:+4,500:-2
 //
 // Under -budget a batch stays resident iff it fits the budget left when
 // it arrives; every epoch visits the batches in ingest order. The spill
@@ -22,42 +22,29 @@
 // a shard and overlaps across shards, and -prefetch-bytes bounds the
 // prefetch window by compressed bytes.
 //
-// Every local run goes through an engine: ingest compression is sharded
-// across the pool, training is data-parallel with deterministic gradient
-// merging, and spilled batches are read by the async prefetcher ahead of
-// the loop. -workers 1 runs the serial schedule, one batch gradient per
-// parameter update, with or without -checkpoint-dir. With -workers N
-// (N != 1) the engine merges -group batch gradients per update, so its
-// loss trajectory differs from the serial one (it depends on -group,
-// never on -workers); -group 1 reproduces it exactly. Workers left over
-// after the group's slots shard the matrix kernels inside each gradient
-// — A·M and M·A split by panel run, bitwise identical to the sequential
-// ones — and the vector kernels A·v and v·A never shard, so "-workers 8
-// -group 1" walks the serial trajectory on all eight cores for -model
-// nn and on one for lr, svm and linreg. Each gradient also shares one
-// decode-tree build across its kernels (KernelPlan); the run prints the
-// build counter so the amortization is visible.
+// Every local run goes through the engine: ingest compression is sharded
+// across the pool, spilled batches are read by the prefetcher ahead of
+// the loop, and -group and -staleness alone select the training regime.
+// -workers 1 runs the serial schedule, one batch gradient per update.
+// With -workers N (N != 1) each update merges -group batch gradients in
+// batch order, so the trajectory depends on -group, never on -workers;
+// -group 1 reproduces the serial one exactly. Workers left over after the
+// in-flight gradients shard the matrix kernels A·M and M·A inside each
+// gradient (bitwise identical to the sequential ones; A·v and v·A never
+// shard), and each gradient shares one decode-tree build across its
+// kernels — the run prints the build counter.
 //
-// With -async the bounded-staleness engine replaces the group steps:
-// every mini-batch gradient is its own parameter update, applied in
-// visit order by the training loop, which admits a gradient only if its
-// parameter snapshot missed at most -staleness updates. There is no
-// merge barrier, so one slow batch never idles the other workers;
-// -staleness 0 walks the serial trajectory bitwise and -staleness -1
-// free-runs Hogwild-style. The run prints the update count, the
-// refused-gradient count (always 0: no worker computes outside the bound)
-// and the observed staleness.
-//
-// The async pool is elastic and fault tolerant: -elastic applies a
-// join/leave schedule ("200:+4,500:-2" adds four workers after 200
-// updates and removes two after 500; such runs use delayed gradients so
-// the schedule never changes the trajectory), crashed workers are
-// replaced within -restart-budget replacements per
-// -restart-window (degrading the pool past it, failing loudly with the
-// panic chain once no workers remain), and spilled-batch reads retry
-// transient failures with -read-retries attempts backing off from
-// -retry-base. The run prints the join/departure, panic/restart and
-// storage retry counters.
+// -staleness N (default 0) admits a gradient whose parameter version
+// missed at most N updates, so with -group 1 one slow batch never idles
+// the other workers; -staleness 0 freezes the parameters for the whole
+// step and -1 free-runs Hogwild-style. The pool is elastic (-elastic
+// "200:+4,500:-2" adds four workers after 200 updates and removes two
+// after 500; such runs use delayed gradients, so the schedule never
+// changes the trajectory) and fault tolerant: crashed workers are
+// replaced within -restart-budget replacements per -restart-window, and
+// spilled reads retry transient failures (-read-retries, -retry-base).
+// The run prints the update, refused-gradient (always 0), staleness,
+// membership, crash and retry counters.
 package main
 
 import (
@@ -95,12 +82,11 @@ var (
 	workers    = flag.Int("workers", 1, "worker pool size; 1 runs the serial schedule (0 = GOMAXPROCS)")
 	prefetch   = flag.Int("prefetch", 16, "spill prefetch window depth in batches")
 	prefBytes  = flag.Int64("prefetch-bytes", 0, "bound the prefetch window by compressed bytes instead of only batch count (0 = off)")
-	group      = flag.Int("group", 8, "with -workers != 1: batch gradients merged per update; changes the update schedule vs serial (1 = serial-equivalent trajectory, with all workers sharding each gradient's matrix kernels: -model nn only)")
-	async      = flag.Bool("async", false, "train with the asynchronous bounded-staleness engine instead of synchronous group steps")
-	staleness  = flag.Int("staleness", 8, "async mode: max parameter updates a gradient's snapshot may miss (0 = bitwise-serial trajectory, -1 = unbounded Hogwild-style free-running)")
-	elastic    = flag.String("elastic", "", "async mode: worker join/leave schedule as step:±delta pairs, e.g. 200:+4,500:-2")
-	restartBud = flag.Int("restart-budget", 0, "async mode: crashed-worker replacements allowed per -restart-window (0 = default, negative = never replace)")
-	restartWin = flag.Duration("restart-window", 0, "async mode: sliding window the restart budget counts replacements in (0 = default)")
+	group      = flag.Int("group", 8, "with -workers != 1: batch gradients merged per update; changes the update schedule vs serial (1 = serial-equivalent trajectory at -staleness 0, with all workers sharding each gradient's matrix kernels: -model nn only)")
+	staleness  = flag.Int("staleness", 0, "max parameter updates a gradient's version may trail its step (0 = parameters frozen per step, -1 = unbounded Hogwild-style free-running); with -dist, the server's admission bound")
+	elastic    = flag.String("elastic", "", "local runs: worker join/leave schedule as step:±delta pairs, e.g. 200:+4,500:-2")
+	restartBud = flag.Int("restart-budget", 0, "local runs: crashed-worker replacements allowed per -restart-window (0 = default, negative = never replace)")
+	restartWin = flag.Duration("restart-window", 0, "local runs: sliding window the restart budget counts replacements in (0 = default)")
 	readRetry  = flag.Int("read-retries", 0, "spilled-read attempts before a read fails permanently (0 = store default)")
 	retryBase  = flag.Duration("retry-base", 0, "initial spilled-read retry backoff, doubled per attempt with seeded jitter (0 = store default)")
 	spillShard = flag.Int("spill-shards", 0, "number of spill files, read concurrently by the prefetcher (0 = one, or one per -spill-dirs entry)")
@@ -115,15 +101,6 @@ var (
 	linkMbps   = flag.Float64("link-mbps", 0, "dist mode: simulated symmetric link bandwidth in Mbit/s (0 = unmetered)")
 )
 
-// frontEnd is what a local run needs of its engine; toc.Engine and
-// toc.AsyncEngine both provide it.
-type frontEnd interface {
-	FillStore(st *toc.Store, d *toc.Dataset, batchSize int) error
-	NewPrefetcher(st *toc.Store, depth int, maxBytes int64) *toc.Prefetcher
-	TrainFrom(m toc.Model, src toc.BatchSource, epochs int, lr float64, cb toc.EpochCallback, resume *toc.CheckpointState) (*toc.TrainResult, error)
-	Halt()
-}
-
 // paramsCRC fingerprints a model's flat parameter vector so two runs can
 // be compared for bitwise identity from their output alone.
 func paramsCRC(m toc.Model) uint32 {
@@ -134,6 +111,14 @@ func paramsCRC(m toc.Model) uint32 {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(p))
 	}
 	return crc32.ChecksumIEEE(buf)
+}
+
+// boundName prints -staleness, whose negative values all mean no bound.
+func boundName() string {
+	if *staleness < 0 {
+		return "unbounded"
+	}
+	return fmt.Sprint(*staleness)
 }
 
 // haltOnSignal makes SIGINT/SIGTERM halt the run after the in-flight
@@ -188,16 +173,12 @@ func runDist(d *toc.Dataset, ckpt *toc.CheckpointWriter, resume *toc.CheckpointS
 		haltOnSignal(srv.Halt)
 	}
 
-	bound := "unbounded"
-	if *staleness >= 0 {
-		bound = fmt.Sprint(*staleness)
-	}
 	linkDesc := "unmetered link"
 	if link != nil {
 		linkDesc = fmt.Sprintf("%.0f Mbit/s link", *linkMbps)
 	}
 	fmt.Printf("dist: %d trainers, codec %s, staleness %s, %s, %d batches/epoch\n",
-		*distN, codec.Name(), bound, linkDesc, src.NumBatches())
+		*distN, codec.Name(), boundName(), linkDesc, src.NumBatches())
 
 	// Trainers are goroutines dialing real TCP connections; a trainer
 	// model is a fresh clone (the Join handshake overwrites its
@@ -261,24 +242,23 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *resumeRun && *ckptDir == "" {
-		log.Fatal("-resume needs -checkpoint-dir")
+	for _, rule := range []struct {
+		refused bool
+		msg     string
+	}{
+		{*resumeRun && *ckptDir == "", "-resume needs -checkpoint-dir"},
+		{*distN > 0 && *elastic != "", "-elastic needs a local run: the parameter server has no worker pool to resize"},
+		{*distN > 0 && (*restartBud != 0 || *restartWin != 0), "-restart-budget and -restart-window need a local run: the parameter server replaces no workers"},
+		{*distN == 0 && (*codecSpec != "dense" || *linkMbps != 0), "-codec and -link-mbps need -dist"},
+		{*bandwidth < 0 || *seek < 0 || !(*linkMbps >= 0), "-bw, -seek and -link-mbps must not be negative (0 = off)"},
+	} {
+		if rule.refused {
+			log.Fatal(rule.msg)
+		}
 	}
 	elasticEvents, err := toc.ParseElasticSchedule(*elastic)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if len(elasticEvents) > 0 && !*async {
-		log.Fatal("-elastic needs -async: only the bounded-staleness engine resizes mid-run")
-	}
-	if *distN > 0 && *async {
-		log.Fatal("-dist and -async are exclusive: the parameter server replaces the local async engine")
-	}
-	if *distN == 0 && (*codecSpec != "dense" || *linkMbps != 0) {
-		log.Fatal("-codec and -link-mbps need -dist")
-	}
-	if *bandwidth < 0 || *seek < 0 || !(*linkMbps >= 0) {
-		log.Fatal("-bw, -seek and -link-mbps must not be negative (0 = off)")
 	}
 
 	d, err := toc.GenerateDataset(*dataset, *rows, *seed)
@@ -368,41 +348,21 @@ func main() {
 	}
 	defer store.Close()
 
-	var fe frontEnd
-	var aeng *toc.AsyncEngine
-	var header string
-	if *async {
-		aeng = toc.NewAsyncEngine(toc.AsyncConfig{
-			Workers: *workers, Staleness: *staleness, Seed: *seed,
-			Deterministic: ckpt != nil || len(elasticEvents) > 0,
-			RestartBudget: *restartBud, RestartWindow: *restartWin,
-			Checkpoint: ckpt, CheckpointEvery: *ckptEvery,
-		})
-		if len(elasticEvents) > 0 {
-			aeng.SetOnStep(aeng.ElasticHook(elasticEvents, nil))
-		}
-		bound := "unbounded"
-		if aeng.Staleness() >= 0 {
-			bound = fmt.Sprint(aeng.Staleness())
-		}
-		fe = aeng
-		header = fmt.Sprintf("async engine: %d workers, staleness %s, kernel workers %d",
-			aeng.Workers(), bound, aeng.KernelWorkers())
-	} else {
-		g := 1 // the serial schedule
-		if *workers != 1 {
-			g = *group
-		}
-		eng := toc.NewEngine(toc.EngineConfig{
-			Workers: *workers, GroupSize: g, Seed: *seed,
-			Checkpoint: ckpt, CheckpointEvery: *ckptEvery,
-		})
-		fe = eng
-		header = fmt.Sprintf("engine: %d workers, group %d, kernel workers %d",
-			eng.Workers(), eng.GroupSize(), eng.KernelWorkers(d.NumBatches(*batchSize)))
+	g := 1 // the serial schedule
+	if *workers != 1 {
+		g = *group
+	}
+	eng := toc.NewEngine(toc.EngineConfig{
+		Workers: *workers, GroupSize: g, Staleness: *staleness, Seed: *seed,
+		Deterministic: ckpt != nil || len(elasticEvents) > 0,
+		RestartBudget: *restartBud, RestartWindow: *restartWin,
+		Checkpoint: ckpt, CheckpointEvery: *ckptEvery,
+	})
+	if len(elasticEvents) > 0 {
+		eng.SetOnStep(eng.ElasticHook(elasticEvents, nil))
 	}
 	if !recovered {
-		if err := fe.FillStore(store, d, *batchSize); err != nil {
+		if err := eng.FillStore(store, d, *batchSize); err != nil {
 			log.Fatal(err)
 		}
 		if manifest != "" {
@@ -412,7 +372,7 @@ func main() {
 		}
 	}
 	if ckpt != nil {
-		haltOnSignal(fe.Halt)
+		haltOnSignal(eng.Halt)
 	}
 	st := store.Stats()
 	fmt.Printf("%s %dx%d as %s: %d batches, %d resident (%d KB), %d spilled (%d KB)\n",
@@ -427,29 +387,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pf := fe.NewPrefetcher(store, *prefetch, *prefBytes)
+	pf := eng.NewPrefetcher(store, *prefetch, *prefBytes)
 	defer pf.Close()
-	fmt.Printf("%s, prefetch depth %d (byte budget %d)\n", header, *prefetch, *prefBytes)
+	fmt.Printf("engine: %d workers, group %d, staleness %s, kernel workers %d, prefetch depth %d (byte budget %d)\n",
+		eng.Workers(), eng.GroupSize(), boundName(), eng.KernelWorkers(store.NumBatches()), *prefetch, *prefBytes)
 	fmt.Println("epoch  loss      elapsed_ms")
 	cb := func(e int, elapsed time.Duration, loss float64) {
 		fmt.Printf("%5d  %.6f  %10.1f\n", e+1, loss, elapsed.Seconds()*1e3)
 	}
 	treeBuilds := toc.DecodeTreeBuilds()
-	res, err := fe.TrainFrom(model, pf, *epochs, *lr, cb, resumeState)
+	res, err := eng.TrainFrom(model, pf, *epochs, *lr, cb, resumeState)
 	halted := errors.Is(err, toc.ErrHalted)
 	if err != nil && !halted {
 		log.Fatal(err)
 	}
-	if aeng != nil {
-		as := aeng.Stats()
-		fmt.Printf("async: %d updates, %d rejected, staleness max %d mean %.2f\n",
-			as.Updates, as.Rejected, as.MaxStaleness, as.MeanStaleness())
-		fmt.Printf("elastic: %d joined, %d departed, final pool %d\n",
-			as.Joined, as.Departed,
-			int64(aeng.Workers())+as.Joined-as.Departed-as.Degraded)
-		fmt.Printf("crash recovery: %d worker panics, %d restarts, %d degraded\n",
-			as.WorkerPanics, as.Restarts, as.Degraded)
-	}
+	es := eng.Stats()
+	fmt.Printf("loop: %d updates, %d rejected, staleness max %d mean %.2f\n",
+		es.Updates, es.Rejected, es.MaxStaleness, es.MeanStaleness())
+	fmt.Printf("elastic: %d joined, %d departed, final pool %d\n",
+		es.Joined, es.Departed, int64(eng.Workers())+es.Joined-es.Departed-es.Degraded)
+	fmt.Printf("crash recovery: %d worker panics, %d restarts, %d degraded\n",
+		es.WorkerPanics, es.Restarts, es.Degraded)
 	treeBuilds = toc.DecodeTreeBuilds() - treeBuilds
 	st = store.Stats()
 	fmt.Printf("total %.1fms (IO %.1fms, %d spilled reads), final error %.3f\n",

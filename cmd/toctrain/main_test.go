@@ -64,7 +64,7 @@ func TestSigtermHaltsWithCheckpointAndResumeMatches(t *testing.T) {
 	// Slowed run, killed by SIGTERM mid-training.
 	dir := t.TempDir()
 	cmd := exec.Command(bin, append(args,
-		"-checkpoint-dir", dir, "-faultpoint", "engine.sync.applied=delay:200ms")...)
+		"-checkpoint-dir", dir, "-faultpoint", "engine.local.applied=delay:200ms")...)
 	var buf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &buf, &buf
 	if err := cmd.Start(); err != nil {
@@ -124,8 +124,8 @@ func TestCrashFaultpointThenResumeMatches(t *testing.T) {
 }
 
 // A single dense trainer behind the parameter server must walk the
-// exact trajectory of the local async engine: same final params CRC as
-// "-async -workers 1" at the same staleness bound.
+// exact trajectory of the local engine: same final params CRC as
+// "-workers 1" at the same staleness bound.
 func TestDistSingleDenseMatchesAsyncCRC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -135,11 +135,11 @@ func TestDistSingleDenseMatchesAsyncCRC(t *testing.T) {
 		"-dataset", "mnist", "-rows", "400", "-model", "lr",
 		"-epochs", "3", "-seed", "11", "-staleness", "0",
 	}
-	local := runToctrain(t, bin, append(args, "-async", "-workers", "1")...)
+	local := runToctrain(t, bin, append(args, "-workers", "1")...)
 	dist := runToctrain(t, bin, append(args, "-dist", "1")...)
 	lc, dc := paramsCRCOf(t, local), paramsCRCOf(t, dist)
 	if lc != dc {
-		t.Fatalf("dist dense CRC %s, local async CRC %s (not bitwise identical)", dc, lc)
+		t.Fatalf("dist dense CRC %s, local CRC %s (not bitwise identical)", dc, lc)
 	}
 	if !strings.Contains(dist, "0 rejected") {
 		t.Fatalf("single dense trainer saw rejections:\n%s", dist)
@@ -202,21 +202,32 @@ func TestDistTrainerCrashRunCompletes(t *testing.T) {
 	}
 }
 
-// A negative simulated-hardware rating is a typo, not "off": it must be
-// refused at flag validation, before any data is generated.
+// Every refused flag combination fails at flag validation, before any
+// data is generated, with the message that names the rule: a negative
+// simulated-hardware rating is a typo, not "off", and a flag that only
+// one kind of run reads is refused on the other.
 func TestNegativeBandwidthLatencyAndLinkRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
 	}
 	bin := buildBinary(t)
-	for _, args := range [][]string{
-		{"-bw", "-1"},
-		{"-seek", "-2ms"},
-		{"-dist", "2", "-link-mbps", "-200"},
+	for _, row := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-bw", "-1"}, "must not be negative"},
+		{[]string{"-seek", "-2ms"}, "must not be negative"},
+		{[]string{"-dist", "2", "-link-mbps", "-200"}, "must not be negative"},
+		{[]string{"-resume"}, "-resume needs -checkpoint-dir"},
+		{[]string{"-codec", "topk:0.01"}, "-codec and -link-mbps need -dist"},
+		{[]string{"-link-mbps", "100"}, "-codec and -link-mbps need -dist"},
+		{[]string{"-dist", "2", "-elastic", "5:+1"}, "-elastic needs a local run"},
+		{[]string{"-dist", "2", "-restart-budget", "3"}, "-restart-budget and -restart-window need a local run"},
+		{[]string{"-dist", "2", "-restart-window", "1s"}, "-restart-budget and -restart-window need a local run"},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err == nil || !strings.Contains(string(out), "must not be negative") {
-			t.Errorf("toctrain %v = %v, want a flag-validation failure:\n%s", args, err, out)
+		out, err := exec.Command(bin, row.args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), row.msg) {
+			t.Errorf("toctrain %v = %v, want a flag-validation failure naming %q:\n%s", row.args, err, row.msg, out)
 		}
 	}
 }

@@ -120,7 +120,10 @@ func ExampleNewEngine() {
 			panic(err)
 		}
 		eng := toc.NewEngine(toc.EngineConfig{Workers: workers, GroupSize: 4})
-		res := eng.Train(model, src, 4, 0.5, nil)
+		res, err := eng.Train(model, src, 4, 0.5, nil)
+		if err != nil {
+			panic(err)
+		}
 		return res.EpochLoss[3]
 	}
 	fmt.Println("workers=1 == workers=8:", train(1) == train(8))
@@ -128,15 +131,14 @@ func ExampleNewEngine() {
 	// workers=1 == workers=8: true
 }
 
-// ExampleNewAsyncEngine is the `toctrain -async` path as library code:
-// asynchronous bounded-staleness training, where workers pull batch
-// positions from the training loop, which applies each gradient only if
-// its parameter snapshot missed at most Staleness updates. There is no
-// merge barrier, so a slow batch never idles the other workers — and at
-// Staleness 0 every gradient is computed at exactly the version it is
-// applied to, reproducing the serial trajectory bitwise for any worker
-// count.
-func ExampleNewAsyncEngine() {
+// ExampleNewEngine_staleness is `toctrain -group 1 -staleness N` as
+// library code: every gradient is its own update, and the training loop
+// applies it only if its parameter version missed at most Staleness
+// updates. Under a positive bound there is no step barrier, so a slow
+// batch never idles the other workers — and at Staleness 0 every
+// gradient is computed at exactly the version it is applied to,
+// reproducing the serial trajectory bitwise for any worker count.
+func ExampleNewEngine_staleness() {
 	d, err := toc.GenerateDataset("census", 400, 1)
 	if err != nil {
 		panic(err)
@@ -150,12 +152,12 @@ func ExampleNewAsyncEngine() {
 	}
 	serial := toc.Train(model, src, 3, 0.5, nil) // the reference trajectory
 
-	async, err := toc.NewModel("lr", d.X.Cols(), d.Classes, 1, 3)
+	bounded, err := toc.NewModel("lr", d.X.Cols(), d.Classes, 1, 3)
 	if err != nil {
 		panic(err)
 	}
-	eng := toc.NewAsyncEngine(toc.AsyncConfig{Workers: 8, Staleness: 0})
-	res, err := eng.Train(async, src, 3, 0.5, nil)
+	eng := toc.NewEngine(toc.EngineConfig{Workers: 8, GroupSize: 1, Staleness: 0})
+	res, err := eng.Train(bounded, src, 3, 0.5, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -101,9 +101,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("sharded store batch %d round trip mismatch", i)
 		}
 	}
-	// The async surface: the bounded-staleness engine trains, and the
-	// staleness bound holds.
-	aeng := NewAsyncEngine(AsyncConfig{Workers: 4, Staleness: 2})
+	// Bounded staleness: the engine trains at steps of one under bound 2,
+	// and the bound holds.
+	aeng := NewEngine(EngineConfig{Workers: 4, GroupSize: 1, Staleness: 2})
 	am, err := NewModel("lr", d.X.Cols(), d.Classes, 1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -113,9 +113,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ares.EpochLoss) != 2 {
-		t.Fatalf("async epochs = %d", len(ares.EpochLoss))
+		t.Fatalf("bounded-staleness epochs = %d", len(ares.EpochLoss))
 	}
 	if st := aeng.Stats(); st.MaxStaleness > 2 || st.Updates != int64(2*src.NumBatches()) {
-		t.Fatalf("async stats out of contract: %+v", st)
+		t.Fatalf("bounded-staleness stats out of contract: %+v", st)
 	}
 }

@@ -2,11 +2,11 @@
 // behind the repo's crash/resume guarantee: a State captures everything
 // the engines need to continue a run's exact trajectory — the model's
 // flat parameter vector, the position inside the epoch schedule (epoch,
-// batch position, async clock), the partially-accumulated epoch loss,
-// the run configuration whose mismatch would silently fork the
-// trajectory (seed, group size, staleness bound, learning rate), and the
-// async engine's staleness frontier (the archived parameter versions its
-// delayed-gradient mode replays from).
+// batch position, clock), the partially-accumulated epoch loss, the run
+// configuration whose mismatch would silently fork the trajectory (seed,
+// group size, staleness bound, learning rate), and the staleness
+// frontier (the archived parameter versions delayed-gradient mode
+// replays from).
 //
 // The visit order needs no bytes of its own: every epoch visits the
 // batches in ingest order, so the position is the whole cursor.
@@ -34,25 +34,27 @@ import (
 	"toc/internal/faultpoint"
 )
 
-// Kind says which engine wrote a checkpoint; resuming with the other
-// engine is a validation error, not a silent trajectory fork.
+// Kind says which front end wrote a checkpoint; resuming with the other
+// one is a validation error, not a silent trajectory fork.
 type Kind uint8
 
 const (
-	// KindSync is the synchronous group-step engine.
-	KindSync Kind = 1
-	// KindAsync is the bounded-staleness async engine.
-	KindAsync Kind = 2
-	// KindDist is the distributed parameter server (internal/dist).
+	// KindLocal is the in-process engine (internal/engine), for every
+	// group size and staleness bound.
+	KindLocal Kind = 1
+	// KindDist is the distributed parameter server (internal/dist). Kind
+	// 2 is unassigned: Decode refuses it as unknown.
 	KindDist Kind = 3
+
+	// KindAsync exists only because the frozen benchmark/layers.go spells
+	// it; item 1's benchmark PR renames its use and deletes this line.
+	KindAsync = KindLocal
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindSync:
-		return "sync"
-	case KindAsync:
-		return "async"
+	case KindLocal:
+		return "local"
 	case KindDist:
 		return "dist"
 	default:
@@ -63,32 +65,31 @@ func (k Kind) String() string {
 // State is one training snapshot. Config fields (Kind through
 // NumBatches) identify the run; position fields (Epoch, Pos, Clock,
 // PartialLoss, EpochLoss) locate the trajectory point; Params (and for
-// async deterministic runs, Archive) restore it.
+// delayed-gradient runs, Archive) restore it.
 type State struct {
-	// Kind is the engine that wrote the snapshot.
+	// Kind is the front end that wrote the snapshot.
 	Kind Kind
 	// Seed identifies the run; resume refuses a checkpoint of another
 	// seed.
 	Seed int64
 	// LR is the learning rate; resume validates it bit-for-bit.
 	LR float64
-	// Deterministic marks an async run in delayed-gradient replay mode
-	// (the only async mode with a bitwise-resumable trajectory at
-	// staleness > 0).
+	// Deterministic marks a run in delayed-gradient replay mode (the only
+	// mode with a bitwise-resumable trajectory at staleness > 0).
 	Deterministic bool
-	// Group is the sync engine's gradients-per-update count (0 for async).
+	// Group is the gradients-per-update count (0 for dist).
 	Group int
-	// Staleness is the async bound (-1 unbounded; 0 for sync).
+	// Staleness is the bound (-1 unbounded).
 	Staleness int
 	// NumBatches is the per-epoch batch count of the source.
 	NumBatches int
 
-	// Epoch and Pos locate the sync trajectory: the next update starts
+	// Epoch and Pos locate the local trajectory: the next update starts
 	// at batch position Pos of epoch Epoch. Pos is always a group
 	// boundary (a checkpoint is only taken between updates).
 	Epoch int
 	Pos   int
-	// Clock is the async position: applied updates so far (the next
+	// Clock is the dist position: applied positions so far (the next
 	// position to apply). Epoch-major: Clock = epoch*NumBatches + pos.
 	Clock int64
 	// PartialLoss is the running loss sum of the in-progress epoch, so
@@ -101,18 +102,17 @@ type State struct {
 	// Params is the model's flat parameter vector (ml.SnapshotModel
 	// layout) at the snapshot point.
 	Params []float64
-	// Archive holds the async deterministic mode's staleness frontier:
-	// the parameter vectors of versions Clock-len(Archive) .. Clock-1,
-	// oldest first (Params itself is version Clock). Empty for sync
-	// runs, staleness 0, and nondeterministic async runs.
+	// Archive holds delayed-gradient mode's staleness frontier: the
+	// parameter vectors of versions Clock-len(Archive) .. Clock-1, oldest
+	// first (Params itself is version Clock). Empty unless Deterministic.
 	Archive [][]float64
 }
 
-// Step is the snapshot's global update-position, used to order
-// checkpoint files: applied updates for async, visited batch positions
-// for sync.
+// Step is the snapshot's global position, used to order checkpoint
+// files: the clock for dist, Epoch*NumBatches+Pos for local. A loop
+// writes both forms, and they agree.
 func (s *State) Step() int64 {
-	if s.Kind == KindAsync || s.Kind == KindDist {
+	if s.Kind == KindDist {
 		return s.Clock
 	}
 	return int64(s.Epoch)*int64(s.NumBatches) + int64(s.Pos)
@@ -195,7 +195,7 @@ func Decode(img []byte) (*State, error) {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", img[4])
 	}
 	kind := Kind(img[5])
-	if kind != KindSync && kind != KindAsync && kind != KindDist {
+	if kind != KindLocal && kind != KindDist {
 		return nil, fmt.Errorf("checkpoint: unknown engine kind %d", img[5])
 	}
 	flags := img[6]

@@ -17,7 +17,7 @@ import (
 // fields so distinct samples stay distinct.
 func sampleState(variant int) *State {
 	s := &State{
-		Kind:        KindSync,
+		Kind:        KindLocal,
 		Seed:        42 + int64(variant),
 		LR:          0.3,
 		Group:       8,
@@ -30,14 +30,14 @@ func sampleState(variant int) *State {
 	}
 	switch variant {
 	case 1:
-		s.Kind = KindAsync
 		s.Deterministic = true
-		s.Group = 0
+		s.Group = 1
 		s.Staleness = 4
 		s.Clock = 40
 		s.Archive = [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}}
 	case 2:
-		s.Kind = KindAsync
+		s.Kind = KindDist
+		s.Group = 0
 		s.Staleness = -1
 		s.Clock = 7
 		s.EpochLoss = nil
@@ -96,6 +96,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// Kind byte 2 is unassigned: an image carrying it is refused as an
+// unknown kind even with a valid CRC, never resumed as a local or dist
+// run.
+func TestDecodeRejectsUnassignedKind(t *testing.T) {
+	img := Encode(sampleState(1))
+	body := append([]byte(nil), img[:len(img)-trailerLen]...)
+	body[5] = 2
+	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+	if _, err := Decode(body); err == nil || !strings.Contains(err.Error(), "unknown engine kind 2") {
+		t.Fatalf("image with kind byte 2: err = %v, want unknown engine kind", err)
+	}
+}
+
 func TestDecodeRejectsHugeClaimedLengths(t *testing.T) {
 	img := Encode(sampleState(0))
 	// Claim ~4 billion params: the length check must fail before any
@@ -122,8 +135,8 @@ func TestSaveLoadLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != KindAsync {
-		t.Fatalf("Latest returned step %d kind %v, want the async variant", got.Step(), got.Kind)
+	if !got.Deterministic {
+		t.Fatalf("Latest returned step %d, want the delayed-gradient variant", got.Step())
 	}
 	// No checkpoints → os.ErrNotExist.
 	if _, err := Latest(t.TempDir()); !errors.Is(err, os.ErrNotExist) {

@@ -1,7 +1,7 @@
 // Package dist is distributed data-parallel training: N trainer
 // processes exchange compressed gradients with a parameter server over
 // net/rpc (any io.ReadWriteCloser — TCP in cmd/toctrain, net.Pipe in
-// tests), reusing the async engine's versioned-snapshot + bounded-
+// tests), reusing the local engine's versioned-snapshot + bounded-
 // staleness protocol as the wire contract. The server owns the model
 // and the update clock; trainers pull versioned parameter images,
 // compute mini-batch gradients against them, and push the gradients
@@ -9,8 +9,8 @@
 // about to compute by more than the staleness bound, so its push is
 // always admitted; a push the server refuses anyway is an RPC error that
 // ends the trainer, and the server requeues its position like a crashed
-// trainer's — engine.Loop's admission rule, the one the local engines
-// run under, carried across the wire.
+// trainer's — engine.Loop's admission rule, the one the local engine
+// runs under, carried across the wire.
 //
 // Gradient traffic is compressed by a GradCodec on both directions:
 // dense (the exact baseline — a single trainer at staleness 0 walks the

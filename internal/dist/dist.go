@@ -22,7 +22,7 @@ type ServerConfig struct {
 	NumBatches int
 	// LR is the learning rate applied per admitted gradient.
 	LR float64
-	// Seed identifies the run, as it does for the local engines: a resume
+	// Seed identifies the run, as it does for the local engine: a resume
 	// refuses a checkpoint of another seed. Every epoch visits the batches
 	// in ingest order.
 	Seed int64
@@ -37,7 +37,7 @@ type ServerConfig struct {
 	// Link, when non-nil, meters every payload through the simulated
 	// NIC, so compression shows up as wall-clock.
 	Link *Link
-	// Checkpoint, CheckpointEvery and Resume mirror the local engines: a
+	// Checkpoint, CheckpointEvery and Resume mirror the local engine: a
 	// resume continues the schedule at the checkpointed clock. Codec
 	// residual state is deliberately not checkpointed — error feedback
 	// makes a dropped residual an accuracy rounding, never corruption —
@@ -48,7 +48,7 @@ type ServerConfig struct {
 	// OnStep observes every applied update with its global position and
 	// admitted mini-batch loss, serially and outside the server's locks.
 	// The identity tests compare these sequences bitwise against the
-	// local async engine's.
+	// local engine's.
 	OnStep func(step int64, loss float64)
 }
 

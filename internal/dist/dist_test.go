@@ -91,14 +91,14 @@ func trainToEnd(t *testing.T, srv *Server, d *data.Dataset, src ml.BatchSource) 
 }
 
 // The tentpole identity contract: one trainer, dense codec, staleness 0
-// walks the local async engine's serial trajectory bitwise — parameters,
+// walks the local engine's serial trajectory bitwise — parameters,
 // per-step loss log, and epoch losses.
 func TestSingleTrainerDenseMatchesAsyncBitwise(t *testing.T) {
 	d, src := testSource(t, "mnist", 400)
 
 	var asyncSteps []float64
-	a := engine.NewAsync(engine.AsyncConfig{
-		Workers: 1, Staleness: 0, Seed: 11,
+	a := engine.New(engine.Config{
+		Workers: 1, GroupSize: 1, Staleness: 0, Seed: 11,
 		OnStep: func(step int64, loss float64) { asyncSteps = append(asyncSteps, loss) },
 	})
 	am := newSnapshotModel(t, "lr", d, 13)
@@ -524,10 +524,10 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := NewServer(withResume(base, good), &stubModel{np: 4}); err != nil {
 		t.Fatalf("valid resume rejected: %v", err)
 	}
-	async := *good
-	async.Kind = checkpoint.KindAsync
-	if _, err := NewServer(withResume(base, &async), &stubModel{np: 4}); err == nil {
-		t.Error("server resumed an async-engine checkpoint")
+	local := *good
+	local.Kind = checkpoint.KindLocal
+	if _, err := NewServer(withResume(base, &local), &stubModel{np: 4}); err == nil {
+		t.Error("server resumed a local-engine checkpoint")
 	}
 	base.Staleness = 5
 	if _, err := NewServer(withResume(base, good), &stubModel{np: 4}); err == nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -17,13 +18,13 @@ import (
 // elasticRun trains one deterministic async run under a join/leave
 // schedule (and optionally an injected worker crash), returning the
 // final parameters, the per-step loss log, and the run's stats.
-func elasticRun(t *testing.T, d *data.Dataset, src ml.BatchSource, schedule string, crashAfter int) ([]float64, []float64, AsyncStats) {
+func elasticRun(t *testing.T, d *data.Dataset, src ml.BatchSource, schedule string, crashAfter int) ([]float64, []float64, Stats) {
 	t.Helper()
 	defer faultpoint.Reset()
 	if crashAfter > 0 {
-		faultpoint.ArmError("engine.async.worker", crashAfter)
+		faultpoint.ArmError("engine.worker", crashAfter)
 	}
-	a := NewAsync(AsyncConfig{Workers: 4, Staleness: 3, Deterministic: true})
+	a := New(Config{Workers: 4, GroupSize: 1, Staleness: 3, Deterministic: true})
 	events, err := ParseElasticSchedule(schedule)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestDeterministicBitwiseAcrossElasticSchedules(t *testing.T) {
 }
 
 // chaosStore spills every batch of d to disk behind a retrying store.
-func chaosStore(t *testing.T, a *Async, d *data.Dataset, retry storage.RetryPolicy) *storage.Store {
+func chaosStore(t *testing.T, a *Engine, d *data.Dataset, retry storage.RetryPolicy) *storage.Store {
 	t.Helper()
 	st, err := storage.NewStore(t.TempDir(), "TOC", 1, storage.WithShards(2), storage.WithReadRetry(retry))
 	if err != nil {
@@ -102,10 +103,10 @@ func chaosStore(t *testing.T, a *Async, d *data.Dataset, retry storage.RetryPoli
 }
 
 // The chaos matrix: worker kills crossed with transient storage faults
-// (flaky reads plus a one-shot CRC corruption), over two engine
-// configurations. Every cell must finish with parameters bitwise
-// identical to its fault-free baseline, absorbing the injected failures
-// through restarts and read retries rather than surfacing them.
+// (flaky reads plus a one-shot CRC corruption), over three engine
+// configurations. Every cell must finish with parameters and epoch losses
+// bitwise identical to its fault-free baseline, absorbing the injected
+// failures through restarts and read retries rather than surfacing them.
 func TestChaosMatrixSurvivesWorkerKillsAndStorageFaults(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	d, err := data.Generate("census", 400, 3)
@@ -115,17 +116,19 @@ func TestChaosMatrixSurvivesWorkerKillsAndStorageFaults(t *testing.T) {
 	d.ShuffleOnce(4)
 	retry := storage.RetryPolicy{Attempts: 5, Base: time.Microsecond, Max: 20 * time.Microsecond, Seed: 1}
 
-	configs := []AsyncConfig{
-		// Staleness 0 reproduces the serial trajectory; Deterministic
-		// delayed gradients pin the staleness-3 one. Both are bitwise
-		// reproducible, so "correct final params" is an exact check.
-		{Workers: 4, Staleness: 0, RestartBudget: 64},
-		{Workers: 4, Staleness: 3, Deterministic: true, RestartBudget: 64},
+	configs := []Config{
+		// Staleness 0 reproduces the serial trajectory at group 1 and the
+		// merged group-2 one; Deterministic delayed gradients pin the
+		// staleness-3 one. All are bitwise reproducible, so "correct final
+		// params" is an exact check.
+		{Workers: 4, GroupSize: 1, Staleness: 0, RestartBudget: 64},
+		{Workers: 4, GroupSize: 2, Staleness: 0, RestartBudget: 64},
+		{Workers: 4, GroupSize: 1, Staleness: 3, Deterministic: true, RestartBudget: 64},
 	}
 	for ci, cfg := range configs {
-		run := func(chaos bool) ([]float64, AsyncStats, storage.Stats) {
+		run := func(chaos bool) ([]float64, []float64, Stats, storage.Stats) {
 			defer faultpoint.Reset()
-			a := NewAsync(cfg)
+			a := New(cfg)
 			st := chaosStore(t, a, d, retry)
 			pf := a.NewPrefetcher(st, 0, 0)
 			defer pf.Close()
@@ -133,21 +136,20 @@ func TestChaosMatrixSurvivesWorkerKillsAndStorageFaults(t *testing.T) {
 				// One guaranteed worker kill, a flaky read layer, and a
 				// single CRC corruption. A read that exhausts its retries
 				// panics in the worker and is absorbed as one more crash.
-				faultpoint.ArmError("engine.async.worker", 5)
+				faultpoint.ArmError("engine.worker", 5)
 				faultpoint.ArmErrorEvery("storage.read.error", 0.4, 3)
 				faultpoint.ArmError("storage.read.crc", 3)
 			}
 			m := newSnapshotModel(t, "lr", d, 17)
-			if _, err := a.Train(m, pf, 3, 0.2, nil); err != nil {
+			res, err := a.Train(m, pf, 3, 0.2, nil)
+			if err != nil {
 				t.Fatalf("config %d chaos=%v: %v", ci, chaos, err)
 			}
-			return flatParams(t, m), a.Stats(), st.Stats()
+			return flatParams(t, m), res.EpochLoss, a.Stats(), st.Stats()
 		}
-		base, _, _ := run(false)
-		got, ast, sst := run(true)
-		if diff := maxAbsDiff(got, base); diff != 0 {
-			t.Errorf("config %d: chaos run params diverge from fault-free baseline by %g", ci, diff)
-		}
+		baseP, baseL, _, _ := run(false)
+		gotP, gotL, ast, sst := run(true)
+		assertBitwise(t, fmt.Sprintf("config %d chaos run", ci), gotP, baseP, gotL, baseL)
 		if ast.WorkerPanics == 0 || ast.Restarts == 0 {
 			t.Errorf("config %d: worker kill not exercised: %+v", ci, ast)
 		}
@@ -164,8 +166,8 @@ func TestRestartBudgetExhaustionPreservesPanicChain(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	defer faultpoint.Reset()
 	d, src := testSource(t, "census", 500)
-	faultpoint.ArmErrorEvery("engine.async.worker", 1, 1) // every task panics
-	a := NewAsync(AsyncConfig{Workers: 2, Staleness: 2, RestartBudget: 2})
+	faultpoint.ArmErrorEvery("engine.worker", 1, 1) // every task panics
+	a := New(Config{Workers: 2, GroupSize: 1, Staleness: 2, RestartBudget: 2})
 	m := newSnapshotModel(t, "lr", d, 7)
 	_, err := a.Train(m, src, 2, 0.2, nil)
 	if err == nil {
@@ -192,8 +194,8 @@ func TestNegativeRestartBudgetDisablesReplacement(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	defer faultpoint.Reset()
 	d, src := testSource(t, "census", 500)
-	faultpoint.ArmErrorEvery("engine.async.worker", 1, 1)
-	a := NewAsync(AsyncConfig{Workers: 3, Staleness: 2, RestartBudget: -1})
+	faultpoint.ArmErrorEvery("engine.worker", 1, 1)
+	a := New(Config{Workers: 3, GroupSize: 1, Staleness: 2, RestartBudget: -1})
 	m := newSnapshotModel(t, "lr", d, 7)
 	if _, err := a.Train(m, src, 2, 0.2, nil); err == nil {
 		t.Fatal("Train survived with replacement disabled and every worker dead")

@@ -107,7 +107,7 @@ func runCrashHelper(cfgName, dir string) error {
 		if cfgName == "async4" {
 			staleness = 4
 		}
-		a := NewAsync(AsyncConfig{Workers: 4, Staleness: staleness, Deterministic: true,
+		a := New(Config{Workers: 4, GroupSize: 1, Staleness: staleness, Deterministic: true,
 			Seed: 11, Checkpoint: w, CheckpointEvery: 2})
 		res, err = a.TrainFrom(m, st, 3, 0.2, nil, resume)
 	default:
@@ -154,17 +154,15 @@ func runVictim(t *testing.T, cfg, dir, faults string) (int, string) {
 
 // crashFaults lists the adversarial kill points for a configuration.
 func crashFaults(cfg string) map[string]string {
-	applied := "engine.sync.applied"
 	hits := 4
 	if cfg == "async0" || cfg == "async4" {
-		applied = "engine.async.applied"
 		hits = 7
 	}
 	return map[string]string{
 		"spill-mid":         "storage.spill.mid=crash:2",
 		"manifest-rename":   "storage.manifest.rename=crash:1",
 		"checkpoint-rename": "checkpoint.rename=crash:2",
-		"applied":           fmt.Sprintf("%s=crash:%d", applied, hits),
+		"applied":           fmt.Sprintf("engine.local.applied=crash:%d", hits),
 	}
 }
 

@@ -61,12 +61,6 @@ func ParseElasticSchedule(spec string) ([]ElasticEvent, error) {
 	return events, nil
 }
 
-// SetOnStep installs (or replaces) the per-update observer configured
-// by AsyncConfig.OnStep. It must be called between runs — the loop
-// reads it once, when a run starts. Its main use is wiring an
-// ElasticHook, which needs the engine to exist first.
-func (a *Async) SetOnStep(fn func(step int64, loss float64)) { a.base.OnStep = fn }
-
 // ElasticHook turns a schedule into an OnStep callback that applies
 // each event as training passes its step, chaining to next (which may
 // be nil) afterwards. An event at step S fires once S updates have been
@@ -77,19 +71,18 @@ func (a *Async) SetOnStep(fn func(step int64, loss float64)) { a.base.OnStep = f
 // AddWorkers/RemoveWorkers it calls cannot deadlock against the model
 // clone a join takes.
 //
-// The returned counts are accumulated into the run's AsyncStats by the
-// engine (Joined/Departed), so the hook itself keeps no observable
-// state.
-func (a *Async) ElasticHook(events []ElasticEvent, next func(step int64, loss float64)) func(step int64, loss float64) {
+// The returned counts are accumulated into the run's Stats by the engine
+// (Joined/Departed), so the hook itself keeps no observable state.
+func (e *Engine) ElasticHook(events []ElasticEvent, next func(step int64, loss float64)) func(step int64, loss float64) {
 	idx := 0
 	return func(step int64, loss float64) {
-		// step is the just-applied position (0-based): step+1 updates
+		// step is the just-applied update's index (0-based): step+1 updates
 		// have now landed.
 		for idx < len(events) && events[idx].Step <= step+1 {
 			if d := events[idx].Delta; d > 0 {
-				a.AddWorkers(d)
+				e.AddWorkers(d)
 			} else {
-				a.RemoveWorkers(-d)
+				e.RemoveWorkers(-d)
 			}
 			idx++
 		}

@@ -52,7 +52,7 @@ func TestParseElasticScheduleErrorsNameBadToken(t *testing.T) {
 // Membership calls against an idle engine are no-ops, not panics: there
 // is no run to resize.
 func TestMembershipNoOpWhenIdle(t *testing.T) {
-	a := NewAsync(AsyncConfig{Workers: 4, Staleness: 2})
+	a := New(Config{Workers: 4, GroupSize: 1, Staleness: 2})
 	if got := a.AddWorkers(3); got != 0 {
 		t.Errorf("idle AddWorkers(3) = %d, want 0", got)
 	}
@@ -72,7 +72,7 @@ func TestMembershipNoOpWhenIdle(t *testing.T) {
 func TestMembershipClampsMidRun(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	d, src := testSource(t, "census", 500)
-	a := NewAsync(AsyncConfig{Workers: 4, Staleness: 3, Deterministic: true})
+	a := New(Config{Workers: 4, GroupSize: 1, Staleness: 3, Deterministic: true})
 	var removed, added, liveAfter int
 	a.SetOnStep(func(step int64, loss float64) {
 		switch step {

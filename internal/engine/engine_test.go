@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +59,16 @@ func flatParams(t testing.TB, m ml.Model) []float64 {
 	}
 }
 
+// mustTrain runs e.Train and fails the test on an error.
+func mustTrain(t testing.TB, e *Engine, m ml.Model, src ml.BatchSource, epochs int, lr float64) *ml.TrainResult {
+	t.Helper()
+	res, err := e.Train(m, src, epochs, lr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func maxAbsDiff(a, b []float64) float64 {
 	max := 0.0
 	for i := range a {
@@ -78,7 +89,7 @@ func TestEngineGroupOneMatchesSerialTrain(t *testing.T) {
 
 		eng := New(Config{Workers: 4, GroupSize: 1})
 		parallel := newModel(t, name, d, 7)
-		resP := eng.Train(parallel, src, 3, 0.2, nil)
+		resP := mustTrain(t, eng, parallel, src, 3, 0.2)
 
 		if diff := maxAbsDiff(flatParams(t, serial), flatParams(t, parallel)); diff > 1e-12 {
 			t.Errorf("%s: weights diverge from serial ml.Train by %g", name, diff)
@@ -98,10 +109,10 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 		d, src := testSource(t, "mnist", 600)
 
 		m1 := newModel(t, name, d, 11)
-		res1 := New(Config{Workers: 1, GroupSize: 8, Seed: 5}).Train(m1, src, 3, 0.2, nil)
+		res1 := mustTrain(t, New(Config{Workers: 1, GroupSize: 8, Seed: 5}), m1, src, 3, 0.2)
 
 		m8 := newModel(t, name, d, 11)
-		res8 := New(Config{Workers: 8, GroupSize: 8, Seed: 5}).Train(m8, src, 3, 0.2, nil)
+		res8 := mustTrain(t, New(Config{Workers: 8, GroupSize: 8, Seed: 5}), m8, src, 3, 0.2)
 
 		if diff := maxAbsDiff(flatParams(t, m1), flatParams(t, m8)); diff > 1e-12 {
 			t.Errorf("%s: workers=1 vs workers=8 final weights differ by %g", name, diff)
@@ -140,7 +151,7 @@ func TestEngineConcurrentOverPrefetchedStore(t *testing.T) {
 	defer pf.Close()
 
 	m := newModel(t, "lr", d, 13)
-	res := eng.Train(m, pf, 3, 0.3, nil)
+	res := mustTrain(t, eng, m, pf, 3, 0.3)
 	if len(res.EpochLoss) != 3 {
 		t.Fatalf("epochs = %d", len(res.EpochLoss))
 	}
@@ -196,7 +207,7 @@ func TestEngineBeatsSerialOnSpilledStore(t *testing.T) {
 	}
 	pf := storage.NewPrefetcher(engineStore, 12, 8)
 	defer pf.Close()
-	engineRes := eng.Train(newModel(t, "lr", d, 17), pf, epochs, 0.2, nil)
+	engineRes := mustTrain(t, eng, newModel(t, "lr", d, 17), pf, epochs, 0.2)
 
 	if engineRes.Total >= serialRes.Total*9/10 {
 		t.Errorf("engine (workers=8, prefetch) took %v, serial %v — expected a clear win",
@@ -216,7 +227,7 @@ func TestEngineKernelParallelMatchesSerialTrain(t *testing.T) {
 
 		eng := New(Config{Workers: 16, GroupSize: 1})
 		parallel := newModel(t, name, d, 21)
-		eng.Train(parallel, src, 2, 0.2, nil)
+		mustTrain(t, eng, parallel, src, 2, 0.2)
 
 		if diff := maxAbsDiff(flatParams(t, serial), flatParams(t, parallel)); diff != 0 {
 			t.Errorf("%s: kernel-parallel weights diverge from serial by %g (want bitwise identity)", name, diff)
@@ -224,29 +235,61 @@ func TestEngineKernelParallelMatchesSerialTrain(t *testing.T) {
 	}
 }
 
+// cloneCounter counts the Clone calls made on a model and its clones.
+type cloneCounter struct {
+	ml.Model
+	clones *atomic.Int64
+}
+
+func (c cloneCounter) Clone() ml.Model {
+	c.clones.Add(1)
+	return cloneCounter{c.Model.Clone(), c.clones}
+}
+
 // The pool split of the package doc: the gradients a step (or a staleness
 // window) keeps in flight claim workers first, and each gradient's matrix
-// kernels get what is left over.
+// kernels get what is left over. Workers clone the model only off
+// staleness 0 — one clone per spawned worker, joins included — and share
+// the live one at staleness 0, whose parameters a step never moves.
 func TestKernelWorkersSplitThePool(t *testing.T) {
-	engine := func(group, n int) int { return New(Config{Workers: 8, GroupSize: group}).KernelWorkers(n) }
-	async := func(staleness int) int {
-		return NewAsync(AsyncConfig{Workers: 8, Staleness: staleness}).KernelWorkers()
-	}
+	d, src := testSource(t, "census", 500) // 10 batches
 	for _, row := range []struct {
-		name      string
-		got, want int
+		name                      string
+		workers, group, staleness int
+		kernel                    int
 	}{
-		{"engine group 1", engine(1, 40), 8},
-		{"engine group 8", engine(8, 40), 1},
-		{"engine group 8 over 2 batches", engine(8, 2), 4},
-		{"async staleness 0", async(0), 8},
-		{"async staleness 3", async(3), 2},
-		{"async staleness 8", async(8), 1},
-		{"async unbounded", async(StalenessUnbounded), 1},
+		{"group 1", 8, 1, 0, 8},
+		{"group 2", 8, 2, 0, 4},
+		{"group 8", 8, 8, 0, 1},
+		{"ram_nn_sync", 2, 2, 0, 1},
+		{"staleness 3", 8, 1, 3, 2},
+		{"staleness 8", 8, 1, 8, 1},
+		{"unbounded", 8, 1, StalenessUnbounded, 1},
+		{"spill_lr_async", 2, 1, 4, 1},
+		{"group 2 staleness 3", 8, 2, 3, 2},
 	} {
-		if row.got != row.want {
-			t.Errorf("%s with 8 workers: %d kernel workers, want %d", row.name, row.got, row.want)
+		e := New(Config{Workers: row.workers, GroupSize: row.group, Staleness: row.staleness})
+		if got := e.KernelWorkers(src.NumBatches()); got != row.kernel {
+			t.Errorf("%s: %d kernel workers, want %d", row.name, got, row.kernel)
 		}
+		var clones atomic.Int64
+		joined := 0
+		e.SetOnStep(func(step int64, _ float64) {
+			if step == 1 {
+				joined = e.AddWorkers(2)
+			}
+		})
+		mustTrain(t, e, cloneCounter{newModel(t, "lr", d, 3), &clones}, src, 1, 0.2)
+		want := int64(0)
+		if row.staleness != 0 {
+			want = int64(row.workers + joined)
+		}
+		if joined != 2 || clones.Load() != want {
+			t.Errorf("%s: %d clones after %d joins, want %d after 2", row.name, clones.Load(), joined, want)
+		}
+	}
+	if got := New(Config{Workers: 8, GroupSize: 8}).KernelWorkers(2); got != 4 {
+		t.Errorf("group 8 over 2 batches: %d kernel workers, want 4", got)
 	}
 }
 
@@ -270,7 +313,7 @@ func TestEngineNewPrefetcherOverShardedStore(t *testing.T) {
 		pf := eng.NewPrefetcher(st, 0, 4*avgSpan) // ~4 average batches in flight
 		defer pf.Close()
 		m := newModel(t, "lr", d, 29)
-		res := eng.Train(m, pf, 3, 0.2, nil)
+		res := mustTrain(t, eng, m, pf, 3, 0.2)
 		if ps := pf.Stats(); ps.Hits == 0 {
 			t.Errorf("engine prefetcher never hit: %+v", ps)
 		}
@@ -358,7 +401,7 @@ func TestEngineRightMulPlanTrajectoryIdentity(t *testing.T) {
 
 		eng := New(Config{Workers: 8, GroupSize: 1})
 		parallel := newModel(t, name, d, 13)
-		resP := eng.Train(parallel, src, 3, 0.2, nil)
+		resP := mustTrain(t, eng, parallel, src, 3, 0.2)
 
 		for e := range resS.EpochLoss {
 			if math.Float64bits(resS.EpochLoss[e]) != math.Float64bits(resP.EpochLoss[e]) {
@@ -385,7 +428,7 @@ func TestSpilledMatchesResidentBitwise(t *testing.T) {
 			return New(Config{Workers: 4, GroupSize: 2, Seed: 9}).TrainFrom(m, src, 3, 0.3, nil, nil)
 		},
 		"async": func(m ml.Model, src ml.BatchSource) (*ml.TrainResult, error) {
-			return NewAsync(AsyncConfig{Workers: 4, Staleness: 3, Deterministic: true, Seed: 9}).Train(m, src, 3, 0.3, nil)
+			return New(Config{Workers: 4, GroupSize: 1, Staleness: 3, Deterministic: true, Seed: 9}).Train(m, src, 3, 0.3, nil)
 		},
 	}
 	for name, train := range frontEnds {

@@ -27,8 +27,8 @@ type prefetchHints interface {
 	Request(idx int)
 }
 
-// LoopConfig is the schedule a Loop walks. Every field is one the three
-// front ends' own configs carry (Config, AsyncConfig, dist.ServerConfig).
+// LoopConfig is the schedule a Loop walks. Every field is one the two
+// front ends' own configs carry (Config, dist.ServerConfig).
 type LoopConfig struct {
 	// Kind names the front end; it is written into every checkpoint and a
 	// checkpoint of another Kind is refused on resume.
@@ -41,14 +41,15 @@ type LoopConfig struct {
 	// Seed identifies the run: it is written into every checkpoint and a
 	// checkpoint of another Seed is refused on resume.
 	Seed int64
-	// Group is the sync engine's positions-per-step count, already clamped
-	// to the batch count; 0 (async, dist) means steps of one.
+	// Group is the positions-per-step count, already clamped to the batch
+	// count; 0 (dist) means steps of one.
 	Group int
 	// Staleness bounds how many updates a gradient's parameter version may
-	// trail its step; negative is unbounded. Sync is 0.
+	// trail its step; negative is unbounded.
 	Staleness int
 	// Deterministic admits only the oldest version the bound allows
-	// (delayed-gradient SGD) and serves it from an archive ring.
+	// (delayed-gradient SGD, see delayed) and serves it from an archive
+	// ring.
 	Deterministic bool
 	// Window caps how far the release frontier may run ahead of the clock;
 	// <= 0 means no cap. A bounded run's window is at most Staleness+1:
@@ -181,8 +182,9 @@ type Loop struct {
 	merged []float64
 	// arch is the Deterministic ring of bound+1 parameter vectors; slot
 	// v mod (bound+1) holds version v. Version v's slot is overwritten
-	// only when update v+bound lands, which needs that position's
-	// gradient — the last reader of v — so a gated read is always intact.
+	// only when a version past v+bound lands, which needs every step
+	// starting at or before v+bound — the last readers of v — applied, so
+	// a gated read is always intact.
 	//toc:guardedby mu
 	arch [][]float64
 	//toc:guardedby mu
@@ -446,7 +448,7 @@ func (l *Loop) GradBuf() []float64 {
 
 // Params copies into out the parameters owner should compute pos
 // against and returns their version: the live parameters at the current
-// clock, or in Deterministic mode exactly version max(0, step−bound)
+// clock, or in Deterministic mode exactly version delayed(stepStart(pos))
 // from the archive, waiting for it to be published if the window ran
 // ahead. ok is false when the run ended first.
 func (l *Loop) Params(pos int64, out []float64) (version int64, ok bool) {
@@ -456,7 +458,7 @@ func (l *Loop) Params(pos int64, out []float64) (version int64, ok bool) {
 		l.m.Params(out)
 		return l.clock, true
 	}
-	target := max(0, l.stepStart(pos)-l.bound)
+	target := l.delayed(l.stepStart(pos))
 	for l.clock < target && !l.done {
 		l.cond.Wait()
 	}
@@ -476,14 +478,26 @@ func (l *Loop) Clone() ml.Model {
 
 // admitsLocked is the one staleness rule: a parameter version v serves
 // the step starting at start when it trails it by at most the bound —
-// and, in Deterministic mode, by exactly the bound.
+// and, in Deterministic mode, when it is exactly delayed(start).
 //
 //toc:locked mu
 func (l *Loop) admitsLocked(start, version int64) bool {
 	if l.cfg.Deterministic {
-		return version == max(0, start-l.bound)
+		return version == l.delayed(start)
 	}
 	return l.bound < 0 || start-version <= l.bound
+}
+
+// delayed is the version Deterministic mode computes the step starting at
+// start against: the oldest clock value the bound admits. The clock lands
+// only on step starts, so that is max(0, start−bound) rounded up to one;
+// with steps of one position it is max(0, start−bound) itself.
+func (l *Loop) delayed(start int64) int64 {
+	v := max(0, start-l.bound)
+	if l.stepStart(v) == v {
+		return v
+	}
+	return l.stepEnd(v)
 }
 
 // Submit hands in the gradient owner computed for pos against parameter
@@ -499,11 +513,11 @@ func (l *Loop) admitsLocked(start, version int64) bool {
 // A healthy front end is never refused for staleness:
 //   - a position p is released only while stepStart(p) − clock < Window
 //     ≤ Staleness+1;
-//   - an Async worker reads its version with Params after the batch is in
-//     hand, an Engine worker submits the release-time clock, and a
-//     requeued position's clock only grew;
+//   - an Engine worker on a clone reads its version with Params after the
+//     batch is in hand, one on the live model (staleness 0) submits the
+//     release-time clock, and a requeued position's clock only grew;
 //   - a dist trainer pulls whenever p − version > bound;
-//   - in Deterministic mode, Params returns exactly max(0, p−Staleness).
+//   - in Deterministic mode, Params returns exactly delayed(stepStart(p)).
 func (l *Loop) Submit(owner int, pos, version int64, loss float64, grad []float64) (err error) {
 	l.mu.Lock()
 	at, buffered := -1, false

@@ -105,7 +105,7 @@ func (d *driver) check(what string, got, want any) {
 }
 
 func TestLoopOutOfOrderDuplicateAndUnheldSubmits(t *testing.T) {
-	d := drive(t, LoopConfig{Kind: checkpoint.KindAsync, Epochs: 1, NumBatches: 4, Staleness: 2})
+	d := drive(t, LoopConfig{Kind: checkpoint.KindLocal, Epochs: 1, NumBatches: 4, Staleness: 2})
 	a, b := d.l.Join(), d.l.Join()
 	d.next(a, 0)
 	d.next(b, 1)
@@ -147,7 +147,7 @@ func TestLoopOutOfOrderDuplicateAndUnheldSubmits(t *testing.T) {
 func TestLoopStaleSubmitIsRefused(t *testing.T) {
 	// Window 3 at staleness 0 is clamped to the bound's window of one step:
 	// nothing is released that could only be refused.
-	d := drive(t, LoopConfig{Kind: checkpoint.KindAsync, Epochs: 1, NumBatches: 3, Window: 3})
+	d := drive(t, LoopConfig{Kind: checkpoint.KindLocal, Epochs: 1, NumBatches: 3, Window: 3})
 	a := d.l.Join()
 	d.next(a, 0)
 	if d.canNext() {
@@ -165,7 +165,7 @@ func TestLoopStaleSubmitIsRefused(t *testing.T) {
 }
 
 func TestLoopDeterministicAdmitsOnlyTheArchivedVersion(t *testing.T) {
-	d := drive(t, LoopConfig{Kind: checkpoint.KindAsync, Epochs: 1, NumBatches: 4, Staleness: 2, Deterministic: true})
+	d := drive(t, LoopConfig{Kind: checkpoint.KindLocal, Epochs: 1, NumBatches: 4, Staleness: 2, Deterministic: true})
 	a := d.l.Join()
 	snap := make([]float64, 1)
 	for pos := int64(0); pos < 4; pos++ {
@@ -185,6 +185,28 @@ func TestLoopDeterministicAdmitsOnlyTheArchivedVersion(t *testing.T) {
 		d.admit(a, pos, version)
 	}
 	d.check("stats", d.l.Stats(), LoopStats{Updates: 4, Rejected: 1, MaxStaleness: 2, StaleSum: 0 + 1 + 2 + 2})
+
+	// Steps of two: the clock lands on 0, 2, 4, so the step at 4 computes
+	// against version 2 (4−3 rounded up to a step start), never the
+	// version 1 no apply ever published.
+	d = drive(t, LoopConfig{Kind: checkpoint.KindLocal, Epochs: 1, NumBatches: 6, Group: 2, Staleness: 3, Deterministic: true})
+	a = d.l.Join()
+	for pos := int64(0); pos < 6; pos++ {
+		d.next(a, pos)
+		version, ok := d.l.Params(pos, snap)
+		want := map[bool]int64{false: 0, true: 2}[pos >= 4]
+		if !ok || version != want {
+			t.Fatalf("group 2: Params(%d) = v%d, %v; want v%d", pos, version, ok, want)
+		}
+		if pos == 4 {
+			if err := d.submit(a, pos, 1); err == nil {
+				t.Error("group 2: version 1 admitted for the step at 4")
+			}
+			d.check("group 2: archived params of version 2", snap[0], -0.5*(1+2)/2)
+		}
+		d.admit(a, pos, version)
+	}
+	d.check("group 2 stats", d.l.Stats(), LoopStats{Updates: 3, Rejected: 1, MaxStaleness: 2, StaleSum: 0 + 0 + 2 + 2 + 2 + 2})
 }
 
 func TestLoopAbandonRequeuesForAnotherOwner(t *testing.T) {
@@ -221,7 +243,7 @@ func TestLoopHaltWithPositionsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := drive(t, LoopConfig{Kind: checkpoint.KindAsync, Epochs: 2, NumBatches: 3, Staleness: 1, Checkpoint: w})
+	d := drive(t, LoopConfig{Kind: checkpoint.KindLocal, Epochs: 2, NumBatches: 3, Staleness: 1, Checkpoint: w})
 	a := d.l.Join()
 	d.next(a, 0)
 	d.next(a, 1)
@@ -254,7 +276,7 @@ func TestLoopHaltWithPositionsInFlight(t *testing.T) {
 // {4} per epoch) from wherever the loop's cursor is, submitting each
 // step's positions in reverse, and returns what the observers saw.
 func syncRun(t *testing.T, cfg LoopConfig) (*driver, *ml.TrainResult) {
-	cfg.Kind, cfg.Epochs, cfg.NumBatches, cfg.Group = checkpoint.KindSync, 2, 5, 2
+	cfg.Kind, cfg.Epochs, cfg.NumBatches, cfg.Group = checkpoint.KindLocal, 2, 5, 2
 	d := drive(t, cfg)
 	a := d.l.Join()
 	for lo := d.l.Clock(); lo < 10; {
@@ -315,8 +337,8 @@ func TestLoopGroupStepsCutAtEpochEndAndResumeMidEpoch(t *testing.T) {
 // trajectory, or a cursor the schedule does not contain.
 func TestLoopResumeRefusesEveryMismatch(t *testing.T) {
 	bases := []LoopConfig{
-		{Kind: checkpoint.KindSync, Epochs: 3, NumBatches: 8, Seed: 1, Group: 4},
-		{Kind: checkpoint.KindAsync, Epochs: 3, NumBatches: 8, Seed: 1, Staleness: 2, Deterministic: true},
+		{Kind: checkpoint.KindLocal, Epochs: 3, NumBatches: 8, Seed: 1, Group: 4},
+		{Kind: checkpoint.KindLocal, Epochs: 3, NumBatches: 8, Seed: 1, Staleness: 2, Deterministic: true},
 		{Kind: checkpoint.KindDist, Epochs: 3, NumBatches: 8, Seed: 1, Staleness: 2},
 	}
 	for _, base := range bases {
@@ -362,9 +384,11 @@ func TestLoopResumeRefusesEveryMismatch(t *testing.T) {
 				edits = append(edits, edit{name: "kind " + k.String(), st: func(s *checkpoint.State) { s.Kind = k }})
 			}
 		}
-		if base.Kind == checkpoint.KindSync {
-			edits = append(edits, edit{name: "mid-step cursor", st: func(s *checkpoint.State) { s.Pos = 2 }},
-				edit{name: "position past the epoch", st: func(s *checkpoint.State) { s.Pos = 8 }})
+		if base.Kind == checkpoint.KindLocal {
+			edits = append(edits, edit{name: "position past the epoch", st: func(s *checkpoint.State) { s.Pos = 8 }})
+		}
+		if base.Group > 1 {
+			edits = append(edits, edit{name: "mid-step cursor", st: func(s *checkpoint.State) { s.Pos = 2 }})
 		}
 		if base.Staleness > 0 {
 			edits = append(edits, edit{name: "deterministic", cfg: func(c *LoopConfig) { c.Deterministic = !c.Deterministic }})
@@ -395,7 +419,7 @@ func TestLoopResumeRefusesEveryMismatch(t *testing.T) {
 // position as soon as the loop would release one (never before — a Next
 // that had to wait would hang the test), pays cost(batch) time units,
 // and only then picks its parameter version — the clock at that moment
-// when refresh is set, as an Async worker refreshing its clone after the
+// when refresh is set, as an Engine worker refreshing its clone after the
 // batch is in hand; the release-time clock otherwise, as an Engine worker
 // computing on the live model — and submits. Completions are processed in
 // time order, ties to the lower worker. It returns the makespan and the
@@ -467,7 +491,7 @@ func TestLoopAsyncFlowsAroundStragglersSyncBarrierWaits(t *testing.T) {
 	}
 	sync := map[int]int64{}
 	for _, workers := range []int{1, 4, 8} {
-		cfg := LoopConfig{Kind: checkpoint.KindSync, Epochs: epochs, NumBatches: n, Group: group}
+		cfg := LoopConfig{Kind: checkpoint.KindLocal, Epochs: epochs, NumBatches: n, Group: group}
 		makespan, st := simulate(t, cfg, min(workers, group), false, cost)
 		sync[workers] = makespan
 		if st.Updates != epochs*n/group || st.Rejected != 0 || st.MaxStaleness != 0 {
@@ -493,7 +517,7 @@ func TestLoopAsyncFlowsAroundStragglersSyncBarrierWaits(t *testing.T) {
 		{8, 1, serial}, {8, 4, 51}, {8, 8, epochs * n / 16 * 9},
 		{32, 1, serial}, {32, 4, 40}, {32, 8, 24},
 	} {
-		cfg := LoopConfig{Kind: checkpoint.KindAsync, Epochs: epochs, NumBatches: n, Staleness: row.staleness}
+		cfg := LoopConfig{Kind: checkpoint.KindLocal, Epochs: epochs, NumBatches: n, Staleness: row.staleness}
 		makespan, st := simulate(t, cfg, row.workers, true, cost)
 		if makespan != row.want {
 			t.Errorf("async staleness %d, %d workers: makespan %d, want %d", row.staleness, row.workers, makespan, row.want)

@@ -73,8 +73,8 @@ func asyncResumeRunner(staleness int) resumeRunner {
 		name: name,
 		run: func(t *testing.T, d *data.Dataset, src ml.BatchSource, ck *checkpoint.Writer, log stepLog, resume *checkpoint.State) (*ml.TrainResult, []float64, error) {
 			m := newModel(t, "lr", d, 7)
-			a := NewAsync(AsyncConfig{
-				Workers: 4, Staleness: staleness, Deterministic: true, Seed: 11,
+			a := New(Config{
+				Workers: 4, GroupSize: 1, Staleness: staleness, Deterministic: true, Seed: 11,
 				Checkpoint: ck, CheckpointEvery: 2, OnStep: log.record,
 			})
 			res, err := a.TrainFrom(m, src, resumeEpochs, resumeLR, nil, resume)
@@ -243,7 +243,7 @@ func TestHaltWritesResumableCheckpoint(t *testing.T) {
 				if r.name == "async-det" {
 					staleness = 4
 				}
-				a := NewAsync(AsyncConfig{Workers: 4, Staleness: staleness, Deterministic: true,
+				a := New(Config{Workers: 4, GroupSize: 1, Staleness: staleness, Deterministic: true,
 					Seed: 11, Checkpoint: w, CheckpointEvery: 2, OnStep: record})
 				halter = a
 				_, haltedErr = a.TrainFrom(m, src, resumeEpochs, resumeLR, nil, nil)
@@ -271,35 +271,42 @@ func TestHaltWritesResumableCheckpoint(t *testing.T) {
 }
 
 // Deterministic delayed-gradient mode makes bounded staleness a pure
-// function of Staleness: any worker count must walk the same
-// trajectory bitwise.
+// function of (GroupSize, Staleness): any worker count must walk the same
+// trajectory bitwise, and no applied gradient trails its step by more
+// than the bound — also for group steps, whose clock skips the positions
+// inside a step.
 func TestAsyncDeterministicAcrossWorkerCounts(t *testing.T) {
 	d, src := testSource(t, "census", 600)
-	var ref []float64
-	var refLoss []float64
-	for _, workers := range []int{1, 2, 8} {
-		m := newModel(t, "lr", d, 7)
-		a := NewAsync(AsyncConfig{Workers: workers, Staleness: 3, Deterministic: true, Seed: 11})
-		res, err := a.TrainFrom(m, src, 2, resumeLR, nil, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, group := range []int{1, 2} {
+		var ref []float64
+		var refLoss []float64
+		for _, workers := range []int{1, 2, 8} {
+			m := newModel(t, "lr", d, 7)
+			e := New(Config{Workers: workers, GroupSize: group, Staleness: 3, Deterministic: true, Seed: 11})
+			res, err := e.TrainFrom(m, src, 2, resumeLR, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := e.Stats(); st.MaxStaleness > 3 || st.Rejected != 0 {
+				t.Errorf("group %d, %d workers: max staleness %d, %d rejected", group, workers, st.MaxStaleness, st.Rejected)
+			}
+			params := make([]float64, m.NumParams())
+			m.Params(params)
+			if ref == nil {
+				ref, refLoss = params, res.EpochLoss
+				continue
+			}
+			assertBitsEqual(t, "params", params, ref)
+			assertBitsEqual(t, "epoch losses", res.EpochLoss, refLoss)
 		}
-		params := make([]float64, m.NumParams())
-		m.Params(params)
-		if ref == nil {
-			ref, refLoss = params, res.EpochLoss
-			continue
-		}
-		assertBitsEqual(t, "params", params, ref)
-		assertBitsEqual(t, "epoch losses", res.EpochLoss, refLoss)
 	}
 }
 
 // A checkpoint from an incompatible run must be refused, never silently
 // trained into a different trajectory. TestLoopResumeRefusesEveryMismatch
-// covers the table of mismatches; this is the through-the-front-end case:
-// a real sync-engine checkpoint resumes under the sync engine and is
-// refused by the async one.
+// covers the table of mismatches; this is the through-the-engine case: a
+// real group-2, staleness-0 checkpoint resumes under the same
+// configuration and is refused at group 1 and at staleness 4.
 func TestResumeRejectsIncompatibleCheckpoint(t *testing.T) {
 	d, src := testSource(t, "census", 600)
 	dir := t.TempDir()
@@ -308,9 +315,10 @@ func TestResumeRejectsIncompatibleCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetSynchronous(true)
-	m := newModel(t, "lr", d, 7)
-	eng := New(Config{Workers: 2, GroupSize: resumeGroup, Seed: 11, Checkpoint: w, CheckpointEvery: 2})
-	if _, err := eng.TrainFrom(m, src, 1, resumeLR, nil, nil); err != nil {
+	cfg := Config{Workers: 2, GroupSize: 2, Seed: 11}
+	ck := cfg
+	ck.Checkpoint, ck.CheckpointEvery = w, 2
+	if _, err := New(ck).TrainFrom(newModel(t, "lr", d, 7), src, 1, resumeLR, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -320,12 +328,20 @@ func TestResumeRejectsIncompatibleCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Workers: 2, GroupSize: resumeGroup, Seed: 11}).TrainFrom(newModel(t, "lr", d, 7), src, 2, resumeLR, nil, st); err != nil {
+	resume := func(c Config) error {
+		_, err := New(c).TrainFrom(newModel(t, "lr", d, 7), src, 2, resumeLR, nil, st)
+		return err
+	}
+	if err := resume(cfg); err != nil {
 		t.Errorf("compatible resume refused: %v", err)
 	}
-	am := newModel(t, "lr", d, 7)
-	if _, err := NewAsync(AsyncConfig{Workers: 2, Staleness: 0, Seed: 11}).TrainFrom(am, src, 2, resumeLR, nil, st); err == nil {
-		t.Error("async engine resumed a sync checkpoint")
+	group1, stale4 := cfg, cfg
+	group1.GroupSize, stale4.Staleness = 1, 4
+	if err := resume(group1); err == nil {
+		t.Error("a group-1 run resumed a group-2 checkpoint")
+	}
+	if err := resume(stale4); err == nil {
+		t.Error("a staleness-4 run resumed a staleness-0 checkpoint")
 	}
 }
 

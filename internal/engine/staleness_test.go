@@ -28,7 +28,7 @@ func TestAsyncStalenessZeroMatchesSerialBitwise(t *testing.T) {
 		resS := ml.Train(serial, src, 3, 0.2, nil)
 
 		for _, workers := range []int{1, 4, 8} {
-			a := NewAsync(AsyncConfig{Workers: workers, Staleness: 0})
+			a := New(Config{Workers: workers, GroupSize: 1, Staleness: 0})
 			am := newSnapshotModel(t, name, d, 13)
 			resA, err := a.Train(am, src, 3, 0.2, nil)
 			if err != nil {
@@ -61,7 +61,7 @@ func TestAsyncStalenessZeroMatchesSerialBitwise(t *testing.T) {
 func TestAsyncBoundedStalenessRespectsBound(t *testing.T) {
 	const bound = 2
 	d, src := testSource(t, "census", 500)
-	a := NewAsync(AsyncConfig{Workers: 8, Staleness: bound})
+	a := New(Config{Workers: 8, GroupSize: 1, Staleness: bound})
 	m := newSnapshotModel(t, "lr", d, 3)
 	res, err := a.Train(m, src, 3, 0.2, nil)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestAsyncUnboundedCompletes(t *testing.T) {
 	m := newSnapshotModel(t, "lr", d, 5)
 	initLoss := meanLoss(m)
 
-	a := NewAsync(AsyncConfig{Workers: 8, Staleness: StalenessUnbounded})
+	a := New(Config{Workers: 8, GroupSize: 1, Staleness: StalenessUnbounded})
 	res, err := a.Train(m, src, 3, 0.2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestAsyncWorkerPanicDrainsPool(t *testing.T) {
 
 	var calls int64
 	m := &panicGradModel{SnapshotModel: newSnapshotModel(t, "lr", d, 7), calls: &calls, after: 5}
-	a := NewAsync(AsyncConfig{Workers: 4, Staleness: 4})
+	a := New(Config{Workers: 4, GroupSize: 1, Staleness: 4})
 	done := make(chan error, 1)
 	go func() {
 		_, err := a.Train(m, src, 3, 0.2, nil)
@@ -179,7 +179,7 @@ func TestAsyncOverPrefetchedSpilledStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	a := NewAsync(AsyncConfig{Workers: 8, Staleness: 4, Seed: 9})
+	a := New(Config{Workers: 8, GroupSize: 1, Staleness: 4, Seed: 9})
 	if err := a.FillStore(st, d, 50); err != nil {
 		t.Fatal(err)
 	}

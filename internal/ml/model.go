@@ -19,16 +19,16 @@ import (
 
 // Model is one empirical-risk model trained by mini-batch gradient
 // steps, and the one contract every driver takes: the serial Train, the
-// sync and async engines and the parameter server all run a step as Grad
-// into a buffer followed by ApplyGrad of that buffer, so they walk the
-// same trajectory. Linear, OneVsRest and NN — everything NewModel
-// returns — implement it in full.
+// engine and the parameter server all run a step as Grad into a buffer
+// followed by ApplyGrad of that buffer, so they walk the same trajectory.
+// Linear, OneVsRest and NN — everything NewModel returns — implement it
+// in full.
 //
 // Gradient computation is separate from the update so a data-parallel
 // driver can evaluate a step's mini-batches concurrently against frozen
 // parameters and merge the results deterministically before applying
 // them once. The flat parameter vector can be exported, restored and
-// cloned so an asynchronous driver's workers compute on private clones
+// cloned so a stale-bounded driver's workers compute on private clones
 // refreshed from versioned snapshots, and gradient reads never race
 // parameter writes. Params, SetParams, Grad and ApplyGrad share one flat
 // layout, so a parameter vector round-trips bit for bit:

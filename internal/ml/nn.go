@@ -65,8 +65,8 @@ func NewNN(dims int, hidden []int, classes int, seed int64) *NN {
 // nnScratch is the working memory of one forward/backward pass: the
 // post-activation output of every layer, the delta of every layer, and
 // the two transposes the input layer's M·A still needs. It comes from a
-// pool, not from the NN: the sync engine's workers call Grad on one
-// replica concurrently.
+// pool, not from the NN: the engine's workers at staleness 0 call Grad
+// on one replica concurrently.
 type nnScratch struct {
 	acts  []*matrix.Dense // acts[l] is rows × Sizes[l+1]; acts[0] is the first hidden layer
 	delta []*matrix.Dense // delta[l] = ∂loss/∂(layer l's pre-activation), rows × Sizes[l+1]

@@ -118,7 +118,7 @@ func (o *OneVsRest) ApplyGrad(g []float64, lr float64) {
 }
 
 // Params concatenates the per-class [W..., B] vectors in class order.
-// It runs under the async engine's run-wide lock on every gradient, so
+// It runs under the engine loop's lock on every gradient, so
 // it must not allocate.
 func (o *OneVsRest) Params(out []float64) {
 	checkParamsLen("OneVsRest", len(out), o.NumParams())

@@ -103,14 +103,14 @@ func GenerateDataset(name string, rows int, seed int64) (*Dataset, error) {
 
 // Model is an empirical-risk model trained by mini-batch SGD, and the one
 // contract every training driver takes: Loss and Predict; NumParams, Grad
-// and ApplyGrad (a step is Grad then ApplyGrad, for Train and the engines
+// and ApplyGrad (a step is Grad then ApplyGrad, for Train and the engine
 // alike); Params, SetParams and Clone (the flat parameter vector that
-// checkpoints, async workers and the parameter server exchange); and
-// SetKernelWorkers, which lets the compressed matrix kernels (A·M and
-// M·A, the neural network's input layer) use multiple goroutines per
-// gradient: the engines set it from their worker pool, and serial
-// callers may call model.SetKernelWorkers(8) to parallelize them inside
-// Train, Loss and Predict without changing any result. The linear
+// checkpoints, the engine's cloned workers and the parameter server
+// exchange); and SetKernelWorkers, which lets the compressed matrix
+// kernels (A·M and M·A, the neural network's input layer) use multiple
+// goroutines per gradient: the engine sets it from its worker pool, and
+// serial callers may call model.SetKernelWorkers(8) to parallelize them
+// inside Train, Loss and Predict without changing any result. The linear
 // models run only the vector kernels, which never shard, and ignore it.
 // Every model NewModel returns implements all of it.
 type Model = ml.Model
@@ -146,42 +146,27 @@ func Train(m Model, src BatchSource, epochs int, lr float64, cb EpochCallback) *
 func EvaluateError(m Model, src BatchSource) float64 { return ml.EvaluateError(m, src) }
 
 // Engine is the concurrent mini-batch training engine: it shards
-// compression across a worker pool, runs data-parallel MGD with
-// deterministic batch-order gradient merging (the trajectory is identical
-// for any worker count), routes workers left over after the group's slots
-// into the matrix kernels inside each gradient, and sizes the spill
-// prefetcher that reads ahead of the batches each epoch visits in ingest
-// order.
+// compression across a worker pool and runs data-parallel MGD for any
+// (GroupSize, Staleness), merging each step's gradients in batch order
+// and applying steps in visit order. At Staleness 0 the trajectory is
+// identical for any worker count, and GroupSize 1 is serial Train's; a
+// positive bound lets a slow batch delay only its own position, and a
+// negative one free-runs. The pool is elastic and crash tolerant, and
+// Stats report updates, staleness, and membership and crash counts.
 type Engine = engine.Engine
 
-// EngineConfig sizes the engine: Workers, GroupSize, Seed, and the
-// checkpoint and step-observer hooks.
+// EngineConfig sizes the engine: Workers, GroupSize, Staleness, Seed,
+// Deterministic, the restart budget, and the checkpoint and step-observer
+// hooks.
 type EngineConfig = engine.Config
 
 // NewEngine builds a concurrent training engine.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
-// AsyncEngine is the asynchronous bounded-staleness training engine, the
-// alternative to Engine's synchronous group steps: workers take batch
-// positions from the training loop and compute gradients on private
-// clones refreshed from versioned parameter snapshots, and the loop
-// applies the results in visit order, admitting each gradient only if its snapshot
-// missed at most Staleness updates. Staleness 0 reproduces the
-// synchronous GroupSize-1 trajectory bitwise for any worker count; a
-// negative Staleness free-runs Hogwild-style, so one slow batch never
-// stalls another worker's compute. Its Stats report applied updates,
-// the max/mean staleness and the pool's membership and crash counts.
-type AsyncEngine = engine.Async
-
-// AsyncConfig sizes the async engine: Workers, Staleness, Seed,
-// Deterministic, the restart budget, and the checkpoint and step-observer
-// hooks.
-type AsyncConfig = engine.AsyncConfig
-
 // ElasticEvent is one membership change in an elastic schedule: after
 // Step applied updates, add (Delta > 0) or remove (Delta < 0) workers.
-// Feed a slice of them to AsyncEngine.ElasticHook, or call
-// AsyncEngine.AddWorkers / RemoveWorkers directly from any goroutine.
+// Feed a slice of them to Engine.ElasticHook, or call Engine.AddWorkers /
+// RemoveWorkers directly from any goroutine.
 type ElasticEvent = engine.ElasticEvent
 
 // ParseElasticSchedule parses the "200:+4,500:-2" grammar used by
@@ -189,9 +174,6 @@ type ElasticEvent = engine.ElasticEvent
 func ParseElasticSchedule(spec string) ([]ElasticEvent, error) {
 	return engine.ParseElasticSchedule(spec)
 }
-
-// NewAsyncEngine builds an asynchronous bounded-staleness engine.
-func NewAsyncEngine(cfg AsyncConfig) *AsyncEngine { return engine.NewAsync(cfg) }
 
 // Store is a memory-budgeted mini-batch store: batches beyond the budget
 // spill to disk and are re-read every epoch, reproducing the paper's
@@ -254,8 +236,8 @@ func NewStore(dir, method string, budgetBytes int64, opts ...StoreOption) (*Stor
 // path. It is a BatchSource that reads ahead in ingest order, the order
 // every epoch visits.
 // Its reader pool is split across the store's spill shards, so sharded
-// stores serve truly concurrent reads. Engine.NewPrefetcher and
-// AsyncEngine.NewPrefetcher size one from the worker pool and optionally
+// stores serve truly concurrent reads. Engine.NewPrefetcher sizes one
+// from the worker pool and optionally
 // bound its window by compressed bytes. Every training loop releases a
 // batch once its gradient is done, and the prefetcher then reuses the
 // batch's memory for a later read; a caller of Batch may do the same
@@ -265,11 +247,10 @@ type Prefetcher = storage.Prefetcher
 // ---- Fault tolerance: checkpoint/resume and crash-safe spill recovery ----
 
 // CheckpointState is one versioned, CRC-guarded training snapshot: model
-// parameters, schedule position (epoch, batch position and, async, the
-// update clock) and staleness frontier. A run resumed from it
-// reproduces the uninterrupted run's trajectory bitwise for every
-// deterministic configuration (sync engine, async staleness 0, async
-// Deterministic mode).
+// parameters, schedule position (epoch, batch position and update
+// clock) and staleness frontier. A run resumed from it reproduces the
+// uninterrupted run's trajectory bitwise for every deterministic
+// configuration (Staleness 0, or Deterministic mode).
 type CheckpointState = checkpoint.State
 
 // CheckpointWriter persists snapshots into a directory — atomically
@@ -278,7 +259,7 @@ type CheckpointState = checkpoint.State
 type CheckpointWriter = checkpoint.Writer
 
 // NewCheckpointWriter opens (creating if needed) a checkpoint directory.
-// Hand the writer to EngineConfig.Checkpoint or AsyncConfig.Checkpoint.
+// Hand the writer to EngineConfig.Checkpoint.
 func NewCheckpointWriter(dir string) (*CheckpointWriter, error) { return checkpoint.NewWriter(dir) }
 
 // LatestCheckpoint loads the newest checkpoint in dir. A corrupt newest
@@ -286,7 +267,7 @@ func NewCheckpointWriter(dir string) (*CheckpointWriter, error) { return checkpo
 // dir holds no checkpoints the error wraps os.ErrNotExist.
 func LatestCheckpoint(dir string) (*CheckpointState, error) { return checkpoint.Latest(dir) }
 
-// ErrHalted is returned by the engines' TrainFrom when Halt stopped the
+// ErrHalted is returned by Engine.TrainFrom when Halt stopped the
 // run after writing a final checkpoint.
 var ErrHalted = engine.ErrHalted
 
@@ -308,11 +289,11 @@ func ArmFaultpoints(spec string) error { return faultpoint.ArmSpec(spec) }
 
 // DistServer is the parameter server of a distributed run: it owns the
 // model and the update clock, releases schedule positions to trainers
-// under the async engine's staleness gate (carried over the wire), and
+// under the engine's staleness gate (carried over the wire), and
 // applies pushed gradients strictly in position order. A trainer that
 // vanishes without a clean goodbye is a crash; its in-flight positions
 // are requeued to the survivors. One trainer with the dense codec at
-// staleness 0 walks the local async engine's trajectory bitwise.
+// staleness 0 walks the local engine's trajectory bitwise.
 type DistServer = dist.Server
 
 // DistServerConfig sizes a parameter-server run: schedule (Epochs,
