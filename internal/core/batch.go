@@ -36,12 +36,12 @@ func (v Variant) String() string {
 }
 
 // Batch is a TOC-compressed mini-batch. Its resident form is its kernel
-// inputs and nothing else: the first layer I and D′ — D renumbered onto
-// the live nodes of the decode tree, 16 bits a code when they fit, with
-// its tuple starts and creation bitmap (decodetree.go). It keeps no
-// physical image: it knows the image's length, which CompressedSize
-// reports, and Serialize writes the image, in the paper's numbering, on
-// every call. A batch Deserialize made is the one exception: it aliases
+// inputs and nothing else: the first layer I, as a column array and a
+// value array, and D′ — D renumbered onto the live nodes of the decode
+// tree, 16 bits a code when they fit, with its tuple starts and creation
+// bitmap (decodetree.go). It keeps no physical image: it knows the
+// image's length, which CompressedSize reports, and Serialize writes the
+// image, in the paper's numbering, on every call. A batch Deserialize made is the one exception: it aliases
 // the image it was read from.
 //
 // Invariants (checked by tests):
@@ -55,12 +55,50 @@ type Batch struct {
 	rows, cols int
 	variant    Variant
 
-	i []Pair
+	i firstLayer
 	d residentD
 
 	size     int    // len(Serialize()), fixed when the batch is made
 	distinct int    // I's distinct values, counted with size when there is no img
 	img      []byte // the image Deserialize read the batch from; nil otherwise
+}
+
+// firstLayer is I, the tree's first layer, as two arrays of one length:
+// pair k, the key of first-layer node k+1, is (col[k], val[k]). Held as
+// a []Pair it would cost 16 bytes a pair, 4 of them padding; split, it
+// costs 12. A batch's col and tuple starts are one allocation (carve).
+type firstLayer struct {
+	col []uint32
+	val []float64
+}
+
+// len returns |I|.
+func (f *firstLayer) len() int { return len(f.val) }
+
+// arrays returns I's columns, resliced to |I|, and its values: the
+// reslice is the one bounds check that lets the compiler prove col[k]
+// wherever val[k] is in bounds, so a loop over I checks one index, not
+// two.
+func (f *firstLayer) arrays() (col []uint32, val []float64) { return f.col[:len(f.val)], f.val }
+
+// pairs returns a copy of I in the paper's layout, one Pair a
+// first-layer node.
+func (f *firstLayer) pairs() []Pair {
+	col, val := f.arrays()
+	I := make([]Pair, len(val))
+	for k, v := range val {
+		I[k] = Pair{Col: col[k], Val: v}
+	}
+	return I
+}
+
+// carve returns I's column array, of length lenI, and the tuple starts
+// of rows tuples, cut from one array — spare's, when it is large enough.
+// The columns come first and keep the whole array's capacity, so that
+// spare can hand it back.
+func carve(spare []uint32, lenI, rows int) (col, starts []uint32) {
+	w := fit(spare, lenI+rows+1)
+	return w[:lenI], w[lenI:]
 }
 
 // Compress encodes a dense mini-batch with the Full TOC pipeline.
@@ -74,9 +112,12 @@ func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 	defer encoderPool.Put(e)
 	e.addDense(m)
 	e.encode()
-	D := dTable{Nodes: e.d.Nodes, Starts: exactCopy(e.d.Starts)}
+	col, starts := carve(nil, len(e.pairs.val), m.Rows())
+	copy(col, e.pairs.col)
+	copy(starts, e.d.Starts)
+	I := firstLayer{col: col, val: exactCopy(e.pairs.val)}
 	b := new(Batch)
-	if err := newLogical(b, m.Rows(), m.Cols(), v, exactCopy(e.pairs), D, nil); err != nil {
+	if err := newLogical(b, m.Rows(), m.Cols(), v, I, dTable{Nodes: e.d.Nodes, Starts: starts}, nil); err != nil {
 		panic("core: Algorithm 1 emitted an invalid (I, D): " + err.Error())
 	}
 	e.sizeImage(b)
@@ -95,19 +136,19 @@ var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 // newLogical is the one place a batch is made: it takes (I, D) as
 // Algorithm 1 emits them — from the encoder, or unpacked from an image,
 // which is then img — validates them and renumbers D into the resident
-// form of decodetree.go, which it writes to b. The batch keeps I and
-// D.Starts; D.Nodes may be pooled scratch, which it does not retain. D′
-// and the creation bitmap reuse b's arrays when they are large enough (b
-// is recycled memory; see Recycle). An image's length is the batch's
-// size; a batch made without one has its size set by the caller. On an
-// error b is left as it was.
-func newLogical(b *Batch, rows, cols int, v Variant, I []Pair, D dTable, img []byte) error {
+// form of decodetree.go, which it writes to b. The batch keeps I's two
+// arrays and D.Starts; D.Nodes may be pooled scratch, which it does not
+// retain. D′ and the creation bitmap reuse b's arrays when they are
+// large enough (b is recycled memory; see Recycle). An image's length is
+// the batch's size; a batch made without one has its size set by the
+// caller. On an error b is left as it was.
+func newLogical(b *Batch, rows, cols int, v Variant, I firstLayer, D dTable, img []byte) error {
 	sc := liveScratchPool.Get().(*liveScratch)
 	defer liveScratchPool.Put(sc)
-	if err := validateLogical(rows, I, D, sc); err != nil {
+	if err := validateLogical(rows, I.len(), D, sc); err != nil {
 		return err
 	}
-	*b = Batch{rows: rows, cols: cols, variant: v, i: I, d: renumber(D, len(I), sc, &b.d), size: len(img), img: img}
+	*b = Batch{rows: rows, cols: cols, variant: v, i: I, d: renumber(D, I.len(), sc, &b.d), size: len(img), img: img}
 	return nil
 }
 
@@ -115,14 +156,15 @@ func newLogical(b *Batch, rows, cols int, v Variant, I []Pair, D dTable, img []b
 // emptied, for the next Deserialize to fill.
 var batchPool sync.Pool
 
-// Recycle hands b's memory — the Batch, I, D′, the tuple starts and the
-// creation bitmap — to a later Deserialize, which overwrites it. It is
-// for a batch read for one use, once that use is over: nothing may touch
-// b afterwards, nor a plan built on it, nor a Scale or Square of it
-// (which share its D′), nor the image it was read from, which the caller
-// may then reuse. Under the race detector the memory, image included, is
-// poisoned first, so that a use after Recycle fails loudly. Memory that
-// is never recycled is collected as usual.
+// Recycle hands b's memory — the Batch, I's two arrays, D′, the tuple
+// starts and the creation bitmap — to a later Deserialize, which
+// overwrites it. It is for a batch read for one use, once that use is
+// over: nothing may touch b afterwards, nor a plan built on it, nor a
+// Scale or Square of it (which share its D′ and I's columns, and with
+// them the tuple starts), nor the image it was read from, which the
+// caller may then reuse. Under the race detector the memory, image
+// included, is poisoned first, so that a use after Recycle fails loudly.
+// Memory that is never recycled is collected as usual.
 func (b *Batch) Recycle() {
 	if raceEnabled {
 		b.poison()
@@ -132,16 +174,19 @@ func (b *Batch) Recycle() {
 }
 
 // spare empties b, keeping its arrays for a later Deserialize to fill.
+// I's column array, at its full capacity, is also the tuple starts'
+// (carve).
 func (b *Batch) spare() {
 	d := &b.d
-	*b = Batch{i: b.i[:0], d: residentD{narrow: d.narrow[:0], wide: d.wide[:0], starts: d.starts[:0], created: d.created[:0]}}
+	*b = Batch{i: firstLayer{col: b.i.col[:0], val: b.i.val[:0]}, d: residentD{narrow: d.narrow[:0], wide: d.wide[:0], created: d.created[:0]}}
 }
 
 // poison overwrites everything b holds with values no kernel survives:
 // out-of-range columns, codes and starts, NaN values, a bitmap of ones,
 // and an image whose magic no longer matches.
 func (b *Batch) poison() {
-	fill(b.i, Pair{Col: math.MaxUint32, Val: math.NaN()})
+	fill(b.i.col, math.MaxUint32)
+	fill(b.i.val, math.NaN())
 	fill(b.d.narrow, math.MaxUint16)
 	fill(b.d.wide, math.MaxUint32)
 	fill(b.d.starts, math.MaxUint32)
@@ -279,7 +324,7 @@ func (b *Batch) Cols() int { return b.cols }
 func (b *Batch) Variant() Variant { return b.variant }
 
 // NumFirstLayer returns |I|, the number of unique column-index:value pairs.
-func (b *Batch) NumFirstLayer() int { return len(b.i) }
+func (b *Batch) NumFirstLayer() int { return b.i.len() }
 
 // NumCodes returns the total number of tree-node indexes in D.
 func (b *Batch) NumCodes() int { return b.d.len() }
@@ -315,13 +360,14 @@ func (b *Batch) Decode() *matrix.Dense {
 }
 
 // decodeRows writes every tuple's codes' sequences into its row of out.
-func decodeRows[N code](out *matrix.Dense, I []Pair, nodes []N, starts []uint32, t *DecodeTree) {
+func decodeRows[N code](out *matrix.Dense, I firstLayer, nodes []N, starts []uint32, t *DecodeTree) {
+	col, val := I.arrays()
 	for i := 0; i < out.Rows(); i++ {
 		row := out.Row(i)
 		for _, n := range nodes[starts[i]:starts[i+1]] {
 			for idx := uint32(n); idx != 0; idx = t.Parent[idx] {
-				k := I[t.KeyIdx[idx]-1]
-				row[k.Col] = k.Val
+				k := t.KeyIdx[idx] - 1
+				row[col[k]] = val[k]
 			}
 		}
 	}

@@ -232,7 +232,7 @@ func vecApproxEq(a, b []float64) bool {
 
 // buildTree builds the batch's decode tree C' into memory of its own.
 func (b *Batch) buildTree() *DecodeTree {
-	return new(treeArena).build(b.i, &b.d)
+	return new(treeArena).build(b.i.len(), &b.d)
 }
 
 // The decode tree parent index is always smaller than the child index —
@@ -350,7 +350,7 @@ func TestValidateRejectsForwardReference(t *testing.T) {
 	// image writer's input, in the paper's numbering; no constructor
 	// would make this batch.
 	b := &Batch{rows: 1, cols: 2, variant: SparseLogical,
-		i: []Pair{{0, 1}},
+		i: splitI([]Pair{{0, 1}}),
 		d: residentD{starts: []uint32{0, 1}},
 	}
 	if _, err := Deserialize(paperImage(b, []uint32{2})); err == nil {

@@ -53,10 +53,13 @@ import (
 //     against the Algorithm-2 replay and marks the node it references in
 //     one pass, and numberMarked and translate turn the marks into D′. The
 //     physical image is not kept: Serialize writes it from (I, D′)
-//     through the inverse map on every call (physical.go). On the
-//     benchmark's 250-row batches a resident batch costs 1.4 (imagenet)
-//     and 3.8 (mnist) heap bytes per image byte, against 2.7 and 5.6
-//     with the image and a 32-bit D′ (TestResidentHeapPerCompressedByte).
+//     through the inverse map on every call (physical.go).
+//   - I is two arrays, its columns and its values, 12 bytes a pair where
+//     a []Pair spends 16, and the columns share one allocation with the
+//     tuple starts. On the benchmark's 250-row batches a resident batch
+//     costs 1.21 (imagenet) and 3.19 (mnist) heap bytes per image byte,
+//     against 1.42 and 3.90 with I as a []Pair, and 2.7 and 5.6 with the
+//     image and a 32-bit D′ besides (TestResidentHeapPerCompressedByte).
 //
 // build therefore is Algorithm 2 restricted to live nodes,
 // O(|I| + |live|) per plan; Algorithm 2 as written — the full tree — is
@@ -65,8 +68,8 @@ import (
 // Layout. A node is two uint32s — 8 bytes. Every key in C' is one of the
 // |I| first-layer pairs (Algorithm 1 only ever appends pairs it has
 // already put in the first layer), so a node stores the *index* of its
-// key's first-layer node instead of a 16-byte copy of the pair: node i's
-// key is I[KeyIdx[i]-1]. Algorithm 2's F array ("first pair of the
+// key's first-layer node instead of a 12-byte copy of the pair: node i's
+// key is pair KeyIdx[i]-1 of I. Algorithm 2's F array ("first pair of the
 // sequence node i represents") shrinks the same way to a uint32
 // first-layer index, and is build-time scratch only. The build therefore
 // writes 12 bytes per live node, into pooled memory. It has to be that
@@ -87,7 +90,10 @@ func (t *DecodeTree) Len() int { return len(t.Parent) }
 // backtracking parent links (the sequence definition of §3.1.1), looking
 // each key up in the first layer I the tree was built from. One counting
 // walk sizes the result exactly, then a second walk fills it back to
-// front — a single allocation, no reverse buffer.
+// front — a single allocation, no reverse buffer. It is the paper's
+// view, not a kernel's: it takes I as PrefixTreeEncode returns it and
+// returns a sequence of pairs, so it keeps []Pair where a Batch splits I
+// into two arrays.
 func (t *DecodeTree) Seq(I []Pair, idx uint32) []Pair {
 	n := 0
 	for i := idx; i != 0; i = t.Parent[i] {
@@ -201,7 +207,7 @@ func TreeBuilds() uint64 { return treeBuilds.Load() }
 
 // treeSize computes the paper's |C'|: root + first layer + one node per
 // non-final tuple element, i.e. 1 + |I| + (|D.Nodes| - rows-with-elements).
-func treeSize(I []Pair, D dTable) int {
+func treeSize(lenI int, D dTable) int {
 	starts := D.Starts
 	empty := 0
 	for i := 1; i < len(starts); i++ {
@@ -209,16 +215,17 @@ func treeSize(I []Pair, D dTable) int {
 			empty++
 		}
 	}
-	return 1 + len(I) + len(D.Nodes) - (D.rows() - empty)
+	return 1 + lenI + len(D.Nodes) - (D.rows() - empty)
 }
 
-// build implements Algorithm 2 into the arena for a D in resident form:
-// phase I initializes C' (and the first-pair index array F) from I;
-// phase II (addLive) adds the live nodes in creation order. The result
-// is valid until the arena's next build.
-func (a *treeArena) build(I []Pair, D *residentD) *DecodeTree {
+// build implements Algorithm 2 into the arena for a D in resident form
+// and a first layer of lenI pairs: phase I initializes C' (and the
+// first-pair index array F) from I, which needs only |I|; phase II
+// (addLive) adds the live nodes in creation order. The result is valid
+// until the arena's next build.
+func (a *treeArena) build(lenI int, D *residentD) *DecodeTree {
 	treeBuilds.Add(1)
-	size := 1 + len(I) + D.live
+	size := 1 + lenI + D.live
 	if cap(a.words) < 3*size {
 		a.words = make([]uint32, 3*size)
 	}
@@ -229,7 +236,7 @@ func (a *treeArena) build(I []Pair, D *residentD) *DecodeTree {
 	// Phase I (lines 4-7): the root, then the first layer — node k's key
 	// and first pair are both I[k-1], its parent the root. The arena
 	// carries stale data, so every word of the three arrays is written.
-	firstLayer := len(I) + 1
+	firstLayer := lenI + 1
 	keyIdx, first = keyIdx[:len(parent)], first[:len(parent)]
 	for k := range parent[:firstLayer] {
 		parent[k] = 0

@@ -8,8 +8,8 @@ import "toc/internal/matrix"
 
 // Scale returns a new batch representing A.*c (Algorithm 3). Only the
 // unique column-index:value pairs are touched, so the cost is O(|I|)
-// regardless of the matrix size; the encoded table D is shared with the
-// receiver, not copied.
+// regardless of the matrix size; the encoded table D and I's column
+// array are shared with the receiver, not copied.
 func (b *Batch) Scale(c float64) *Batch {
 	return b.mapValues(func(v float64) float64 { return v * c })
 }
@@ -19,17 +19,17 @@ func (b *Batch) Square() *Batch {
 	return b.mapValues(func(v float64) float64 { return v * v })
 }
 
-// mapValues returns the batch with f applied to every value of I and D
-// shared. Its image length is counted afresh: two values f maps to the
-// same bits share a dictionary entry, and the receiver's own length may
-// be that of an image Deserialize read, which need not be the one
-// Serialize writes.
+// mapValues returns the batch with f applied to every value of I, and
+// I's columns and D shared: it allocates the Batch and a value array.
+// Its image length is counted afresh: two values f maps to the same bits
+// share a dictionary entry, and the receiver's own length may be that of
+// an image Deserialize read, which need not be the one Serialize writes.
 func (b *Batch) mapValues(f func(float64) float64) *Batch {
-	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant, d: b.d}
-	nb.i = make([]Pair, len(b.i))
-	for i, p := range b.i {
-		nb.i[i] = Pair{Col: p.Col, Val: f(p.Val)}
+	val := make([]float64, b.i.len())
+	for k, x := range b.i.val {
+		val[k] = f(x)
 	}
+	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant, i: firstLayer{col: b.i.col, val: val}, d: b.d}
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
 	e.sizeImage(nb)

@@ -44,10 +44,10 @@ import (
 // Pool contract. All encoder state — the tables, the tuple rewrite, D and
 // the physical layer's staging arrays — lives in one encoder recycled
 // through encoderPool, so steady-state compression allocates only what
-// the Batch keeps. Nothing a caller receives aliases the encoder: I and
-// D's tuple starts are copied out at exact length and D is renumbered
-// out of it before Put, and an encoder is owned by one goroutine between
-// Get and Put.
+// the Batch keeps. Nothing a caller receives aliases the encoder: I's
+// two arrays and D's tuple starts are copied out at exact length and D
+// is renumbered out of it before Put, and an encoder is owned by one
+// goroutine between Get and Put.
 
 // slot is one entry of an internTable. Interned ids are tree-node indexes
 // or 1-based dictionary positions, never 0, so id == 0 marks a free slot.
@@ -124,17 +124,16 @@ func hashWords(key uint64, aux uint32) uint64 {
 type encoder struct {
 	first, child internTable
 
-	pairs  []Pair   // I: the first layer in first-appearance order
-	ids    []uint32 // first-layer node of every non-zero, tuples concatenated
-	tuples []uint32 // tuples[r]: offset of tuple r in ids; one final entry = len(ids)
-	d      dTable   // D, flat; Deserialize unpacks an image's codes here too
+	pairs  firstLayer // I, in first-appearance order
+	ids    []uint32   // first-layer node of every non-zero, tuples concatenated
+	tuples []uint32   // tuples[r]: offset of tuple r in ids; one final entry = len(ids)
+	d      dTable     // D, flat; Deserialize unpacks an image's codes here too
 
-	// Staging for the physical layer (physical.go): I's columns and the
-	// largest of them, the value dictionary of I's values, one dictionary
-	// index per pair, and a resident D's way back to the paper's
-	// numbering — every live id's paper number, the bitmap of tuple ends
-	// it is counted from, and D in it.
-	cols   []uint32
+	// Staging for the physical layer (physical.go): the largest of I's
+	// columns, the value dictionary of I's values, one dictionary index
+	// per pair, and a resident D's way back to the paper's numbering —
+	// every live id's paper number, the bitmap of tuple ends it is
+	// counted from, and D in it.
 	colTop uint32
 	dict   internTable
 	vals   []float64
@@ -149,16 +148,18 @@ var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 // begin starts phase I on an empty table B.
 func (e *encoder) begin() {
 	e.first.reset()
-	e.pairs, e.ids = e.pairs[:0], e.ids[:0]
+	e.pairs = firstLayer{col: e.pairs.col[:0], val: e.pairs.val[:0]}
+	e.ids = e.ids[:0]
 	e.tuples = append(e.tuples[:0], 0)
 }
 
 // add appends one column-index:value pair to the current tuple, giving it
 // a first-layer node if it is new (lines 5-8).
 func (e *encoder) add(col uint32, val float64) {
-	id, added := e.first.intern(math.Float64bits(val), col, uint32(len(e.pairs))+1)
+	id, added := e.first.intern(math.Float64bits(val), col, uint32(e.pairs.len())+1)
 	if added {
-		e.pairs = append(e.pairs, Pair{Col: col, Val: val})
+		e.pairs.col = append(e.pairs.col, col)
+		e.pairs.val = append(e.pairs.val, val)
 	}
 	e.ids = append(e.ids, id)
 }
@@ -192,7 +193,7 @@ func (e *encoder) encode() {
 		nodes = make([]uint32, 0, len(e.ids))
 	}
 	starts := e.d.Starts[:0]
-	next := uint32(len(e.pairs)) + 1
+	next := uint32(e.pairs.len()) + 1
 	for r := 1; r < len(e.tuples); r++ {
 		starts = append(starts, uint32(len(nodes)))
 		t := e.ids[e.tuples[r-1]:e.tuples[r]]
@@ -233,7 +234,7 @@ func PrefixTreeEncode(b []SparseRow) (I []Pair, D [][]uint32) {
 	for i := range D {
 		D[i] = exactCopy(e.d.row(i))
 	}
-	return exactCopy(e.pairs), D
+	return e.pairs.pairs(), D
 }
 
 // exactCopy copies s out of pooled scratch into a slice with cap == len,

@@ -251,18 +251,18 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v: own image rejected: %v", variant, err)
 			}
-			referenced := make([]bool, len(b.i)+1)
+			referenced := make([]bool, b.i.len()+1)
 			_, D := PrefixTreeEncode(SparseEncode(m))
 			for _, codes := range D {
 				for _, n := range codes {
-					if int(n) <= len(b.i) {
+					if int(n) <= b.i.len() {
 						referenced[n] = true
 					}
 				}
 			}
-			for k := 1; k <= len(b.i); k++ {
+			for k := 1; k <= b.i.len(); k++ {
 				if !referenced[k] {
-					t.Fatalf("%v: Algorithm 1 never emits first-layer node %d (%v)", variant, k, b.i[k-1])
+					t.Fatalf("%v: Algorithm 1 never emits first-layer node %d (%v)", variant, k, b.i.pairs()[k-1])
 				}
 			}
 			checkResidentForm(t, variant.String(), b, flattenD(D))

@@ -67,12 +67,12 @@ func (b *Batch) vecMulTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	// H[parent] visits every implicit sequence element exactly once.
 	// keyIdx/parent/h share one proven length; the data-dependent key
 	// fetch, r[col] and h[parent] indexes keep their checks.
-	I, par := b.i, t.Parent
-	kix := t.KeyIdx[:len(par)]
+	col, val := b.i.arrays()
+	par, kix := t.Parent, t.KeyIdx[:len(t.Parent)]
 	h = h[:len(par)]
-	for i := len(par) - 1; i > len(I); i-- {
-		k := I[kix[i]-1]
-		r[k.Col] += k.Val * h[i]
+	for i := len(par) - 1; i > len(val); i-- {
+		k := kix[i] - 1
+		r[col[k]] += val[k] * h[i]
 		h[par[i]] += h[i]
 	}
 	// First layer: node k+1's key is I[k] itself and its parent the root,
@@ -80,9 +80,9 @@ func (b *Batch) vecMulTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	// of being gathered, and the push (|I| read-modify-writes chained
 	// through H[0]) is dropped. Every r[col] still folds in descending
 	// node order.
-	hf := h[1 : len(I)+1]
-	for k := len(I) - 1; k >= 0; k-- {
-		r[I[k].Col] += I[k].Val * hf[k]
+	hf := h[1 : len(val)+1]
+	for k := len(val) - 1; k >= 0; k-- {
+		r[col[k]] += val[k] * hf[k]
 	}
 }
 
@@ -147,8 +147,8 @@ func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *matrix.Dense, klo, khi int) {
 	mcols, rcols := m.Cols(), r.Cols()
 	mc, rt := g[:panelWidth], g[panelWidth:]
-	I, par := b.i, t.Parent
-	kix := t.KeyIdx[:len(par)]
+	col, val := b.i.arrays()
+	par, kix := t.Parent, t.KeyIdx[:len(t.Parent)]
 	for lo := klo; lo < khi; lo += panelWidth {
 		w := min(lo+panelWidth, khi) - lo
 		md := m.Data()[lo*mcols:]
@@ -177,12 +177,12 @@ func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *m
 		// order, so copying it out writes the bits accumulating in place
 		// would have.
 		clear(rt[:rcols*w])
-		for i := len(par) - 1; i > len(I); i-- {
-			k := I[kix[i]-1]
+		for i := len(par) - 1; i > len(val); i-- {
+			k := kix[i] - 1
+			kv := val[k]
 			hi := h[i*w : i*w+w]
 			hp := h[int(par[i])*w : int(par[i])*w+w]
-			rc := rt[int(k.Col)*w : int(k.Col)*w+w]
-			kv := k.Val
+			rc := rt[int(col[k])*w : int(col[k])*w+w]
 			hp, rc = hp[:len(hi)], rc[:len(hi)]
 			for j, v := range hi {
 				rc[j] += kv * v
@@ -192,11 +192,10 @@ func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *m
 		// First layer: node k+1's key is I[k] itself and its parent the
 		// root, whose accumulated weight nothing reads, so the push is
 		// dropped (and the root's row of H never touched).
-		for i := len(I); i >= 1; i-- {
-			k := I[i-1]
+		for i := len(val); i >= 1; i-- {
+			kv := val[i-1]
 			hi := h[i*w : i*w+w]
-			rc := rt[int(k.Col)*w : int(k.Col)*w+w]
-			kv := k.Val
+			rc := rt[int(col[i-1])*w : int(col[i-1])*w+w]
 			rc = rc[:len(hi)]
 			for j, v := range hi {
 				rc[j] += kv * v

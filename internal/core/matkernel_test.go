@@ -42,7 +42,7 @@ func TestMatrixKernelsPanelEdgeShapes(t *testing.T) {
 	const w = panelWidth
 	for name, c := range logicalCases(t, rng) {
 		b := c.b
-		want := oracleBuild(b.i, c.paper)
+		want := oracleBuild(b.i.pairs(), c.paper)
 		plan := b.NewKernelPlan()
 		for _, p := range []int{0, 1, w - 1, w, w + 1, 2*w + 3} {
 			mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
@@ -78,7 +78,7 @@ func TestLiveNodesAreExactlyTheReachableOnes(t *testing.T) {
 	dead := 0
 	for name, c := range cases {
 		checkResidentForm(t, name, c.b, c.paper)
-		dead += treeSize(c.b.i, c.paper) - c.b.buildTree().Len()
+		dead += treeSize(c.b.i.len(), c.paper) - c.b.buildTree().Len()
 	}
 	if dead == 0 {
 		t.Fatal("no case has a dead node; the table no longer exercises the renumbering")
@@ -170,10 +170,10 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 	for name, c := range logicalCases(t, rng) {
 		b := c.b
 		// The slab is one row per live node.
-		if 1+len(b.i)+b.d.live > bigLen || b.cols > big.cols {
+		if 1+b.i.len()+b.d.live > bigLen || b.cols > big.cols {
 			t.Fatalf("%s: case outgrows the throwaway batch", name)
 		}
-		want := oracleBuild(b.i, c.paper)
+		want := oracleBuild(b.i.pairs(), c.paper)
 		mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
 		fillRand(rng, mr)
 		fillRand(rng, ml)
@@ -205,7 +205,7 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 // column the decoded matrix has only zeros in.
 func unreferencedFirstLayerImage() []byte {
 	b := &Batch{rows: 2, cols: 3, variant: SparseLogical,
-		i: []Pair{{0, 2.5}, {1, math.Inf(1)}, {2, 0.5}},
+		i: splitI([]Pair{{0, 2.5}, {1, math.Inf(1)}, {2, 0.5}}),
 		d: residentD{starts: []uint32{0, 2, 3}},
 	}
 	return paperImage(b, []uint32{1, 3, 1})
@@ -264,7 +264,7 @@ func TestMatrixKernelsNonFiniteMatchDense(t *testing.T) {
 		// The full tree has a dead node with a non-finite key, or the
 		// case no longer exercises the deviation.
 		_, D := PrefixTreeEncode(SparseEncode(a))
-		full := oracleBuild(b.i, flattenD(D))
+		full := oracleBuild(b.i.pairs(), flattenD(D))
 		referenced := map[uint32]bool{}
 		for _, codes := range D {
 			for _, n := range codes {
@@ -303,14 +303,14 @@ func TestMatrixKernelScratchIndependentOfP(t *testing.T) {
 	b := Compress(redundantMatrix(rng, 64, 16, 0.9, 4))
 	plan := b.NewKernelPlan()
 	defer plan.Release()
-	if plan.tree.Len() != 1+len(b.i)+b.d.live {
-		t.Fatalf("plan tree has %d nodes, the batch 1+%d+%d live ones", plan.tree.Len(), len(b.i), b.d.live)
+	if plan.tree.Len() != 1+b.i.len()+b.d.live {
+		t.Fatalf("plan tree has %d nodes, the batch 1+%d+%d live ones", plan.tree.Len(), b.i.len(), b.d.live)
 	}
 	mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
 	fillRand(rng, mr)
 	fillRand(rng, ml)
 	for _, workers := range []int{1, 2} {
-		limit := workers * (1 + len(b.i) + b.d.live) * panelWidth
+		limit := workers * (1 + b.i.len() + b.d.live) * panelWidth
 		sc := new(opScratch)
 		b.mulMatTree(plan.tree, sc, mr, matrix.NewDense(b.rows, p), workers)
 		if got := cap(sc.floats); got > limit {
@@ -352,7 +352,7 @@ func BenchmarkMatrixKernels(b *testing.B) {
 		batch := Compress(ds.X)
 		plan := batch.NewKernelPlan()
 		_, D := PrefixTreeEncode(SparseEncode(ds.X))
-		liveShare := float64(plan.tree.Len()) / float64(treeSize(batch.i, flattenD(D)))
+		liveShare := float64(plan.tree.Len()) / float64(treeSize(batch.i.len(), flattenD(D)))
 		work := float64(ds.X.NNZ() * p)
 		mr, ml := matrix.NewDense(batch.cols, p), matrix.NewDense(p, rows)
 		for i := range mr.Data() {

@@ -32,7 +32,7 @@ type oracleTree struct {
 }
 
 func oracleBuild(I []Pair, D dTable) *oracleTree {
-	size := treeSize(I, D)
+	size := treeSize(len(I), D)
 	t := &oracleTree{Key: make([]Pair, size), Parent: make([]uint32, size)}
 	first := make([]Pair, size)
 	copy(t.Key[1:], I)
@@ -48,6 +48,16 @@ func oracleBuild(I []Pair, D dTable) *oracleTree {
 		}
 	}
 	return t
+}
+
+// splitI is I as PrefixTreeEncode returns it, split into a batch's column
+// and value arrays.
+func splitI(I []Pair) firstLayer {
+	f := firstLayer{col: make([]uint32, len(I)), val: make([]float64, len(I))}
+	for k, p := range I {
+		f.col[k], f.val[k] = p.Col, p.Val
+	}
+	return f
 }
 
 // seq is the pair sequence node idx represents (§3.1.1).
@@ -71,7 +81,7 @@ type logicalCase struct {
 func newLogicalCase(t testing.TB, tag string, rows, cols int, v Variant, I []Pair, D [][]uint32) logicalCase {
 	t.Helper()
 	b := new(Batch)
-	if err := newLogical(b, rows, cols, v, I, flattenD(D), nil); err != nil {
+	if err := newLogical(b, rows, cols, v, splitI(I), flattenD(D), nil); err != nil {
 		t.Fatalf("%s: encoder output rejected: %v", tag, err)
 	}
 	new(encoder).sizeImage(b)
@@ -139,17 +149,17 @@ func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 	if (d.narrow == nil) == (d.wide == nil) {
 		t.Fatalf("%s: D′ has both widths or neither", tag)
 	}
-	if size := 1 + len(b.i) + d.live; d.isWide() != (size > 1<<16) {
+	if size := 1 + b.i.len() + d.live; d.isWide() != (size > 1<<16) {
 		t.Fatalf("%s: live tree of %d nodes holds D′ wide=%v", tag, size, d.isWide())
 	}
 	if want := (len(nodes) + 63) / 64; len(d.created) != want {
 		t.Fatalf("%s: creation bitmap has %d words for |D| = %d, want %d", tag, len(d.created), len(nodes), want)
 	}
-	ids := make([]uint32, len(b.i)+1, len(b.i)+1+d.live)
+	ids := make([]uint32, b.i.len()+1, b.i.len()+1+d.live)
 	for k := range ids {
 		ids[k] = uint32(k)
 	}
-	set, next := 0, uint32(len(b.i))+1
+	set, next := 0, uint32(b.i.len())+1
 	for r := 0; r+1 < len(d.starts); r++ {
 		for q := int(d.starts[r]); q < int(d.starts[r+1]); q++ {
 			bit := d.created[q>>6]>>(q&63)&1 != 0
@@ -174,8 +184,8 @@ func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 		t.Fatalf("%s: bitmap population %d (%d at creating positions), live count %d", tag, pop, set, d.live)
 	}
 	for k, n := range nodes {
-		if n == 0 || int(n) > len(b.i)+d.live {
-			t.Fatalf("%s: D position %d holds id %d, outside 1..%d", tag, k, n, len(b.i)+d.live)
+		if n == 0 || int(n) > b.i.len()+d.live {
+			t.Fatalf("%s: D position %d holds id %d, outside 1..%d", tag, k, n, b.i.len()+d.live)
 		}
 	}
 	return ids
@@ -193,7 +203,7 @@ func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	t.Helper()
 	ids := paperIDs(t, tag, b)
-	want := oracleBuild(b.i, paper)
+	want := oracleBuild(b.i.pairs(), paper)
 	reach := make([]bool, len(want.Key))
 	for _, n := range paper.Nodes {
 		for i := n; i != 0 && !reach[i]; i = want.Parent[i] {
@@ -227,10 +237,10 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	}
 	for i := 1; i < lean.Len(); i++ {
 		// Keys compare by bits: a NaN value is a pair like any other.
-		got, key := b.i[lean.KeyIdx[i]-1], want.Key[ids[i]]
-		if ids[lean.Parent[i]] != want.Parent[ids[i]] || got.Col != key.Col || math.Float64bits(got.Val) != math.Float64bits(key.Val) {
-			t.Fatalf("%s: live node %d (paper %d) = key %v parent %d, oracle key %v parent %d", tag, i, ids[i],
-				b.i[lean.KeyIdx[i]-1], ids[lean.Parent[i]], want.Key[ids[i]], want.Parent[ids[i]])
+		k, key := lean.KeyIdx[i]-1, want.Key[ids[i]]
+		if ids[lean.Parent[i]] != want.Parent[ids[i]] || b.i.col[k] != key.Col || math.Float64bits(b.i.val[k]) != math.Float64bits(key.Val) {
+			t.Fatalf("%s: live node %d (paper %d) = key %d:%v parent %d, oracle key %v parent %d", tag, i, ids[i],
+				b.i.col[k], b.i.val[k], ids[lean.Parent[i]], want.Key[ids[i]], want.Parent[ids[i]])
 		}
 	}
 
@@ -249,38 +259,57 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	}
 
 	// The image written through the inverse map is the one written from
-	// Algorithm 1's D, and the batch's own: a batch that keeps no image
-	// serializes to it, and one Deserialize made was read from these very
-	// bytes. (Scale itself may change a NaN's bits.)
+	// Algorithm 1's D: the canonical image of (I, D), which a batch that
+	// keeps no image serializes to. One Deserialize made returns the bytes
+	// it was read from, which may be any image of the same (I, D) (readFull
+	// states the accepted language): the canonical bytes, or others no
+	// shorter that read back as the same batch. (Scale itself may change a
+	// NaN's bits.)
 	if b.d.top != maxOf(paper.Nodes) {
 		t.Fatalf("%s: the resident D's largest code is %d, Algorithm 1's %d", tag, b.d.top, maxOf(paper.Nodes))
 	}
-	img := written(b)
-	if want := paperImage(b, paper.Nodes); !bytes.Equal(img, want) {
+	canon := written(b)
+	if want := paperImage(b, paper.Nodes); !bytes.Equal(canon, want) {
 		t.Fatalf("%s: the image written through the inverse map differs from Algorithm 1's", tag)
 	}
-	if !bytes.Equal(img, b.Serialize()) {
-		t.Fatalf("%s: the image written through the inverse map differs from the batch's", tag)
-	}
-	if b.img != nil && &b.Serialize()[0] != &b.img[0] {
-		t.Fatalf("%s: a deserialized batch does not return the image it was read from", tag)
-	}
-	for name, x := range map[string]*Batch{"batch": b, "scaled batch": b.Scale(2)} {
-		img := x.Serialize()
-		if x.CompressedSize() != len(img) {
-			t.Fatalf("%s: the %s's CompressedSize is %d, its image %d bytes", tag, name, x.CompressedSize(), len(img))
+	scaled := b.Scale(2)
+	imgs := []struct {
+		name string
+		of   *Batch
+		img  []byte
+	}{{"batch's image", b, b.Serialize()}, {"scaled batch's image", scaled, scaled.Serialize()}}
+	for _, c := range imgs {
+		if c.of.CompressedSize() != len(c.img) {
+			t.Fatalf("%s: the %s is %d bytes, CompressedSize %d", tag, c.name, len(c.img), c.of.CompressedSize())
 		}
-		back, err := Deserialize(img)
+	}
+	switch {
+	case b.img == nil && !bytes.Equal(canon, imgs[0].img):
+		t.Fatalf("%s: the image written through the inverse map differs from the batch's", tag)
+	case b.img != nil && &imgs[0].img[0] != &b.img[0]:
+		t.Fatalf("%s: a deserialized batch does not return the image it was read from", tag)
+	case b.img != nil && !bytes.Equal(canon, b.img):
+		if len(canon) > len(b.img) {
+			t.Fatalf("%s: the canonical image is %d bytes, the non-canonical one read %d", tag, len(canon), len(b.img))
+		}
+		imgs = append(imgs, imgs[0])
+		imgs[2].name, imgs[2].img = "canonical image", canon
+	}
+	for _, c := range imgs {
+		back, err := Deserialize(c.img)
 		if err != nil {
-			t.Fatalf("%s: the %s's image is rejected: %v", tag, name, err)
+			t.Fatalf("%s: the %s is rejected: %v", tag, c.name, err)
 		}
 		if back.d.isWide() != b.d.isWide() || !slices.Equal(residentCodes(back), residentCodes(b)) ||
 			!slices.Equal(back.d.starts, b.d.starts) || !slices.Equal(back.d.created, b.d.created) ||
 			back.d.live != b.d.live || back.d.top != b.d.top {
-			t.Fatalf("%s: the %s's image deserializes to another resident D", tag, name)
+			t.Fatalf("%s: the %s deserializes to another resident D", tag, c.name)
 		}
-		if !bytes.Equal(written(back), img) {
-			t.Fatalf("%s: the %s's image does not round-trip byte for byte", tag, name)
+		if !slices.Equal(back.i.col, c.of.i.col) || !bitsEqual(back.i.val, c.of.i.val) {
+			t.Fatalf("%s: the %s deserializes to another I", tag, c.name)
+		}
+		if !bytes.Equal(written(back), written(c.of)) {
+			t.Fatalf("%s: the %s does not round-trip to the canonical image byte for byte", tag, c.name)
 		}
 	}
 }
@@ -411,7 +440,7 @@ func TestLeanTreeMatchesPairKeyedOracle(t *testing.T) {
 			tag := fmt.Sprintf("%s/%v", name, variant)
 			lc := newLogicalCase(t, tag, len(c.rows), c.cols, variant, I, D)
 			b, paper := lc.b, lc.paper
-			want := oracleBuild(b.i, paper)
+			want := oracleBuild(b.i.pairs(), paper)
 			checkResidentForm(t, tag, b, paper)
 
 			p := 1 + rng.Intn(6)
@@ -593,23 +622,21 @@ func flattenD(D [][]uint32) dTable {
 // oracleFullImage is the Full image of b with D's node indexes given in
 // the paper's numbering.
 func oracleFullImage(b *Batch, nodes []uint32) []byte {
-	cols := make([]uint32, len(b.i))
-	occ := make([]uint32, len(b.i))
+	occ := make([]uint32, b.i.len())
 	var dict []float64
 	lookup := map[float64]uint32{}
-	for k, p := range b.i {
-		cols[k] = p.Col
-		idx, ok := lookup[p.Val]
+	for k, v := range b.i.val {
+		idx, ok := lookup[v]
 		if !ok {
 			idx = uint32(len(dict))
-			dict = append(dict, p.Val)
-			lookup[p.Val] = idx
+			dict = append(dict, v)
+			lookup[v] = idx
 		}
 		occ[k] = idx
 	}
 	out := make([]byte, headerSize)
 	b.putHeader(out)
-	out = bitpack.Pack(cols).AppendTo(out)
+	out = bitpack.Pack(b.i.col).AppendTo(out)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(dict)))
 	for _, v := range dict {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
@@ -640,7 +667,7 @@ func checkAgainstMapOracle(t *testing.T, tag string, cols int, rows []SparseRow,
 	// The batch keeps D in live numbering; the inverse map reads it back
 	// as Algorithm 1 emitted it.
 	gotNodes := paperCodes(got)
-	if !reflect.DeepEqual(got.i, wantI) || !slices.Equal(gotNodes, want.paper.Nodes) ||
+	if !reflect.DeepEqual(got.i.pairs(), wantI) || !slices.Equal(gotNodes, want.paper.Nodes) ||
 		!slices.Equal(got.d.starts, want.paper.Starts) {
 		t.Fatalf("%s: the batch's (I, D) differs from the map oracle", tag)
 	}

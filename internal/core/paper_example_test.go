@@ -223,8 +223,8 @@ func TestFigure3PhysicalSections(t *testing.T) {
 		t.Errorf("tuple start indexes = %v", got)
 	}
 	wantI := []Pair{{0, 1.1}, {1, 2}, {2, 3}, {3, 1.4}, {1, 1.1}}
-	if !reflect.DeepEqual(b.i, wantI) {
-		t.Errorf("I = %v, want %v", b.i, wantI)
+	if got := b.i.pairs(); !reflect.DeepEqual(got, wantI) {
+		t.Errorf("I = %v, want %v", got, wantI)
 	}
 }
 

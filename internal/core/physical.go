@@ -51,11 +51,11 @@ func (b *Batch) Serialize() []byte {
 // memory.
 func (e *encoder) paperD(b *Batch) []uint32 {
 	d := &b.d
-	e.inv, e.paper = grow(e.inv, 1+len(b.i)+d.live), grow(e.paper, d.len())
+	e.inv, e.paper = grow(e.inv, 1+b.i.len()+d.live), grow(e.paper, d.len())
 	if cap(e.ends) < len(d.created) {
 		e.ends = make([]uint64, len(d.created))
 	}
-	liveToPaper(e.inv, e.ends, d.starts, d.created, len(b.i)+1)
+	liveToPaper(e.inv, e.ends, d.starts, d.created, b.i.len()+1)
 	if d.isWide() {
 		paperNodes(e.paper, d.wide, e.inv)
 	} else {
@@ -78,10 +78,10 @@ func (e *encoder) paperD(b *Batch) []uint32 {
 func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 	switch b.variant {
 	case Full:
-		e.valueIndex(b.i, b.distinct == len(b.i))
-		out := make([]byte, fullSize(b.rows, len(b.i), e.colTop, len(e.vals), len(nodes), top))
+		e.valueIndex(b.i, b.distinct == b.i.len())
+		out := make([]byte, fullSize(b.rows, b.i.len(), e.colTop, len(e.vals), len(nodes), top))
 		off := b.putHeader(out)
-		off += putPacked(out[off:], e.cols, e.colTop)
+		off += putPacked(out[off:], b.i.col, e.colTop)
 		binary.LittleEndian.PutUint32(out[off:], uint32(len(e.vals)))
 		off += 4
 		for _, v := range e.vals {
@@ -93,13 +93,14 @@ func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 		putPacked(out[off:], b.d.starts, uint32(len(nodes)))
 		return out
 	case SparseLogical:
-		out := make([]byte, sparseLogicalSize(b.rows, len(b.i), len(nodes)))
+		out := make([]byte, sparseLogicalSize(b.rows, b.i.len(), len(nodes)))
 		off := b.putHeader(out)
-		binary.LittleEndian.PutUint32(out[off:], uint32(len(b.i)))
+		binary.LittleEndian.PutUint32(out[off:], uint32(b.i.len()))
 		off += 4
-		for _, p := range b.i {
-			binary.LittleEndian.PutUint32(out[off:], p.Col)
-			binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(p.Val))
+		col, val := b.i.arrays()
+		for k, v := range val {
+			binary.LittleEndian.PutUint32(out[off:], col[k])
+			binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(v))
 			off += 12
 		}
 		binary.LittleEndian.PutUint32(out[off:], uint32(len(nodes)))
@@ -113,29 +114,30 @@ func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 	return out
 }
 
-// valueIndex stages I's physical first layer in the encoder: its column
-// indexes and the largest of them, its distinct values in
-// first-appearance order, and each pair's dictionary index. Values are
-// interned on their bits, like the encoder's pairs — unless every value
-// of I is known to be distinct, as on continuous data, when the
+// valueIndex stages what I's physical first layer needs besides its
+// column array in the encoder: the largest column, I's distinct values
+// in first-appearance order, and each pair's dictionary index. Values
+// are interned on their bits, like the encoder's pairs — unless every
+// value of I is known to be distinct, as on continuous data, when the
 // dictionary is I's values in order and no table is probed.
-func (e *encoder) valueIndex(I []Pair, allDistinct bool) {
+func (e *encoder) valueIndex(I firstLayer, allDistinct bool) {
 	if !allDistinct {
 		e.dict.reset()
 	}
-	e.cols, e.occ = grow(e.cols, len(I)), grow(e.occ, len(I))
-	cols, occ, vals := e.cols, e.occ, e.vals[:0]
+	e.occ = grow(e.occ, I.len())
+	col, val := I.arrays()
+	occ, vals := e.occ, e.vals[:0]
 	var colTop uint32
-	for j, p := range I {
+	for j, v := range val {
 		id, added := uint32(len(vals))+1, true
 		if !allDistinct {
-			id, added = e.dict.intern(math.Float64bits(p.Val), 0, id)
+			id, added = e.dict.intern(math.Float64bits(v), 0, id)
 		}
 		if added {
-			vals = append(vals, p.Val)
+			vals = append(vals, v)
 		}
-		cols[j], occ[j] = p.Col, id-1
-		colTop = max(colTop, p.Col)
+		occ[j] = id - 1
+		colTop = max(colTop, col[j])
 	}
 	e.vals, e.colTop = vals, colTop
 }
@@ -149,9 +151,9 @@ func (e *encoder) sizeImage(b *Batch) {
 	case Full:
 		e.valueIndex(b.i, false)
 		b.distinct = len(e.vals)
-		b.size = fullSize(b.rows, len(b.i), e.colTop, b.distinct, b.d.len(), b.d.top)
+		b.size = fullSize(b.rows, b.i.len(), e.colTop, b.distinct, b.d.len(), b.d.top)
 	case SparseLogical:
-		b.size = sparseLogicalSize(b.rows, len(b.i), b.d.len())
+		b.size = sparseLogicalSize(b.rows, b.i.len(), b.d.len())
 	default:
 		b.size = headerSize
 	}
@@ -247,12 +249,13 @@ func putU32s(dst []byte, vals []uint32) int {
 // error rather than corrupting kernel execution.
 //
 // A Full image is read in one pass over its sections (readFull), and the
-// call allocates only what the batch keeps: the Batch, I, D′, the tuple
-// starts and the creation bitmap. The batch aliases img. On an imagenet
-// batch of the benchmark's shape (|I| 1739, |D| 7402) that is 5
-// allocations and 47 KB (BenchmarkDeserialize, TestDeserializeAllocBytes)
-// — or none, when a batch Recycle took back is large enough: its memory
-// is filled instead, every array overwritten before anything reads it.
+// call allocates only what the batch keeps: the Batch, I's columns with
+// the tuple starts, I's values, D′ and the creation bitmap. The batch
+// aliases img. On an imagenet batch of the benchmark's shape (|I| 1739,
+// |D| 7402) that is 5 allocations and 41 KB (BenchmarkDeserialize,
+// TestDeserializeAllocBytes) — or none, when a batch Recycle took back is
+// large enough: its memory is filled instead, every array overwritten
+// before anything reads it.
 // Which memory a batch is read into changes neither its bits nor which
 // images are accepted.
 func Deserialize(img []byte) (*Batch, error) {
@@ -297,7 +300,7 @@ func deserializeInto(b *Batch, img []byte) error {
 	if v == Full {
 		return e.readFull(b, rows, cols, img)
 	}
-	I, D, err := parseSparseLogical(img[headerSize:], rows, cols, e.d.Nodes, b)
+	I, D, err := parseSparseLogical(img[headerSize:], rows, cols, e.d.Nodes, &b.i)
 	if err != nil {
 		return err
 	}
@@ -308,12 +311,25 @@ func deserializeInto(b *Batch, img []byte) error {
 // readFull reads a Full image into b. Every section header is read by
 // value (bitpack.ReadArray) and every length checked before anything is
 // allocated; then each section is read once:
-//   - the tuple starts are unpacked into the slice the batch keeps, and
-//     newLogical checks them there;
-//   - I is decoded by decodeFirstLayer, straight from the image's bytes;
+//   - the tuple starts and I's columns are unpacked in bulk into the one
+//     array the batch keeps them in (carve); newLogical checks the
+//     starts there, and decodeFirstLayer the columns;
+//   - I's values are decoded by decodeFirstLayer, straight from the
+//     image's bytes;
 //   - D's codes are unpacked in bulk into the encoder's scratch, where
 //     newLogical's replay checks each one and marks the node it
 //     references in one pass.
+//
+// The accepted language is wider than the images Serialize writes: a
+// Full image is accepted iff its sections parse, every index is in range
+// and (I, D) pass validateLogical. Nothing asks it to be canonical — its
+// value dictionary may repeat a value or hold one no pair names, and a
+// section may be packed wider than its largest element needs. The batch
+// is the same either way: Serialize returns the bytes that were read,
+// while a batch of the same (I, D) that keeps no image (Compress's, or
+// this one with its image dropped) writes the canonical image, the
+// shortest. A pass that refused or rewrote a non-canonical image would
+// cost every spilled read and buy nothing a kernel can see.
 func (e *encoder) readFull(b *Batch, rows, cols int, img []byte) error {
 	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
@@ -345,10 +361,11 @@ func (e *encoder) readFull(b *Batch, rows, cols int, img []byte) error {
 	if startSec.Len() != rows+1 {
 		return fmt.Errorf("core: starts length %d != rows+1 (%d)", startSec.Len(), rows+1)
 	}
-	starts := fit(b.d.starts, rows+1)
+	col, starts := carve(b.i.col, colSec.Len(), rows)
 	startSec.UnpackRange(starts, 0, len(starts))
-	I := fit(b.i, colSec.Len())
-	if err := decodeFirstLayer(I, &colSec, &valSec, dict, cols); err != nil {
+	colSec.UnpackRange(col, 0, len(col))
+	I := firstLayer{col: col, val: fit(b.i.val, len(col))}
+	if err := decodeFirstLayer(I, &valSec, dict, cols); err != nil {
 		return err
 	}
 	e.d.Nodes = grow(e.d.Nodes, nodeSec.Len())
@@ -356,61 +373,73 @@ func (e *encoder) readFull(b *Batch, rows, cols int, img []byte) error {
 	return newLogical(b, rows, cols, Full, I, dTable{Nodes: e.d.Nodes, Starts: starts}, img)
 }
 
-// decodeFirstLayer decodes I from a Full image: pair k's column index is
-// element k of colIdx, and its value is the dictionary entry that element
-// k of valIdx names, read from the image's dictionary bytes dict. Both
-// arrays are unpacked a window at a time onto the stack, and each index
-// is checked in the same pass: a column index against cols, a dictionary
-// index against the dictionary's length.
-func decodeFirstLayer(I []Pair, colIdx, valIdx *bitpack.Array, dict []byte, cols int) error {
-	var colWin, valWin [256]uint32
-	for lo := 0; lo < len(I); lo += len(colWin) {
-		part := I[lo:min(lo+len(colWin), len(I))]
-		c, v := colWin[:len(part)], valWin[:len(part)]
-		colIdx.UnpackRange(c, lo, lo+len(part))
+// decodeFirstLayer checks I's columns, already unpacked into I.col,
+// against cols, and decodes I's values from a Full image: value k is the
+// dictionary entry that element k of valIdx names, read from the image's
+// dictionary bytes dict. The indexes are unpacked a window at a time
+// onto the stack, each checked against the dictionary's length in the
+// pass that reads its entry.
+func decodeFirstLayer(I firstLayer, valIdx *bitpack.Array, dict []byte, cols int) error {
+	if err := checkCols(I.col, cols); err != nil {
+		return err
+	}
+	var win [256]uint32
+	for lo := 0; lo < len(I.val); lo += len(win) {
+		part := I.val[lo:min(lo+len(win), len(I.val))]
+		v := win[:len(part)]
 		valIdx.UnpackRange(v, lo, lo+len(part))
-		for k := range part {
-			at := 8 * int(v[k])
-			if c[k] >= uint32(cols) || at >= len(dict) {
-				return fmt.Errorf("core: I[%d] column %d (of %d) or value index %d (of %d) out of range",
-					lo+k, c[k], cols, v[k], len(dict)/8)
+		for k, x := range v {
+			at := 8 * int(x)
+			if at >= len(dict) {
+				return fmt.Errorf("core: I[%d] value index %d out of range %d", lo+k, x, len(dict)/8)
 			}
-			part[k] = Pair{Col: c[k], Val: math.Float64frombits(binary.LittleEndian.Uint64(dict[at : at+8]))}
+			part[k] = math.Float64frombits(binary.LittleEndian.Uint64(dict[at : at+8]))
+		}
+	}
+	return nil
+}
+
+// checkCols checks I's column indexes against the matrix's cols.
+func checkCols(col []uint32, cols int) error {
+	for k, c := range col {
+		if c >= uint32(cols) {
+			return fmt.Errorf("core: I[%d] column %d out of range %d", k, c, cols)
 		}
 	}
 	return nil
 }
 
 // parseSparseLogical unpacks the raw sections of a SparseLogical image
-// into (I, D), each column index checked against cols. D.Nodes is
-// unpacked into scratch, grown if it is too small; I and D.Starts reuse
-// b's arrays where they fit.
-func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32, b *Batch) (I []Pair, D dTable, err error) {
+// into (I, D), each column index checked against cols, once every
+// section's length is. D.Nodes is unpacked into scratch, grown if it is
+// too small; I and D.Starts reuse spare's arrays where they fit.
+func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32, spare *firstLayer) (I firstLayer, D dTable, err error) {
 	lenI, buf, err := takeU32(buf)
 	if err != nil {
-		return nil, D, fmt.Errorf("core: |I|: %w", err)
+		return I, D, fmt.Errorf("core: |I|: %w", err)
 	}
 	if len(buf) < int(lenI)*12 {
-		return nil, D, fmt.Errorf("core: truncated I section")
+		return I, D, fmt.Errorf("core: truncated I section")
 	}
-	I = fit(b.i, int(lenI))
-	for k := range I {
-		c := binary.LittleEndian.Uint32(buf[k*12:])
-		if c >= uint32(cols) {
-			return nil, D, fmt.Errorf("core: I[%d] column %d out of range %d", k, c, cols)
-		}
-		I[k] = Pair{Col: c, Val: math.Float64frombits(binary.LittleEndian.Uint64(buf[k*12+4:]))}
-	}
-	buf = buf[lenI*12:]
+	pairs, buf := buf[:int(lenI)*12], buf[int(lenI)*12:]
 	lenN, buf, err := takeU32(buf)
 	if err != nil {
-		return nil, D, fmt.Errorf("core: |D|: %w", err)
+		return I, D, fmt.Errorf("core: |D|: %w", err)
 	}
 	need := int(lenN)*4 + (rows+1)*4
 	if len(buf) != need {
-		return nil, D, fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
+		return I, D, fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
 	}
-	D = dTable{Nodes: grow(scratch, int(lenN)), Starts: fit(b.d.starts, rows+1)}
+	col, starts := carve(spare.col, int(lenI), rows)
+	I = firstLayer{col: col, val: fit(spare.val, int(lenI))}
+	for k := range I.val {
+		col[k] = binary.LittleEndian.Uint32(pairs[k*12:])
+		I.val[k] = math.Float64frombits(binary.LittleEndian.Uint64(pairs[k*12+4:]))
+	}
+	if err := checkCols(col, cols); err != nil {
+		return I, D, err
+	}
+	D = dTable{Nodes: grow(scratch, int(lenN)), Starts: starts}
 	buf = buf[getU32s(D.Nodes, buf):]
 	getU32s(D.Starts, buf)
 	return I, D, nil
@@ -424,7 +453,7 @@ func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32, b *Batch) 
 // renumber's input. Column indexes are checked where I is read from an
 // image (decodeFirstLayer, parseSparseLogical); the encoder's are in
 // range by construction.
-func validateLogical(rows int, I []Pair, D dTable, sc *liveScratch) error {
+func validateLogical(rows, lenI int, D dTable, sc *liveScratch) error {
 	if len(D.Starts) != rows+1 {
 		return fmt.Errorf("core: starts length %d != rows+1 (%d)", len(D.Starts), rows+1)
 	}
@@ -438,21 +467,21 @@ func validateLogical(rows int, I []Pair, D dTable, sc *liveScratch) error {
 	if D.Starts[0] != 0 || int(D.Starts[rows]) != len(D.Nodes) {
 		return fmt.Errorf("core: starts endpoints invalid")
 	}
-	size := treeSize(I, D)
+	size := treeSize(lenI, D)
 	if cap(sc.mark) < size {
 		sc.mark = make([]byte, size)
 	}
 	mark := sc.mark[:size]
 	sc.mark = mark
 	clear(mark)
-	if q := replay(D.Nodes, D.Starts, len(I), mark); q >= 0 {
+	if q := replay(D.Nodes, D.Starts, lenI, mark); q >= 0 {
 		return fmt.Errorf("core: node index %d at D position %d references a node that does not exist yet", D.Nodes[q], q)
 	}
 	// Algorithm 1 codes the first occurrence of a pair as its first-layer
 	// node, so it never leaves one unreferenced. A hand-built image can;
 	// such a pair would keep its number in the resident form and be the
 	// one node no tuple reaches, so the image is refused.
-	for k, m := range mark[1 : len(I)+1] {
+	for k, m := range mark[1 : lenI+1] {
 		if m == 0 {
 			return fmt.Errorf("core: first-layer pair %d is not referenced by D", k)
 		}

@@ -55,7 +55,7 @@ var planPool = sync.Pool{New: func() any { return new(KernelPlan) }}
 func (b *Batch) NewKernelPlan() *KernelPlan {
 	p := planPool.Get().(*KernelPlan)
 	p.b = b
-	p.tree = p.arena.build(b.i, &b.d)
+	p.tree = p.arena.build(b.i.len(), &b.d)
 	return p
 }
 

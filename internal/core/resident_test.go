@@ -78,9 +78,11 @@ func TestImageGoldenCRC(t *testing.T) {
 
 // What a resident batch costs in live heap per byte of its image, over
 // 400 benchmark-shaped batches of each generator the benchmark keeps in
-// RAM: I, the 16-bit D′, the tuple starts and the creation bitmap, and
-// no image. Each batch is generated on its own, so the dense rows are
-// garbage by the time the heap is read.
+// RAM: I's columns with the tuple starts, I's values, the 16-bit D′ and
+// the creation bitmap, and no image. Each batch is generated on its own,
+// so the dense rows are garbage by the time the heap is read. The bounds
+// are the measured 1.21 and 3.19 plus about 5%; I as a []Pair, 16 bytes
+// a pair, measures 1.42 and 3.90.
 func TestResidentHeapPerCompressedByte(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow memory is not the heap this pins")
@@ -88,7 +90,7 @@ func TestResidentHeapPerCompressedByte(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		bound float64
-	}{{"imagenet", 1.6}, {"mnist", 4.2}} {
+	}{{"imagenet", 1.3}, {"mnist", 3.4}} {
 		const batches = 400
 		keep := make([]*Batch, 0, batches)
 		var stored int
@@ -135,9 +137,9 @@ func boundaryMatrix(t testing.TB, nodes int) *matrix.Dense {
 		base.Set(i, i, 7) // one perturbed cell a row
 	}
 	b := Compress(base)
-	pad := nodes - (1 + len(b.i) + b.d.live)
+	pad := nodes - (1 + b.i.len() + b.d.live)
 	if pad < 0 {
-		t.Fatalf("the base rows alone have a live tree of %d nodes, more than %d", 1+len(b.i)+b.d.live, nodes)
+		t.Fatalf("the base rows alone have a live tree of %d nodes, more than %d", 1+b.i.len()+b.d.live, nodes)
 	}
 	m := matrix.NewDense(baseRows+(pad+cols-1)/cols, cols)
 	copy(m.Data(), base.Data())
@@ -146,7 +148,7 @@ func boundaryMatrix(t testing.TB, nodes int) *matrix.Dense {
 		m.Set(baseRows+r, k%cols, float64(1000+r))
 	}
 	b = Compress(m)
-	if got := 1 + len(b.i) + b.d.live; got != nodes || b.d.live == 0 {
+	if got := 1 + b.i.len() + b.d.live; got != nodes || b.d.live == 0 {
 		t.Fatalf("boundary fixture has a live tree of %d nodes, %d of them deep; want %d, some deep", got, b.d.live, nodes)
 	}
 	return m

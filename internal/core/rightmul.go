@@ -20,9 +20,10 @@ import (
 // cost model, one rebuild per op. A·v is one sequential body; A·M takes
 // a worker count, and rightmul_parallel.go says why handing its panel
 // runs to workers cannot change a bit.
-// Every body reads a node's key through the first layer, I[KeyIdx[i]-1]
-// (decodetree.go); A·v goes one step further and multiplies each of the
-// |I| distinct pairs by v exactly once.
+// Every body reads a node's key through the first layer, pair
+// KeyIdx[i]-1 of I's column and value arrays (decodetree.go); A·v goes
+// one step further and multiplies each of the |I| distinct pairs by v
+// exactly once.
 //
 // Both kernels differ from the textbook loop in one way that changes no
 // bit: C' here is the batch's resident tree, which holds only the nodes
@@ -85,15 +86,15 @@ func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	// conversion rounds the product before anything is added to it — the
 	// unfused multiply-then-add on every architecture, whatever the
 	// compiler may fuse elsewhere.
-	I := b.i
+	col, val := b.i.arrays()
 	par := t.Parent
 	kix := t.KeyIdx[:len(par)]
 	h := sc.rawBuf(len(par))
 	h[0] = 0
-	first := len(I) + 1 // the nodes below it are the first layer
+	first := len(val) + 1 // the nodes below it are the first layer
 	hf := h[1:first]
-	for k, p := range I {
-		hf[k] = float64(p.Val * v[p.Col])
+	for k, x := range val {
+		hf[k] = float64(x * v[col[k]])
 	}
 	pw, kw, hw := par[first:], kix[first:], h[first:]
 	for j := range pw {
@@ -173,18 +174,18 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 // in code order, with one load per element instead of a load, a reload
 // of R and a store.
 func (b *Batch) mulMatPanel(t *DecodeTree, h []float64, m *matrix.Dense, r *matrix.Dense, clo, chi int) {
-	I, par := b.i, t.Parent
-	kix := t.KeyIdx[:len(par)]
+	col, val := b.i.arrays()
+	par, kix := t.Parent, t.KeyIdx[:len(t.Parent)]
 	for lo := clo; lo < chi; lo += panelWidth {
 		hi := min(lo+panelWidth, chi)
 		w := hi - lo
 		clear(h[:w])
 		for i := 1; i < len(par); i++ {
-			k := I[kix[i]-1]
+			k := kix[i] - 1
+			kv := val[k]
 			hw := h[i*w : i*w+w]
 			hp := h[int(par[i])*w : int(par[i])*w+w]
-			mr := m.Row(int(k.Col))[lo:hi]
-			kv := k.Val
+			mr := m.Row(int(col[k]))[lo:hi]
 			hp, mr = hp[:len(hw)], mr[:len(hw)]
 			for j := range hw {
 				hw[j] = kv*mr[j] + hp[j]
