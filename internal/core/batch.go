@@ -110,6 +110,11 @@ func Compress(m *matrix.Dense) *Batch { return CompressVariant(m, Full) }
 func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
+	return e.compress(m, v)
+}
+
+// compress is CompressVariant on the encoder e.
+func (e *encoder) compress(m *matrix.Dense, v Variant) *Batch {
 	e.addDense(m)
 	e.encode()
 	col, starts := carve(nil, len(e.pairs.val), m.Rows())

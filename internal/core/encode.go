@@ -41,6 +41,14 @@ import (
 // under ==, and neither is ever a key: the sparse encoding drops every
 // v == 0 before the encoder sees it).
 //
+// Cost. A dense batch is read in place (data.Dataset.Batch hands over a
+// view of the dataset's rows), and each row is scanned once, without a
+// data-dependent branch, for its non-zeros. Past that the encoder's time
+// is its probes: one first-table probe per non-zero in phase I, and one
+// child-table probe per non-zero but each tuple's first in phase II —
+// about 27 k on a 250×180 imagenet batch. intern probes for a hit first
+// and checks the table's load only when it inserts.
+//
 // Pool contract. All encoder state — the tables, the tuple rewrite, D and
 // the physical layer's staging arrays — lives in one encoder recycled
 // through encoderPool, so steady-state compression allocates only what
@@ -67,23 +75,32 @@ type internTable struct {
 	n     int  // occupied slots
 }
 
+// reset empties the table. A table that was never used gets its first
+// slots here, so that probe always has a slot to land on.
 func (t *internTable) reset() {
+	if len(t.slots) == 0 {
+		t.grow()
+	}
 	clear(t.slots)
 	t.n = 0
 }
 
 // intern returns the id stored under (key, aux); when there is none it
-// stores fresh there and reports added.
+// stores fresh there and reports added. It probes for a hit first: only
+// an insert can push the load past 1/2, so only an insert checks it, and
+// one that would grows the table and interns again.
 func (t *internTable) intern(key uint64, aux uint32, fresh uint32) (id uint32, added bool) {
+	s := t.probe(key, aux)
+	if s.id != 0 {
+		return s.id, false
+	}
 	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
+		return t.intern(key, aux, fresh)
 	}
-	s := t.probe(key, aux)
-	if added = s.id == 0; added {
-		*s = slot{key: key, aux: aux, id: fresh}
-		t.n++
-	}
-	return s.id, added
+	*s = slot{key: key, aux: aux, id: fresh}
+	t.n++
+	return fresh, true
 }
 
 // probe returns the slot holding (key, aux), or the free slot where it
@@ -127,6 +144,7 @@ type encoder struct {
 	pairs  firstLayer // I, in first-appearance order
 	ids    []uint32   // first-layer node of every non-zero, tuples concatenated
 	tuples []uint32   // tuples[r]: offset of tuple r in ids; one final entry = len(ids)
+	nz     []Pair     // addDense: one row's non-zeros
 	d      dTable     // D, flat; Deserialize unpacks an image's codes here too
 
 	// Staging for the physical layer (physical.go): the largest of I's
@@ -169,14 +187,26 @@ func (e *encoder) endTuple() { e.tuples = append(e.tuples, uint32(len(e.ids))) }
 
 // addDense runs phase I over a dense mini-batch: the sparse encoding of §3
 // (v != 0, so zeros of both signs are dropped) feeds the first layer
-// directly, with no sparse table B in between.
+// directly, with no sparse table B in between. Each row is first
+// compacted to its non-zeros without a branch on v: every pair is
+// written at the next free place, which advances only past a non-zero.
 func (e *encoder) addDense(m *matrix.Dense) {
 	e.begin()
+	if cap(e.nz) < m.Cols() {
+		e.nz = make([]Pair, m.Cols())
+	}
 	for i := 0; i < m.Rows(); i++ {
-		for j, v := range m.Row(i) {
-			if v != 0 {
-				e.add(uint32(j), v)
-			}
+		row := m.Row(i)
+		nz := e.nz[:len(row)]
+		k := uint(0)
+		for j, v := range row {
+			// k <= j always; the min lets the compiler prove nz's index.
+			nz[min(k, uint(j))] = Pair{Col: uint32(j), Val: v}
+			b := math.Float64bits(v) << 1 // the sign dropped: ±0 are 0
+			k += uint((b | -b) >> 63)     // 1 iff b != 0, iff v != 0
+		}
+		for _, p := range nz[:k] {
+			e.add(p.Col, p.Val)
 		}
 		e.endTuple()
 	}
@@ -222,6 +252,11 @@ func (e *encoder) encode() {
 func PrefixTreeEncode(b []SparseRow) (I []Pair, D [][]uint32) {
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
+	return e.prefixTreeEncode(b)
+}
+
+// prefixTreeEncode is PrefixTreeEncode on the encoder e.
+func (e *encoder) prefixTreeEncode(b []SparseRow) (I []Pair, D [][]uint32) {
 	e.begin()
 	for _, t := range b {
 		for _, p := range t {

@@ -704,3 +704,63 @@ func TestEncoderMatchesMapOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderTableHistory encodes every input twice, with a fresh
+// encoder and with one whose tables a larger input has already grown,
+// and requires the same (I, D) and the same image bytes. A fresh
+// encoder's tables start small and grow while it inserts, so every
+// input here also runs intern's grow-then-intern-again path; a warmed
+// one never grows, and its tables are cleared, not new.
+func TestEncoderTableHistory(t *testing.T) {
+	type input struct {
+		name  string
+		cols  int
+		rows  []SparseRow
+		dense *matrix.Dense // nil: only the sparse rows exist
+	}
+	var inputs []input
+	rng := rand.New(rand.NewSource(2100))
+	for name, c := range oracleCases(rng) {
+		inputs = append(inputs, input{name: name, cols: c.cols, rows: c.rows})
+	}
+	const batch, batches = 250, 40
+	for _, name := range []string{"imagenet", "mnist"} {
+		ds, err := data.Generate(name, batch*batches, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < batches; k++ {
+			m, _ := ds.Batch(k, batch)
+			inputs = append(inputs, input{fmt.Sprintf("%s batch %d", name, k), m.Cols(), SparseEncode(m), m})
+		}
+	}
+	nnz := func(in input) (n int) {
+		for _, r := range in.rows {
+			n += len(r)
+		}
+		return n
+	}
+	largest := slices.MaxFunc(inputs, func(a, b input) int { return nnz(a) - nnz(b) })
+	warm := new(encoder)
+	warm.prefixTreeEncode(largest.rows)
+	if largest.dense != nil {
+		warm.compress(largest.dense, Full)
+	}
+	for _, in := range inputs {
+		I, D := new(encoder).prefixTreeEncode(in.rows)
+		wI, wD := warm.prefixTreeEncode(in.rows)
+		if !reflect.DeepEqual(wI, I) || !reflect.DeepEqual(wD, D) {
+			t.Fatalf("%s: a warmed encoder's (I, D) differs from a fresh one's", in.name)
+		}
+		img := newLogicalCase(t, in.name, len(in.rows), in.cols, Full, I, D).b.Serialize()
+		if in.dense != nil {
+			for _, e := range []*encoder{new(encoder), warm} {
+				b := e.compress(in.dense, Full)
+				if got := b.Serialize(); !bytes.Equal(got, img) || b.CompressedSize() != len(img) {
+					t.Fatalf("%s: compress wrote a %d-byte image and sized it %d, want the %d bytes of its (I, D)",
+						in.name, len(got), b.CompressedSize(), len(img))
+				}
+			}
+		}
+	}
+}

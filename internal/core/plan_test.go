@@ -230,9 +230,13 @@ func BenchmarkPlanBuild(b *testing.B) {
 // encoder sees the batch-to-batch variation a FillStore pass does —
 // reporting dense MB/s. Measured on the 2-core 2.6 GHz Xeon: the
 // map-keyed Algorithm 1 ran 3.67-3.78 ms/op (95-98 MB/s), 2.89 MB and
-// 2171 allocs per batch; the pooled open-addressed encoder runs
+// 2171 allocs per batch; the pooled open-addressed encoder ran
 // 0.64-0.70 ms/op (515-560 MB/s), 105 KB and 5 allocs — what the Batch
-// retains.
+// retains. On the same box in a later, busier session, 10 interleaved
+// runs put that encoder at 0.87-0.99 ms/op (median 0.91, 394 MB/s) and
+// the one that probes for a hit first and scans each row without a
+// branch at 0.67-0.74 ms/op (median 0.73, 492 MB/s); both allocate
+// 42 KB in 5 objects.
 func BenchmarkCompress(b *testing.B) {
 	const rows, batches = 250, 64
 	ds, err := data.Generate("imagenet", rows*batches, 1)

@@ -438,14 +438,17 @@ func (d *Dataset) NumBatches(size int) int {
 	return (d.X.Rows() + size - 1) / size
 }
 
-// Batch returns mini-batch i as a dense row slice plus its labels.
+// Batch returns mini-batch i as its rows of d.X plus its labels. Both
+// alias the dataset, as views (matrix.ViewRows and a subslice): the only
+// allocation is the view's header, and a caller that writes to either
+// writes to d.
 func (d *Dataset) Batch(i, size int) (*matrix.Dense, []float64) {
 	from := i * size
 	to := from + size
 	if to > d.X.Rows() {
 		to = d.X.Rows()
 	}
-	return d.X.SliceRows(from, to), d.Y[from:to]
+	return d.X.ViewRows(from, to), d.Y[from:to]
 }
 
 // Sparsity reports nnz/total of the feature matrix (Table 5 definition).

@@ -173,6 +173,19 @@ func TestBatches(t *testing.T) {
 			t.Fatal("batch rows misaligned")
 		}
 	}
+	// A batch is a view: it aliases the dataset's rows, as its labels do,
+	// and a write through either shows in the other.
+	x1, y1 := d.Batch(1, 25)
+	if &x1.Data()[0] != &d.X.Row(25)[0] || &y1[0] != &d.Y[25] {
+		t.Fatal("batch 1 is not a view of rows 25..49")
+	}
+	d.X.Set(30, 2, 123.5)
+	if x1.At(5, 2) != 123.5 {
+		t.Fatal("a write to the dataset does not show in its batch")
+	}
+	if n := testing.AllocsPerRun(100, func() { x1, y1 = d.Batch(3, 25) }); n != 1 {
+		t.Fatalf("Batch allocates %v objects, want 1 (the view's header)", n)
+	}
 }
 
 // The generators must produce the redundancy ordering the paper's Figure 5

@@ -586,12 +586,11 @@ func parallelFor(workers, n int, fn func(i int)) {
 // FillStore slices the dataset into batchSize mini-batches, compresses
 // them concurrently across the pool, and appends them to the store in
 // order — the sharded-ingest counterpart of calling storage.Store.Add in
-// a loop. Each worker materializes its dense batch copy only for the
-// duration of its encode, so peak uncompressed overhead is one batch per
-// worker, not one per dataset; only the compressed forms are retained
-// until the in-order Add pass. The batches that will spill have their
-// images written across the pool too, so the serial pass only stores
-// them.
+// a loop. Each worker encodes its batch straight from the dataset's rows
+// (data.Dataset.Batch is a view), so ingest makes no uncompressed copy;
+// only the compressed forms are retained until the in-order Add pass.
+// The batches that will spill have their images written across the pool
+// too, so the serial pass only stores them.
 func (e *Engine) FillStore(st *storage.Store, d *data.Dataset, batchSize int) error {
 	n := d.NumBatches(batchSize)
 	encoded := make([]formats.CompressedMatrix, n)

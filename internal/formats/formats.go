@@ -96,7 +96,10 @@ type KernelPlan interface {
 // deletes this line.
 type KernelPlanInto = KernelPlan
 
-// Encoder compresses a dense mini-batch with one scheme.
+// Encoder compresses a dense mini-batch with one scheme. The result
+// keeps no reference to its input, which is often a view of a whole
+// dataset's rows (data.Dataset.Batch): the caller may overwrite or drop
+// the input once Encoder returns.
 type Encoder func(*matrix.Dense) CompressedMatrix
 
 // Decoder reconstructs a compressed mini-batch from its wire image.

@@ -295,6 +295,31 @@ func TestScaleDoesNotMutate(t *testing.T) {
 	}
 }
 
+// An encoder keeps no reference to its input: data.Dataset.Batch hands
+// it a view of the dataset's rows, so an encoding that aliased them would
+// change when the rows do and would keep the whole dataset alive. Each
+// scheme encodes a view, its source is overwritten, and the batch must
+// decode and serialize as before.
+func TestEncodersKeepNoReferenceToInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, name := range Names() {
+		src := redundantMatrix(rng, 30, 12, 0.5, 4)
+		view := src.ViewRows(5, 25)
+		want := view.Clone()
+		c := MustGet(name)(view)
+		img := c.Serialize()
+		for i := range src.Data() {
+			src.Data()[i] = float64(i) + 0.5
+		}
+		if !c.Decode().Equal(want) {
+			t.Errorf("%s: overwriting the encoded rows changed Decode()", name)
+		}
+		if !reflect.DeepEqual(c.Serialize(), img) {
+			t.Errorf("%s: overwriting the encoded rows changed Serialize()", name)
+		}
+	}
+}
+
 // One way to multiply a batch: CompressedMatrix declares no kernel of its
 // own, only NewKernelPlan, and every scheme's plan exports exactly the
 // four Into kernels and Release (TOC's, core.KernelPlan, also its Batch).

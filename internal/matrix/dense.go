@@ -125,6 +125,16 @@ func (d *Dense) SliceRows(from, to int) *Dense {
 	return s
 }
 
+// ViewRows returns rows [from, to) as a matrix over d's own storage:
+// writes through either show in both. The view's capacity ends at row
+// to, so a Reshape of it can reach no row of d outside the view.
+func (d *Dense) ViewRows(from, to int) *Dense {
+	if from < 0 || to > d.rows || from > to {
+		panic(fmt.Sprintf("matrix: bad row view [%d,%d) of %d", from, to, d.rows))
+	}
+	return &Dense{rows: to - from, cols: d.cols, data: d.data[from*d.cols : to*d.cols : to*d.cols]}
+}
+
 // NNZ counts the non-zero entries.
 func (d *Dense) NNZ() int {
 	n := 0

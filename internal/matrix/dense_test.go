@@ -86,6 +86,28 @@ func TestSliceRows(t *testing.T) {
 	}
 }
 
+func TestViewRows(t *testing.T) {
+	d := NewDenseFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
+	v := d.ViewRows(1, 3)
+	if !v.Equal(NewDenseFromRows([][]float64{{3, 4}, {5, 6}})) {
+		t.Fatalf("ViewRows = %v", v)
+	}
+	// aliases, both ways
+	v.Set(0, 0, -1)
+	d.Set(2, 1, -2)
+	if d.At(1, 0) != -1 || v.At(1, 1) != -2 {
+		t.Fatal("ViewRows does not alias the original")
+	}
+	// a Reshape that outgrows the view leaves the rows after it alone
+	v.Reshape(3, 2)
+	for j := range v.Data() {
+		v.Data()[j] = 9
+	}
+	if d.At(3, 0) != 7 || d.At(3, 1) != 8 {
+		t.Fatal("a Reshape of the view wrote past its last row")
+	}
+}
+
 func TestNNZAndSparsity(t *testing.T) {
 	d := NewDenseFromRows([][]float64{{1, 0}, {0, 2}})
 	if d.NNZ() != 2 {
