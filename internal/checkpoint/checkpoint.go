@@ -12,14 +12,20 @@
 // batches in ingest order, so the position is the whole cursor.
 //
 // The wire format is a single little-endian image with a trailing
-// CRC-32C, written atomically: temp file in the destination directory,
-// fsync, rename, directory fsync. A reader therefore sees either the
-// previous checkpoint or the complete new one, never a torn middle;
-// anything torn anyway (truncation, bit flips) fails the length check
-// or the CRC and is reported as an error, never resumed from. Decode
-// validates the image's self-described lengths against the actual byte
-// count before allocating, so corrupt input cannot drive allocation
-// (the FuzzCheckpointDecode target leans on this).
+// CRC-32C (Seal), written by WriteFile: temp file in the destination
+// directory, fsync, rename, directory fsync. A reader therefore sees
+// either the previous checkpoint or the complete new one, never a torn
+// middle; anything torn anyway (truncation, bit flips) fails the CRC
+// (Unseal) or the length checks and is reported as an error, never
+// resumed from. WriteFile and Seal/Unseal are the repo's one durable
+// writer and one trailer: the store manifest is written and checked
+// through them too.
+//
+// The CRC catches accidents, not forgeries, so Decode reads the image
+// through bitpack.Reader, which bounds every count by the bytes left
+// before anything is sized by it: no image, CRC valid or not, can drive
+// allocation (FuzzCheckpointDecode reseals each mutation's CRC to check
+// exactly that).
 package checkpoint
 
 import (
@@ -31,6 +37,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"toc/internal/bitpack"
 	"toc/internal/faultpoint"
 )
 
@@ -163,103 +170,121 @@ func Encode(s *State) []byte {
 	img = binary.LittleEndian.AppendUint32(img, uint32(len(s.EpochLoss)))
 	img = binary.LittleEndian.AppendUint32(img, uint32(len(s.Params)))
 	img = binary.LittleEndian.AppendUint32(img, uint32(len(s.Archive)))
-	for _, v := range s.EpochLoss {
-		img = binary.LittleEndian.AppendUint64(img, math.Float64bits(v))
-	}
-	for _, v := range s.Params {
-		img = binary.LittleEndian.AppendUint64(img, math.Float64bits(v))
-	}
+	img = bitpack.AppendF64s(img, s.EpochLoss)
+	img = bitpack.AppendF64s(img, s.Params)
 	for _, vec := range s.Archive {
 		if len(vec) != len(s.Params) {
 			panic(fmt.Sprintf("checkpoint: archive vector has %d params, model has %d", len(vec), len(s.Params)))
 		}
-		for _, v := range vec {
-			img = binary.LittleEndian.AppendUint64(img, math.Float64bits(v))
-		}
+		img = bitpack.AppendF64s(img, vec)
 	}
-	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
+	return Seal(img)
 }
 
-// Decode parses and validates a checkpoint image. Every length the
-// image claims is checked against the actual byte count before any
-// section is allocated, and the trailing CRC-32C must match; corrupt or
-// truncated images return an error, never a partial State.
+// Decode parses and validates a checkpoint image. The trailing CRC-32C
+// must match, and every count the image claims is bounded by the bytes
+// left before any section is sized by it; corrupt or truncated images
+// return an error, never a partial State.
 func Decode(img []byte) (*State, error) {
-	if len(img) < headerLen+trailerLen {
+	body, err := Unseal(img)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	if len(body) < headerLen {
 		return nil, fmt.Errorf("checkpoint: image truncated (%d bytes, header needs %d)", len(img), headerLen+trailerLen)
 	}
-	if string(img[:4]) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", img[:4])
+	r := bitpack.NewReader(body)
+	if m := r.Take(len(magic)); string(m) != magic {
+		return nil, fmt.Errorf("checkpoint: bad magic %q", m)
 	}
-	if img[4] != version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", img[4])
+	if v := r.U8(); v != version {
+		return nil, fmt.Errorf("checkpoint: unsupported version %d", v)
 	}
-	kind := Kind(img[5])
+	kind := Kind(r.U8())
 	if kind != KindLocal && kind != KindDist {
-		return nil, fmt.Errorf("checkpoint: unknown engine kind %d", img[5])
+		return nil, fmt.Errorf("checkpoint: unknown engine kind %d", uint8(kind))
 	}
-	flags := img[6]
+	flags := r.U8()
 	if flags&^flagDeterministic != 0 {
 		return nil, fmt.Errorf("checkpoint: unknown flags %#x", flags)
 	}
-	le := binary.LittleEndian
-	nEpochLoss := uint64(le.Uint32(img[headerLen-12:]))
-	nParams := uint64(le.Uint32(img[headerLen-8:]))
-	nArchive := uint64(le.Uint32(img[headerLen-4:]))
-	want := uint64(headerLen) + 8*(nEpochLoss+nParams+nArchive*nParams) + trailerLen
-	if uint64(len(img)) != want {
-		return nil, fmt.Errorf("checkpoint: image is %d bytes, header describes %d", len(img), want)
-	}
-	body := img[:len(img)-trailerLen]
-	if got, stored := crc32.Checksum(body, castagnoli), le.Uint32(img[len(img)-trailerLen:]); got != stored {
-		return nil, fmt.Errorf("checkpoint: CRC mismatch (stored %08x, computed %08x)", stored, got)
+	if reserved := r.U8(); reserved != 0 {
+		return nil, fmt.Errorf("checkpoint: reserved byte %#x", reserved)
 	}
 	s := &State{
 		Kind:          kind,
 		Deterministic: flags&flagDeterministic != 0,
-		Seed:          int64(le.Uint64(img[8:])),
-		LR:            math.Float64frombits(le.Uint64(img[16:])),
-		Group:         int(le.Uint32(img[24:])),
-		Staleness:     int(int32(le.Uint32(img[28:]))),
-		NumBatches:    int(le.Uint32(img[32:])),
-		Epoch:         int(le.Uint32(img[36:])),
-		Pos:           int(le.Uint32(img[40:])),
-		Clock:         int64(le.Uint64(img[44:])),
-		PartialLoss:   math.Float64frombits(le.Uint64(img[52:])),
+		Seed:          int64(r.U64()),
+		LR:            math.Float64frombits(r.U64()),
+		Group:         int(r.U32()),
+		Staleness:     int(int32(r.U32())),
+		NumBatches:    int(r.U32()),
+		Epoch:         int(r.U32()),
+		Pos:           int(r.U32()),
+		Clock:         int64(r.U64()),
+		PartialLoss:   math.Float64frombits(r.U64()),
 	}
-	off := headerLen
-	readVec := func(n uint64) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(le.Uint64(img[off:]))
-			off += 8
-		}
-		return out
+	nEpochLoss := r.Count("epoch losses", 8)
+	nParams := r.Count("params", 8)
+	nArchive := r.Count("archived versions", 8*nParams)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	if nEpochLoss > 0 {
-		s.EpochLoss = readVec(nEpochLoss)
+		s.EpochLoss = r.F64s(nEpochLoss)
 	}
 	if nParams > 0 {
-		s.Params = readVec(nParams)
+		s.Params = r.F64s(nParams)
 	}
 	if nArchive > 0 {
 		s.Archive = make([][]float64, nArchive)
 		for i := range s.Archive {
-			s.Archive[i] = readVec(nParams)
+			s.Archive[i] = r.F64s(nParams)
 		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return s, nil
 }
 
-// Save writes the state atomically to path: temp file in the same
-// directory, fsync, rename over path, fsync the directory. A crash at
-// any point leaves either the old file or the complete new one.
+// Seal appends img's CRC-32C trailer, the one checkpoints and store
+// manifests end with.
+func Seal(img []byte) []byte {
+	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(img, castagnoli))
+}
+
+// Unseal checks the CRC-32C trailer Seal appended and returns the bytes
+// before it.
+func Unseal(img []byte) ([]byte, error) {
+	if len(img) < trailerLen {
+		return nil, fmt.Errorf("image truncated (%d bytes, no CRC-32C trailer)", len(img))
+	}
+	body := img[:len(img)-trailerLen]
+	if got, stored := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(img[len(body):]); got != stored {
+		return nil, fmt.Errorf("CRC mismatch (stored %08x, computed %08x)", stored, got)
+	}
+	return body, nil
+}
+
+// Save writes the state atomically to path (see WriteFile).
 func Save(path string, s *State) error {
-	img := Encode(s)
+	if err := WriteFile(path, Encode(s), "checkpoint.rename"); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return nil
+}
+
+// WriteFile is the one durable writer of the repo's persisted images,
+// checkpoints and store manifests: it writes img to a temp file in path's
+// directory, fsyncs it, renames it over path and fsyncs the directory. A
+// crash at any point leaves either the old file or the complete new one.
+// faultPoint names the faultpoint hit just before the rename.
+func WriteFile(path string, img []byte, faultPoint string) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-tmp-*")
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: create temp: %w", err)
+		return fmt.Errorf("create temp: %w", err)
 	}
 	// Cleanup of the temp file on error is explicit rather than
 	// deferred: an injected crash (faultpoint) must leave exactly the
@@ -268,37 +293,33 @@ func Save(path string, s *State) error {
 	if _, err := tmp.Write(img); err != nil {
 		tmp.Close()
 		os.Remove(name)
-		return fmt.Errorf("checkpoint: write temp: %w", err)
+		return fmt.Errorf("write temp: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(name)
-		return fmt.Errorf("checkpoint: sync temp: %w", err)
+		return fmt.Errorf("sync temp: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("checkpoint: close temp: %w", err)
+		return fmt.Errorf("close temp: %w", err)
 	}
-	faultpoint.Hit("checkpoint.rename")
+	faultpoint.Hit(faultPoint)
 	if err := os.Rename(name, path); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("checkpoint: rename: %w", err)
+		return fmt.Errorf("rename: %w", err)
 	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-func syncDir(dir string) error {
+	// Fsync the directory so the completed rename survives power loss.
 	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("checkpoint: open dir for sync: %w", err)
+		return fmt.Errorf("open dir for sync: %w", err)
 	}
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("checkpoint: sync dir: %w", err)
+		return fmt.Errorf("sync dir: %w", err)
 	}
 	return nil
 }
@@ -329,6 +350,18 @@ func FileName(step int64) string {
 // than the caller believes would be correct here (any valid checkpoint
 // resumes the same trajectory) but would mask real corruption bugs.
 func Latest(dir string) (*State, error) {
+	names, err := files(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("checkpoint: no checkpoints in %s: %w", dir, os.ErrNotExist)
+	}
+	return Load(filepath.Join(dir, names[len(names)-1]))
+}
+
+// files lists the checkpoint files in dir, oldest step first.
+func files(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -340,9 +373,6 @@ func Latest(dir string) (*State, error) {
 			names = append(names, n)
 		}
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("checkpoint: no checkpoints in %s: %w", dir, os.ErrNotExist)
-	}
 	sort.Strings(names)
-	return Load(filepath.Join(dir, names[len(names)-1]))
+	return names, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeGolden is the CRC-32 (IEEE) of Encode(sampleState(v)) for each
+// variant v: the checkpoint image is pinned byte for byte.
+var encodeGolden = [3]uint32{0xddc66549, 0x9c9e3ea0, 0x0ad1e048}
+
+func TestEncodeGoldenCRC(t *testing.T) {
+	for v, want := range encodeGolden {
+		if got := crc32.ChecksumIEEE(Encode(sampleState(v))); got != want {
+			t.Errorf("variant %d: image CRC %#08x, want %#08x", v, got, want)
+		}
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	img := Encode(sampleState(1))
 	if _, err := Decode(img[:len(img)-1]); err == nil {
@@ -109,16 +122,43 @@ func TestDecodeRejectsUnassignedKind(t *testing.T) {
 	}
 }
 
+// claimImage is a one-epoch-loss image whose header is patched to claim
+// nParams parameters and nArchive archived versions, resealed with a valid
+// CRC: 84 bytes that back none of the claim.
+func claimImage(nParams, nArchive uint32) []byte {
+	img := Encode(&State{Kind: KindLocal, EpochLoss: []float64{0.5}})
+	body := img[:len(img)-trailerLen]
+	binary.LittleEndian.PutUint32(body[headerLen-8:], nParams)
+	binary.LittleEndian.PutUint32(body[headerLen-4:], nArchive)
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// An image whose lengths claim more than its bytes hold is refused
+// before anything is sized by the claim. The wrapped image is 84 bytes
+// with a valid CRC: 8·(1 + 2^31 + (2^30−1)·2^31) wraps to 8 in uint64, so
+// a length check summed in uint64 read it as exactly its own size and
+// Decode then asked for 16 GiB of params. The empty-model archive claims
+// 2^32−1 versions of zero params each, which no byte count bounds.
 func TestDecodeRejectsHugeClaimedLengths(t *testing.T) {
-	img := Encode(sampleState(0))
-	// Claim ~4 billion params: the length check must fail before any
-	// allocation is attempted.
-	mut := append([]byte(nil), img...)
+	absurd := Encode(sampleState(0))
 	for i := headerLen - 8; i < headerLen-4; i++ {
-		mut[i] = 0xff
+		absurd[i] = 0xff
 	}
-	if _, err := Decode(mut); err == nil {
-		t.Fatal("image with absurd param count decoded")
+	for name, img := range map[string][]byte{
+		"absurd param count":  absurd,
+		"wrapped length":      claimImage(1<<31, 1<<30-1),
+		"empty-model archive": claimImage(0, math.MaxUint32),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(img)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: allocated %d bytes before refusing it: %v", name, got, err)
+		}
 	}
 }
 

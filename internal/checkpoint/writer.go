@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -208,21 +207,13 @@ func (w *Writer) prune() error {
 	w.mu.Lock()
 	keep := w.keep
 	w.mu.Unlock()
-	entries, err := os.ReadDir(w.dir)
+	names, err := files(w.dir)
 	if err != nil {
 		return fmt.Errorf("checkpoint: prune scan: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if len(n) == len("ckpt-0000000000000000.toc") && n[:5] == "ckpt-" && filepath.Ext(n) == ".toc" {
-			names = append(names, n)
-		}
 	}
 	if len(names) <= keep {
 		return nil
 	}
-	sort.Strings(names)
 	for _, n := range names[:len(names)-keep] {
 		if err := os.Remove(filepath.Join(w.dir, n)); err != nil {
 			return fmt.Errorf("checkpoint: prune: %w", err)

@@ -3,7 +3,6 @@ package cla
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"toc/internal/bitpack"
 )
@@ -26,41 +25,41 @@ const claMagic = 0x16
 func (m *Matrix) Serialize() []byte {
 	out := make([]byte, 0, m.CompressedSize())
 	out = append(out, claMagic, 0, 0, 0)
-	out = appendU32(out, uint32(m.rows))
-	out = appendU32(out, uint32(m.cols))
-	out = appendU32(out, uint32(len(m.groups)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(m.rows))
+	out = binary.LittleEndian.AppendUint32(out, uint32(m.cols))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(m.groups)))
 	offW := bitpack.BytesPerInt(uint32(maxInt(m.rows-1, 0)))
 	for _, g := range m.groups {
 		w := len(g.cols)
 		extra := g.extraCount()
 		out = append(out, byte(g.kind), byte(w), 0, 0)
-		out = appendU32(out, uint32(extra))
+		out = binary.LittleEndian.AppendUint32(out, uint32(extra))
 		for _, c := range g.cols {
-			out = appendU32(out, uint32(c))
+			out = binary.LittleEndian.AppendUint32(out, uint32(c))
 		}
 		switch g.kind {
 		case kindDDC:
-			out = appendF64s(out, g.dict)
+			out = bitpack.AppendF64s(out, g.dict)
 			distinct := extra
 			dw := bitpack.BytesPerInt(uint32(maxInt(distinct-1, 0)))
 			out = appendPacked(out, g.rowIdx, dw)
 		case kindOLE:
-			out = appendF64s(out, g.dict)
+			out = bitpack.AppendF64s(out, g.dict)
 			for _, lst := range g.offsets {
-				out = appendU32(out, uint32(len(lst)))
+				out = binary.LittleEndian.AppendUint32(out, uint32(len(lst)))
 				out = appendPacked(out, lst, offW)
 			}
 		case kindRLE:
-			out = appendF64s(out, g.dict)
+			out = bitpack.AppendF64s(out, g.dict)
 			for _, rs := range g.runs {
-				out = appendU32(out, uint32(len(rs)))
+				out = binary.LittleEndian.AppendUint32(out, uint32(len(rs)))
 				for _, r := range rs {
 					out = appendPackedOne(out, r.start, offW)
 					out = appendPackedOne(out, r.length, offW)
 				}
 			}
 		case kindUC:
-			out = appendF64s(out, g.raw)
+			out = bitpack.AppendF64s(out, g.raw)
 		}
 	}
 	return out
@@ -84,136 +83,34 @@ func (g *group) extraCount() int {
 // Deserialize reconstructs a CLA matrix from its wire image, validating
 // structure so corrupt images error rather than panic.
 func Deserialize(img []byte) (*Matrix, error) {
-	if len(img) < 16 {
-		return nil, fmt.Errorf("cla: image too short: %d bytes", len(img))
+	r := bitpack.NewReader(img)
+	magic := r.U8()
+	r.Take(3) // reserved
+	rows, cols, nGroups := r.U32(), r.U32(), r.U32()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("cla: image header: %w", err)
 	}
-	if img[0] != claMagic {
-		return nil, fmt.Errorf("cla: bad magic %#x", img[0])
-	}
-	m := &Matrix{
-		rows: int(binary.LittleEndian.Uint32(img[4:8])),
-		cols: int(binary.LittleEndian.Uint32(img[8:12])),
-	}
-	nGroups := int(binary.LittleEndian.Uint32(img[12:16]))
-	buf := img[16:]
-	if m.rows < 0 || m.cols < 0 || nGroups < 0 {
-		return nil, fmt.Errorf("cla: negative header fields")
+	if magic != claMagic {
+		return nil, fmt.Errorf("cla: bad magic %#x", magic)
 	}
 	// Bound dimensions so corrupt headers cannot trigger enormous
 	// allocations below; every column is named by a u32 in some group.
 	const maxDim = 1 << 27
-	if m.rows > maxDim || m.cols > maxDim || nGroups > m.cols || 4*m.cols > len(buf) {
-		return nil, fmt.Errorf("cla: implausible header %dx%d, %d groups", m.rows, m.cols, nGroups)
+	if rows > maxDim || cols > maxDim || nGroups > cols || 4*int(cols) > len(img)-16 {
+		return nil, fmt.Errorf("cla: implausible header %dx%d, %d groups", rows, cols, nGroups)
 	}
+	m := &Matrix{rows: int(rows), cols: int(cols)}
 	offW := bitpack.BytesPerInt(uint32(maxInt(m.rows-1, 0)))
 	covered := make([]bool, m.cols)
-	for gi := 0; gi < nGroups; gi++ {
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("cla: truncated group %d header", gi)
-		}
-		g := &group{kind: groupKind(buf[0])}
-		w := int(buf[1])
-		extra := int(binary.LittleEndian.Uint32(buf[4:8]))
-		buf = buf[8:]
-		if g.kind > kindUC {
-			return nil, fmt.Errorf("cla: group %d has unknown kind %d", gi, g.kind)
-		}
-		if w <= 0 {
-			return nil, fmt.Errorf("cla: group %d has width %d", gi, w)
-		}
-		cols, rest, err := takeU32s(buf, w)
+	for gi := 0; gi < int(nGroups); gi++ {
+		g, err := m.readGroup(&r, offW, covered)
 		if err != nil {
-			return nil, fmt.Errorf("cla: group %d columns: %w", gi, err)
-		}
-		buf = rest
-		g.cols = make([]int, w)
-		for k, c := range cols {
-			if int(c) >= m.cols {
-				return nil, fmt.Errorf("cla: group %d column %d out of range %d", gi, c, m.cols)
-			}
-			if covered[c] {
-				return nil, fmt.Errorf("cla: column %d covered twice", c)
-			}
-			covered[c] = true
-			g.cols[k] = int(c)
-		}
-		switch g.kind {
-		case kindDDC:
-			g.dict, buf, err = takeF64s(buf, extra*w)
-			if err != nil {
-				return nil, fmt.Errorf("cla: group %d dict: %w", gi, err)
-			}
-			dw := bitpack.BytesPerInt(uint32(maxInt(extra-1, 0)))
-			g.rowIdx, buf, err = takePacked(buf, m.rows, dw)
-			if err != nil {
-				return nil, fmt.Errorf("cla: group %d rowIdx: %w", gi, err)
-			}
-			for _, t := range g.rowIdx {
-				if int(t) >= extra {
-					return nil, fmt.Errorf("cla: group %d tuple index %d out of range %d", gi, t, extra)
-				}
-			}
-		case kindOLE:
-			g.dict, buf, err = takeF64s(buf, extra*w)
-			if err != nil {
-				return nil, fmt.Errorf("cla: group %d dict: %w", gi, err)
-			}
-			g.offsets = make([][]uint32, extra)
-			for t := range g.offsets {
-				var cnt []uint32
-				cnt, buf, err = takeU32s(buf, 1)
-				if err != nil {
-					return nil, fmt.Errorf("cla: group %d list %d: %w", gi, t, err)
-				}
-				g.offsets[t], buf, err = takePacked(buf, int(cnt[0]), offW)
-				if err != nil {
-					return nil, fmt.Errorf("cla: group %d list %d: %w", gi, t, err)
-				}
-				for _, row := range g.offsets[t] {
-					if int(row) >= m.rows {
-						return nil, fmt.Errorf("cla: group %d offset %d out of range %d", gi, row, m.rows)
-					}
-				}
-			}
-		case kindRLE:
-			g.dict, buf, err = takeF64s(buf, extra*w)
-			if err != nil {
-				return nil, fmt.Errorf("cla: group %d dict: %w", gi, err)
-			}
-			g.runs = make([][]run, extra)
-			for t := range g.runs {
-				var cnt []uint32
-				cnt, buf, err = takeU32s(buf, 1)
-				if err != nil {
-					return nil, fmt.Errorf("cla: group %d runs %d: %w", gi, t, err)
-				}
-				if uint64(len(buf)) < uint64(cnt[0])*uint64(2*offW) {
-					return nil, fmt.Errorf("cla: group %d runs %d: truncated (need %d runs)", gi, t, cnt[0])
-				}
-				rs := make([]run, cnt[0])
-				for ri := range rs {
-					var vals []uint32
-					vals, buf, err = takePacked(buf, 2, offW)
-					if err != nil {
-						return nil, fmt.Errorf("cla: group %d run %d: %w", gi, ri, err)
-					}
-					rs[ri] = run{start: vals[0], length: vals[1]}
-					if int(vals[0])+int(vals[1]) > m.rows {
-						return nil, fmt.Errorf("cla: group %d run %d exceeds rows", gi, ri)
-					}
-				}
-				g.runs[t] = rs
-			}
-		case kindUC:
-			g.raw, buf, err = takeF64s(buf, m.rows*w)
-			if err != nil {
-				return nil, fmt.Errorf("cla: group %d raw: %w", gi, err)
-			}
+			return nil, fmt.Errorf("cla: group %d: %w", gi, err)
 		}
 		m.groups = append(m.groups, g)
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("cla: %d trailing bytes", len(buf))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("cla: %w", err)
 	}
 	for c, ok := range covered {
 		if !ok {
@@ -223,41 +120,73 @@ func Deserialize(img []byte) (*Matrix, error) {
 	return m, nil
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendF64s(dst []byte, vals []float64) []byte {
-	var b [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		dst = append(dst, b[:]...)
+// readGroup reads one column group of m's image, marking its columns in
+// covered. Every count is bounded by the bytes left before it sizes a
+// slice: a dictionary tuple takes 8 bytes a column, an offset offW bytes
+// and a run twice that.
+func (m *Matrix) readGroup(r *bitpack.Reader, offW int, covered []bool) (*group, error) {
+	g := &group{kind: groupKind(r.U8())}
+	w := int(r.U8())
+	r.Take(2) // reserved
+	extra := r.Count("dictionary tuples", 8*w)
+	cols := r.U32s(w)
+	switch {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case g.kind > kindUC:
+		return nil, fmt.Errorf("unknown kind %d", g.kind)
+	case w <= 0:
+		return nil, fmt.Errorf("width %d", w)
 	}
-	return dst
-}
-
-func takeU32s(buf []byte, n int) ([]uint32, []byte, error) {
-	if n < 0 || len(buf) < 4*n {
-		return nil, nil, fmt.Errorf("truncated u32 section (need %d)", n)
+	g.cols = make([]int, w)
+	for k, c := range cols {
+		if int(c) >= m.cols {
+			return nil, fmt.Errorf("column %d out of range %d", c, m.cols)
+		}
+		if covered[c] {
+			return nil, fmt.Errorf("column %d covered twice", c)
+		}
+		covered[c] = true
+		g.cols[k] = int(c)
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
+	switch g.kind {
+	case kindDDC:
+		g.dict = r.F64s(extra * w)
+		g.rowIdx = readPacked(r, m.rows, bitpack.BytesPerInt(uint32(maxInt(extra-1, 0))))
+		for _, t := range g.rowIdx {
+			if int(t) >= extra {
+				return nil, fmt.Errorf("tuple index %d out of range %d", t, extra)
+			}
+		}
+	case kindOLE:
+		g.dict = r.F64s(extra * w)
+		g.offsets = make([][]uint32, extra)
+		for t := range g.offsets {
+			g.offsets[t] = readPacked(r, r.Count("offsets", offW), offW)
+			for _, row := range g.offsets[t] {
+				if int(row) >= m.rows {
+					return nil, fmt.Errorf("offset %d out of range %d", row, m.rows)
+				}
+			}
+		}
+	case kindRLE:
+		g.dict = r.F64s(extra * w)
+		g.runs = make([][]run, extra)
+		for t := range g.runs {
+			vals := readPacked(r, 2*r.Count("runs", 2*offW), offW)
+			rs := make([]run, len(vals)/2)
+			for ri := range rs {
+				rs[ri] = run{start: vals[2*ri], length: vals[2*ri+1]}
+				if int(rs[ri].start)+int(rs[ri].length) > m.rows {
+					return nil, fmt.Errorf("run %d exceeds rows", ri)
+				}
+			}
+			g.runs[t] = rs
+		}
+	case kindUC:
+		g.raw = r.F64s(m.rows * w)
 	}
-	return out, buf[4*n:], nil
-}
-
-func takeF64s(buf []byte, n int) ([]float64, []byte, error) {
-	if n < 0 || len(buf) < 8*n {
-		return nil, nil, fmt.Errorf("truncated f64 section (need %d)", n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, buf[8*n:], nil
+	return g, r.Err()
 }
 
 // appendPacked writes vals at a fixed byte width without a header (the
@@ -282,18 +211,19 @@ func appendPackedOne(dst []byte, v uint32, width int) []byte {
 	}
 }
 
-func takePacked(buf []byte, n, width int) ([]uint32, []byte, error) {
-	if n < 0 || len(buf) < n*width {
-		return nil, nil, fmt.Errorf("truncated packed section (need %d×%d)", n, width)
+// readPacked reads n values written by appendPacked at width bytes each.
+func readPacked(r *bitpack.Reader, n, width int) []uint32 {
+	b := r.Take(n * width)
+	if b == nil {
+		return nil
 	}
 	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		off := i * width
+	for i := range out {
 		var v uint32
-		for b := 0; b < width; b++ {
-			v |= uint32(buf[off+b]) << (8 * b)
+		for k, c := range b[i*width : (i+1)*width] {
+			v |= uint32(c) << (8 * k)
 		}
 		out[i] = v
 	}
-	return out, buf[n*width:], nil
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"toc/internal/bitpack"
 	"toc/internal/matrix"
 )
 
@@ -33,35 +34,25 @@ func encodeCSR(d *matrix.Dense) CompressedMatrix {
 // Serialize writes header, row starts, column indexes and values.
 func (e *CSR) Serialize() []byte {
 	out := putHeader(make([]byte, 0, e.CompressedSize()), magicCSR, e.rows, e.cols, len(e.vals))
-	out = appendU32s(out, e.starts)
-	out = appendU32s(out, e.colIdx)
-	return appendF64s(out, e.vals)
+	out = bitpack.AppendU32s(out, e.starts)
+	out = bitpack.AppendU32s(out, e.colIdx)
+	return bitpack.AppendF64s(out, e.vals)
 }
 
 func deserializeCSR(img []byte) (CompressedMatrix, error) {
-	rows, cols, nnz, buf, err := readHeader(img, magicCSR)
+	r := bitpack.NewReader(img)
+	rows, cols, nnz, err := readHeader(&r, magicCSR)
 	if err != nil {
 		return nil, err
 	}
-	starts, buf, err := takeU32s(buf, rows+1)
-	if err != nil {
+	e := &CSR{rows: rows, cols: cols, starts: r.U32s(rows + 1), colIdx: r.U32s(nnz), vals: r.F64s(nnz)}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("formats: CSR image: %w", err)
+	}
+	if err := validateCSRParts(rows, cols, e.starts, e.colIdx, nnz); err != nil {
 		return nil, err
 	}
-	colIdx, buf, err := takeU32s(buf, nnz)
-	if err != nil {
-		return nil, err
-	}
-	vals, buf, err := takeF64s(buf, nnz)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("formats: CSR image has %d trailing bytes", len(buf))
-	}
-	if err := validateCSRParts(rows, cols, starts, colIdx, nnz); err != nil {
-		return nil, err
-	}
-	return &CSR{rows: rows, cols: cols, starts: starts, colIdx: colIdx, vals: vals}, nil
+	return e, nil
 }
 
 // Rows returns the number of tuples.

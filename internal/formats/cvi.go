@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"toc/internal/bitpack"
@@ -38,40 +39,23 @@ func init() {
 // value indexes and the value dictionary.
 func (e *CVI) Serialize() []byte {
 	out := putHeader(make([]byte, 0, e.CompressedSize()), magicCVI, e.rows, e.cols, len(e.valIdx))
-	out = appendU32s(out, e.starts)
-	out = appendU32s(out, e.colIdx)
+	out = bitpack.AppendU32s(out, e.starts)
+	out = bitpack.AppendU32s(out, e.colIdx)
 	out = bitpack.Pack(e.valIdx).AppendTo(out)
-	out = appendU32s(out, []uint32{uint32(len(e.dict))})
-	return appendF64s(out, e.dict)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.dict)))
+	return bitpack.AppendF64s(out, e.dict)
 }
 
 func deserializeCVI(img []byte) (CompressedMatrix, error) {
-	rows, cols, nnz, buf, err := readHeader(img, magicCVI)
+	r := bitpack.NewReader(img)
+	rows, cols, nnz, err := readHeader(&r, magicCVI)
 	if err != nil {
 		return nil, err
 	}
-	starts, buf, err := takeU32s(buf, rows+1)
-	if err != nil {
-		return nil, err
-	}
-	colIdx, buf, err := takeU32s(buf, nnz)
-	if err != nil {
-		return nil, err
-	}
-	idxArr, buf, err := bitpack.ReadArray(buf)
-	if err != nil {
-		return nil, err
-	}
-	cnt, buf, err := takeU32s(buf, 1)
-	if err != nil {
-		return nil, err
-	}
-	dict, buf, err := takeF64s(buf, int(cnt[0]))
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("formats: CVI image has %d trailing bytes", len(buf))
+	starts, colIdx, idxArr := r.U32s(rows+1), r.U32s(nnz), r.Array()
+	dict := r.F64s(r.Count("dictionary values", 8))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("formats: CVI image: %w", err)
 	}
 	if err := validateCSRParts(rows, cols, starts, colIdx, nnz); err != nil {
 		return nil, err

@@ -30,24 +30,18 @@ func init() {
 func (e *DVI) Serialize() []byte {
 	out := putHeader(make([]byte, 0, e.CompressedSize()), magicDVI, e.rows, e.cols, len(e.dict))
 	out = bitpack.Pack(e.idx).AppendTo(out)
-	return appendF64s(out, e.dict)
+	return bitpack.AppendF64s(out, e.dict)
 }
 
 func deserializeDVI(img []byte) (CompressedMatrix, error) {
-	rows, cols, dictLen, buf, err := readHeader(img, magicDVI)
+	r := bitpack.NewReader(img)
+	rows, cols, dictLen, err := readHeader(&r, magicDVI)
 	if err != nil {
 		return nil, err
 	}
-	idxArr, buf, err := bitpack.ReadArray(buf)
-	if err != nil {
-		return nil, err
-	}
-	dict, buf, err := takeF64s(buf, dictLen)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("formats: DVI image has %d trailing bytes", len(buf))
+	idxArr, dict := r.Array(), r.F64s(dictLen)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("formats: DVI image: %w", err)
 	}
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("formats: DVI negative dims %dx%d", rows, cols)

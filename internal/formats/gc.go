@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"toc/internal/bitpack"
 	"toc/internal/matrix"
 	"toc/internal/snappy"
 )
@@ -58,14 +59,16 @@ func (e *gcMatrix) Serialize() []byte {
 }
 
 func deserializeGC(img []byte, magic byte, c gcCodec) (CompressedMatrix, error) {
-	rows, cols, blobLen, buf, err := readHeader(img, magic)
+	r := bitpack.NewReader(img)
+	rows, cols, blobLen, err := readHeader(&r, magic)
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) != blobLen {
-		return nil, fmt.Errorf("formats: %s blob is %d bytes, want %d", c.name(), len(buf), blobLen)
+	blob := r.Take(blobLen)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("formats: %s blob: %w", c.name(), err)
 	}
-	e := &gcMatrix{rows: rows, cols: cols, codec: c, blob: append([]byte(nil), buf...)}
+	e := &gcMatrix{rows: rows, cols: cols, codec: c, blob: append([]byte(nil), blob...)}
 	// Validate eagerly so corrupt images error here instead of panicking
 	// inside a later matrix operation.
 	raw, err := c.decompress(e.blob, e.denSize())

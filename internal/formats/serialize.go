@@ -1,14 +1,19 @@
 package formats
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"toc/internal/bitpack"
 )
 
-// Shared little-endian wire helpers. Every scheme's image starts with a
-// 16-byte header: one magic byte identifying the scheme, three reserved
-// bytes, rows u32, cols u32, and a scheme-specific u32 (usually nnz).
+// The reference schemes' wire images. Every one starts with a 16-byte
+// header: one magic byte identifying the scheme, three reserved bytes,
+// rows u32, cols u32, and a scheme-specific u32 (usually nnz). The
+// sections behind it are written with bitpack.AppendU32s/AppendF64s and
+// read back through bitpack.Reader, the one bounds-checked reader of the
+// persisted images, so a count the bytes cannot back is refused before
+// anything is sized by it. DEN's image is matrix.Dense's and CLA's is
+// cla.Matrix's; they read through the same Reader.
 
 const wireHeaderSize = 16
 
@@ -21,72 +26,29 @@ const (
 )
 
 func putHeader(dst []byte, magic byte, rows, cols, extra int) []byte {
-	var h [wireHeaderSize]byte
-	h[0] = magic
-	binary.LittleEndian.PutUint32(h[4:8], uint32(rows))
-	binary.LittleEndian.PutUint32(h[8:12], uint32(cols))
-	binary.LittleEndian.PutUint32(h[12:16], uint32(extra))
-	return append(dst, h[:]...)
+	return bitpack.AppendU32s(append(dst, magic, 0, 0, 0), []uint32{uint32(rows), uint32(cols), uint32(extra)})
 }
 
 // maxWireDim bounds deserialized dimensions so corrupt headers cannot
 // trigger enormous allocations downstream.
 const maxWireDim = 1 << 27
 
-func readHeader(img []byte, magic byte) (rows, cols, extra int, rest []byte, err error) {
-	if len(img) < wireHeaderSize {
-		return 0, 0, 0, nil, fmt.Errorf("formats: image too short: %d bytes", len(img))
+// readHeader reads the 16-byte header an image starts with and returns
+// its rows, cols and scheme-specific count.
+func readHeader(r *bitpack.Reader, magic byte) (rows, cols, extra int, err error) {
+	m := r.U8()
+	r.Take(3) // reserved
+	rows, cols, extra = int(r.U32()), int(r.U32()), int(r.U32())
+	if err := r.Err(); err != nil {
+		return 0, 0, 0, fmt.Errorf("formats: image header: %w", err)
 	}
-	if img[0] != magic {
-		return 0, 0, 0, nil, fmt.Errorf("formats: wrong magic %#x, want %#x", img[0], magic)
+	if m != magic {
+		return 0, 0, 0, fmt.Errorf("formats: wrong magic %#x, want %#x", m, magic)
 	}
-	rows = int(binary.LittleEndian.Uint32(img[4:8]))
-	cols = int(binary.LittleEndian.Uint32(img[8:12]))
-	extra = int(binary.LittleEndian.Uint32(img[12:16]))
 	if rows > maxWireDim || cols > maxWireDim {
-		return 0, 0, 0, nil, fmt.Errorf("formats: implausible dims %dx%d", rows, cols)
+		return 0, 0, 0, fmt.Errorf("formats: implausible dims %dx%d", rows, cols)
 	}
-	return rows, cols, extra, img[wireHeaderSize:], nil
-}
-
-func appendU32s(dst []byte, vals []uint32) []byte {
-	for _, v := range vals {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		dst = append(dst, b[:]...)
-	}
-	return dst
-}
-
-func appendF64s(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		dst = append(dst, b[:]...)
-	}
-	return dst
-}
-
-func takeU32s(buf []byte, n int) ([]uint32, []byte, error) {
-	if len(buf) < 4*n {
-		return nil, nil, fmt.Errorf("formats: truncated u32 section: have %d, need %d", len(buf), 4*n)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return out, buf[4*n:], nil
-}
-
-func takeF64s(buf []byte, n int) ([]float64, []byte, error) {
-	if len(buf) < 8*n {
-		return nil, nil, fmt.Errorf("formats: truncated f64 section: have %d, need %d", len(buf), 8*n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, buf[8*n:], nil
+	return rows, cols, extra, nil
 }
 
 // validateCSRParts checks the shared invariants of CSR-shaped arrays.

@@ -3,7 +3,8 @@ package matrix
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
+
+	"toc/internal/bitpack"
 )
 
 // The DEN wire format, per the paper's baseline: the matrix is stored row by
@@ -24,35 +25,22 @@ func (d *Dense) SerializedSize() int {
 
 // Serialize encodes the matrix in the DEN binary format.
 func (d *Dense) Serialize() []byte {
-	buf := make([]byte, d.SerializedSize())
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(d.rows))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(d.cols))
-	off := denHeaderSize
-	for _, v := range d.data {
-		binary.LittleEndian.PutUint64(buf[off:off+8], math.Float64bits(v))
-		off += 8
-	}
-	return buf
+	buf := make([]byte, 0, d.SerializedSize())
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.rows))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.cols))
+	return bitpack.AppendF64s(buf, d.data)
 }
 
 // DeserializeDense decodes a DEN binary image produced by Serialize.
 func DeserializeDense(buf []byte) (*Dense, error) {
-	if len(buf) < denHeaderSize {
-		return nil, fmt.Errorf("matrix: DEN image too short: %d bytes", len(buf))
+	r := bitpack.NewReader(buf)
+	rows, cols := r.U64(), r.U64()
+	if rows > maxDenDim || cols > maxDenDim {
+		return nil, fmt.Errorf("matrix: DEN image claims implausible dims %dx%d", rows, cols)
 	}
-	r, c := binary.LittleEndian.Uint64(buf[0:8]), binary.LittleEndian.Uint64(buf[8:16])
-	if r > maxDenDim || c > maxDenDim {
-		return nil, fmt.Errorf("matrix: DEN image claims implausible dims %dx%d", r, c)
-	}
-	rows, cols := int(r), int(c)
-	if want := denHeaderSize + 8*rows*cols; len(buf) != want {
-		return nil, fmt.Errorf("matrix: DEN image size %d != expected %d for %dx%d", len(buf), want, rows, cols)
-	}
-	d := NewDense(rows, cols)
-	off := denHeaderSize
-	for i := range d.data {
-		d.data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off : off+8]))
-		off += 8
+	d := &Dense{rows: int(rows), cols: int(cols), data: r.F64s(int(rows * cols))}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("matrix: DEN image: %w", err)
 	}
 	return d, nil
 }

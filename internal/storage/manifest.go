@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 
-	"toc/internal/faultpoint"
+	"toc/internal/bitpack"
+	"toc/internal/checkpoint"
 	"toc/internal/formats"
 )
 
@@ -23,7 +23,8 @@ import (
 // disk.
 //
 // Like the checkpoint format, the manifest is one little-endian image
-// with a trailing CRC-32C, written atomically (temp + fsync + rename +
+// with the trailing CRC-32C of checkpoint.Seal, written by the one
+// durable writer, checkpoint.WriteFile (temp + fsync + rename +
 // directory fsync): a crash mid-write leaves the old manifest or none,
 // never a torn one. OpenStore verifies the manifest CRC, each shard
 // file's size, and — at recovery time, once — every span's CRC, so a
@@ -31,9 +32,10 @@ import (
 // wrong training data.
 //
 // The CRC catches accidents, not forgeries, so the manifest is untrusted
-// input: decodeManifest bounds every count by the bytes left before it
-// allocates, and checks every span against its shard's write position
-// before OpenStore reads it.
+// input: decodeManifest reads it through bitpack.Reader, which bounds
+// every count by the bytes left before anything is sized by it, and
+// checks every span against its shard's write position before OpenStore
+// reads it.
 
 const (
 	manifestMagic   = "TOCM"
@@ -84,44 +86,8 @@ func (s *Store) WriteManifest(path string) error {
 		}
 	}
 
-	img := s.encodeManifest()
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-tmp-*")
-	if err != nil {
-		return fmt.Errorf("storage: create manifest temp: %w", err)
-	}
-	name := tmp.Name()
-	// Cleanup is explicit, not deferred: an injected crash must leave
-	// exactly what a real kill would.
-	if _, err := tmp.Write(img); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("storage: write manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("storage: sync manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("storage: close manifest temp: %w", err)
-	}
-	faultpoint.Hit("storage.manifest.rename")
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("storage: rename manifest: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("storage: open manifest dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("storage: sync manifest dir: %w", err)
+	if err := checkpoint.WriteFile(path, s.encodeManifest(), "storage.manifest.rename"); err != nil {
+		return fmt.Errorf("storage: manifest: %w", err)
 	}
 	s.persist = true
 	return nil
@@ -165,100 +131,14 @@ func (s *Store) encodeManifest() []byte {
 		img = le.AppendUint64(img, uint64(sp.length))
 		img = le.AppendUint32(img, sp.crc)
 		img = le.AppendUint32(img, uint32(len(s.labels[i])))
-		for _, v := range s.labels[i] {
-			img = le.AppendUint64(img, math.Float64bits(v))
-		}
+		img = bitpack.AppendF64s(img, s.labels[i])
 	}
-	return le.AppendUint32(img, crc32.Checksum(img, spanTable))
+	return checkpoint.Seal(img)
 }
 
 func appendStr(img []byte, s string) []byte {
 	img = binary.LittleEndian.AppendUint16(img, uint16(len(s)))
 	return append(img, s...)
-}
-
-// manifestReader walks a manifest image with bounds checking; the first
-// overrun poisons every later read.
-type manifestReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *manifestReader) take(n int) []byte {
-	if r.err != nil || r.off+n > len(r.buf) {
-		if r.err == nil {
-			r.err = fmt.Errorf("truncated at byte %d", r.off)
-		}
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *manifestReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *manifestReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *manifestReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *manifestReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *manifestReader) str() string {
-	n := int(r.u16())
-	b := r.take(n)
-	return string(b)
-}
-
-func (r *manifestReader) f64s() []float64 {
-	n := r.count("labels", 8)
-	b := r.take(8 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// count reads a record count, refusing one the bytes left cannot hold at
-// minLen bytes a record, so no slice is ever sized by an unchecked word.
-func (r *manifestReader) count(what string, minLen int) int {
-	n := r.u32()
-	if left := len(r.buf) - r.off; r.err == nil && uint64(n) > uint64(left/minLen) {
-		r.err = fmt.Errorf("claims %d %s in %d bytes", n, what, left)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
 }
 
 // manifest is a decoded store manifest: the layout OpenStore rebuilds a
@@ -292,32 +172,29 @@ type manifestBatch struct {
 // shards it lists and spans inside the bytes their shard wrote, so the
 // reads OpenStore then makes are bounded by files whose size it checks.
 func decodeManifest(img []byte) (*manifest, error) {
-	if len(img) < 12 {
-		return nil, fmt.Errorf("truncated (%d bytes)", len(img))
+	body, err := checkpoint.Unseal(img)
+	if err != nil {
+		return nil, err
 	}
-	if string(img[:4]) != manifestMagic {
-		return nil, fmt.Errorf("not a store manifest (magic %q)", img[:4])
+	r := bitpack.NewReader(body)
+	if m := r.Take(len(manifestMagic)); string(m) != manifestMagic {
+		return nil, fmt.Errorf("not a store manifest (magic %q)", m)
 	}
-	if img[4] != manifestVersion {
-		return nil, fmt.Errorf("unsupported version %d", img[4])
+	if v := r.U8(); v != manifestVersion {
+		return nil, fmt.Errorf("unsupported version %d", v)
 	}
-	body, stored := img[:len(img)-4], binary.LittleEndian.Uint32(img[len(img)-4:])
-	if got := crc32.Checksum(body, spanTable); got != stored {
-		return nil, fmt.Errorf("failed CRC (stored %08x, computed %08x)", stored, got)
-	}
-
-	r := &manifestReader{buf: body, off: 8}
-	m := &manifest{method: r.str(), budget: int64(r.u64())}
-	nShards := r.count("shards", minShardRecord)
-	if r.err != nil {
-		return nil, r.err
+	r.Take(3) // reserved
+	m := &manifest{method: r.Str(), budget: int64(r.U64())}
+	nShards := r.Count("shards", minShardRecord)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	m.shards = make([]manifestShard, nShards)
 	for i := range m.shards {
-		sh := manifestShard{dir: r.str(), base: r.str(), wpos: int64(r.u64()), bytes: int64(r.u64())}
+		sh := manifestShard{dir: r.Str(), base: r.Str(), wpos: int64(r.U64()), bytes: int64(r.U64())}
 		switch {
-		case r.err != nil:
-			return nil, r.err
+		case r.Err() != nil:
+			return nil, r.Err()
 		case sh.wpos < 0 || sh.bytes < 0 || sh.bytes > sh.wpos:
 			return nil, fmt.Errorf("shard %d wrote %d bytes, %d of them spills", i, sh.wpos, sh.bytes)
 		case sh.base == "" && sh.wpos > 0:
@@ -325,18 +202,18 @@ func decodeManifest(img []byte) (*manifest, error) {
 		}
 		m.shards[i] = sh
 	}
-	nBatches := r.count("batches", minBatchRecord)
-	if r.err != nil {
-		return nil, r.err
+	nBatches := r.Count("batches", minBatchRecord)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	m.batches = make([]manifestBatch, nBatches)
 	for i := range m.batches {
-		flags, size, shard := r.u8(), int64(r.u64()), r.u32()
-		sp := span{off: int64(r.u64()), length: int64(r.u64()), crc: r.u32()}
-		labels := r.f64s()
+		flags, size, shard := r.U8(), int64(r.U64()), r.U32()
+		sp := span{off: int64(r.U64()), length: int64(r.U64()), crc: r.U32()}
+		labels := r.F64s(r.Count("labels", 8))
 		switch {
-		case r.err != nil:
-			return nil, r.err
+		case r.Err() != nil:
+			return nil, r.Err()
 		case flags > 1:
 			return nil, fmt.Errorf("batch %d has unknown flags %#x", i, flags)
 		case uint64(shard) >= uint64(len(m.shards)):
@@ -349,8 +226,8 @@ func decodeManifest(img []byte) (*manifest, error) {
 		}
 		m.batches[i] = manifestBatch{resident: flags == 1, size: size, sp: sp, labels: labels}
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("%d trailing bytes", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

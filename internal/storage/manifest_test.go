@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"toc/internal/formats"
 	"toc/internal/matrix"
 )
 
@@ -281,5 +283,25 @@ func TestManifestPreservesLabelsBitwise(t *testing.T) {
 				t.Fatalf("batch %d label %d not bitwise identical", i, j)
 			}
 		}
+	}
+}
+
+// The manifest image is pinned byte for byte: a two-shard layout with
+// one resident batch (its backup span) and one spilled batch, CRC-32
+// (IEEE) of the whole image, trailer included. The shards name no file,
+// so the pin holds on any machine (decodeManifest would refuse them).
+func TestManifestGoldenCRC(t *testing.T) {
+	s := &Store{
+		method:   "TOC",
+		budget:   1 << 20,
+		shards:   []*shard{{wpos: 300, bytes: 200}, {wpos: 0}},
+		resident: []formats.CompressedMatrix{&formats.DEN{}, nil},
+		spans:    []span{{}, {shard: 0, off: 100, length: 200, crc: 0xdeadbeef}},
+		resSpans: []span{{shard: 0, off: 0, length: 100, crc: 0x01020304}, {}},
+		sizes:    []int64{100, 200},
+		labels:   [][]float64{{1, -1, 0.5}, {}},
+	}
+	if got, want := crc32.ChecksumIEEE(s.encodeManifest()), uint32(0xe9357ee9); got != want {
+		t.Fatalf("manifest CRC %#08x, want %#08x", got, want)
 	}
 }
