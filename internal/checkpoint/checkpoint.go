@@ -30,6 +30,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -282,7 +283,7 @@ func Save(path string, s *State) error {
 // faultPoint names the faultpoint hit just before the rename.
 func WriteFile(path string, img []byte, faultPoint string) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	tmp, err := os.CreateTemp(dir, tempPattern(filepath.Base(path)))
 	if err != nil {
 		return fmt.Errorf("create temp: %w", err)
 	}
@@ -322,6 +323,23 @@ func WriteFile(path string, img []byte, faultPoint string) error {
 		return fmt.Errorf("sync dir: %w", err)
 	}
 	return nil
+}
+
+// tempPattern names the temp files WriteFile creates for the files base
+// matches; a crash before the rename leaves one behind.
+func tempPattern(base string) string { return "." + base + ".tmp-*" }
+
+// RemoveTemps removes from dir the temp files interrupted WriteFile calls
+// left for the files base matches (a filepath.Match pattern such as
+// "ckpt-*.toc"). Call it only where no such WriteFile is in flight.
+func RemoveTemps(dir, base string) error {
+	entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		if ok, _ := filepath.Match(tempPattern(base), e.Name()); ok {
+			err = errors.Join(err, os.Remove(filepath.Join(dir, e.Name())))
+		}
+	}
+	return err
 }
 
 // Load reads and validates one checkpoint file.

@@ -201,6 +201,40 @@ func TestLatestFailsLoudlyOnCorruptNewest(t *testing.T) {
 	}
 }
 
+// A crash between WriteFile's write and its rename leaves a temp file
+// beside the checkpoint it was to replace, a name files() ignores and so
+// prune never removes. NewWriter removes that debris, and nothing else.
+func TestNewWriterRemovesCrashTemps(t *testing.T) {
+	dir := t.TempDir()
+	if err := Save(filepath.Join(dir, FileName(7)), sampleState(0)); err != nil {
+		t.Fatal(err)
+	}
+	debris, err := os.CreateTemp(dir, tempPattern(FileName(32))) // as WriteFile names it
+	if err != nil {
+		t.Fatal(err)
+	}
+	debris.Close()
+	kept := []string{FileName(7), ".store.manifest.tmp-1", "ckpt-notes.txt"}
+	for _, n := range kept[1:] {
+		if err := os.WriteFile(filepath.Join(dir, n), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := NewWriter(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := os.Stat(debris.Name()); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("NewWriter left %s: %v", filepath.Base(debris.Name()), err)
+	}
+	for _, n := range kept {
+		if _, err := os.Stat(filepath.Join(dir, n)); err != nil {
+			t.Fatalf("NewWriter removed %s: %v", n, err)
+		}
+	}
+}
+
 func TestWriterSaveAsyncAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(dir)

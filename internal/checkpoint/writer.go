@@ -50,11 +50,14 @@ type Writer struct {
 	closed bool
 }
 
-// NewWriter creates (if needed) the checkpoint directory and starts the
-// background writer goroutine.
+// NewWriter creates (if needed) the checkpoint directory, removes the
+// temp files crashed saves left in it, and starts the background writer.
 func NewWriter(dir string) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
+	}
+	if err := RemoveTemps(dir, "ckpt-*.toc"); err != nil {
+		return nil, fmt.Errorf("checkpoint: remove temp files: %w", err)
 	}
 	w := &Writer{
 		dir:  dir,

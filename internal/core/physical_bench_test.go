@@ -21,8 +21,8 @@ func benchVariantBatches(b *testing.B) map[string]*Batch {
 }
 
 // BenchmarkSerialize's imagenet row is what spilling one freshly
-// compressed batch of the benchmark's shape costs a FillStore worker,
-// 256 batches cycling: D back to the paper's numbering, then the image
+// compressed batch of the benchmark's shape costs FillStore's in-order
+// add, 256 batches cycling: D back to the paper's numbering, then the image
 // written section by section.
 func BenchmarkSerialize(b *testing.B) {
 	batches := benchBatches(b, "imagenet", 256)

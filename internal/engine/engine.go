@@ -22,9 +22,9 @@
 // own position. Workers the in-flight positions leave over shard the
 // matrix kernels inside each gradient (A·M and M·A by panel run, bitwise
 // identical to the sequential kernels; the vector kernels never shard).
-// internal/dist is the same loop over RPC. The package also shards
-// compression of incoming batches across the pool (FillStore) and sizes
-// the spill prefetcher so out-of-core IO overlaps compute.
+// internal/dist is the same loop over RPC. The package also ingests a
+// dataset in one ordered pass across the pool (FillStore) and sizes the
+// spill prefetcher so out-of-core IO overlaps compute.
 package engine
 
 import (
@@ -583,44 +583,50 @@ func parallelFor(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// FillStore slices the dataset into batchSize mini-batches, compresses
-// them concurrently across the pool, and appends them to the store in
-// order — the sharded-ingest counterpart of calling storage.Store.Add in
-// a loop. Each worker encodes its batch straight from the dataset's rows
-// (data.Dataset.Batch is a view), so ingest makes no uncompressed copy;
-// only the compressed forms are retained until the in-order Add pass.
-// The batches that will spill have their images written across the pool
-// too, so the serial pass only stores them.
+// fillWindow is how many batches per worker FillStore encodes ahead of
+// the next one it adds.
+const fillWindow = 4
+
+// FillStore slices the dataset into batchSize mini-batches and adds them
+// to the store in order, as storage.Store.Add in a loop would. Workers
+// encode batches in index order, at most fillWindow per worker ahead of
+// the next batch to add, and the worker of that batch adds it and every
+// encoded one after it through AddCompressed, one goroutine at a time.
+// The first add error stops the pass and is returned.
 func (e *Engine) FillStore(st *storage.Store, d *data.Dataset, batchSize int) error {
-	n := d.NumBatches(batchSize)
-	encoded := make([]formats.CompressedMatrix, n)
-	labels := make([][]float64, n)
-	sizes := make([]int64, n)
+	n, window := d.NumBatches(batchSize), fillWindow*e.workers
+	ring := make([]formats.CompressedMatrix, window) // batch i at i%window, nil until encoded
+	var mu sync.Mutex
+	room := sync.NewCond(&mu) // signaled as next advances
+	next := 0                 // the next batch to add
+	var err error
 	parallelFor(e.workers, n, func(i int) {
-		x, y := d.Batch(i, batchSize)
-		encoded[i] = st.Encode(x)
-		labels[i] = y
-		sizes[i] = int64(encoded[i].CompressedSize())
-	})
-	spills := st.Spills(sizes)
-	parallelFor(e.workers, n, func(i int) {
-		if spills[i] {
-			encoded[i] = serialized{encoded[i], encoded[i].Serialize()}
+		mu.Lock()
+		for i >= next+window && err == nil {
+			room.Wait()
 		}
-	})
-	for i, c := range encoded {
-		if err := st.AddCompressed(c, labels[i]); err != nil {
-			return err
+		stop := err != nil
+		mu.Unlock()
+		if stop {
+			return
 		}
-	}
-	return nil
+		x, _ := d.Batch(i, batchSize)
+		c := st.Encode(x)
+		mu.Lock()
+		ring[i%window] = c
+		// i <= next only for the worker of batch next: it adds it and
+		// every encoded batch after it; the others leave theirs to it.
+		for ; i <= next && err == nil && ring[next%window] != nil; next++ {
+			c = ring[next%window]
+			ring[next%window] = nil
+			_, y := d.Batch(next, batchSize)
+			mu.Unlock()
+			addErr := st.AddCompressed(c, y)
+			mu.Lock()
+			err = addErr
+			room.Broadcast()
+		}
+		mu.Unlock()
+	})
+	return err
 }
-
-// serialized is an encoded batch whose image is already written, which
-// AddCompressed stores as is.
-type serialized struct {
-	formats.CompressedMatrix
-	img []byte
-}
-
-func (s serialized) Serialize() []byte { return s.img }

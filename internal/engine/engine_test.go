@@ -2,13 +2,20 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"toc/internal/data"
 	"toc/internal/formats"
+	"toc/internal/matrix"
 	"toc/internal/ml"
 	"toc/internal/storage"
 	"toc/internal/testutil"
@@ -338,53 +345,156 @@ func TestEngineNewPrefetcherOverShardedStore(t *testing.T) {
 	}
 }
 
-// FillStore must produce the same layout and contents as serial Add.
+// FillStore must produce the same layout and contents as serial Add,
+// with fewer batches than its window and with many more.
 func TestFillStoreMatchesSerialAdd(t *testing.T) {
-	d, err := data.Generate("census", 300, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := storage.NewStore(t.TempDir(), "TOC", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	for i := 0; i < d.NumBatches(50); i++ {
-		x, y := d.Batch(i, 50)
-		if err := serial.Add(x, y); err != nil {
+	for _, tc := range []struct{ workers, rows int }{{8, 300}, {2, 2000}} {
+		d, err := data.Generate("census", tc.rows, 6)
+		if err != nil {
 			t.Fatal(err)
 		}
+		newStore := func() *storage.Store {
+			st, err := storage.NewStore(t.TempDir(), "TOC", 4096, storage.WithShards(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			return st
+		}
+		serial := newStore()
+		for i := 0; i < d.NumBatches(50); i++ {
+			x, y := d.Batch(i, 50)
+			if err := serial.Add(x, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		parallel := newStore()
+		if err := New(Config{Workers: tc.workers}).FillStore(parallel, d, 50); err != nil {
+			t.Fatal(err)
+		}
+		ss, ps := serial.Stats(), parallel.Stats()
+		if ss.ResidentBatches != ps.ResidentBatches || ss.SpilledBatches != ps.SpilledBatches ||
+			ss.ResidentBytes != ps.ResidentBytes || ss.SpilledBytes != ps.SpilledBytes {
+			t.Fatalf("workers %d: layout differs: serial %+v parallel %+v", tc.workers, ss, ps)
+		}
+		if ss.SpilledBatches == 0 || ss.ResidentBatches == 0 {
+			t.Fatalf("workers %d: want both resident and spilled batches, got %+v", tc.workers, ss)
+		}
+		if !slices.Equal(serial.ShardBytes(), parallel.ShardBytes()) {
+			t.Fatalf("workers %d: shard bytes %v serially, %v in parallel", tc.workers, serial.ShardBytes(), parallel.ShardBytes())
+		}
+		for i := 0; i < serial.NumBatches(); i++ {
+			a, ya := serial.Batch(i)
+			b, yb := parallel.Batch(i)
+			if serial.Resident(i) != parallel.Resident(i) || serial.ShardOf(i) != parallel.ShardOf(i) {
+				t.Fatalf("workers %d, batch %d: resident %v on shard %d serially, %v on shard %d in parallel", tc.workers, i,
+					serial.Resident(i), serial.ShardOf(i), parallel.Resident(i), parallel.ShardOf(i))
+			}
+			if !a.Decode().Equal(b.Decode()) || !bytes.Equal(a.Serialize(), b.Serialize()) {
+				t.Fatalf("workers %d, batch %d contents differ", tc.workers, i)
+			}
+			if !slices.Equal(ya, yb) {
+				t.Fatalf("workers %d, batch %d labels differ", tc.workers, i)
+			}
+		}
 	}
-	parallel, err := storage.NewStore(t.TempDir(), "TOC", 4096)
+}
+
+// fillProbe watches FillStore through the "counted-TOC" codec: TOC whose
+// encoder counts batches and whose batches count their Serialize calls.
+// With every batch spilling, AddCompressed serializes each batch once, in
+// order, so at batch k's Serialize k batches have been added and the
+// lag — batches encoded but not yet added, k's own included — is
+// encoded − k.
+var fillProbe struct {
+	sync.Mutex
+	encoded, serialized, maxLag int64
+}
+
+type countedBatch struct{ formats.CompressedMatrix }
+
+func (b countedBatch) Serialize() []byte {
+	fillProbe.Lock()
+	fillProbe.serialized++
+	fillProbe.maxLag = max(fillProbe.maxLag, fillProbe.encoded-fillProbe.serialized+1)
+	fillProbe.Unlock()
+	return b.CompressedMatrix.Serialize()
+}
+
+func init() {
+	toc := formats.MustGetCodec("TOC")
+	formats.Register("counted-TOC", func(x *matrix.Dense) formats.CompressedMatrix {
+		fillProbe.Lock()
+		fillProbe.encoded++
+		fillProbe.Unlock()
+		return countedBatch{toc.Encode(x)}
+	}, toc.Decode)
+}
+
+func resetFillProbe() {
+	fillProbe.Lock()
+	fillProbe.encoded, fillProbe.serialized, fillProbe.maxLag = 0, 0, 0
+	fillProbe.Unlock()
+}
+
+// FillStore holds a bounded number of encoded batches however long the
+// dataset: over 40 batches with 2 workers and every batch spilling, no
+// batch is serialized while more than the window plus one per worker
+// are encoded and not yet added.
+func TestFillStoreLagIsBounded(t *testing.T) {
+	const workers, batches = 2, 40
+	d, err := data.Generate("census", batches*50, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer parallel.Close()
-	if err := New(Config{Workers: 8}).FillStore(parallel, d, 50); err != nil {
+	st, err := storage.NewStore(t.TempDir(), "counted-TOC", 1) // all spilled
+	if err != nil {
 		t.Fatal(err)
 	}
-	ss, ps := serial.Stats(), parallel.Stats()
-	if ss.ResidentBatches != ps.ResidentBatches || ss.SpilledBatches != ps.SpilledBatches ||
-		ss.ResidentBytes != ps.ResidentBytes || ss.SpilledBytes != ps.SpilledBytes {
-		t.Fatalf("layout differs: serial %+v parallel %+v", ss, ps)
+	defer st.Close()
+	resetFillProbe()
+	if err := New(Config{Workers: workers}).FillStore(st, d, 50); err != nil {
+		t.Fatal(err)
 	}
-	if ss.SpilledBatches == 0 || ss.ResidentBatches == 0 {
-		t.Fatalf("want both resident and spilled batches, got %+v", ss)
+	if got := fillProbe.serialized; got != batches || st.Stats().SpilledBatches != batches {
+		t.Fatalf("%d images serialized, %+v; want all %d batches spilled", got, st.Stats(), batches)
 	}
-	for i := 0; i < serial.NumBatches(); i++ {
-		a, ya := serial.Batch(i)
-		b, yb := parallel.Batch(i)
-		if serial.Resident(i) != parallel.Resident(i) {
-			t.Fatalf("batch %d: resident %v serially, %v in parallel", i, serial.Resident(i), parallel.Resident(i))
-		}
-		if !a.Decode().Equal(b.Decode()) || !bytes.Equal(a.Serialize(), b.Serialize()) {
-			t.Fatalf("batch %d contents differ", i)
-		}
-		for k := range ya {
-			if ya[k] != yb[k] {
-				t.Fatalf("batch %d labels differ", i)
-			}
-		}
+	if lag, bound := fillProbe.maxLag, int64(fillWindow*workers+workers); lag > bound {
+		t.Fatalf("%d batches encoded and not yet added at once, want at most %d", lag, bound)
+	}
+}
+
+// The first add error stops FillStore: a store whose shard directory does
+// not exist keeps the first five batches resident and fails to create
+// its spill file at the sixth. FillStore returns that error, encodes no
+// batch more than the window past it, and leaves no goroutine behind.
+func TestFillStoreStopsAtFirstAddError(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	const workers, failAt = 2, 5
+	d, err := data.Generate("census", 2000, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var budget int64
+	for i := range failAt {
+		x, _ := d.Batch(i, 50)
+		budget += int64(formats.MustGet("TOC")(x).CompressedSize())
+	}
+	st, err := storage.NewStore(filepath.Join(t.TempDir(), "missing"), "counted-TOC", budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	resetFillProbe()
+	err = New(Config{Workers: workers}).FillStore(st, d, 50)
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "storage: create spill file") {
+		t.Fatalf("FillStore error = %v, want the spill file's creation error", err)
+	}
+	if got := st.NumBatches(); got != failAt {
+		t.Fatalf("%d batches stored, want the %d before the failure", got, failAt)
+	}
+	if got, most := fillProbe.encoded, int64(failAt+fillWindow*workers); got > most {
+		t.Fatalf("%d batches encoded, want at most %d: none more than the window past batch %d", got, most, failAt)
 	}
 }
 

@@ -238,7 +238,8 @@ func decodeManifest(img []byte) (*manifest, error) {
 // it wrote (truncation), re-reads every span — resident backups and
 // spills alike — verifying its CRC, and decodes the resident batches
 // back into memory. Any mismatch is a loud error; a recovered store
-// never serves bytes that differ from what was persisted.
+// never serves bytes that differ from what was persisted. It removes the
+// temp files a crash mid-WriteManifest left beside the manifest.
 //
 // Options configure the runtime disk model (bandwidth, latency) and the
 // read retries; the shard layout comes from the manifest, so
@@ -248,6 +249,9 @@ func OpenStore(manifestPath string, opts ...Option) (*Store, error) {
 	img, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return nil, err
+	}
+	if err := checkpoint.RemoveTemps(filepath.Dir(manifestPath), filepath.Base(manifestPath)); err != nil {
+		return nil, fmt.Errorf("storage: remove manifest temp files: %w", err)
 	}
 	m, err := decodeManifest(img)
 	if err != nil {

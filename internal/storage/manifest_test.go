@@ -127,6 +127,35 @@ func TestManifestKeepsFilesAcrossClose(t *testing.T) {
 	}
 }
 
+// A crash between WriteManifest's write and its rename leaves a
+// ".store.manifest.tmp-*" file beside the manifest. OpenStore removes
+// that debris, and nothing else.
+func TestOpenStoreRemovesManifestTemps(t *testing.T) {
+	s, manifest, _, _ := buildPersistedStore(t, 6, 2000)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(manifest)
+	debris := filepath.Join(dir, "."+filepath.Base(manifest)+".tmp-2187")
+	other := filepath.Join(dir, ".ckpt-0000000000000032.toc.tmp-1")
+	for _, p := range []string{debris, other} {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := OpenStore(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("OpenStore left %s: %v", filepath.Base(debris), err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("OpenStore removed %s: %v", filepath.Base(other), err)
+	}
+}
+
 func TestOpenStoreRejectsTruncatedShard(t *testing.T) {
 	s, manifest, _, _ := buildPersistedStore(t, 8, 1500)
 	if err := s.Close(); err != nil {

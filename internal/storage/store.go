@@ -244,9 +244,6 @@ func (s *Store) Encode(x *matrix.Dense) formats.CompressedMatrix { return s.code
 // Add encodes a dense mini-batch and places it in memory or on disk
 // according to the remaining budget.
 func (s *Store) Add(x *matrix.Dense, y []float64) error {
-	if x.Rows() != len(y) {
-		return fmt.Errorf("storage: batch has %d rows but %d labels", x.Rows(), len(y))
-	}
 	return s.AddCompressed(s.codec.Encode(x), y)
 }
 
@@ -261,55 +258,31 @@ func (s *Store) AddCompressed(c formats.CompressedMatrix, y []float64) error {
 	}
 	size := int64(c.CompressedSize())
 	s.mu.Lock()
-	fits := s.fits(s.stats.ResidentBytes, size)
+	fits := s.stats.ResidentBytes+size <= s.budget
 	s.mu.Unlock()
-	if fits {
-		s.labels = append(s.labels, append([]float64(nil), y...))
-		s.resident = append(s.resident, c)
-		s.spans = append(s.spans, span{})
-		s.sizes = append(s.sizes, size)
-		s.mu.Lock()
-		s.stats.ResidentBatches++
-		s.stats.ResidentBytes += size
-		s.mu.Unlock()
-		return nil
-	}
-	sp, err := s.spill(c.Serialize())
-	if err != nil {
-		return err
+	var sp span
+	if !fits {
+		var err error
+		if sp, err = s.spill(c.Serialize()); err != nil {
+			return err
+		}
+		c = nil
 	}
 	s.labels = append(s.labels, append([]float64(nil), y...))
-	s.resident = append(s.resident, nil)
+	s.resident = append(s.resident, c)
 	s.spans = append(s.spans, sp)
 	s.sizes = append(s.sizes, size)
 	s.mu.Lock()
-	s.stats.SpilledBatches++
-	s.stats.SpilledBytes += sp.length
+	if fits {
+		s.stats.ResidentBatches++
+		s.stats.ResidentBytes += size
+	} else {
+		s.stats.SpilledBatches++
+		s.stats.SpilledBytes += sp.length
+	}
 	s.mu.Unlock()
 	return nil
 }
-
-// Spills reports which of the next len(sizes) batches, added in order
-// with these compressed sizes, AddCompressed would spill — so that a
-// caller can write their images ahead, concurrently.
-func (s *Store) Spills(sizes []int64) []bool {
-	s.mu.Lock()
-	used := s.stats.ResidentBytes
-	s.mu.Unlock()
-	out := make([]bool, len(sizes))
-	for i, size := range sizes {
-		if s.fits(used, size) {
-			used += size
-		} else {
-			out[i] = true
-		}
-	}
-	return out
-}
-
-// fits is the residency rule: a batch of size bytes stays resident iff
-// it fits beside the used bytes of the resident batches before it.
-func (s *Store) fits(used, size int64) bool { return used+size <= s.budget }
 
 // spill writes one serialized batch to the least-loaded shard (fewest
 // spilled bytes; ties to the lowest index), creating its file lazily.
@@ -529,13 +502,6 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// TotalCompressedBytes returns resident + spilled compressed size.
-func (s *Store) TotalCompressedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats.ResidentBytes + s.stats.SpilledBytes
 }
 
 // Spilled reports whether any batch lives on disk.

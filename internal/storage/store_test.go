@@ -3,7 +3,6 @@ package storage
 import (
 	"math/rand"
 	"os"
-	"slices"
 	"sync"
 	"testing"
 
@@ -239,8 +238,8 @@ func TestStatsAccessorsConcurrentWithBatch(t *testing.T) {
 				if !s.Spilled() {
 					t.Error("Spilled() = false on an all-spilled store")
 				}
-				if s.TotalCompressedBytes() <= 0 {
-					t.Error("TotalCompressedBytes() <= 0")
+				if st := s.Stats(); st.ResidentBytes+st.SpilledBytes <= 0 {
+					t.Errorf("Stats() = %+v: no compressed bytes", st)
 				}
 			}
 		}()
@@ -354,35 +353,32 @@ func TestEvictionFirstFitTrace(t *testing.T) {
 	}
 }
 
-// Spills predicts AddCompressed's residency for the batches still to
-// come, counting the bytes of those already resident: with a 500-byte
-// budget, DEN batches of 6, 20, 6, 2 and 20 rows (208, 656, 208, 80 and
-// 656 bytes) land RSRRS, and after the first two only the last spills.
-func TestSpillsPredictsAdd(t *testing.T) {
+// AddCompressed's residency is a prefix rule: a batch stays resident iff
+// it fits beside the resident batches before it, and a spilled one frees
+// no budget for those after it. With a 500-byte budget, DEN batches of 6,
+// 20, 6, 2 and 20 rows (208, 656, 208, 80 and 656 bytes) land RSRRS, and
+// after every add the resident bytes are the rule's sum so far.
+func TestAddCompressedPrefixRule(t *testing.T) {
 	s, err := NewStore(t.TempDir(), "DEN", 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rows := []int{6, 20, 6, 2, 20}
-	sizes := make([]int64, len(rows))
-	for i, r := range rows {
-		x, _ := denBatch(r)
-		sizes[i] = int64(formats.MustGet("DEN")(x).CompressedSize())
-	}
-	want := []bool{false, true, false, false, true}
-	if got := s.Spills(sizes); !slices.Equal(got, want) {
-		t.Fatalf("Spills = %v, want %v", got, want)
-	}
-	for i, r := range rows {
-		if i == 2 {
-			if got := s.Spills(sizes[2:]); !slices.Equal(got, want[2:]) {
-				t.Fatalf("after two adds, Spills = %v, want %v", got, want[2:])
-			}
-		}
+	var used int64
+	for i, r := range []int{6, 20, 6, 2, 20} {
 		x, y := denBatch(r)
-		if err := s.Add(x, y); err != nil {
+		c := s.Encode(x)
+		size := int64(c.CompressedSize())
+		fits := used+size <= 500
+		if fits {
+			used += size
+		}
+		if err := s.AddCompressed(c, y); err != nil {
 			t.Fatal(err)
+		}
+		if s.Resident(i) != fits || s.Stats().ResidentBytes != used {
+			t.Fatalf("batch %d (%d bytes): resident %v with %d resident bytes, want %v with %d",
+				i, size, s.Resident(i), s.Stats().ResidentBytes, fits, used)
 		}
 	}
 	if got := residency(s); got != "RSRRS" {
