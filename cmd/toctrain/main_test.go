@@ -147,7 +147,7 @@ func TestDistSingleDenseMatchesAsyncCRC(t *testing.T) {
 }
 
 // A -workers 1 run steps the way every engine does — one Grad, one
-// ApplyGrad — so multi-class LR (one-vs-rest, 10 per-class gradients on
+// ApplyGrad — so multi-class LR (one-vs-rest, 10 class columns on
 // mnist) builds each batch's decode tree once per step, not once per
 // class, and lands on the parameters of the engine at group 1. Turning on
 // checkpointing must not change the schedule: the checkpointed serial run

@@ -143,18 +143,21 @@ func TestSerialTrainBuildsDecodeTreeOncePerStep(t *testing.T) {
 }
 
 // Loss and Grad share one residual function, so the loss a gradient
-// reports is bitwise the loss Loss evaluates on the same batch.
+// reports is bitwise the loss Loss evaluates on the same batch, for one
+// output column (census) and for ten (mnist one-vs-rest).
 func TestLossIsGradLossBitwise(t *testing.T) {
-	for _, method := range []string{"TOC", "DEN"} {
-		d, src := goldenSource(t, "census", method)
-		x, y := src.Batch(1)
-		for _, name := range []string{"linreg", "lr", "svm"} {
-			m := goldenModel(t, name, d)
-			Train(m, src, 1, goldenLR, nil) // move off the zero point
-			g := make([]float64, m.NumParams())
-			gradLoss, loss := m.Grad(x, y, g), m.Loss(x, y)
-			if math.Float64bits(gradLoss) != math.Float64bits(loss) {
-				t.Errorf("%s/%s: Grad loss %v != Loss %v", name, method, gradLoss, loss)
+	for _, dataset := range []string{"census", "mnist"} {
+		for _, method := range []string{"TOC", "DEN"} {
+			d, src := goldenSource(t, dataset, method)
+			x, y := src.Batch(1)
+			for _, name := range []string{"linreg", "lr", "svm"} {
+				m := goldenModel(t, name, d)
+				Train(m, src, 1, goldenLR, nil) // move off the zero point
+				g := make([]float64, m.NumParams())
+				gradLoss, loss := m.Grad(x, y, g), m.Loss(x, y)
+				if math.Float64bits(gradLoss) != math.Float64bits(loss) {
+					t.Errorf("%s/%s/%s: Grad loss %v != Loss %v", dataset, name, method, gradLoss, loss)
+				}
 			}
 		}
 	}

@@ -59,6 +59,14 @@ func gradCheck(t *testing.T, name string, mk func() Model, getW func(Model) []fl
 	t.Helper()
 	ga := stepGradient(t, mk, getW, x, y)
 	gn := numericGradient(t, mk, getW, x, y)
+	// Each column of a one-vs-rest Linear steps on its own class's mean
+	// loss while Loss reports the mean over the K classes, so its Grad is
+	// K·∇Loss.
+	if lin, ok := mk().(*Linear); ok {
+		for i := range gn {
+			gn[i] *= float64(lin.K)
+		}
+	}
 	for i := range ga {
 		if math.Abs(ga[i]-gn[i]) > tol*(1+math.Abs(gn[i])) {
 			t.Errorf("%s: grad[%d] analytic %v vs numeric %v", name, i, ga[i], gn[i])
@@ -81,20 +89,37 @@ func TestLinRegGradient(t *testing.T) {
 	x, y := smallProblem()
 	mk := func() Model {
 		m := NewLinReg(3)
-		m.W = []float64{0.3, -0.2, 0.1}
+		copy(m.P, []float64{0.3, -0.2, 0.1})
 		return m
 	}
-	gradCheck(t, "linreg", mk, func(m Model) []float64 { return m.(*Linear).W }, x, y, 1e-5)
+	gradCheck(t, "linreg", mk, linParams, x, y, 1e-5)
 }
 
 func TestLogRegGradient(t *testing.T) {
 	x, y := smallProblem()
 	mk := func() Model {
 		m := NewLogReg(3)
-		m.W = []float64{0.3, -0.2, 0.1}
+		copy(m.P, []float64{0.3, -0.2, 0.1})
 		return m
 	}
-	gradCheck(t, "logreg", mk, func(m Model) []float64 { return m.(*Linear).W }, x, y, 1e-5)
+	gradCheck(t, "logreg", mk, linParams, x, y, 1e-5)
+}
+
+// linParams is a Linear's flat parameter vector, every weight and bias.
+func linParams(m Model) []float64 { return m.(*Linear).P }
+
+// A K-column Linear's gradient, every class's weights and bias, is K
+// times the numeric gradient of its Loss, the mean over classes of each
+// class's one-vs-rest logistic loss: each class steps on its own loss.
+func TestMulticlassLogRegGradient(t *testing.T) {
+	x, _ := smallProblem()
+	y := []float64{2, 0, 1, 2}
+	mk := func() Model {
+		m, _ := NewModel("lr", 3, 3, 1, 1)
+		copy(m.(*Linear).P, []float64{0.3, -0.2, 0.1, 0.05, -0.1, 0.2, 0.4, -0.3, 0.2, -0.15, 0.1, 0})
+		return m
+	}
+	gradCheck(t, "logreg-3class", mk, linParams, x, y, 1e-5)
 }
 
 // crossEntropy takes one log for a 0/1 label and must give the two-log
@@ -135,10 +160,10 @@ func TestSVMGradient(t *testing.T) {
 	mk := func() Model {
 		m := NewSVM(3)
 		m.L2 = 0 // hinge only; L2 would shift step vs Loss comparison
-		m.W = []float64{0.05, -0.02, 0.01}
+		copy(m.P, []float64{0.05, -0.02, 0.01})
 		return m
 	}
-	gradCheck(t, "svm", mk, func(m Model) []float64 { return m.(*Linear).W }, x, y, 1e-4)
+	gradCheck(t, "svm", mk, linParams, x, y, 1e-4)
 }
 
 func TestNNGradientFirstLayer(t *testing.T) {
@@ -199,18 +224,12 @@ func modelsClose(a, b Model, tol float64) bool {
 func flattenParams(m Model) []float64 {
 	switch v := m.(type) {
 	case *Linear:
-		return append(append([]float64(nil), v.W...), v.B)
+		return append([]float64(nil), v.P...)
 	case *NN:
 		var out []float64
 		for l := range v.W {
 			out = append(out, v.W[l].Data()...)
 			out = append(out, v.B[l]...)
-		}
-		return out
-	case *OneVsRest:
-		var out []float64
-		for _, sub := range v.Models {
-			out = append(out, flattenParams(sub)...)
 		}
 		return out
 	}
@@ -261,7 +280,7 @@ func TestNNLearnsMulticlass(t *testing.T) {
 func TestOneVsRestPredictsAllClasses(t *testing.T) {
 	d, _ := data.Generate("mnist", 800, 10)
 	d.ShuffleOnce(11)
-	m := NewOneVsRest(d.Classes, func() *Linear { return NewLogReg(d.X.Cols()) })
+	m := newLinear(logistic, d.X.Cols(), d.Classes)
 	src := NewMemorySource(d, 100, formats.MustGet("CSR"))
 	Train(m, src, 6, 0.5, nil)
 	pred := m.Predict(src.batches[0])
@@ -313,8 +332,8 @@ func TestNewModelNames(t *testing.T) {
 	}
 	// multiclass dispatch
 	m, _ := NewModel("lr", 10, 5, 1, 1)
-	if _, ok := m.(*OneVsRest); !ok {
-		t.Error("multiclass lr should be OneVsRest")
+	if lin, ok := m.(*Linear); !ok || lin.K != 5 || lin.NumParams() != 5*11 {
+		t.Errorf("multiclass lr is %T, want a 5-column Linear", m)
 	}
 	m2, _ := NewModel("nn", 10, 5, 1, 1)
 	if nn := m2.(*NN); nn.Sizes[len(nn.Sizes)-1] != 5 {
@@ -326,36 +345,38 @@ func TestNewModelNames(t *testing.T) {
 // at Workers=N is bitwise identical to Workers=1 on every scheme's batch,
 // because each plan's kernels give the same bits at every worker count.
 func TestKernelWorkersGradBitwiseIdentical(t *testing.T) {
-	d, err := data.Generate("imagenet", 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.ShuffleOnce(4)
-	x, y := d.Batch(0, 200)
-	for _, method := range formats.Names() {
-		c := formats.MustGet(method)(x)
-		for _, name := range []string{"linreg", "lr", "svm", "nn"} {
-			mk := func() Model {
-				m, err := NewModel(name, x.Cols(), d.Classes, 0.2, 11)
-				if err != nil {
-					t.Fatal(err)
+	for _, dataset := range []string{"imagenet", "mnist"} { // binary, and 10 classes
+		d, err := data.Generate(dataset, 200, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ShuffleOnce(4)
+		x, y := d.Batch(0, 200)
+		for _, method := range formats.Names() {
+			c := formats.MustGet(method)(x)
+			for _, name := range []string{"linreg", "lr", "svm", "nn"} {
+				mk := func() Model {
+					m, err := NewModel(name, x.Cols(), d.Classes, 0.2, 11)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m
 				}
-				return m
-			}
-			serial := mk()
-			want := make([]float64, serial.NumParams())
-			wantLoss := serial.Grad(c, y, want)
-			for _, workers := range []int{2, 7, 16} {
-				m := mk()
-				m.SetKernelWorkers(workers)
-				got := make([]float64, m.NumParams())
-				gotLoss := m.Grad(c, y, got)
-				if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-					t.Fatalf("%s/%s workers=%d: loss %g != %g", method, name, workers, gotLoss, wantLoss)
-				}
-				for i := range got {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s/%s workers=%d: gradient differs at %d", method, name, workers, i)
+				serial := mk()
+				want := make([]float64, serial.NumParams())
+				wantLoss := serial.Grad(c, y, want)
+				for _, workers := range []int{2, 7, 16} {
+					m := mk()
+					m.SetKernelWorkers(workers)
+					got := make([]float64, m.NumParams())
+					gotLoss := m.Grad(c, y, got)
+					if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+						t.Fatalf("%s/%s/%s workers=%d: loss %g != %g", dataset, method, name, workers, gotLoss, wantLoss)
+					}
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s/%s/%s workers=%d: gradient differs at %d", dataset, method, name, workers, i)
+						}
 					}
 				}
 			}

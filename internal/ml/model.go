@@ -21,8 +21,8 @@ import (
 // steps, and the one contract every driver takes: the serial Train, the
 // engine and the parameter server all run a step as Grad into a buffer
 // followed by ApplyGrad of that buffer, so they walk the same trajectory.
-// Linear, OneVsRest and NN — everything NewModel returns — implement it
-// in full.
+// Linear (one output column, or one per class for one-vs-rest) and NN —
+// everything NewModel returns — implement it in full.
 //
 // Gradient computation is separate from the update so a data-parallel
 // driver can evaluate a step's mini-batches concurrently against frozen

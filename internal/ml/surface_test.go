@@ -12,8 +12,9 @@ import (
 )
 
 // One model contract, one GLM, one step path: the package's non-test
-// source declares a single struct with a weight vector and a bias (Linear
-// — a second one is a forked GLM), no method named Step (a step is
+// source declares a single GLM struct (Linear — a second one is a forked
+// GLM): one with a []float64 W and a float64 B, a flat []float64 P, or a
+// *glm residual set, no method named Step (a step is
 // Train's Grad+ApplyGrad, for every model) and no type assertion from one
 // model interface to another (Model is the whole contract; its other
 // names are aliases). Nor does it assert a batch to any formats type: a
@@ -32,10 +33,12 @@ func TestModelSurface(t *testing.T) {
 		t.Fatal("package ml not found")
 	}
 
+	// hasField reports a field of type typ named name, or of any name
+	// when name is "".
 	hasField := func(st *ast.StructType, name, typ string) bool {
 		for _, f := range st.Fields.List {
 			for _, id := range f.Names {
-				if id.Name == name && types.ExprString(f.Type) == typ {
+				if (name == "" || id.Name == name) && types.ExprString(f.Type) == typ {
 					return true
 				}
 			}
@@ -61,7 +64,8 @@ func TestModelSurface(t *testing.T) {
 		case *ast.TypeSpec:
 			switch typ := n.Type.(type) {
 			case *ast.StructType:
-				if hasField(typ, "W", "[]float64") && hasField(typ, "B", "float64") {
+				if hasField(typ, "W", "[]float64") && hasField(typ, "B", "float64") ||
+					hasField(typ, "P", "[]float64") || hasField(typ, "", "*glm") {
 					glms = append(glms, n.Name.Name)
 				}
 			case *ast.InterfaceType:
@@ -83,7 +87,7 @@ func TestModelSurface(t *testing.T) {
 	})
 	sort.Strings(glms)
 	if len(glms) != 1 || glms[0] != "Linear" {
-		t.Errorf("structs with a []float64 W and a float64 B: %v, want [Linear]", glms)
+		t.Errorf("GLM structs: %v, want [Linear]", glms)
 	}
 	if !modelIfaces["Model"] {
 		t.Error("Model no longer declares Grad: this test needs a new anchor")

@@ -125,22 +125,17 @@ func Train(m Model, src BatchSource, epochs int, lr float64, cb EpochCallback) *
 
 // NewModel constructs a model by the paper's short name ("linreg", "lr",
 // "svm", "nn") for a dims-wide input with the given class count. LR and
-// SVM use one-vs-rest when classes > 2; the NN uses the paper's two hidden
-// layers of 200 and 50 neurons scaled by hiddenScale (1.0 = paper size).
+// SVM are one-vs-rest when classes > 2: one Linear with a column per
+// class. The NN uses the paper's two hidden layers of 200 and 50 neurons
+// scaled by hiddenScale (1.0 = paper size).
 func NewModel(name string, dims, classes int, hiddenScale float64, seed int64) (Model, error) {
 	switch name {
 	case "linreg":
 		return NewLinReg(dims), nil
 	case "lr":
-		if classes > 2 {
-			return NewOneVsRest(classes, func() *Linear { return NewLogReg(dims) }), nil
-		}
-		return NewLogReg(dims), nil
+		return newLinear(logistic, dims, classes), nil
 	case "svm":
-		if classes > 2 {
-			return NewOneVsRest(classes, func() *Linear { return NewSVM(dims) }), nil
-		}
-		return NewSVM(dims), nil
+		return newLinear(hinge, dims, classes), nil
 	case "nn":
 		h1 := int(200 * hiddenScale)
 		h2 := int(50 * hiddenScale)

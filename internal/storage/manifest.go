@@ -90,6 +90,12 @@ func (s *Store) WriteManifest(path string) error {
 		return fmt.Errorf("storage: manifest: %w", err)
 	}
 	s.persist = true
+	// A run that crashed before its first manifest was in place leaves a
+	// temp file that no OpenStore will sweep: a resume without a manifest
+	// re-ingests and lands here. The sweep is best-effort, since the
+	// manifest is already durable: debris left now is ignored on resume
+	// and swept again by the next OpenStore.
+	_ = checkpoint.RemoveTemps(filepath.Dir(path), filepath.Base(path))
 	return nil
 }
 

@@ -156,6 +156,85 @@ func TestOpenStoreRemovesManifestTemps(t *testing.T) {
 	}
 }
 
+// A crash before the first manifest's rename leaves a temp file in a
+// directory that has no manifest, so no OpenStore sweeps it: the resumed
+// run re-ingests. Its WriteManifest removes the debris once its own
+// manifest is in place, and nothing else.
+func TestWriteManifestRemovesManifestTemps(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "store.manifest")
+	debris := filepath.Join(dir, "."+filepath.Base(manifest)+".tmp-2187")
+	keep := []string{
+		filepath.Join(dir, ".ckpt-0000000000000032.toc.tmp-1"),
+		filepath.Join(dir, ".other.manifest.tmp-7"),
+	}
+	for _, p := range append([]string{debris}, keep...) {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xs, ys := testBatches(t, 4, 20, 12)
+	s, err := NewStore(dir, "TOC", 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := range xs {
+		if err := s.Add(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteManifest(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Fatalf("WriteManifest left %s: %v", filepath.Base(debris), err)
+	}
+	for _, p := range append(keep, manifest) {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("WriteManifest removed %s: %v", filepath.Base(p), err)
+		}
+	}
+}
+
+// A sweep that cannot remove its debris (here a non-empty directory
+// named like a manifest temp file) does not fail a manifest that is
+// already durable: WriteManifest succeeds and the store stays
+// persistent, so Close keeps the shard files the manifest names.
+func TestWriteManifestSurvivesFailedSweep(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "store.manifest")
+	stuck := filepath.Join(dir, "."+filepath.Base(manifest)+".tmp-1")
+	if err := os.MkdirAll(filepath.Join(stuck, "full"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := testBatches(t, 4, 20, 12)
+	s, err := NewStore(dir, "TOC", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range xs {
+		if err := s.Add(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteManifest(manifest); err != nil {
+		t.Fatalf("WriteManifest failed on an unremovable temp: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(stuck); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenStore(manifest)
+	if err != nil {
+		t.Fatalf("Close removed the files of a persisted store: %v", err)
+	}
+	defer r.Close()
+	assertStoreMatches(t, r, xs, ys)
+}
+
 func TestOpenStoreRejectsTruncatedShard(t *testing.T) {
 	s, manifest, _, _ := buildPersistedStore(t, 8, 1500)
 	if err := s.Close(); err != nil {

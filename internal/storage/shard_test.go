@@ -133,8 +133,8 @@ func TestShardedTrainingMatchesMemory(t *testing.T) {
 	m2, _ := ml.NewModel("lr", d.X.Cols(), d.Classes, 1, 1)
 	ml.Train(m2, s, 3, 0.2, nil)
 
-	w1 := ref.(*ml.Linear).W
-	w2 := m2.(*ml.Linear).W
+	w1 := ref.(*ml.Linear).P
+	w2 := m2.(*ml.Linear).P
 	for i := range w1 {
 		if w1[i] != w2[i] {
 			t.Fatalf("weights diverge at %d: %v vs %v", i, w1[i], w2[i])

@@ -126,7 +126,8 @@ type TrainResult = ml.TrainResult
 type EpochCallback = ml.EpochCallback
 
 // NewModel constructs a model by name: "linreg", "lr", "svm" or "nn".
-// LR and SVM become one-vs-rest ensembles when classes > 2.
+// LR and SVM are one-vs-rest when classes > 2: one linear model with a
+// weight column per class.
 func NewModel(name string, dims, classes int, hiddenScale float64, seed int64) (Model, error) {
 	return ml.NewModel(name, dims, classes, hiddenScale, seed)
 }
