@@ -17,15 +17,27 @@ import (
 // The tree is never materialized as nodes with child links. The paper's
 // GetIndex(parent, key) is the standard technique it cites from Blelloch —
 // a hash map from (parent index, child key) to child index — and the
-// encoder keeps that map as two open-addressed tables (internTable):
+// encoder keeps that map as two open-addressed tables, each shaped for
+// its own key:
 //
-//   - first maps a column-index:value pair to its first-layer node. Phase I
+//   - first (an internTable, 16-byte slots {value bits, column, node})
+//     maps a column-index:value pair to its first-layer node. Phase I
 //     sends every non-zero through it once, which both builds I in
 //     first-appearance order and rewrites each tuple as a sequence of
 //     first-layer node indexes — one uint32 per non-zero. From there on a
 //     pair is its index: phase II never looks at a column or a float again.
-//   - child maps (parent node, first-layer index of the key) to the child
-//     node, packed into one word as parent<<32 | index.
+//   - child (a childTable, 12-byte slots {parent, key, node}) maps
+//     (parent node, first-layer index of the key) to the child node. Both
+//     halves of the key are dense node indexes, so its hash is one
+//     multiply of parent<<32 | key.
+//
+// Both are probed inline, first in addTuple's loop over a row's pairs and
+// child in encode's match loop: a hit costs no call, and a miss stores
+// the new entry in the free slot the probe ended at. Each batch starts
+// with both tables emptied and sized from the encoder's previous batch,
+// at twice its entry count, so a run of similar batches never grows a
+// table mid-batch; a batch with more than twice as many entries grows it
+// by doubling.
 //
 // A match always starts at a child of the root, and the root's child with
 // key p is by construction first-layer node p: the first element of every
@@ -46,8 +58,8 @@ import (
 // data-dependent branch, for its non-zeros. Past that the encoder's time
 // is its probes: one first-table probe per non-zero in phase I, and one
 // child-table probe per non-zero but each tuple's first in phase II —
-// about 27 k on a 250×180 imagenet batch. intern probes for a hit first
-// and checks the table's load only when it inserts.
+// about 27 k on a 250×180 imagenet batch. A probe checks for a hit first
+// and a table's load is checked only when it inserts.
 //
 // Pool contract. All encoder state — the tables, the tuple rewrite, D and
 // the physical layer's staging arrays — lives in one encoder recycled
@@ -66,40 +78,48 @@ type slot struct {
 }
 
 // internTable is an open-addressed (linear probing, load <= 1/2),
-// power-of-two hash table from a (key, aux) word pair to a non-zero id.
-// Like a treeArena it only ever grows: a pooled table is emptied with one
-// clear of the size its largest batch needed.
+// power-of-two hash table from a (key, aux) word pair to a non-zero id:
+// the first-layer table, keyed on a pair's value bits and column, and the
+// physical layer's value dictionary, keyed on value bits alone.
 type internTable struct {
 	slots []slot
 	shift uint // 64 - log2(len(slots)): the hash's top bits index slots
 	n     int  // occupied slots
 }
 
-// reset empties the table. A table that was never used gets its first
-// slots here, so that probe always has a slot to land on.
-func (t *internTable) reset() {
-	if len(t.slots) == 0 {
-		t.grow()
+// tableSize is the least power of two, and at least 64, that holds n
+// entries at load 1/2: the size a table that grew to fit them has.
+func tableSize(n int) int { return 1 << max(6, bits.Len(uint(2*max(n, 1)-1))) }
+
+// resize makes slots an empty power-of-two table of size entries, in
+// place when its capacity allows, and returns it with its hash shift.
+func resize[S any](slots []S, size int) ([]S, uint) {
+	if cap(slots) < size {
+		slots = make([]S, size)
+	} else {
+		slots = slots[:size]
+		clear(slots)
 	}
-	clear(t.slots)
+	return slots, uint(64 - bits.Len(uint(size-1)))
+}
+
+// reset empties the table, sized to hold n entries at load 1/2.
+func (t *internTable) reset(n int) {
+	t.slots, t.shift = resize(t.slots, tableSize(n))
 	t.n = 0
 }
 
 // intern returns the id stored under (key, aux); when there is none it
-// stores fresh there and reports added. It probes for a hit first: only
-// an insert can push the load past 1/2, so only an insert checks it, and
-// one that would grows the table and interns again.
+// stores fresh there and reports added.
 func (t *internTable) intern(key uint64, aux uint32, fresh uint32) (id uint32, added bool) {
 	s := t.probe(key, aux)
 	if s.id != 0 {
 		return s.id, false
 	}
-	if 2*(t.n+1) > len(t.slots) {
-		t.grow()
-		return t.intern(key, aux, fresh)
-	}
 	*s = slot{key: key, aux: aux, id: fresh}
-	t.n++
+	if t.n++; 2*t.n > len(t.slots) {
+		t.grow()
+	}
 	return fresh, true
 }
 
@@ -114,11 +134,11 @@ func (t *internTable) probe(key uint64, aux uint32) *slot {
 	}
 }
 
-// grow doubles the table and re-enters every entry.
+// grow doubles the table and re-enters every entry: an insert calls it
+// once the load passes 1/2.
 func (t *internTable) grow() {
 	old := t.slots
-	t.slots = make([]slot, max(2*len(old), 64))
-	t.shift = uint(64 - bits.Len(uint(len(t.slots)-1)))
+	t.slots, t.shift = resize([]slot(nil), 2*len(old))
 	for _, s := range old {
 		if s.id != 0 {
 			*t.probe(s.key, s.aux) = s
@@ -127,19 +147,64 @@ func (t *internTable) grow() {
 }
 
 // hashWords mixes both words into 64 bits whose top bits index the table.
-// Float bit patterns of round values differ only in their high bits and
-// packed (parent, index) keys mostly in two narrow fields, so the high
-// half is folded down before the multiply carries everything up.
+// Float bit patterns of round values differ only in their high bits, so
+// the high half is folded down before the multiply carries everything up.
 func hashWords(key uint64, aux uint32) uint64 {
 	x := key ^ uint64(aux)*0x9e3779b97f4a7c15
 	x ^= x >> 32
 	return x * 0xbf58476d1ce4e5b9
 }
 
+// childSlot is one entry of the child table: node id is the child of
+// node parent whose key is first-layer node key. Node ids are never 0,
+// so id == 0 marks a free slot.
+type childSlot struct{ parent, key, id uint32 }
+
+// childTable is phase II's dictionary, from (parent, key) to the child
+// node: open-addressed, linear probing, load <= 1/2, power-of-two. Both
+// halves of its key are dense node indexes, so one multiply by 2^64/φ
+// (Fibonacci hashing) spreads them. encode probes and inserts inline.
+type childTable struct {
+	slots []childSlot
+	shift uint // 64 - log2(len(slots))
+	n     int  // occupied slots
+}
+
+// childHash is the child table's hash of (parent, key); its top bits
+// index the table.
+func childHash(parent, key uint32) uint64 {
+	return (uint64(parent)<<32 | uint64(key)) * 0x9e3779b97f4a7c15
+}
+
+// reset empties the table, sized to hold n entries at load 1/2.
+func (t *childTable) reset(n int) {
+	t.slots, t.shift = resize(t.slots, tableSize(n))
+	t.n = 0
+}
+
+// grow doubles the table and re-enters every entry: an insert calls it
+// once the load passes 1/2.
+func (t *childTable) grow() {
+	old := t.slots
+	t.slots, t.shift = resize([]childSlot(nil), 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.id == 0 {
+			continue
+		}
+		i := childHash(s.parent, s.key) >> t.shift
+		for t.slots[i].id != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
 // encoder is the pooled working state of one Algorithm 1 run and of the
 // physical encoding of its result.
 type encoder struct {
-	first, child internTable
+	first internTable
+	child childTable
 
 	pairs  firstLayer // I, in first-appearance order
 	ids    []uint32   // first-layer node of every non-zero, tuples concatenated
@@ -165,25 +230,43 @@ var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 
 // begin starts phase I on an empty table B.
 func (e *encoder) begin() {
-	e.first.reset()
+	e.first.reset(2 * e.first.n)
 	e.pairs = firstLayer{col: e.pairs.col[:0], val: e.pairs.val[:0]}
 	e.ids = e.ids[:0]
 	e.tuples = append(e.tuples[:0], 0)
 }
 
-// add appends one column-index:value pair to the current tuple, giving it
-// a first-layer node if it is new (lines 5-8).
-func (e *encoder) add(col uint32, val float64) {
-	id, added := e.first.intern(math.Float64bits(val), col, uint32(e.pairs.len())+1)
-	if added {
-		e.pairs.col = append(e.pairs.col, col)
-		e.pairs.val = append(e.pairs.val, val)
+// addTuple appends one tuple to B, giving each of its pairs a
+// first-layer node if it is new (lines 5-8). It probes the first-layer
+// table inline; only an insert that passes load 1/2 calls out, to grow.
+func (e *encoder) addTuple(t []Pair) {
+	ids, slots, shift := e.ids, e.first.slots, e.first.shift
+	for _, p := range t {
+		key := math.Float64bits(p.Val)
+		mask := uint64(len(slots) - 1)
+		for i := hashWords(key, p.Col) >> shift; ; i = (i + 1) & mask {
+			s := &slots[i]
+			if s.id == 0 { // a new pair: the next first-layer node
+				id := uint32(e.pairs.len()) + 1
+				*s = slot{key: key, aux: p.Col, id: id}
+				e.pairs.col = append(e.pairs.col, p.Col)
+				e.pairs.val = append(e.pairs.val, p.Val)
+				ids = append(ids, id)
+				if e.first.n++; 2*e.first.n > len(slots) {
+					e.first.grow()
+					slots, shift = e.first.slots, e.first.shift
+				}
+				break
+			}
+			if s.key == key && s.aux == p.Col {
+				ids = append(ids, s.id)
+				break
+			}
+		}
 	}
-	e.ids = append(e.ids, id)
+	e.ids = ids
+	e.tuples = append(e.tuples, uint32(len(ids)))
 }
-
-// endTuple closes the current tuple.
-func (e *encoder) endTuple() { e.tuples = append(e.tuples, uint32(len(e.ids))) }
 
 // addDense runs phase I over a dense mini-batch: the sparse encoding of §3
 // (v != 0, so zeros of both signs are dropped) feeds the first layer
@@ -205,10 +288,7 @@ func (e *encoder) addDense(m *matrix.Dense) {
 			b := math.Float64bits(v) << 1 // the sign dropped: ±0 are 0
 			k += uint((b | -b) >> 63)     // 1 iff b != 0, iff v != 0
 		}
-		for _, p := range nz[:k] {
-			e.add(p.Col, p.Val)
-		}
-		e.endTuple()
+		e.addTuple(nz[:k])
 	}
 }
 
@@ -217,25 +297,39 @@ func (e *encoder) addDense(m *matrix.Dense) {
 // tree, and every match but a tuple's last adds one node — the match
 // extended by the pair that ended it — under the next sequence number.
 func (e *encoder) encode() {
-	e.child.reset()
+	e.child.reset(2 * e.child.n)
 	nodes := e.d.Nodes[:0]
 	if cap(nodes) < len(e.ids) { // |D| <= the number of non-zeros
 		nodes = make([]uint32, 0, len(e.ids))
 	}
 	starts := e.d.Starts[:0]
 	next := uint32(e.pairs.len()) + 1
+	slots, shift := e.child.slots, e.child.shift
 	for r := 1; r < len(e.tuples); r++ {
 		starts = append(starts, uint32(len(nodes)))
 		t := e.ids[e.tuples[r-1]:e.tuples[r]]
 		for len(t) > 0 {
 			n := t[0] // LongestMatchFromTree: the first element always matches
+		match:
 			for t = t[1:]; len(t) > 0; t = t[1:] {
-				c, added := e.child.intern(uint64(n)<<32|uint64(t[0]), 0, next)
-				if added { // no such child: the match ends, and this is AddNode
-					next++
-					break
+				k := t[0]
+				mask := uint64(len(slots) - 1)
+				for i := childHash(n, k) >> shift; ; i = (i + 1) & mask {
+					s := &slots[i]
+					if s.id == 0 { // no such child: the match ends, and this is AddNode
+						*s = childSlot{parent: n, key: k, id: next}
+						next++
+						if e.child.n++; 2*e.child.n > len(slots) {
+							e.child.grow()
+							slots, shift = e.child.slots, e.child.shift
+						}
+						break match
+					}
+					if s.parent == n && s.key == k {
+						n = s.id
+						break
+					}
 				}
-				n = c
 			}
 			nodes = append(nodes, n)
 		}
@@ -259,10 +353,7 @@ func PrefixTreeEncode(b []SparseRow) (I []Pair, D [][]uint32) {
 func (e *encoder) prefixTreeEncode(b []SparseRow) (I []Pair, D [][]uint32) {
 	e.begin()
 	for _, t := range b {
-		for _, p := range t {
-			e.add(p.Col, p.Val)
-		}
-		e.endTuple()
+		e.addTuple(t)
 	}
 	e.encode()
 	D = make([][]uint32, len(b))

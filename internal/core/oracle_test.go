@@ -689,28 +689,43 @@ func TestEncoderMatchesMapOracle(t *testing.T) {
 		m := redundantMatrix(rng, rows, cols, 0.05+0.9*rng.Float64(), 1+rng.Intn(8))
 		checkAgainstMapOracle(t, fmt.Sprintf("redundant%d %dx%d", k, rows, cols), cols, SparseEncode(m), Compress(m))
 	}
-	// The benchmark's batch shape, 40 batches of each generator the
-	// workloads ingest: consecutive batches run through one pooled
-	// encoder, so this is also where a stale table or hint would show.
-	const batch, batches = 250, 40
-	for _, name := range []string{"imagenet", "mnist"} {
-		ds, err := data.Generate(name, batch*batches, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < batches; k++ {
-			m, _ := ds.Batch(k, batch)
+	// The benchmark's batch shape, consecutive batches of every
+	// generator: they run through one pooled encoder, so this is also
+	// where a stale table or hint would show.
+	for _, name := range generators {
+		for k, m := range generatorBatches(t, name, 7) {
 			checkAgainstMapOracle(t, fmt.Sprintf("%s batch %d", name, k), m.Cols(), SparseEncode(m), Compress(m))
 		}
 	}
 }
 
-// TestEncoderTableHistory encodes every input twice, with a fresh
-// encoder and with one whose tables a larger input has already grown,
-// and requires the same (I, D) and the same image bytes. A fresh
-// encoder's tables start small and grow while it inserts, so every
-// input here also runs intern's grow-then-intern-again path; a warmed
-// one never grows, and its tables are cleared, not new.
+// generatorBatches returns consecutive 250-row batches of generator name:
+// 40 of them, or as many as 24 MiB of dense rows hold (rcv1: 5).
+func generatorBatches(t *testing.T, name string, seed int64) []*matrix.Dense {
+	t.Helper()
+	const rows = 250
+	cols, err := data.DefaultCols(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := make([]*matrix.Dense, min(40, (24<<20)/(8*rows*cols)))
+	ds, err := data.Generate(name, rows*len(ms), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range ms {
+		ms[k], _ = ds.Batch(k, rows)
+	}
+	return ms
+}
+
+// TestEncoderTableHistory encodes every input with a fresh encoder, with
+// one whose tables a larger input has already grown, and with one that a
+// small batch has sized its tables for, and requires the same (I, D) and
+// the same image bytes. A fresh encoder's tables start small and grow
+// while it inserts; a warmed one's are emptied and sized from its last
+// input. The one sized by a small batch meets at least 4× its non-zeros,
+// so it grows its tables mid-batch, past entries already placed.
 func TestEncoderTableHistory(t *testing.T) {
 	type input struct {
 		name  string
@@ -723,14 +738,8 @@ func TestEncoderTableHistory(t *testing.T) {
 	for name, c := range oracleCases(rng) {
 		inputs = append(inputs, input{name: name, cols: c.cols, rows: c.rows})
 	}
-	const batch, batches = 250, 40
-	for _, name := range []string{"imagenet", "mnist"} {
-		ds, err := data.Generate(name, batch*batches, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < batches; k++ {
-			m, _ := ds.Batch(k, batch)
+	for _, name := range generators {
+		for k, m := range generatorBatches(t, name, 9) {
 			inputs = append(inputs, input{fmt.Sprintf("%s batch %d", name, k), m.Cols(), SparseEncode(m), m})
 		}
 	}
@@ -746,6 +755,7 @@ func TestEncoderTableHistory(t *testing.T) {
 	if largest.dense != nil {
 		warm.compress(largest.dense, Full)
 	}
+	var firstGrew, childGrew int
 	for _, in := range inputs {
 		I, D := new(encoder).prefixTreeEncode(in.rows)
 		wI, wD := warm.prefixTreeEncode(in.rows)
@@ -753,14 +763,33 @@ func TestEncoderTableHistory(t *testing.T) {
 			t.Fatalf("%s: a warmed encoder's (I, D) differs from a fresh one's", in.name)
 		}
 		img := newLogicalCase(t, in.name, len(in.rows), in.cols, Full, I, D).b.Serialize()
-		if in.dense != nil {
-			for _, e := range []*encoder{new(encoder), warm} {
-				b := e.compress(in.dense, Full)
-				if got := b.Serialize(); !bytes.Equal(got, img) || b.CompressedSize() != len(img) {
-					t.Fatalf("%s: compress wrote a %d-byte image and sized it %d, want the %d bytes of its (I, D)",
-						in.name, len(got), b.CompressedSize(), len(img))
-				}
+		if in.dense == nil {
+			continue
+		}
+		// An encoder sized by the first eighth of this batch.
+		head := in.dense.Rows() / 8
+		if small := nnz(input{rows: in.rows[:head]}); nnz(in) < 4*small {
+			t.Fatalf("%s: %d non-zeros, not 4× the %d of its first %d rows", in.name, nnz(in), small, head)
+		}
+		sized := new(encoder)
+		sized.compress(in.dense.ViewRows(0, head), Full)
+		firstSize, childSize := tableSize(2*sized.first.n), tableSize(2*sized.child.n)
+		for _, e := range []*encoder{new(encoder), warm, sized} {
+			b := e.compress(in.dense, Full)
+			if got := b.Serialize(); !bytes.Equal(got, img) || b.CompressedSize() != len(img) {
+				t.Fatalf("%s: compress wrote a %d-byte image and sized it %d, want the %d bytes of its (I, D)",
+					in.name, len(got), b.CompressedSize(), len(img))
 			}
 		}
+		if len(sized.first.slots) > firstSize {
+			firstGrew++
+		}
+		if len(sized.child.slots) > childSize {
+			childGrew++
+		}
+	}
+	if firstGrew == 0 || childGrew == 0 {
+		t.Fatalf("a pre-sized encoder grew its first-layer table on %d batches and its child table on %d, want both > 0",
+			firstGrew, childGrew)
 	}
 }

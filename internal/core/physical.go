@@ -122,7 +122,7 @@ func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 // dictionary is I's values in order and no table is probed.
 func (e *encoder) valueIndex(I firstLayer, allDistinct bool) {
 	if !allDistinct {
-		e.dict.reset()
+		e.dict.reset(I.len())
 	}
 	e.occ = grow(e.occ, I.len())
 	col, val := I.arrays()

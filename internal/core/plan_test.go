@@ -226,33 +226,50 @@ func BenchmarkPlanBuild(b *testing.B) {
 }
 
 // BenchmarkCompress measures core.Compress on the benchmark's ingest
-// shape — 250×180 imagenet batches, 64 of them cycling so the pooled
-// encoder sees the batch-to-batch variation a FillStore pass does —
-// reporting dense MB/s. Measured on the 2-core 2.6 GHz Xeon: the
-// map-keyed Algorithm 1 ran 3.67-3.78 ms/op (95-98 MB/s), 2.89 MB and
-// 2171 allocs per batch; the pooled open-addressed encoder ran
-// 0.64-0.70 ms/op (515-560 MB/s), 105 KB and 5 allocs — what the Batch
-// retains. On the same box in a later, busier session, 10 interleaved
-// runs put that encoder at 0.87-0.99 ms/op (median 0.91, 394 MB/s) and
-// the one that probes for a hit first and scans each row without a
-// branch at 0.67-0.74 ms/op (median 0.73, 492 MB/s); both allocate
-// 42 KB in 5 objects.
+// batch shape, 250 rows, once per generator: `-bench Compress` answers
+// whether an encoder change slowed any of them. Each sub-benchmark cycles
+// through up to 64 batches, so the pooled encoder sees the batch-to-batch
+// variation a FillStore pass does; a wide generator cycles through fewer,
+// as many as 24 MiB of dense rows hold (rcv1: 5). It reports dense MB/s.
+//
+// BenchmarkCompress/imagenet is the shape this benchmark had before it
+// was split, 64 250×180 batches. Measured there on the 2-core 2.6 GHz
+// Xeon: the map-keyed Algorithm 1 ran 3.67-3.78 ms/op (95-98 MB/s),
+// 2.89 MB and 2171 allocs per batch; the pooled open-addressed encoder
+// ran 0.64-0.70 ms/op (515-560 MB/s), 105 KB and 5 allocs — what the
+// Batch retains. On the same box, later and under more load, 10
+// interleaved runs put that encoder at 0.87-0.99 ms/op (median 0.91,
+// 394 MB/s) and the one that probes for a hit first and scans each row
+// without a branch at 0.67-0.74 ms/op (median 0.73, 492 MB/s); both
+// allocate 42 KB in 5 objects.
 func BenchmarkCompress(b *testing.B) {
-	const rows, batches = 250, 64
-	ds, err := data.Generate("imagenet", rows*batches, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ms := make([]*matrix.Dense, batches)
-	for k := range ms {
-		ms[k], _ = ds.Batch(k, rows)
-	}
-	b.SetBytes(int64(8 * rows * ds.X.Cols()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		compressSink = Compress(ms[i%batches])
+	for _, name := range generators {
+		b.Run(name, func(b *testing.B) {
+			const rows = 250
+			cols, err := data.DefaultCols(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batches := min(64, (24<<20)/(8*rows*cols))
+			ds, err := data.Generate(name, rows*batches, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ms := make([]*matrix.Dense, batches)
+			for k := range ms {
+				ms[k], _ = ds.Batch(k, rows)
+			}
+			b.SetBytes(int64(8 * rows * cols))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				compressSink = Compress(ms[i%batches])
+			}
+		})
 	}
 }
+
+// generators names every data generator, in data.DefaultCols' order.
+var generators = []string{"census", "imagenet", "mnist", "kdd99", "rcv1", "deep1b"}
 
 var compressSink *Batch

@@ -53,6 +53,11 @@ const (
 // the shard files are fsynced, the manifest is durably in place, and
 // Close will keep the files (the store becomes persistent). Call it
 // once ingest is complete, never concurrently with Batch.
+//
+// Most spill bytes are already on their way to the device when it runs:
+// writeSpan starts writeback every writebackChunk bytes. The Sync of
+// every shard below still gates the manifest, so durability is proven
+// by fsync, not by the hints.
 func (s *Store) WriteManifest(path string) error {
 	// Flush resident batches to backup spans. Placement balances file
 	// sizes (wpos, which includes earlier backups), not the spill

@@ -19,8 +19,12 @@ type PrefetchStats struct {
 	Hits, Misses int64
 	// Prefetched counts background reads issued.
 	Prefetched int64
-	// Stall accumulates time the consumer spent waiting for an in-flight
-	// prefetch to land — the residual IO exposure after prefetching.
+	// Stall is the sum, over every consumer, of the time each spent
+	// waiting for an in-flight prefetch to land. Consumers that wait at
+	// once (concurrent workers, or callers sharing one read) each add
+	// their whole wait, so Stall can exceed wall time: it is not the
+	// loop's exposure to IO, the wall time during which at least one
+	// consumer waited.
 	Stall time.Duration
 	// Errors counts background reads that exhausted the store's retry
 	// policy; each is re-surfaced to the consumer that asked for the

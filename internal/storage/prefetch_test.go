@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"toc/internal/data"
 	"toc/internal/formats"
@@ -189,6 +191,52 @@ func TestPrefetcherDuplicateInFlightShared(t *testing.T) {
 	}
 	if ps.Hits != depth*dupes {
 		t.Errorf("Hits = %d, want %d", ps.Hits, depth*dupes)
+	}
+}
+
+// Stall sums the waits of every consumer: two that wait at once on one
+// in-flight read each add their own wait, so together they count more
+// than the wall time anyone waited.
+func TestPrefetcherStallSumsConsumerWaits(t *testing.T) {
+	const (
+		latency = 300 * time.Millisecond // how long the store holds each read
+		slack   = 100 * time.Millisecond // a call's start to its wait's clock, at most
+	)
+	st := spilledStore(t, 2, WithAccessLatency(latency))
+	start := time.Now()
+	pf := NewPrefetcher(st, 1, 1) // starts reading batch 0
+	defer pf.Close()
+	var (
+		wg            sync.WaitGroup
+		calls, backAt [2]time.Time
+	)
+	for k := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			calls[k] = time.Now()
+			pf.Batch(0)
+			backAt[k] = time.Now()
+		}()
+	}
+	wg.Wait()
+	// The read lands no sooner than latency after start, and a consumer
+	// starts its wait's clock within slack of its call: that much of each
+	// wait Stall must count.
+	var bound time.Duration
+	for _, c := range calls {
+		bound += max(0, start.Add(latency).Sub(c)-slack)
+	}
+	wall := slices.MaxFunc(backAt[:], time.Time.Compare).Sub(slices.MinFunc(calls[:], time.Time.Compare))
+	ps := pf.Stats()
+	if ps.Hits != 2 || ps.Misses != 0 {
+		t.Fatalf("Hits = %d, Misses = %d, want both consumers to share the in-flight read", ps.Hits, ps.Misses)
+	}
+	if ps.Stall < bound {
+		t.Errorf("Stall = %v, want at least %v, the sum of both waits' lower bounds", ps.Stall, bound)
+	}
+	if ps.Stall <= wall {
+		t.Errorf("Stall = %v, no more than the %v wall time of the waits: it should sum both", ps.Stall, wall)
 	}
 }
 

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -184,5 +186,79 @@ func TestShardedConcurrentReadsAndConfigRace(t *testing.T) {
 	wg.Wait()
 	if got := s.Stats().Reads; got != 8*6 {
 		t.Fatalf("Reads = %d, want %d", got, 8*6)
+	}
+}
+
+// The writeback hints cover a shard's bytes in order: after any sequence
+// of writes, the ranges run contiguously from 0 without overlap, each is
+// at least writebackChunk long, none ends past wpos, and what is left
+// unhinted is less than one chunk.
+func TestNextWritebackRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	seqs := [][]int64{
+		{1}, // never a chunk
+		{writebackChunk - 1, 1, 1},
+		{3*writebackChunk + 5, 10}, // one image larger than the chunk
+		{writebackChunk / 3, 5 * writebackChunk, writebackChunk / 2, writebackChunk / 2},
+	}
+	for k := 0; k < 20; k++ {
+		seq := make([]int64, 1+rng.Intn(300))
+		for i := range seq {
+			seq[i] = 1 + rng.Int63n(writebackChunk/4)
+			if rng.Intn(50) == 0 {
+				seq[i] = writebackChunk + rng.Int63n(3*writebackChunk)
+			}
+		}
+		seqs = append(seqs, seq)
+	}
+	for si, seq := range seqs {
+		var sh shard
+		var end int64 // where the next range must start
+		for _, size := range seq {
+			sh.wpos += size
+			off, n, ok := sh.nextWriteback()
+			if !ok {
+				continue
+			}
+			if off != end || n < writebackChunk || off+n > sh.wpos {
+				t.Fatalf("sequence %d: range [%d, %d) after %d hinted bytes, wpos %d",
+					si, off, off+n, end, sh.wpos)
+			}
+			end = off + n
+		}
+		if sh.wpos-end >= writebackChunk {
+			t.Fatalf("sequence %d: %d of %d bytes never hinted", si, sh.wpos-end, sh.wpos)
+		}
+	}
+}
+
+// writeSpan hands its ranges to the real call: the images land intact
+// and the shard's hint mark ends where nextWriteback put it.
+func TestWriteSpanHintsWriteback(t *testing.T) {
+	s, err := NewStore(t.TempDir(), "TOC", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var want []byte
+	for _, size := range []int{writebackChunk / 2, writebackChunk / 2, 3 * writebackChunk, 7} {
+		img := make([]byte, size)
+		for i := range img {
+			img[i] = byte(i*7 + size)
+		}
+		if _, err := s.writeSpan(0, img); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, img...)
+	}
+	if sh := s.shards[0]; sh.hinted != sh.wpos-7 {
+		t.Fatalf("hinted through %d of %d bytes, want all but the last 7", sh.hinted, sh.wpos)
+	}
+	got, err := os.ReadFile(s.shards[0].file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the shard file differs from the images written to it")
 	}
 }

@@ -71,10 +71,28 @@ type span struct {
 
 // shard is one spill file.
 type shard struct {
-	dir   string
-	file  *os.File // created lazily on the shard's first spill
-	wpos  int64
-	bytes int64
+	dir    string
+	file   *os.File // created lazily on the shard's first spill
+	wpos   int64
+	bytes  int64
+	hinted int64 // end of the last range handed to startWriteback
+}
+
+// writebackChunk is how many bytes a shard writes between two requests
+// that the kernel start writing them back.
+const writebackChunk = 1 << 20
+
+// nextWriteback returns the range to hand to startWriteback once the
+// shard has written at least writebackChunk bytes since the last one,
+// and marks it hinted. The ranges it returns run contiguously from 0
+// and never past wpos.
+func (sh *shard) nextWriteback() (off, n int64, ok bool) {
+	if sh.wpos-sh.hinted < writebackChunk {
+		return 0, 0, false
+	}
+	off, n = sh.hinted, sh.wpos-sh.hinted
+	sh.hinted = sh.wpos
+	return off, n, true
 }
 
 // Store holds a dataset's compressed mini-batches under a memory budget.
@@ -306,6 +324,12 @@ func (s *Store) spill(img []byte) (span, error) {
 // but not the spill-balance accounting — spill() charges that, while
 // WriteManifest's resident backups deliberately do not.
 //
+// Every writebackChunk bytes it asks the kernel to start writing the
+// shard's new bytes back (startWriteback), so they reach the device
+// while later batches are still encoding, and WriteManifest's Sync finds
+// little left to flush. That is a hint, not durability: the Sync still
+// runs, on every shard, before the manifest goes in place.
+//
 // When the storage.spill.mid faultpoint is armed the write is split in
 // two so an injected crash lands between the halves, leaving a torn
 // span on disk the way a real mid-write kill would.
@@ -332,6 +356,9 @@ func (s *Store) writeSpan(idx int, img []byte) (span, error) {
 	}
 	sp := span{shard: idx, off: sh.wpos, length: int64(len(img)), crc: crc32.Checksum(img, spanTable)}
 	sh.wpos += int64(len(img))
+	if off, n, ok := sh.nextWriteback(); ok {
+		startWriteback(sh.file, off, n)
+	}
 	return sp, nil
 }
 

@@ -282,8 +282,10 @@ func OpenStore(manifestPath string, opts ...StoreOption) (*Store, error) {
 
 // ArmFaultpoints arms the fault-injection registry from a spec like
 // "checkpoint.rename=crash:2,storage.spill.mid=delay:5ms" — the test
-// hook behind the crash-matrix suite, also reachable via the
-// TOC_FAULTPOINTS environment variable. No-op cost when disarmed.
+// hook behind the crash-matrix suite, and what toctrain's -faultpoint
+// flag calls. The TOC_FAULTPOINTS environment variable is read only by
+// the engine's crash-test subprocess; toctrain does not read it. No-op
+// cost when disarmed.
 func ArmFaultpoints(spec string) error { return faultpoint.ArmSpec(spec) }
 
 // ---- Distributed data-parallel training over net/rpc ----
