@@ -2,8 +2,8 @@ package toc
 
 // Micro-benchmarks for the core TOC pipeline: compress, decode, and the
 // four multiplication kernels against CSR, DEN and CLA. End-to-end costs
-// are measured by benchmark/, single-core kernel speed against the dense
-// roofline by cmd/tocbench.
+// are measured by benchmark/, single-core kernel speed against DEN by
+// internal/formats' BenchmarkKernelsVsDEN.
 
 import (
 	"math/rand"

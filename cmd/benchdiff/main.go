@@ -1,341 +1,231 @@
-// Command benchdiff is the CI benchmark-regression gate: it compares the
-// CSV table cmd/tocbench emits for the real-CPU kernelspeed regime against
-// the committed BENCH_<experiment>.json baseline and fails when any row's
-// metric regresses beyond the threshold.
+// Command benchdiff is CI's kernel-speed gate. It reads the text that
+// `go test -bench KernelsVsDEN -count N` prints, takes each row's median
+// vs_den over its N lines, and fails when a median rises above the
+// committed BENCH_kernelspeed.json by more than max(20%, the row's
+// recorded spread), or when a baselined row is missing.
 //
 // Usage:
 //
-//	benchdiff -baselines . kernelspeed.csv
-//	benchdiff -baselines . -update kernelspeed.csv   # (re)write baselines
+//	go test -run '^$' -bench KernelsVsDEN -count 5 ./internal/formats > kernels.txt
+//	benchdiff kernels.txt
+//	benchdiff -update session1.txt session2.txt   # re-seed from two sessions
 //
-// Baselines pin a *relative* metric (vs_roofline), which transfers across
-// runners far better than absolute milliseconds: a CSV row regresses when
-// its metric rises more than threshold (default 20%) above the committed
-// value (or falls below it, for higher-is-better metrics).
-// Rows present in the baseline but missing from the CSVs fail the gate
-// too — a silently dropped sweep point is a regression in coverage. New
-// rows not yet in the baseline are reported but do not fail (as GitHub
-// ::notice annotations when running in Actions); run -update to adopt
-// them.
+// vs_den (internal/formats' BenchmarkKernelsVsDEN) is a compressed
+// kernel's time per nonzero over DEN's per dense element, paired batch
+// by batch in one process, so it transfers across runners where absolute
+// times do not; lower is better. A row not yet in the baseline is a
+// notice (a ::notice annotation under GitHub Actions), never a failure.
+//
+// -update pools the lines of its files, one session each: a row's
+// baseline median is over every line, and its spread is the range of
+// those lines over that median, both rounded to three decimals. A row
+// can hold one level for a whole session and another in the next, so the
+// range of single lines, not of two session medians, is what covers the
+// box's noise.
 package main
 
 import (
-	"encoding/csv"
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// baseline is one committed BENCH_<experiment>.json.
+const (
+	baselinePath = "BENCH_kernelspeed.json"
+	metric       = "vs_den"
+	tolerance    = 0.2
+)
+
+// baseline is the committed BENCH_kernelspeed.json.
 type baseline struct {
-	Experiment string `json:"experiment"`
-	// Metric is the CSV column compared against Rows.
-	Metric string `json:"metric"`
-	// Direction is "higher" (throughput-like: regression = falling below
-	// baseline) or "lower" (latency-like: regression = rising above).
-	Direction string `json:"direction"`
-	// Keys are the CSV columns whose "/"-joined values identify a row.
-	Keys []string `json:"keys"`
-	// Threshold overrides the command-line threshold when > 0.
-	Threshold float64 `json:"threshold,omitempty"`
-	// Notes documents the baseline's provenance (which machine produced
-	// it, which rows were deliberately left out); benchdiff ignores it.
-	Notes string `json:"notes,omitempty"`
-	// Rows maps each key to its committed metric value.
-	Rows map[string]float64 `json:"rows"`
+	// Notes records how and where the rows were measured; benchdiff
+	// keeps it across -update and otherwise ignores it.
+	Notes string         `json:"notes,omitempty"`
+	Rows  map[string]row `json:"rows"`
 }
 
-// defaultSpecs names the known regimes and seeds -update for those
-// without a committed baseline yet. The gate is on a *relative* column —
-// a ratio against an in-run reference — so it transfers across runner
-// generations where absolute times do not. kernelspeed gates on
-// vs_roofline: each decode kernel's single-core ns/nonzero as a multiple
-// of the dense kernel's ns/element roofline, measured in the same
-// process; lower is better, and a rise means the decode loops drifted
-// away from hardware-limited.
-var defaultSpecs = map[string]baseline{
-	"kernelspeed": {Metric: "vs_roofline", Direction: "lower", Keys: []string{"kernel", "variant"}},
+// row is one benchmark's committed median and the range of the lines it
+// was seeded from, relative to that median.
+type row struct {
+	Median float64 `json:"median"`
+	Spread float64 `json:"spread"`
 }
 
-// table is one experiment's rows as parsed from a tocbench CSV.
-type table struct {
-	columns []string
-	rows    [][]string
-}
-
-// parseCSV reads tocbench's concatenated-table CSV format: each table
-// starts with a header record ("experiment", columns...) and its data
-// records carry the experiment id in the first field.
-func parseCSV(r io.Reader) (map[string]*table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	tables := map[string]*table{}
-	var columns []string
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return tables, nil
+// parse reads `go test -bench` output and returns every vs_den value per
+// row, in the order printed. A row is the benchmark name without its
+// "Benchmark" prefix and "-<GOMAXPROCS>" suffix; lines that are not
+// benchmark results, and results without vs_den, are skipped.
+func parse(r io.Reader) (map[string][]float64, error) {
+	rows := map[string][]float64{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
 		}
+		name := strings.TrimPrefix(f[0], "Benchmark")
+		if i := strings.LastIndexByte(name, '-'); i >= 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		// f[1] is the iteration count; value-unit pairs follow.
+		for i := 2; i+1 < len(f); i += 2 {
+			if f[i+1] != metric {
+				continue
+			}
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad %s %q", name, metric, f[i])
+			}
+			rows[name] = append(rows[name], v)
+		}
+	}
+	return rows, sc.Err()
+}
+
+// median returns the median of xs, the mean of the middle two for an
+// even count.
+func median(xs []float64) float64 {
+	s := slices.Sorted(slices.Values(xs))
+	n := len(s)
+	return (s[(n-1)/2] + s[n/2]) / 2
+}
+
+// gate returns a failure per baselined row that is missing from current
+// or whose median rose beyond its tolerance, and a notice per row of
+// current the baseline does not have.
+func gate(b *baseline, current map[string][]float64) (failures, notices []string) {
+	for _, name := range sortedKeys(b.Rows) {
+		base := b.Rows[name]
+		vals := current[name]
+		if len(vals) == 0 {
+			failures = append(failures, fmt.Sprintf("%s: baselined row missing", name))
+			continue
+		}
+		tol := math.Max(tolerance, base.Spread)
+		if got := median(vals); got > base.Median*(1+tol) {
+			failures = append(failures, fmt.Sprintf("%s: %s %.3f is >%.0f%% above baseline %.3f",
+				name, metric, got, tol*100, base.Median))
+		}
+	}
+	for _, name := range sortedKeys(current) {
+		if _, ok := b.Rows[name]; !ok {
+			notices = append(notices, fmt.Sprintf("%s: not in baseline (run -update to adopt)", name))
+		}
+	}
+	return failures, notices
+}
+
+// seed builds a baseline row from each row's pooled lines.
+func seed(lines map[string][]float64) map[string]row {
+	round := func(x float64) float64 { return math.Round(x*1000) / 1000 }
+	rows := map[string]row{}
+	for name, vals := range lines {
+		m := median(vals)
+		rows[name] = row{Median: round(m), Spread: round((slices.Max(vals) - slices.Min(vals)) / m)}
+	}
+	return rows
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	return slices.Sorted(maps.Keys(m))
+}
+
+// parseFiles pools the rows of every file.
+func parseFiles(paths []string) (map[string][]float64, error) {
+	rows := map[string][]float64{}
+	for _, path := range paths {
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
-		if len(rec) == 0 {
-			continue
-		}
-		if rec[0] == "experiment" {
-			columns = rec[1:]
-			continue
-		}
-		if columns == nil {
-			return nil, fmt.Errorf("data row before any header: %v", rec)
-		}
-		id := rec[0]
-		t := tables[id]
-		if t == nil {
-			t = &table{columns: columns}
-			tables[id] = t
-		}
-		t.rows = append(t.rows, rec[1:])
-	}
-}
-
-// metricRows extracts the baseline's keyed metric values from a table.
-func metricRows(b *baseline, t *table) (map[string]float64, error) {
-	col := map[string]int{}
-	for i, c := range t.columns {
-		col[c] = i
-	}
-	mi, ok := col[b.Metric]
-	if !ok {
-		return nil, fmt.Errorf("metric column %q not in CSV columns %v", b.Metric, t.columns)
-	}
-	out := map[string]float64{}
-	for _, row := range t.rows {
-		parts := make([]string, len(b.Keys))
-		for i, k := range b.Keys {
-			ki, ok := col[k]
-			if !ok {
-				return nil, fmt.Errorf("key column %q not in CSV columns %v", k, t.columns)
-			}
-			parts[i] = row[ki]
-		}
-		key := strings.Join(parts, "/")
-		v, err := strconv.ParseFloat(row[mi], 64)
+		s, err := parse(f)
+		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("row %q: bad %s value %q", key, b.Metric, row[mi])
+			return nil, fmt.Errorf("%s: %v", path, err)
 		}
-		out[key] = v
+		for name, vals := range s {
+			rows[name] = append(rows[name], vals...)
+		}
 	}
-	return out, nil
+	return rows, nil
 }
 
-// compare reports the gate failures of current vs the baseline's metric,
-// and separately the keys current has that the baseline does not.
-func compare(b *baseline, current map[string]float64, threshold float64) (failures, newRows []string) {
-	threshold = effectiveThreshold(b, threshold)
-	keys := make([]string, 0, len(b.Rows))
-	for k := range b.Rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		base := b.Rows[k]
-		got, ok := current[k]
-		if !ok {
-			failures = append(failures,
-				fmt.Sprintf("%s[%s]: baselined row missing from CSV", b.Experiment, k))
-			continue
-		}
-		switch b.Direction {
-		case "lower":
-			if got > base*(1+threshold) {
-				failures = append(failures,
-					fmt.Sprintf("%s[%s]: %s %.3f regressed >%.0f%% above baseline %.3f",
-						b.Experiment, k, b.Metric, got, threshold*100, base))
-			}
-		default: // "higher"
-			if got < base*(1-threshold) {
-				failures = append(failures,
-					fmt.Sprintf("%s[%s]: %s %.3f regressed >%.0f%% below baseline %.3f",
-						b.Experiment, k, b.Metric, got, threshold*100, base))
-			}
-		}
-	}
-	cur := make([]string, 0, len(current))
-	for k := range current {
-		cur = append(cur, k)
-	}
-	sort.Strings(cur)
-	for _, k := range cur {
-		if _, ok := b.Rows[k]; !ok {
-			newRows = append(newRows, k)
-		}
-	}
-	return failures, newRows
-}
-
-func baselinePath(dir, experiment string) string {
-	return filepath.Join(dir, "BENCH_"+experiment+".json")
-}
-
-// staleBaselines returns the experiments among the baseline file names
-// that are not known regimes — committed BENCH_*.json files whose regime
-// was renamed or removed from cmd/tocbench. names are base names; known
-// is the set of regimes benchdiff has a default spec for.
-func staleBaselines(names []string, known map[string]bool) []string {
-	var stale []string
-	for _, name := range names {
-		exp, ok := strings.CutPrefix(name, "BENCH_")
-		if !ok {
-			continue
-		}
-		exp, ok = strings.CutSuffix(exp, ".json")
-		if !ok {
-			continue
-		}
-		if !known[exp] {
-			stale = append(stale, exp)
-		}
-	}
-	sort.Strings(stale)
-	return stale
-}
-
-// warnStaleBaselines is report-only: a stale baseline means the gate
-// silently stopped covering a regime, which should be visible in CI logs
-// without failing unrelated benchmark runs.
-func warnStaleBaselines(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return // the per-experiment load reports unreadable dirs
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	known := map[string]bool{}
-	for id := range defaultSpecs {
-		known[id] = true
-	}
-	for _, exp := range staleBaselines(names, known) {
-		fmt.Printf("benchdiff: WARNING: %s names experiment %q, which is not a known regime; delete the baseline or restore the regime\n",
-			baselinePath(dir, exp), exp)
-	}
-}
-
-func loadBaseline(dir, experiment string) (*baseline, error) {
-	data, err := os.ReadFile(baselinePath(dir, experiment))
+func readBaseline(path string) (*baseline, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var b baseline
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %v", baselinePath(dir, experiment), err)
-	}
-	if b.Experiment == "" {
-		b.Experiment = experiment
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return &b, nil
 }
 
-func writeBaseline(dir string, b *baseline) error {
+// update rewrites the baseline at path from session files, keeping its
+// notes when it exists.
+func update(path string, files []string) error {
+	b, err := readBaseline(path)
+	if os.IsNotExist(err) {
+		b, err = &baseline{}, nil
+	}
+	if err != nil {
+		return err
+	}
+	lines, err := parseFiles(files)
+	if err != nil {
+		return err
+	}
+	b.Rows = seed(lines)
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(baselinePath(dir, b.Experiment), append(data, '\n'), 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func main() {
-	var (
-		dir       = flag.String("baselines", ".", "directory holding BENCH_<experiment>.json files")
-		threshold = flag.Float64("threshold", 0.2, "relative regression that fails the gate (0.2 = 20%)")
-		update    = flag.Bool("update", false, "rewrite baselines from the CSVs instead of gating")
-	)
+	doUpdate := flag.Bool("update", false, "rewrite "+baselinePath+" from the files, one session each, instead of gating")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no CSV files given")
-		os.Exit(2)
-	}
-	warnStaleBaselines(*dir)
-
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-
-	tables := map[string]*table{}
-	for _, path := range flag.Args() {
-		f, err := os.Open(path)
-		if err != nil {
+	if flag.NArg() == 0 {
+		fail(fmt.Errorf("no go test -bench output given"))
+	}
+	if *doUpdate {
+		if err := update(baselinePath, flag.Args()); err != nil {
 			fail(err)
 		}
-		parsed, err := parseCSV(f)
-		f.Close()
-		if err != nil {
-			fail(fmt.Errorf("%s: %v", path, err))
-		}
-		for id, t := range parsed {
-			if _, dup := tables[id]; dup {
-				fail(fmt.Errorf("experiment %q appears in more than one CSV", id))
-			}
-			tables[id] = t
-		}
-	}
-
-	ids := make([]string, 0, len(tables))
-	for id := range tables {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	var failures []string
-	for _, id := range ids {
-		b, err := loadBaseline(*dir, id)
-		if os.IsNotExist(err) {
-			if spec, ok := defaultSpecs[id]; *update && ok {
-				spec.Experiment = id
-				b, err = &spec, nil
-			} else {
-				fmt.Printf("benchdiff: %s: no baseline %s, skipping\n", id, baselinePath(*dir, id))
-				continue
-			}
-		}
-		if err != nil {
-			fail(err)
-		}
-		current, err := metricRows(b, tables[id])
-		if err != nil {
-			fail(fmt.Errorf("%s: %v", id, err))
-		}
-		if *update {
-			b.Rows = current
-			if err := writeBaseline(*dir, b); err != nil {
-				fail(err)
-			}
-			fmt.Printf("benchdiff: wrote %s (%d rows)\n", baselinePath(*dir, id), len(current))
-			continue
-		}
-		expFails, newRows := compare(b, current, *threshold)
-		failures = append(failures, expFails...)
-		for _, k := range newRows {
-			notice(fmt.Sprintf("%s[%s]: not in baseline (run -update to adopt)", id, k))
-		}
-		if len(expFails) == 0 {
-			fmt.Printf("benchdiff: %s: %d rows within %.0f%% of baseline (%s)\n",
-				id, len(b.Rows), effectiveThreshold(b, *threshold)*100, b.Metric)
-		}
-	}
-	if *update {
+		fmt.Printf("benchdiff: wrote %s from %d sessions\n", baselinePath, flag.NArg())
 		return
+	}
+
+	b, err := readBaseline(baselinePath)
+	if err != nil {
+		fail(err)
+	}
+	current, err := parseFiles(flag.Args())
+	if err != nil {
+		fail(err)
+	}
+	for _, name := range sortedKeys(current) {
+		fmt.Printf("benchdiff: %-26s %s median %.3f over %d\n", name, metric, median(current[name]), len(current[name]))
+	}
+	failures, notices := gate(b, current)
+	for _, n := range notices {
+		notice(n)
 	}
 	for _, f := range failures {
 		fmt.Fprintf(os.Stderr, "benchdiff: FAIL %s\n", f)
@@ -343,6 +233,7 @@ func main() {
 	if len(failures) > 0 {
 		os.Exit(1)
 	}
+	fmt.Printf("benchdiff: %d rows within max(%.0f%%, spread) of %s\n", len(b.Rows), tolerance*100, baselinePath)
 }
 
 // notice prints an informational line — as a ::notice workflow
@@ -354,11 +245,4 @@ func notice(msg string) {
 		return
 	}
 	fmt.Printf("benchdiff: %s\n", msg)
-}
-
-func effectiveThreshold(b *baseline, flagThreshold float64) float64 {
-	if b.Threshold > 0 {
-		return b.Threshold
-	}
-	return flagThreshold
 }

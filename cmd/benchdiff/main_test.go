@@ -1,157 +1,155 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-const sampleCSV = `experiment,kernel,variant,ns_per_nnz,vs_roofline
-kernelspeed,MulVec,full,25,1.00
-kernelspeed,MulVec,sparse,15,0.61
-experiment,dataset,rows,TOC
-fig5,census,250,9.81
-`
-
-func parsed(t *testing.T) map[string]*table {
-	t.Helper()
-	tables, err := parseCSV(strings.NewReader(sampleCSV))
-	if err != nil {
-		t.Fatal(err)
+// results renders one go test -bench result line per value, the way
+// `go test -bench -count N` prints a row N times.
+func results(name string, vals ...float64) string {
+	var sb strings.Builder
+	for i, v := range vals {
+		fmt.Fprintf(&sb, "%s         \t     %d\t   %d ns/op\t         %g vs_den\n", name, 100+i, 1000000+i, v)
 	}
-	return tables
+	return sb.String()
 }
 
-// The concatenated-table format must split into per-experiment tables,
-// each keeping the header active when its rows appeared.
-func TestParseCSVConcatenatedTables(t *testing.T) {
-	tables := parsed(t)
-	if len(tables) != 2 {
-		t.Fatalf("parsed %d tables, want 2", len(tables))
-	}
-	if got := tables["kernelspeed"]; len(got.rows) != 2 || got.columns[3] != "vs_roofline" {
-		t.Errorf("kernelspeed table malformed: %+v", got)
-	}
-	if got := tables["fig5"]; len(got.rows) != 1 || got.columns[2] != "TOC" {
-		t.Errorf("fig5 table malformed: %+v", got)
-	}
-	if _, err := parseCSV(strings.NewReader("kernelspeed,MulVec,full\n")); err == nil {
-		t.Error("data row before any header should be an error")
-	}
+// header and footer are the lines around results that the reader must
+// skip: go test's preamble, a -count line's logged checksum, a result
+// with no vs_den, and the verdict.
+const header = "goos: linux\ngoarch: amd64\npkg: toc/internal/formats\ncpu: Some CPU @ 2.00GHz\n"
+const footer = "--- BENCH: BenchmarkKernelsVsDEN/MulVec/full-2\n    bench_test.go:143: checksum c0dbe9e0a7957936\n" +
+	"BenchmarkOther-2   \t  10\t  500 ns/op\nPASS\nok  \ttoc/internal/formats\t42.1s\n"
+
+const a, b = "BenchmarkKernelsVsDEN/MulVec/full", "BenchmarkKernelsVsDEN/MatMul/sparse"
+const ka, kb = "KernelsVsDEN/MulVec/full", "KernelsVsDEN/MatMul/sparse"
+
+// gateCase is one gate run: a baseline, the go test -bench text of the
+// current run and the rows it must fail and notice.
+type gateCase struct {
+	name    string
+	base    map[string]row
+	text    string
+	fails   []string // rows that fail, sorted
+	notices []string // rows noticed, sorted
 }
 
-// vsRooflineBaseline is the committed kernelspeed spec over rows.
-func vsRooflineBaseline(rows map[string]float64) *baseline {
-	b := defaultSpecs["kernelspeed"]
-	b.Experiment = "kernelspeed"
-	b.Rows = rows
-	return &b
-}
-
-// The gate trips on a >threshold move of the metric the wrong way, on a
-// baselined row missing from the CSV — and on nothing else.
+// The gate compares each row's median, not its last line; strips the
+// -GOMAXPROCS suffix; fails a missing row and only notices a new one.
 func TestCompareGate(t *testing.T) {
-	tables := parsed(t)
-	b := vsRooflineBaseline(map[string]float64{"MulVec/full": 1.0, "MulVec/sparse": 0.6})
-	current, err := metricRows(b, tables["kernelspeed"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fails, _ := compare(b, current, 0.2); len(fails) != 0 {
-		t.Errorf("within-threshold run failed the gate: %v", fails)
-	}
-
-	// 0.61 measured vs 0.5 committed is a 22% rise: regression.
-	b.Rows["MulVec/sparse"] = 0.5
-	fails, _ := compare(b, current, 0.2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "MulVec/sparse") {
-		t.Errorf("22%% rise not caught: %v", fails)
-	}
-	// A per-baseline threshold override loosens the same comparison.
-	b.Threshold = 0.5
-	if fails, _ := compare(b, current, 0.2); len(fails) != 0 {
-		t.Errorf("50%% baseline threshold still failed: %v", fails)
-	}
-	b.Threshold = 0
-
-	// A higher-is-better metric regresses downward: 1.00 vs 1.3 is a 23%
-	// drop.
-	b.Direction = "higher"
-	b.Rows = map[string]float64{"MulVec/full": 1.3, "MulVec/sparse": 0.61}
-	fails, _ = compare(b, current, 0.2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "MulVec/full") {
-		t.Errorf("23%% drop not caught: %v", fails)
-	}
-	b.Direction = "lower"
-
-	// A dropped sweep point is a coverage regression.
-	b.Rows = map[string]float64{"MulVec/full": 1.0, "MulVec/sparse": 0.6, "MatMul/full": 0.9}
-	fails, _ = compare(b, current, 0.2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "missing") {
-		t.Errorf("missing row not caught: %v", fails)
-	}
-
-	// Rows the baseline has not adopted yet are reported, never failed.
-	b.Rows = map[string]float64{"MulVec/full": 1.0}
-	fails, newRows := compare(b, current, 0.2)
-	if len(fails) != 0 {
-		t.Errorf("new row failed the gate: %v", fails)
-	}
-	if len(newRows) != 1 || newRows[0] != "MulVec/sparse" {
-		t.Errorf("new rows = %v, want [MulVec/sparse]", newRows)
-	}
+	flat := map[string]row{ka: {Median: 1}}
+	runGate(t, []gateCase{
+		{"odd count: the median fails though the last line passes", flat,
+			results(a+"-2", 1.30, 1.25, 1.00), []string{ka}, nil},
+		{"odd count: the median passes though the last line fails", flat,
+			results(a+"-2", 1.10, 1.00, 1.50), nil, nil},
+		{"even count: the mean of the middle two fails, the lower one passes", flat,
+			results(a+"-2", 1.26, 1.00, 1.50, 1.16), []string{ka}, nil},
+		{"even count: the mean of the middle two passes, the upper one fails", flat,
+			results(a+"-2", 1.28, 1.50, 1.00, 1.10), nil, nil},
+		{"the -GOMAXPROCS suffix is stripped", flat,
+			results(a+"-16", 1.0), nil, nil},
+		{"a GOMAXPROCS=1 row has no suffix", flat,
+			results(a, 1.0), nil, nil},
+		{"a missing row fails", map[string]row{ka: {Median: 1}, kb: {Median: 2}},
+			results(a+"-2", 1.0), []string{kb}, nil},
+		{"an un-baselined row is only a notice", flat,
+			results(a+"-2", 1.0) + results(b+"-2", 9.0), nil, []string{kb}},
+	})
 }
 
-// Lower-is-better metrics regress upward.
+// vs_den is lower-is-better: a rise beyond max(20%, spread) fails, a fall
+// of any size passes.
 func TestCompareLowerIsBetter(t *testing.T) {
-	tables := parsed(t)
-	b := &baseline{
-		Experiment: "kernelspeed",
-		Metric:     "ns_per_nnz",
-		Direction:  "lower",
-		Keys:       []string{"kernel", "variant"},
-		Rows:       map[string]float64{"MulVec/full": 25, "MulVec/sparse": 10},
+	runGate(t, []gateCase{
+		{"the tolerance is 20% when the spread is narrower", map[string]row{ka: {Median: 1, Spread: 0.1}},
+			results(a+"-2", 1.15), nil, nil},
+		{"a rise beyond 20% fails when the spread is narrower", map[string]row{ka: {Median: 1, Spread: 0.1}},
+			results(a+"-2", 1.25), []string{ka}, nil},
+		{"the tolerance is the spread when it is wider", map[string]row{ka: {Median: 1, Spread: 0.4}},
+			results(a+"-2", 1.35), nil, nil},
+		{"a rise beyond the spread fails", map[string]row{ka: {Median: 1, Spread: 0.4}},
+			results(a+"-2", 1.45), []string{ka}, nil},
+		{"a fall of any size passes", map[string]row{ka: {Median: 1}},
+			results(a+"-2", 0.2), nil, nil},
+	})
+}
+
+func runGate(t *testing.T, cases []gateCase) {
+	t.Helper()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			current, err := parse(strings.NewReader(header + c.text + footer))
+			if err != nil {
+				t.Fatal(err)
+			}
+			failures, notices := gate(&baseline{Rows: c.base}, current)
+			if got := rowsOf(failures); !reflect.DeepEqual(got, c.fails) {
+				t.Errorf("failing rows %v, want %v (%q)", got, c.fails, failures)
+			}
+			if got := rowsOf(notices); !reflect.DeepEqual(got, c.notices) {
+				t.Errorf("noticed rows %v, want %v (%q)", got, c.notices, notices)
+			}
+		})
 	}
-	current, err := metricRows(b, tables["kernelspeed"])
+}
+
+// rowsOf returns the row name each gate message starts with.
+func rowsOf(msgs []string) []string {
+	var rows []string
+	for _, m := range msgs {
+		rows = append(rows, m[:strings.IndexByte(m, ':')])
+	}
+	return rows
+}
+
+// A vs_den that is not a number is an error, not a skipped line.
+func TestParseRejectsBadValue(t *testing.T) {
+	if _, err := parse(strings.NewReader("BenchmarkX-2 \t 10\t 5 ns/op\t 1.2.3 vs_den\n")); err == nil {
+		t.Error("malformed vs_den parsed")
+	}
+}
+
+// -update pools both sessions: the median is over every line of both, the
+// spread is the range of those lines over it, the notes survive and rows
+// no session has go.
+func TestUpdateFromTwoSessions(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH.json")
+	if err := os.WriteFile(path, []byte(`{"notes": "seeded on X", "rows": {"Gone": {"median": 3, "spread": 0}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s1, s2 := filepath.Join(dir, "s1.txt"), filepath.Join(dir, "s2.txt")
+	// Lines 1.0 to 1.4, pooled median 1.2; each session's median (1.1,
+	// 1.3) and last line are off it.
+	for file, text := range map[string]string{
+		s1: results("BenchmarkK/MulVec/full-2", 1.0, 1.1, 1.2, 1.1, 1.0),
+		s2: results("BenchmarkK/MulVec/full-2", 1.3, 1.4, 1.3, 1.2, 1.4),
+	} {
+		if err := os.WriteFile(file, []byte(header+text+footer), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := update(path, []string{s1, s2}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := readBaseline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 15ns vs 10ns committed = 50% slower: regression; 25 vs 25: fine.
-	fails, _ := compare(b, current, 0.2)
-	if len(fails) != 1 || !strings.Contains(fails[0], "MulVec/sparse") {
-		t.Errorf("latency regression not caught: %v", fails)
+	if b.Notes != "seeded on X" {
+		t.Errorf("notes %q not kept", b.Notes)
 	}
-}
-
-// Bad metric or key columns surface as errors, not silent passes.
-func TestMetricRowsErrors(t *testing.T) {
-	tables := parsed(t)
-	b := vsRooflineBaseline(nil)
-	b.Metric = "nope"
-	if _, err := metricRows(b, tables["kernelspeed"]); err == nil {
-		t.Error("unknown metric column should be an error")
+	if len(b.Rows) != 1 {
+		t.Fatalf("rows %v, want only K/MulVec/full", b.Rows)
 	}
-	b = vsRooflineBaseline(nil)
-	b.Keys = []string{"nope"}
-	if _, err := metricRows(b, tables["kernelspeed"]); err == nil {
-		t.Error("unknown key column should be an error")
-	}
-}
-
-// A committed baseline whose regime is no longer known is reported, and
-// non-baseline files are ignored.
-func TestStaleBaselines(t *testing.T) {
-	known := map[string]bool{"kernelspeed": true}
-	names := []string{
-		"BENCH_kernelspeed.json", // known: fine
-		"BENCH_decodecache.json",
-		"BENCH_rightmul.json",
-		"BENCH_barrierscale.json",
-		"README.md",        // not a baseline
-		"BENCH_weird.yaml", // wrong extension
-	}
-	got := staleBaselines(names, known)
-	want := []string{"barrierscale", "decodecache", "rightmul"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("staleBaselines = %v, want %v", got, want)
+	got := b.Rows["K/MulVec/full"]
+	if want := (row{Median: 1.2, Spread: 0.333}); got != want {
+		t.Errorf("row %+v, want %+v", got, want)
 	}
 }

@@ -112,7 +112,7 @@ func TestDetCheckAppliesOnlyToDetPackages(t *testing.T) {
 			t.Errorf("DetCheck must apply to %s", pkg)
 		}
 	}
-	for _, pkg := range []string{"toc/internal/storage", "toc/cmd/tocbench"} {
+	for _, pkg := range []string{"toc/internal/storage", "toc/cmd/benchdiff"} {
 		if DetCheck.Applies(pkg) {
 			t.Errorf("DetCheck must not apply to %s", pkg)
 		}
