@@ -101,6 +101,19 @@ var (
 	linkMbps   = flag.Float64("link-mbps", 0, "dist mode: simulated symmetric link bandwidth in Mbit/s (0 = unmetered)")
 )
 
+// onlyFor names the flags only one kind of run reads: the parameter
+// server trains in RAM with no worker pool, and a local run has no wire.
+// main refuses each one set on the command line of the other kind.
+var onlyFor = map[string]string{
+	"budget": "a local run", "bw": "a local run", "seek": "a local run",
+	"spill-shards": "a local run", "spill-dirs": "a local run",
+	"prefetch": "a local run", "prefetch-bytes": "a local run",
+	"read-retries": "a local run", "retry-base": "a local run",
+	"workers": "a local run", "group": "a local run", "elastic": "a local run",
+	"restart-budget": "a local run", "restart-window": "a local run",
+	"codec": "-dist", "link-mbps": "-dist",
+}
+
 // paramsCRC fingerprints a model's flat parameter vector so two runs can
 // be compared for bitwise identity from their output alone.
 func paramsCRC(m toc.Model) uint32 {
@@ -247,15 +260,21 @@ func main() {
 		msg     string
 	}{
 		{*resumeRun && *ckptDir == "", "-resume needs -checkpoint-dir"},
-		{*distN > 0 && *elastic != "", "-elastic needs a local run: the parameter server has no worker pool to resize"},
-		{*distN > 0 && (*restartBud != 0 || *restartWin != 0), "-restart-budget and -restart-window need a local run: the parameter server replaces no workers"},
-		{*distN == 0 && (*codecSpec != "dense" || *linkMbps != 0), "-codec and -link-mbps need -dist"},
 		{*bandwidth < 0 || *seek < 0 || !(*linkMbps >= 0), "-bw, -seek and -link-mbps must not be negative (0 = off)"},
 	} {
 		if rule.refused {
 			log.Fatal(rule.msg)
 		}
 	}
+	kind := "a local run"
+	if *distN > 0 {
+		kind = "-dist"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if need, ok := onlyFor[f.Name]; ok && need != kind {
+			log.Fatalf("-%s needs %s: %s does not read it", f.Name, need, kind)
+		}
+	})
 	elasticEvents, err := toc.ParseElasticSchedule(*elastic)
 	if err != nil {
 		log.Fatal(err)

@@ -219,11 +219,22 @@ func TestNegativeBandwidthLatencyAndLinkRejected(t *testing.T) {
 		{[]string{"-seek", "-2ms"}, "must not be negative"},
 		{[]string{"-dist", "2", "-link-mbps", "-200"}, "must not be negative"},
 		{[]string{"-resume"}, "-resume needs -checkpoint-dir"},
-		{[]string{"-codec", "topk:0.01"}, "-codec and -link-mbps need -dist"},
-		{[]string{"-link-mbps", "100"}, "-codec and -link-mbps need -dist"},
+		{[]string{"-codec", "topk:0.01"}, "-codec needs -dist"},
+		{[]string{"-link-mbps", "100"}, "-link-mbps needs -dist"},
 		{[]string{"-dist", "2", "-elastic", "5:+1"}, "-elastic needs a local run"},
-		{[]string{"-dist", "2", "-restart-budget", "3"}, "-restart-budget and -restart-window need a local run"},
-		{[]string{"-dist", "2", "-restart-window", "1s"}, "-restart-budget and -restart-window need a local run"},
+		{[]string{"-dist", "2", "-restart-budget", "3"}, "-restart-budget needs a local run"},
+		{[]string{"-dist", "2", "-restart-window", "1s"}, "-restart-window needs a local run"},
+		{[]string{"-dist", "2", "-budget", "1"}, "-budget needs a local run"},
+		{[]string{"-dist", "2", "-bw", "1000"}, "-bw needs a local run"},
+		{[]string{"-dist", "2", "-seek", "50ms"}, "-seek needs a local run"},
+		{[]string{"-dist", "2", "-spill-shards", "4"}, "-spill-shards needs a local run"},
+		{[]string{"-dist", "2", "-spill-dirs", "a,b"}, "-spill-dirs needs a local run"},
+		{[]string{"-dist", "2", "-prefetch", "2"}, "-prefetch needs a local run"},
+		{[]string{"-dist", "2", "-prefetch-bytes", "4096"}, "-prefetch-bytes needs a local run"},
+		{[]string{"-dist", "2", "-read-retries", "5"}, "-read-retries needs a local run"},
+		{[]string{"-dist", "2", "-retry-base", "1ms"}, "-retry-base needs a local run"},
+		{[]string{"-dist", "2", "-workers", "4"}, "-workers needs a local run"},
+		{[]string{"-dist", "2", "-group", "3"}, "-group needs a local run"},
 	} {
 		out, err := exec.Command(bin, row.args...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), row.msg) {

@@ -5,8 +5,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,7 +28,7 @@ type expectation struct {
 func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	path := filepath.Join("testdata", dir)
-	pkg, err := LoadDir(path)
+	pkg, err := loadDir(path)
 	if err != nil {
 		t.Fatalf("load %s: %v", path, err)
 	}
@@ -144,4 +147,60 @@ func TestDirectives(t *testing.T) {
 	if args := directiveArgs("guardedby", groups...); len(args) != 1 || args[0] != "mu" {
 		t.Errorf("directiveArgs(guardedby) = %v", args)
 	}
+}
+
+// loadDir loads a single directory of Go files that is not part of the
+// module's package graph — an analysistest fixture. Only standard-library
+// imports are resolved (fixtures need nothing else); their export data
+// comes from the build cache via go list, exactly like Load's.
+func loadDir(dir string) (*Pkg, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+			files = append(files, filepath.Join(dir, e.Name()))
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+	}
+	sort.Strings(files)
+
+	// Pre-parse to collect the imports go list must resolve.
+	fset := token.NewFileSet()
+	importSet := map[string]bool{}
+	for _, f := range files {
+		parsed, err := parser.ParseFile(fset, f, nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, spec := range parsed.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return nil, err
+			}
+			importSet[path] = true
+		}
+	}
+	exports := map[string]string{}
+	if len(importSet) > 0 {
+		imports := make([]string, 0, len(importSet))
+		for p := range importSet {
+			imports = append(imports, p)
+		}
+		sort.Strings(imports)
+		listed, err := goList(dir, append([]string{"-deps", "-export"}, imports...)...)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+	return typeCheck("fixture/"+filepath.Base(dir), files, exports)
 }

@@ -71,7 +71,7 @@ func Collect(root string, pkgs []string) ([]Finding, error) {
 		}
 		all = append(all, found...)
 	}
-	Sort(all)
+	sortFindings(all)
 	return all, nil
 }
 
@@ -140,9 +140,9 @@ func parseLine(line, kind string) (Finding, error) {
 	}, nil
 }
 
-// Sort orders findings by file, line, column, kind — the canonical
+// sortFindings orders findings by file, line, column, kind — the canonical
 // baseline order.
-func Sort(fs []Finding) {
+func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
 		if a.File != b.File {
@@ -192,7 +192,7 @@ func Parse(s string) []Finding {
 		}
 		findings = append(findings, f)
 	}
-	Sort(findings)
+	sortFindings(findings)
 	return findings
 }
 
@@ -218,7 +218,7 @@ func Diff(baseline, current []Finding) (added, removed []Finding) {
 			removed = append(removed, f)
 		}
 	}
-	Sort(added)
-	Sort(removed)
+	sortFindings(added)
+	sortFindings(removed)
 	return added, removed
 }

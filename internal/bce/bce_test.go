@@ -37,7 +37,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		{File: "internal/core/a.go", Line: 3, Col: 7, Kind: "IsInBounds"}, // duplicate survives
 		{File: "internal/bitpack/b.go", Line: 9, Col: 2, Kind: "IsSliceInBounds"},
 	}
-	Sort(fs)
+	sortFindings(fs)
 	got := Parse(Format(fs))
 	if !reflect.DeepEqual(got, fs) {
 		t.Errorf("Parse(Format(fs)) = %v, want %v", got, fs)

@@ -76,11 +76,11 @@ func TestValueIndexLookupAllocs(t *testing.T) {
 	var sink uint32
 	got := testing.AllocsPerRun(20, func() {
 		for _, v := range vals {
-			sink += vi.Intern(v)
+			sink += vi.intern(v)
 		}
 	})
 	if got != 0 {
-		t.Errorf("ValueIndex.Intern of known values allocates %.0f objects/run, want 0", got)
+		t.Errorf("ValueIndex.intern of known values allocates %.0f objects/run, want 0", got)
 	}
 	_ = sink
 }

@@ -77,9 +77,6 @@ func (a *Array) put(i int, v uint32) {
 // Len returns the number of integers in the array.
 func (a *Array) Len() int { return a.n }
 
-// Width returns the number of bytes used per integer.
-func (a *Array) Width() int { return a.width }
-
 // Get returns the i-th integer. It is the §4.1.1 access path: seek and cast,
 // masking the leading byte to zero in the uint24 case.
 func (a *Array) Get(i int) uint32 {

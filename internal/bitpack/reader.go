@@ -57,9 +57,6 @@ func (r *Reader) fixed(n int) []byte {
 // U8 reads one byte.
 func (r *Reader) U8() byte { return r.fixed(1)[0] }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 { return binary.LittleEndian.Uint16(r.fixed(2)) }
-
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
 
@@ -67,7 +64,7 @@ func (r *Reader) U32() uint32 { return binary.LittleEndian.Uint32(r.fixed(4)) }
 func (r *Reader) U64() uint64 { return binary.LittleEndian.Uint64(r.fixed(8)) }
 
 // Str reads a string behind a uint16 length.
-func (r *Reader) Str() string { return string(r.Take(int(r.U16()))) }
+func (r *Reader) Str() string { return string(r.Take(int(binary.LittleEndian.Uint16(r.fixed(2))))) }
 
 // words takes n words of size bytes each, refusing n before it is
 // multiplied, so no claim can wrap into a small length.

@@ -59,7 +59,7 @@ func TestReaderStickyErrorAndTrailingBytes(t *testing.T) {
 		t.Fatal("an overrun reader reported no error")
 	}
 	r = NewReader([]byte{1, 2, 3})
-	r.U16()
+	r.Take(2)
 	if err := r.Done(); err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
 		t.Fatalf("Done with a byte left: %v", err)
 	}

@@ -44,8 +44,8 @@ func TestUnpackRangeMatchesGet(t *testing.T) {
 		for n := 0; n <= 17; n++ {
 			vals := unpackWidthValues(width, n)
 			a := Pack(vals)
-			if n > 0 && a.Width() != width {
-				t.Fatalf("width %d n %d: packed width %d", width, n, a.Width())
+			if n > 0 && a.width != width {
+				t.Fatalf("width %d n %d: packed width %d", width, n, a.width)
 			}
 			full := a.Unpack()
 			if len(full) != n {

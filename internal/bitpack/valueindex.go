@@ -1,9 +1,6 @@
 package bitpack
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // ValueIndex is the §3.2 value-indexing (dictionary) encoding for float64
 // values: all unique values are stored once in an array, and occurrences are
@@ -20,7 +17,7 @@ import (
 // longer decodes as the +0 interned before it.
 type ValueIndex struct {
 	values  []float64 // unique values, in first-appearance order
-	lookup  []uint32  // 0 = free, else 1 + index into values (which holds the keys), built by the first Intern
+	lookup  []uint32  // 0 = free, else 1 + index into values (which holds the keys), built by the first intern
 	indexes []uint32  // one index per input value, in input order
 }
 
@@ -28,17 +25,17 @@ type ValueIndex struct {
 func BuildValueIndex(vals []float64) *ValueIndex {
 	vi, indexes := new(ValueIndex), make([]uint32, len(vals))
 	for k, v := range vals {
-		indexes[k] = vi.Intern(v)
+		indexes[k] = vi.intern(v)
 	}
 	vi.indexes = indexes
 	return vi
 }
 
-// Intern returns the dictionary index for v, adding it if unseen. It does
-// not append to the occurrence list; use BuildValueIndex for that. The
-// lookup table only serves Intern, so it is built (and doubled, keeping
+// intern returns the dictionary index for v, adding it if unseen. It does
+// not append to the occurrence list; BuildValueIndex does that. The
+// lookup table only serves intern, so it is built (and doubled, keeping
 // its load <= 1/2) here.
-func (vi *ValueIndex) Intern(v float64) uint32 {
+func (vi *ValueIndex) intern(v float64) uint32 {
 	if 2*(len(vi.values)+1) > len(vi.lookup) {
 		size := 16
 		for size < 4*len(vi.values) {
@@ -75,16 +72,3 @@ func (vi *ValueIndex) Values() []float64 { return vi.values }
 
 // Indexes returns the occurrence index list built by BuildValueIndex.
 func (vi *ValueIndex) Indexes() []uint32 { return vi.indexes }
-
-// AppendTo appends the encoded dictionary and occurrence indexes to dst.
-func (vi *ValueIndex) AppendTo(dst []byte) []byte {
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(vi.values)))
-	dst = append(dst, cnt[:]...)
-	var b [8]byte
-	for _, v := range vi.values {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		dst = append(dst, b[:]...)
-	}
-	return Pack(vi.indexes).AppendTo(dst)
-}

@@ -95,28 +95,3 @@ func PackVarint(vals []uint32) []byte {
 	}
 	return out
 }
-
-// UnpackVarint decodes a varint-packed array from the front of buf,
-// returning the values and the remaining bytes. The group loop rides the
-// word-at-a-time Uvarint fast path: away from the buffer tail each value
-// costs one 8-byte load and the branchless compaction, no byte loop.
-func UnpackVarint(buf []byte) ([]uint32, []byte, error) {
-	n, c, err := Uvarint(buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	buf = buf[c:]
-	out := make([]uint32, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, c, err := Uvarint(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		if v > 0xffffffff {
-			return nil, nil, fmt.Errorf("bitpack: varint value %d overflows uint32", v)
-		}
-		buf = buf[c:]
-		out = append(out, uint32(v))
-	}
-	return out, buf, nil
-}

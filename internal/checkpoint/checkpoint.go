@@ -21,7 +21,7 @@
 // writer and one trailer: the store manifest is written and checked
 // through them too.
 //
-// The CRC catches accidents, not forgeries, so Decode reads the image
+// The CRC catches accidents, not forgeries, so decode reads the image
 // through bitpack.Reader, which bounds every count by the bytes left
 // before anything is sized by it: no image, CRC valid or not, can drive
 // allocation (FuzzCheckpointDecode reseals each mutation's CRC to check
@@ -51,7 +51,7 @@ const (
 	// group size and staleness bound.
 	KindLocal Kind = 1
 	// KindDist is the distributed parameter server (internal/dist). Kind
-	// 2 is unassigned: Decode refuses it as unknown.
+	// 2 is unassigned: decode refuses it as unknown.
 	KindDist Kind = 3
 
 	// KindAsync exists only because the frozen benchmark/layers.go spells
@@ -145,11 +145,11 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode serializes the state into its canonical wire image (including
-// the trailing CRC). Decode(Encode(s)) is the identity, and the
+// encode serializes the state into its canonical wire image (including
+// the trailing CRC). decode(encode(s)) is the identity, and the
 // encoding is canonical: a successfully decoded image re-encodes to the
 // same bytes.
-func Encode(s *State) []byte {
+func encode(s *State) []byte {
 	size := headerLen + 8*len(s.EpochLoss) + 8*len(s.Params) + 8*len(s.Params)*len(s.Archive) + trailerLen
 	img := make([]byte, 0, size)
 	img = append(img, magic...)
@@ -182,11 +182,11 @@ func Encode(s *State) []byte {
 	return Seal(img)
 }
 
-// Decode parses and validates a checkpoint image. The trailing CRC-32C
+// decode parses and validates a checkpoint image. The trailing CRC-32C
 // must match, and every count the image claims is bounded by the bytes
 // left before any section is sized by it; corrupt or truncated images
 // return an error, never a partial State.
-func Decode(img []byte) (*State, error) {
+func decode(img []byte) (*State, error) {
 	body, err := Unseal(img)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -270,7 +270,7 @@ func Unseal(img []byte) ([]byte, error) {
 
 // Save writes the state atomically to path (see WriteFile).
 func Save(path string, s *State) error {
-	if err := WriteFile(path, Encode(s), "checkpoint.rename"); err != nil {
+	if err := WriteFile(path, encode(s), "checkpoint.rename"); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
@@ -348,7 +348,7 @@ func Load(path string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := Decode(img)
+	s, err := decode(img)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

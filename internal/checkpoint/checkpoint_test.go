@@ -50,8 +50,8 @@ func sampleState(variant int) *State {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for v := 0; v < 3; v++ {
 		in := sampleState(v)
-		img := Encode(in)
-		out, err := Decode(img)
+		img := encode(in)
+		out, err := decode(img)
 		if err != nil {
 			t.Fatalf("variant %d: %v", v, err)
 		}
@@ -60,33 +60,33 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		// Canonical encoding: re-encoding the decoded state reproduces
 		// the image byte for byte.
-		if !bytes.Equal(img, Encode(out)) {
+		if !bytes.Equal(img, encode(out)) {
 			t.Fatalf("variant %d: re-encode differs from original image", v)
 		}
 	}
 }
 
-// encodeGolden is the CRC-32 (IEEE) of Encode(sampleState(v)) for each
+// encodeGolden is the CRC-32 (IEEE) of encode(sampleState(v)) for each
 // variant v: the checkpoint image is pinned byte for byte.
 var encodeGolden = [3]uint32{0xddc66549, 0x9c9e3ea0, 0x0ad1e048}
 
 func TestEncodeGoldenCRC(t *testing.T) {
 	for v, want := range encodeGolden {
-		if got := crc32.ChecksumIEEE(Encode(sampleState(v))); got != want {
+		if got := crc32.ChecksumIEEE(encode(sampleState(v))); got != want {
 			t.Errorf("variant %d: image CRC %#08x, want %#08x", v, got, want)
 		}
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	img := Encode(sampleState(1))
-	if _, err := Decode(img[:len(img)-1]); err == nil {
+	img := encode(sampleState(1))
+	if _, err := decode(img[:len(img)-1]); err == nil {
 		t.Error("truncated image decoded")
 	}
-	if _, err := Decode(img[:10]); err == nil {
+	if _, err := decode(img[:10]); err == nil {
 		t.Error("header-only image decoded")
 	}
-	if _, err := Decode(nil); err == nil {
+	if _, err := decode(nil); err == nil {
 		t.Error("empty image decoded")
 	}
 	// Flip one bit in every byte position; every mutation must be
@@ -94,7 +94,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for i := range img {
 		mut := append([]byte(nil), img...)
 		mut[i] ^= 0x10
-		if _, err := Decode(mut); err == nil {
+		if _, err := decode(mut); err == nil {
 			t.Fatalf("bit flip at byte %d decoded without error", i)
 		}
 	}
@@ -104,7 +104,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	shuffled := append([]byte(nil), img[:len(img)-trailerLen]...)
 	shuffled[6] |= 1
 	shuffled = binary.LittleEndian.AppendUint32(shuffled, crc32.Checksum(shuffled, castagnoli))
-	if _, err := Decode(shuffled); err == nil || !strings.Contains(err.Error(), "unknown flags") {
+	if _, err := decode(shuffled); err == nil || !strings.Contains(err.Error(), "unknown flags") {
 		t.Fatalf("image with flag bit 0 set: err = %v, want unknown flags", err)
 	}
 }
@@ -113,11 +113,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // unknown kind even with a valid CRC, never resumed as a local or dist
 // run.
 func TestDecodeRejectsUnassignedKind(t *testing.T) {
-	img := Encode(sampleState(1))
+	img := encode(sampleState(1))
 	body := append([]byte(nil), img[:len(img)-trailerLen]...)
 	body[5] = 2
 	body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
-	if _, err := Decode(body); err == nil || !strings.Contains(err.Error(), "unknown engine kind 2") {
+	if _, err := decode(body); err == nil || !strings.Contains(err.Error(), "unknown engine kind 2") {
 		t.Fatalf("image with kind byte 2: err = %v, want unknown engine kind", err)
 	}
 }
@@ -126,7 +126,7 @@ func TestDecodeRejectsUnassignedKind(t *testing.T) {
 // nParams parameters and nArchive archived versions, resealed with a valid
 // CRC: 84 bytes that back none of the claim.
 func claimImage(nParams, nArchive uint32) []byte {
-	img := Encode(&State{Kind: KindLocal, EpochLoss: []float64{0.5}})
+	img := encode(&State{Kind: KindLocal, EpochLoss: []float64{0.5}})
 	body := img[:len(img)-trailerLen]
 	binary.LittleEndian.PutUint32(body[headerLen-8:], nParams)
 	binary.LittleEndian.PutUint32(body[headerLen-4:], nArchive)
@@ -137,10 +137,10 @@ func claimImage(nParams, nArchive uint32) []byte {
 // before anything is sized by the claim. The wrapped image is 84 bytes
 // with a valid CRC: 8·(1 + 2^31 + (2^30−1)·2^31) wraps to 8 in uint64, so
 // a length check summed in uint64 read it as exactly its own size and
-// Decode then asked for 16 GiB of params. The empty-model archive claims
+// decode then asked for 16 GiB of params. The empty-model archive claims
 // 2^32−1 versions of zero params each, which no byte count bounds.
 func TestDecodeRejectsHugeClaimedLengths(t *testing.T) {
-	absurd := Encode(sampleState(0))
+	absurd := encode(sampleState(0))
 	for i := headerLen - 8; i < headerLen-4; i++ {
 		absurd[i] = 0xff
 	}
@@ -151,7 +151,7 @@ func TestDecodeRejectsHugeClaimedLengths(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := Decode(img)
+		_, err := decode(img)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: decoded", name)
@@ -191,7 +191,7 @@ func TestLatestFailsLoudlyOnCorruptNewest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A newer, corrupt checkpoint: Latest must error, not fall back.
-	bad := Encode(sampleState(0))
+	bad := encode(sampleState(0))
 	bad[len(bad)-1] ^= 0xff
 	if err := os.WriteFile(filepath.Join(dir, FileName(good.Step()+100)), bad, 0o644); err != nil {
 		t.Fatal(err)

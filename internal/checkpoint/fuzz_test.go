@@ -7,19 +7,19 @@ import (
 	"testing"
 )
 
-// FuzzCheckpointDecode drives Decode with arbitrary bytes. The safety
+// FuzzCheckpointDecode drives decode with arbitrary bytes. The safety
 // property is that corrupt input never panics or drives allocation (every
 // count is bounded by the bytes left before anything is sized by it); the
-// correctness property is that any image Decode accepts is canonical —
+// correctness property is that any image decode accepts is canonical —
 // re-encoding the decoded state reproduces the input byte for byte, so
-// Decode accepts exactly Encode's range. The committed corpus holds the
+// decode accepts exactly encode's range. The committed corpus holds the
 // 84-byte wrapped-length image of TestDecodeRejectsHugeClaimedLengths.
 func FuzzCheckpointDecode(f *testing.F) {
 	for v := 0; v < 3; v++ {
-		f.Add(Encode(sampleState(v)))
+		f.Add(encode(sampleState(v)))
 	}
 	// Corrupt seeds point the fuzzer at the rejection paths.
-	img := Encode(sampleState(1))
+	img := encode(sampleState(1))
 	f.Add(img[:len(img)-3])
 	flip := append([]byte(nil), img...)
 	flip[headerLen-6] ^= 0xff // inflate a claimed length
@@ -37,11 +37,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 }
 
 func checkDecoded(t *testing.T, data []byte) {
-	s, err := Decode(data)
+	s, err := decode(data)
 	if err != nil {
 		return
 	}
-	if got := Encode(s); !bytes.Equal(got, data) {
+	if got := encode(s); !bytes.Equal(got, data) {
 		t.Fatalf("accepted image is not canonical: re-encode differs (%d vs %d bytes)", len(got), len(data))
 	}
 }

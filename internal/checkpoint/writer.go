@@ -70,9 +70,6 @@ func NewWriter(dir string) (*Writer, error) {
 	return w, nil
 }
 
-// Dir returns the checkpoint directory.
-func (w *Writer) Dir() string { return w.dir }
-
 // SetKeep sets how many checkpoint files are retained (minimum 1).
 func (w *Writer) SetKeep(n int) {
 	if n < 1 {

@@ -131,8 +131,8 @@ func TestCoCodingMergesIdenticalColumns(t *testing.T) {
 		d.Set(i, 3, v*4)
 	}
 	m := Compress(d)
-	if m.NumGroups() != 1 {
-		t.Fatalf("identical-structure columns split into %d groups (%v)", m.NumGroups(), m.GroupKinds())
+	if len(m.groups) != 1 {
+		t.Fatalf("identical-structure columns split into %d groups (%v)", len(m.groups), m.GroupKinds())
 	}
 	if !m.Decode().Equal(d) {
 		t.Fatal("decode mismatch")

@@ -18,18 +18,6 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols returns the number of columns of the original matrix.
 func (m *Matrix) Cols() int { return m.cols }
 
-// NumGroups returns the number of column groups chosen by co-coding.
-func (m *Matrix) NumGroups() int { return len(m.groups) }
-
-// GroupKinds reports the chosen layout of every group (for diagnostics).
-func (m *Matrix) GroupKinds() []string {
-	out := make([]string, len(m.groups))
-	for i, g := range m.groups {
-		out[i] = g.kind.String()
-	}
-	return out
-}
-
 // CompressedSize returns the total encoded size in bytes.
 func (m *Matrix) CompressedSize() int {
 	total := 16 // matrix header

@@ -183,7 +183,9 @@ func TestOpsMatchDenseProperty(t *testing.T) {
 			if !b.Scale(c).Decode().EqualApprox(a.Scale(c), 1e-9) {
 				return false
 			}
-			if !b.Square().Decode().EqualApprox(a.MulElem(a), 1e-9) {
+			sq := a.Clone()
+			sq.ApplyInPlace(func(v float64) float64 { return v * v })
+			if !b.Square().Decode().EqualApprox(sq, 1e-9) {
 				return false
 			}
 			if !b.AddScalar(c).EqualApprox(a.AddScalar(c), 1e-9) {

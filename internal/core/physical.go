@@ -73,8 +73,8 @@ func (e *encoder) paperD(b *Batch) []uint32 {
 // packed, I's values value-indexed (§3.2: the unique values once, in
 // first-appearance order, then a bit-packed dictionary index per pair),
 // D's node indexes and tuple starts bit packed. The bytes are exactly
-// what bitpack.Pack and bitpack.BuildValueIndex would append
-// (TestEncoderMatchesMapOracle), and readFull reads them back.
+// what the map oracle writes with bitpack.Pack and a first-appearance
+// dictionary (TestEncoderMatchesMapOracle), and readFull reads them back.
 func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 	switch b.variant {
 	case Full:

@@ -68,11 +68,6 @@ func Generate(name string, rows int, seed int64) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return GenerateSized(name, rows, cols, seed)
-}
-
-// GenerateSized builds a dataset with an explicit column count.
-func GenerateSized(name string, rows, cols int, seed int64) (*Dataset, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var x *matrix.Dense
 	classes := 2
@@ -412,21 +407,6 @@ func (d *Dataset) ShuffleOnce(seed int64) {
 	}
 	d.X = nx
 	d.Y = ny
-}
-
-// Replicate scales the dataset by row replication, the technique the paper
-// (following its citation [14]) used to build Imagenet1m, Mnist25m, etc.
-// Rows are copied round-robin so batch composition stays representative.
-func (d *Dataset) Replicate(targetRows int) *Dataset {
-	rows := d.X.Rows()
-	nx := matrix.NewDense(targetRows, d.X.Cols())
-	ny := make([]float64, targetRows)
-	for i := 0; i < targetRows; i++ {
-		src := i % rows
-		copy(nx.Row(i), d.X.Row(src))
-		ny[i] = d.Y[src]
-	}
-	return &Dataset{Name: d.Name, X: nx, Y: ny, Classes: d.Classes}
 }
 
 // NumBatches returns the number of size-sized mini-batches (last partial

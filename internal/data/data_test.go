@@ -131,26 +131,6 @@ func TestShuffleOncePreservesPairs(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
-	d, _ := Generate("census", 100, 6)
-	big := d.Replicate(350)
-	if big.X.Rows() != 350 || len(big.Y) != 350 {
-		t.Fatalf("replicate dims wrong: %d rows %d labels", big.X.Rows(), len(big.Y))
-	}
-	// row i matches source row i%100
-	for _, i := range []int{0, 99, 100, 250, 349} {
-		src := i % 100
-		for j := 0; j < d.X.Cols(); j++ {
-			if big.X.At(i, j) != d.X.At(src, j) {
-				t.Fatalf("replicated row %d differs from source %d", i, src)
-			}
-		}
-		if big.Y[i] != d.Y[src] {
-			t.Fatalf("replicated label %d differs", i)
-		}
-	}
-}
-
 func TestBatches(t *testing.T) {
 	d, _ := Generate("kdd99", 105, 7)
 	if got := d.NumBatches(25); got != 5 {

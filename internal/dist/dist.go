@@ -195,6 +195,3 @@ func (s *Server) Stats() ServerStats {
 	st.LoopStats = s.loop.Stats()
 	return st
 }
-
-// Clock returns the applied-update count.
-func (s *Server) Clock() int64 { return s.loop.Clock() }

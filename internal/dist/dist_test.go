@@ -246,8 +246,8 @@ func TestStalePushIsRefused(t *testing.T) {
 	if err := push(1); err == nil {
 		t.Fatal("position 1 at version 0 admitted under staleness 0")
 	}
-	if got := srv.Clock(); got != 1 {
-		t.Fatalf("clock %d after the refused push, want 1", got)
+	if got := srv.Stats().Updates; got != 1 {
+		t.Fatalf("%d updates after the refused push, want 1", got)
 	}
 	peer.Close()
 	<-served
@@ -487,8 +487,8 @@ func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 		if err := row.call(c); err == nil {
 			t.Errorf("%s: accepted", row.name)
 		}
-		if got := srv.Clock(); got != 0 {
-			t.Errorf("%s: clock moved to %d", row.name, got)
+		if got := srv.Stats().Updates; got != 0 {
+			t.Errorf("%s: %d updates applied", row.name, got)
 		}
 		c.Close()
 	}
@@ -691,7 +691,7 @@ func TestTrainersOverSpilledStoreMatchSerialBitwise(t *testing.T) {
 	if err := engine.New(engine.Config{Workers: 2}).FillStore(st, d, 50); err != nil {
 		t.Fatal(err)
 	}
-	pf := storage.NewPrefetcher(st, 4, 2)
+	pf := storage.NewPrefetcher(st, 4, 2, 0)
 	defer pf.Close()
 	sm := newSnapshotModel(t, "lr", d, 3)
 	srv, err := NewServer(ServerConfig{Epochs: 3, NumBatches: pf.NumBatches(), LR: 0.2}, sm)

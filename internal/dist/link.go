@@ -20,12 +20,6 @@ type Link struct {
 	up, down       pace.Bucket
 }
 
-// NewLink builds a link with the given per-direction byte rates;
-// a rate <= 0 leaves that direction unmetered.
-func NewLink(upBps, downBps int64) *Link {
-	return &Link{upBps: upBps, downBps: downBps}
-}
-
 // NewLinkMbps builds a symmetric link from a megabits-per-second rating
 // (the -link-mbps flag); <= 0 returns nil, the unmetered wire. A positive
 // rating too slow to round to a whole byte per second is metered at
@@ -35,7 +29,7 @@ func NewLinkMbps(mbps float64) *Link {
 		return nil
 	}
 	bps := max(1, int64(mbps*1e6/8))
-	return NewLink(bps, bps)
+	return &Link{upBps: bps, downBps: bps}
 }
 
 // Up reserves n bytes of trainer→server transfer requested at now and

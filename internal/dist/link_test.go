@@ -29,7 +29,7 @@ func TestLinkHoldsItsRateAtAnyInterleaving(t *testing.T) {
 		"in backlog":   func(i int) time.Duration { return time.Duration(i) * 100 * time.Millisecond },
 		"out of order": func(i int) time.Duration { return shuffled[i] },
 	} {
-		l := NewLink(bps, 0)
+		l := &Link{upBps: bps}
 		var last time.Time
 		for i := 0; i < sends; i++ {
 			done := l.Up(t0.Add(offset(i)), n)
@@ -44,7 +44,7 @@ func TestLinkHoldsItsRateAtAnyInterleaving(t *testing.T) {
 	}
 	// Requests spaced wider than a transfer leave the link idle between
 	// them; the idle time is lost, not banked.
-	l := NewLink(bps, 0)
+	l := &Link{upBps: bps}
 	for i := 0; i < sends; i++ {
 		now := t0.Add(time.Duration(i) * time.Second)
 		if got, want := l.Up(now, n), now.Add(250*time.Millisecond); !got.Equal(want) {
@@ -54,7 +54,7 @@ func TestLinkHoldsItsRateAtAnyInterleaving(t *testing.T) {
 }
 
 func TestLinkDirectionsAreIndependentBudgets(t *testing.T) {
-	l := NewLink(1000, 500)
+	l := &Link{upBps: 1000, downBps: 500}
 	up := l.Up(t0, 1000)
 	down := l.Down(t0, 1000)
 	if want := t0.Add(time.Second); !up.Equal(want) {
@@ -67,7 +67,7 @@ func TestLinkDirectionsAreIndependentBudgets(t *testing.T) {
 
 func TestUnmeteredLinkIsFree(t *testing.T) {
 	var none *Link
-	for name, l := range map[string]*Link{"nil": none, "zero rate": NewLink(0, 0), "negative rate": NewLink(-5, -5), "0 Mbit/s": NewLinkMbps(0), "negative Mbit/s": NewLinkMbps(-1)} {
+	for name, l := range map[string]*Link{"nil": none, "zero rate": {}, "negative rate": {upBps: -5, downBps: -5}, "0 Mbit/s": NewLinkMbps(0), "negative Mbit/s": NewLinkMbps(-1)} {
 		for i := 0; i < 3; i++ {
 			if up, down := l.Up(t0, 1<<30), l.Down(t0, 1<<30); !up.Equal(t0) || !down.Equal(t0) {
 				t.Errorf("%s link: a gigabyte completes at %v up, %v down; want the request time %v", name, up, down, t0)

@@ -40,7 +40,7 @@ func TestMain(m *testing.M) {
 // store, resume from the newest checkpoint if any, train, and write the
 // run's bitwise result. Any armed fault point kills it mid-flight.
 func runCrashHelper(cfgName, dir string) error {
-	if err := faultpoint.ArmFromEnv(); err != nil {
+	if err := faultpoint.ArmSpec(os.Getenv("TOC_FAULTPOINTS")); err != nil {
 		return err
 	}
 	d, err := data.Generate("census", 600, 1)
@@ -77,7 +77,8 @@ func runCrashHelper(cfgName, dir string) error {
 	}
 	defer st.Close()
 
-	w, err := checkpoint.NewWriter(filepath.Join(dir, "ckpt"))
+	ckptDir := filepath.Join(dir, "ckpt")
+	w, err := checkpoint.NewWriter(ckptDir)
 	if err != nil {
 		return err
 	}
@@ -86,7 +87,7 @@ func runCrashHelper(cfgName, dir string) error {
 	defer w.Close()
 
 	var resume *checkpoint.State
-	if s, lerr := checkpoint.Latest(w.Dir()); lerr == nil {
+	if s, lerr := checkpoint.Latest(ckptDir); lerr == nil {
 		resume = s
 	} else if !errors.Is(lerr, os.ErrNotExist) {
 		return lerr
@@ -138,7 +139,7 @@ func runVictim(t *testing.T, cfg, dir, faults string) (int, string) {
 		"TOC_CRASH_HELPER=1",
 		"TOC_CRASH_CONFIG="+cfg,
 		"TOC_CRASH_DIR="+dir,
-		faultpoint.EnvVar+"="+faults,
+		"TOC_FAULTPOINTS="+faults,
 	)
 	out, err := cmd.CombinedOutput()
 	if err == nil {

@@ -248,30 +248,13 @@ func (e *Engine) KernelWorkers(n int) int {
 // reads, and depth <= 0 defaults to twice the positions a run keeps in
 // flight — deep enough to cover the next step while the current one
 // computes. maxBytes > 0 additionally bounds the window by compressed
-// bytes (storage.WithPrefetchBytes), so deep prefetch on large batches
+// bytes (see storage.NewPrefetcher), so deep prefetch on large batches
 // cannot outgrow the memory budget the store is protecting.
 func (e *Engine) NewPrefetcher(st *storage.Store, depth int, maxBytes int64) *storage.Prefetcher {
 	if depth <= 0 {
 		depth = 2 * e.inFlight(st.NumBatches())
 	}
-	var opts []storage.PrefetchOption
-	if maxBytes > 0 {
-		opts = append(opts, storage.WithPrefetchBytes(maxBytes))
-	}
-	return storage.NewPrefetcher(st, depth, max(e.workers, st.Shards()), opts...)
-}
-
-// LiveWorkers returns the active run's current pool size — initial
-// workers, plus joins, minus retirements and unreplaced crashes.
-// Between runs it reports the configured size.
-func (e *Engine) LiveWorkers() int {
-	r := e.running()
-	if r == nil {
-		return e.workers
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.live)
+	return storage.NewPrefetcher(st, depth, max(e.workers, st.Shards()), maxBytes)
 }
 
 // AddWorkers grows a running Train's pool by n mid-run and returns how

@@ -148,7 +148,7 @@ func TestEngineConcurrentOverPrefetchedStore(t *testing.T) {
 	if !st.Spilled() {
 		t.Fatal("expected every batch to spill")
 	}
-	pf := storage.NewPrefetcher(st, 6, 3)
+	pf := storage.NewPrefetcher(st, 6, 3, 0)
 	defer pf.Close()
 
 	m := newModel(t, "lr", d, 13)
@@ -218,7 +218,7 @@ func TestEngineBeatsSerialOnSpilledStore(t *testing.T) {
 	if err := eng.FillStore(engineStore, d, batchSize); err != nil {
 		t.Fatal(err)
 	}
-	pf := storage.NewPrefetcher(engineStore, 12, 8)
+	pf := storage.NewPrefetcher(engineStore, 12, 8, 0)
 	defer pf.Close()
 	mustTrain(t, eng, newModel(t, "lr", d, 17), pf, epochs, 0.2)
 	ps := pf.Stats()
@@ -567,7 +567,7 @@ func TestSpilledMatchesResidentBitwise(t *testing.T) {
 		if err := New(Config{Workers: 2}).FillStore(st, d, 50); err != nil {
 			t.Fatal(err)
 		}
-		pf := storage.NewPrefetcher(st, 4, 2)
+		pf := storage.NewPrefetcher(st, 4, 2, 0)
 		got := newModel(t, "lr", d, 13)
 		gotRes, err := train(got, pf)
 		pf.Close()

@@ -752,10 +752,3 @@ func (l *Loop) Stats() LoopStats {
 	defer l.mu.Unlock()
 	return l.stats
 }
-
-// Clock returns the number of applied positions.
-func (l *Loop) Clock() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.clock
-}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -239,7 +240,8 @@ func TestLoopAbandonRequeuesForAnotherOwner(t *testing.T) {
 }
 
 func TestLoopHaltWithPositionsInFlight(t *testing.T) {
-	w, err := checkpoint.NewWriter(t.TempDir())
+	dir := t.TempDir()
+	w, err := checkpoint.NewWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func TestLoopHaltWithPositionsInFlight(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := checkpoint.Latest(w.Dir())
+	st, err := checkpoint.Latest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,8 @@ func syncRun(t *testing.T, cfg LoopConfig) (*driver, *ml.TrainResult) {
 }
 
 func TestLoopGroupStepsCutAtEpochEndAndResumeMidEpoch(t *testing.T) {
-	w, err := checkpoint.NewWriter(t.TempDir())
+	dir := t.TempDir()
+	w, err := checkpoint.NewWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +322,7 @@ func TestLoopGroupStepsCutAtEpochEndAndResumeMidEpoch(t *testing.T) {
 	d.check("updates", d.l.Stats(), LoopStats{Updates: 6})
 
 	// Resume from the checkpoint after epoch 1's first step: clock 7.
-	st, err := checkpoint.Load(w.Dir() + "/" + checkpoint.FileName(7))
+	st, err := checkpoint.Load(filepath.Join(dir, checkpoint.FileName(7)))
 	if err != nil {
 		t.Fatal(err)
 	}

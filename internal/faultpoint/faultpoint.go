@@ -45,10 +45,6 @@ import (
 // it to distinguish an injected kill from an ordinary failure.
 const CrashExitCode = 7
 
-// EnvVar names the environment variable ArmFromEnv reads; subprocess
-// tests use it to arm points in a child they are about to sacrifice.
-const EnvVar = "TOC_FAULTPOINTS"
-
 // Action is what an armed point does when its hit count is reached.
 type Action int
 
@@ -114,10 +110,10 @@ func install(name string, p *point) {
 	armedAny.Store(true)
 }
 
-// Arm installs an action at a named point, firing on the Nth hit
+// arm installs an action at a named point, firing on the Nth hit
 // (after <= 0 means the first). Delay actions use d; crash actions
 // ignore it. Re-arming a point resets its hit count.
-func Arm(name string, action Action, after int, d time.Duration) {
+func arm(name string, action Action, after int, d time.Duration) {
 	if after <= 0 {
 		after = 1
 	}
@@ -179,24 +175,6 @@ func HitCount(name string) int64 {
 		return p.hits
 	}
 	return 0
-}
-
-// HitCounts returns a snapshot of every armed point's hit counter,
-// keyed by point name. The map is a copy; mutating it has no effect.
-func HitCounts() map[string]int64 {
-	if !armedAny.Load() {
-		return nil
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(points) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(points))
-	for name, p := range points {
-		out[name] = p.hits
-	}
-	return out
 }
 
 // pass records one hit at name and decides what fires. fired is false
@@ -268,8 +246,8 @@ func Err(name string) error {
 	return err
 }
 
-// ArmSpec arms points from a comma-separated spec, the grammar the
-// toctrain -faultpoint flag and the EnvVar variable share:
+// ArmSpec arms points from a comma-separated spec, the grammar of the
+// toctrain -faultpoint flag:
 //
 //	name=crash               crash on the first hit
 //	name=crash:3             crash on the third hit
@@ -309,7 +287,7 @@ func ArmSpec(spec string) error {
 				}
 				after = n
 			}
-			Arm(name, Crash, after, 0)
+			arm(name, Crash, after, 0)
 		case "delay":
 			if len(fields) < 2 || len(fields) > 3 {
 				return fmt.Errorf("faultpoint: bad delay spec %q (want name=delay:dur[:afterN])", part)
@@ -326,7 +304,7 @@ func ArmSpec(spec string) error {
 				}
 				after = n
 			}
-			Arm(name, Delay, after, d)
+			arm(name, Delay, after, d)
 		case "errorAfter":
 			if len(fields) != 2 {
 				return fmt.Errorf("faultpoint: bad errorAfter spec %q (want name=errorAfter:n)", part)
@@ -361,11 +339,4 @@ func ArmSpec(spec string) error {
 		}
 	}
 	return nil
-}
-
-// ArmFromEnv arms points from the EnvVar spec, for subprocesses that
-// cannot be reached by an in-process Arm. An unset variable arms
-// nothing.
-func ArmFromEnv() error {
-	return ArmSpec(os.Getenv(EnvVar))
 }

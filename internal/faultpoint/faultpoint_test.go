@@ -31,7 +31,7 @@ func TestDisarmedHitIsNoop(t *testing.T) {
 
 func TestCrashFiresOnNthHit(t *testing.T) {
 	codes := captureExit(t)
-	Arm("p", Crash, 3, 0)
+	arm("p", Crash, 3, 0)
 	Hit("p")
 	Hit("p")
 	if len(*codes) != 0 {
@@ -45,7 +45,7 @@ func TestCrashFiresOnNthHit(t *testing.T) {
 
 func TestDelayFires(t *testing.T) {
 	defer Reset()
-	Arm("d", Delay, 1, 30*time.Millisecond)
+	arm("d", Delay, 1, 30*time.Millisecond)
 	start := time.Now()
 	Hit("d")
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
@@ -55,7 +55,7 @@ func TestDelayFires(t *testing.T) {
 
 func TestResetDisarms(t *testing.T) {
 	codes := captureExit(t)
-	Arm("p", Crash, 1, 0)
+	arm("p", Crash, 1, 0)
 	Reset()
 	Hit("p")
 	if len(*codes) != 0 {
@@ -197,14 +197,14 @@ func TestHitDoesNotFireErrorModes(t *testing.T) {
 
 func TestErrHonorsCrashAndDelay(t *testing.T) {
 	codes := captureExit(t)
-	Arm("c", Crash, 1, 0)
+	arm("c", Crash, 1, 0)
 	if err := Err("c"); err != nil {
 		t.Fatalf("crash point returned error %v from Err", err)
 	}
 	if len(*codes) != 1 || (*codes)[0] != CrashExitCode {
 		t.Fatalf("Err at crash point exits = %v, want [%d]", *codes, CrashExitCode)
 	}
-	Arm("d", Delay, 1, 30*time.Millisecond)
+	arm("d", Delay, 1, 30*time.Millisecond)
 	start := time.Now()
 	if err := Err("d"); err != nil {
 		t.Fatalf("delay point returned error %v from Err", err)
@@ -216,17 +216,16 @@ func TestErrHonorsCrashAndDelay(t *testing.T) {
 
 func TestHitCounts(t *testing.T) {
 	defer Reset()
-	if HitCounts() != nil {
-		t.Fatal("disarmed HitCounts should be nil")
+	if HitCount("a") != 0 {
+		t.Fatal("disarmed HitCount should be 0")
 	}
 	ArmError("a", 100)
 	ArmErrorEvery("b", 0, 1)
 	Err("a")
 	Err("a")
 	Err("b")
-	got := HitCounts()
-	if got["a"] != 2 || got["b"] != 1 {
-		t.Fatalf("HitCounts = %v, want a:2 b:1", got)
+	if a, b := HitCount("a"), HitCount("b"); a != 2 || b != 1 {
+		t.Fatalf("HitCount = a:%d b:%d, want a:2 b:1", a, b)
 	}
 	if HitCount("missing") != 0 {
 		t.Fatal("HitCount of unarmed point != 0")

@@ -212,41 +212,20 @@ func TestScaleAndAddScalar(t *testing.T) {
 	}
 }
 
-func TestAddSubMulElem(t *testing.T) {
+func TestAdd(t *testing.T) {
 	a := NewDenseFromRows([][]float64{{1, 2}})
 	b := NewDenseFromRows([][]float64{{3, 5}})
 	if got := a.Add(b); got.At(0, 0) != 4 || got.At(0, 1) != 7 {
 		t.Fatalf("Add = %v", got)
 	}
-	if got := b.Sub(a); got.At(0, 0) != 2 || got.At(0, 1) != 3 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := a.MulElem(b); got.At(0, 0) != 3 || got.At(0, 1) != 10 {
-		t.Fatalf("MulElem = %v", got)
-	}
 }
 
 func TestApply(t *testing.T) {
 	a := NewDenseFromRows([][]float64{{1, 4}, {9, 16}})
-	got := a.Apply(math.Sqrt)
+	a.ApplyInPlace(math.Sqrt)
 	want := NewDenseFromRows([][]float64{{1, 2}, {3, 4}})
-	if !got.EqualApprox(want, 1e-12) {
-		t.Fatalf("Apply = %v", got)
-	}
-	a.ApplyInPlace(func(v float64) float64 { return -v })
-	if a.At(1, 1) != -16 {
-		t.Fatal("ApplyInPlace failed")
-	}
-}
-
-func TestDotAxpy(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Fatal("Dot wrong")
-	}
-	dst := []float64{1, 1}
-	Axpy(dst, 2, []float64{3, 4})
-	if dst[0] != 7 || dst[1] != 9 {
-		t.Fatalf("Axpy = %v", dst)
+	if !a.EqualApprox(want, 1e-12) {
+		t.Fatalf("ApplyInPlace = %v", a)
 	}
 }
 

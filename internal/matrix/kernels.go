@@ -207,64 +207,9 @@ func (d *Dense) Add(o *Dense) *Dense {
 	return r
 }
 
-// Sub returns a new matrix A-B.
-func (d *Dense) Sub(o *Dense) *Dense {
-	if d.rows != o.rows || d.cols != o.cols {
-		panic(fmt.Sprintf("matrix: Sub shape mismatch %dx%d vs %dx%d", d.rows, d.cols, o.rows, o.cols))
-	}
-	r := NewDense(d.rows, d.cols)
-	for i, v := range d.data {
-		r.data[i] = v - o.data[i]
-	}
-	return r
-}
-
-// Apply returns a new matrix with f applied to every element.
-func (d *Dense) Apply(f func(float64) float64) *Dense {
-	r := NewDense(d.rows, d.cols)
-	for i, v := range d.data {
-		r.data[i] = f(v)
-	}
-	return r
-}
-
 // ApplyInPlace applies f to every element in place.
 func (d *Dense) ApplyInPlace(f func(float64) float64) {
 	for i, v := range d.data {
 		d.data[i] = f(v)
-	}
-}
-
-// MulElem returns the Hadamard (element-wise) product A.*B.
-func (d *Dense) MulElem(o *Dense) *Dense {
-	if d.rows != o.rows || d.cols != o.cols {
-		panic(fmt.Sprintf("matrix: MulElem shape mismatch %dx%d vs %dx%d", d.rows, d.cols, o.rows, o.cols))
-	}
-	r := NewDense(d.rows, d.cols)
-	for i, v := range d.data {
-		r.data[i] = v * o.data[i]
-	}
-	return r
-}
-
-// Dot computes the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("matrix: Dot length mismatch %d != %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Axpy computes dst += c*src for equal-length vectors.
-func Axpy(dst []float64, c float64, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("matrix: Axpy length mismatch %d != %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += c * v
 	}
 }

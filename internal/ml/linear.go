@@ -10,7 +10,7 @@ import (
 // linear regression, logistic regression and the linear SVM are one
 // computation — score the batch with A·w, turn each row's score into a
 // residual, aggregate with r·A — that differs only in the per-row
-// residual. NewLinReg, NewLogReg and NewSVM pick it.
+// residual. NewModel picks it by the paper's short name.
 //
 // A Linear has K output columns. Linear regression and the binary
 // classifiers have one. LR and SVM over K > 2 classes use the paper's
@@ -36,9 +36,9 @@ type glm struct {
 	// residual maps a row's score A·w+b and label to its loss
 	// contribution and its residual numerator (∂loss/∂score).
 	residual func(z, y float64) (loss, r float64)
-	// link turns a row's score into the confidence Score reports.
+	// link turns a row's score into the confidence Predict compares.
 	link func(z float64) float64
-	// label turns a Score into the value Predict reports.
+	// label turns a binary linked score into the value Predict reports.
 	label func(s float64) float64
 	// l2 is the model's default ridge coefficient.
 	l2 float64
@@ -107,9 +107,6 @@ func NewLinReg(dims int) *Linear { return newLinear(squared, dims, 1) }
 // NewLogReg creates a zero-initialized binary logistic regression model.
 func NewLogReg(dims int) *Linear { return newLinear(logistic, dims, 2) }
 
-// NewSVM creates a zero-initialized linear support vector machine.
-func NewSVM(dims int) *Linear { return newLinear(hinge, dims, 2) }
-
 // SetKernelWorkers is a no-op that satisfies Model: a GLM gradient is
 // A·v + v·A per output column, the two vector kernels, which always run
 // on the caller's goroutine — there is nothing for a second goroutine
@@ -138,7 +135,7 @@ func label(y float64, c, k int) float64 {
 
 // scores computes the K columns of scores A·w_c + b_c, column c at
 // s[c·rows:(c+1)·rows], on a plan of its own: the multiplications of a
-// Loss, Score or Predict call.
+// Loss or Predict call.
 func (m *Linear) scores(x formats.CompressedMatrix) []float64 {
 	plan := x.NewKernelPlan()
 	defer plan.Release()
@@ -172,22 +169,17 @@ func (m *Linear) Loss(x formats.CompressedMatrix, y []float64) float64 {
 	return total / float64(m.K)
 }
 
-// Score returns the linked scores, laid out as scores' K columns: the
-// class-1 (or class-c) probability for logistic regression, the signed
-// margin for the SVM, A·w + b for linear regression.
-func (m *Linear) Score(x formats.CompressedMatrix) []float64 {
-	s := m.scores(x)
+// Predict returns 0/1 labels for the binary classifiers, the real-valued
+// scores for linear regression, and for one-vs-rest the class whose
+// linked score is highest per row (the lowest such class on a tie). A
+// linked score is the class-1 (or class-c) probability for logistic
+// regression, the signed margin for the SVM, A·w + b for linear
+// regression.
+func (m *Linear) Predict(x formats.CompressedMatrix) []float64 {
+	s, k := m.scores(x), m.K
 	for i := range s {
 		s[i] = m.glm.link(s[i])
 	}
-	return s
-}
-
-// Predict returns 0/1 labels for the binary classifiers, the real-valued
-// scores for linear regression, and for one-vs-rest the class whose
-// linked score is highest per row (the lowest such class on a tie).
-func (m *Linear) Predict(x formats.CompressedMatrix) []float64 {
-	s, k := m.Score(x), m.K
 	if k == 1 {
 		for i := range s {
 			s[i] = m.glm.label(s[i])

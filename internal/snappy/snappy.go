@@ -47,9 +47,9 @@ const (
 	minMatchLen = 4
 )
 
-// MaxEncodedLen returns an upper bound on the size of Encode output for an
+// maxEncodedLen returns an upper bound on the size of Encode output for an
 // input of n bytes.
-func MaxEncodedLen(n int) int {
+func maxEncodedLen(n int) int {
 	// worst case: uvarint preamble + input emitted as literals with one tag
 	// byte + length bytes per 2^24 chunk; 32 + n + n/6 is a safe bound (the
 	// canonical implementation uses the same shape).
@@ -59,7 +59,7 @@ func MaxEncodedLen(n int) int {
 // Encode compresses src using the Snappy block format and returns the
 // compressed bytes.
 func Encode(src []byte) []byte {
-	dst := make([]byte, 0, MaxEncodedLen(len(src)))
+	dst := make([]byte, 0, maxEncodedLen(len(src)))
 	dst = appendUvarint(dst, uint64(len(src)))
 	for len(src) > 0 {
 		block := src

@@ -201,8 +201,8 @@ func TestMaxEncodedLenBound(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 65536, 300000} {
 		src := make([]byte, n)
 		rng.Read(src)
-		if got := len(Encode(src)); got > MaxEncodedLen(n) {
-			t.Fatalf("encoded %d bytes for input %d exceeds bound %d", got, n, MaxEncodedLen(n))
+		if got := len(Encode(src)); got > maxEncodedLen(n) {
+			t.Fatalf("encoded %d bytes for input %d exceeds bound %d", got, n, maxEncodedLen(n))
 		}
 	}
 }

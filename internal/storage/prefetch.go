@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -59,21 +58,6 @@ type entry struct {
 	lent bool
 }
 
-// PrefetchOption configures a Prefetcher at construction.
-type PrefetchOption func(*Prefetcher)
-
-// WithPrefetchBytes bounds the compressed bytes the prefetcher holds
-// prefetched or in flight at once. The positional window depth is a raw
-// batch count; on large compressed batches a deep window could otherwise
-// hold many times the memory budget the store is protecting. With a byte
-// budget the window extends only while the next spilled batch still fits
-// — but never shrinks below one entry, so a batch larger than the whole
-// budget is still prefetched (alone) rather than starved. Zero (the
-// default) disables the bound.
-func WithPrefetchBytes(maxBytes int64) PrefetchOption {
-	return func(p *Prefetcher) { p.maxBytes = maxBytes }
-}
-
 // Prefetcher wraps a Store and reads spilled batches ahead of the training
 // loop instead of on its critical path — the paper's Figure 1A IO time
 // overlapped with compute. Every epoch visits batches 0..n-1 in ingest
@@ -99,7 +83,7 @@ type Prefetcher struct {
 	n        int // the store's batch count
 	depth    int
 	readers  int             // reader goroutines across all shards
-	maxBytes int64           // 0 = unbounded; see WithPrefetchBytes
+	maxBytes int64           // <= 0 = unbounded; see NewPrefetcher
 	jobs     []chan fetchJob // one queue per spill shard
 	quit     chan struct{}   // closed by Close; interrupts in-flight retry backoffs
 	wg       sync.WaitGroup
@@ -123,11 +107,20 @@ type Prefetcher struct {
 
 // NewPrefetcher wraps a fully-loaded store (no further Add calls) with a
 // prefetch window of depth batches served by background reader
-// goroutines. readers is the total reader target (readers <= 0 picks a
-// small default); the pool is split across the store's spill shards with
-// at least one reader per shard, so concurrent reads reach every shard.
-// It immediately begins prefetching the first depth batches.
-func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefetcher {
+// goroutines. readers is the total reader target; the pool is split
+// across the store's spill shards with at least one reader per shard, so
+// concurrent reads reach every shard. It immediately begins prefetching
+// the first depth batches.
+//
+// maxBytes > 0 bounds the compressed bytes the prefetcher holds
+// prefetched or in flight at once. The positional window depth is a raw
+// batch count; on large compressed batches a deep window could otherwise
+// hold many times the memory budget the store is protecting. With a byte
+// budget the window extends only while the next spilled batch still fits
+// — but never shrinks below one entry, so a batch larger than the whole
+// budget is still prefetched (alone) rather than starved. maxBytes <= 0
+// leaves the window bounded by depth alone.
+func NewPrefetcher(s *Store, depth, readers int, maxBytes int64) *Prefetcher {
 	n := s.NumBatches()
 	if depth > n-1 {
 		depth = n - 1
@@ -135,29 +128,21 @@ func NewPrefetcher(s *Store, depth, readers int, opts ...PrefetchOption) *Prefet
 	if depth < 0 {
 		depth = 0
 	}
-	if readers <= 0 {
-		readers = runtime.GOMAXPROCS(0) / 4
-		if readers < 2 {
-			readers = 2
-		}
-	}
 	shards := s.Shards()
 	perShard := (readers + shards - 1) / shards // ceil: never fewer total readers than requested
 	if perShard < 1 {
 		perShard = 1
 	}
 	p := &Prefetcher{
-		store:   s,
-		n:       n,
-		depth:   depth,
-		readers: perShard * shards,
-		jobs:    make([]chan fetchJob, shards),
-		quit:    make(chan struct{}),
-		lastPos: -1,
-		cache:   make(map[int]*entry, depth+1),
-	}
-	for _, o := range opts {
-		o(p)
+		store:    s,
+		n:        n,
+		depth:    depth,
+		readers:  perShard * shards,
+		maxBytes: maxBytes,
+		jobs:     make([]chan fetchJob, shards),
+		quit:     make(chan struct{}),
+		lastPos:  -1,
+		cache:    make(map[int]*entry, depth+1),
 	}
 	for sh := range p.jobs {
 		p.jobs[sh] = make(chan fetchJob, depth+perShard)

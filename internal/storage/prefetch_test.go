@@ -54,7 +54,7 @@ func spilledStore(t *testing.T, n int, opts ...Option) *Store {
 func TestPrefetcherSequentialScanAllHits(t *testing.T) {
 	const n = 12
 	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, 4, 2)
+	pf := NewPrefetcher(st, 4, 2, 0)
 	defer pf.Close()
 	if pf.NumBatches() != n {
 		t.Fatalf("NumBatches = %d", pf.NumBatches())
@@ -87,7 +87,7 @@ func TestPrefetcherSequentialScanAllHits(t *testing.T) {
 func TestPrefetcherOutOfWindowMiss(t *testing.T) {
 	const n = 12
 	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, 3, 2)
+	pf := NewPrefetcher(st, 3, 2, 0)
 	defer pf.Close()
 	// The primed window covers batches 0..2; batch 8 cannot be in it.
 	if _, y := pf.Batch(8); len(y) != 4 {
@@ -103,7 +103,7 @@ func TestPrefetcherConcurrentReads(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	const n = 16
 	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, 6, 3)
+	pf := NewPrefetcher(st, 6, 3, 0)
 	defer pf.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -130,7 +130,7 @@ func TestPrefetcherConcurrentReads(t *testing.T) {
 func TestPrefetcherDuplicateInFlightShared(t *testing.T) {
 	const n, depth, dupes = 6, 5, 8
 	st := spilledStore(t, n, WithReadBandwidth(4096)) // a few hundred bytes per batch → tens of ms per read
-	pf := NewPrefetcher(st, depth, 2)
+	pf := NewPrefetcher(st, depth, 2, 0)
 	defer pf.Close()
 	// NewPrefetcher has primed batches 0..depth-1; hit them all, many
 	// callers per index, while the reads are still in flight.
@@ -204,7 +204,7 @@ func TestPrefetcherStallSumsConsumerWaits(t *testing.T) {
 	)
 	st := spilledStore(t, 2, WithAccessLatency(latency))
 	start := time.Now()
-	pf := NewPrefetcher(st, 1, 1) // starts reading batch 0
+	pf := NewPrefetcher(st, 1, 1, 0) // starts reading batch 0
 	defer pf.Close()
 	var (
 		wg            sync.WaitGroup
@@ -247,7 +247,7 @@ func TestPrefetcherDuplicateIndexHammer(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	const n, goroutines, rounds = 10, 16, 8
 	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, 4, 3)
+	pf := NewPrefetcher(st, 4, 3, 0)
 	defer pf.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -291,7 +291,7 @@ func TestPrefetcherShardedSequentialScanAllHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pf := NewPrefetcher(st, 4, 2) // 2 readers requested -> one per shard
+	pf := NewPrefetcher(st, 4, 2, 0) // 2 readers requested -> one per shard
 	defer pf.Close()
 	for epoch := 0; epoch < 2; epoch++ {
 		for i := 0; i < n; i++ {
@@ -318,7 +318,7 @@ func TestPrefetcherOutOfOrderConsumersNoRereads(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	const n, depth = 64, 6
 	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, depth, 2)
+	pf := NewPrefetcher(st, depth, 2, 0)
 	defer pf.Close()
 	rng := rand.New(rand.NewSource(41))
 	visit := make([]int, n) // positions of the sequential order, in consumption order
@@ -373,7 +373,7 @@ func TestPrefetcherOutOfOrderConsumersNoRereads(t *testing.T) {
 	}
 }
 
-// WithPrefetchBytes bounds the window by compressed bytes instead of raw
+// A maxBytes budget bounds the window by compressed bytes instead of raw
 // batch count: the cache (prefetched + in flight) never charges past the
 // budget, and the window re-extends as entries are consumed.
 func TestPrefetcherByteBudgetBoundsWindow(t *testing.T) {
@@ -382,7 +382,7 @@ func TestPrefetcherByteBudgetBoundsWindow(t *testing.T) {
 	// Budget: exactly the first two spans of the sequential order. The
 	// primed window must stop there even though depth allows 8.
 	budget := st.spans[0].length + st.spans[1].length
-	pf := NewPrefetcher(st, depth, 2, WithPrefetchBytes(budget))
+	pf := NewPrefetcher(st, depth, 2, budget)
 	defer pf.Close()
 	pf.mu.Lock()
 	if len(pf.cache) != 2 {
@@ -426,7 +426,7 @@ func TestPrefetcherByteBudgetBoundsWindow(t *testing.T) {
 func TestPrefetcherByteBudgetSmallerThanOneBatch(t *testing.T) {
 	const n = 8
 	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, 4, 2, WithPrefetchBytes(st.spans[0].length-1))
+	pf := NewPrefetcher(st, 4, 2, st.spans[0].length-1)
 	defer pf.Close()
 	for i := 0; i < n; i++ {
 		if c, _ := pf.Batch(i); c.Rows() != 4 {
@@ -457,7 +457,7 @@ func TestPrefetcherResidentBypass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pf := NewPrefetcher(st, 2, 1)
+	pf := NewPrefetcher(st, 2, 1, 0)
 	defer pf.Close()
 	for i := 0; i < 4; i++ {
 		pf.Batch(i)
@@ -473,7 +473,7 @@ func TestPrefetcherResidentBypass(t *testing.T) {
 func TestPrefetcherRequestExplicitFetch(t *testing.T) {
 	const n = 12
 	st := spilledStore(t, n)
-	pf := NewPrefetcher(st, 2, 2) // window covers 1..2 only
+	pf := NewPrefetcher(st, 2, 2, 0) // window covers 1..2 only
 	defer pf.Close()
 
 	// Far outside the primed window: a plain access would be a miss.
@@ -502,7 +502,7 @@ func TestPrefetcherCloseWithReadsInFlight(t *testing.T) {
 	const n = 16
 	// Slow reads so the window is still in flight when Close races in.
 	st := spilledStore(t, n, WithReadBandwidth(200<<10))
-	pf := NewPrefetcher(st, 8, 4)
+	pf := NewPrefetcher(st, 8, 4, 0)
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -569,7 +569,7 @@ func TestPrefetcherReleaseRecyclesOnlyItsOwnVisits(t *testing.T) {
 	if !st.Resident(0) || st.Resident(1) {
 		t.Fatal("want batch 0 resident and the rest spilled")
 	}
-	pf := NewPrefetcher(st, 2, 1) // primes batches 1 and 2
+	pf := NewPrefetcher(st, 2, 1, 0) // primes batches 1 and 2
 	defer pf.Close()
 
 	noop := func(what string, c formats.CompressedMatrix) {
@@ -647,7 +647,7 @@ func TestSpilledVisitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pf := NewPrefetcher(st, 4, 1)
+	pf := NewPrefetcher(st, 4, 1, 0)
 	defer pf.Close()
 	m := ml.NewLogReg(d.X.Cols())
 	g := make([]float64, m.NumParams())

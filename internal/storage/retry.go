@@ -22,7 +22,7 @@ type RetryPolicy struct {
 	Attempts int
 	// Base is the backoff before the first retry. It doubles on each
 	// further retry, capped at Max, and is jittered uniformly over
-	// [d/2, 3d/2) from a stream seeded by Seed — deterministic run to
+	// [d/2, 3d/2] from a stream seeded by Seed — deterministic run to
 	// run, decorrelated read to read. Base <= 0 retries immediately.
 	Base time.Duration
 	// Max caps the exponential growth; 0 means Base (no growth).
@@ -83,7 +83,7 @@ func (s *Store) backoffLocked(n int) time.Duration {
 	if d > max {
 		d = max
 	}
-	// Uniform jitter over [d/2, 3d/2) from the seeded stream: retries
+	// Uniform jitter over [d/2, 3d/2] from the seeded stream: retries
 	// against a shared device decorrelate without losing reproducibility.
 	return d/2 + time.Duration(s.jitter.Int63n(int64(d)+1))
 }

@@ -115,7 +115,7 @@ func TestBackoffIsSeededAndBounded(t *testing.T) {
 		}
 	}
 	for i, d := range a {
-		// Jitter spans [d/2, 3d/2) around the capped exponential, so
+		// Jitter spans [d/2, 3d/2] around the capped exponential, so
 		// nothing may exceed 1.5*Max.
 		if d < 2*time.Millisecond || d > 24*time.Millisecond {
 			t.Fatalf("retry %d backoff %v outside [Base/2, 1.5*Max]", i+1, d)
@@ -138,7 +138,7 @@ func TestPrefetcherSurfacesReadErrorToConsumer(t *testing.T) {
 	defer faultpoint.Reset()
 	s := retrySpilledStore(t, 6, RetryPolicy{Attempts: 2, Base: time.Microsecond, Seed: 1})
 	faultpoint.ArmErrorEvery("storage.read.error", 1, 1)
-	p := NewPrefetcher(s, 2, 2)
+	p := NewPrefetcher(s, 2, 2, 0)
 	defer p.Close()
 	caught := func(i int) (r any) {
 		defer func() { r = recover() }()
@@ -169,7 +169,7 @@ func TestPrefetcherCloseInterruptsRetryBackoff(t *testing.T) {
 	// 10 x 2s sleeps; with the quit channel it must return promptly.
 	s := retrySpilledStore(t, 6, RetryPolicy{Attempts: 10, Base: 2 * time.Second, Max: 2 * time.Second, Seed: 1})
 	faultpoint.ArmErrorEvery("storage.read.error", 1, 1)
-	p := NewPrefetcher(s, 3, 2)
+	p := NewPrefetcher(s, 3, 2, 0)
 	// Wait until at least one background read has entered its retry
 	// loop (first attempt failed, sleeping before the second).
 	deadline := time.After(5 * time.Second)

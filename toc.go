@@ -283,9 +283,9 @@ func OpenStore(manifestPath string, opts ...StoreOption) (*Store, error) {
 // ArmFaultpoints arms the fault-injection registry from a spec like
 // "checkpoint.rename=crash:2,storage.spill.mid=delay:5ms" — the test
 // hook behind the crash-matrix suite, and what toctrain's -faultpoint
-// flag calls. The TOC_FAULTPOINTS environment variable is read only by
-// the engine's crash-test subprocess; toctrain does not read it. No-op
-// cost when disarmed.
+// flag calls. No environment variable arms points: the TOC_FAULTPOINTS
+// variable is the engine crash test's own, set and read in its test
+// file. No-op cost when disarmed.
 func ArmFaultpoints(spec string) error { return faultpoint.ArmSpec(spec) }
 
 // ---- Distributed data-parallel training over net/rpc ----
