@@ -274,6 +274,9 @@ func main() {
 		if need, ok := onlyFor[f.Name]; ok && need != kind {
 			log.Fatalf("-%s needs %s: %s does not read it", f.Name, need, kind)
 		}
+		if f.Name == "group" && *workers == 1 {
+			log.Fatal("-group needs -workers != 1: -workers 1 runs the serial schedule and does not read it")
+		}
 	})
 	elasticEvents, err := toc.ParseElasticSchedule(*elastic)
 	if err != nil {

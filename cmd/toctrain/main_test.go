@@ -235,6 +235,8 @@ func TestNegativeBandwidthLatencyAndLinkRejected(t *testing.T) {
 		{[]string{"-dist", "2", "-retry-base", "1ms"}, "-retry-base needs a local run"},
 		{[]string{"-dist", "2", "-workers", "4"}, "-workers needs a local run"},
 		{[]string{"-dist", "2", "-group", "3"}, "-group needs a local run"},
+		{[]string{"-group", "3"}, "-group needs -workers != 1"},
+		{[]string{"-workers", "1", "-group", "1"}, "-group needs -workers != 1"},
 	} {
 		out, err := exec.Command(bin, row.args...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), row.msg) {

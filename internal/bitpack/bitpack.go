@@ -129,44 +129,71 @@ func (a *Array) UnpackRange(dst []uint32, lo, hi int) {
 	}
 }
 
+// Unpack16 decodes the whole array into dst, which must hold Len()
+// values, and reports whether every value fits 16 bits. An array of 1-
+// or 2-byte values decodes word at a time, as UnpackRange does; a wider
+// one, value by value through Get.
+func (a *Array) Unpack16(dst []uint16) bool {
+	if len(dst) < a.n {
+		panic(fmt.Sprintf("bitpack: Unpack16 dst holds %d, need %d", len(dst), a.n))
+	}
+	dst = dst[:a.n]
+	switch a.width {
+	case 1:
+		unpack8(dst, a.data)
+		return true
+	case 2:
+		unpack16(dst, a.data)
+		return true
+	}
+	var over uint32
+	for i := range dst {
+		v := a.Get(i)
+		dst[i] = uint16(v)
+		over |= v >> 16
+	}
+	return over == 0
+}
+
 // unpack8 decodes width-1 values: one 8-byte load yields 8 of them. All
 // four unpack helpers advance by re-slicing dst and src so every length
 // test directly proves the accesses behind it and the compiler drops
-// every bounds check in the bodies.
-func unpack8(dst []uint32, src []byte) {
+// every bounds check in the bodies. The 1- and 2-byte ones write either
+// destination width.
+func unpack8[T uint16 | uint32](dst []T, src []byte) {
 	for len(dst) >= 8 && len(src) >= 8 {
 		x := binary.LittleEndian.Uint64(src)
-		dst[0] = uint32(x) & 0xff
-		dst[1] = uint32(x>>8) & 0xff
-		dst[2] = uint32(x>>16) & 0xff
-		dst[3] = uint32(x>>24) & 0xff
-		dst[4] = uint32(x>>32) & 0xff
-		dst[5] = uint32(x>>40) & 0xff
-		dst[6] = uint32(x>>48) & 0xff
-		dst[7] = uint32(x >> 56)
+		dst[0] = T(x) & 0xff
+		dst[1] = T(x>>8) & 0xff
+		dst[2] = T(x>>16) & 0xff
+		dst[3] = T(x>>24) & 0xff
+		dst[4] = T(x>>32) & 0xff
+		dst[5] = T(x>>40) & 0xff
+		dst[6] = T(x>>48) & 0xff
+		dst[7] = T(x >> 56)
 		dst = dst[8:]
 		src = src[8:]
 	}
 	for len(dst) >= 1 && len(src) >= 1 {
-		dst[0] = uint32(src[0])
+		dst[0] = T(src[0])
 		dst = dst[1:]
 		src = src[1:]
 	}
 }
 
 // unpack16 decodes width-2 values: one 8-byte load yields 4.
-func unpack16(dst []uint32, src []byte) {
+func unpack16[T uint16 | uint32](dst []T, src []byte) {
 	for len(dst) >= 4 && len(src) >= 8 {
 		x := binary.LittleEndian.Uint64(src)
-		dst[0] = uint32(x) & 0xffff
-		dst[1] = uint32(x>>16) & 0xffff
-		dst[2] = uint32(x>>32) & 0xffff
-		dst[3] = uint32(x >> 48)
+		dst[0] = T(x) & 0xffff
+		dst[1] = T(x>>16) & 0xffff
+		dst[2] = T(x>>32) & 0xffff
+		dst[3] = T(x >> 48)
 		dst = dst[4:]
 		src = src[8:]
 	}
 	for len(dst) >= 1 && len(src) >= 2 {
-		dst[0] = uint32(binary.LittleEndian.Uint16(src))
+		dst[0] = T(binary.LittleEndian.Uint16(src))
 		dst = dst[1:]
 		src = src[2:]
 	}

@@ -76,6 +76,53 @@ func TestUnpackRangeMatchesGet(t *testing.T) {
 	}
 }
 
+// Unpack16 decodes Get's values into 16 bits at every width — widths 3
+// and 4 being an array packed wider than its values need — and reports a
+// value that does not fit, wherever in the array it is.
+func TestUnpack16MatchesGet(t *testing.T) {
+	for width := 1; width <= 4; width++ {
+		for _, n := range []int{0, 1, 7, 8, 17, 255, 256, 257, 600} {
+			vals := make([]uint32, n)
+			for i := range vals {
+				vals[i] = uint32(i*0x9e37) & 0xffff
+			}
+			img := binary.LittleEndian.AppendUint32(nil, uint32(n))
+			img = append(img, byte(width))
+			for _, v := range vals {
+				img = append(img, byte(v), byte(v>>8), 0, 0)[:len(img)+width]
+			}
+			a, _, err := ReadArray(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]uint16, n+1)
+			dst[n] = 0xbeef
+			if !a.Unpack16(dst) {
+				t.Fatalf("width %d n %d: Unpack16 reports a value wider than 16 bits", width, n)
+			}
+			for i, v := range dst[:n] {
+				if want := a.Get(i); uint32(v) != want {
+					t.Fatalf("width %d n %d: Unpack16[%d] = %d, Get = %d", width, n, i, v, want)
+				}
+			}
+			if dst[n] != 0xbeef {
+				t.Fatalf("width %d n %d: Unpack16 wrote past Len()", width, n)
+			}
+			if width < 3 || n == 0 {
+				continue
+			}
+			for _, at := range []int{0, n / 2, n - 1} {
+				wide := append([]byte(nil), img...)
+				wide[5+at*width+2] = 1 // element at is 1<<16 more
+				a, _, _ := ReadArray(wide)
+				if a.Unpack16(dst) {
+					t.Fatalf("width %d n %d: Unpack16 missed a 17-bit value at %d", width, n, at)
+				}
+			}
+		}
+	}
+}
+
 func TestUnpackRangeBounds(t *testing.T) {
 	a := Pack([]uint32{1, 2, 3})
 	for _, tc := range []struct{ lo, hi, dst int }{
@@ -101,6 +148,10 @@ func TestUnpackRangeAllocs(t *testing.T) {
 		})
 		if got != 0 {
 			t.Errorf("width %d: UnpackRange allocates %.0f objects/run, want 0", width, got)
+		}
+		dst16 := make([]uint16, a.Len())
+		if got := testing.AllocsPerRun(20, func() { a.Unpack16(dst16) }); got != 0 {
+			t.Errorf("width %d: Unpack16 allocates %.0f objects/run, want 0", width, got)
 		}
 	}
 }

@@ -116,11 +116,11 @@ func TestShardedMatMulAllocBytesIndependentOfP(t *testing.T) {
 // the batch keeps — the Batch, I's columns with the tuple starts, I's
 // values, D′ and the creation bitmap; the image it aliases is the
 // caller's — and no more bytes than five objects of those sizes cost,
-// size-class rounding included, on the benchmark's batch shape. A
-// section read into a heap object, the value dictionary staged in slices
-// of its own, or the paper-numbered D unpacked anywhere but pooled
-// scratch breaks it. Read into the memory of a batch Recycle took back,
-// it allocates nothing at all.
+// size-class rounding included, on the benchmark's batch shape: 5
+// objects and 40 KB on imagenet. A section read into a heap object, the
+// value dictionary staged in slices of its own, or D′ unpacked anywhere
+// but the batch's own array breaks it. Read into the memory of a batch
+// Recycle took back, it allocates nothing at all.
 func TestDeserializeAllocBytes(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")

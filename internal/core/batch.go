@@ -41,8 +41,9 @@ func (v Variant) String() string {
 // tree, 16 bits a code when they fit, with its tuple starts and creation
 // bitmap (decodetree.go). It keeps no physical image: it knows the
 // image's length, which CompressedSize reports, and Serialize writes the
-// image, in the paper's numbering, on every call. A batch Deserialize made is the one exception: it aliases
-// the image it was read from.
+// image, which holds the same resident form, on every call. A batch
+// Deserialize made is the one exception: it aliases the image it was
+// read from.
 //
 // Invariants (checked by tests):
 //   - lossless: Decode() equals the compressed input exactly;
@@ -121,40 +122,37 @@ func (e *encoder) compress(m *matrix.Dense, v Variant) *Batch {
 	copy(col, e.pairs.col)
 	copy(starts, e.d.Starts)
 	I := firstLayer{col: col, val: exactCopy(e.pairs.val)}
-	b := new(Batch)
-	if err := newLogical(b, m.Rows(), m.Cols(), v, I, dTable{Nodes: e.d.Nodes, Starts: starts}, nil); err != nil {
+	b, err := newLogical(m.Rows(), m.Cols(), v, I, dTable{Nodes: e.d.Nodes, Starts: starts})
+	if err != nil {
 		panic("core: Algorithm 1 emitted an invalid (I, D): " + err.Error())
 	}
 	e.sizeImage(b)
 	return b
 }
 
-// liveScratch is the pooled working memory of one newLogical call.
+// liveScratch is the pooled working memory of one newLogical or
+// checkResident call.
 type liveScratch struct {
-	mark  []byte   // by node, paper's numbering: 1 iff D references it
+	mark  []byte   // by node: 1 iff D references it (checkResident: by live id)
 	remap []uint32 // by node, paper's numbering: its live id
 	at    []byte   // by D position: the mark of the node it created
 }
 
 var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 
-// newLogical is the one place a batch is made: it takes (I, D) as
-// Algorithm 1 emits them — from the encoder, or unpacked from an image,
-// which is then img — validates them and renumbers D into the resident
-// form of decodetree.go, which it writes to b. The batch keeps I's two
-// arrays and D.Starts; D.Nodes may be pooled scratch, which it does not
-// retain. D′ and the creation bitmap reuse b's arrays when they are
-// large enough (b is recycled memory; see Recycle). An image's length is
-// the batch's size; a batch made without one has its size set by the
-// caller. On an error b is left as it was.
-func newLogical(b *Batch, rows, cols int, v Variant, I firstLayer, D dTable, img []byte) error {
+// newLogical makes a batch from (I, D) as Algorithm 1 emits them: it
+// renumbers D into the resident form of decodetree.go and checks the
+// result as a read checks an image's (checkResident). The batch keeps
+// I's two arrays and D.Starts; D.Nodes is the encoder's pooled scratch,
+// which it does not retain. The caller sets the batch's size.
+func newLogical(rows, cols int, v Variant, I firstLayer, D dTable) (*Batch, error) {
 	sc := liveScratchPool.Get().(*liveScratch)
 	defer liveScratchPool.Put(sc)
-	if err := validateLogical(rows, I.len(), D, sc); err != nil {
-		return err
+	d := renumber(D, I.len(), sc)
+	if err := checkResident(I.len(), &d, sc); err != nil {
+		return nil, err
 	}
-	*b = Batch{rows: rows, cols: cols, variant: v, i: I, d: renumber(D, I.len(), sc, &b.d), size: len(img), img: img}
-	return nil
+	return &Batch{rows: rows, cols: cols, variant: v, i: I, d: d}, nil
 }
 
 // batchPool holds batches Recycle took back, each with its arrays
@@ -227,38 +225,38 @@ func fit[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// renumber returns D in resident form, given validateLogical's marks,
-// with D′ and the creation bitmap in spare's arrays when they fit. It
-// runs on every spilled read, so every loop over nodes or codes is flat
-// and branch-free — most nodes are dead and no predictor learns which,
-// and a loop per tuple mispredicts its exit once a tuple.
-func renumber(D dTable, lenI int, sc *liveScratch, spare *residentD) residentD {
+// renumber returns D in resident form: it marks the nodes D references
+// and numbers them in order. It runs once per Compress (an image holds
+// the resident form), and every loop over nodes or codes is flat and
+// branch-free — most nodes are dead and no predictor learns which, and a
+// loop per tuple mispredicts its exit once a tuple.
+func renumber(D dTable, lenI int, sc *liveScratch) residentD {
 	nodes, starts := D.Nodes, D.Starts
 	firstLayer := lenI + 1
-	mark := sc.mark
-	if cap(sc.remap) < len(mark) {
-		sc.remap = make([]uint32, len(mark))
+	size := treeSize(lenI, D)
+	if cap(sc.mark) < size || cap(sc.remap) < size {
+		sc.mark, sc.remap = make([]byte, size), make([]uint32, size)
 	}
-	remap := sc.remap[:len(mark)]
+	mark, remap := sc.mark[:size], sc.remap[:size]
+	clear(mark)
 	mark[0] = 1 // the root, so that every marked first-layer node keeps its number
-	marked := numberMarked(remap, mark)
-	top := len(mark) - 1 // the largest code: the last marked node, the root at worst
-	for mark[top] == 0 {
-		top--
+	for _, n := range nodes {
+		mark[n] = 1
 	}
-	d := residentD{starts: starts, top: uint32(top)}
+	marked := numberMarked(remap, mark)
+	d := residentD{starts: starts}
 	if marked <= 1<<16 { // live ids 0..marked-1
-		d.narrow = fit(spare.narrow, len(nodes))
+		d.narrow = make([]uint16, len(nodes))
 		translate(d.narrow, nodes, remap)
 	} else {
-		d.wide = fit(spare.wide, len(nodes))
+		d.wide = make([]uint32, len(nodes))
 		translate(d.wide, nodes, remap)
 	}
 
 	// The creation bitmap. A tuple's non-final positions created a run of
 	// consecutive nodes, so their marks move to position order a run at a
 	// time; a tuple's last position created nothing.
-	created := fit(spare.created, (len(nodes)+63)/64)
+	created := make([]uint64, (len(nodes)+63)/64)
 	if cap(sc.at) < 64*len(created) {
 		sc.at = make([]byte, 64*len(created))
 	}
@@ -276,10 +274,8 @@ func renumber(D dTable, lenI int, sc *liveScratch, spare *residentD) residentD {
 	return d
 }
 
-// numberMarked numbers the marked nodes in order, the unmarked ones
-// skipped: remap[k] is the number of marked nodes before k. An unmarked
-// node's entry is the number the next marked one gets, and nothing reads
-// it. It returns the number of marked nodes.
+// numberMarked sets remap[k] to the number of marked nodes before k
+// and returns the number marked.
 //
 //go:noinline
 func numberMarked(remap []uint32, mark []byte) int {
@@ -291,10 +287,9 @@ func numberMarked(remap []uint32, mark []byte) int {
 	return int(id)
 }
 
-// translate writes every code's entry in remap to dst. All of remap is
-// known by now, so a code that references the node its predecessor
-// created resolves like any other. It sits in a leaf function of its
-// own, where its counter stays in a register.
+// translate writes every code's entry in remap to dst. Like the other
+// leaf loops here, it keeps its counter in a register as a function of
+// its own.
 //
 //go:noinline
 func translate[N code](dst []N, nodes, remap []uint32) {

@@ -346,21 +346,19 @@ func TestDeserializeByteFlipsNeverPanic(t *testing.T) {
 }
 
 func TestValidateRejectsForwardReference(t *testing.T) {
-	// Hand-build an image whose D references a node that does not exist
-	// yet at replay time: I = [p], D = [[2]] — node 2 was never created
-	// (a single-element tuple creates nothing). The literal is only the
-	// image writer's input, in the paper's numbering; no constructor
-	// would make this batch.
-	b := &Batch{rows: 1, cols: 2, variant: SparseLogical,
-		i: splitI([]Pair{{0, 1}}),
-		d: residentD{starts: []uint32{0, 1}},
-	}
-	if _, err := Deserialize(paperImage(b, []uint32{2})); err == nil {
-		t.Fatal("forward node reference should be rejected")
-	}
-	// Node index 0 (the root) is never a valid code either.
-	if _, err := Deserialize(paperImage(b, []uint32{0})); err == nil {
-		t.Fatal("root code should be rejected")
+	// Hand-build an image whose D′ names a node that does not exist yet:
+	// I = [p], D′ = [[2]] — live node 2 was never created (a
+	// single-element tuple creates nothing, and the bitmap sets no bit).
+	// No constructor would make this batch.
+	I, starts := []Pair{{0, 1}}, []uint32{0, 1}
+	for _, v := range allVariants {
+		if _, err := Deserialize(handImage(v, 1, 2, I, []uint32{2}, []uint64{0}, starts)); err == nil {
+			t.Fatalf("%v: forward node reference should be rejected", v)
+		}
+		// Node index 0 (the root) is never a valid code either.
+		if _, err := Deserialize(handImage(v, 1, 2, I, []uint32{0}, []uint64{0}, starts)); err == nil {
+			t.Fatalf("%v: root code should be rejected", v)
+		}
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 // 250×180 batch |C'| = 8917 and 3402 nodes are ever referenced, on mnist
 // 18894 and 8211. A node nothing references decodes nothing, is read by
 // no kernel's D scan and carries an accumulated weight of exactly +0, so
-// a Batch does not keep the paper's numbering: newLogical (batch.go)
-// renumbers D onto the live nodes once, when the batch is made, and
-// every plan build and kernel after that runs on the compact tree.
+// a Batch does not keep the paper's numbering: Compress renumbers D onto
+// the live nodes once (newLogical, batch.go), the image stores the
+// result, and every plan build and kernel after that runs on the
+// compact tree.
 //
 //   - A node is live iff D references it. That is the whole liveness
 //     computation: the node created at D position q has parent D[q], so
@@ -36,24 +37,22 @@ import (
 //     1<<16 nodes, so that every live id is below 65536, and 32 bits
 //     (d.wide) otherwise. Every benchmark batch is narrow: the largest
 //     live tree, seed 1, is 3516 nodes over the 800 imagenet batches and
-//     8359 over the 80 mnist ones. Each scan of
-//     D′ — the four kernels' (mulVecRows, vecMulRows, mulMatRows,
-//     matMulRows), the build's (addLive), Decode's (decodeRows) and the
-//     inverse map's (paperNodes), and translate, which writes it — is one
-//     generic body over code, and its one caller picks the instantiation.
+//     8359 over the 80 mnist ones. Each scan of D′ — the four kernels',
+//     the build's (addLive), Decode's, translate, which writes it, and
+//     the image's writer and checker (putPacked, checkCodes) — is one
+//     generic body over code, and its one caller picks the
+//     instantiation.
 //   - d.created is a bitmap over D positions: bit q is set iff the node
 //     position q created is live (only a non-final position of a tuple
 //     creates one). d.live is its population count. With D′ it is all
-//     the build needs, and its replay (liveToPaper) is also the inverse
-//     map back to the paper's numbering, which the image is written in.
-//   - That is all a resident batch holds besides I and the tuple starts.
-//     The paper-numbered D that Algorithm 1 emits, or an image holds,
-//     stays in pooled scratch. Deserialize unpacks an image's codes
-//     there in one bulk call; replay (physical.go) then checks every code
-//     against the Algorithm-2 replay and marks the node it references in
-//     one pass, and numberMarked and translate turn the marks into D′. The
-//     physical image is not kept: Serialize writes it from (I, D′)
-//     through the inverse map on every call (physical.go).
+//     the build needs.
+//   - That is all a resident batch holds besides I and the tuple starts,
+//     and the image holds the same (physical.go). The paper-numbered D
+//     that Algorithm 1 emits stays in the encoder's pooled scratch until
+//     renumber turns it into D′, once per Compress. Deserialize unpacks
+//     an image's D′ and bitmap straight into the batch, and one pass
+//     (checkCodes) checks every code against |I| plus the running count
+//     of the bitmap and marks the live node it names.
 //   - I is two arrays, its columns and its values, 12 bytes a pair where
 //     a []Pair spends 16, and the columns share one allocation with the
 //     tuple starts. On the benchmark's 250-row batches a resident batch
@@ -110,11 +109,10 @@ func (t *DecodeTree) Seq(I []Pair, idx uint32) []Pair {
 // dTable is the flattened encoded table D as Algorithm 1 emits it, in the
 // paper's numbering: Nodes holds every tuple's node indexes
 // concatenated, Starts[i] is the offset of tuple i (len rows+1, with
-// Starts[rows] == len(Nodes)). This is also the physical layout of D in
-// Figure 3 ("tree node indexes" + "tuple start indexes"). Nodes lives in
-// the pooled encoder — Algorithm 1 writes it there and Deserialize
-// unpacks an image's codes there — only until it is validated and
-// renumbered into a residentD, which keeps Starts.
+// Starts[rows] == len(Nodes)). Figure 3 stores D this way ("tree node
+// indexes" + "tuple start indexes"); the image stores D′ (physical.go).
+// Nodes lives in the pooled encoder, where Algorithm 1 writes it, only
+// until renumber turns it into a residentD, which keeps Starts.
 type dTable struct {
 	Nodes  []uint32
 	Starts []uint32
@@ -138,7 +136,6 @@ type residentD struct {
 	starts  []uint32 // as in dTable
 	created []uint64 // bit q: the node D position q created is live
 	live    int      // live deep nodes, the population count of created
-	top     uint32   // the largest code of D in the paper's numbering
 }
 
 // isWide reports whether D′ holds 32-bit codes.
@@ -146,46 +143,6 @@ func (d *residentD) isWide() bool { return d.wide != nil }
 
 // len returns |D|, the number of codes.
 func (d *residentD) len() int { return len(d.narrow) + len(d.wide) }
-
-// liveToPaper fills inv, of length 1+|I|+live, with the paper's number
-// of every live id: first-layer nodes keep theirs, and the j-th set bit
-// of the creation bitmap, at D position q, is live deep node j, which was
-// paper node firstLayer+q-(tuple ends before q). ends, as long as
-// created, is scratch for the bitmap of tuple ends, so each number is a
-// population count, and the pass over the set bits has no branch but its
-// own.
-func liveToPaper(inv []uint32, ends []uint64, starts []uint32, created []uint64, firstLayer int) {
-	for k := range inv[:firstLayer] {
-		inv[k] = uint32(k)
-	}
-	ends = ends[:len(created)]
-	clear(ends)
-	for r := 1; r < len(starts); r++ {
-		if lo, hi := starts[r-1], starts[r]; lo < hi {
-			ends[(hi-1)>>6] |= 1 << ((hi - 1) & 63)
-		}
-	}
-	idx, base := firstLayer, firstLayer // base: firstLayer less the tuple ends before word wi
-	for wi, w := range created {
-		e := ends[wi]
-		for ; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			inv[idx] = uint32(base + wi<<6 + b - bits.OnesCount64(e&(1<<b-1)))
-			idx++
-		}
-		base -= bits.OnesCount64(e)
-	}
-}
-
-// paperNodes writes D′ back in the paper's numbering — the one Algorithm
-// 1 emitted and the image stores — into dst, in one flat pass: code n is
-// paper node inv[n].
-func paperNodes[N code](dst []uint32, nodes []N, inv []uint32) {
-	dst = dst[:len(nodes)]
-	for k, n := range nodes {
-		dst[k] = inv[n]
-	}
-}
 
 // treeArena is the reusable backing memory of one decode tree: Parent,
 // KeyIdx and the build's F scratch, carved from a single uint32 slab that

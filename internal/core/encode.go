@@ -210,20 +210,15 @@ type encoder struct {
 	ids    []uint32   // first-layer node of every non-zero, tuples concatenated
 	tuples []uint32   // tuples[r]: offset of tuple r in ids; one final entry = len(ids)
 	nz     []Pair     // addDense: one row's non-zeros
-	d      dTable     // D, flat; Deserialize unpacks an image's codes here too
+	d      dTable     // D, flat
 
 	// Staging for the physical layer (physical.go): the largest of I's
-	// columns, the value dictionary of I's values, one dictionary index
-	// per pair, and a resident D's way back to the paper's numbering —
-	// every live id's paper number, the bitmap of tuple ends it is
-	// counted from, and D in it.
+	// columns, the value dictionary of I's values and one dictionary
+	// index per pair.
 	colTop uint32
 	dict   internTable
 	vals   []float64
 	occ    []uint32
-	inv    []uint32
-	ends   []uint64
-	paper  []uint32
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}

@@ -53,7 +53,7 @@ func FuzzDeserialize(f *testing.F) {
 	}
 	// A 1×1 header naming variant 2, the sparse encoding alone, which
 	// this package no longer has (formats' TOC_SPARSE is CSR).
-	f.Add([]byte("TOCB\x01\x02\x01\x00\x00\x00\x01\x00\x00\x00"))
+	f.Add([]byte("TOCB\x02\x02\x01\x00\x00\x00\x01\x00\x00\x00"))
 
 	// The batch whose recycled memory every input is read into a second
 	// time: larger than the small seeds, smaller than the boundary ones.
@@ -136,10 +136,10 @@ func FuzzDeserialize(f *testing.F) {
 	})
 }
 
-// imageD reads D in the paper's numbering out of an image of variant v
-// and rows tuples, by a path of its own: bitpack's reader and whole-array
-// unpack for a Full image, which skip I's sections, and a byte-by-byte
-// read for a SparseLogical one.
+// imageD reads D out of an image of variant v and rows tuples, by a path
+// of its own — bitpack's reader and whole-array unpack for a Full image,
+// which skip I's sections, and a byte-by-byte read for a SparseLogical
+// one — and returns it in the paper's numbering (paperOf).
 func imageD(img []byte, v Variant, rows int) (dTable, error) {
 	buf := img[headerSize:]
 	if v == SparseLogical {
@@ -147,27 +147,63 @@ func imageD(img []byte, v Variant, rows int) (dTable, error) {
 		buf = buf[4+12*lenI:]
 		lenD := int(binary.LittleEndian.Uint32(buf))
 		buf = buf[4:]
-		raw := make([]uint32, lenD+rows+1)
-		for k := range raw {
-			raw[k] = binary.LittleEndian.Uint32(buf[4*k:])
+		codes := make([]uint32, lenD)
+		for k := range codes {
+			codes[k] = binary.LittleEndian.Uint32(buf[4*k:])
 		}
-		return dTable{Nodes: raw[:lenD], Starts: raw[lenD:]}, nil
+		bitmap := buf[4*lenD : 4*lenD+(lenD+7)/8]
+		buf = buf[4*lenD+(lenD+7)/8:]
+		starts := make([]uint32, rows+1)
+		for k := range starts {
+			starts[k] = binary.LittleEndian.Uint32(buf[4*k:])
+		}
+		return paperOf(lenI, codes, bitmap, starts), nil
 	}
 	// A Full image's packed sections are I's columns, the values'
-	// dictionary indexes, D's codes and the starts; the value dictionary
-	// (a count, then 8 bytes a value) follows the first.
+	// dictionary indexes, D′ and the starts; the value dictionary (a
+	// count, then 8 bytes a value) follows the first, and the creation
+	// bitmap (a byte for every 8 codes) the third.
 	var sections []bitpack.Array
+	var bitmap []byte
 	for len(sections) < 4 {
 		a, rest, err := bitpack.ReadArray(buf)
 		if err != nil {
 			return dTable{}, err
 		}
 		sections, buf = append(sections, a), rest
-		if len(sections) == 1 {
+		switch len(sections) {
+		case 1:
 			buf = buf[4+8*int(binary.LittleEndian.Uint32(buf)):]
+		case 3:
+			bitmap, buf = buf[:(a.Len()+7)/8], buf[(a.Len()+7)/8:]
 		}
 	}
-	return dTable{Nodes: sections[2].Unpack(), Starts: sections[3].Unpack()}, nil
+	return paperOf(sections[0].Len(), sections[2].Unpack(), bitmap, sections[3].Unpack()), nil
+}
+
+// paperOf maps an image's D′ back to the paper's numbering by replaying
+// Algorithm 1's node creation position by position: the node a tuple's
+// non-final position creates is the next paper number from |I|+1, and
+// the next live id too when its bit in the image's bitmap is set.
+func paperOf(lenI int, codes []uint32, bitmap []byte, starts []uint32) dTable {
+	paper := make([]uint32, lenI+1)
+	for k := range paper {
+		paper[k] = uint32(k)
+	}
+	next := uint32(lenI) + 1
+	for r := 0; r+1 < len(starts); r++ {
+		for q := starts[r]; q+1 < starts[r+1]; q++ {
+			if bitmap[q/8]>>(q%8)&1 != 0 {
+				paper = append(paper, next)
+			}
+			next++
+		}
+	}
+	nodes := make([]uint32, len(codes))
+	for k, n := range codes {
+		nodes[k] = paper[n]
+	}
+	return dTable{Nodes: nodes, Starts: starts}
 }
 
 // corpusImage reads the []byte value of a committed corpus entry,

@@ -204,11 +204,8 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 // with G exactly 0, and v·A and M·A would turn it into Inf·0 = NaN in a
 // column the decoded matrix has only zeros in.
 func unreferencedFirstLayerImage() []byte {
-	b := &Batch{rows: 2, cols: 3, variant: SparseLogical,
-		i: splitI([]Pair{{0, 2.5}, {1, math.Inf(1)}, {2, 0.5}}),
-		d: residentD{starts: []uint32{0, 2, 3}},
-	}
-	return paperImage(b, []uint32{1, 3, 1})
+	I := []Pair{{0, 2.5}, {1, math.Inf(1)}, {2, 0.5}}
+	return handImage(SparseLogical, 2, 3, I, []uint32{1, 3, 1}, []uint64{0}, []uint32{0, 2, 3})
 }
 
 // Algorithms 5 and 8 as written add key.Val·G for every node of C', so a

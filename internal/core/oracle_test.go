@@ -80,8 +80,8 @@ type logicalCase struct {
 // them through the one constructor.
 func newLogicalCase(t testing.TB, tag string, rows, cols int, v Variant, I []Pair, D [][]uint32) logicalCase {
 	t.Helper()
-	b := new(Batch)
-	if err := newLogical(b, rows, cols, v, splitI(I), flattenD(D), nil); err != nil {
+	b, err := newLogical(rows, cols, v, splitI(I), flattenD(D))
+	if err != nil {
 		t.Fatalf("%s: encoder output rejected: %v", tag, err)
 	}
 	new(encoder).sizeImage(b)
@@ -118,13 +118,76 @@ func written(b *Batch) []byte {
 // paperCodes is D′ mapped back to the paper's numbering through the
 // inverse map.
 func paperCodes(b *Batch) []uint32 {
-	return new(encoder).paperD(b)
+	d := &b.d
+	inv := make([]uint32, 1+b.i.len()+d.live)
+	liveToPaper(inv, make([]uint64, len(d.created)), d.starts, d.created, b.i.len()+1)
+	out := make([]uint32, d.len())
+	if d.isWide() {
+		paperNodes(out, d.wide, inv)
+	} else {
+		paperNodes(out, d.narrow, inv)
+	}
+	return out
 }
 
-// paperImage writes the image of b's first layer and tuple starts with
-// nodes, in the paper's numbering, as its codes: any D, valid or not.
-func paperImage(b *Batch, nodes []uint32) []byte {
-	return new(encoder).image(b, nodes, maxOf(nodes))
+// liveToPaper fills inv, of length 1+|I|+live, with the paper's number
+// of every live id: first-layer nodes keep theirs, and the j-th set bit
+// of the creation bitmap, at D position q, is live deep node j, which was
+// paper node firstLayer+q-(tuple ends before q). ends, as long as
+// created, is scratch for the bitmap of tuple ends, so each number is a
+// population count.
+func liveToPaper(inv []uint32, ends []uint64, starts []uint32, created []uint64, firstLayer int) {
+	for k := range inv[:firstLayer] {
+		inv[k] = uint32(k)
+	}
+	ends = ends[:len(created)]
+	clear(ends)
+	for r := 1; r < len(starts); r++ {
+		if lo, hi := starts[r-1], starts[r]; lo < hi {
+			ends[(hi-1)>>6] |= 1 << ((hi - 1) & 63)
+		}
+	}
+	idx, base := firstLayer, firstLayer // base: firstLayer less the tuple ends before word wi
+	for wi, w := range created {
+		e := ends[wi]
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			inv[idx] = uint32(base + wi<<6 + b - bits.OnesCount64(e&(1<<b-1)))
+			idx++
+		}
+		base -= bits.OnesCount64(e)
+	}
+}
+
+// paperNodes writes D′ back in the paper's numbering, the one Algorithm
+// 1 emitted, into dst: code n is paper node inv[n].
+func paperNodes[N code](dst []uint32, nodes []N, inv []uint32) {
+	dst = dst[:len(nodes)]
+	for k, n := range nodes {
+		dst[k] = inv[n]
+	}
+}
+
+// handImage writes the image of variant v of a batch given in resident
+// form — I, D′, the creation bitmap and the tuple starts — whatever it
+// holds: the writer copies the arrays as they are, so an invalid D′
+// gives an invalid image. D′ is held 16 bits a code when every code
+// fits, and a Full image packs it at the width of |I| plus the bitmap's
+// population, which must hold every code.
+func handImage(v Variant, rows, cols int, I []Pair, codes []uint32, created []uint64, starts []uint32) []byte {
+	b := &Batch{rows: rows, cols: cols, variant: v, i: splitI(I), d: residentD{starts: starts, created: created}}
+	for _, w := range created {
+		b.d.live += bits.OnesCount64(w)
+	}
+	if maxOf(codes) < 1<<16 {
+		b.d.narrow = make([]uint16, len(codes))
+		for k, n := range codes {
+			b.d.narrow[k] = uint16(n)
+		}
+	} else {
+		b.d.wide = codes
+	}
+	return new(encoder).image(b)
 }
 
 // maxOf returns the largest of vals, zero for none.
@@ -196,10 +259,10 @@ func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 // numbering covers exactly the nodes D reaches by parent walks, in
 // order; D maps back to paper position by position; the live-only tree
 // is the oracle's restricted to those nodes; Decode gives the oracle's
-// sequences; the image written through the inverse map is the one
-// Algorithm 1's D gives and the batch's own; and the image round-trips
-// byte for byte, with CompressedSize its length, from the batch and from
-// a scaled one.
+// sequences; the image written from the resident form is the one the
+// oracle writes from Algorithm 1's D; and the image round-trips byte for
+// byte, with CompressedSize its length, from the batch and from a scaled
+// one.
 func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	t.Helper()
 	ids := paperIDs(t, tag, b)
@@ -258,19 +321,16 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 		t.Fatalf("%s: Decode differs from the oracle", tag)
 	}
 
-	// The image written through the inverse map is the one written from
-	// Algorithm 1's D: the canonical image of (I, D), which a batch that
-	// keeps no image serializes to. One Deserialize made returns the bytes
-	// it was read from, which may be any image of the same (I, D) (readFull
-	// states the accepted language): the canonical bytes, or others no
-	// shorter that read back as the same batch. (Scale itself may change a
-	// NaN's bits.)
-	if b.d.top != maxOf(paper.Nodes) {
-		t.Fatalf("%s: the resident D's largest code is %d, Algorithm 1's %d", tag, b.d.top, maxOf(paper.Nodes))
-	}
+	// The image written from the resident form is the one the oracle
+	// writes from Algorithm 1's D: the canonical image of (I, D), which a
+	// batch that keeps no image serializes to. One Deserialize made
+	// returns the bytes it was read from, which may be any image of the
+	// same (I, D) (readFull states the accepted language): the canonical
+	// bytes, or others no shorter that read back as the same batch.
+	// (Scale itself may change a NaN's bits.)
 	canon := written(b)
-	if want := paperImage(b, paper.Nodes); !bytes.Equal(canon, want) {
-		t.Fatalf("%s: the image written through the inverse map differs from Algorithm 1's", tag)
+	if want := oracleImage(b, paper); !bytes.Equal(canon, want) {
+		t.Fatalf("%s: the image written from the resident form differs from the oracle's", tag)
 	}
 	scaled := b.Scale(2)
 	imgs := []struct {
@@ -285,7 +345,7 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	}
 	switch {
 	case b.img == nil && !bytes.Equal(canon, imgs[0].img):
-		t.Fatalf("%s: the image written through the inverse map differs from the batch's", tag)
+		t.Fatalf("%s: the image written from the resident form differs from the batch's", tag)
 	case b.img != nil && &imgs[0].img[0] != &b.img[0]:
 		t.Fatalf("%s: a deserialized batch does not return the image it was read from", tag)
 	case b.img != nil && !bytes.Equal(canon, b.img):
@@ -302,7 +362,7 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 		}
 		if back.d.isWide() != b.d.isWide() || !slices.Equal(residentCodes(back), residentCodes(b)) ||
 			!slices.Equal(back.d.starts, b.d.starts) || !slices.Equal(back.d.created, b.d.created) ||
-			back.d.live != b.d.live || back.d.top != b.d.top {
+			back.d.live != b.d.live {
 			t.Fatalf("%s: the %s deserializes to another resident D", tag, c.name)
 		}
 		if !slices.Equal(back.i.col, c.of.i.col) || !bitsEqual(back.i.val, c.of.i.val) {
@@ -528,10 +588,11 @@ func TestKernelPlanReleaseLifecycle(t *testing.T) {
 // The encode-side oracle: Algorithm 1 exactly as the paper writes it — an
 // encoding tree C with AddNode and GetIndex over one Go map from (parent
 // index, child key) to child index, LongestMatchFromTree probing it from
-// the root for every element — and Figure 3's physical layout written
-// through bitpack.Pack and a float-keyed dictionary. It is what Compress
-// ran before the pooled open-addressed encoder; the encoder must
-// reproduce its I, D and image bytes.
+// the root for every element — and the image layout of physical.go
+// written through bitpack.Pack and a dictionary keyed on a value's bits,
+// with D renumbered onto its referenced nodes by maps (oracleResident). It is
+// what Compress ran before the pooled open-addressed encoder; the encoder
+// must reproduce its I, D and image bytes.
 
 type oracleChildKey struct {
 	parent uint32
@@ -619,31 +680,88 @@ func flattenD(D [][]uint32) dTable {
 	return d
 }
 
-// oracleFullImage is the Full image of b with D's node indexes given in
-// the paper's numbering.
-func oracleFullImage(b *Batch, nodes []uint32) []byte {
+// oracleResident renumbers paper, D in the paper's numbering, onto the
+// nodes it references the plain way: the referenced nodes, numbered in
+// ascending order from 1, and the creation bitmap bit by bit — bit q of
+// byte q/8 is set iff the node position q created is referenced, the
+// paper numbering the node a tuple's non-final position creates in
+// order from |I|+1.
+func oracleResident(lenI int, paper dTable) (codes []uint32, bitmap []byte) {
+	referenced := map[uint32]bool{}
+	top := uint32(0)
+	for _, n := range paper.Nodes {
+		referenced[n] = true
+		top = max(top, n)
+	}
+	id := map[uint32]uint32{}
+	for n := uint32(1); n <= top; n++ {
+		if referenced[n] {
+			id[n] = uint32(len(id)) + 1
+		}
+	}
+	codes = make([]uint32, len(paper.Nodes))
+	for k, n := range paper.Nodes {
+		codes[k] = id[n]
+	}
+	bitmap = make([]byte, (len(paper.Nodes)+7)/8)
+	next := uint32(lenI) + 1
+	for r := 0; r < paper.rows(); r++ {
+		for q := paper.Starts[r]; q+1 < paper.Starts[r+1]; q++ {
+			if referenced[next] {
+				bitmap[q/8] |= 1 << (q % 8)
+			}
+			next++
+		}
+	}
+	return codes, bitmap
+}
+
+// oracleImage is the image of b's variant, first layer and tuple starts
+// with D given in the paper's numbering, written by its own path:
+// oracleResident's D′ and bitmap, the Full sections through bitpack.Pack
+// and a first-appearance dictionary keyed on a value's bits, the
+// SparseLogical ones appended value by value.
+func oracleImage(b *Batch, paper dTable) []byte {
+	codes, bitmap := oracleResident(b.i.len(), paper)
+	out := make([]byte, headerSize)
+	b.putHeader(out)
+	le := binary.LittleEndian
+	if b.variant == SparseLogical {
+		out = le.AppendUint32(out, uint32(b.i.len()))
+		for k, v := range b.i.val {
+			out = le.AppendUint64(le.AppendUint32(out, b.i.col[k]), math.Float64bits(v))
+		}
+		out = le.AppendUint32(out, uint32(len(codes)))
+		for _, n := range codes {
+			out = le.AppendUint32(out, n)
+		}
+		out = append(out, bitmap...)
+		for _, s := range paper.Starts {
+			out = le.AppendUint32(out, s)
+		}
+		return out
+	}
 	occ := make([]uint32, b.i.len())
 	var dict []float64
-	lookup := map[float64]uint32{}
+	lookup := map[uint64]uint32{}
 	for k, v := range b.i.val {
-		idx, ok := lookup[v]
+		idx, ok := lookup[math.Float64bits(v)]
 		if !ok {
 			idx = uint32(len(dict))
 			dict = append(dict, v)
-			lookup[v] = idx
+			lookup[math.Float64bits(v)] = idx
 		}
 		occ[k] = idx
 	}
-	out := make([]byte, headerSize)
-	b.putHeader(out)
-	out = bitpack.Pack(b.i.col).AppendTo(out)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(dict)))
+	out = bitpack.Pack(b.i.col[:b.i.len()]).AppendTo(out)
+	out = le.AppendUint32(out, uint32(len(dict)))
 	for _, v := range dict {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		out = le.AppendUint64(out, math.Float64bits(v))
 	}
 	out = bitpack.Pack(occ).AppendTo(out)
-	out = bitpack.Pack(nodes).AppendTo(out)
-	return bitpack.Pack(b.d.starts).AppendTo(out)
+	out = bitpack.Pack(codes).AppendTo(out)
+	out = append(out, bitmap...)
+	return bitpack.Pack(paper.Starts).AppendTo(out)
 }
 
 // checkAgainstMapOracle encodes the sparse table both ways and compares
@@ -660,19 +778,15 @@ func checkAgainstMapOracle(t *testing.T, tag string, cols int, rows []SparseRow,
 		t.Fatalf("%s: D differs from the map oracle:\n got %v\nwant %v", tag, D, wantD)
 	}
 	want := newLogicalCase(t, tag, len(rows), cols, Full, wantI, wantD)
-	wantImg := oracleFullImage(want.b, want.paper.Nodes)
+	wantImg := oracleImage(want.b, want.paper)
 	if got == nil {
 		got = newLogicalCase(t, tag, len(rows), cols, Full, I, D).b
 	}
 	// The batch keeps D in live numbering; the inverse map reads it back
 	// as Algorithm 1 emitted it.
-	gotNodes := paperCodes(got)
-	if !reflect.DeepEqual(got.i.pairs(), wantI) || !slices.Equal(gotNodes, want.paper.Nodes) ||
+	if !reflect.DeepEqual(got.i.pairs(), wantI) || !slices.Equal(paperCodes(got), want.paper.Nodes) ||
 		!slices.Equal(got.d.starts, want.paper.Starts) {
 		t.Fatalf("%s: the batch's (I, D) differs from the map oracle", tag)
-	}
-	if img := paperImage(got, gotNodes); !bytes.Equal(img, wantImg) {
-		t.Fatalf("%s: image is %d bytes, differs from the map oracle's %d", tag, len(img), len(wantImg))
 	}
 	if !bytes.Equal(got.Serialize(), wantImg) || got.CompressedSize() != len(wantImg) {
 		t.Fatalf("%s: Serialize() differs from the map oracle, or CompressedSize from its length", tag)

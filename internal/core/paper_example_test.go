@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -208,14 +209,22 @@ func TestDecodeTreeSequences(t *testing.T) {
 func TestFigure3PhysicalSections(t *testing.T) {
 	b := Compress(figure3Input())
 
-	// The image holds the paper's D; the batch reads it back through the
-	// inverse map and keeps it renumbered onto the live nodes (8 → 7),
-	// 16 bits a code.
+	// The batch keeps D renumbered onto the live nodes (8 → 7), 16 bits a
+	// code, and the image holds the same D′ with the creation bitmap of
+	// the two live nodes created, at positions 0 and 2; the inverse map
+	// gives back Figure 3's D.
 	if got := paperCodes(b); !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 6, 3, 5, 8, 6}) {
 		t.Errorf("concatenated node indexes = %v", got)
 	}
 	if got := b.d.narrow; !reflect.DeepEqual(got, []uint16{1, 2, 3, 4, 6, 3, 5, 7, 6}) {
 		t.Errorf("resident node indexes = %v", got)
+	}
+	paper, err := imageD(b.Serialize(), Full, b.rows)
+	if err != nil || !reflect.DeepEqual(paper.Nodes, []uint32{1, 2, 3, 4, 6, 3, 5, 8, 6}) {
+		t.Errorf("the image's D maps back to %v (%v)", paper.Nodes, err)
+	}
+	if want := []byte{1, 2, 3, 4, 6, 3, 5, 7, 6, 0b101, 0}; !bytes.Contains(b.Serialize(), want) {
+		t.Errorf("the image does not hold D′ and its bitmap %v", want)
 	}
 	// Figure 3 shows starts 0,4,6,8; our layout appends the total (9) as a
 	// sentinel in place of a separate element count.

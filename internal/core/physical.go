@@ -1,30 +1,38 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"toc/internal/bitpack"
 )
 
-// Physical encoding (§3.2): the logical outputs I and D are serialized to
+// Physical encoding (§3.2): the logical outputs are serialized to
 // bytes. For the Full variant, integer arrays (column indexes of I, value
-// indexes, tree-node indexes of D, tuple start indexes) are bit packed and
-// the float values of I are value-indexed, exactly as in Figure 3. The
-// SparseLogical ablation variant stores the same information raw.
+// indexes, the codes of D′, tuple start indexes) are bit packed and the
+// float values of I are value-indexed, as in Figure 3. The SparseLogical
+// ablation variant stores the same information raw.
+//
+// Unlike Figure 3, the image holds D in resident form (decodetree.go):
+// D′ in live ids, then the creation bitmap, bit q of byte q/8 set iff
+// position q created a live node. An image of the paper-numbered D cost
+// every read a renumbering and every write the inverse map; the bitmap
+// costs |D|/8 bytes, less what narrower codes save (README).
 //
 // Image layout (little-endian):
 //
-//	header: "TOCB" | version=1 | variant | rows u32 | cols u32
+//	header: "TOCB" | version=2 | variant | rows u32 | cols u32
 //	Full:          bitpack(I.cols) | valueindex(I.vals) |
-//	               bitpack(D.nodes) | bitpack(D.starts)
-//	SparseLogical: u32 |I|, raw (u32 col, f64 val)... |
-//	               u32 |D.nodes|, raw u32... | raw u32 starts[rows+1]
+//	               bitpack(D′) | created[⌈|D|/8⌉] | bitpack(D.starts)
+//	SparseLogical: u32 |I|, raw (u32 col, f64 val)... | u32 |D|,
+//	               raw u32 D′... | created[⌈|D|/8⌉] | raw u32 starts[rows+1]
 
 const (
 	imageMagic   = "TOCB"
-	imageVersion = 1
+	imageVersion = 2
 	headerSize   = 4 + 1 + 1 + 4 + 4
 )
 
@@ -33,53 +41,34 @@ const packedHeader = 5
 
 // Serialize returns the physical byte image of the batch. A batch
 // Deserialize made returns the image it was read from. Any other batch
-// keeps none and writes it here, on every call, from (I, D′): D goes
-// back to the paper's numbering through the inverse map, so the image is
-// the one Compress would have written for the same (I, D). It is not
-// cached — a cache would put the image of every batch Serialize ever
-// saw, resident ones included, back in RAM.
+// keeps none and writes it here, on every call, from its resident form,
+// which the image holds as it is. It is not cached — a cache would put
+// the image of every batch Serialize ever saw, resident ones included,
+// back in RAM.
 func (b *Batch) Serialize() []byte {
 	if b.img != nil {
 		return b.img
 	}
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
-	return e.image(b, e.paperD(b), b.d.top)
+	return e.image(b)
 }
 
-// paperD returns b's D in the paper's numbering, in the encoder's staging
-// memory.
-func (e *encoder) paperD(b *Batch) []uint32 {
-	d := &b.d
-	e.inv, e.paper = grow(e.inv, 1+b.i.len()+d.live), grow(e.paper, d.len())
-	if cap(e.ends) < len(d.created) {
-		e.ends = make([]uint64, len(d.created))
-	}
-	liveToPaper(e.inv, e.ends, d.starts, d.created, b.i.len()+1)
-	if d.isWide() {
-		paperNodes(e.paper, d.wide, e.inv)
-	} else {
-		paperNodes(e.paper, d.narrow, e.inv)
-	}
-	return e.paper
-}
-
-// image serializes b in one exactly-sized allocation, with nodes, the
-// largest of which is top, as D's codes in the paper's numbering. Every
-// section's length follows from counts known up front (fullSize,
+// image serializes b in one exactly-sized allocation. Every section's
+// length follows from counts known up front (fullSize,
 // sparseLogicalSize), and every section is written in bulk.
 //
-// The Full image is Figure 3's physical encoding: I's column indexes bit
-// packed, I's values value-indexed (§3.2: the unique values once, in
-// first-appearance order, then a bit-packed dictionary index per pair),
-// D's node indexes and tuple starts bit packed. The bytes are exactly
-// what the map oracle writes with bitpack.Pack and a first-appearance
-// dictionary (TestEncoderMatchesMapOracle), and readFull reads them back.
-func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
+// The Full image's first layer is value-indexed as in §3.2: the unique
+// values once, in first-appearance order, then a bit-packed dictionary
+// index per pair. The bytes are exactly what the map oracle writes with
+// bitpack.Pack and a first-appearance dictionary
+// (TestEncoderMatchesMapOracle), and readFull reads them back.
+func (e *encoder) image(b *Batch) []byte {
+	d, top := &b.d, uint32(b.i.len()+b.d.live) // the largest code: every live id is named
 	switch b.variant {
 	case Full:
 		e.valueIndex(b.i, b.distinct == b.i.len())
-		out := make([]byte, fullSize(b.rows, b.i.len(), e.colTop, len(e.vals), len(nodes), top))
+		out := make([]byte, fullSize(b.rows, b.i.len(), e.colTop, len(e.vals), d.len(), top))
 		off := b.putHeader(out)
 		off += putPacked(out[off:], b.i.col, e.colTop)
 		binary.LittleEndian.PutUint32(out[off:], uint32(len(e.vals)))
@@ -89,11 +78,16 @@ func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 			off += 8
 		}
 		off += putPacked(out[off:], e.occ, occTop(len(e.vals)))
-		off += putPacked(out[off:], nodes, top)
-		putPacked(out[off:], b.d.starts, uint32(len(nodes)))
+		if d.isWide() {
+			off += putPacked(out[off:], d.wide, top)
+		} else {
+			off += putPacked(out[off:], d.narrow, top)
+		}
+		off += putBitmap(out[off:], d.created, d.len())
+		putPacked(out[off:], d.starts, uint32(d.len()))
 		return out
 	case SparseLogical:
-		out := make([]byte, sparseLogicalSize(b.rows, b.i.len(), len(nodes)))
+		out := make([]byte, sparseLogicalSize(b.rows, b.i.len(), d.len()))
 		off := b.putHeader(out)
 		binary.LittleEndian.PutUint32(out[off:], uint32(b.i.len()))
 		off += 4
@@ -103,10 +97,15 @@ func (e *encoder) image(b *Batch, nodes []uint32, top uint32) []byte {
 			binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(v))
 			off += 12
 		}
-		binary.LittleEndian.PutUint32(out[off:], uint32(len(nodes)))
+		binary.LittleEndian.PutUint32(out[off:], uint32(d.len()))
 		off += 4
-		off += putU32s(out[off:], nodes)
-		putU32s(out[off:], b.d.starts)
+		if d.isWide() {
+			off += putU32s(out[off:], d.wide)
+		} else {
+			off += putU32s(out[off:], d.narrow)
+		}
+		off += putBitmap(out[off:], d.created, d.len())
+		putU32s(out[off:], d.starts)
 		return out
 	}
 	out := make([]byte, headerSize)
@@ -124,7 +123,7 @@ func (e *encoder) valueIndex(I firstLayer, allDistinct bool) {
 	if !allDistinct {
 		e.dict.reset(I.len())
 	}
-	e.occ = grow(e.occ, I.len())
+	e.occ = fit(e.occ, I.len())
 	col, val := I.arrays()
 	occ, vals := e.occ, e.vals[:0]
 	var colTop uint32
@@ -151,7 +150,7 @@ func (e *encoder) sizeImage(b *Batch) {
 	case Full:
 		e.valueIndex(b.i, false)
 		b.distinct = len(e.vals)
-		b.size = fullSize(b.rows, b.i.len(), e.colTop, b.distinct, b.d.len(), b.d.top)
+		b.size = fullSize(b.rows, b.i.len(), e.colTop, b.distinct, b.d.len(), uint32(b.i.len()+b.d.live))
 	case SparseLogical:
 		b.size = sparseLogicalSize(b.rows, b.i.len(), b.d.len())
 	default:
@@ -162,11 +161,11 @@ func (e *encoder) sizeImage(b *Batch) {
 // fullSize is the length of a Full image with lenI first-layer pairs of
 // distinct values, the largest column index colTop, lenD codes the
 // largest of which is top, and rows tuples: the header, I's columns,
-// the value dictionary and each pair's index into it, D's codes and the
-// tuple starts.
+// the value dictionary and each pair's index into it, D′'s codes, the
+// creation bitmap and the tuple starts.
 func fullSize(rows, lenI int, colTop uint32, distinct, lenD int, top uint32) int {
 	return headerSize + packedSize(lenI, colTop) + 4 + 8*distinct + packedSize(lenI, occTop(distinct)) +
-		packedSize(lenD, top) + packedSize(rows+1, uint32(lenD))
+		packedSize(lenD, top) + bitmapSize(lenD) + packedSize(rows+1, uint32(lenD))
 }
 
 // occTop is the largest dictionary index of a dictionary of distinct
@@ -175,8 +174,11 @@ func occTop(distinct int) uint32 { return uint32(max(distinct, 1) - 1) }
 
 // sparseLogicalSize is the length of a SparseLogical image.
 func sparseLogicalSize(rows, lenI, lenD int) int {
-	return headerSize + 4 + 12*lenI + 4 + 4*lenD + 4*(rows+1)
+	return headerSize + 4 + 12*lenI + 4 + 4*lenD + bitmapSize(lenD) + 4*(rows+1)
 }
+
+// bitmapSize is the length of the creation bitmap of lenD codes.
+func bitmapSize(lenD int) int { return (lenD + 7) / 8 }
 
 // packedSize is the length of n integers bit packed, the largest top.
 func packedSize(n int, top uint32) int {
@@ -187,7 +189,7 @@ func packedSize(n int, top uint32) int {
 // front of dst — u32 count, u8 bytes per integer, then each value in
 // that many little-endian bytes, written a width at a time — and returns
 // the bytes written.
-func putPacked(dst []byte, vals []uint32, top uint32) int {
+func putPacked[N code](dst []byte, vals []N, top uint32) int {
 	width, n := bitpack.BytesPerInt(top), len(vals)
 	binary.LittleEndian.PutUint32(dst, uint32(n))
 	dst[4] = byte(width)
@@ -208,7 +210,7 @@ func putPacked(dst []byte, vals []uint32, top uint32) int {
 		}
 	case 3:
 		for ; len(vals) > 0 && len(body) >= 3; vals, body = vals[1:], body[3:] {
-			v := vals[0]
+			v := uint32(vals[0])
 			body[0], body[1], body[2] = byte(v), byte(v>>8), byte(v>>16)
 		}
 	default:
@@ -217,12 +219,17 @@ func putPacked(dst []byte, vals []uint32, top uint32) int {
 	return packedHeader + width*n
 }
 
-// grow returns s resized to n, reallocated only when it is too small.
-func grow(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
+// putBitmap writes the creation bitmap words of lenD codes as
+// bitmapSize(lenD) little-endian bytes at the front of dst and returns
+// that length.
+func putBitmap(dst []byte, words []uint64, lenD int) int {
+	out := dst[:bitmapSize(lenD)]
+	for k, w := range words {
+		var le [8]byte
+		binary.LittleEndian.PutUint64(le[:], w)
+		copy(out[8*k:], le[:])
 	}
-	return s[:n]
+	return len(out)
 }
 
 // putHeader writes the shared image header at the start of out and
@@ -235,11 +242,11 @@ func (b *Batch) putHeader(out []byte) int {
 	return headerSize
 }
 
-// putU32s bulk-writes vals little-endian into dst, returning the byte
-// count written.
-func putU32s(dst []byte, vals []uint32) int {
+// putU32s bulk-writes vals little-endian into dst, 4 bytes a value,
+// returning the byte count written.
+func putU32s[N code](dst []byte, vals []N) int {
 	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[i*4:], v)
+		binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
 	}
 	return 4 * len(vals)
 }
@@ -248,11 +255,12 @@ func putU32s(dst []byte, vals []uint32) int {
 // Serialize, validating structural invariants so corrupt images return an
 // error rather than corrupting kernel execution.
 //
-// A Full image is read in one pass over its sections (readFull), and the
-// call allocates only what the batch keeps: the Batch, I's columns with
-// the tuple starts, I's values, D′ and the creation bitmap. The batch
-// aliases img. On an imagenet batch of the benchmark's shape (|I| 1739,
-// |D| 7402) that is 5 allocations and 41 KB (BenchmarkDeserialize,
+// An image is read in one pass over its sections straight into the
+// arrays the batch keeps (readFull, readSparseLogical), and the call
+// allocates only those: the Batch, I's columns with the tuple starts,
+// I's values, D′ and the creation bitmap. The batch aliases img.
+// On an imagenet batch of the benchmark's shape (|I| 1739, |D| 7402)
+// that is 5 allocations and 40 KB (BenchmarkDeserialize,
 // TestDeserializeAllocBytes) — or none, when a batch Recycle took back is
 // large enough: its memory is filled instead, every array overwritten
 // before anything reads it.
@@ -264,7 +272,7 @@ func Deserialize(img []byte) (*Batch, error) {
 		b = new(Batch)
 	}
 	if err := deserializeInto(b, img); err != nil {
-		batchPool.Put(b) // still recycled memory: newLogical leaves b alone on an error
+		batchPool.Put(b) // still recycled memory: readD leaves b alone on an error
 		return nil, err
 	}
 	return b, nil
@@ -293,44 +301,30 @@ func deserializeInto(b *Batch, img []byte) error {
 	if rows > maxDim || cols > maxDim {
 		return fmt.Errorf("core: implausible dims %dx%d", rows, cols)
 	}
-	// D's codes are unpacked into the pooled encoder's D, so the batch
-	// retains only the D′ newLogical renumbers them into.
-	e := encoderPool.Get().(*encoder)
-	defer encoderPool.Put(e)
 	if v == Full {
-		return e.readFull(b, rows, cols, img)
+		return readFull(b, rows, cols, img)
 	}
-	I, D, err := parseSparseLogical(img[headerSize:], rows, cols, e.d.Nodes, &b.i)
-	if err != nil {
-		return err
-	}
-	e.d.Nodes = D.Nodes
-	return newLogical(b, rows, cols, v, I, D, img)
+	return readSparseLogical(b, rows, cols, img)
 }
 
 // readFull reads a Full image into b. Every section header is read by
 // value (bitpack.ReadArray) and every length checked before anything is
-// allocated; then each section is read once:
-//   - the tuple starts and I's columns are unpacked in bulk into the one
-//     array the batch keeps them in (carve); newLogical checks the
-//     starts there, and decodeFirstLayer the columns;
-//   - I's values are decoded by decodeFirstLayer, straight from the
-//     image's bytes;
-//   - D's codes are unpacked in bulk into the encoder's scratch, where
-//     newLogical's replay checks each one and marks the node it
-//     references in one pass.
+// allocated; then each section is read once, in bulk, into the array the
+// batch keeps: the tuple starts and I's columns (carve), I's values
+// (decodeFirstLayer, straight from the image's dictionary), the creation
+// bitmap and D′ (readD picks its width).
 //
 // The accepted language is wider than the images Serialize writes: a
 // Full image is accepted iff its sections parse, every index is in range
-// and (I, D) pass validateLogical. Nothing asks it to be canonical — its
-// value dictionary may repeat a value or hold one no pair names, and a
-// section may be packed wider than its largest element needs. The batch
-// is the same either way: Serialize returns the bytes that were read,
-// while a batch of the same (I, D) that keeps no image (Compress's, or
-// this one with its image dropped) writes the canonical image, the
-// shortest. A pass that refused or rewrote a non-canonical image would
-// cost every spilled read and buy nothing a kernel can see.
-func (e *encoder) readFull(b *Batch, rows, cols int, img []byte) error {
+// and its resident form passes checkResident. Nothing asks it to be
+// canonical — its value dictionary may repeat a value or hold one no
+// pair names, and a section may be packed wider than its largest element
+// needs. The batch is the same either way: Serialize returns the bytes
+// that were read, while a batch of the same (I, D′) that keeps no image
+// (Compress's, or this one with its image dropped) writes the canonical
+// image, the shortest. A pass that refused or rewrote a non-canonical
+// image would cost every spilled read and buy nothing a kernel can see.
+func readFull(b *Batch, rows, cols int, img []byte) error {
 	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
 		return fmt.Errorf("core: I columns: %w", err)
@@ -344,10 +338,15 @@ func (e *encoder) readFull(b *Batch, rows, cols int, img []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: I values: %w", err)
 	}
-	nodeSec, buf, err := bitpack.ReadArray(buf)
+	codeSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
-		return fmt.Errorf("core: D nodes: %w", err)
+		return fmt.Errorf("core: D′: %w", err)
 	}
+	lenD := codeSec.Len()
+	if len(buf) < bitmapSize(lenD) {
+		return fmt.Errorf("core: truncated creation bitmap")
+	}
+	bitmap, buf := buf[:bitmapSize(lenD)], buf[bitmapSize(lenD):]
 	startSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
 		return fmt.Errorf("core: D starts: %w", err)
@@ -368,9 +367,13 @@ func (e *encoder) readFull(b *Batch, rows, cols int, img []byte) error {
 	if err := decodeFirstLayer(I, &valSec, dict, cols); err != nil {
 		return err
 	}
-	e.d.Nodes = grow(e.d.Nodes, nodeSec.Len())
-	nodeSec.UnpackRange(e.d.Nodes, 0, len(e.d.Nodes))
-	return newLogical(b, rows, cols, Full, I, dTable{Nodes: e.d.Nodes, Starts: starts}, img)
+	return readD(b, rows, cols, Full, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
+		if wide != nil {
+			codeSec.UnpackRange(wide, 0, lenD)
+			return true
+		}
+		return codeSec.Unpack16(narrow)
+	})
 }
 
 // decodeFirstLayer checks I's columns, already unpacked into I.col,
@@ -409,126 +412,164 @@ func checkCols(col []uint32, cols int) error {
 	return nil
 }
 
-// parseSparseLogical unpacks the raw sections of a SparseLogical image
-// into (I, D), each column index checked against cols, once every
-// section's length is. D.Nodes is unpacked into scratch, grown if it is
-// too small; I and D.Starts reuse spare's arrays where they fit.
-func parseSparseLogical(buf []byte, rows, cols int, scratch []uint32, spare *firstLayer) (I firstLayer, D dTable, err error) {
-	lenI, buf, err := takeU32(buf)
+// readSparseLogical reads a SparseLogical image into b as readFull reads
+// a Full one, from raw sections.
+func readSparseLogical(b *Batch, rows, cols int, img []byte) error {
+	lenI, buf, err := takeU32(img[headerSize:])
 	if err != nil {
-		return I, D, fmt.Errorf("core: |I|: %w", err)
+		return fmt.Errorf("core: |I|: %w", err)
 	}
 	if len(buf) < int(lenI)*12 {
-		return I, D, fmt.Errorf("core: truncated I section")
+		return fmt.Errorf("core: truncated I section")
 	}
 	pairs, buf := buf[:int(lenI)*12], buf[int(lenI)*12:]
-	lenN, buf, err := takeU32(buf)
+	n, buf, err := takeU32(buf)
 	if err != nil {
-		return I, D, fmt.Errorf("core: |D|: %w", err)
+		return fmt.Errorf("core: |D|: %w", err)
 	}
-	need := int(lenN)*4 + (rows+1)*4
-	if len(buf) != need {
-		return I, D, fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
+	lenD := int(n)
+	if need := 4*lenD + bitmapSize(lenD) + 4*(rows+1); len(buf) != need {
+		return fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
 	}
-	col, starts := carve(spare.col, int(lenI), rows)
-	I = firstLayer{col: col, val: fit(spare.val, int(lenI))}
+	codes, bitmap, rest := buf[:4*lenD], buf[4*lenD:4*lenD+bitmapSize(lenD)], buf[4*lenD+bitmapSize(lenD):]
+	col, starts := carve(b.i.col, int(lenI), rows)
+	I := firstLayer{col: col, val: fit(b.i.val, int(lenI))}
 	for k := range I.val {
 		col[k] = binary.LittleEndian.Uint32(pairs[k*12:])
 		I.val[k] = math.Float64frombits(binary.LittleEndian.Uint64(pairs[k*12+4:]))
 	}
 	if err := checkCols(col, cols); err != nil {
-		return I, D, err
+		return err
 	}
-	D = dTable{Nodes: grow(scratch, int(lenN)), Starts: starts}
-	buf = buf[getU32s(D.Nodes, buf):]
-	getU32s(D.Starts, buf)
-	return I, D, nil
+	getU32s(starts, rest)
+	return readD(b, rows, cols, SparseLogical, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
+		if wide != nil {
+			return getU32s(wide, codes)
+		}
+		return getU32s(narrow, codes)
+	})
 }
 
-// validateLogical checks the structural invariants of (I, D) as
-// Algorithm 1 emits them: starts well-formed, every node index
-// referencing only nodes that exist at that point of the Algorithm-2
-// replay, and every first-layer pair referenced. The replay also leaves
-// in sc.mark, sized to the paper's |C'|, which nodes D references —
-// renumber's input. Column indexes are checked where I is read from an
-// image (decodeFirstLayer, parseSparseLogical); the encoder's are in
-// range by construction.
-func validateLogical(rows, lenI int, D dTable, sc *liveScratch) error {
-	if len(D.Starts) != rows+1 {
-		return fmt.Errorf("core: starts length %d != rows+1 (%d)", len(D.Starts), rows+1)
-	}
+// readD finishes reading an image into b, given its I and tuple starts
+// in b's memory or new arrays: it checks the starts, reads the creation
+// bitmap into b's (or a new one), sizes D′ for lenD codes at the width
+// the live count needs, in b's array when it fits, has unpack write the
+// codes into whichever of narrow and wide is non-nil, and checks the
+// result (checkResident). A bit at a tuple's last position is refused:
+// Algorithm 1 creates a node at every position of a tuple but its last.
+// A bit past |D| counts a live node no code can name, which
+// checkResident refuses. On an error b is left as it was.
+func readD(b *Batch, rows, cols int, v Variant, I firstLayer, starts []uint32, bitmap []byte, lenD int, img []byte,
+	unpack func(narrow []uint16, wide []uint32) bool) error {
 	prev := uint32(0)
-	for k, s := range D.Starts {
+	for k, s := range starts {
 		if s < prev {
 			return fmt.Errorf("core: starts not monotone at %d", k)
 		}
 		prev = s
 	}
-	if D.Starts[0] != 0 || int(D.Starts[rows]) != len(D.Nodes) {
+	if starts[0] != 0 || int(prev) != lenD {
 		return fmt.Errorf("core: starts endpoints invalid")
 	}
-	size := treeSize(lenI, D)
+	created := fit(b.d.created, (lenD+63)/64)
+	for k := range created {
+		var le [8]byte
+		copy(le[:], bitmap[8*k:])
+		created[k] = binary.LittleEndian.Uint64(le[:])
+	}
+	for r := 1; r < len(starts); r++ {
+		if lo, hi := starts[r-1], starts[r]; lo < hi && created[(hi-1)>>6]>>((hi-1)&63)&1 != 0 {
+			return fmt.Errorf("core: creation bit set at D position %d, the end of tuple %d", hi-1, r-1)
+		}
+	}
+	d := residentD{starts: starts, created: created}
+	for _, w := range created {
+		d.live += bits.OnesCount64(w)
+	}
+	if 1+I.len()+d.live <= 1<<16 {
+		d.narrow = fit(b.d.narrow, lenD)
+	} else {
+		d.wide = fit(b.d.wide, lenD)
+	}
+	if !unpack(d.narrow, d.wide) {
+		return fmt.Errorf("core: D′ holds a code wider than the live tree's 16 bits")
+	}
+	sc := liveScratchPool.Get().(*liveScratch)
+	defer liveScratchPool.Put(sc)
+	if err := checkResident(I.len(), &d, sc); err != nil {
+		return err
+	}
+	*b = Batch{rows: rows, cols: cols, variant: v, i: I, d: d, size: len(img), img: img}
+	return nil
+}
+
+// checkResident is the one check of a D in resident form, an image's or
+// the one Compress renumbered: every code names a live node that exists
+// at its position — a first-layer node or a deep one created before it
+// (checkCodes) — and every live node is named by some code. Algorithm 1
+// references every first-layer pair, and a deep node is live only if D
+// references it, so a pair or a creation bit nothing names would be a
+// node no tuple reaches. A D that passes is the resident form of a valid
+// Algorithm 1 D: D′ in the paper's numbering.
+func checkResident(lenI int, d *residentD, sc *liveScratch) error {
+	size := 1 + lenI + d.live
 	if cap(sc.mark) < size {
 		sc.mark = make([]byte, size)
 	}
 	mark := sc.mark[:size]
-	sc.mark = mark
 	clear(mark)
-	if q := replay(D.Nodes, D.Starts, lenI, mark); q >= 0 {
-		return fmt.Errorf("core: node index %d at D position %d references a node that does not exist yet", D.Nodes[q], q)
+	q := -1
+	if d.isWide() {
+		q = checkCodes(d.wide, d.created, lenI, mark)
+	} else {
+		q = checkCodes(d.narrow, d.created, lenI, mark)
 	}
-	// Algorithm 1 codes the first occurrence of a pair as its first-layer
-	// node, so it never leaves one unreferenced. A hand-built image can;
-	// such a pair would keep its number in the resident form and be the
-	// one node no tuple reaches, so the image is refused.
-	for k, m := range mark[1 : lenI+1] {
-		if m == 0 {
-			return fmt.Errorf("core: first-layer pair %d is not referenced by D", k)
-		}
+	if q >= 0 {
+		return fmt.Errorf("core: the code at D position %d names no node that exists there", q)
+	}
+	if k := bytes.IndexByte(mark[1:], 0) + 1; k > lenI {
+		return fmt.Errorf("core: live node %d is not referenced by D", k)
+	} else if k > 0 {
+		return fmt.Errorf("core: first-layer pair %d is not referenced by D", k-1)
 	}
 	return nil
 }
 
-// replay checks every code of D against the Algorithm-2 replay and marks
-// in mark the node it references, in one pass. Each of a tuple's elements
-// except the last created exactly one node during encoding, so at element
-// j of a tuple nodes 1..limit+j are addressable, limit being |I| plus the
-// nodes earlier tuples created (the +j admits references to nodes created
-// earlier in the same tuple, including the self-referencing code pattern
-// of repeated sequences). A code is range-checked before it is used as an
-// index. replay returns the D position of the first code out of range, or
-// -1. It is a leaf function of its own and leaves the error to its
-// caller: inlined there, its loop reloaded its slices from the stack on
-// every code.
+// checkCodes is the one pass over D′: code n at position q must be in
+// 1..|I|+k, k the creation bits before q — the live nodes that exist
+// once Algorithm 1 has emitted positions 0..q-1, including one the
+// previous position created (the self-referencing code of a repeated
+// sequence) — and it marks the node it names. It returns the position
+// of the first code out of range, or -1.
 //
 //go:noinline
-func replay(nodes, starts []uint32, lenI int, mark []byte) int {
-	limit := lenI
-	for r := 1; r < len(starts); r++ {
-		lo := int(starts[r-1])
-		row := nodes[lo:starts[r]]
-		for j, n := range row {
-			if uint(n)-1 >= uint(limit+j) { // n == 0 wraps around
+func checkCodes[N code](nodes []N, created []uint64, lenI int, mark []byte) int {
+	limit := uint(lenI)
+	for wi, w := range created {
+		lo := wi << 6
+		for j, n := range nodes[lo:min(lo+64, len(nodes))] {
+			if uint(n)-1 >= limit { // n == 0 wraps around
 				return lo + j
 			}
 			mark[n] = 1
-		}
-		if len(row) > 0 {
-			limit += len(row) - 1
+			limit += uint(w & 1)
+			w >>= 1
 		}
 	}
 	return -1
 }
 
-// getU32s bulk-decodes len(dst) little-endian u32s from src (which the
-// caller has length-checked), returning the byte count consumed. The
-// explicit reslice hoists the bounds check out of the loop.
-func getU32s(dst []uint32, src []byte) int {
+// getU32s decodes len(dst) little-endian u32s from src, which the
+// caller has length-checked, and reports whether every one fits N.
+func getU32s[N code](dst []N, src []byte) bool {
 	src = src[:4*len(dst)]
-	for k := 0; 4*k < len(src); k++ {
-		dst[k] = binary.LittleEndian.Uint32(src[4*k:])
+	var over uint32
+	for k := range dst {
+		v := binary.LittleEndian.Uint32(src[4*k:])
+		dst[k] = N(v)
+		over |= v &^ uint32(^N(0))
 	}
-	return 4 * len(dst)
+	return over == 0
 }
 
 func takeU32(buf []byte) (uint32, []byte, error) {

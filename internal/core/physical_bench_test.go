@@ -22,8 +22,11 @@ func benchVariantBatches(b *testing.B) map[string]*Batch {
 
 // BenchmarkSerialize's imagenet row is what spilling one freshly
 // compressed batch of the benchmark's shape costs FillStore's in-order
-// add, 256 batches cycling: D back to the paper's numbering, then the image
-// written section by section.
+// add, 256 batches cycling: the image written section by section from
+// the resident form. Measured on the 2-core Xeon (-cpu 1, eight
+// alternating runs, medians and quartiles): writing D back in the
+// paper's numbering through the inverse map took 37.4 (25.6-45.4) us/op;
+// writing D′ and the creation bitmap as they are takes 18.2 (15.6-25.4).
 func BenchmarkSerialize(b *testing.B) {
 	batches := benchBatches(b, "imagenet", 256)
 	b.Run("imagenet", func(b *testing.B) {
@@ -45,15 +48,21 @@ func BenchmarkSerialize(b *testing.B) {
 
 // BenchmarkDeserialize's imagenet and mnist rows are the spilled read
 // path's cost per visit on the benchmark's batch shape, 256 images
-// cycling: read the sections, decode I, check and mark D and renumber it
-// onto its live nodes. The mnist row has 1-byte dictionary indexes into
-// a 256-value dictionary; imagenet's values are all distinct. Measured
-// on the 2-core Xeon (-cpu 1, eight alternating runs of four, medians
-// and quartiles): reading each section into a heap object and the value
-// dictionary into slices of its own took 88.7 (84.7-92.7) us/op on
-// imagenet and 188 (178-194) on mnist, 12 allocs and 70/188 KB; the
-// one-pass read takes 74.8 (70.8-77.9) and 160 (116-170), 5 allocs and
-// 47/153 KB.
+// cycling: read the sections, decode I, unpack D′ and the creation
+// bitmap, and check and mark D′ in one pass. The mnist row has 1-byte
+// dictionary indexes into a 256-value dictionary; imagenet's values are
+// all distinct. Measured on the 2-core Xeon (-cpu 1, eight alternating
+// runs, medians and quartiles, us/op), against images that held D in
+// the paper's numbering, which every read renumbered onto its live
+// nodes:
+//
+//	imagenet           58.6 (43.6-63.8)   → 22.2 (21.1-34.0)
+//	imagenet/recycled  34.1 (31.8-54.0)   → 18.0 (16.1-21.6)
+//	mnist              122 (83.6-137)     → 63.7 (51.7-74.4)
+//	mnist/recycled     90.0 (68.4-107)    → 42.5 (34.9-50.2)
+//
+// Both reads make 5 allocations, 40/125 KB, or none into recycled
+// memory.
 func BenchmarkDeserialize(b *testing.B) {
 	for _, name := range []string{"imagenet", "mnist"} {
 		imgs := [][]byte{}

@@ -31,10 +31,10 @@ func sameBatch(t *testing.T, tag string, got, want *Batch) {
 	t.Helper()
 	if got.rows != want.rows || got.cols != want.cols || got.variant != want.variant ||
 		got.CompressedSize() != want.CompressedSize() || got.d.isWide() != want.d.isWide() ||
-		got.d.live != want.d.live || got.d.top != want.d.top {
-		t.Fatalf("%s: recycled batch %dx%d %v size %d wide %v live %d top %d; fresh %dx%d %v size %d wide %v live %d top %d",
-			tag, got.rows, got.cols, got.variant, got.CompressedSize(), got.d.isWide(), got.d.live, got.d.top,
-			want.rows, want.cols, want.variant, want.CompressedSize(), want.d.isWide(), want.d.live, want.d.top)
+		got.d.live != want.d.live {
+		t.Fatalf("%s: recycled batch %dx%d %v size %d wide %v live %d; fresh %dx%d %v size %d wide %v live %d",
+			tag, got.rows, got.cols, got.variant, got.CompressedSize(), got.d.isWide(), got.d.live,
+			want.rows, want.cols, want.variant, want.CompressedSize(), want.d.isWide(), want.d.live)
 	}
 	if !bytes.Equal(written(got), written(want)) {
 		t.Fatalf("%s: the image written from recycled memory differs from the fresh batch's", tag)

@@ -24,18 +24,18 @@ import (
 // collapses the value dictionary to the two zeros, so the image length
 // it reports differs from the batch it came from.
 var imageGolden = map[string][4]uint32{
-	"census/TOC_FULL":                 {0x55cd45d7, 0xa57750b5, 0xebb27f3f, 0x55cd45d7},
-	"census/TOC_SPARSE_AND_LOGICAL":   {0x0d810810, 0x356f3cb2, 0x58a2b490, 0x0d810810},
-	"imagenet/TOC_FULL":               {0x7ce60231, 0x1d3e4ce0, 0xf8eb04d6, 0x7ce60231},
-	"imagenet/TOC_SPARSE_AND_LOGICAL": {0x5e24662c, 0x44e08e2a, 0xf8d9b001, 0x5e24662c},
-	"mnist/TOC_FULL":                  {0xc810117e, 0x14a3ba9b, 0xaba8a55b, 0xc810117e},
-	"mnist/TOC_SPARSE_AND_LOGICAL":    {0x2711afa4, 0x86bc4a03, 0x9918cc4e, 0x2711afa4},
-	"kdd99/TOC_FULL":                  {0xb7658c8f, 0x5aeac53b, 0x4075e0be, 0xb7658c8f},
-	"kdd99/TOC_SPARSE_AND_LOGICAL":    {0xdf4244ea, 0xac19ae55, 0xc916e73f, 0xdf4244ea},
-	"rcv1/TOC_FULL":                   {0x73bbf59b, 0xc689f295, 0x5aa12e4c, 0x73bbf59b},
-	"rcv1/TOC_SPARSE_AND_LOGICAL":     {0x8e508ce9, 0x8c6247c9, 0x313251b9, 0x8e508ce9},
-	"deep1b/TOC_FULL":                 {0x0ba1fd38, 0x7b963126, 0xe57d35ad, 0x0ba1fd38},
-	"deep1b/TOC_SPARSE_AND_LOGICAL":   {0x00f2d054, 0x212be32d, 0x1379b2ac, 0x00f2d054},
+	"census/TOC_FULL":                 {0x088d9dd1, 0xa98e5fd9, 0xb739ca66, 0x088d9dd1},
+	"census/TOC_SPARSE_AND_LOGICAL":   {0xbd06b275, 0xfe5e35b9, 0x4e07b3ac, 0xbd06b275},
+	"imagenet/TOC_FULL":               {0x6050f4e7, 0x3386e857, 0x463a3ac2, 0x6050f4e7},
+	"imagenet/TOC_SPARSE_AND_LOGICAL": {0x7d152b64, 0xc5f55770, 0x7d0a42d5, 0x7d152b64},
+	"mnist/TOC_FULL":                  {0x64bb4b1b, 0xd716ef50, 0x7c02202d, 0x64bb4b1b},
+	"mnist/TOC_SPARSE_AND_LOGICAL":    {0x7fdbcdec, 0xeae19312, 0x2e8d2f5c, 0x7fdbcdec},
+	"kdd99/TOC_FULL":                  {0x724412a3, 0xf6f5acae, 0xec42af61, 0x724412a3},
+	"kdd99/TOC_SPARSE_AND_LOGICAL":    {0x11deac5b, 0x93696294, 0x40f92a0a, 0x11deac5b},
+	"rcv1/TOC_FULL":                   {0xf2564321, 0x91e32810, 0xdebb65f3, 0xf2564321},
+	"rcv1/TOC_SPARSE_AND_LOGICAL":     {0x9473cbc3, 0xa5e04257, 0x20b7d834, 0x9473cbc3},
+	"deep1b/TOC_FULL":                 {0xd036e151, 0xb4700e02, 0x48ced4c6, 0xd036e151},
+	"deep1b/TOC_SPARSE_AND_LOGICAL":   {0x8a854177, 0x57f410fc, 0xdb36092a, 0x8a854177},
 }
 
 func TestImageGoldenCRC(t *testing.T) {

@@ -39,7 +39,7 @@ import (
 
 const (
 	manifestMagic   = "TOCM"
-	manifestVersion = 2
+	manifestVersion = 3 // since TOC images hold D in resident form (core's image version 2)
 
 	// Smallest encodings of a shard record (two empty strings, wpos,
 	// bytes) and of a batch record (flags, size, span, no labels): a
@@ -192,7 +192,7 @@ func decodeManifest(img []byte) (*manifest, error) {
 		return nil, fmt.Errorf("not a store manifest (magic %q)", m)
 	}
 	if v := r.U8(); v != manifestVersion {
-		return nil, fmt.Errorf("unsupported version %d", v)
+		return nil, fmt.Errorf("unsupported manifest version %d, want %d", v, manifestVersion)
 	}
 	r.Take(3) // reserved
 	m := &manifest{method: r.Str(), budget: int64(r.U64())}
