@@ -15,9 +15,12 @@
 //	bcecheck -update      # rewrite the baseline to match the current tree
 //	bcecheck -o out.txt   # also write the normalized inventory to a file
 //
-// A legitimate change (a new kernel, a rewritten loop) is recorded by
-// running bcecheck -update and committing the refreshed baseline, which
-// makes the diff reviewable like any other golden file.
+// The baseline keys a check by file, enclosing function, kind and the
+// source text of the expression it guards, with a count per key (see
+// package bce), so an edit that only shifts lines leaves it alone. A
+// legitimate change (a new kernel, a rewritten loop) is recorded by
+// running bcecheck -update and committing the refreshed baseline, whose
+// diff then shows only the checks that changed.
 package main
 
 import (

@@ -113,13 +113,13 @@ func TestShardedMatMulAllocBytesIndependentOfP(t *testing.T) {
 // Deserialize sits on the spilled read path, once per visit: what it
 // allocates beyond the arrays the Batch keeps is garbage the collector
 // has to chase on every step. So it allocates exactly the five objects
-// the batch keeps — the Batch, I's columns with the tuple starts, I's
-// values, D′ and the creation bitmap; the image it aliases is the
-// caller's — and no more bytes than five objects of those sizes cost,
-// size-class rounding included, on the benchmark's batch shape: 5
-// objects and 40 KB on imagenet. A section read into a heap object, the
-// value dictionary staged in slices of its own, or D′ unpacked anywhere
-// but the batch's own array breaks it. Read into the memory of a batch
+// the batch keeps — the Batch, I's words with the tuple starts, the
+// value dictionary, D′ and the creation bitmap; the image it aliases is
+// the caller's — and no more bytes than five objects of those sizes
+// cost, size-class rounding included, on the benchmark's batch shape: 5
+// objects and 40 KB on imagenet. A section read into a heap object, a
+// window of I staged in slices of its own, or D′ unpacked anywhere but
+// the batch's own array breaks it. Read into the memory of a batch
 // Recycle took back, it allocates nothing at all.
 func TestDeserializeAllocBytes(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -156,7 +156,7 @@ func TestDeserializeAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	kept := []int{int(unsafe.Sizeof(Batch{})), 4 * (b.i.len() + len(b.d.starts)), 8 * b.i.len(), 2 * len(b.d.narrow), 8 * len(b.d.created)}
+	kept := []int{int(unsafe.Sizeof(Batch{})), 4 * (b.i.len() + len(b.d.starts)), 8 * len(b.i.vals), 2 * len(b.d.narrow), 8 * len(b.d.created)}
 	want := bytesPerRun(func() {
 		for _, n := range kept {
 			allocSink = make([]byte, n)
@@ -165,10 +165,10 @@ func TestDeserializeAllocBytes(t *testing.T) {
 	if got := bytesPerRun(func() { Deserialize(img) }); got > want {
 		t.Errorf("Deserialize allocates %d B/op; objects of the sizes the batch keeps (%v B) cost %d", got, kept, want)
 	}
-	// Scale shares I's columns and D′ with its receiver: it allocates the
-	// Batch and a value array, and the encoder it sizes the image in is
+	// Scale shares I's words and D′ with its receiver: it allocates the
+	// Batch and a dictionary, and the encoder it merges entries in is
 	// pooled.
-	kept = []int{int(unsafe.Sizeof(Batch{})), 8 * b.i.len()}
+	kept = []int{int(unsafe.Sizeof(Batch{})), 8 * len(b.i.vals)}
 	want = bytesPerRun(func() {
 		for _, n := range kept {
 			allocSink = make([]byte, n)
@@ -196,9 +196,9 @@ var allocSink []byte
 // Compress sits on the ingest path, once per batch: everything Algorithm 1
 // works in — both tables, the tuple rewrite, D in the paper's numbering,
 // the physical layer's staging — is pooled encoder state, so the steady
-// state allocates only what the Batch retains (the Batch, I's columns
-// with the tuple starts, I's values, D′ and the creation bitmap; no
-// image). And what it retains is copied out of the pooled scratch at
+// state allocates only what the Batch retains (the Batch, I's words
+// with the tuple starts, the value dictionary, D′ and the creation
+// bitmap; no image). And what it retains is copied out of the pooled scratch at
 // exact length: append-grown capacity kept resident per batch is live
 // heap that no byte count in the store's budget sees.
 func TestCompressAllocs(t *testing.T) {
@@ -210,11 +210,14 @@ func TestCompressAllocs(t *testing.T) {
 	if b.img != nil || b.d.isWide() {
 		t.Fatalf("a compressed benchmark batch keeps an image (%v) or a 32-bit D′ (%v)", b.img != nil, b.d.isWide())
 	}
-	words := b.i.col[:cap(b.i.col)]
+	if b.i.isWide() {
+		t.Fatal("a compressed benchmark batch holds 64-bit first-layer words")
+	}
+	words := b.i.narrow[:cap(b.i.narrow)]
 	if len(words) != b.i.len()+len(b.d.starts) || &words[b.i.len()] != &b.d.starts[0] || cap(b.d.starts) != len(b.d.starts) ||
-		cap(b.i.val) != b.i.len() || cap(b.d.narrow) != len(b.d.narrow) {
-		t.Errorf("retained slices carry slack, or I's columns and the starts are not one array: I %d/%d cols %d/%d vals, D′ %d/%d, starts %d/%d (len/cap)",
-			len(b.i.col), cap(b.i.col), b.i.len(), cap(b.i.val), len(b.d.narrow), cap(b.d.narrow), len(b.d.starts), cap(b.d.starts))
+		cap(b.i.vals) != len(b.i.vals) || cap(b.d.narrow) != len(b.d.narrow) {
+		t.Errorf("retained slices carry slack, or I's words and the starts are not one array: I %d/%d words %d/%d dictionary, D′ %d/%d, starts %d/%d (len/cap)",
+			len(b.i.narrow), cap(b.i.narrow), len(b.i.vals), cap(b.i.vals), len(b.d.narrow), cap(b.d.narrow), len(b.d.starts), cap(b.d.starts))
 	}
 	if testutil.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"toc/internal/matrix"
 )
@@ -36,12 +37,13 @@ func (v Variant) String() string {
 }
 
 // Batch is a TOC-compressed mini-batch. Its resident form is its kernel
-// inputs and nothing else: the first layer I, as a column array and a
-// value array, and D′ — D renumbered onto the live nodes of the decode
-// tree, 16 bits a code when they fit, with its tuple starts and creation
-// bitmap (decodetree.go). It keeps no physical image: it knows the
-// image's length, which CompressedSize reports, and Serialize writes the
-// image, which holds the same resident form, on every call. A batch
+// inputs and nothing else: the first layer I, as the value dictionary
+// and one word a pair naming a column and a dictionary entry, and D′ —
+// D renumbered onto the live nodes of the decode tree, 16 bits a code
+// when they fit, with its tuple starts and creation bitmap
+// (decodetree.go). It keeps no physical image: it knows the image's
+// length, which CompressedSize reports, and Serialize writes the image,
+// which holds the same resident form, on every call. A batch
 // Deserialize made is the one exception: it aliases the image it was
 // read from.
 //
@@ -53,53 +55,112 @@ func (v Variant) String() string {
 //     scan of Algorithms 5/8 correct;
 //   - CompressedSize() == len(Serialize()).
 type Batch struct {
-	rows, cols int
-	variant    Variant
+	cols    int // the rows are D's tuples: len(d.starts)-1
+	variant Variant
 
 	i firstLayer
 	d residentD
 
-	size     int    // len(Serialize()), fixed when the batch is made
-	distinct int    // I's distinct values, counted with size when there is no img
-	img      []byte // the image Deserialize read the batch from; nil otherwise
+	size int    // len(Serialize()), fixed when the batch is made
+	img  []byte // the image Deserialize read the batch from; nil otherwise
 }
 
-// firstLayer is I, the tree's first layer, as two arrays of one length:
-// pair k, the key of first-layer node k+1, is (col[k], val[k]). Held as
-// a []Pair it would cost 16 bytes a pair, 4 of them padding; split, it
-// costs 12. A batch's col and tuple starts are one allocation (carve).
+// firstLayer is I, the tree's first layer, in the form the image's
+// physical layer gives it (§3.2, value indexing): vals is the value
+// dictionary, and pair k, the key of first-layer node k+1, is one word
+// with its column in the high half and the index of its value in vals in
+// the low half. The word is 32 bits (narrow) when the matrix's columns
+// and the dictionary both fit 16 bits, and 64 (wide) otherwise; exactly
+// one of the two is non-nil, and the callers of the generic scans pick
+// one with isWide(), as D′'s pick a code width. A batch's tuple starts
+// and narrow words are one allocation (carve).
+//
+// A Full batch's dictionary is the entries of its image's value-index
+// section: for a batch Compress or Scale made, I's distinct values in
+// first-appearance order. A SparseLogical batch's is I's values in
+// order, pair k naming entry k. On mnist a batch of 7641 pairs holds 256
+// distinct values, so a pair costs 4 bytes and the dictionary 2 KB,
+// where a column and a value a pair cost 12 bytes; on imagenet every
+// value is distinct, and a pair costs 12 bytes either way.
 type firstLayer struct {
-	col []uint32
-	val []float64
+	narrow []uint32  // column<<16 | index; when wide, empty with the starts' array behind it
+	wide   []uint64  // column<<32 | index
+	vals   []float64 // the value dictionary
 }
+
+// pairWord is the width of a resident first-layer pair.
+type pairWord interface{ ~uint32 | ~uint64 }
+
+// halves returns the bit width of a W's halves and the mask of its low
+// half, constants in each instantiation. A scan takes them once, before
+// its loop, then splits a word w as w>>half and w&low and makes one as
+// W(col)<<half | W(idx): a generic call inside the loop would reload its
+// dictionary every iteration.
+func halves[W pairWord]() (half uint, low W) {
+	var w W
+	half = uint(4 * unsafe.Sizeof(w))
+	return half, 1<<half - 1
+}
+
+// narrowFits reports whether a matrix of cols columns and a dictionary
+// of n entries fit the 32-bit word.
+func narrowFits(cols, n int) bool { return cols <= 1<<16 && n <= 1<<16 }
+
+// isWide reports whether I holds 64-bit words.
+func (f *firstLayer) isWide() bool { return f.wide != nil }
 
 // len returns |I|.
-func (f *firstLayer) len() int { return len(f.val) }
+func (f *firstLayer) len() int { return len(f.narrow) + len(f.wide) }
 
-// arrays returns I's columns, resliced to |I|, and its values: the
-// reslice is the one bounds check that lets the compiler prove col[k]
-// wherever val[k] is in bounds, so a loop over I checks one index, not
-// two.
-func (f *firstLayer) arrays() (col []uint32, val []float64) { return f.col[:len(f.val)], f.val }
-
-// pairs returns a copy of I in the paper's layout, one Pair a
-// first-layer node.
-func (f *firstLayer) pairs() []Pair {
-	col, val := f.arrays()
-	I := make([]Pair, len(val))
-	for k, v := range val {
-		I[k] = Pair{Col: col[k], Val: v}
+// pair returns pair k's column and dictionary index, at either width.
+func (f *firstLayer) pair(k int) (col, idx uint32) {
+	if f.isWide() {
+		return uint32(f.wide[k] >> 32), uint32(f.wide[k])
 	}
-	return I
+	return f.narrow[k] >> 16, f.narrow[k] & 0xffff
 }
 
-// carve returns I's column array, of length lenI, and the tuple starts
-// of rows tuples, cut from one array — spare's, when it is large enough.
-// The columns come first and keep the whole array's capacity, so that
-// spare can hand it back.
-func carve(spare []uint32, lenI, rows int) (col, starts []uint32) {
-	w := fit(spare, lenI+rows+1)
-	return w[:lenI], w[lenI:]
+// set makes pair k name column col and dictionary entry idx.
+func (f *firstLayer) set(k int, col, idx uint32) {
+	if f.isWide() {
+		f.wide[k] = uint64(col)<<32 | uint64(idx)
+	} else {
+		f.narrow[k] = col<<16 | idx
+	}
+}
+
+// colTop returns the largest column I names, zero for none.
+func (f *firstLayer) colTop() uint32 {
+	if f.isWide() {
+		return maxColumn(f.wide)
+	}
+	return maxColumn(f.narrow)
+}
+
+// maxColumn returns the largest column the words name: the column is
+// the high half, so it is the largest word's.
+func maxColumn[W pairWord](words []W) uint32 {
+	half, _ := halves[W]()
+	var top W
+	for _, w := range words {
+		top = max(top, w)
+	}
+	return uint32(top >> half)
+}
+
+// carve returns a first layer of lenI words, wide or narrow, and the
+// tuple starts of rows tuples; the starts and narrow words are cut from
+// one array — spare's, when it is large enough — with the words first,
+// and the array's whole capacity stays behind narrow for spare to hand
+// back. Wide words reuse spare's when they fit. The dictionary is the
+// caller's to fill.
+func carve(spare firstLayer, lenI, rows int, wide bool) (firstLayer, []uint32) {
+	if wide {
+		w := fit(spare.narrow, rows+1)
+		return firstLayer{narrow: w[:0], wide: fit(spare.wide, lenI)}, w
+	}
+	w := fit(spare.narrow, lenI+rows+1)
+	return firstLayer{narrow: w[:lenI]}, w[lenI:]
 }
 
 // Compress encodes a dense mini-batch with the Full TOC pipeline.
@@ -118,16 +179,48 @@ func CompressVariant(m *matrix.Dense, v Variant) *Batch {
 func (e *encoder) compress(m *matrix.Dense, v Variant) *Batch {
 	e.addDense(m)
 	e.encode()
-	col, starts := carve(nil, len(e.pairs.val), m.Rows())
-	copy(col, e.pairs.col)
+	I, starts := e.resident(v, m.Rows(), m.Cols())
 	copy(starts, e.d.Starts)
-	I := firstLayer{col: col, val: exactCopy(e.pairs.val)}
-	b, err := newLogical(m.Rows(), m.Cols(), v, I, dTable{Nodes: e.d.Nodes, Starts: starts})
+	b, err := newLogical(m.Cols(), v, I, dTable{Nodes: e.d.Nodes, Starts: starts})
 	if err != nil {
 		panic("core: Algorithm 1 emitted an invalid (I, D): " + err.Error())
 	}
-	e.sizeImage(b)
+	b.sizeImage()
 	return b
+}
+
+// resident returns the first layer Algorithm 1 staged in e in resident
+// form, carved with room for rows+1 tuple starts, and its dictionary
+// copied out at exact length: for Full, I's values interned on their
+// bits (valueIndex), for SparseLogical I's values as they are.
+func (e *encoder) resident(v Variant, rows, cols int) (firstLayer, []uint32) {
+	vals := e.val
+	if v == Full {
+		e.vals = e.valueIndex(e.val, e.vals[:0])
+		vals = e.vals
+	} else {
+		e.occ = fit(e.occ, len(e.val))
+		for k := range e.occ {
+			e.occ[k] = uint32(k)
+		}
+	}
+	I, starts := carve(firstLayer{}, len(e.col), rows, !narrowFits(cols, len(vals)))
+	if I.isWide() {
+		joinPairs(I.wide, e.col, e.occ)
+	} else {
+		joinPairs(I.narrow, e.col, e.occ)
+	}
+	I.vals = exactCopy(vals)
+	return I, starts
+}
+
+// joinPairs writes the word of col[k] and idx[k] to words[k].
+func joinPairs[W pairWord](words []W, col, idx []uint32) {
+	half, _ := halves[W]()
+	col, idx = col[:len(words)], idx[:len(words)]
+	for k := range words {
+		words[k] = W(col[k])<<half | W(idx[k])
+	}
 }
 
 // liveScratch is the pooled working memory of one newLogical or
@@ -140,34 +233,35 @@ type liveScratch struct {
 
 var liveScratchPool = sync.Pool{New: func() any { return new(liveScratch) }}
 
-// newLogical makes a batch from (I, D) as Algorithm 1 emits them: it
-// renumbers D into the resident form of decodetree.go and checks the
-// result as a read checks an image's (checkResident). The batch keeps
-// I's two arrays and D.Starts; D.Nodes is the encoder's pooled scratch,
+// newLogical makes a batch from I in resident form and D as Algorithm 1
+// emits it: it renumbers D into the resident form of decodetree.go and
+// checks the result as a read checks an image's (checkResident). The
+// batch keeps I and D.Starts; D.Nodes is the encoder's pooled scratch,
 // which it does not retain. The caller sets the batch's size.
-func newLogical(rows, cols int, v Variant, I firstLayer, D dTable) (*Batch, error) {
+func newLogical(cols int, v Variant, I firstLayer, D dTable) (*Batch, error) {
 	sc := liveScratchPool.Get().(*liveScratch)
 	defer liveScratchPool.Put(sc)
 	d := renumber(D, I.len(), sc)
 	if err := checkResident(I.len(), &d, sc); err != nil {
 		return nil, err
 	}
-	return &Batch{rows: rows, cols: cols, variant: v, i: I, d: d}, nil
+	return &Batch{cols: cols, variant: v, i: I, d: d}, nil
 }
 
 // batchPool holds batches Recycle took back, each with its arrays
 // emptied, for the next Deserialize to fill.
 var batchPool sync.Pool
 
-// Recycle hands b's memory — the Batch, I's two arrays, D′, the tuple
-// starts and the creation bitmap — to a later Deserialize, which
-// overwrites it. It is for a batch read for one use, once that use is
-// over: nothing may touch b afterwards, nor a plan built on it, nor a
-// Scale or Square of it (which share its D′ and I's columns, and with
-// them the tuple starts), nor the image it was read from, which the
-// caller may then reuse. Under the race detector the memory, image
-// included, is poisoned first, so that a use after Recycle fails loudly.
-// Memory that is never recycled is collected as usual.
+// Recycle hands b's memory — the Batch, I's words and dictionary, D′,
+// the tuple starts and the creation bitmap — to a later Deserialize,
+// which overwrites it. It is for a batch read for one use, once that use
+// is over: nothing may touch b afterwards, nor a plan built on it, nor a
+// Scale or Square of it (which share its D′ and, unless two values
+// merged, I's words, and with them the tuple starts), nor the image it
+// was read from, which the caller may then reuse. Under the race
+// detector the memory, image included, is poisoned first, so that a use
+// after Recycle fails loudly. Memory that is never recycled is collected
+// as usual.
 func (b *Batch) Recycle() {
 	if raceEnabled {
 		b.poison()
@@ -177,19 +271,21 @@ func (b *Batch) Recycle() {
 }
 
 // spare empties b, keeping its arrays for a later Deserialize to fill.
-// I's column array, at its full capacity, is also the tuple starts'
+// I's narrow word array, at its full capacity, is also the tuple starts'
 // (carve).
 func (b *Batch) spare() {
-	d := &b.d
-	*b = Batch{i: firstLayer{col: b.i.col[:0], val: b.i.val[:0]}, d: residentD{narrow: d.narrow[:0], wide: d.wide[:0], created: d.created[:0]}}
+	i, d := &b.i, &b.d
+	*b = Batch{i: firstLayer{narrow: i.narrow[:0], wide: i.wide[:0], vals: i.vals[:0]},
+		d: residentD{narrow: d.narrow[:0], wide: d.wide[:0], created: d.created[:0]}}
 }
 
 // poison overwrites everything b holds with values no kernel survives:
-// out-of-range columns, codes and starts, NaN values, a bitmap of ones,
-// and an image whose magic no longer matches.
+// out-of-range columns, dictionary indexes, codes and starts, NaN
+// values, a bitmap of ones, and an image whose magic no longer matches.
 func (b *Batch) poison() {
-	fill(b.i.col, math.MaxUint32)
-	fill(b.i.val, math.NaN())
+	fill(b.i.narrow, math.MaxUint32)
+	fill(b.i.wide, math.MaxUint64)
+	fill(b.i.vals, math.NaN())
 	fill(b.d.narrow, math.MaxUint16)
 	fill(b.d.wide, math.MaxUint32)
 	fill(b.d.starts, math.MaxUint32)
@@ -315,7 +411,7 @@ func packBits(dst []uint64, src []byte) {
 }
 
 // Rows returns the number of tuples in the mini-batch.
-func (b *Batch) Rows() int { return b.rows }
+func (b *Batch) Rows() int { return len(b.d.starts) - 1 }
 
 // Cols returns the number of columns of the original matrix.
 func (b *Batch) Cols() int { return b.cols }
@@ -337,7 +433,7 @@ func (b *Batch) CompressedSize() int { return b.size }
 
 // UncompressedSize returns the DEN size of the original matrix.
 func (b *Batch) UncompressedSize() int {
-	return 16 + 8*b.rows*b.cols
+	return 16 + 8*b.Rows()*b.cols
 }
 
 // CompressionRatio returns UncompressedSize / CompressedSize.
@@ -348,26 +444,35 @@ func (b *Batch) CompressionRatio() float64 {
 // Decode losslessly reconstructs the original dense mini-batch by
 // backtracking the decode tree as in Algorithm 6.
 func (b *Batch) Decode() *matrix.Dense {
-	out := matrix.NewDense(b.rows, b.cols)
+	out := matrix.NewDense(b.Rows(), b.cols)
 	p := b.NewKernelPlan()
 	defer p.Release()
-	if b.d.isWide() {
-		decodeRows(out, b.i, b.d.wide, b.d.starts, p.tree)
+	if b.i.isWide() {
+		decodeWith(out, b.i.wide, b.i.vals, &b.d, p.tree)
 	} else {
-		decodeRows(out, b.i, b.d.narrow, b.d.starts, p.tree)
+		decodeWith(out, b.i.narrow, b.i.vals, &b.d, p.tree)
 	}
 	return out
 }
 
+// decodeWith is Decode at I's word width; it picks D′'s.
+func decodeWith[W pairWord](out *matrix.Dense, words []W, vals []float64, d *residentD, t *DecodeTree) {
+	if d.isWide() {
+		decodeRows(out, words, vals, d.wide, d.starts, t)
+	} else {
+		decodeRows(out, words, vals, d.narrow, d.starts, t)
+	}
+}
+
 // decodeRows writes every tuple's codes' sequences into its row of out.
-func decodeRows[N code](out *matrix.Dense, I firstLayer, nodes []N, starts []uint32, t *DecodeTree) {
-	col, val := I.arrays()
+func decodeRows[W pairWord, N code](out *matrix.Dense, words []W, vals []float64, nodes []N, starts []uint32, t *DecodeTree) {
+	half, low := halves[W]()
 	for i := 0; i < out.Rows(); i++ {
 		row := out.Row(i)
 		for _, n := range nodes[starts[i]:starts[i+1]] {
 			for idx := uint32(n); idx != 0; idx = t.Parent[idx] {
-				k := t.KeyIdx[idx] - 1
-				row[col[k]] = val[k]
+				w := words[t.KeyIdx[idx]-1]
+				row[w>>half] = vals[w&low]
 			}
 		}
 	}

@@ -53,12 +53,15 @@ import (
 //     an image's D′ and bitmap straight into the batch, and one pass
 //     (checkCodes) checks every code against |I| plus the running count
 //     of the bitmap and marks the live node it names.
-//   - I is two arrays, its columns and its values, 12 bytes a pair where
-//     a []Pair spends 16, and the columns share one allocation with the
-//     tuple starts. On the benchmark's 250-row batches a resident batch
-//     costs 1.21 (imagenet) and 3.19 (mnist) heap bytes per image byte,
-//     against 1.42 and 3.90 with I as a []Pair, and 2.7 and 5.6 with the
-//     image and a 32-bit D′ besides (TestResidentHeapPerCompressedByte).
+//   - I is in the image's value-indexed form (batch.go): the value
+//     dictionary, and a word a pair naming a column and an entry, 4
+//     bytes when both fit 16 bits; the words share one allocation with
+//     the tuple starts. On the benchmark's 250-row batches a resident
+//     batch costs 1.19 (imagenet) and 1.56 (mnist) heap bytes per image
+//     byte, against 1.21 and 3.19 with I as a column and a value a pair
+//     (12 bytes), 1.42 and 3.90 with I as a []Pair, and 2.7 and 5.6 with
+//     the image and a 32-bit D′ besides
+//     (TestResidentHeapPerCompressedByte).
 //
 // build therefore is Algorithm 2 restricted to live nodes,
 // O(|I| + |live|) per plan; Algorithm 2 as written — the full tree — is
@@ -91,8 +94,8 @@ func (t *DecodeTree) Len() int { return len(t.Parent) }
 // walk sizes the result exactly, then a second walk fills it back to
 // front — a single allocation, no reverse buffer. It is the paper's
 // view, not a kernel's: it takes I as PrefixTreeEncode returns it and
-// returns a sequence of pairs, so it keeps []Pair where a Batch splits I
-// into two arrays.
+// returns a sequence of pairs, so it keeps []Pair where a Batch holds I
+// as a value dictionary and a word a pair.
 func (t *DecodeTree) Seq(I []Pair, idx uint32) []Pair {
 	n := 0
 	for i := idx; i != 0; i = t.Parent[i] {

@@ -7,9 +7,9 @@ import "toc/internal/matrix"
 // become non-zero) must fully decode first — Algorithm 6.
 
 // Scale returns a new batch representing A.*c (Algorithm 3). Only the
-// unique column-index:value pairs are touched, so the cost is O(|I|)
-// regardless of the matrix size; the encoded table D and I's column
-// array are shared with the receiver, not copied.
+// value dictionary is touched, so the cost is O(distinct values)
+// regardless of the matrix size; the encoded table D and, unless two
+// values merge, I's words are shared with the receiver, not copied.
 func (b *Batch) Scale(c float64) *Batch {
 	return b.mapValues(func(v float64) float64 { return v * c })
 }
@@ -20,20 +20,55 @@ func (b *Batch) Square() *Batch {
 }
 
 // mapValues returns the batch with f applied to every value of I, and
-// I's columns and D shared: it allocates the Batch and a value array.
-// Its image length is counted afresh: two values f maps to the same bits
-// share a dictionary entry, and the receiver's own length may be that of
-// an image Deserialize read, which need not be the one Serialize writes.
+// D shared. It maps the dictionary, not the pairs: it allocates the
+// Batch and a dictionary. A SparseLogical dictionary is I's values in
+// order and stays so. Two entries of a Full dictionary that f maps to
+// the same bits must become one entry, as they would have if f had run
+// on every pair and the image been value-indexed afterwards: so the
+// mapped entries are interned in dictionary order (valueIndex,
+// compacting them in place), and when any merge, the words are
+// rewritten to name the merged entries. From a dictionary in
+// first-appearance order that yields the first-appearance dictionary of
+// the mapped values, the batch Compress makes of the mapped matrix.
+// The image length is unchanged unless entries merged or the receiver's
+// length is that of an image Deserialize read, which need not be the one
+// Serialize writes; then it is counted afresh.
 func (b *Batch) mapValues(f func(float64) float64) *Batch {
-	val := make([]float64, b.i.len())
-	for k, x := range b.i.val {
-		val[k] = f(x)
+	vals := make([]float64, len(b.i.vals))
+	for k, x := range b.i.vals {
+		vals[k] = f(x)
 	}
-	nb := &Batch{rows: b.rows, cols: b.cols, variant: b.variant, i: firstLayer{col: b.i.col, val: val}, d: b.d}
-	e := encoderPool.Get().(*encoder)
-	defer encoderPool.Put(e)
-	e.sizeImage(nb)
+	nb := &Batch{cols: b.cols, variant: b.variant, i: b.i, d: b.d, size: b.size}
+	nb.i.vals = vals
+	if b.variant == Full {
+		e := encoderPool.Get().(*encoder)
+		defer encoderPool.Put(e)
+		if merged := e.valueIndex(vals, vals[:0]); len(merged) < len(vals) {
+			nb.i = remapPairs(&b.i, e.occ, exactCopy(merged), b.cols)
+		}
+	}
+	if b.img != nil || len(nb.i.vals) < len(vals) {
+		nb.sizeImage()
+	}
 	return nb
+}
+
+// remapPairs returns a first layer over the dictionary vals whose pair k
+// is I's, its index mapped through remap, at the width cols and vals
+// fit. It is the one place a batch's words are rewritten, and runs only
+// when mapValues merges entries.
+func remapPairs(I *firstLayer, remap []uint32, vals []float64, cols int) firstLayer {
+	out := firstLayer{vals: vals}
+	if narrowFits(cols, len(vals)) {
+		out.narrow = make([]uint32, I.len())
+	} else {
+		out.wide = make([]uint64, I.len())
+	}
+	for k := range I.len() {
+		c, x := I.pair(k)
+		out.set(k, c, remap[x])
+	}
+	return out
 }
 
 // AddScalar computes the sparse-unsafe A.+c (Algorithm 6): the batch is

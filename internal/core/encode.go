@@ -65,9 +65,9 @@ import (
 // the physical layer's staging arrays — lives in one encoder recycled
 // through encoderPool, so steady-state compression allocates only what
 // the Batch keeps. Nothing a caller receives aliases the encoder: I's
-// two arrays and D's tuple starts are copied out at exact length and D
-// is renumbered out of it before Put, and an encoder is owned by one
-// goroutine between Get and Put.
+// words and dictionary and D's tuple starts are copied out at exact
+// length and D is renumbered out of it before Put, and an encoder is
+// owned by one goroutine between Get and Put.
 
 // slot is one entry of an internTable. Interned ids are tree-node indexes
 // or 1-based dictionary positions, never 0, so id == 0 marks a free slot.
@@ -206,19 +206,19 @@ type encoder struct {
 	first internTable
 	child childTable
 
-	pairs  firstLayer // I, in first-appearance order
-	ids    []uint32   // first-layer node of every non-zero, tuples concatenated
-	tuples []uint32   // tuples[r]: offset of tuple r in ids; one final entry = len(ids)
-	nz     []Pair     // addDense: one row's non-zeros
-	d      dTable     // D, flat
+	col    []uint32  // I's columns, in first-appearance order
+	val    []float64 // I's values, likewise
+	ids    []uint32  // first-layer node of every non-zero, tuples concatenated
+	tuples []uint32  // tuples[r]: offset of tuple r in ids; one final entry = len(ids)
+	nz     []Pair    // addDense: one row's non-zeros
+	d      dTable    // D, flat
 
-	// Staging for the physical layer (physical.go): the largest of I's
-	// columns, the value dictionary of I's values and one dictionary
-	// index per pair.
-	colTop uint32
-	dict   internTable
-	vals   []float64
-	occ    []uint32
+	// Staging for the physical layer (physical.go): the value dictionary
+	// of I's values and one dictionary index per pair; Serialize stages a
+	// batch's columns in col.
+	dict internTable
+	vals []float64
+	occ  []uint32
 }
 
 var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
@@ -226,7 +226,7 @@ var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
 // begin starts phase I on an empty table B.
 func (e *encoder) begin() {
 	e.first.reset(2 * e.first.n)
-	e.pairs = firstLayer{col: e.pairs.col[:0], val: e.pairs.val[:0]}
+	e.col, e.val = e.col[:0], e.val[:0]
 	e.ids = e.ids[:0]
 	e.tuples = append(e.tuples[:0], 0)
 }
@@ -242,10 +242,10 @@ func (e *encoder) addTuple(t []Pair) {
 		for i := hashWords(key, p.Col) >> shift; ; i = (i + 1) & mask {
 			s := &slots[i]
 			if s.id == 0 { // a new pair: the next first-layer node
-				id := uint32(e.pairs.len()) + 1
+				id := uint32(len(e.val)) + 1
 				*s = slot{key: key, aux: p.Col, id: id}
-				e.pairs.col = append(e.pairs.col, p.Col)
-				e.pairs.val = append(e.pairs.val, p.Val)
+				e.col = append(e.col, p.Col)
+				e.val = append(e.val, p.Val)
 				ids = append(ids, id)
 				if e.first.n++; 2*e.first.n > len(slots) {
 					e.first.grow()
@@ -298,7 +298,7 @@ func (e *encoder) encode() {
 		nodes = make([]uint32, 0, len(e.ids))
 	}
 	starts := e.d.Starts[:0]
-	next := uint32(e.pairs.len()) + 1
+	next := uint32(len(e.val)) + 1
 	slots, shift := e.child.slots, e.child.shift
 	for r := 1; r < len(e.tuples); r++ {
 		starts = append(starts, uint32(len(nodes)))
@@ -355,7 +355,11 @@ func (e *encoder) prefixTreeEncode(b []SparseRow) (I []Pair, D [][]uint32) {
 	for i := range D {
 		D[i] = exactCopy(e.d.row(i))
 	}
-	return e.pairs.pairs(), D
+	I = make([]Pair, len(e.val))
+	for k, v := range e.val {
+		I[k] = Pair{Col: e.col[k], Val: v}
+	}
+	return I, D
 }
 
 // exactCopy copies s out of pooled scratch into a slice with cap == len,

@@ -80,11 +80,11 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatal("the batch read into recycled memory writes another image")
 		}
 		if b.d.len() <= 1<<16 {
-			paper, err := imageD(img, b.Variant(), b.rows)
+			paper, err := imageD(img, b.Variant(), b.Rows())
 			if err != nil {
 				t.Fatalf("accepted image does not parse: %v", err)
 			}
-			if int64(b.rows)*int64(b.cols) <= 1<<20 {
+			if int64(b.Rows())*int64(b.cols) <= 1<<20 {
 				checkResidentForm(t, "accepted image", b, paper)
 			} else {
 				paperIDs(t, "accepted image", b)

@@ -33,8 +33,8 @@ func roundTrip(t *testing.T, tag string, b *Batch) *Batch {
 	}
 	rng := rand.New(rand.NewSource(11))
 	const p = 3
-	v, u := randVec(rng, b.cols), randVec(rng, b.rows)
-	mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
+	v, u := randVec(rng, b.cols), randVec(rng, b.Rows())
+	mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.Rows())
 	fillRand(rng, mr)
 	fillRand(rng, ml)
 	for _, k := range []struct {
@@ -101,11 +101,11 @@ func TestResidentImageEdgeShapes(t *testing.T) {
 	if !back.d.isWide() {
 		t.Fatal("wide: a live tree of 1<<16+1 nodes reads back with a 16-bit D′")
 	}
-	paper, err := imageD(back.Serialize(), Full, back.rows)
+	paper, err := imageD(back.Serialize(), Full, back.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oracle := oracleImage(back, paper); !bytes.Equal(oracle, back.Serialize()) {
+	if oracle := oracleImage(back, paper, false); !bytes.Equal(oracle, back.Serialize()) {
 		t.Fatal("wide: the image differs from the oracle's")
 	}
 	if w := codeWidth(t, back.Serialize()); w != 3 {

@@ -63,26 +63,39 @@ func (b *Batch) vecMulTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	} else {
 		vecMulRows(d.narrow, d.starts, v, h)
 	}
-	// Scan C' backwards: children precede parents, so pushing H[i] onto
-	// H[parent] visits every implicit sequence element exactly once.
-	// keyIdx/parent/h share one proven length; the data-dependent key
-	// fetch, r[col] and h[parent] indexes keep their checks.
-	col, val := b.i.arrays()
+	if b.i.isWide() {
+		vecMulBack(b.i.wide, b.i.vals, t, h, r)
+	} else {
+		vecMulBack(b.i.narrow, b.i.vals, t, h, r)
+	}
+}
+
+// vecMulBack is v·A's C' scan: backwards, since children precede
+// parents, pushing H[i] onto H[parent] visits every implicit sequence
+// element exactly once, and node i adds key.Val·H[i] to its key's
+// column of r. keyIdx/parent/h share one proven length; the
+// data-dependent key fetch, r[col] and h[parent] indexes keep their
+// checks.
+func vecMulBack[W pairWord](words []W, vals []float64, t *DecodeTree, h, r []float64) {
+	half, low := halves[W]()
 	par, kix := t.Parent, t.KeyIdx[:len(t.Parent)]
 	h = h[:len(par)]
-	for i := len(par) - 1; i > len(val); i-- {
-		k := kix[i] - 1
-		r[col[k]] += val[k] * h[i]
-		h[par[i]] += h[i]
+	for i := len(par) - 1; i > len(words); i-- {
+		w, hi := words[kix[i]-1], h[i]
+		kv := vals[w&low] * hi
+		r[w>>half] += kv
+		h[par[i]] += hi
 	}
 	// First layer: node k+1's key is I[k] itself and its parent the root,
 	// whose accumulated weight nothing reads — so the keys stream instead
 	// of being gathered, and the push (|I| read-modify-writes chained
 	// through H[0]) is dropped. Every r[col] still folds in descending
 	// node order.
-	hf := h[1 : len(val)+1]
-	for k := len(val) - 1; k >= 0; k-- {
-		r[col[k]] += val[k] * hf[k]
+	hf := h[1 : len(words)+1]
+	for k := len(words) - 1; k >= 0; k-- {
+		w := words[k]
+		kv := vals[w&low] * hf[k]
+		r[w>>half] += kv
 	}
 }
 
@@ -147,14 +160,13 @@ func (b *Batch) matMulTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *matrix.Dense, klo, khi int) {
 	mcols, rcols := m.Cols(), r.Cols()
 	mc, rt := g[:panelWidth], g[panelWidth:]
-	col, val := b.i.arrays()
-	par, kix := t.Parent, t.KeyIdx[:len(t.Parent)]
+	nodes := t.Len()
 	for lo := klo; lo < khi; lo += panelWidth {
 		w := min(lo+panelWidth, khi) - lo
 		md := m.Data()[lo*mcols:]
 		mc := mc[:w]
 		// The root's row is never read or accumulated into.
-		clear(h[w : len(par)*w])
+		clear(h[w : nodes*w])
 		// Scan D to compute H[x,:] = G(x) = Σ_{D[i,j]=x} M[:,i]. H is
 		// stored node-major ("transposed" in the paper's wording) so D is
 		// scanned once with good locality. Column i of M is gathered into
@@ -170,42 +182,57 @@ func (b *Batch) matMulPanel(t *DecodeTree, h, g []float64, m *matrix.Dense, r *m
 		} else {
 			matMulRows(d.narrow, d.starts, h, mc, md, mcols)
 		}
-		// Scan C' backwards, pushing accumulated weights to parents. Result element (lo+j, col) accumulates in rt[col][j],
-		// the panel of r transposed, so a node's w contributions land in
-		// one contiguous row instead of w cache lines a row of r apart; rt
-		// starts at +0 like r and takes the same addends in the same
-		// order, so copying it out writes the bits accumulating in place
-		// would have.
+		// Scan C' backwards, pushing accumulated weights to parents
+		// (matMulBack). Result element (lo+j, col) accumulates in
+		// rt[col][j], the panel of r transposed, so a node's w
+		// contributions land in one contiguous row instead of w cache
+		// lines a row of r apart; rt starts at +0 like r and takes the
+		// same addends in the same order, so copying it out writes the
+		// bits accumulating in place would have.
 		clear(rt[:rcols*w])
-		for i := len(par) - 1; i > len(val); i-- {
-			k := kix[i] - 1
-			kv := val[k]
-			hi := h[i*w : i*w+w]
-			hp := h[int(par[i])*w : int(par[i])*w+w]
-			rc := rt[int(col[k])*w : int(col[k])*w+w]
-			hp, rc = hp[:len(hi)], rc[:len(hi)]
-			for j, v := range hi {
-				rc[j] += kv * v
-				hp[j] += v
-			}
-		}
-		// First layer: node k+1's key is I[k] itself and its parent the
-		// root, whose accumulated weight nothing reads, so the push is
-		// dropped (and the root's row of H never touched).
-		for i := len(val); i >= 1; i-- {
-			kv := val[i-1]
-			hi := h[i*w : i*w+w]
-			rc := rt[int(col[i-1])*w : int(col[i-1])*w+w]
-			rc = rc[:len(hi)]
-			for j, v := range hi {
-				rc[j] += kv * v
-			}
+		if b.i.isWide() {
+			matMulBack(b.i.wide, b.i.vals, t, h, rt, w)
+		} else {
+			matMulBack(b.i.narrow, b.i.vals, t, h, rt, w)
 		}
 		for j := 0; j < w; j++ {
 			rj := r.Row(lo + j)
 			for c := range rj {
 				rj[c] = rt[c*w+j]
 			}
+		}
+	}
+}
+
+// matMulBack is M·A's C' scan for one panel of w rows of M, backwards,
+// pushing each node's row of H onto its parent's and adding key.Val
+// times it to the key's column of rt, the panel of r transposed.
+func matMulBack[W pairWord](words []W, vals []float64, t *DecodeTree, h, rt []float64, w int) {
+	half, low := halves[W]()
+	par, kix := t.Parent, t.KeyIdx[:len(t.Parent)]
+	for i := len(par) - 1; i > len(words); i-- {
+		wd := words[kix[i]-1]
+		kv, c := vals[wd&low], int(wd>>half)
+		hi := h[i*w : i*w+w]
+		hp := h[int(par[i])*w : int(par[i])*w+w]
+		rc := rt[c*w : c*w+w]
+		hp, rc = hp[:len(hi)], rc[:len(hi)]
+		for j, v := range hi {
+			rc[j] += kv * v
+			hp[j] += v
+		}
+	}
+	// First layer: node k+1's key is I[k] itself and its parent the
+	// root, whose accumulated weight nothing reads, so the push is
+	// dropped (and the root's row of H never touched).
+	for i := len(words); i >= 1; i-- {
+		wd := words[i-1]
+		kv, c := vals[wd&low], int(wd>>half)
+		hi := h[i*w : i*w+w]
+		rc := rt[c*w : c*w+w]
+		rc = rc[:len(hi)]
+		for j, v := range hi {
+			rc[j] += kv * v
 		}
 	}
 }

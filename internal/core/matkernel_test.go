@@ -45,13 +45,13 @@ func TestMatrixKernelsPanelEdgeShapes(t *testing.T) {
 		want := oracleBuild(b.i.pairs(), c.paper)
 		plan := b.NewKernelPlan()
 		for _, p := range []int{0, 1, w - 1, w, w + 1, 2*w + 3} {
-			mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
+			mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.Rows())
 			fillRand(rng, mr)
 			fillRand(rng, ml)
 			wantMulMat := want.mulMat(c.paper, mr).Data()
 			wantMatMul := want.matMul(c.paper, ml, b.cols).Data()
 			for _, workers := range []int{0, 1, 2, 7} {
-				if got := plan.MulMatInto(dirtyMat(b.rows, p), mr, workers); !bitsEqual(got.Data(), wantMulMat) {
+				if got := plan.MulMatInto(dirtyMat(b.Rows(), p), mr, workers); !bitsEqual(got.Data(), wantMulMat) {
 					t.Fatalf("%s p=%d workers=%d: MulMatInto differs from the oracle", name, p, workers)
 				}
 				if got := plan.MatMulInto(dirtyMat(p, b.cols), ml, workers); !bitsEqual(got.Data(), wantMatMul) {
@@ -162,7 +162,7 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 	plan := big.NewKernelPlan()
 	bigLen := plan.tree.Len()
 	plan.MulMatInto(nil, matrix.NewDense(big.cols, p), 7)
-	plan.MatMulInto(nil, matrix.NewDense(p, big.rows), 7)
+	plan.MatMulInto(nil, matrix.NewDense(p, big.Rows()), 7)
 	plan.Release()
 	poisoned := scratchPool.Get().(*opScratch)
 	scratchPool.Put(poisoned)
@@ -174,7 +174,7 @@ func TestMatrixKernelsOnPoisonedScratch(t *testing.T) {
 			t.Fatalf("%s: case outgrows the throwaway batch", name)
 		}
 		want := oracleBuild(b.i.pairs(), c.paper)
-		mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
+		mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.Rows())
 		fillRand(rng, mr)
 		fillRand(rng, ml)
 		wantMulMat := want.mulMat(c.paper, mr).Data()
@@ -303,13 +303,13 @@ func TestMatrixKernelScratchIndependentOfP(t *testing.T) {
 	if plan.tree.Len() != 1+b.i.len()+b.d.live {
 		t.Fatalf("plan tree has %d nodes, the batch 1+%d+%d live ones", plan.tree.Len(), b.i.len(), b.d.live)
 	}
-	mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
+	mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.Rows())
 	fillRand(rng, mr)
 	fillRand(rng, ml)
 	for _, workers := range []int{1, 2} {
 		limit := workers * (1 + b.i.len() + b.d.live) * panelWidth
 		sc := new(opScratch)
-		b.mulMatTree(plan.tree, sc, mr, matrix.NewDense(b.rows, p), workers)
+		b.mulMatTree(plan.tree, sc, mr, matrix.NewDense(b.Rows(), p), workers)
 		if got := cap(sc.floats); got > limit {
 			t.Errorf("A·M workers=%d at p=%d: H scratch holds %d floats, want <= %d (workers·|C'|·panelWidth)", workers, p, got, limit)
 		}

@@ -50,14 +50,32 @@ func oracleBuild(I []Pair, D dTable) *oracleTree {
 	return t
 }
 
-// splitI is I as PrefixTreeEncode returns it, split into a batch's column
-// and value arrays.
-func splitI(I []Pair) firstLayer {
-	f := firstLayer{col: make([]uint32, len(I)), val: make([]float64, len(I))}
-	for k, p := range I {
-		f.col[k], f.val[k] = p.Col, p.Val
+// splitI is I as PrefixTreeEncode returns it, in the resident form
+// Compress gives it for variant v of a rows×cols matrix: the words and
+// dictionary, and rows+1 tuple starts carved with them.
+func splitI(I []Pair, v Variant, rows, cols int) (firstLayer, []uint32) {
+	e := new(encoder)
+	for _, p := range I {
+		e.col, e.val = append(e.col, p.Col), append(e.val, p.Val)
 	}
-	return f
+	return e.resident(v, rows, cols)
+}
+
+// pairs returns a copy of I in the paper's layout, one Pair a
+// first-layer node, each value looked up in the dictionary.
+func (f *firstLayer) pairs() []Pair {
+	I := make([]Pair, f.len())
+	for k := range I {
+		c, x := f.pair(k)
+		I[k] = Pair{Col: c, Val: f.vals[x]}
+	}
+	return I
+}
+
+// sameFirstLayer reports whether two first layers are the same resident
+// form: one width, the same words and a bitwise-equal dictionary.
+func sameFirstLayer(a, b *firstLayer) bool {
+	return a.isWide() == b.isWide() && slices.Equal(a.narrow, b.narrow) && slices.Equal(a.wide, b.wide) && bitsEqual(a.vals, b.vals)
 }
 
 // seq is the pair sequence node idx represents (§3.1.1).
@@ -80,11 +98,12 @@ type logicalCase struct {
 // them through the one constructor.
 func newLogicalCase(t testing.TB, tag string, rows, cols int, v Variant, I []Pair, D [][]uint32) logicalCase {
 	t.Helper()
-	b, err := newLogical(rows, cols, v, splitI(I), flattenD(D))
+	first, _ := splitI(I, v, rows, cols)
+	b, err := newLogical(cols, v, first, flattenD(D))
 	if err != nil {
 		t.Fatalf("%s: encoder output rejected: %v", tag, err)
 	}
-	new(encoder).sizeImage(b)
+	b.sizeImage()
 	return logicalCase{b: b, paper: flattenD(D)}
 }
 
@@ -175,7 +194,8 @@ func paperNodes[N code](dst []uint32, nodes []N, inv []uint32) {
 // fits, and a Full image packs it at the width of |I| plus the bitmap's
 // population, which must hold every code.
 func handImage(v Variant, rows, cols int, I []Pair, codes []uint32, created []uint64, starts []uint32) []byte {
-	b := &Batch{rows: rows, cols: cols, variant: v, i: splitI(I), d: residentD{starts: starts, created: created}}
+	first, _ := splitI(I, v, rows, cols)
+	b := &Batch{cols: cols, variant: v, i: first, d: residentD{starts: starts, created: created}}
 	for _, w := range created {
 		b.d.live += bits.OnesCount64(w)
 	}
@@ -214,6 +234,10 @@ func paperIDs(t testing.TB, tag string, b *Batch) []uint32 {
 	}
 	if size := 1 + b.i.len() + d.live; d.isWide() != (size > 1<<16) {
 		t.Fatalf("%s: live tree of %d nodes holds D′ wide=%v", tag, size, d.isWide())
+	}
+	if (b.i.isWide() && len(b.i.narrow) != 0) || (!b.i.isWide() && b.i.narrow == nil) || b.i.isWide() != !narrowFits(b.cols, len(b.i.vals)) {
+		t.Fatalf("%s: %d columns and a dictionary of %d hold I's words wide=%v (narrow %v, wide %v)",
+			tag, b.cols, len(b.i.vals), b.i.isWide(), b.i.narrow != nil, b.i.wide != nil)
 	}
 	if want := (len(nodes) + 63) / 64; len(d.created) != want {
 		t.Fatalf("%s: creation bitmap has %d words for |D| = %d, want %d", tag, len(d.created), len(nodes), want)
@@ -300,36 +324,39 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	}
 	for i := 1; i < lean.Len(); i++ {
 		// Keys compare by bits: a NaN value is a pair like any other.
-		k, key := lean.KeyIdx[i]-1, want.Key[ids[i]]
-		if ids[lean.Parent[i]] != want.Parent[ids[i]] || b.i.col[k] != key.Col || math.Float64bits(b.i.val[k]) != math.Float64bits(key.Val) {
+		c, x := b.i.pair(int(lean.KeyIdx[i] - 1))
+		key := want.Key[ids[i]]
+		if ids[lean.Parent[i]] != want.Parent[ids[i]] || c != key.Col || math.Float64bits(b.i.vals[x]) != math.Float64bits(key.Val) {
 			t.Fatalf("%s: live node %d (paper %d) = key %d:%v parent %d, oracle key %v parent %d", tag, i, ids[i],
-				b.i.col[k], b.i.val[k], ids[lean.Parent[i]], want.Key[ids[i]], want.Parent[ids[i]])
+				c, b.i.vals[x], ids[lean.Parent[i]], want.Key[ids[i]], want.Parent[ids[i]])
 		}
 	}
 
 	// Decode writes each code's sequence into its row; with the oracle's
 	// keys that is a plain walk up the parents.
-	dec := matrix.NewDense(b.rows, b.cols)
-	for i := 0; i < b.rows; i++ {
+	dec := matrix.NewDense(b.Rows(), b.cols)
+	for i := 0; i < b.Rows(); i++ {
 		for _, n := range paper.row(i) {
 			for idx := n; idx != 0; idx = want.Parent[idx] {
 				dec.Set(i, int(want.Key[idx].Col), want.Key[idx].Val)
 			}
 		}
 	}
-	if got := b.Decode(); got.Rows() != b.rows || got.Cols() != b.cols || !bitsEqual(got.Data(), dec.Data()) {
+	if got := b.Decode(); got.Rows() != b.Rows() || got.Cols() != b.cols || !bitsEqual(got.Data(), dec.Data()) {
 		t.Fatalf("%s: Decode differs from the oracle", tag)
 	}
 
 	// The image written from the resident form is the one the oracle
-	// writes from Algorithm 1's D: the canonical image of (I, D), which a
-	// batch that keeps no image serializes to. One Deserialize made
+	// writes from Algorithm 1's D. A batch that keeps no image was made
+	// by Compress or Scale, and its dictionary is the first-appearance
+	// one: it writes the canonical image of (I, D). One Deserialize made
 	// returns the bytes it was read from, which may be any image of the
-	// same (I, D) (readFull states the accepted language): the canonical
-	// bytes, or others no shorter that read back as the same batch.
-	// (Scale itself may change a NaN's bits.)
+	// same (I, D) (readFull states the accepted language), and keeps that
+	// image's dictionary: with its image dropped it writes the oracle's
+	// image of its own dictionary and indexes, no longer than the bytes
+	// it read. (Scale itself may change a NaN's bits.)
 	canon := written(b)
-	if want := oracleImage(b, paper); !bytes.Equal(canon, want) {
+	if want := oracleImage(b, paper, b.img != nil); !bytes.Equal(canon, want) {
 		t.Fatalf("%s: the image written from the resident form differs from the oracle's", tag)
 	}
 	scaled := b.Scale(2)
@@ -365,7 +392,7 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 			back.d.live != b.d.live {
 			t.Fatalf("%s: the %s deserializes to another resident D", tag, c.name)
 		}
-		if !slices.Equal(back.i.col, c.of.i.col) || !bitsEqual(back.i.val, c.of.i.val) {
+		if !sameFirstLayer(&back.i, &c.of.i) {
 			t.Fatalf("%s: the %s deserializes to another I", tag, c.name)
 		}
 		if !bytes.Equal(written(back), written(c.of)) {
@@ -411,7 +438,7 @@ func (t *oracleTree) mulMat(D dTable, m *matrix.Dense) *matrix.Dense {
 	for i := 1; i < len(t.Key); i++ {
 		k := t.Key[i]
 		for j := 0; j < p; j++ {
-			h.Set(i, j, k.Val*m.At(int(k.Col), j)+h.At(int(t.Parent[i]), j))
+			h.Set(i, j, float64(k.Val*m.At(int(k.Col), j))+h.At(int(t.Parent[i]), j))
 		}
 	}
 	r := matrix.NewDense(D.rows(), p)
@@ -504,13 +531,13 @@ func TestLeanTreeMatchesPairKeyedOracle(t *testing.T) {
 			checkResidentForm(t, tag, b, paper)
 
 			p := 1 + rng.Intn(6)
-			vr, vl := randVec(rng, b.cols), randVec(rng, b.rows)
+			vr, vl := randVec(rng, b.cols), randVec(rng, b.Rows())
 			// Zeros of both signs make some products -0, the one value
 			// for which "+ H[root]" is not the identity.
 			for j := 0; j < len(vr); j += 3 {
 				vr[j] = math.Copysign(0, float64(j%2)-0.5)
 			}
-			mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.rows)
+			mr, ml := matrix.NewDense(b.cols, p), matrix.NewDense(p, b.Rows())
 			fillRand(rng, mr)
 			fillRand(rng, ml)
 			wantMulVec := want.mulVec(paper, vr)
@@ -538,8 +565,8 @@ func TestLeanTreeMatchesPairKeyedOracle(t *testing.T) {
 				check(fmt.Sprintf("plan workers=%d", w), plan.MulVecInto(nil, vr, w), plan.VecMulInto(nil, vl, w),
 					plan.MulMatInto(nil, mr, w).Data(), plan.MatMulInto(nil, ml, w).Data())
 				check(fmt.Sprintf("plan workers=%d into dirty dst", w),
-					plan.MulVecInto(dirtyVec(b.rows), vr, w), plan.VecMulInto(dirtyVec(b.cols), vl, w),
-					plan.MulMatInto(dirtyMat(b.rows, p), mr, w).Data(), plan.MatMulInto(dirtyMat(p, b.cols), ml, w).Data())
+					plan.MulVecInto(dirtyVec(b.Rows()), vr, w), plan.VecMulInto(dirtyVec(b.cols), vl, w),
+					plan.MulMatInto(dirtyMat(b.Rows(), p), mr, w).Data(), plan.MatMulInto(dirtyMat(p, b.cols), ml, w).Data())
 			}
 			plan.Release()
 		}
@@ -719,17 +746,23 @@ func oracleResident(lenI int, paper dTable) (codes []uint32, bitmap []byte) {
 // oracleImage is the image of b's variant, first layer and tuple starts
 // with D given in the paper's numbering, written by its own path:
 // oracleResident's D′ and bitmap, the Full sections through bitpack.Pack
-// and a first-appearance dictionary keyed on a value's bits, the
-// SparseLogical ones appended value by value.
-func oracleImage(b *Batch, paper dTable) []byte {
+// and a first-appearance dictionary keyed on a value's bits — or, with
+// own, b's dictionary and indexes as they are — the SparseLogical ones
+// appended value by value.
+func oracleImage(b *Batch, paper dTable, own bool) []byte {
 	codes, bitmap := oracleResident(b.i.len(), paper)
 	out := make([]byte, headerSize)
 	b.putHeader(out)
 	le := binary.LittleEndian
+	I := b.i.pairs()
+	cols := make([]uint32, len(I))
+	for k, p := range I {
+		cols[k] = p.Col
+	}
 	if b.variant == SparseLogical {
-		out = le.AppendUint32(out, uint32(b.i.len()))
-		for k, v := range b.i.val {
-			out = le.AppendUint64(le.AppendUint32(out, b.i.col[k]), math.Float64bits(v))
+		out = le.AppendUint32(out, uint32(len(I)))
+		for _, p := range I {
+			out = le.AppendUint64(le.AppendUint32(out, p.Col), math.Float64bits(p.Val))
 		}
 		out = le.AppendUint32(out, uint32(len(codes)))
 		for _, n := range codes {
@@ -741,19 +774,26 @@ func oracleImage(b *Batch, paper dTable) []byte {
 		}
 		return out
 	}
-	occ := make([]uint32, b.i.len())
+	occ := make([]uint32, len(I))
 	var dict []float64
 	lookup := map[uint64]uint32{}
-	for k, v := range b.i.val {
-		idx, ok := lookup[math.Float64bits(v)]
+	for k, p := range I {
+		if own {
+			_, occ[k] = b.i.pair(k)
+			continue
+		}
+		idx, ok := lookup[math.Float64bits(p.Val)]
 		if !ok {
 			idx = uint32(len(dict))
-			dict = append(dict, v)
-			lookup[math.Float64bits(v)] = idx
+			dict = append(dict, p.Val)
+			lookup[math.Float64bits(p.Val)] = idx
 		}
 		occ[k] = idx
 	}
-	out = bitpack.Pack(b.i.col[:b.i.len()]).AppendTo(out)
+	if own {
+		dict = b.i.vals
+	}
+	out = bitpack.Pack(cols).AppendTo(out)
 	out = le.AppendUint32(out, uint32(len(dict)))
 	for _, v := range dict {
 		out = le.AppendUint64(out, math.Float64bits(v))
@@ -778,7 +818,7 @@ func checkAgainstMapOracle(t *testing.T, tag string, cols int, rows []SparseRow,
 		t.Fatalf("%s: D differs from the map oracle:\n got %v\nwant %v", tag, D, wantD)
 	}
 	want := newLogicalCase(t, tag, len(rows), cols, Full, wantI, wantD)
-	wantImg := oracleImage(want.b, want.paper)
+	wantImg := oracleImage(want.b, want.paper, false)
 	if got == nil {
 		got = newLogicalCase(t, tag, len(rows), cols, Full, I, D).b
 	}

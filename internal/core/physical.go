@@ -58,26 +58,35 @@ func (b *Batch) Serialize() []byte {
 // length follows from counts known up front (fullSize,
 // sparseLogicalSize), and every section is written in bulk.
 //
-// The Full image's first layer is value-indexed as in §3.2: the unique
-// values once, in first-appearance order, then a bit-packed dictionary
-// index per pair. The bytes are exactly what the map oracle writes with
-// bitpack.Pack and a first-appearance dictionary
-// (TestEncoderMatchesMapOracle), and readFull reads them back.
+// The Full image's first layer is value-indexed as in §3.2: the
+// dictionary once, then a bit-packed dictionary index per pair — the
+// batch's own dictionary and indexes, split out of its words with its
+// columns (splitPairs). For a batch Compress or Scale made the bytes are
+// exactly what the map oracle writes with bitpack.Pack and a
+// first-appearance dictionary (TestEncoderMatchesMapOracle), and
+// readFull reads them back.
 func (e *encoder) image(b *Batch) []byte {
 	d, top := &b.d, uint32(b.i.len()+b.d.live) // the largest code: every live id is named
+	e.col, e.occ = fit(e.col, b.i.len()), fit(e.occ, b.i.len())
+	var colTop uint32
+	if b.i.isWide() {
+		colTop = splitPairs(b.i.wide, e.col, e.occ)
+	} else {
+		colTop = splitPairs(b.i.narrow, e.col, e.occ)
+	}
+	vals := b.i.vals
 	switch b.variant {
 	case Full:
-		e.valueIndex(b.i, b.distinct == b.i.len())
-		out := make([]byte, fullSize(b.rows, b.i.len(), e.colTop, len(e.vals), d.len(), top))
+		out := make([]byte, fullSize(b.Rows(), b.i.len(), colTop, len(vals), d.len(), top))
 		off := b.putHeader(out)
-		off += putPacked(out[off:], b.i.col, e.colTop)
-		binary.LittleEndian.PutUint32(out[off:], uint32(len(e.vals)))
+		off += putPacked(out[off:], e.col, colTop)
+		binary.LittleEndian.PutUint32(out[off:], uint32(len(vals)))
 		off += 4
-		for _, v := range e.vals {
+		for _, v := range vals {
 			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
 			off += 8
 		}
-		off += putPacked(out[off:], e.occ, occTop(len(e.vals)))
+		off += putPacked(out[off:], e.occ, occTop(len(vals)))
 		if d.isWide() {
 			off += putPacked(out[off:], d.wide, top)
 		} else {
@@ -87,14 +96,13 @@ func (e *encoder) image(b *Batch) []byte {
 		putPacked(out[off:], d.starts, uint32(d.len()))
 		return out
 	case SparseLogical:
-		out := make([]byte, sparseLogicalSize(b.rows, b.i.len(), d.len()))
+		out := make([]byte, sparseLogicalSize(b.Rows(), b.i.len(), d.len()))
 		off := b.putHeader(out)
 		binary.LittleEndian.PutUint32(out[off:], uint32(b.i.len()))
 		off += 4
-		col, val := b.i.arrays()
-		for k, v := range val {
-			binary.LittleEndian.PutUint32(out[off:], col[k])
-			binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(v))
+		for k, c := range e.col {
+			binary.LittleEndian.PutUint32(out[off:], c)
+			binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(vals[e.occ[k]]))
 			off += 12
 		}
 		binary.LittleEndian.PutUint32(out[off:], uint32(d.len()))
@@ -113,46 +121,49 @@ func (e *encoder) image(b *Batch) []byte {
 	return out
 }
 
-// valueIndex stages what I's physical first layer needs besides its
-// column array in the encoder: the largest column, I's distinct values
-// in first-appearance order, and each pair's dictionary index. Values
-// are interned on their bits, like the encoder's pairs — unless every
-// value of I is known to be distinct, as on continuous data, when the
-// dictionary is I's values in order and no table is probed.
-func (e *encoder) valueIndex(I firstLayer, allDistinct bool) {
-	if !allDistinct {
-		e.dict.reset(I.len())
+// splitPairs writes every word's column to col and dictionary index to
+// idx, and returns the largest column.
+func splitPairs[W pairWord](words []W, col, idx []uint32) uint32 {
+	half, low := halves[W]()
+	col, idx = col[:len(words)], idx[:len(words)]
+	var top uint32
+	for k, w := range words {
+		c := uint32(w >> half)
+		col[k], idx[k] = c, uint32(w&low)
+		top = max(top, c)
 	}
-	e.occ = fit(e.occ, I.len())
-	col, val := I.arrays()
-	occ, vals := e.occ, e.vals[:0]
-	var colTop uint32
-	for j, v := range val {
-		id, added := uint32(len(vals))+1, true
-		if !allDistinct {
-			id, added = e.dict.intern(math.Float64bits(v), 0, id)
-		}
+	return top
+}
+
+// valueIndex interns vals on their bits, in order, as §3.2 indexes a
+// first layer's values: it appends each distinct value to dict, in
+// first-appearance order, sets e.occ[j] to value j's index there, and
+// returns dict. Bits, like the encoder's pairs: -0 and +0 are two
+// entries, and a NaN is one like any other. dict may be vals[:0], since
+// an entry is appended only after it is read.
+func (e *encoder) valueIndex(vals, dict []float64) []float64 {
+	e.dict.reset(len(vals))
+	e.occ = fit(e.occ, len(vals))
+	occ := e.occ
+	for j, v := range vals {
+		id, added := e.dict.intern(math.Float64bits(v), 0, uint32(len(dict))+1)
 		if added {
-			vals = append(vals, v)
+			dict = append(dict, v)
 		}
 		occ[j] = id - 1
-		colTop = max(colTop, col[j])
 	}
-	e.vals, e.colTop = vals, colTop
+	return dict
 }
 
 // sizeImage fixes b.size, for a batch that keeps no image, to the length
 // of the one Serialize writes, from counts alone: the section lengths,
-// the largest column index and code, and the number of distinct values,
-// which it keeps in b.distinct.
-func (e *encoder) sizeImage(b *Batch) {
+// the dictionary's, and the largest column index and code.
+func (b *Batch) sizeImage() {
 	switch b.variant {
 	case Full:
-		e.valueIndex(b.i, false)
-		b.distinct = len(e.vals)
-		b.size = fullSize(b.rows, b.i.len(), e.colTop, b.distinct, b.d.len(), uint32(b.i.len()+b.d.live))
+		b.size = fullSize(b.Rows(), b.i.len(), b.i.colTop(), len(b.i.vals), b.d.len(), uint32(b.i.len()+b.d.live))
 	case SparseLogical:
-		b.size = sparseLogicalSize(b.rows, b.i.len(), b.d.len())
+		b.size = sparseLogicalSize(b.Rows(), b.i.len(), b.d.len())
 	default:
 		b.size = headerSize
 	}
@@ -237,7 +248,7 @@ func putBitmap(dst []byte, words []uint64, lenD int) int {
 func (b *Batch) putHeader(out []byte) int {
 	copy(out, imageMagic)
 	out[4], out[5] = imageVersion, byte(b.variant)
-	binary.LittleEndian.PutUint32(out[6:], uint32(b.rows))
+	binary.LittleEndian.PutUint32(out[6:], uint32(b.Rows()))
 	binary.LittleEndian.PutUint32(out[10:], uint32(b.cols))
 	return headerSize
 }
@@ -257,8 +268,8 @@ func putU32s[N code](dst []byte, vals []N) int {
 //
 // An image is read in one pass over its sections straight into the
 // arrays the batch keeps (readFull, readSparseLogical), and the call
-// allocates only those: the Batch, I's columns with the tuple starts,
-// I's values, D′ and the creation bitmap. The batch aliases img.
+// allocates only those: the Batch, I's words with the tuple starts, the
+// value dictionary, D′ and the creation bitmap. The batch aliases img.
 // On an imagenet batch of the benchmark's shape (|I| 1739, |D| 7402)
 // that is 5 allocations and 40 KB (BenchmarkDeserialize,
 // TestDeserializeAllocBytes) — or none, when a batch Recycle took back is
@@ -310,20 +321,23 @@ func deserializeInto(b *Batch, img []byte) error {
 // readFull reads a Full image into b. Every section header is read by
 // value (bitpack.ReadArray) and every length checked before anything is
 // allocated; then each section is read once, in bulk, into the array the
-// batch keeps: the tuple starts and I's columns (carve), I's values
-// (decodeFirstLayer, straight from the image's dictionary), the creation
-// bitmap and D′ (readD picks its width).
+// batch keeps: the tuple starts and I's words (carve), the value
+// dictionary, copied as it is, the creation bitmap and D′ (readD picks
+// its width). The column and index sections are unpacked together into
+// the words, each checked against cols and the dictionary's length
+// (unpackPairs).
 //
 // The accepted language is wider than the images Serialize writes: a
 // Full image is accepted iff its sections parse, every index is in range
 // and its resident form passes checkResident. Nothing asks it to be
-// canonical — its value dictionary may repeat a value or hold one no
-// pair names, and a section may be packed wider than its largest element
-// needs. The batch is the same either way: Serialize returns the bytes
-// that were read, while a batch of the same (I, D′) that keeps no image
-// (Compress's, or this one with its image dropped) writes the canonical
-// image, the shortest. A pass that refused or rewrote a non-canonical
-// image would cost every spilled read and buy nothing a kernel can see.
+// canonical — its value dictionary may repeat a value, hold one no pair
+// names or list them out of first-appearance order, and a section may be
+// packed wider than its largest element needs. The batch keeps the
+// dictionary it read: Serialize returns the bytes that were read, and
+// the batch with its image dropped writes its own resident form, every
+// section at its narrowest width. A pass that refused or rewrote a
+// non-canonical image would cost every spilled read and buy nothing a
+// kernel can see.
 func readFull(b *Batch, rows, cols int, img []byte) error {
 	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
@@ -360,14 +374,19 @@ func readFull(b *Batch, rows, cols int, img []byte) error {
 	if startSec.Len() != rows+1 {
 		return fmt.Errorf("core: starts length %d != rows+1 (%d)", startSec.Len(), rows+1)
 	}
-	col, starts := carve(b.i.col, colSec.Len(), rows)
+	I, starts := carve(b.i, colSec.Len(), rows, !narrowFits(cols, int(distinct)))
 	startSec.UnpackRange(starts, 0, len(starts))
-	colSec.UnpackRange(col, 0, len(col))
-	I := firstLayer{col: col, val: fit(b.i.val, len(col))}
-	if err := decodeFirstLayer(I, &valSec, dict, cols); err != nil {
+	I.vals = fit(b.i.vals, int(distinct))
+	getF64s(I.vals, dict)
+	if I.isWide() {
+		err = unpackPairs(I.wide, &colSec, &valSec, cols, len(I.vals))
+	} else {
+		err = unpackPairs(I.narrow, &colSec, &valSec, cols, len(I.vals))
+	}
+	if err != nil {
 		return err
 	}
-	return readD(b, rows, cols, Full, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
+	return readD(b, cols, Full, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
 		if wide != nil {
 			codeSec.UnpackRange(wide, 0, lenD)
 			return true
@@ -376,44 +395,42 @@ func readFull(b *Batch, rows, cols int, img []byte) error {
 	})
 }
 
-// decodeFirstLayer checks I's columns, already unpacked into I.col,
-// against cols, and decodes I's values from a Full image: value k is the
-// dictionary entry that element k of valIdx names, read from the image's
-// dictionary bytes dict. The indexes are unpacked a window at a time
-// onto the stack, each checked against the dictionary's length in the
-// pass that reads its entry.
-func decodeFirstLayer(I firstLayer, valIdx *bitpack.Array, dict []byte, cols int) error {
-	if err := checkCols(I.col, cols); err != nil {
-		return err
-	}
-	var win [256]uint32
-	for lo := 0; lo < len(I.val); lo += len(win) {
-		part := I.val[lo:min(lo+len(win), len(I.val))]
-		v := win[:len(part)]
-		valIdx.UnpackRange(v, lo, lo+len(part))
-		for k, x := range v {
-			at := 8 * int(x)
-			if at >= len(dict) {
-				return fmt.Errorf("core: I[%d] value index %d out of range %d", lo+k, x, len(dict)/8)
+// unpackPairs unpacks a Full image's column and dictionary-index
+// sections into I's words, a window at a time onto the stack, checking
+// every column against cols and every index against the dictionary's
+// length n.
+func unpackPairs[W pairWord](words []W, colSec, idxSec *bitpack.Array, cols, n int) error {
+	half, _ := halves[W]()
+	var cw, xw [256]uint32
+	for lo := 0; lo < len(words); lo += len(cw) {
+		part := words[lo:min(lo+len(cw), len(words))]
+		c, x := cw[:len(part)], xw[:len(part)]
+		colSec.UnpackRange(c, lo, lo+len(part))
+		idxSec.UnpackRange(x, lo, lo+len(part))
+		for k := range part {
+			if uint(c[k]) >= uint(cols) {
+				return fmt.Errorf("core: I[%d] column %d out of range %d", lo+k, c[k], cols)
 			}
-			part[k] = math.Float64frombits(binary.LittleEndian.Uint64(dict[at : at+8]))
+			if uint(x[k]) >= uint(n) {
+				return fmt.Errorf("core: I[%d] value index %d out of range %d", lo+k, x[k], n)
+			}
+			part[k] = W(c[k])<<half | W(x[k])
 		}
 	}
 	return nil
 }
 
-// checkCols checks I's column indexes against the matrix's cols.
-func checkCols(col []uint32, cols int) error {
-	for k, c := range col {
-		if c >= uint32(cols) {
-			return fmt.Errorf("core: I[%d] column %d out of range %d", k, c, cols)
-		}
+// getF64s decodes len(dst) little-endian float64s from src, which the
+// caller has length-checked.
+func getF64s(dst []float64, src []byte) {
+	for ; len(dst) > 0 && len(src) >= 8; dst, src = dst[1:], src[8:] {
+		dst[0] = math.Float64frombits(binary.LittleEndian.Uint64(src))
 	}
-	return nil
 }
 
 // readSparseLogical reads a SparseLogical image into b as readFull reads
-// a Full one, from raw sections.
+// a Full one, from raw sections: the dictionary is I's values in order,
+// pair k naming entry k.
 func readSparseLogical(b *Batch, rows, cols int, img []byte) error {
 	lenI, buf, err := takeU32(img[headerSize:])
 	if err != nil {
@@ -432,22 +449,40 @@ func readSparseLogical(b *Batch, rows, cols int, img []byte) error {
 		return fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
 	}
 	codes, bitmap, rest := buf[:4*lenD], buf[4*lenD:4*lenD+bitmapSize(lenD)], buf[4*lenD+bitmapSize(lenD):]
-	col, starts := carve(b.i.col, int(lenI), rows)
-	I := firstLayer{col: col, val: fit(b.i.val, int(lenI))}
-	for k := range I.val {
-		col[k] = binary.LittleEndian.Uint32(pairs[k*12:])
-		I.val[k] = math.Float64frombits(binary.LittleEndian.Uint64(pairs[k*12+4:]))
+	I, starts := carve(b.i, int(lenI), rows, !narrowFits(cols, int(lenI)))
+	I.vals = fit(b.i.vals, int(lenI))
+	if I.isWide() {
+		err = readRawPairs(I.wide, I.vals, pairs, cols)
+	} else {
+		err = readRawPairs(I.narrow, I.vals, pairs, cols)
 	}
-	if err := checkCols(col, cols); err != nil {
+	if err != nil {
 		return err
 	}
 	getU32s(starts, rest)
-	return readD(b, rows, cols, SparseLogical, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
+	return readD(b, cols, SparseLogical, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
 		if wide != nil {
 			return getU32s(wide, codes)
 		}
 		return getU32s(narrow, codes)
 	})
+}
+
+// readRawPairs reads a SparseLogical image's (u32 column, f64 value)
+// pairs into I's words and dictionary, checking every column against
+// cols.
+func readRawPairs[W pairWord](words []W, vals []float64, pairs []byte, cols int) error {
+	half, _ := halves[W]()
+	vals = vals[:len(words)]
+	for k := range words {
+		c := binary.LittleEndian.Uint32(pairs[k*12:])
+		if uint(c) >= uint(cols) {
+			return fmt.Errorf("core: I[%d] column %d out of range %d", k, c, cols)
+		}
+		words[k] = W(c)<<half | W(k)
+		vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(pairs[k*12+4:]))
+	}
+	return nil
 }
 
 // readD finishes reading an image into b, given its I and tuple starts
@@ -459,7 +494,7 @@ func readSparseLogical(b *Batch, rows, cols int, img []byte) error {
 // Algorithm 1 creates a node at every position of a tuple but its last.
 // A bit past |D| counts a live node no code can name, which
 // checkResident refuses. On an error b is left as it was.
-func readD(b *Batch, rows, cols int, v Variant, I firstLayer, starts []uint32, bitmap []byte, lenD int, img []byte,
+func readD(b *Batch, cols int, v Variant, I firstLayer, starts []uint32, bitmap []byte, lenD int, img []byte,
 	unpack func(narrow []uint16, wide []uint32) bool) error {
 	prev := uint32(0)
 	for k, s := range starts {
@@ -499,7 +534,7 @@ func readD(b *Batch, rows, cols int, v Variant, I firstLayer, starts []uint32, b
 	if err := checkResident(I.len(), &d, sc); err != nil {
 		return err
 	}
-	*b = Batch{rows: rows, cols: cols, variant: v, i: I, d: d, size: len(img), img: img}
+	*b = Batch{cols: cols, variant: v, i: I, d: d, size: len(img), img: img}
 	return nil
 }
 

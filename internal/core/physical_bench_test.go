@@ -20,22 +20,31 @@ func benchVariantBatches(b *testing.B) map[string]*Batch {
 	return out
 }
 
-// BenchmarkSerialize's imagenet row is what spilling one freshly
+// BenchmarkSerialize's generator rows are what spilling one freshly
 // compressed batch of the benchmark's shape costs FillStore's in-order
 // add, 256 batches cycling: the image written section by section from
 // the resident form. Measured on the 2-core Xeon (-cpu 1, eight
 // alternating runs, medians and quartiles): writing D back in the
-// paper's numbering through the inverse map took 37.4 (25.6-45.4) us/op;
-// writing D′ and the creation bitmap as they are takes 18.2 (15.6-25.4).
+// paper's numbering through the inverse map took 37.4 (25.6-45.4) us/op
+// on imagenet; writing D′ and the creation bitmap as they are took 18.2
+// (15.6-25.4). With the value dictionary resident the writer no longer
+// value-indexes I (it interned I's values unless all were distinct); 10
+// alternating pairs, medians, us/op:
+//
+//	imagenet   16.1 → 13.1
+//	mnist      82.8 → 28.4
+//	deep1b      227 → 164
 func BenchmarkSerialize(b *testing.B) {
-	batches := benchBatches(b, "imagenet", 256)
-	b.Run("imagenet", func(b *testing.B) {
-		b.SetBytes(int64(batches[0].CompressedSize()))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			batches[i%len(batches)].Serialize()
-		}
-	})
+	for _, name := range []string{"imagenet", "mnist", "deep1b"} {
+		batches := benchBatches(b, name, 256)
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(batches[0].CompressedSize()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				batches[i%len(batches)].Serialize()
+			}
+		})
+	}
 	for name, batch := range benchVariantBatches(b) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(batch.CompressedSize()))
@@ -46,25 +55,31 @@ func BenchmarkSerialize(b *testing.B) {
 	}
 }
 
-// BenchmarkDeserialize's imagenet and mnist rows are the spilled read
-// path's cost per visit on the benchmark's batch shape, 256 images
-// cycling: read the sections, decode I, unpack D′ and the creation
-// bitmap, and check and mark D′ in one pass. The mnist row has 1-byte
-// dictionary indexes into a 256-value dictionary; imagenet's values are
-// all distinct. Measured on the 2-core Xeon (-cpu 1, eight alternating
-// runs, medians and quartiles, us/op), against images that held D in
-// the paper's numbering, which every read renumbered onto its live
-// nodes:
+// BenchmarkDeserialize's generator rows are the spilled read path's
+// cost per visit on the benchmark's batch shape, 256 images cycling:
+// read the sections, unpack I's words and copy its dictionary, unpack D′
+// and the creation bitmap, and check and mark D′ in one pass. The mnist
+// row has 1-byte dictionary indexes into a 256-value dictionary;
+// imagenet's and deep1b's values are all distinct. Measured on the
+// 2-core Xeon (-cpu 1, eight alternating runs, medians and quartiles,
+// us/op), against images that held D in the paper's numbering, which
+// every read renumbered onto its live nodes:
 //
 //	imagenet           58.6 (43.6-63.8)   → 22.2 (21.1-34.0)
 //	imagenet/recycled  34.1 (31.8-54.0)   → 18.0 (16.1-21.6)
 //	mnist              122 (83.6-137)     → 63.7 (51.7-74.4)
 //	mnist/recycled     90.0 (68.4-107)    → 42.5 (34.9-50.2)
 //
-// Both reads make 5 allocations, 40/125 KB, or none into recycled
+// Then against a read that gathered one value a pair into the batch
+// (medians, 16 alternating pairs for imagenet and deep1b, 10 for
+// mnist): mnist 52.4 → 44.8 and 34.7 → 30.0 recycled; imagenet 20.2 →
+// 21.8 and 14.5 → 15.7; deep1b 154 → 166 and 104 → 120. All-distinct
+// values pay a dictionary copy beside the words, where the gather wrote
+// each value once. The reads make 5 allocations, 40 KB on imagenet and
+// 61 KB on mnist (125 KB with a value a pair), or none into recycled
 // memory.
 func BenchmarkDeserialize(b *testing.B) {
-	for _, name := range []string{"imagenet", "mnist"} {
+	for _, name := range []string{"imagenet", "mnist", "deep1b"} {
 		imgs := [][]byte{}
 		for _, batch := range benchBatches(b, name, 256) {
 			imgs = append(imgs, batch.Serialize())

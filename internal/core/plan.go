@@ -88,7 +88,7 @@ func (p *KernelPlan) MulVecInto(dst, v []float64, workers int) []float64 {
 	if len(v) != b.cols {
 		panic(fmt.Sprintf("core: MulVec dim mismatch %d != %d", len(v), b.cols))
 	}
-	r := matrix.IntoVec(dst, b.rows, false, "core: KernelPlan.MulVecInto")
+	r := matrix.IntoVec(dst, b.Rows(), false, "core: KernelPlan.MulVecInto")
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
 	b.mulVecTree(p.tree, sc, v, r)
@@ -103,7 +103,7 @@ func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int)
 	if m.Rows() != b.cols {
 		panic(fmt.Sprintf("core: MulMat dim mismatch %d != %d", m.Rows(), b.cols))
 	}
-	r := matrix.IntoDense(dst, b.rows, m.Cols(), "core: KernelPlan.MulMatInto")
+	r := matrix.IntoDense(dst, b.Rows(), m.Cols(), "core: KernelPlan.MulMatInto")
 	sc := scratchPool.Get().(*opScratch)
 	defer scratchPool.Put(sc)
 	b.mulMatTree(p.tree, sc, m, r, workers)
@@ -116,8 +116,8 @@ func (p *KernelPlan) MulMatInto(dst *matrix.Dense, m *matrix.Dense, workers int)
 // table in README.
 func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 	b := p.Batch()
-	if len(v) != b.rows {
-		panic(fmt.Sprintf("core: VecMul dim mismatch %d != %d", len(v), b.rows))
+	if len(v) != b.Rows() {
+		panic(fmt.Sprintf("core: VecMul dim mismatch %d != %d", len(v), b.Rows()))
 	}
 	r := matrix.IntoVec(dst, b.cols, true, "core: KernelPlan.VecMulInto")
 	sc := scratchPool.Get().(*opScratch)
@@ -131,8 +131,8 @@ func (p *KernelPlan) VecMulInto(dst, v []float64, workers int) []float64 {
 // dimension by panels.
 func (p *KernelPlan) MatMulInto(dst *matrix.Dense, m *matrix.Dense, workers int) *matrix.Dense {
 	b := p.Batch()
-	if m.Cols() != b.rows {
-		panic(fmt.Sprintf("core: MatMul dim mismatch %d != %d", m.Cols(), b.rows))
+	if m.Cols() != b.Rows() {
+		panic(fmt.Sprintf("core: MatMul dim mismatch %d != %d", m.Cols(), b.Rows()))
 	}
 	r := matrix.IntoDense(dst, m.Rows(), b.cols, "core: KernelPlan.MatMulInto")
 	sc := scratchPool.Get().(*opScratch)

@@ -225,6 +225,36 @@ func BenchmarkPlanBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkVectorKernels times A·v and v·A on the benchmark's batch
+// shape, 64 250-row batches cycling, each with its plan built once
+// beforehand: the kernels a linear model's gradient step runs, without
+// the tree build.
+func BenchmarkVectorKernels(b *testing.B) {
+	for _, name := range []string{"imagenet", "mnist"} {
+		batches := benchBatches(b, name, 64)
+		plans := make([]*KernelPlan, len(batches))
+		for k, batch := range batches {
+			plans[k] = batch.NewKernelPlan()
+		}
+		rng := rand.New(rand.NewSource(19))
+		v, u := randVec(rng, batches[0].cols), randVec(rng, batches[0].Rows())
+		dv, du := make([]float64, batches[0].Rows()), make([]float64, batches[0].cols)
+		b.Run(name+"/MulVec", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plans[i%len(plans)].MulVecInto(dv, v, 1)
+			}
+		})
+		b.Run(name+"/VecMul", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plans[i%len(plans)].VecMulInto(du, u, 1)
+			}
+		})
+		for _, p := range plans {
+			p.Release()
+		}
+	}
+}
+
 // BenchmarkCompress measures core.Compress on the benchmark's ingest
 // batch shape, 250 rows, once per generator: `-bench Compress` answers
 // whether an encoder change slowed any of them. Each sub-benchmark cycles

@@ -29,19 +29,19 @@ func recycledFrom(t testing.TB, img []byte) *Batch {
 // resident-form shape, and the outputs of the four Table 1 kernels.
 func sameBatch(t *testing.T, tag string, got, want *Batch) {
 	t.Helper()
-	if got.rows != want.rows || got.cols != want.cols || got.variant != want.variant ||
+	if got.Rows() != want.Rows() || got.cols != want.cols || got.variant != want.variant ||
 		got.CompressedSize() != want.CompressedSize() || got.d.isWide() != want.d.isWide() ||
 		got.d.live != want.d.live {
 		t.Fatalf("%s: recycled batch %dx%d %v size %d wide %v live %d; fresh %dx%d %v size %d wide %v live %d",
-			tag, got.rows, got.cols, got.variant, got.CompressedSize(), got.d.isWide(), got.d.live,
-			want.rows, want.cols, want.variant, want.CompressedSize(), want.d.isWide(), want.d.live)
+			tag, got.Rows(), got.cols, got.variant, got.CompressedSize(), got.d.isWide(), got.d.live,
+			want.Rows(), want.cols, want.variant, want.CompressedSize(), want.d.isWide(), want.d.live)
 	}
 	if !bytes.Equal(written(got), written(want)) {
 		t.Fatalf("%s: the image written from recycled memory differs from the fresh batch's", tag)
 	}
 	rng := rand.New(rand.NewSource(7))
-	v, u := randVec(rng, want.cols), randVec(rng, want.rows)
-	m, n := matrix.NewDense(want.cols, 5), matrix.NewDense(5, want.rows)
+	v, u := randVec(rng, want.cols), randVec(rng, want.Rows())
+	m, n := matrix.NewDense(want.cols, 5), matrix.NewDense(5, want.Rows())
 	fillRand(rng, m)
 	fillRand(rng, n)
 	if !bitsEqual(got.MulVec(v), want.MulVec(v)) || !bitsEqual(got.VecMul(u), want.VecMul(u)) ||

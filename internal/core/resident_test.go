@@ -78,11 +78,13 @@ func TestImageGoldenCRC(t *testing.T) {
 
 // What a resident batch costs in live heap per byte of its image, over
 // 400 benchmark-shaped batches of each generator the benchmark keeps in
-// RAM: I's columns with the tuple starts, I's values, the 16-bit D′ and
-// the creation bitmap, and no image. Each batch is generated on its own,
-// so the dense rows are garbage by the time the heap is read. The bounds
-// are the measured 1.21 and 3.19 plus about 5%; I as a []Pair, 16 bytes
-// a pair, measures 1.42 and 3.90.
+// RAM: I's words with the tuple starts, the value dictionary, the 16-bit
+// D′ and the creation bitmap, and no image. Each batch is generated on
+// its own, so the dense rows are garbage by the time the heap is read.
+// The bounds are the measured 1.19 (imagenet, where every value is
+// distinct and the dictionary saves nothing) and 1.56 (mnist) plus about
+// 10%; I as a column and a value a pair measures 1.21 and 3.19, and as a
+// []Pair, 16 bytes a pair, 1.42 and 3.90.
 func TestResidentHeapPerCompressedByte(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("the race detector's shadow memory is not the heap this pins")
@@ -90,7 +92,7 @@ func TestResidentHeapPerCompressedByte(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		bound float64
-	}{{"imagenet", 1.3}, {"mnist", 3.4}} {
+	}{{"imagenet", 1.3}, {"mnist", 1.7}} {
 		const batches = 400
 		keep := make([]*Batch, 0, batches)
 		var stored int

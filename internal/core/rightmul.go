@@ -20,10 +20,12 @@ import (
 // cost model, one rebuild per op. A·v is one sequential body; A·M takes
 // a worker count, and rightmul_parallel.go says why handing its panel
 // runs to workers cannot change a bit.
-// Every body reads a node's key through the first layer, pair
-// KeyIdx[i]-1 of I's column and value arrays (decodetree.go); A·v goes
-// one step further and multiplies each of the |I| distinct pairs by v
-// exactly once.
+// Every body reads a node's key through the first layer: pair
+// KeyIdx[i]-1 of I names a column and a value-dictionary entry
+// (decodetree.go, batch.go). Both right multiplications go one step
+// further and multiply each of the |I| distinct pairs by v, or by a
+// panel of M's row, exactly once, straight into the first layer's H;
+// every deeper node adds its key's H to its parent's.
 //
 // Both kernels differ from the textbook loop in one way that changes no
 // bit: C' here is the batch's resident tree, which holds only the nodes
@@ -86,15 +88,15 @@ func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 	// conversion rounds the product before anything is added to it — the
 	// unfused multiply-then-add on every architecture, whatever the
 	// compiler may fuse elsewhere.
-	col, val := b.i.arrays()
 	par := t.Parent
 	kix := t.KeyIdx[:len(par)]
 	h := sc.rawBuf(len(par))
 	h[0] = 0
-	first := len(val) + 1 // the nodes below it are the first layer
-	hf := h[1:first]
-	for k, x := range val {
-		hf[k] = float64(x * v[col[k]])
+	first := b.i.len() + 1 // the nodes below it are the first layer
+	if b.i.isWide() {
+		mulVecFirst(b.i.wide, b.i.vals, v, h[1:first])
+	} else {
+		mulVecFirst(b.i.narrow, b.i.vals, v, h[1:first])
 	}
 	pw, kw, hw := par[first:], kix[first:], h[first:]
 	for j := range pw {
@@ -104,6 +106,16 @@ func (b *Batch) mulVecTree(t *DecodeTree, sc *opScratch, v, r []float64) {
 		mulVecRows(d.wide, d.starts, h, r)
 	} else {
 		mulVecRows(d.narrow, d.starts, h, r)
+	}
+}
+
+// mulVecFirst writes the |I| products key·v of A·v's first layer,
+// hf[k] = vals[idx]·v[col] for pair k.
+func mulVecFirst[W pairWord](words []W, vals, v, hf []float64) {
+	half, low := halves[W]()
+	hf = hf[:len(words)]
+	for k, w := range words {
+		hf[k] = float64(vals[w&low] * v[w>>half])
 	}
 }
 
@@ -161,11 +173,18 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 
 // mulMatPanel is A·M for result columns [clo,chi), one panel [lo,hi) at
 // a time on the slab h (|C'| rows of hi-lo floats, uninitialized). Per
-// panel it runs the C' forward scan,
-// H[i,j] = key.Val·M[key.Col,j] + H[parent,j] — a node's parent precedes
-// it, so every row is written before it is read and only the root's
-// needs clearing — and then the D scan, R[i,j] = Σ_n H[n,j] over tuple
-// i's codes n.
+// panel it runs the C' forward scan the way A·v does (mulVecTree): the
+// first layer's rows are the |I| products H[k+1,j] = key.Val·M[key.Col,j]
+// (mulMatFirst), and every deeper node's row is
+// H[i,j] = H[key,j] + H[parent,j] — a node's parent and its key's
+// first-layer node precede it, so every row is written before it is
+// read, and the root's row, which only the textbook "+ H[root]" of a
+// first-layer node reads, is never touched. Then the D scan,
+// R[i,j] = Σ_n H[n,j] over tuple i's codes n.
+// The bits are the textbook recurrence's: a deep node's key·M row is its
+// key's first-layer row, the same rounded product, and the "+ 0" the
+// first layer drops could only turn a -0 into +0, which no R[i,j], a sum
+// from +0, can tell.
 // Column j of H and of R depends on column j alone, so each column is
 // the same sequential recurrence whatever panel and worker it falls in.
 // The D scan holds eight columns of a result row in registers while it
@@ -174,27 +193,46 @@ func (b *Batch) mulMatTree(t *DecodeTree, sc *opScratch, m *matrix.Dense, r *mat
 // in code order, with one load per element instead of a load, a reload
 // of R and a store.
 func (b *Batch) mulMatPanel(t *DecodeTree, h []float64, m *matrix.Dense, r *matrix.Dense, clo, chi int) {
-	col, val := b.i.arrays()
 	par, kix := t.Parent, t.KeyIdx[:len(t.Parent)]
+	first := b.i.len() + 1
 	for lo := clo; lo < chi; lo += panelWidth {
 		hi := min(lo+panelWidth, chi)
 		w := hi - lo
-		clear(h[:w])
-		for i := 1; i < len(par); i++ {
-			k := kix[i] - 1
-			kv := val[k]
-			hw := h[i*w : i*w+w]
+		if b.i.isWide() {
+			mulMatFirst(b.i.wide, b.i.vals, m, h[w:first*w], lo, hi)
+		} else {
+			mulMatFirst(b.i.narrow, b.i.vals, m, h[w:first*w], lo, hi)
+		}
+		for i := uint(first); i < uint(len(par)); i++ { // unsigned: kix[i] and par[i] need no check
+			hw := h[int(i)*w : int(i)*w+w]
+			hk := h[int(kix[i])*w : int(kix[i])*w+w]
 			hp := h[int(par[i])*w : int(par[i])*w+w]
-			mr := m.Row(int(col[k]))[lo:hi]
-			hp, mr = hp[:len(hw)], mr[:len(hw)]
+			hk, hp = hk[:len(hw)], hp[:len(hw)]
 			for j := range hw {
-				hw[j] = kv*mr[j] + hp[j]
+				hw[j] = hk[j] + hp[j]
 			}
 		}
 		if d := &b.d; d.isWide() {
 			mulMatRows(d.wide, d.starts, h, r, lo, hi)
 		} else {
 			mulMatRows(d.narrow, d.starts, h, r, lo, hi)
+		}
+	}
+}
+
+// mulMatFirst writes A·M's first-layer rows for the panel [lo,hi) of
+// the result columns into hf, |I| rows of hi-lo floats: row k is pair
+// k's value times its column's row of M.
+func mulMatFirst[W pairWord](words []W, vals []float64, m *matrix.Dense, hf []float64, lo, hi int) {
+	half, low := halves[W]()
+	w := hi - lo
+	for k, wd := range words {
+		kv := vals[wd&low]
+		hk := hf[k*w : k*w+w]
+		mr := m.Row(int(wd >> half))[lo:hi]
+		mr = mr[:len(hk)]
+		for j := range hk {
+			hk[j] = float64(kv * mr[j])
 		}
 	}
 }
