@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -508,6 +509,38 @@ func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 	}
 	if st.Reassigned != 1 {
 		t.Errorf("%d positions reassigned, want the victim's 1", st.Reassigned)
+	}
+}
+
+// A payload that fails to decode fails the run, and the error names the
+// trainer id the session joined as, not the id the peer claims.
+func TestUndecodablePushNamesTheJoinedTrainer(t *testing.T) {
+	d, src := testSource(t, "census", 200)
+	sm := newSnapshotModel(t, "lr", d, 3)
+	srv, err := NewServer(ServerConfig{Epochs: 1, NumBatches: src.NumBatches(), LR: 0.2}, sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jr JoinReply
+	for range 2 { // the second peer joins as trainer 1
+		client, server := net.Pipe()
+		go srv.ServeConn(server)
+		c := rpc.NewClient(client)
+		defer c.Close()
+		if err := c.Call("PS.Join", &JoinArgs{Codec: "dense", NumParams: sm.NumParams(), NumBatches: src.NumBatches()}, &jr); err != nil {
+			t.Fatal(err)
+		}
+		if jr.Trainer != 1 {
+			continue
+		}
+		payload := (&Dense{}).EncodeGrad(make([]float64, sm.NumParams()), nil)
+		if err := c.Call("PS.Push", &PushArgs{Trainer: 99, Payload: payload[:len(payload)-3]}, &PushReply{}); err == nil {
+			t.Fatal("truncated payload accepted")
+		}
+	}
+	_, err = srv.Wait()
+	if err == nil || !strings.Contains(err.Error(), "push from trainer 1:") {
+		t.Fatalf("Wait: %v, want the error to name trainer 1", err)
 	}
 }
 

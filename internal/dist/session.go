@@ -205,7 +205,7 @@ func (x *session) Push(args *PushArgs, reply *PushReply) error {
 	// so the shared prototype serves every session.
 	grad := s.loop.GradBuf()
 	if err := s.proto.DecodeGrad(args.Payload, grad); err != nil {
-		err = fmt.Errorf("dist: push from trainer %d: %w", args.Trainer, err)
+		err = fmt.Errorf("dist: push from trainer %d: %w", id, err)
 		s.loop.Fail(err)
 		return err
 	}

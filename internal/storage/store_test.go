@@ -214,8 +214,8 @@ func TestSpillFileCreatedLazilyOnFirstSpill(t *testing.T) {
 	}
 }
 
-// Spilled and TotalCompressedBytes promise the Stats mutex contract;
-// exercised under -race against concurrent spilled reads.
+// Spilled and Stats promise the Stats mutex contract; exercised under
+// -race against concurrent spilled reads.
 func TestStatsAccessorsConcurrentWithBatch(t *testing.T) {
 	xs, ys := testBatches(t, 6, 10, 8)
 	s, err := NewStore(t.TempDir(), "TOC", 1)
