@@ -157,7 +157,7 @@ func finishHalted(ckpt *toc.CheckpointWriter) {
 
 // runDist trains with the parameter-server stack: one DistServer owns
 // the model and N trainers exchange codec-compressed gradients with it
-// over loopback TCP — the full net/rpc wire path, in one process.
+// over loopback TCP — the full frame wire path, in one process.
 func runDist(d *toc.Dataset, ckpt *toc.CheckpointWriter, resume *toc.CheckpointState) {
 	codec, err := toc.ParseGradCodec(*codecSpec, *seed)
 	if err != nil {

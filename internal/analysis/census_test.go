@@ -45,13 +45,6 @@ var keep = map[string]string{
 	"toc/internal/data.DefaultCols":                    "shared test helper: core and data tests size a dataset's columns",
 	"toc/internal/bitpack.PackVarint":                  "shared test helper: the varint ablation of the root benchmarks and bitpack tests",
 	"toc/internal/testutil.CheckGoroutineLeak":         "shared test helper: engine and storage tests check for leaked goroutines",
-
-	// Called by reflection: net/rpc dispatches the "PS" service's methods.
-	"(*toc/internal/dist.session).Join": "net/rpc: PS.Join",
-	"(*toc/internal/dist.session).Next": "net/rpc: PS.Next",
-	"(*toc/internal/dist.session).Pull": "net/rpc: PS.Pull",
-	"(*toc/internal/dist.session).Push": "net/rpc: PS.Push",
-	"(*toc/internal/dist.session).Bye":  "net/rpc: PS.Bye",
 }
 
 // TestEveryExportedNameHasACaller is the census of internal/'s exported

@@ -1,13 +1,14 @@
 // Package dist is distributed data-parallel training: N trainer
 // processes exchange compressed gradients with a parameter server over
-// net/rpc (any io.ReadWriteCloser — TCP in cmd/toctrain, net.Pipe in
-// tests), reusing the local engine's versioned-snapshot + bounded-
-// staleness protocol as the wire contract. The server owns the model
-// and the update clock; trainers pull versioned parameter images,
+// the package's own frames (any io.ReadWriteCloser — TCP in
+// cmd/toctrain, net.Pipe in tests; wire.go frames them, session.go
+// documents each request), reusing the local engine's versioned-snapshot
+// + bounded-staleness protocol as the wire contract. The server owns the
+// model and the update clock; trainers pull versioned parameter images,
 // compute mini-batch gradients against them, and push the gradients
 // back. A trainer pulls whenever its image trails the position it is
 // about to compute by more than the staleness bound, so its push is
-// always admitted; a push the server refuses anyway is an RPC error that
+// always admitted; a push the server refuses anyway is an error that
 // ends the trainer, and the server requeues its position like a crashed
 // trainer's — engine.Loop's admission rule, the one the local engine
 // runs under, carried across the wire.
@@ -155,14 +156,6 @@ func readHeader(payload []byte, tag byte, np int) ([]byte, error) {
 	return payload[1+used:], nil
 }
 
-// appendFloats appends raw little-endian float64 bits.
-func appendFloats(dst []byte, vals []float64) []byte {
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
 // compressor is the lossy half of an error-compensated codec: TopK and
 // DSQ are one each, and feedback supplies everything else.
 type compressor interface {
@@ -258,7 +251,7 @@ func (*Dense) Clone() GradCodec { return &Dense{} }
 
 // EncodeGrad implements GradCodec: the exact gradient, no residual.
 func (*Dense) EncodeGrad(grad []float64, dst []byte) []byte {
-	return appendFloats(header(dst, tagDense, len(grad)), grad)
+	return bitpack.AppendF64s(header(dst, tagDense, len(grad)), grad)
 }
 
 // DecodeGrad implements GradCodec.

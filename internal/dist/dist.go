@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"sync"
 
 	"toc/internal/checkpoint"
@@ -140,29 +139,22 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ServeConn runs one trainer's RPC session to completion; it returns
-// when the peer disconnects. A disconnect without a clean Bye is
-// treated as a trainer crash: the session's in-flight positions are
-// requeued for the surviving trainers, so the run still completes —
-// node failure is worker failure over a wire.
+// ServeConn runs one trainer's session to completion and closes conn; it
+// returns when the peer disconnects or a request is refused. A
+// disconnect without a clean Bye is treated as a trainer crash: the
+// session's in-flight positions are requeued for the surviving trainers,
+// so the run still completes — node failure is worker failure over a
+// wire.
 func (s *Server) ServeConn(conn io.ReadWriteCloser) {
-	sess := &session{srv: s, id: -1}
-	rs := rpc.NewServer()
-	// RegisterName (not Register) because session is deliberately
-	// unexported: the RPC surface is the five methods below, nothing
-	// else.
-	if err := rs.RegisterName("PS", sess); err != nil {
-		panic(fmt.Sprintf("dist: register session: %v", err))
+	x := &session{srv: s, w: newWire(conn, s.np), id: -1}
+	for x.serve() {
 	}
-	rs.ServeConn(conn)
-	sess.mu.Lock()
-	id, left := sess.id, sess.left
-	sess.mu.Unlock()
-	if id < 0 {
+	conn.Close()
+	if x.id < 0 {
 		return // never joined: holds nothing
 	}
-	requeued := s.loop.Abandon(id)
-	if !left {
+	requeued := s.loop.Abandon(x.id)
+	if !x.left {
 		s.count(func(st *ServerStats) {
 			st.Disconnects++
 			st.Reassigned += int64(requeued)

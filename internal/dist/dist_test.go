@@ -1,10 +1,10 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"net"
-	"net/rpc"
 	"strings"
 	"sync"
 	"testing"
@@ -198,10 +198,10 @@ func TestMultiTrainerBoundedStaleness(t *testing.T) {
 	}
 }
 
-// A push outside the staleness bound is refused with an RPC error and
-// moves nothing: a raw peer at bound 0 pushes position 1 computed at
-// version 0, the clock stays put, and once the peer drops its connection
-// the position is requeued, as for any crashed trainer. An honest trainer
+// A push outside the staleness bound is refused with an error and moves
+// nothing: a peer at bound 0 pushes position 1 computed at version 0, the
+// clock stays put, and the refusal ends its session, which requeues the
+// position as for any crashed trainer. An honest trainer
 // then finishes on the trajectory of a run no stale push touched.
 func TestStalePushIsRefused(t *testing.T) {
 	d, src := testSource(t, "census", 200)
@@ -218,28 +218,20 @@ func TestStalePushIsRefused(t *testing.T) {
 	if srv, err = NewServer(cfg, stale); err != nil {
 		t.Fatal(err)
 	}
-	client, server := net.Pipe()
-	served := make(chan struct{}) // closed once the session has requeued what it held
-	go func() {
-		srv.ServeConn(server)
-		close(served)
-	}()
-	peer := rpc.NewClient(client)
-	if err := peer.Call("PS.Join", &JoinArgs{Codec: "dense", NumParams: stale.NumParams(), NumBatches: n}, &JoinReply{}); err != nil {
+	p := dial(t, srv, d, src)
+	defer p.conn.Close()
+	if err := p.join(); err != nil {
 		t.Fatal(err)
 	}
-	// The peer computes every gradient at version 0, the join image.
-	m := newSnapshotModel(t, "lr", d, 3)
-	grad := make([]float64, m.NumParams())
-	push := func(pos int64) error {
+	// The peer never pulls: it computes every gradient at version 0, the
+	// join image.
+	push := func(want int64) error {
 		t.Helper()
-		var nr NextReply
-		if err := peer.Call("PS.Next", &NextArgs{}, &nr); err != nil || nr.Done || nr.Pos != pos {
-			t.Fatalf("Next = %+v, %v; want position %d", nr, err, pos)
+		pos, batch, ok, err := p.next()
+		if err != nil || !ok || pos != want {
+			t.Fatalf("Next = %d, %v, %v; want position %d", pos, ok, err, want)
 		}
-		x, y := src.Batch(nr.Batch)
-		loss := m.Grad(x, y, grad)
-		return peer.Call("PS.Push", &PushArgs{Pos: pos, Version: 0, Loss: loss, Payload: (&Dense{}).EncodeGrad(grad, nil)}, &PushReply{})
+		return p.push(pos, p.compute(batch))
 	}
 	if err := push(0); err != nil {
 		t.Fatalf("position 0 at version 0: %v", err)
@@ -250,8 +242,7 @@ func TestStalePushIsRefused(t *testing.T) {
 	if got := srv.Stats().Updates; got != 1 {
 		t.Fatalf("%d updates after the refused push, want 1", got)
 	}
-	peer.Close()
-	<-served
+	<-p.served // the refusal ended the session, which requeued position 1
 
 	trainToEnd(t, srv, d, src)
 	if diff := maxAbsDiff(paramsOf(clean), paramsOf(stale)); diff != 0 {
@@ -417,11 +408,47 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	}
 }
 
-// The RPC surface is a trust boundary: a peer that skips Join, or pushes
-// a position it was never assigned (another trainer's, one not released
-// yet, one past the schedule) or a version from the future, gets an RPC
-// error, moves nothing — and the run still completes on the trajectory of
-// a run no hostile peer touched.
+// peer is a trainer a test drives one request at a time, through the
+// trainer's own encoders or with frames of its own.
+type peer struct {
+	*Trainer
+	conn   net.Conn
+	served chan struct{} // closed once the session has ended and requeued what it held
+}
+
+// dial connects a peer with an lr model of seed 3 to a session of srv.
+func dial(t *testing.T, srv *Server, d *data.Dataset, src ml.BatchSource) *peer {
+	t.Helper()
+	client, server := net.Pipe()
+	p := &peer{
+		Trainer: NewTrainer(client, newSnapshotModel(t, "lr", d, 3), src, TrainerConfig{}),
+		conn:    client, served: make(chan struct{}),
+	}
+	go func() {
+		srv.ServeConn(server)
+		close(p.served)
+	}()
+	return p
+}
+
+// pushFrame is a Push request for pos at version carrying payload, with
+// extra bytes after it.
+func (p *peer) pushFrame(pos, version int64, payload []byte, extra ...byte) []byte {
+	frame := binary.LittleEndian.AppendUint64(p.w.begin(opPush), uint64(pos))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(version))
+	frame = binary.LittleEndian.AppendUint64(frame, 0)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	return append(append(frame, payload...), extra...)
+}
+
+// The wire is a trust boundary: a peer that skips Join, pushes a position
+// it was never assigned (another trainer's, one not released yet, one
+// past the schedule) or a version from the future, or sends a frame that
+// does not decode (an unknown op, a body cut short or with bytes left
+// over, a length over the bound) is refused with an error and moves
+// nothing. A peer that hangs up while its Next is blocked loses the
+// position Next then hands it. The run still completes on the trajectory
+// of a run no hostile peer touched.
 func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 	d, src := testSource(t, "census", 200)
 	n := src.NumBatches()
@@ -437,15 +464,9 @@ func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 	if srv, err = NewServer(cfg, attacked); err != nil {
 		t.Fatal(err)
 	}
-	dial := func() *rpc.Client {
-		client, server := net.Pipe()
-		go srv.ServeConn(server)
-		return rpc.NewClient(client)
-	}
-	join := func(c *rpc.Client) {
+	join := func(p *peer) {
 		t.Helper()
-		var jr JoinReply
-		if err := c.Call("PS.Join", &JoinArgs{Codec: "dense", NumParams: attacked.NumParams(), NumBatches: n}, &jr); err != nil {
+		if err := p.join(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -454,50 +475,98 @@ func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 		poison[i] = 1e6
 	}
 	payload := (&Dense{}).EncodeGrad(poison, nil)
-	push := func(pos, version int64) func(c *rpc.Client) error {
-		return func(c *rpc.Client) error {
-			return c.Call("PS.Push", &PushArgs{Pos: pos, Version: version, Payload: payload}, &PushReply{})
+	call := func(frame func(p *peer) []byte) func(p *peer) error {
+		return func(p *peer) error {
+			_, err := p.call(frame(p))
+			return err
 		}
+	}
+	push := func(pos int64) func(p *peer) error {
+		return call(func(p *peer) []byte { return p.pushFrame(pos, 0, payload) })
+	}
+	empty := func(op byte) func(p *peer) error {
+		return call(func(p *peer) []byte { return p.w.begin(op) })
 	}
 
 	// victim is an honest peer holding position 0 while the others attack.
-	victim := dial()
+	victim := dial(t, srv, d, src)
 	join(victim)
-	var held NextReply
-	if err := victim.Call("PS.Next", &NextArgs{}, &held); err != nil || held.Done || held.Pos != 0 {
-		t.Fatalf("victim Next = %+v, %v; want position 0", held, err)
+	if pos, _, ok, err := victim.next(); err != nil || !ok || pos != 0 {
+		t.Fatalf("victim Next = %d, %v, %v; want position 0", pos, ok, err)
 	}
 	rows := []struct {
 		name   string
 		joined bool
-		call   func(c *rpc.Client) error
+		call   func(p *peer) error
+		want   string // in the refusal
 	}{
-		{"Next before Join", false, func(c *rpc.Client) error { return c.Call("PS.Next", &NextArgs{}, &NextReply{}) }},
-		{"Push before Join", false, push(0, 0)},
-		{"Bye before Join", false, func(c *rpc.Client) error { return c.Call("PS.Bye", &ByeArgs{}, &ByeReply{}) }},
-		{"push another trainer's position", true, push(0, 0)},
-		{"push a position not released yet", true, push(3, 0)},
-		{"push a position past the schedule", true, push(int64(2*n), 0)},
-		{"push a negative position", true, push(-1, 0)},
+		{"Next before Join", false, empty(opNext), "Next before Join"},
+		{"Pull before Join", false, empty(opPull), "Pull before Join"},
+		{"Push before Join", false, push(0), "Push before Join"},
+		{"Bye before Join", false, empty(opBye), "Bye before Join"},
+		{"push another trainer's position", true, push(0), "does not hold"},
+		{"push a position not released yet", true, push(3), "does not hold"},
+		{"push a position past the schedule", true, push(int64(2 * n)), "does not hold"},
+		{"push a negative position", true, push(-1), "does not hold"},
+		{"an unknown op", true, empty(0xff), "unknown op"},
+		{"a truncated body", true, call(func(p *peer) []byte {
+			return p.pushFrame(0, 0, payload)[:frameHeader+20]
+		}), "truncated"},
+		{"a push with trailing bytes", true, call(func(p *peer) []byte {
+			return p.pushFrame(0, 0, payload, 0)
+		}), "trailing"},
+		{"an oversize length", true, func(p *peer) error {
+			hdr := binary.LittleEndian.AppendUint32([]byte{opPush}, uint32(frameBound(attacked.NumParams())+1))
+			if _, err := p.conn.Write(hdr); err != nil {
+				return err
+			}
+			// The session hangs up unanswered; one that waited for the
+			// body would leave this read to time out.
+			p.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			_, _, err := p.w.read()
+			return err
+		}, "EOF"},
 	}
 	for _, row := range rows {
-		c := dial()
+		p := dial(t, srv, d, src)
 		if row.joined {
-			join(c)
+			join(p)
 		}
-		if err := row.call(c); err == nil {
-			t.Errorf("%s: accepted", row.name)
+		if err := row.call(p); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: %v, want a refusal containing %q", row.name, err, row.want)
 		}
 		if got := srv.Stats().Updates; got != 0 {
 			t.Errorf("%s: %d updates applied", row.name, got)
 		}
-		c.Close()
+		p.conn.Close()
 	}
-	// A version from the future, for a position the peer does hold.
-	if err := victim.Call("PS.Push", &PushArgs{Pos: 0, Version: 5, Payload: payload}, &PushReply{}); err == nil {
+	// A version from the future, for a position the peer does hold. The
+	// refusal ends the victim's session, which requeues position 0.
+	if _, err := victim.call(victim.pushFrame(0, 5, payload)); err == nil {
 		t.Error("push computed at a future version: accepted")
 	}
-	victim.Close() // vanishes holding position 0: requeued for the honest trainer
+	<-victim.served
+	victim.conn.Close()
+
+	// At staleness 0, position 1 waits for position 0's update. ghost asks
+	// for it and hangs up; its session notices only when Next hands it
+	// position 1 and the reply cannot be written, and requeues it.
+	holder, ghost := dial(t, srv, d, src), dial(t, srv, d, src)
+	join(holder)
+	join(ghost)
+	pos, batch, ok, err := holder.next()
+	if err != nil || !ok || pos != 0 {
+		t.Fatalf("holder Next = %d, %v, %v; want the requeued position 0", pos, ok, err)
+	}
+	if err := ghost.w.send(ghost.w.begin(opNext)); err != nil {
+		t.Fatal(err)
+	}
+	ghost.conn.Close()
+	if err := holder.push(pos, holder.compute(batch)); err != nil { // the honest update
+		t.Fatal(err)
+	}
+	<-ghost.served
+	holder.conn.Close()
 
 	trainToEnd(t, srv, d, src)
 	if diff := maxAbsDiff(paramsOf(clean), paramsOf(attacked)); diff != 0 {
@@ -507,13 +576,13 @@ func TestHostilePeerCannotMoveTheRun(t *testing.T) {
 	if want := int64(2 * n); st.Updates != want || st.Duplicates != 0 {
 		t.Errorf("%d updates, %d duplicates; want %d and 0", st.Updates, st.Duplicates, want)
 	}
-	if st.Reassigned != 1 {
-		t.Errorf("%d positions reassigned, want the victim's 1", st.Reassigned)
+	if st.Reassigned != 2 {
+		t.Errorf("%d positions reassigned, want the victim's and the ghost's", st.Reassigned)
 	}
 }
 
 // A payload that fails to decode fails the run, and the error names the
-// trainer id the session joined as, not the id the peer claims.
+// trainer id the session joined as.
 func TestUndecodablePushNamesTheJoinedTrainer(t *testing.T) {
 	d, src := testSource(t, "census", 200)
 	sm := newSnapshotModel(t, "lr", d, 3)
@@ -521,20 +590,17 @@ func TestUndecodablePushNamesTheJoinedTrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jr JoinReply
-	for range 2 { // the second peer joins as trainer 1
-		client, server := net.Pipe()
-		go srv.ServeConn(server)
-		c := rpc.NewClient(client)
-		defer c.Close()
-		if err := c.Call("PS.Join", &JoinArgs{Codec: "dense", NumParams: sm.NumParams(), NumBatches: src.NumBatches()}, &jr); err != nil {
+	for i := range 2 { // the second peer joins as trainer 1
+		p := dial(t, srv, d, src)
+		defer p.conn.Close()
+		if err := p.join(); err != nil {
 			t.Fatal(err)
 		}
-		if jr.Trainer != 1 {
+		if i == 0 {
 			continue
 		}
 		payload := (&Dense{}).EncodeGrad(make([]float64, sm.NumParams()), nil)
-		if err := c.Call("PS.Push", &PushArgs{Trainer: 99, Payload: payload[:len(payload)-3]}, &PushReply{}); err == nil {
+		if _, err := p.call(p.pushFrame(0, 0, payload[:len(payload)-3])); err == nil {
 			t.Fatal("truncated payload accepted")
 		}
 	}

@@ -1,9 +1,15 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"toc/internal/formats"
 )
 
 // FuzzGradCodecDecode throws arbitrary bytes at every codec's two decode
@@ -48,3 +54,91 @@ func FuzzGradCodecDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWireDecode feeds arbitrary frames to both ends of the wire: to a
+// session's request decode, before and after a valid Join, and to a
+// trainer's reply decode, from the Join reply on and after a valid one.
+// Neither end panics, and neither allocates more than a fixed slack plus
+// what the input's own bytes could fill: no length or count a frame
+// claims sizes anything by itself.
+func FuzzWireDecode(f *testing.F) {
+	const np, batches = 40, 4
+	frame := func(op byte, body []byte) []byte {
+		return append(binary.LittleEndian.AppendUint32([]byte{op}, uint32(len(body))), body...)
+	}
+	u64 := func(vs ...uint64) (b []byte) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	payload := func() []byte {
+		p := (&Dense{}).EncodeGrad(make([]float64, np), nil)
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(p))), p...)
+	}
+	joinReq := binary.LittleEndian.AppendUint32(nil, np)
+	joinReq = binary.LittleEndian.AppendUint32(joinReq, batches)
+	joinReq = append(binary.LittleEndian.AppendUint16(joinReq, 5), "dense"...)
+	joinReply := append(u64(0, 0), make([]byte, 8*np)...)
+	nextReply := binary.LittleEndian.AppendUint32(u64(0), 1)
+	requests := [][]byte{
+		frame(opJoin, joinReq),
+		frame(opNext, nil),
+		frame(opPull, nil),
+		frame(opPush, append(u64(0, 0, 0), payload()...)),
+		frame(opBye, nil),
+	}
+	replies := [][]byte{
+		frame(opOK, joinReply),
+		frame(opOK, nextReply),
+		frame(opOK, nil), // Next when done, Push, Bye
+		frame(opOK, append(u64(0), payload()...)),
+		frame(opErr, []byte("dist: refused")),
+	}
+	for _, seed := range append(requests, replies...) {
+		f.Add(seed)
+	}
+	// One whole session: a position computed, a pull, a clean exit.
+	f.Add(bytes.Join(requests[1:], nil))
+	f.Add(bytes.Join(replies[1:4], nil))
+
+	// run calls fn and fails if it allocated more than the input can back.
+	run := func(t *testing.T, side string, in []byte, fn func()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<16+64*len(in)); got > limit {
+			t.Fatalf("%s allocated %d bytes for a %d-byte input, limit %d", side, got, len(in), limit)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, prefix := range [][]byte{nil, requests[0]} {
+			in := append(append([]byte(nil), prefix...), data...)
+			// Unbounded staleness: a Next never blocks on the clock.
+			srv, err := NewServer(ServerConfig{Epochs: 1 << 20, NumBatches: batches, LR: 0.1, Staleness: -1}, &stubModel{np: np})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, "session", in, func() { srv.ServeConn(&script{Reader: bytes.NewReader(in)}) })
+		}
+		for _, prefix := range [][]byte{nil, replies[0]} {
+			in := append(append([]byte(nil), prefix...), data...)
+			tr := NewTrainer(&script{Reader: bytes.NewReader(in)}, &stubModel{np: np}, stubSource(batches), TrainerConfig{})
+			run(t, "trainer", in, func() { _ = tr.Run() })
+		}
+	})
+}
+
+// script is a connection whose peer's frames are fixed in advance and
+// which discards what is written to it.
+type script struct{ io.Reader }
+
+func (*script) Write(p []byte) (int, error) { return len(p), nil }
+func (*script) Close() error                { return nil }
+
+// stubSource serves n empty batches, which stubModel's Grad ignores.
+type stubSource int
+
+func (s stubSource) NumBatches() int                               { return int(s) }
+func (stubSource) Batch(int) (formats.CompressedMatrix, []float64) { return nil, nil }

@@ -4,6 +4,8 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"testing"
+
+	"toc/internal/bitpack"
 )
 
 // The error-feedback wrapper is shared by TopK and DSQ; its frames and
@@ -19,7 +21,7 @@ func TestGoldenPayloads(t *testing.T) {
 	for i := range grad {
 		grad[i], params[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
-	floatsCRC := func(v []float64) uint32 { return crc32.ChecksumIEEE(appendFloats(nil, v)) }
+	floatsCRC := func(v []float64) uint32 { return crc32.ChecksumIEEE(bitpack.AppendF64s(nil, v)) }
 	type golden struct{ up1, up2, residual, down, prev uint32 }
 	for _, tc := range []struct {
 		codec GradCodec

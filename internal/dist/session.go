@@ -1,110 +1,94 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sync"
+	"math"
+	"slices"
 	"time"
+
+	"toc/internal/bitpack"
 )
 
-// The wire protocol: five RPCs on service "PS", each a thin transport
-// over engine.Loop. A trainer Joins (codec and shape handshake, bootstrap
-// parameter image), then loops Next (Loop.Next), optionally Pull (a
-// compressed delta bringing its image to the current version), computes,
-// and Pushes the compressed gradient tagged with the version it was
-// computed at (Loop.Submit). A push the loop refuses — a version outside
-// the staleness bound among them — is an RPC error, and the trainer that
-// gets one drops its connection. Bye leaves cleanly; vanishing without it
-// is a crash (Loop.Abandon), whose positions the survivors compute.
+// The wire protocol: five requests, each a thin transport over
+// engine.Loop. A trainer Joins, then loops Next (Loop.Next), Pull when
+// its image is too old, computes, and Pushes (Loop.Submit); Bye leaves
+// cleanly, and vanishing without it is a crash (Loop.Abandon). Request →
+// OK reply bodies, little-endian; a payload is a GradCodec image behind a
+// u32 length:
 //
-// Every id, position and version a peer sends is untrusted: the session
-// acts only as the owner its own Join created, and the loop refuses
-// positions that owner does not hold. Trainers call strictly serially
-// (net/rpc's synchronous Call); the session lock still guards its state
-// so a misbehaving client cannot corrupt the server.
+//	Join  u32 NumParams, u32 NumBatches, u16-length codec name → i64
+//	      staleness bound, i64 version, NumParams float64s (the raw image
+//	      the downlink delta chain starts from)
+//	Next  → empty once the schedule is done, else i64 position, u32 batch
+//	Pull  → i64 version, payload (the delta to the parameters at it)
+//	Push  i64 position, i64 version computed at, float64 loss, payload
+//	Bye
+//
+// A body is read whole or refused. A refused request — one that does not
+// decode, comes before Join, or pushes what the loop refuses (a version
+// outside the staleness bound among them) — gets an Err reply carrying
+// the reason and ends the session; a frame over the bound or cut short
+// ends it unanswered. Every position and version a peer sends is
+// untrusted: the session acts only as the owner its own Join created, and
+// the loop refuses positions that owner does not hold.
 
-// JoinArgs is the trainer's handshake: the server validates that both
-// sides agree on the codec and the schedule shape before any traffic.
-type JoinArgs struct {
-	Codec      string
-	NumParams  int
-	NumBatches int
-}
-
-// JoinReply carries the trainer id, the staleness bound, and the
-// bootstrap parameter image (raw, uncompressed: the downlink codec's
-// delta chain starts from this exact shared image).
-type JoinReply struct {
-	Trainer   int
-	Staleness int
-	Version   int64
-	Params    []float64
-}
-
-// NextArgs requests the next position to compute.
-type NextArgs struct{ Trainer int }
-
-// NextReply is a released position (and its epoch batch index), or
-// Done when the schedule is complete.
-type NextReply struct {
-	Done  bool
-	Pos   int64
-	Batch int
-}
-
-// PullArgs requests a parameter refresh.
-type PullArgs struct{ Trainer int }
-
-// PullReply is the compressed delta from the trainer's last-known image
-// to the server's current parameters, tagged with the version (server
-// clock) it brings the trainer to.
-type PullReply struct {
-	Version int64
-	Payload []byte
-}
-
-// PushArgs submits one computed gradient: the position it was assigned,
-// the version of the snapshot it was computed against, its mini-batch
-// loss, and the codec payload.
-type PushArgs struct {
-	Trainer int
-	Pos     int64
-	Version int64
-	Loss    float64
-	Payload []byte
-}
-
-// PushReply is empty: a push is admitted, or refused with an RPC error.
-type PushReply struct{}
-
-// ByeArgs announces a clean departure.
-type ByeArgs struct{ Trainer int }
-
-// ByeReply is empty.
-type ByeReply struct{}
-
-// session is one trainer's server-side state: its identity and the
-// downlink codec clone tracking the parameter image this trainer holds.
+// session is one trainer's server-side state. ServeConn answers its
+// requests one at a time on one goroutine, so it needs no lock.
 type session struct {
-	srv *Server
-
-	mu sync.Mutex
-	//toc:guardedby mu
-	id int // loop owner id; -1 until Join
-	//toc:guardedby mu
-	left bool // clean Bye received
-	//toc:guardedby mu
-	down GradCodec // per-trainer downlink codec (residual + prev chain)
-	//toc:guardedby mu
-	prev []float64 // the image the trainer currently holds
-	//toc:guardedby mu
-	paramsBuf []float64
-	//toc:guardedby mu
-	payloadBuf []byte
+	srv    *Server
+	w      wire
+	id     int       // loop owner id; -1 until Join
+	left   bool      // clean Bye received
+	down   GradCodec // per-trainer downlink codec (residual + prev chain)
+	prev   []float64 // the image the trainer currently holds
+	params []float64 // the server's parameters at the last Join or Pull
 }
 
-// meter holds the calling RPC handler until n bytes have crossed the
-// link in direction dir: the one place the simulated wire reads the
-// wall clock and sleeps.
+// serve reads one request, answers it and writes the reply. It reports
+// whether the session goes on.
+func (x *session) serve() bool {
+	op, body, err := x.w.read()
+	if err != nil {
+		return false // hung up, cut short or over the bound: nothing to answer
+	}
+	r := bitpack.NewReader(body)
+	reply, err := x.answer(op, &r)
+	if err != nil {
+		msg := err.Error()
+		reply = append(x.w.begin(opErr), msg[:min(len(msg), x.w.bound)]...)
+	}
+	return x.w.send(reply) == nil && err == nil
+}
+
+// answer decodes a request, acts on it and returns its reply frame.
+func (x *session) answer(op byte, r *bitpack.Reader) ([]byte, error) {
+	switch {
+	case op < opJoin || op > opBye:
+		return nil, fmt.Errorf("dist: unknown op %d", op)
+	case op == opJoin:
+		return x.join(r)
+	case x.id < 0:
+		return nil, fmt.Errorf("dist: %s before Join", opName[op])
+	case op == opPush:
+		return x.push(r)
+	case r.Done() != nil: // Next, Pull and Bye have empty bodies
+		return nil, fmt.Errorf("dist: %s: %w", opName[op], r.Done())
+	case op == opNext:
+		return x.next()
+	case op == opPull:
+		return x.pull(), nil
+	}
+	if !x.left { // Bye
+		x.left = true
+		x.srv.count(func(st *ServerStats) { st.Left++ })
+	}
+	return x.w.begin(opOK), nil
+}
+
+// meter holds the calling session until n bytes have crossed the link in
+// direction dir: the one place the simulated wire reads the wall clock
+// and sleeps.
 //
 //toc:timing
 func (s *Server) meter(dir func(*Link, time.Time, int) time.Time, n int) {
@@ -116,35 +100,29 @@ func (s *Server) meter(dir func(*Link, time.Time, int) time.Time, n int) {
 	}
 }
 
-// owner returns the loop owner this session joined as, -1 before Join.
-func (x *session) owner() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.id
-}
-
-// Join implements the handshake RPC.
-func (x *session) Join(args *JoinArgs, reply *JoinReply) error {
+// join validates that both sides agree on the codec and the schedule
+// shape, and ships the bootstrap image raw.
+func (x *session) join(r *bitpack.Reader) ([]byte, error) {
 	s := x.srv
-	if args.NumParams != s.np {
-		return fmt.Errorf("dist: trainer model has %d params, server has %d", args.NumParams, s.np)
+	np, n, codec := int(r.U32()), int(r.U32()), r.Str()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("dist: Join: %w", err)
 	}
-	if args.NumBatches != s.n {
-		return fmt.Errorf("dist: trainer source has %d batches, schedule has %d", args.NumBatches, s.n)
+	switch want := s.proto.Name(); {
+	case x.id >= 0:
+		return nil, fmt.Errorf("dist: trainer %d joined twice", x.id)
+	case np != s.np:
+		return nil, fmt.Errorf("dist: trainer model has %d params, server has %d", np, s.np)
+	case n != s.n:
+		return nil, fmt.Errorf("dist: trainer source has %d batches, schedule has %d", n, s.n)
+	case codec != want:
+		return nil, fmt.Errorf("dist: trainer codec %q, server uses %q", codec, want)
 	}
-	if want := s.proto.Name(); args.Codec != want {
-		return fmt.Errorf("dist: trainer codec %q, server uses %q", args.Codec, want)
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.id >= 0 {
-		return fmt.Errorf("dist: trainer %d joined twice", x.id)
-	}
-	params := make([]float64, s.np)
-	version, _ := s.loop.Params(0, params)
+	x.params = make([]float64, s.np)
+	version, _ := s.loop.Params(0, x.params)
 	x.id = s.loop.Join()
 	x.down = s.proto.Clone()
-	x.prev = append([]float64(nil), params...)
+	x.prev = slices.Clone(x.params)
 	s.count(func(st *ServerStats) {
 		st.Joined++
 		st.DownBytes += int64(8 * s.np)
@@ -152,81 +130,67 @@ func (x *session) Join(args *JoinArgs, reply *JoinReply) error {
 	})
 	s.meter((*Link).Down, 8*s.np)
 
-	reply.Trainer = x.id
-	reply.Staleness = s.bound
-	reply.Version = version
-	reply.Params = params
-	return nil
+	frame := binary.LittleEndian.AppendUint64(x.w.begin(opOK), uint64(s.bound))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(version))
+	return bitpack.AppendF64s(frame, x.params), nil
 }
 
-// Next implements the position-release RPC: it blocks until a requeued
-// position is available, a fresh one is admissible, or the schedule is
-// done.
-func (x *session) Next(args *NextArgs, reply *NextReply) error {
-	t, ok, err := x.srv.loop.Next(x.owner())
-	reply.Done, reply.Pos, reply.Batch = !ok, t.Pos, t.Batch
-	return err
+// next blocks until a requeued position is available, a fresh one is
+// admissible, or the schedule is done.
+func (x *session) next() ([]byte, error) {
+	t, ok, err := x.srv.loop.Next(x.id)
+	frame := x.w.begin(opOK)
+	if !ok {
+		return frame, err
+	}
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(t.Pos))
+	return binary.LittleEndian.AppendUint32(frame, uint32(t.Batch)), nil
 }
 
-// Pull implements the parameter-refresh RPC.
-func (x *session) Pull(args *PullArgs, reply *PullReply) error {
+// pull encodes the delta to the current parameters straight into the
+// reply frame.
+func (x *session) pull() []byte {
 	s := x.srv
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.id < 0 {
-		return fmt.Errorf("dist: Pull before Join")
-	}
-	if len(x.paramsBuf) != s.np {
-		x.paramsBuf = make([]float64, s.np)
-	}
-	reply.Version, _ = s.loop.Params(0, x.paramsBuf)
-	x.payloadBuf = x.down.EncodeSnap(x.paramsBuf, x.prev, x.payloadBuf[:0])
-	// The buffer is reused only after the client's next call, which it
-	// cannot issue before reading this reply.
-	reply.Payload = x.payloadBuf
+	version, _ := s.loop.Params(0, x.params)
+	frame := binary.LittleEndian.AppendUint64(x.w.begin(opOK), uint64(version))
+	frame = append(frame, 0, 0, 0, 0)
+	mark := len(frame)
+	frame = x.down.EncodeSnap(x.params, x.prev, frame)
+	putLen(frame, mark)
+	n := len(frame) - mark
 	s.count(func(st *ServerStats) {
 		st.Pulls++
-		st.DownBytes += int64(len(reply.Payload))
+		st.DownBytes += int64(n)
 		st.DenseDownBytes += int64(8 * s.np)
 	})
-	s.meter((*Link).Down, len(reply.Payload))
-	return nil
+	s.meter((*Link).Down, n)
+	return frame
 }
 
-// Push implements the gradient-submission RPC.
-func (x *session) Push(args *PushArgs, reply *PushReply) error {
+// push decodes a gradient and submits it to the loop.
+func (x *session) push(r *bitpack.Reader) ([]byte, error) {
 	s := x.srv
-	id := x.owner()
-	if id < 0 {
-		return fmt.Errorf("dist: Push before Join")
+	pos, version, loss := int64(r.U64()), int64(r.U64()), math.Float64frombits(r.U64())
+	payload := r.Take(int(r.U32()))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("dist: Push: %w", err)
 	}
-	s.meter((*Link).Up, len(args.Payload))
-	// Decode outside every lock: GradCodec decode methods are stateless,
-	// so the shared prototype serves every session.
+	s.meter((*Link).Up, len(payload))
+	// GradCodec decode methods are stateless, so the shared prototype
+	// serves every session at once.
 	grad := s.loop.GradBuf()
-	if err := s.proto.DecodeGrad(args.Payload, grad); err != nil {
-		err = fmt.Errorf("dist: push from trainer %d: %w", id, err)
+	if err := s.proto.DecodeGrad(payload, grad); err != nil {
+		err = fmt.Errorf("dist: push from trainer %d: %w", x.id, err)
 		s.loop.Fail(err)
-		return err
+		return nil, err
 	}
 	s.count(func(st *ServerStats) {
 		st.Pushes++
-		st.UpBytes += int64(len(args.Payload))
+		st.UpBytes += int64(len(payload))
 		st.DenseUpBytes += int64(8 * s.np)
 	})
-	return s.loop.Submit(id, args.Pos, args.Version, args.Loss, grad)
-}
-
-// Bye implements the clean-departure RPC.
-func (x *session) Bye(args *ByeArgs, reply *ByeReply) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.id < 0 {
-		return fmt.Errorf("dist: Bye before Join")
+	if err := s.loop.Submit(x.id, pos, version, loss, grad); err != nil {
+		return nil, err
 	}
-	if !x.left {
-		x.left = true
-		x.srv.count(func(st *ServerStats) { st.Left++ })
-	}
-	return nil
+	return x.w.begin(opOK), nil
 }

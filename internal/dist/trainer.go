@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"net/rpc"
+	"math"
 
+	"toc/internal/bitpack"
 	"toc/internal/faultpoint"
 	"toc/internal/ml"
 )
@@ -20,18 +23,17 @@ type TrainerConfig struct {
 // serving the shared schedule, and the uplink half of the codec. It is
 // single-goroutine; run one Trainer per connection.
 type Trainer struct {
-	c     *rpc.Client
+	conn  io.Closer
+	w     wire
 	m     ml.Model
 	src   ml.BatchSource
 	rel   ml.Releaser // src's release hook, nil if it has none
 	codec GradCodec
 
-	id      int
 	bound   int
 	version int64
 	params  []float64
 	grad    []float64
-	payload []byte
 }
 
 // NewTrainer wraps a connection to a Server. m must have the server
@@ -42,7 +44,7 @@ func NewTrainer(conn io.ReadWriteCloser, m ml.Model, src ml.BatchSource, cfg Tra
 		codec = &Dense{}
 	}
 	rel, _ := src.(ml.Releaser)
-	return &Trainer{c: rpc.NewClient(conn), m: m, src: src, rel: rel, codec: codec, id: -1}
+	return &Trainer{conn: conn, w: newWire(conn, m.NumParams()), m: m, src: src, rel: rel, codec: codec}
 }
 
 // Run joins the server and computes positions until the schedule is
@@ -50,33 +52,19 @@ func NewTrainer(conn io.ReadWriteCloser, m ml.Model, src ml.BatchSource, cfg Tra
 // trainer is dead (the server requeues its in-flight work for the
 // survivors).
 func (t *Trainer) Run() error {
-	defer t.c.Close()
-	np := t.m.NumParams()
-	var jr JoinReply
-	err := t.c.Call("PS.Join", &JoinArgs{
-		Codec: t.codec.Name(), NumParams: np, NumBatches: t.src.NumBatches(),
-	}, &jr)
-	if err != nil {
+	defer t.conn.Close()
+	if err := t.join(); err != nil {
 		return err
 	}
-	if len(jr.Params) != np {
-		return fmt.Errorf("dist: join image has %d params, model has %d", len(jr.Params), np)
-	}
-	t.id, t.bound, t.version = jr.Trainer, jr.Staleness, jr.Version
-	t.params = jr.Params
-	t.m.SetParams(t.params)
-	t.grad = make([]float64, np)
-
 	for {
-		var nr NextReply
-		if err := t.c.Call("PS.Next", &NextArgs{Trainer: t.id}, &nr); err != nil {
+		pos, batch, ok, err := t.next()
+		if err != nil {
 			return err
 		}
-		if nr.Done {
-			var br ByeReply
+		if !ok {
 			// The run is complete either way; a lost Bye only miscounts
 			// a clean exit as a crash with nothing left to requeue.
-			_ = t.c.Call("PS.Bye", &ByeArgs{Trainer: t.id}, &br)
+			_, _ = t.call(t.w.begin(opBye))
 			return nil
 		}
 		// The crash-injection point sits after the assignment, so an
@@ -85,17 +73,70 @@ func (t *Trainer) Run() error {
 		if err := faultpoint.Err("dist.trainer.compute"); err != nil {
 			return err
 		}
-		if t.stalePull(nr.Pos) {
+		if t.stalePull(pos) {
 			if err := t.pull(); err != nil {
 				return err
 			}
 		}
 		// A refused push is an error like any other: this trainer is done,
 		// and the server requeues the position for the survivors.
-		if err := t.push(nr.Pos, t.compute(nr.Batch)); err != nil {
+		if err := t.push(pos, t.compute(batch)); err != nil {
 			return err
 		}
 	}
+}
+
+// call sends a request frame and reads the reply; an Err reply is the
+// server's refusal.
+func (t *Trainer) call(frame []byte) (bitpack.Reader, error) {
+	if err := t.w.send(frame); err != nil {
+		return bitpack.Reader{}, err
+	}
+	op, body, err := t.w.read()
+	switch {
+	case err != nil:
+	case op == opErr:
+		err = errors.New(string(body))
+	case op != opOK:
+		err = fmt.Errorf("dist: reply op %d", op)
+	}
+	return bitpack.NewReader(body), err
+}
+
+// join sends the handshake and takes the bootstrap image.
+func (t *Trainer) join() error {
+	np, name := t.m.NumParams(), t.codec.Name()
+	frame := binary.LittleEndian.AppendUint32(t.w.begin(opJoin), uint32(np))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(t.src.NumBatches()))
+	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(name)))
+	r, err := t.call(append(frame, name...))
+	if err != nil {
+		return err
+	}
+	t.bound, t.version = int(int64(r.U64())), int64(r.U64())
+	t.params = r.F64s(np)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("dist: Join reply: %w", err)
+	}
+	t.m.SetParams(t.params)
+	t.grad = make([]float64, np)
+	return nil
+}
+
+// next asks for a position; ok is false once the schedule is done.
+func (t *Trainer) next() (pos int64, batch int, ok bool, err error) {
+	r, err := t.call(t.w.begin(opNext))
+	if err != nil || r.Done() == nil { // an empty reply: done
+		return 0, 0, false, err
+	}
+	pos, batch = int64(r.U64()), int(r.U32())
+	if err := r.Done(); err != nil {
+		return 0, 0, false, fmt.Errorf("dist: Next reply: %w", err)
+	}
+	if n := t.src.NumBatches(); batch < 0 || batch >= n {
+		return 0, 0, false, fmt.Errorf("dist: server assigned batch %d of %d", batch, n)
+	}
+	return pos, batch, true, nil
 }
 
 // stalePull decides whether the cached image is too old to compute pos
@@ -117,24 +158,33 @@ func (t *Trainer) compute(batch int) float64 {
 	return loss
 }
 
-// push encodes and submits the gradient for pos.
+// push encodes the gradient for pos straight into the frame it sends.
 func (t *Trainer) push(pos int64, loss float64) error {
-	t.payload = t.codec.EncodeGrad(t.grad, t.payload[:0])
-	return t.c.Call("PS.Push", &PushArgs{
-		Trainer: t.id, Pos: pos, Version: t.version, Loss: loss, Payload: t.payload,
-	}, &PushReply{})
+	frame := binary.LittleEndian.AppendUint64(t.w.begin(opPush), uint64(pos))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(t.version))
+	frame = binary.LittleEndian.AppendUint64(frame, math.Float64bits(loss))
+	frame = append(frame, 0, 0, 0, 0)
+	mark := len(frame)
+	frame = t.codec.EncodeGrad(t.grad, frame)
+	putLen(frame, mark)
+	_, err := t.call(frame)
+	return err
 }
 
 // pull refreshes the local replica to the server's current version.
 func (t *Trainer) pull() error {
-	var pr PullReply
-	if err := t.c.Call("PS.Pull", &PullArgs{Trainer: t.id}, &pr); err != nil {
+	r, err := t.call(t.w.begin(opPull))
+	if err != nil {
 		return err
 	}
-	if err := t.codec.DecodeSnap(pr.Payload, t.params); err != nil {
+	version, payload := int64(r.U64()), r.Take(int(r.U32()))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("dist: Pull reply: %w", err)
+	}
+	if err := t.codec.DecodeSnap(payload, t.params); err != nil {
 		return err
 	}
-	t.version = pr.Version
+	t.version = version
 	t.m.SetParams(t.params)
 	return nil
 }

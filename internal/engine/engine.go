@@ -22,7 +22,7 @@
 // own position. Workers the in-flight positions leave over shard the
 // matrix kernels inside each gradient (A·M and M·A by panel run, bitwise
 // identical to the sequential kernels; the vector kernels never shard).
-// internal/dist is the same loop over RPC. The package also ingests a
+// internal/dist is the same loop over a wire. The package also ingests a
 // dataset in one ordered pass across the pool (FillStore) and sizes the
 // spill prefetcher so out-of-core IO overlaps compute.
 package engine

@@ -14,7 +14,7 @@ import (
 )
 
 // These tests drive Loop by hand, on one goroutine, through the
-// interleavings the front ends only reach by racing goroutines or RPC.
+// interleavings the front ends only reach by racing goroutines or a wire.
 // The gradient of position p is the vector [p+1] and its loss is p+1, so
 // the applied sequence, the merges and the epoch losses are all readable
 // off the model's log.

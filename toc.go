@@ -288,7 +288,7 @@ func OpenStore(manifestPath string, opts ...StoreOption) (*Store, error) {
 // file. No-op cost when disarmed.
 func ArmFaultpoints(spec string) error { return faultpoint.ArmSpec(spec) }
 
-// ---- Distributed data-parallel training over net/rpc ----
+// ---- Distributed data-parallel training over bounded frames ----
 
 // DistServer is the parameter server of a distributed run: it owns the
 // model and the update clock, releases schedule positions to trainers
