@@ -75,9 +75,12 @@ type Batch struct {
 // one with isWide(), as D′'s pick a code width. A batch's tuple starts
 // and narrow words are one allocation (carve).
 //
-// A Full batch's dictionary is the entries of its image's value-index
-// section: for a batch Compress or Scale made, I's distinct values in
-// first-appearance order. A SparseLogical batch's is I's values in
+// A Full batch's dictionary is the entries of its image's value
+// dictionary: for a batch Compress or Scale made, I's distinct values in
+// first-appearance order. When every value is distinct that is I's
+// values in order, pair k naming entry k, and the image stores no index
+// section (physical.go); any dictionary of |I| entries is held in that
+// order, as the image stores it (remapPairs). A SparseLogical batch's is always I's values in
 // order, pair k naming entry k. On mnist a batch of 7641 pairs holds 256
 // distinct values, so a pair costs 4 bytes and the dictionary 2 KB,
 // where a column and a value a pair cost 12 bytes; on imagenet every

@@ -44,7 +44,7 @@ func (b *Batch) mapValues(f func(float64) float64) *Batch {
 		e := encoderPool.Get().(*encoder)
 		defer encoderPool.Put(e)
 		if merged := e.valueIndex(vals, vals[:0]); len(merged) < len(vals) {
-			nb.i = remapPairs(&b.i, e.occ, exactCopy(merged), b.cols)
+			nb.i = remapPairs(&b.i, e.occ, merged, b.cols)
 		}
 	}
 	if b.img != nil || len(nb.i.vals) < len(vals) {
@@ -53,17 +53,34 @@ func (b *Batch) mapValues(f func(float64) float64) *Batch {
 	return nb
 }
 
-// remapPairs returns a first layer over the dictionary vals whose pair k
-// is I's, its index mapped through remap, at the width cols and vals
-// fit. It is the one place a batch's words are rewritten, and runs only
-// when mapValues merges entries.
+// remapPairs returns a first layer over a copy of the dictionary vals
+// whose pair k is I's, its index mapped through remap, at the width cols
+// and vals fit. It is the one place a batch's words are rewritten, and
+// runs only when mapValues merges entries.
+//
+// A dictionary of |I| entries is held as the image stores it: each
+// pair's value in pair order, pair k naming entry k, so that the batch
+// Deserialize reads back is this one. Merging down to |I| entries needs
+// a receiver with more entries than pairs, one Deserialize read from a
+// non-canonical image, whose merged order need not be pair order.
 func remapPairs(I *firstLayer, remap []uint32, vals []float64, cols int) firstLayer {
-	out := firstLayer{vals: vals}
+	var out firstLayer
 	if narrowFits(cols, len(vals)) {
 		out.narrow = make([]uint32, I.len())
 	} else {
 		out.wide = make([]uint64, I.len())
 	}
+	if len(vals) == I.len() {
+		inPairOrder := make([]float64, len(vals))
+		for k := range inPairOrder {
+			c, x := I.pair(k)
+			inPairOrder[k] = vals[remap[x]]
+			out.set(k, c, uint32(k))
+		}
+		out.vals = inPairOrder
+		return out
+	}
+	out.vals = exactCopy(vals)
 	for k := range I.len() {
 		c, x := I.pair(k)
 		out.set(k, c, remap[x])

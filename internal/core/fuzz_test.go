@@ -53,7 +53,7 @@ func FuzzDeserialize(f *testing.F) {
 	}
 	// A 1×1 header naming variant 2, the sparse encoding alone, which
 	// this package no longer has (formats' TOC_SPARSE is CSR).
-	f.Add([]byte("TOCB\x02\x02\x01\x00\x00\x00\x01\x00\x00\x00"))
+	f.Add([]byte("TOCB" + string([]byte{imageVersion, 2}) + "\x01\x00\x00\x00\x01\x00\x00\x00"))
 
 	// The batch whose recycled memory every input is read into a second
 	// time: larger than the small seeds, smaller than the boundary ones.
@@ -160,25 +160,30 @@ func imageD(img []byte, v Variant, rows int) (dTable, error) {
 		return paperOf(lenI, codes, bitmap, starts), nil
 	}
 	// A Full image's packed sections are I's columns, the values'
-	// dictionary indexes, D′ and the starts; the value dictionary (a
-	// count, then 8 bytes a value) follows the first, and the creation
-	// bitmap (a byte for every 8 codes) the third.
-	var sections []bitpack.Array
-	var bitmap []byte
-	for len(sections) < 4 {
-		a, rest, err := bitpack.ReadArray(buf)
-		if err != nil {
+	// dictionary indexes, D′ and the starts. The value dictionary (a
+	// count, then 8 bytes a value) follows the columns, and the index
+	// section is absent when it counts one value a column; the creation
+	// bitmap (a byte for every 8 codes) follows D′.
+	colSec, buf, err := bitpack.ReadArray(buf)
+	if err != nil {
+		return dTable{}, err
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if buf = buf[4+8*n:]; n != colSec.Len() {
+		if _, buf, err = bitpack.ReadArray(buf); err != nil {
 			return dTable{}, err
 		}
-		sections, buf = append(sections, a), rest
-		switch len(sections) {
-		case 1:
-			buf = buf[4+8*int(binary.LittleEndian.Uint32(buf)):]
-		case 3:
-			bitmap, buf = buf[:(a.Len()+7)/8], buf[(a.Len()+7)/8:]
-		}
 	}
-	return paperOf(sections[0].Len(), sections[2].Unpack(), bitmap, sections[3].Unpack()), nil
+	codeSec, buf, err := bitpack.ReadArray(buf)
+	if err != nil {
+		return dTable{}, err
+	}
+	bitmap, buf := buf[:(codeSec.Len()+7)/8], buf[(codeSec.Len()+7)/8:]
+	startSec, _, err := bitpack.ReadArray(buf)
+	if err != nil {
+		return dTable{}, err
+	}
+	return paperOf(colSec.Len(), codeSec.Unpack(), bitmap, startSec.Unpack()), nil
 }
 
 // paperOf maps an image's D′ back to the paper's numbering by replaying

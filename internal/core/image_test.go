@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -115,16 +116,18 @@ func TestResidentImageEdgeShapes(t *testing.T) {
 
 // codeWidth returns the byte width of a Full image's D′ section: the
 // byte after its count, past I's columns, the value dictionary and the
-// dictionary indexes.
+// dictionary indexes, if any.
 func codeWidth(t *testing.T, img []byte) int {
 	t.Helper()
-	_, buf, err := bitpack.ReadArray(img[headerSize:])
+	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf = buf[4+8*int(binary.LittleEndian.Uint32(buf)):]
-	if _, buf, err = bitpack.ReadArray(buf); err != nil {
-		t.Fatal(err)
+	n := int(binary.LittleEndian.Uint32(buf))
+	if buf = buf[4+8*n:]; n != colSec.Len() {
+		if _, buf, err = bitpack.ReadArray(buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return int(buf[4])
 }
@@ -176,5 +179,141 @@ func TestDeserializeRefusesVersion1Image(t *testing.T) {
 	}
 	if _, err := Deserialize(img); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
 		t.Fatalf("a version-1 image: %v, want an error containing %q", err, "unsupported version 1")
+	}
+}
+
+// A Full image whose dictionary has an entry a pair holds the values in
+// pair order and no index section (physical.go). These images break
+// that layout one way each, narrow and wide, and must be refused
+// without a panic: an image of the previous version, whose identity
+// index section this one dropped; the values cut short; an index
+// section after |I| values, which the reader takes for D′, so that the
+// sections after it no longer line up; and a column equal to cols.
+func TestDeserializeRefusesRawLayoutFaults(t *testing.T) {
+	narrow := matrix.NewDense(5, 6)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 6; j++ {
+			if (i+j)%3 != 0 {
+				narrow.Set(i, j, float64(i*7+j)+0.5)
+			}
+		}
+	}
+	refused := func(tag string, img []byte, want string) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s: Deserialize panicked: %v", tag, r)
+			}
+		}()
+		if _, err := Deserialize(img); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error containing %q", tag, err, want)
+		}
+	}
+	for name, m := range map[string]*matrix.Dense{"narrow": narrow, "wide": distinctWide()} {
+		b := Compress(m)
+		if n := len(b.i.vals); n != b.i.len() || b.i.isWide() != (name == "wide") {
+			t.Fatalf("%s: %d pairs, %d dictionary entries, wide=%v", name, b.i.len(), n, b.i.isWide())
+		}
+		img := b.Serialize()
+		colSec, rest, err := bitpack.ReadArray(img[headerSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := len(img) - len(rest) + 4 // the first value's offset
+		end := vals + 8*colSec.Len()
+
+		refused(name+": version 2", with(img, 4, 2), "unsupported version 2")
+		refused(name+": cut inside the values", img[:end-3], "truncated value dictionary")
+		refused(name+": cut at the first value", img[:vals], "truncated value dictionary")
+
+		idx := make([]uint32, colSec.Len())
+		for k := range idx {
+			idx[k] = uint32(k)
+		}
+		// A count of |I| says no index section follows, so the inserted
+		// one is read as D′, and every later section shifts by one: what
+		// is left where the starts belong does not parse.
+		indexed := append(append(slices.Clone(img[:end]), bitpack.Pack(idx).AppendTo(nil)...), img[end:]...)
+		refused(name+": an identity index section after the values", indexed, "core: D starts: bitpack: ")
+
+		bad := *b
+		bad.i = firstLayer{narrow: slices.Clone(b.i.narrow), wide: slices.Clone(b.i.wide), vals: b.i.vals}
+		last := bad.i.len() - 1
+		_, x := bad.i.pair(last)
+		bad.i.set(last, uint32(b.cols), x)
+		refused(name+": a column equal to cols", new(encoder).image(&bad),
+			fmt.Sprintf("I[%d] column %d out of range %d", last, b.cols, b.cols))
+	}
+
+	// What a version-2 build wrote for FuzzDeserialize's 4×6 batch, whose
+	// 16 values are distinct: refused by its version, and, given this
+	// version's byte, for the identity index section it holds, which
+	// this version reads as D′.
+	v2 := corpusImage(t, "FuzzDeserialize/seed-full")
+	refused("version-2 image", v2, "unsupported version 2")
+	refused("version-2 image read as version 3", with(v2, 4, imageVersion), "core: D starts: bitpack: ")
+}
+
+// distinctWide returns a matrix of more columns than 16 bits name, and
+// no value twice: its batch holds 64-bit words and no index section.
+func distinctWide() *matrix.Dense {
+	m := matrix.NewDense(2, 70000)
+	for i := 0; i < 2; i++ {
+		for j := i; j < 70000; j += 5 {
+			m.Set(i, j, float64(j)+0.25*float64(i))
+		}
+	}
+	return m
+}
+
+// with returns a copy of img with the byte at pos set to c.
+func with(img []byte, pos int, c byte) []byte {
+	out := slices.Clone(img)
+	out[pos] = c
+	return out
+}
+
+// A batch whose values are all distinct — every imagenet and rcv1 batch
+// and most deep1b ones at the benchmark's shape, and one of 64-bit
+// words — writes an image with no index section and reads back as the
+// resident form it was written from: the same words and dictionary, the
+// same Decode and kernel bits (roundTrip), and a batch that
+// checkResidentForm holds to the oracle tree of its image's D, as it
+// holds the compressed one. Into recycled memory the read gives the
+// same batch again.
+func TestRawImageRoundTrip(t *testing.T) {
+	for _, name := range []string{"imagenet", "rcv1", "deep1b", "wide"} {
+		var b *Batch
+		if name == "wide" {
+			b = Compress(distinctWide())
+		} else {
+			for _, m := range generatorBatches(t, name, 1) {
+				if b = Compress(m); len(b.i.vals) == b.i.len() {
+					break
+				}
+			}
+		}
+		if len(b.i.vals) != b.i.len() || b.i.isWide() != (name == "wide") {
+			t.Fatalf("%s: no batch of all-distinct values at the expected width", name)
+		}
+		img := b.Serialize()
+		if len(img) != b.CompressedSize() {
+			t.Fatalf("%s: image of %d bytes, CompressedSize %d", name, len(img), b.CompressedSize())
+		}
+		paper, err := imageD(img, Full, b.Rows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := roundTrip(t, name, b)
+		if !slices.Equal(back.i.narrow, b.i.narrow) || !slices.Equal(back.i.wide, b.i.wide) || !bitsEqual(back.i.vals, b.i.vals) {
+			t.Fatalf("%s: the image reads back as other words or another dictionary", name)
+		}
+		checkResidentForm(t, name, b, paper)
+		checkResidentForm(t, name+" read back", back, paper)
+		again := recycledFrom(t, img)
+		if err := deserializeInto(again, img); err != nil {
+			t.Fatal(err)
+		}
+		sameBatch(t, name+" recycled", again, back)
 	}
 }

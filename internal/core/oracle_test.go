@@ -747,8 +747,9 @@ func oracleResident(lenI int, paper dTable) (codes []uint32, bitmap []byte) {
 // with D given in the paper's numbering, written by its own path:
 // oracleResident's D′ and bitmap, the Full sections through bitpack.Pack
 // and a first-appearance dictionary keyed on a value's bits — or, with
-// own, b's dictionary and indexes as they are — the SparseLogical ones
-// appended value by value.
+// own, b's dictionary and indexes as they are; a dictionary with an
+// entry for every pair is written as the pairs' values instead — the
+// SparseLogical ones appended value by value.
 func oracleImage(b *Batch, paper dTable, own bool) []byte {
 	codes, bitmap := oracleResident(b.i.len(), paper)
 	out := make([]byte, headerSize)
@@ -795,10 +796,18 @@ func oracleImage(b *Batch, paper dTable, own bool) []byte {
 	}
 	out = bitpack.Pack(cols).AppendTo(out)
 	out = le.AppendUint32(out, uint32(len(dict)))
-	for _, v := range dict {
-		out = le.AppendUint64(out, math.Float64bits(v))
+	if len(dict) == len(I) {
+		// One entry a pair: the image holds each pair's value, in pair
+		// order, and no index section.
+		for _, p := range I {
+			out = le.AppendUint64(out, math.Float64bits(p.Val))
+		}
+	} else {
+		for _, v := range dict {
+			out = le.AppendUint64(out, math.Float64bits(v))
+		}
+		out = bitpack.Pack(occ).AppendTo(out)
 	}
-	out = bitpack.Pack(occ).AppendTo(out)
 	out = bitpack.Pack(codes).AppendTo(out)
 	out = append(out, bitmap...)
 	return bitpack.Pack(paper.Starts).AppendTo(out)

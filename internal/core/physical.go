@@ -22,17 +22,25 @@ import (
 // every read a renumbering and every write the inverse map; the bitmap
 // costs |D|/8 bytes, less what narrower codes save (README).
 //
+// Value indexing pays only when values repeat. When the dictionary has
+// exactly |I| entries (on imagenet, every batch: every value is
+// distinct), the index section would be the identity map, so the image
+// writes the values in pair order and no index section. The count says
+// which: the reader knows |I| from the column section before it reads
+// the dictionary's count.
+//
 // Image layout (little-endian):
 //
-//	header: "TOCB" | version=2 | variant | rows u32 | cols u32
-//	Full:          bitpack(I.cols) | valueindex(I.vals) |
+//	header: "TOCB" | version=3 | variant | rows u32 | cols u32
+//	Full:          bitpack(I.cols) | u32 n, f64 dict[n] |
+//	               bitpack(each pair's dictionary index), absent iff n = |I| |
 //	               bitpack(D′) | created[⌈|D|/8⌉] | bitpack(D.starts)
 //	SparseLogical: u32 |I|, raw (u32 col, f64 val)... | u32 |D|,
 //	               raw u32 D′... | created[⌈|D|/8⌉] | raw u32 starts[rows+1]
 
 const (
 	imageMagic   = "TOCB"
-	imageVersion = 2
+	imageVersion = 3
 	headerSize   = 4 + 1 + 1 + 4 + 4
 )
 
@@ -61,10 +69,13 @@ func (b *Batch) Serialize() []byte {
 // The Full image's first layer is value-indexed as in §3.2: the
 // dictionary once, then a bit-packed dictionary index per pair — the
 // batch's own dictionary and indexes, split out of its words with its
-// columns (splitPairs). For a batch Compress or Scale made the bytes are
-// exactly what the map oracle writes with bitpack.Pack and a
-// first-appearance dictionary (TestEncoderMatchesMapOracle), and
-// readFull reads them back.
+// columns (splitPairs). A dictionary of |I| entries is written instead
+// as each pair's value in pair order, with no index section; every batch
+// holds such a dictionary in that order (Compress, Deserialize, and
+// mapValues through remapPairs), so that is the dictionary as it is.
+// For a batch Compress or Scale made the bytes are exactly what the map
+// oracle writes with bitpack.Pack and a first-appearance dictionary
+// (TestEncoderMatchesMapOracle), and readFull reads them back.
 func (e *encoder) image(b *Batch) []byte {
 	d, top := &b.d, uint32(b.i.len()+b.d.live) // the largest code: every live id is named
 	e.col, e.occ = fit(e.col, b.i.len()), fit(e.occ, b.i.len())
@@ -82,11 +93,18 @@ func (e *encoder) image(b *Batch) []byte {
 		off += putPacked(out[off:], e.col, colTop)
 		binary.LittleEndian.PutUint32(out[off:], uint32(len(vals)))
 		off += 4
-		for _, v := range vals {
-			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
-			off += 8
+		if len(vals) == len(e.occ) {
+			for _, x := range e.occ {
+				binary.LittleEndian.PutUint64(out[off:], math.Float64bits(vals[x]))
+				off += 8
+			}
+		} else {
+			for _, v := range vals {
+				binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
+				off += 8
+			}
+			off += putPacked(out[off:], e.occ, occTop(len(vals)))
 		}
-		off += putPacked(out[off:], e.occ, occTop(len(vals)))
 		if d.isWide() {
 			off += putPacked(out[off:], d.wide, top)
 		} else {
@@ -172,11 +190,15 @@ func (b *Batch) sizeImage() {
 // fullSize is the length of a Full image with lenI first-layer pairs of
 // distinct values, the largest column index colTop, lenD codes the
 // largest of which is top, and rows tuples: the header, I's columns,
-// the value dictionary and each pair's index into it, D′'s codes, the
-// creation bitmap and the tuple starts.
+// the value dictionary and, unless it has lenI entries, each pair's
+// index into it, D′'s codes, the creation bitmap and the tuple starts.
 func fullSize(rows, lenI int, colTop uint32, distinct, lenD int, top uint32) int {
-	return headerSize + packedSize(lenI, colTop) + 4 + 8*distinct + packedSize(lenI, occTop(distinct)) +
+	n := headerSize + packedSize(lenI, colTop) + 4 + 8*distinct +
 		packedSize(lenD, top) + bitmapSize(lenD) + packedSize(rows+1, uint32(lenD))
+	if distinct != lenI {
+		n += packedSize(lenI, occTop(distinct))
+	}
+	return n
 }
 
 // occTop is the largest dictionary index of a dictionary of distinct
@@ -323,9 +345,14 @@ func deserializeInto(b *Batch, img []byte) error {
 // allocated; then each section is read once, in bulk, into the array the
 // batch keeps: the tuple starts and I's words (carve), the value
 // dictionary, copied as it is, the creation bitmap and D′ (readD picks
-// its width). The column and index sections are unpacked together into
-// the words, each checked against cols and the dictionary's length
-// (unpackPairs).
+// its width). A dictionary of |I| entries, |I| known from the column
+// section, is followed by no index section: pair k names entry k, and
+// only the columns are unpacked into the words, each checked against
+// cols (unpackColumns). Any other count is followed by the index
+// section, and the two are unpacked together into the words, each
+// column checked against cols and each index against the dictionary's
+// length (unpackPairs). Either way, an image Serialize wrote reads back
+// as the resident form it was written from.
 //
 // The accepted language is wider than the images Serialize writes: a
 // Full image is accepted iff its sections parse, every index is in range
@@ -348,9 +375,15 @@ func readFull(b *Batch, rows, cols int, img []byte) error {
 		return fmt.Errorf("core: I values: truncated value dictionary")
 	}
 	dict, buf := buf[:8*int(distinct)], buf[8*int(distinct):]
-	valSec, buf, err := bitpack.ReadArray(buf)
-	if err != nil {
-		return fmt.Errorf("core: I values: %w", err)
+	indexed := int(distinct) != colSec.Len()
+	var idxSec bitpack.Array
+	if indexed {
+		if idxSec, buf, err = bitpack.ReadArray(buf); err != nil {
+			return fmt.Errorf("core: I values: %w", err)
+		}
+		if colSec.Len() != idxSec.Len() {
+			return fmt.Errorf("core: I columns (%d) and values (%d) disagree", colSec.Len(), idxSec.Len())
+		}
 	}
 	codeSec, buf, err := bitpack.ReadArray(buf)
 	if err != nil {
@@ -368,9 +401,6 @@ func readFull(b *Batch, rows, cols int, img []byte) error {
 	if len(buf) != 0 {
 		return fmt.Errorf("core: %d trailing bytes", len(buf))
 	}
-	if colSec.Len() != valSec.Len() {
-		return fmt.Errorf("core: I columns (%d) and values (%d) disagree", colSec.Len(), valSec.Len())
-	}
 	if startSec.Len() != rows+1 {
 		return fmt.Errorf("core: starts length %d != rows+1 (%d)", startSec.Len(), rows+1)
 	}
@@ -378,10 +408,15 @@ func readFull(b *Batch, rows, cols int, img []byte) error {
 	startSec.UnpackRange(starts, 0, len(starts))
 	I.vals = fit(b.i.vals, int(distinct))
 	getF64s(I.vals, dict)
-	if I.isWide() {
-		err = unpackPairs(I.wide, &colSec, &valSec, cols, len(I.vals))
-	} else {
-		err = unpackPairs(I.narrow, &colSec, &valSec, cols, len(I.vals))
+	switch {
+	case indexed && I.isWide():
+		err = unpackPairs(I.wide, &colSec, &idxSec, cols, len(I.vals))
+	case indexed:
+		err = unpackPairs(I.narrow, &colSec, &idxSec, cols, len(I.vals))
+	case I.isWide():
+		err = unpackColumns(I.wide, &colSec, cols)
+	default:
+		err = unpackColumns(I.narrow, &colSec, cols)
 	}
 	if err != nil {
 		return err
@@ -415,6 +450,26 @@ func unpackPairs[W pairWord](words []W, colSec, idxSec *bitpack.Array, cols, n i
 				return fmt.Errorf("core: I[%d] value index %d out of range %d", lo+k, x[k], n)
 			}
 			part[k] = W(c[k])<<half | W(x[k])
+		}
+	}
+	return nil
+}
+
+// unpackColumns unpacks the column section of a Full image with no
+// index section into I's words, a window at a time onto the stack,
+// checking every column against cols; pair k names dictionary entry k.
+func unpackColumns[W pairWord](words []W, colSec *bitpack.Array, cols int) error {
+	half, _ := halves[W]()
+	var cw [256]uint32
+	for lo := 0; lo < len(words); lo += len(cw) {
+		part := words[lo:min(lo+len(cw), len(words))]
+		c := cw[:len(part)]
+		colSec.UnpackRange(c, lo, lo+len(part))
+		for k := range part {
+			if uint(c[k]) >= uint(cols) {
+				return fmt.Errorf("core: I[%d] column %d out of range %d", lo+k, c[k], cols)
+			}
+			part[k] = W(c[k])<<half | W(lo+k)
 		}
 	}
 	return nil

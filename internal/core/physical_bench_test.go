@@ -34,6 +34,12 @@ func benchVariantBatches(b *testing.B) map[string]*Batch {
 //	imagenet   16.1 → 13.1
 //	mnist      82.8 → 28.4
 //	deep1b      227 → 164
+//
+// A dictionary with an entry a pair is then written as the values in
+// pair order and no index section (imagenet's and most of deep1b's
+// batches): 40 alternating pairs (cmd/benchdiff, -cpu 1), median
+// per-pair ratio 0.897 on imagenet (27 of 40 faster) and 0.839 on
+// deep1b (26 of 40); mnist, whose values repeat, 0.989 (23 of 40).
 func BenchmarkSerialize(b *testing.B) {
 	for _, name := range []string{"imagenet", "mnist", "deep1b"} {
 		batches := benchBatches(b, name, 256)
@@ -75,9 +81,15 @@ func BenchmarkSerialize(b *testing.B) {
 // mnist): mnist 52.4 → 44.8 and 34.7 → 30.0 recycled; imagenet 20.2 →
 // 21.8 and 14.5 → 15.7; deep1b 154 → 166 and 104 → 120. All-distinct
 // values pay a dictionary copy beside the words, where the gather wrote
-// each value once. The reads make 5 allocations, 40 KB on imagenet and
-// 61 KB on mnist (125 KB with a value a pair), or none into recycled
-// memory.
+// each value once. Then against images of all-distinct values that
+// stored the identity index section this read no longer unpacks or
+// checks (two sessions of 40 alternating pairs, cmd/benchdiff, -cpu 1,
+// median per-pair ratio, pairs faster): imagenet 0.949 (24) and 0.897
+// (31), recycled 0.943 (24) and 0.915 (26); deep1b 0.921 (27) and 0.906
+// (30), recycled 0.956 (24) and 0.869 (31). mnist's images keep their
+// index section and read 0.997 (20) and 1.052 (16), recycled 0.963 (21)
+// and 1.015 (19), none with p < 0.13. The reads make 5 allocations, 40 KB on imagenet and 61 KB on
+// mnist (125 KB with a value a pair), or none into recycled memory.
 func BenchmarkDeserialize(b *testing.B) {
 	for _, name := range []string{"imagenet", "mnist", "deep1b"} {
 		imgs := [][]byte{}

@@ -57,7 +57,11 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // runCluster wires n trainers to srv over in-process pipes, runs the
 // schedule to completion, and returns the result, the server error, the
-// per-trainer Run errors, and the trainers.
+// per-trainer Run errors, and the trainers. Once no trainer is left
+// running nothing more can be applied, so it halts the server then: a
+// run whose trainers all died returns ErrHalted instead of waiting
+// forever, and after a clean finish the halt finds the run done and
+// changes nothing.
 func runCluster(t *testing.T, srv *Server, n int, mk func(i int) (ml.SnapshotModel, ml.BatchSource, TrainerConfig)) (*ml.TrainResult, error, []error, []*Trainer) {
 	t.Helper()
 	trainers := make([]*Trainer, n)
@@ -74,8 +78,14 @@ func runCluster(t *testing.T, srv *Server, n int, mk func(i int) (ml.SnapshotMod
 			errs[i] = trainers[i].Run()
 		}(i)
 	}
+	halted := make(chan struct{})
+	go func() {
+		defer close(halted)
+		wg.Wait()
+		srv.Halt()
+	}()
 	res, err := srv.Wait()
-	wg.Wait()
+	<-halted
 	return res, err, errs, trainers
 }
 

@@ -122,10 +122,10 @@ var serializeGolden = map[string]uint32{
 	"DVI":                    0x3f2d3b8e,
 	"Gzip":                   0x9487c75b,
 	"Snappy":                 0xbc70f5e8,
-	"TOC":                    0x6050f4e7,
-	"TOC_FULL":               0x6050f4e7,
+	"TOC":                    0xc279fe1e,
+	"TOC_FULL":               0xc279fe1e,
 	"TOC_SPARSE":             0x287eb8a9,
-	"TOC_SPARSE_AND_LOGICAL": 0x7d152b64,
+	"TOC_SPARSE_AND_LOGICAL": 0x093087cf,
 }
 
 // Every scheme's image is pinned byte for byte, and reading it back and

@@ -28,11 +28,11 @@ func TestOutOfCoreCrossoverCounts(t *testing.T) {
 	}
 	schemes := []string{"DEN", "CSR", "TOC"}
 	// Budgets in MiB; want[rung] is DEN, CSR, TOC. A DEN batch is 360016
-	// bytes, a CSR one ≈ 167 KB and a TOC one ≈ 35.5 KB.
+	// bytes, a CSR one ≈ 167 KB and a TOC one ≈ 32 KB.
 	budgets := []int64{0, 1, 2, 4, 8, 16}
 	want := [][3]crossoverCounts{
-		{{0, 40, 14400640}, {0, 40, 6676296}, {0, 40, 1421113}},
-		{{2, 38, 13680608}, {6, 34, 5677140}, {29, 11, 389963}},
+		{{0, 40, 14400640}, {0, 40, 6676296}, {0, 40, 1281277}},
+		{{2, 38, 13680608}, {6, 34, 5677140}, {32, 8, 255733}},
 		{{5, 35, 12600560}, {12, 28, 4672284}, {40, 0, 0}},
 		{{11, 29, 10440464}, {25, 15, 2500584}, {40, 0, 0}},
 		{{23, 17, 6120272}, {40, 0, 0}, {40, 0, 0}},

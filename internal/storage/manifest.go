@@ -39,7 +39,7 @@ import (
 
 const (
 	manifestMagic   = "TOCM"
-	manifestVersion = 3 // since TOC images hold D in resident form (core's image version 2)
+	manifestVersion = 4 // since a TOC image of all-distinct values stores no index section (core's image version 3)
 
 	// Smallest encodings of a shard record (two empty strings, wpos,
 	// bytes) and of a batch record (flags, size, span, no labels): a

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -394,23 +395,27 @@ func TestManifestPreservesLabelsBitwise(t *testing.T) {
 	}
 }
 
-// A store written before TOC images held D in resident form is refused
-// up front: testdata/store-v2.manifest is the manifest a version-2 build
-// wrote over two spilled 20-row imagenet batches in shard directory
-// gen/shards, which is not there. OpenStore names the version before it
-// opens any shard file.
+// A store written before the current TOC image version is refused up
+// front: testdata/store-v2.manifest is the manifest a version-2 build
+// wrote (before TOC images held D in resident form), and
+// store-v3.manifest one a version-3 build wrote (before an image of
+// all-distinct values dropped its index section), each over two spilled
+// 20-row imagenet batches in shard directory gen/shards, which is not
+// there. OpenStore names the version before it opens any shard file.
 func TestOpenStoreRefusesOldManifestVersion(t *testing.T) {
-	img, err := os.ReadFile(filepath.Join("testdata", "store-v2.manifest"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest := filepath.Join(t.TempDir(), "store.manifest")
-	if err := os.WriteFile(manifest, img, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenStore(manifest)
-	if want := "unsupported manifest version 2, want 3"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("OpenStore of a version-2 store: %v, want an error containing %q", err, want)
+	for _, v := range []int{2, 3} {
+		img, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("store-v%d.manifest", v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		manifest := filepath.Join(t.TempDir(), "store.manifest")
+		if err := os.WriteFile(manifest, img, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenStore(manifest)
+		if want := fmt.Sprintf("unsupported manifest version %d, want 4", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("OpenStore of a version-%d store: %v, want an error containing %q", v, err, want)
+		}
 	}
 }
 
@@ -429,7 +434,7 @@ func TestManifestGoldenCRC(t *testing.T) {
 		sizes:    []int64{100, 200},
 		labels:   [][]float64{{1, -1, 0.5}, {}},
 	}
-	if got, want := crc32.ChecksumIEEE(s.encodeManifest()), uint32(0x03967f5f); got != want {
+	if got, want := crc32.ChecksumIEEE(s.encodeManifest()), uint32(0xf8132d43); got != want {
 		t.Fatalf("manifest CRC %#08x, want %#08x", got, want)
 	}
 }
