@@ -106,7 +106,9 @@ func (a *Array) Unpack() []uint32 {
 // seek-and-cast per element it decodes word-at-a-time — each 8-byte
 // little-endian load yields 8/4/2/2 values for widths 1/2/3/4 with pure
 // shift-and-mask extraction, no per-element branching — and allocates
-// nothing. core's Deserialize decodes every packed section through it.
+// nothing. core's Deserialize decodes every packed section through it,
+// but a D′ the batch holds 16 bits a code, which it decodes through
+// Unpack16.
 func (a *Array) UnpackRange(dst []uint32, lo, hi int) {
 	if lo < 0 || hi > a.n || lo > hi {
 		panic(fmt.Sprintf("bitpack: UnpackRange [%d,%d) out of range %d", lo, hi, a.n))
@@ -132,7 +134,8 @@ func (a *Array) UnpackRange(dst []uint32, lo, hi int) {
 // Unpack16 decodes the whole array into dst, which must hold Len()
 // values, and reports whether every value fits 16 bits. An array of 1-
 // or 2-byte values decodes word at a time, as UnpackRange does; a wider
-// one, value by value through Get.
+// one (core's SparseLogical D′ is 4 bytes a code) through UnpackRange, a
+// stack window at a time, and is narrowed from there.
 func (a *Array) Unpack16(dst []uint16) bool {
 	if len(dst) < a.n {
 		panic(fmt.Sprintf("bitpack: Unpack16 dst holds %d, need %d", len(dst), a.n))
@@ -147,10 +150,15 @@ func (a *Array) Unpack16(dst []uint16) bool {
 		return true
 	}
 	var over uint32
-	for i := range dst {
-		v := a.Get(i)
-		dst[i] = uint16(v)
-		over |= v >> 16
+	var w [256]uint32
+	for lo := 0; len(dst) > 0; lo += len(w) {
+		c := w[:min(len(w), len(dst))]
+		a.UnpackRange(c, lo, lo+len(c))
+		for k := 0; k < len(c) && k < len(dst); k++ {
+			dst[k] = uint16(c[k])
+			over |= c[k] >> 16
+		}
+		dst = dst[len(c):]
 	}
 	return over == 0
 }

@@ -19,8 +19,9 @@ type Variant uint8
 const (
 	// Full uses sparse + logical + physical encoding (TOC_FULL).
 	Full Variant = iota
-	// SparseLogical uses sparse + logical encoding with raw physical
-	// storage (TOC_SPARSE_AND_LOGICAL).
+	// SparseLogical uses sparse + logical encoding and no physical layer
+	// (TOC_SPARSE_AND_LOGICAL): its image is the Full layout with every
+	// integer in 4 bytes and no value index (physical.go).
 	SparseLogical
 )
 
@@ -80,11 +81,13 @@ type Batch struct {
 // first-appearance order. When every value is distinct that is I's
 // values in order, pair k naming entry k, and the image stores no index
 // section (physical.go); any dictionary of |I| entries is held in that
-// order, as the image stores it (remapPairs). A SparseLogical batch's is always I's values in
-// order, pair k naming entry k. On mnist a batch of 7641 pairs holds 256
-// distinct values, so a pair costs 4 bytes and the dictionary 2 KB,
-// where a column and a value a pair cost 12 bytes; on imagenet every
-// value is distinct, and a pair costs 12 bytes either way.
+// order, as the image stores it (remapPairs). A SparseLogical batch's is
+// always I's values in order, pair k naming entry k: its image, which
+// has no value index, always stores them so. On mnist a batch of 7641
+// pairs holds 256 distinct values, so a pair costs 4 bytes and the
+// dictionary 2 KB, where a column and a value a pair cost 12 bytes; on
+// imagenet every value is distinct, and a pair costs 12 bytes either
+// way.
 type firstLayer struct {
 	narrow []uint32  // column<<16 | index; when wide, empty with the starts' array behind it
 	wide   []uint64  // column<<32 | index
@@ -169,10 +172,14 @@ func carve(spare firstLayer, lenI, rows int, wide bool) (firstLayer, []uint32) {
 // Compress encodes a dense mini-batch with the Full TOC pipeline.
 func Compress(m *matrix.Dense) *Batch { return CompressVariant(m, Full) }
 
-// CompressVariant encodes a dense mini-batch using the given layer subset.
-// D in the paper's numbering stays in the pooled encoder; the batch keeps
-// only what newLogical renumbers it into.
+// CompressVariant encodes a dense mini-batch using the given layer subset,
+// Full or SparseLogical; any other Variant panics. D in the paper's
+// numbering stays in the pooled encoder; the batch keeps only what
+// newLogical renumbers it into.
 func CompressVariant(m *matrix.Dense, v Variant) *Batch {
+	if v > SparseLogical {
+		panic(fmt.Sprintf("core: CompressVariant of unknown variant %d", uint8(v)))
+	}
 	e := encoderPool.Get().(*encoder)
 	defer encoderPool.Put(e)
 	return e.compress(m, v)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -304,6 +305,10 @@ func TestDeserializeRejectsCorruption(t *testing.T) {
 		// of the build that wrote it; given the current one, only its
 		// variant refuses it.
 		{"sparse-only image", "unknown variant 2", with(corpusImage(t, "FuzzDeserialize/seed-sparse-only"), 4, imageVersion)},
+		// A's values repeat, so its image has an index section: as a
+		// SparseLogical image, whose dictionary is I's values in order, it
+		// is refused.
+		{"SparseLogical image with an index section", "a SparseLogical image with", with(img, 5, byte(SparseLogical))},
 	} {
 		if _, err := Deserialize(c.img); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
@@ -314,6 +319,18 @@ func TestDeserializeRejectsCorruption(t *testing.T) {
 			t.Fatalf("truncation at %d should error", cut)
 		}
 	}
+}
+
+// CompressVariant knows the two variants a Batch has; any other panics
+// with its value, as a kernel does on a shape mismatch, rather than
+// making a batch no image can hold.
+func TestCompressVariantRefusesUnknownVariant(t *testing.T) {
+	defer func() {
+		if r, want := recover(), "unknown variant 2"; r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("CompressVariant(m, 2) recovered %v, want a panic containing %q", r, want)
+		}
+	}()
+	CompressVariant(matrix.NewDense(2, 2), SparseLogical+1)
 }
 
 // Single-byte flips must never panic: either the image still parses (and

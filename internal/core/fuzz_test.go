@@ -27,14 +27,7 @@ import (
 func FuzzDeserialize(f *testing.F) {
 	// Valid images of every variant, plus structured corruption, seed
 	// the mutator with the real wire layout.
-	dense := matrix.NewDense(4, 6)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 6; c++ {
-			if (r+c)%3 != 0 {
-				dense.Set(r, c, float64(r*7+c)/3)
-			}
-		}
-	}
+	dense := fourBySix()
 	for _, v := range allVariants {
 		f.Add(CompressVariant(dense, v).Serialize())
 	}
@@ -66,6 +59,9 @@ func FuzzDeserialize(f *testing.F) {
 		}
 	}
 	recycledImg := Compress(recycled).Serialize()
+	// Its values repeat, so its image has an index section, which a
+	// SparseLogical image may not have.
+	f.Add(with(recycledImg, 5, byte(SparseLogical)))
 
 	f.Fuzz(func(t *testing.T, img []byte) {
 		b, err := Deserialize(img)
@@ -80,7 +76,7 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatal("the batch read into recycled memory writes another image")
 		}
 		if b.d.len() <= 1<<16 {
-			paper, err := imageD(img, b.Variant(), b.Rows())
+			paper, err := imageD(img)
 			if err != nil {
 				t.Fatalf("accepted image does not parse: %v", err)
 			}
@@ -136,35 +132,28 @@ func FuzzDeserialize(f *testing.F) {
 	})
 }
 
-// imageD reads D out of an image of variant v and rows tuples, by a path
-// of its own — bitpack's reader and whole-array unpack for a Full image,
-// which skip I's sections, and a byte-by-byte read for a SparseLogical
-// one — and returns it in the paper's numbering (paperOf).
-func imageD(img []byte, v Variant, rows int) (dTable, error) {
-	buf := img[headerSize:]
-	if v == SparseLogical {
-		lenI := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4+12*lenI:]
-		lenD := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		codes := make([]uint32, lenD)
-		for k := range codes {
-			codes[k] = binary.LittleEndian.Uint32(buf[4*k:])
+// fourBySix is FuzzDeserialize's 4×6 batch: 16 nonzeros, no value twice.
+func fourBySix() *matrix.Dense {
+	m := matrix.NewDense(4, 6)
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 6; c++ {
+			if (r+c)%3 != 0 {
+				m.Set(r, c, float64(r*7+c)/3)
+			}
 		}
-		bitmap := buf[4*lenD : 4*lenD+(lenD+7)/8]
-		buf = buf[4*lenD+(lenD+7)/8:]
-		starts := make([]uint32, rows+1)
-		for k := range starts {
-			starts[k] = binary.LittleEndian.Uint32(buf[4*k:])
-		}
-		return paperOf(lenI, codes, bitmap, starts), nil
 	}
-	// A Full image's packed sections are I's columns, the values'
-	// dictionary indexes, D′ and the starts. The value dictionary (a
-	// count, then 8 bytes a value) follows the columns, and the index
-	// section is absent when it counts one value a column; the creation
-	// bitmap (a byte for every 8 codes) follows D′.
-	colSec, buf, err := bitpack.ReadArray(buf)
+	return m
+}
+
+// imageD reads D out of an image by a path of its own — bitpack's
+// reader and whole-array unpack, which skip I's sections — and returns
+// it in the paper's numbering (paperOf). An image's packed sections are
+// I's columns, the values' dictionary indexes, D′ and the starts. The value
+// dictionary (a count, then 8 bytes a value) follows the columns, and
+// the index section is absent when it counts one value a column; the
+// creation bitmap (a byte for every 8 codes) follows D′.
+func imageD(img []byte) (dTable, error) {
+	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
 		return dTable{}, err
 	}

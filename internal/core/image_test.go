@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"toc/internal/bitpack"
+	"toc/internal/data"
 	"toc/internal/matrix"
 )
 
@@ -102,7 +103,7 @@ func TestResidentImageEdgeShapes(t *testing.T) {
 	if !back.d.isWide() {
 		t.Fatal("wide: a live tree of 1<<16+1 nodes reads back with a 16-bit D′")
 	}
-	paper, err := imageD(back.Serialize(), Full, back.Rows())
+	paper, err := imageD(back.Serialize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +170,87 @@ func TestResidentImageRefusals(t *testing.T) {
 	}
 }
 
-// An image of version 1, which held D in the paper's numbering, is
-// refused by its version: testdata/image-v1.bin is the Full image a
-// version-1 build wrote for a 4×6 batch.
-func TestDeserializeRefusesVersion1Image(t *testing.T) {
-	img, err := os.ReadFile(filepath.Join("testdata", "image-v1.bin"))
+// An image of an older version is refused by its version:
+// testdata/image-v1.bin is the Full image a version-1 build wrote for a
+// 4×6 batch (D in the paper's numbering), and image-v3.bin the
+// SparseLogical image a version-3 build wrote for FuzzDeserialize's 4×6
+// batch (raw sections, no bit-packed ones).
+func TestDeserializeRefusesOldImageVersions(t *testing.T) {
+	for _, v := range []int{1, 3} {
+		img, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("image-v%d.bin", v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("unsupported version %d", v)
+		if _, err := Deserialize(img); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("a version-%d image: %v, want an error containing %q", v, err, want)
+		}
+	}
+}
+
+// A SparseLogical image is the Full layout with no physical layer
+// (physical.go): each of I's columns, D′'s codes and the tuple starts in
+// 4 bytes, and a dictionary of |I| entries, each pair's value, with no
+// index section after it. Version 3 wrote the same integers and values
+// raw, in headerSize + 4 + 12|I| + 4 + 4|D| + ⌈|D|/8⌉ + 4(rows+1) bytes;
+// three 5-byte section headers in place of its two u32 counts make this
+// image 11 bytes longer, as testdata/image-v3.bin, version 3's image of
+// FuzzDeserialize's batch, shows. With one layout, the variant byte of
+// an image with no index section can be flipped either way: the image
+// reads as the other variant's image of the same matrix.
+func TestSparseLogicalImageHasNoPhysicalLayer(t *testing.T) {
+	v3, err := os.ReadFile(filepath.Join("testdata", "image-v3.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Deserialize(img); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("a version-1 image: %v, want an error containing %q", err, "unsupported version 1")
+	if got, want := len(CompressVariant(fourBySix(), SparseLogical).Serialize()), len(v3)+11; got != want {
+		t.Fatalf("the 4×6 image is %d bytes, want version 3's %d + 11", got, len(v3))
+	}
+	ms := map[string]*matrix.Dense{"4×6": fourBySix(), "noRows": matrix.NewDense(0, 4), "wide": distinctWide()}
+	for _, name := range data.Names() {
+		ds, err := data.Generate(name, 250, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[name] = ds.X
+	}
+	for name, m := range ms {
+		b := CompressVariant(m, SparseLogical)
+		img := b.Serialize()
+		lenI, lenD := b.i.len(), b.d.len()
+		if v3 := headerSize + 4 + 12*lenI + 4 + 4*lenD + bitmapSize(lenD) + 4*(b.Rows()+1); len(img) != v3+11 {
+			t.Errorf("%s: the image is %d bytes, want version 3's %d + 11", name, len(img), v3)
+		}
+		var widths []int
+		buf := img[headerSize:]
+		section := func() {
+			head := buf
+			var err error
+			if _, buf, err = bitpack.ReadArray(buf); err != nil {
+				t.Fatalf("%s: section %d: %v", name, len(widths), err)
+			}
+			widths = append(widths, int(head[4]))
+		}
+		section() // I's columns
+		if n := int(binary.LittleEndian.Uint32(buf)); n != lenI {
+			t.Fatalf("%s: the dictionary has %d entries for %d pairs", name, n, lenI)
+		}
+		buf = buf[4+8*lenI:] // past the values: D′ follows, with no index section before it
+		section()
+		buf = buf[bitmapSize(lenD):]
+		section() // the tuple starts
+		if !slices.Equal(widths, []int{4, 4, 4}) || len(buf) != 0 {
+			t.Errorf("%s: sections of widths %v and %d bytes after them, want 4, 4, 4 and none", name, widths, len(buf))
+		}
+		for _, v := range allVariants {
+			back, err := Deserialize(with(img, 5, byte(v)))
+			if err != nil {
+				t.Fatalf("%s: the image as %v is refused: %v", name, v, err)
+			}
+			if got, want := back.Decode(), b.Decode(); back.Variant() != v || !bitsEqual(got.Data(), want.Data()) {
+				t.Fatalf("%s: the image as %v reads as a %v batch of other bits", name, v, back.Variant())
+			}
+		}
 	}
 }
 
@@ -251,7 +323,7 @@ func TestDeserializeRefusesRawLayoutFaults(t *testing.T) {
 	// this version reads as D′.
 	v2 := corpusImage(t, "FuzzDeserialize/seed-full")
 	refused("version-2 image", v2, "unsupported version 2")
-	refused("version-2 image read as version 3", with(v2, 4, imageVersion), "core: D starts: bitpack: ")
+	refused("version-2 image read at this version", with(v2, 4, imageVersion), "core: D starts: bitpack: ")
 }
 
 // distinctWide returns a matrix of more columns than 16 bits name, and
@@ -300,7 +372,7 @@ func TestRawImageRoundTrip(t *testing.T) {
 		if len(img) != b.CompressedSize() {
 			t.Fatalf("%s: image of %d bytes, CompressedSize %d", name, len(img), b.CompressedSize())
 		}
-		paper, err := imageD(img, Full, b.Rows())
+		paper, err := imageD(img)
 		if err != nil {
 			t.Fatal(err)
 		}

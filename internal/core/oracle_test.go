@@ -351,7 +351,7 @@ func checkResidentForm(t testing.TB, tag string, b *Batch, paper dTable) {
 	// by Compress or Scale, and its dictionary is the first-appearance
 	// one: it writes the canonical image of (I, D). One Deserialize made
 	// returns the bytes it was read from, which may be any image of the
-	// same (I, D) (readFull states the accepted language), and keeps that
+	// same (I, D) (readImage states the accepted language), and keeps that
 	// image's dictionary: with its image dropped it writes the oracle's
 	// image of its own dictionary and indexes, no longer than the bytes
 	// it read. (Scale itself may change a NaN's bits.)
@@ -745,35 +745,32 @@ func oracleResident(lenI int, paper dTable) (codes []uint32, bitmap []byte) {
 
 // oracleImage is the image of b's variant, first layer and tuple starts
 // with D given in the paper's numbering, written by its own path:
-// oracleResident's D′ and bitmap, the Full sections through bitpack.Pack
-// and a first-appearance dictionary keyed on a value's bits — or, with
-// own, b's dictionary and indexes as they are; a dictionary with an
-// entry for every pair is written as the pairs' values instead — the
-// SparseLogical ones appended value by value.
+// oracleResident's D′ and bitmap, and a first-appearance dictionary keyed
+// on a value's bits — or, with own, b's dictionary and indexes as they
+// are; a dictionary with an entry for every pair is written as the
+// pairs' values instead. A Full image packs every section through
+// bitpack.Pack; a SparseLogical one, which has no physical layer, writes
+// each integer in 4 bytes and each pair's value, so it has no index
+// section.
 func oracleImage(b *Batch, paper dTable, own bool) []byte {
 	codes, bitmap := oracleResident(b.i.len(), paper)
 	out := make([]byte, headerSize)
 	b.putHeader(out)
 	le := binary.LittleEndian
+	pack := func(out []byte, vals []uint32) []byte {
+		if b.variant == Full {
+			return bitpack.Pack(vals).AppendTo(out)
+		}
+		out = append(le.AppendUint32(out, uint32(len(vals))), 4)
+		for _, v := range vals {
+			out = le.AppendUint32(out, v)
+		}
+		return out
+	}
 	I := b.i.pairs()
 	cols := make([]uint32, len(I))
 	for k, p := range I {
 		cols[k] = p.Col
-	}
-	if b.variant == SparseLogical {
-		out = le.AppendUint32(out, uint32(len(I)))
-		for _, p := range I {
-			out = le.AppendUint64(le.AppendUint32(out, p.Col), math.Float64bits(p.Val))
-		}
-		out = le.AppendUint32(out, uint32(len(codes)))
-		for _, n := range codes {
-			out = le.AppendUint32(out, n)
-		}
-		out = append(out, bitmap...)
-		for _, s := range paper.Starts {
-			out = le.AppendUint32(out, s)
-		}
-		return out
 	}
 	occ := make([]uint32, len(I))
 	var dict []float64
@@ -794,23 +791,24 @@ func oracleImage(b *Batch, paper dTable, own bool) []byte {
 	if own {
 		dict = b.i.vals
 	}
-	out = bitpack.Pack(cols).AppendTo(out)
-	out = le.AppendUint32(out, uint32(len(dict)))
-	if len(dict) == len(I) {
+	out = pack(out, cols)
+	if len(dict) == len(I) || b.variant == SparseLogical {
 		// One entry a pair: the image holds each pair's value, in pair
 		// order, and no index section.
+		out = le.AppendUint32(out, uint32(len(I)))
 		for _, p := range I {
 			out = le.AppendUint64(out, math.Float64bits(p.Val))
 		}
 	} else {
+		out = le.AppendUint32(out, uint32(len(dict)))
 		for _, v := range dict {
 			out = le.AppendUint64(out, math.Float64bits(v))
 		}
-		out = bitpack.Pack(occ).AppendTo(out)
+		out = pack(out, occ)
 	}
-	out = bitpack.Pack(codes).AppendTo(out)
+	out = pack(out, codes)
 	out = append(out, bitmap...)
-	return bitpack.Pack(paper.Starts).AppendTo(out)
+	return pack(out, paper.Starts)
 }
 
 // checkAgainstMapOracle encodes the sparse table both ways and compares

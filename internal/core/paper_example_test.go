@@ -219,7 +219,7 @@ func TestFigure3PhysicalSections(t *testing.T) {
 	if got := b.d.narrow; !reflect.DeepEqual(got, []uint16{1, 2, 3, 4, 6, 3, 5, 7, 6}) {
 		t.Errorf("resident node indexes = %v", got)
 	}
-	paper, err := imageD(b.Serialize(), Full, b.Rows())
+	paper, err := imageD(b.Serialize())
 	if err != nil || !reflect.DeepEqual(paper.Nodes, []uint32{1, 2, 3, 4, 6, 3, 5, 8, 6}) {
 		t.Errorf("the image's D maps back to %v (%v)", paper.Nodes, err)
 	}

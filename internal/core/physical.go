@@ -14,7 +14,9 @@ import (
 // bytes. For the Full variant, integer arrays (column indexes of I, value
 // indexes, the codes of D′, tuple start indexes) are bit packed and the
 // float values of I are value-indexed, as in Figure 3. The SparseLogical
-// ablation variant stores the same information raw.
+// ablation variant has no physical layer: its image is a Full image
+// whose packed sections are all 4 bytes an integer and whose dictionary
+// holds each pair's value, so it has no index section (imageTops).
 //
 // Unlike Figure 3, the image holds D in resident form (decodetree.go):
 // D′ in live ids, then the creation bitmap, bit q of byte q/8 set iff
@@ -29,18 +31,16 @@ import (
 // which: the reader knows |I| from the column section before it reads
 // the dictionary's count.
 //
-// Image layout (little-endian):
+// Image layout (little-endian), one for both variants:
 //
-//	header: "TOCB" | version=3 | variant | rows u32 | cols u32
-//	Full:          bitpack(I.cols) | u32 n, f64 dict[n] |
-//	               bitpack(each pair's dictionary index), absent iff n = |I| |
-//	               bitpack(D′) | created[⌈|D|/8⌉] | bitpack(D.starts)
-//	SparseLogical: u32 |I|, raw (u32 col, f64 val)... | u32 |D|,
-//	               raw u32 D′... | created[⌈|D|/8⌉] | raw u32 starts[rows+1]
+//	header: "TOCB" | version=4 | variant | rows u32 | cols u32
+//	bitpack(I.cols) | u32 n, f64 dict[n] |
+//	bitpack(each pair's dictionary index), absent iff n = |I| |
+//	bitpack(D′) | created[⌈|D|/8⌉] | bitpack(D.starts)
 
 const (
 	imageMagic   = "TOCB"
-	imageVersion = 3
+	imageVersion = 4
 	headerSize   = 4 + 1 + 1 + 4 + 4
 )
 
@@ -63,8 +63,8 @@ func (b *Batch) Serialize() []byte {
 }
 
 // image serializes b in one exactly-sized allocation. Every section's
-// length follows from counts known up front (fullSize,
-// sparseLogicalSize), and every section is written in bulk.
+// length follows from counts known up front (imageSize), and every
+// section is written in bulk.
 //
 // The Full image's first layer is value-indexed as in §3.2: the
 // dictionary once, then a bit-packed dictionary index per pair — the
@@ -72,12 +72,13 @@ func (b *Batch) Serialize() []byte {
 // columns (splitPairs). A dictionary of |I| entries is written instead
 // as each pair's value in pair order, with no index section; every batch
 // holds such a dictionary in that order (Compress, Deserialize, and
-// mapValues through remapPairs), so that is the dictionary as it is.
-// For a batch Compress or Scale made the bytes are exactly what the map
-// oracle writes with bitpack.Pack and a first-appearance dictionary
-// (TestEncoderMatchesMapOracle), and readFull reads them back.
+// mapValues through remapPairs), so that is the dictionary as it is. A
+// SparseLogical batch always holds one. For a batch Compress or Scale
+// made the bytes are exactly what the map oracle writes with
+// bitpack.Pack and a first-appearance dictionary
+// (TestEncoderMatchesMapOracle), and readImage reads them back.
 func (e *encoder) image(b *Batch) []byte {
-	d, top := &b.d, uint32(b.i.len()+b.d.live) // the largest code: every live id is named
+	d := &b.d
 	e.col, e.occ = fit(e.col, b.i.len()), fit(e.occ, b.i.len())
 	var colTop uint32
 	if b.i.isWide() {
@@ -85,57 +86,32 @@ func (e *encoder) image(b *Batch) []byte {
 	} else {
 		colTop = splitPairs(b.i.narrow, e.col, e.occ)
 	}
+	t := b.imageTops(colTop)
 	vals := b.i.vals
-	switch b.variant {
-	case Full:
-		out := make([]byte, fullSize(b.Rows(), b.i.len(), colTop, len(vals), d.len(), top))
-		off := b.putHeader(out)
-		off += putPacked(out[off:], e.col, colTop)
-		binary.LittleEndian.PutUint32(out[off:], uint32(len(vals)))
-		off += 4
-		if len(vals) == len(e.occ) {
-			for _, x := range e.occ {
-				binary.LittleEndian.PutUint64(out[off:], math.Float64bits(vals[x]))
-				off += 8
-			}
-		} else {
-			for _, v := range vals {
-				binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
-				off += 8
-			}
-			off += putPacked(out[off:], e.occ, occTop(len(vals)))
+	out := make([]byte, b.imageSize(t))
+	off := b.putHeader(out)
+	off += putPacked(out[off:], e.col, t.col)
+	binary.LittleEndian.PutUint32(out[off:], uint32(t.distinct))
+	off += 4
+	if t.distinct == len(e.occ) {
+		for _, x := range e.occ {
+			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(vals[x]))
+			off += 8
 		}
-		if d.isWide() {
-			off += putPacked(out[off:], d.wide, top)
-		} else {
-			off += putPacked(out[off:], d.narrow, top)
+	} else {
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
+			off += 8
 		}
-		off += putBitmap(out[off:], d.created, d.len())
-		putPacked(out[off:], d.starts, uint32(d.len()))
-		return out
-	case SparseLogical:
-		out := make([]byte, sparseLogicalSize(b.Rows(), b.i.len(), d.len()))
-		off := b.putHeader(out)
-		binary.LittleEndian.PutUint32(out[off:], uint32(b.i.len()))
-		off += 4
-		for k, c := range e.col {
-			binary.LittleEndian.PutUint32(out[off:], c)
-			binary.LittleEndian.PutUint64(out[off+4:], math.Float64bits(vals[e.occ[k]]))
-			off += 12
-		}
-		binary.LittleEndian.PutUint32(out[off:], uint32(d.len()))
-		off += 4
-		if d.isWide() {
-			off += putU32s(out[off:], d.wide)
-		} else {
-			off += putU32s(out[off:], d.narrow)
-		}
-		off += putBitmap(out[off:], d.created, d.len())
-		putU32s(out[off:], d.starts)
-		return out
+		off += putPacked(out[off:], e.occ, occTop(t.distinct))
 	}
-	out := make([]byte, headerSize)
-	b.putHeader(out)
+	if d.isWide() {
+		off += putPacked(out[off:], d.wide, t.code)
+	} else {
+		off += putPacked(out[off:], d.narrow, t.code)
+	}
+	off += putBitmap(out[off:], d.created, d.len())
+	putPacked(out[off:], d.starts, t.start)
 	return out
 }
 
@@ -176,27 +152,39 @@ func (e *encoder) valueIndex(vals, dict []float64) []float64 {
 // sizeImage fixes b.size, for a batch that keeps no image, to the length
 // of the one Serialize writes, from counts alone: the section lengths,
 // the dictionary's, and the largest column index and code.
-func (b *Batch) sizeImage() {
-	switch b.variant {
-	case Full:
-		b.size = fullSize(b.Rows(), b.i.len(), b.i.colTop(), len(b.i.vals), b.d.len(), uint32(b.i.len()+b.d.live))
-	case SparseLogical:
-		b.size = sparseLogicalSize(b.Rows(), b.i.len(), b.d.len())
-	default:
-		b.size = headerSize
-	}
+func (b *Batch) sizeImage() { b.size = b.imageSize(b.imageTops(b.i.colTop())) }
+
+// tops is what an image's length and widths follow from beyond b's
+// counts: the value each packed section is sized for — I's columns,
+// D′'s codes, the tuple starts — and the value dictionary's count.
+type tops struct {
+	col, code, start uint32
+	distinct         int
 }
 
-// fullSize is the length of a Full image with lenI first-layer pairs of
-// distinct values, the largest column index colTop, lenD codes the
-// largest of which is top, and rows tuples: the header, I's columns,
-// the value dictionary and, unless it has lenI entries, each pair's
-// index into it, D′'s codes, the creation bitmap and the tuple starts.
-func fullSize(rows, lenI int, colTop uint32, distinct, lenD int, top uint32) int {
-	n := headerSize + packedSize(lenI, colTop) + 4 + 8*distinct +
-		packedSize(lenD, top) + bitmapSize(lenD) + packedSize(rows+1, uint32(lenD))
-	if distinct != lenI {
-		n += packedSize(lenI, occTop(distinct))
+// imageTops returns the tops of b's image, colTop the largest column I
+// names. A Full image packs every section at the width of its largest
+// value: colTop, the largest live id and |D|, and counts b's dictionary.
+// A SparseLogical image has no physical layer: every section is sized
+// for math.MaxUint32, 4 bytes an integer, and the count is |I|, so its
+// values are written in pair order and no index section follows.
+func (b *Batch) imageTops(colTop uint32) tops {
+	if b.variant == SparseLogical {
+		return tops{math.MaxUint32, math.MaxUint32, math.MaxUint32, b.i.len()}
+	}
+	return tops{colTop, uint32(b.i.len() + b.d.live), uint32(b.d.len()), len(b.i.vals)}
+}
+
+// imageSize is the length of b's image of tops t: the header, I's
+// columns, the value dictionary and, unless it has |I| entries, each
+// pair's index into it, D′'s codes, the creation bitmap and the tuple
+// starts.
+func (b *Batch) imageSize(t tops) int {
+	lenI, lenD := b.i.len(), b.d.len()
+	n := headerSize + packedSize(lenI, t.col) + 4 + 8*t.distinct +
+		packedSize(lenD, t.code) + bitmapSize(lenD) + packedSize(b.Rows()+1, t.start)
+	if t.distinct != lenI {
+		n += packedSize(lenI, occTop(t.distinct))
 	}
 	return n
 }
@@ -204,11 +192,6 @@ func fullSize(rows, lenI int, colTop uint32, distinct, lenD int, top uint32) int
 // occTop is the largest dictionary index of a dictionary of distinct
 // values (zero for an empty one, which packs no index).
 func occTop(distinct int) uint32 { return uint32(max(distinct, 1) - 1) }
-
-// sparseLogicalSize is the length of a SparseLogical image.
-func sparseLogicalSize(rows, lenI, lenD int) int {
-	return headerSize + 4 + 12*lenI + 4 + 4*lenD + bitmapSize(lenD) + 4*(rows+1)
-}
 
 // bitmapSize is the length of the creation bitmap of lenD codes.
 func bitmapSize(lenD int) int { return (lenD + 7) / 8 }
@@ -247,7 +230,9 @@ func putPacked[N code](dst []byte, vals []N, top uint32) int {
 			body[0], body[1], body[2] = byte(v), byte(v>>8), byte(v>>16)
 		}
 	default:
-		putU32s(body, vals)
+		for ; len(vals) > 0 && len(body) >= 4; vals, body = vals[1:], body[4:] {
+			binary.LittleEndian.PutUint32(body, uint32(vals[0]))
+		}
 	}
 	return packedHeader + width*n
 }
@@ -275,23 +260,14 @@ func (b *Batch) putHeader(out []byte) int {
 	return headerSize
 }
 
-// putU32s bulk-writes vals little-endian into dst, 4 bytes a value,
-// returning the byte count written.
-func putU32s[N code](dst []byte, vals []N) int {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
-	}
-	return 4 * len(vals)
-}
-
 // Deserialize reconstructs a Batch from a physical image produced by
 // Serialize, validating structural invariants so corrupt images return an
 // error rather than corrupting kernel execution.
 //
 // An image is read in one pass over its sections straight into the
-// arrays the batch keeps (readFull, readSparseLogical), and the call
-// allocates only those: the Batch, I's words with the tuple starts, the
-// value dictionary, D′ and the creation bitmap. The batch aliases img.
+// arrays the batch keeps (readImage), and the call allocates only those:
+// the Batch, I's words with the tuple starts, the value dictionary, D′
+// and the creation bitmap. The batch aliases img.
 // On an imagenet batch of the benchmark's shape (|I| 1739, |D| 7402)
 // that is 5 allocations and 40 KB (BenchmarkDeserialize,
 // TestDeserializeAllocBytes) — or none, when a batch Recycle took back is
@@ -334,50 +310,58 @@ func deserializeInto(b *Batch, img []byte) error {
 	if rows > maxDim || cols > maxDim {
 		return fmt.Errorf("core: implausible dims %dx%d", rows, cols)
 	}
-	if v == Full {
-		return readFull(b, rows, cols, img)
-	}
-	return readSparseLogical(b, rows, cols, img)
+	return readImage(b, rows, cols, v, img)
 }
 
-// readFull reads a Full image into b. Every section header is read by
-// value (bitpack.ReadArray) and every length checked before anything is
-// allocated; then each section is read once, in bulk, into the array the
-// batch keeps: the tuple starts and I's words (carve), the value
-// dictionary, copied as it is, the creation bitmap and D′ (readD picks
-// its width). A dictionary of |I| entries, |I| known from the column
-// section, is followed by no index section: pair k names entry k, and
-// only the columns are unpacked into the words, each checked against
-// cols (unpackColumns). Any other count is followed by the index
-// section, and the two are unpacked together into the words, each
-// column checked against cols and each index against the dictionary's
-// length (unpackPairs). Either way, an image Serialize wrote reads back
-// as the resident form it was written from.
+// readImage reads an image of variant v into b. Both variants have the
+// one layout, so the variant settles one thing only: a SparseLogical
+// image with an index section is refused, since a SparseLogical
+// dictionary is I's values in order (batch.go).
 //
-// The accepted language is wider than the images Serialize writes: a
-// Full image is accepted iff its sections parse, every index is in range
-// and its resident form passes checkResident. Nothing asks it to be
-// canonical — its value dictionary may repeat a value, hold one no pair
-// names or list them out of first-appearance order, and a section may be
-// packed wider than its largest element needs. The batch keeps the
-// dictionary it read: Serialize returns the bytes that were read, and
-// the batch with its image dropped writes its own resident form, every
-// section at its narrowest width. A pass that refused or rewrote a
-// non-canonical image would cost every spilled read and buy nothing a
-// kernel can see.
-func readFull(b *Batch, rows, cols int, img []byte) error {
+// Every section header is read by value (bitpack.ReadArray) and every
+// length checked before anything is allocated; then each section is read
+// once, in bulk, into the array the batch keeps: the tuple starts and
+// I's words (carve), the value dictionary, copied as it is, the creation
+// bitmap and D′ (readD picks its width). A dictionary of |I| entries,
+// |I| known from the column section, is followed by no index section:
+// pair k names entry k, and only the columns are unpacked into the
+// words, each checked against cols (unpackColumns). Any other count is
+// followed by the index section, and the two are unpacked together into
+// the words, each column checked against cols and each index against the
+// dictionary's length (unpackPairs). Either way, an image Serialize
+// wrote reads back as the resident form it was written from.
+//
+// The accepted language is wider than the images Serialize writes: an
+// image is accepted iff its sections parse, every index is in range, its
+// resident form passes checkResident and, for SparseLogical, it has no
+// index section. Nothing asks it to be canonical — its value dictionary
+// may repeat a value, hold one no pair names or list them out of
+// first-appearance order, and a section may be packed at any width that
+// holds its values, so a Full image may be 4 bytes an integer and a
+// SparseLogical one narrower. The batch keeps the dictionary it read:
+// Serialize returns the bytes that were read, and the batch with its
+// image dropped writes its own resident form at its variant's widths. A
+// pass that refused or rewrote a non-canonical image would cost every
+// spilled read and buy nothing a kernel can see.
+func readImage(b *Batch, rows, cols int, v Variant, img []byte) error {
 	colSec, buf, err := bitpack.ReadArray(img[headerSize:])
 	if err != nil {
 		return fmt.Errorf("core: I columns: %w", err)
 	}
-	distinct, buf, err := takeU32(buf)
-	if err != nil || len(buf) < 8*int(distinct) {
+	if len(buf) < 4 {
 		return fmt.Errorf("core: I values: truncated value dictionary")
 	}
-	dict, buf := buf[:8*int(distinct)], buf[8*int(distinct):]
-	indexed := int(distinct) != colSec.Len()
+	distinct, buf := int(binary.LittleEndian.Uint32(buf)), buf[4:]
+	if len(buf) < 8*distinct {
+		return fmt.Errorf("core: I values: truncated value dictionary")
+	}
+	dict, buf := buf[:8*distinct], buf[8*distinct:]
+	indexed := distinct != colSec.Len()
 	var idxSec bitpack.Array
 	if indexed {
+		if v == SparseLogical {
+			return fmt.Errorf("core: a SparseLogical image with %d dictionary entries for %d pairs", distinct, colSec.Len())
+		}
 		if idxSec, buf, err = bitpack.ReadArray(buf); err != nil {
 			return fmt.Errorf("core: I values: %w", err)
 		}
@@ -404,9 +388,9 @@ func readFull(b *Batch, rows, cols int, img []byte) error {
 	if startSec.Len() != rows+1 {
 		return fmt.Errorf("core: starts length %d != rows+1 (%d)", startSec.Len(), rows+1)
 	}
-	I, starts := carve(b.i, colSec.Len(), rows, !narrowFits(cols, int(distinct)))
+	I, starts := carve(b.i, colSec.Len(), rows, !narrowFits(cols, distinct))
 	startSec.UnpackRange(starts, 0, len(starts))
-	I.vals = fit(b.i.vals, int(distinct))
+	I.vals = fit(b.i.vals, distinct)
 	getF64s(I.vals, dict)
 	switch {
 	case indexed && I.isWide():
@@ -421,13 +405,7 @@ func readFull(b *Batch, rows, cols int, img []byte) error {
 	if err != nil {
 		return err
 	}
-	return readD(b, cols, Full, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
-		if wide != nil {
-			codeSec.UnpackRange(wide, 0, lenD)
-			return true
-		}
-		return codeSec.Unpack16(narrow)
-	})
+	return readD(b, cols, v, I, starts, bitmap, &codeSec, img)
 }
 
 // unpackPairs unpacks a Full image's column and dictionary-index
@@ -483,74 +461,16 @@ func getF64s(dst []float64, src []byte) {
 	}
 }
 
-// readSparseLogical reads a SparseLogical image into b as readFull reads
-// a Full one, from raw sections: the dictionary is I's values in order,
-// pair k naming entry k.
-func readSparseLogical(b *Batch, rows, cols int, img []byte) error {
-	lenI, buf, err := takeU32(img[headerSize:])
-	if err != nil {
-		return fmt.Errorf("core: |I|: %w", err)
-	}
-	if len(buf) < int(lenI)*12 {
-		return fmt.Errorf("core: truncated I section")
-	}
-	pairs, buf := buf[:int(lenI)*12], buf[int(lenI)*12:]
-	n, buf, err := takeU32(buf)
-	if err != nil {
-		return fmt.Errorf("core: |D|: %w", err)
-	}
-	lenD := int(n)
-	if need := 4*lenD + bitmapSize(lenD) + 4*(rows+1); len(buf) != need {
-		return fmt.Errorf("core: D section is %d bytes, want %d", len(buf), need)
-	}
-	codes, bitmap, rest := buf[:4*lenD], buf[4*lenD:4*lenD+bitmapSize(lenD)], buf[4*lenD+bitmapSize(lenD):]
-	I, starts := carve(b.i, int(lenI), rows, !narrowFits(cols, int(lenI)))
-	I.vals = fit(b.i.vals, int(lenI))
-	if I.isWide() {
-		err = readRawPairs(I.wide, I.vals, pairs, cols)
-	} else {
-		err = readRawPairs(I.narrow, I.vals, pairs, cols)
-	}
-	if err != nil {
-		return err
-	}
-	getU32s(starts, rest)
-	return readD(b, cols, SparseLogical, I, starts, bitmap, lenD, img, func(narrow []uint16, wide []uint32) bool {
-		if wide != nil {
-			return getU32s(wide, codes)
-		}
-		return getU32s(narrow, codes)
-	})
-}
-
-// readRawPairs reads a SparseLogical image's (u32 column, f64 value)
-// pairs into I's words and dictionary, checking every column against
-// cols.
-func readRawPairs[W pairWord](words []W, vals []float64, pairs []byte, cols int) error {
-	half, _ := halves[W]()
-	vals = vals[:len(words)]
-	for k := range words {
-		c := binary.LittleEndian.Uint32(pairs[k*12:])
-		if uint(c) >= uint(cols) {
-			return fmt.Errorf("core: I[%d] column %d out of range %d", k, c, cols)
-		}
-		words[k] = W(c)<<half | W(k)
-		vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(pairs[k*12+4:]))
-	}
-	return nil
-}
-
 // readD finishes reading an image into b, given its I and tuple starts
 // in b's memory or new arrays: it checks the starts, reads the creation
-// bitmap into b's (or a new one), sizes D′ for lenD codes at the width
-// the live count needs, in b's array when it fits, has unpack write the
-// codes into whichever of narrow and wide is non-nil, and checks the
+// bitmap into b's (or a new one), unpacks the D′ section into an array
+// at the width the live count needs, b's when it fits, and checks the
 // result (checkResident). A bit at a tuple's last position is refused:
 // Algorithm 1 creates a node at every position of a tuple but its last.
 // A bit past |D| counts a live node no code can name, which
 // checkResident refuses. On an error b is left as it was.
-func readD(b *Batch, cols int, v Variant, I firstLayer, starts []uint32, bitmap []byte, lenD int, img []byte,
-	unpack func(narrow []uint16, wide []uint32) bool) error {
+func readD(b *Batch, cols int, v Variant, I firstLayer, starts []uint32, bitmap []byte, codeSec *bitpack.Array, img []byte) error {
+	lenD := codeSec.Len()
 	prev := uint32(0)
 	for k, s := range starts {
 		if s < prev {
@@ -578,11 +498,12 @@ func readD(b *Batch, cols int, v Variant, I firstLayer, starts []uint32, bitmap 
 	}
 	if 1+I.len()+d.live <= 1<<16 {
 		d.narrow = fit(b.d.narrow, lenD)
+		if !codeSec.Unpack16(d.narrow) {
+			return fmt.Errorf("core: D′ holds a code wider than the live tree's 16 bits")
+		}
 	} else {
 		d.wide = fit(b.d.wide, lenD)
-	}
-	if !unpack(d.narrow, d.wide) {
-		return fmt.Errorf("core: D′ holds a code wider than the live tree's 16 bits")
+		codeSec.UnpackRange(d.wide, 0, lenD)
 	}
 	sc := liveScratchPool.Get().(*liveScratch)
 	defer liveScratchPool.Put(sc)
@@ -647,24 +568,4 @@ func checkCodes[N code](nodes []N, created []uint64, lenI int, mark []byte) int 
 		}
 	}
 	return -1
-}
-
-// getU32s decodes len(dst) little-endian u32s from src, which the
-// caller has length-checked, and reports whether every one fits N.
-func getU32s[N code](dst []N, src []byte) bool {
-	src = src[:4*len(dst)]
-	var over uint32
-	for k := range dst {
-		v := binary.LittleEndian.Uint32(src[4*k:])
-		dst[k] = N(v)
-		over |= v &^ uint32(^N(0))
-	}
-	return over == 0
-}
-
-func takeU32(buf []byte) (uint32, []byte, error) {
-	if len(buf) < 4 {
-		return 0, nil, fmt.Errorf("truncated uint32")
-	}
-	return binary.LittleEndian.Uint32(buf), buf[4:], nil
 }

@@ -24,18 +24,18 @@ import (
 // collapses the value dictionary to the two zeros, so the image length
 // it reports differs from the batch it came from.
 var imageGolden = map[string][4]uint32{
-	"census/TOC_FULL":                 {0x08f8edf7, 0xa9fb2fff, 0x4fdf225e, 0x08f8edf7},
-	"census/TOC_SPARSE_AND_LOGICAL":   {0x73e039d9, 0x30b8be15, 0x80e13800, 0x73e039d9},
-	"imagenet/TOC_FULL":               {0xc279fe1e, 0x815c76d1, 0x75b12573, 0xc279fe1e},
-	"imagenet/TOC_SPARSE_AND_LOGICAL": {0x093087cf, 0xb1d0fbdb, 0x092fee7e, 0x093087cf},
-	"mnist/TOC_FULL":                  {0x1c8cfebb, 0xaf215af0, 0xb67f12d8, 0x1c8cfebb},
-	"mnist/TOC_SPARSE_AND_LOGICAL":    {0xb38dd45a, 0x26b78aa4, 0xe2db36ea, 0xb38dd45a},
-	"kdd99/TOC_FULL":                  {0x3f5bacc7, 0xbbea12ca, 0x63210743, 0x3f5bacc7},
-	"kdd99/TOC_SPARSE_AND_LOGICAL":    {0x18987caf, 0x9a2fb260, 0x49bffafe, 0x18987caf},
-	"rcv1/TOC_FULL":                   {0x679df4ef, 0x0ace846a, 0xb0e0ca29, 0x679df4ef},
-	"rcv1/TOC_SPARSE_AND_LOGICAL":     {0x87b26bac, 0xb621e238, 0x3376785b, 0x87b26bac},
-	"deep1b/TOC_FULL":                 {0x8b4d0f50, 0x15eb512b, 0x8943f992, 0x8b4d0f50},
-	"deep1b/TOC_SPARSE_AND_LOGICAL":   {0x0ea70457, 0xd3d655dc, 0x5f144c0a, 0x0ea70457},
+	"census/TOC_FULL":                 {0x09b2bd05, 0xa8b17f0d, 0xc8fcb035, 0x09b2bd05},
+	"census/TOC_SPARSE_AND_LOGICAL":   {0x7bef11ea, 0x147745dc, 0x99495188, 0x7bef11ea},
+	"imagenet/TOC_FULL":               {0xcea3d482, 0x8d865c4d, 0xef007b64, 0xcea3d482},
+	"imagenet/TOC_SPARSE_AND_LOGICAL": {0xaf52597f, 0x1df9394d, 0xb3172437, 0xaf52597f},
+	"mnist/TOC_FULL":                  {0xaf7bf09a, 0x1cd654d1, 0xac9f84d0, 0xaf7bf09a},
+	"mnist/TOC_SPARSE_AND_LOGICAL":    {0x344d93ee, 0x6e796224, 0xbf57acc9, 0x344d93ee},
+	"kdd99/TOC_FULL":                  {0x077491ba, 0x83c52fb7, 0x79e9532f, 0x077491ba},
+	"kdd99/TOC_SPARSE_AND_LOGICAL":    {0x7cdb259a, 0xf1d7c735, 0x4837c5f8, 0x7cdb259a},
+	"rcv1/TOC_FULL":                   {0xc7d1ef67, 0xaa829fe2, 0x6013836e, 0xc7d1ef67},
+	"rcv1/TOC_SPARSE_AND_LOGICAL":     {0xe6f9e482, 0x05b88521, 0x8b404716, 0xe6f9e482},
+	"deep1b/TOC_FULL":                 {0xec8fb09c, 0x7229eee7, 0xa07331fd, 0xec8fb09c},
+	"deep1b/TOC_SPARSE_AND_LOGICAL":   {0x183e6d2d, 0x8b294bfe, 0x7bb992d9, 0x183e6d2d},
 }
 
 func TestImageGoldenCRC(t *testing.T) {

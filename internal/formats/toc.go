@@ -7,7 +7,9 @@ import (
 
 // TOC adapts core.Batch (the paper's contribution) to the CompressedMatrix
 // interface, together with the ablation variants of Figures 6 and 10 that
-// have a logical layer (TOC_SPARSE, the sparse encoding alone, is CSR).
+// have a logical layer: TOC_SPARSE_AND_LOGICAL is TOC_FULL without the
+// physical layer, the same image layout with every integer in 4 bytes
+// and no value index (TOC_SPARSE, the sparse encoding alone, is CSR).
 type TOC struct {
 	*core.Batch
 }

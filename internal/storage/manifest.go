@@ -39,7 +39,7 @@ import (
 
 const (
 	manifestMagic   = "TOCM"
-	manifestVersion = 4 // since a TOC image of all-distinct values stores no index section (core's image version 3)
+	manifestVersion = 5 // since a TOC_SPARSE_AND_LOGICAL image has the TOC_FULL layout (core's image version 4)
 
 	// Smallest encodings of a shard record (two empty strings, wpos,
 	// bytes) and of a batch record (flags, size, span, no labels): a

@@ -397,13 +397,15 @@ func TestManifestPreservesLabelsBitwise(t *testing.T) {
 
 // A store written before the current TOC image version is refused up
 // front: testdata/store-v2.manifest is the manifest a version-2 build
-// wrote (before TOC images held D in resident form), and
-// store-v3.manifest one a version-3 build wrote (before an image of
-// all-distinct values dropped its index section), each over two spilled
-// 20-row imagenet batches in shard directory gen/shards, which is not
-// there. OpenStore names the version before it opens any shard file.
+// wrote (before TOC images held D in resident form), store-v3.manifest
+// one a version-3 build wrote (before an image of all-distinct values
+// dropped its index section), and store-v4.manifest one a version-4
+// build wrote (before a TOC_SPARSE_AND_LOGICAL image took the TOC_FULL
+// layout), each over two spilled 20-row imagenet batches in shard
+// directory gen/shards, which is not there. OpenStore names the version
+// before it opens any shard file.
 func TestOpenStoreRefusesOldManifestVersion(t *testing.T) {
-	for _, v := range []int{2, 3} {
+	for _, v := range []int{2, 3, 4} {
 		img, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("store-v%d.manifest", v)))
 		if err != nil {
 			t.Fatal(err)
@@ -413,7 +415,7 @@ func TestOpenStoreRefusesOldManifestVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = OpenStore(manifest)
-		if want := fmt.Sprintf("unsupported manifest version %d, want 4", v); err == nil || !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("unsupported manifest version %d, want 5", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("OpenStore of a version-%d store: %v, want an error containing %q", v, err, want)
 		}
 	}
@@ -434,7 +436,7 @@ func TestManifestGoldenCRC(t *testing.T) {
 		sizes:    []int64{100, 200},
 		labels:   [][]float64{{1, -1, 0.5}, {}},
 	}
-	if got, want := crc32.ChecksumIEEE(s.encodeManifest()), uint32(0xf8132d43); got != want {
+	if got, want := crc32.ChecksumIEEE(s.encodeManifest()), uint32(0x12b02cf5); got != want {
 		t.Fatalf("manifest CRC %#08x, want %#08x", got, want)
 	}
 }
