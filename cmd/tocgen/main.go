@@ -1,6 +1,7 @@
 // Command tocgen generates the synthetic evaluation datasets to disk in
 // the DEN binary format (plus a labels file of float64 class ids), for
-// use with toccompress and toctrain.
+// use with toccompress. toctrain generates its datasets in memory and
+// reads no dataset file.
 //
 // Usage:
 //

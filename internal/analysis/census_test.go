@@ -41,10 +41,10 @@ var keep = map[string]string{
 	"(*toc/internal/matrix.Dense).EqualApprox":         "shared test helper: dense comparisons in cla, core, formats and matrix tests",
 	"(*toc/internal/matrix.Dense).SliceRows":           "shared test helper: formats and matrix tests copy rows out of a dataset view",
 	"toc/internal/ml.NewLogReg":                        "shared test helper: the binary logistic model of ml and storage tests",
-	"toc/internal/formats.MustGetCodec":                "shared test helper: engine and formats tests look up a registered method",
 	"toc/internal/data.DefaultCols":                    "shared test helper: core and data tests size a dataset's columns",
 	"toc/internal/bitpack.PackVarint":                  "shared test helper: the varint ablation of the root benchmarks and bitpack tests",
 	"toc/internal/testutil.CheckGoroutineLeak":         "shared test helper: engine and storage tests check for leaked goroutines",
+	"toc/internal/testutil.RefArray":                   "shared test helper: the reference packer bitpack's writer and core's and dist's oracles are checked against",
 }
 
 // TestEveryExportedNameHasACaller is the census of internal/'s exported

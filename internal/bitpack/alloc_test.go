@@ -5,7 +5,7 @@ import (
 )
 
 // The decode hot paths allocate nothing: Get is pure bit arithmetic,
-// AppendTo into a sized buffer reuses it, and the varint reader walks
+// AppendArray into a sized buffer reuses it, and the varint reader walks
 // the input in place. These pins keep the per-batch decode loops
 // allocation-free as the kernels above them assume.
 
@@ -14,7 +14,7 @@ func TestGetAllocs(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(i * 7 % 1000)
 	}
-	a := Pack(vals)
+	a := pack(t, vals)
 	var sink uint32
 	got := testing.AllocsPerRun(20, func() {
 		for i := 0; i < a.Len(); i++ {
@@ -32,13 +32,14 @@ func TestAppendToAllocs(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(i % 513)
 	}
-	a := Pack(vals)
-	buf := make([]byte, 0, a.EncodedSize())
-	got := testing.AllocsPerRun(20, func() {
-		buf = a.AppendTo(buf[:0])
-	})
-	if got != 0 {
-		t.Errorf("Array.AppendTo into a sized buffer allocates %.0f objects/run, want 0", got)
+	for _, top := range []uint32{0xff, 0xffff, 0xffffff, 0xffffffff} {
+		buf := make([]byte, 0, ArraySize(len(vals), top))
+		got := testing.AllocsPerRun(20, func() {
+			buf = AppendArray(buf[:0], vals, top)
+		})
+		if got != 0 {
+			t.Errorf("AppendArray at width %d into a sized buffer allocates %.0f objects/run, want 0", BytesPerInt(top), got)
+		}
 	}
 }
 
@@ -61,26 +62,6 @@ func TestUvarintAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("Uvarint scan allocates %.0f objects/run, want 0", got)
-	}
-	_ = sink
-}
-
-// Looking up a value the dictionary already holds probes the table
-// BuildValueIndex built and allocates nothing.
-func TestValueIndexLookupAllocs(t *testing.T) {
-	vals := make([]float64, 2048)
-	for i := range vals {
-		vals[i] = float64(i % 37)
-	}
-	vi := BuildValueIndex(vals)
-	var sink uint32
-	got := testing.AllocsPerRun(20, func() {
-		for _, v := range vals {
-			sink += vi.intern(v)
-		}
-	})
-	if got != 0 {
-		t.Errorf("ValueIndex.intern of known values allocates %.0f objects/run, want 0", got)
 	}
 	_ = sink
 }

@@ -1,13 +1,18 @@
-// Package bitpack implements the physical-encoding primitives of §3.2 of the
-// paper: bit packing of arrays of small non-negative integers and value
-// indexing (dictionary encoding) of float64 values.
+// Package bitpack implements bit packing, the integer half of §3.2 of
+// the paper's physical encoding, and the bounds-checked Reader every
+// persisted image outside the TOC batch is read through. The float half,
+// value indexing, lives in core (IndexValues), on the pooled dictionary
+// its encoder interns a first layer's values with.
 //
 // Per the paper, each non-negative integer in an array is stored using
 // ceil((floor(log2 max)+1)/8) bytes — i.e. 1, 2, 3 (uint24) or 4 bytes — and
 // every encoded array carries a header recording the number of integers and
-// the number of bytes per integer. §4.1.1 describes accessing a packed
-// integer by seeking to its position and casting the bytes, masking the
-// leading byte for uint24; Get does exactly that.
+// the number of bytes per integer. AppendArray writes that layout and
+// AppendPacked the same values without the header, for a format whose
+// counts and widths follow from what it has already written. §4.1.1
+// describes accessing a packed integer by seeking to its position and
+// casting the bytes, masking the leading byte for uint24; Get does
+// exactly that.
 package bitpack
 
 import (
@@ -40,38 +45,6 @@ type Array struct {
 	n     int    // number of integers
 	width int    // bytes per integer (1..4)
 	data  []byte // n*width payload bytes
-}
-
-// Pack encodes vals into a bit-packed array.
-func Pack(vals []uint32) *Array {
-	var max uint32
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	w := BytesPerInt(max)
-	a := &Array{n: len(vals), width: w, data: make([]byte, len(vals)*w)}
-	for i, v := range vals {
-		a.put(i, v)
-	}
-	return a
-}
-
-func (a *Array) put(i int, v uint32) {
-	off := i * a.width
-	switch a.width {
-	case 1:
-		a.data[off] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(a.data[off:], uint16(v))
-	case 3:
-		a.data[off] = byte(v)
-		a.data[off+1] = byte(v >> 8)
-		a.data[off+2] = byte(v >> 16)
-	default:
-		binary.LittleEndian.PutUint32(a.data[off:], v)
-	}
 }
 
 // Len returns the number of integers in the array.
@@ -241,16 +214,58 @@ func unpack32(dst []uint32, src []byte) {
 	}
 }
 
-// EncodedSize returns the number of bytes AppendTo writes (header + payload).
-func (a *Array) EncodedSize() int { return headerSize + len(a.data) }
+// ArraySize returns the number of bytes AppendArray writes for n values
+// whose largest is at most top: the header and n·BytesPerInt(top).
+func ArraySize(n int, top uint32) int { return headerSize + n*BytesPerInt(top) }
 
-// AppendTo appends the encoded array (header + payload) to dst.
-func (a *Array) AppendTo(dst []byte) []byte {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(a.n))
-	hdr[4] = byte(a.width)
-	dst = append(dst, hdr[:]...)
-	return append(dst, a.data...)
+// AppendArray appends vals to dst as a bit-packed array, the layout
+// ReadArray reads: u32 count, u8 bytes per integer, then AppendPacked's
+// payload. top is at least every value; the width is BytesPerInt(top),
+// so a caller may pack wider than its values need.
+func AppendArray[N ~uint16 | ~uint32](dst []byte, vals []N, top uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
+	return AppendPacked(append(dst, byte(BytesPerInt(top))), vals, top)
+}
+
+// AppendPacked appends vals to dst with no header, each value in
+// BytesPerInt(top) little-endian bytes, top at least every value, and
+// allocates nothing when dst has room. It is the one writer of packed
+// integers: the width-2 loop stores four values at once, and every loop
+// re-slices its source and destination, so the length tests prove each
+// store behind them.
+func AppendPacked[N ~uint16 | ~uint32](dst []byte, vals []N, top uint32) []byte {
+	width, n, at := BytesPerInt(top), len(vals), len(dst)
+	if end := at + width*n; end <= cap(dst) {
+		dst = dst[:end] // every byte of body is written below
+	} else {
+		dst = append(dst, make([]byte, width*n)...)
+	}
+	body := dst[at:]
+	switch width {
+	case 1:
+		body = body[:n]
+		for k, v := range vals {
+			body[k] = byte(v)
+		}
+	case 2: // four values to a store
+		for ; len(vals) >= 4 && len(body) >= 8; vals, body = vals[4:], body[8:] {
+			binary.LittleEndian.PutUint64(body, uint64(uint16(vals[0]))|uint64(uint16(vals[1]))<<16|
+				uint64(uint16(vals[2]))<<32|uint64(uint16(vals[3]))<<48)
+		}
+		for ; len(vals) > 0 && len(body) >= 2; vals, body = vals[1:], body[2:] {
+			binary.LittleEndian.PutUint16(body, uint16(vals[0]))
+		}
+	case 3:
+		for ; len(vals) > 0 && len(body) >= 3; vals, body = vals[1:], body[3:] {
+			v := uint32(vals[0])
+			body[0], body[1], body[2] = byte(v), byte(v>>8), byte(v>>16)
+		}
+	default:
+		for ; len(vals) > 0 && len(body) >= 4; vals, body = vals[1:], body[4:] {
+			binary.LittleEndian.PutUint32(body, uint32(vals[0]))
+		}
+	}
+	return dst
 }
 
 // ReadArray decodes an encoded array from the front of buf, returning the

@@ -1,9 +1,14 @@
 package bitpack
 
 import (
+	"bytes"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"toc/internal/testutil"
 )
 
 func TestBytesPerInt(t *testing.T) {
@@ -23,6 +28,63 @@ func TestBytesPerInt(t *testing.T) {
 	}
 }
 
+// pack returns vals as an Array at the width of their largest value,
+// written by AppendArray and read back by ReadArray.
+func pack(t testing.TB, vals []uint32) Array {
+	t.Helper()
+	a, rest, err := ReadArray(AppendArray(nil, vals, slices.Max(append([]uint32{0}, vals...))))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("ReadArray of AppendArray's %d values: %v, %d bytes left", len(vals), err, len(rest))
+	}
+	return a
+}
+
+// headerless returns the array img holds after prefix bytes without its
+// header: AppendPacked's layout.
+func headerless(img []byte, prefix int) []byte {
+	return append(slices.Clone(img[:prefix]), img[prefix+headerSize:]...)
+}
+
+// The writer is the reference byte for byte at every width, from either
+// source width, after a prefix it must leave alone, and with a top above
+// the data's largest value, which packs wider than the values need (as a
+// SparseLogical image's 4-byte sections do); ArraySize is its length.
+func TestAppendPackedMatchesReference(t *testing.T) {
+	prefix := []byte{0xa5, 0x5a, 0xc3}
+	for _, top := range []uint32{0, 0xff, 0x100, 0xffff, 0x10000, 0xffffff, 1 << 24, math.MaxUint32} {
+		width := BytesPerInt(top)
+		for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 17, 600} {
+			vals := unpackWidthValues(width, n)
+			vals16 := make([]uint16, n)
+			for k := range vals {
+				vals[k] = min(vals[k], top)
+				vals16[k] = uint16(min(vals[k], 0xffff))
+			}
+			short := make([]uint32, n)
+			for k, v := range vals16 {
+				short[k] = uint32(v)
+			}
+			want, want16 := testutil.RefArray(slices.Clone(prefix), vals, width), testutil.RefArray(slices.Clone(prefix), short, width)
+			for _, c := range []struct {
+				name      string
+				got, want []byte
+			}{
+				{"AppendPacked", AppendPacked(slices.Clone(prefix), vals, top), headerless(want, len(prefix))},
+				{"AppendPacked16", AppendPacked(slices.Clone(prefix), vals16, top), headerless(want16, len(prefix))},
+				{"AppendArray", AppendArray(slices.Clone(prefix), vals, top), want},
+				{"AppendArray16", AppendArray(slices.Clone(prefix), vals16, top), want16},
+			} {
+				if !bytes.Equal(c.got, c.want) {
+					t.Fatalf("%s of %d values, top %#x: % x, want % x", c.name, n, top, c.got, c.want)
+				}
+			}
+			if got := ArraySize(n, top); got != len(want)-len(prefix) {
+				t.Fatalf("ArraySize(%d, %#x) = %d, want %d", n, top, got, len(want)-len(prefix))
+			}
+		}
+	}
+}
+
 func TestPackGetAllWidths(t *testing.T) {
 	cases := [][]uint32{
 		{},                     // empty
@@ -34,7 +96,7 @@ func TestPackGetAllWidths(t *testing.T) {
 	}
 	wantWidths := []int{1, 1, 1, 2, 3, 4}
 	for i, vals := range cases {
-		a := Pack(vals)
+		a := pack(t, vals)
 		if a.width != wantWidths[i] {
 			t.Errorf("case %d: width = %d, want %d", i, a.width, wantWidths[i])
 		}
@@ -51,10 +113,9 @@ func TestPackGetAllWidths(t *testing.T) {
 
 func TestArrayRoundTripBytes(t *testing.T) {
 	vals := []uint32{3, 70000, 12, 9}
-	a := Pack(vals)
-	buf := a.AppendTo(nil)
-	if len(buf) != a.EncodedSize() {
-		t.Fatalf("encoded size %d != declared %d", len(buf), a.EncodedSize())
+	buf := AppendArray(nil, vals, 70000)
+	if len(buf) != ArraySize(len(vals), 70000) {
+		t.Fatalf("encoded size %d != declared %d", len(buf), ArraySize(len(vals), 70000))
 	}
 	// append trailing garbage to verify rest handling
 	buf = append(buf, 0xde, 0xad)
@@ -89,50 +150,11 @@ func TestReadArrayErrors(t *testing.T) {
 
 func TestPackRoundTripProperty(t *testing.T) {
 	f := func(vals []uint32) bool {
-		a := Pack(vals)
-		back, rest, err := ReadArray(a.AppendTo(nil))
-		if err != nil || len(rest) != 0 {
-			return false
-		}
-		got := back.Unpack()
-		if len(got) != len(vals) {
-			return false
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
+		a := pack(t, vals)
+		return slices.Equal(a.Unpack(), vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestValueIndexBasics(t *testing.T) {
-	vals := []float64{1.1, 2, 1.1, 3, 2, 1.1}
-	vi := BuildValueIndex(vals)
-	if !reflect.DeepEqual(vi.Values(), []float64{1.1, 2, 3}) {
-		t.Fatalf("dictionary = %v, want first-appearance order", vi.Values())
-	}
-	if !reflect.DeepEqual(vi.Indexes(), []uint32{0, 1, 0, 2, 1, 0}) {
-		t.Fatalf("indexes = %v", vi.Indexes())
-	}
-	// Interning into a built dictionary keeps known values' indexes and
-	// extends it with new ones.
-	for want, v := range []float64{1.1, 2, 3, 9} {
-		if idx := vi.intern(v); idx != uint32(want) {
-			t.Fatalf("intern(%v) = %d, want %d", v, idx, want)
-		}
-	}
-}
-
-// An empty input builds an empty dictionary and no indexes.
-func TestValueIndexEmpty(t *testing.T) {
-	vi := BuildValueIndex(nil)
-	if len(vi.Values()) != 0 || len(vi.Indexes()) != 0 {
-		t.Fatal("empty value index is not empty")
 	}
 }
 
@@ -186,7 +208,7 @@ func TestVarintSmallerOnSmallValues(t *testing.T) {
 	// with a mixed range bit packing pays the max width for everything.
 	vals := make([]uint32, 1000)
 	vals[0] = 1 << 20 // forces bitpack width 3
-	packed := Pack(vals).EncodedSize()
+	packed := ArraySize(len(vals), vals[0])
 	varint := len(PackVarint(vals))
 	if varint >= packed {
 		t.Fatalf("varint %d should beat bitpack %d on skewed data", varint, packed)

@@ -99,7 +99,7 @@ func (r *Reader) F64s(n int) []float64 {
 	return out
 }
 
-// Array reads a bit-packed array written by Array.AppendTo; its payload
+// Array reads a bit-packed array written by AppendArray; its payload
 // aliases the image.
 func (r *Reader) Array() Array {
 	if r.err != nil {
@@ -112,6 +112,16 @@ func (r *Reader) Array() Array {
 	}
 	r.off = len(r.buf) - len(rest)
 	return a
+}
+
+// Packed reads n values AppendPacked wrote at width bytes each (1 to 4)
+// into a new slice, refusing n before it is multiplied, as U32s does.
+func (r *Reader) Packed(n, width int) []uint32 {
+	b := r.words(n, width)
+	if b == nil {
+		return nil
+	}
+	return (&Array{n: n, width: width, data: b}).Unpack()
 }
 
 // Count reads a uint32 record count and refuses one the bytes left cannot

@@ -19,7 +19,8 @@ func TestReaderRoundTrip(t *testing.T) {
 	img = binary.LittleEndian.AppendUint32(img, uint32(len(f64s)))
 	img = AppendF64s(img, f64s)
 	img = AppendU32s(img, u32s)
-	img = Pack([]uint32{5, 300, 2}).AppendTo(img)
+	img = AppendArray(img, []uint32{5, 300, 2}, 300)
+	img = AppendPacked(img, []uint32{70000, 1}, 70000)
 
 	r := NewReader(img)
 	if got := r.U8(); got != 9 {
@@ -39,6 +40,9 @@ func TestReaderRoundTrip(t *testing.T) {
 	}
 	if a := r.Array(); !reflect.DeepEqual(a.Unpack(), []uint32{5, 300, 2}) {
 		t.Fatalf("Array = %v", a.Unpack())
+	}
+	if got := r.Packed(2, 3); !reflect.DeepEqual(got, []uint32{70000, 1}) {
+		t.Fatalf("Packed = %v", got)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
@@ -79,6 +83,7 @@ func TestReaderRefusesClaimsBeforeAllocating(t *testing.T) {
 		"F64s":                    func(r *Reader) { r.U32(); r.F64s(1 << 61) },
 		"U32s":                    func(r *Reader) { r.U32(); r.U32s(math.MaxInt / 2) },
 		"negative U32s":           func(r *Reader) { r.U32(); r.U32s(-1) },
+		"Packed":                  func(r *Reader) { r.U32(); r.Packed(math.MaxInt/3, 3) },
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -1,10 +1,14 @@
 package bitpack
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+
+	"toc/internal/testutil"
 )
 
 // The word-at-a-time decoders must be bit-for-bit the §4.1.1 access path:
@@ -43,7 +47,7 @@ func TestUnpackRangeMatchesGet(t *testing.T) {
 		// exactly one word, and word-plus-tail for every width.
 		for n := 0; n <= 17; n++ {
 			vals := unpackWidthValues(width, n)
-			a := Pack(vals)
+			a := pack(t, vals)
 			if n > 0 && a.width != width {
 				t.Fatalf("width %d n %d: packed width %d", width, n, a.width)
 			}
@@ -124,7 +128,7 @@ func TestUnpack16MatchesGet(t *testing.T) {
 }
 
 func TestUnpackRangeBounds(t *testing.T) {
-	a := Pack([]uint32{1, 2, 3})
+	a := pack(t, []uint32{1, 2, 3})
 	for _, tc := range []struct{ lo, hi, dst int }{
 		{-1, 2, 4}, {0, 4, 4}, {2, 1, 4}, {0, 3, 2},
 	} {
@@ -141,7 +145,7 @@ func TestUnpackRangeBounds(t *testing.T) {
 
 func TestUnpackRangeAllocs(t *testing.T) {
 	for width := 1; width <= 4; width++ {
-		a := Pack(unpackWidthValues(width, 4096))
+		a := pack(t, unpackWidthValues(width, 4096))
 		dst := make([]uint32, a.Len())
 		got := testing.AllocsPerRun(20, func() {
 			a.UnpackRange(dst, 0, a.Len())
@@ -156,21 +160,39 @@ func TestUnpackRangeAllocs(t *testing.T) {
 	}
 }
 
-// FuzzUnpackRange drives UnpackRange with an arbitrary width, payload,
-// range [lo,hi) and dst length (hi-lo+slack). The contract: a range
-// inside the array with a dst that holds it decodes exactly Get's values,
-// writes nothing past them and allocates nothing; an out-of-range range,
-// or else a short dst, panics with its documented message; nothing else
-// panics. The array comes from ReadArray over the payload, so every width
-// meets arbitrary bytes. Seed corpus lives in testdata/fuzz/FuzzUnpackRange.
+// FuzzUnpackRange drives the writer and UnpackRange with an arbitrary
+// width, payload, range [lo,hi) and dst length (hi-lo+slack). The
+// payload's bytes, read a width at a time, are the values AppendArray
+// packs at that width from either source width behind a prefix; the
+// bytes must be the reference packer's, whose payload is the payload
+// itself. The reader's contract: a range inside the array with a dst
+// that holds it decodes exactly Get's values, writes nothing past them
+// and allocates nothing; an out-of-range range, or else a short dst,
+// panics with its documented message; nothing else panics. Seed corpus
+// lives in testdata/fuzz/FuzzUnpackRange.
 func FuzzUnpackRange(f *testing.F) {
 	f.Add(uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, int16(1), int16(7), int8(0))
 	f.Fuzz(func(t *testing.T, width uint8, payload []byte, lo, hi int16, slack int8) {
 		w := 1 + int(width)%4
 		n := len(payload) / w
-		img := binary.LittleEndian.AppendUint32(nil, uint32(n))
-		img = append(append(img, byte(w)), payload[:n*w]...)
-		a, _, err := ReadArray(img)
+		vals := make([]uint32, n)
+		vals16 := make([]uint16, n)
+		for k := range vals {
+			for b := 0; b < w; b++ {
+				vals[k] |= uint32(payload[k*w+b]) << (8 * b)
+			}
+			vals16[k] = uint16(vals[k])
+		}
+		top := uint32(uint64(1)<<(8*w) - 1)
+		prefix := []byte{0xa5}
+		img := AppendArray(slices.Clone(prefix), vals, top)
+		if want := testutil.RefArray(slices.Clone(prefix), vals, w); !bytes.Equal(img, want) {
+			t.Fatalf("AppendArray of %d values at width %d: % x, want % x", n, w, img, want)
+		}
+		if w <= 2 && !bytes.Equal(AppendArray(slices.Clone(prefix), vals16, top), img) {
+			t.Fatalf("AppendArray of %d 16-bit values at width %d differs from their 32-bit image", n, w)
+		}
+		a, _, err := ReadArray(img[len(prefix):])
 		if err != nil {
 			t.Fatalf("ReadArray of a %d×%d array: %v", n, w, err)
 		}

@@ -147,8 +147,8 @@ func groupStats(d *matrix.Dense, cols []int) (dict []float64, rowIdx []uint32, z
 
 // sizeOf computes the encoded byte size of each layout for a group.
 func sizeOf(rows, width, distinct, nonZeroDistinct, nonZeroRows, totalRuns int) (ddc, ole, rle, uc int) {
-	offW := bitpack.BytesPerInt(uint32(maxInt(rows-1, 0)))
-	dictW := bitpack.BytesPerInt(uint32(maxInt(distinct-1, 0)))
+	offW := bitpack.BytesPerInt(uint32(max(rows-1, 0)))
+	dictW := bitpack.BytesPerInt(uint32(max(distinct-1, 0)))
 	hdr := 8 + 4*width // group header + column list
 	ddc = hdr + 8*width*distinct + dictW*rows
 	ole = hdr + 8*width*nonZeroDistinct + 4*nonZeroDistinct + offW*nonZeroRows
@@ -157,23 +157,26 @@ func sizeOf(rows, width, distinct, nonZeroDistinct, nonZeroRows, totalRuns int) 
 	return
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// maxRun is the longest run an RLE group of rows rows stores. A run's
+// length is packed at the offsets' width, BytesPerInt(rows-1), which
+// holds rows itself unless rows is a power of 256: then a run over every
+// row is split in two.
+func maxRun(rows int) uint32 {
+	return uint32(uint64(1)<<(8*bitpack.BytesPerInt(uint32(max(rows-1, 0)))) - 1)
 }
 
 // layoutCounts derives the quantities the size model needs.
 func layoutCounts(rowIdx []uint32, zeroTuple int, distinct int) (nonZeroRows, totalRuns int) {
-	prev := uint32(math.MaxUint32)
+	prev, limit, length := uint32(math.MaxUint32), maxRun(len(rowIdx)), uint32(0)
 	for _, t := range rowIdx {
 		isZero := zeroTuple >= 0 && t == uint32(zeroTuple)
 		if !isZero {
 			nonZeroRows++
-			if t != prev {
+			if t != prev || length == limit {
 				totalRuns++
+				length = 0
 			}
+			length++
 		}
 		if isZero {
 			prev = math.MaxUint32
@@ -186,21 +189,14 @@ func layoutCounts(rowIdx []uint32, zeroTuple int, distinct int) (nonZeroRows, to
 
 func bestEncodingSize(d *matrix.Dense, cols []int) int {
 	dict, rowIdx, zeroTuple := groupStats(d, cols)
-	distinct := len(dict) / maxInt(len(cols), 1)
+	distinct := len(dict) / max(len(cols), 1)
 	nzd := distinct
 	if zeroTuple >= 0 {
 		nzd--
 	}
 	nonZeroRows, totalRuns := layoutCounts(rowIdx, zeroTuple, distinct)
 	ddc, ole, rle, uc := sizeOf(d.Rows(), len(cols), distinct, nzd, nonZeroRows, totalRuns)
-	return minInt(minInt(ddc, ole), minInt(rle, uc))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return min(ddc, ole, rle, uc)
 }
 
 // buildGroup constructs the group with its cheapest layout.
@@ -216,7 +212,7 @@ func buildGroup(d *matrix.Dense, cols []int) *group {
 	ddc, ole, rle, uc := sizeOf(d.Rows(), w, distinct, nzd, nonZeroRows, totalRuns)
 
 	g := &group{cols: append([]int(nil), cols...)}
-	best := minInt(minInt(ddc, ole), minInt(rle, uc))
+	best := min(ddc, ole, rle, uc)
 	switch best {
 	case ddc:
 		g.kind = kindDDC
@@ -268,7 +264,8 @@ func nonZeroLayout(dict []float64, rowIdx []uint32, zeroTuple, w int,
 	return nzDict, lists
 }
 
-// rleLayout builds per-tuple run lists (zero tuple dropped).
+// rleLayout builds per-tuple run lists (zero tuple dropped), no run
+// longer than maxRun.
 func rleLayout(dict []float64, rowIdx []uint32, zeroTuple, w int) ([]float64, [][]run) {
 	distinct := len(dict) / w
 	remap := make([]int, distinct)
@@ -284,13 +281,14 @@ func rleLayout(dict []float64, rowIdx []uint32, zeroTuple, w int) ([]float64, []
 		next++
 	}
 	runs := make([][]run, next)
+	limit := maxRun(len(rowIdx))
 	for row := 0; row < len(rowIdx); row++ {
 		nt := remap[rowIdx[row]]
 		if nt < 0 {
 			continue
 		}
 		rs := runs[nt]
-		if n := len(rs); n > 0 && rs[n-1].start+rs[n-1].length == uint32(row) {
+		if n := len(rs); n > 0 && rs[n-1].start+rs[n-1].length == uint32(row) && rs[n-1].length < limit {
 			rs[n-1].length++
 		} else {
 			rs = append(rs, run{start: uint32(row), length: 1})

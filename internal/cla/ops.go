@@ -21,14 +21,14 @@ func (m *Matrix) Cols() int { return m.cols }
 // CompressedSize returns the total encoded size in bytes.
 func (m *Matrix) CompressedSize() int {
 	total := 16 // matrix header
-	offW := bitpack.BytesPerInt(uint32(maxInt(m.rows-1, 0)))
+	offW := bitpack.BytesPerInt(uint32(max(m.rows-1, 0)))
 	for _, g := range m.groups {
 		w := len(g.cols)
 		total += 8 + 4*w // group header + column list
 		switch g.kind {
 		case kindDDC:
-			distinct := len(g.dict) / maxInt(w, 1)
-			total += 8*len(g.dict) + bitpack.BytesPerInt(uint32(maxInt(distinct-1, 0)))*len(g.rowIdx)
+			distinct := len(g.dict) / max(w, 1)
+			total += 8*len(g.dict) + bitpack.BytesPerInt(uint32(max(distinct-1, 0)))*len(g.rowIdx)
 		case kindOLE:
 			total += 8 * len(g.dict)
 			for _, lst := range g.offsets {
@@ -133,7 +133,7 @@ func (m *Matrix) MulVecInto(dst, v []float64) []float64 {
 		default:
 		}
 		// per-tuple dot products
-		distinct := len(g.dict) / maxInt(w, 1)
+		distinct := len(g.dict) / max(w, 1)
 		dots := make([]float64, distinct)
 		for t := 0; t < distinct; t++ {
 			var s float64
@@ -189,7 +189,7 @@ func (m *Matrix) VecMulInto(dst, v []float64) []float64 {
 			}
 			continue
 		}
-		distinct := len(g.dict) / maxInt(w, 1)
+		distinct := len(g.dict) / max(w, 1)
 		acc := make([]float64, distinct)
 		switch g.kind {
 		case kindDDC:
@@ -254,7 +254,7 @@ func (m *Matrix) MulMatInto(dst, mm *matrix.Dense) *matrix.Dense {
 			}
 			continue
 		}
-		distinct := len(g.dict) / maxInt(w, 1)
+		distinct := len(g.dict) / max(w, 1)
 		// per-tuple partial result rows
 		dots := make([]float64, distinct*p)
 		for t := 0; t < distinct; t++ {
@@ -326,7 +326,7 @@ func (m *Matrix) MatMulInto(dst, mm *matrix.Dense) *matrix.Dense {
 			}
 			continue
 		}
-		distinct := len(g.dict) / maxInt(w, 1)
+		distinct := len(g.dict) / max(w, 1)
 		// acc[t*p+row] accumulates M[row, i] over rows i carrying tuple t.
 		acc := make([]float64, distinct*p)
 		addTo := func(t uint32, i int) {

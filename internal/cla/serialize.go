@@ -16,7 +16,8 @@ import (
 //	  column indexes: width × u32
 //	  DDC: dict 8×width×distinct | rowIdx packed at BytesPerInt(distinct-1)
 //	  OLE: dict | per list: u32 count + offsets packed at BytesPerInt(rows-1)
-//	  RLE: dict | per list: u32 count + runs (start,len) packed likewise
+//	  RLE: dict | per list: u32 count + runs (start,len) packed likewise,
+//	       no run longer than that width holds (maxRun)
 //	  UC:  raw rows×width float64
 
 const claMagic = 0x16
@@ -28,7 +29,7 @@ func (m *Matrix) Serialize() []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(m.rows))
 	out = binary.LittleEndian.AppendUint32(out, uint32(m.cols))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(m.groups)))
-	offW := bitpack.BytesPerInt(uint32(maxInt(m.rows-1, 0)))
+	offTop, runTop := uint32(max(m.rows-1, 0)), maxRun(m.rows)
 	for _, g := range m.groups {
 		w := len(g.cols)
 		extra := g.extraCount()
@@ -40,22 +41,19 @@ func (m *Matrix) Serialize() []byte {
 		switch g.kind {
 		case kindDDC:
 			out = bitpack.AppendF64s(out, g.dict)
-			distinct := extra
-			dw := bitpack.BytesPerInt(uint32(maxInt(distinct-1, 0)))
-			out = appendPacked(out, g.rowIdx, dw)
+			out = bitpack.AppendPacked(out, g.rowIdx, uint32(max(extra-1, 0)))
 		case kindOLE:
 			out = bitpack.AppendF64s(out, g.dict)
 			for _, lst := range g.offsets {
 				out = binary.LittleEndian.AppendUint32(out, uint32(len(lst)))
-				out = appendPacked(out, lst, offW)
+				out = bitpack.AppendPacked(out, lst, offTop)
 			}
 		case kindRLE:
 			out = bitpack.AppendF64s(out, g.dict)
 			for _, rs := range g.runs {
 				out = binary.LittleEndian.AppendUint32(out, uint32(len(rs)))
 				for _, r := range rs {
-					out = appendPackedOne(out, r.start, offW)
-					out = appendPackedOne(out, r.length, offW)
+					out = bitpack.AppendPacked(out, []uint32{r.start, r.length}, runTop)
 				}
 			}
 		case kindUC:
@@ -70,7 +68,7 @@ func (m *Matrix) Serialize() []byte {
 func (g *group) extraCount() int {
 	switch g.kind {
 	case kindDDC:
-		return len(g.dict) / maxInt(len(g.cols), 1)
+		return len(g.dict) / max(len(g.cols), 1)
 	case kindOLE:
 		return len(g.offsets)
 	case kindRLE:
@@ -100,7 +98,7 @@ func Deserialize(img []byte) (*Matrix, error) {
 		return nil, fmt.Errorf("cla: implausible header %dx%d, %d groups", rows, cols, nGroups)
 	}
 	m := &Matrix{rows: int(rows), cols: int(cols)}
-	offW := bitpack.BytesPerInt(uint32(maxInt(m.rows-1, 0)))
+	offW := bitpack.BytesPerInt(uint32(max(m.rows-1, 0)))
 	covered := make([]bool, m.cols)
 	for gi := 0; gi < int(nGroups); gi++ {
 		g, err := m.readGroup(&r, offW, covered)
@@ -152,7 +150,7 @@ func (m *Matrix) readGroup(r *bitpack.Reader, offW int, covered []bool) (*group,
 	switch g.kind {
 	case kindDDC:
 		g.dict = r.F64s(extra * w)
-		g.rowIdx = readPacked(r, m.rows, bitpack.BytesPerInt(uint32(maxInt(extra-1, 0))))
+		g.rowIdx = r.Packed(m.rows, bitpack.BytesPerInt(uint32(max(extra-1, 0))))
 		for _, t := range g.rowIdx {
 			if int(t) >= extra {
 				return nil, fmt.Errorf("tuple index %d out of range %d", t, extra)
@@ -162,7 +160,7 @@ func (m *Matrix) readGroup(r *bitpack.Reader, offW int, covered []bool) (*group,
 		g.dict = r.F64s(extra * w)
 		g.offsets = make([][]uint32, extra)
 		for t := range g.offsets {
-			g.offsets[t] = readPacked(r, r.Count("offsets", offW), offW)
+			g.offsets[t] = r.Packed(r.Count("offsets", offW), offW)
 			for _, row := range g.offsets[t] {
 				if int(row) >= m.rows {
 					return nil, fmt.Errorf("offset %d out of range %d", row, m.rows)
@@ -173,7 +171,7 @@ func (m *Matrix) readGroup(r *bitpack.Reader, offW int, covered []bool) (*group,
 		g.dict = r.F64s(extra * w)
 		g.runs = make([][]run, extra)
 		for t := range g.runs {
-			vals := readPacked(r, 2*r.Count("runs", 2*offW), offW)
+			vals := r.Packed(2*r.Count("runs", 2*offW), offW)
 			rs := make([]run, len(vals)/2)
 			for ri := range rs {
 				rs[ri] = run{start: vals[2*ri], length: vals[2*ri+1]}
@@ -187,43 +185,4 @@ func (m *Matrix) readGroup(r *bitpack.Reader, offW int, covered []bool) (*group,
 		g.raw = r.F64s(m.rows * w)
 	}
 	return g, r.Err()
-}
-
-// appendPacked writes vals at a fixed byte width without a header (the
-// width is derivable from counts already on the wire).
-func appendPacked(dst []byte, vals []uint32, width int) []byte {
-	for _, v := range vals {
-		dst = appendPackedOne(dst, v, width)
-	}
-	return dst
-}
-
-func appendPackedOne(dst []byte, v uint32, width int) []byte {
-	switch width {
-	case 1:
-		return append(dst, byte(v))
-	case 2:
-		return append(dst, byte(v), byte(v>>8))
-	case 3:
-		return append(dst, byte(v), byte(v>>8), byte(v>>16))
-	default:
-		return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-}
-
-// readPacked reads n values written by appendPacked at width bytes each.
-func readPacked(r *bitpack.Reader, n, width int) []uint32 {
-	b := r.Take(n * width)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		var v uint32
-		for k, c := range b[i*width : (i+1)*width] {
-			v |= uint32(c) << (8 * k)
-		}
-		out[i] = v
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package cla
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,5 +112,34 @@ func TestDeserializeByteFlipsNeverPanic(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A run's length is packed at the offsets' width, BytesPerInt(rows-1),
+// which cannot hold rows itself when rows is a power of 256: a constant
+// non-zero column of 256 rows, one run over every row, must still come
+// back (as two runs), and the row counts either side of it keep their
+// one run.
+func TestSerializeRoundTripRunOverEveryRow(t *testing.T) {
+	for _, rows := range []int{255, 256, 257} {
+		a := matrix.NewDense(rows, 1)
+		for i := 0; i < rows; i++ {
+			a.Set(i, 0, 3)
+		}
+		m := Compress(a)
+		if !slices.Contains(m.GroupKinds(), "RLE") {
+			t.Fatalf("%d rows: kinds %v, want an RLE group for the constant column", rows, m.GroupKinds())
+		}
+		img := m.Serialize()
+		if len(img) != m.CompressedSize() {
+			t.Fatalf("%d rows: image %d bytes != CompressedSize %d", rows, len(img), m.CompressedSize())
+		}
+		got, err := Deserialize(img)
+		if err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		if !got.Decode().Equal(a) {
+			t.Fatalf("%d rows: round trip decode mismatch (kinds %v)", rows, m.GroupKinds())
+		}
 	}
 }

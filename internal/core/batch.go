@@ -205,11 +205,11 @@ func (e *encoder) compress(m *matrix.Dense, v Variant) *Batch {
 // bits (valueIndex), for SparseLogical I's values as they are.
 func (e *encoder) resident(v Variant, rows, cols int) (firstLayer, []uint32) {
 	vals := e.val
+	e.occ = fit(e.occ, len(e.val))
 	if v == Full {
-		e.vals = e.valueIndex(e.val, e.vals[:0])
+		e.vals = e.valueIndex(e.val, e.vals[:0], e.occ, len(e.val))
 		vals = e.vals
 	} else {
-		e.occ = fit(e.occ, len(e.val))
 		for k := range e.occ {
 			e.occ[k] = uint32(k)
 		}

@@ -39,8 +39,8 @@ import (
 //     live tree, seed 1, is 3516 nodes over the 800 imagenet batches and
 //     8359 over the 80 mnist ones. Each scan of D′ — the four kernels',
 //     the build's (addLive), Decode's, translate, which writes it, and
-//     the image's writer and checker (putPacked, checkCodes) — is one
-//     generic body over code, and its one caller picks the
+//     the image's writer and checker (bitpack.AppendArray, checkCodes) —
+//     is one generic body over code, and its one caller picks the
 //     instantiation.
 //   - d.created is a bitmap over D positions: bit q is set iff the node
 //     position q created is live (only a non-final position of a tuple

@@ -43,7 +43,8 @@ func (b *Batch) mapValues(f func(float64) float64) *Batch {
 	if b.variant == Full {
 		e := encoderPool.Get().(*encoder)
 		defer encoderPool.Put(e)
-		if merged := e.valueIndex(vals, vals[:0]); len(merged) < len(vals) {
+		e.occ = fit(e.occ, len(vals))
+		if merged := e.valueIndex(vals, vals[:0], e.occ, len(vals)); len(merged) < len(vals) {
 			nb.i = remapPairs(&b.i, e.occ, merged, b.cols)
 		}
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"toc/internal/bitpack"
 	"toc/internal/data"
 	"toc/internal/matrix"
+	"toc/internal/testutil"
 )
 
 // An image holds the resident form (physical.go): D′ at the width of its
@@ -305,7 +308,7 @@ func TestDeserializeRefusesRawLayoutFaults(t *testing.T) {
 		// A count of |I| says no index section follows, so the inserted
 		// one is read as D′, and every later section shifts by one: what
 		// is left where the starts belong does not parse.
-		indexed := append(append(slices.Clone(img[:end]), bitpack.Pack(idx).AppendTo(nil)...), img[end:]...)
+		indexed := append(append(slices.Clone(img[:end]), testutil.RefArray(nil, idx, bitpack.BytesPerInt(idx[len(idx)-1]))...), img[end:]...)
 		refused(name+": an identity index section after the values", indexed, "core: D starts: bitpack: ")
 
 		bad := *b
@@ -387,5 +390,43 @@ func TestRawImageRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBatch(t, name+" recycled", again, back)
+	}
+}
+
+// IndexValues is §3.2's value indexing: the distinct values in
+// first-appearance order and each value's index there, values compared
+// on their bits.
+func TestValueIndexBasics(t *testing.T) {
+	dict, idx := IndexValues([]float64{1.1, 2, 1.1, 3, 2, 1.1})
+	if !reflect.DeepEqual(dict, []float64{1.1, 2, 3}) || !reflect.DeepEqual(idx, []uint32{0, 1, 0, 2, 1, 0}) {
+		t.Fatalf("IndexValues = %v, %v; want [1.1 2 3], [0 1 0 2 1 0]", dict, idx)
+	}
+	nan := math.NaN()
+	dict, idx = IndexValues([]float64{0, math.Copysign(0, -1), nan, nan, 0})
+	if len(dict) != 3 || math.Signbit(dict[0]) || !math.Signbit(dict[1]) || !math.IsNaN(dict[2]) ||
+		!reflect.DeepEqual(idx, []uint32{0, 1, 2, 2, 0}) {
+		t.Fatalf("IndexValues of ±0 and NaN = %v, %v; want +0, -0 and one NaN, [0 1 2 2 0]", dict, idx)
+	}
+}
+
+// An empty input builds an empty dictionary and no indexes.
+func TestValueIndexEmpty(t *testing.T) {
+	if dict, idx := IndexValues(nil); len(dict) != 0 || len(idx) != 0 {
+		t.Fatalf("IndexValues(nil) = %v, %v", dict, idx)
+	}
+}
+
+// IndexValues runs on the pooled encoder's dictionary table: it
+// allocates only the two slices it returns.
+func TestValueIndexLookupAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, so the pool-hit pin cannot hold")
+	}
+	vals := make([]float64, 2048)
+	for i := range vals {
+		vals[i] = float64(i % 37)
+	}
+	if got := testing.AllocsPerRun(20, func() { IndexValues(vals) }); got != 2 {
+		t.Errorf("IndexValues allocates %.0f objects/run, want 2", got)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"toc/internal/bitpack"
 	"toc/internal/data"
 	"toc/internal/matrix"
+	"toc/internal/testutil"
 )
 
 // The oracle: Algorithm 2 exactly as the paper writes it — the full tree
@@ -616,7 +617,8 @@ func TestKernelPlanReleaseLifecycle(t *testing.T) {
 // encoding tree C with AddNode and GetIndex over one Go map from (parent
 // index, child key) to child index, LongestMatchFromTree probing it from
 // the root for every element — and the image layout of physical.go
-// written through bitpack.Pack and a dictionary keyed on a value's bits,
+// written by an element-by-element packer (testutil.RefArray) and a
+// dictionary keyed on a value's bits,
 // with D renumbered onto its referenced nodes by maps (oracleResident). It is
 // what Compress ran before the pooled open-addressed encoder; the encoder
 // must reproduce its I, D and image bytes.
@@ -748,24 +750,20 @@ func oracleResident(lenI int, paper dTable) (codes []uint32, bitmap []byte) {
 // oracleResident's D′ and bitmap, and a first-appearance dictionary keyed
 // on a value's bits — or, with own, b's dictionary and indexes as they
 // are; a dictionary with an entry for every pair is written as the
-// pairs' values instead. A Full image packs every section through
-// bitpack.Pack; a SparseLogical one, which has no physical layer, writes
-// each integer in 4 bytes and each pair's value, so it has no index
-// section.
+// pairs' values instead. A Full image packs every section at the width
+// of its largest value; a SparseLogical one, which has no physical
+// layer, writes each integer in 4 bytes and each pair's value, so it has
+// no index section.
 func oracleImage(b *Batch, paper dTable, own bool) []byte {
 	codes, bitmap := oracleResident(b.i.len(), paper)
-	out := make([]byte, headerSize)
-	b.putHeader(out)
+	out := b.appendHeader(nil)
 	le := binary.LittleEndian
 	pack := func(out []byte, vals []uint32) []byte {
+		width := 4
 		if b.variant == Full {
-			return bitpack.Pack(vals).AppendTo(out)
+			width = bitpack.BytesPerInt(slices.Max(append([]uint32{0}, vals...)))
 		}
-		out = append(le.AppendUint32(out, uint32(len(vals))), 4)
-		for _, v := range vals {
-			out = le.AppendUint32(out, v)
-		}
-		return out
+		return testutil.RefArray(out, vals, width)
 	}
 	I := b.i.pairs()
 	cols := make([]uint32, len(I))

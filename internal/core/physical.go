@@ -44,9 +44,6 @@ const (
 	headerSize   = 4 + 1 + 1 + 4 + 4
 )
 
-// packedHeader is a bit-packed array's header: u32 count, u8 width.
-const packedHeader = 5
-
 // Serialize returns the physical byte image of the batch. A batch
 // Deserialize made returns the image it was read from. Any other batch
 // keeps none and writes it here, on every call, from its resident form,
@@ -74,8 +71,8 @@ func (b *Batch) Serialize() []byte {
 // holds such a dictionary in that order (Compress, Deserialize, and
 // mapValues through remapPairs), so that is the dictionary as it is. A
 // SparseLogical batch always holds one. For a batch Compress or Scale
-// made the bytes are exactly what the map oracle writes with
-// bitpack.Pack and a first-appearance dictionary
+// made the bytes are exactly what the map oracle writes with its own
+// element-by-element packer and a first-appearance dictionary
 // (TestEncoderMatchesMapOracle), and readImage reads them back.
 func (e *encoder) image(b *Batch) []byte {
 	d := &b.d
@@ -88,31 +85,24 @@ func (e *encoder) image(b *Batch) []byte {
 	}
 	t := b.imageTops(colTop)
 	vals := b.i.vals
-	out := make([]byte, b.imageSize(t))
-	off := b.putHeader(out)
-	off += putPacked(out[off:], e.col, t.col)
-	binary.LittleEndian.PutUint32(out[off:], uint32(t.distinct))
-	off += 4
+	out := b.appendHeader(make([]byte, 0, b.imageSize(t)))
+	out = bitpack.AppendArray(out, e.col, t.col)
+	out = binary.LittleEndian.AppendUint32(out, uint32(t.distinct))
 	if t.distinct == len(e.occ) {
 		for _, x := range e.occ {
-			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(vals[x]))
-			off += 8
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(vals[x]))
 		}
 	} else {
-		for _, v := range vals {
-			binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
-			off += 8
-		}
-		off += putPacked(out[off:], e.occ, occTop(t.distinct))
+		out = bitpack.AppendF64s(out, vals)
+		out = bitpack.AppendArray(out, e.occ, occTop(t.distinct))
 	}
 	if d.isWide() {
-		off += putPacked(out[off:], d.wide, t.code)
+		out = bitpack.AppendArray(out, d.wide, t.code)
 	} else {
-		off += putPacked(out[off:], d.narrow, t.code)
+		out = bitpack.AppendArray(out, d.narrow, t.code)
 	}
-	off += putBitmap(out[off:], d.created, d.len())
-	putPacked(out[off:], d.starts, t.start)
-	return out
+	out = appendBitmap(out, d.created, d.len())
+	return bitpack.AppendArray(out, d.starts, t.start)
 }
 
 // splitPairs writes every word's column to col and dictionary index to
@@ -129,16 +119,34 @@ func splitPairs[W pairWord](words []W, col, idx []uint32) uint32 {
 	return top
 }
 
+// IndexValues is §3.2's value indexing of vals: it returns the distinct
+// values in first-appearance order and, for each value, its index there.
+// Values are the same when their bits are: -0 and +0 are two entries,
+// and a NaN is one like any other, so the dictionary gives every bit
+// back. It runs the pooled dictionary Compress interns a first layer's
+// values with (valueIndex), and allocates the two slices it returns and
+// nothing else once the table has grown to fit. The table starts at the
+// size the last run needed and doubles from there: DVI indexes every cell
+// of a batch, a few hundred distinct values among hundreds of thousands,
+// and a table sized for every value would be megabytes to clear a call.
+func IndexValues(vals []float64) (dict []float64, idx []uint32) {
+	e := encoderPool.Get().(*encoder)
+	defer encoderPool.Put(e)
+	idx = make([]uint32, len(vals))
+	e.vals = e.valueIndex(vals, e.vals[:0], idx, e.dict.n)
+	return exactCopy(e.vals), idx
+}
+
 // valueIndex interns vals on their bits, in order, as §3.2 indexes a
 // first layer's values: it appends each distinct value to dict, in
-// first-appearance order, sets e.occ[j] to value j's index there, and
+// first-appearance order, sets occ[j] to value j's index there, and
 // returns dict. Bits, like the encoder's pairs: -0 and +0 are two
 // entries, and a NaN is one like any other. dict may be vals[:0], since
-// an entry is appended only after it is read.
-func (e *encoder) valueIndex(vals, dict []float64) []float64 {
-	e.dict.reset(len(vals))
-	e.occ = fit(e.occ, len(vals))
-	occ := e.occ
+// an entry is appended only after it is read. The table starts sized for
+// distinct entries and doubles past them.
+func (e *encoder) valueIndex(vals, dict []float64, occ []uint32, distinct int) []float64 {
+	e.dict.reset(distinct)
+	occ = occ[:len(vals)]
 	for j, v := range vals {
 		id, added := e.dict.intern(math.Float64bits(v), 0, uint32(len(dict))+1)
 		if added {
@@ -181,10 +189,10 @@ func (b *Batch) imageTops(colTop uint32) tops {
 // starts.
 func (b *Batch) imageSize(t tops) int {
 	lenI, lenD := b.i.len(), b.d.len()
-	n := headerSize + packedSize(lenI, t.col) + 4 + 8*t.distinct +
-		packedSize(lenD, t.code) + bitmapSize(lenD) + packedSize(b.Rows()+1, t.start)
+	n := headerSize + bitpack.ArraySize(lenI, t.col) + 4 + 8*t.distinct +
+		bitpack.ArraySize(lenD, t.code) + bitmapSize(lenD) + bitpack.ArraySize(b.Rows()+1, t.start)
 	if t.distinct != lenI {
-		n += packedSize(lenI, occTop(t.distinct))
+		n += bitpack.ArraySize(lenI, occTop(t.distinct))
 	}
 	return n
 }
@@ -196,68 +204,25 @@ func occTop(distinct int) uint32 { return uint32(max(distinct, 1) - 1) }
 // bitmapSize is the length of the creation bitmap of lenD codes.
 func bitmapSize(lenD int) int { return (lenD + 7) / 8 }
 
-// packedSize is the length of n integers bit packed, the largest top.
-func packedSize(n int, top uint32) int {
-	return packedHeader + n*bitpack.BytesPerInt(top)
-}
-
-// putPacked writes vals, the largest top, as a bit-packed array at the
-// front of dst — u32 count, u8 bytes per integer, then each value in
-// that many little-endian bytes, written a width at a time — and returns
-// the bytes written.
-func putPacked[N code](dst []byte, vals []N, top uint32) int {
-	width, n := bitpack.BytesPerInt(top), len(vals)
-	binary.LittleEndian.PutUint32(dst, uint32(n))
-	dst[4] = byte(width)
-	body := dst[packedHeader : packedHeader+width*n]
-	switch width {
-	case 1:
-		body = body[:n]
-		for k, v := range vals {
-			body[k] = byte(v)
-		}
-	case 2: // four values to a store
-		for ; len(vals) >= 4 && len(body) >= 8; vals, body = vals[4:], body[8:] {
-			binary.LittleEndian.PutUint64(body, uint64(uint16(vals[0]))|uint64(uint16(vals[1]))<<16|
-				uint64(uint16(vals[2]))<<32|uint64(uint16(vals[3]))<<48)
-		}
-		for ; len(vals) > 0 && len(body) >= 2; vals, body = vals[1:], body[2:] {
-			binary.LittleEndian.PutUint16(body, uint16(vals[0]))
-		}
-	case 3:
-		for ; len(vals) > 0 && len(body) >= 3; vals, body = vals[1:], body[3:] {
-			v := uint32(vals[0])
-			body[0], body[1], body[2] = byte(v), byte(v>>8), byte(v>>16)
-		}
-	default:
-		for ; len(vals) > 0 && len(body) >= 4; vals, body = vals[1:], body[4:] {
-			binary.LittleEndian.PutUint32(body, uint32(vals[0]))
-		}
-	}
-	return packedHeader + width*n
-}
-
-// putBitmap writes the creation bitmap words of lenD codes as
-// bitmapSize(lenD) little-endian bytes at the front of dst and returns
-// that length.
-func putBitmap(dst []byte, words []uint64, lenD int) int {
-	out := dst[:bitmapSize(lenD)]
+// appendBitmap appends the creation bitmap words of lenD codes to dst as
+// bitmapSize(lenD) little-endian bytes.
+func appendBitmap(dst []byte, words []uint64, lenD int) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, bitmapSize(lenD))...)
+	out := dst[at:]
 	for k, w := range words {
 		var le [8]byte
 		binary.LittleEndian.PutUint64(le[:], w)
 		copy(out[8*k:], le[:])
 	}
-	return len(out)
+	return dst
 }
 
-// putHeader writes the shared image header at the start of out and
-// returns its length.
-func (b *Batch) putHeader(out []byte) int {
-	copy(out, imageMagic)
-	out[4], out[5] = imageVersion, byte(b.variant)
-	binary.LittleEndian.PutUint32(out[6:], uint32(b.Rows()))
-	binary.LittleEndian.PutUint32(out[10:], uint32(b.cols))
-	return headerSize
+// appendHeader appends the shared image header to dst.
+func (b *Batch) appendHeader(dst []byte) []byte {
+	dst = append(append(dst, imageMagic...), imageVersion, byte(b.variant))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Rows()))
+	return binary.LittleEndian.AppendUint32(dst, uint32(b.cols))
 }
 
 // Deserialize reconstructs a Batch from a physical image produced by

@@ -27,7 +27,7 @@ func testSource(t testing.TB, name string, rows int) (*data.Dataset, *ml.MemoryS
 		t.Fatal(err)
 	}
 	d.ShuffleOnce(2)
-	return d, ml.NewMemorySource(d, 50, formats.MustGet("TOC"))
+	return d, ml.NewMemorySource(d, 50, formats.MustGetCodec("TOC").Encode)
 }
 
 func newSnapshotModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.Model {

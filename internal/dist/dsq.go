@@ -85,7 +85,7 @@ func (c *DSQ) encode(acc []float64, dst []byte) []byte {
 	if c.bits <= 4 {
 		dst = appendNibbles(dst, q)
 	} else {
-		dst = bitpack.Pack(q).AppendTo(dst)
+		dst = bitpack.AppendArray(dst, q, uint32(2*dsqLevels(c.bits))) // q ≤ 2·levels
 	}
 	return dst
 }

@@ -98,7 +98,11 @@ func (c *TopK) encode(acc []float64, dst []byte) []byte {
 	idx := c.choose(acc, k)
 	dst = header(dst, tagTopK, np)
 	dst = bitpack.AppendUvarint(dst, uint64(k))
-	dst = bitpack.Pack(idx).AppendTo(dst)
+	var top uint32 // idx ascends: its last index is its largest
+	if len(idx) > 0 {
+		top = idx[len(idx)-1]
+	}
+	dst = bitpack.AppendArray(dst, idx, top)
 	for _, j := range idx {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(acc[j]))
 		acc[j] = 0

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"toc/internal/bitpack"
+	"toc/internal/testutil"
 )
 
 // oracleChoose is the selector TopK.encode ran until the quickselect
@@ -45,7 +46,11 @@ func oracleEncode(acc []float64, k int, dst []byte) ([]byte, []uint32) {
 	idx := oracleChoose(acc, k)
 	dst = header(dst, tagTopK, len(acc))
 	dst = bitpack.AppendUvarint(dst, uint64(k))
-	dst = bitpack.Pack(idx).AppendTo(dst)
+	width := 1 // the indexes bit packed by the reference packer
+	for _, j := range idx {
+		width = max(width, bitpack.BytesPerInt(j))
+	}
+	dst = testutil.RefArray(dst, idx, width)
 	for _, j := range idx {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(acc[j]))
 		acc[j] = 0

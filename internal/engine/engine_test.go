@@ -28,7 +28,7 @@ func testSource(t testing.TB, name string, rows int) (*data.Dataset, *ml.MemoryS
 		t.Fatal(err)
 	}
 	d.ShuffleOnce(2)
-	return d, ml.NewMemorySource(d, 50, formats.MustGet("TOC"))
+	return d, ml.NewMemorySource(d, 50, formats.MustGetCodec("TOC").Encode)
 }
 
 func newModel(t testing.TB, name string, d *data.Dataset, seed int64) ml.Model {
@@ -491,7 +491,7 @@ func TestFillStoreStopsAtFirstAddError(t *testing.T) {
 	var budget int64
 	for i := range failAt {
 		x, _ := d.Batch(i, 50)
-		budget += int64(formats.MustGet("TOC")(x).CompressedSize())
+		budget += int64(formats.MustGetCodec("TOC").Encode(x).CompressedSize())
 	}
 	st, err := storage.NewStore(filepath.Join(t.TempDir(), "missing"), "counted-TOC", budget)
 	if err != nil {

@@ -304,6 +304,8 @@ func (l *Loop) validateResume(st *checkpoint.State) error {
 	switch {
 	case st.Epoch < 0 || st.Pos < 0 || int64(st.Pos) >= l.n && st.Pos != 0 || clock < 0 || clock > l.total:
 		return fmt.Errorf("engine: checkpoint cursor epoch=%d pos=%d clock=%d outside the %d-position schedule", st.Epoch, st.Pos, st.Clock, l.total)
+	case st.Clock != int64(st.Epoch)*int64(st.NumBatches)+int64(st.Pos):
+		return fmt.Errorf("engine: checkpoint cursor epoch=%d pos=%d disagrees with its clock %d", st.Epoch, st.Pos, st.Clock)
 	case l.n > 0 && l.stepStart(clock) != clock:
 		return fmt.Errorf("engine: checkpoint position %d is not a step boundary (group %d)", clock, l.group)
 	case l.n > 0 && int64(len(st.EpochLoss)) != clock/l.n:

@@ -387,8 +387,12 @@ func TestLoopResumeRefusesEveryMismatch(t *testing.T) {
 				edits = append(edits, edit{name: "kind " + k.String(), st: func(s *checkpoint.State) { s.Kind = k }})
 			}
 		}
+		// Step reads one form of the cursor a kind, and the other must agree.
 		if base.Kind == checkpoint.KindLocal {
-			edits = append(edits, edit{name: "position past the epoch", st: func(s *checkpoint.State) { s.Pos = 8 }})
+			edits = append(edits, edit{name: "position past the epoch", st: func(s *checkpoint.State) { s.Pos = 8 }},
+				edit{name: "clock unlike epoch and position", st: func(s *checkpoint.State) { s.Clock = 16 }})
+		} else {
+			edits = append(edits, edit{name: "epoch unlike the clock", st: func(s *checkpoint.State) { s.Epoch = 2 }})
 		}
 		if base.Group > 1 {
 			edits = append(edits, edit{name: "mid-step cursor", st: func(s *checkpoint.State) { s.Pos = 2 }})

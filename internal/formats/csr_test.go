@@ -116,7 +116,7 @@ func TestCSRPlanBitwise(t *testing.T) {
 	}
 	for bname, a := range batches {
 		for _, method := range []string{"CSR", "TOC_SPARSE"} {
-			e := MustGet(method)(a).(*CSR)
+			e := MustGetCodec(method).Encode(a).(*CSR)
 			plan := e.NewKernelPlan()
 			rows, cols := e.Rows(), e.Cols()
 			u := make([]float64, rows)
@@ -175,7 +175,7 @@ func TestCSRPlanAllocs(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	rng := rand.New(rand.NewSource(42))
-	e := MustGet("CSR")(redundantMatrix(rng, 64, 16, 0.4, 4)).(*CSR)
+	e := MustGetCodec("CSR").Encode(redundantMatrix(rng, 64, 16, 0.4, 4)).(*CSR)
 	v, u := make([]float64, 16), make([]float64, 64)
 	mr, ml := randDense(rng, 16, 8), randDense(rng, 8, 64)
 	rv, ru := make([]float64, 64), make([]float64, 16)

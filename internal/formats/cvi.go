@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"toc/internal/bitpack"
+	"toc/internal/core"
 	"toc/internal/matrix"
 )
 
@@ -25,11 +26,11 @@ func init() {
 	Register("CVI",
 		func(d *matrix.Dense) CompressedMatrix {
 			starts, cols, vals := csrParts(d)
-			vi := bitpack.BuildValueIndex(vals)
+			dict, valIdx := core.IndexValues(vals)
 			return &CVI{
 				rows: d.Rows(), cols: d.Cols(),
 				starts: starts, colIdx: cols,
-				valIdx: vi.Indexes(), dict: vi.Values(),
+				valIdx: valIdx, dict: dict,
 			}
 		},
 		deserializeCVI)
@@ -41,7 +42,7 @@ func (e *CVI) Serialize() []byte {
 	out := putHeader(make([]byte, 0, e.CompressedSize()), magicCVI, e.rows, e.cols, len(e.valIdx))
 	out = bitpack.AppendU32s(out, e.starts)
 	out = bitpack.AppendU32s(out, e.colIdx)
-	out = bitpack.Pack(e.valIdx).AppendTo(out)
+	out = bitpack.AppendArray(out, e.valIdx, dictTop(e.dict))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.dict)))
 	return bitpack.AppendF64s(out, e.dict)
 }
@@ -83,8 +84,8 @@ func (e *CVI) Cols() int { return e.cols }
 // bit-packed value indexes and the value dictionary — len(Serialize()).
 func (e *CVI) CompressedSize() int {
 	if e.size == 0 {
-		idxBytes := bitpack.Pack(e.valIdx).EncodedSize()
-		e.size = wireHeaderSize + 4*len(e.starts) + 4*len(e.colIdx) + idxBytes + 4 + 8*len(e.dict)
+		e.size = wireHeaderSize + 4*len(e.starts) + 4*len(e.colIdx) +
+			bitpack.ArraySize(len(e.valIdx), dictTop(e.dict)) + 4 + 8*len(e.dict)
 	}
 	return e.size
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"toc/internal/bitpack"
+	"toc/internal/core"
 	"toc/internal/matrix"
 )
 
@@ -20,8 +21,8 @@ type DVI struct {
 func init() {
 	Register("DVI",
 		func(d *matrix.Dense) CompressedMatrix {
-			vi := bitpack.BuildValueIndex(d.Data())
-			return &DVI{rows: d.Rows(), cols: d.Cols(), idx: vi.Indexes(), dict: vi.Values()}
+			dict, idx := core.IndexValues(d.Data())
+			return &DVI{rows: d.Rows(), cols: d.Cols(), idx: idx, dict: dict}
 		},
 		deserializeDVI)
 }
@@ -29,7 +30,7 @@ func init() {
 // Serialize writes header, the bit-packed cell indexes and the dictionary.
 func (e *DVI) Serialize() []byte {
 	out := putHeader(make([]byte, 0, e.CompressedSize()), magicDVI, e.rows, e.cols, len(e.dict))
-	out = bitpack.Pack(e.idx).AppendTo(out)
+	out = bitpack.AppendArray(out, e.idx, dictTop(e.dict))
 	return bitpack.AppendF64s(out, e.dict)
 }
 
@@ -68,7 +69,7 @@ func (e *DVI) Cols() int { return e.cols }
 // value dictionary — exactly len(Serialize()).
 func (e *DVI) CompressedSize() int {
 	if e.size == 0 {
-		e.size = wireHeaderSize + bitpack.Pack(e.idx).EncodedSize() + 8*len(e.dict)
+		e.size = wireHeaderSize + bitpack.ArraySize(len(e.idx), dictTop(e.dict)) + 8*len(e.dict)
 	}
 	return e.size
 }

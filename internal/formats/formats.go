@@ -128,15 +128,6 @@ func Get(name string) (Encoder, bool) {
 	return c.Encode, ok
 }
 
-// MustGet returns the encoder registered under name, panicking if missing.
-func MustGet(name string) Encoder {
-	c, ok := registry[name]
-	if !ok {
-		panic(fmt.Sprintf("formats: unknown method %q", name))
-	}
-	return c.Encode
-}
-
 // GetCodec returns the full codec registered under name.
 func GetCodec(name string) (Codec, bool) {
 	c, ok := registry[name]

@@ -59,20 +59,21 @@ func TestRegistryHasPaperMethods(t *testing.T) {
 	}
 }
 
+// MustGetCodec, the one panicking lookup, panics on an unknown method.
 func TestMustGetPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	MustGet("NOPE")
+	MustGetCodec("NOPE")
 }
 
 func TestAllMethodsLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := redundantMatrix(rng, 60, 25, 0.4, 4)
 	for _, name := range Names() {
-		enc := MustGet(name)
+		enc := MustGetCodec(name).Encode
 		c := enc(a)
 		if c.Rows() != 60 || c.Cols() != 25 {
 			t.Errorf("%s: dims %dx%d", name, c.Rows(), c.Cols())
@@ -121,7 +122,7 @@ func TestAllMethodsOpsMatchDense(t *testing.T) {
 
 		ok := true
 		for _, name := range Names() {
-			c := MustGet(name)(a)
+			c := MustGetCodec(name).Encode(a)
 			plan := c.NewKernelPlan()
 			var first [4][]float64
 			for _, workers := range []int{1, 2, 7} {
@@ -206,7 +207,7 @@ func vecEq(a, b []float64) bool {
 func TestCompressionRatioShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := redundantMatrix(rng, 250, 60, 0.35, 3)
-	size := func(name string) int { return MustGet(name)(a).CompressedSize() }
+	size := func(name string) int { return MustGetCodec(name).Encode(a).CompressedSize() }
 
 	den := size("DEN")
 	csr := size("CSR")
@@ -241,7 +242,7 @@ func TestCompressionRatioShapes(t *testing.T) {
 		batch := d.X.SliceRows(0, 250)
 		r := map[string]float64{}
 		for _, m := range methods {
-			r[m] = float64(batch.SerializedSize()) / float64(MustGet(m)(batch).CompressedSize())
+			r[m] = float64(batch.SerializedSize()) / float64(MustGetCodec(m).Encode(batch).CompressedSize())
 		}
 		ratios[ds] = r
 	}
@@ -276,7 +277,7 @@ func TestCompressionRatioShapes(t *testing.T) {
 // DEN must report exactly the paper's dense binary size.
 func TestDENSize(t *testing.T) {
 	a := matrix.NewDense(250, 68)
-	if got, want := MustGet("DEN")(a).CompressedSize(), 16+8*250*68; got != want {
+	if got, want := MustGetCodec("DEN").Encode(a).CompressedSize(), 16+8*250*68; got != want {
 		t.Fatalf("DEN size = %d, want %d", got, want)
 	}
 }
@@ -287,7 +288,7 @@ func TestScaleDoesNotMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := redundantMatrix(rng, 20, 10, 0.5, 3)
 	for _, name := range Names() {
-		c := MustGet(name)(a)
+		c := MustGetCodec(name).Encode(a)
 		_ = c.Scale(7.5)
 		if !c.Decode().Equal(a) {
 			t.Errorf("%s: Scale mutated the receiver", name)
@@ -306,7 +307,7 @@ func TestEncodersKeepNoReferenceToInput(t *testing.T) {
 		src := redundantMatrix(rng, 30, 12, 0.5, 4)
 		view := src.ViewRows(5, 25)
 		want := view.Clone()
-		c := MustGet(name)(view)
+		c := MustGetCodec(name).Encode(view)
 		img := c.Serialize()
 		for i := range src.Data() {
 			src.Data()[i] = float64(i) + 0.5
@@ -348,7 +349,7 @@ func TestKernelSurface(t *testing.T) {
 	}
 	a := matrix.NewDense(2, 3)
 	for _, name := range Names() {
-		typ := reflect.TypeOf(MustGet(name)(a).NewKernelPlan())
+		typ := reflect.TypeOf(MustGetCodec(name).Encode(a).NewKernelPlan())
 		if typ == corePlan {
 			continue
 		}

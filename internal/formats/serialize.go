@@ -29,6 +29,11 @@ func putHeader(dst []byte, magic byte, rows, cols, extra int) []byte {
 	return bitpack.AppendU32s(append(dst, magic, 0, 0, 0), []uint32{uint32(rows), uint32(cols), uint32(extra)})
 }
 
+// dictTop is the largest index into dict, the top CVI and DVI pack their
+// value indexes for: every entry of a first-appearance dictionary is
+// used, so it is the largest index they hold (zero for an empty one).
+func dictTop(dict []float64) uint32 { return uint32(max(len(dict), 1) - 1) }
+
 // maxWireDim bounds deserialized dimensions so corrupt headers cannot
 // trigger enormous allocations downstream.
 const maxWireDim = 1 << 27

@@ -27,7 +27,7 @@ func goldenSource(t *testing.T, dataset, method string) (*data.Dataset, *MemoryS
 		t.Fatal(err)
 	}
 	d.ShuffleOnce(2)
-	return d, NewMemorySource(d, goldenBatch, formats.MustGet(method))
+	return d, NewMemorySource(d, goldenBatch, formats.MustGetCodec(method).Encode)
 }
 
 func goldenModel(t *testing.T, name string, d *data.Dataset) Model {

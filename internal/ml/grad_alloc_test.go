@@ -27,7 +27,7 @@ func TestLinGradAllocs(t *testing.T) {
 	}
 	d.ShuffleOnce(4)
 	x, y := d.Batch(0, 128)
-	c := formats.MustGet("TOC")(x)
+	c := formats.MustGetCodec("TOC").Encode(x)
 	plan := c.NewKernelPlan()
 	yb := make([]float64, len(y))
 	for i, yi := range y {
@@ -75,7 +75,7 @@ func TestLinGradAllocs(t *testing.T) {
 	} {
 		out := make([]float64, in.m.NumParams())
 		for _, method := range []string{"TOC", "DEN", "CSR", "CVI", "DVI"} {
-			batch := formats.MustGet(method)(in.x)
+			batch := formats.MustGetCodec(method).Encode(in.x)
 			in.m.Grad(batch, in.y, out) // warm the plan and scratch pools
 			if got := testing.AllocsPerRun(50, func() { in.m.Grad(batch, in.y, out) }); got != 0 {
 				t.Errorf("%s: %s Grad allocates %.0f objects/op, want 0", method, in.name, got)

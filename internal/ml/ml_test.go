@@ -12,7 +12,7 @@ import (
 )
 
 func denseBatch(x *matrix.Dense) formats.CompressedMatrix {
-	return formats.MustGet("DEN")(x)
+	return formats.MustGetCodec("DEN").Encode(x)
 }
 
 // analytic gradient via one tiny step (Grad then ApplyGrad, as Train
@@ -194,12 +194,12 @@ func TestCompressedTrainingMatchesDense(t *testing.T) {
 	d.ShuffleOnce(2)
 	for _, model := range []string{"lr", "svm", "linreg", "nn"} {
 		ref, _ := NewModel(model, d.X.Cols(), d.Classes, 0.1, 5)
-		denSrc := NewMemorySource(d, 50, formats.MustGet("DEN"))
+		denSrc := NewMemorySource(d, 50, formats.MustGetCodec("DEN").Encode)
 		Train(ref, denSrc, 3, 0.1, nil)
 
 		for _, format := range []string{"TOC", "CSR", "CVI", "CLA", "Gzip"} {
 			m2, _ := NewModel(model, d.X.Cols(), d.Classes, 0.1, 5)
-			src := NewMemorySource(d, 50, formats.MustGet(format))
+			src := NewMemorySource(d, 50, formats.MustGetCodec(format).Encode)
 			Train(m2, src, 3, 0.1, nil)
 			if !modelsClose(ref, m2, 1e-8) {
 				t.Errorf("%s trained with %s differs from DEN", model, format)
@@ -240,7 +240,7 @@ func TestLogRegLearnsSeparableData(t *testing.T) {
 	d, _ := data.Generate("census", 1500, 3)
 	d.ShuffleOnce(4)
 	m := NewLogReg(d.X.Cols())
-	src := NewMemorySource(d, 100, formats.MustGet("TOC"))
+	src := NewMemorySource(d, 100, formats.MustGetCodec("TOC").Encode)
 	res := Train(m, src, 8, 0.5, nil)
 	if res.EpochLoss[len(res.EpochLoss)-1] >= res.EpochLoss[0] {
 		t.Fatalf("loss did not decrease: %v", res.EpochLoss)
@@ -254,7 +254,7 @@ func TestSVMLearns(t *testing.T) {
 	d, _ := data.Generate("kdd99", 1200, 5)
 	d.ShuffleOnce(6)
 	m := NewSVM(d.X.Cols())
-	src := NewMemorySource(d, 100, formats.MustGet("TOC"))
+	src := NewMemorySource(d, 100, formats.MustGetCodec("TOC").Encode)
 	Train(m, src, 10, 0.2, nil)
 	if err := EvaluateError(m, src); err > 0.3 {
 		t.Fatalf("training error %.3f too high", err)
@@ -265,7 +265,7 @@ func TestNNLearnsMulticlass(t *testing.T) {
 	d, _ := data.Generate("mnist", 1200, 7)
 	d.ShuffleOnce(8)
 	m := NewNN(d.X.Cols(), []int{20, 10}, d.Classes, 9)
-	src := NewMemorySource(d, 100, formats.MustGet("TOC"))
+	src := NewMemorySource(d, 100, formats.MustGetCodec("TOC").Encode)
 	res := Train(m, src, 15, 0.8, nil)
 	first, last := res.EpochLoss[0], res.EpochLoss[len(res.EpochLoss)-1]
 	if last >= first {
@@ -281,7 +281,7 @@ func TestOneVsRestPredictsAllClasses(t *testing.T) {
 	d, _ := data.Generate("mnist", 800, 10)
 	d.ShuffleOnce(11)
 	m := newLinear(logistic, d.X.Cols(), d.Classes)
-	src := NewMemorySource(d, 100, formats.MustGet("CSR"))
+	src := NewMemorySource(d, 100, formats.MustGetCodec("CSR").Encode)
 	Train(m, src, 6, 0.5, nil)
 	pred := m.Predict(src.batches[0])
 	for _, p := range pred {
@@ -299,7 +299,7 @@ func TestMGDSpectrumBatchSizes(t *testing.T) {
 	d, _ := data.Generate("census", 120, 13)
 	for _, bs := range []int{1, 10, 120} {
 		m := NewLogReg(d.X.Cols())
-		src := NewMemorySource(d, bs, formats.MustGet("TOC"))
+		src := NewMemorySource(d, bs, formats.MustGetCodec("TOC").Encode)
 		res := Train(m, src, 2, 0.3, nil)
 		if len(res.EpochLoss) != 2 {
 			t.Fatalf("batch size %d: %d epochs recorded", bs, len(res.EpochLoss))
@@ -310,7 +310,7 @@ func TestMGDSpectrumBatchSizes(t *testing.T) {
 func TestTrainCallback(t *testing.T) {
 	d, _ := data.Generate("census", 100, 14)
 	m := NewLogReg(d.X.Cols())
-	src := NewMemorySource(d, 50, formats.MustGet("DEN"))
+	src := NewMemorySource(d, 50, formats.MustGetCodec("DEN").Encode)
 	var calls int
 	res := Train(m, src, 3, 0.1, func(epoch int, _ time.Duration, _ float64) { calls++ })
 	if calls != 3 {
@@ -353,7 +353,7 @@ func TestKernelWorkersGradBitwiseIdentical(t *testing.T) {
 		d.ShuffleOnce(4)
 		x, y := d.Batch(0, 200)
 		for _, method := range formats.Names() {
-			c := formats.MustGet(method)(x)
+			c := formats.MustGetCodec(method).Encode(x)
 			for _, name := range []string{"linreg", "lr", "svm", "nn"} {
 				mk := func() Model {
 					m, err := NewModel(name, x.Cols(), d.Classes, 0.2, 11)
@@ -395,7 +395,7 @@ func TestGradBuildsDecodeTreeOncePerBatch(t *testing.T) {
 	}
 	d.ShuffleOnce(6)
 	x, y := d.Batch(0, 150)
-	c := formats.MustGet("TOC")(x)
+	c := formats.MustGetCodec("TOC").Encode(x)
 	for _, name := range []string{"linreg", "lr", "svm", "nn"} {
 		for _, workers := range []int{1, 8} {
 			m, err := NewModel(name, x.Cols(), d.Classes, 0.2, 9)

@@ -21,7 +21,7 @@ func nnBatch(tb testing.TB, method string, rows int, hidden ...int) (formats.Com
 		tb.Fatal(err)
 	}
 	x, y := d.Batch(0, rows)
-	return formats.MustGet(method)(x), y, NewNN(x.Cols(), hidden, d.Classes, 1)
+	return formats.MustGetCodec(method).Encode(x), y, NewNN(x.Cols(), hidden, d.Classes, 1)
 }
 
 // TestNNGradAllocs pins NN.Grad's steady state on a TOC batch: beside

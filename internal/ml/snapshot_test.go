@@ -17,7 +17,7 @@ func snapshotFixture(t *testing.T, name string) (Model, formats.CompressedMatrix
 		t.Fatal(err)
 	}
 	d.ShuffleOnce(4)
-	src := NewMemorySource(d, 50, formats.MustGet("TOC"))
+	src := NewMemorySource(d, 50, formats.MustGetCodec("TOC").Encode)
 	m, err := NewModel(name, d.X.Cols(), d.Classes, 0.1, 9)
 	if err != nil {
 		t.Fatal(err)

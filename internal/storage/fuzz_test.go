@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -17,6 +18,18 @@ func hugeCountManifest() []byte {
 	img := (&Store{method: "TOC"}).encodeManifest()
 	body := img[:len(img)-4]
 	binary.LittleEndian.PutUint32(body[len(body)-4:], math.MaxInt32)
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, spanTable))
+}
+
+// sizeUnlikeSpan is s's manifest with its first batch record's size
+// one more than its span's length, resealed.
+func sizeUnlikeSpan(s *Store) []byte {
+	img := s.encodeManifest()
+	body := img[:len(img)-4]
+	// The first record follows the shard records and the batch count; its
+	// size follows its flags byte.
+	at := len((&Store{method: s.method, budget: s.budget, shards: s.shards}).encodeManifest()) - 4 + 1
+	binary.LittleEndian.PutUint64(body[at:], binary.LittleEndian.Uint64(body[at:])+1)
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, spanTable))
 }
 
@@ -37,12 +50,20 @@ func TestOpenStoreRefusesHostileManifest(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no spilled batch")
 	}
+	sizeUnlike := sizeUnlikeSpan(s)
+	if _, err := decodeManifest(sizeUnlike); err == nil || !strings.Contains(err.Error(), "batch 0 has size") {
+		t.Fatalf("a batch whose size is not its span's length: %v", err)
+	}
 	s.spans[victim].length = 1 << 40
 	longSpan := s.encodeManifest()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for name, img := range map[string][]byte{"huge batch count": hugeCountManifest(), "span past its shard": longSpan} {
+	for name, img := range map[string][]byte{
+		"huge batch count":     hugeCountManifest(),
+		"span past its shard":  longSpan,
+		"size unlike its span": sizeUnlike,
+	} {
 		if err := os.WriteFile(manifest, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -64,8 +85,8 @@ func TestOpenStoreRefusesHostileManifest(t *testing.T) {
 // sized by a count the bytes cannot back; the correctness property is
 // that an accepted manifest names only spans inside the bytes their
 // shard wrote, which is what bounds the reads OpenStore then makes. The
-// committed corpus holds a real manifest, a truncated one and the
-// huge-count image.
+// committed corpus holds a real manifest, a truncated one, the
+// huge-count image and a record whose size is not its span's length.
 func FuzzManifestDecode(f *testing.F) {
 	f.Add(hugeCountManifest())
 	f.Fuzz(func(t *testing.T, img []byte) {

@@ -63,11 +63,8 @@ func (s *Store) WriteManifest(path string) error {
 	// sizes (wpos, which includes earlier backups), not the spill
 	// accounting — backups are not spills. A second WriteManifest call
 	// reuses spans already flushed.
-	if s.resSpans == nil {
-		s.resSpans = make([]span, len(s.resident))
-	}
 	for i, c := range s.resident {
-		if c == nil || s.resSpans[i].length > 0 {
+		if c == nil || s.spans[i].length > 0 {
 			continue
 		}
 		best := 0
@@ -80,7 +77,7 @@ func (s *Store) WriteManifest(path string) error {
 		if err != nil {
 			return fmt.Errorf("storage: back up resident batch %d: %w", i, err)
 		}
-		s.resSpans[i] = sp
+		s.spans[i] = sp
 	}
 	for i, sh := range s.shards {
 		if sh.file == nil {
@@ -128,15 +125,13 @@ func (s *Store) encodeManifest() []byte {
 		img = le.AppendUint64(img, uint64(sh.bytes))
 	}
 	img = le.AppendUint32(img, uint32(len(s.resident)))
-	for i := range s.resident {
+	for i, sp := range s.spans {
 		var flags byte
-		sp := s.spans[i]
 		if s.resident[i] != nil {
 			flags |= 1
-			sp = s.resSpans[i]
 		}
 		img = append(img, flags)
-		img = le.AppendUint64(img, uint64(s.sizes[i]))
+		img = le.AppendUint64(img, uint64(sp.length)) // the batch's size
 		img = le.AppendUint32(img, uint32(sp.shard))
 		img = le.AppendUint64(img, uint64(sp.off))
 		img = le.AppendUint64(img, uint64(sp.length))
@@ -169,10 +164,10 @@ type manifestShard struct {
 }
 
 // manifestBatch is one batch: whether it was resident (its span is then
-// a backup), its compressed size, where its bytes are, and its labels.
+// a backup), where its bytes are, and its labels. Its compressed size is
+// its span's length, which the record also holds as its size.
 type manifestBatch struct {
 	resident bool
-	size     int64
 	sp       span
 	labels   []float64
 }
@@ -229,13 +224,15 @@ func decodeManifest(img []byte) (*manifest, error) {
 			return nil, fmt.Errorf("batch %d has unknown flags %#x", i, flags)
 		case uint64(shard) >= uint64(len(m.shards)):
 			return nil, fmt.Errorf("batch %d names shard %d of %d", i, shard, len(m.shards))
+		case size != sp.length:
+			return nil, fmt.Errorf("batch %d has size %d but a %d-byte span", i, size, sp.length)
 		}
 		sp.shard = int(shard)
-		if wpos := m.shards[sp.shard].wpos; size < 0 || sp.off < 0 || sp.length < 0 || sp.off > wpos-sp.length {
-			return nil, fmt.Errorf("batch %d (size %d) spans [%d, +%d) of shard %d, which wrote %d bytes",
-				i, size, sp.off, sp.length, shard, wpos)
+		if wpos := m.shards[sp.shard].wpos; sp.off < 0 || sp.length < 0 || sp.off > wpos-sp.length {
+			return nil, fmt.Errorf("batch %d spans [%d, +%d) of shard %d, which wrote %d bytes",
+				i, sp.off, sp.length, shard, wpos)
 		}
-		m.batches[i] = manifestBatch{resident: flags == 1, size: size, sp: sp, labels: labels}
+		m.batches[i] = manifestBatch{resident: flags == 1, sp: sp, labels: labels}
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -310,18 +307,14 @@ func (s *Store) restore(m *manifest) error {
 	s.resident = make([]formats.CompressedMatrix, n)
 	s.labels = make([][]float64, n)
 	s.spans = make([]span, n)
-	s.sizes = make([]int64, n)
-	s.resSpans = make([]span, n)
 	var st Stats
 	for i, b := range m.batches {
 		img, err := s.readSpanVerified(i, b.sp)
 		if err != nil {
 			return err
 		}
-		s.labels[i] = b.labels
-		s.sizes[i] = b.size
+		s.labels[i], s.spans[i] = b.labels, b.sp
 		if !b.resident {
-			s.spans[i] = b.sp
 			st.SpilledBatches++
 			st.SpilledBytes += b.sp.length
 			continue
@@ -331,9 +324,8 @@ func (s *Store) restore(m *manifest) error {
 			return fmt.Errorf("storage: decode resident batch %d backup: %w", i, err)
 		}
 		s.resident[i] = c
-		s.resSpans[i] = b.sp
 		st.ResidentBatches++
-		st.ResidentBytes += b.size
+		st.ResidentBytes += b.sp.length
 	}
 	s.mu.Lock()
 	s.stats = st

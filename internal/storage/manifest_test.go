@@ -431,9 +431,7 @@ func TestManifestGoldenCRC(t *testing.T) {
 		budget:   1 << 20,
 		shards:   []*shard{{wpos: 300, bytes: 200}, {wpos: 0}},
 		resident: []formats.CompressedMatrix{&formats.DEN{}, nil},
-		spans:    []span{{}, {shard: 0, off: 100, length: 200, crc: 0xdeadbeef}},
-		resSpans: []span{{shard: 0, off: 0, length: 100, crc: 0x01020304}, {}},
-		sizes:    []int64{100, 200},
+		spans:    []span{{shard: 0, off: 0, length: 100, crc: 0x01020304}, {shard: 0, off: 100, length: 200, crc: 0xdeadbeef}},
 		labels:   [][]float64{{1, -1, 0.5}, {}},
 	}
 	if got, want := crc32.ChecksumIEEE(s.encodeManifest()), uint32(0x12b02cf5); got != want {

@@ -556,7 +556,7 @@ func TestPrefetcherReleaseRecyclesOnlyItsOwnVisits(t *testing.T) {
 		x.Set(i, i, float64(i+1))
 	}
 	// The budget keeps exactly the first batch resident.
-	st, err := NewStore(t.TempDir(), "TOC", int64(formats.MustGet("TOC")(x).CompressedSize()))
+	st, err := NewStore(t.TempDir(), "TOC", int64(formats.MustGetCodec("TOC").Encode(x).CompressedSize()))
 	if err != nil {
 		t.Fatal(err)
 	}

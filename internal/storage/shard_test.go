@@ -118,7 +118,7 @@ func TestShardedTrainingMatchesMemory(t *testing.T) {
 	d.ShuffleOnce(10)
 
 	ref, _ := ml.NewModel("lr", d.X.Cols(), d.Classes, 1, 1)
-	memSrc := ml.NewMemorySource(d, 50, formats.MustGet("TOC"))
+	memSrc := ml.NewMemorySource(d, 50, formats.MustGetCodec("TOC").Encode)
 	ml.Train(ref, memSrc, 3, 0.2, nil)
 
 	s, err := NewStore(t.TempDir(), "TOC", 0, WithShards(4))

@@ -112,15 +112,14 @@ type Store struct {
 
 	resident []formats.CompressedMatrix // nil for spilled batches
 	labels   [][]float64
-	spans    []span  // zero length for resident batches
-	sizes    []int64 // compressed size per batch, as the manifest records it
 
-	// resSpans holds the backup spans WriteManifest appends for
-	// resident batches so a restarted process can rebuild them from the
-	// shard files. They are accounted separately from the spill spans —
-	// a resident batch's backup is crash insurance, not a spill, so it
-	// never shows up in the spill stats or the placement balance.
-	resSpans []span
+	// spans holds each batch's bytes in the shard files: a spilled
+	// batch's spill, and a resident batch's backup once WriteManifest has
+	// written one (zero length before), so a restarted process can
+	// rebuild it. A backup is crash insurance, not a spill: it never
+	// shows up in the spill stats or the placement balance. A span's
+	// length is its batch's compressed size, which the manifest records.
+	spans []span
 
 	// persist marks a store whose shard files back a written manifest
 	// (WriteManifest, or a store reopened by OpenStore): Close keeps the
@@ -289,7 +288,6 @@ func (s *Store) AddCompressed(c formats.CompressedMatrix, y []float64) error {
 	s.labels = append(s.labels, append([]float64(nil), y...))
 	s.resident = append(s.resident, c)
 	s.spans = append(s.spans, sp)
-	s.sizes = append(s.sizes, size)
 	s.mu.Lock()
 	if fits {
 		s.stats.ResidentBatches++

@@ -75,7 +75,7 @@ func TestAllResidentUnderLargeBudget(t *testing.T) {
 func TestSpillAndReadBack(t *testing.T) {
 	xs, ys := testBatches(t, 6, 30, 12)
 	// Budget fits roughly two TOC batches.
-	probe := formats.MustGet("TOC")(xs[0]).CompressedSize()
+	probe := formats.MustGetCodec("TOC").Encode(xs[0]).CompressedSize()
 	s, err := NewStore(t.TempDir(), "TOC", int64(probe*2+probe/2))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestFullyResidentStoreCreatesNoSpillFile(t *testing.T) {
 func TestSpillFileCreatedLazilyOnFirstSpill(t *testing.T) {
 	dir := t.TempDir()
 	xs, ys := testBatches(t, 3, 20, 10)
-	probe := formats.MustGet("TOC")(xs[0]).CompressedSize()
+	probe := formats.MustGetCodec("TOC").Encode(xs[0]).CompressedSize()
 	s, err := NewStore(dir, "TOC", int64(probe)+1)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestTrainingThroughSpillMatchesMemory(t *testing.T) {
 	d.ShuffleOnce(10)
 
 	ref, _ := ml.NewModel("lr", d.X.Cols(), d.Classes, 1, 1)
-	memSrc := ml.NewMemorySource(d, 50, formats.MustGet("TOC"))
+	memSrc := ml.NewMemorySource(d, 50, formats.MustGetCodec("TOC").Encode)
 	ml.Train(ref, memSrc, 3, 0.2, nil)
 
 	s, _ := NewStore(t.TempDir(), "TOC", 0) // everything on disk
@@ -333,7 +333,7 @@ func residency(s *Store) string {
 // where it sits.
 func TestEvictionFirstFitTrace(t *testing.T) {
 	x, _ := denBatch(20)
-	big := int64(formats.MustGet("DEN")(x).CompressedSize())
+	big := int64(formats.MustGetCodec("DEN").Encode(x).CompressedSize())
 	s, err := NewStore(t.TempDir(), "DEN", big+1)
 	if err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func PaperMethods() []string { return formats.PaperMethods() }
 // three kernels a gradient step runs on it; every other scheme's plan is
 // the batch itself, with nothing to build.
 func Encode(method string, m *Dense) CompressedMatrix {
-	return formats.MustGet(method)(m)
+	return formats.MustGetCodec(method).Encode(m)
 }
 
 // GetCodec returns the codec registered under name.
@@ -134,7 +134,7 @@ func NewModel(name string, dims, classes int, hiddenScale float64, seed int64) (
 
 // NewMemorySource slices a dataset into mini-batches encoded with method.
 func NewMemorySource(d *Dataset, batchSize int, method string) *ml.MemorySource {
-	return ml.NewMemorySource(d, batchSize, formats.MustGet(method))
+	return ml.NewMemorySource(d, batchSize, formats.MustGetCodec(method).Encode)
 }
 
 // Train runs mini-batch gradient descent (Equation 2 of the paper) for the
